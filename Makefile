@@ -28,7 +28,7 @@ ifdef GOMAXPROCS
 export GOMAXPROCS
 endif
 
-.PHONY: build build-examples test race cover difftest bench bench-all bench-check bench-concurrency bench-durability bench-compaction bench-advisor bench-partition bench-txn bench-server bench-repl bench-scenarios bench-hotpath profile fmt fmt-check vet staticcheck doc-check ci
+.PHONY: build build-examples test race cover difftest bench bench-all bench-check bench-concurrency bench-durability bench-compaction bench-advisor bench-partition bench-txn bench-server bench-repl bench-scenarios bench-hotpath benchmark-smoke profile heap-profile fmt fmt-check vet staticcheck doc-check ci
 
 build:
 	$(GO) build ./...
@@ -130,6 +130,16 @@ bench-scenarios: build
 bench-hotpath: build
 	$(GO) run ./cmd/hermit-bench -exp hotpath
 
+# The repository benchmark (benchmark/, BENCHMARK.json) at smoke scale:
+# every workload, both passes, about ten seconds. run.sh exits non-zero
+# when a workload cannot run or any operation disagrees with the oracle;
+# the grep catches a result line that says so all the same.
+benchmark-smoke:
+	@out="$$(bash benchmark/run.sh -scale 0.01 -seconds 1 -json)" || { echo "$$out"; exit 1; }; \
+	echo "$$out" | cut -c1-120; \
+	if echo "$$out" | grep -q '"correct": *false'; then \
+		echo "benchmark smoke: a workload returned wrong results"; exit 1; fi
+
 # Capture labeled CPU + allocation profiles (pb.gz) from the zipf-oltp and
 # timeseries scenario replays. Inspect with `go tool pprof
 # $(PROFILE_DIR)/cpu_zipf-oltp.pb.gz`; CI uploads the directory.
@@ -145,6 +155,16 @@ profile: build
 		-cpuprofile $(PROFILE_DIR)/cpu_hotpath.pb.gz \
 		-memprofile $(PROFILE_DIR)/mem_hotpath.pb.gz
 	@ls -l $(PROFILE_DIR)
+
+# Heap census of a loaded table: 1M Synthetic rows + host B+-tree + Hermit
+# index through the public API, profiled while live. The text report
+# ($(PROFILE_DIR)/heap-load.txt, uploaded by CI with the pb.gz) is the
+# artifact a memory claim starts from.
+heap-profile:
+	@mkdir -p $(PROFILE_DIR)
+	$(GO) test -count=1 -run 'TestHeapProfileOfLoad$$' . -memprofilerate 4096 -heap.profile $(PROFILE_DIR)/heap-load.pb.gz
+	$(GO) tool pprof -sample_index=inuse_space -top $(PROFILE_DIR)/heap-load.pb.gz > $(PROFILE_DIR)/heap-load.txt
+	@head -25 $(PROFILE_DIR)/heap-load.txt
 
 fmt:
 	gofmt -w .
@@ -172,4 +192,4 @@ staticcheck:
 doc-check:
 	$(GO) run ./internal/tools/doccheck . ./internal/engine ./internal/block ./internal/advisor ./internal/partition ./internal/difftest ./internal/server ./internal/server/proto ./internal/client ./internal/repl ./internal/scenario
 
-ci: fmt-check vet staticcheck doc-check cover build-examples bench-all bench-check difftest
+ci: fmt-check vet staticcheck doc-check cover build-examples bench-all bench-check benchmark-smoke difftest

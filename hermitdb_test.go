@@ -1,7 +1,11 @@
 package hermitdb_test
 
 import (
+	"flag"
 	"math/rand"
+	"os"
+	"runtime"
+	"runtime/pprof"
 	"testing"
 
 	hermitdb "hermit"
@@ -170,4 +174,83 @@ func TestPartitionedFacade(t *testing.T) {
 	if rids, _, err := dt2.PointQuery(0, 42); err != nil || len(rids) != 1 {
 		t.Fatalf("recovered pk lookup: %v, %v", rids, err)
 	}
+}
+
+// loadSyntheticWithHermit loads the paper's Synthetic table through the
+// public API: rows, the host B+-tree on colB, a Hermit index on colC.
+func loadSyntheticWithHermit(t *testing.T, rows int) (*hermitdb.DB, *hermitdb.Table) {
+	t.Helper()
+	db := hermitdb.NewDB(hermitdb.PhysicalPointers)
+	spec := hermitdb.SyntheticSpec{Rows: rows, Fn: hermitdb.Sigmoid, Noise: 0.01, Seed: 1}
+	tb, err := db.CreateTable("syn", spec.Columns(), spec.PKCol())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := spec.Generate(func(row []float64) error {
+		_, err := tb.Insert(row)
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tb.CreateBTreeIndex(spec.HostCol(), false); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tb.CreateHermitIndex(spec.TargetCol(), spec.HostCol()); err != nil {
+		t.Fatal(err)
+	}
+	return db, tb
+}
+
+// TestHeapBytesPerRowBudget is the memory analogue of the AllocsPerRun
+// guards: what the process holds per row for a loaded Synthetic table with
+// its host B+-tree and a Hermit index must stay under a budget fixed 10%
+// above the figure measured when the budget was set — 135.8 B/row, of
+// which Memory() reports 131.0: 32 B of row store, 24 B of version header,
+// 22 B of heads map, 26 B each of primary and host index, 0.5 B of
+// TRS-Tree — so the win of the flat version table and the right-sized
+// B+-tree splits cannot silently erode (the per-version heap objects and
+// pinned split arrays they replaced held 219 B/row). Memory() must keep
+// accounting for what the process holds.
+func TestHeapBytesPerRowBudget(t *testing.T) {
+	const rows, budget = 200_000, 150.0
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	db, tb := loadSyntheticWithHermit(t, rows)
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	heap := float64(after.HeapAlloc-before.HeapAlloc) / rows
+	m := tb.Memory()
+	reported := float64(m.Total()+m.VersionBytes) / rows
+	t.Logf("heap %.1f B/row, Memory() reports %.1f B/row: %+v", heap, reported, m)
+	if heap > budget {
+		t.Errorf("heap %.1f B/row over the %.0f B/row budget", heap, budget)
+	}
+	if reported < 0.9*heap || reported > 1.1*heap {
+		t.Errorf("Memory() reports %.1f B/row, the process holds %.1f", reported, heap)
+	}
+	runtime.KeepAlive(db)
+}
+
+// heapProfile makes TestHeapProfileOfLoad write a heap profile of a loaded
+// 1M-row table, taken while the table is live (`make heap-profile`).
+var heapProfile = flag.String("heap.profile", "", "write the heap profile of a 1M-row Synthetic load to this file")
+
+func TestHeapProfileOfLoad(t *testing.T) {
+	if *heapProfile == "" {
+		t.Skip("no -heap.profile file named")
+	}
+	db, _ := loadSyntheticWithHermit(t, 1_000_000)
+	f, err := os.Create(*heapProfile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC() // the profile reports the heap as of the last collection
+	if err := pprof.WriteHeapProfile(f); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	runtime.KeepAlive(db)
 }

@@ -117,19 +117,36 @@ func (t *Tree) Insert(key float64, id uint64) {
 	t.size++
 }
 
+// insertAt inserts v at index i of a node array. Node arrays built by
+// inserts are allocated once at full (the length at which the node splits)
+// and never regrown, so no node is left holding a doubled backing array
+// and cap() — what SizeBytes counts — is what the heap holds.
+func insertAt[T any](s []T, i int, v T, full int) []T {
+	if len(s) == cap(s) {
+		s = append(make([]T, 0, full), s...)
+	}
+	s = s[:len(s)+1]
+	copy(s[i+1:], s[i:])
+	s[i] = v
+	return s
+}
+
+// splitOff copies s[from:] into a fresh full-capacity array: the right
+// sibling's share of a split. The left sibling keeps s's array.
+func splitOff[T any](s []T, from, full int) []T {
+	return append(make([]T, 0, full), s[from:]...)
+}
+
 // insert descends into n; on child split it absorbs the separator, and on
 // its own split returns the new right sibling with its separator.
 func (t *Tree) insert(n *node, key float64, id uint64) (float64, uint64, *node) {
+	full := t.order + 1
 	if n.leaf {
 		i := n.search(key, id)
-		n.keys = append(n.keys, 0)
-		n.tie = append(n.tie, 0)
-		copy(n.keys[i+1:], n.keys[i:])
-		copy(n.tie[i+1:], n.tie[i:])
-		n.keys[i] = key
-		n.tie[i] = id
+		n.keys = insertAt(n.keys, i, key, full)
+		n.tie = insertAt(n.tie, i, id, full)
 		if len(n.keys) > t.order {
-			return t.splitLeaf(n)
+			return t.splitLeaf(n, i)
 		}
 		return 0, 0, nil
 	}
@@ -138,31 +155,33 @@ func (t *Tree) insert(n *node, key float64, id uint64) (float64, uint64, *node) 
 	if right == nil {
 		return 0, 0, nil
 	}
-	n.keys = append(n.keys, 0)
-	n.tie = append(n.tie, 0)
-	copy(n.keys[ci+1:], n.keys[ci:])
-	copy(n.tie[ci+1:], n.tie[ci:])
-	n.keys[ci] = sep
-	n.tie[ci] = sepTie
-	n.children = append(n.children, nil)
-	copy(n.children[ci+2:], n.children[ci+1:])
-	n.children[ci+1] = right
+	n.keys = insertAt(n.keys, ci, sep, full)
+	n.tie = insertAt(n.tie, ci, sepTie, full)
+	n.children = insertAt(n.children, ci+1, right, full+1)
 	if len(n.keys) > t.order {
 		return t.splitInternal(n)
 	}
 	return 0, 0, nil
 }
 
-func (t *Tree) splitLeaf(n *node) (float64, uint64, *node) {
+// splitLeaf moves the upper half of the overflowing leaf n into a new
+// right sibling; i is where the overflowing entry landed. When that was the
+// end of the rightmost leaf the split is at i instead, so an ascending
+// load leaves full leaves behind rather than half-empty ones.
+func (t *Tree) splitLeaf(n *node, i int) (float64, uint64, *node) {
 	mid := len(n.keys) / 2
+	if n.next == nil && i == len(n.keys)-1 {
+		mid = i
+	}
+	full := t.order + 1
 	right := &node{
 		leaf: true,
-		keys: append([]float64(nil), n.keys[mid:]...),
-		tie:  append([]uint64(nil), n.tie[mid:]...),
+		keys: splitOff(n.keys, mid, full),
+		tie:  splitOff(n.tie, mid, full),
 		next: n.next,
 	}
-	n.keys = n.keys[:mid:mid]
-	n.tie = n.tie[:mid:mid]
+	n.keys = n.keys[:mid]
+	n.tie = n.tie[:mid]
 	n.next = right
 	return right.keys[0], right.tie[0], right
 }
@@ -170,14 +189,16 @@ func (t *Tree) splitLeaf(n *node) (float64, uint64, *node) {
 func (t *Tree) splitInternal(n *node) (float64, uint64, *node) {
 	mid := len(n.keys) / 2
 	sep, sepTie := n.keys[mid], n.tie[mid]
+	full := t.order + 1
 	right := &node{
-		keys:     append([]float64(nil), n.keys[mid+1:]...),
-		tie:      append([]uint64(nil), n.tie[mid+1:]...),
-		children: append([]*node(nil), n.children[mid+1:]...),
+		keys:     splitOff(n.keys, mid+1, full),
+		tie:      splitOff(n.tie, mid+1, full),
+		children: splitOff(n.children, mid+1, full+1),
 	}
-	n.keys = n.keys[:mid:mid]
-	n.tie = n.tie[:mid:mid]
-	n.children = n.children[: mid+1 : mid+1]
+	n.keys = n.keys[:mid]
+	n.tie = n.tie[:mid]
+	clear(n.children[mid+1:]) // drop the moved children's references
+	n.children = n.children[:mid+1]
 	return sep, sepTie, right
 }
 

@@ -3,6 +3,7 @@ package btree
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -405,4 +406,70 @@ func BenchmarkRangeScan1000(b *testing.B) {
 			b.Fatalf("n=%d", n)
 		}
 	}
+}
+
+// heapOf returns the live heap build leaves behind, keeping its result
+// reachable until measured.
+func heapOf(build func() any) (uint64, any) {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	v := build()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	return after.HeapAlloc - before.HeapAlloc, v
+}
+
+// Splits must not leave nodes pinning backing arrays larger than cap()
+// reports: what the process holds for an insert-built tree stays within
+// 15% of SizeBytes, and an ascending load (every primary index) leaves
+// full leaves, at most 30 B/entry.
+func TestHeapMatchesSizeBytes(t *testing.T) {
+	n := 1_000_000
+	if testing.Short() {
+		n = 100_000
+	}
+	check := func(name string, heap, size uint64, maxPerEntry float64) {
+		t.Helper()
+		per := float64(heap) / float64(n)
+		t.Logf("%s: heap %.1f B/entry, SizeBytes %.1f B/entry", name, per, float64(size)/float64(n))
+		if d := math.Abs(float64(heap)-float64(size)) / float64(size); d > 0.15 {
+			t.Errorf("%s: heap %d B is %.0f%% away from SizeBytes %d B", name, heap, d*100, size)
+		}
+		if maxPerEntry > 0 && per > maxPerEntry {
+			t.Errorf("%s: %.1f B/entry, want <= %.0f", name, per, maxPerEntry)
+		}
+	}
+	heap, v := heapOf(func() any {
+		tr := New(DefaultOrder)
+		for i := 0; i < n; i++ {
+			tr.Insert(float64(i), uint64(i))
+		}
+		return tr
+	})
+	tr := v.(*Tree)
+	check("ascending", heap, tr.SizeBytes(), 30)
+	if err := tr.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+
+	heap, v = heapOf(func() any {
+		rng := rand.New(rand.NewSource(1))
+		tr := New(DefaultOrder)
+		for i := 0; i < n; i++ {
+			tr.Insert(rng.Float64(), uint64(i))
+		}
+		return tr
+	})
+	check("random", heap, v.(*Tree).SizeBytes(), 0)
+
+	heap, v = heapOf(func() any {
+		rng := rand.New(rand.NewSource(1))
+		tr := NewComposite(DefaultOrder)
+		for i := 0; i < n; i++ {
+			tr.Insert(rng.Float64(), rng.Float64(), uint64(i))
+		}
+		return tr
+	})
+	check("composite random", heap, v.(*CompositeTree).SizeBytes(), 0)
 }

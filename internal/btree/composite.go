@@ -82,15 +82,12 @@ func (t *CompositeTree) Insert(a, b float64, id uint64) {
 }
 
 func (t *CompositeTree) insert(n *cnode, a, b float64, id uint64) (float64, float64, uint64, *cnode) {
+	full := t.order + 1
 	if n.leaf {
 		i := n.search(a, b, id)
-		n.a = append(n.a, 0)
-		n.b = append(n.b, 0)
-		n.tie = append(n.tie, 0)
-		copy(n.a[i+1:], n.a[i:])
-		copy(n.b[i+1:], n.b[i:])
-		copy(n.tie[i+1:], n.tie[i:])
-		n.a[i], n.b[i], n.tie[i] = a, b, id
+		n.a = insertAt(n.a, i, a, full)
+		n.b = insertAt(n.b, i, b, full)
+		n.tie = insertAt(n.tie, i, id, full)
 		if len(n.a) > t.order {
 			return t.splitLeaf(n)
 		}
@@ -101,16 +98,10 @@ func (t *CompositeTree) insert(n *cnode, a, b float64, id uint64) (float64, floa
 	if right == nil {
 		return 0, 0, 0, nil
 	}
-	n.a = append(n.a, 0)
-	n.b = append(n.b, 0)
-	n.tie = append(n.tie, 0)
-	copy(n.a[ci+1:], n.a[ci:])
-	copy(n.b[ci+1:], n.b[ci:])
-	copy(n.tie[ci+1:], n.tie[ci:])
-	n.a[ci], n.b[ci], n.tie[ci] = sa, sb, sTie
-	n.children = append(n.children, nil)
-	copy(n.children[ci+2:], n.children[ci+1:])
-	n.children[ci+1] = right
+	n.a = insertAt(n.a, ci, sa, full)
+	n.b = insertAt(n.b, ci, sb, full)
+	n.tie = insertAt(n.tie, ci, sTie, full)
+	n.children = insertAt(n.children, ci+1, right, full+1)
 	if len(n.a) > t.order {
 		return t.splitInternal(n)
 	}
@@ -119,16 +110,15 @@ func (t *CompositeTree) insert(n *cnode, a, b float64, id uint64) (float64, floa
 
 func (t *CompositeTree) splitLeaf(n *cnode) (float64, float64, uint64, *cnode) {
 	mid := len(n.a) / 2
+	full := t.order + 1
 	right := &cnode{
 		leaf: true,
-		a:    append([]float64(nil), n.a[mid:]...),
-		b:    append([]float64(nil), n.b[mid:]...),
-		tie:  append([]uint64(nil), n.tie[mid:]...),
+		a:    splitOff(n.a, mid, full),
+		b:    splitOff(n.b, mid, full),
+		tie:  splitOff(n.tie, mid, full),
 		next: n.next,
 	}
-	n.a = n.a[:mid:mid]
-	n.b = n.b[:mid:mid]
-	n.tie = n.tie[:mid:mid]
+	n.a, n.b, n.tie = n.a[:mid], n.b[:mid], n.tie[:mid]
 	n.next = right
 	return right.a[0], right.b[0], right.tie[0], right
 }
@@ -136,16 +126,16 @@ func (t *CompositeTree) splitLeaf(n *cnode) (float64, float64, uint64, *cnode) {
 func (t *CompositeTree) splitInternal(n *cnode) (float64, float64, uint64, *cnode) {
 	mid := len(n.a) / 2
 	sa, sb, sTie := n.a[mid], n.b[mid], n.tie[mid]
+	full := t.order + 1
 	right := &cnode{
-		a:        append([]float64(nil), n.a[mid+1:]...),
-		b:        append([]float64(nil), n.b[mid+1:]...),
-		tie:      append([]uint64(nil), n.tie[mid+1:]...),
-		children: append([]*cnode(nil), n.children[mid+1:]...),
+		a:        splitOff(n.a, mid+1, full),
+		b:        splitOff(n.b, mid+1, full),
+		tie:      splitOff(n.tie, mid+1, full),
+		children: splitOff(n.children, mid+1, full+1),
 	}
-	n.a = n.a[:mid:mid]
-	n.b = n.b[:mid:mid]
-	n.tie = n.tie[:mid:mid]
-	n.children = n.children[: mid+1 : mid+1]
+	n.a, n.b, n.tie = n.a[:mid], n.b[:mid], n.tie[:mid]
+	clear(n.children[mid+1:]) // drop the moved children's references
+	n.children = n.children[:mid+1]
 	return sa, sb, sTie, right
 }
 

@@ -8,11 +8,20 @@ import (
 	"hermit/internal/engine"
 	"hermit/internal/hermit"
 	"hermit/internal/server"
+	"hermit/internal/workload"
 )
 
 // startServer serves a fresh DurableDB on loopback, torn down with the
 // test.
 func startServer(t *testing.T, opts server.Options) *server.Server {
+	t.Helper()
+	srv, _ := startServerDB(t, opts)
+	return srv
+}
+
+// startServerDB is startServer for tests that also inspect the database
+// behind the server.
+func startServerDB(t *testing.T, opts server.Options) (*server.Server, *engine.DurableDB) {
 	t.Helper()
 	d, err := engine.OpenDurable(t.TempDir(), hermit.PhysicalPointers)
 	if err != nil {
@@ -24,7 +33,7 @@ func startServer(t *testing.T, opts server.Options) *server.Server {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { srv.Close() })
-	return srv
+	return srv, d
 }
 
 func dial(t *testing.T, srv *server.Server, opts client.Options) *client.Conn {
@@ -272,5 +281,55 @@ func TestDialErrors(t *testing.T) {
 	srv := startServer(t, server.Options{})
 	if _, err := client.Dial(srv.Addr().String(), client.Options{Tenant: "bad@name"}); err == nil {
 		t.Fatal("tenant with '@' accepted")
+	}
+}
+
+// TestWireHermitIndexUsesDefaultParams: the wire DDL carries no TRS-Tree
+// parameters, and zero parameters must mean the defaults — not the
+// sanitized zero value, which is one leaf with every row an outlier
+// (16 B/row and a linear scan per lookup).
+func TestWireHermitIndexUsesDefaultParams(t *testing.T) {
+	srv, d := startServerDB(t, server.Options{})
+	c := dial(t, srv, client.Options{})
+
+	spec := workload.SyntheticSpec{Rows: 50_000, Fn: workload.Sigmoid, Noise: 0.01, Seed: 1}
+	if err := c.CreateTable("syn", spec.Columns(), spec.PKCol(), 0); err != nil {
+		t.Fatal(err)
+	}
+	var ops []client.Op
+	flush := func() {
+		if _, err := c.Batch(ops); err != nil {
+			t.Fatal(err)
+		}
+		ops = ops[:0]
+	}
+	_ = spec.Generate(func(row []float64) error {
+		ops = append(ops, client.Op{Kind: client.OpInsert, Table: "syn", Row: append([]float64(nil), row...)})
+		if len(ops) == 1000 {
+			flush()
+		}
+		return nil
+	})
+	flush()
+	if err := c.CreateBTreeIndex("syn", spec.HostCol()); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.CreateHermitIndex("syn", spec.TargetCol(), spec.HostCol()); err != nil {
+		t.Fatal(err)
+	}
+
+	tb, err := d.Table("syn")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if leaves := tb.Hermit(spec.TargetCol()).Tree().LeafCount(); leaves <= 1 {
+		t.Errorf("wire-created TRS-Tree has %d leaf", leaves)
+	}
+	if per := float64(tb.Memory().NewBytes) / float64(spec.Rows); per >= 2 {
+		t.Errorf("wire-created Hermit index takes %.2f B/row, want < 2", per)
+	}
+	rows, err := c.Range("syn", spec.TargetCol(), 100, 101)
+	if err != nil || len(rows) == 0 {
+		t.Fatalf("range through the wire-created index: %d rows, err=%v", len(rows), err)
 	}
 }

@@ -106,3 +106,50 @@ func TestRangeReadIntoSteadyState(t *testing.T) {
 		t.Fatalf("warm RangeQueryInto allocates %.2f/op, want 0", allocs)
 	}
 }
+
+// TestHermitRangeReadIntoSteadyState pins the paper's headline path: a
+// Hermit range query harvests TRS-Tree ranges, host-index identifiers and
+// candidate RIDs into pooled scratch, so with a carried dst it allocates
+// nothing — under either pointer scheme.
+func TestHermitRangeReadIntoSteadyState(t *testing.T) {
+	for _, scheme := range []hermit.PointerScheme{hermit.PhysicalPointers, hermit.LogicalPointers} {
+		db := NewDB(scheme)
+		tb, err := db.CreateTable("guard", []string{"pk", "host", "target"}, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tb.SetRouting(RouteStatic)
+		for i := 0; i < 4096; i++ {
+			host := 2*float64(i) + 100
+			if i%100 == 0 {
+				host = float64(i * 7 % 4096) // outliers
+			}
+			if _, err := tb.Insert([]float64{float64(i), host, float64(i)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := tb.CreateBTreeIndex(1, false); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tb.CreateHermitIndex(2, 1); err != nil {
+			t.Fatal(err)
+		}
+		dst := make([]storage.RID, 0, 64)
+		lo := 0.0
+		allocs := measureAllocs(t, 200, func() {
+			lo += 13
+			if lo > 4000 {
+				lo = 0
+			}
+			var st QueryStats
+			var err error
+			dst, st, err = tb.RangeQueryInto(2, lo, lo+31, dst)
+			if err != nil || st.Path != PathHermit || len(dst) != 32 {
+				t.Fatalf("%v: hermit range read: err=%v path=%v rows=%d", scheme, err, st.Path, len(dst))
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("%v: warm Hermit RangeQueryInto allocates %.2f/op, want 0", scheme, allocs)
+		}
+	}
+}

@@ -166,7 +166,7 @@ func (t *Table) RangeQuery2At(snap *Snapshot, aCol int, aLo, aHi float64, bCol i
 		hostMu.RLock()
 		res := hx.Lookup(aLo, aHi, bLo, bHi)
 		hostMu.RUnlock()
-		rids := t.filterVersions(snap, res.RIDs)
+		rids := t.filterVersions(snap, res.RIDs, res.RIDs[:0]) // owned: filter in place
 		return rids, QueryStats{
 			Kind: KindHermit, Rows: len(rids),
 			Candidates: res.Candidates, Breakdown: res.Breakdown,
@@ -213,7 +213,7 @@ func (t *Table) compositeBaseline(snap *Snapshot, tr *btree.CompositeTree, mu *s
 		t0 = time.Now()
 	}
 	st.Candidates = len(rids)
-	out := t.filterVersions(snap, rids)
+	out := t.filterVersions(snap, rids, rids[:0]) // owned: filter in place
 	if profile {
 		st.Breakdown[hermit.PhaseBaseTable] += time.Since(t0)
 	}

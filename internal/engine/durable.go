@@ -607,7 +607,14 @@ func physicalNames(name string, meta *durableMeta) []string {
 	return names
 }
 
+// applyIndexDef builds the index def describes. Zero-valued Params — a
+// definition that names none, as the wire DDL, advisor and HTTP paths
+// produce — mean the TRS-Tree defaults: sanitizing the zero value instead
+// would clamp the tree to one leaf holding every row as an outlier.
 func applyIndexDef(tb *Table, def IndexDef) error {
+	if def.Params == (trstree.Params{}) {
+		def.Params = trstree.DefaultParams()
+	}
 	var err error
 	switch def.Kind {
 	case "btree":

@@ -82,8 +82,7 @@ func (db *DB) CreateTable(name string, cols []string, pkCol int) (*Table, error)
 		scheme:       db.scheme,
 		clock:        db.clock,
 		store:        storage.NewTable(len(cols)),
-		chains:       make(map[uint64]*version),
-		verOf:        make(map[storage.RID]*version),
+		heads:        make(map[uint64]storage.RID),
 		primary:      btree.New(btree.DefaultOrder),
 		secondary:    make(map[int]*btree.Tree),
 		hermits:      make(map[int]*hermit.Index),
@@ -134,15 +133,18 @@ type Table struct {
 	clock  *Clock
 	store  *storage.Table
 
-	// MVCC state (mvcc.go): per-key version chains (newest first), the
-	// reverse RID -> version map queries filter candidates through, and
-	// the live-row count at the latest timestamp. All guarded by verMu.
-	// Chains are keyed by chainKey (the block tier's key-bit
-	// normalisation), not raw float64 — a float64-keyed map could never
-	// find, overwrite or delete a NaN key's chain.
+	// MVCC state (mvcc.go), all guarded by verMu: vers holds one header
+	// chunk per store block (nil until a version of the block is stamped),
+	// so a RID indexes straight to its version header; heads maps each key
+	// to its newest version's RID — keyed by chainKey (the block tier's
+	// key-bit normalisation), not raw float64, because a float64-keyed map
+	// could never find, overwrite or delete a NaN key; ended queues the
+	// RIDs of ended versions in endTS order for GC; liveRows counts the
+	// rows live at the latest timestamp.
 	verMu    sync.RWMutex
-	chains   map[uint64]*version
-	verOf    map[storage.RID]*version
+	vers     []*verChunk
+	heads    map[uint64]storage.RID
+	ended    []storage.RID
 	liveRows int
 
 	primary   *btree.Tree           // pk value -> RID
@@ -282,8 +284,8 @@ func (t *Table) insert(row []float64) (storage.RID, InsertStats, error) {
 	stripe := t.rows.mu(pk)
 	stripe.Lock()
 	defer stripe.Unlock()
-	old := t.head(pk)
-	if old != nil && old.endTS == 0 {
+	old, oldHdr := t.head(pk)
+	if oldHdr.live() {
 		return 0, st, fmt.Errorf("%w: %v", ErrDupKey, pk)
 	}
 	rid, err := t.store.Insert(row)
@@ -294,7 +296,7 @@ func (t *Table) insert(row []float64) (storage.RID, InsertStats, error) {
 	for i, v := range row {
 		t.runtime[i].widen(v)
 	}
-	t.movePrimary(pk, old, rid)
+	t.movePrimary(pk, old, oldHdr.beginTS != 0, rid)
 	if profile {
 		st.Table = time.Since(t0)
 		t0 = time.Now()
@@ -348,10 +350,10 @@ func (t *Table) insert(row []float64) (storage.RID, InsertStats, error) {
 // re-insert over a dead chain (or an update) moves the old entry; older
 // versions stay reachable through the chain, which is how snapshot reads
 // resolve them.
-func (t *Table) movePrimary(pk float64, old *version, rid storage.RID) {
+func (t *Table) movePrimary(pk float64, old storage.RID, hasOld bool, rid storage.RID) {
 	t.primaryMu.Lock()
-	if old != nil {
-		t.primary.Delete(pk, uint64(old.rid))
+	if hasOld {
+		t.primary.Delete(pk, uint64(old))
 	}
 	t.primary.Insert(pk, uint64(rid))
 	t.primaryMu.Unlock()
@@ -444,8 +446,8 @@ func (t *Table) Delete(pk float64) (bool, error) {
 	stripe := t.rows.mu(pk)
 	stripe.Lock()
 	defer stripe.Unlock()
-	cur := t.head(pk)
-	if cur == nil || cur.endTS != 0 {
+	cur, hdr := t.head(pk)
+	if !hdr.live() {
 		return false, nil
 	}
 	t.writes.Add(1)
@@ -476,11 +478,11 @@ func (t *Table) UpdateColumn(pk float64, col int, v float64) error {
 	stripe := t.rows.mu(pk)
 	stripe.Lock()
 	defer stripe.Unlock()
-	cur := t.head(pk)
-	if cur == nil || cur.endTS != 0 {
+	cur, hdr := t.head(pk)
+	if !hdr.live() {
 		return fmt.Errorf("engine: update: no row with pk %v", pk)
 	}
-	row, err := t.store.Get(cur.rid, nil)
+	row, err := t.store.Get(cur, nil)
 	if err != nil {
 		return err
 	}
@@ -495,12 +497,12 @@ func (t *Table) UpdateColumn(pk float64, col int, v float64) error {
 	if err != nil {
 		return err
 	}
-	t.movePrimary(pk, cur, rid)
+	t.movePrimary(pk, cur, true, rid)
 	t.insertIndexEntries(rid, row)
 	c := t.clock
 	c.commitMu.Lock()
 	commitTS := c.ts.Load() + 1
-	t.stampUpdate(cur, rid, commitTS)
+	t.stampUpdate(cur, pk, rid, commitTS)
 	c.ts.Store(commitTS)
 	c.commitMu.Unlock()
 	return nil

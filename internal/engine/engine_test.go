@@ -376,6 +376,10 @@ func TestMemoryBreakdown(t *testing.T) {
 	if m.Total() != m.TableBytes+m.PrimaryBytes+m.ExistingBytes+m.NewBytes {
 		t.Fatal("total mismatch")
 	}
+	// The version table: 24 B of header per version row, plus the heads map.
+	if per := float64(m.VersionBytes) / 10000; per < 24 || per > 100 {
+		t.Fatalf("version table reports %.1f B/row", per)
+	}
 	// Hermit's new-index bytes must be far below a complete index.
 	_, tb2 := newSynthetic(t, hermit.PhysicalPointers, 10000, linearFn, 0.01, 10)
 	if _, err := tb2.CreateBTreeIndex(2, true); err != nil {
@@ -525,5 +529,43 @@ func TestQuickEngineEquivalence(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 10}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestHermitNoFalseNegativeBeyondBuildBounds: rows inserted, or updated
+// to, a target value outside the range the TRS-Tree was built over must be
+// found — the paper's one safety property — also when the tree is deep
+// enough that the edge child of an internal node is itself internal.
+func TestHermitNoFalseNegativeBeyondBuildBounds(t *testing.T) {
+	cubic := func(c float64) float64 { return math.Pow(c-500, 3) } // steepest at the domain edges
+	for _, scheme := range []hermit.PointerScheme{hermit.PhysicalPointers, hermit.LogicalPointers} {
+		_, tb := newSynthetic(t, scheme, 60000, cubic, 0, 31)
+		tb.SetRouting(RouteStatic)
+		if _, err := tb.CreateHermitIndex(2, 1); err != nil {
+			t.Fatal(err)
+		}
+		if h := tb.Hermit(2).Tree().Height(); h < 3 {
+			t.Fatalf("%v: tree height %d, the test needs >= 3", scheme, h)
+		}
+		for _, row := range [][]float64{{100001, 0, -5, 0}, {100002, 0, 1005, 0}} {
+			if _, err := tb.Insert(row); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := tb.UpdateColumn(7, 2, 1010); err != nil {
+			t.Fatal(err)
+		}
+		if err := tb.UpdateColumn(8, 2, -10); err != nil {
+			t.Fatal(err)
+		}
+		for _, q := range [][2]float64{{-5, -5}, {-100, -1}, {1005, 1005}, {1001, 3000}, {-20, 2000}} {
+			got, st, err := tb.RangeQuery(2, q[0], q[1])
+			if err != nil || st.Path != PathHermit {
+				t.Fatalf("%v: query %v: err=%v path=%v", scheme, q, err, st.Path)
+			}
+			if want := expected(tb, 2, q[0], q[1]); !sameRIDs(got, want) {
+				t.Errorf("%v: query %v returned %d rows, want %d", scheme, q, len(got), len(want))
+			}
+		}
 	}
 }

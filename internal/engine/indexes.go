@@ -357,15 +357,20 @@ func (t *Table) CM(col int) *cm.Index {
 	return t.cms[col]
 }
 
-// MemoryStats is the storage breakdown the paper's memory figures report.
+// MemoryStats is the storage breakdown the paper's memory figures report,
+// plus the engine's own MVCC bookkeeping.
 type MemoryStats struct {
 	TableBytes    uint64
 	PrimaryBytes  uint64
 	ExistingBytes uint64 // complete secondary indexes not marked new
 	NewBytes      uint64 // new complete indexes + Hermit TRS-Trees + CMs
+	// VersionBytes is the MVCC version table (mvcc.go): header chunks, the
+	// key -> newest-version map and the GC queue. It is not part of the
+	// paper's breakdown, so Total leaves it out.
+	VersionBytes uint64
 }
 
-// Total returns the summed footprint.
+// Total returns the footprint the paper's figures sum: table and indexes.
 func (m MemoryStats) Total() uint64 {
 	return m.TableBytes + m.PrimaryBytes + m.ExistingBytes + m.NewBytes
 }
@@ -376,6 +381,7 @@ func (t *Table) Memory() MemoryStats {
 	defer t.catalog.RUnlock()
 	var m MemoryStats
 	m.TableBytes = t.store.SizeBytes()
+	m.VersionBytes = t.versionBytes()
 	t.primaryMu.RLock()
 	m.PrimaryBytes = t.primary.SizeBytes()
 	t.primaryMu.RUnlock()

@@ -53,14 +53,6 @@ func (s *stripedLock) mu(pk float64) *sync.Mutex {
 	return &s.stripes[stripeOf(pk)]
 }
 
-// lock acquires the stripe covering pk and returns its unlock function.
-// Prefer mu on hot paths (the returned method value allocates).
-func (s *stripedLock) lock(pk float64) func() {
-	m := s.mu(pk)
-	m.Lock()
-	return m.Unlock
-}
-
 // stripeOf hashes a primary key to a stripe index. Keys are float64s, so
 // the hash mixes the raw bits (Fibonacci multiplicative hashing); +0 and
 // -0 compare equal as keys and must map to the same stripe.

@@ -4,6 +4,7 @@ import (
 	"math"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"hermit/internal/block"
 	"hermit/internal/storage"
@@ -170,20 +171,55 @@ func (s *Snapshot) Recycle() {
 	c.regMu.Unlock()
 }
 
-// visibleAt reports whether version v is the visible incarnation at ts.
-func visibleAt(v *version, ts uint64) bool {
-	return v != nil && v.beginTS <= ts && (v.endTS == 0 || ts < v.endTS)
+// verHeader is the visibility record of one version row: the half-open
+// commit-timestamp interval [beginTS, endTS) during which the row is its
+// key's visible incarnation, and the RID of the version it superseded.
+// The zero header means "unstamped or reclaimed" and is invisible at every
+// timestamp (the clock's first commit is 1), so a prev left dangling by GC
+// ends a chain walk by itself. Headers are pointer-free, written once per
+// field at commit under both the clock's commit lock and the table's verMu.
+type verHeader struct {
+	beginTS uint64
+	endTS   uint64      // 0 while this is the live version
+	prev    storage.RID // superseded version; noRID when there is none
 }
 
-// version is one immutable incarnation of a logical row. beginTS/endTS are
-// written once, at commit, under both the clock's commit lock and the
-// table's verMu; prev links to the superseded version (or nil).
-type version struct {
-	rid     storage.RID
-	pk      float64
-	beginTS uint64
-	endTS   uint64 // 0 while this is the live version
-	prev    *version
+// noRID is the prev of a chain's oldest version: a RID beyond any block
+// the store can hold, so its header reads as zero.
+const noRID = ^storage.RID(0)
+
+// verChunk holds the headers of one storage block, indexed by slot.
+type verChunk [storage.BlockRows]verHeader
+
+// visibleAt reports whether the version is the visible incarnation at ts.
+func (h verHeader) visibleAt(ts uint64) bool {
+	return h.beginTS != 0 && h.beginTS <= ts && (h.endTS == 0 || ts < h.endTS)
+}
+
+// live reports whether the version is stamped and not yet ended.
+func (h verHeader) live() bool { return h.beginTS != 0 && h.endTS == 0 }
+
+// header returns rid's version header; t.verMu is held. A RID the table
+// never stamped — out of range, or applied but not yet committed — reads
+// as the zero header.
+func (t *Table) header(rid storage.RID) verHeader {
+	if b, s := rid.Block(), rid.Slot(); b < uint64(len(t.vers)) && t.vers[b] != nil && s < storage.BlockRows {
+		return t.vers[b][s]
+	}
+	return verHeader{}
+}
+
+// stamp writes rid's header, allocating its block's chunk on first use;
+// t.verMu is held exclusively.
+func (t *Table) stamp(rid storage.RID, h verHeader) {
+	b := rid.Block()
+	for uint64(len(t.vers)) <= b {
+		t.vers = append(t.vers, nil)
+	}
+	if t.vers[b] == nil {
+		t.vers[b] = new(verChunk)
+	}
+	t.vers[b][rid.Slot()] = h
 }
 
 // Snapshot registers a read snapshot on the database's commit clock.
@@ -234,76 +270,120 @@ func (db *DB) GCBelow(limit uint64) int {
 // and the delta flush would emit duplicate entries block.Encode rejects.
 func chainKey(pk float64) uint64 { return block.KeyBits(pk) }
 
-// head returns pk's chain head (the newest version, live or not) under
-// verMu; nil when the key has never existed (or was fully reclaimed).
-func (t *Table) head(pk float64) *version {
+// head returns pk's newest version (live or not) and its header; the zero
+// header when the key has never existed (or was fully reclaimed). The
+// result stays the head for as long as the caller holds pk's stripe.
+func (t *Table) head(pk float64) (storage.RID, verHeader) {
 	t.verMu.RLock()
-	v := t.chains[chainKey(pk)]
-	t.verMu.RUnlock()
-	return v
+	defer t.verMu.RUnlock()
+	if rid, ok := t.heads[chainKey(pk)]; ok {
+		return rid, t.header(rid)
+	}
+	return 0, verHeader{}
 }
 
-// resolveVisible walks pk's chain to the version visible at ts; nil when
-// the key has no visible incarnation.
-func (t *Table) resolveVisible(pk float64, ts uint64) *version {
+// resolveVisible walks pk's chain to the version visible at ts; false
+// when the key has no visible incarnation.
+func (t *Table) resolveVisible(pk float64, ts uint64) (storage.RID, bool) {
 	t.verMu.RLock()
-	v := t.resolveVisibleLocked(pk, ts)
-	t.verMu.RUnlock()
-	return v
+	defer t.verMu.RUnlock()
+	return t.resolveVisibleLocked(pk, ts)
 }
 
 // resolveVisibleLocked is resolveVisible with t.verMu already held
 // (shared). The batched candidate-filtering paths in query.go use it to
 // resolve a whole harvest under one latch acquisition instead of one per
 // key.
-func (t *Table) resolveVisibleLocked(pk float64, ts uint64) *version {
-	v := t.chains[chainKey(pk)]
-	for v != nil && !visibleAt(v, ts) {
-		v = v.prev
+func (t *Table) resolveVisibleLocked(pk float64, ts uint64) (storage.RID, bool) {
+	if rid, ok := t.heads[chainKey(pk)]; ok {
+		return t.visibleFrom(rid, ts)
 	}
-	return v
+	return 0, false
 }
 
-// versionVisible reports whether the version owning rid is visible at ts.
-// An unknown rid — a version applied but not yet stamped by its committer,
-// or one already reclaimed by GC — is invisible.
+// visibleFrom walks a chain from rid towards older versions to the one
+// visible at ts; t.verMu is held. A zero header (reclaimed, or noRID)
+// ends the chain.
+func (t *Table) visibleFrom(rid storage.RID, ts uint64) (storage.RID, bool) {
+	for {
+		h := t.header(rid)
+		if h.visibleAt(ts) {
+			return rid, true
+		}
+		if h.beginTS == 0 {
+			return 0, false
+		}
+		rid = h.prev
+	}
+}
+
+// versionVisible reports whether the version row rid is visible at ts.
 func (t *Table) versionVisible(rid storage.RID, ts uint64) bool {
 	t.verMu.RLock()
-	v := t.verOf[rid]
-	ok := visibleAt(v, ts)
-	t.verMu.RUnlock()
-	return ok
+	defer t.verMu.RUnlock()
+	return t.header(rid).visibleAt(ts)
 }
 
-// stampInsert publishes a brand-new version chain entry for pk at
-// commitTS. Called with the key's stripe held and the clock's commit lock
-// held; prev is the (dead) head observed during validation, if any.
+// stampInsert publishes rid as pk's new chain head at commitTS, linked to
+// the (dead) head it replaces, if any. Called with the key's stripe held
+// and the clock's commit lock held.
 func (t *Table) stampInsert(rid storage.RID, pk float64, commitTS uint64) {
 	k := chainKey(pk)
 	t.verMu.Lock()
-	v := &version{rid: rid, pk: pk, beginTS: commitTS, prev: t.chains[k]}
-	t.chains[k] = v
-	t.verOf[rid] = v
+	prev, ok := t.heads[k]
+	if !ok {
+		prev = noRID
+	}
+	t.stamp(rid, verHeader{beginTS: commitTS, prev: prev})
+	t.heads[k] = rid
 	t.liveRows++
 	t.verMu.Unlock()
 }
 
-// stampUpdate ends old and publishes its replacement version at commitTS.
-func (t *Table) stampUpdate(old *version, rid storage.RID, commitTS uint64) {
+// stampUpdate ends pk's head old and publishes its replacement rid at
+// commitTS.
+func (t *Table) stampUpdate(old storage.RID, pk float64, rid storage.RID, commitTS uint64) {
 	t.verMu.Lock()
-	old.endTS = commitTS
-	v := &version{rid: rid, pk: old.pk, beginTS: commitTS, prev: old}
-	t.chains[chainKey(old.pk)] = v
-	t.verOf[rid] = v
+	t.end(old, commitTS)
+	t.stamp(rid, verHeader{beginTS: commitTS, prev: old})
+	t.heads[chainKey(pk)] = rid
 	t.verMu.Unlock()
 }
 
-// stampDelete ends old at commitTS without a successor.
-func (t *Table) stampDelete(old *version, commitTS uint64) {
+// stampDelete ends the head old at commitTS without a successor.
+func (t *Table) stampDelete(old storage.RID, commitTS uint64) {
 	t.verMu.Lock()
-	old.endTS = commitTS
+	t.end(old, commitTS)
 	t.liveRows--
 	t.verMu.Unlock()
+}
+
+// end closes old's visibility interval at commitTS and queues it for GC;
+// t.verMu is held exclusively. Commit timestamps only grow, so the queue
+// stays sorted by endTS.
+func (t *Table) end(old storage.RID, commitTS uint64) {
+	t.vers[old.Block()][old.Slot()].endTS = commitTS
+	t.ended = append(t.ended, old)
+}
+
+// versionBytes estimates the heap the version table holds: the header
+// chunks, the heads map and the GC queue.
+func (t *Table) versionBytes() uint64 {
+	t.verMu.RLock()
+	defer t.verMu.RUnlock()
+	b := uint64(cap(t.vers)+cap(t.ended)) * 8
+	for _, c := range t.vers {
+		if c != nil {
+			b += uint64(unsafe.Sizeof(*c))
+		}
+	}
+	// A Go map keeps 8-slot groups (8 control bytes + 8 x 16 B of slots
+	// here) at most 7/8 full and doubles its slot count as it grows.
+	slots := uint64(8)
+	for slots*7/8 < uint64(len(t.heads)) {
+		slots *= 2
+	}
+	return b + slots*(1+16)
 }
 
 // Len returns the number of live rows (at the latest commit timestamp).
@@ -323,15 +403,12 @@ func (t *Table) ScanLive(fn func(rid storage.RID, row []float64) bool) {
 	ts := t.clock.Now()
 	t.verMu.RLock()
 	rids := make([]storage.RID, 0, t.liveRows)
-	for _, head := range t.chains {
+	for _, head := range t.heads {
 		// Walk to the version visible at ts: a commit racing between the
 		// clock read above and this loop may already have stamped a newer
 		// head, in which case its predecessor is the one live at ts.
-		for v := head; v != nil; v = v.prev {
-			if visibleAt(v, ts) {
-				rids = append(rids, v.rid)
-				break
-			}
+		if rid, ok := t.visibleFrom(head, ts); ok {
+			rids = append(rids, rid)
 		}
 	}
 	t.verMu.RUnlock()
@@ -366,25 +443,29 @@ func (t *Table) DeltaVersions(prevTS, ts uint64) []block.Entry {
 	}
 	t.verMu.RLock()
 	cands := make([]cand, 0, 64)
-	for _, head := range t.chains {
+	for k, rid := range t.heads {
 		// Walk to the newest version begun at or before ts: the key's
 		// incarnation as of the flush cut (a commit racing past ts may
 		// already have stamped newer heads).
-		v := head
-		for v != nil && v.beginTS > ts {
-			v = v.prev
+		h := t.header(rid)
+		for h.beginTS > ts {
+			rid = h.prev
+			h = t.header(rid)
 		}
-		if v == nil {
+		if h.beginTS == 0 {
 			continue
 		}
-		if v.endTS == 0 || ts < v.endTS {
-			if v.beginTS > prevTS {
-				cands = append(cands, cand{rid: v.rid, pk: v.pk})
+		// The chain key's bit pattern round-trips to the float every
+		// version of the chain carries (±0 normalised).
+		pk := math.Float64frombits(k)
+		if h.endTS == 0 || ts < h.endTS {
+			if h.beginTS > prevTS {
+				cands = append(cands, cand{rid: rid, pk: pk})
 			}
-		} else if v.endTS > prevTS {
+		} else if h.endTS > prevTS {
 			// Dead at ts, and the death is inside the window: the key was
 			// deleted since the last flush.
-			cands = append(cands, cand{pk: v.pk, tomb: true})
+			cands = append(cands, cand{pk: pk, tomb: true})
 		}
 	}
 	t.verMu.RUnlock()
@@ -405,75 +486,52 @@ func (t *Table) DeltaVersions(prevTS, ts uint64) []block.Entry {
 }
 
 // GCVersions reclaims every version whose endTS is at or below horizon:
-// its index entries are removed, its store row tombstoned, and the chain
-// unlinked. A fully dead chain (deleted key old enough to reclaim) also
-// gives up its primary-index entry. It returns the number of versions
-// reclaimed. Safe to run concurrently with readers and writers: each
-// chain is reclaimed under its key's stripe, and only versions invisible
-// to every snapshot at or after horizon are touched.
+// its index entries are removed, its store row tombstoned and its header
+// zeroed. A fully dead chain (deleted key old enough to reclaim) also
+// gives up its head entry and its primary-index entry. It returns the
+// number of versions reclaimed. The pass drains the queue of ended
+// versions, oldest first, so it costs O(versions reclaimed), not O(table).
+// Safe to run concurrently with readers and writers: each version is
+// reclaimed under its key's stripe, and only versions invisible to every
+// snapshot at or after horizon are touched.
 func (t *Table) GCVersions(horizon uint64) int {
 	t.catalog.RLock()
 	defer t.catalog.RUnlock()
 
-	// Harvest candidate keys first; chain surgery happens per key under
-	// its stripe so writers never observe a half-unlinked chain.
-	t.verMu.RLock()
-	keys := make([]uint64, 0, len(t.chains))
-	for k, head := range t.chains {
-		if (head.endTS != 0 && head.endTS <= horizon) || head.prev != nil {
-			keys = append(keys, k)
-		}
+	t.verMu.Lock()
+	n := 0
+	for n < len(t.ended) && t.header(t.ended[n]).endTS <= horizon {
+		n++
 	}
-	t.verMu.RUnlock()
+	dead := t.ended[:n:n]
+	t.ended = t.ended[n:]
+	t.verMu.Unlock()
 
-	reclaimed := 0
-	for _, k := range keys {
-		// The chain key's bit pattern round-trips to the float every
-		// version of the chain stamped (±0 normalised), so the stripe here
-		// is the one writers of this key hold.
-		unlock := t.rows.lock(math.Float64frombits(k))
-		var dead []*version
+	var row []float64
+	for _, rid := range dead {
+		var err error
+		if row, err = t.store.Get(rid, row); err != nil {
+			continue // unreachable: only this pass tombstones version rows
+		}
+		pk := row[t.pkCol]
+		// Writers of this key hold its stripe from reading the head to
+		// stamping over it, so they never see the head entry vanish.
+		stripe := t.rows.mu(pk)
+		stripe.Lock()
 		t.verMu.Lock()
-		head := t.chains[k]
-		if head == nil {
-			t.verMu.Unlock()
-			unlock()
-			continue
+		// A dead version that is still its key's head is the whole chain:
+		// everything older ended earlier and was reclaimed before it.
+		k := chainKey(pk)
+		head, ok := t.heads[k]
+		wholeChain := ok && head == rid
+		if wholeChain {
+			delete(t.heads, k)
 		}
-		if head.endTS != 0 && head.endTS <= horizon {
-			// The whole chain is reclaimable; drop the key.
-			for v := head; v != nil; v = v.prev {
-				dead = append(dead, v)
-				delete(t.verOf, v.rid)
-			}
-			delete(t.chains, k)
-		} else {
-			// Keep the newest reachable suffix; cut below the first
-			// version old enough that no snapshot can reach past it.
-			for v := head; v.prev != nil; v = v.prev {
-				if v.prev.endTS != 0 && v.prev.endTS <= horizon {
-					for d := v.prev; d != nil; d = d.prev {
-						dead = append(dead, d)
-						delete(t.verOf, d.rid)
-					}
-					v.prev = nil
-					break
-				}
-			}
-		}
+		t.stamp(rid, verHeader{})
 		t.verMu.Unlock()
-		for i, v := range dead {
-			row, err := t.store.Get(v.rid, nil)
-			if err == nil {
-				// The newest reclaimed version of a fully dead chain still
-				// owns the primary-index entry.
-				wholeChain := v == head
-				t.removeIndexEntries(v.rid, row, wholeChain && i == 0)
-				t.store.Delete(v.rid)
-			}
-			reclaimed++
-		}
-		unlock()
+		t.removeIndexEntries(rid, row, wholeChain)
+		t.store.Delete(rid)
+		stripe.Unlock()
 	}
-	return reclaimed
+	return len(dead)
 }

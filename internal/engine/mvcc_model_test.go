@@ -1,0 +1,502 @@
+package engine
+
+import (
+	"errors"
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+
+	"hermit/internal/block"
+	"hermit/internal/hermit"
+	"hermit/internal/storage"
+)
+
+// The MVCC model check: seeded random runs of insert / update / delete /
+// multi-key Txn / snapshot open and release / version GC against a naive
+// oracle that keeps every version of every key in a plain map. After every
+// GC pass each open snapshot must still resolve exactly the oracle's rows
+// through PointQueryAt, RangeQueryAt on every access path the planner
+// offers, ScanLive and DeltaVersions, and the pass must have reclaimed
+// exactly the versions the oracle says no snapshot can reach.
+
+// modelVer is one version of one key in the oracle.
+type modelVer struct {
+	begin, end uint64 // end == 0 while live
+	row        []float64
+	reclaimed  bool
+}
+
+func (v *modelVer) visibleAt(ts uint64) bool {
+	return v.begin <= ts && (v.end == 0 || ts < v.end)
+}
+
+// modelTable is the oracle of one engine table: every version ever
+// committed, per key (block.KeyBits, as the engine identifies keys).
+type modelTable struct {
+	tb   *Table
+	vers map[uint64][]*modelVer // oldest first
+}
+
+func newModelTable(tb *Table) *modelTable {
+	return &modelTable{tb: tb, vers: make(map[uint64][]*modelVer)}
+}
+
+// at returns the row of pk visible at ts, or nil.
+func (m *modelTable) at(pk float64, ts uint64) []float64 {
+	for _, v := range m.vers[block.KeyBits(pk)] {
+		if v.visibleAt(ts) {
+			return v.row
+		}
+	}
+	return nil
+}
+
+// newest returns pk's newest version, or nil.
+func (m *modelTable) newest(pk float64) *modelVer {
+	vs := m.vers[block.KeyBits(pk)]
+	if len(vs) == 0 {
+		return nil
+	}
+	return vs[len(vs)-1]
+}
+
+// put commits row (nil: a delete) for its key at ts.
+func (m *modelTable) put(pk float64, row []float64, ts uint64) {
+	k := block.KeyBits(pk)
+	if v := m.newest(pk); v != nil && v.end == 0 {
+		v.end = ts
+	}
+	if row != nil {
+		m.vers[k] = append(m.vers[k], &modelVer{begin: ts, row: append([]float64(nil), row...)})
+	}
+}
+
+// rowsAt returns every row visible at ts matching lo <= row[col] <= hi,
+// keyed by key bits.
+func (m *modelTable) rowsAt(ts uint64, col int, lo, hi float64) map[uint64][]float64 {
+	out := make(map[uint64][]float64)
+	for k, vs := range m.vers {
+		for _, v := range vs {
+			if v.visibleAt(ts) && v.row[col] >= lo && v.row[col] <= hi {
+				out[k] = v.row
+			}
+		}
+	}
+	return out
+}
+
+// reclaim marks every version ended at or below horizon and returns how
+// many were newly marked: what one GC pass must report.
+func (m *modelTable) reclaim(horizon uint64) int {
+	n := 0
+	for _, vs := range m.vers {
+		for _, v := range vs {
+			if v.end != 0 && v.end <= horizon && !v.reclaimed {
+				v.reclaimed = true
+				n++
+			}
+		}
+	}
+	return n
+}
+
+func sameRow(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// checkRIDs fails unless rids fetch exactly the rows of want.
+func (m *modelTable) checkRIDs(t *testing.T, what string, rids []storage.RID, want map[uint64][]float64) {
+	t.Helper()
+	if len(rids) != len(want) {
+		t.Fatalf("%s: %d rows, oracle has %d", what, len(rids), len(want))
+	}
+	for _, rid := range rids {
+		row, err := m.tb.store.Get(rid, nil)
+		if err != nil {
+			t.Fatalf("%s: fetching %v: %v", what, rid, err)
+		}
+		if w := want[block.KeyBits(row[m.tb.pkCol])]; !sameRow(row, w) {
+			t.Fatalf("%s: returned row %v, oracle has %v", what, row, w)
+		}
+	}
+}
+
+// checkQuery runs the predicate at snap through the planner's choice and
+// through every access path Explain reports available.
+func (m *modelTable) checkQuery(t *testing.T, snap *Snapshot, col int, lo, hi float64) {
+	t.Helper()
+	want := m.rowsAt(snap.ts, col, lo, hi)
+	what := fmt.Sprintf("ts %d col %d [%v, %v]", snap.ts, col, lo, hi)
+	rids, _, err := m.tb.RangeQueryAt(snap, col, lo, hi)
+	if err != nil {
+		t.Fatalf("%s: %v", what, err)
+	}
+	m.checkRIDs(t, what, rids, want)
+	plan, err := m.tb.Explain(col, lo, hi)
+	if err != nil {
+		t.Fatalf("%s: explain: %v", what, err)
+	}
+	for _, e := range plan.Candidates {
+		if !e.Available {
+			continue
+		}
+		m.tb.catalog.RLock()
+		rids, _, err := m.tb.execPathLocked(snap, e.Path, col, lo, hi, nil)
+		m.tb.catalog.RUnlock()
+		if err != nil {
+			t.Fatalf("%s via %v: %v", what, e.Path, err)
+		}
+		m.checkRIDs(t, what+" via "+e.Path.String(), rids, want)
+	}
+}
+
+// checkLive compares Len, ScanLive and DeltaVersions(pinned, now) with the
+// oracle; now is the latest commit timestamp and pinned that of an open
+// snapshot.
+func (m *modelTable) checkLive(t *testing.T, now, pinned uint64) {
+	t.Helper()
+	live := make(map[uint64][]float64)
+	delta := make(map[uint64]*modelVer) // key -> newest version, if it changed in (pinned, now]
+	for k, vs := range m.vers {
+		v := vs[len(vs)-1]
+		if v.end == 0 {
+			live[k] = v.row
+		}
+		if v.begin > pinned || v.end > pinned {
+			delta[k] = v
+		}
+	}
+	if m.tb.Len() != len(live) {
+		t.Fatalf("Len = %d, oracle has %d live rows", m.tb.Len(), len(live))
+	}
+	var rids []storage.RID
+	m.tb.ScanLive(func(rid storage.RID, _ []float64) bool { rids = append(rids, rid); return true })
+	m.checkRIDs(t, "ScanLive", rids, live)
+
+	entries := m.tb.DeltaVersions(pinned, now)
+	if len(entries) != len(delta) {
+		t.Fatalf("DeltaVersions(%d, %d): %d entries, oracle has %d", pinned, now, len(entries), len(delta))
+	}
+	for _, e := range entries {
+		v := delta[block.KeyBits(e.PK)]
+		if v == nil || e.Tombstone != (v.end != 0) || (!e.Tombstone && !sameRow(e.Row, v.row)) {
+			t.Fatalf("DeltaVersions(%d, %d): entry %+v, oracle version %+v", pinned, now, e, v)
+		}
+		delete(delta, block.KeyBits(e.PK)) // a second entry for the key finds nil
+	}
+}
+
+// modelTxn mirrors one open engine transaction.
+type modelTxn struct {
+	x      *Txn
+	ts     uint64
+	writes map[uint64]*txnWrite // key bits -> buffered final state
+	keys   map[uint64]float64
+}
+
+func (x *modelTxn) effective(m *modelTable, pk float64) []float64 {
+	if w := x.writes[block.KeyBits(pk)]; w != nil {
+		return w.row
+	}
+	return m.at(pk, x.ts)
+}
+
+func (x *modelTxn) buffer(pk float64, row []float64) {
+	x.writes[block.KeyBits(pk)] = &txnWrite{row: row, del: row == nil}
+	x.keys[block.KeyBits(pk)] = pk
+}
+
+func TestMVCCModel(t *testing.T) {
+	seeds, ops := 6, 1500
+	if testing.Short() {
+		seeds, ops = 2, 600
+	}
+	for _, scheme := range []hermit.PointerScheme{hermit.PhysicalPointers, hermit.LogicalPointers} {
+		for seed := 1; seed <= seeds; seed++ {
+			t.Run(fmt.Sprintf("%v/seed%d", scheme, seed), func(t *testing.T) {
+				runMVCCModel(t, scheme, int64(seed), ops)
+			})
+		}
+	}
+}
+
+func runMVCCModel(t *testing.T, scheme hermit.PointerScheme, seed int64, ops int) {
+	rng := rand.New(rand.NewSource(seed))
+	db := NewDB(scheme)
+	tb, err := db.CreateTable("t", []string{"pk", "host", "target"}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// NaN keys get their own index-free table: they are exercised through
+	// the primary-key write path only (NaN ordering inside btree is not
+	// defined yet).
+	nanTb, err := db.CreateTable("nan", []string{"pk", "v"}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, nm := newModelTable(tb), newModelTable(nanTb)
+	var ts uint64 // the oracle's clock
+
+	newRow := func(pk float64) []float64 {
+		c := float64(rng.Intn(1000))
+		host := 2*c + 100
+		if rng.Intn(10) == 0 {
+			host = float64(rng.Intn(2100)) // an outlier for the TRS-Tree
+		}
+		return []float64{pk, host, c}
+	}
+	for i := 100; i < 400; i++ {
+		row := newRow(float64(i))
+		if _, err := tb.Insert(row); err != nil {
+			t.Fatal(err)
+		}
+		ts++
+		m.put(row[0], row, ts)
+	}
+	if _, err := tb.CreateBTreeIndex(1, false); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tb.CreateHermitIndex(2, 1); err != nil {
+		t.Fatal(err)
+	}
+
+	// The key pool: fresh keys, preloaded keys, both zeros (one key), and
+	// under physical pointers the infinities (logical pointers store
+	// uint64(pk) in secondary indexes, which has no infinity).
+	keys := []float64{0, math.Copysign(0, -1)}
+	for i := 1; i < 30; i++ {
+		keys = append(keys, float64(i), float64(100+i))
+	}
+	if scheme == hermit.PhysicalPointers {
+		keys = append(keys, math.Inf(1), math.Inf(-1))
+	}
+	nans := []float64{math.NaN(), math.Float64frombits(0x7ff8_0000_0000_0001)}
+	pick := func() float64 { return keys[rng.Intn(len(keys))] }
+
+	snaps := []*Snapshot{db.Snapshot()} // one stays open to the end
+	var open *modelTxn
+	horizon := func() uint64 {
+		h := ts
+		for _, s := range snaps {
+			h = min(h, s.ts)
+		}
+		if open != nil {
+			h = min(h, open.ts)
+		}
+		return h
+	}
+	verify := func() {
+		if db.Clock().Now() != ts {
+			t.Fatalf("clock at %d, oracle at %d", db.Clock().Now(), ts)
+		}
+		for _, s := range snaps {
+			for _, pk := range keys {
+				rids, _, err := tb.PointQueryAt(s, 0, pk)
+				if err != nil {
+					t.Fatal(err)
+				}
+				m.checkRIDs(t, fmt.Sprintf("ts %d pk %v", s.ts, pk), rids, m.rowsAt(s.ts, 0, pk, pk))
+			}
+			m.checkQuery(t, s, 0, 0, 200)
+			for _, col := range []int{1, 2} {
+				m.checkQuery(t, s, col, math.Inf(-1), math.Inf(1))
+				lo := float64(rng.Intn(1000))
+				m.checkQuery(t, s, col, lo, lo+float64(rng.Intn(300)))
+				m.checkQuery(t, s, col, lo, lo)
+			}
+		}
+		m.checkLive(t, ts, snaps[0].ts)
+		nm.checkLive(t, ts, snaps[0].ts)
+	}
+
+	for op := 0; op < ops; op++ {
+		switch r := rng.Intn(100); {
+		case r < 22: // insert
+			row := newRow(pick())
+			_, err := tb.Insert(row)
+			if live := m.at(row[0], ts) != nil; live != errors.Is(err, ErrDupKey) || (!live && err != nil) {
+				t.Fatalf("insert %v: err=%v, oracle live=%v", row[0], err, live)
+			}
+			if err == nil {
+				ts++
+				m.put(row[0], row, ts)
+			}
+		case r < 44: // update
+			pk, col, v := pick(), 1+rng.Intn(2), float64(rng.Intn(1000))
+			cur := m.at(pk, ts)
+			err := tb.UpdateColumn(pk, col, v)
+			if (cur != nil) != (err == nil) {
+				t.Fatalf("update %v: err=%v, oracle row %v", pk, err, cur)
+			}
+			if cur != nil && cur[col] != v {
+				row := append([]float64(nil), cur...)
+				row[col] = v
+				ts++
+				m.put(pk, row, ts)
+			}
+		case r < 58: // delete
+			pk := pick()
+			found, err := tb.Delete(pk)
+			if live := m.at(pk, ts) != nil; err != nil || found != live {
+				t.Fatalf("delete %v: found=%v err=%v, oracle live=%v", pk, found, err, live)
+			}
+			if found {
+				ts++
+				m.put(pk, nil, ts)
+			}
+		case r < 64: // the NaN keys' write path
+			pk := nans[rng.Intn(len(nans))]
+			cur := nm.at(pk, ts)
+			switch rng.Intn(3) {
+			case 0:
+				row := []float64{pk, float64(rng.Intn(100))}
+				_, err := nanTb.Insert(row)
+				if (cur != nil) != errors.Is(err, ErrDupKey) || (cur == nil && err != nil) {
+					t.Fatalf("NaN insert: err=%v, oracle row %v", err, cur)
+				}
+				if err == nil {
+					ts++
+					nm.put(pk, row, ts)
+				}
+			case 1:
+				v := float64(rng.Intn(100))
+				if err := nanTb.UpdateColumn(pk, 1, v); (cur != nil) != (err == nil) {
+					t.Fatalf("NaN update: err=%v, oracle row %v", err, cur)
+				}
+				if cur != nil && cur[1] != v {
+					ts++
+					nm.put(pk, []float64{pk, v}, ts)
+				}
+			default:
+				found, err := nanTb.Delete(pk)
+				if err != nil || found != (cur != nil) {
+					t.Fatalf("NaN delete: found=%v err=%v, oracle row %v", found, err, cur)
+				}
+				if found {
+					ts++
+					nm.put(pk, nil, ts)
+				}
+			}
+		case r < 70: // begin a transaction
+			if open == nil {
+				open = &modelTxn{x: db.Begin(), ts: ts, writes: map[uint64]*txnWrite{}, keys: map[uint64]float64{}}
+			}
+		case r < 84: // a write inside the open transaction
+			if open == nil {
+				continue
+			}
+			pk := pick()
+			cur := open.effective(m, pk)
+			switch rng.Intn(3) {
+			case 0:
+				row := newRow(pk)
+				err := open.x.Insert(tb, row)
+				if (cur != nil) != errors.Is(err, ErrDupKey) || (cur == nil && err != nil) {
+					t.Fatalf("txn insert %v: err=%v, oracle row %v", pk, err, cur)
+				}
+				if err == nil {
+					open.buffer(pk, row)
+				}
+			case 1:
+				col, v := 1+rng.Intn(2), float64(rng.Intn(1000))
+				if err := open.x.Update(tb, pk, col, v); (cur != nil) != (err == nil) {
+					t.Fatalf("txn update %v: err=%v, oracle row %v", pk, err, cur)
+				}
+				if cur != nil {
+					row := append([]float64(nil), cur...)
+					row[col] = v
+					open.buffer(pk, row)
+				}
+			default:
+				found, err := open.x.Delete(tb, pk)
+				if err != nil || found != (cur != nil) {
+					t.Fatalf("txn delete %v: found=%v err=%v, oracle row %v", pk, found, err, cur)
+				}
+				if found {
+					open.buffer(pk, nil)
+				}
+			}
+			got, live, err := open.x.Get(tb, pk)
+			if want := open.effective(m, pk); err != nil || live != (want != nil) || (live && !sameRow(got, want)) {
+				t.Fatalf("txn get %v: %v live=%v err=%v, oracle row %v", pk, got, live, err, want)
+			}
+		case r < 90: // commit or roll back
+			if open == nil {
+				continue
+			}
+			if rng.Intn(5) == 0 {
+				open.x.Rollback()
+				open = nil
+				continue
+			}
+			conflict := false
+			for _, pk := range open.keys {
+				if v := m.newest(pk); v != nil && !v.reclaimed && (v.begin > open.ts || v.end > open.ts) {
+					conflict = true
+				}
+			}
+			res, err := open.x.Commit()
+			if conflict != errors.Is(err, ErrWriteConflict) || (!conflict && err != nil) {
+				t.Fatalf("commit: err=%v, oracle conflict=%v", err, conflict)
+			}
+			if err == nil && len(open.writes) > 0 {
+				ts++
+				if res.TS != ts {
+					t.Fatalf("commit at %d, oracle at %d", res.TS, ts)
+				}
+				for k, w := range open.writes {
+					if pk := open.keys[k]; w.row != nil || m.at(pk, ts-1) != nil {
+						m.put(pk, w.row, ts)
+					}
+				}
+			}
+			open = nil
+		case r < 95: // open or release a snapshot
+			if len(snaps) < 4 && rng.Intn(2) == 0 {
+				snaps = append(snaps, db.Snapshot())
+			} else if len(snaps) > 1 {
+				i := 1 + rng.Intn(len(snaps)-1)
+				snaps[i].Release()
+				snaps = append(snaps[:i], snaps[i+1:]...)
+			}
+		default: // GC, then every snapshot must still read its state
+			h := horizon()
+			want := m.reclaim(h) + nm.reclaim(h)
+			if got := db.GC(); got != want {
+				t.Fatalf("GC at horizon %d reclaimed %d versions, oracle %d", h, got, want)
+			}
+			verify()
+		}
+	}
+	if open != nil {
+		open.x.Rollback()
+		open = nil
+	}
+	for _, s := range snaps[1:] {
+		s.Release()
+	}
+	snaps = snaps[:1]
+	verify()
+	// With the last snapshot gone everything ended is reclaimable, and the
+	// latest state survives it.
+	snaps[0].Release()
+	snaps[0] = db.Snapshot()
+	defer snaps[0].Release()
+	want := m.reclaim(ts) + nm.reclaim(ts)
+	if got := db.GC(); got != want {
+		t.Fatalf("final GC reclaimed %d versions, oracle %d", got, want)
+	}
+	verify()
+	if n := db.GC(); n != 0 {
+		t.Fatalf("idle GC reclaimed %d versions", n)
+	}
+}

@@ -72,6 +72,21 @@ func TestSnapshotIsolationReads(t *testing.T) {
 func TestTxnCommitAtomicVisibility(t *testing.T) {
 	db, tb := newTxnTable(t)
 	const rounds = 30
+	// Column b of rows 0..9 must always be uniform: each txn sets all ten
+	// to the same generation value. The loaded rows are not uniform, so
+	// generation 0 commits before the reader starts.
+	generation := func(g int) {
+		x := db.Begin()
+		for pk := 0; pk < 10; pk++ {
+			if err := x.Update(tb, float64(pk), 2, 1000+float64(g)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := x.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	generation(0)
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -83,8 +98,6 @@ func TestTxnCommitAtomicVisibility(t *testing.T) {
 				return
 			default:
 			}
-			// Column b of rows 0..9 must always be uniform: each txn sets
-			// all ten to the same generation value.
 			rids, _, err := tb.RangeQuery(0, 0, 9)
 			if err != nil || len(rids) != 10 {
 				t.Errorf("reader: %d rids err=%v", len(rids), err)
@@ -101,15 +114,7 @@ func TestTxnCommitAtomicVisibility(t *testing.T) {
 		}
 	}()
 	for g := 1; g <= rounds; g++ {
-		x := db.Begin()
-		for pk := 0; pk < 10; pk++ {
-			if err := x.Update(tb, float64(pk), 2, 1000+float64(g)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if _, err := x.Commit(); err != nil {
-			t.Fatal(err)
-		}
+		generation(g)
 	}
 	close(stop)
 	wg.Wait()

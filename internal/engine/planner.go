@@ -677,9 +677,10 @@ func (t *Table) Writes() uint64 { return t.writes.Load() }
 func (t *Table) trsDirectRange(snap *Snapshot, col int, lo, hi float64, dst []storage.RID) ([]storage.RID, QueryStats, error) {
 	hx := t.hermits[col]
 	hostCol := t.hostOf[col]
-	tres := hx.Tree().Lookup(lo, hi)
 	sc := getScratch()
 	defer putScratch(sc)
+	tres := &sc.tres
+	hx.Tree().LookupInto(lo, hi, tres)
 	sc.rids = sc.rids[:0]
 	// Outlier identifiers resolve like Hermit candidates: directly under
 	// physical pointers, through the version chains under logical pointers
@@ -687,8 +688,8 @@ func (t *Table) trsDirectRange(snap *Snapshot, col int, lo, hi float64, dst []st
 	// snapshot reads).
 	if t.scheme == hermit.LogicalPointers {
 		for _, pk := range tres.IDs {
-			if v := t.resolveVisible(float64(pk), snap.ts); v != nil {
-				sc.rids = append(sc.rids, v.rid)
+			if rid, ok := t.resolveVisible(float64(pk), snap.ts); ok {
+				sc.rids = append(sc.rids, rid)
 			}
 		}
 	} else {

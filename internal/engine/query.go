@@ -6,6 +6,7 @@ import (
 
 	"hermit/internal/hermit"
 	"hermit/internal/storage"
+	"hermit/internal/trstree"
 )
 
 // QueryStats describes one query's execution for the throughput and
@@ -53,6 +54,10 @@ type queryScratch struct {
 	rids []storage.RID
 	res  []storage.RID
 	seen map[uint64]struct{}
+	// harvest is the physical-pointer Hermit lookup's scratch; tres the
+	// TRS-Tree result of the paths that resolve the tree's output themselves.
+	harvest hermit.Scratch
+	tres    trstree.Result
 
 	// appendPK/appendID append a scanned entry into pks/ids; bound once
 	// here so Scan callbacks do not allocate per query.
@@ -95,6 +100,10 @@ func putScratch(sc *queryScratch) {
 	}
 	sc.pks, sc.ids = sc.pks[:0], sc.ids[:0]
 	sc.rids, sc.res = sc.rids[:0], sc.res[:0]
+	sc.harvest.Trim(maxScratchEntries)
+	if cap(sc.tres.IDs) > maxScratchEntries {
+		sc.tres.IDs = nil
+	}
 	if len(sc.seen) > maxScratchSeen {
 		sc.seen = make(map[uint64]struct{})
 	} else {
@@ -213,16 +222,13 @@ func (t *Table) execPathLocked(snap *Snapshot, path AccessPath, col int, lo, hi 
 		// The Hermit lookup traverses its self-latching TRS-Tree, then the
 		// host index; both candidate harvesting and validation run against
 		// immutable version rows, so the engine only filters visibility.
+		sc := getScratch()
+		defer putScratch(sc)
 		hostMu := t.hermitHostMu[col]
 		hostMu.RLock()
-		res := t.hermits[col].Lookup(lo, hi)
+		res := t.hermits[col].LookupInto(lo, hi, &sc.harvest)
 		hostMu.RUnlock()
-		var rids []storage.RID
-		if dst != nil {
-			rids = t.filterVersionsAppend(snap, res.RIDs, dst)
-		} else {
-			rids = t.filterVersions(snap, res.RIDs)
-		}
+		rids := t.filterVersions(snap, res.RIDs, dst)
 		return rids, QueryStats{
 			Kind:       KindHermit,
 			Rows:       len(rids),
@@ -239,12 +245,7 @@ func (t *Table) execPathLocked(snap *Snapshot, path AccessPath, col int, lo, hi 
 		res := t.cms[col].Lookup(lo, hi)
 		hostMu.RUnlock()
 		cmMu.RUnlock()
-		var rids []storage.RID
-		if dst != nil {
-			rids = t.filterVersionsAppend(snap, res.RIDs, dst)
-		} else {
-			rids = t.filterVersions(snap, res.RIDs)
-		}
+		rids := t.filterVersions(snap, res.RIDs, dst)
 		return rids, QueryStats{
 			Kind:       KindCM,
 			Rows:       len(rids),
@@ -261,34 +262,20 @@ func (t *Table) execPathLocked(snap *Snapshot, path AccessPath, col int, lo, hi 
 	}
 }
 
-// filterVersions keeps the candidates whose version is visible at the
-// snapshot, filtering in place (the caller owns rids). Exact for candidate
-// sets that are per-version (every index keeps one entry per version, and
-// a version's row is immutable, so a validated candidate either is the
-// visible incarnation of its key or is filtered here; the visible
-// incarnation always appears among the candidates through its own
-// entries).
-func (t *Table) filterVersions(snap *Snapshot, rids []storage.RID) []storage.RID {
-	out := rids[:0]
-	t.verMu.RLock()
-	for _, rid := range rids {
-		if visibleAt(t.verOf[rid], snap.ts) {
-			out = append(out, rid)
-		}
-	}
-	t.verMu.RUnlock()
-	return out
-}
-
-// filterVersionsAppend is filterVersions into a separate buffer: the
-// visible candidates are appended into dst[:0] (freshly allocated when dst
-// is nil), leaving src intact — the form the pooled-scratch paths need,
-// since scratch memory must never escape into results.
-func (t *Table) filterVersionsAppend(snap *Snapshot, src, dst []storage.RID) []storage.RID {
+// filterVersions appends the candidates whose version is visible at the
+// snapshot into dst[:0] (freshly allocated when dst is nil), leaving src
+// intact — src is usually pooled scratch, which must never escape into
+// results; a caller that owns src may pass src[:0] to filter in place.
+// Exact for candidate sets that are per-version (every index keeps one
+// entry per version, and a version's row is immutable, so a validated
+// candidate either is the visible incarnation of its key or is filtered
+// here; the visible incarnation always appears among the candidates
+// through its own entries).
+func (t *Table) filterVersions(snap *Snapshot, src, dst []storage.RID) []storage.RID {
 	out := resultBuf(dst, len(src))
 	t.verMu.RLock()
 	for _, rid := range src {
-		if visibleAt(t.verOf[rid], snap.ts) {
+		if t.header(rid).visibleAt(snap.ts) {
 			out = append(out, rid)
 		}
 	}
@@ -310,13 +297,14 @@ func (t *Table) hermitLogicalRange(snap *Snapshot, col int, lo, hi float64, dst 
 	if profile {
 		t0 = time.Now()
 	}
-	tres := hx.Tree().Lookup(lo, hi)
+	sc := getScratch()
+	defer putScratch(sc)
+	tres := &sc.tres
+	hx.Tree().LookupInto(lo, hi, tres)
 	if profile {
 		st.Breakdown[hermit.PhaseTRSTree] += time.Since(t0)
 		t0 = time.Now()
 	}
-	sc := getScratch()
-	defer putScratch(sc)
 	// Outlier identifiers are primary keys under this scheme. Harvest into
 	// the scratch so the host-index appends never grow the index-owned
 	// backing array.
@@ -348,8 +336,8 @@ func (t *Table) hermitLogicalRange(snap *Snapshot, col int, lo, hi float64, dst 
 			continue
 		}
 		sc.seen[id] = struct{}{}
-		if v := t.resolveVisibleLocked(float64(id), snap.ts); v != nil {
-			sc.res = append(sc.res, v.rid)
+		if rid, ok := t.resolveVisibleLocked(float64(id), snap.ts); ok {
+			sc.res = append(sc.res, rid)
 		}
 	}
 	t.verMu.RUnlock()
@@ -433,8 +421,8 @@ func (t *Table) baselineRange(snap *Snapshot, idx interface {
 				continue
 			}
 			sc.seen[pk] = struct{}{}
-			if v := t.resolveVisibleLocked(float64(pk), snap.ts); v != nil {
-				sc.res = append(sc.res, v.rid)
+			if rid, ok := t.resolveVisibleLocked(float64(pk), snap.ts); ok {
+				sc.res = append(sc.res, rid)
 			}
 		}
 		t.verMu.RUnlock()
@@ -456,7 +444,7 @@ func (t *Table) baselineRange(snap *Snapshot, idx interface {
 	for _, id := range sc.ids {
 		sc.rids = append(sc.rids, storage.RID(id))
 	}
-	out := t.filterVersionsAppend(snap, sc.rids, dst)
+	out := t.filterVersions(snap, sc.rids, dst)
 	if profile {
 		st.Breakdown[hermit.PhaseBaseTable] += time.Since(t0)
 	}
@@ -482,8 +470,8 @@ func (t *Table) primaryRange(snap *Snapshot, lo, hi float64, dst []storage.RID) 
 	out := resultBuf(dst, len(sc.pks))
 	t.verMu.RLock()
 	for _, pk := range sc.pks {
-		if v := t.resolveVisibleLocked(pk, snap.ts); v != nil {
-			out = append(out, v.rid)
+		if rid, ok := t.resolveVisibleLocked(pk, snap.ts); ok {
+			out = append(out, rid)
 		}
 	}
 	t.verMu.RUnlock()
@@ -508,7 +496,7 @@ func (t *Table) scanRange(snap *Snapshot, col int, lo, hi float64, dst []storage
 		return nil, st, err
 	}
 	st.Candidates = len(sc.rids)
-	out := t.filterVersionsAppend(snap, sc.rids, dst)
+	out := t.filterVersions(snap, sc.rids, dst)
 	st.Rows = len(out)
 	return out, st, nil
 }

@@ -69,11 +69,11 @@ func (x *Txn) effective(t *Table, pk float64) (row []float64, live bool, err err
 		}
 		return w.row, true, nil
 	}
-	v := t.resolveVisible(pk, x.snap.ts)
-	if v == nil {
+	rid, ok := t.resolveVisible(pk, x.snap.ts)
+	if !ok {
 		return nil, false, nil
 	}
-	r, err := t.store.Get(v.rid, nil)
+	r, err := t.store.Get(rid, nil)
 	if err != nil {
 		return nil, false, err
 	}
@@ -189,7 +189,7 @@ type stamped struct {
 	t    *Table
 	pk   float64
 	rid  storage.RID // new version's row (zero for pure deletes)
-	old  *version    // superseded/deleted head (nil for pure inserts)
+	old  storage.RID // superseded/deleted head (unused for pure inserts)
 	kind byte        // 'i' insert, 'u' update, 'd' delete
 }
 
@@ -262,8 +262,8 @@ func (x *Txn) Commit() (CommitResult, error) {
 	// stamp below.
 	for _, t := range tables {
 		for pk := range x.writes[t] {
-			h := t.head(pk)
-			if h != nil && (h.beginTS > x.snap.ts || (h.endTS != 0 && h.endTS > x.snap.ts)) {
+			// (An absent key reads as the zero header, which passes.)
+			if _, h := t.head(pk); h.beginTS > x.snap.ts || h.endTS > x.snap.ts {
 				return res, fmt.Errorf("%w: key %v in table %q", ErrWriteConflict, pk, t.name)
 			}
 		}
@@ -280,10 +280,10 @@ func (x *Txn) Commit() (CommitResult, error) {
 		sort.Float64s(pks) // deterministic apply order within a table
 		for _, pk := range pks {
 			w := x.writes[t][pk]
-			h := t.head(pk)
+			old, h := t.head(pk)
 			if w.del {
-				if h != nil && h.endTS == 0 {
-					pend = append(pend, stamped{t: t, pk: pk, old: h, kind: 'd'})
+				if h.live() {
+					pend = append(pend, stamped{t: t, pk: pk, old: old, kind: 'd'})
 					t.writes.Add(1)
 				}
 				continue
@@ -294,14 +294,14 @@ func (x *Txn) Commit() (CommitResult, error) {
 				// surface loudly rather than commit a partial transaction.
 				return res, fmt.Errorf("engine: txn apply: %w", err)
 			}
-			t.movePrimary(pk, h, rid)
+			t.movePrimary(pk, old, h.beginTS != 0, rid)
 			t.insertIndexEntries(rid, w.row)
 			t.writes.Add(1)
 			for i, v := range w.row {
 				t.runtime[i].widen(v)
 			}
-			st := stamped{t: t, pk: pk, rid: rid, old: h, kind: 'i'}
-			if h != nil && h.endTS == 0 {
+			st := stamped{t: t, pk: pk, rid: rid, old: old, kind: 'i'}
+			if h.live() {
 				st.kind = 'u'
 			}
 			pend = append(pend, st)
@@ -317,7 +317,7 @@ func (x *Txn) Commit() (CommitResult, error) {
 		case 'i':
 			s.t.stampInsert(s.rid, s.pk, commitTS)
 		case 'u':
-			s.t.stampUpdate(s.old, s.rid, commitTS)
+			s.t.stampUpdate(s.old, s.pk, s.rid, commitTS)
 		default:
 			s.t.stampDelete(s.old, commitTS)
 		}

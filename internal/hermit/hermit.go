@@ -15,7 +15,7 @@ package hermit
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -221,17 +221,54 @@ func (r Result) FalsePositiveRatio() float64 {
 	return 1 - float64(r.Qualified)/float64(r.Candidates)
 }
 
+// Scratch holds the buffers one lookup harvests into — TRS-Tree ranges and
+// outlier identifiers, host-index identifiers, candidate RIDs — so a
+// caller that keeps one across lookups (the engine pools them) allocates
+// nothing in steady state. The zero value is ready to use; a Scratch
+// serves one lookup at a time.
+type Scratch struct {
+	tres trstree.Result
+	ids  []uint64
+	rids []storage.RID
+	// appendID appends a scanned host-index entry to ids; bound once so
+	// Scan calls do not mint a closure per lookup.
+	appendID func(key float64, id uint64) bool
+}
+
+// Trim drops buffers that grew beyond max entries, so one unusually large
+// harvest does not stay pinned in a pooled Scratch.
+func (sc *Scratch) Trim(max int) {
+	if cap(sc.ids) > max {
+		sc.ids = nil
+	}
+	if cap(sc.rids) > max {
+		sc.rids = nil
+	}
+	if cap(sc.tres.IDs) > max {
+		sc.tres.IDs = nil
+	}
+}
+
 // Lookup runs Hermit's multi-phase search (Fig. 3) for the predicate
 // lo <= M <= hi and returns the exact matching tuples.
 func (x *Index) Lookup(lo, hi float64) Result {
+	return x.LookupInto(lo, hi, new(Scratch))
+}
+
+// LookupInto is Lookup harvesting into sc. The result's RIDs alias sc's
+// memory: they are valid until sc's next lookup.
+func (x *Index) LookupInto(lo, hi float64, sc *Scratch) Result {
 	var res Result
 	var t0 time.Time
+	if sc.appendID == nil {
+		sc.appendID = func(_ float64, id uint64) bool { sc.ids = append(sc.ids, id); return true }
+	}
 
 	// Step 1: TRS-Tree lookup.
 	if x.cfg.Profile {
 		t0 = time.Now()
 	}
-	tres := x.tree.Lookup(lo, hi)
+	x.tree.LookupInto(lo, hi, &sc.tres)
 	if x.cfg.Profile {
 		res.Breakdown[PhaseTRSTree] += time.Since(t0)
 	}
@@ -241,25 +278,21 @@ func (x *Index) Lookup(lo, hi float64) Result {
 	if x.cfg.Profile {
 		t0 = time.Now()
 	}
-	ids := tres.IDs
-	for _, r := range tres.Ranges {
-		x.host.Scan(r.Lo, r.Hi, func(_ float64, id uint64) bool {
-			ids = append(ids, id)
-			return true
-		})
+	sc.ids = append(sc.ids[:0], sc.tres.IDs...)
+	for _, r := range sc.tres.Ranges {
+		x.host.Scan(r.Lo, r.Hi, sc.appendID)
 	}
 	if x.cfg.Profile {
 		res.Breakdown[PhaseHostIndex] += time.Since(t0)
 	}
 
 	// Step 3 (logical pointers only): resolve primary keys to locations.
-	var rids []storage.RID
+	rids := sc.rids[:0]
 	if x.cfg.Scheme == LogicalPointers {
 		if x.cfg.Profile {
 			t0 = time.Now()
 		}
-		rids = make([]storage.RID, 0, len(ids))
-		for _, pk := range ids {
+		for _, pk := range sc.ids {
 			if v, ok := x.primary.First(float64(pk)); ok {
 				rids = append(rids, storage.RID(v))
 			}
@@ -268,9 +301,8 @@ func (x *Index) Lookup(lo, hi float64) Result {
 			res.Breakdown[PhasePrimaryIndex] += time.Since(t0)
 		}
 	} else {
-		rids = make([]storage.RID, len(ids))
-		for i, id := range ids {
-			rids[i] = storage.RID(id)
+		for _, id := range sc.ids {
+			rids = append(rids, storage.RID(id))
 		}
 	}
 
@@ -280,7 +312,7 @@ func (x *Index) Lookup(lo, hi float64) Result {
 	if x.cfg.Profile {
 		t0 = time.Now()
 	}
-	sort.Slice(rids, func(a, b int) bool { return rids[a] < rids[b] })
+	slices.Sort(rids)
 	out := rids[:0]
 	var prev storage.RID
 	for i, rid := range rids {
@@ -301,6 +333,7 @@ func (x *Index) Lookup(lo, hi float64) Result {
 	if x.cfg.Profile {
 		res.Breakdown[PhaseBaseTable] += time.Since(t0)
 	}
+	sc.rids = rids
 	res.RIDs = out
 	x.candidates.Add(uint64(res.Candidates))
 	x.qualified.Add(uint64(res.Qualified))

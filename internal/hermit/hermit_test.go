@@ -484,3 +484,37 @@ func BenchmarkHermitPoint(b *testing.B) {
 		idx.LookupPoint(f.rows[i%len(f.rows)][2])
 	}
 }
+
+// TestLookupIntoReusesScratch: a Scratch carried across lookups gives the
+// same results as fresh ones, allocates nothing once warm, and Trim drops
+// a harvest that outgrew the retention cap.
+func TestLookupIntoReusesScratch(t *testing.T) {
+	for _, scheme := range []PointerScheme{PhysicalPointers, LogicalPointers} {
+		f := newFixture(t, 20000, linearFn, 0.02, scheme, 5)
+		idx := newIndex(t, f, scheme, false)
+		var sc Scratch
+		rng := rand.New(rand.NewSource(6))
+		for trial := 0; trial < 30; trial++ {
+			lo := rng.Float64() * 1000
+			hi := lo + rng.Float64()*50
+			if res := idx.LookupInto(lo, hi, &sc); !sameRIDs(res.RIDs, f.expected(lo, hi)) {
+				t.Fatalf("%v scheme: wrong result for [%v,%v] on a reused scratch", scheme, lo, hi)
+			}
+		}
+		idx.LookupInto(0, 1000, &sc) // grow every buffer to the largest harvest
+		if allocs := testing.AllocsPerRun(50, func() { idx.LookupInto(400, 450, &sc) }); allocs != 0 {
+			t.Fatalf("%v scheme: warm LookupInto allocates %.1f/op", scheme, allocs)
+		}
+		sc.Trim(1 << 20)
+		if cap(sc.ids) == 0 || cap(sc.rids) == 0 {
+			t.Fatal("Trim dropped buffers under the cap")
+		}
+		sc.Trim(16)
+		if sc.ids != nil || sc.rids != nil || sc.tres.IDs != nil {
+			t.Fatal("Trim kept buffers over the cap")
+		}
+		if res := idx.LookupInto(100, 120, &sc); !sameRIDs(res.RIDs, f.expected(100, 120)) {
+			t.Fatalf("%v scheme: wrong result after Trim", scheme)
+		}
+	}
+}

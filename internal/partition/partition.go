@@ -218,6 +218,7 @@ func (t *Table) Memory() engine.MemoryStats {
 		m.PrimaryBytes += pm.PrimaryBytes
 		m.ExistingBytes += pm.ExistingBytes
 		m.NewBytes += pm.NewBytes
+		m.VersionBytes += pm.VersionBytes
 	}
 	return m
 }

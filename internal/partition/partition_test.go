@@ -438,3 +438,21 @@ func TestPartitionedVersionGC(t *testing.T) {
 		t.Fatalf("latest state after GC: %d rids err=%v", len(rids), err)
 	}
 }
+
+// TestMemorySumsPartitions: the partitioned breakdown is the sum of the
+// partitions', version table included.
+func TestMemorySumsPartitions(t *testing.T) {
+	pt := newSynthetic(t, 4, 4000)
+	var want engine.MemoryStats
+	for i := 0; i < pt.Partitions(); i++ {
+		m := pt.Part(i).Memory()
+		want.TableBytes += m.TableBytes
+		want.PrimaryBytes += m.PrimaryBytes
+		want.ExistingBytes += m.ExistingBytes
+		want.NewBytes += m.NewBytes
+		want.VersionBytes += m.VersionBytes
+	}
+	if got := pt.Memory(); got != want || got.VersionBytes == 0 || got.NewBytes == 0 {
+		t.Fatalf("Memory() = %+v, partitions sum to %+v", got, want)
+	}
+}

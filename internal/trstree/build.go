@@ -97,7 +97,7 @@ func (pb *parallelBuilder) build(pairs []Pair, lo, hi float64, depth int, leftEd
 	}
 	k := pb.params.NodeFanout
 	buckets := partition(pairs, lo, hi, k)
-	n := &node{lo: lo, hi: hi, children: make([]*node, k)}
+	n := &node{lo: lo, hi: hi, leftEdge: leftEdge, rightEdge: rightEdge, children: make([]*node, k)}
 	w := (hi - lo) / float64(k)
 	var wg sync.WaitGroup
 	for i := 0; i < k; i++ {
@@ -142,7 +142,7 @@ func (b *builder) build(pairs []Pair, lo, hi float64, depth int, leftEdge, right
 	}
 	k := b.params.NodeFanout
 	buckets := partition(pairs, lo, hi, k)
-	n := &node{lo: lo, hi: hi, children: make([]*node, k)}
+	n := &node{lo: lo, hi: hi, leftEdge: leftEdge, rightEdge: rightEdge, children: make([]*node, k)}
 	w := (hi - lo) / float64(k)
 	for i := 0; i < k; i++ {
 		clo := lo + float64(i)*w

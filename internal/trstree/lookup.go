@@ -19,13 +19,22 @@ type Result struct {
 // interval, so they over-approximate the true matches; Hermit removes the
 // false positives during base-table validation.
 func (t *Tree) Lookup(lo, hi float64) Result {
+	var res Result
+	t.LookupInto(lo, hi, &res)
+	return res
+}
+
+// LookupInto is Lookup into a caller-owned Result, whose slices it reuses:
+// a caller that carries res across lookups allocates nothing once they
+// have grown.
+func (t *Tree) LookupInto(lo, hi float64, res *Result) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	var res Result
+	*res = Result{Ranges: res.Ranges[:0], IDs: res.IDs[:0]}
 	if lo > hi {
-		return res
+		return
 	}
-	t.lookupNode(t.root, lo, hi, &res)
+	t.lookupNode(t.root, lo, hi, res)
 	// Writes parked in the temporal side buffer while a reorganization
 	// scan is in flight (Appendix B) are already acknowledged to their
 	// writers, so lookups must see them: matching parked inserts join the
@@ -40,7 +49,6 @@ func (t *Tree) Lookup(lo, hi float64) Result {
 	if t.params.UnionRanges {
 		res.Ranges = unionRanges(res.Ranges)
 	}
-	return res
 }
 
 // lookupNode performs the per-node work of Algorithm 2. The paper uses a

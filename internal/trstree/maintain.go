@@ -24,9 +24,7 @@ func (t *Tree) Insert(m, n float64, id uint64) {
 func (t *Tree) insertLocked(m, n float64, id uint64) {
 	leaf := t.traverse(m)
 	leaf.count++
-	covered := m >= leaf.lo && m <= leaf.hi &&
-		math.Abs(n-leaf.model.Predict(m)) <= leaf.eps
-	if covered {
+	if leaf.covers(m, n) {
 		return
 	}
 	leaf.addOutlier(m, id)
@@ -36,8 +34,11 @@ func (t *Tree) insertLocked(m, n float64, id uint64) {
 }
 
 // Delete removes a tuple (Algorithm 3). Only outlier-buffer entries carry
-// state, so deleting a model-covered tuple just updates the counters; the
-// resulting false positives are filtered by Hermit's validation step.
+// state, so deleting a model-covered tuple just updates the counters (it
+// must not touch the buffer: under logical pointers another version of the
+// same key, with the same target value and an uncovered host value, may
+// own an entry with this very (m, id)); the resulting false positives are
+// filtered by Hermit's validation step.
 // Ranges that accumulate many deletes enqueue their parent for a merge.
 func (t *Tree) Delete(m, n float64, id uint64) {
 	t.mu.Lock()
@@ -46,12 +47,14 @@ func (t *Tree) Delete(m, n float64, id uint64) {
 		t.bufferOp(bufferedOp{del: true, p: Pair{M: m, N: n, ID: id}})
 		return
 	}
-	t.deleteLocked(m, id)
+	t.deleteLocked(m, n, id)
 }
 
-func (t *Tree) deleteLocked(m float64, id uint64) {
+func (t *Tree) deleteLocked(m, n float64, id uint64) {
 	leaf := t.traverse(m)
-	leaf.removeOutlier(m, id)
+	if !leaf.covers(m, n) {
+		leaf.removeOutlier(m, id)
+	}
 	if leaf.count > 0 {
 		leaf.count--
 	}
@@ -72,10 +75,7 @@ func (t *Tree) Update(m, oldN, newN float64, id uint64) {
 		return
 	}
 	leaf := t.traverse(m)
-	wasCovered := m >= leaf.lo && m <= leaf.hi &&
-		math.Abs(oldN-leaf.model.Predict(m)) <= leaf.eps
-	isCovered := m >= leaf.lo && m <= leaf.hi &&
-		math.Abs(newN-leaf.model.Predict(m)) <= leaf.eps
+	wasCovered, isCovered := leaf.covers(m, oldN), leaf.covers(m, newN)
 	switch {
 	case wasCovered && !isCovered:
 		leaf.addOutlier(m, id)
@@ -84,14 +84,22 @@ func (t *Tree) Update(m, oldN, newN float64, id uint64) {
 	}
 }
 
-// addOutlier records (m, id), ignoring exact duplicates so that reorg
-// replay cannot double-insert.
+// covers reports whether the leaf's linear function predicts host value nv
+// for target value m within its confidence interval, in which case the
+// tuple is stored nowhere. Values outside the build-time range are never
+// covered.
+func (n *node) covers(m, nv float64) bool {
+	return m >= n.lo && m <= n.hi && math.Abs(nv-n.model.Predict(m)) <= n.eps
+}
+
+// addOutlier records (m, id). The buffer is a multiset: under logical
+// pointers every version of a key carries the same id, so two versions
+// with one target value are two entries, and reclaiming one of them must
+// leave the other's behind. An insert that a reorganization's rescan had
+// already collected and the side-buffer replay adds again is a surplus
+// candidate, which validation filters; dropping it as a duplicate instead
+// would risk a false negative.
 func (n *node) addOutlier(m float64, id uint64) {
-	for _, e := range n.outliers {
-		if e.id == id && e.m == m {
-			return
-		}
-	}
 	n.outliers = append(n.outliers, outlierEntry{m: m, id: id})
 }
 
@@ -271,7 +279,7 @@ func buildReplacement(pairs []Pair, target *node, depth int, params Params) (*no
 func (t *Tree) replaySideBuf() {
 	for _, op := range t.sideBuf {
 		if op.del {
-			t.deleteLocked(op.p.M, op.p.ID)
+			t.deleteLocked(op.p.M, op.p.N, op.p.ID)
 		} else {
 			t.insertLocked(op.p.M, op.p.N, op.p.ID)
 		}

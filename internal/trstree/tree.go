@@ -119,9 +119,11 @@ type DataSource interface {
 // fitted model, confidence interval and outlier buffer.
 type node struct {
 	lo, hi float64 // sub-range of the target column (closed)
-	// leftEdge/rightEdge mark the outermost leaves of the whole tree; their
-	// effective range is extended to ±inf so values outside the build-time
-	// range R still have a home (they are always treated as outliers).
+	// leftEdge/rightEdge mark the outermost nodes of every level — leaves
+	// and the internal nodes above them, or a lookup beyond the build-time
+	// range R would stop descending at the first internal edge child. Their
+	// effective range is extended to ±inf so values outside R still have a
+	// home (they are always treated as outliers).
 	leftEdge, rightEdge bool
 
 	children []*node // nil for leaves
@@ -288,7 +290,7 @@ func childIndex(n *node, m float64) int {
 	return i
 }
 
-// effectiveLo/effectiveHi give a leaf's range extended to infinity at the
+// effectiveLo/effectiveHi give a node's range extended to infinity at the
 // tree edges, so out-of-range query predicates and inserts are handled.
 func (n *node) effectiveLo() float64 {
 	if n.leftEdge {

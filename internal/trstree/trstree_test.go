@@ -716,3 +716,73 @@ func BenchmarkInsertCovered(b *testing.B) {
 		tr.Insert(m, 2*m+100, uint64(i))
 	}
 }
+
+// The paper's one safety property, beyond the build-time bounds: when the
+// edge child of an internal node is itself internal, a lookup outside
+// [root.lo, root.hi] must still descend to the edge leaves, where such
+// values live as outliers. Both builders.
+func TestLookupBeyondBoundsDeepEdges(t *testing.T) {
+	// A cubic is steepest at both ends of the domain, so the edge
+	// sub-ranges are the ones that keep splitting.
+	pairs := make([]Pair, 60000)
+	rng := rand.New(rand.NewSource(31))
+	for i := range pairs {
+		m := rng.Float64() * 1000
+		pairs[i] = Pair{M: m, N: math.Pow(m-500, 3), ID: uint64(i)}
+	}
+	par, err := BuildParallel(append([]Pair(nil), pairs...), 1, 0, DefaultParams(), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, tr := range map[string]*Tree{"sequential": mustBuild(t, pairs, DefaultParams()), "parallel": par} {
+		k := len(tr.root.children)
+		if k == 0 || tr.root.children[0].isLeaf() || tr.root.children[k-1].isLeaf() {
+			t.Fatalf("%s: test data must give internal edge children (height %d)", name, tr.Height())
+		}
+		tr.Insert(-5, 0, 111111)
+		tr.Insert(1005, 0, 222222)
+		for _, c := range []struct {
+			lo, hi float64
+			id     uint64
+		}{{-5, -5, 111111}, {-100, -1, 111111}, {1005, 1005, 222222}, {1001, 3000, 222222}} {
+			res := tr.Lookup(c.lo, c.hi)
+			if len(res.IDs) != 1 || res.IDs[0] != c.id {
+				t.Errorf("%s: Lookup(%v, %v) IDs = %v, want [%d]", name, c.lo, c.hi, res.IDs, c.id)
+			}
+		}
+	}
+}
+
+// Under logical pointers every version of a row carries the same id, so
+// versions sharing a target value share (m, id). Reclaiming one version —
+// covered by the model or not — must leave the outlier entry of another.
+func TestDeleteKeepsOtherVersionsOutlier(t *testing.T) {
+	pairs := genLinear(5000, 1000, 0, 41)
+	tr := mustBuild(t, pairs, DefaultParams())
+	has := func(m float64, id uint64) bool {
+		for _, got := range tr.Lookup(m, m).IDs {
+			if got == id {
+				return true
+			}
+		}
+		return false
+	}
+	const m, id = 500.25, 999_999
+	covered, out1, out2 := 2*m+100, 5.0, 7.0
+
+	tr.Insert(m, covered, id) // version 1: on the line, stores nothing
+	tr.Insert(m, out1, id)    // version 2: an outlier
+	tr.Delete(m, covered, id) // version 1 reclaimed
+	if !has(m, id) {
+		t.Fatal("deleting a model-covered version removed another version's outlier entry")
+	}
+	tr.Insert(m, out2, id) // version 3: an outlier with the same (m, id)
+	tr.Delete(m, out1, id) // version 2 reclaimed
+	if !has(m, id) {
+		t.Fatal("deleting one outlier version removed the entry two versions shared")
+	}
+	tr.Delete(m, out2, id)
+	if has(m, id) {
+		t.Fatal("entry left behind after every version was deleted")
+	}
+}
