@@ -28,7 +28,7 @@ ifdef GOMAXPROCS
 export GOMAXPROCS
 endif
 
-.PHONY: build build-examples test race cover difftest bench bench-all bench-check bench-concurrency bench-durability bench-compaction bench-advisor bench-partition bench-txn bench-server bench-repl bench-scenarios bench-hotpath benchmark-smoke profile heap-profile fmt fmt-check vet staticcheck doc-check ci
+.PHONY: build build-examples test race cover difftest fuzz bench bench-all bench-check bench-concurrency bench-durability bench-compaction bench-advisor bench-partition bench-txn bench-server bench-repl bench-scenarios bench-hotpath benchmark-smoke profile heap-profile fmt fmt-check vet staticcheck doc-check ci
 
 build:
 	$(GO) build ./...
@@ -64,6 +64,15 @@ cover:
 # detector.
 difftest:
 	$(GO) test -race -run TestDifferential ./internal/difftest -difftest.ops 10000
+
+# Coverage-guided fuzzing of the B+-tree's key order and unique-key path
+# (Insert/Delete/Get/Swap/Scan over finite, ±0, ±Inf and NaN keys against a
+# map oracle, structural check after every op) for FUZZTIME. The seed
+# corpus alone runs in every `go test`; new inputs land in the Go build
+# cache's fuzz directory, a failing one under internal/btree/testdata/fuzz.
+FUZZTIME = 20s
+fuzz:
+	$(GO) test -run '^$$' -fuzz FuzzTreeTotalOrder -fuzztime $(FUZZTIME) ./internal/btree
 
 # Bench smoke: one figure at tiny scale proves the harness end-to-end.
 bench: build
@@ -192,4 +201,4 @@ staticcheck:
 doc-check:
 	$(GO) run ./internal/tools/doccheck . ./internal/engine ./internal/block ./internal/advisor ./internal/partition ./internal/difftest ./internal/server ./internal/server/proto ./internal/client ./internal/repl ./internal/scenario
 
-ci: fmt-check vet staticcheck doc-check cover build-examples bench-all bench-check benchmark-smoke difftest
+ci: fmt-check vet staticcheck doc-check cover build-examples bench-all bench-check benchmark-smoke difftest fuzz

@@ -204,15 +204,17 @@ func loadSyntheticWithHermit(t *testing.T, rows int) (*hermitdb.DB, *hermitdb.Ta
 // TestHeapBytesPerRowBudget is the memory analogue of the AllocsPerRun
 // guards: what the process holds per row for a loaded Synthetic table with
 // its host B+-tree and a Hermit index must stay under a budget fixed 10%
-// above the figure measured when the budget was set — 135.8 B/row, of
-// which Memory() reports 131.0: 32 B of row store, 24 B of version header,
-// 22 B of heads map, 26 B each of primary and host index, 0.5 B of
-// TRS-Tree — so the win of the flat version table and the right-sized
-// B+-tree splits cannot silently erode (the per-version heap objects and
-// pinned split arrays they replaced held 219 B/row). Memory() must keep
-// accounting for what the process holds.
+// above the figure measured when the budget was set — 103.3 B/row, of
+// which Memory() reports 100.0: 32 B of row store, 24 B of version header,
+// 17 B of primary index (which is also the key→version-chain-head map: the
+// separate heads map it replaced held 22 B/row more, and its 16-entry nodes
+// 9 B/row more), 26 B of host index, 0.5 B of TRS-Tree — so the wins of the
+// flat version table, the right-sized B+-tree splits and the single
+// key→head structure cannot silently erode (the per-version heap objects
+// and pinned split arrays of the first MVCC engine held 219 B/row).
+// Memory() must keep accounting for what the process holds.
 func TestHeapBytesPerRowBudget(t *testing.T) {
-	const rows, budget = 200_000, 150.0
+	const rows, budget = 200_000, 114.0
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)

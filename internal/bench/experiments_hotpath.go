@@ -17,11 +17,14 @@ import (
 	"hermit/internal/storage"
 )
 
-// The hotpath experiment measures the allocator cost of the engine's five
+// The hotpath experiment measures the allocator cost of the engine's
 // hottest operations — embedded PK point read, embedded range scan,
-// partitioned scatter-gather scan, durable WAL-logged insert, and a
-// wire-protocol point read through hermitd — as allocs/op, bytes/op,
-// ns/op, and throughput, each at GOMAXPROCS 1 and 4. The artifact is the
+// partitioned scatter-gather scan, durable WAL-logged insert, a
+// wire-protocol point read through hermitd, and the three that go through
+// the primary index by key: an in-memory update, a delete/re-insert cycle,
+// and a Hermit range query under logical pointers (whose every candidate
+// takes the primary-index hop) — as allocs/op, bytes/op, ns/op, and
+// throughput, each at GOMAXPROCS 1 and 4. The artifact is the
 // regression baseline for the zero-alloc read-path contract: the same
 // numbers `testing.AllocsPerRun` guards enforce in tier-1 are recorded
 // here with throughput context, so a speed pass can prove its allocation
@@ -82,6 +85,9 @@ func hotpathWorkloads() []hotpathWorkload {
 		{"partitioned_scan", setupHotpathPartitioned},
 		{"durable_insert", setupHotpathDurableInsert},
 		{"wire_point", setupHotpathWirePoint},
+		{"mem_update", setupHotpathUpdate},
+		{"mem_delete", setupHotpathDelete},
+		{"logical_range", setupHotpathLogicalRange},
 	}
 }
 
@@ -144,6 +150,89 @@ func setupHotpathRange(cfg Config, n int) (func() error, func(), error) {
 		}
 		if len(rids) != hotpathSpan {
 			return fmt.Errorf("range scan matched %d rows, want %d", len(rids), hotpathSpan)
+		}
+		dst = rids
+		return nil
+	}
+	return op, func() {}, nil
+}
+
+// setupHotpathUpdate measures an auto-commit UpdateColumn of a random key:
+// head lookup through the primary index, version row, primary-entry swap
+// and stamp at commit. No version GC runs, so chains grow by one version
+// per op.
+func setupHotpathUpdate(cfg Config, n int) (func() error, func(), error) {
+	tb, err := buildHotpathTable(n)
+	if err != nil {
+		return nil, nil, err
+	}
+	rng := rand.New(rand.NewSource(cfg.Seed + 23))
+	gen := float64(n)
+	op := func() error {
+		gen++
+		return tb.UpdateColumn(float64(rng.Intn(n)), 1, gen)
+	}
+	return op, func() {}, nil
+}
+
+// setupHotpathDelete measures the delete of a random live key followed by
+// its re-insert over the dead chain — the cycle that keeps the table full
+// for as long as the lane runs, so one op is a Delete plus an Insert: two
+// head lookups, a header write, a version row and a primary-entry swap.
+func setupHotpathDelete(cfg Config, n int) (func() error, func(), error) {
+	tb, err := buildHotpathTable(n)
+	if err != nil {
+		return nil, nil, err
+	}
+	rng := rand.New(rand.NewSource(cfg.Seed + 29))
+	row := make([]float64, 2)
+	op := func() error {
+		row[0], row[1] = float64(rng.Intn(n)), 1
+		if found, err := tb.Delete(row[0]); err != nil || !found {
+			return fmt.Errorf("delete of live key %v: found=%v err=%v", row[0], found, err)
+		}
+		_, err := tb.Insert(row)
+		return err
+	}
+	return op, func() {}, nil
+}
+
+// setupHotpathLogicalRange measures a Hermit range query of hotpathSpan
+// rows under logical pointers: TRS-Tree lookup, host-index scan, then the
+// primary-index hop for every harvested key (sorted, probed front to
+// back) and the chain walk to the visible version, then validation.
+func setupHotpathLogicalRange(cfg Config, n int) (func() error, func(), error) {
+	db := engine.NewDB(hermit.LogicalPointers)
+	tb, err := db.CreateTable("hot", []string{"pk", "host", "target"}, 0)
+	if err != nil {
+		return nil, nil, err
+	}
+	tb.SetRouting(engine.RouteStatic)
+	// Keys are laid out against the target order, so the keys of one range
+	// are spread over the primary index rather than adjacent in one leaf.
+	stride := 7919 // prime, coprime to every n the experiment uses
+	for i := 0; i < n; i++ {
+		c := float64(i * stride % n)
+		if _, err := tb.Insert([]float64{float64(i), 2*c + 100, c}); err != nil {
+			return nil, nil, err
+		}
+	}
+	if _, err := tb.CreateBTreeIndex(1, false); err != nil {
+		return nil, nil, err
+	}
+	if _, err := tb.CreateHermitIndex(2, 1); err != nil {
+		return nil, nil, err
+	}
+	rng := rand.New(rand.NewSource(cfg.Seed + 31))
+	var dst []storage.RID
+	op := func() error {
+		lo := float64(rng.Intn(n - hotpathSpan))
+		rids, st, err := tb.RangeQueryInto(2, lo, lo+hotpathSpan-1, dst)
+		if err != nil {
+			return err
+		}
+		if len(rids) != hotpathSpan || st.Path != engine.PathHermit {
+			return fmt.Errorf("logical range matched %d rows via %v, want %d via hermit", len(rids), st.Path, hotpathSpan)
 		}
 		dst = rids
 		return nil

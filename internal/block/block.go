@@ -31,6 +31,8 @@ import (
 	"os"
 	"sort"
 	"sync"
+
+	"hermit/internal/keyorder"
 )
 
 // Decoding errors.
@@ -77,21 +79,21 @@ type Desc struct {
 	Count uint64
 	// Bytes is the encoded file size.
 	Bytes int64
-	// MinKey/MaxKey fence the keys present (by keyOrder; both inclusive).
+	// MinKey/MaxKey fence the keys present (by keyorder.Rank; both inclusive).
 	MinKey, MaxKey float64
 }
 
 // covers reports whether pk falls inside the descriptor's key fence.
 func (d Desc) covers(pk float64) bool {
-	k := keyOrder(pk)
-	return k >= keyOrder(d.MinKey) && k <= keyOrder(d.MaxKey)
+	k := keyorder.Rank(pk)
+	return k >= keyorder.Rank(d.MinKey) && k <= keyorder.Rank(d.MaxKey)
 }
 
 // SortEntries sorts entries by primary key under the package's total key
 // order (the order Write requires).
 func SortEntries(entries []Entry) {
 	sort.Slice(entries, func(i, j int) bool {
-		return keyOrder(entries[i].PK) < keyOrder(entries[j].PK)
+		return keyorder.Rank(entries[i].PK) < keyorder.Rank(entries[j].PK)
 	})
 }
 
@@ -113,7 +115,7 @@ func Encode(width int, entries []Entry) ([]byte, error) {
 		if !e.Tombstone && len(e.Row) != width {
 			return nil, fmt.Errorf("block: entry %d row width %d, want %d", i, len(e.Row), width)
 		}
-		if i > 0 && keyOrder(entries[i-1].PK) >= keyOrder(e.PK) {
+		if i > 0 && keyorder.Rank(entries[i-1].PK) >= keyorder.Rank(e.PK) {
 			return nil, fmt.Errorf("block: entries unsorted or duplicated at %d", i)
 		}
 		bl.add(e.PK)
@@ -315,7 +317,7 @@ func Decode(raw []byte) ([]Entry, int, error) {
 		if c.err != nil {
 			return nil, 0, c.err
 		}
-		k := keyOrder(e.PK)
+		k := keyorder.Rank(e.PK)
 		if i > 0 && k <= prev {
 			return nil, 0, ErrCorrupt
 		}
@@ -443,11 +445,11 @@ func (h *Handle) Get(pk float64) (e Entry, found bool, err error) {
 	if err := h.load(); err != nil {
 		return Entry{}, false, err
 	}
-	k := keyOrder(pk)
+	k := keyorder.Rank(pk)
 	i := sort.Search(len(h.entries), func(i int) bool {
-		return keyOrder(h.entries[i].PK) >= k
+		return keyorder.Rank(h.entries[i].PK) >= k
 	})
-	if i < len(h.entries) && keyOrder(h.entries[i].PK) == k {
+	if i < len(h.entries) && keyorder.Rank(h.entries[i].PK) == k {
 		return h.entries[i], true, nil
 	}
 	return Entry{}, false, nil

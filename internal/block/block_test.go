@@ -3,7 +3,6 @@ package block
 import (
 	"bytes"
 	"errors"
-	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -182,21 +181,6 @@ func TestBloomSkipRate(t *testing.T) {
 	}
 	if rate := float64(falsePos) / float64(probes); rate > 0.05 {
 		t.Fatalf("bloom false-positive rate %.3f > 5%%", rate)
-	}
-}
-
-func TestKeyOrderTotal(t *testing.T) {
-	keys := []float64{math.Inf(-1), -1e300, -2, -1, -0.5, 0, 0.5, 1, 2, 1e300, math.Inf(1)}
-	for i := 1; i < len(keys); i++ {
-		if keyOrder(keys[i-1]) >= keyOrder(keys[i]) {
-			t.Fatalf("keyOrder not increasing at %v -> %v", keys[i-1], keys[i])
-		}
-	}
-	if keyOrder(math.Copysign(0, -1)) != keyOrder(0) {
-		t.Fatal("-0 and +0 should share a key")
-	}
-	if keyOrder(math.NaN()) <= keyOrder(math.Inf(1)) {
-		t.Fatal("NaN should sort above +Inf")
 	}
 }
 

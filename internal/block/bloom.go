@@ -3,6 +3,8 @@ package block
 import (
 	"encoding/binary"
 	"math"
+
+	"hermit/internal/keyorder"
 )
 
 // The bloom filter each block carries so point reads can skip blocks that
@@ -43,27 +45,9 @@ func bloomFromBytes(raw []byte) *bloom {
 // KeyBits normalises a primary key to the bit pattern used for hashing,
 // fences and sorting: -0 collapses onto +0 (the engine treats them as the
 // same key). It is the map key for any per-primary-key bookkeeping that
-// must agree with the block tier's notion of key identity — float64 map
-// keys cannot be trusted for that (NaN never equals itself, so a NaN key
-// could neither be found, overwritten nor deleted).
-func KeyBits(pk float64) uint64 {
-	if pk == 0 {
-		pk = 0 // +0 and -0 are one key
-	}
-	return math.Float64bits(pk)
-}
-
-// keyOrder maps a key's bits onto a uint64 whose unsigned order is a total
-// order over float64s (negatives before positives, NaNs at the top), so
-// entries sort and binary-search consistently even for keys that ordinary
-// float comparison cannot order.
-func keyOrder(pk float64) uint64 {
-	b := KeyBits(pk)
-	if b&(1<<63) != 0 {
-		return ^b
-	}
-	return b | (1 << 63)
-}
+// must agree with the block tier's notion of key identity (see
+// keyorder.Bits, the definition the B+-trees share).
+func KeyBits(pk float64) uint64 { return keyorder.Bits(pk) }
 
 // splitmix64 is the avalanche mixer used to derive probe positions.
 func splitmix64(x uint64) uint64 {

@@ -9,6 +9,16 @@
 // which keeps every entry unique and makes splits, scans and exact-entry
 // deletes unambiguous even for heavily skewed data.
 //
+// Keys are ordered by keyorder's total order, which agrees with < on every
+// pair of non-NaN keys and places what < cannot: ±0 are one key, every NaN
+// payload is a key of its own (negative NaNs below -Inf, positive NaNs above
+// +Inf). A Scan with non-NaN bounds therefore never yields a NaN key.
+//
+// A tree whose keys are unique — the engine's primary index, which is also
+// its MVCC key→chain-head structure — has a second, cheaper access path:
+// Get, Swap and GetAscending descend by key alone (see Swap for the one
+// rule that keeps the two paths interchangeable).
+//
 // The default node capacity is 16 entries, i.e. 256 bytes of keys per node,
 // matching the 256-byte node size of the paper's DBMS-X B+-tree (§7.1).
 package btree
@@ -16,7 +26,8 @@ package btree
 import (
 	"fmt"
 	"math"
-	"sort"
+
+	"hermit/internal/keyorder"
 )
 
 // DefaultOrder is the default maximum number of entries per node.
@@ -68,13 +79,12 @@ func (t *Tree) Height() int {
 	return h
 }
 
-// cmpKV orders composite (key, value) pairs.
+// cmpKV orders composite (key, value) pairs: keys by keyorder's total order,
+// then values.
 func cmpKV(k1 float64, v1 uint64, k2 float64, v2 uint64) int {
-	switch {
-	case k1 < k2:
-		return -1
-	case k1 > k2:
-		return 1
+	switch c := keyorder.Compare(k1, k2); {
+	case c != 0:
+		return c
 	case v1 < v2:
 		return -1
 	case v1 > v2:
@@ -84,20 +94,79 @@ func cmpKV(k1 float64, v1 uint64, k2 float64, v2 uint64) int {
 	}
 }
 
+// The searches below are written out (no sort.Search, no closure): a descent
+// runs one per level.
+
 // search returns the index of the first entry in n that is >= (k, v).
 func (n *node) search(k float64, v uint64) int {
-	return sort.Search(len(n.keys), func(i int) bool {
-		return cmpKV(n.keys[i], n.tie[i], k, v) >= 0
-	})
+	keys, tie := n.keys, n.tie[:len(n.keys)]
+	lo, hi := 0, len(keys)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if keyorder.Less(keys[m], k) || !keyorder.Less(k, keys[m]) && tie[m] < v {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
 }
 
 // childIndex returns the child to descend into for composite key (k, v):
 // the number of separators <= (k, v). Separator i is the smallest entry of
 // children[i+1].
 func (n *node) childIndex(k float64, v uint64) int {
-	return sort.Search(len(n.keys), func(i int) bool {
-		return cmpKV(n.keys[i], n.tie[i], k, v) > 0
-	})
+	keys, tie := n.keys, n.tie[:len(n.keys)]
+	lo, hi := 0, len(keys)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if keyorder.Less(keys[m], k) || !keyorder.Less(k, keys[m]) && tie[m] <= v {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
+}
+
+// childKey returns the child to descend into for a unique key k: the number
+// of separators whose key is <= k.
+func (n *node) childKey(k float64) int {
+	keys := n.keys
+	lo, hi := 0, len(keys)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if keyorder.Less(k, keys[m]) {
+			hi = m
+		} else {
+			lo = m + 1
+		}
+	}
+	return lo
+}
+
+// lineKeys is the number of keys in a cache line.
+const lineKeys = 8
+
+// searchKey returns the index of the first entry in leaf n whose key is
+// >= k. A leaf is where a descent into a large tree misses the caches, and
+// a binary search over a wide leaf takes its misses one after the other:
+// every probe waits for the line before it. This search reads the last key
+// of each line front to back instead — addresses the processor can request
+// together — and then scans the one line that holds the answer. On a
+// random Get over 1M keys it beats the binary search at every node width
+// above 32 (128 keys per leaf: 364 ns against 388 ns, medians of nine
+// interleaved rounds), and it is no slower on a tree that fits the caches.
+func (n *node) searchKey(k float64) int {
+	keys := n.keys
+	i := 0
+	for i+lineKeys <= len(keys) && keyorder.Less(keys[i+lineKeys-1], k) {
+		i += lineKeys
+	}
+	for i < len(keys) && keyorder.Less(keys[i], k) {
+		i++
+	}
+	return i
 }
 
 // Insert adds the entry (key, id). Inserting an entry that already exists
@@ -105,16 +174,20 @@ func (n *node) childIndex(k float64, v uint64) int {
 // does this for a well-formed table, and tolerating it keeps the tree free
 // of policy.
 func (t *Tree) Insert(key float64, id uint64) {
-	sep, sepTie, right := t.insert(t.root, key, id)
+	t.growRoot(t.insert(t.root, key, id))
+	t.size++
+}
+
+// growRoot puts a new root over the old one and the sibling its split
+// produced, if it split.
+func (t *Tree) growRoot(sep float64, sepTie uint64, right *node) {
 	if right != nil {
-		newRoot := &node{
+		t.root = &node{
 			keys:     []float64{sep},
 			tie:      []uint64{sepTie},
 			children: []*node{t.root, right},
 		}
-		t.root = newRoot
 	}
-	t.size++
 }
 
 // insertAt inserts v at index i of a node array. Node arrays built by
@@ -140,21 +213,32 @@ func splitOff[T any](s []T, from, full int) []T {
 // insert descends into n; on child split it absorbs the separator, and on
 // its own split returns the new right sibling with its separator.
 func (t *Tree) insert(n *node, key float64, id uint64) (float64, uint64, *node) {
-	full := t.order + 1
 	if n.leaf {
-		i := n.search(key, id)
-		n.keys = insertAt(n.keys, i, key, full)
-		n.tie = insertAt(n.tie, i, id, full)
-		if len(n.keys) > t.order {
-			return t.splitLeaf(n, i)
-		}
-		return 0, 0, nil
+		return t.insertLeaf(n, n.search(key, id), key, id)
 	}
 	ci := n.childIndex(key, id)
 	sep, sepTie, right := t.insert(n.children[ci], key, id)
 	if right == nil {
 		return 0, 0, nil
 	}
+	return t.absorb(n, ci, sep, sepTie, right)
+}
+
+// insertLeaf places (key, id) at index i of leaf n, splitting it when full.
+func (t *Tree) insertLeaf(n *node, i int, key float64, id uint64) (float64, uint64, *node) {
+	full := t.order + 1
+	n.keys = insertAt(n.keys, i, key, full)
+	n.tie = insertAt(n.tie, i, id, full)
+	if len(n.keys) > t.order {
+		return t.splitLeaf(n, i)
+	}
+	return 0, 0, nil
+}
+
+// absorb adds the separator and right sibling that the split of
+// n.children[ci] produced, splitting n in turn when full.
+func (t *Tree) absorb(n *node, ci int, sep float64, sepTie uint64, right *node) (float64, uint64, *node) {
+	full := t.order + 1
 	n.keys = insertAt(n.keys, ci, sep, full)
 	n.tie = insertAt(n.tie, ci, sepTie, full)
 	n.children = insertAt(n.children, ci+1, right, full+1)
@@ -235,7 +319,7 @@ func (t *Tree) Contains(key float64, id uint64) bool {
 // Scan calls fn for every entry with lo <= key <= hi in ascending (key, id)
 // order. Scanning stops early if fn returns false.
 func (t *Tree) Scan(lo, hi float64, fn func(key float64, id uint64) bool) {
-	if lo > hi {
+	if keyorder.Less(hi, lo) {
 		return
 	}
 	n := t.root
@@ -245,7 +329,7 @@ func (t *Tree) Scan(lo, hi float64, fn func(key float64, id uint64) bool) {
 	i := n.search(lo, 0)
 	for n != nil {
 		for ; i < len(n.keys); i++ {
-			if n.keys[i] > hi {
+			if keyorder.Less(hi, n.keys[i]) {
 				return
 			}
 			if !fn(n.keys[i], n.tie[i]) {
@@ -257,22 +341,134 @@ func (t *Tree) Scan(lo, hi float64, fn func(key float64, id uint64) bool) {
 	}
 }
 
+// Each calls fn for every entry in ascending (key, id) order — NaN keys
+// included, which no Scan with ordinary bounds reaches. It stops early if
+// fn returns false.
+func (t *Tree) Each(fn func(key float64, id uint64) bool) {
+	n := t.root
+	for !n.leaf {
+		n = n.children[0]
+	}
+	for ; n != nil; n = n.next {
+		for i, k := range n.keys {
+			if !fn(k, n.tie[i]) {
+				return
+			}
+		}
+	}
+}
+
 // Lookup calls fn for every entry whose key equals key.
 func (t *Tree) Lookup(key float64, fn func(id uint64) bool) {
 	t.Scan(key, key, func(_ float64, id uint64) bool { return fn(id) })
 }
 
-// First returns the entry whose key equals key with the smallest id. The
-// primary index uses this for unique keys.
+// First returns the entry whose key equals key with the smallest id. It is
+// correct on any tree; a tree maintained through Swap has the cheaper Get.
 func (t *Tree) First(key float64) (uint64, bool) {
-	var id uint64
-	found := false
-	t.Lookup(key, func(v uint64) bool {
-		id = v
-		found = true
-		return false
-	})
-	return id, found
+	n := t.root
+	for !n.leaf {
+		n = n.children[n.childIndex(key, 0)]
+	}
+	// The entry may open a later leaf: (key, 0) routes left of a separator
+	// (key, id > 0), and lazy deletes leave empty leaves behind.
+	for i := n.search(key, 0); n != nil; n, i = n.next, 0 {
+		if i < len(n.keys) {
+			return n.tie[i], keyorder.Compare(n.keys[i], key) == 0
+		}
+	}
+	return 0, false
+}
+
+// Get returns the id stored under key in a unique-key tree (see Swap): one
+// descent by key alone.
+func (t *Tree) Get(key float64) (uint64, bool) {
+	n := t.root
+	for !n.leaf {
+		n = n.children[n.childKey(key)]
+	}
+	return n.get(key)
+}
+
+// get looks key up in leaf n.
+func (n *node) get(key float64) (uint64, bool) {
+	if i := n.searchKey(key); i < len(n.keys) && !keyorder.Less(key, n.keys[i]) {
+		return n.tie[i], true
+	}
+	return 0, false
+}
+
+// Finger is the position GetAscending resumes from: the leaf the previous
+// key landed on. The zero value starts a run; a finger is invalidated by
+// any write to the tree.
+type Finger struct{ leaf *node }
+
+// GetAscending is Get for a run of keys probed in ascending order: a key
+// that falls in the previous key's leaf, or in the leaf after it, is
+// answered without a descent.
+func (t *Tree) GetAscending(f *Finger, key float64) (uint64, bool) {
+	n := f.leaf
+	if n == nil || !n.reaches(key) {
+		// Past this leaf's last key. The leaf after it holds the key if it
+		// reaches it: a key in the gap between the two is in neither.
+		if n != nil && n.next != nil && n.next.reaches(key) {
+			n = n.next
+		} else {
+			for n = t.root; !n.leaf; {
+				n = n.children[n.childKey(key)]
+			}
+		}
+		f.leaf = n
+	}
+	return n.get(key)
+}
+
+// reaches reports whether leaf n's last key is >= key.
+func (n *node) reaches(key float64) bool {
+	return len(n.keys) > 0 && !keyorder.Less(n.keys[len(n.keys)-1], key)
+}
+
+// Swap stores id under key in a unique-key tree and returns the id it
+// replaced; ok is false when the key was absent and the entry was inserted.
+// Either way it is one descent, by key alone.
+//
+// A separator is a copy of an entry, tie included, and the composite
+// descent of Insert, Delete and Contains compares that tie. Swap therefore
+// rewrites the tie of the one separator that carries its key, so that the
+// separator never sorts above the entry it stands for and Delete(key, id)
+// and Contains(key, id) keep finding what Swap stored. The converse does
+// not hold: Insert may place a key left of a stale separator of the same
+// key, where Get will not look. A tree read with Get or GetAscending is
+// written with Swap, Delete and BulkLoad only.
+func (t *Tree) Swap(key float64, id uint64) (old uint64, ok bool) {
+	old, ok, sep, sepTie, right := t.swap(t.root, key, id)
+	t.growRoot(sep, sepTie, right)
+	if !ok {
+		t.size++
+	}
+	return old, ok
+}
+
+// swap is Swap below n; like insert it hands a split of n to its caller.
+func (t *Tree) swap(n *node, key float64, id uint64) (old uint64, ok bool, sep float64, sepTie uint64, right *node) {
+	if n.leaf {
+		i := n.searchKey(key)
+		if i < len(n.keys) && !keyorder.Less(key, n.keys[i]) {
+			old, n.tie[i] = n.tie[i], id
+			return old, true, 0, 0, nil
+		}
+		sep, sepTie, right = t.insertLeaf(n, i, key, id)
+		return 0, false, sep, sepTie, right
+	}
+	ci := n.childKey(key)
+	if ci > 0 && !keyorder.Less(n.keys[ci-1], key) {
+		n.tie[ci-1] = id // the separator that copies this key
+	}
+	old, ok, sep, sepTie, right = t.swap(n.children[ci], key, id)
+	if right != nil {
+		sep, sepTie, right = t.absorb(n, ci, sep, sepTie, right)
+	}
+	return old, ok, sep, sepTie, right
 }
 
 // Min returns the smallest key, with ok=false for an empty tree.

@@ -1,6 +1,7 @@
 package btree
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
@@ -472,4 +473,80 @@ func TestHeapMatchesSizeBytes(t *testing.T) {
 		return tr
 	})
 	check("composite random", heap, v.(*CompositeTree).SizeBytes(), 0)
+}
+
+// ascending returns a tree of n ascending unique keys built through Swap
+// (the primary index's load) and a shuffled probe order over all of them.
+func ascending(n, order int) (*Tree, []float64) {
+	tr := New(order)
+	for i := 0; i < n; i++ {
+		tr.Swap(float64(i), uint64(i))
+	}
+	ks := make([]float64, n)
+	for i, p := range rand.New(rand.NewSource(1)).Perm(n) {
+		ks[i] = float64(p)
+	}
+	return tr, ks
+}
+
+// uniqueOrders are the node capacities the unique-key benchmarks sweep:
+// the default, and the engine's primary index (engine.primaryOrder).
+var uniqueOrders = []int{DefaultOrder, 64, 128}
+
+// The unique-key path at primary-index size: every probe is a different
+// random key, so each descent misses the caches the way a point read of a
+// large table does. BenchmarkFirstRandom1M is the path it replaced.
+func BenchmarkGetRandom1M(b *testing.B) {
+	for _, order := range uniqueOrders {
+		tr, ks := ascending(1_000_000, order)
+		b.Run(fmt.Sprintf("order%d", order), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, ok := tr.Get(ks[i%len(ks)]); !ok {
+					b.Fatal("missing")
+				}
+			}
+		})
+	}
+}
+
+func BenchmarkFirstRandom1M(b *testing.B) {
+	tr, ks := ascending(1_000_000, DefaultOrder)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, ok := tr.First(ks[i%len(ks)]); !ok {
+			b.Fatal("missing")
+		}
+	}
+}
+
+// One update's worth of primary-index work: the key's id is replaced.
+// BenchmarkMoveRandom1M is the Delete + Insert it replaced.
+func BenchmarkSwapRandom1M(b *testing.B) {
+	for _, order := range uniqueOrders {
+		tr, ks := ascending(1_000_000, order)
+		b.Run(fmt.Sprintf("order%d", order), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, ok := tr.Swap(ks[i%len(ks)], uint64(i)); !ok {
+					b.Fatal("missing")
+				}
+			}
+		})
+	}
+}
+
+func BenchmarkMoveRandom1M(b *testing.B) {
+	tr, ks := ascending(1_000_000, DefaultOrder)
+	cur := make([]uint64, len(ks))
+	for i := range cur {
+		cur[i] = uint64(i)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := ks[i%len(ks)]
+		if !tr.Delete(k, cur[int(k)]) {
+			b.Fatal("missing")
+		}
+		cur[int(k)] = uint64(len(ks) + i)
+		tr.Insert(k, cur[int(k)])
+	}
 }

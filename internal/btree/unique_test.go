@@ -1,0 +1,314 @@
+package btree
+
+import (
+	"math"
+	"math/rand"
+	"sort"
+	"testing"
+
+	"hermit/internal/keyorder"
+)
+
+// The keys ordinary comparison cannot place, plus the extremes it can.
+var (
+	nanA    = math.Float64frombits(0x7ff8000000000001)
+	nanB    = math.Float64frombits(0x7ff8000000000002)
+	negNaN  = math.Float64frombits(0xfff8000000000001)
+	negZero = math.Copysign(0, -1)
+)
+
+// fuzzKey maps a byte onto the fuzz key space: eight special keys, then
+// 248 finite ones — enough distinct keys for an order-4 tree to grow four
+// levels.
+func fuzzKey(b byte) float64 {
+	special := [...]float64{negZero, 0, math.Inf(-1), math.Inf(1), nanA, nanB, negNaN, math.MaxFloat64}
+	if int(b) < len(special) {
+		return special[b]
+	}
+	return float64(int(b)-128) / 4
+}
+
+type kv struct {
+	key float64
+	id  uint64
+}
+
+// sortKV orders entries the way the tree must return them.
+func sortKV(es []kv) {
+	sort.Slice(es, func(i, j int) bool { return cmpKV(es[i].key, es[i].id, es[j].key, es[j].id) < 0 })
+}
+
+func scanAll(tr *Tree, lo, hi float64) []kv {
+	var got []kv
+	tr.Scan(lo, hi, func(k float64, id uint64) bool { got = append(got, kv{k, id}); return true })
+	return got
+}
+
+func sameKVs(a, b []kv) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if keyorder.Bits(a[i].key) != keyorder.Bits(b[i].key) || a[i].id != b[i].id {
+			return false
+		}
+	}
+	return true
+}
+
+// FuzzTreeTotalOrder drives two order-4 trees from one op stream against
+// oracles keyed by keyorder.Bits: a unique-key tree written with Swap and
+// Delete and read with Get, GetAscending, First, Contains and Scan, and a
+// duplicate-key tree written with Insert and Delete. Every op is followed
+// by the structural check, which is where a separator that no longer
+// bounds its subtree shows.
+func FuzzTreeTotalOrder(f *testing.F) {
+	// Ascending load (splits), then ids swapped downwards over every key —
+	// separators included — then exact-entry deletes of what was swapped.
+	var seed []byte
+	for k := byte(8); k < 40; k++ {
+		seed = append(seed, 0, k, 200)
+	}
+	for k := byte(8); k < 40; k++ {
+		seed = append(seed, 0, k, 3, 2, k, 3, 1, k, 3)
+	}
+	f.Add(seed)
+	// Every special key through every op, bounds included.
+	seed = nil
+	for op := byte(0); op < 7; op++ {
+		for k := byte(0); k < 8; k++ {
+			seed = append(seed, op, k, k+1)
+		}
+	}
+	f.Add(seed)
+	f.Add([]byte{0, 4, 1, 0, 5, 2, 0, 6, 3, 5, 2, 3, 5, 4, 4, 5, 6, 5, 6, 0, 0})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		uniq, multi := New(4), New(4)
+		uo := map[uint64]kv{}              // key bits -> entry
+		mo := map[uint64]map[uint64]bool{} // key bits -> ids
+		check := func(what string) {
+			t.Helper()
+			if err := uniq.checkInvariants(); err != nil {
+				t.Fatalf("%s: unique tree: %v", what, err)
+			}
+			if err := multi.checkInvariants(); err != nil {
+				t.Fatalf("%s: duplicate tree: %v", what, err)
+			}
+		}
+		for ; len(data) >= 3; data = data[3:] {
+			op, key, id := data[0]%7, fuzzKey(data[1]), uint64(data[2])
+			bits := keyorder.Bits(key)
+			switch op {
+			case 0:
+				want, had := uo[bits]
+				old, ok := uniq.Swap(key, id)
+				if ok != had || ok && old != want.id {
+					t.Fatalf("Swap(%v, %d) = %d, %v; oracle %d, %v", key, id, old, ok, want.id, had)
+				}
+				uo[bits] = kv{key, id}
+			case 1:
+				want, had := uo[bits]
+				if ok := uniq.Delete(key, id); ok != (had && want.id == id) {
+					t.Fatalf("unique Delete(%v, %d) = %v; oracle holds %d, %v", key, id, ok, want.id, had)
+				} else if ok {
+					delete(uo, bits)
+				}
+			case 2:
+				want, had := uo[bits]
+				if got, ok := uniq.Get(key); ok != had || ok && got != want.id {
+					t.Fatalf("Get(%v) = %d, %v; oracle %d, %v", key, got, ok, want.id, had)
+				}
+				if got, ok := uniq.First(key); ok != had || ok && got != want.id {
+					t.Fatalf("First(%v) = %d, %v; oracle %d, %v", key, got, ok, want.id, had)
+				}
+				if had && !uniq.Contains(key, want.id) {
+					t.Fatalf("Contains(%v, %d) lost a swapped entry", key, want.id)
+				}
+			case 3:
+				// Duplicate keys, never a duplicate entry: a second copy of
+				// the same (key, id) is tolerated by Insert but not found
+				// again by Delete once a split separates the copies, and no
+				// index in the engine stores one.
+				if mo[bits] == nil {
+					mo[bits] = map[uint64]bool{}
+				}
+				if !mo[bits][id] {
+					multi.Insert(key, id)
+					mo[bits][id] = true
+				}
+			case 4:
+				if ok := multi.Delete(key, id); ok != mo[bits][id] {
+					t.Fatalf("duplicate Delete(%v, %d) = %v; oracle %v", key, id, ok, mo[bits][id])
+				}
+				delete(mo[bits], id)
+			case 5:
+				lo, hi := key, fuzzKey(data[2])
+				in := func(k float64) bool { return !keyorder.Less(k, lo) && !keyorder.Less(hi, k) }
+				var wantU, wantM []kv
+				for _, e := range uo {
+					if in(e.key) {
+						wantU = append(wantU, e)
+					}
+				}
+				for b, ids := range mo {
+					for id := range ids {
+						if k := math.Float64frombits(b); in(k) {
+							wantM = append(wantM, kv{k, id})
+						}
+					}
+				}
+				sortKV(wantU)
+				sortKV(wantM)
+				gotU, gotM := scanAll(uniq, lo, hi), scanAll(multi, lo, hi)
+				if !sameKVs(gotU, wantU) {
+					t.Fatalf("unique Scan(%v, %v) = %v, want %v", lo, hi, gotU, wantU)
+				}
+				if !sameKVs(gotM, wantM) {
+					t.Fatalf("duplicate Scan(%v, %v) = %v, want %v", lo, hi, gotM, wantM)
+				}
+				if lo == lo && hi == hi {
+					for _, e := range append(gotU, gotM...) {
+						if e.key != e.key {
+							t.Fatalf("Scan(%v, %v) returned a NaN key", lo, hi)
+						}
+					}
+				}
+			case 6:
+				// Every key in ascending order through one finger, and the
+				// full walk, against the oracle.
+				var want []kv
+				for _, e := range uo {
+					want = append(want, e)
+				}
+				sortKV(want)
+				var fg Finger
+				for _, e := range want {
+					if got, ok := uniq.GetAscending(&fg, e.key); !ok || got != e.id {
+						t.Fatalf("GetAscending(%v) = %d, %v; want %d", e.key, got, ok, e.id)
+					}
+				}
+				// nanB is the top of the key space: a legal next probe.
+				_, had := uo[keyorder.Bits(nanB)]
+				if _, ok := uniq.GetAscending(&fg, nanB); ok != had {
+					t.Fatalf("GetAscending(top key): ok=%v, oracle %v", ok, had)
+				}
+				var got []kv
+				uniq.Each(func(k float64, id uint64) bool { got = append(got, kv{k, id}); return true })
+				if !sameKVs(got, want) {
+					t.Fatalf("Each = %v, want %v", got, want)
+				}
+			}
+			if uniq.Len() != len(uo) {
+				t.Fatalf("unique Len %d, oracle %d", uniq.Len(), len(uo))
+			}
+			check("after op")
+		}
+	})
+}
+
+// A separator copies an entry's id. Swapping that id in place must leave
+// the separator routing exact-entry operations to the entry: before Swap
+// rewrote it, Delete(key, newID) with newID below the copied id descended
+// left of the separator and reported the entry missing.
+func TestSwapKeepsSeparatorsRouting(t *testing.T) {
+	tr := New(4)
+	const n = 200
+	for i := 0; i < n; i++ {
+		if _, ok := tr.Swap(float64(i), uint64(1000+i)); ok {
+			t.Fatalf("key %d reported present on first Swap", i)
+		}
+	}
+	for i := 0; i < n; i++ {
+		if old, ok := tr.Swap(float64(i), uint64(i)); !ok || old != uint64(1000+i) {
+			t.Fatalf("Swap(%d) = %d, %v", i, old, ok)
+		}
+		if err := tr.CheckInvariants(); err != nil {
+			t.Fatalf("after swapping key %d: %v", i, err)
+		}
+	}
+	if tr.Len() != n {
+		t.Fatalf("Len %d after in-place swaps, want %d", tr.Len(), n)
+	}
+	for i := 0; i < n; i++ {
+		if !tr.Contains(float64(i), uint64(i)) {
+			t.Fatalf("Contains(%d, %d) misrouted", i, i)
+		}
+		if tr.Delete(float64(i), uint64(1000+i)) {
+			t.Fatalf("Delete(%d) removed an id the entry no longer carries", i)
+		}
+		if !tr.Delete(float64(i), uint64(i)) {
+			t.Fatalf("Delete(%d, %d) misrouted", i, i)
+		}
+		// Re-insert over the stale separator with a yet smaller id.
+		if _, ok := tr.Swap(float64(i), 0); ok {
+			t.Fatalf("key %d present after delete", i)
+		}
+		if id, ok := tr.Get(float64(i)); !ok || id != 0 {
+			t.Fatalf("Get(%d) = %d, %v after re-insert", i, id, ok)
+		}
+		if err := tr.CheckInvariants(); err != nil {
+			t.Fatalf("after re-inserting key %d: %v", i, err)
+		}
+	}
+}
+
+// No Scan with ordinary bounds — infinite ones included — returns a NaN
+// key, and each NaN payload is found under itself alone.
+func TestScanTotalOrder(t *testing.T) {
+	tr := New(4)
+	keys := []float64{negNaN, math.Inf(-1), -1, negZero, 2, math.Inf(1), nanA, nanB}
+	perm := rand.New(rand.NewSource(1)).Perm(len(keys))
+	for _, p := range perm {
+		tr.Insert(keys[p], uint64(p))
+	}
+	for i := 1; i <= 30; i++ {
+		tr.Insert(float64(i)/31, 100+uint64(i))
+	}
+	if err := tr.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range scanAll(tr, math.Inf(-1), math.Inf(1)) {
+		if e.key != e.key {
+			t.Fatalf("Scan(-Inf, +Inf) returned NaN key with id %d", e.id)
+		}
+	}
+	if got := scanAll(tr, math.Inf(-1), math.Inf(1)); len(got) != 35 {
+		t.Fatalf("Scan(-Inf, +Inf) saw %d entries, want 35", len(got))
+	}
+	for i, k := range keys {
+		got := scanAll(tr, k, k)
+		if len(got) != 1 || got[0].id != uint64(i) {
+			t.Fatalf("Scan(%v, %v) = %v, want id %d", k, k, got, i)
+		}
+	}
+	if got := scanAll(tr, 0, 0); len(got) != 1 || got[0].id != 3 {
+		t.Fatalf("Scan(0, 0) = %v, want the entry stored under -0", got)
+	}
+	var all []kv
+	tr.Each(func(k float64, id uint64) bool { all = append(all, kv{k, id}); return true })
+	if len(all) != tr.Len() || all[0].id != 0 || all[len(all)-1].id != 7 {
+		t.Fatalf("Each walked %d of %d entries, first id %d, last id %d", len(all), tr.Len(), all[0].id, all[len(all)-1].id)
+	}
+}
+
+// GetAscending answers exactly what Get answers, present or absent, over a
+// run of ascending probes of any density.
+func TestGetAscendingMatchesGet(t *testing.T) {
+	for _, order := range []int{4, DefaultOrder, 128} {
+		tr := New(order)
+		rng := rand.New(rand.NewSource(int64(order)))
+		for i := 0; i < 5000; i++ {
+			tr.Swap(float64(rng.Intn(20000)), uint64(i))
+		}
+		for _, step := range []int{1, 3, 50, 1000} {
+			var f Finger
+			for k := -5; k < 20010; k += 1 + rng.Intn(step) {
+				wantID, want := tr.Get(float64(k))
+				if id, ok := tr.GetAscending(&f, float64(k)); ok != want || id != wantID {
+					t.Fatalf("order %d step %d: GetAscending(%d) = %d, %v; Get = %d, %v", order, step, k, id, ok, wantID, want)
+				}
+			}
+		}
+	}
+}

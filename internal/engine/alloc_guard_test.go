@@ -8,11 +8,11 @@ import (
 	"hermit/internal/storage"
 )
 
-// Allocation regression guards for the read hot paths. The zero-alloc
-// contract is part of the engine's performance surface (see
-// ARCHITECTURE.md "Hot paths & allocation discipline"): a PK point read
-// with a reused result buffer and a warm snapshot read must not allocate
-// at steady state. testing.AllocsPerRun under the race detector counts
+// Allocation regression guards for the hot paths. The zero-alloc contract
+// is part of the engine's performance surface (see ARCHITECTURE.md "Hot
+// paths & allocation discipline"): a PK point read with a reused result
+// buffer, a warm snapshot read, an auto-commit update and a delete must not
+// allocate at steady state. testing.AllocsPerRun under the race detector counts
 // the detector's own bookkeeping, so the guards skip under -race.
 
 // guardTable builds a small two-column table with static routing (the
@@ -151,5 +151,42 @@ func TestHermitRangeReadIntoSteadyState(t *testing.T) {
 		if allocs != 0 {
 			t.Fatalf("%v: warm Hermit RangeQueryInto allocates %.2f/op, want 0", scheme, allocs)
 		}
+	}
+}
+
+// TestUpdateColumnZeroAllocs pins the auto-commit update: the current row is
+// copied into pooled scratch, the primary entry is swapped in place, and the
+// version header lands in its block's chunk. What remains is amortised
+// growth — a store block and a header chunk per 4096 versions, the GC
+// queue's doubling — which AllocsPerRun's integer average reads as 0.
+func TestUpdateColumnZeroAllocs(t *testing.T) {
+	tb := guardTable(t, 4096)
+	i, gen := 0, 0.0
+	allocs := measureAllocs(t, 2000, func() {
+		i = (i*31 + 17) % 4096
+		gen++
+		if err := tb.UpdateColumn(float64(i), 1, 1000+gen); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("UpdateColumn allocates %.2f/op, want 0", allocs)
+	}
+}
+
+// TestDeleteZeroAllocs pins the auto-commit delete: one primary-index
+// lookup and one header write.
+func TestDeleteZeroAllocs(t *testing.T) {
+	const n = 4096
+	tb := guardTable(t, n)
+	next := 0
+	allocs := measureAllocs(t, 2000, func() {
+		if found, err := tb.Delete(float64(next)); err != nil || !found {
+			t.Fatalf("delete %d: found=%v err=%v", next, found, err)
+		}
+		next++
+	})
+	if allocs != 0 {
+		t.Fatalf("Delete allocates %.2f/op, want 0", allocs)
 	}
 }

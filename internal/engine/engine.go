@@ -82,8 +82,7 @@ func (db *DB) CreateTable(name string, cols []string, pkCol int) (*Table, error)
 		scheme:       db.scheme,
 		clock:        db.clock,
 		store:        storage.NewTable(len(cols)),
-		heads:        make(map[uint64]storage.RID),
-		primary:      btree.New(btree.DefaultOrder),
+		primary:      btree.New(primaryOrder),
 		secondary:    make(map[int]*btree.Tree),
 		hermits:      make(map[int]*hermit.Index),
 		cms:          make(map[int]*cm.Index),
@@ -120,10 +119,25 @@ func (db *DB) Table(name string) (*Table, error) {
 	return t, nil
 }
 
+// primaryOrder is the node capacity of the primary index. Every write and
+// every logical-pointer candidate goes through it by key (head, Swap), so
+// it is sized for the point descent rather than after the paper's 256-byte
+// secondary-index node: at 128 entries a 1M-key primary is three levels
+// whose inner two stay cached, so a lookup misses in one leaf. A descent is
+// bound by those misses, not by instructions — at 16 entries the
+// closure-free Get costs what the closure-based First did. Random keys of
+// a 1M-key ascending load (internal/btree BenchmarkGetRandom1M, medians of
+// five runs alternated with the parent's): 835 ns at 16 entries per node,
+// 404 ns at 128 (64: 460 ns); 25.9 against 17.1 B/entry. It is also the
+// faster width on trees that fit the caches (20k keys: 124 ns against
+// 163 ns).
+const primaryOrder = 128
+
 // Table is one relation plus its indexes. Rows are multi-versioned (see
 // mvcc.go): every mutation appends an immutable version row to the store,
-// every index keeps one entry per version, and reads resolve visibility
-// against a commit-timestamp snapshot.
+// every secondary index keeps one entry per version, the primary index one
+// entry per key, and reads resolve visibility against a commit-timestamp
+// snapshot.
 type Table struct {
 	name   string
 	tid    uint64 // process-wide unique id; commit lock ordering key
@@ -135,19 +149,20 @@ type Table struct {
 
 	// MVCC state (mvcc.go), all guarded by verMu: vers holds one header
 	// chunk per store block (nil until a version of the block is stamped),
-	// so a RID indexes straight to its version header; heads maps each key
-	// to its newest version's RID — keyed by chainKey (the block tier's
-	// key-bit normalisation), not raw float64, because a float64-keyed map
-	// could never find, overwrite or delete a NaN key; ended queues the
+	// so a RID indexes straight to its version header; ended queues the
 	// RIDs of ended versions in endTS order for GC; liveRows counts the
-	// rows live at the latest timestamp.
+	// rows live at the latest timestamp. The chains' heads are the primary
+	// index's entries.
 	verMu    sync.RWMutex
 	vers     []*verChunk
-	heads    map[uint64]storage.RID
 	ended    []storage.RID
 	liveRows int
 
-	primary   *btree.Tree           // pk value -> RID
+	// primary maps each key to its newest version's RID — the head of the
+	// key's version chain — under primaryMu. It is a unique-key tree
+	// (btree.Tree.Swap): written at commit by stampInsert/stampUpdate and
+	// by GC, never by the apply phase.
+	primary   *btree.Tree
 	secondary map[int]*btree.Tree   // complete B+-tree indexes (the Baseline)
 	hermits   map[int]*hermit.Index // Hermit indexes
 	cms       map[int]*cm.Index     // Correlation Map indexes (App. E)
@@ -240,7 +255,7 @@ func (t *Table) identify(rid storage.RID, row []float64) uint64 {
 	if t.scheme == hermit.PhysicalPointers {
 		return uint64(rid)
 	}
-	return uint64(row[t.pkCol])
+	return hermit.LogicalID(row[t.pkCol])
 }
 
 // InsertStats breaks an insert's cost into the paper's Fig. 22b categories.
@@ -284,8 +299,7 @@ func (t *Table) insert(row []float64) (storage.RID, InsertStats, error) {
 	stripe := t.rows.mu(pk)
 	stripe.Lock()
 	defer stripe.Unlock()
-	old, oldHdr := t.head(pk)
-	if oldHdr.live() {
+	if _, hdr := t.head(pk); hdr.live() {
 		return 0, st, fmt.Errorf("%w: %v", ErrDupKey, pk)
 	}
 	rid, err := t.store.Insert(row)
@@ -296,7 +310,6 @@ func (t *Table) insert(row []float64) (storage.RID, InsertStats, error) {
 	for i, v := range row {
 		t.runtime[i].widen(v)
 	}
-	t.movePrimary(pk, old, oldHdr.beginTS != 0, rid)
 	if profile {
 		st.Table = time.Since(t0)
 		t0 = time.Now()
@@ -333,36 +346,26 @@ func (t *Table) insert(row []float64) (storage.RID, InsertStats, error) {
 	}
 	if profile {
 		st.New = time.Since(t0)
+		t0 = time.Now()
 	}
-	// Commit: stamp the version and publish the clock atomically, making
-	// the row visible to subsequent snapshots.
+	// Commit: stamp the version, point the primary index at it and publish
+	// the clock atomically, making the row visible to subsequent snapshots.
 	c := t.clock
 	c.commitMu.Lock()
 	commitTS := c.ts.Load() + 1
 	t.stampInsert(rid, pk, commitTS)
 	c.ts.Store(commitTS)
 	c.commitMu.Unlock()
+	if profile {
+		st.Table += time.Since(t0) // the primary-index write is here
+	}
 	return rid, st, nil
 }
 
-// movePrimary points the primary-index entry for pk at rid. The primary
-// keeps exactly one entry per key — the newest version's RID — so a
-// re-insert over a dead chain (or an update) moves the old entry; older
-// versions stay reachable through the chain, which is how snapshot reads
-// resolve them.
-func (t *Table) movePrimary(pk float64, old storage.RID, hasOld bool, rid storage.RID) {
-	t.primaryMu.Lock()
-	if hasOld {
-		t.primary.Delete(pk, uint64(old))
-	}
-	t.primary.Insert(pk, uint64(rid))
-	t.primaryMu.Unlock()
-}
-
-// insertIndexEntries inserts one version's entries into every index — the
-// shared maintenance step of UpdateColumn and Txn.Commit (Insert keeps its
-// own inlined copy for the Fig. 22b phase timing). The primary index is
-// handled separately by movePrimary.
+// insertIndexEntries inserts one version's entries into every secondary
+// index — the shared maintenance step of UpdateColumn and Txn.Commit
+// (Insert keeps its own inlined copy for the Fig. 22b phase timing). The
+// primary index is written at commit, by stampInsert/stampUpdate.
 func (t *Table) insertIndexEntries(rid storage.RID, row []float64) {
 	id := t.identify(rid, row)
 	for col, tr := range t.secondary {
@@ -382,11 +385,10 @@ func (t *Table) insertIndexEntries(rid storage.RID, row []float64) {
 	}
 }
 
-// removeIndexEntries removes one version's entries from every index — the
-// GC-side inverse of insertIndexEntries. dropPrimary additionally removes
-// the key's primary-index entry (set when the whole chain is reclaimed).
-// Caller holds t.catalog shared.
-func (t *Table) removeIndexEntries(rid storage.RID, row []float64, dropPrimary bool) {
+// removeIndexEntries removes one version's entries from every secondary
+// index — the GC-side inverse of insertIndexEntries. Caller holds
+// t.catalog shared.
+func (t *Table) removeIndexEntries(rid storage.RID, row []float64) {
 	id := t.identify(rid, row)
 	for col, tr := range t.secondary {
 		t.withSecondary(col, func() { tr.Delete(row[col], id) })
@@ -402,11 +404,6 @@ func (t *Table) removeIndexEntries(rid storage.RID, row []float64, dropPrimary b
 	}
 	for key, hx := range t.compositeHermits {
 		hx.Delete(rid, row[key[1]], row[t.compositeHostOf[key]])
-	}
-	if dropPrimary {
-		t.primaryMu.Lock()
-		t.primary.Delete(row[t.pkCol], uint64(rid))
-		t.primaryMu.Unlock()
 	}
 }
 
@@ -482,27 +479,31 @@ func (t *Table) UpdateColumn(pk float64, col int, v float64) error {
 	if !hdr.live() {
 		return fmt.Errorf("engine: update: no row with pk %v", pk)
 	}
-	row, err := t.store.Get(cur, nil)
+	// The new version's row is built in pooled scratch: the store copies it
+	// on insert and the index maintenance below only reads it.
+	sc := getScratch()
+	defer putScratch(sc)
+	row, err := t.store.Get(cur, sc.row)
 	if err != nil {
 		return err
 	}
+	sc.row = row
 	t.writes.Add(1)
 	t.runtime[col].updates.Add(1)
 	t.runtime[col].widen(v)
 	if row[col] == v {
 		return nil
 	}
-	row[col] = v // store.Get returned a private copy: the new version's row
+	row[col] = v
 	rid, err := t.store.Insert(row)
 	if err != nil {
 		return err
 	}
-	t.movePrimary(pk, cur, true, rid)
 	t.insertIndexEntries(rid, row)
 	c := t.clock
 	c.commitMu.Lock()
 	commitTS := c.ts.Load() + 1
-	t.stampUpdate(cur, pk, rid, commitTS)
+	t.stampUpdate(pk, rid, commitTS)
 	c.ts.Store(commitTS)
 	c.commitMu.Unlock()
 	return nil

@@ -376,8 +376,10 @@ func TestMemoryBreakdown(t *testing.T) {
 	if m.Total() != m.TableBytes+m.PrimaryBytes+m.ExistingBytes+m.NewBytes {
 		t.Fatal("total mismatch")
 	}
-	// The version table: 24 B of header per version row, plus the heads map.
-	if per := float64(m.VersionBytes) / 10000; per < 24 || per > 100 {
+	// The version table: 24 B of header per version row, in chunks of one
+	// store block (4096 rows), and nothing per key — the primary index is
+	// the key→head structure.
+	if per := float64(m.VersionBytes) / 10000; per < 24 || per > 40 {
 		t.Fatalf("version table reports %.1f B/row", per)
 	}
 	// Hermit's new-index bytes must be far below a complete index.

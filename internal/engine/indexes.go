@@ -9,6 +9,7 @@ import (
 	"hermit/internal/cm"
 	"hermit/internal/correlation"
 	"hermit/internal/hermit"
+	"hermit/internal/keyorder"
 	"hermit/internal/storage"
 	"hermit/internal/trstree"
 )
@@ -51,7 +52,8 @@ func (t *Table) CreateBTreeIndex(col int, markNew bool) (*btree.Tree, error) {
 }
 
 // keyIDSorter orders the parallel key/id bulk-load arrays jointly by
-// (key, id), swapping both slices in lockstep.
+// (key, id) — keys in the tree's own total order, so a column holding NaNs
+// still loads — swapping both slices in lockstep.
 type keyIDSorter struct {
 	keys []float64
 	ids  []uint64
@@ -60,10 +62,11 @@ type keyIDSorter struct {
 func (s keyIDSorter) Len() int { return len(s.keys) }
 
 func (s keyIDSorter) Less(a, b int) bool {
-	if s.keys[a] != s.keys[b] {
-		return s.keys[a] < s.keys[b]
+	ka, kb := s.keys[a], s.keys[b]
+	if keyorder.Less(ka, kb) {
+		return true
 	}
-	return s.ids[a] < s.ids[b]
+	return !keyorder.Less(kb, ka) && s.ids[a] < s.ids[b]
 }
 
 func (s keyIDSorter) Swap(a, b int) {

@@ -23,13 +23,27 @@ import (
 //     check-then-act sequences such as duplicate-key detection — while
 //     writes to different keys proceed in parallel and only serialise
 //     briefly on the individual structure latches they touch.
+//   - t.primaryMu guards the primary B+-tree, which is also the MVCC
+//     key→chain-head structure; t.verMu guards the version table (headers,
+//     GC queue, live-row count; see mvcc.go). The two are the only engine
+//     latches a writer nests, and always primaryMu before verMu: the
+//     commit step (stampInsert, stampUpdate) swaps a key's primary entry
+//     and stamps the version it now names in one hold of both, and GC
+//     drops a dead chain's entry and zeroes its header the same way, so
+//     whoever reads an entry under primaryMu finds a stamped header behind
+//     it. Readers take the two one after the other (entry, then chain
+//     walk) and hold both only for the full-table walks (ScanLive,
+//     DeltaVersions), in the same order. Both are taken inside the
+//     clock's commit lock on the commit path, never the other way round.
 //   - The row store (storage.Table) has its own internal latch and is
 //     always the innermost lock.
 //
 // Lock ordering (outer to inner): catalog -> row stripe -> index latch
-// (secondary/cm/composite before primary) -> store. Writers hold at most
-// one index latch at a time; readers may hold a host-index latch and the
-// primary latch together, always acquiring the primary latch last.
+// (secondary/cm/composite) -> clock commit lock -> primaryMu -> verMu ->
+// store. Writers hold at most one secondary/cm/composite latch at a time
+// and none of them at commit; readers may hold a host-index latch and the
+// primary latch together, always acquiring the primary latch last, and
+// never take the commit lock.
 
 // stripeBits sizes the striped writer lock: lockStripes = 2^stripeBits.
 // stripeOf takes the top stripeBits of the mixed hash (Fibonacci hashing

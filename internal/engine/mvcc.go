@@ -2,11 +2,14 @@ package engine
 
 import (
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"unsafe"
 
 	"hermit/internal/block"
+	"hermit/internal/btree"
+	"hermit/internal/hermit"
 	"hermit/internal/storage"
 )
 
@@ -15,9 +18,13 @@ import (
 // with the half-open commit-timestamp interval [beginTS, endTS) during
 // which it is the row's visible incarnation (endTS == 0 means "still
 // live"). Versions live in the ordinary row store — one storage RID per
-// version — and every index keeps one entry per version, so index code is
-// untouched by MVCC: indexes return candidate RIDs and visibility is
-// decided at row resolution against a Snapshot (see query.go).
+// version — and every secondary index keeps one entry per version, so
+// index code is untouched by MVCC: indexes return candidate RIDs and
+// visibility is decided at row resolution against a Snapshot (see
+// query.go). The primary index is the exception and the anchor: it keeps
+// one entry per key, the RID of the key's newest version — the head of its
+// chain — and is the only key→head structure the table has. Older
+// versions are reached from the head through the headers' prev links.
 //
 // The commit protocol (shared by the auto-commit paths in engine.go and
 // Txn.Commit in txn.go):
@@ -27,19 +34,29 @@ import (
 //     key's stripe is held — every committer of that key holds it.
 //  2. Validate against the chain heads (duplicate keys, write-write
 //     conflicts) and apply the heavy work: append version rows to the
-//     store, insert index entries. Unstamped versions are invisible to
-//     every reader, so this phase runs outside the commit lock.
+//     store, insert secondary-index entries. Unstamped versions are
+//     invisible to every reader, so this phase runs outside the commit
+//     lock. The primary index is not touched here.
 //  3. Under the clock's commit lock: stamp all the transaction's versions
 //     with commitTS = clock+1 (ending the superseded versions at the same
-//     instant), then publish the clock. Readers snapshot the clock without
-//     taking the lock, so a commit becomes visible atomically — a snapshot
-//     sees all of a transaction's writes or none of them.
+//     instant) and, in the same latch hold, swap each key's primary entry
+//     to its new head; then publish the clock. Readers snapshot the clock
+//     without taking the lock, so a commit becomes visible atomically — a
+//     snapshot sees all of a transaction's writes or none of them.
+//
+// Publication rule: the primary entry of a key always names a stamped
+// version. The swap and the stamp happen under primaryMu and verMu held
+// together (stampInsert, stampUpdate), so a reader that finds a head
+// through the primary can always walk from it to the version its snapshot
+// sees. Were the entry moved earlier — when the version row is applied —
+// a reader would reach a head whose header is still zero, read the zero
+// header as the end of the chain, and lose the older version behind it.
 //
 // Version garbage collection (GCVersions) reclaims versions whose endTS is
 // at or below the oldest timestamp any live snapshot could read, removing
 // their index entries and tombstoning their store rows. The durable layer
 // runs it during block compaction — off the checkpoint critical path — and
-// pins a snapshot at its last flush cut so GC can never erase a change
+// caps the horizon at its last flush cut so GC can never erase a change
 // (in particular a whole-chain delete) that no block has recorded yet; it
 // is also exported via DB.GC.
 
@@ -262,43 +279,78 @@ func (db *DB) GCBelow(limit uint64) int {
 	return n
 }
 
-// chainKey normalises a primary key to the version-chain map key: the
-// block tier's bit-pattern normalisation (block.KeyBits), under which ±0
-// are one key and each NaN payload is its own key. Keying chains by raw
-// float64 would break for NaN — Go map lookups never find a NaN key, so
-// repeated NaN inserts would grow duplicate chains with identical bits
-// and the delta flush would emit duplicate entries block.Encode rejects.
-func chainKey(pk float64) uint64 { return block.KeyBits(pk) }
-
 // head returns pk's newest version (live or not) and its header; the zero
 // header when the key has never existed (or was fully reclaimed). The
 // result stays the head for as long as the caller holds pk's stripe.
 func (t *Table) head(pk float64) (storage.RID, verHeader) {
-	t.verMu.RLock()
-	defer t.verMu.RUnlock()
-	if rid, ok := t.heads[chainKey(pk)]; ok {
-		return rid, t.header(rid)
+	rid, ok := t.headRID(pk)
+	if !ok {
+		return 0, verHeader{}
 	}
-	return 0, verHeader{}
+	t.verMu.RLock()
+	h := t.header(rid)
+	t.verMu.RUnlock()
+	return rid, h
+}
+
+// headRID reads pk's entry in the primary index: the RID of its chain head.
+func (t *Table) headRID(pk float64) (storage.RID, bool) {
+	t.primaryMu.RLock()
+	id, ok := t.primary.Get(pk)
+	t.primaryMu.RUnlock()
+	return storage.RID(id), ok
 }
 
 // resolveVisible walks pk's chain to the version visible at ts; false
-// when the key has no visible incarnation.
+// when the key has no visible incarnation. The head is read and the chain
+// walked under separate latch holds: a commit in between ends the head it
+// read, which a walk for any ts already handed out still resolves
+// correctly, and a version GC zeroes in between was invisible at ts.
 func (t *Table) resolveVisible(pk float64, ts uint64) (storage.RID, bool) {
+	head, ok := t.headRID(pk)
+	if !ok {
+		return 0, false
+	}
 	t.verMu.RLock()
 	defer t.verMu.RUnlock()
-	return t.resolveVisibleLocked(pk, ts)
+	return t.visibleFrom(head, ts)
 }
 
-// resolveVisibleLocked is resolveVisible with t.verMu already held
-// (shared). The batched candidate-filtering paths in query.go use it to
-// resolve a whole harvest under one latch acquisition instead of one per
-// key.
-func (t *Table) resolveVisibleLocked(pk float64, ts uint64) (storage.RID, bool) {
-	if rid, ok := t.heads[chainKey(pk)]; ok {
-		return t.visibleFrom(rid, ts)
+// resolveKeys is resolveVisible for a harvest of logical identifiers (what
+// a secondary index stores under logical pointers, hermit.LogicalID): the
+// primary-index hop of the paper's §5.1 cost model, batched. ids is sorted
+// and deduplicated in place — identifiers sort in key order — so the heads
+// are fetched front to back under one primaryMu hold, a run of keys that
+// share a leaf costing one descent, and resolved under one verMu hold. The visible versions are
+// appended to dst[:0]; the second result is the number of distinct keys.
+func (t *Table) resolveKeys(ids []uint64, ts uint64, dst []storage.RID) ([]storage.RID, int) {
+	slices.Sort(ids)
+	ids = slices.Compact(ids)
+	dst = dst[:0]
+	var f btree.Finger
+	t.primaryMu.RLock()
+	for _, id := range ids {
+		if head, ok := t.primary.GetAscending(&f, hermit.LogicalKey(id)); ok {
+			dst = append(dst, storage.RID(head))
+		}
 	}
-	return 0, false
+	t.primaryMu.RUnlock()
+	return t.visibleFromAll(dst, ts), len(ids)
+}
+
+// visibleFromAll replaces each chain head in heads by the version of its
+// chain visible at ts, dropping the chains that have none; it filters in
+// place under one verMu hold.
+func (t *Table) visibleFromAll(heads []storage.RID, ts uint64) []storage.RID {
+	out := heads[:0]
+	t.verMu.RLock()
+	for _, head := range heads {
+		if rid, ok := t.visibleFrom(head, ts); ok {
+			out = append(out, rid)
+		}
+	}
+	t.verMu.RUnlock()
+	return out
 }
 
 // visibleFrom walks a chain from rid towards older versions to the one
@@ -326,28 +378,32 @@ func (t *Table) versionVisible(rid storage.RID, ts uint64) bool {
 
 // stampInsert publishes rid as pk's new chain head at commitTS, linked to
 // the (dead) head it replaces, if any. Called with the key's stripe held
-// and the clock's commit lock held.
+// and the clock's commit lock held. The primary entry and the header
+// change under both latches (see the publication rule above).
 func (t *Table) stampInsert(rid storage.RID, pk float64, commitTS uint64) {
-	k := chainKey(pk)
-	t.verMu.Lock()
-	prev, ok := t.heads[k]
-	if !ok {
-		prev = noRID
+	t.primaryMu.Lock()
+	prev := noRID
+	if old, ok := t.primary.Swap(pk, uint64(rid)); ok {
+		prev = storage.RID(old)
 	}
+	t.verMu.Lock()
 	t.stamp(rid, verHeader{beginTS: commitTS, prev: prev})
-	t.heads[k] = rid
 	t.liveRows++
 	t.verMu.Unlock()
+	t.primaryMu.Unlock()
 }
 
-// stampUpdate ends pk's head old and publishes its replacement rid at
+// stampUpdate ends pk's live head and publishes its replacement rid at
 // commitTS.
-func (t *Table) stampUpdate(old storage.RID, pk float64, rid storage.RID, commitTS uint64) {
+func (t *Table) stampUpdate(pk float64, rid storage.RID, commitTS uint64) {
+	t.primaryMu.Lock()
+	id, _ := t.primary.Swap(pk, uint64(rid))
+	old := storage.RID(id)
 	t.verMu.Lock()
 	t.end(old, commitTS)
 	t.stamp(rid, verHeader{beginTS: commitTS, prev: old})
-	t.heads[chainKey(pk)] = rid
 	t.verMu.Unlock()
+	t.primaryMu.Unlock()
 }
 
 // stampDelete ends the head old at commitTS without a successor.
@@ -367,7 +423,8 @@ func (t *Table) end(old storage.RID, commitTS uint64) {
 }
 
 // versionBytes estimates the heap the version table holds: the header
-// chunks, the heads map and the GC queue.
+// chunks and the GC queue. (The key→head mapping is the primary index,
+// accounted as PrimaryBytes.)
 func (t *Table) versionBytes() uint64 {
 	t.verMu.RLock()
 	defer t.verMu.RUnlock()
@@ -377,13 +434,7 @@ func (t *Table) versionBytes() uint64 {
 			b += uint64(unsafe.Sizeof(*c))
 		}
 	}
-	// A Go map keeps 8-slot groups (8 control bytes + 8 x 16 B of slots
-	// here) at most 7/8 full and doubles its slot count as it grows.
-	slots := uint64(8)
-	for slots*7/8 < uint64(len(t.heads)) {
-		slots *= 2
-	}
-	return b + slots*(1+16)
+	return b
 }
 
 // Len returns the number of live rows (at the latest commit timestamp).
@@ -395,23 +446,26 @@ func (t *Table) Len() int {
 }
 
 // ScanLive calls fn for every row live at the latest commit timestamp, in
-// unspecified order. The row slice is reused between calls; fn must not
+// primary-key order. The row slice is reused between calls; fn must not
 // retain it. Scanning stops early if fn returns false. It is the
 // MVCC-aware replacement for scanning the row store directly (which also
 // holds superseded and deleted versions awaiting GC).
 func (t *Table) ScanLive(fn func(rid storage.RID, row []float64) bool) {
 	ts := t.clock.Now()
+	t.primaryMu.RLock()
 	t.verMu.RLock()
 	rids := make([]storage.RID, 0, t.liveRows)
-	for _, head := range t.heads {
+	t.primary.Each(func(_ float64, head uint64) bool {
 		// Walk to the version visible at ts: a commit racing between the
-		// clock read above and this loop may already have stamped a newer
+		// clock read above and this walk may already have stamped a newer
 		// head, in which case its predecessor is the one live at ts.
-		if rid, ok := t.visibleFrom(head, ts); ok {
+		if rid, ok := t.visibleFrom(storage.RID(head), ts); ok {
 			rids = append(rids, rid)
 		}
-	}
+		return true
+	})
 	t.verMu.RUnlock()
+	t.primaryMu.RUnlock()
 	var buf []float64
 	for _, rid := range rids {
 		row, err := t.store.Get(rid, buf)
@@ -430,7 +484,9 @@ func (t *Table) ScanLive(fn func(rid storage.RID, row []float64) bool) {
 // prevTS an upsert entry carrying the full row, and for every key whose
 // chain died in the window a tombstone entry. Replaying the resulting
 // block on top of the state at prevTS reproduces exactly the live rows at
-// ts. Entries come back sorted by key (the order block.Encode requires).
+// ts. Entries come back sorted by key in the order block.Encode requires:
+// the primary index's leaves are walked in that order (keyorder), so
+// nothing is sorted here.
 //
 // The caller must pin a snapshot at or below prevTS for the duration (the
 // durable layer's flush snapshot), so no version visible at ts can be
@@ -441,23 +497,25 @@ func (t *Table) DeltaVersions(prevTS, ts uint64) []block.Entry {
 		pk   float64
 		tomb bool
 	}
-	t.verMu.RLock()
 	cands := make([]cand, 0, 64)
-	for k, rid := range t.heads {
+	t.primaryMu.RLock()
+	t.verMu.RLock()
+	t.primary.Each(func(pk float64, head uint64) bool {
 		// Walk to the newest version begun at or before ts: the key's
 		// incarnation as of the flush cut (a commit racing past ts may
 		// already have stamped newer heads).
+		rid := storage.RID(head)
 		h := t.header(rid)
 		for h.beginTS > ts {
 			rid = h.prev
 			h = t.header(rid)
 		}
 		if h.beginTS == 0 {
-			continue
+			return true
 		}
-		// The chain key's bit pattern round-trips to the float every
-		// version of the chain carries (±0 normalised).
-		pk := math.Float64frombits(k)
+		// The entry carries the key as first inserted; blocks identify
+		// keys by their normalised bits (-0 is +0).
+		pk = math.Float64frombits(block.KeyBits(pk))
 		if h.endTS == 0 || ts < h.endTS {
 			if h.beginTS > prevTS {
 				cands = append(cands, cand{rid: rid, pk: pk})
@@ -467,8 +525,10 @@ func (t *Table) DeltaVersions(prevTS, ts uint64) []block.Entry {
 			// deleted since the last flush.
 			cands = append(cands, cand{pk: pk, tomb: true})
 		}
-	}
+		return true
+	})
 	t.verMu.RUnlock()
+	t.primaryMu.RUnlock()
 	entries := make([]block.Entry, 0, len(cands))
 	for _, c := range cands {
 		if c.tomb {
@@ -481,19 +541,18 @@ func (t *Table) DeltaVersions(prevTS, ts uint64) []block.Entry {
 		}
 		entries = append(entries, block.Entry{PK: c.pk, Row: row})
 	}
-	block.SortEntries(entries)
 	return entries
 }
 
 // GCVersions reclaims every version whose endTS is at or below horizon:
-// its index entries are removed, its store row tombstoned and its header
-// zeroed. A fully dead chain (deleted key old enough to reclaim) also
-// gives up its head entry and its primary-index entry. It returns the
-// number of versions reclaimed. The pass drains the queue of ended
-// versions, oldest first, so it costs O(versions reclaimed), not O(table).
-// Safe to run concurrently with readers and writers: each version is
-// reclaimed under its key's stripe, and only versions invisible to every
-// snapshot at or after horizon are touched.
+// its secondary-index entries are removed, its store row tombstoned and
+// its header zeroed. A fully dead chain (deleted key old enough to
+// reclaim) also gives up its primary-index entry. It returns the number of
+// versions reclaimed. The pass drains the queue of ended versions, oldest
+// first, so it costs O(versions reclaimed), not O(table). Safe to run
+// concurrently with readers and writers: each version is reclaimed under
+// its key's stripe, and only versions invisible to every snapshot at or
+// after horizon are touched.
 func (t *Table) GCVersions(horizon uint64) int {
 	t.catalog.RLock()
 	defer t.catalog.RUnlock()
@@ -518,18 +577,16 @@ func (t *Table) GCVersions(horizon uint64) int {
 		// stamping over it, so they never see the head entry vanish.
 		stripe := t.rows.mu(pk)
 		stripe.Lock()
-		t.verMu.Lock()
 		// A dead version that is still its key's head is the whole chain:
-		// everything older ended earlier and was reclaimed before it.
-		k := chainKey(pk)
-		head, ok := t.heads[k]
-		wholeChain := ok && head == rid
-		if wholeChain {
-			delete(t.heads, k)
-		}
+		// everything older ended earlier and was reclaimed before it. The
+		// exact-entry delete removes the primary entry in that case alone.
+		t.primaryMu.Lock()
+		t.primary.Delete(pk, uint64(rid))
+		t.verMu.Lock()
 		t.stamp(rid, verHeader{})
 		t.verMu.Unlock()
-		t.removeIndexEntries(rid, row, wholeChain)
+		t.primaryMu.Unlock()
+		t.removeIndexEntries(rid, row)
 		t.store.Delete(rid)
 		stripe.Unlock()
 	}

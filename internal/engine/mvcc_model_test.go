@@ -9,6 +9,7 @@ import (
 
 	"hermit/internal/block"
 	"hermit/internal/hermit"
+	"hermit/internal/keyorder"
 	"hermit/internal/storage"
 )
 
@@ -73,12 +74,13 @@ func (m *modelTable) put(pk float64, row []float64, ts uint64) {
 }
 
 // rowsAt returns every row visible at ts matching lo <= row[col] <= hi,
-// keyed by key bits.
+// keyed by key bits. The comparison is keyorder's total order, which is <=
+// wherever <= is defined and is what lets a NaN key be asked for by name.
 func (m *modelTable) rowsAt(ts uint64, col int, lo, hi float64) map[uint64][]float64 {
 	out := make(map[uint64][]float64)
 	for k, vs := range m.vers {
 		for _, v := range vs {
-			if v.visibleAt(ts) && v.row[col] >= lo && v.row[col] <= hi {
+			if v.visibleAt(ts) && !keyorder.Less(v.row[col], lo) && !keyorder.Less(hi, v.row[col]) {
 				out[k] = v.row
 			}
 		}
@@ -236,14 +238,7 @@ func runMVCCModel(t *testing.T, scheme hermit.PointerScheme, seed int64, ops int
 	if err != nil {
 		t.Fatal(err)
 	}
-	// NaN keys get their own index-free table: they are exercised through
-	// the primary-key write path only (NaN ordering inside btree is not
-	// defined yet).
-	nanTb, err := db.CreateTable("nan", []string{"pk", "v"}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, nm := newModelTable(tb), newModelTable(nanTb)
+	m := newModelTable(tb)
 	var ts uint64 // the oracle's clock
 
 	newRow := func(pk float64) []float64 {
@@ -269,18 +264,24 @@ func runMVCCModel(t *testing.T, scheme hermit.PointerScheme, seed int64, ops int
 		t.Fatal(err)
 	}
 
-	// The key pool: fresh keys, preloaded keys, both zeros (one key), and
-	// under physical pointers the infinities (logical pointers store
-	// uint64(pk) in secondary indexes, which has no infinity).
-	keys := []float64{0, math.Copysign(0, -1)}
+	// The key pool: fresh keys, preloaded keys, both zeros (one key), a
+	// fraction, a negative and the infinities — under logical pointers too,
+	// where a secondary index stores hermit.LogicalID(pk) and must get
+	// every one of them back. The two NaN payloads are two more keys of the
+	// same table; they take the auto-commit write path only (Txn buffers
+	// its writes in a float64-keyed map, which cannot hold a NaN).
+	keys := []float64{0, math.Copysign(0, -1), 2.5, -7, math.Inf(1), math.Inf(-1)}
 	for i := 1; i < 30; i++ {
 		keys = append(keys, float64(i), float64(100+i))
 	}
-	if scheme == hermit.PhysicalPointers {
-		keys = append(keys, math.Inf(1), math.Inf(-1))
-	}
 	nans := []float64{math.NaN(), math.Float64frombits(0x7ff8_0000_0000_0001)}
 	pick := func() float64 { return keys[rng.Intn(len(keys))] }
+	pickAny := func() float64 {
+		if rng.Intn(8) == 0 {
+			return nans[rng.Intn(len(nans))]
+		}
+		return pick()
+	}
 
 	snaps := []*Snapshot{db.Snapshot()} // one stays open to the end
 	var open *modelTxn
@@ -306,7 +307,23 @@ func runMVCCModel(t *testing.T, scheme hermit.PointerScheme, seed int64, ops int
 				}
 				m.checkRIDs(t, fmt.Sprintf("ts %d pk %v", s.ts, pk), rids, m.rowsAt(s.ts, 0, pk, pk))
 			}
+			// A NaN key is a point on the primary index alone: no other
+			// path compares by the total order.
+			for _, pk := range nans {
+				tb.catalog.RLock()
+				rids, _, err := tb.execPathLocked(s, PathPrimary, 0, pk, pk, nil)
+				tb.catalog.RUnlock()
+				if err != nil {
+					t.Fatal(err)
+				}
+				m.checkRIDs(t, fmt.Sprintf("ts %d NaN pk %#x", s.ts, math.Float64bits(pk)), rids, m.rowsAt(s.ts, 0, pk, pk))
+			}
 			m.checkQuery(t, s, 0, 0, 200)
+			// Infinite bounds on the key column take in the infinite keys
+			// and neither NaN, on every path.
+			m.checkQuery(t, s, 0, math.Inf(-1), math.Inf(1))
+			m.checkQuery(t, s, 0, math.Inf(-1), 50)
+			m.checkQuery(t, s, 0, 50, math.Inf(1))
 			for _, col := range []int{1, 2} {
 				m.checkQuery(t, s, col, math.Inf(-1), math.Inf(1))
 				lo := float64(rng.Intn(1000))
@@ -315,13 +332,12 @@ func runMVCCModel(t *testing.T, scheme hermit.PointerScheme, seed int64, ops int
 			}
 		}
 		m.checkLive(t, ts, snaps[0].ts)
-		nm.checkLive(t, ts, snaps[0].ts)
 	}
 
 	for op := 0; op < ops; op++ {
 		switch r := rng.Intn(100); {
-		case r < 22: // insert
-			row := newRow(pick())
+		case r < 24: // insert
+			row := newRow(pickAny())
 			_, err := tb.Insert(row)
 			if live := m.at(row[0], ts) != nil; live != errors.Is(err, ErrDupKey) || (!live && err != nil) {
 				t.Fatalf("insert %v: err=%v, oracle live=%v", row[0], err, live)
@@ -330,8 +346,8 @@ func runMVCCModel(t *testing.T, scheme hermit.PointerScheme, seed int64, ops int
 				ts++
 				m.put(row[0], row, ts)
 			}
-		case r < 44: // update
-			pk, col, v := pick(), 1+rng.Intn(2), float64(rng.Intn(1000))
+		case r < 48: // update
+			pk, col, v := pickAny(), 1+rng.Intn(2), float64(rng.Intn(1000))
 			cur := m.at(pk, ts)
 			err := tb.UpdateColumn(pk, col, v)
 			if (cur != nil) != (err == nil) {
@@ -343,8 +359,8 @@ func runMVCCModel(t *testing.T, scheme hermit.PointerScheme, seed int64, ops int
 				ts++
 				m.put(pk, row, ts)
 			}
-		case r < 58: // delete
-			pk := pick()
+		case r < 64: // delete
+			pk := pickAny()
 			found, err := tb.Delete(pk)
 			if live := m.at(pk, ts) != nil; err != nil || found != live {
 				t.Fatalf("delete %v: found=%v err=%v, oracle live=%v", pk, found, err, live)
@@ -352,39 +368,6 @@ func runMVCCModel(t *testing.T, scheme hermit.PointerScheme, seed int64, ops int
 			if found {
 				ts++
 				m.put(pk, nil, ts)
-			}
-		case r < 64: // the NaN keys' write path
-			pk := nans[rng.Intn(len(nans))]
-			cur := nm.at(pk, ts)
-			switch rng.Intn(3) {
-			case 0:
-				row := []float64{pk, float64(rng.Intn(100))}
-				_, err := nanTb.Insert(row)
-				if (cur != nil) != errors.Is(err, ErrDupKey) || (cur == nil && err != nil) {
-					t.Fatalf("NaN insert: err=%v, oracle row %v", err, cur)
-				}
-				if err == nil {
-					ts++
-					nm.put(pk, row, ts)
-				}
-			case 1:
-				v := float64(rng.Intn(100))
-				if err := nanTb.UpdateColumn(pk, 1, v); (cur != nil) != (err == nil) {
-					t.Fatalf("NaN update: err=%v, oracle row %v", err, cur)
-				}
-				if cur != nil && cur[1] != v {
-					ts++
-					nm.put(pk, []float64{pk, v}, ts)
-				}
-			default:
-				found, err := nanTb.Delete(pk)
-				if err != nil || found != (cur != nil) {
-					t.Fatalf("NaN delete: found=%v err=%v, oracle row %v", found, err, cur)
-				}
-				if found {
-					ts++
-					nm.put(pk, nil, ts)
-				}
 			}
 		case r < 70: // begin a transaction
 			if open == nil {
@@ -470,7 +453,7 @@ func runMVCCModel(t *testing.T, scheme hermit.PointerScheme, seed int64, ops int
 			}
 		default: // GC, then every snapshot must still read its state
 			h := horizon()
-			want := m.reclaim(h) + nm.reclaim(h)
+			want := m.reclaim(h)
 			if got := db.GC(); got != want {
 				t.Fatalf("GC at horizon %d reclaimed %d versions, oracle %d", h, got, want)
 			}
@@ -491,7 +474,7 @@ func runMVCCModel(t *testing.T, scheme hermit.PointerScheme, seed int64, ops int
 	snaps[0].Release()
 	snaps[0] = db.Snapshot()
 	defer snaps[0].Release()
-	want := m.reclaim(ts) + nm.reclaim(ts)
+	want := m.reclaim(ts)
 	if got := db.GC(); got != want {
 		t.Fatalf("final GC reclaimed %d versions, oracle %d", got, want)
 	}

@@ -120,6 +120,129 @@ func TestTxnCommitAtomicVisibility(t *testing.T) {
 	wg.Wait()
 }
 
+// TestPrimaryHeadAlwaysStamped is the regression test for the publication
+// hazard of a primary index that doubles as the key→chain-head structure:
+// the entry must move to a new version in the same latch hold that stamps
+// it. Moved earlier (when the version row is applied, as the pre-MVCC-heads
+// movePrimary did) a reader finds a head whose header is still zero, takes
+// the zero header for the end of the chain and loses the visible version
+// behind it — for an update, and for a re-insert over a dead chain read by
+// a snapshot older than the delete. Readers hammer the point and range
+// paths on the key column while auto-commit updates, multi-key
+// transactions and delete/re-insert cycles run; every read must find
+// exactly the rows that have been live throughout.
+func TestPrimaryHeadAlwaysStamped(t *testing.T) {
+	for _, scheme := range []hermit.PointerScheme{hermit.PhysicalPointers, hermit.LogicalPointers} {
+		t.Run(scheme.String(), func(t *testing.T) { primaryHeadAlwaysStamped(t, scheme) })
+	}
+}
+
+func primaryHeadAlwaysStamped(t *testing.T, scheme hermit.PointerScheme) {
+	db := NewDB(scheme)
+	tb, err := db.CreateTable("t", []string{"pk", "a", "b"}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const keys, cycled = 16, 100 // keys 0..15 stay live; key 100 is deleted and re-inserted
+	for pk := 0; pk < keys; pk++ {
+		if _, err := tb.Insert([]float64{float64(pk), float64(pk), 0}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := tb.Insert([]float64{cycled, -1, -1}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tb.CreateBTreeIndex(1, false); err != nil { // a logical-pointer path to the same chains
+		t.Fatal(err)
+	}
+	pinned := db.Snapshot() // older than every delete of the cycled key
+	defer pinned.Release()
+
+	rounds := 1500
+	if testing.Short() || raceEnabled {
+		rounds = 600
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	reader := func(read func(snap *Snapshot) error) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				snap := db.Snapshot()
+				err := read(snap)
+				snap.Release()
+				if err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	reader(func(snap *Snapshot) error {
+		for pk := 0; pk < keys; pk++ {
+			if rids, _, err := tb.PointQueryAt(snap, 0, float64(pk)); err != nil || len(rids) != 1 {
+				return fmt.Errorf("point read of live key %d at ts %d: %d rows, err=%v", pk, snap.TS(), len(rids), err)
+			}
+		}
+		rids, _, err := tb.PointQueryAt(pinned, 0, cycled)
+		if err != nil || len(rids) != 1 {
+			return fmt.Errorf("pinned snapshot lost the cycled key: %d rows, err=%v", len(rids), err)
+		}
+		if v, _ := tb.Store().Value(rids[0], 1); v != -1 {
+			return fmt.Errorf("pinned snapshot reads a=%v for the cycled key, want its first version", v)
+		}
+		return nil
+	})
+	reader(func(snap *Snapshot) error {
+		if rids, _, err := tb.RangeQueryAt(snap, 0, 0, keys-1); err != nil || len(rids) != keys {
+			return fmt.Errorf("key-range read at ts %d: %d rows, want %d, err=%v", snap.TS(), len(rids), keys, err)
+		}
+		// Column a of the live keys never changes: the secondary index
+		// must resolve all of them through the primary index.
+		if rids, _, err := tb.RangeQueryAt(snap, 1, 0, keys-1); err != nil || len(rids) != keys {
+			return fmt.Errorf("secondary read at ts %d: %d rows, want %d, err=%v", snap.TS(), len(rids), keys, err)
+		}
+		if rids, _, err := tb.RangeQueryAt(pinned, 0, 0, cycled); err != nil || len(rids) != keys+1 {
+			return fmt.Errorf("pinned key-range read: %d rows, want %d, err=%v", len(rids), keys+1, err)
+		}
+		return nil
+	})
+	for r := 1; r <= rounds; r++ {
+		if err := tb.UpdateColumn(float64(r%keys), 2, float64(r)); err != nil {
+			t.Fatal(err)
+		}
+		x := db.Begin()
+		for _, pk := range []int{(r + 1) % keys, (r + 5) % keys} {
+			if err := x.Update(tb, float64(pk), 2, float64(-r)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := x.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		if r%2 == 0 {
+			if ok, err := tb.Delete(cycled); err != nil || !ok {
+				t.Fatalf("delete of the cycled key: %v %v", ok, err)
+			}
+		} else if r > 1 {
+			if _, err := tb.Insert([]float64{cycled, float64(1000 + r), 0}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if r%64 == 0 {
+			db.GC() // the pinned snapshot keeps every chain whole
+		}
+	}
+	close(stop)
+	wg.Wait()
+}
+
 // TestTxnFirstCommitterWins: two transactions writing the same key — the
 // second committer aborts with ErrWriteConflict and applies nothing.
 func TestTxnFirstCommitterWins(t *testing.T) {

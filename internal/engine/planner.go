@@ -683,15 +683,12 @@ func (t *Table) trsDirectRange(snap *Snapshot, col int, lo, hi float64, dst []st
 	hx.Tree().LookupInto(lo, hi, tres)
 	sc.rids = sc.rids[:0]
 	// Outlier identifiers resolve like Hermit candidates: directly under
-	// physical pointers, through the version chains under logical pointers
-	// (the chain, not the primary index, knows which incarnation the
-	// snapshot reads).
+	// physical pointers, through the primary index and the version chains
+	// under logical pointers (the primary names the newest incarnation, the
+	// chain the one the snapshot reads).
 	if t.scheme == hermit.LogicalPointers {
-		for _, pk := range tres.IDs {
-			if rid, ok := t.resolveVisible(float64(pk), snap.ts); ok {
-				sc.rids = append(sc.rids, rid)
-			}
-		}
+		sc.ids = append(sc.ids[:0], tres.IDs...)
+		sc.rids, _ = t.resolveKeys(sc.ids, snap.ts, sc.rids)
 	} else {
 		for _, id := range tres.IDs {
 			sc.rids = append(sc.rids, storage.RID(id))

@@ -49,33 +49,29 @@ func (q QueryStats) FalsePositiveRatio() float64 {
 // are decided and is released before the query returns; it interacts with
 // no latch, so it adds nothing to the lock order.
 type queryScratch struct {
-	pks  []float64
 	ids  []uint64
 	rids []storage.RID
 	res  []storage.RID
-	seen map[uint64]struct{}
+	// row is UpdateColumn's copy of the current version: the next
+	// version's row is built in it.
+	row []float64
 	// harvest is the physical-pointer Hermit lookup's scratch; tres the
 	// TRS-Tree result of the paths that resolve the tree's output themselves.
 	harvest hermit.Scratch
 	tres    trstree.Result
 
-	// appendPK/appendID append a scanned entry into pks/ids; bound once
-	// here so Scan callbacks do not allocate per query.
-	appendPK func(pk float64, id uint64) bool
+	// appendID appends a scanned entry's id into ids; bound once here so
+	// Scan callbacks do not allocate per query.
 	appendID func(key float64, id uint64) bool
 }
 
-// Scratch retention caps: a query that harvested an unusually large
-// candidate set (a full-table scan, say) must not pin that memory in the
-// pool forever.
-const (
-	maxScratchEntries = 1 << 16
-	maxScratchSeen    = 1 << 12
-)
+// maxScratchEntries caps scratch retention: a query that harvested an
+// unusually large candidate set (a full-table scan, say) must not pin that
+// memory in the pool forever.
+const maxScratchEntries = 1 << 16
 
 var queryScratchPool = sync.Pool{New: func() any {
-	sc := &queryScratch{seen: make(map[uint64]struct{})}
-	sc.appendPK = func(pk float64, _ uint64) bool { sc.pks = append(sc.pks, pk); return true }
+	sc := &queryScratch{}
 	sc.appendID = func(_ float64, id uint64) bool { sc.ids = append(sc.ids, id); return true }
 	return sc
 }}
@@ -86,9 +82,6 @@ func getScratch() *queryScratch { return queryScratchPool.Get().(*queryScratch) 
 // putScratch resets and returns a scratch object to the pool, dropping
 // oversized backing arrays.
 func putScratch(sc *queryScratch) {
-	if cap(sc.pks) > maxScratchEntries {
-		sc.pks = nil
-	}
 	if cap(sc.ids) > maxScratchEntries {
 		sc.ids = nil
 	}
@@ -98,16 +91,10 @@ func putScratch(sc *queryScratch) {
 	if cap(sc.res) > maxScratchEntries {
 		sc.res = nil
 	}
-	sc.pks, sc.ids = sc.pks[:0], sc.ids[:0]
-	sc.rids, sc.res = sc.rids[:0], sc.res[:0]
+	sc.ids, sc.rids, sc.res = sc.ids[:0], sc.rids[:0], sc.res[:0]
 	sc.harvest.Trim(maxScratchEntries)
 	if cap(sc.tres.IDs) > maxScratchEntries {
 		sc.tres.IDs = nil
-	}
-	if len(sc.seen) > maxScratchSeen {
-		sc.seen = make(map[uint64]struct{})
-	} else {
-		clear(sc.seen)
 	}
 	queryScratchPool.Put(sc)
 }
@@ -285,10 +272,10 @@ func (t *Table) filterVersions(snap *Snapshot, src, dst []storage.RID) []storage
 
 // hermitLogicalRange executes the Hermit mechanism under logical pointers
 // with MVCC-aware resolution: TRS-Tree ranges are scanned on the host
-// index as usual, but the harvested primary keys resolve through the
-// version chains to the incarnation visible at the snapshot (instead of
-// the primary index's newest entry), which is then validated against the
-// target predicate.
+// index as usual, the harvested primary keys take the primary-index hop to
+// their chain heads and resolve from there to the incarnation visible at
+// the snapshot (not necessarily the newest, which is what the primary
+// names), which is then validated against the target predicate.
 func (t *Table) hermitLogicalRange(snap *Snapshot, col int, lo, hi float64, dst []storage.RID) ([]storage.RID, QueryStats, error) {
 	hx := t.hermits[col]
 	st := QueryStats{Kind: KindHermit}
@@ -326,22 +313,9 @@ func (t *Table) hermitLogicalRange(snap *Snapshot, col int, lo, hi float64, dst 
 		st.Breakdown[hermit.PhaseHostIndex] += time.Since(t0)
 		t0 = time.Now()
 	}
-	// Resolve each candidate key to its visible incarnation (the MVCC
-	// replacement for the primary-index hop), batched under one chain-latch
-	// acquisition instead of one per key ...
-	sc.res = sc.res[:0]
-	t.verMu.RLock()
-	for _, id := range sc.ids {
-		if _, dup := sc.seen[id]; dup {
-			continue
-		}
-		sc.seen[id] = struct{}{}
-		if rid, ok := t.resolveVisibleLocked(float64(id), snap.ts); ok {
-			sc.res = append(sc.res, rid)
-		}
-	}
-	t.verMu.RUnlock()
-	st.Candidates = len(sc.seen)
+	// Resolve each candidate key to its visible incarnation (the primary-
+	// index hop), batched ...
+	sc.res, st.Candidates = t.resolveKeys(sc.ids, snap.ts, sc.res)
 	if profile {
 		st.Breakdown[hermit.PhasePrimaryIndex] += time.Since(t0)
 		t0 = time.Now()
@@ -411,21 +385,10 @@ func (t *Table) baselineRange(snap *Snapshot, idx interface {
 		t0 = time.Now()
 	}
 	if t.scheme == hermit.LogicalPointers {
-		// Resolve the harvested keys through the version chains under one
-		// latch hold, then re-check the predicate on the visible
+		// Resolve the harvested keys through the primary index and the
+		// version chains, then re-check the predicate on the visible
 		// incarnations.
-		sc.res = sc.res[:0]
-		t.verMu.RLock()
-		for _, pk := range sc.ids {
-			if _, dup := sc.seen[pk]; dup {
-				continue
-			}
-			sc.seen[pk] = struct{}{}
-			if rid, ok := t.resolveVisibleLocked(float64(pk), snap.ts); ok {
-				sc.res = append(sc.res, rid)
-			}
-		}
-		t.verMu.RUnlock()
+		sc.res, st.Candidates = t.resolveKeys(sc.ids, snap.ts, sc.res)
 		out := resultBuf(dst, len(sc.res))
 		for _, rid := range sc.res {
 			m, err := t.store.Value(rid, col)
@@ -437,7 +400,7 @@ func (t *Table) baselineRange(snap *Snapshot, idx interface {
 			st.Breakdown[hermit.PhasePrimaryIndex] += time.Since(t0)
 			t0 = time.Now()
 		}
-		st.Rows, st.Candidates = len(out), len(sc.seen)
+		st.Rows = len(out)
 		return out, st, nil
 	}
 	sc.rids = sc.rids[:0]
@@ -454,28 +417,25 @@ func (t *Table) baselineRange(snap *Snapshot, idx interface {
 }
 
 // primaryRange serves range queries on the primary-key column. The
-// primary index keeps one entry per key (pointing at the newest version),
-// so each harvested key resolves through its version chain to the
-// incarnation visible at the snapshot; the key value itself is shared by
-// every version, so no predicate re-check is needed. With a reused dst
+// primary index keeps one entry per key, the head of its version chain, so
+// the scan yields the heads directly and each resolves through its chain to
+// the incarnation visible at the snapshot; the key value itself is shared
+// by every version, so no predicate re-check is needed. With a reused dst
 // this path — the PK point read — allocates nothing.
 func (t *Table) primaryRange(snap *Snapshot, lo, hi float64, dst []storage.RID) ([]storage.RID, QueryStats, error) {
 	st := QueryStats{Kind: KindPrimary}
 	sc := getScratch()
 	defer putScratch(sc)
-	sc.pks = sc.pks[:0]
+	sc.ids = sc.ids[:0]
 	t.primaryMu.RLock()
-	t.primary.Scan(lo, hi, sc.appendPK)
+	t.primary.Scan(lo, hi, sc.appendID)
 	t.primaryMu.RUnlock()
-	out := resultBuf(dst, len(sc.pks))
-	t.verMu.RLock()
-	for _, pk := range sc.pks {
-		if rid, ok := t.resolveVisibleLocked(pk, snap.ts); ok {
-			out = append(out, rid)
-		}
+	out := resultBuf(dst, len(sc.ids))
+	for _, head := range sc.ids {
+		out = append(out, storage.RID(head))
 	}
-	t.verMu.RUnlock()
-	st.Rows, st.Candidates = len(out), len(sc.pks)
+	out = t.visibleFromAll(out, snap.ts)
+	st.Rows, st.Candidates = len(out), len(sc.ids)
 	return out, st, nil
 }
 

@@ -189,7 +189,7 @@ type stamped struct {
 	t    *Table
 	pk   float64
 	rid  storage.RID // new version's row (zero for pure deletes)
-	old  storage.RID // superseded/deleted head (unused for pure inserts)
+	old  storage.RID // the head a delete ends
 	kind byte        // 'i' insert, 'u' update, 'd' delete
 }
 
@@ -269,8 +269,9 @@ func (x *Txn) Commit() (CommitResult, error) {
 		}
 	}
 
-	// Apply: append version rows and index entries. Unstamped versions are
-	// invisible, so readers cannot observe a partial transaction here.
+	// Apply: append version rows and secondary-index entries. Unstamped
+	// versions are invisible and the primary index still names the old
+	// heads, so readers cannot observe a partial transaction here.
 	var pend []stamped
 	for _, t := range tables {
 		pks := make([]float64, 0, len(x.writes[t]))
@@ -294,13 +295,12 @@ func (x *Txn) Commit() (CommitResult, error) {
 				// surface loudly rather than commit a partial transaction.
 				return res, fmt.Errorf("engine: txn apply: %w", err)
 			}
-			t.movePrimary(pk, old, h.beginTS != 0, rid)
 			t.insertIndexEntries(rid, w.row)
 			t.writes.Add(1)
 			for i, v := range w.row {
 				t.runtime[i].widen(v)
 			}
-			st := stamped{t: t, pk: pk, rid: rid, old: old, kind: 'i'}
+			st := stamped{t: t, pk: pk, rid: rid, kind: 'i'}
 			if h.live() {
 				st.kind = 'u'
 			}
@@ -317,7 +317,7 @@ func (x *Txn) Commit() (CommitResult, error) {
 		case 'i':
 			s.t.stampInsert(s.rid, s.pk, commitTS)
 		case 'u':
-			s.t.stampUpdate(s.old, s.pk, s.rid, commitTS)
+			s.t.stampUpdate(s.pk, s.rid, commitTS)
 		default:
 			s.t.stampDelete(s.old, commitTS)
 		}

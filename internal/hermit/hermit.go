@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"hermit/internal/btree"
+	"hermit/internal/keyorder"
 	"hermit/internal/storage"
 	"hermit/internal/trstree"
 )
@@ -191,8 +192,19 @@ func (x *Index) identify(rid storage.RID) uint64 {
 	if err != nil {
 		return 0
 	}
-	return uint64(pk)
+	return LogicalID(pk)
 }
+
+// LogicalID is the identifier a secondary index stores for primary key pk
+// under LogicalPointers: the key's rank in keyorder's total order. Every
+// float64 key round-trips through it — fractions, negatives, ±Inf and each
+// NaN payload, which an integer conversion would fold together — and
+// identifiers sort in primary-key order, so a harvest of them can be
+// probed through the primary index front to back.
+func LogicalID(pk float64) uint64 { return keyorder.Rank(pk) }
+
+// LogicalKey returns the primary key a logical identifier stands for.
+func LogicalKey(id uint64) float64 { return keyorder.Unrank(id) }
 
 // Tree exposes the underlying TRS-Tree for statistics and maintenance.
 func (x *Index) Tree() *trstree.Tree { return x.tree }
@@ -292,8 +304,8 @@ func (x *Index) LookupInto(lo, hi float64, sc *Scratch) Result {
 		if x.cfg.Profile {
 			t0 = time.Now()
 		}
-		for _, pk := range sc.ids {
-			if v, ok := x.primary.First(float64(pk)); ok {
+		for _, id := range sc.ids {
+			if v, ok := x.primary.First(LogicalKey(id)); ok {
 				rids = append(rids, storage.RID(v))
 			}
 		}

@@ -48,7 +48,7 @@ func newFixture(t testing.TB, n int, fn func(c float64) float64, noise float64, 
 		if scheme == PhysicalPointers {
 			f.host.Insert(row[1], uint64(rid))
 		} else {
-			f.host.Insert(row[1], uint64(row[0]))
+			f.host.Insert(row[1], LogicalID(row[0]))
 		}
 	}
 	return f

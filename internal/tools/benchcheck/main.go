@@ -122,10 +122,20 @@ type hotpathArtifact struct {
 // record a lane for — the single-core number and the multi-core proof.
 var hotpathLaneProcs = []int{1, 4}
 
+// hotpathWorkloads are the operations the hotpath artifact must record: the
+// read paths under the zero-alloc contract, the durable and wire paths, and
+// the write path and primary-index hop (mem_update, mem_delete,
+// logical_range), whose ns/op is where a change to the primary index shows.
+var hotpathWorkloads = []string{
+	"point_read", "range_scan", "partitioned_scan", "durable_insert", "wire_point",
+	"mem_update", "mem_delete", "logical_range",
+}
+
 // checkHotpath enforces the hotpath artifact's extra contract: every
-// workload carries a complete measurement (ops, ns/op, allocs/op,
-// throughput) at both GOMAXPROCS lanes, so allocation regressions and
-// multi-core claims are both checkable from the stored artifact.
+// tracked workload is present and carries a complete measurement (ops,
+// ns/op, allocs/op, throughput) at both GOMAXPROCS lanes, so allocation
+// regressions and multi-core claims are both checkable from the stored
+// artifact.
 func checkHotpath(raw []byte) error {
 	var ha hotpathArtifact
 	if err := json.Unmarshal(raw, &ha); err != nil {
@@ -158,6 +168,11 @@ func checkHotpath(raw []byte) error {
 			procsSeen[l.Workload] = map[int]bool{}
 		}
 		procsSeen[l.Workload][l.GOMAXPROCS] = true
+	}
+	for _, w := range hotpathWorkloads {
+		if procsSeen[w] == nil {
+			return fmt.Errorf("%s: workload not recorded", w)
+		}
 	}
 	for w, seen := range procsSeen {
 		for _, p := range hotpathLaneProcs {
