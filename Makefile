@@ -166,14 +166,19 @@ profile: build
 	@ls -l $(PROFILE_DIR)
 
 # Heap census of a loaded table: 1M Synthetic rows + host B+-tree + Hermit
-# index through the public API, profiled while live. The text report
-# ($(PROFILE_DIR)/heap-load.txt, uploaded by CI with the pb.gz) is the
-# artifact a memory claim starts from.
+# index through the public API, profiled while live, and of the same table
+# after five turnovers of every row (updates, deletes and inserts at a
+# constant live count, DB.GC every tenth of a turnover). The text reports
+# ($(PROFILE_DIR)/heap-load.txt and heap-churn.txt, uploaded by CI with the
+# pb.gz) are the artifacts a memory claim starts from: the second shows what
+# writing to the table adds to the first.
 heap-profile:
 	@mkdir -p $(PROFILE_DIR)
-	$(GO) test -count=1 -run 'TestHeapProfileOfLoad$$' . -memprofilerate 4096 -heap.profile $(PROFILE_DIR)/heap-load.pb.gz
+	$(GO) test -count=1 -run 'TestHeapProfileOf(Load|Churn)$$' . -memprofilerate 4096 \
+		-heap.profile $(PROFILE_DIR)/heap-load.pb.gz -heap.churnprofile $(PROFILE_DIR)/heap-churn.pb.gz
 	$(GO) tool pprof -sample_index=inuse_space -top $(PROFILE_DIR)/heap-load.pb.gz > $(PROFILE_DIR)/heap-load.txt
-	@head -25 $(PROFILE_DIR)/heap-load.txt
+	$(GO) tool pprof -sample_index=inuse_space -top $(PROFILE_DIR)/heap-churn.pb.gz > $(PROFILE_DIR)/heap-churn.txt
+	@head -25 $(PROFILE_DIR)/heap-load.txt $(PROFILE_DIR)/heap-churn.txt
 
 fmt:
 	gofmt -w .

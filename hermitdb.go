@@ -151,7 +151,14 @@ func WithSnapshot(db *DB, fn func(*Snapshot) error) error {
 //	}
 //	results := tb.ExecuteBatch(ops, 8)
 type (
-	// RID is a physical record identifier ("blockID+offset", §5.1).
+	// RID is a physical record identifier ("blockID+offset", §5.1): the
+	// address of one version of a row. It names that version for as long
+	// as a snapshot that can see it is open; once the row has been updated
+	// or deleted and a version-GC pass has reclaimed the version, the slot
+	// is reused and the RID reads whichever row was written there next.
+	// Fetch what a query returns under the snapshot the query ran at
+	// (RangeQueryAt, then FetchRows, inside WithSnapshot) when writers or
+	// GC may run in between.
 	RID = storage.RID
 	// Op is one operation in an ExecuteBatch batch.
 	Op = engine.Op

@@ -20,11 +20,13 @@ import (
 // The hotpath experiment measures the allocator cost of the engine's
 // hottest operations — embedded PK point read, embedded range scan,
 // partitioned scatter-gather scan, durable WAL-logged insert, a
-// wire-protocol point read through hermitd, and the three that go through
-// the primary index by key: an in-memory update, a delete/re-insert cycle,
-// and a Hermit range query under logical pointers (whose every candidate
-// takes the primary-index hop) — as allocs/op, bytes/op, ns/op, and
-// throughput, each at GOMAXPROCS 1 and 4. The artifact is the
+// wire-protocol point read through hermitd, the three that go through the
+// primary index by key (an in-memory update, a delete/re-insert cycle, and
+// a Hermit range query under logical pointers, whose every candidate takes
+// the primary-index hop), and a write churn at constant live rows with
+// version GC running (the one lane whose writes are reclaimed, and which
+// also records the heap it holds per live row) — as allocs/op, bytes/op,
+// ns/op, and throughput, each at GOMAXPROCS 1 and 4. The artifact is the
 // regression baseline for the zero-alloc read-path contract: the same
 // numbers `testing.AllocsPerRun` guards enforce in tier-1 are recorded
 // here with throughput context, so a speed pass can prove its allocation
@@ -56,6 +58,9 @@ type hotpathLane struct {
 	AllocsPerOp float64 `json:"allocs_per_op"`
 	BytesPerOp  float64 `json:"bytes_per_op"`
 	OpsPerSec   float64 `json:"ops_per_sec"`
+	// HeapPerLiveRow is what the churn fixture holds per live row after
+	// its set-up turnovers (churn lanes only).
+	HeapPerLiveRow float64 `json:"heap_bytes_per_live_row,omitempty"`
 }
 
 // hotpathReport is the schema of BENCH_hotpath.json.
@@ -75,19 +80,26 @@ type hotpathReport struct {
 type hotpathWorkload struct {
 	name  string
 	setup func(cfg Config, n int) (op func() error, teardown func(), err error)
+	// heap, where a workload has one, receives from setup the heap the
+	// fixture holds per live row.
+	heap *float64
 }
 
 // hotpathWorkloads lists the measured operations in report order.
 func hotpathWorkloads() []hotpathWorkload {
+	churnHeap := new(float64)
 	return []hotpathWorkload{
-		{"point_read", setupHotpathPoint},
-		{"range_scan", setupHotpathRange},
-		{"partitioned_scan", setupHotpathPartitioned},
-		{"durable_insert", setupHotpathDurableInsert},
-		{"wire_point", setupHotpathWirePoint},
-		{"mem_update", setupHotpathUpdate},
-		{"mem_delete", setupHotpathDelete},
-		{"logical_range", setupHotpathLogicalRange},
+		{name: "point_read", setup: setupHotpathPoint},
+		{name: "range_scan", setup: setupHotpathRange},
+		{name: "partitioned_scan", setup: setupHotpathPartitioned},
+		{name: "durable_insert", setup: setupHotpathDurableInsert},
+		{name: "wire_point", setup: setupHotpathWirePoint},
+		{name: "mem_update", setup: setupHotpathUpdate},
+		{name: "mem_delete", setup: setupHotpathDelete},
+		{name: "logical_range", setup: setupHotpathLogicalRange},
+		{name: "churn", heap: churnHeap, setup: func(cfg Config, n int) (func() error, func(), error) {
+			return setupHotpathChurn(cfg, n, churnHeap)
+		}},
 	}
 }
 
@@ -194,6 +206,76 @@ func setupHotpathDelete(cfg Config, n int) (func() error, func(), error) {
 		_, err := tb.Insert(row)
 		return err
 	}
+	return op, func() {}, nil
+}
+
+// hotpathChurnTurnovers is how many times the churn fixture rewrites every
+// row before its heap is read and its lanes run.
+const hotpathChurnTurnovers = 3
+
+// setupHotpathChurn measures the write path with reclamation on it: a
+// table with a secondary B+-tree held at n live rows while every op either
+// updates a random row or deletes it and inserts a row under a fresh key,
+// and version GC runs once per n/10 ops — so the op's cost includes its
+// share of a GC pass, and its version lands in a slot a pass has freed. The
+// fixture is turned over hotpathChurnTurnovers times first; *heap receives
+// what the process then holds per live row.
+func setupHotpathChurn(cfg Config, n int, heap *float64) (func() error, func(), error) {
+	var m0, m1 runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&m0)
+	db := engine.NewDB(hermit.PhysicalPointers)
+	tb, err := db.CreateTable("hot", hotpathCols(), 0)
+	if err != nil {
+		return nil, nil, err
+	}
+	tb.SetRouting(engine.RouteStatic)
+	keys := make([]float64, n)
+	for i := range keys {
+		keys[i] = float64(i)
+		if _, err := tb.Insert([]float64{keys[i], keys[i] * 0.5}); err != nil {
+			return nil, nil, err
+		}
+	}
+	if _, err := tb.CreateBTreeIndex(1, false); err != nil {
+		return nil, nil, err
+	}
+	rng := rand.New(rand.NewSource(cfg.Seed + 37))
+	next, ops := float64(n), 0
+	row := make([]float64, 2)
+	op := func() error {
+		i := rng.Intn(n)
+		if rng.Intn(2) == 0 {
+			if err := tb.UpdateColumn(keys[i], 1, rng.Float64()*float64(n)); err != nil {
+				return err
+			}
+		} else {
+			if found, err := tb.Delete(keys[i]); err != nil || !found {
+				return fmt.Errorf("delete of live key %v: found=%v err=%v", keys[i], found, err)
+			}
+			row[0], row[1] = next, rng.Float64()*float64(n)
+			if _, err := tb.Insert(row); err != nil {
+				return err
+			}
+			keys[i] = next
+			next++
+		}
+		if ops++; ops%(n/10) == 0 {
+			db.GC()
+		}
+		return nil
+	}
+	for i := 0; i < hotpathChurnTurnovers*n; i++ {
+		if err := op(); err != nil {
+			return nil, nil, err
+		}
+	}
+	if tb.Len() != n {
+		return nil, nil, fmt.Errorf("churn fixture holds %d live rows, want %d", tb.Len(), n)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&m1)
+	*heap = float64(m1.HeapAlloc-m0.HeapAlloc) / float64(n) // keys included: 8 B/row
 	return op, func() {}, nil
 }
 
@@ -433,10 +515,16 @@ func RunHotpath(cfg Config) error {
 				teardown()
 				return fmt.Errorf("hotpath %s@%d: %w", w.name, procs, err)
 			}
+			if w.heap != nil {
+				lane.HeapPerLiveRow = *w.heap
+			}
 			rep.Lanes = append(rep.Lanes, lane)
 			fmt.Fprintf(cfg.Out, "%-18s %6d %10d %12.0f %12.2f %12.1f %14s\n",
 				lane.Workload, lane.GOMAXPROCS, lane.Ops, lane.NsPerOp,
 				lane.AllocsPerOp, lane.BytesPerOp, fmtKops(lane.OpsPerSec))
+		}
+		if w.heap != nil {
+			fmt.Fprintf(cfg.Out, "%-18s heap after %d turnovers: %.1f B/live row\n", w.name, hotpathChurnTurnovers, *w.heap)
 		}
 		teardown()
 	}

@@ -28,6 +28,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"math/bits"
 	"os"
 	"sort"
 	"sync"
@@ -287,45 +288,74 @@ func decodeHeader(raw []byte) (header, error) {
 	return h, nil
 }
 
+// upserts returns the number of entries that carry a row. The body's
+// length fixes it — every entry has nine bytes of key and flag, an upsert
+// its row besides — so a reader can size what it decodes into before it
+// has seen a single flag, by what the file holds and not by what it claims.
+func (h header) upserts() (int, error) {
+	rowBytes := len(h.body) - 9*int(h.count) // not negative: decodeHeader
+	if rowBytes%(8*h.width) != 0 {
+		return 0, ErrCorrupt
+	}
+	return rowBytes / (8 * h.width), nil
+}
+
+// decodeEntries runs the entry loop over a decoded header's body: for each
+// entry it calls add, which stores the key and returns where the row is to
+// be decoded (nil for a tombstone). Both readers of a block image — Decode
+// and a Handle's cache — are this loop with their own add; add sees a row
+// at most h.upserts() times.
+func decodeEntries(h header, add func(pk float64, tombstone bool) []float64) error {
+	left, err := h.upserts()
+	if err != nil {
+		return err
+	}
+	c := &cursor{buf: h.body}
+	var prev uint64
+	for i := uint64(0); i < h.count; i++ {
+		pk := c.f64()
+		flag := c.u8()
+		if flag > 1 || flag == 0 && left == 0 {
+			c.fail()
+		}
+		if c.err != nil {
+			return c.err
+		}
+		k := keyorder.Rank(pk)
+		if i > 0 && k <= prev {
+			return ErrCorrupt
+		}
+		prev = k
+		if flag == 0 {
+			left--
+		}
+		for j, row := 0, add(pk, flag == 1); j < len(row); j++ {
+			row[j] = c.f64()
+		}
+	}
+	if c.remaining() != 0 {
+		return ErrCorrupt
+	}
+	return nil
+}
+
 // Decode parses a full block image back into its entries.
 func Decode(raw []byte) ([]Entry, int, error) {
 	h, err := decodeHeader(raw)
 	if err != nil {
 		return nil, 0, err
 	}
-	c := &cursor{buf: h.body}
 	entries := make([]Entry, 0, h.count)
-	var prev uint64
-	for i := uint64(0); i < h.count; i++ {
-		e := Entry{PK: c.f64()}
-		switch c.u8() {
-		case 1:
-			e.Tombstone = true
-		case 0:
-			if c.err == nil && c.remaining() < h.width*8 {
-				c.fail()
-			}
-			if c.err == nil {
-				e.Row = make([]float64, h.width)
-				for j := 0; j < h.width; j++ {
-					e.Row[j] = c.f64()
-				}
-			}
-		default:
-			c.fail()
+	err = decodeEntries(h, func(pk float64, tombstone bool) []float64 {
+		e := Entry{PK: pk, Tombstone: tombstone}
+		if !tombstone {
+			e.Row = make([]float64, h.width)
 		}
-		if c.err != nil {
-			return nil, 0, c.err
-		}
-		k := keyorder.Rank(e.PK)
-		if i > 0 && k <= prev {
-			return nil, 0, ErrCorrupt
-		}
-		prev = k
 		entries = append(entries, e)
-	}
-	if c.remaining() != 0 {
-		return nil, 0, ErrCorrupt
+		return e.Row
+	})
+	if err != nil {
+		return nil, 0, err
 	}
 	return entries, h.width, nil
 }
@@ -377,18 +407,89 @@ func ReadAll(path string) ([]Entry, int, error) {
 	return entries, width, nil
 }
 
+// flat is a decoded block laid out for point reads: the sorted keys, one
+// arena holding the upserts' rows back to back, and a tombstone bitmap with,
+// per 64-entry word, the number of rows before it, which is what places
+// entry i's row in the arena. Five allocations a block and 8 x (1 + width)
+// bytes an upsert, where a slice of Entry values pays a slice header and an
+// allocation for each row.
+type flat struct {
+	filter *bloom
+	width  int
+	keys   []float64
+	rows   []float64
+	tombs  []uint64
+	before []int // rows of the entries before tombs[w]'s
+}
+
+// decodeFlat parses a full block image into the flat form. Nothing of raw
+// is retained.
+func decodeFlat(raw []byte) (*flat, error) {
+	h, err := decodeHeader(raw)
+	if err != nil {
+		return nil, err
+	}
+	upserts, err := h.upserts()
+	if err != nil {
+		return nil, err
+	}
+	w := h.width
+	f := &flat{
+		filter: bloomFromBytes(append([]byte(nil), h.filter.bits...)),
+		width:  w,
+		keys:   make([]float64, 0, h.count),
+		rows:   make([]float64, 0, upserts*w),
+		tombs:  make([]uint64, (h.count+63)/64),
+	}
+	f.before = make([]int, len(f.tombs))
+	err = decodeEntries(h, func(pk float64, tombstone bool) []float64 {
+		i, n := len(f.keys), len(f.rows)
+		f.keys = append(f.keys, pk)
+		if i%64 == 0 {
+			f.before[i/64] = n / w
+		}
+		if tombstone {
+			f.tombs[i/64] |= 1 << (i % 64)
+			return nil
+		}
+		f.rows = f.rows[:n+w]
+		return f.rows[n:]
+	})
+	if err != nil {
+		return nil, err
+	}
+	return f, nil
+}
+
+// get binary-searches the keys for pk. An upsert's Row is a view into the
+// arena.
+func (f *flat) get(pk float64) (Entry, bool) {
+	k := keyorder.Rank(pk)
+	i := sort.Search(len(f.keys), func(i int) bool {
+		return keyorder.Rank(f.keys[i]) >= k
+	})
+	if i == len(f.keys) || keyorder.Rank(f.keys[i]) != k {
+		return Entry{}, false
+	}
+	word, bit := f.tombs[i/64], uint64(1)<<(i%64)
+	if word&bit != 0 {
+		return Entry{PK: f.keys[i], Tombstone: true}, true
+	}
+	r := (f.before[i/64] + i%64 - bits.OnesCount64(word&(bit-1))) * f.width
+	return Entry{PK: f.keys[i], Row: f.rows[r : r+f.width : r+f.width]}, true
+}
+
 // Handle is a lazily-loaded open block: the descriptor's fence answers
 // the cheapest exclusion, the file's bloom the next, and only a surviving
-// probe loads and caches the entries for binary search. Safe for
-// concurrent use.
+// probe loads and caches the entries (in the flat form) for binary search.
+// Safe for concurrent use.
 type Handle struct {
 	path string
 	desc Desc
 
 	once    sync.Once
 	loadErr error
-	filter  *bloom
-	entries []Entry
+	cache   *flat
 }
 
 // NewHandle wraps the block file at path described by desc.
@@ -407,20 +508,9 @@ func (h *Handle) load() error {
 			h.loadErr = err
 			return
 		}
-		hd, err := decodeHeader(raw)
-		if err != nil {
+		if h.cache, err = decodeFlat(raw); err != nil {
 			h.loadErr = fmt.Errorf("block: %s: %w", h.path, err)
-			return
 		}
-		// Copy the bloom out of the file buffer, then decode entries from
-		// the same image.
-		h.filter = bloomFromBytes(append([]byte(nil), hd.filter.bits...))
-		entries, _, err := Decode(raw)
-		if err != nil {
-			h.loadErr = fmt.Errorf("block: %s: %w", h.path, err)
-			return
-		}
-		h.entries = entries
 	})
 	return h.loadErr
 }
@@ -436,21 +526,16 @@ func (h *Handle) MaybeContains(pk float64) bool {
 	if err := h.load(); err != nil {
 		return true
 	}
-	return h.filter.maybeContains(pk)
+	return h.cache.filter.maybeContains(pk)
 }
 
 // Get binary-searches the block for pk. found reports whether the block
-// has an entry for the key (the entry may be a tombstone).
+// has an entry for the key (the entry may be a tombstone). The entry's Row
+// is a view into the handle's cache: read it, do not write it.
 func (h *Handle) Get(pk float64) (e Entry, found bool, err error) {
 	if err := h.load(); err != nil {
 		return Entry{}, false, err
 	}
-	k := keyorder.Rank(pk)
-	i := sort.Search(len(h.entries), func(i int) bool {
-		return keyorder.Rank(h.entries[i].PK) >= k
-	})
-	if i < len(h.entries) && keyorder.Rank(h.entries[i].PK) == k {
-		return h.entries[i], true, nil
-	}
-	return Entry{}, false, nil
+	e, found = h.cache.get(pk)
+	return e, found, nil
 }

@@ -3,9 +3,12 @@ package block
 import (
 	"bytes"
 	"errors"
+	"hash/crc32"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 )
 
@@ -35,8 +38,41 @@ func mkEntries(n, width int, seed int64) []Entry {
 	return entries
 }
 
+// checkFlat fails unless raw decodes into the flat form and answers every
+// key of entries, and the keys around them, as entries has them.
+func checkFlat(t *testing.T, raw []byte, entries []Entry) {
+	t.Helper()
+	f, err := decodeFlat(raw)
+	if err != nil {
+		t.Fatalf("decodeFlat: %v", err)
+	}
+	for i, e := range entries {
+		got, found := f.get(e.PK)
+		if !found || KeyBits(got.PK) != KeyBits(e.PK) || got.Tombstone != e.Tombstone || len(got.Row) != len(e.Row) {
+			t.Fatalf("flat entry %d: got %+v (found %v), want %+v", i, got, found, e)
+		}
+		for j := range e.Row {
+			if math.Float64bits(got.Row[j]) != math.Float64bits(e.Row[j]) {
+				t.Fatalf("flat entry %d col %d: got %v, want %v", i, j, got.Row[j], e.Row[j])
+			}
+		}
+		if !f.filter.maybeContains(e.PK) {
+			t.Fatalf("flat entry %d: bloom false negative", i)
+		}
+		// The key just above is absent unless it is the next entry's.
+		next := math.Float64frombits(math.Float64bits(e.PK) + 1)
+		if _, found := f.get(next); found && (i+1 == len(entries) || KeyBits(entries[i+1].PK) != KeyBits(next)) {
+			t.Fatalf("flat form finds absent key %v", next)
+		}
+	}
+	if rows := len(f.rows); cap(f.rows) != rows {
+		t.Fatalf("flat arena holds %d values in an array of %d", rows, cap(f.rows))
+	}
+}
+
 func TestBlockRoundTrip(t *testing.T) {
-	for _, n := range []int{0, 1, 7, 500} {
+	// The sizes straddle the words of the flat form's tombstone bitmap.
+	for _, n := range []int{0, 1, 7, 63, 64, 65, 129, 500} {
 		entries := mkEntries(n, 3, int64(n)+1)
 		raw, err := Encode(3, entries)
 		if err != nil {
@@ -60,6 +96,53 @@ func TestBlockRoundTrip(t *testing.T) {
 					}
 				}
 			}
+		}
+		checkFlat(t, raw, entries)
+	}
+	// Nothing but tombstones: no arena at all.
+	tombs := []Entry{{PK: 1, Tombstone: true}, {PK: 2, Tombstone: true}}
+	raw, err := Encode(1000, tombs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkFlat(t, raw, tombs)
+}
+
+// resealed returns raw with its checksum recomputed: an image that is
+// corrupt under a valid crc, as a hostile writer would produce it.
+func resealed(raw []byte) []byte {
+	out := append([]byte(nil), raw[:len(raw)-4]...)
+	return appendU32(out, crc32.ChecksumIEEE(out[len(blockMagic):]))
+}
+
+// The two decoders size what they allocate by the bytes present, whatever
+// the header and the flags claim, and agree on what is corrupt.
+func TestDecodeRejectsInconsistentCounts(t *testing.T) {
+	entries := []Entry{{PK: 1, Tombstone: true}, {PK: 2, Tombstone: true}, {PK: 3, Row: []float64{3}}}
+	raw, err := Encode(1, entries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const countAt, widthAt = 8 + 4, 8
+	body := len(raw) - 4 - (9 + 9 + 17) // where the entries start
+	mutations := map[string]func(b []byte){
+		"one entry more than the bytes hold":  func(b []byte) { b[countAt]++ },
+		"one entry fewer":                     func(b []byte) { b[countAt]-- },
+		"a wider row than the bytes hold":     func(b []byte) { b[widthAt] = 2 },
+		"a width only a huge arena could fit": func(b []byte) { b[widthAt+1] = 0xff },
+		"a tombstone flagged as an upsert":    func(b []byte) { b[body+8] = 0 },
+		"an upsert flagged as a tombstone":    func(b []byte) { b[body+18+8] = 1 },
+		"a flag that is neither":              func(b []byte) { b[body+8] = 2 },
+	}
+	for name, mutate := range mutations {
+		bad := append([]byte(nil), raw...)
+		mutate(bad)
+		bad = resealed(bad)
+		if _, _, err := Decode(bad); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: Decode: %v", name, err)
+		}
+		if _, err := decodeFlat(bad); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: decodeFlat: %v", name, err)
 		}
 	}
 }
@@ -142,8 +225,8 @@ func TestWriteReadHandle(t *testing.T) {
 		if err != nil || !found {
 			t.Fatalf("Get(%v): %v found=%v", e.PK, err, found)
 		}
-		if got.Tombstone != e.Tombstone {
-			t.Fatalf("Get(%v) tombstone mismatch", e.PK)
+		if got.Tombstone != e.Tombstone || !slices.Equal(got.Row, e.Row) {
+			t.Fatalf("Get(%v) = %+v, want %+v", e.PK, got, e)
 		}
 	}
 	// Fenced-out keys are excluded without I/O.
@@ -151,7 +234,7 @@ func TestWriteReadHandle(t *testing.T) {
 	if out.MaybeContains(desc.MaxKey + 1) {
 		t.Fatal("fence did not exclude key past max")
 	}
-	if out.entries != nil {
+	if out.cache != nil {
 		t.Fatal("fence probe loaded entries")
 	}
 	if _, found, err := h.Get(desc.MaxKey + 1); err != nil || found {

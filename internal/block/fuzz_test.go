@@ -12,11 +12,19 @@ func FuzzDecodeBlock(f *testing.F) {
 	f.Add(seed[:len(seed)/2])
 	f.Add([]byte{})
 	f.Add(blockMagic)
+	// More than one word of the flat form's tombstone bitmap.
+	wide, _ := Encode(1, mkEntries(150, 1, 2))
+	f.Add(wide)
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		entries, width, err := Decode(raw)
 		if err != nil {
+			// What Decode rejects the flat form rejects.
+			if _, ferr := decodeFlat(raw); ferr == nil {
+				t.Fatalf("decodeFlat accepted an image Decode rejects with %v", err)
+			}
 			return
 		}
+		checkFlat(t, raw, entries)
 		// A clean decode must round-trip byte-identically.
 		out, err := Encode(width, entries)
 		if err != nil {

@@ -287,23 +287,117 @@ func (t *Tree) splitInternal(n *node) (float64, uint64, *node) {
 }
 
 // Delete removes the entry (key, id) if present and reports whether it was
-// found. Underfull nodes are not rebalanced: entries are simply removed,
-// which preserves all ordering invariants and matches the lazy-deletion
-// strategy common in main-memory B+-trees; the TRS-Tree reorganization
-// experiments drive deletes through this path.
+// found. A node the removal leaves hollow is merged with a sibling under
+// the same parent when the two fit in one node (hollow, mergeable); the
+// parent that loses a separator may merge in turn, and a root left with one
+// child gives way to it. There is no borrowing: a hollow node whose
+// siblings are too full stays as it is. What bounds the tree is the pair
+// rule — of two adjacent siblings, one is not hollow or the two do not fit
+// in one node — so its size follows the entries it holds, whatever the
+// number of inserts and deletes behind them.
 func (t *Tree) Delete(key float64, id uint64) bool {
-	n := t.root
-	for !n.leaf {
-		n = n.children[n.childIndex(key, id)]
-	}
-	i := n.search(key, id)
-	if i >= len(n.keys) || cmpKV(n.keys[i], n.tie[i], key, id) != 0 {
+	if !t.delete(t.root, key, id) {
 		return false
 	}
-	n.keys = append(n.keys[:i], n.keys[i+1:]...)
-	n.tie = append(n.tie[:i], n.tie[i+1:]...)
 	t.size--
+	for !t.root.leaf && len(t.root.children) == 1 {
+		t.root = t.root.children[0]
+	}
 	return true
+}
+
+// delete removes (key, id) below n and merges the child it descended into
+// if that came back hollow.
+func (t *Tree) delete(n *node, key float64, id uint64) bool {
+	if n.leaf {
+		i := n.search(key, id)
+		if i >= len(n.keys) || cmpKV(n.keys[i], n.tie[i], key, id) != 0 {
+			return false
+		}
+		n.keys = append(n.keys[:i], n.keys[i+1:]...)
+		n.tie = append(n.tie[:i], n.tie[i+1:]...)
+		return true
+	}
+	ci := n.childIndex(key, id)
+	if !t.delete(n.children[ci], key, id) {
+		return false
+	}
+	if t.hollow(n.children[ci]) {
+		switch {
+		case ci > 0 && t.mergeable(n.children[ci-1], n.children[ci]):
+			t.mergeChildren(n, ci-1)
+		case ci+1 < len(n.children) && t.mergeable(n.children[ci], n.children[ci+1]):
+			t.mergeChildren(n, ci)
+		}
+	}
+	return true
+}
+
+// hollow reports whether n holds few enough entries to look for a sibling
+// to merge with: fewer than half a node, which is less than either side of
+// a split starts with.
+func (t *Tree) hollow(n *node) bool { return len(n.keys) < t.order/2 }
+
+// mergeable reports whether adjacent siblings l and r fit in one node
+// (merging internal nodes takes their separator in as well) with a
+// sixteenth of it to spare. The spare slots are hysteresis: the two halves
+// of a split hold more than that between them, so a node that has just
+// merged does not split on the next insert, nor one that has just split
+// merge on the next delete — the engine's writes come in such pairs, a new
+// version's entry and, at GC, the old one's next to it. Measured on a
+// random insert/delete churn at constant size (100k entries, 1M ops, order
+// 16, B/entry against 35.2 as built): hollow under a quarter with three
+// quarters to fit, 45.3; under a half, 41.1 with three quarters, 38.1 with
+// seven eighths, 36.8 with fifteen sixteenths, 36.0 with the whole node.
+func (t *Tree) mergeable(l, r *node) bool {
+	n := len(l.keys) + len(r.keys)
+	if !l.leaf {
+		n++
+	}
+	return n <= t.order-t.order/16
+}
+
+// mergeChildren moves p.children[i+1] into p.children[i] and removes the
+// separator between them from p. Dropping a separator widens the left
+// child's range to cover the right one's, so no descent — composite or by
+// key alone — is routed differently for any entry that remains.
+func (t *Tree) mergeChildren(p *node, i int) {
+	l, r := p.children[i], p.children[i+1]
+	full := t.order + 1
+	seam := len(l.children) - 1
+	if l.leaf {
+		l.next = r.next
+	} else {
+		l.keys = extend(l.keys, p.keys[i:i+1], full)
+		l.tie = extend(l.tie, p.tie[i:i+1], full)
+		l.children = extend(l.children, r.children, full+1)
+	}
+	l.keys = extend(l.keys, r.keys, full)
+	l.tie = extend(l.tie, r.tie, full)
+	p.keys = append(p.keys[:i], p.keys[i+1:]...)
+	p.tie = append(p.tie[:i], p.tie[i+1:]...)
+	last := len(p.children) - 1
+	copy(p.children[i+1:], p.children[i+2:])
+	p.children[last] = nil
+	p.children = p.children[:last]
+	// Two internal nodes bring their edge children together as siblings,
+	// and no delete may come this way again — a queue drained from one end
+	// can join two empty leaves here, one more with each parent it drains —
+	// so the pair is held to the rule now.
+	if !l.leaf {
+		if a, b := l.children[seam], l.children[seam+1]; (t.hollow(a) || t.hollow(b)) && t.mergeable(a, b) {
+			t.mergeChildren(l, seam)
+		}
+	}
+}
+
+// extend appends more to a node array, first moving it to an array of the
+// full node capacity when more does not fit (see insertAt).
+func extend[T any](s, more []T, full int) []T {
+	if len(s)+len(more) > cap(s) {
+		s = append(make([]T, 0, full), s...)
+	}
+	return append(s, more...)
 }
 
 // Contains reports whether the exact entry (key, id) is present.
@@ -596,10 +690,13 @@ func nodeSize(n *node) uint64 {
 	return s
 }
 
-// checkInvariants walks the tree verifying ordering and structure; it is
-// exported to the package tests via export_test.go.
+// checkInvariants walks the tree verifying ordering and structure — the
+// leaf chain included, which must thread the leaves in the order the
+// descent reaches them; it is exported to the package tests via
+// export_test.go.
 func (t *Tree) checkInvariants() error {
 	count := 0
+	var prevLeaf *node
 	var walk func(n *node, lo float64, loTie uint64, hasLo bool, hi float64, hiTie uint64, hasHi bool) error
 	walk = func(n *node, lo float64, loTie uint64, hasLo bool, hi float64, hiTie uint64, hasHi bool) error {
 		for i := 1; i < len(n.keys); i++ {
@@ -617,6 +714,10 @@ func (t *Tree) checkInvariants() error {
 		}
 		if n.leaf {
 			count += len(n.keys)
+			if prevLeaf != nil && prevLeaf.next != n {
+				return fmt.Errorf("btree: leaf chain skips or repeats a leaf")
+			}
+			prevLeaf = n
 			return nil
 		}
 		if len(n.children) != len(n.keys)+1 {
@@ -639,6 +740,9 @@ func (t *Tree) checkInvariants() error {
 	}
 	if err := walk(t.root, 0, 0, false, 0, 0, false); err != nil {
 		return err
+	}
+	if prevLeaf.next != nil {
+		return fmt.Errorf("btree: leaf chain runs past the last leaf")
 	}
 	if count != t.size {
 		return fmt.Errorf("btree: size %d but %d entries reachable", t.size, count)

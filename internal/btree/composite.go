@@ -140,7 +140,7 @@ func (t *CompositeTree) splitInternal(n *cnode) (float64, float64, uint64, *cnod
 }
 
 // Delete removes the entry ((a, b), id), reporting whether it was found.
-// Like Tree, underfull nodes are not rebalanced.
+// Unlike Tree.Delete, it leaves underfull nodes as they are.
 func (t *CompositeTree) Delete(a, b float64, id uint64) bool {
 	n := t.root
 	for !n.leaf {

@@ -82,6 +82,30 @@ func FuzzTreeTotalOrder(f *testing.F) {
 	}
 	f.Add(seed)
 	f.Add([]byte{0, 4, 1, 0, 5, 2, 0, 6, 3, 5, 2, 3, 5, 4, 4, 5, 6, 5, 6, 0, 0})
+	// Delete-heavy: both trees loaded four levels deep and drained from the
+	// left, from the right and from the middle out, so leaves and internal
+	// nodes merge as first, last and inner children and the root collapses,
+	// with the finger walk and a scan between the deletes.
+	seed = nil
+	const lo, n = 8, 64
+	drains := []func(i int) int{
+		func(i int) int { return i },
+		func(i int) int { return n - 1 - i },
+		func(i int) int { return n/2 + (i+1)/2*(1-2*(i%2)) },
+	}
+	for _, at := range drains {
+		for k := byte(lo); k < lo+n; k++ {
+			seed = append(seed, 0, k, 7, 3, k, 7)
+		}
+		for i := 0; i < n; i++ {
+			k := byte(lo + at(i))
+			seed = append(seed, 1, k, 7, 4, k, 7)
+			if i%4 == 0 {
+				seed = append(seed, 6, 0, 0, 5, lo, lo+n)
+			}
+		}
+	}
+	f.Add(seed)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		uniq, multi := New(4), New(4)

@@ -134,7 +134,8 @@ func (db *DB) Table(name string) (*Table, error) {
 const primaryOrder = 128
 
 // Table is one relation plus its indexes. Rows are multi-versioned (see
-// mvcc.go): every mutation appends an immutable version row to the store,
+// mvcc.go): every mutation puts an immutable version row into the store
+// (in a slot version GC has freed, if there is one),
 // every secondary index keeps one entry per version, the primary index one
 // entry per key, and reads resolve visibility against a commit-timestamp
 // snapshot.

@@ -367,9 +367,9 @@ type MemoryStats struct {
 	PrimaryBytes  uint64
 	ExistingBytes uint64 // complete secondary indexes not marked new
 	NewBytes      uint64 // new complete indexes + Hermit TRS-Trees + CMs
-	// VersionBytes is the MVCC version table (mvcc.go): header chunks, the
-	// key -> newest-version map and the GC queue. It is not part of the
-	// paper's breakdown, so Total leaves it out.
+	// VersionBytes is the MVCC version table (mvcc.go): the header chunks,
+	// one slot per store slot and reused with it, and the GC queue. It is
+	// not part of the paper's breakdown, so Total leaves it out.
 	VersionBytes uint64
 }
 

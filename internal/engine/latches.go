@@ -29,12 +29,19 @@ import (
 //     latches a writer nests, and always primaryMu before verMu: the
 //     commit step (stampInsert, stampUpdate) swaps a key's primary entry
 //     and stamps the version it now names in one hold of both, and GC
-//     drops a dead chain's entry and zeroes its header the same way, so
-//     whoever reads an entry under primaryMu finds a stamped header behind
-//     it. Readers take the two one after the other (entry, then chain
-//     walk) and hold both only for the full-table walks (ScanLive,
-//     DeltaVersions), in the same order. Both are taken inside the
-//     clock's commit lock on the commit path, never the other way round.
+//     reclaims a version — inside its key's stripe — in one exclusive hold
+//     of both: it drops the primary entry if the version is its chain's
+//     head, else cuts the prev link that names it (sever), and zeroes the
+//     header, before the slot is freed for reuse. So whoever reads an
+//     entry under primaryMu finds a stamped header of that key behind it,
+//     and no header's prev names a slot that may have changed hands.
+//     Readers take the two in the same order and hand over — verMu is
+//     taken shared before primaryMu is released (handOver) — so GC cannot
+//     reclaim a head, nor a commit restamp its slot for another key,
+//     between the entry's read and the chain walk; the full-table walks
+//     (ScanLive, DeltaVersions) hold both throughout. Both are taken
+//     inside the clock's commit lock on the commit path, never the other
+//     way round.
 //   - The row store (storage.Table) has its own internal latch and is
 //     always the innermost lock.
 //
@@ -42,8 +49,10 @@ import (
 // (secondary/cm/composite) -> clock commit lock -> primaryMu -> verMu ->
 // store. Writers hold at most one secondary/cm/composite latch at a time
 // and none of them at commit; readers may hold a host-index latch and the
-// primary latch together, always acquiring the primary latch last, and
-// never take the commit lock.
+// primary latch together, always acquiring the primary latch before verMu
+// and after any index latch, and never take the commit lock. GC's severing
+// step sits at stripe -> primaryMu -> verMu, like a commit's stamp without
+// the commit lock: it publishes nothing a snapshot can see.
 
 // stripeBits sizes the striped writer lock: lockStripes = 2^stripeBits.
 // stripeOf takes the top stripeBits of the mixed hash (Fibonacci hashing

@@ -54,11 +54,23 @@ import (
 //
 // Version garbage collection (GCVersions) reclaims versions whose endTS is
 // at or below the oldest timestamp any live snapshot could read, removing
-// their index entries and tombstoning their store rows. The durable layer
+// their index entries and freeing their store rows. The durable layer
 // runs it during block compaction — off the checkpoint critical path — and
 // caps the horizon at its last flush cut so GC can never erase a change
 // (in particular a whole-chain delete) that no block has recorded yet; it
 // is also exported via DB.GC.
+//
+// Reuse rule: a freed row slot, and the header slot that goes with it, is
+// taken by the next insert, so a RID names a version only until GC
+// reclaims it. Nothing the table keeps may name a reclaimed slot: before a
+// version's row is freed GC removes its index entries, drops the primary
+// entry if the version is its chain's head, and otherwise cuts the prev
+// link that leads to it (sever), so a chain walk never steps from one key's
+// versions into the slot's next tenant. A reader keeps its RIDs good by
+// holding its snapshot: no version visible at a registered snapshot is
+// reclaimed. A reused slot's header is zero until its new version commits,
+// and that commit is later than every snapshot that could have met the
+// slot's RID under its old tenant, so to them it stays invisible.
 
 // Clock is the global commit clock a database (or a set of partitioned
 // databases) orders its transactions with. It also registers live
@@ -191,18 +203,20 @@ func (s *Snapshot) Recycle() {
 // verHeader is the visibility record of one version row: the half-open
 // commit-timestamp interval [beginTS, endTS) during which the row is its
 // key's visible incarnation, and the RID of the version it superseded.
-// The zero header means "unstamped or reclaimed" and is invisible at every
-// timestamp (the clock's first commit is 1), so a prev left dangling by GC
-// ends a chain walk by itself. Headers are pointer-free, written once per
-// field at commit under both the clock's commit lock and the table's verMu.
+// The zero header means "unstamped" — a row applied and not yet committed,
+// or a slot GC reclaimed and no commit has refilled — and is invisible at
+// every timestamp (the clock's first commit is 1). Headers are pointer-free,
+// written at commit under both the clock's commit lock and the table's
+// verMu; GC rewrites prev (sever) and zeroes the header under verMu.
 type verHeader struct {
 	beginTS uint64
 	endTS   uint64      // 0 while this is the live version
 	prev    storage.RID // superseded version; noRID when there is none
 }
 
-// noRID is the prev of a chain's oldest version: a RID beyond any block
-// the store can hold, so its header reads as zero.
+// noRID is the prev of a chain's oldest version — the oldest ever, or the
+// oldest GC has left: a RID beyond any block the store can hold, so its
+// header reads as zero and ends a chain walk.
 const noRID = ^storage.RID(0)
 
 // verChunk holds the headers of one storage block, indexed by slot.
@@ -283,37 +297,44 @@ func (db *DB) GCBelow(limit uint64) int {
 // header when the key has never existed (or was fully reclaimed). The
 // result stays the head for as long as the caller holds pk's stripe.
 func (t *Table) head(pk float64) (storage.RID, verHeader) {
-	rid, ok := t.headRID(pk)
-	if !ok {
-		return 0, verHeader{}
-	}
-	t.verMu.RLock()
-	h := t.header(rid)
-	t.verMu.RUnlock()
-	return rid, h
-}
-
-// headRID reads pk's entry in the primary index: the RID of its chain head.
-func (t *Table) headRID(pk float64) (storage.RID, bool) {
 	t.primaryMu.RLock()
 	id, ok := t.primary.Get(pk)
+	t.handOver()
+	var h verHeader
+	if ok {
+		h = t.header(storage.RID(id))
+	}
+	t.verMu.RUnlock()
+	return storage.RID(id), h
+}
+
+// handOver trades the primary latch for the version latch, both shared,
+// taking the second before it lets go of the first. A reader that carries
+// chain heads from the primary index to the version table must not leave a
+// gap between the two holds: GC could drop a dead chain's entry, free its
+// head's slot and a commit stamp another key's version into it, and the
+// walk that set out from the stale head would continue down that key's
+// chain. GC changes both structures under both latches held exclusively,
+// so with the holds overlapping every head read is still its key's when
+// its header is.
+func (t *Table) handOver() {
+	t.verMu.RLock()
 	t.primaryMu.RUnlock()
-	return storage.RID(id), ok
 }
 
 // resolveVisible walks pk's chain to the version visible at ts; false
-// when the key has no visible incarnation. The head is read and the chain
-// walked under separate latch holds: a commit in between ends the head it
-// read, which a walk for any ts already handed out still resolves
-// correctly, and a version GC zeroes in between was invisible at ts.
+// when the key has no visible incarnation. A commit between the caller's
+// snapshot and this walk only adds newer heads in front of the version the
+// walk is after.
 func (t *Table) resolveVisible(pk float64, ts uint64) (storage.RID, bool) {
-	head, ok := t.headRID(pk)
+	t.primaryMu.RLock()
+	head, ok := t.primary.Get(pk)
+	t.handOver()
+	defer t.verMu.RUnlock()
 	if !ok {
 		return 0, false
 	}
-	t.verMu.RLock()
-	defer t.verMu.RUnlock()
-	return t.visibleFrom(head, ts)
+	return t.visibleFrom(storage.RID(head), ts)
 }
 
 // resolveKeys is resolveVisible for a harvest of logical identifiers (what
@@ -321,8 +342,9 @@ func (t *Table) resolveVisible(pk float64, ts uint64) (storage.RID, bool) {
 // primary-index hop of the paper's §5.1 cost model, batched. ids is sorted
 // and deduplicated in place — identifiers sort in key order — so the heads
 // are fetched front to back under one primaryMu hold, a run of keys that
-// share a leaf costing one descent, and resolved under one verMu hold. The visible versions are
-// appended to dst[:0]; the second result is the number of distinct keys.
+// share a leaf costing one descent, and resolved under one verMu hold (see
+// handOver). The visible versions are appended to dst[:0]; the second result
+// is the number of distinct keys.
 func (t *Table) resolveKeys(ids []uint64, ts uint64, dst []storage.RID) ([]storage.RID, int) {
 	slices.Sort(ids)
 	ids = slices.Compact(ids)
@@ -334,28 +356,28 @@ func (t *Table) resolveKeys(ids []uint64, ts uint64, dst []storage.RID) ([]stora
 			dst = append(dst, storage.RID(head))
 		}
 	}
-	t.primaryMu.RUnlock()
-	return t.visibleFromAll(dst, ts), len(ids)
+	t.handOver()
+	dst = t.visibleFromAll(dst, ts)
+	t.verMu.RUnlock()
+	return dst, len(ids)
 }
 
 // visibleFromAll replaces each chain head in heads by the version of its
 // chain visible at ts, dropping the chains that have none; it filters in
-// place under one verMu hold.
+// place. t.verMu is held, taken over from the primaryMu hold the heads were
+// read under (handOver).
 func (t *Table) visibleFromAll(heads []storage.RID, ts uint64) []storage.RID {
 	out := heads[:0]
-	t.verMu.RLock()
 	for _, head := range heads {
 		if rid, ok := t.visibleFrom(head, ts); ok {
 			out = append(out, rid)
 		}
 	}
-	t.verMu.RUnlock()
 	return out
 }
 
 // visibleFrom walks a chain from rid towards older versions to the one
-// visible at ts; t.verMu is held. A zero header (reclaimed, or noRID)
-// ends the chain.
+// visible at ts; t.verMu is held. A zero header (noRID's) ends the chain.
 func (t *Table) visibleFrom(rid storage.RID, ts uint64) (storage.RID, bool) {
 	for {
 		h := t.header(rid)
@@ -423,8 +445,10 @@ func (t *Table) end(old storage.RID, commitTS uint64) {
 }
 
 // versionBytes estimates the heap the version table holds: the header
-// chunks and the GC queue. (The key→head mapping is the primary index,
-// accounted as PrimaryBytes.)
+// chunks (one per store block, reused with the block's slots) and the GC
+// queue's array, which GC compacts in place and so keeps at the size of
+// the longest backlog it has seen. (The key→head mapping is the primary
+// index, accounted as PrimaryBytes.)
 func (t *Table) versionBytes() uint64 {
 	t.verMu.RLock()
 	defer t.verMu.RUnlock()
@@ -451,7 +475,11 @@ func (t *Table) Len() int {
 // MVCC-aware replacement for scanning the row store directly (which also
 // holds superseded and deleted versions awaiting GC).
 func (t *Table) ScanLive(fn func(rid storage.RID, row []float64) bool) {
-	ts := t.clock.Now()
+	// The snapshot keeps the harvested versions from being reclaimed, and
+	// their slots refilled, before their rows are fetched.
+	snap := t.clock.Snapshot()
+	defer snap.Recycle()
+	ts := snap.ts
 	t.primaryMu.RLock()
 	t.verMu.RLock()
 	rids := make([]storage.RID, 0, t.liveRows)
@@ -470,7 +498,7 @@ func (t *Table) ScanLive(fn func(rid storage.RID, row []float64) bool) {
 	for _, rid := range rids {
 		row, err := t.store.Get(rid, buf)
 		if err != nil {
-			continue // reclaimed between harvest and fetch
+			continue // unreachable with the snapshot pinned; defensive
 		}
 		buf = row
 		if !fn(rid, row) {
@@ -545,14 +573,14 @@ func (t *Table) DeltaVersions(prevTS, ts uint64) []block.Entry {
 }
 
 // GCVersions reclaims every version whose endTS is at or below horizon:
-// its secondary-index entries are removed, its store row tombstoned and
-// its header zeroed. A fully dead chain (deleted key old enough to
-// reclaim) also gives up its primary-index entry. It returns the number of
-// versions reclaimed. The pass drains the queue of ended versions, oldest
-// first, so it costs O(versions reclaimed), not O(table). Safe to run
-// concurrently with readers and writers: each version is reclaimed under
-// its key's stripe, and only versions invisible to every snapshot at or
-// after horizon are touched.
+// its secondary-index entries are removed, its header zeroed and its store
+// row freed — slot and header slot go to the next insert. A fully dead
+// chain (deleted key old enough to reclaim) also gives up its primary-index
+// entry. It returns the number of versions reclaimed. The pass drains the
+// queue of ended versions, so it costs O(versions reclaimed), not O(table).
+// Safe to run concurrently with readers and writers: each version is
+// reclaimed under its key's stripe, and only versions invisible to every
+// snapshot at or after horizon are touched.
 func (t *Table) GCVersions(horizon uint64) int {
 	t.catalog.RLock()
 	defer t.catalog.RUnlock()
@@ -562,27 +590,43 @@ func (t *Table) GCVersions(horizon uint64) int {
 	for n < len(t.ended) && t.header(t.ended[n]).endTS <= horizon {
 		n++
 	}
-	dead := t.ended[:n:n]
-	t.ended = t.ended[n:]
+	if n == 0 {
+		t.verMu.Unlock()
+		return 0
+	}
+	// The queue keeps its array (appends refill the front that the copy
+	// vacates), so the batch is copied out of it.
+	dead := slices.Clone(t.ended[:n])
+	t.ended = t.ended[:copy(t.ended, t.ended[n:])]
 	t.verMu.Unlock()
 
+	// Newest first: a chain's versions end in order, so the first of a
+	// chain's versions met here is the newest the pass reclaims. Cutting the
+	// link to it takes every older one off the chain with it, and their
+	// turns find nothing left to cut after a walk over the versions that
+	// stay — in queue order each would walk the whole backlog of its chain.
 	var row []float64
-	for _, rid := range dead {
+	for i := n - 1; i >= 0; i-- {
+		rid := dead[i]
 		var err error
 		if row, err = t.store.Get(rid, row); err != nil {
-			continue // unreachable: only this pass tombstones version rows
+			continue // unreachable: only this pass frees version rows
 		}
 		pk := row[t.pkCol]
 		// Writers of this key hold its stripe from reading the head to
 		// stamping over it, so they never see the head entry vanish.
 		stripe := t.rows.mu(pk)
 		stripe.Lock()
-		// A dead version that is still its key's head is the whole chain:
-		// everything older ended earlier and was reclaimed before it. The
+		// A dead version that is still its key's head is the whole chain
+		// (everything older ended earlier and is unreachable without it): the
 		// exact-entry delete removes the primary entry in that case alone.
+		// Otherwise the version hangs off a newer one, whose link to it goes
+		// before the slot does (the reuse rule).
 		t.primaryMu.Lock()
-		t.primary.Delete(pk, uint64(rid))
 		t.verMu.Lock()
+		if !t.primary.Delete(pk, uint64(rid)) {
+			t.sever(pk, rid)
+		}
 		t.stamp(rid, verHeader{})
 		t.verMu.Unlock()
 		t.primaryMu.Unlock()
@@ -590,5 +634,25 @@ func (t *Table) GCVersions(horizon uint64) int {
 		t.store.Delete(rid)
 		stripe.Unlock()
 	}
-	return len(dead)
+	return n
+}
+
+// sever cuts the prev link that names victim, a version of pk about to be
+// reclaimed, out of pk's chain; t.primaryMu and t.verMu are held
+// exclusively. The walk from the head passes only versions that stay — no
+// link names a reclaimed slot — and finds none to cut when an earlier turn
+// of the pass already took victim off the chain.
+func (t *Table) sever(pk float64, victim storage.RID) {
+	head, ok := t.primary.Get(pk)
+	if !ok {
+		return
+	}
+	for rid := storage.RID(head); t.header(rid).beginTS != 0; {
+		h := &t.vers[rid.Block()][rid.Slot()]
+		if h.prev == victim {
+			h.prev = noRID
+			return
+		}
+		rid = h.prev
+	}
 }

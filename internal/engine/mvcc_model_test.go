@@ -18,8 +18,12 @@ import (
 // oracle that keeps every version of every key in a plain map. After every
 // GC pass each open snapshot must still resolve exactly the oracle's rows
 // through PointQueryAt, RangeQueryAt on every access path the planner
-// offers, ScanLive and DeltaVersions, and the pass must have reclaimed
-// exactly the versions the oracle says no snapshot can reach.
+// offers, ScanLive and DeltaVersions, the pass must have reclaimed exactly
+// the versions the oracle says no snapshot can reach, and no version left
+// may link to a slot the pass freed (checkChains). One op of the mix is a
+// fixed schedule (reuse, in runMVCCModel) that puts another key's version
+// into a slot a chain used to pass through and reads at the snapshots that
+// would walk into it.
 
 // modelVer is one version of one key in the oracle.
 type modelVer struct {
@@ -161,20 +165,13 @@ func (m *modelTable) checkQuery(t *testing.T, snap *Snapshot, col int, lo, hi fl
 	}
 }
 
-// checkLive compares Len, ScanLive and DeltaVersions(pinned, now) with the
-// oracle; now is the latest commit timestamp and pinned that of an open
-// snapshot.
-func (m *modelTable) checkLive(t *testing.T, now, pinned uint64) {
+// checkLive compares Len and ScanLive with the oracle.
+func (m *modelTable) checkLive(t *testing.T) {
 	t.Helper()
 	live := make(map[uint64][]float64)
-	delta := make(map[uint64]*modelVer) // key -> newest version, if it changed in (pinned, now]
 	for k, vs := range m.vers {
-		v := vs[len(vs)-1]
-		if v.end == 0 {
+		if v := vs[len(vs)-1]; v.end == 0 {
 			live[k] = v.row
-		}
-		if v.begin > pinned || v.end > pinned {
-			delta[k] = v
 		}
 	}
 	if m.tb.Len() != len(live) {
@@ -183,17 +180,71 @@ func (m *modelTable) checkLive(t *testing.T, now, pinned uint64) {
 	var rids []storage.RID
 	m.tb.ScanLive(func(rid storage.RID, _ []float64) bool { rids = append(rids, rid); return true })
 	m.checkRIDs(t, "ScanLive", rids, live)
+}
 
-	entries := m.tb.DeltaVersions(pinned, now)
+// checkDelta compares DeltaVersions(pinned, ts) with the oracle; pinned is
+// the timestamp of the oldest open snapshot and ts at or above it.
+func (m *modelTable) checkDelta(t *testing.T, pinned, ts uint64) {
+	t.Helper()
+	delta := make(map[uint64]*modelVer) // key -> its incarnation as of ts, if it changed in (pinned, ts]
+	for k, vs := range m.vers {
+		i := len(vs) - 1
+		for i >= 0 && vs[i].begin > ts {
+			i--
+		}
+		if i < 0 {
+			continue
+		}
+		if v := vs[i]; v.visibleAt(ts) && v.begin > pinned || !v.visibleAt(ts) && v.end > pinned {
+			delta[k] = v
+		}
+	}
+	entries := m.tb.DeltaVersions(pinned, ts)
 	if len(entries) != len(delta) {
-		t.Fatalf("DeltaVersions(%d, %d): %d entries, oracle has %d", pinned, now, len(entries), len(delta))
+		t.Fatalf("DeltaVersions(%d, %d): %d entries, oracle has %d", pinned, ts, len(entries), len(delta))
 	}
 	for _, e := range entries {
 		v := delta[block.KeyBits(e.PK)]
-		if v == nil || e.Tombstone != (v.end != 0) || (!e.Tombstone && !sameRow(e.Row, v.row)) {
-			t.Fatalf("DeltaVersions(%d, %d): entry %+v, oracle version %+v", pinned, now, e, v)
+		if v == nil || e.Tombstone == v.visibleAt(ts) || (!e.Tombstone && !sameRow(e.Row, v.row)) {
+			t.Fatalf("DeltaVersions(%d, %d): entry %+v, oracle version %+v", pinned, ts, e, v)
 		}
 		delete(delta, block.KeyBits(e.PK)) // a second entry for the key finds nil
+	}
+}
+
+// checkChains asserts the reuse rule on the version table itself: every
+// stamped header sits on a live row, and its prev, if it has one, names a
+// stamped version of the same key — not a slot GC freed, and not the row
+// an insert has since put there.
+func (m *modelTable) checkChains(t *testing.T) {
+	t.Helper()
+	tb := m.tb
+	tb.verMu.RLock()
+	defer tb.verMu.RUnlock()
+	for b, chunk := range tb.vers {
+		if chunk == nil {
+			continue
+		}
+		for s, h := range chunk {
+			if h.beginTS == 0 {
+				continue
+			}
+			rid := storage.MakeRID(uint64(b), uint16(s))
+			row, err := tb.store.Get(rid, nil)
+			if err != nil {
+				t.Fatalf("version %v is stamped %+v but its row reads %v", rid, h, err)
+			}
+			if h.prev == noRID {
+				continue
+			}
+			prev, err := tb.store.Get(h.prev, nil)
+			if err != nil {
+				t.Fatalf("version %v of key %v: prev %v is a free slot (%v)", rid, row[tb.pkCol], h.prev, err)
+			}
+			if block.KeyBits(prev[tb.pkCol]) != block.KeyBits(row[tb.pkCol]) || tb.header(h.prev).beginTS == 0 {
+				t.Fatalf("version %v of key %v: prev %v holds key %v, header %+v", rid, row[tb.pkCol], h.prev, prev[tb.pkCol], tb.header(h.prev))
+			}
+		}
 	}
 }
 
@@ -331,44 +382,114 @@ func runMVCCModel(t *testing.T, scheme hermit.PointerScheme, seed int64, ops int
 				m.checkQuery(t, s, col, lo, lo)
 			}
 		}
-		m.checkLive(t, ts, snaps[0].ts)
+		m.checkLive(t)
+		// The flush cut's harvest, up to now and up to each snapshot: a cut
+		// below a chain's head makes DeltaVersions walk the chain.
+		m.checkDelta(t, snaps[0].ts, ts)
+		for _, s := range snaps[1:] {
+			m.checkDelta(t, snaps[0].ts, s.ts)
+		}
+	}
+	// The auto-commit writes, each checked against and mirrored into the
+	// oracle.
+	insert := func(row []float64) {
+		_, err := tb.Insert(row)
+		if live := m.at(row[0], ts) != nil; live != errors.Is(err, ErrDupKey) || (!live && err != nil) {
+			t.Fatalf("insert %v: err=%v, oracle live=%v", row[0], err, live)
+		}
+		if err == nil {
+			ts++
+			m.put(row[0], row, ts)
+		}
+	}
+	update := func(pk float64, col int, v float64) {
+		cur := m.at(pk, ts)
+		err := tb.UpdateColumn(pk, col, v)
+		if (cur != nil) != (err == nil) {
+			t.Fatalf("update %v: err=%v, oracle row %v", pk, err, cur)
+		}
+		if cur != nil && cur[col] != v {
+			row := append([]float64(nil), cur...)
+			row[col] = v
+			ts++
+			m.put(pk, row, ts)
+		}
+	}
+	del := func(pk float64) {
+		found, err := tb.Delete(pk)
+		if live := m.at(pk, ts) != nil; err != nil || found != live {
+			t.Fatalf("delete %v: found=%v err=%v, oracle live=%v", pk, found, err, live)
+		}
+		if found {
+			ts++
+			m.put(pk, nil, ts)
+		}
+	}
+	gc := func() {
+		h := horizon()
+		want := m.reclaim(h)
+		if got := db.GC(); got != want {
+			t.Fatalf("GC at horizon %d reclaimed %d versions, oracle %d", h, got, want)
+		}
+		m.checkChains(t)
+	}
+	// reuse is the schedule that tells slot reuse from slot reuse done
+	// right: delete(A) → insert(A) → GC → a write of another key landing in
+	// the slot of A's reclaimed version, read at snapshots taken between
+	// A's two commits. A's new head was linked to that slot when it was
+	// stamped; unless GC cut the link, a walk from the head at a snapshot
+	// that predates it goes on into the slot's new tenant — and, when that
+	// is an updated row's version, down that row's chain to a version the
+	// snapshot does see: key A reads another key's row.
+	fresh := 1000.0 // keys the random ops never touch
+	reuse := func(byUpdate bool) {
+		if open != nil {
+			open.x.Rollback()
+			open = nil
+		}
+		for _, s := range snaps {
+			s.Release()
+		}
+		snaps = snaps[:0]
+		gc() // everything ended so far
+		for tb.store.Deleted() > 0 {
+			fresh++
+			insert(newRow(fresh)) // and no free slot but the one to come
+		}
+		a, b := pick(), float64(130+rng.Intn(270)) // b: preloaded, never deleted
+		insert(newRow(a))                          // live already, or now
+		slot, _ := tb.head(a)
+		del(a)
+		snaps = append(snaps, db.Snapshot()) // A deleted
+		update(b, 2, m.at(b, ts)[2]+1)
+		snaps = append(snaps, db.Snapshot()) // and B changed since
+		insert(newRow(a))
+		gc() // A's deleted version, and nothing else
+		if n := tb.store.Deleted(); n != 1 {
+			t.Fatalf("reuse: %d free slots after reclaiming one version", n)
+		}
+		if byUpdate {
+			update(b, 2, m.at(b, ts)[2]+1)
+		} else {
+			fresh++
+			b = fresh
+			insert(newRow(b))
+		}
+		if rid, _ := tb.head(b); rid != slot {
+			t.Fatalf("reuse: key %v's version went to %v, not to the free slot %v", b, rid, slot)
+		}
+		m.checkChains(t)
+		verify()
 	}
 
 	for op := 0; op < ops; op++ {
 		switch r := rng.Intn(100); {
-		case r < 24: // insert
-			row := newRow(pickAny())
-			_, err := tb.Insert(row)
-			if live := m.at(row[0], ts) != nil; live != errors.Is(err, ErrDupKey) || (!live && err != nil) {
-				t.Fatalf("insert %v: err=%v, oracle live=%v", row[0], err, live)
-			}
-			if err == nil {
-				ts++
-				m.put(row[0], row, ts)
-			}
-		case r < 48: // update
-			pk, col, v := pickAny(), 1+rng.Intn(2), float64(rng.Intn(1000))
-			cur := m.at(pk, ts)
-			err := tb.UpdateColumn(pk, col, v)
-			if (cur != nil) != (err == nil) {
-				t.Fatalf("update %v: err=%v, oracle row %v", pk, err, cur)
-			}
-			if cur != nil && cur[col] != v {
-				row := append([]float64(nil), cur...)
-				row[col] = v
-				ts++
-				m.put(pk, row, ts)
-			}
-		case r < 64: // delete
-			pk := pickAny()
-			found, err := tb.Delete(pk)
-			if live := m.at(pk, ts) != nil; err != nil || found != live {
-				t.Fatalf("delete %v: found=%v err=%v, oracle live=%v", pk, found, err, live)
-			}
-			if found {
-				ts++
-				m.put(pk, nil, ts)
-			}
+		case r < 24:
+			insert(newRow(pickAny()))
+		case r < 48:
+			update(pickAny(), 1+rng.Intn(2), float64(rng.Intn(1000)))
+		case r < 64:
+			del(pickAny())
 		case r < 70: // begin a transaction
 			if open == nil {
 				open = &modelTxn{x: db.Begin(), ts: ts, writes: map[uint64]*txnWrite{}, keys: map[uint64]float64{}}
@@ -451,13 +572,11 @@ func runMVCCModel(t *testing.T, scheme hermit.PointerScheme, seed int64, ops int
 				snaps[i].Release()
 				snaps = append(snaps[:i], snaps[i+1:]...)
 			}
-		default: // GC, then every snapshot must still read its state
-			h := horizon()
-			want := m.reclaim(h)
-			if got := db.GC(); got != want {
-				t.Fatalf("GC at horizon %d reclaimed %d versions, oracle %d", h, got, want)
-			}
+		case r < 98: // GC, then every snapshot must still read its state
+			gc()
 			verify()
+		default:
+			reuse(r == 99)
 		}
 	}
 	if open != nil {
@@ -474,10 +593,7 @@ func runMVCCModel(t *testing.T, scheme hermit.PointerScheme, seed int64, ops int
 	snaps[0].Release()
 	snaps[0] = db.Snapshot()
 	defer snaps[0].Release()
-	want := m.reclaim(ts)
-	if got := db.GC(); got != want {
-		t.Fatalf("final GC reclaimed %d versions, oracle %d", got, want)
-	}
+	gc()
 	verify()
 	if n := db.GC(); n != 0 {
 		t.Fatalf("idle GC reclaimed %d versions", n)

@@ -615,3 +615,90 @@ func TestCheckpointRunsVersionGC(t *testing.T) {
 		t.Fatalf("recovered pk 7 v = %v, want 5", v)
 	}
 }
+
+// TestReclaimedHeadNotWalked hammers the window the reuse of version slots
+// opens between a reader's two latch holds. A key that was deleted keeps its
+// primary entry, naming the dead head, until GC reclaims the chain; the slot
+// then goes to the next insert. A reader that fetched the head, let go of
+// the primary latch and only then took the version latch could find another
+// key's freshly stamped version in the slot — invisible to it, but linked
+// to that key's older version, which it does see — and return that row for
+// the deleted key. Ghost keys are inserted, deleted and reclaimed while
+// updates of the resident keys refill their slots; whatever a read of the
+// ghost keys returns must carry a ghost key (see handOver). The window is a
+// few instructions wide: with the two holds taken one after the other the
+// test needs a yield between them to fail, and then fails at once.
+func TestReclaimedHeadNotWalked(t *testing.T) {
+	for _, scheme := range []hermit.PointerScheme{hermit.PhysicalPointers, hermit.LogicalPointers} {
+		t.Run(scheme.String(), func(t *testing.T) { reclaimedHeadNotWalked(t, scheme) })
+	}
+}
+
+func reclaimedHeadNotWalked(t *testing.T, scheme hermit.PointerScheme) {
+	db := NewDB(scheme)
+	tb, err := db.CreateTable("t", []string{"pk", "a"}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const residents, ghosts, ghost0 = 64, 8, 1000
+	for pk := 0; pk < residents; pk++ {
+		if _, err := tb.Insert([]float64{float64(pk), 0}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := tb.CreateBTreeIndex(1, false); err != nil {
+		t.Fatal(err)
+	}
+	rounds := 4000
+	if testing.Short() || raceEnabled {
+		rounds = 1000
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for range 2 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				snap := db.Snapshot()
+				lo, hi := float64(ghost0+i%ghosts), float64(ghost0+i%ghosts)
+				if i%3 == 0 {
+					lo, hi = ghost0, ghost0+ghosts
+				}
+				rids, _, err := tb.RangeQueryAt(snap, 0, lo, hi)
+				for _, rid := range rids {
+					if pk, _ := tb.Store().Value(rid, 0); pk < lo || pk > hi {
+						err = fmt.Errorf("read of keys [%v, %v] at ts %d returned key %v", lo, hi, snap.TS(), pk)
+					}
+				}
+				snap.Release()
+				if err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	for r := 0; r < rounds; r++ {
+		g := float64(ghost0 + r%ghosts)
+		if _, err := tb.Insert([]float64{g, -1}); err != nil {
+			t.Fatal(err)
+		}
+		if ok, err := tb.Delete(g); err != nil || !ok {
+			t.Fatalf("delete of ghost key %v: %v %v", g, ok, err)
+		}
+		db.GC()
+		for i := 0; i < 4; i++ {
+			if err := tb.UpdateColumn(float64((4*r+i)%residents), 1, float64(r+1)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	close(stop)
+	wg.Wait()
+}

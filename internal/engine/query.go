@@ -429,12 +429,13 @@ func (t *Table) primaryRange(snap *Snapshot, lo, hi float64, dst []storage.RID) 
 	sc.ids = sc.ids[:0]
 	t.primaryMu.RLock()
 	t.primary.Scan(lo, hi, sc.appendID)
-	t.primaryMu.RUnlock()
 	out := resultBuf(dst, len(sc.ids))
 	for _, head := range sc.ids {
 		out = append(out, storage.RID(head))
 	}
+	t.handOver()
 	out = t.visibleFromAll(out, snap.ts)
+	t.verMu.RUnlock()
 	st.Rows, st.Candidates = len(out), len(sc.ids)
 	return out, st, nil
 }
@@ -463,6 +464,10 @@ func (t *Table) scanRange(snap *Snapshot, col int, lo, hi float64, dst []storage
 
 // FetchRows materialises rows for a RID list (what a real query plan would
 // do after index retrieval); the buffer is reused across calls via dst.
+// The RIDs must come from a query at a snapshot that is still open, or
+// from one that no write to those rows and GC pass has followed: a RID
+// whose version has been reclaimed reads ErrTombstoned until the slot is
+// reused, and the slot's new row afterwards.
 func (t *Table) FetchRows(rids []storage.RID, dst [][]float64) ([][]float64, error) {
 	if cap(dst) < len(rids) {
 		dst = make([][]float64, 0, len(rids))

@@ -271,7 +271,7 @@ func (t *DiskTree) splitInternal(id PageID, n *dnode) (float64, uint64, PageID, 
 }
 
 // Delete removes the entry (key, id) and reports whether it was found.
-// Like the in-memory tree, underfull pages are not rebalanced.
+// Underfull pages are not rebalanced (the in-memory tree merges them).
 func (t *DiskTree) Delete(key float64, id uint64) (bool, error) {
 	nid := t.rootID
 	for {

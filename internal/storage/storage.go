@@ -3,12 +3,22 @@
 // rows of float64 columns stored in block-allocated arenas; rows are
 // addressed by record identifiers (RIDs) in the paper's "blockID+offset"
 // physical-pointer format (§5.1).
+//
+// A row never moves, so its RID is stable for as long as the row exists. A
+// deleted row's slot is free, and the next insert fills a free slot before
+// it appends: the arenas hold as many slots as the table has had rows at
+// once, not as many as it has ever been given. A RID therefore names a row
+// only until that row is deleted — afterwards it reads ErrTombstoned, and
+// after the slot's next insert it reads the new row. Whoever keeps RIDs
+// across deletes (the engine's indexes and version chains) drops them
+// before it deletes the row.
 package storage
 
 import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"sync"
 )
 
@@ -46,11 +56,13 @@ var (
 	ErrOutOfBounds = errors.New("storage: RID out of bounds")
 )
 
-// block is one fixed-capacity arena of rows plus a deletion bitmap.
+// block is one fixed-capacity arena of rows plus a deletion bitmap, which
+// doubles as the block's free-slot set.
 type block struct {
 	data []float64 // BlockRows * width values
-	dead []uint64  // bitmap, BlockRows bits
-	used int       // rows appended so far (including deleted)
+	dead []uint64  // bitmap, BlockRows bits: the free slots below used
+	used int       // slots handed out so far (live or free)
+	free int       // bits set in dead
 }
 
 func newBlock(width int) *block {
@@ -66,19 +78,37 @@ func (b *block) isDead(slot uint16) bool {
 
 func (b *block) setDead(slot uint16) {
 	b.dead[slot/64] |= 1 << (slot % 64)
+	b.free++
 }
 
-// Table is an append-only row store with tombstone deletes. It is safe for
-// one writer and any number of concurrent readers: mutations take the write
-// latch, reads and scans the read latch. Scans hold the read latch for
-// their full duration, so long scans (e.g. TRS-Tree reorganization
-// rescans) briefly delay writers.
+// takeFree claims the block's lowest free slot; b.free is positive.
+func (b *block) takeFree() uint16 {
+	for w, word := range b.dead {
+		if word != 0 {
+			s := bits.TrailingZeros64(word)
+			b.dead[w] = word &^ (1 << s)
+			b.free--
+			return uint16(w*64 + s)
+		}
+	}
+	panic("storage: free count and deletion bitmap disagree")
+}
+
+// Table is a row store whose deletes free the row's slot for the next
+// insert. It is safe for one writer and any number of concurrent readers:
+// mutations take the write latch, reads and scans the read latch. Scans
+// hold the read latch for their full duration, so long scans (e.g. TRS-Tree
+// reorganization rescans) briefly delay writers.
 type Table struct {
-	mu      sync.RWMutex
-	width   int
-	blocks  []*block
+	mu     sync.RWMutex
+	width  int
+	blocks []*block
+	// holes stacks the blocks that have a free slot. An insert fills the top
+	// block's slots lowest first, so refills stay within one block until it
+	// is full again.
+	holes   []uint32
 	live    int // rows inserted minus rows deleted
-	deleted int
+	deleted int // free slots: rows deleted and not yet overwritten
 }
 
 // NewTable creates a table with the given number of float64 columns.
@@ -99,20 +129,34 @@ func (t *Table) Len() int {
 	return t.live
 }
 
-// Deleted returns the number of tombstoned rows awaiting compaction.
+// Deleted returns the number of free slots: rows deleted whose slot no
+// insert has filled yet.
 func (t *Table) Deleted() int {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	return t.deleted
 }
 
-// Insert appends a row and returns its RID. The row is copied.
+// Insert stores a copy of row in a free slot, or appends it when there is
+// none, and returns its RID.
 func (t *Table) Insert(row []float64) (RID, error) {
 	if len(row) != t.width {
 		return 0, ErrBadRow
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	t.live++
+	if n := len(t.holes); n > 0 {
+		bi := t.holes[n-1]
+		b := t.blocks[bi]
+		slot := b.takeFree()
+		if b.free == 0 {
+			t.holes = t.holes[:n-1]
+		}
+		t.deleted--
+		copy(b.data[int(slot)*t.width:], row)
+		return MakeRID(uint64(bi), slot), nil
+	}
 	if len(t.blocks) == 0 || t.blocks[len(t.blocks)-1].used == BlockRows {
 		t.blocks = append(t.blocks, newBlock(t.width))
 	}
@@ -120,7 +164,6 @@ func (t *Table) Insert(row []float64) (RID, error) {
 	slot := uint16(b.used)
 	copy(b.data[int(slot)*t.width:], row)
 	b.used++
-	t.live++
 	return MakeRID(uint64(len(t.blocks)-1), slot), nil
 }
 
@@ -189,8 +232,9 @@ func (t *Table) Set(rid RID, col int, v float64) error {
 	return nil
 }
 
-// Delete tombstones the row at rid. Deleting an already-deleted row is an
-// error so that index maintenance bugs surface instead of silently passing.
+// Delete removes the row at rid and frees its slot for a later insert.
+// Deleting an already-deleted row is an error so that index maintenance
+// bugs surface instead of silently passing.
 func (t *Table) Delete(rid RID) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -199,6 +243,9 @@ func (t *Table) Delete(rid RID) error {
 		return err
 	}
 	b.setDead(slot)
+	if b.free == 1 {
+		t.holes = append(t.holes, uint32(rid.Block()))
+	}
 	t.live--
 	t.deleted++
 	return nil
@@ -300,13 +347,14 @@ func (t *Table) ColumnBounds(col int) (lo, hi float64, ok bool) {
 	return lo, hi, true
 }
 
-// SizeBytes estimates the heap footprint of the table: data arenas plus
-// deletion bitmaps. Used by the memory-consumption experiments (Figs. 5, 7,
+// SizeBytes estimates the heap footprint of the table: data arenas,
+// deletion bitmaps (which are the free-slot sets) and the stack of blocks
+// with a free slot. Used by the memory-consumption experiments (Figs. 5, 7,
 // 18–20).
 func (t *Table) SizeBytes() uint64 {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	var s uint64
+	s := uint64(cap(t.holes)) * 4
 	for _, b := range t.blocks {
 		s += uint64(len(b.data))*8 + uint64(len(b.dead))*8 + 16
 	}

@@ -324,3 +324,101 @@ func BenchmarkValue(b *testing.B) {
 		}
 	}
 }
+
+// A deleted row's slot is the next insert's: the table holds as many slots
+// as it has had rows at once, however many it has been given.
+func TestInsertReusesFreedSlots(t *testing.T) {
+	const n = 3*BlockRows + 100
+	tb := NewTable(2)
+	rids := make([]RID, n)
+	for i := range rids {
+		rids[i], _ = tb.Insert([]float64{float64(i), 0})
+	}
+	blocks, size := len(tb.blocks), tb.SizeBytes()
+
+	// A slot freed and not yet refilled is out of every scan and read.
+	gone := []RID{rids[0], rids[BlockRows+7], rids[n-1]}
+	for _, rid := range gone {
+		if err := tb.Delete(rid); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if tb.Len() != n-3 || tb.Deleted() != 3 {
+		t.Fatalf("after 3 deletes: len=%d deleted=%d", tb.Len(), tb.Deleted())
+	}
+	seen := map[RID]bool{}
+	tb.Scan(func(rid RID, _ []float64) bool { seen[rid] = true; return true })
+	pairs := 0
+	tb.ScanPairs(0, 1, func(rid RID, _, _ float64) bool {
+		if !seen[rid] {
+			t.Fatalf("ScanPairs yields %v, Scan does not", rid)
+		}
+		pairs++
+		return true
+	})
+	if len(seen) != n-3 || pairs != n-3 {
+		t.Fatalf("Scan saw %d rows, ScanPairs %d, want %d", len(seen), pairs, n-3)
+	}
+	for _, rid := range gone {
+		if seen[rid] {
+			t.Fatalf("Scan yields the freed slot %v", rid)
+		}
+		if _, err := tb.Get(rid, nil); err != ErrTombstoned {
+			t.Fatalf("Get of the freed slot %v: %v", rid, err)
+		}
+	}
+	// The next three inserts take exactly those slots, and then the table
+	// appends again.
+	for i := 0; i < 3; i++ {
+		rid, err := tb.Insert([]float64{-1, float64(i)})
+		if err != nil || (rid != gone[0] && rid != gone[1] && rid != gone[2]) {
+			t.Fatalf("insert %d went to %v (%v), not to a freed slot", i, rid, err)
+		}
+		if v, _ := tb.Value(rid, 1); v != float64(i) {
+			t.Fatalf("refilled slot %v reads %v", rid, v)
+		}
+		rids[int(rid.Block())*BlockRows+int(rid.Slot())] = rid
+	}
+	if tb.Len() != n || tb.Deleted() != 0 {
+		t.Fatalf("after refilling: len=%d deleted=%d", tb.Len(), tb.Deleted())
+	}
+	if rid, _ := tb.Insert([]float64{-2, 0}); rid != MakeRID(3, 100) {
+		t.Fatalf("insert into a table without free slots went to %v", rid)
+	}
+	tb.Delete(MakeRID(3, 100))
+
+	// Ten turnovers of every row, in random order, a tenth of the table
+	// free at a time: not one block more.
+	rng := rand.New(rand.NewSource(1))
+	const none = ^RID(0)
+	refill := func(turn int) {
+		for j := range rids {
+			if rids[j] == none {
+				rids[j], _ = tb.Insert([]float64{float64(j), float64(turn)})
+			}
+		}
+	}
+	for turn := 0; turn < 10; turn++ {
+		for _, i := range rng.Perm(n) {
+			if err := tb.Delete(rids[i]); err != nil {
+				t.Fatalf("turn %d: delete %v: %v", turn, rids[i], err)
+			}
+			rids[i] = none
+			if tb.Deleted() > n/10 {
+				refill(turn)
+			}
+		}
+		refill(turn)
+	}
+	if len(tb.blocks) != blocks || tb.Len() != n || tb.Deleted() != 1 {
+		t.Fatalf("after 10 turnovers: %d blocks (was %d), len=%d deleted=%d", len(tb.blocks), blocks, tb.Len(), tb.Deleted())
+	}
+	if got := tb.SizeBytes(); got > size+64 {
+		t.Fatalf("SizeBytes %d after 10 turnovers, %d as loaded", got, size)
+	}
+	for j, rid := range rids {
+		if v, err := tb.Value(rid, 0); err != nil || v != float64(j) {
+			t.Fatalf("row %d at %v reads %v (%v)", j, rid, v, err)
+		}
+	}
+}

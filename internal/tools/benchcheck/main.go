@@ -115,6 +115,7 @@ type hotpathArtifact struct {
 		NsPerOp     *float64 `json:"ns_per_op"`
 		AllocsPerOp *float64 `json:"allocs_per_op"`
 		OpsPerSec   *float64 `json:"ops_per_sec"`
+		HeapPerRow  float64  `json:"heap_bytes_per_live_row"`
 	} `json:"lanes"`
 }
 
@@ -125,10 +126,12 @@ var hotpathLaneProcs = []int{1, 4}
 // hotpathWorkloads are the operations the hotpath artifact must record: the
 // read paths under the zero-alloc contract, the durable and wire paths, and
 // the write path and primary-index hop (mem_update, mem_delete,
-// logical_range), whose ns/op is where a change to the primary index shows.
+// logical_range), whose ns/op is where a change to the primary index shows,
+// and the write churn with version GC on its path, which also records the
+// heap it holds per live row.
 var hotpathWorkloads = []string{
 	"point_read", "range_scan", "partitioned_scan", "durable_insert", "wire_point",
-	"mem_update", "mem_delete", "logical_range",
+	"mem_update", "mem_delete", "logical_range", "churn",
 }
 
 // checkHotpath enforces the hotpath artifact's extra contract: every
@@ -163,6 +166,9 @@ func checkHotpath(raw []byte) error {
 		}
 		if l.OpsPerSec == nil || *l.OpsPerSec <= 0 {
 			return fmt.Errorf("%s@%d: missing ops_per_sec", l.Workload, l.GOMAXPROCS)
+		}
+		if l.Workload == "churn" && l.HeapPerRow <= 0 {
+			return fmt.Errorf("churn@%d: missing heap_bytes_per_live_row", l.GOMAXPROCS)
 		}
 		if procsSeen[l.Workload] == nil {
 			procsSeen[l.Workload] = map[int]bool{}
