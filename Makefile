@@ -21,13 +21,6 @@ BENCH_EXPERIMENTS = concurrency,durability,compaction,advisor,partition,txn,serv
 # uploads it as the profiles artifact.
 PROFILE_DIR = profiles
 
-# Propagate a `make bench-all GOMAXPROCS=4` override into the spawned
-# bench processes (make variables are not exported to children by
-# default). The multi-core CI lane relies on this.
-ifdef GOMAXPROCS
-export GOMAXPROCS
-endif
-
 .PHONY: build build-examples test race cover difftest fuzz bench bench-all bench-check bench-concurrency bench-durability bench-compaction bench-advisor bench-partition bench-txn bench-server bench-repl bench-scenarios bench-hotpath benchmark-smoke profile heap-profile fmt fmt-check vet staticcheck doc-check ci
 
 build:
@@ -85,10 +78,9 @@ bench-all: bench
 	$(GO) run ./cmd/hermit-bench -exp $(BENCH_EXPERIMENTS)
 
 # Validate the emitted BENCH_*.json artifacts (header fields: experiment,
-# seed, num_cpu, gomaxprocs). BENCH_CHECK_FLAGS lets the multi-core CI
-# lane pin -expect-gomaxprocs.
+# seed, num_cpu, gomaxprocs).
 bench-check:
-	$(GO) run ./internal/tools/benchcheck $(BENCH_CHECK_FLAGS)
+	$(GO) run ./internal/tools/benchcheck
 
 # Concurrency sweep with the machine-readable BENCH_concurrency.json.
 bench-concurrency: build

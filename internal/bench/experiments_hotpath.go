@@ -20,7 +20,8 @@ import (
 // The hotpath experiment measures the allocator cost of the engine's
 // hottest operations — embedded PK point read, embedded range scan,
 // partitioned scatter-gather scan, durable WAL-logged insert, a
-// wire-protocol point read through hermitd, the three that go through the
+// wire-protocol point read through hermitd, an insert sent to hermitd in
+// depth-64 pipelined bursts, the three that go through the
 // primary index by key (an in-memory update, a delete/re-insert cycle, and
 // a Hermit range query under logical pointers, whose every candidate takes
 // the primary-index hop), and a write churn at constant live rows with
@@ -94,6 +95,7 @@ func hotpathWorkloads() []hotpathWorkload {
 		{name: "partitioned_scan", setup: setupHotpathPartitioned},
 		{name: "durable_insert", setup: setupHotpathDurableInsert},
 		{name: "wire_point", setup: setupHotpathWirePoint},
+		{name: "wire_insert_pipelined", setup: setupHotpathWireInsertPipelined},
 		{name: "mem_update", setup: setupHotpathUpdate},
 		{name: "mem_delete", setup: setupHotpathDelete},
 		{name: "logical_range", setup: setupHotpathLogicalRange},
@@ -384,10 +386,10 @@ func setupHotpathDurableInsert(cfg Config, n int) (func() error, func(), error) 
 	return op, teardown, nil
 }
 
-// setupHotpathWirePoint measures one pipeline-depth-1 point read through
-// hermitd's wire protocol on a loopback socket: request encode, frame
-// write, server decode/execute, response encode, client decode.
-func setupHotpathWirePoint(cfg Config, n int) (func() error, func(), error) {
+// startHotpathServer serves a fresh durable database on a loopback socket
+// and dials it: the fixture of the two wire lanes. create builds the
+// table(s) before the server starts.
+func startHotpathServer(cfg Config, create func(d *engine.DurableDB) error) (*client.Conn, func(), error) {
 	dir, err := os.MkdirTemp(cfg.TmpDir, "hermit-bench-hotpath")
 	if err != nil {
 		return nil, nil, err
@@ -397,30 +399,44 @@ func setupHotpathWirePoint(cfg Config, n int) (func() error, func(), error) {
 		os.RemoveAll(dir)
 		return nil, nil, err
 	}
-	tb, err := d.CreateTable("hot", hotpathCols(), 0)
-	if err != nil {
+	stop := func() {
 		d.Close()
 		os.RemoveAll(dir)
-		return nil, nil, err
 	}
-	for i := 0; i < n; i++ {
-		if _, err := tb.Insert([]float64{float64(i), float64(i) * 0.5}); err != nil {
-			d.Close()
-			os.RemoveAll(dir)
-			return nil, nil, err
-		}
+	if err := create(d); err != nil {
+		stop()
+		return nil, nil, err
 	}
 	srv := server.New(d, server.Options{MaxInflight: 4096, QueueDepth: 256, Workers: cfg.Concurrency})
 	if err := srv.Start("127.0.0.1:0"); err != nil {
-		d.Close()
-		os.RemoveAll(dir)
+		stop()
 		return nil, nil, err
 	}
 	conn, err := client.Dial(srv.Addr().String(), client.Options{})
 	if err != nil {
 		srv.Close()
-		d.Close()
-		os.RemoveAll(dir)
+		stop()
+		return nil, nil, err
+	}
+	return conn, func() {
+		conn.Close()
+		srv.Close()
+		stop()
+	}, nil
+}
+
+// setupHotpathWirePoint measures one pipeline-depth-1 point read through
+// hermitd's wire protocol on a loopback socket: request encode, frame
+// write, server decode/execute, response encode, client decode.
+func setupHotpathWirePoint(cfg Config, n int) (func() error, func(), error) {
+	conn, teardown, err := startHotpathServer(cfg, func(d *engine.DurableDB) error {
+		tb, err := d.CreateTable("hot", hotpathCols(), 0)
+		for i := 0; i < n && err == nil; i++ {
+			_, err = tb.Insert([]float64{float64(i), float64(i) * 0.5})
+		}
+		return err
+	})
+	if err != nil {
 		return nil, nil, err
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed + 19))
@@ -434,11 +450,47 @@ func setupHotpathWirePoint(cfg Config, n int) (func() error, func(), error) {
 		}
 		return nil
 	}
-	teardown := func() {
-		conn.Close()
-		srv.Close()
-		d.Close()
-		os.RemoveAll(dir)
+	return op, teardown, nil
+}
+
+// hotpathPipelineDepth is the burst size of the wire_insert_pipelined lane
+// (the session's maxCoalesce, and what a bulk load sends).
+const hotpathPipelineDepth = 64
+
+// setupHotpathWireInsertPipelined measures a WAL-logged insert into a
+// hash-partitioned table sent in pipelined bursts of hotpathPipelineDepth:
+// one op queues a request, and every hotpathPipelineDepth-th op flushes
+// the burst and reads its responses, so ns/op is the burst's cost per
+// insert — request decode, partition routing, apply, WAL append, response
+// encode, and the burst's share of the socket and log writes.
+func setupHotpathWireInsertPipelined(cfg Config, _ int) (func() error, func(), error) {
+	conn, teardown, err := startHotpathServer(cfg, func(d *engine.DurableDB) error {
+		return d.CreatePartitionedTable("hot", hotpathCols(), 0, hotpathPartitions)
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	p := conn.Pipeline()
+	rows := make([][2]float64, hotpathPipelineDepth)
+	pk := 0.0
+	op := func() error {
+		row := rows[p.Len()][:]
+		pk++
+		row[0], row[1] = pk, pk*0.5
+		p.Insert("hot", row)
+		if p.Len() < hotpathPipelineDepth {
+			return nil
+		}
+		results, err := p.Flush()
+		if err != nil {
+			return err
+		}
+		for _, r := range results {
+			if r.Err != nil {
+				return r.Err
+			}
+		}
+		return nil
 	}
 	return op, teardown, nil
 }

@@ -233,12 +233,46 @@ func Run(cfgName string, cfg Config) error {
 		}
 	}
 
+	// A system that takes bursts (the served one) gets the stream in
+	// pipelined runs of 1-64 operations, drawn from a generator of their
+	// own so the operation stream stays the seed's.
+	burster, _ := sys.(burstSystem)
+	burstRng := rand.New(rand.NewSource(cfg.Seed ^ 0x62757273))
 	cyclePeriod := cfg.Ops/4 + 1
-	for step := 0; step < cfg.Ops; step++ {
-		if err := runStep(rng, s, m, sys, step, &nextPK); err != nil {
-			return err
+	for step := 0; step < cfg.Ops; {
+		n := 1
+		if burster != nil {
+			n = min(1+burstRng.Intn(64), cfg.Ops-step)
 		}
-		if step > 0 && step%cyclePeriod == 0 {
+		var acts []action
+		if burster != nil && burstRng.Intn(2) == 0 {
+			acts = hotKeyActions(rng, s, m, &nextPK)
+		}
+		for len(acts) < n {
+			acts = append(acts, genAction(rng, s, m, &nextPK))
+		}
+		n = len(acts)
+		var outs []outcome
+		if burster != nil {
+			if outs, err = burster.burst(acts); err != nil {
+				return Failure{Step: step, What: fmt.Sprintf("burst of %d: %v", len(acts), err)}
+			}
+		} else {
+			outs = []outcome{apply(sys, &acts[0])}
+		}
+		for i := range acts {
+			if err := acts[i].check(outs[i]); err != nil {
+				return Failure{Step: step + i, What: err.Error()}
+			}
+		}
+		// The cycle follows the burst that crossed its step, so recovery
+		// replays a log whose tail a run wrote.
+		due := false
+		for st := max(step, 1); st < step+n; st++ {
+			due = due || st%cyclePeriod == 0
+		}
+		step += n
+		if due {
 			if err := sys.cycle(rng.Intn(2) == 0); err != nil {
 				return Failure{Step: step, What: fmt.Sprintf("cycle: %v", err)}
 			}
@@ -250,8 +284,96 @@ func Run(cfgName string, cfg Config) error {
 	return audit(m, sys, cfg.Ops)
 }
 
-// runStep applies one random operation to both sides and compares.
-func runStep(rng *rand.Rand, s schema, m *model, sys system, step int, nextPK *float64) error {
+// actKind names the four operations of the stream.
+type actKind int
+
+const (
+	actInsert actKind = iota
+	actDelete
+	actUpdate
+	actQuery // range, or point when lo == hi
+)
+
+// action is one operation of the stream together with the oracle's
+// verdict on it: generating an action applies it to the model, so a run of
+// actions carries the outcome each must have when executed in order.
+type action struct {
+	kind   actKind
+	row    []float64 // insert
+	pk     float64   // delete, update
+	col    int       // update, query
+	v      float64   // update
+	lo, hi float64   // query
+
+	wantOK  bool      // insert or update accepted, delete found its key
+	wantPKs []float64 // query
+}
+
+// outcome is what the system made of an action.
+type outcome struct {
+	err   error
+	found bool      // delete
+	pks   []float64 // query, sorted
+}
+
+// burstSystem is a system that takes a run of actions at once and answers
+// them in order (the serving tier, through a client pipeline).
+type burstSystem interface {
+	burst(acts []action) ([]outcome, error)
+}
+
+// apply executes one action on the system.
+func apply(sys system, a *action) (o outcome) {
+	switch a.kind {
+	case actInsert:
+		o.err = sys.insert(a.row)
+	case actDelete:
+		o.found, o.err = sys.remove(a.pk)
+	case actUpdate:
+		o.err = sys.update(a.pk, a.col, a.v)
+	case actQuery:
+		o.pks, o.err = sys.query(a.col, a.lo, a.hi)
+	}
+	return o
+}
+
+// check compares the system's outcome with the oracle's verdict.
+func (a *action) check(o outcome) error {
+	switch a.kind {
+	case actInsert:
+		if a.wantOK && o.err != nil {
+			return fmt.Errorf("insert pk=%v: oracle accepts, system errors: %v", a.row[0], o.err)
+		}
+		if !a.wantOK && o.err == nil {
+			return fmt.Errorf("insert pk=%v: duplicate accepted by system", a.row[0])
+		}
+	case actDelete:
+		if o.err != nil {
+			return fmt.Errorf("delete pk=%v: %v", a.pk, o.err)
+		}
+		if o.found != a.wantOK {
+			return fmt.Errorf("delete pk=%v: found=%v, oracle=%v", a.pk, o.found, a.wantOK)
+		}
+	case actUpdate:
+		if a.wantOK && o.err != nil {
+			return fmt.Errorf("update pk=%v col=%d: oracle accepts, system errors: %v", a.pk, a.col, o.err)
+		}
+		if !a.wantOK && o.err == nil {
+			return fmt.Errorf("update pk=%v col=%d: absent key accepted", a.pk, a.col)
+		}
+	case actQuery:
+		if o.err == nil {
+			o.err = samePKs(a.wantPKs, o.pks)
+		}
+		if o.err != nil {
+			return fmt.Errorf("query col=%d [%v,%v]: %v", a.col, a.lo, a.hi, o.err)
+		}
+	}
+	return nil
+}
+
+// genAction draws one random operation and applies it to the model.
+func genAction(rng *rand.Rand, s schema, m *model, nextPK *float64) action {
 	width := len(s.cols)
 	switch p := rng.Float64(); {
 	case p < 0.30: // insert (sometimes a duplicate key)
@@ -262,27 +384,13 @@ func runStep(rng *rand.Rand, s schema, m *model, sys system, step int, nextPK *f
 			row = s.row(rng, *nextPK)
 			*nextPK++
 		}
-		wantOK := m.insert(row)
-		err := sys.insert(row)
-		if wantOK && err != nil {
-			return Failure{step, fmt.Sprintf("insert pk=%v: oracle accepts, system errors: %v", row[0], err)}
-		}
-		if !wantOK && err == nil {
-			return Failure{step, fmt.Sprintf("insert pk=%v: duplicate accepted by system", row[0])}
-		}
+		return action{kind: actInsert, row: row, wantOK: m.insert(row)}
 	case p < 0.42: // delete (sometimes an absent key)
 		pk, ok := m.pick(rng)
 		if !ok || rng.Float64() < 0.3 {
 			pk = *nextPK + 1000 + rng.Float64()
 		}
-		want := m.remove(pk)
-		got, err := sys.remove(pk)
-		if err != nil {
-			return Failure{step, fmt.Sprintf("delete pk=%v: %v", pk, err)}
-		}
-		if got != want {
-			return Failure{step, fmt.Sprintf("delete pk=%v: found=%v, oracle=%v", pk, got, want)}
-		}
+		return action{kind: actDelete, pk: pk, wantOK: m.remove(pk)}
 	case p < 0.57: // update (sometimes an absent key)
 		col := 1 + rng.Intn(width-1)
 		lo, hi := s.valueRange(col)
@@ -291,14 +399,7 @@ func runStep(rng *rand.Rand, s schema, m *model, sys system, step int, nextPK *f
 		if !ok || rng.Float64() < 0.2 {
 			pk = *nextPK + 2000 + rng.Float64()
 		}
-		want := m.update(pk, col, v)
-		err := sys.update(pk, col, v)
-		if want && err != nil {
-			return Failure{step, fmt.Sprintf("update pk=%v col=%d: oracle accepts, system errors: %v", pk, col, err)}
-		}
-		if !want && err == nil {
-			return Failure{step, fmt.Sprintf("update pk=%v col=%d: absent key accepted", pk, col)}
-		}
+		return action{kind: actUpdate, pk: pk, col: col, v: v, wantOK: m.update(pk, col, v)}
 	case p < 0.85: // range query on a random column
 		col := rng.Intn(width)
 		var lo, hi float64
@@ -310,14 +411,7 @@ func runStep(rng *rand.Rand, s schema, m *model, sys system, step int, nextPK *f
 			lo = clo + rng.Float64()*(chi-clo)
 			hi = lo + rng.Float64()*rng.Float64()*(chi-clo)
 		}
-		want := m.query(col, lo, hi)
-		got, err := sys.query(col, lo, hi)
-		if err != nil {
-			return Failure{step, fmt.Sprintf("range col=%d [%v,%v]: %v", col, lo, hi, err)}
-		}
-		if err := samePKs(want, got); err != nil {
-			return Failure{step, fmt.Sprintf("range col=%d [%v,%v]: %v", col, lo, hi, err)}
-		}
+		return action{kind: actQuery, col: col, lo: lo, hi: hi, wantPKs: m.query(col, lo, hi)}
 	default: // point query, biased toward the primary key
 		col := 0
 		if rng.Float64() < 0.4 {
@@ -332,16 +426,34 @@ func runStep(rng *rand.Rand, s schema, m *model, sys system, step int, nextPK *f
 			lo, hi := s.valueRange(col)
 			v = lo + rng.Float64()*(hi-lo)
 		}
-		want := m.query(col, v, v)
-		got, err := sys.query(col, v, v)
-		if err != nil {
-			return Failure{step, fmt.Sprintf("point col=%d v=%v: %v", col, v, err)}
-		}
-		if err := samePKs(want, got); err != nil {
-			return Failure{step, fmt.Sprintf("point col=%d v=%v: %v", col, v, err)}
-		}
+		return action{kind: actQuery, col: col, lo: v, hi: v, wantPKs: m.query(col, v, v)}
 	}
-	return nil
+}
+
+// hotKeyActions is the run the random stream almost never draws: one
+// fresh key written five times and read twice inside a single burst —
+// insert, update, duplicate insert, read, delete, read, insert again — so
+// per-key order inside a write run, a run boundary at every read, and a
+// log tail in which one key's records follow each other are all inside
+// the comparison. The key is live afterwards.
+func hotKeyActions(rng *rand.Rand, s schema, m *model, nextPK *float64) []action {
+	pk := *nextPK
+	*nextPK++
+	first, second := s.row(rng, pk), s.row(rng, pk)
+	lo, hi := s.valueRange(2)
+	v := lo + rng.Float64()*(hi-lo)
+	point := func() action {
+		return action{kind: actQuery, col: 0, lo: pk, hi: pk, wantPKs: m.query(0, pk, pk)}
+	}
+	return []action{
+		{kind: actInsert, row: first, wantOK: m.insert(first)},
+		{kind: actUpdate, pk: pk, col: 2, v: v, wantOK: m.update(pk, 2, v)},
+		{kind: actInsert, row: second, wantOK: m.insert(second)},
+		point(),
+		{kind: actDelete, pk: pk, wantOK: m.remove(pk)},
+		point(),
+		{kind: actInsert, row: second, wantOK: m.insert(second)},
+	}
 }
 
 func pickOrZero(m *model, rng *rand.Rand) float64 {

@@ -60,12 +60,48 @@ func (s *srvSystem) query(col int, lo, hi float64) ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
+	return sortedPKs(rows), nil
+}
+
+// sortedPKs reduces result rows to the oracle's vocabulary.
+func sortedPKs(rows [][]float64) []float64 {
 	out := make([]float64, 0, len(rows))
 	for _, row := range rows {
 		out = append(out, row[0])
 	}
 	sort.Float64s(out)
-	return out, nil
+	return out
+}
+
+// burst sends a run of actions as one client pipeline — independent
+// auto-commit requests the session executes as alternating write runs and
+// read runs — and reports each request's outcome in order.
+func (s *srvSystem) burst(acts []action) ([]outcome, error) {
+	p := s.conn.Pipeline()
+	for i := range acts {
+		switch a := &acts[i]; a.kind {
+		case actInsert:
+			p.Insert(s.name, a.row)
+		case actDelete:
+			p.Delete(s.name, a.pk)
+		case actUpdate:
+			p.Update(s.name, a.pk, a.col, a.v)
+		case actQuery:
+			p.Range(s.name, a.col, a.lo, a.hi)
+		}
+	}
+	results, err := p.Flush()
+	if err != nil {
+		return nil, err
+	}
+	outs := make([]outcome, len(results))
+	for i, r := range results {
+		outs[i] = outcome{err: r.Err, found: r.Found}
+		if acts[i].kind == actQuery && r.Err == nil {
+			outs[i].pks = sortedPKs(r.Rows)
+		}
+	}
+	return outs, nil
 }
 
 // state dumps the live row set with an unbounded primary-key range scan

@@ -29,7 +29,8 @@ import (
 // not the table size.
 //
 // Concurrency contract: DurableDB is safe for concurrent use. Mutations
-// (Insert/Delete/UpdateColumn and the batched ExecuteBatch) coordinate
+// (Insert/Delete/UpdateColumn, a run of them through ApplyEach, and the
+// atomic ExecuteBatch) coordinate
 // through a reader/writer latch plus a per-primary-key stripe, so writers
 // on different keys proceed in parallel; DDL quiesces them, and Checkpoint
 // holds the latch only for a short swap window while the block image is
@@ -43,9 +44,10 @@ import (
 // validates it) and then appended to the WAL under its key's stripe, so a
 // rejected operation — e.g. a duplicate primary key — never poisons the
 // log, and per-key apply order equals log order. The call returns when the
-// record is acknowledged under the configured sync policy (no-sync /
-// group-commit / sync-every-op); an acknowledged synced write is never
-// lost by a crash.
+// record — for ApplyEach, every record of the run, all submitted before
+// the first is awaited — is acknowledged under the configured sync policy
+// (no-sync / group-commit / sync-every-op); an acknowledged synced write
+// is never lost by a crash.
 //
 // Checkpoint is incremental: it harvests only the versions committed
 // since the last flush cut (Table.DeltaVersions) into one immutable,
@@ -256,6 +258,38 @@ type durableMeta struct {
 	// PartitionOf and every WAL record carries its partition id, so replay
 	// and checkpoints rebuild each partition exactly.
 	Partitions int `json:"parts,omitempty"`
+
+	// phys holds the engine tables backing the logical table, indexed by
+	// partition id (one entry for a plain table), so routing a mutation is
+	// a hash and an index — no name formatting, no catalog lookup. Set by
+	// createPhysical; copies of the metadata share it.
+	phys []*Table
+}
+
+// route returns the engine table and partition id that own pk.
+func (m *durableMeta) route(pk float64) (*Table, uint32) {
+	p := PartitionOf(pk, m.Partitions)
+	return m.phys[p], uint32(p)
+}
+
+// createPhysical creates the engine tables behind the logical table name
+// and records them in meta.phys. A partial failure drops the tables
+// already created, so it leaves no orphans in the engine catalog.
+func (d *DurableDB) createPhysical(name string, meta *durableMeta) error {
+	names := physicalNames(name, meta)
+	phys := make([]*Table, len(names))
+	for i, n := range names {
+		tb, err := d.db.CreateTable(n, meta.Cols, meta.PKCol)
+		if err != nil {
+			for _, made := range names[:i] {
+				d.db.dropTable(made)
+			}
+			return err
+		}
+		phys[i] = tb
+	}
+	meta.phys = phys
+	return nil
 }
 
 // copyMeta deep-copies one table's metadata (the slices a concurrent DDL
@@ -548,11 +582,11 @@ func (d *DurableDB) GC() int {
 // physical table's blocks replay oldest to newest, later entries winning
 // per key, tombstones deleting.
 func (d *DurableDB) restoreTable(p durablePaths, name string, meta *durableMeta) error {
-	for _, phys := range physicalNames(name, meta) {
-		tb, err := d.db.CreateTable(phys, meta.Cols, meta.PKCol)
-		if err != nil {
-			return err
-		}
+	if err := d.createPhysical(name, meta); err != nil {
+		return err
+	}
+	for _, tb := range meta.phys {
+		phys := tb.name
 		// Keyed by block.KeyBits, not raw float64: a float64 map could
 		// never overwrite or delete a NaN key, so a NaN tombstone would
 		// fail to suppress an earlier upsert and the deleted row would
@@ -639,10 +673,11 @@ func (d *DurableDB) apply(rec wal.Record) error {
 		if err := json.Unmarshal(rec.Payload, &ddl); err != nil {
 			return err
 		}
-		if _, err := d.db.CreateTable(rec.Table, ddl.Cols, ddl.PKCol); err != nil {
+		meta := &durableMeta{Cols: ddl.Cols, PKCol: ddl.PKCol}
+		if err := d.createPhysical(rec.Table, meta); err != nil {
 			return err
 		}
-		d.tables[rec.Table] = &durableMeta{Cols: ddl.Cols, PKCol: ddl.PKCol}
+		d.tables[rec.Table] = meta
 		return nil
 	case wal.OpCreatePartitioned:
 		var ddl ddlTable
@@ -653,10 +688,8 @@ func (d *DurableDB) apply(rec wal.Record) error {
 			return fmt.Errorf("engine: partitioned table %q with %d partitions", rec.Table, ddl.Parts)
 		}
 		meta := &durableMeta{Cols: ddl.Cols, PKCol: ddl.PKCol, Partitions: ddl.Parts}
-		for _, phys := range physicalNames(rec.Table, meta) {
-			if _, err := d.db.CreateTable(phys, ddl.Cols, ddl.PKCol); err != nil {
-				return err
-			}
+		if err := d.createPhysical(rec.Table, meta); err != nil {
+			return err
 		}
 		d.tables[rec.Table] = meta
 		return nil
@@ -669,11 +702,7 @@ func (d *DurableDB) apply(rec wal.Record) error {
 		if meta == nil {
 			return fmt.Errorf("%w: %q", ErrNoSuchTable, rec.Table)
 		}
-		for _, phys := range physicalNames(rec.Table, meta) {
-			tb, err := d.db.Table(phys)
-			if err != nil {
-				return err
-			}
+		for _, tb := range meta.phys {
 			if err := applyIndexDef(tb, ddl.Def); err != nil {
 				return err
 			}
@@ -693,11 +722,7 @@ func (d *DurableDB) apply(rec wal.Record) error {
 		if err != nil {
 			return err
 		}
-		for _, phys := range physicalNames(rec.Table, meta) {
-			tb, err := d.db.Table(phys)
-			if err != nil {
-				return err
-			}
+		for _, tb := range meta.phys {
 			if err := tb.DropIndex(ddl.Col, kind); err != nil {
 				return err
 			}
@@ -741,15 +766,18 @@ func (d *DurableDB) apply(rec wal.Record) error {
 // applyTarget resolves the engine table a replayed mutation applies to,
 // routing by the record's partition id for partitioned tables.
 func (d *DurableDB) applyTarget(rec wal.Record) (*Table, error) {
-	name := rec.Table
-	if meta := d.tables[rec.Table]; meta != nil && meta.Partitions > 0 {
-		if int(rec.Part) >= meta.Partitions {
-			return nil, fmt.Errorf("engine: record partition %d out of range for %q (%d partitions)",
-				rec.Part, rec.Table, meta.Partitions)
-		}
-		name = PartitionName(rec.Table, int(rec.Part))
+	meta := d.tables[rec.Table]
+	if meta == nil {
+		return nil, fmt.Errorf("%w: %q", ErrNoSuchTable, rec.Table)
 	}
-	return d.db.Table(name)
+	if meta.Partitions == 0 {
+		return meta.phys[0], nil
+	}
+	if int(rec.Part) >= meta.Partitions {
+		return nil, fmt.Errorf("engine: record partition %d out of range for %q (%d partitions)",
+			rec.Part, rec.Table, meta.Partitions)
+	}
+	return meta.phys[rec.Part], nil
 }
 
 // CreateTable creates and logs a table. Names containing '#' are rejected:
@@ -768,12 +796,12 @@ func (d *DurableDB) CreateTable(name string, cols []string, pkCol int) (*Table, 
 		d.mu.Unlock()
 		return nil, ErrDupTable
 	}
-	tb, err := d.db.CreateTable(name, cols, pkCol)
-	if err != nil {
+	meta := &durableMeta{Cols: cols, PKCol: pkCol}
+	if err := d.createPhysical(name, meta); err != nil {
 		d.mu.Unlock()
 		return nil, err
 	}
-	d.tables[name] = &durableMeta{Cols: cols, PKCol: pkCol}
+	d.tables[name] = meta
 	payload, err := json.Marshal(ddlTable{Cols: cols, PKCol: pkCol})
 	if err != nil {
 		d.mu.Unlock()
@@ -787,7 +815,7 @@ func (d *DurableDB) CreateTable(name string, cols []string, pkCol int) (*Table, 
 	if _, err := tk.Wait(); err != nil {
 		return nil, err
 	}
-	return tb, nil
+	return meta.phys[0], nil
 }
 
 // CreatePartitionedTable creates and logs a hash-partitioned table: parts
@@ -812,16 +840,9 @@ func (d *DurableDB) CreatePartitionedTable(name string, cols []string, pkCol, pa
 		return ErrDupTable
 	}
 	meta := &durableMeta{Cols: append([]string(nil), cols...), PKCol: pkCol, Partitions: parts}
-	for i, phys := range physicalNames(name, meta) {
-		if _, err := d.db.CreateTable(phys, cols, pkCol); err != nil {
-			// Unwind the partitions already created so a failed create
-			// leaves no orphan engine tables.
-			for j := 0; j < i; j++ {
-				d.db.dropTable(PartitionName(name, j))
-			}
-			d.mu.Unlock()
-			return err
-		}
+	if err := d.createPhysical(name, meta); err != nil {
+		d.mu.Unlock()
+		return err
 	}
 	d.tables[name] = meta
 	payload, err := json.Marshal(ddlTable{Cols: cols, PKCol: pkCol, Parts: parts})
@@ -871,19 +892,12 @@ func (d *DurableDB) CreateIndex(table string, def IndexDef) error {
 		d.mu.Unlock()
 		return fmt.Errorf("engine: %s indexes are not supported on partitioned tables", def.Kind)
 	}
-	names := physicalNames(table, meta)
-	for i, phys := range names {
-		tb, err := d.db.Table(phys)
-		if err == nil {
-			err = applyIndexDef(tb, def)
-		}
-		if err != nil {
+	for i, tb := range meta.phys {
+		if err := applyIndexDef(tb, def); err != nil {
 			// Unwind the partitions already indexed so state stays uniform.
 			if kind, kerr := kindFromString(def.Kind); kerr == nil {
-				for j := 0; j < i; j++ {
-					if tb, terr := d.db.Table(names[j]); terr == nil {
-						tb.DropIndex(def.Col, kind)
-					}
+				for _, done := range meta.phys[:i] {
+					done.DropIndex(def.Col, kind)
 				}
 			}
 			d.mu.Unlock()
@@ -953,12 +967,8 @@ func (d *DurableDB) DropIndex(table string, col int, kind string) error {
 		d.mu.Unlock()
 		return err
 	}
-	for _, phys := range physicalNames(table, meta) {
-		tb, err := d.db.Table(phys)
-		if err == nil {
-			err = tb.DropIndex(col, k)
-		}
-		if err != nil {
+	for _, tb := range meta.phys {
+		if err := tb.DropIndex(col, k); err != nil {
 			// DDL is uniform across partitions, so a drop that fails on one
 			// partition fails on the first — before any partition changed.
 			d.mu.Unlock()
@@ -980,111 +990,118 @@ func (d *DurableDB) DropIndex(table string, col int, kind string) error {
 	return err
 }
 
-// mutate applies one validated mutation and logs it, holding the shared
-// latch (vs the checkpoint swap window and DDL) and the primary key's
-// stripe (so per-key log order equals apply order). On a partitioned
-// table the mutation routes to the primary key's hash partition and the
-// WAL record carries the partition id. It returns once the record is
-// acknowledged under the sync policy. A failed apply is returned without
-// logging — validate-then-log, the fix for WAL poisoning.
-func (d *DurableDB) mutate(table string, pk float64, apply func(tb *Table) error, rec func() wal.Record) error {
+// submit applies one auto-commit mutation and hands its record to the log,
+// holding the shared latch (vs the checkpoint swap window and DDL) and the
+// primary key's stripe across both, so per-key log order equals apply
+// order. On a partitioned table the mutation routes to the key's hash
+// partition and the record carries the partition id. The outcome lands in
+// res; the returned ticket (nil when nothing was logged) is what
+// awaitLogged waits on. A failed apply is not logged — validate-then-log,
+// the fix for WAL poisoning — and neither is a delete of an absent key
+// (nothing to replay).
+func (d *DurableDB) submit(op *Op, res *OpResult) *wal.Ticket {
 	d.mu.RLock()
-	phys, part := table, uint32(0)
-	if meta := d.tables[table]; meta != nil && meta.Partitions > 0 {
-		p := PartitionOf(pk, meta.Partitions)
-		phys, part = PartitionName(table, p), uint32(p)
+	defer d.mu.RUnlock()
+	meta := d.tables[op.Table]
+	if meta == nil {
+		res.Err = fmt.Errorf("%w: %q", ErrNoSuchTable, op.Table)
+		return nil
 	}
-	tb, err := d.db.Table(phys)
-	if err != nil {
-		d.mu.RUnlock()
-		return err
-	}
-	stripe := d.rows.mu(pk)
-	stripe.Lock()
-	var tk *wal.Ticket
-	if err = apply(tb); err == nil {
-		r := rec()
-		r.Part = part
-		if tk, err = d.log.Submit(r); err != nil {
-			err = fmt.Errorf("engine: wal submit after apply (in-memory state ahead of log until next checkpoint): %w", err)
+	pk := op.PK
+	if op.Kind == OpInsert {
+		pk = 0
+		if meta.PKCol < len(op.Row) {
+			pk = op.Row[meta.PKCol]
 		}
 	}
-	stripe.Unlock()
-	d.mu.RUnlock()
+	tb, part := meta.route(pk)
+	rec := wal.Record{Table: op.Table, Part: part}
+	stripe := d.rows.mu(pk)
+	stripe.Lock()
+	defer stripe.Unlock()
+	switch op.Kind {
+	case OpInsert:
+		rec.Op = wal.OpInsert
+		if res.RID, res.Err = tb.Insert(op.Row); res.Err == nil {
+			rec.Payload = encodeFloats(op.Row)
+		}
+	case OpDelete:
+		rec.Op = wal.OpDelete
+		if res.Found, res.Err = tb.Delete(pk); res.Found {
+			rec.Payload = encodeFloats([]float64{pk})
+		}
+	case OpUpdate:
+		rec.Op = wal.OpUpdate
+		if res.Err = tb.UpdateColumn(pk, op.Col, op.Value); res.Err == nil {
+			rec.Payload = encodeFloats([]float64{pk, float64(op.Col), op.Value})
+		}
+	default:
+		res.Err = fmt.Errorf("engine: %v is not a mutation", op.Kind)
+	}
+	if rec.Payload == nil { // nothing applied, nothing to replay
+		return nil
+	}
+	tk, err := d.log.Submit(rec)
 	if err != nil {
-		return err
+		res.Err = fmt.Errorf("engine: wal submit after apply (in-memory state ahead of log until next checkpoint): %w", err)
 	}
-	if _, werr := tk.Wait(); werr != nil {
-		return fmt.Errorf("engine: wal append after apply (in-memory state ahead of log until next checkpoint): %w", werr)
+	return tk
+}
+
+// awaitLogged blocks until the record behind tk is acknowledged under the
+// sync policy and folds a log failure into res.
+func awaitLogged(tk *wal.Ticket, res *OpResult) {
+	if tk == nil {
+		return
 	}
-	return nil
+	if _, err := tk.Wait(); err != nil {
+		res.Err = fmt.Errorf("engine: wal append after apply (in-memory state ahead of log until next checkpoint): %w", err)
+	}
+}
+
+// ApplyEach applies a run of auto-commit mutations (OpInsert, OpDelete,
+// OpUpdate) in order. Unlike ExecuteBatch it is not atomic: each op is
+// its own mutation with its own WAL record and its own result, exactly as
+// if Insert, Delete or UpdateColumn had been called for it, and a failed op
+// does not stop the ones after it. What the run shares is the wait: every
+// record is submitted before the first acknowledgement is awaited, so the
+// log can write the run's frames in batches, and under SyncGroup the run
+// costs one commit interval, not one per op.
+func (d *DurableDB) ApplyEach(ops []Op) []OpResult {
+	results := make([]OpResult, len(ops))
+	tks := make([]*wal.Ticket, len(ops))
+	for i := range ops {
+		tks[i] = d.submit(&ops[i], &results[i])
+	}
+	for i, tk := range tks {
+		awaitLogged(tk, &results[i])
+	}
+	return results
+}
+
+// applyOne is the one-op run.
+func (d *DurableDB) applyOne(op Op) (res OpResult) {
+	awaitLogged(d.submit(&op, &res), &res)
+	return res
 }
 
 // Insert validates+applies a row insert, then logs it.
 func (d *DurableDB) Insert(table string, row []float64) (storage.RID, error) {
-	var pk float64
-	d.mu.RLock()
-	if meta := d.tables[table]; meta != nil && meta.PKCol < len(row) {
-		pk = row[meta.PKCol]
-	}
-	d.mu.RUnlock()
-	var rid storage.RID
-	err := d.mutate(table, pk,
-		func(tb *Table) error {
-			var aerr error
-			rid, aerr = tb.Insert(row)
-			return aerr
-		},
-		func() wal.Record {
-			return wal.Record{Op: wal.OpInsert, Table: table, Payload: encodeFloats(row)}
-		})
-	return rid, err
+	res := d.applyOne(Op{Kind: OpInsert, Table: table, Row: row})
+	return res.RID, res.Err
 }
 
 // Delete validates+applies a delete by primary key, then logs it. A delete
 // of an absent key is applied but not logged (found=false, no record
 // needed for replay).
 func (d *DurableDB) Delete(table string, pk float64) (bool, error) {
-	var found bool
-	err := d.mutate(table, pk,
-		func(tb *Table) error {
-			var aerr error
-			found, aerr = tb.Delete(pk)
-			if aerr != nil || !found {
-				return errSkipLog{aerr}
-			}
-			return nil
-		},
-		func() wal.Record {
-			return wal.Record{Op: wal.OpDelete, Table: table, Payload: encodeFloats([]float64{pk})}
-		})
-	if e, ok := err.(errSkipLog); ok {
-		return found, e.err
-	}
-	return found, err
-}
-
-// errSkipLog aborts logging inside mutate while carrying the apply outcome.
-type errSkipLog struct{ err error }
-
-func (e errSkipLog) Error() string {
-	if e.err == nil {
-		return "engine: not logged"
-	}
-	return e.err.Error()
+	res := d.applyOne(Op{Kind: OpDelete, Table: table, PK: pk})
+	return res.Found, res.Err
 }
 
 // UpdateColumn validates+applies a single-column update, then logs it.
 func (d *DurableDB) UpdateColumn(table string, pk float64, col int, v float64) error {
-	return d.mutate(table, pk,
-		func(tb *Table) error { return tb.UpdateColumn(pk, col, v) },
-		func() wal.Record {
-			return wal.Record{
-				Op:      wal.OpUpdate,
-				Table:   table,
-				Payload: encodeFloats([]float64{pk, float64(col), v}),
-			}
-		})
+	return d.applyOne(Op{Kind: OpUpdate, Table: table, PK: pk, Col: col, Value: v}).Err
 }
 
 // Sync forces an fsync covering every mutation acknowledged so far — a
@@ -1214,12 +1231,8 @@ func (d *DurableDB) checkpointLocked() error {
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		for _, phys := range physicalNames(name, cut.tables[name]) {
-			tb, err := d.db.Table(phys)
-			if err != nil {
-				return err
-			}
-			cut.phys = append(cut.phys, physTable{phys, tb})
+		for _, tb := range cut.tables[name].phys {
+			cut.phys = append(cut.phys, physTable{tb.name, tb})
 		}
 	}
 	// An incremental (non-rotating) checkpoint releases the latch here:
@@ -1807,12 +1820,9 @@ func (d *DurableDB) BlockRead(table string, pk float64) (row []float64, found bo
 			d.mu.RUnlock()
 			return nil, false, probed, fmt.Errorf("%w: %q", ErrNoSuchTable, table)
 		}
-		phys := table
-		if meta.Partitions > 0 {
-			phys = PartitionName(table, PartitionOf(pk, meta.Partitions))
-		}
+		tb, _ := meta.route(pk)
 		epoch := d.epoch
-		descs := d.lists[phys]
+		descs := d.lists[tb.name]
 		handles := make([]*block.Handle, len(descs))
 		for i, desc := range descs {
 			handles[i] = d.handles[desc.ID]

@@ -280,11 +280,7 @@ func (d *DurableDB) ReplSnapshot() (*ReplSnap, error) {
 			Parts: meta.Partitions,
 			Defs:  append([]IndexDef(nil), meta.Defs...),
 		}
-		for _, phys := range physicalNames(name, meta) {
-			tb, err := d.db.Table(phys)
-			if err != nil {
-				return nil, err
-			}
+		for _, tb := range meta.phys {
 			tb.ScanLive(func(_ storage.RID, row []float64) bool {
 				ts.Rows = append(ts.Rows, append([]float64(nil), row...))
 				return true
@@ -319,38 +315,23 @@ func (d *DurableDB) ReplRestore(snap *ReplSnap) error {
 			Partitions: ts.Parts,
 			Defs:       append([]IndexDef(nil), ts.Defs...),
 		}
-		for _, phys := range physicalNames(ts.Name, meta) {
-			if _, err := d.db.CreateTable(phys, meta.Cols, meta.PKCol); err != nil {
-				d.mu.Unlock()
-				return err
-			}
+		if err := d.createPhysical(ts.Name, meta); err != nil {
+			d.mu.Unlock()
+			return err
 		}
 		d.tables[ts.Name] = meta
 		for _, row := range ts.Rows {
-			phys := ts.Name
-			if meta.Partitions > 0 {
-				var pk float64
-				if meta.PKCol < len(row) {
-					pk = row[meta.PKCol]
-				}
-				phys = PartitionName(ts.Name, PartitionOf(pk, meta.Partitions))
+			var pk float64
+			if meta.PKCol < len(row) {
+				pk = row[meta.PKCol]
 			}
-			tb, err := d.db.Table(phys)
-			if err != nil {
-				d.mu.Unlock()
-				return err
-			}
+			tb, _ := meta.route(pk)
 			if _, err := tb.Insert(row); err != nil {
 				d.mu.Unlock()
 				return fmt.Errorf("engine: restoring snapshot row in %q: %w", ts.Name, err)
 			}
 		}
-		for _, phys := range physicalNames(ts.Name, meta) {
-			tb, err := d.db.Table(phys)
-			if err != nil {
-				d.mu.Unlock()
-				return err
-			}
+		for _, tb := range meta.phys {
 			for _, def := range meta.Defs {
 				if err := applyIndexDef(tb, def); err != nil {
 					d.mu.Unlock()

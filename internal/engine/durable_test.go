@@ -3,6 +3,7 @@ package engine
 import (
 	"math/rand"
 	"os"
+	"reflect"
 	"testing"
 
 	"hermit/internal/hermit"
@@ -253,5 +254,77 @@ func TestDurableUnknownIndexKind(t *testing.T) {
 	}
 	if _, err := d.Insert("nope", []float64{1}); err == nil {
 		t.Fatal("insert into missing table accepted")
+	}
+}
+
+// TestApplyEachSameKeyRun drives the submit/wait split directly: a run
+// that writes one key over and over — with a failing op in the middle —
+// must give each op its own outcome in order, and, since every record is
+// submitted under its key's stripe before the run waits once, recovery
+// must replay the run's records in apply order on a plain table and on a
+// partitioned one, under every sync policy.
+func TestApplyEachSameKeyRun(t *testing.T) {
+	run := []Op{
+		{Kind: OpInsert, Row: []float64{7, 1, 1}},
+		{Kind: OpUpdate, PK: 7, Col: 1, Value: 2},
+		{Kind: OpInsert, Row: []float64{7, 9, 9}}, // duplicate: fails alone
+		{Kind: OpDelete, PK: 7},
+		{Kind: OpDelete, PK: 7},                   // absent: found=false, not logged
+		{Kind: OpUpdate, PK: 7, Col: 1, Value: 3}, // absent: fails alone
+		{Kind: OpInsert, Row: []float64{7, 4, 4}},
+		{Kind: OpUpdate, PK: 7, Col: 2, Value: 5},
+		{Kind: OpInsert, Row: []float64{8, 0, 0}},
+		{Kind: OpPoint, Col: 0, Lo: 7}, // not a mutation: fails alone
+	}
+	wantErr := []bool{false, false, true, false, false, true, false, false, false, true}
+	want := [][]float64{{7, 4, 5}, {8, 0, 0}}
+
+	for _, policy := range []SyncPolicy{SyncNever, SyncGroup, SyncAlways} {
+		for _, parts := range []int{0, 3} {
+			dir := t.TempDir()
+			opts := DurableOptions{Policy: policy}
+			d, err := OpenDurableOptions(dir, hermit.PhysicalPointers, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if parts == 0 {
+				_, err = d.CreateTable("t", []string{"id", "a", "b"}, 0)
+			} else {
+				err = d.CreatePartitionedTable("t", []string{"id", "a", "b"}, 0, parts)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			ops := append([]Op(nil), run...)
+			for i := range ops {
+				ops[i].Table = "t"
+			}
+			results := d.ApplyEach(ops)
+			for i, res := range results {
+				if (res.Err != nil) != wantErr[i] {
+					t.Fatalf("%v/%d parts: op %d (%v): err %v, want failure=%v", policy, parts, i, ops[i].Kind, res.Err, wantErr[i])
+				}
+			}
+			if !results[3].Found || results[4].Found {
+				t.Fatalf("%v/%d parts: deletes found %v then %v, want true then false", policy, parts, results[3].Found, results[4].Found)
+			}
+			if got := liveRows(t, d, "t"); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%v/%d parts: rows after the run %v, want %v", policy, parts, got, want)
+			}
+			if err := d.Close(); err != nil {
+				t.Fatal(err)
+			}
+			d, err = OpenDurableOptions(dir, hermit.PhysicalPointers, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n, serr := d.RecoverySkipped(); n != 0 {
+				t.Fatalf("%v/%d parts: recovery skipped %d records: %v", policy, parts, n, serr)
+			}
+			if got := liveRows(t, d, "t"); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%v/%d parts: rows after recovery %v, want %v", policy, parts, got, want)
+			}
+			d.Close()
+		}
 	}
 }

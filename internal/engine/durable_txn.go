@@ -39,17 +39,16 @@ func (tx *DurableTxn) Snapshot() *Snapshot { return tx.x.Snapshot() }
 func (tx *DurableTxn) Result() CommitResult { return tx.res }
 
 // route resolves the engine table and partition id a mutation on (table,
-// pk) targets, mirroring DurableDB.mutate.
+// pk) targets, like DurableDB.submit.
 func (tx *DurableTxn) route(table string, pk float64) (*Table, uint32, error) {
 	tx.d.mu.RLock()
-	phys, part := table, uint32(0)
-	if meta := tx.d.tables[table]; meta != nil && meta.Partitions > 0 {
-		p := PartitionOf(pk, meta.Partitions)
-		phys, part = PartitionName(table, p), uint32(p)
+	defer tx.d.mu.RUnlock()
+	meta := tx.d.tables[table]
+	if meta == nil {
+		return nil, 0, fmt.Errorf("%w: %q", ErrNoSuchTable, table)
 	}
-	tx.d.mu.RUnlock()
-	tb, err := tx.d.db.Table(phys)
-	return tb, part, err
+	tb, part := meta.route(pk)
+	return tb, part, nil
 }
 
 // record buffers the WAL record for one accepted mutation.

@@ -208,11 +208,10 @@ func fetchPart(pt *partition.Table, rids []partition.RID) ([][]float64, error) {
 // session's pipelining unit. Plain-table ops funnel into one
 // DurableDB.ExecuteBatch call (shared snapshot, worker pool); ops on each
 // partitioned table funnel into that table's ExecuteBatch. A guard
-// snapshot taken before either call covers the row fetches. Responses
-// align positionally with reqs.
-func (b *backend) runReads(tenant string, reqs []proto.Request) []proto.Response {
-	out := make([]proto.Response, len(reqs))
-
+// snapshot taken before either call covers the row fetches. Responses land
+// in out at their request's position; a position the session has already
+// answered (quota, role) is left alone.
+func (b *backend) runReads(tenant string, reqs []proto.Request, out []proto.Response) {
 	guard := b.d.Snapshot()
 	defer guard.Release()
 
@@ -222,6 +221,9 @@ func (b *backend) runReads(tenant string, reqs []proto.Request) []proto.Response
 	partIdx := make(map[*partition.Table][]int)
 
 	for i := range reqs {
+		if out[i].Type != respNone {
+			continue
+		}
 		op, err := engineOp(tenant, &reqs[i])
 		if err != nil {
 			out[i] = errorResponse(err)
@@ -271,7 +273,6 @@ func (b *backend) runReads(tenant string, reqs []proto.Request) []proto.Response
 			out[i] = proto.Response{Type: proto.RespRows, Rows: rows}
 		}
 	}
-	return out
 }
 
 // runBatch executes a wire batch atomically. All-plain batches go through
@@ -366,31 +367,34 @@ func (b *backend) runBatch(tenant string, r *proto.Request) proto.Response {
 	return resp
 }
 
-// runMutation executes one auto-commit mutation request.
-func (b *backend) runMutation(tenant string, r *proto.Request) proto.Response {
-	name, err := physical(tenant, r.Table)
-	if err != nil {
-		return errorResponse(err)
-	}
-	switch r.Type {
-	case proto.ReqInsert:
-		if _, err := b.d.Insert(name, r.Row); err != nil {
-			return errorResponse(err)
+// runWrites executes a run of auto-commit mutation requests — the write
+// side of the session's pipelining unit — through one ApplyEach: each
+// request is its own mutation with its own outcome, and the run waits for
+// the log once. Responses land in out like runReads'.
+func (b *backend) runWrites(tenant string, reqs []proto.Request, out []proto.Response) {
+	ops := make([]engine.Op, 0, len(reqs))
+	idx := make([]int, 0, len(reqs))
+	for i := range reqs {
+		if out[i].Type != respNone {
+			continue
 		}
-		return proto.Response{Type: proto.RespOK}
-	case proto.ReqUpdate:
-		if err := b.d.UpdateColumn(name, r.PK, int(r.Col), r.Value); err != nil {
-			return errorResponse(err)
-		}
-		return proto.Response{Type: proto.RespOK}
-	case proto.ReqDelete:
-		found, err := b.d.Delete(name, r.PK)
+		op, err := engineOp(tenant, &reqs[i])
 		if err != nil {
-			return errorResponse(err)
+			out[i] = errorResponse(err)
+			continue
 		}
-		return proto.Response{Type: proto.RespFound, Found: found}
+		ops, idx = append(ops, op), append(idx, i)
 	}
-	return errorResponse(reject(proto.CodeBadRequest, "type %d is not a mutation", r.Type))
+	for k, res := range b.d.ApplyEach(ops) {
+		switch i := idx[k]; {
+		case res.Err != nil:
+			out[i] = errorResponse(res.Err)
+		case ops[k].Kind == engine.OpDelete:
+			out[i] = proto.Response{Type: proto.RespFound, Found: res.Found}
+		default:
+			out[i] = proto.Response{Type: proto.RespOK}
+		}
+	}
 }
 
 // runTxnQuery executes a read inside an open transaction, at the

@@ -161,17 +161,19 @@ func (sv *server) execHTTP(h *httpOp) httpResult {
 
 	b := sv.be()
 	if sv.follower.Load() != nil && isMutating(&req) {
-		return fromResponse(errorResponse(reject(proto.CodeNotLeader,
-			"node is a read-only follower; send writes to the leader")))
+		return fromResponse(errNotLeader)
 	}
 	var resp proto.Response
+	run := make([]proto.Response, 1) // a read or a write is a run of one
 	switch req.Type {
 	case proto.ReqPing:
 		resp = proto.Response{Type: proto.RespOK}
 	case proto.ReqPoint, proto.ReqRange, proto.ReqRange2:
-		resp = b.runReads(h.Tenant, []proto.Request{req})[0]
+		b.runReads(h.Tenant, []proto.Request{req}, run)
+		resp = run[0]
 	case proto.ReqInsert, proto.ReqUpdate, proto.ReqDelete:
-		resp = sv.quorumGate(b.runMutation(h.Tenant, &req))
+		b.runWrites(h.Tenant, []proto.Request{req}, run)
+		resp = sv.quorumGate(run[0])
 	case proto.ReqBatch:
 		resp = b.runBatch(h.Tenant, &req)
 		if isMutating(&req) {

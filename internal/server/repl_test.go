@@ -12,6 +12,7 @@ import (
 	"hermit/internal/engine"
 	"hermit/internal/hermit"
 	"hermit/internal/repl"
+	"hermit/internal/server/proto"
 )
 
 // replicaPair is a leader server plus one follower server wired exactly
@@ -144,6 +145,93 @@ func TestReplicatedServingEndToEnd(t *testing.T) {
 	}
 	if fst.Repl.Follower.AppliedLSN != last {
 		t.Fatalf("follower stats applied %d, want %d", fst.Repl.Follower.AppliedLSN, last)
+	}
+}
+
+// TestStreamAndResponsesShareAConnection: a subscribed connection has two
+// writers — the stream goroutine, which flushes every frame it sends, and
+// the executor, which buffers its responses until its queue runs dry.
+// Whatever the interleaving, the client must read whole frames: every
+// ping answered, every WAL record delivered once and in LSN order. Run
+// under -race this is also the check that both writers hold the write
+// mutex around the shared bufio.Writer.
+func TestStreamAndResponsesShareAConnection(t *testing.T) {
+	ld, err := engine.OpenDurable(t.TempDir(), hermit.PhysicalPointers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ld.Close() })
+	leader, err := repl.NewLeader(ld, repl.LeaderOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := New(ld, Options{Leader: leader})
+	if err := srv.Start("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+
+	w := dial(t, srv, client.Options{})
+	if err := w.CreateTable("t", []string{"id", "v"}, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	rc := dialRaw(t, srv)
+	rc.send(t, proto.Request{Type: proto.ReqReplSubscribe, Follower: "raw"})
+	if resp := rc.recv(t); resp.Type != proto.RespReplState || resp.NeedSnapshot {
+		t.Fatalf("subscribe: %+v", resp)
+	}
+
+	const writes, pings = 300, 300
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() { // the stream's source: one WAL record per insert
+		defer wg.Done()
+		for i := 0; i < writes; i++ {
+			if err := w.Insert("t", []float64{float64(i), 0}); err != nil {
+				t.Errorf("insert %d: %v", i, err)
+				return
+			}
+		}
+	}()
+	go func() { // the executor's responses, in bursts of varying depth
+		defer wg.Done()
+		for sent := 0; sent < pings; {
+			n := min(1+sent%7, pings-sent)
+			for i := 0; i < n; i++ {
+				if err := proto.WriteRequest(rc.bw, &proto.Request{Type: proto.ReqPing}); err != nil {
+					t.Errorf("ping: %v", err)
+					return
+				}
+			}
+			if err := rc.bw.Flush(); err != nil {
+				t.Errorf("ping flush: %v", err)
+				return
+			}
+			sent += n
+		}
+	}()
+
+	// 1 (create table) + writes records; pings answered by RespOK.
+	var ponged int
+	var lastLSN uint64
+	for ponged < pings || lastLSN < 1+writes {
+		switch resp := rc.recv(t); resp.Type {
+		case proto.RespOK:
+			ponged++
+		case proto.RespReplFrames:
+			for _, rec := range resp.Recs {
+				if rec.LSN != lastLSN+1 {
+					t.Fatalf("stream delivered LSN %d after %d", rec.LSN, lastLSN)
+				}
+				lastLSN = rec.LSN
+			}
+		default:
+			t.Fatalf("unexpected frame on a subscribed connection: %+v", resp)
+		}
+	}
+	wg.Wait()
+	if ponged != pings {
+		t.Fatalf("%d pings answered, want %d", ponged, pings)
 	}
 }
 

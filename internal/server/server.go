@@ -1,9 +1,10 @@
 // Package server is hermitd's serving tier: a TCP listener speaking the
 // internal/server/proto wire protocol (plus an optional HTTP/JSON
 // fallback, see http.go), per-connection sessions holding open
-// transactions, read-request pipelining into the engine's batch executor,
-// server-wide admission control, per-tenant namespaces with op quotas,
-// and graceful drain on shutdown.
+// transactions, pipelined requests drained in runs (reads into the engine's
+// batch executor, writes into one wait for the log) and answered in one
+// flush per drained queue, server-wide admission control, per-tenant
+// namespaces with op quotas, and graceful drain on shutdown.
 //
 // Layering: proto knows bytes, this package knows connections and
 // sessions, and backend.go is the only file that touches the engine — the
@@ -77,8 +78,8 @@ type Stats struct {
 	// Conns counts accepted connections; ConnsActive is the live gauge.
 	Conns, ConnsActive atomic.Int64
 	// Requests counts requests dequeued for handling (including rejected
-	// ones); Coalesced counts reads that rode along in a pipelined batch
-	// instead of executing alone.
+	// ones); Coalesced counts requests that rode along in a pipelined run
+	// of reads or of writes instead of executing alone.
 	Requests, Coalesced atomic.Int64
 	// Rejected counts admission-control rejections; QuotaRejected counts
 	// tenant-quota rejections.
@@ -416,22 +417,40 @@ func (sv *server) acquireInflight() bool {
 // releaseInflight returns one admission token.
 func (sv *server) releaseInflight() { <-sv.inflight }
 
-// quorumGate holds a successful write response until a quorum of
-// followers acks the leader's log position — the AckQuorum contract: an
-// acknowledged write survives leader loss, because the promoted
-// highest-LSN follower necessarily holds it. On timeout the response is
-// replaced with an error (the write is durable locally; its replication
-// state is unknown, which the client must treat as commit-uncertain).
-func (sv *server) quorumGate(resp proto.Response) proto.Response {
+// quorumGateRun holds a run's successful write responses until a quorum
+// of followers acks the leader's log position — the AckQuorum contract:
+// an acknowledged write survives leader loss, because the promoted
+// highest-LSN follower necessarily holds it. The run waits once, on the
+// position after its last record, which covers every record before it. On
+// timeout each successful response is replaced with an error (the writes
+// are durable locally; their replication state is unknown, which the
+// client must treat as commit-uncertain).
+func (sv *server) quorumGateRun(resps []proto.Response) {
 	l := sv.leader.Load()
-	if l == nil || l.AckMode() != repl.AckQuorum || resp.Type == proto.RespError {
-		return resp
+	if l == nil || l.AckMode() != repl.AckQuorum {
+		return
 	}
-	if err := l.WaitQuorum(sv.be().d.LastLSN(), l.QuorumTimeout()); err != nil {
-		return proto.Response{Type: proto.RespError, Code: proto.CodeInternal,
-			Msg: "replication quorum not reached; commit state unknown"}
+	var waited bool
+	var err error
+	for i := range resps {
+		if resps[i].Type == proto.RespError {
+			continue
+		}
+		if !waited {
+			waited, err = true, l.WaitQuorum(sv.be().d.LastLSN(), l.QuorumTimeout())
+		}
+		if err != nil {
+			resps[i] = proto.Response{Type: proto.RespError, Code: proto.CodeInternal,
+				Msg: "replication quorum not reached; commit state unknown"}
+		}
 	}
-	return resp
+}
+
+// quorumGate is quorumGateRun for one response.
+func (sv *server) quorumGate(resp proto.Response) proto.Response {
+	one := [1]proto.Response{resp}
+	sv.quorumGateRun(one[:])
+	return one[0]
 }
 
 // quotaFor returns the (shared) quota bucket for a tenant.

@@ -1,8 +1,11 @@
 package server
 
 import (
+	"bufio"
 	"errors"
 	"net"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -27,6 +30,151 @@ func startServer(t *testing.T, opts Options) (*Server, *engine.DurableDB) {
 	}
 	t.Cleanup(func() { srv.Close() })
 	return srv, d
+}
+
+// countedListener hands the server connections that count their Write
+// calls — one per write(2) the session spends — and show each one to an
+// optional hook before the bytes leave, on the writing goroutine.
+type countedListener struct {
+	net.Listener
+	writes atomic.Int64
+
+	mu   sync.Mutex
+	hook func(p []byte)
+}
+
+type countedConn struct {
+	net.Conn
+	ln *countedListener
+}
+
+func (l *countedListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return &countedConn{Conn: c, ln: l}, nil
+}
+
+func (l *countedListener) setHook(fn func(p []byte)) {
+	l.mu.Lock()
+	l.hook = fn
+	l.mu.Unlock()
+}
+
+func (c *countedConn) Write(p []byte) (int, error) {
+	c.ln.writes.Add(1)
+	c.ln.mu.Lock()
+	hook := c.ln.hook
+	c.ln.mu.Unlock()
+	if hook != nil {
+		hook(p)
+	}
+	return c.Conn.Write(p)
+}
+
+// startCounted is startServer behind a countedListener.
+func startCounted(t *testing.T, opts Options) (*Server, *engine.DurableDB, *countedListener) {
+	t.Helper()
+	d, err := engine.OpenDurable(t.TempDir(), hermit.PhysicalPointers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { d.Close() })
+	inner, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln := &countedListener{Listener: inner}
+	srv := New(d, opts)
+	srv.s.setListener(ln) // Addr is valid before Serve's goroutine runs
+	go srv.Serve(ln)
+	t.Cleanup(func() { srv.Close() })
+	return srv, d, ln
+}
+
+// rawConn speaks the wire protocol frame by frame, so a test decides what
+// shares a client write and can read a response stream that ends early.
+type rawConn struct {
+	nc net.Conn
+	bw *bufio.Writer
+	br *bufio.Reader
+}
+
+func dialRaw(t *testing.T, srv *Server) *rawConn {
+	t.Helper()
+	nc, err := net.Dial("tcp", srv.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { nc.Close() })
+	return &rawConn{nc: nc, bw: bufio.NewWriterSize(nc, 256<<10), br: bufio.NewReader(nc)}
+}
+
+// send writes reqs back to back and flushes once.
+func (r *rawConn) send(t *testing.T, reqs ...proto.Request) {
+	t.Helper()
+	for i := range reqs {
+		if err := proto.WriteRequest(r.bw, &reqs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := r.bw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// recv reads one response. The deadline turns a response the server
+// buffered and never flushed into a failure instead of a hung test.
+func (r *rawConn) recv(t *testing.T) proto.Response {
+	t.Helper()
+	r.nc.SetReadDeadline(time.Now().Add(10 * time.Second))
+	resp, err := proto.ReadResponse(r.br)
+	if err != nil {
+		t.Fatalf("no response (buffered and not flushed?): %v", err)
+	}
+	return resp
+}
+
+// park sends a ping and holds the session's executor inside the write of
+// its response, so that everything sent before release is called queues up
+// behind it: the state a pipelined burst meets on a busy server, made
+// deterministic. The ping's response is the first one read afterwards.
+func park(t *testing.T, ln *countedListener, rc *rawConn) (release func()) {
+	t.Helper()
+	entered, gate := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	ln.setHook(func([]byte) {
+		once.Do(func() {
+			close(entered)
+			<-gate
+		})
+	})
+	rc.send(t, proto.Request{Type: proto.ReqPing})
+	select {
+	case <-entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("executor never wrote the ping's response")
+	}
+	return func() { close(gate) }
+}
+
+// waitQueued waits until n requests hold admission tokens, i.e. the
+// session's reader has decoded and queued them. (A parked ping holds none:
+// its token is returned when its response is buffered, before the flush.)
+func waitQueued(t *testing.T, srv *Server, n int) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for len(srv.s.inflight) < n {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d requests queued", len(srv.s.inflight), n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+func insertReq(table string, row ...float64) proto.Request {
+	return proto.Request{Type: proto.ReqInsert, Table: table, Row: row}
 }
 
 func dial(t *testing.T, srv *Server, opts client.Options) *client.Conn {
@@ -397,11 +545,13 @@ func TestTenantNamespacesAndQuota(t *testing.T) {
 	}
 }
 
-// TestGracefulDrain verifies Close lets queued pipelined work finish and
-// that open transactions are rolled back (snapshots released) rather than
+// TestGracefulDrain verifies Close lets queued pipelined work finish —
+// every response of a burst that was queued when Close began reaches the
+// client, although the queue closes without ever running dry — and that
+// open transactions are rolled back (snapshots released) rather than
 // leaked.
 func TestGracefulDrain(t *testing.T) {
-	srv, d := startServer(t, Options{DrainTimeout: 3 * time.Second})
+	srv, d, ln := startCounted(t, Options{DrainTimeout: 3 * time.Second})
 	c := dial(t, srv, client.Options{})
 	if err := c.CreateTable("t", []string{"id", "x"}, 0, 0); err != nil {
 		t.Fatal(err)
@@ -415,9 +565,43 @@ func TestGracefulDrain(t *testing.T) {
 	}
 	before := d.Clock().OldestActive()
 
-	if err := srv.Close(); err != nil {
+	// A burst in flight: queued behind a parked executor when Close begins.
+	const burst = 100
+	rc := dialRaw(t, srv)
+	release := park(t, ln, rc)
+	reqs := make([]proto.Request, burst)
+	for i := range reqs {
+		reqs[i] = insertReq("t", float64(100+i), 0)
+	}
+	rc.send(t, reqs...)
+	waitQueued(t, srv, burst)
+
+	closed := make(chan error, 1)
+	go func() { closed <- srv.Close() }()
+	for !srv.s.draining.Load() {
+		time.Sleep(time.Millisecond)
+	}
+	// Give the reader the moment it needs to see the drain and close the
+	// queue: the executor then meets a queue that is closed, not empty. (If
+	// it has not, the executor flushes on the empty queue and the test
+	// passes without having tested the closing flush.)
+	time.Sleep(50 * time.Millisecond)
+	release()
+	for i := 0; i < 1+burst; i++ {
+		if resp := rc.recv(t); resp.Type != proto.RespOK {
+			t.Fatalf("response %d of the drained burst: %+v", i, resp)
+		}
+	}
+	if err := <-closed; err != nil {
 		t.Fatalf("close: %v", err)
 	}
+	snap := d.Snapshot()
+	rids, _, err := mustTable(t, d, "t").RangeQueryAt(snap, 0, 100, 100+burst)
+	snap.Release()
+	if err != nil || len(rids) != burst {
+		t.Fatalf("drained burst applied %d of %d inserts (err %v)", len(rids), burst, err)
+	}
+
 	if open := srv.Stats().TxnsOpen; open != 0 {
 		t.Fatalf("%d txns open after drain", open)
 	}
@@ -431,6 +615,141 @@ func TestGracefulDrain(t *testing.T) {
 	// Closing twice is safe.
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func mustTable(t *testing.T, d *engine.DurableDB, name string) *engine.Table {
+	t.Helper()
+	tb, err := d.Table(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tb
+}
+
+// TestBurstCostsOneWrite pins what the session spends on a pipelined
+// burst: a depth-64 run of inserts, and one of point reads, leave in at
+// most two server-side writes (one when the whole burst was queued before
+// the executor reached it, as here) — not in one write per response.
+func TestBurstCostsOneWrite(t *testing.T) {
+	srv, _, ln := startCounted(t, Options{})
+	c := dial(t, srv, client.Options{})
+	if err := c.CreateTable("t", []string{"id", "x"}, 0, 4); err != nil {
+		t.Fatal(err)
+	}
+	rc := dialRaw(t, srv)
+	for name, mk := range map[string]func(i int) proto.Request{
+		"inserts": func(i int) proto.Request { return insertReq("t", float64(i), float64(i)) },
+		"points":  func(i int) proto.Request { return proto.Request{Type: proto.ReqPoint, Table: "t", Lo: float64(i)} },
+	} {
+		release := park(t, ln, rc)
+		reqs := make([]proto.Request, maxCoalesce)
+		for i := range reqs {
+			reqs[i] = mk(i)
+		}
+		rc.send(t, reqs...)
+		waitQueued(t, srv, len(reqs))
+		before := ln.writes.Load() // counts the parked write already
+		release()
+		for i := 0; i < 1+len(reqs); i++ {
+			if resp := rc.recv(t); resp.Type == proto.RespError {
+				t.Fatalf("%s: response %d: %+v", name, i, resp)
+			}
+		}
+		if n := ln.writes.Load() - before; n < 1 || n > 2 {
+			t.Fatalf("%s: a burst of %d cost %d server-side writes, want 1 or 2", name, len(reqs), n)
+		}
+	}
+}
+
+// TestLastResponseNeedsNoFurtherTraffic covers the ways a session's queue
+// runs dry: whatever was answered last must reach the client without the
+// client sending anything more.
+func TestLastResponseNeedsNoFurtherTraffic(t *testing.T) {
+	srv, _, _ := startCounted(t, Options{MaxInflight: 2})
+	rc := dialRaw(t, srv)
+
+	// One-shots, success and error.
+	rc.send(t, proto.Request{Type: proto.ReqCreateTable, Table: "t", Cols: []string{"id"}})
+	if resp := rc.recv(t); resp.Type != proto.RespOK {
+		t.Fatalf("create table: %+v", resp)
+	}
+	rc.send(t, insertReq("t", 1))
+	if resp := rc.recv(t); resp.Type != proto.RespOK {
+		t.Fatalf("insert: %+v", resp)
+	}
+	rc.send(t, insertReq("t", 1))
+	if resp := rc.recv(t); resp.Code != proto.CodeDupKey {
+		t.Fatalf("duplicate insert: %+v", resp)
+	}
+	rc.send(t, proto.Request{Type: proto.ReqPoint, Table: "missing"})
+	if resp := rc.recv(t); resp.Code != proto.CodeNoTable {
+		t.Fatalf("read of a missing table: %+v", resp)
+	}
+
+	// A request refused at admission: every token is taken.
+	for srv.s.acquireInflight() {
+	}
+	rc.send(t, proto.Request{Type: proto.ReqPing})
+	if resp := rc.recv(t); resp.Code != proto.CodeOverloaded {
+		t.Fatalf("ping with no admission token left: %+v", resp)
+	}
+	for i := 0; i < 2; i++ {
+		srv.s.releaseInflight()
+	}
+
+	// A request that answers nothing ends the burst: the response before
+	// it must not wait for a flush the ack never triggers.
+	rc.send(t, proto.Request{Type: proto.ReqPing},
+		proto.Request{Type: proto.ReqReplAck, Follower: "nobody", LSN: 1})
+	if resp := rc.recv(t); resp.Type != proto.RespOK {
+		t.Fatalf("ping before an ack: %+v", resp)
+	}
+}
+
+// TestStallingRequestFlushesFirst: DDL queued behind ten inserts must not
+// sit on their responses while it builds — the executor flushes before a
+// request that may stall, so the inserts' responses are on the wire while
+// the index does not exist yet.
+func TestStallingRequestFlushesFirst(t *testing.T) {
+	srv, d, ln := startCounted(t, Options{})
+	c := dial(t, srv, client.Options{})
+	if err := c.CreateTable("t", []string{"id", "x"}, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	tb := mustTable(t, d, "t")
+	okFrame, err := proto.AppendResponse(nil, &proto.Response{Type: proto.RespOK})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	rc := dialRaw(t, srv)
+	release := park(t, ln, rc)
+	const inserts = 10
+	reqs := make([]proto.Request, 0, inserts+1)
+	for i := 0; i < inserts; i++ {
+		reqs = append(reqs, insertReq("t", float64(i), float64(i)))
+	}
+	reqs = append(reqs, proto.Request{Type: proto.ReqCreateIndex, Table: "t", Col: 1, Kind: proto.IndexBTree})
+	rc.send(t, reqs...)
+	waitQueued(t, srv, len(reqs))
+
+	// Bytes the session wrote before the index existed, after the release.
+	var early atomic.Int64
+	ln.setHook(func(p []byte) {
+		if tb.IndexOn(1) == engine.KindNone {
+			early.Add(int64(len(p)))
+		}
+	})
+	release()
+	for i := 0; i < 1+len(reqs); i++ {
+		if resp := rc.recv(t); resp.Type != proto.RespOK {
+			t.Fatalf("response %d: %+v", i, resp)
+		}
+	}
+	if want := int64(inserts * len(okFrame)); early.Load() < want {
+		t.Fatalf("%d response bytes written before the DDL ran, want the %d inserts' %d",
+			early.Load(), inserts, want)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"errors"
 	"net"
+	"slices"
 	"sync"
 
 	"hermit/internal/engine"
@@ -16,10 +17,22 @@ import (
 //
 // The queue is what makes pipelining work: a client may write hundreds of
 // frames before reading a single response, and the reader keeps decoding
-// while the executor works. The executor coalesces runs of consecutive
-// auto-commit reads into one ExecuteBatch call (see backend.runReads), so
-// a pipelined point-query storm executes on the engine's worker pool
-// under a single shared snapshot instead of as N serial queries.
+// while the executor works. The executor drains it in runs: consecutive
+// auto-commit reads become one ExecuteBatch call (see backend.runReads),
+// so a pipelined point-query storm executes on the engine's worker pool
+// under a single shared snapshot instead of as N serial queries, and
+// consecutive auto-commit writes become one ApplyEach call (see
+// backend.runWrites), which submits every record to the log before it
+// waits for the first acknowledgement.
+//
+// Responses are buffered in bw and flushed when the queue runs dry — the
+// invariant is that the executor holds unflushed bytes only while it still
+// has queued requests to execute — so a pipelined burst costs one
+// write(2), not one per response, and a one-shot request, whose response
+// empties the queue, is flushed exactly as promptly as if every response
+// were. The one exception runs the other way: before a request that may
+// stall (mayStall) the executor flushes what the requests ahead of it
+// produced.
 //
 // Admission control happens at enqueue: each queued request holds one
 // server-wide inflight token until its response is written. When no token
@@ -40,16 +53,26 @@ type session struct {
 	txns   map[uint64]*engine.DurableTxn
 	nextTx uint64
 
-	// wmu serializes connection writes: normally only the executor
-	// writes, but a replication subscription adds a second writer — the
-	// stream goroutine ServeSubscriber runs on — interleaving whole
-	// frames with the executor's responses (acks, the only requests a
-	// subscribed follower keeps sending, produce no response at all).
+	// wmu serializes use of bw: normally only the executor writes, but a
+	// replication subscription adds a second writer — the stream
+	// goroutine ServeSubscriber runs on — interleaving whole frames with
+	// the executor's responses (acks, the only requests a subscribed
+	// follower keeps sending, produce no response at all). The stream
+	// flushes each frame itself (send); the executor flushes per drained
+	// queue (next).
 	wmu sync.Mutex
 	// subStop ends replication streams on session teardown; subWG waits
 	// for them so cleanup never races a streaming write.
 	subStop chan struct{}
 	subWG   sync.WaitGroup
+
+	// run is the executor's scratch for one run (see runCoalesced): the
+	// slices grow to at most maxCoalesce entries and are cleared after each
+	// run, so they pin no request's rows and no response's between runs.
+	run struct {
+		reqs  []proto.Request
+		resps []proto.Response
+	}
 
 	// wbuf is the response encode scratch, guarded by wmu like the writes
 	// it feeds. Oversized buffers are released after the write (see
@@ -63,8 +86,8 @@ type session struct {
 // dropped after use and re-grown on demand.
 const maxRetainedBuf = 64 << 10
 
-// maxCoalesce bounds one coalesced read batch (and thus response latency
-// for the op at the head of the run).
+// maxCoalesce bounds one run, of reads or of writes (and thus response
+// latency for the op at the head of the run).
 const maxCoalesce = 64
 
 // respNone is handleOne's no-response sentinel: replication acks consume
@@ -74,6 +97,10 @@ const respNone proto.RespType = 0
 
 // errConnClosed reports a failed stream write (the subscriber hung up).
 var errConnClosed = errors.New("server: connection closed")
+
+// errNotLeader answers every state-changing request on a follower.
+var errNotLeader = errorResponse(reject(proto.CodeNotLeader,
+	"node is a read-only follower; send writes to the leader"))
 
 // maxOpenTxns bounds a session's concurrently open transactions: each
 // pins a snapshot, so an unbounded map would let one client stall GC.
@@ -106,22 +133,24 @@ func (s *session) serve() {
 		if carry != nil {
 			item, carry = *carry, nil
 		} else {
-			it, ok := <-q
-			if !ok {
+			var ok bool
+			if item, ok = s.next(q); !ok {
 				break
 			}
-			item = it
 		}
 		s.srv.stats.Requests.Add(1)
 		switch {
 		case item.rejected != nil:
 			writable = s.write(*item.rejected)
-		case isAutoRead(&item.req):
+		case runOf(&item.req) != noRun:
 			writable, carry = s.runCoalesced(item, q)
 		default:
-			resp := s.handleOne(&item.req)
-			if resp.Type != respNone {
-				writable = s.write(resp)
+			// A request that can take arbitrarily long must not sit on the
+			// responses of the requests before it.
+			if writable = !mayStall(&item.req) || s.flush(); writable {
+				if resp := s.handleOne(&item.req); resp.Type != respNone {
+					writable = s.write(resp)
+				}
 			}
 			if item.admitted {
 				s.srv.releaseInflight()
@@ -131,6 +160,7 @@ func (s *session) serve() {
 	if carry != nil && carry.admitted {
 		s.srv.releaseInflight()
 	}
+	s.flush() // the queue closed under a burst: its responses are still owed
 	// The reader may still be running (executor stopped on a write
 	// error): closing the connection in the deferred chain unblocks it;
 	// meanwhile drain the queue so enqueues never block and every token
@@ -182,35 +212,81 @@ func (s *session) read(q chan queued) {
 	}
 }
 
-// isAutoRead reports whether a request is an auto-commit read — the
-// coalescable kind.
-func isAutoRead(r *proto.Request) bool {
-	if r.Txn != 0 {
-		return false
+// next returns the next queue entry (ok=false once the queue is closed and
+// drained). Before it blocks on an empty queue it flushes the buffered
+// responses — the one point where the session decides to spend a write(2);
+// a failed flush ends the session like a closed queue.
+func (s *session) next(q chan queued) (item queued, ok bool) {
+	select {
+	case item, ok = <-q:
+		return item, ok
+	default:
 	}
+	if !s.flush() {
+		return queued{}, false
+	}
+	item, ok = <-q
+	return item, ok
+}
+
+// mayStall reports whether executing r can take unboundedly longer than a
+// run of point operations: DDL builds indexes, a commit or an atomic batch
+// waits on the log (and on a replication quorum), and a subscription hands
+// the connection to a second writer. The executor flushes before these.
+func mayStall(r *proto.Request) bool {
 	switch r.Type {
-	case proto.ReqPoint, proto.ReqRange, proto.ReqRange2:
+	case proto.ReqCreateTable, proto.ReqCreateIndex, proto.ReqBatch,
+		proto.ReqTxnCommit, proto.ReqReplSubscribe:
 		return true
 	}
 	return false
 }
 
-// runCoalesced executes first plus any auto-commit reads already queued
-// behind it (up to maxCoalesce) as one batch, writing responses in order.
-// A non-coalescable entry encountered first is returned as carry for the
-// main loop. It releases the tokens of every entry it consumed.
+// runKind classes the auto-commit requests the executor drains as a run.
+type runKind uint8
+
+const (
+	noRun    runKind = iota // executed alone by handleOne
+	readRun                 // point and range queries: one ExecuteBatch
+	writeRun                // inserts, updates, deletes: one ApplyEach
+)
+
+// runOf reports which kind of run a request can join. Requests inside a
+// transaction join none: they execute against the transaction's state.
+func runOf(r *proto.Request) runKind {
+	if r.Txn != 0 {
+		return noRun
+	}
+	switch r.Type {
+	case proto.ReqPoint, proto.ReqRange, proto.ReqRange2:
+		return readRun
+	case proto.ReqInsert, proto.ReqUpdate, proto.ReqDelete:
+		return writeRun
+	}
+	return noRun
+}
+
+// runCoalesced executes first plus the requests of the same run kind
+// already queued behind it (up to maxCoalesce) as one run, writing
+// responses in order. A run of reads is one ExecuteBatch under a shared
+// snapshot; a run of writes is one ApplyEach — still one auto-commit
+// mutation, one WAL record and one result per request, but one wait for
+// the log and one quorum wait for the lot. The first queued entry that
+// cannot join is returned as carry for the main loop. It releases the
+// tokens of every entry it consumed.
 func (s *session) runCoalesced(first queued, q chan queued) (writable bool, carry *queued) {
-	items := []queued{first}
+	kind := runOf(&first.req)
+	reqs := append(s.run.reqs[:0], first.req)
 gather:
-	for len(items) < maxCoalesce {
+	for len(reqs) < maxCoalesce {
 		select {
 		case it, ok := <-q:
 			if !ok {
 				break gather
 			}
-			if it.rejected == nil && isAutoRead(&it.req) {
+			if it.rejected == nil && runOf(&it.req) == kind {
 				s.srv.stats.Requests.Add(1)
-				items = append(items, it)
+				reqs = append(reqs, it.req)
 				continue
 			}
 			carry = &it
@@ -219,36 +295,43 @@ gather:
 			break gather
 		}
 	}
+	resps := slices.Grow(s.run.resps[:0], len(reqs))[:len(reqs)]
+	defer func() {
+		clear(reqs)
+		clear(resps)
+		s.run.reqs, s.run.resps = reqs[:0], resps[:0]
+	}()
 
-	// Quota failures get positional error responses; the rest execute as
-	// one batch.
-	resps := make([]proto.Response, len(items))
-	var runIdx []int
-	var runReqs []proto.Request
-	for i := range items {
-		if resp, ok := s.checkQuota(&items[i].req); !ok {
+	// Quota failures (and, on a read-only follower, every write) are
+	// answered here; the backend answers the rest as one run.
+	notLeader := kind == writeRun && s.srv.follower.Load() != nil
+	run := 0
+	for i := range reqs {
+		if resp, ok := s.checkQuota(&reqs[i]); !ok {
 			resps[i] = resp
+		} else if notLeader {
+			resps[i] = errNotLeader
 		} else {
-			runIdx = append(runIdx, i)
-			runReqs = append(runReqs, items[i].req)
+			run++
 		}
 	}
-	if len(runReqs) > 0 {
-		s.srv.stats.Coalesced.Add(int64(len(runReqs) - 1))
-		out := s.srv.be().runReads(s.tenant, runReqs)
-		for k, i := range runIdx {
-			resps[i] = out[k]
+	if run > 0 {
+		s.srv.stats.Coalesced.Add(int64(run - 1))
+		if kind == readRun {
+			s.srv.be().runReads(s.tenant, reqs, resps)
+		} else {
+			s.srv.be().runWrites(s.tenant, reqs, resps)
+			s.srv.quorumGateRun(resps)
 		}
 	}
 
+	// Every member of a run was admitted: a rejected entry never joins one.
 	writable = true
 	for i := range resps {
 		if writable {
 			writable = s.write(resps[i])
 		}
-		if items[i].admitted {
-			s.srv.releaseInflight()
-		}
+		s.srv.releaseInflight()
 	}
 	return writable, carry
 }
@@ -295,8 +378,7 @@ func (s *session) handleOne(r *proto.Request) proto.Response {
 	}
 	b := s.srv.be()
 	if s.srv.follower.Load() != nil && isMutating(r) {
-		return errorResponse(reject(proto.CodeNotLeader,
-			"node is a read-only follower; send writes to the leader"))
+		return errNotLeader
 	}
 	switch r.Type {
 	case proto.ReqHello:
@@ -309,21 +391,18 @@ func (s *session) handleOne(r *proto.Request) proto.Response {
 	case proto.ReqPing:
 		return proto.Response{Type: proto.RespOK}
 	case proto.ReqPoint, proto.ReqRange, proto.ReqRange2:
-		// Only reachable with Txn != 0 (auto-commit reads coalesce).
+		// Only reachable with Txn != 0 (auto-commit requests go as runs).
 		tx, ok := s.txns[r.Txn]
 		if !ok {
 			return errorResponse(reject(proto.CodeTxnUnknown, "unknown txn %d", r.Txn))
 		}
 		return b.runTxnQuery(s.tenant, tx, r)
 	case proto.ReqInsert, proto.ReqUpdate, proto.ReqDelete:
-		if r.Txn != 0 {
-			tx, ok := s.txns[r.Txn]
-			if !ok {
-				return errorResponse(reject(proto.CodeTxnUnknown, "unknown txn %d", r.Txn))
-			}
-			return runTxnMutation(s.tenant, tx, r)
+		tx, ok := s.txns[r.Txn]
+		if !ok {
+			return errorResponse(reject(proto.CodeTxnUnknown, "unknown txn %d", r.Txn))
 		}
-		return s.srv.quorumGate(b.runMutation(s.tenant, r))
+		return runTxnMutation(s.tenant, tx, r)
 	case proto.ReqBatch:
 		if r.Txn != 0 {
 			return errorResponse(reject(proto.CodeBadRequest,
@@ -409,22 +488,41 @@ func (s *session) startSubscription(r *proto.Request) proto.Response {
 	return proto.Response{Type: respNone}
 }
 
-// send adapts write to the stream goroutine's error-returning signature.
+// send is the replication stream's writer: one whole frame, flushed at
+// once — the stream goroutine has no queue whose draining could flush for
+// it. Any executor responses buffered ahead of the frame go out with it.
 func (s *session) send(resp *proto.Response) error {
-	if !s.write(*resp) {
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
+	if !s.buffer(resp) || s.bw.Flush() != nil {
 		return errConnClosed
 	}
 	return nil
 }
 
-// write encodes one response frame into the session's reused scratch and
-// writes it out. Flushing per response keeps one-shot clients snappy; the
-// bufio layer still batches a coalesced run's responses written
-// back-to-back.
+// write buffers one executor response. It does not flush: the executor
+// flushes when its queue runs dry (next) or before a request that may
+// stall, so a pipelined burst's responses leave in one write(2) — or in
+// several, when they outgrow the bufio buffer — and not in one each. A
+// one-shot client is not delayed: its request is the whole queue, so the
+// flush follows the response immediately.
 func (s *session) write(resp proto.Response) bool {
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
-	frame, err := proto.AppendResponse(s.wbuf[:0], &resp)
+	return s.buffer(&resp)
+}
+
+// flush writes the buffered responses to the connection.
+func (s *session) flush() bool {
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
+	return s.bw.Flush() == nil
+}
+
+// buffer encodes one response frame into the session's reused scratch and
+// appends it to bw. Caller holds wmu.
+func (s *session) buffer(resp *proto.Response) bool {
+	frame, err := proto.AppendResponse(s.wbuf[:0], resp)
 	if err != nil {
 		return false
 	}
@@ -433,10 +531,8 @@ func (s *session) write(resp proto.Response) bool {
 	} else {
 		s.wbuf = nil
 	}
-	if _, err := s.bw.Write(frame); err != nil {
-		return false
-	}
-	return s.bw.Flush() == nil
+	_, err = s.bw.Write(frame)
+	return err == nil
 }
 
 // cleanup rolls back every transaction the session still holds. This is

@@ -3,8 +3,7 @@
 // record the experiment id, the generation seed, and the CPU topology
 // (num_cpu, gomaxprocs) the numbers were measured under — without those
 // a stored artifact cannot be compared against a later run. CI runs it
-// after `make bench-all` via `make bench-check`; the multi-core lane
-// additionally pins the expected GOMAXPROCS.
+// after `make bench-all` via `make bench-check`.
 //
 // BENCH_scenarios.json gets deeper validation: at least four scenarios,
 // each with a spec hash, matching trace_hash and trace_hash_recheck (the
@@ -13,7 +12,7 @@
 //
 // Usage:
 //
-//	go run ./internal/tools/benchcheck [-dir .] [-expect-gomaxprocs N]
+//	go run ./internal/tools/benchcheck [-dir .]
 package main
 
 import (
@@ -37,10 +36,7 @@ type artifact struct {
 }
 
 func main() {
-	var (
-		dir    = flag.String("dir", ".", "directory holding BENCH_*.json artifacts")
-		expect = flag.Int("expect-gomaxprocs", 0, "require every artifact to record this gomaxprocs (0 = only require presence)")
-	)
+	dir := flag.String("dir", ".", "directory holding BENCH_*.json artifacts")
 	flag.Parse()
 
 	paths, err := filepath.Glob(filepath.Join(*dir, "BENCH_*.json"))
@@ -56,7 +52,7 @@ func main() {
 
 	bad := 0
 	for _, path := range paths {
-		if err := check(path, *expect); err != nil {
+		if err := check(path); err != nil {
 			fmt.Fprintf(os.Stderr, "benchcheck: %s: %v\n", filepath.Base(path), err)
 			bad++
 			continue
@@ -71,7 +67,7 @@ func main() {
 }
 
 // check validates one artifact file.
-func check(path string, expectGomaxprocs int) error {
+func check(path string) error {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return err
@@ -91,10 +87,6 @@ func check(path string, expectGomaxprocs int) error {
 	}
 	if a.GOMAXPROCS <= 0 {
 		return fmt.Errorf("\"gomaxprocs\" is %d, want > 0", a.GOMAXPROCS)
-	}
-	if expectGomaxprocs > 0 && a.GOMAXPROCS != expectGomaxprocs {
-		return fmt.Errorf("\"gomaxprocs\" is %d, want %d (was the bench run with GOMAXPROCS set?)",
-			a.GOMAXPROCS, expectGomaxprocs)
 	}
 	if a.Experiment == "scenarios" {
 		return checkScenarios(raw)
@@ -124,14 +116,16 @@ type hotpathArtifact struct {
 var hotpathLaneProcs = []int{1, 4}
 
 // hotpathWorkloads are the operations the hotpath artifact must record: the
-// read paths under the zero-alloc contract, the durable and wire paths, and
+// read paths under the zero-alloc contract, the durable and wire paths
+// (one-shot point read, and an insert sent in depth-64 pipelined bursts:
+// the path whose cost is the session's flushes and the WAL's writes), and
 // the write path and primary-index hop (mem_update, mem_delete,
 // logical_range), whose ns/op is where a change to the primary index shows,
 // and the write churn with version GC on its path, which also records the
 // heap it holds per live row.
 var hotpathWorkloads = []string{
 	"point_read", "range_scan", "partitioned_scan", "durable_insert", "wire_point",
-	"mem_update", "mem_delete", "logical_range", "churn",
+	"wire_insert_pipelined", "mem_update", "mem_delete", "logical_range", "churn",
 }
 
 // checkHotpath enforces the hotpath artifact's extra contract: every

@@ -2,6 +2,7 @@ package wal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math/rand"
 	"os"
@@ -83,6 +84,19 @@ func checkPrefix(t *testing.T, path string, n int) int {
 	return i
 }
 
+// wholeFrames counts the frames of the intact log raw that end at or
+// before byte offset cut.
+func wholeFrames(raw []byte, cut int) int {
+	n := 0
+	for off := headerLen; off+frameHdrLen <= len(raw); n++ {
+		off += frameHdrLen + int(binary.LittleEndian.Uint32(raw[off:]))
+		if off > cut {
+			break
+		}
+	}
+	return n
+}
+
 // TestOpenTailTruncationFuzz truncates the log at every possible byte
 // length and asserts replay always yields an intact record prefix, and
 // that Open both repairs the tail and accepts new appends afterwards.
@@ -90,14 +104,12 @@ func TestOpenTailTruncationFuzz(t *testing.T) {
 	const n = 12
 	raw := writeFuzzLog(t, logPath(t), n)
 	dir := t.TempDir()
-	rng := rand.New(rand.NewSource(11))
-	// All tail cuts near the end, plus random cuts across the whole file.
-	cuts := make([]int, 0, 128)
-	for c := len(raw); c >= 0 && c > len(raw)-80; c-- {
+	// Every byte length: the appender writes a drained batch of frames in
+	// one write(2), so a crash can tear the file inside any frame of the
+	// batch, not only inside the last record appended.
+	cuts := make([]int, 0, len(raw)+1)
+	for c := 0; c <= len(raw); c++ {
 		cuts = append(cuts, c)
-	}
-	for i := 0; i < 48; i++ {
-		cuts = append(cuts, rng.Intn(len(raw)+1))
 	}
 	for _, cut := range cuts {
 		path := filepath.Join(dir, "cut.log")
@@ -105,6 +117,9 @@ func TestOpenTailTruncationFuzz(t *testing.T) {
 			t.Fatal(err)
 		}
 		before := checkPrefix(t, path, n)
+		if whole := wholeFrames(raw, cut); before != whole {
+			t.Fatalf("cut %d: replay yields %d records, the cut leaves %d whole frames", cut, before, whole)
+		}
 		// Open must truncate the torn bytes and leave the log appendable.
 		l, err := Open(path)
 		if err != nil {

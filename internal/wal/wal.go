@@ -6,8 +6,15 @@
 //
 // The log is safe for concurrent use. All appends funnel through a single
 // appender goroutine, so frames never interleave; callers submit a record
-// and receive a Ticket they can wait on. How long Wait blocks is the sync
-// policy:
+// and receive a Ticket they can wait on. The appender drains every request
+// that is ready, encodes the frames back to back into one buffer, and
+// issues one write(2) for the batch — a batch of one being the common case
+// and the same bytes — before it acknowledges any of the batch's waiters,
+// so a caller that submits a run of records before waiting (DurableDB's
+// ApplyEach) or several concurrent callers share a write as well as an
+// fsync. A write that fails fails the whole batch: how much of it reached
+// the file is unknown until the next Open repairs the tail. How long Wait
+// blocks is the sync policy:
 //
 //   - SyncNever: acknowledged once the frame is written to the OS. Survives
 //     process crashes, not power loss. The fastest policy and the default.
@@ -176,8 +183,8 @@ type Log struct {
 	f    *os.File
 	opts Options
 
-	// size is the log's byte length: header plus every frame the appender
-	// has written. Readable without the appender via Size.
+	// size is the log's byte length: header plus every batch of frames the
+	// appender has written. Readable without the appender via Size.
 	size atomic.Int64
 	// last is the LSN of the most recently written frame (or the scanned /
 	// base LSN for an empty log). Readable without the appender via LastLSN.
@@ -186,9 +193,18 @@ type Log struct {
 	watchMu  sync.Mutex
 	watchers []chan struct{}
 
-	reqs chan request // unbuffered: a completed send is owned by the appender
-	quit chan struct{}
-	done chan struct{}
+	// reqs is the FIFO into the appender. It is buffered so that a caller
+	// submitting a run of records (or several callers at once) queues them
+	// while the appender is inside a write or an fsync, and the next drain
+	// takes them as one batch; a record's place in the log is fixed when
+	// its send completes. subMu orders submitters against Close: a send
+	// starts only while quit is open, and Close closes it — under the
+	// exclusive lock, so after every send in flight — which tells the
+	// appender to drain the queue one last time and exit.
+	reqs  chan request
+	subMu sync.RWMutex
+	quit  chan struct{}
+	done  chan struct{}
 
 	closeOnce sync.Once
 	closeErr  error
@@ -283,7 +299,7 @@ func OpenWith(path string, opts Options) (*Log, error) {
 		path: path,
 		f:    f,
 		opts: opts,
-		reqs: make(chan request),
+		reqs: make(chan request, reqQueueLen),
 		quit: make(chan struct{}),
 		done: make(chan struct{}),
 	}
@@ -297,15 +313,16 @@ func OpenWith(path string, opts Options) (*Log, error) {
 }
 
 // Size returns the log's byte length: the file header plus every frame
-// written so far. A frame is counted once the appender has written it, so
-// after a Sync the value covers every acknowledged record — the offset a
-// checkpoint manifest records as its replay start.
+// written so far. It is updated after the batch write, so a frame is
+// counted once the appender has written it (with the rest of its batch),
+// and after a Sync the value covers every acknowledged record — the offset
+// a checkpoint manifest records as its replay start.
 func (l *Log) Size() int64 { return l.size.Load() }
 
 // LastLSN returns the LSN of the last frame written (the base / scanned
 // LSN if nothing has been appended yet). Like Size, it is updated after
-// the frame write, so a (Size, LastLSN) pair read in either order is
-// never ahead of the bytes on disk.
+// the batch write — to the LSN of the batch's last frame — so a (Size,
+// LastLSN) pair read in either order is never ahead of the bytes on disk.
 func (l *Log) LastLSN() uint64 { return l.last.Load() }
 
 // Watch registers ch to receive a non-blocking notification after the
@@ -379,14 +396,22 @@ func (l *Log) Submit(rec Record) (*Ticket, error) {
 	if minBodyLen+len(rec.Table)+len(rec.Payload) > maxBodyLen {
 		return nil, ErrRecordTooLarge
 	}
-	tk := ticketPool.Get().(*Ticket)
+	return l.enqueue(reqAppend, rec)
+}
+
+// enqueue queues one request for the appender. It blocks while the queue
+// is full; once it returns the request's place in the log is fixed.
+func (l *Log) enqueue(kind reqKind, rec Record) (*Ticket, error) {
+	l.subMu.RLock()
+	defer l.subMu.RUnlock()
 	select {
-	case l.reqs <- request{kind: reqAppend, rec: rec, ch: tk.ch}:
-		return tk, nil
-	case <-l.done:
-		ticketPool.Put(tk) // never enqueued; the channel stays empty
+	case <-l.quit:
 		return nil, ErrClosed
+	default:
 	}
+	tk := ticketPool.Get().(*Ticket)
+	l.reqs <- request{kind: kind, rec: rec, ch: tk.ch}
+	return tk, nil
 }
 
 // SubmitRaw enqueues a record that keeps its caller-assigned LSN instead
@@ -405,14 +430,7 @@ func (l *Log) SubmitRaw(rec Record) (*Ticket, error) {
 	if minBodyLen+len(rec.Table)+len(rec.Payload) > maxBodyLen {
 		return nil, ErrRecordTooLarge
 	}
-	tk := ticketPool.Get().(*Ticket)
-	select {
-	case l.reqs <- request{kind: reqRaw, rec: rec, ch: tk.ch}:
-		return tk, nil
-	case <-l.done:
-		ticketPool.Put(tk) // never enqueued; the channel stays empty
-		return nil, ErrClosed
-	}
+	return l.enqueue(reqRaw, rec)
 }
 
 // Append submits a record and waits for acknowledgement under the log's
@@ -428,21 +446,21 @@ func (l *Log) Append(rec Record) (uint64, error) {
 // Sync forces an fsync covering every record submitted so far and returns
 // once it completes (a durability barrier, regardless of policy).
 func (l *Log) Sync() error {
-	req := request{kind: reqSync, ch: make(chan result, 1)}
-	select {
-	case l.reqs <- req:
-	case <-l.done:
-		return ErrClosed
+	tk, err := l.enqueue(reqSync, Record{})
+	if err != nil {
+		return err
 	}
-	r := <-req.ch
-	return r.err
+	_, err = tk.Wait()
+	return err
 }
 
 // Close drains pending appends, flushes, stops the appender and closes the
 // file. Outstanding Tickets are acknowledged before Close returns.
 func (l *Log) Close() error {
 	l.closeOnce.Do(func() {
+		l.subMu.Lock()
 		close(l.quit)
+		l.subMu.Unlock()
 		<-l.done
 		err := l.finalErr
 		if cerr := l.f.Close(); err == nil {
@@ -509,11 +527,45 @@ func (l *Log) run(lastLSN uint64) {
 	wrote := false // frames written since the last watcher notification
 	// The appender is the only goroutine encoding frames and the file
 	// write copies the bytes out synchronously, so one grow-only buffer
-	// serves every append — no per-record frame allocation.
-	var frameBuf []byte
+	// serves every append — no per-record frame allocation. It holds the
+	// frames of the batch being drained; batch holds their waiters.
+	var (
+		frameBuf []byte
+		batch    []waiter
+	)
+	// commit writes the drained batch in one write(2), publishes the new
+	// size and last LSN, and acknowledges the batch's waiters (SyncNever)
+	// or queues them for the next fsync. A failed write fails every waiter
+	// of the batch — how much of it reached the file is unknown — and
+	// rolls the LSN back to the last published one.
+	commit := func() {
+		if len(batch) == 0 {
+			return
+		}
+		if _, err := l.f.Write(frameBuf); err != nil {
+			sticky = fmt.Errorf("wal: append: %w", err)
+			lsn = l.last.Load()
+			for _, w := range batch {
+				w.ch <- result{0, sticky}
+			}
+		} else {
+			l.size.Add(int64(len(frameBuf)))
+			l.last.Store(lsn)
+			wrote = true
+			if l.opts.Policy == SyncNever {
+				for _, w := range batch {
+					w.ch <- result{w.lsn, nil}
+				}
+			} else {
+				pending = append(pending, batch...) // flushed after this batch drains
+			}
+		}
+		batch, frameBuf = batch[:0], frameBuf[:0]
+	}
 	handle := func(req request) {
 		switch req.kind {
 		case reqSync:
+			commit() // the barrier covers everything submitted before it
 			flush()
 			req.ch <- result{lsn, sticky}
 		case reqAppend, reqRaw:
@@ -521,7 +573,6 @@ func (l *Log) run(lastLSN uint64) {
 				req.ch <- result{0, sticky}
 				return
 			}
-			prev := lsn
 			if req.kind == reqRaw {
 				if req.rec.LSN <= lsn {
 					req.ch <- result{0, ErrStaleLSN}
@@ -531,28 +582,18 @@ func (l *Log) run(lastLSN uint64) {
 			} else {
 				lsn++
 			}
-			frameBuf = encodeFrameInto(frameBuf[:0], req.rec, lsn)
-			frame := frameBuf
-			if _, err := l.f.Write(frame); err != nil {
-				sticky = fmt.Errorf("wal: append: %w", err)
-				lsn = prev
-				req.ch <- result{0, sticky}
-				return
-			}
-			l.size.Add(int64(len(frame)))
-			l.last.Store(lsn)
-			wrote = true
-			switch l.opts.Policy {
-			case SyncNever:
-				req.ch <- result{lsn, nil}
-			case SyncAlways, SyncGroup:
-				pending = append(pending, waiter{lsn, req.ch}) // flushed after this batch drains
+			frameBuf = encodeFrameInto(frameBuf, req.rec, lsn)
+			batch = append(batch, waiter{lsn, req.ch})
+			if len(frameBuf) >= maxBatchBytes {
+				commit()
 			}
 		}
 	}
-	// drain handles every request deliverable without blocking.
+	// drain handles the requests deliverable without blocking, up to one
+	// queue's worth: a steady stream of submitters must not keep the
+	// waiters of this batch from their fsync.
 	drain := func() {
-		for {
+		for n := 0; n < reqQueueLen; n++ {
 			select {
 			case req := <-l.reqs:
 				handle(req)
@@ -565,7 +606,8 @@ func (l *Log) run(lastLSN uint64) {
 		select {
 		case req := <-l.reqs:
 			handle(req)
-			drain() // batch concurrent submitters under one fsync
+			drain() // batch concurrent submitters under one write and one fsync
+			commit()
 			if len(pending) > 0 {
 				if l.opts.Policy == SyncAlways {
 					flush()
@@ -581,7 +623,10 @@ func (l *Log) run(lastLSN uint64) {
 			timer, timerC = nil, nil
 			flush()
 		case <-l.quit:
-			drain()
+			for len(l.reqs) > 0 { // nothing is sent once quit is closed
+				drain()
+			}
+			commit()
 			flush()
 			if wrote {
 				l.notify()
@@ -603,13 +648,26 @@ const (
 	maxBodyLen  = 64 << 20
 )
 
+// reqQueueLen is the capacity of the queue into the appender: room for a
+// few callers' runs (the server's sessions submit up to 64 records before
+// they wait), so a submitter holding its key's stripe rarely blocks on an
+// appender that is inside a write; it also bounds how many requests one
+// drain takes before the batch's waiters are served.
+const reqQueueLen = 256
+
+// maxBatchBytes is the encoded size at which the appender writes a batch
+// out without draining further: past it one more frame per write(2) saves
+// nothing, and the grow-only frame buffer would otherwise grow to the sum
+// of whatever a burst of large records drained.
+const maxBatchBytes = 256 << 10
+
 // encodeFrameInto appends the record's frame to dst (pass dst[:0] to
 // reuse a buffer) and returns the extended slice.
 func encodeFrameInto(dst []byte, rec Record, lsn uint64) []byte {
 	bodyLen := minBodyLen + len(rec.Table) + len(rec.Payload)
 	total := frameHdrLen + bodyLen
 	if cap(dst)-len(dst) < total {
-		grown := make([]byte, len(dst), len(dst)+total)
+		grown := make([]byte, len(dst), max(2*cap(dst), len(dst)+total))
 		copy(grown, dst)
 		dst = grown
 	}

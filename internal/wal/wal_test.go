@@ -274,9 +274,12 @@ func TestClosedLogRejectsAppends(t *testing.T) {
 	}
 }
 
-// Concurrent appenders under each policy: every record must be durable by
-// the time its Append returns, frames must never interleave, and LSNs must
-// be dense.
+// Concurrent submitters under each policy, each handing the appender runs
+// of records before it waits (the shape DurableDB.ApplyEach produces), so
+// the appender drains batches of many frames into one write: every record
+// must be acknowledged, frames must never interleave, replay must return
+// every LSN once and in order, and Size/LastLSN — published after the
+// batch write — must never run ahead of the bytes in the file.
 func TestConcurrentAppendAllPolicies(t *testing.T) {
 	for _, opts := range []Options{
 		{Policy: SyncNever},
@@ -289,7 +292,7 @@ func TestConcurrentAppendAllPolicies(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			const writers, perWriter = 8, 50
+			const writers, perWriter = 8, 1000
 			var mu sync.Mutex
 			var lsns []uint64
 			var wg sync.WaitGroup
@@ -297,19 +300,66 @@ func TestConcurrentAppendAllPolicies(t *testing.T) {
 				wg.Add(1)
 				go func(w int) {
 					defer wg.Done()
-					for i := 0; i < perWriter; i++ {
-						lsn, err := l.Append(Record{Op: OpInsert, Table: "t", Payload: []byte{byte(w), byte(i)}})
-						if err != nil {
-							t.Error(err)
-							return
+					tks := make([]*Ticket, 0, 32)
+					for i := 0; i < perWriter; {
+						tks = tks[:0]
+						for run := 1 + (i+w)%32; run > 0 && i < perWriter; run, i = run-1, i+1 {
+							tk, err := l.Submit(Record{Op: OpInsert, Table: "t", Payload: []byte{byte(w), byte(i), byte(i >> 8)}})
+							if err != nil {
+								t.Error(err)
+								return
+							}
+							tks = append(tks, tk)
 						}
-						mu.Lock()
-						lsns = append(lsns, lsn)
-						mu.Unlock()
+						for _, tk := range tks {
+							lsn, err := tk.Wait()
+							if err != nil {
+								t.Error(err)
+								return
+							}
+							mu.Lock()
+							lsns = append(lsns, lsn)
+							mu.Unlock()
+						}
 					}
 				}(w)
 			}
+			// Sample the published position against the file while the
+			// writers run.
+			stop := make(chan struct{})
+			sampled := make(chan struct{})
+			go func() {
+				defer close(sampled)
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					size, last := l.Size(), l.LastLSN()
+					fi, err := os.Stat(path)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if fi.Size() < size {
+						t.Errorf("Size() %d ahead of the file's %d bytes", size, fi.Size())
+						return
+					}
+					var seen uint64
+					if err := Replay(path, func(r Record) error { seen = r.LSN; return nil }); err != nil {
+						t.Error(err)
+						return
+					}
+					if seen < last {
+						t.Errorf("LastLSN() %d ahead of the file, which replays to %d", last, seen)
+						return
+					}
+				}
+			}()
 			wg.Wait()
+			close(stop)
+			<-sampled
 			if err := l.Close(); err != nil {
 				t.Fatal(err)
 			}
@@ -322,14 +372,68 @@ func TestConcurrentAppendAllPolicies(t *testing.T) {
 					t.Fatalf("LSNs not dense: position %d has %d", i, lsn)
 				}
 			}
+			// Per writer, records replay in submission order.
+			next := make([]int, writers)
 			n := 0
-			if err := Replay(path, func(r Record) error { n++; return nil }); err != nil {
+			err = Replay(path, func(r Record) error {
+				n++
+				if r.LSN != uint64(n) {
+					t.Fatalf("replay position %d has LSN %d", n, r.LSN)
+				}
+				w, i := int(r.Payload[0]), int(r.Payload[1])|int(r.Payload[2])<<8
+				if i != next[w] {
+					t.Fatalf("writer %d: record %d replayed where %d was due", w, i, next[w])
+				}
+				next[w]++
+				return nil
+			})
+			if err != nil {
 				t.Fatal(err)
 			}
 			if n != writers*perWriter {
 				t.Fatalf("replayed %d records, want %d", n, writers*perWriter)
 			}
 		})
+	}
+}
+
+// A write that fails under the appender fails every waiter of the batch it
+// was draining with the sticky error, leaves the published position at
+// its pre-batch value, and poisons the log for everything after.
+func TestFailedBatchWriteIsSticky(t *testing.T) {
+	l, err := Open(logPath(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustAppend(t, l, Record{Op: OpInsert, Table: "t"})
+	size, last := l.Size(), l.LastLSN()
+	l.f.Close() // every later write(2) fails
+
+	const submitters = 8
+	errs := make([]error, submitters)
+	var wg sync.WaitGroup
+	for w := 0; w < submitters; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			_, errs[w] = l.Append(Record{Op: OpInsert, Table: "t", Payload: []byte{byte(w)}})
+		}(w)
+	}
+	wg.Wait()
+	for w, err := range errs {
+		if err == nil {
+			t.Fatalf("submitter %d: append acknowledged on a closed file", w)
+		}
+		if err.Error() != errs[0].Error() {
+			t.Fatalf("submitter %d: %v, want the sticky error %v", w, err, errs[0])
+		}
+	}
+	if l.Size() != size || l.LastLSN() != last {
+		t.Fatalf("failed batch moved the position to (%d, LSN %d), want (%d, LSN %d)",
+			l.Size(), l.LastLSN(), size, last)
+	}
+	if err := l.Close(); err == nil {
+		t.Fatal("Close hid the appender's write error")
 	}
 }
 
