@@ -58,18 +58,26 @@ cover:
 difftest:
 	$(GO) test -race -run TestDifferential ./internal/difftest -difftest.ops 10000
 
-# Coverage-guided fuzzing of the B+-tree's key order and unique-key path
-# (Insert/Delete/Get/Swap/Scan over finite, ±0, ±Inf and NaN keys against a
-# map oracle, structural check after every op) for FUZZTIME. The seed
-# corpus alone runs in every `go test`; new inputs land in the Go build
-# cache's fuzz directory, a failing one under internal/btree/testdata/fuzz.
+# Coverage-guided fuzzing for FUZZTIME each: the B+-tree's key order and
+# unique-key path (Insert/Delete/Get/Swap/Scan over finite, ±0, ±Inf and NaN
+# keys against a map oracle, structural check after every op), then the
+# bulk-load sort kernels (keyorder.SortPairs/SortTriples against a sort.Sort
+# reference, NaN payloads, signed zeros, duplicates, sorted and reverse
+# inputs). The seed corpus alone runs in every `go test`; new inputs land in
+# the Go build cache's fuzz directory, a failing one under the package's
+# testdata/fuzz.
 FUZZTIME = 20s
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzTreeTotalOrder -fuzztime $(FUZZTIME) ./internal/btree
+	$(GO) test -run '^$$' -fuzz FuzzSortPairs -fuzztime $(FUZZTIME) ./internal/keyorder
 
-# Bench smoke: one figure at tiny scale proves the harness end-to-end.
+# Bench smoke: one figure at tiny scale proves the harness end-to-end, then
+# one build each of a B+-tree and a Hermit index over 1M Synthetic rows
+# (time and allocations printed), so a regression of the construction path
+# shows without the repository benchmark.
 bench: build
 	$(GO) run ./cmd/hermit-bench -exp fig4 -scale 0.005 -json ''
+	$(GO) test -run '^$$' -bench 'BenchmarkCreate(BTree|Hermit)Index' -benchtime 1x .
 
 # The full artifact-producing suite in one invocation: the fig4 smoke,
 # then every experiment in BENCH_EXPERIMENTS (each writes its

@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	hermitdb "hermit"
 	"hermit/internal/bench"
 )
 
@@ -73,3 +74,61 @@ func BenchmarkFig29CMSigmoidThroughput(b *testing.B) { runFigure(b, "fig29") }
 func BenchmarkFig30CMSigmoidMemory(b *testing.B)     { runFigure(b, "fig30") }
 func BenchmarkAblations(b *testing.B)                { runFigure(b, "ablation") }
 func BenchmarkConcurrency(b *testing.B)              { runFigure(b, "concurrency") }
+
+// The index-construction benchmarks build one index per iteration over a
+// 1M-row Synthetic table loaded once (colB = sigmoid(colC), 1 % noise), and
+// drop it again off the clock: what CreateIndex, a TRS-Tree reorganisation
+// and recovery all pay. `-benchtime=1x` is one build.
+const createIndexRows = 1_000_000
+
+func loadSyntheticForBuild(b *testing.B) (*hermitdb.Table, hermitdb.SyntheticSpec) {
+	b.Helper()
+	db := hermitdb.NewDB(hermitdb.PhysicalPointers)
+	spec := hermitdb.SyntheticSpec{Rows: createIndexRows, Fn: hermitdb.Sigmoid, Noise: 0.01, Seed: 1}
+	tb, err := db.CreateTable("syn", spec.Columns(), spec.PKCol())
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := spec.Generate(func(row []float64) error {
+		_, err := tb.Insert(row)
+		return err
+	}); err != nil {
+		b.Fatal(err)
+	}
+	return tb, spec
+}
+
+func BenchmarkCreateBTreeIndex(b *testing.B) {
+	tb, spec := loadSyntheticForBuild(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := tb.CreateBTreeIndex(spec.HostCol(), false); err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		if err := tb.DropIndex(spec.HostCol(), hermitdb.KindBTree); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+	}
+}
+
+func BenchmarkCreateHermitIndex(b *testing.B) {
+	tb, spec := loadSyntheticForBuild(b)
+	if _, err := tb.CreateBTreeIndex(spec.HostCol(), false); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := tb.CreateHermitIndex(spec.TargetCol(), spec.HostCol()); err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		if err := tb.DropIndex(spec.TargetCol(), hermitdb.KindHermit); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+	}
+}

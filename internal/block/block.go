@@ -93,9 +93,17 @@ func (d Desc) covers(pk float64) bool {
 // SortEntries sorts entries by primary key under the package's total key
 // order (the order Write requires).
 func SortEntries(entries []Entry) {
-	sort.Slice(entries, func(i, j int) bool {
-		return keyorder.Rank(entries[i].PK) < keyorder.Rank(entries[j].PK)
-	})
+	keys := make([]float64, len(entries))
+	from := make([]uint64, len(entries))
+	for i, e := range entries {
+		keys[i], from[i] = e.PK, uint64(i)
+	}
+	keyorder.SortPairs(keys, from)
+	sorted := make([]Entry, len(entries))
+	for i, j := range from {
+		sorted[i] = entries[j]
+	}
+	copy(entries, sorted)
 }
 
 // Encode serialises a block of entries (sorted by key; width is the row

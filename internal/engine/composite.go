@@ -2,12 +2,12 @@ package engine
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
 	"hermit/internal/btree"
 	"hermit/internal/hermit"
+	"hermit/internal/keyorder"
 	"hermit/internal/storage"
 	"hermit/internal/trstree"
 )
@@ -46,7 +46,7 @@ func (t *Table) CreateCompositeBTreeIndex(aCol, bCol int, markNew bool) (*btree.
 		ids = append(ids, uint64(rid))
 		return true
 	})
-	sort.Sort(abIDSorter{as: as, bs: bs, ids: ids})
+	keyorder.SortTriples(as, bs, ids)
 	tr := btree.NewComposite(btree.DefaultOrder)
 	if err := tr.BulkLoad(as, bs, ids); err != nil {
 		return nil, err
@@ -60,31 +60,6 @@ func (t *Table) CreateCompositeBTreeIndex(aCol, bCol int, markNew bool) (*btree.
 		t.compositeNew[key] = true
 	}
 	return tr, nil
-}
-
-// abIDSorter orders the parallel composite bulk-load arrays jointly by
-// (a, b, id), swapping all three slices in lockstep.
-type abIDSorter struct {
-	as, bs []float64
-	ids    []uint64
-}
-
-func (s abIDSorter) Len() int { return len(s.as) }
-
-func (s abIDSorter) Less(x, y int) bool {
-	if s.as[x] != s.as[y] {
-		return s.as[x] < s.as[y]
-	}
-	if s.bs[x] != s.bs[y] {
-		return s.bs[x] < s.bs[y]
-	}
-	return s.ids[x] < s.ids[y]
-}
-
-func (s abIDSorter) Swap(x, y int) {
-	s.as[x], s.as[y] = s.as[y], s.as[x]
-	s.bs[x], s.bs[y] = s.bs[y], s.bs[x]
-	s.ids[x], s.ids[y] = s.ids[y], s.ids[x]
 }
 
 // CreateCompositeHermitIndex builds a multi-column Hermit index on

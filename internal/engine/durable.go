@@ -9,6 +9,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -578,54 +579,97 @@ func (d *DurableDB) GC() int {
 	return d.db.GCBelow(cut)
 }
 
-// restoreTable rebuilds one logical table from its blocklists: each
-// physical table's blocks replay oldest to newest, later entries winning
-// per key, tombstones deleting.
+// restoreTable rebuilds one logical table from its blocklists, its
+// partitions side by side (eachPartition): a partition's rows, RIDs and
+// indexes are a function of its own blocks alone.
 func (d *DurableDB) restoreTable(p durablePaths, name string, meta *durableMeta) error {
 	if err := d.createPhysical(name, meta); err != nil {
 		return err
 	}
-	for _, tb := range meta.phys {
-		phys := tb.name
-		// Keyed by block.KeyBits, not raw float64: a float64 map could
-		// never overwrite or delete a NaN key, so a NaN tombstone would
-		// fail to suppress an earlier upsert and the deleted row would
-		// resurrect on recovery.
-		live := make(map[uint64][]float64)
-		for _, desc := range d.lists[phys] {
-			entries, width, err := block.ReadAll(p.block(desc.ID))
-			if err != nil {
-				return fmt.Errorf("engine: restoring %q: %w", phys, err)
-			}
-			if width != len(meta.Cols) {
-				return fmt.Errorf("engine: restoring %q: block %016x width %d != schema %d",
-					phys, desc.ID, width, len(meta.Cols))
-			}
-			if uint64(len(entries)) != desc.Count {
-				return fmt.Errorf("engine: restoring %q: block %016x holds %d entries, blocklist says %d",
-					phys, desc.ID, len(entries), desc.Count)
-			}
-			for _, e := range entries {
-				if e.Tombstone {
-					delete(live, block.KeyBits(e.PK))
-				} else {
-					live[block.KeyBits(e.PK)] = e.Row
-				}
-			}
-		}
-		for _, row := range live {
-			if _, err := tb.Insert(row); err != nil {
-				return fmt.Errorf("engine: restoring %q: %w", phys, err)
-			}
-		}
-		for _, def := range meta.Defs {
-			if err := applyIndexDef(tb, def); err != nil {
-				return err
-			}
+	for _, err := range eachPartition(meta.phys, func(tb *Table) error {
+		return d.restorePartition(p, meta, tb)
+	}) {
+		if err != nil {
+			return err
 		}
 	}
 	d.tables[name] = meta
 	return nil
+}
+
+// restorePartition rebuilds one physical table: its blocks replay oldest to
+// newest, later entries winning per key, tombstones deleting; the rows that
+// remain are inserted in primary-key order, so every recovery of one
+// directory gives a key the same RID and loads the primary B+-tree
+// ascending (full leaves, as a bulk load leaves them); then the indexes.
+func (d *DurableDB) restorePartition(p durablePaths, meta *durableMeta, tb *Table) error {
+	phys := tb.name
+	// Keyed by block.KeyBits, not raw float64: a float64 map could
+	// never overwrite or delete a NaN key, so a NaN tombstone would
+	// fail to suppress an earlier upsert and the deleted row would
+	// resurrect on recovery.
+	live := make(map[uint64][]float64)
+	for _, desc := range d.lists[phys] {
+		entries, width, err := block.ReadAll(p.block(desc.ID))
+		if err != nil {
+			return fmt.Errorf("engine: restoring %q: %w", phys, err)
+		}
+		if width != len(meta.Cols) {
+			return fmt.Errorf("engine: restoring %q: block %016x width %d != schema %d",
+				phys, desc.ID, width, len(meta.Cols))
+		}
+		if uint64(len(entries)) != desc.Count {
+			return fmt.Errorf("engine: restoring %q: block %016x holds %d entries, blocklist says %d",
+				phys, desc.ID, len(entries), desc.Count)
+		}
+		for _, e := range entries {
+			if e.Tombstone {
+				delete(live, block.KeyBits(e.PK))
+			} else {
+				live[block.KeyBits(e.PK)] = e.Row
+			}
+		}
+	}
+	rows := make([]block.Entry, 0, len(live))
+	for _, row := range live {
+		rows = append(rows, block.Entry{PK: row[meta.PKCol], Row: row})
+	}
+	block.SortEntries(rows)
+	for _, e := range rows {
+		if _, err := tb.Insert(e.Row); err != nil {
+			return fmt.Errorf("engine: restoring %q: %w", phys, err)
+		}
+	}
+	for _, def := range meta.Defs {
+		if err := applyIndexDef(tb, def); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// eachPartition runs fn over the physical tables of one logical table on
+// min(GOMAXPROCS, partitions) goroutines, the caller's among them, and
+// returns fn's errors by partition.
+func eachPartition(phys []*Table, fn func(tb *Table) error) []error {
+	errs := make([]error, len(phys))
+	var next atomic.Int64
+	work := func() {
+		for i := next.Add(1) - 1; i < int64(len(phys)); i = next.Add(1) - 1 {
+			errs[i] = fn(phys[i])
+		}
+	}
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), len(phys)); w > 1; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
+	return errs
 }
 
 // physicalNames lists the engine tables backing a logical table: the name
@@ -892,17 +936,21 @@ func (d *DurableDB) CreateIndex(table string, def IndexDef) error {
 		d.mu.Unlock()
 		return fmt.Errorf("engine: %s indexes are not supported on partitioned tables", def.Kind)
 	}
-	for i, tb := range meta.phys {
-		if err := applyIndexDef(tb, def); err != nil {
-			// Unwind the partitions already indexed so state stays uniform.
-			if kind, kerr := kindFromString(def.Kind); kerr == nil {
-				for _, done := range meta.phys[:i] {
-					done.DropIndex(def.Col, kind)
+	errs := eachPartition(meta.phys, func(tb *Table) error { return applyIndexDef(tb, def) })
+	for _, err := range errs {
+		if err == nil {
+			continue
+		}
+		// Unwind the partitions that were indexed so state stays uniform.
+		if kind, kerr := kindFromString(def.Kind); kerr == nil {
+			for i, tb := range meta.phys {
+				if errs[i] == nil {
+					tb.DropIndex(def.Col, kind)
 				}
 			}
-			d.mu.Unlock()
-			return err
 		}
+		d.mu.Unlock()
+		return err
 	}
 	meta.Defs = append(meta.Defs, def)
 	payload, err := json.Marshal(ddlIndex{Def: def})

@@ -328,3 +328,92 @@ func TestApplyEachSameKeyRun(t *testing.T) {
 		}
 	}
 }
+
+// TestRecoveryDeterministic: recovery inserts the rows a table's blocks
+// fold to in primary-key order, not in the order a Go map yields them, so
+// two recoveries of one directory give every key the same RID and the
+// tables the same Memory(), and the primary B+-tree — loaded ascending —
+// is no larger than the one the shuffled inserts and deletes left behind.
+// Four partitions, so the side-by-side restore is what runs.
+func TestRecoveryDeterministic(t *testing.T) {
+	const parts, rows = 4, 6000
+	dir := t.TempDir()
+	opts := DurableOptions{DisableAutoCompact: true}
+	d, err := OpenDurableOptions(dir, hermit.PhysicalPointers, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.CreatePartitionedTable("syn", synthCols, 0, parts); err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(41))
+	for _, i := range rng.Perm(rows) {
+		c := rng.Float64() * 1000
+		if _, err := d.Insert("syn", []float64{float64(i), 2*c + 100, c, rng.Float64()}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := d.CreateIndex("syn", IndexDef{Kind: "btree", Col: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.CreateIndex("syn", IndexDef{Kind: "hermit", Col: 2, Host: 1}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < rows; i += 7 {
+		if _, err := d.Delete("syn", float64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := d.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	d.GC() // the deleted keys leave the primary index, as they have left the blocks
+	// state is what a recovery must reproduce: each partition's key→RID map
+	// and its memory breakdown.
+	type state struct {
+		rids map[float64]uint64
+		mem  MemoryStats
+	}
+	capture := func(d *DurableDB) []state {
+		out := make([]state, parts)
+		for i, tb := range d.tables["syn"].phys {
+			out[i] = state{rids: map[float64]uint64{}, mem: tb.Memory()}
+			tb.Primary().Each(func(k float64, id uint64) bool {
+				out[i].rids[k] = id
+				return true
+			})
+		}
+		return out
+	}
+	loaded := capture(d)
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var recovered [2][]state
+	for run := range recovered {
+		d, err := OpenDurableOptions(dir, hermit.PhysicalPointers, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		recovered[run] = capture(d)
+		if err := d.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := range loaded {
+		a, b := recovered[0][i], recovered[1][i]
+		if len(a.rids) != len(loaded[i].rids) {
+			t.Fatalf("partition %d: recovered %d keys, loaded %d", i, len(a.rids), len(loaded[i].rids))
+		}
+		if !reflect.DeepEqual(a.rids, b.rids) {
+			t.Errorf("partition %d: two recoveries assigned different RIDs", i)
+		}
+		if a.mem != b.mem {
+			t.Errorf("partition %d: two recoveries differ in Memory(): %+v vs %+v", i, a.mem, b.mem)
+		}
+		if a.mem.PrimaryBytes > loaded[i].mem.PrimaryBytes {
+			t.Errorf("partition %d: primary index %d B after recovery, %d B as loaded",
+				i, a.mem.PrimaryBytes, loaded[i].mem.PrimaryBytes)
+		}
+	}
+}

@@ -26,9 +26,10 @@ func (t *Table) CreateBTreeIndex(col int, markNew bool) (*btree.Tree, error) {
 	if _, dup := t.secondary[col]; dup {
 		return nil, ErrDupIndex
 	}
-	// Build the key/id arrays BulkLoad consumes directly and sort them
-	// jointly — no intermediate entries slice to materialise and copy out
-	// (the build peak is the tree plus exactly one pair of arrays).
+	// Fill the key/id arrays BulkLoad consumes straight from the scan and
+	// sort them jointly. The build peak is the tree, this pair of arrays and
+	// SortPairs' two record arrays of the same size each, which the sort
+	// drops before the load starts.
 	keys := make([]float64, 0, t.store.Len())
 	ids := make([]uint64, 0, t.store.Len())
 	buf := make([]float64, len(t.cols))
@@ -38,7 +39,7 @@ func (t *Table) CreateBTreeIndex(col int, markNew bool) (*btree.Tree, error) {
 		ids = append(ids, t.identify(rid, buf))
 		return true
 	})
-	sort.Sort(keyIDSorter{keys: keys, ids: ids})
+	keyorder.SortPairs(keys, ids)
 	tr := btree.New(btree.DefaultOrder)
 	if err := tr.BulkLoad(keys, ids); err != nil {
 		return nil, err
@@ -49,29 +50,6 @@ func (t *Table) CreateBTreeIndex(col int, markNew bool) (*btree.Tree, error) {
 		t.newCols[col] = true
 	}
 	return tr, nil
-}
-
-// keyIDSorter orders the parallel key/id bulk-load arrays jointly by
-// (key, id) — keys in the tree's own total order, so a column holding NaNs
-// still loads — swapping both slices in lockstep.
-type keyIDSorter struct {
-	keys []float64
-	ids  []uint64
-}
-
-func (s keyIDSorter) Len() int { return len(s.keys) }
-
-func (s keyIDSorter) Less(a, b int) bool {
-	ka, kb := s.keys[a], s.keys[b]
-	if keyorder.Less(ka, kb) {
-		return true
-	}
-	return !keyorder.Less(kb, ka) && s.ids[a] < s.ids[b]
-}
-
-func (s keyIDSorter) Swap(a, b int) {
-	s.keys[a], s.keys[b] = s.keys[b], s.keys[a]
-	s.ids[a], s.ids[b] = s.ids[b], s.ids[a]
 }
 
 // HermitOption customises Hermit index creation.

@@ -15,6 +15,7 @@ package hermit
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"sync/atomic"
 	"time"
@@ -157,16 +158,24 @@ func New(table *storage.Table, host, primary *btree.Tree, cfg Config) (*Index, e
 		return nil, ErrNeedPrimary
 	}
 	idx := &Index{cfg: cfg, table: table, host: host, primary: primary}
+	// One scan fills the pairs and finds the target column's bounds, by
+	// storage.Table.ColumnBounds' comparisons.
 	pairs := make([]trstree.Pair, 0, table.Len())
+	lo, hi := math.Inf(1), math.Inf(-1)
 	err := table.ScanPairs(cfg.TargetCol, cfg.HostCol, func(rid storage.RID, m, n float64) bool {
 		pairs = append(pairs, trstree.Pair{M: m, N: n, ID: idx.identify(rid)})
+		if m < lo {
+			lo = m
+		}
+		if m > hi {
+			hi = m
+		}
 		return true
 	})
 	if err != nil {
 		return nil, fmt.Errorf("hermit: scanning table: %w", err)
 	}
-	lo, hi, ok := table.ColumnBounds(cfg.TargetCol)
-	if !ok {
+	if len(pairs) == 0 {
 		lo, hi = 0, 1 // empty table: any range works; inserts extend via edge leaves
 	}
 	var tree *trstree.Tree

@@ -11,35 +11,24 @@ import (
 	"hermit/internal/stats"
 )
 
-// lmodel and fitLinear keep the build code readable without repeating the
-// stats package qualifier in the hot construction path.
+// lmodel keeps the build code readable without repeating the stats package
+// qualifier in the hot construction path.
 type lmodel = stats.LinearModel
-
-var fitLinear = stats.FitLinear
 
 // ErrNoData is returned when Build is given no pairs and no explicit range.
 var ErrNoData = errors.New("trstree: no data and no range to build over")
 
 // Build constructs a TRS-Tree over the given pairs using Algorithm 1. The
-// pairs slice is reordered in place (it is partitioned recursively). lo and
-// hi give the target column's full range R; if lo > hi the range is derived
-// from the data.
+// pairs slice is scratch from then on (it is partitioned recursively, to and
+// from one buffer of the same size that Build drops before it returns). lo
+// and hi give the target column's full range R; if lo > hi the range is
+// derived from the data.
+//
+// The tree is a pure function of the pairs in the order given, the range
+// and the parameters: one RNG stream, seeded with a constant, is threaded
+// through the depth-first construction for the sampling pre-check.
 func Build(pairs []Pair, lo, hi float64, params Params) (*Tree, error) {
-	params = params.sanitize()
-	if lo > hi {
-		if len(pairs) == 0 {
-			return nil, ErrNoData
-		}
-		lo, hi = math.Inf(1), math.Inf(-1)
-		for _, p := range pairs {
-			lo = math.Min(lo, p.M)
-			hi = math.Max(hi, p.M)
-		}
-	}
-	t := &Tree{params: params}
-	b := builder{params: params, rng: rand.New(rand.NewSource(1))}
-	t.root = b.build(pairs, lo, hi, 1, true, true)
-	return t, nil
+	return buildTree(pairs, lo, hi, params, nil)
 }
 
 // BuildParallel constructs the tree with the top-down multi-threaded scheme
@@ -50,17 +39,25 @@ func Build(pairs []Pair, lo, hi float64, params Params) (*Tree, error) {
 // of the fitting work concentrates in a few sub-ranges, e.g. a sigmoid's
 // steep centre) still scale with the thread count.
 //
-// workers <= 1 falls back to the sequential Build. The resulting structure
-// is deterministic and identical to the sequential one: each sub-range's
-// build is a pure function of its pairs.
+// workers <= 1 falls back to the sequential Build. With more, the tree is
+// deterministic — the same for every worker count and every run, because a
+// node's build is a pure function of its pairs, range and depth — but it is
+// not Build's tree: no RNG stream can cross goroutines, so every node seeds
+// its own for the sampling pre-check, and where the two samples disagree
+// about a split the trees differ by a few nodes. Both answer every lookup
+// with a superset of the matching pairs.
 func BuildParallel(pairs []Pair, lo, hi float64, params Params, workers int) (*Tree, error) {
-	params = params.sanitize()
 	if workers <= 1 {
 		return Build(pairs, lo, hi, params)
 	}
 	if workers > runtime.NumCPU()*4 {
 		workers = runtime.NumCPU() * 4
 	}
+	return buildTree(pairs, lo, hi, params, make(chan struct{}, workers-1)) // the caller is worker 0
+}
+
+func buildTree(pairs []Pair, lo, hi float64, params Params, tokens chan struct{}) (*Tree, error) {
+	params = params.sanitize()
 	if lo > hi {
 		if len(pairs) == 0 {
 			return nil, ErrNoData
@@ -71,87 +68,84 @@ func BuildParallel(pairs []Pair, lo, hi float64, params Params, workers int) (*T
 			hi = math.Max(hi, p.M)
 		}
 	}
-	pb := &parallelBuilder{
-		params: params,
-		tokens: make(chan struct{}, workers-1), // the caller is worker 0
-	}
-	root := pb.build(pairs, lo, hi, 1, true, true)
-	return &Tree{params: params, root: root}, nil
+	b := newBuilder(params, 1, tokens)
+	return &Tree{params: params, root: b.build(pairs, nil, lo, hi, 1, true, true)}, nil
 }
 
 // parallelSpawnMin is the sub-range size below which spawning a goroutine
 // is not worth the scheduling cost.
 const parallelSpawnMin = 8192
 
-// parallelBuilder runs builder.build recursively, offering large sub-ranges
-// to other workers through a token pool.
-type parallelBuilder struct {
-	params Params
-	tokens chan struct{}
-}
-
-func (pb *parallelBuilder) build(pairs []Pair, lo, hi float64, depth int, leftEdge, rightEdge bool) *node {
-	b := builder{params: pb.params, rng: rand.New(rand.NewSource(int64(depth)*7919 + int64(len(pairs))))}
-	if leaf, ok := b.tryLeaf(pairs, lo, hi, depth, leftEdge, rightEdge); ok {
-		return leaf
-	}
-	k := pb.params.NodeFanout
-	buckets := partition(pairs, lo, hi, k)
-	n := &node{lo: lo, hi: hi, leftEdge: leftEdge, rightEdge: rightEdge, children: make([]*node, k)}
-	w := (hi - lo) / float64(k)
-	var wg sync.WaitGroup
-	for i := 0; i < k; i++ {
-		clo := lo + float64(i)*w
-		chi := clo + w
-		if i == k-1 {
-			chi = hi
-		}
-		le, re := leftEdge && i == 0, rightEdge && i == k-1
-		if len(buckets[i]) >= parallelSpawnMin {
-			select {
-			case pb.tokens <- struct{}{}:
-				wg.Add(1)
-				go func(i int, bucket []Pair, clo, chi float64, le, re bool) {
-					defer wg.Done()
-					defer func() { <-pb.tokens }()
-					n.children[i] = pb.build(bucket, clo, chi, depth+1, le, re)
-				}(i, buckets[i], clo, chi, le, re)
-				continue
-			default:
-				// Pool exhausted: build inline.
-			}
-		}
-		n.children[i] = pb.build(buckets[i], clo, chi, depth+1, le, re)
-	}
-	wg.Wait()
-	return n
-}
-
+// builder carries one construction's parameters, RNG stream and scratch.
+// The scratch is what makes a build allocate little beyond the tree: every
+// node's fit reuses it, and nothing of it is reachable from the tree.
 type builder struct {
 	params Params
 	rng    *rand.Rand
+	// tokens is BuildParallel's worker pool (nil: sequential). A builder
+	// belongs to one goroutine; a sub-range handed to another worker gets a
+	// builder of its own.
+	tokens chan struct{}
+
+	resid  []float64           // |n - model(m)| of the node being fitted
+	sample []Pair              // the sampling pre-check's draw
+	med    [madSamples]float64 // the residuals whose median is the MAD
+}
+
+func newBuilder(params Params, seed int64, tokens chan struct{}) *builder {
+	return &builder{params: params, rng: rand.New(rand.NewSource(seed)), tokens: tokens}
 }
 
 // build recursively constructs the subtree for pairs covering [lo, hi].
 // It implements Algorithm 1's Compute/Validate/SplitNode loop in recursive
 // form (the FIFO order of the paper only affects construction order, not
-// the resulting structure).
-func (b *builder) build(pairs []Pair, lo, hi float64, depth int, leftEdge, rightEdge bool) *node {
+// the resulting structure). other is the region of the second buffer that
+// lies alongside pairs: a split scatters pairs into it and the children
+// scatter back, so one level's input is the next level's scratch. Only the
+// root passes nil.
+func (b *builder) build(pairs, other []Pair, lo, hi float64, depth int, leftEdge, rightEdge bool) *node {
+	if b.tokens != nil {
+		b.rng.Seed(int64(depth)*7919 + int64(len(pairs)))
+	}
 	if leaf, ok := b.tryLeaf(pairs, lo, hi, depth, leftEdge, rightEdge); ok {
 		return leaf
 	}
+	if other == nil {
+		other = make([]Pair, len(pairs))
+	}
 	k := b.params.NodeFanout
-	buckets := partition(pairs, lo, hi, k)
+	ends := partition(pairs, other, lo, hi, k)
 	n := &node{lo: lo, hi: hi, leftEdge: leftEdge, rightEdge: rightEdge, children: make([]*node, k)}
 	w := (hi - lo) / float64(k)
-	for i := 0; i < k; i++ {
+	var wg sync.WaitGroup
+	start := 0
+	for i, end := range ends {
 		clo := lo + float64(i)*w
 		chi := clo + w
 		if i == k-1 {
 			chi = hi
 		}
-		n.children[i] = b.build(buckets[i], clo, chi, depth+1, leftEdge && i == 0, rightEdge && i == k-1)
+		bucket, scratch := other[start:end], pairs[start:end]
+		start = end
+		le, re := leftEdge && i == 0, rightEdge && i == k-1
+		if b.tokens != nil && len(bucket) >= parallelSpawnMin {
+			select {
+			case b.tokens <- struct{}{}:
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					defer func() { <-b.tokens }()
+					worker := newBuilder(b.params, 0, b.tokens) // build seeds every node
+					n.children[i] = worker.build(bucket, scratch, clo, chi, depth+1, le, re)
+				}()
+				continue
+			default:
+				// Pool exhausted: build inline.
+			}
+		}
+		n.children[i] = b.build(bucket, scratch, clo, chi, depth+1, le, re)
 	}
+	wg.Wait()
 	return n
 }
 
@@ -168,8 +162,8 @@ func (b *builder) tryLeaf(pairs []Pair, lo, hi float64, depth int, leftEdge, rig
 			return nil, false
 		}
 	}
-	model, eps, outliers := fitAndValidate(pairs, lo, hi, b.params)
-	if !mustBeLeaf && float64(len(outliers)) > b.params.OutlierRatio*float64(len(pairs)) {
+	model, eps, outliers := b.fitAndValidate(pairs, lo, hi)
+	if !mustBeLeaf && float64(outliers) > b.params.OutlierRatio*float64(len(pairs)) {
 		return nil, false
 	}
 	leaf := &node{
@@ -178,10 +172,12 @@ func (b *builder) tryLeaf(pairs []Pair, lo, hi float64, depth int, leftEdge, rig
 		model: model, eps: eps,
 		count: len(pairs),
 	}
-	if len(outliers) > 0 {
-		leaf.outliers = make([]outlierEntry, len(outliers))
-		for i, p := range outliers {
-			leaf.outliers[i] = outlierEntry{m: p.M, id: p.ID}
+	if outliers > 0 {
+		leaf.outliers = make([]outlierEntry, 0, outliers)
+		for _, p := range pairs {
+			if uncovered(model, eps, p) {
+				leaf.outliers = append(leaf.outliers, outlierEntry{m: p.M, id: p.ID})
+			}
 		}
 	}
 	return leaf, true
@@ -197,16 +193,28 @@ func (b *builder) sampleSaysSplit(pairs []Pair, lo, hi float64) bool {
 	if sn >= len(pairs) {
 		return false
 	}
-	sample := make([]Pair, sn)
+	if cap(b.sample) < sn {
+		b.sample = make([]Pair, sn)
+	}
+	sample := b.sample[:sn]
 	for i := range sample {
 		sample[i] = pairs[b.rng.Intn(len(pairs))]
 	}
-	_, _, outliers := fitAndValidate(sample, lo, hi, b.params)
-	return float64(len(outliers)) > b.params.OutlierRatio*float64(len(sample))
+	_, _, outliers := b.fitAndValidate(sample, lo, hi)
+	return float64(outliers) > b.params.OutlierRatio*float64(len(sample))
 }
 
+// uncovered reports whether the model's interval misses the pair: Validate's
+// test, and the one that fills a leaf's outlier buffer.
+func uncovered(model lmodel, eps float64, p Pair) bool {
+	return math.Abs(p.N-model.Predict(p.M)) > eps
+}
+
+// madSamples bounds the residuals the MAD is estimated from.
+const madSamples = 4096
+
 // fitAndValidate runs Compute and Validate from Algorithm 1: it fits a
-// linear model, derives eps from ErrorBound (§4.5) and collects the pairs
+// linear model, derives eps from ErrorBound (§4.5) and counts the pairs
 // the interval fails to cover.
 //
 // Because the paper's eps is very tight for large n (error_bound counts the
@@ -226,39 +234,59 @@ func (b *builder) sampleSaysSplit(pairs []Pair, lo, hi float64) bool {
 //     workloads inject.
 //  2. OLS polish on the MAD-inliers (residual <= 3 * median absolute
 //     residual), restoring least-squares efficiency on the clean subset.
-func fitAndValidate(pairs []Pair, lo, hi float64, params Params) (m lmodel, eps float64, outliers []Pair) {
+//
+// Nothing here allocates once the builder's scratch has grown to the node:
+// the polish streams over the inliers in place of collecting them, adding
+// in stats.FitLinear's order, so the model is FitLinear's to the bit.
+func (b *builder) fitAndValidate(pairs []Pair, lo, hi float64) (model lmodel, eps float64, outliers int) {
 	if len(pairs) == 0 {
-		return lmodel{}, 0, nil
+		return lmodel{}, 0, 0
 	}
-	model := robustFit(pairs)
+	if cap(b.resid) < len(pairs) {
+		b.resid = make([]float64, len(pairs))
+	}
+	resid := b.resid[:len(pairs)]
+	model = robustFit(pairs, resid)
 	// Polish: OLS over the MAD-inliers of the robust fit. The MAD is
 	// estimated from a stride sample of residuals: a full median would cost
 	// an O(n log n) sort per node and dominates construction, while a few
 	// thousand samples estimate the scale just as well.
-	resid := make([]float64, len(pairs))
 	for i, p := range pairs {
 		resid[i] = math.Abs(p.N - model.Predict(p.M))
 	}
-	mad := medianOf(strideSample(resid, 4096))
+	mad := medianOf(strideSample(resid, b.med[:]))
 	if mad > 0 {
 		thr := 3 * mad
-		var inX, inY []float64
+		inliers := 0
+		var sx, sy float64
 		for i, p := range pairs {
 			if resid[i] <= thr {
-				inX = append(inX, p.M)
-				inY = append(inY, p.N)
+				inliers++
+				sx += p.M
+				sy += p.N
 			}
 		}
-		if len(inX) >= 2 {
-			if refit, err := fitLinear(inX, inY); err == nil {
-				model = refit
+		if inliers >= 2 {
+			mx, my := sx/float64(inliers), sy/float64(inliers)
+			var sxx, sxy float64
+			for i, p := range pairs {
+				if resid[i] <= thr {
+					dx := p.M - mx
+					sxx += dx * dx
+					sxy += dx * (p.N - my)
+				}
+			}
+			model = lmodel{Beta: 0, Alpha: my} // degenerate m: the horizontal line
+			if sxx != 0 {
+				beta := sxy / sxx
+				model = lmodel{Beta: beta, Alpha: my - beta*mx}
 			}
 		}
 	}
-	eps = deriveEps(model.Beta, lo, hi, params.ErrorBound, len(pairs))
+	eps = deriveEps(model.Beta, lo, hi, b.params.ErrorBound, len(pairs))
 	for _, p := range pairs {
-		if math.Abs(p.N-model.Predict(p.M)) > eps {
-			outliers = append(outliers, p)
+		if uncovered(model, eps, p) {
+			outliers++
 		}
 	}
 	return model, eps, outliers
@@ -272,16 +300,15 @@ const robustFitSamples = 255
 // robustFit computes a sampled Theil–Sen line: median pairwise slope,
 // median residual intercept. Sampling uses multiplicative hashing so
 // construction stays deterministic without threading an RNG through.
-func robustFit(pairs []Pair) lmodel {
+// scratch holds len(pairs) values the degenerate case may overwrite.
+func robustFit(pairs []Pair, scratch []float64) lmodel {
 	n := len(pairs)
 	if n < 3 {
-		xs := make([]float64, n)
-		ys := make([]float64, n)
+		var xs, ys [2]float64
 		for i, p := range pairs {
-			xs[i] = p.M
-			ys[i] = p.N
+			xs[i], ys[i] = p.M, p.N
 		}
-		m, err := fitLinear(xs, ys)
+		m, err := stats.FitLinear(xs[:n], ys[:n])
 		if err != nil {
 			return lmodel{}
 		}
@@ -291,7 +318,8 @@ func robustFit(pairs []Pair) lmodel {
 	if n*(n-1)/2 < k {
 		k = n * (n - 1) / 2
 	}
-	slopes := make([]float64, 0, k)
+	var slopeBuf [robustFitSamples]float64
+	slopes := slopeBuf[:0]
 	const mix = 2654435761 // Knuth multiplicative hash
 	for s := 0; len(slopes) < k && s < 4*k; s++ {
 		i := int(uint32(s*mix) % uint32(n))
@@ -307,7 +335,7 @@ func robustFit(pairs []Pair) lmodel {
 	}
 	if len(slopes) == 0 {
 		// Degenerate x: horizontal line through the median host value.
-		vals := make([]float64, n)
+		vals := scratch[:n]
 		for i, p := range pairs {
 			vals[i] = p.N
 		}
@@ -315,29 +343,26 @@ func robustFit(pairs []Pair) lmodel {
 	}
 	beta := medianOf(slopes)
 	// Intercept: median of residual intercepts over a sample of points.
-	m := n
-	if m > 1024 {
-		m = 1024
-	}
-	alphas := make([]float64, 0, m)
+	const maxAlphas = 1024
+	m := min(n, maxAlphas)
+	var alphaBuf [maxAlphas]float64
+	alphas := alphaBuf[:0]
 	step := n / m
-	if step < 1 {
-		step = 1
-	}
 	for i := 0; i < n && len(alphas) < m; i += step {
 		alphas = append(alphas, pairs[i].N-beta*pairs[i].M)
 	}
 	return lmodel{Beta: beta, Alpha: medianOf(alphas)}
 }
 
-// strideSample copies up to max evenly spaced elements of vals.
-func strideSample(vals []float64, max int) []float64 {
-	if len(vals) <= max {
-		return append([]float64(nil), vals...)
+// strideSample copies up to len(buf) evenly spaced elements of vals into
+// buf and returns them.
+func strideSample(vals, buf []float64) []float64 {
+	if len(vals) <= len(buf) {
+		return buf[:copy(buf, vals)]
 	}
-	step := len(vals) / max
-	out := make([]float64, 0, max)
-	for i := 0; i < len(vals) && len(out) < max; i += step {
+	step := len(vals) / len(buf)
+	out := buf[:0]
+	for i := 0; i < len(vals) && len(out) < len(buf); i += step {
 		out = append(out, vals[i])
 	}
 	return out
@@ -417,16 +442,11 @@ func deriveEps(beta, lo, hi, errorBound float64, n int) float64 {
 }
 
 // partition distributes pairs into k equal sub-ranges of [lo, hi]
-// (Algorithm 1's SplitTable). The input slice's storage is reused.
-func partition(pairs []Pair, lo, hi float64, k int) [][]Pair {
-	buckets := make([][]Pair, k)
-	if len(pairs) == 0 {
-		return buckets
-	}
+// (Algorithm 1's SplitTable): a counting pass, then a placement into dst —
+// as long as pairs — that keeps each sub-range's pairs in input order, which
+// the fits below depend on. Sub-range i is dst[ends[i-1]:ends[i]].
+func partition(pairs, dst []Pair, lo, hi float64, k int) (ends []int) {
 	w := (hi - lo) / float64(k)
-	// Counting pass then stable placement into one backing array keeps
-	// allocation linear instead of per-append.
-	counts := make([]int, k)
 	idx := func(m float64) int {
 		if w <= 0 {
 			return 0
@@ -440,27 +460,21 @@ func partition(pairs []Pair, lo, hi float64, k int) [][]Pair {
 		}
 		return i
 	}
+	next := make([]int, k) // counts, then each sub-range's write cursor
 	for _, p := range pairs {
-		counts[idx(p.M)]++
+		next[idx(p.M)]++
 	}
-	backing := make([]Pair, len(pairs))
-	offsets := make([]int, k)
 	sum := 0
-	for i, c := range counts {
-		offsets[i] = sum
+	for i, c := range next {
+		next[i] = sum
 		sum += c
 	}
-	cursor := append([]int(nil), offsets...)
 	for _, p := range pairs {
 		i := idx(p.M)
-		backing[cursor[i]] = p
-		cursor[i]++
+		dst[next[i]] = p
+		next[i]++
 	}
-	for i := 0; i < k; i++ {
-		end := offsets[i] + counts[i]
-		buckets[i] = backing[offsets[i]:end:end]
-	}
-	return buckets
+	return next // every cursor stopped at its sub-range's end
 }
 
 // sortRanges orders ranges by Lo; used by the lookup union step.

@@ -2,7 +2,6 @@ package trstree
 
 import (
 	"math"
-	"math/rand"
 	"time"
 )
 
@@ -268,9 +267,14 @@ func collectPairs(src DataSource, target *node) ([]Pair, error) {
 	return pairs, err
 }
 
+// buildReplacement builds the subtree that replaces target. Its sampling
+// RNG is seeded from the node — depth, pair count and the bits of its lower
+// bound — so replaying one trace of writes and reorganizations builds the
+// same subtrees.
 func buildReplacement(pairs []Pair, target *node, depth int, params Params) (*node, error) {
-	b := builder{params: params, rng: rand.New(rand.NewSource(time.Now().UnixNano()))}
-	return b.build(pairs, target.lo, target.hi, depth, target.leftEdge, target.rightEdge), nil
+	seed := int64(depth)*7919 + int64(len(pairs)) + int64(math.Float64bits(target.lo))
+	b := newBuilder(params, seed, nil)
+	return b.build(pairs, nil, target.lo, target.hi, depth, target.leftEdge, target.rightEdge), nil
 }
 
 // replaySideBuf applies writes parked during the reorganization scan.

@@ -54,12 +54,12 @@ func TestStrideSample(t *testing.T) {
 	for i := range vals {
 		vals[i] = float64(i)
 	}
-	s := strideSample(vals, 10)
+	s := strideSample(vals, make([]float64, 10))
 	if len(s) > 10 || len(s) < 5 {
 		t.Fatalf("sample size %d", len(s))
 	}
 	// Small inputs copied whole.
-	s2 := strideSample(vals[:3], 10)
+	s2 := strideSample(vals[:3], make([]float64, 10))
 	if len(s2) != 3 {
 		t.Fatalf("small sample %d", len(s2))
 	}
@@ -83,7 +83,7 @@ func TestRobustFitResistsContamination(t *testing.T) {
 		}
 		pairs[i] = Pair{M: m, N: n, ID: uint64(i)}
 	}
-	model := robustFit(pairs)
+	model := robustFit(pairs, make([]float64, len(pairs)))
 	if model.Beta < 2.5 || model.Beta > 3.5 {
 		t.Fatalf("beta=%v, want ~3 despite contamination", model.Beta)
 	}
@@ -94,13 +94,13 @@ func TestRobustFitResistsContamination(t *testing.T) {
 
 func TestRobustFitDegenerateInputs(t *testing.T) {
 	// Fewer than 3 points: falls back to OLS.
-	m := robustFit([]Pair{{M: 1, N: 5, ID: 0}, {M: 2, N: 7, ID: 1}})
+	m := robustFit([]Pair{{M: 1, N: 5, ID: 0}, {M: 2, N: 7, ID: 1}}, nil)
 	if m.Beta != 2 || m.Alpha != 3 {
 		t.Fatalf("two-point fit %+v", m)
 	}
 	// Constant x: horizontal line through the median host value.
 	pairs := []Pair{{M: 5, N: 1}, {M: 5, N: 2}, {M: 5, N: 100}}
-	m = robustFit(pairs)
+	m = robustFit(pairs, make([]float64, len(pairs)))
 	if m.Beta != 0 || m.Alpha != 2 {
 		t.Fatalf("constant-x fit %+v", m)
 	}

@@ -1,6 +1,7 @@
 package trstree
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"sort"
@@ -407,6 +408,61 @@ func TestReorgSubtree(t *testing.T) {
 	checkRecall(t, tr, src.pairs, 0, 1000)
 }
 
+// TestReorgReplayDeterministic plays one schedule of inserts, deletes and
+// reorganizations twice: the subtrees a reorganization builds depend on the
+// table and the node alone (the rebuild's sampling RNG is seeded from the
+// node, not from the clock), so both plays save the same bytes. Every
+// reorganization of the schedule runs with the share of pairs off the line
+// just under OutlierRatio, where the full fit keeps the node whole and the
+// 5 % sample's draw decides whether it is asked at all.
+func TestReorgReplayDeterministic(t *testing.T) {
+	play := func() []byte {
+		src := &sliceSource{pairs: genLinear(10000, 1000, 0, 31)}
+		tr := mustBuild(t, src.pairs, DefaultParams())
+		rng := rand.New(rand.NewSource(32))
+		rebuilt := 0
+		for cycle := 0; cycle < 8; cycle++ {
+			// Off-line pairs until some leaf is over the ratio and queued...
+			var added []Pair
+			for tr.PendingReorg() == 0 {
+				m := rng.Float64() * 1000
+				p := Pair{M: m, N: 3*m + 20000, ID: uint64(100000 + len(src.pairs))}
+				added = append(added, p)
+				src.add(p)
+				tr.Insert(p.M, p.N, p.ID)
+			}
+			// ...then a few of them gone again, so the rebuild sees it just under.
+			for _, p := range added[:min(len(added), 60)] {
+				for i, q := range src.pairs {
+					if q.ID == p.ID {
+						src.pairs[i] = src.pairs[len(src.pairs)-1]
+						src.pairs = src.pairs[:len(src.pairs)-1]
+						break
+					}
+				}
+				tr.Delete(p.M, p.N, p.ID)
+			}
+			n, err := tr.ReorgOnce(src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rebuilt += n
+		}
+		if rebuilt == 0 {
+			t.Fatal("the schedule never reorganized")
+		}
+		checkRecall(t, tr, src.pairs, 0, 1000)
+		var buf bytes.Buffer
+		if err := tr.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	if first, second := play(), play(); !bytes.Equal(first, second) {
+		t.Fatal("two plays of one schedule saved different trees")
+	}
+}
+
 func TestConcurrentLookupInsertReorg(t *testing.T) {
 	src := &sliceSource{pairs: genSigmoid(30000, 1000, 0.05, 19)}
 	tr := mustBuild(t, src.pairs, DefaultParams())
@@ -482,13 +538,29 @@ func TestBackgroundReorg(t *testing.T) {
 	tr.StopReorg()
 }
 
+// TestBuildParallelEquivalentResults: BuildParallel's tree is the same for
+// every worker count and every run (each node seeds its own sampling RNG,
+// so scheduling cannot reach the result), and both builders answer every
+// lookup with a superset of a brute-force scan. The two trees themselves
+// need not be equal: Build threads one RNG stream through the whole
+// construction.
 func TestBuildParallelEquivalentResults(t *testing.T) {
 	pairs := genSigmoid(40000, 1000, 0.02, 21)
 	seq := mustBuild(t, pairs, DefaultParams())
-	cp := append([]Pair(nil), pairs...)
-	par, err := BuildParallel(cp, 1, 0, DefaultParams(), 4)
-	if err != nil {
-		t.Fatal(err)
+	var par *Tree
+	var want string
+	for run, workers := range []int{2, 3, 8, 2, 8} {
+		cp := append([]Pair(nil), pairs...)
+		tr, err := BuildParallel(cp, 1, 0, DefaultParams(), workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := saveHash(t, tr)
+		if run == 0 {
+			par, want = tr, got
+		} else if got != want {
+			t.Fatalf("run %d with %d workers built a different tree: %s, first run %s", run, workers, got, want)
+		}
 	}
 	rng := rand.New(rand.NewSource(22))
 	for trial := 0; trial < 30; trial++ {
