@@ -134,7 +134,7 @@ bench-scenarios: build
 	$(GO) run ./cmd/hermit-bench -exp scenarios
 
 # Hot-path allocation/latency sweep (allocs/op, ns/op, throughput at
-# GOMAXPROCS 1 vs 4 for the five hottest operations) with
+# GOMAXPROCS 1 and NumCPU for the hottest operations) with
 # BENCH_hotpath.json.
 bench-hotpath: build
 	$(GO) run ./cmd/hermit-bench -exp hotpath

@@ -127,7 +127,7 @@ var Registry = []Experiment{
 	{"server", "Network serving tier: loopback throughput/latency vs clients", RunServer},
 	{"repl", "Replication: follower read scaling; lag vs write rate", RunRepl},
 	{"scenarios", "Trace-driven scenarios: per-phase SLO quantiles", RunScenarios},
-	{"hotpath", "Hot-path allocs/op and ns/op at GOMAXPROCS 1 vs 4", RunHotpath},
+	{"hotpath", "Hot-path allocs/op and ns/op at GOMAXPROCS 1 and NumCPU", RunHotpath},
 }
 
 // ByID returns the experiment with the given id.

@@ -27,7 +27,7 @@ import (
 // the primary-index hop), and a write churn at constant live rows with
 // version GC running (the one lane whose writes are reclaimed, and which
 // also records the heap it holds per live row) — as allocs/op, bytes/op,
-// ns/op, and throughput, each at GOMAXPROCS 1 and 4. The artifact is the
+// ns/op, and throughput, each at GOMAXPROCS 1 and NumCPU. The artifact is the
 // regression baseline for the zero-alloc read-path contract: the same
 // numbers `testing.AllocsPerRun` guards enforce in tier-1 are recorded
 // here with throughput context, so a speed pass can prove its allocation
@@ -39,10 +39,16 @@ const hotpathCaveat = "ns/op and ops/sec track the container; the durable " +
 	"workload) and its ratio across GOMAXPROCS lanes — allocation-free " +
 	"paths must stay allocation-free on multi-core runs"
 
-// hotpathProcs is the GOMAXPROCS lanes every workload is measured under;
-// the multi-core lane is what proves pooled paths do not regress when the
-// GC and scatter-gather workers actually run in parallel.
-var hotpathProcs = []int{1, 4}
+// hotpathProcs is the GOMAXPROCS lanes every workload is measured under: one
+// core, and every core the machine has — never more, which would measure
+// the scheduler. The all-cores lane is what shows that pooled paths stay
+// allocation-free when the GC and scatter-gather workers run in parallel.
+var hotpathProcs = func() []int {
+	if n := runtime.NumCPU(); n > 1 {
+		return []int{1, n}
+	}
+	return []int{1}
+}()
 
 // hotpathPartitions is the partition fan-out of the partitioned_scan lane.
 const hotpathPartitions = 4
@@ -536,7 +542,7 @@ func measureHotpathLane(cfg Config, name string, procs int, op func() error) (ho
 // RunHotpath drives the hot-path allocation/latency sweep.
 func RunHotpath(cfg Config) error {
 	cfg = cfg.sanitized()
-	header(cfg.Out, "hotpath", "Hot-path allocs/op and ns/op at GOMAXPROCS 1 vs 4")
+	header(cfg.Out, "hotpath", "Hot-path allocs/op and ns/op at GOMAXPROCS 1 and NumCPU")
 	n := cfg.rows(1_000_000)
 	fmt.Fprintf(cfg.Out, "rows=%d gomaxprocs=%d cpus=%d lanes=%v\n",
 		n, runtime.GOMAXPROCS(0), runtime.NumCPU(), hotpathProcs)

@@ -190,3 +190,36 @@ func TestDeleteZeroAllocs(t *testing.T) {
 		t.Fatalf("Delete allocates %.2f/op, want 0", allocs)
 	}
 }
+
+// TestDurableInsertZeroAllocs pins the durable auto-commit insert end to
+// end: the row is applied, its record payload is encoded in submit's stack
+// frame (wal.Submit copies it into the log's pending buffer before it
+// returns), the ticket is a value, and the wait that writes the log runs on
+// the caller — no goroutine hand-off, no channel, no per-record slice. What
+// remains is the table's amortised growth, which AllocsPerRun's integer
+// average reads as 0.
+func TestDurableInsertZeroAllocs(t *testing.T) {
+	d, err := OpenDurableOptions(t.TempDir(), hermit.PhysicalPointers, DurableOptions{DisableAutoCompact: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	if _, err := d.CreateTable("guard", []string{"pk", "b", "c", "d"}, 0); err != nil {
+		t.Fatal(err)
+	}
+	row := make([]float64, 4)
+	next := 0.0
+	insert := func() {
+		row[0], row[1], row[2], row[3] = next, 2*next+100, next, 0.5
+		next++
+		if _, err := d.Insert("guard", row); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 4096; i++ { // past the first block, the log's buffers grown
+		insert()
+	}
+	if allocs := measureAllocs(t, 2000, insert); allocs != 0 {
+		t.Fatalf("durable Insert allocates %.2f/op, want 0", allocs)
+	}
+}

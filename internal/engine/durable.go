@@ -35,8 +35,9 @@ import (
 // through a reader/writer latch plus a per-primary-key stripe, so writers
 // on different keys proceed in parallel; DDL quiesces them, and Checkpoint
 // holds the latch only for a short swap window while the block image is
-// written unlatched. The WAL itself serialises frames through a single
-// appender goroutine with group commit. Queries may use the *Table
+// written unlatched. The WAL itself serialises frames under one mutex and
+// is written by whichever caller needs a record acknowledged (leader-writes
+// group commit; no goroutine of its own). Queries may use the *Table
 // returned by Table directly — but mutations through that handle bypass
 // both the log and the durable layer's coordination, so they must go
 // through the DurableDB methods.
@@ -98,9 +99,10 @@ type DurableDB struct {
 	// It keeps LSNs strictly increasing across rotations — the coordinate
 	// system replication subscriptions live in. Guarded by mu.
 	walBase uint64
-	// walWatchers holds every channel registered through WatchWAL; a
-	// rotation re-registers them on the successor segment's log so a
-	// tailer's wakeup source survives the swap. Guarded by mu.
+	// walWatchers holds every channel registered through WatchWAL and not
+	// cancelled since; a rotation re-registers them on the successor
+	// segment's log so a tailer's wakeup source survives the swap. Guarded
+	// by mu.
 	walWatchers []chan struct{}
 
 	// ckptMu serialises the flush/compaction pipeline: Checkpoint,
@@ -1043,17 +1045,17 @@ func (d *DurableDB) DropIndex(table string, col int, kind string) error {
 // primary key's stripe across both, so per-key log order equals apply
 // order. On a partitioned table the mutation routes to the key's hash
 // partition and the record carries the partition id. The outcome lands in
-// res; the returned ticket (nil when nothing was logged) is what
-// awaitLogged waits on. A failed apply is not logged — validate-then-log,
+// res; the returned ticket (the zero Ticket when nothing was logged) is
+// what awaitLogged waits on. A failed apply is not logged — validate-then-log,
 // the fix for WAL poisoning — and neither is a delete of an absent key
 // (nothing to replay).
-func (d *DurableDB) submit(op *Op, res *OpResult) *wal.Ticket {
+func (d *DurableDB) submit(op *Op, res *OpResult) wal.Ticket {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	meta := d.tables[op.Table]
 	if meta == nil {
 		res.Err = fmt.Errorf("%w: %q", ErrNoSuchTable, op.Table)
-		return nil
+		return wal.Ticket{}
 	}
 	pk := op.PK
 	if op.Kind == OpInsert {
@@ -1064,6 +1066,9 @@ func (d *DurableDB) submit(op *Op, res *OpResult) *wal.Ticket {
 	}
 	tb, part := meta.route(pk)
 	rec := wal.Record{Table: op.Table, Part: part}
+	// Submit copies the payload into the log's buffer before it returns, so
+	// the record is encoded in this frame (a wider row spills to the heap).
+	var scratch [payloadScratch]byte
 	stripe := d.rows.mu(pk)
 	stripe.Lock()
 	defer stripe.Unlock()
@@ -1071,23 +1076,23 @@ func (d *DurableDB) submit(op *Op, res *OpResult) *wal.Ticket {
 	case OpInsert:
 		rec.Op = wal.OpInsert
 		if res.RID, res.Err = tb.Insert(op.Row); res.Err == nil {
-			rec.Payload = encodeFloats(op.Row)
+			rec.Payload = appendFloats(scratch[:0], op.Row...)
 		}
 	case OpDelete:
 		rec.Op = wal.OpDelete
 		if res.Found, res.Err = tb.Delete(pk); res.Found {
-			rec.Payload = encodeFloats([]float64{pk})
+			rec.Payload = appendFloats(scratch[:0], pk)
 		}
 	case OpUpdate:
 		rec.Op = wal.OpUpdate
 		if res.Err = tb.UpdateColumn(pk, op.Col, op.Value); res.Err == nil {
-			rec.Payload = encodeFloats([]float64{pk, float64(op.Col), op.Value})
+			rec.Payload = appendFloats(scratch[:0], pk, float64(op.Col), op.Value)
 		}
 	default:
 		res.Err = fmt.Errorf("engine: %v is not a mutation", op.Kind)
 	}
 	if rec.Payload == nil { // nothing applied, nothing to replay
-		return nil
+		return wal.Ticket{}
 	}
 	tk, err := d.log.Submit(rec)
 	if err != nil {
@@ -1096,12 +1101,13 @@ func (d *DurableDB) submit(op *Op, res *OpResult) *wal.Ticket {
 	return tk
 }
 
+// payloadScratch is the record payload submit encodes on its stack: rows of
+// up to 16 columns.
+const payloadScratch = 128
+
 // awaitLogged blocks until the record behind tk is acknowledged under the
 // sync policy and folds a log failure into res.
-func awaitLogged(tk *wal.Ticket, res *OpResult) {
-	if tk == nil {
-		return
-	}
+func awaitLogged(tk wal.Ticket, res *OpResult) {
 	if _, err := tk.Wait(); err != nil {
 		res.Err = fmt.Errorf("engine: wal append after apply (in-memory state ahead of log until next checkpoint): %w", err)
 	}
@@ -1112,20 +1118,28 @@ func awaitLogged(tk *wal.Ticket, res *OpResult) {
 // its own mutation with its own WAL record and its own result, exactly as
 // if Insert, Delete or UpdateColumn had been called for it, and a failed op
 // does not stop the ones after it. What the run shares is the wait: every
-// record is submitted before the first acknowledgement is awaited, so the
-// log can write the run's frames in batches, and under SyncGroup the run
-// costs one commit interval, not one per op.
+// record is submitted before the first is awaited, and that first wait
+// writes the run's frames in one write(2) (and, under the fsync policies,
+// one fsync and one commit interval) — the waits after it find their record
+// acknowledged, or the log poisoned below it, with one atomic load. Tickets
+// name their own log, so a checkpoint that rotates the segment mid-run
+// changes nothing here.
 func (d *DurableDB) ApplyEach(ops []Op) []OpResult {
 	results := make([]OpResult, len(ops))
-	tks := make([]*wal.Ticket, len(ops))
+	var stack [applyRunStack]wal.Ticket
+	tks := stack[:0]
 	for i := range ops {
-		tks[i] = d.submit(&ops[i], &results[i])
+		tks = append(tks, d.submit(&ops[i], &results[i]))
 	}
 	for i, tk := range tks {
 		awaitLogged(tk, &results[i])
 	}
 	return results
 }
+
+// applyRunStack is the run length whose tickets ApplyEach keeps on its
+// stack: the server's write runs are at most this long.
+const applyRunStack = 64
 
 // applyOne is the one-op run.
 func (d *DurableDB) applyOne(op Op) (res OpResult) {
@@ -2009,11 +2023,15 @@ func (d *DurableDB) Close() error {
 }
 
 func encodeFloats(vals []float64) []byte {
-	out := make([]byte, 8*len(vals))
-	for i, v := range vals {
-		binary.LittleEndian.PutUint64(out[i*8:], math.Float64bits(v))
+	return appendFloats(make([]byte, 0, 8*len(vals)), vals...)
+}
+
+// appendFloats appends the little-endian bits of vals to dst.
+func appendFloats(dst []byte, vals ...float64) []byte {
+	for _, v := range vals {
+		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
 	}
-	return out
+	return dst
 }
 
 func decodeFloats(raw []byte) []float64 {

@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 
@@ -48,13 +49,20 @@ func (d *DurableDB) WALPosition() (seg, base, last uint64) {
 
 // WatchWAL registers ch for non-blocking wakeups whenever the WAL grows
 // (and on segment rotation, re-registered onto the successor segment).
-// Tokens coalesce; a woken tailer reads until it runs dry. There is no
-// unregister — channels live as long as the DurableDB.
-func (d *DurableDB) WatchWAL(ch chan struct{}) {
+// Tokens coalesce; a woken tailer reads until it runs dry. The returned
+// func unregisters ch; a subscriber that goes away must call it, or every
+// later write and rotation keeps serving its channel.
+func (d *DurableDB) WatchWAL(ch chan struct{}) (cancel func()) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.walWatchers = append(d.walWatchers, ch)
 	d.log.Watch(ch)
+	return func() {
+		d.mu.Lock()
+		defer d.mu.Unlock()
+		d.walWatchers = slices.DeleteFunc(d.walWatchers, func(w chan struct{}) bool { return w == ch })
+		d.log.Unwatch(ch)
+	}
 }
 
 // Dir returns the database directory (where WAL segments live).
@@ -141,23 +149,21 @@ func (d *DurableDB) ReplAppend(recs []wal.Record) error {
 		return nil
 	}
 	d.mu.RLock()
-	tks := make([]*wal.Ticket, 0, len(recs))
-	var serr error
+	var last wal.Ticket
+	var err error
 	for _, rec := range recs {
-		tk, err := d.log.SubmitRaw(rec)
-		if err != nil {
-			serr = err
+		var tk wal.Ticket
+		if tk, err = d.log.SubmitRaw(rec); err != nil {
 			break
 		}
-		tks = append(tks, tk)
+		last = tk
 	}
 	d.mu.RUnlock()
-	for _, tk := range tks {
-		if _, err := tk.Wait(); err != nil && serr == nil {
-			serr = err
-		}
+	// One log, one hold: the last record's acknowledgement covers the run.
+	if _, werr := last.Wait(); err == nil {
+		err = werr
 	}
-	return serr
+	return err
 }
 
 // isDDLOp reports whether op changes the catalog (and so must apply under

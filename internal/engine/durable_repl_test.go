@@ -401,3 +401,57 @@ func TestReplSnapshotRestore(t *testing.T) {
 		t.Fatalf("reopen after restore: plain has %d rows, want 51", len(got))
 	}
 }
+
+// TestWatchWALCancel: a subscriber that comes and goes leaves nothing
+// behind — not on the live log, not in the set a rotation re-homes, not on
+// the segment after a rotating checkpoint — while a watcher that stays keeps
+// its wakeups across the rotation.
+func TestWatchWALCancel(t *testing.T) {
+	d, err := OpenDurableOptions(t.TempDir(), hermit.PhysicalPointers,
+		DurableOptions{DisableAutoCompact: true, WALRotateBytes: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	if _, err := d.CreateTable("t", []string{"id", "v"}, 0); err != nil {
+		t.Fatal(err)
+	}
+	cycle := func() {
+		for i := 0; i < 200; i++ {
+			d.WatchWAL(make(chan struct{}, 1))()
+		}
+	}
+	cycle()
+	if n, m := len(d.log.Watchers()), len(d.walWatchers); n != 0 || m != 0 {
+		t.Fatalf("%d watchers on the live log, %d registered, after 200 subscribe/cancel cycles", n, m)
+	}
+	stays := make(chan struct{}, 1)
+	cancel := d.WatchWAL(stays)
+	seg, _, _ := d.WALPosition()
+	if err := d.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if next, _, _ := d.WALPosition(); next == seg {
+		t.Fatal("checkpoint did not rotate the segment")
+	}
+	cycle()
+	if ws := d.log.Watchers(); len(ws) != 1 || ws[0] != stays || len(d.walWatchers) != 1 {
+		t.Fatalf("%d watchers on the rotated-to log, %d registered, want the 1 that stays", len(ws), len(d.walWatchers))
+	}
+	select { // drain the rotation's nudge
+	case <-stays:
+	default:
+	}
+	if _, err := d.Insert("t", []float64{1, 10}); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-stays:
+	default:
+		t.Fatal("the watcher that stayed lost its wakeups in the rotation")
+	}
+	cancel()
+	if n, m := len(d.log.Watchers()), len(d.walWatchers); n != 0 || m != 0 {
+		t.Fatalf("%d watchers on the log, %d registered, after the last cancel", n, m)
+	}
+}

@@ -8,6 +8,7 @@ import (
 
 	"hermit/internal/hermit"
 	"hermit/internal/trstree"
+	"hermit/internal/wal"
 )
 
 // populateDurable creates the Synthetic table with a host index and a
@@ -415,5 +416,70 @@ func TestRecoveryDeterministic(t *testing.T) {
 			t.Errorf("partition %d: primary index %d B after recovery, %d B as loaded",
 				i, a.mem.PrimaryBytes, loaded[i].mem.PrimaryBytes)
 		}
+	}
+}
+
+// TestTicketSurvivesRotation: a ticket names its own log, so one taken
+// before a rotating checkpoint — which syncs and closes the segment the
+// record went to — and waited on after it answers nil, on the auto-commit
+// path and on the transaction path; both records recover.
+func TestTicketSurvivesRotation(t *testing.T) {
+	dir := t.TempDir()
+	opts := DurableOptions{DisableAutoCompact: true, WALRotateBytes: 1}
+	d, err := OpenDurableOptions(dir, hermit.PhysicalPointers, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.CreateTable("t", []string{"id", "v"}, 0); err != nil {
+		t.Fatal(err)
+	}
+	rotate := func() {
+		t.Helper()
+		seg, _, _ := d.WALPosition()
+		if err := d.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		if next, _, _ := d.WALPosition(); next == seg {
+			t.Fatal("checkpoint did not rotate the segment")
+		}
+	}
+
+	var res OpResult
+	tk := d.submit(&Op{Kind: OpInsert, Table: "t", Row: []float64{1, 10}}, &res)
+	if res.Err != nil || tk == (wal.Ticket{}) {
+		t.Fatalf("submit: %v, ticket %+v", res.Err, tk)
+	}
+	rotate()
+	if awaitLogged(tk, &res); res.Err != nil {
+		t.Fatalf("auto-commit ticket waited on after the rotation: %v", res.Err)
+	}
+
+	tx := d.Begin()
+	if err := tx.Insert("t", []float64{2, 20}); err != nil {
+		t.Fatal(err)
+	}
+	ctk, err := tx.submitCommit()
+	if err != nil || ctk == (wal.Ticket{}) {
+		t.Fatalf("submitCommit: %v, ticket %+v", err, ctk)
+	}
+	rotate()
+	if _, err := ctk.Wait(); err != nil {
+		t.Fatalf("commit ticket waited on after the rotation: %v", err)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	d2, err := OpenDurableOptions(dir, hermit.PhysicalPointers, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d2.Close()
+	tb, err := d2.Table("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tb.Len() != 2 {
+		t.Fatalf("recovered %d rows, want 2", tb.Len())
 	}
 }

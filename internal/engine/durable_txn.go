@@ -133,21 +133,37 @@ func (tx *DurableTxn) Rollback() {
 // Commit applies the buffered writes atomically in memory (first committer
 // wins — ErrWriteConflict aborts with nothing applied or logged), then
 // logs the whole group under a fresh transaction id and returns once the
-// commit record is acknowledged under the sync policy. The write keys'
-// durable stripes are held from the in-memory commit through the log
-// submits, so per-key log order equals apply order exactly as on the
-// auto-commit paths.
+// commit record is acknowledged under the sync policy.
 func (tx *DurableTxn) Commit() error {
+	tk, err := tx.submitCommit()
+	if err != nil {
+		return err
+	}
+	if _, err := tk.Wait(); err != nil {
+		return fmt.Errorf("engine: wal append after txn apply (in-memory state ahead of log until next checkpoint): %w", err)
+	}
+	return nil
+}
+
+// submitCommit is Commit up to the wait: apply, then submit the group's
+// frames. The write keys' durable stripes are held from the in-memory
+// commit through the log submits, so per-key log order equals apply order
+// exactly as on the auto-commit paths. The group is one run in one log —
+// the shared latch keeps a rotation out — so the returned ticket, the
+// commit record's, covers the begin and mutation frames before it; if a
+// submit fails midway, the frames already pending reach the file with the
+// log's next wait, barrier or close, as an uncommitted tail.
+func (tx *DurableTxn) submitCommit() (wal.Ticket, error) {
 	if tx.done {
-		return ErrTxnDone
+		return wal.Ticket{}, ErrTxnDone
 	}
 	tx.done = true
 	d := tx.d
 	d.mu.RLock()
+	defer d.mu.RUnlock()
 	if len(tx.recs) == 0 {
 		_, err := tx.x.Commit()
-		d.mu.RUnlock()
-		return err
+		return wal.Ticket{}, err
 	}
 	stripes := make([]uint64, 0, len(tx.pks))
 	seen := make(map[uint64]bool, len(tx.pks))
@@ -161,46 +177,33 @@ func (tx *DurableTxn) Commit() error {
 	for _, s := range stripes {
 		d.rows.stripes[s].Lock()
 	}
-	unlock := func() {
+	defer func() {
 		for i := len(stripes) - 1; i >= 0; i-- {
 			d.rows.stripes[stripes[i]].Unlock()
 		}
-	}
+	}()
 	res, err := tx.x.Commit()
 	if err != nil {
-		unlock()
-		d.mu.RUnlock()
-		return err
+		return wal.Ticket{}, err
 	}
 	tx.res = res
 	id := d.txnSeq.Add(1)
-	var commitTk *wal.Ticket
-	submit := func(rec wal.Record) error {
-		rec.Txn = id
-		tk, err := d.log.Submit(rec)
-		commitTk = tk
-		return err
-	}
-	serr := submit(wal.Record{Op: wal.OpTxnBegin})
-	for _, rec := range tx.recs {
-		if serr != nil {
-			break
+	var tk wal.Ticket
+	submit := func(rec wal.Record) {
+		if err == nil {
+			rec.Txn = id
+			tk, err = d.log.Submit(rec)
 		}
-		serr = submit(rec)
 	}
-	if serr == nil {
-		serr = submit(wal.Record{Op: wal.OpTxnCommit})
+	submit(wal.Record{Op: wal.OpTxnBegin})
+	for _, rec := range tx.recs {
+		submit(rec)
 	}
-	err = serr
-	unlock()
-	d.mu.RUnlock()
+	submit(wal.Record{Op: wal.OpTxnCommit})
 	if err != nil {
-		return fmt.Errorf("engine: wal submit after txn apply (in-memory state ahead of log until next checkpoint): %w", err)
+		return wal.Ticket{}, fmt.Errorf("engine: wal submit after txn apply (in-memory state ahead of log until next checkpoint): %w", err)
 	}
-	if _, werr := commitTk.Wait(); werr != nil {
-		return fmt.Errorf("engine: wal append after txn apply (in-memory state ahead of log until next checkpoint): %w", werr)
-	}
-	return nil
+	return tk, nil
 }
 
 // ExecuteBatch runs a batch of operations with the same atomicity contract

@@ -344,7 +344,7 @@ func (l *Leader) streamSnapshot(send sendFn) (uint64, error) {
 // re-handshake (getting a snapshot bootstrap).
 func (l *Leader) stream(fromLSN uint64, send sendFn, stop <-chan struct{}) error {
 	wake := make(chan struct{}, 1)
-	l.db.WatchWAL(wake)
+	defer l.db.WatchWAL(wake)()
 
 	var t *wal.Tailer
 	var tSeg uint64
@@ -424,7 +424,7 @@ func (l *Leader) stream(fromLSN uint64, send sendFn, stop <-chan struct{}) error
 		}
 		// Dry at this segment's current end. A non-live segment is
 		// complete — advance to its successor; the live one grows, so
-		// flush and wait for the appender's wakeup.
+		// flush and wait for the wakeup of whichever caller writes the log next.
 		cur, _, _ := l.db.WALPosition()
 		if tSeg != cur {
 			if next, nextSeg, err := l.openNext(tSeg); err != nil {

@@ -5,6 +5,11 @@
 // a stored artifact cannot be compared against a later run. CI runs it
 // after `make bench-all` via `make bench-check`.
 //
+// BENCH_hotpath.json must carry every tracked workload at GOMAXPROCS 1 and
+// at the recording machine's num_cpu; BENCH_durability.json every sync
+// policy at 1, 8 and 64 writers, with group commit's point — more writers,
+// more records per fsync — visible in it.
+//
 // BENCH_scenarios.json gets deeper validation: at least four scenarios,
 // each with a spec hash, matching trace_hash and trace_hash_recheck (the
 // compile-determinism proof), and per-phase quantiles present and
@@ -92,7 +97,10 @@ func check(path string) error {
 		return checkScenarios(raw)
 	}
 	if a.Experiment == "hotpath" {
-		return checkHotpath(raw)
+		return checkHotpath(raw, a.NumCPU)
+	}
+	if a.Experiment == "durability" {
+		return checkDurability(raw)
 	}
 	return nil
 }
@@ -112,8 +120,9 @@ type hotpathArtifact struct {
 }
 
 // hotpathLaneProcs are the GOMAXPROCS values every hotpath workload must
-// record a lane for — the single-core number and the multi-core proof.
-var hotpathLaneProcs = []int{1, 4}
+// record a lane for: one core, and every core of the machine that recorded
+// the artifact (its num_cpu) — the same lane on a one-core machine.
+func hotpathLaneProcs(numCPU int) []int { return []int{1, numCPU} }
 
 // hotpathWorkloads are the operations the hotpath artifact must record: the
 // read paths under the zero-alloc contract, the durable and wire paths
@@ -131,9 +140,9 @@ var hotpathWorkloads = []string{
 // checkHotpath enforces the hotpath artifact's extra contract: every
 // tracked workload is present and carries a complete measurement (ops,
 // ns/op, allocs/op, throughput) at both GOMAXPROCS lanes, so allocation
-// regressions and multi-core claims are both checkable from the stored
-// artifact.
-func checkHotpath(raw []byte) error {
+// regressions on one core and on all of them are both checkable from the
+// stored artifact.
+func checkHotpath(raw []byte, numCPU int) error {
 	var ha hotpathArtifact
 	if err := json.Unmarshal(raw, &ha); err != nil {
 		return fmt.Errorf("hotpath block: %v", err)
@@ -175,11 +184,55 @@ func checkHotpath(raw []byte) error {
 		}
 	}
 	for w, seen := range procsSeen {
-		for _, p := range hotpathLaneProcs {
+		for _, p := range hotpathLaneProcs(numCPU) {
 			if !seen[p] {
-				return fmt.Errorf("%s: no GOMAXPROCS=%d lane (multi-core numbers must be recorded)", w, p)
+				return fmt.Errorf("%s: no GOMAXPROCS=%d lane (want lanes at 1 and num_cpu=%d)", w, p, numCPU)
 			}
 		}
+	}
+	return nil
+}
+
+// durabilityArtifact is the slice of BENCH_durability.json benchcheck
+// verifies beyond the shared header.
+type durabilityArtifact struct {
+	Throughput []struct {
+		Policy     string  `json:"policy"`
+		Goroutines int     `json:"goroutines"`
+		Ops        int     `json:"ops"`
+		OpsPerSec  float64 `json:"ops_per_sec"`
+	} `json:"insert_throughput"`
+}
+
+// checkDurability enforces the durability artifact's shape: every sync
+// policy measured at 1, 8 and 64 writers with inserts recorded, and
+// group-commit faster at 64 writers than at 1 — the one thing the policy
+// exists for, and what a commit path that releases its waiters one at a
+// time loses first.
+func checkDurability(raw []byte) error {
+	var da durabilityArtifact
+	if err := json.Unmarshal(raw, &da); err != nil {
+		return fmt.Errorf("durability block: %v", err)
+	}
+	rate := map[string]map[int]float64{}
+	for _, p := range da.Throughput {
+		if p.Ops <= 0 || p.OpsPerSec <= 0 {
+			return fmt.Errorf("%s x%d: no inserts recorded", p.Policy, p.Goroutines)
+		}
+		if rate[p.Policy] == nil {
+			rate[p.Policy] = map[int]float64{}
+		}
+		rate[p.Policy][p.Goroutines] = p.OpsPerSec
+	}
+	for _, policy := range []string{"no-sync", "group-commit", "sync-every-op"} {
+		for _, writers := range []int{1, 8, 64} {
+			if rate[policy][writers] == 0 {
+				return fmt.Errorf("%s x%d: lane not recorded", policy, writers)
+			}
+		}
+	}
+	if one, many := rate["group-commit"][1], rate["group-commit"][64]; many <= one {
+		return fmt.Errorf("group-commit: %.0f inserts/s at 64 writers, %.0f at 1 — the fsync is not being shared", many, one)
 	}
 	return nil
 }

@@ -7,11 +7,10 @@ import (
 )
 
 // TestAppendSteadyStateAllocs pins the append path's allocation budget:
-// with pooled tickets and the appender's reused frame buffer, a
-// steady-state Append (submit, encode, write, ack) performs no heap
-// allocations on either side of the request channel. SyncNever keeps the
-// group-commit timer out of the measurement; the fsync policies share the
-// same encode path.
+// with value tickets and the log's two reused frame buffers, a steady-state
+// uncontended Append (encode, swap, write, acknowledge — all on the caller)
+// performs no heap allocations. SyncNever keeps the commit interval out of
+// the measurement; the fsync policies share the same path.
 func TestAppendSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("AllocsPerRun counts race-detector bookkeeping under -race")
@@ -24,7 +23,7 @@ func TestAppendSteadyStateAllocs(t *testing.T) {
 	defer l.Close()
 	payload := make([]byte, 64)
 	rec := Record{Op: OpInsert, Table: "t", Payload: payload}
-	// Warm the ticket pool and the appender's frame buffer.
+	// Grow both frame buffers.
 	for i := 0; i < 64; i++ {
 		if _, err := l.Append(rec); err != nil {
 			t.Fatal(err)

@@ -104,7 +104,7 @@ func TestOpenTailTruncationFuzz(t *testing.T) {
 	const n = 12
 	raw := writeFuzzLog(t, logPath(t), n)
 	dir := t.TempDir()
-	// Every byte length: the appender writes a drained batch of frames in
+	// Every byte length: a writer puts a collected batch of frames in
 	// one write(2), so a crash can tear the file inside any frame of the
 	// batch, not only inside the last record appended.
 	cuts := make([]int, 0, len(raw)+1)

@@ -6,6 +6,7 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"slices"
 )
 
 // FrameSize returns the on-disk byte length of the frame encoding rec —
@@ -22,8 +23,8 @@ const HeaderLen = headerLen
 // Tailer incrementally reads frames from a live log segment file. Unlike
 // Replay it does not consume the file in one pass: Next returns ok=false
 // at the current end of valid frames, and the caller may retry after the
-// appender writes more (pair it with Watch for wakeups). Reads use
-// ReadAt, so a Tailer never disturbs the appender's write offset and many
+// log is written further (pair it with Watch for wakeups). Reads use
+// ReadAt, so a Tailer never disturbs the log's write offset and many
 // tailers can share a segment.
 //
 // A Tailer applies the same validity rules as replay — length bounds,
@@ -107,3 +108,42 @@ func (t *Tailer) Offset() int64 { return t.off }
 
 // Close releases the underlying file handle.
 func (t *Tailer) Close() error { return t.f.Close() }
+
+// Watch registers ch to receive a non-blocking notification after new
+// frames are written. Notifications coalesce: one token may cover many
+// appends, and a slow receiver loses tokens, not data — a woken tailer must
+// read to the current Size regardless. Unwatch removes it again.
+func (l *Log) Watch(ch chan struct{}) {
+	l.watchMu.Lock()
+	defer l.watchMu.Unlock()
+	ws := append(slices.Clip(l.Watchers()), ch)
+	l.watchers.Store(&ws)
+}
+
+// Unwatch removes every registration of ch.
+func (l *Log) Unwatch(ch chan struct{}) {
+	l.watchMu.Lock()
+	defer l.watchMu.Unlock()
+	ws := slices.DeleteFunc(slices.Clone(l.Watchers()), func(w chan struct{}) bool { return w == ch })
+	l.watchers.Store(&ws)
+}
+
+// Watchers returns the registered watcher channels. The slice is replaced,
+// never changed, by Watch and Unwatch: read it, do not write it.
+func (l *Log) Watchers() []chan struct{} {
+	if ws := l.watchers.Load(); ws != nil {
+		return *ws
+	}
+	return nil
+}
+
+// notify runs on the writer's path after every write: with no watcher it is
+// one atomic load.
+func (l *Log) notify() {
+	for _, ch := range l.Watchers() {
+		select {
+		case ch <- struct{}{}:
+		default:
+		}
+	}
+}

@@ -1,6 +1,8 @@
 package wal
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"os"
 	"path/filepath"
@@ -88,5 +90,60 @@ func TestTxnRecordRoundTrip(t *testing.T) {
 	}
 	if got[0].LSN >= got[4].LSN {
 		t.Fatal("LSNs not increasing")
+	}
+}
+
+// goldenLogSHA256 is the SHA-256 of the file writeGoldenLog produces, taken
+// from the last release whose log had an appender goroutine (PR 17): the
+// frame bytes, the LSN sequence and the header are that release's, whether a
+// record went out alone or in a batch.
+const goldenLogSHA256 = "ef819d10cc6cc03ca961f70d09e732cf87184336489d5a4fe34bb6c079a1bf1c"
+
+func writeGoldenLog(t *testing.T, path string) {
+	t.Helper()
+	l, err := OpenWith(path, Options{BaseLSN: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ { // batches of one
+		mustAppend(t, l, Record{Op: OpInsert, Part: uint32(i), Table: "golden", Payload: []byte{byte(i), 2, 3, 4, 5, 6, 7, 8}})
+	}
+	last, err := l.Submit(Record{Op: OpTxnBegin, Txn: 9}) // a run that goes out in one write
+	for i := 0; i < 40 && err == nil; i++ {
+		last, err = l.Submit(Record{Op: OpUpdate, Txn: 9, Table: "golden", Payload: []byte{byte(i)}})
+	}
+	if err == nil {
+		last, err = l.Submit(Record{Op: OpTxnCommit, Txn: 9})
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lsn, err := last.Wait(); err != nil || lsn != 7+3+42 {
+		t.Fatalf("run acknowledged at LSN %d, %v", lsn, err)
+	}
+	raw, err := l.SubmitRaw(Record{LSN: 100, Op: OpDelete, Table: "", Payload: nil}) // a mirrored frame keeps its LSN
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := raw.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	mustAppend(t, l, Record{Op: OpCreateTable, Table: "t2", Payload: []byte(`{"cols":["a"]}`)})
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestLogBytesGolden: the file format did not move with the commit protocol.
+func TestLogBytesGolden(t *testing.T) {
+	path := logPath(t)
+	writeGoldenLog(t, path)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(raw)
+	if got := hex.EncodeToString(sum[:]); got != goldenLogSHA256 {
+		t.Fatalf("log bytes hash %s, want %s (%d bytes)", got, goldenLogSHA256, len(raw))
 	}
 }

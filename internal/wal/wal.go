@@ -4,26 +4,31 @@
 // caller is acknowledged, and recovery replays the log on top of the last
 // checkpoint.
 //
-// The log is safe for concurrent use. All appends funnel through a single
-// appender goroutine, so frames never interleave; callers submit a record
-// and receive a Ticket they can wait on. The appender drains every request
-// that is ready, encodes the frames back to back into one buffer, and
-// issues one write(2) for the batch — a batch of one being the common case
-// and the same bytes — before it acknowledges any of the batch's waiters,
-// so a caller that submits a run of records before waiting (DurableDB's
-// ApplyEach) or several concurrent callers share a write as well as an
-// fsync. A write that fails fails the whole batch: how much of it reached
-// the file is unknown until the next Open repairs the tail. How long Wait
-// blocks is the sync policy:
+// The log is safe for concurrent use and owns no goroutine: the writer that
+// needs a record logged writes the log (leader-writes group commit). Submit
+// assigns the LSN and encodes the frame into a pending buffer under one
+// mutex, so frames never interleave and a record's place is fixed when
+// Submit returns; the Ticket it returns is the value {log, LSN}. Wait
+// returns at once if the acknowledged LSN covers the ticket. Otherwise the
+// caller becomes the writer: it swaps the pending buffer for a spare, issues
+// one write(2) for everything in it — a batch of one being the common case
+// and the same bytes — runs the policy's fsync, advances the acknowledged
+// LSN and releases, together, the callers that arrived meanwhile. So a
+// caller that submits a run of records before it waits (DurableDB's
+// ApplyEach, a transaction's frames) or several concurrent callers share a
+// write as well as an fsync, and records nobody waits on reach the file with
+// the next Wait, Sync or Close. A write or fsync that fails poisons the log:
+// every record not yet acknowledged, and every later Submit, reports that
+// error — how much reached the file is unknown until the next Open repairs
+// the tail. How long Wait blocks is the sync policy:
 //
 //   - SyncNever: acknowledged once the frame is written to the OS. Survives
 //     process crashes, not power loss. The fastest policy and the default.
-//   - SyncGroup: acknowledged once an fsync covering the record completes.
-//     The appender batches waiters and issues one fsync per commit interval
-//     (group commit), amortising the flush across concurrent writers.
-//   - SyncAlways: acknowledged after an fsync with no batching delay; the
-//     appender still coalesces the fsync across whatever records drained in
-//     the same batch.
+//   - SyncGroup: acknowledged once an fsync covering the record completes,
+//     at most one fsync per commit interval (group commit): the writer waits
+//     the rest of the interval out and takes along what arrived meanwhile.
+//   - SyncAlways: acknowledged after an fsync with no added delay; it still
+//     covers whatever was pending when the writer collected.
 //
 // A torn or corrupted tail frame — the normal result of a crash mid-append —
 // ends replay cleanly rather than erroring, and Open repairs it by
@@ -78,7 +83,7 @@ const (
 	OpTxnCommit
 )
 
-// Record is one logged operation. LSN is assigned by the appender and is
+// Record is one logged operation. LSN is assigned by Submit and is
 // strictly increasing within a log file; the value set by callers on
 // Append/Submit is ignored. Part is the hash partition the record targets
 // (0 for records on unpartitioned tables and for DDL, which fans out to
@@ -162,7 +167,7 @@ type Options struct {
 	// (DefaultGroupInterval when zero).
 	GroupInterval time.Duration
 	// BaseLSN continues a global LSN sequence across segment files: the
-	// appender numbers from max(BaseLSN, last LSN found in the file). A
+	// log numbers from max(BaseLSN, last LSN found in the file). A
 	// rotation passes the previous segment's last LSN here so that LSNs
 	// stay strictly increasing across the whole segment chain — the
 	// property replication subscriptions key on. Zero preserves the
@@ -177,84 +182,69 @@ func (o Options) interval() time.Duration {
 	return o.GroupInterval
 }
 
-// Log is an append-only record log with a single appender goroutine.
+// Log is an append-only record log. It owns no goroutine: the caller that
+// needs a record acknowledged writes the log (see the package comment).
 type Log struct {
-	path string
 	f    *os.File
 	opts Options
 
-	// size is the log's byte length: header plus every batch of frames the
-	// appender has written. Readable without the appender via Size.
-	size atomic.Int64
-	// last is the LSN of the most recently written frame (or the scanned /
-	// base LSN for an empty log). Readable without the appender via LastLSN.
-	last atomic.Uint64
+	// size is the file's byte length and last the LSN of its last frame, as
+	// of the last completed write(2); acked is the LSN up to which records
+	// are acknowledged under the sync policy. The writer stores them in that
+	// order, so acked <= last <= lsn. Once the log is poisoned acked stands still.
+	size  atomic.Int64
+	last  atomic.Uint64
+	acked atomic.Uint64
 
-	watchMu  sync.Mutex
-	watchers []chan struct{}
+	watchMu  sync.Mutex                      // serialises Watch/Unwatch
+	watchers atomic.Pointer[[]chan struct{}] // copy-on-write: notify takes no lock
 
-	// reqs is the FIFO into the appender. It is buffered so that a caller
-	// submitting a run of records (or several callers at once) queues them
-	// while the appender is inside a write or an fsync, and the next drain
-	// takes them as one batch; a record's place in the log is fixed when
-	// its send completes. subMu orders submitters against Close: a send
-	// starts only while quit is open, and Close closes it — under the
-	// exclusive lock, so after every send in flight — which tells the
-	// appender to drain the queue one last time and exit.
-	reqs  chan request
-	subMu sync.RWMutex
-	quit  chan struct{}
-	done  chan struct{}
+	mu      sync.Mutex    // guards the fields below
+	lsn     uint64        // last LSN assigned: that of pending's last frame, if any
+	pending []byte        // encoded frames no writer has collected yet
+	writing bool          // some caller is the writer (set and cleared by lead)
+	round   chan struct{} // made by the first caller to wait the writer's round out, closed at its end
+	err     error         // sticky: the first failed write or fsync poisons the log
+	closed  bool
+
+	wbuf     []byte    // the writer's: the other grow-only frame buffer, swapped with pending
+	lastSync time.Time // the writer's: when the last fsync ended
 
 	closeOnce sync.Once
 	closeErr  error
-	finalErr  error // sticky appender error, published before done closes
 }
 
-type reqKind uint8
-
-const (
-	reqAppend reqKind = iota
-	reqSync
-	// reqRaw appends a record that carries its own LSN (replication
-	// mirroring); the appender validates it advances the sequence instead
-	// of assigning one.
-	reqRaw
-)
-
-type request struct {
-	kind reqKind
-	rec  Record
-	ch   chan result // buffered(1); the appender never blocks acking
-}
-
-type result struct {
+// Ticket names one submitted record. It is a value: copy it, drop it, wait
+// on it from any goroutine any number of times; the zero Ticket means
+// "nothing was logged" and waits for nothing. A Ticket outlives its log —
+// Close acknowledges or fails everything submitted, so a record in a
+// segment that a checkpoint has since rotated away still answers.
+type Ticket struct {
+	log *Log
 	lsn uint64
-	err error
 }
 
-// Ticket is the handle for one submitted record; Wait blocks until the
-// record is acknowledged under the log's sync policy.
-//
-// Tickets are pooled: Wait recycles the ticket, so call it at most once
-// and drop every reference afterwards. A ticket that is never waited on
-// is simply garbage-collected (the transaction path waits only on its
-// commit record's ticket, for example).
-type Ticket struct{ ch chan result }
-
-// ticketPool recycles tickets (and their buffered ack channels) across
-// submissions. The appender sends exactly one result per request and Wait
-// receives it, so a recycled ticket's channel is always empty.
-var ticketPool = sync.Pool{New: func() any {
-	return &Ticket{ch: make(chan result, 1)}
-}}
-
-// Wait returns the record's LSN once it is acknowledged. It must be
-// called at most once per ticket: the ticket is recycled on return.
-func (t *Ticket) Wait() (uint64, error) {
-	r := <-t.ch
-	ticketPool.Put(t)
-	return r.lsn, r.err
+// Wait returns the record's LSN once it is acknowledged under the log's sync
+// policy. A caller that finds the record uncovered and nobody writing writes
+// the log itself; one that finds a writer waits its round out and looks again.
+func (t Ticket) Wait() (uint64, error) {
+	if t.log == nil {
+		return 0, nil
+	}
+	l := t.log
+	for l.acked.Load() < t.lsn {
+		l.mu.Lock()
+		if l.acked.Load() >= t.lsn { // covered while the lock was taken
+			l.mu.Unlock()
+			break
+		}
+		if err := l.err; err != nil {
+			l.mu.Unlock()
+			return 0, err
+		}
+		l.turn(l.opts.Policy != SyncNever, l.opts.Policy == SyncGroup)
+	}
+	return t.lsn, nil
 }
 
 // Open opens (creating if necessary) the log at path with default options,
@@ -263,9 +253,9 @@ func Open(path string) (*Log, error) { return OpenWith(path, Options{}) }
 
 // OpenWith opens the log at path: it scans to the last valid frame,
 // truncates any torn tail so subsequent appends are reachable by Replay
-// (writing the format header on a fresh or header-torn file), seeks to
-// the end and starts the appender goroutine. A file of a different format
-// version is rejected with ErrBadFormat.
+// (writing the format header on a fresh or header-torn file) and seeks to
+// the end. A file of a different format version is rejected with
+// ErrBadFormat.
 func OpenWith(path string, opts Options) (*Log, error) {
 	validLen, lastLSN, _, err := scanValid(path)
 	if err != nil {
@@ -275,86 +265,46 @@ func OpenWith(path string, opts Options) (*Log, error) {
 	if err != nil {
 		return nil, fmt.Errorf("wal: open: %w", err)
 	}
-	if fi, err := f.Stat(); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("wal: open: %w", err)
-	} else if fi.Size() > validLen {
-		if err := f.Truncate(validLen); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("wal: repair tail: %w", err)
-		}
-	}
-	if validLen == 0 {
-		if _, err := f.WriteAt(walMagic, 0); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("wal: write header: %w", err)
-		}
+	if err = truncateTo(f, validLen); err == nil && validLen == 0 {
 		validLen = headerLen
+		_, err = f.WriteAt(walMagic, 0)
 	}
-	if _, err := f.Seek(validLen, io.SeekStart); err != nil {
+	if err == nil {
+		_, err = f.Seek(validLen, io.SeekStart)
+	}
+	if err != nil {
 		f.Close()
 		return nil, fmt.Errorf("wal: open: %w", err)
 	}
-	l := &Log{
-		path: path,
-		f:    f,
-		opts: opts,
-		reqs: make(chan request, reqQueueLen),
-		quit: make(chan struct{}),
-		done: make(chan struct{}),
-	}
-	if opts.BaseLSN > lastLSN {
-		lastLSN = opts.BaseLSN
-	}
+	lastLSN = max(lastLSN, opts.BaseLSN)
+	l := &Log{f: f, opts: opts, lsn: lastLSN}
 	l.size.Store(validLen)
 	l.last.Store(lastLSN)
-	go l.run(lastLSN)
+	l.acked.Store(lastLSN)
 	return l, nil
 }
 
+// truncateTo cuts f down to its valid prefix if it is longer.
+func truncateTo(f *os.File, validLen int64) error {
+	fi, err := f.Stat()
+	if err == nil && fi.Size() > validLen {
+		err = f.Truncate(validLen)
+	}
+	if err != nil {
+		return fmt.Errorf("wal: repair tail: %w", err)
+	}
+	return nil
+}
+
 // Size returns the log's byte length: the file header plus every frame
-// written so far. It is updated after the batch write, so a frame is
-// counted once the appender has written it (with the rest of its batch),
-// and after a Sync the value covers every acknowledged record — the offset
-// a checkpoint manifest records as its replay start.
+// written so far. After a Sync it covers every record submitted before the
+// call — the offset a checkpoint manifest records as its replay start.
 func (l *Log) Size() int64 { return l.size.Load() }
 
 // LastLSN returns the LSN of the last frame written (the base / scanned
-// LSN if nothing has been appended yet). Like Size, it is updated after
-// the batch write — to the LSN of the batch's last frame — so a (Size,
-// LastLSN) pair read in either order is never ahead of the bytes on disk.
+// LSN if nothing has been appended yet). Like Size it is updated after the
+// batch write, so neither is ever ahead of the bytes in the file.
 func (l *Log) LastLSN() uint64 { return l.last.Load() }
-
-// Watch registers ch to receive a non-blocking notification after the
-// appender writes new frames. Notifications coalesce: one token may cover
-// many appends, and a slow receiver loses tokens, not data — a woken tailer
-// must read to the current Size regardless. There is no Unwatch; watchers
-// live as long as the Log (a rotation re-registers them on the new one).
-func (l *Log) Watch(ch chan struct{}) {
-	l.watchMu.Lock()
-	defer l.watchMu.Unlock()
-	l.watchers = append(l.watchers, ch)
-}
-
-// Watchers returns the registered watcher channels (for handing off to a
-// successor segment on rotation).
-func (l *Log) Watchers() []chan struct{} {
-	l.watchMu.Lock()
-	defer l.watchMu.Unlock()
-	return append([]chan struct{}(nil), l.watchers...)
-}
-
-func (l *Log) notify() {
-	l.watchMu.Lock()
-	ws := l.watchers
-	l.watchMu.Unlock()
-	for _, ch := range ws {
-		select {
-		case ch <- struct{}{}:
-		default:
-		}
-	}
-}
 
 // RepairTail truncates the file at path to its last valid frame (or to
 // zero for a torn header) and returns the resulting length. A missing
@@ -373,68 +323,63 @@ func RepairTail(path string) (int64, error) {
 		return 0, fmt.Errorf("wal: repair tail: %w", err)
 	}
 	defer f.Close()
-	if fi, err := f.Stat(); err != nil {
-		return 0, err
-	} else if fi.Size() > validLen {
-		if err := f.Truncate(validLen); err != nil {
-			return 0, fmt.Errorf("wal: repair tail: %w", err)
-		}
-	}
-	return validLen, nil
+	return validLen, truncateTo(f, validLen)
 }
 
-// Submit validates and enqueues a record, returning a Ticket to wait on.
-// The record is on its way to the log once Submit returns: records
-// submitted sequentially from one goroutine are logged in that order.
-func (l *Log) Submit(rec Record) (*Ticket, error) {
+// Submit validates a record, assigns it the next LSN and encodes its frame
+// into the pending buffer. Once it returns the record's place in the log is
+// fixed and rec.Payload copied (it may be the caller's scratch); nothing is
+// written until some caller waits (Wait, Sync, Close) or the buffer fills.
+func (l *Log) Submit(rec Record) (Ticket, error) { return l.submit(rec, false) }
+
+// SubmitRaw submits a record that keeps its caller-assigned LSN instead of
+// receiving the next one — the replication mirror path, where a follower's
+// log must reproduce the leader's frames byte for byte. The LSN must
+// advance strictly past the last one submitted (ErrStaleLSN).
+func (l *Log) SubmitRaw(rec Record) (Ticket, error) { return l.submit(rec, true) }
+
+func (l *Log) submit(rec Record, raw bool) (Ticket, error) {
 	if len(rec.Table) > 1<<16-1 {
-		return nil, ErrTableNameTooLong
+		return Ticket{}, ErrTableNameTooLong
 	}
 	// Reject here what replay would reject there: a frame body above
 	// maxBodyLen reads as corruption on reopen, truncating it and every
 	// acknowledged record after it.
 	if minBodyLen+len(rec.Table)+len(rec.Payload) > maxBodyLen {
-		return nil, ErrRecordTooLarge
+		return Ticket{}, ErrRecordTooLarge
 	}
-	return l.enqueue(reqAppend, rec)
+	l.mu.Lock()
+	// A full pending buffer is written out — no fsync — by the submitter
+	// that finds it full.
+	for len(l.pending) >= maxBatchBytes && l.refuse() == nil {
+		l.turn(false, false)
+		l.mu.Lock()
+	}
+	defer l.mu.Unlock()
+	if err := l.refuse(); err != nil {
+		return Ticket{}, err
+	}
+	lsn := l.lsn + 1
+	if raw {
+		if lsn = rec.LSN; lsn <= l.lsn {
+			return Ticket{}, ErrStaleLSN
+		}
+	}
+	l.lsn = lsn
+	l.pending = encodeFrameInto(l.pending, rec, lsn)
+	return Ticket{l, lsn}, nil
 }
 
-// enqueue queues one request for the appender. It blocks while the queue
-// is full; once it returns the request's place in the log is fixed.
-func (l *Log) enqueue(kind reqKind, rec Record) (*Ticket, error) {
-	l.subMu.RLock()
-	defer l.subMu.RUnlock()
-	select {
-	case <-l.quit:
-		return nil, ErrClosed
-	default:
+// refuse says why the log takes no more records: closed, or poisoned (l.mu held).
+func (l *Log) refuse() error {
+	if l.closed {
+		return ErrClosed
 	}
-	tk := ticketPool.Get().(*Ticket)
-	l.reqs <- request{kind: kind, rec: rec, ch: tk.ch}
-	return tk, nil
-}
-
-// SubmitRaw enqueues a record that keeps its caller-assigned LSN instead
-// of receiving the appender's next one — the replication mirror path,
-// where a follower's log must reproduce the leader's frames byte for
-// byte. The LSN must advance strictly past the log's last LSN or the
-// append is rejected with ErrStaleLSN (reported via the Ticket, so
-// submission order is still append order).
-func (l *Log) SubmitRaw(rec Record) (*Ticket, error) {
-	if rec.LSN == 0 {
-		return nil, ErrStaleLSN
-	}
-	if len(rec.Table) > 1<<16-1 {
-		return nil, ErrTableNameTooLong
-	}
-	if minBodyLen+len(rec.Table)+len(rec.Payload) > maxBodyLen {
-		return nil, ErrRecordTooLarge
-	}
-	return l.enqueue(reqRaw, rec)
+	return l.err
 }
 
 // Append submits a record and waits for acknowledgement under the log's
-// sync policy, returning the record's LSN.
+// sync policy, returning the record's LSN: uncontended, one write(2).
 func (l *Log) Append(rec Record) (uint64, error) {
 	t, err := l.Submit(rec)
 	if err != nil {
@@ -443,199 +388,112 @@ func (l *Log) Append(rec Record) (uint64, error) {
 	return t.Wait()
 }
 
-// Sync forces an fsync covering every record submitted so far and returns
-// once it completes (a durability barrier, regardless of policy).
-func (l *Log) Sync() error {
-	tk, err := l.enqueue(reqSync, Record{})
-	if err != nil {
-		return err
-	}
-	_, err = tk.Wait()
-	return err
-}
+// Sync writes and fsyncs every record submitted so far and returns once
+// that completes (a durability barrier, regardless of policy).
+func (l *Log) Sync() error { return l.barrier(false) }
 
-// Close drains pending appends, flushes, stops the appender and closes the
-// file. Outstanding Tickets are acknowledged before Close returns.
+// Close writes and fsyncs what is pending and closes the file: every Ticket
+// is acknowledged or failed when it returns. Later Submits get ErrClosed.
 func (l *Log) Close() error {
 	l.closeOnce.Do(func() {
-		l.subMu.Lock()
-		close(l.quit)
-		l.subMu.Unlock()
-		<-l.done
-		err := l.finalErr
-		if cerr := l.f.Close(); err == nil {
-			err = cerr
+		l.closeErr = l.barrier(true)
+		if err := l.f.Close(); l.closeErr == nil {
+			l.closeErr = err
 		}
-		l.closeErr = err
 	})
-	<-l.done
 	return l.closeErr
 }
 
-// run is the appender goroutine: the only writer of l.f after OpenWith.
-func (l *Log) run(lastLSN uint64) {
-	type waiter struct {
-		lsn uint64
-		ch  chan result
+// barrier makes the caller the writer — after the round in flight, if any —
+// of a round that ends in an fsync; closing marks the log closed behind it.
+func (l *Log) barrier(closing bool) error {
+	l.mu.Lock()
+	for l.writing {
+		l.turn(false, false) // waits: there is a writer
+		l.mu.Lock()
 	}
-	var (
-		lsn      = lastLSN
-		sticky   error    // first write/sync failure; everything after fails
-		pending  []waiter // waiters to acknowledge at the next fsync
-		lastSync time.Time
-		timer    *time.Timer
-		timerC   <-chan time.Time
-	)
-	stopTimer := func() {
-		if timer != nil {
-			timer.Stop()
-			timer, timerC = nil, nil
-		}
+	if err := l.refuse(); err != nil {
+		l.mu.Unlock()
+		return err
 	}
-	// flush fsyncs and acknowledges every pending waiter.
-	flush := func() {
-		stopTimer()
-		err := sticky
-		if err == nil {
-			if err = l.f.Sync(); err != nil {
-				sticky = err
-			}
-		}
-		lastSync = time.Now()
-		for _, w := range pending {
-			w.ch <- result{w.lsn, err}
-		}
-		pending = pending[:0]
+	l.closed = closing
+	return l.lead(true, false)
+}
+
+// turn waits the writer's round out if there is a writer, and otherwise
+// makes the caller the writer of one (see lead). Callers that waited are
+// released together by the close of the round's channel; those the round
+// covered then return without a lock. Called with l.mu held, returns without.
+func (l *Log) turn(fsync, paced bool) {
+	if !l.writing {
+		l.lead(fsync, paced) // a failure is l.err when the caller looks again
+		return
 	}
-	// groupFlush implements group commit: flush immediately if the commit
-	// interval has already elapsed since the last fsync (no added latency),
-	// otherwise arm the timer so the fsync rate stays capped at one per
-	// interval, with every waiter that queues meanwhile absorbed into it.
-	groupFlush := func() {
-		if len(pending) == 0 {
-			return
-		}
-		if wait := l.opts.interval() - time.Since(lastSync); wait > 0 {
-			if timer == nil {
-				timer = time.NewTimer(wait)
-				timerC = timer.C
-			}
-			return
-		}
-		flush()
+	if l.round == nil {
+		l.round = make(chan struct{})
 	}
-	wrote := false // frames written since the last watcher notification
-	// The appender is the only goroutine encoding frames and the file
-	// write copies the bytes out synchronously, so one grow-only buffer
-	// serves every append — no per-record frame allocation. It holds the
-	// frames of the batch being drained; batch holds their waiters.
-	var (
-		frameBuf []byte
-		batch    []waiter
-	)
-	// commit writes the drained batch in one write(2), publishes the new
-	// size and last LSN, and acknowledges the batch's waiters (SyncNever)
-	// or queues them for the next fsync. A failed write fails every waiter
-	// of the batch — how much of it reached the file is unknown — and
-	// rolls the LSN back to the last published one.
-	commit := func() {
-		if len(batch) == 0 {
-			return
-		}
-		if _, err := l.f.Write(frameBuf); err != nil {
-			sticky = fmt.Errorf("wal: append: %w", err)
-			lsn = l.last.Load()
-			for _, w := range batch {
-				w.ch <- result{0, sticky}
-			}
-		} else {
-			l.size.Add(int64(len(frameBuf)))
-			l.last.Store(lsn)
-			wrote = true
-			if l.opts.Policy == SyncNever {
-				for _, w := range batch {
-					w.ch <- result{w.lsn, nil}
-				}
-			} else {
-				pending = append(pending, batch...) // flushed after this batch drains
-			}
-		}
-		batch, frameBuf = batch[:0], frameBuf[:0]
-	}
-	handle := func(req request) {
-		switch req.kind {
-		case reqSync:
-			commit() // the barrier covers everything submitted before it
-			flush()
-			req.ch <- result{lsn, sticky}
-		case reqAppend, reqRaw:
-			if sticky != nil {
-				req.ch <- result{0, sticky}
-				return
-			}
-			if req.kind == reqRaw {
-				if req.rec.LSN <= lsn {
-					req.ch <- result{0, ErrStaleLSN}
-					return
-				}
-				lsn = req.rec.LSN
-			} else {
-				lsn++
-			}
-			frameBuf = encodeFrameInto(frameBuf, req.rec, lsn)
-			batch = append(batch, waiter{lsn, req.ch})
-			if len(frameBuf) >= maxBatchBytes {
-				commit()
-			}
+	round := l.round
+	l.mu.Unlock()
+	<-round
+}
+
+// lead is the one write path of all three policies. The caller becomes the
+// writer for one round: collect the pending frames, write them in one
+// write(2), fsync if asked (paced: not before the commit interval since the
+// last fsync is over, taking along what was submitted meanwhile), advance
+// acked, release the callers waiting the round out. A failed write or fsync
+// poisons the log instead: nothing above acked is ever acknowledged. Called
+// with l.mu held and no writer active; returns without.
+func (l *Log) lead(fsync, paced bool) error {
+	l.writing = true
+	err := l.collectAndWrite()
+	if err == nil && paced {
+		if wait := l.opts.interval() - time.Since(l.lastSync); wait > 0 {
+			time.Sleep(wait)
+			l.mu.Lock()
+			err = l.collectAndWrite()
 		}
 	}
-	// drain handles the requests deliverable without blocking, up to one
-	// queue's worth: a steady stream of submitters must not keep the
-	// waiters of this batch from their fsync.
-	drain := func() {
-		for n := 0; n < reqQueueLen; n++ {
-			select {
-			case req := <-l.reqs:
-				handle(req)
-			default:
-				return
-			}
+	if err == nil && fsync {
+		if err = l.f.Sync(); err != nil {
+			err = fmt.Errorf("wal: sync: %w", err)
 		}
+		l.lastSync = time.Now()
 	}
-	for {
-		select {
-		case req := <-l.reqs:
-			handle(req)
-			drain() // batch concurrent submitters under one write and one fsync
-			commit()
-			if len(pending) > 0 {
-				if l.opts.Policy == SyncAlways {
-					flush()
-				} else {
-					groupFlush()
-				}
-			}
-			if wrote {
-				wrote = false
-				l.notify()
-			}
-		case <-timerC:
-			timer, timerC = nil, nil
-			flush()
-		case <-l.quit:
-			for len(l.reqs) > 0 { // nothing is sent once quit is closed
-				drain()
-			}
-			commit()
-			flush()
-			if wrote {
-				l.notify()
-			}
-			l.finalErr = sticky
-			close(l.done)
-			return
-		}
+	if err == nil && (fsync || l.opts.Policy == SyncNever) {
+		l.acked.Store(l.last.Load())
 	}
+	l.mu.Lock()
+	if err != nil {
+		l.err = err
+	}
+	round := l.round
+	l.writing, l.round = false, nil
+	l.mu.Unlock()
+	if round != nil {
+		close(round)
+	}
+	return err
+}
+
+// collectAndWrite swaps the pending buffer for the writer's own (written
+// out, so empty), releases l.mu, issues the one write(2) for the frames and
+// publishes the new size and last LSN — nothing for a failed write: how much
+// of it reached the file is unknown. Caller is the writer and holds l.mu.
+func (l *Log) collectAndWrite() error {
+	l.pending, l.wbuf = l.wbuf[:0], l.pending
+	upto := l.lsn
+	l.mu.Unlock()
+	if len(l.wbuf) == 0 {
+		return nil
+	}
+	if _, err := l.f.Write(l.wbuf); err != nil {
+		return fmt.Errorf("wal: append: %w", err)
+	}
+	l.size.Add(int64(len(l.wbuf)))
+	l.last.Store(upto)
+	l.notify()
+	return nil
 }
 
 // Frame layout (format version 4):
@@ -648,17 +506,9 @@ const (
 	maxBodyLen  = 64 << 20
 )
 
-// reqQueueLen is the capacity of the queue into the appender: room for a
-// few callers' runs (the server's sessions submit up to 64 records before
-// they wait), so a submitter holding its key's stripe rarely blocks on an
-// appender that is inside a write; it also bounds how many requests one
-// drain takes before the batch's waiters are served.
-const reqQueueLen = 256
-
-// maxBatchBytes is the encoded size at which the appender writes a batch
-// out without draining further: past it one more frame per write(2) saves
-// nothing, and the grow-only frame buffer would otherwise grow to the sum
-// of whatever a burst of large records drained.
+// maxBatchBytes is the pending size at which a submitter writes the buffer
+// out before adding to it: past it one more frame per write(2) saves nothing,
+// and the grow-only buffers would grow to whatever a burst nobody awaits adds.
 const maxBatchBytes = 256 << 10
 
 // encodeFrameInto appends the record's frame to dst (pass dst[:0] to

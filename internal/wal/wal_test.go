@@ -274,9 +274,9 @@ func TestClosedLogRejectsAppends(t *testing.T) {
 	}
 }
 
-// Concurrent submitters under each policy, each handing the appender runs
-// of records before it waits (the shape DurableDB.ApplyEach produces), so
-// the appender drains batches of many frames into one write: every record
+// Concurrent submitters under each policy, each submitting runs of records
+// before it waits (the shape DurableDB.ApplyEach produces), so a writer
+// collects batches of many frames into one write: every record
 // must be acknowledged, frames must never interleave, replay must return
 // every LSN once and in order, and Size/LastLSN — published after the
 // batch write — must never run ahead of the bytes in the file.
@@ -300,7 +300,7 @@ func TestConcurrentAppendAllPolicies(t *testing.T) {
 				wg.Add(1)
 				go func(w int) {
 					defer wg.Done()
-					tks := make([]*Ticket, 0, 32)
+					tks := make([]Ticket, 0, 32)
 					for i := 0; i < perWriter; {
 						tks = tks[:0]
 						for run := 1 + (i+w)%32; run > 0 && i < perWriter; run, i = run-1, i+1 {
@@ -397,17 +397,43 @@ func TestConcurrentAppendAllPolicies(t *testing.T) {
 	}
 }
 
-// A write that fails under the appender fails every waiter of the batch it
-// was draining with the sticky error, leaves the published position at
-// its pre-batch value, and poisons the log for everything after.
+// A write that fails poisons the log: every record of the failed batch —
+// tickets taken before the write and waited on after it included — and every
+// later Submit reports the same sticky error, the records acknowledged
+// before it still answer nil, and the published position stays at its
+// pre-batch value (never ahead of the bytes that were written).
 func TestFailedBatchWriteIsSticky(t *testing.T) {
 	l, err := Open(logPath(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	mustAppend(t, l, Record{Op: OpInsert, Table: "t"})
+	acked, err := l.Submit(Record{Op: OpInsert, Table: "t"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := acked.Wait(); err != nil {
+		t.Fatal(err)
+	}
 	size, last := l.Size(), l.LastLSN()
+	var early [3]Ticket // submitted before the failing write, waited on after it
+	for i := range early {
+		if early[i], err = l.Submit(Record{Op: OpInsert, Table: "t"}); err != nil {
+			t.Fatal(err)
+		}
+	}
 	l.f.Close() // every later write(2) fails
+	_, sticky := early[1].Wait()
+	if sticky == nil {
+		t.Fatal("append acknowledged on a closed file")
+	}
+	for i, tk := range early {
+		if _, err := tk.Wait(); err == nil || err.Error() != sticky.Error() {
+			t.Fatalf("early ticket %d: %v, want the sticky error %v", i, err, sticky)
+		}
+	}
+	if lsn, err := acked.Wait(); err != nil || lsn != last {
+		t.Fatalf("record acknowledged before the failure now answers (%d, %v)", lsn, err)
+	}
 
 	const submitters = 8
 	errs := make([]error, submitters)
@@ -421,19 +447,19 @@ func TestFailedBatchWriteIsSticky(t *testing.T) {
 	}
 	wg.Wait()
 	for w, err := range errs {
-		if err == nil {
-			t.Fatalf("submitter %d: append acknowledged on a closed file", w)
+		if err == nil || err.Error() != sticky.Error() {
+			t.Fatalf("submitter %d: %v, want the sticky error %v", w, err, sticky)
 		}
-		if err.Error() != errs[0].Error() {
-			t.Fatalf("submitter %d: %v, want the sticky error %v", w, err, errs[0])
-		}
+	}
+	if err := l.Sync(); err == nil || err.Error() != sticky.Error() {
+		t.Fatalf("Sync: %v, want the sticky error %v", err, sticky)
 	}
 	if l.Size() != size || l.LastLSN() != last {
 		t.Fatalf("failed batch moved the position to (%d, LSN %d), want (%d, LSN %d)",
 			l.Size(), l.LastLSN(), size, last)
 	}
 	if err := l.Close(); err == nil {
-		t.Fatal("Close hid the appender's write error")
+		t.Fatal("Close hid the write error")
 	}
 }
 
