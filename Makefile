@@ -63,13 +63,18 @@ difftest:
 # keys against a map oracle, structural check after every op), then the
 # bulk-load sort kernels (keyorder.SortPairs/SortTriples against a sort.Sort
 # reference, NaN payloads, signed zeros, duplicates, sorted and reverse
-# inputs). The seed corpus alone runs in every `go test`; new inputs land in
-# the Go build cache's fuzz directory, a failing one under the package's
-# testdata/fuzz.
+# inputs), then the block tier's two decoders (FuzzDecodeBlock: a block
+# image as given and with every checksum recomputed, so the structure checks
+# behind the checksums are reached — opened, iterated, point-read and
+# re-encoded; FuzzDecodeBlocklist: the manifest). The seed corpus alone runs
+# in every `go test`; new inputs land in the Go build cache's fuzz directory,
+# a failing one under the package's testdata/fuzz.
 FUZZTIME = 20s
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzTreeTotalOrder -fuzztime $(FUZZTIME) ./internal/btree
 	$(GO) test -run '^$$' -fuzz FuzzSortPairs -fuzztime $(FUZZTIME) ./internal/keyorder
+	$(GO) test -run '^$$' -fuzz 'FuzzDecodeBlock$$' -fuzztime $(FUZZTIME) ./internal/block
+	$(GO) test -run '^$$' -fuzz 'FuzzDecodeBlocklist$$' -fuzztime $(FUZZTIME) ./internal/block
 
 # Bench smoke: one figure at tiny scale proves the harness end-to-end, then
 # one build each of a B+-tree and a Hermit index over 1M Synthetic rows

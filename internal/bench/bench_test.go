@@ -369,7 +369,9 @@ func TestSmokeCompaction(t *testing.T) {
 			Kind         string  `json:"kind"`
 			Reads        int     `json:"reads"`
 			NSPerRead    float64 `json:"ns_per_read"`
+			Resident     float64 `json:"resident_bytes_per_flushed_row"`
 			BlocksProbed float64 `json:"blocks_probed_per_read"`
+			PageReads    float64 `json:"page_reads_per_read"`
 		} `json:"cold_reads"`
 	}
 	if err := json.Unmarshal(data, &rep); err != nil {
@@ -393,6 +395,12 @@ func TestSmokeCompaction(t *testing.T) {
 	for _, p := range rep.ColdReads {
 		if p.Reads <= 0 || p.NSPerRead <= 0 {
 			t.Fatalf("bad cold-read point %+v", p)
+		}
+		// A block the filters let through costs one page read, and the open
+		// blocks hold an index and a bloom, not the rows (even at this
+		// scale, where a handle's fixed part still shows).
+		if p.PageReads != p.BlocksProbed || p.Resident <= 0 || p.Resident > 4 {
+			t.Fatalf("cold-read point %+v: page reads and probes differ, or the tier is resident", p)
 		}
 		if p.Kind == "present" {
 			hit = p.BlocksProbed

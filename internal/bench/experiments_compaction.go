@@ -19,8 +19,10 @@ import (
 // table size — incremental checkpoints flush only the delta, so the pause
 // should track the delta size, not the table size; (2) steady-state write
 // amplification under churn with an aggressive fan-in; (3) cold point-read
-// latency against the block tier, where bloom filters and key fences let
-// absent-key probes skip every block. Results are printed and, when
+// latency against the block tier — a present key costs one page read from
+// the operating system's cache, an absent one is skipped by the resident
+// bloom filters and key fences — next to what the open blocks keep in
+// memory per flushed row to make that so. Results are printed and, when
 // Config.JSONDir is set, recorded in BENCH_compaction.json.
 
 // compactionDeltaRows is the paper-scale fixed delta inserted between the
@@ -51,14 +53,18 @@ type compactionAmpPoint struct {
 }
 
 // compactionReadPoint is one cold-read class: keys present in the block
-// tier (must decode a block) vs absent keys (bloom/fence skip).
+// tier (one page read each) vs absent keys (bloom/fence skip).
+// ResidentPerFlushedRow is the price of both: the bytes the open blocks
+// hold — footers, page indexes, blooms — per entry in the tier.
 type compactionReadPoint struct {
-	Kind           string  `json:"kind"`
-	Reads          int     `json:"reads"`
-	NSPerRead      float64 `json:"ns_per_read"`
-	BlocksProbed   float64 `json:"blocks_probed_per_read"`
-	BlocksInTier   int     `json:"blocks_in_tier"`
-	HitRatePercent float64 `json:"hit_rate_percent"`
+	Kind                  string  `json:"kind"`
+	Reads                 int     `json:"reads"`
+	NSPerRead             float64 `json:"ns_per_read"`
+	ResidentPerFlushedRow float64 `json:"resident_bytes_per_flushed_row"`
+	BlocksProbed          float64 `json:"blocks_probed_per_read"`
+	PageReads             float64 `json:"page_reads_per_read"`
+	BlocksInTier          int     `json:"blocks_in_tier"`
+	HitRatePercent        float64 `json:"hit_rate_percent"`
 }
 
 // compactionReport is the schema of BENCH_compaction.json.
@@ -129,15 +135,15 @@ func RunCompaction(cfg Config) error {
 		amp.CompactionBacklog, amp.WriteAmplification)
 
 	fmt.Fprintf(cfg.Out, "-- cold point reads against the block tier (%d blocks) --\n", amp.Blocks)
-	fmt.Fprintf(cfg.Out, "%-22s %12s %14s %14s\n", "keys", "latency", "blocks probed", "hit rate")
+	fmt.Fprintf(cfg.Out, "%-22s %12s %14s %14s %16s\n", "keys", "latency", "blocks probed", "hit rate", "resident B/row")
 	for _, present := range []bool{true, false} {
 		p, err := measureColdReads(cfg, d, amp, present)
 		if err != nil {
 			return err
 		}
 		rep.ColdReads = append(rep.ColdReads, p)
-		fmt.Fprintf(cfg.Out, "%-22s %10.0fns %14.2f %13.1f%%\n",
-			p.Kind, p.NSPerRead, p.BlocksProbed, p.HitRatePercent)
+		fmt.Fprintf(cfg.Out, "%-22s %10.0fns %14.2f %13.1f%% %16.2f\n",
+			p.Kind, p.NSPerRead, p.BlocksProbed, p.HitRatePercent, p.ResidentPerFlushedRow)
 	}
 
 	if cfg.JSONDir != "" {
@@ -287,7 +293,7 @@ func measureWriteAmplification(cfg Config, root string) (compactionAmpPoint, *en
 // measureColdReads times point reads served purely by the block tier.
 // Present keys land on at least one block; absent keys sit between live
 // primary keys, inside every fence, so only the bloom filters stand
-// between them and a full decode — blocks probed per read is the bloom's
+// between them and a page read — blocks probed per read is the bloom's
 // skip rate made visible.
 func measureColdReads(cfg Config, d *engine.DurableDB, amp compactionAmpPoint, present bool) (compactionReadPoint, error) {
 	rng := rand.New(rand.NewSource(cfg.Seed + 17))
@@ -297,6 +303,7 @@ func measureColdReads(cfg Config, d *engine.DurableDB, amp compactionAmpPoint, p
 	}
 	var reads, hits int
 	var probedTotal int
+	pagesBefore := d.StorageStats().BlockPageReads
 	start := time.Now()
 	for time.Since(start) < cfg.MeasureFor {
 		pk := float64(rng.Intn(amp.BaseRows))
@@ -317,12 +324,15 @@ func measureColdReads(cfg Config, d *engine.DurableDB, amp compactionAmpPoint, p
 		reads++
 	}
 	elapsed := time.Since(start)
+	st := d.StorageStats()
 	return compactionReadPoint{
-		Kind:           kind,
-		Reads:          reads,
-		NSPerRead:      float64(elapsed.Nanoseconds()) / float64(reads),
-		BlocksProbed:   float64(probedTotal) / float64(reads),
-		BlocksInTier:   amp.Blocks,
-		HitRatePercent: 100 * float64(hits) / float64(reads),
+		Kind:                  kind,
+		Reads:                 reads,
+		NSPerRead:             float64(elapsed.Nanoseconds()) / float64(reads),
+		ResidentPerFlushedRow: float64(st.BlockResidentBytes) / float64(st.BlockEntries),
+		BlocksProbed:          float64(probedTotal) / float64(reads),
+		PageReads:             float64(st.BlockPageReads-pagesBefore) / float64(reads),
+		BlocksInTier:          amp.Blocks,
+		HitRatePercent:        100 * float64(hits) / float64(reads),
 	}, nil
 }

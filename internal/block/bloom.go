@@ -3,16 +3,16 @@ package block
 import (
 	"encoding/binary"
 	"math"
+	"math/bits"
 
 	"hermit/internal/keyorder"
 )
 
 // The bloom filter each block carries so point reads can skip blocks that
-// cannot contain a key, without loading their entries. The filter is sized
-// at bloomBitsPerKey bits per entry and probed with bloomHashes
-// double-hashed positions — roughly a 1% false-positive rate — and is
-// serialized inside the block file right after the fixed header, so a
-// reader can answer MaybeContains from the file prefix alone.
+// cannot contain a key, without reading a page. The filter is sized at
+// bloomBitsPerKey bits per entry and probed with bloomHashes double-hashed
+// positions — roughly a 1% false-positive rate — and is serialized between
+// the block file's index and its footer; an open Handle keeps it resident.
 
 const (
 	// bloomBitsPerKey sizes the filter (bits per distinct key).
@@ -26,20 +26,15 @@ type bloom struct {
 	bits []byte
 }
 
-// newBloom sizes a filter for n keys (never zero-length, so the modulus in
-// probe positions is always valid).
-func newBloom(n int) *bloom {
-	nbits := n * bloomBitsPerKey
-	if nbits < 64 {
-		nbits = 64
-	}
-	return &bloom{bits: make([]byte, (nbits+7)/8)}
+// bloomBytes is the size of the filter over n keys (never zero, so the
+// modulus in probe positions is always valid).
+func bloomBytes(n uint64) uint64 {
+	return (max(n*bloomBitsPerKey, 64) + 7) / 8
 }
 
-// bloomFromBytes wraps a serialized filter. A nil/empty filter behaves as
-// "maybe contains everything" (no skipping), never as a false negative.
-func bloomFromBytes(raw []byte) *bloom {
-	return &bloom{bits: raw}
+// newBloom sizes a filter for n keys.
+func newBloom(n int) bloom {
+	return bloom{bits: make([]byte, bloomBytes(uint64(n)))}
 }
 
 // KeyBits normalises a primary key to the bit pattern used for hashing,
@@ -57,28 +52,28 @@ func splitmix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// add inserts a key.
-func (b *bloom) add(pk float64) {
-	h1 := splitmix64(KeyBits(pk))
+// bloomHash is the first of a key's two probe hashes; the second derives
+// from it, so it is all a writer keeps per key until the filter can be sized.
+func bloomHash(pk float64) uint64 { return splitmix64(KeyBits(pk)) }
+
+// addHash inserts the key whose bloomHash is h1.
+func (b bloom) addHash(h1 uint64) {
 	h2 := splitmix64(h1) | 1
 	m := uint64(len(b.bits)) * 8
 	for i := uint64(0); i < bloomHashes; i++ {
-		pos := (h1 + i*h2) % m
+		pos, _ := bits.Mul64(h1+i*h2, m)
 		b.bits[pos/8] |= 1 << (pos % 8)
 	}
 }
 
 // maybeContains reports whether pk could be in the set. False positives
 // are possible; false negatives are not.
-func (b *bloom) maybeContains(pk float64) bool {
-	if b == nil || len(b.bits) == 0 {
-		return true
-	}
-	h1 := splitmix64(KeyBits(pk))
+func (b bloom) maybeContains(pk float64) bool {
+	h1 := bloomHash(pk)
 	h2 := splitmix64(h1) | 1
 	m := uint64(len(b.bits)) * 8
 	for i := uint64(0); i < bloomHashes; i++ {
-		pos := (h1 + i*h2) % m
+		pos, _ := bits.Mul64(h1+i*h2, m)
 		if b.bits[pos/8]&(1<<(pos%8)) == 0 {
 			return false
 		}

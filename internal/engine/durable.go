@@ -5,11 +5,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io/fs"
+	"maps"
 	"math"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -110,11 +111,14 @@ type DurableDB struct {
 	ckptMu sync.Mutex
 
 	// lists is the published blocklist per physical table (the blocks the
-	// current manifest epoch names, oldest first); handles caches an open
-	// block.Handle per live block ID so repeated cold reads reuse loaded
-	// fences, blooms and entries.
-	lists   map[string][]block.Desc
-	handles map[uint64]*block.Handle
+	// current manifest epoch names, oldest first); tiers holds, index for
+	// index, the open block.Handle of each — its file descriptor and fence,
+	// its page index and bloom once probed, never its entries. Both are
+	// replaced whole, never written in place, so a reader may keep the
+	// slices it loaded under mu after releasing it; setLists closes the
+	// handles a new epoch drops.
+	lists map[string][]block.Desc
+	tiers map[string][]*block.Handle
 
 	// manifestTables, pubWALSeg and pubWALStart are the catalog and replay
 	// coordinates of the last published manifest. Compaction republishes
@@ -138,6 +142,7 @@ type DurableDB struct {
 	compactions    atomic.Int64
 	flushedBytes   atomic.Int64
 	compactedBytes atomic.Int64
+	pageReads      atomic.Int64
 
 	// compactErrs counts failed compaction rounds; compactErr holds the
 	// most recent failure (cleared by the next successful round). The
@@ -405,12 +410,18 @@ func OpenDurableOptions(dir string, scheme hermit.PointerScheme, opts DurableOpt
 		opts:           opts,
 		tables:         make(map[string]*durableMeta),
 		lists:          make(map[string][]block.Desc),
-		handles:        make(map[uint64]*block.Handle),
+		tiers:          make(map[string][]*block.Handle),
 		manifestTables: make(map[string]*durableMeta),
 		compactKick:    make(chan struct{}, 1),
 		compactStop:    make(chan struct{}),
 		compactDone:    make(chan struct{}),
 	}
+	opened := false
+	defer func() {
+		if !opened {
+			d.closeBlocks()
+		}
+	}()
 	// Phase 1: the checkpoint image — blocklist replay per table.
 	if raw, err := os.ReadFile(p.manifest()); err == nil {
 		var m manifest
@@ -439,7 +450,11 @@ func OpenDurableOptions(dir string, scheme hermit.PointerScheme, opts DurableOpt
 		for _, l := range lists {
 			d.lists[l.Table] = l.Blocks
 			for _, desc := range l.Blocks {
-				d.handles[desc.ID] = block.NewHandle(p.block(desc.ID), desc)
+				h, err := openBlock(p, desc)
+				if err != nil {
+					return nil, fmt.Errorf("engine: restoring %q: %w", l.Table, err)
+				}
+				d.tiers[l.Table] = append(d.tiers[l.Table], h)
 				if desc.ID > d.blockSeq.Load() {
 					d.blockSeq.Store(desc.ID)
 				}
@@ -451,7 +466,7 @@ func OpenDurableOptions(dir string, scheme hermit.PointerScheme, opts DurableOpt
 		}
 		sort.Strings(names)
 		for _, name := range names {
-			if err := d.restoreTable(p, name, m.Tables[name]); err != nil {
+			if err := d.restoreTable(name, m.Tables[name]); err != nil {
 				return nil, err
 			}
 		}
@@ -540,7 +555,32 @@ func OpenDurableOptions(dir string, scheme hermit.PointerScheme, opts DurableOpt
 	} else {
 		close(d.compactDone)
 	}
+	opened = true
 	return d, nil
+}
+
+// openBlock opens the file of a block the blocklist names and holds it to
+// what the blocklist says of it.
+func openBlock(p durablePaths, desc block.Desc) (*block.Handle, error) {
+	h, err := block.Open(p.block(desc.ID))
+	if err != nil {
+		return nil, err
+	}
+	if h.Count() != desc.Count {
+		h.Close()
+		return nil, fmt.Errorf("engine: block %016x holds %d entries, blocklist says %d", desc.ID, h.Count(), desc.Count)
+	}
+	return h, nil
+}
+
+// closeBlocks closes every open block handle; a cold read after it fails
+// with os.ErrClosed. Caller holds d.mu, or owns d alone.
+func (d *DurableDB) closeBlocks() {
+	for _, tier := range d.tiers {
+		for _, h := range tier {
+			h.Close()
+		}
+	}
 }
 
 // parseBlockID extracts the ID from a block filename ("block.<16hex>.blk").
@@ -584,12 +624,12 @@ func (d *DurableDB) GC() int {
 // restoreTable rebuilds one logical table from its blocklists, its
 // partitions side by side (eachPartition): a partition's rows, RIDs and
 // indexes are a function of its own blocks alone.
-func (d *DurableDB) restoreTable(p durablePaths, name string, meta *durableMeta) error {
+func (d *DurableDB) restoreTable(name string, meta *durableMeta) error {
 	if err := d.createPhysical(name, meta); err != nil {
 		return err
 	}
 	for _, err := range eachPartition(meta.phys, func(tb *Table) error {
-		return d.restorePartition(p, meta, tb)
+		return d.restorePartition(meta, tb)
 	}) {
 		if err != nil {
 			return err
@@ -599,48 +639,30 @@ func (d *DurableDB) restoreTable(p durablePaths, name string, meta *durableMeta)
 	return nil
 }
 
-// restorePartition rebuilds one physical table: its blocks replay oldest to
-// newest, later entries winning per key, tombstones deleting; the rows that
-// remain are inserted in primary-key order, so every recovery of one
-// directory gives a key the same RID and loads the primary B+-tree
-// ascending (full leaves, as a bulk load leaves them); then the indexes.
-func (d *DurableDB) restorePartition(p durablePaths, meta *durableMeta, tb *Table) error {
+// restorePartition rebuilds one physical table: block.Merge folds its blocks
+// — later entries winning per key, tombstones deleting — a buffer of each at
+// a time, and hands the surviving rows over in primary-key order, so every
+// recovery of one directory gives a key the same RID and loads the primary
+// B+-tree ascending (full leaves, as a bulk load leaves them); then the
+// indexes.
+func (d *DurableDB) restorePartition(meta *durableMeta, tb *Table) error {
 	phys := tb.name
-	// Keyed by block.KeyBits, not raw float64: a float64 map could
-	// never overwrite or delete a NaN key, so a NaN tombstone would
-	// fail to suppress an earlier upsert and the deleted row would
-	// resurrect on recovery.
-	live := make(map[uint64][]float64)
-	for _, desc := range d.lists[phys] {
-		entries, width, err := block.ReadAll(p.block(desc.ID))
-		if err != nil {
-			return fmt.Errorf("engine: restoring %q: %w", phys, err)
-		}
-		if width != len(meta.Cols) {
+	tier := d.tiers[phys]
+	for i, h := range tier {
+		if h.Width() != len(meta.Cols) {
 			return fmt.Errorf("engine: restoring %q: block %016x width %d != schema %d",
-				phys, desc.ID, width, len(meta.Cols))
-		}
-		if uint64(len(entries)) != desc.Count {
-			return fmt.Errorf("engine: restoring %q: block %016x holds %d entries, blocklist says %d",
-				phys, desc.ID, len(entries), desc.Count)
-		}
-		for _, e := range entries {
-			if e.Tombstone {
-				delete(live, block.KeyBits(e.PK))
-			} else {
-				live[block.KeyBits(e.PK)] = e.Row
-			}
+				phys, d.lists[phys][i].ID, h.Width(), len(meta.Cols))
 		}
 	}
-	rows := make([]block.Entry, 0, len(live))
-	for _, row := range live {
-		rows = append(rows, block.Entry{PK: row[meta.PKCol], Row: row})
-	}
-	block.SortEntries(rows)
-	for _, e := range rows {
-		if _, err := tb.Insert(e.Row); err != nil {
-			return fmt.Errorf("engine: restoring %q: %w", phys, err)
+	err := block.Merge(tier, func(_ float64, row []float64) error {
+		if row == nil {
+			return nil
 		}
+		_, err := tb.Insert(row)
+		return err
+	})
+	if err != nil {
+		return fmt.Errorf("engine: restoring %q: %w", phys, err)
 	}
 	for _, def := range meta.Defs {
 		if err := applyIndexDef(tb, def); err != nil {
@@ -1192,6 +1214,7 @@ type flushCut struct {
 	tables  map[string]*durableMeta
 	phys    []physTable
 	lists   map[string][]block.Desc
+	tiers   map[string][]*block.Handle
 	rotate  bool
 	next    uint64
 	// walSeg/walStart are the replay coordinates the manifest will record
@@ -1271,7 +1294,8 @@ func (d *DurableDB) checkpointLocked() error {
 		flushTS:  d.db.clock.Now(),
 		prevTS:   d.lastFlushTS,
 		tables:   copyTables(d.tables),
-		lists:    make(map[string][]block.Desc, len(d.lists)),
+		lists:    maps.Clone(d.lists),
+		tiers:    maps.Clone(d.tiers),
 		rotate:   rb > 0 && d.log.Size() >= rb,
 		next:     d.epoch + 1,
 		walSeg:   d.walSeg,
@@ -1283,9 +1307,6 @@ func (d *DurableDB) checkpointLocked() error {
 		// segment's last LSN is final here — the fresh segment continues
 		// the global sequence from it.
 		cut.walBase = d.log.LastLSN()
-	}
-	for phys, descs := range d.lists {
-		cut.lists[phys] = descs
 	}
 	names := make([]string, 0, len(cut.tables))
 	for name := range cut.tables {
@@ -1310,7 +1331,7 @@ func (d *DurableDB) checkpointLocked() error {
 	}
 
 	// --- Write phase: delta blocks, blocklist, manifest. ---
-	newLog, newLists, flushed, err := d.writeEpoch(p, &cut)
+	newLog, flushed, err := d.writeEpoch(p, &cut)
 	if err != nil {
 		return err
 	}
@@ -1321,7 +1342,7 @@ func (d *DurableDB) checkpointLocked() error {
 		latched = true
 	}
 	d.epoch = cut.next
-	d.setLists(p, newLists)
+	d.setLists(cut.lists, cut.tiers)
 	d.manifestTables = cut.tables
 	d.pubWALSeg = cut.walSeg
 	d.pubWALStart = cut.walStart
@@ -1367,35 +1388,72 @@ func (d *DurableDB) checkpointLocked() error {
 	return d.fp("after-gc")
 }
 
-// writeEpoch writes the cut's delta blocks, blocklist and manifest, and
-// returns the new segment's log (rotation only), the new blocklists, and
-// the flushed byte count. On error nothing has been published: any files
-// already written are unreferenced and will be garbage-collected.
-func (d *DurableDB) writeEpoch(p durablePaths, cut *flushCut) (newLog *wal.Log, newLists map[string][]block.Desc, flushed int64, err error) {
+// writeBlock streams the entries fill adds, in key order, into a new block
+// file at the given level and opens it. The file and its ID exist only once
+// fill adds an entry: a fill that adds none yields a nil handle.
+func (d *DurableDB) writeBlock(p durablePaths, width int, level uint32, fill func(add func(pk float64, row []float64) error) error) (block.Desc, *block.Handle, error) {
+	var w *block.Writer
+	var id uint64
+	err := fill(func(pk float64, row []float64) error {
+		if w == nil {
+			id = d.blockSeq.Add(1)
+			var err error
+			if w, err = block.Create(p.block(id), width); err != nil {
+				return err
+			}
+		}
+		return w.Add(pk, row)
+	})
+	if w == nil || err != nil {
+		if w != nil {
+			w.Abort()
+		}
+		return block.Desc{}, nil, err
+	}
+	desc, err := w.Finish()
+	if err != nil {
+		return block.Desc{}, nil, err
+	}
+	desc.ID, desc.Level = id, level
+	h, err := openBlock(p, desc)
+	return desc, h, err
+}
+
+// writeEpoch writes the cut's delta blocks, blocklist and manifest, adding
+// the new blocks and their open handles to the cut's lists and tiers, and
+// returns the new segment's log (rotation only) and the flushed byte count.
+// On error nothing has been published: any files already written are
+// unreferenced and will be garbage-collected.
+func (d *DurableDB) writeEpoch(p durablePaths, cut *flushCut) (newLog *wal.Log, flushed int64, err error) {
+	var fresh []*block.Handle
 	defer func() {
-		if err != nil && newLog != nil {
+		if err == nil {
+			return
+		}
+		if newLog != nil {
 			newLog.Close()
 		}
+		for _, h := range fresh {
+			h.Close()
+		}
 	}()
-	newLists = make(map[string][]block.Desc, len(cut.lists))
-	for phys, descs := range cut.lists {
-		newLists[phys] = descs
-	}
 	for _, pt := range cut.phys {
-		entries := pt.tb.DeltaVersions(cut.prevTS, cut.flushTS)
-		if len(entries) == 0 {
+		// The table's rows go from its store to the file a page at a time.
+		desc, h, werr := d.writeBlock(p, pt.tb.Store().Width(), 0, func(add func(float64, []float64) error) error {
+			return pt.tb.DeltaVersions(cut.prevTS, cut.flushTS, add)
+		})
+		if werr != nil {
+			return newLog, 0, werr
+		}
+		if h == nil {
 			continue // unchanged since the last flush: no block
 		}
-		id := d.blockSeq.Add(1)
-		desc, werr := block.Write(p.block(id), pt.tb.Store().Width(), 0, entries)
-		if werr != nil {
-			return newLog, nil, 0, werr
-		}
-		desc.ID = id
-		newLists[pt.name] = append(append([]block.Desc(nil), newLists[pt.name]...), desc)
+		fresh = append(fresh, h)
+		cut.lists[pt.name] = append(slices.Clip(cut.lists[pt.name]), desc)
+		cut.tiers[pt.name] = append(slices.Clip(cut.tiers[pt.name]), h)
 		flushed += desc.Bytes
 		if ferr := d.fp("after-block:" + pt.name); ferr != nil {
-			return newLog, nil, 0, ferr
+			return newLog, 0, ferr
 		}
 	}
 	if cut.rotate {
@@ -1404,19 +1462,19 @@ func (d *DurableDB) writeEpoch(p durablePaths, cut *flushCut) (newLog *wal.Log, 
 		var werr error
 		newLog, werr = wal.OpenWith(p.wal(cut.next), wo)
 		if werr != nil {
-			return newLog, nil, 0, werr
+			return newLog, 0, werr
 		}
 		cut.walSeg, cut.walStart = cut.next, 0
 		if ferr := d.fp("after-new-wal"); ferr != nil {
-			return newLog, nil, 0, ferr
+			return newLog, 0, ferr
 		}
 	}
-	rawList, werr := block.EncodeBlocklist(listsFor(newLists, cut.tables))
+	rawList, werr := block.EncodeBlocklist(listsFor(cut.lists, cut.tables))
 	if werr != nil {
-		return newLog, nil, 0, werr
+		return newLog, 0, werr
 	}
 	if werr := writeFileSync(p.blocklist(cut.next), rawList); werr != nil {
-		return newLog, nil, 0, werr
+		return newLog, 0, werr
 	}
 	// Make the block renames, the blocklist and (on rotation) the new
 	// segment durable before the manifest can name them: without this
@@ -1424,7 +1482,7 @@ func (d *DurableDB) writeEpoch(p durablePaths, cut *flushCut) (newLog *wal.Log, 
 	// publish an epoch whose files the directory lost.
 	syncDir(d.dir)
 	if ferr := d.fp("after-blocklist"); ferr != nil {
-		return newLog, nil, 0, ferr
+		return newLog, 0, ferr
 	}
 	m := manifest{
 		Version:  manifestVersion,
@@ -1437,20 +1495,20 @@ func (d *DurableDB) writeEpoch(p durablePaths, cut *flushCut) (newLog *wal.Log, 
 	}
 	raw, werr := json.MarshalIndent(m, "", "  ")
 	if werr != nil {
-		return newLog, nil, 0, werr
+		return newLog, 0, werr
 	}
 	tmp := p.manifest() + ".tmp"
 	if werr := writeFileSync(tmp, raw); werr != nil {
-		return newLog, nil, 0, werr
+		return newLog, 0, werr
 	}
 	if ferr := d.fp("after-manifest-tmp"); ferr != nil {
-		return newLog, nil, 0, ferr
+		return newLog, 0, ferr
 	}
 	if werr := os.Rename(tmp, p.manifest()); werr != nil {
-		return newLog, nil, 0, werr
+		return newLog, 0, werr
 	}
 	syncDir(d.dir)
-	return newLog, newLists, flushed, nil
+	return newLog, flushed, nil
 }
 
 // listsFor shapes the per-phys blocklist map for encoding: one List per
@@ -1474,21 +1532,26 @@ func listsFor(lists map[string][]block.Desc, tables map[string]*durableMeta) []b
 	return out
 }
 
-// setLists publishes new blocklists and refreshes the handle cache,
-// reusing open handles for surviving blocks. Caller holds d.mu.
-func (d *DurableDB) setLists(p durablePaths, newLists map[string][]block.Desc) {
-	d.lists = newLists
-	fresh := make(map[uint64]*block.Handle)
-	for _, descs := range newLists {
-		for _, desc := range descs {
-			if h, ok := d.handles[desc.ID]; ok {
-				fresh[desc.ID] = h
-			} else {
-				fresh[desc.ID] = block.NewHandle(p.block(desc.ID), desc)
+// setLists publishes new blocklists with their open handles, and closes the
+// handles the new epoch no longer names: a cold read that loaded the old
+// tier and has a page read in flight finishes it, one that has not yet
+// started fails with os.ErrClosed and retries on the new tier (BlockRead).
+// Caller holds d.mu.
+func (d *DurableDB) setLists(newLists map[string][]block.Desc, newTiers map[string][]*block.Handle) {
+	kept := make(map[*block.Handle]bool)
+	for _, tier := range newTiers {
+		for _, h := range tier {
+			kept[h] = true
+		}
+	}
+	for _, tier := range d.tiers {
+		for _, h := range tier {
+			if !kept[h] {
+				h.Close()
 			}
 		}
 	}
-	d.handles = fresh
+	d.lists, d.tiers = newLists, newTiers
 }
 
 // Compact runs one compaction round: it merges the first contiguous run
@@ -1530,10 +1593,7 @@ func (d *DurableDB) compact() (bool, error) {
 func (d *DurableDB) compactOnce() (bool, error) {
 	p := durablePaths{d.dir}
 	d.mu.RLock()
-	lists := make(map[string][]block.Desc, len(d.lists))
-	for phys, descs := range d.lists {
-		lists[phys] = descs
-	}
+	lists, tiers := maps.Clone(d.lists), maps.Clone(d.tiers)
 	next := d.epoch + 1
 	tables := d.manifestTables
 	walSeg, walStart := d.pubWALSeg, d.pubWALStart
@@ -1548,49 +1608,22 @@ func (d *DurableDB) compactOnce() (bool, error) {
 		return false, err
 	}
 	run := lists[phys][start : start+n]
-	merged, width, err := mergeBlocks(p, run, start == 0)
+	desc, merged, err := d.mergeBlocks(p, tiers[phys][start:start+n], maxLevel(run)+1, start == 0)
 	if err != nil {
 		return false, err
 	}
+	// The run's place in the stack is taken by the merged block, or — every
+	// entry a tombstone with nothing beneath it — by nothing.
 	var replacement []block.Desc
-	var mergedBytes int64
-	if len(merged) > 0 {
-		id := d.blockSeq.Add(1)
-		desc, err := block.Write(p.block(id), width, maxLevel(run)+1, merged)
-		if err != nil {
-			return false, err
-		}
-		desc.ID = id
-		replacement = []block.Desc{desc}
-		mergedBytes = desc.Bytes
+	var replacementTier []*block.Handle
+	if merged != nil {
+		replacement, replacementTier = []block.Desc{desc}, []*block.Handle{merged}
 	}
-	if err := d.fp("compact-after-block"); err != nil {
-		return false, err
-	}
-	newLists := make(map[string][]block.Desc, len(lists))
-	for ph, descs := range lists {
-		newLists[ph] = descs
-	}
-	spliced := make([]block.Desc, 0, len(lists[phys])-n+len(replacement))
-	spliced = append(spliced, lists[phys][:start]...)
-	spliced = append(spliced, replacement...)
-	spliced = append(spliced, lists[phys][start+n:]...)
-	if len(spliced) == 0 {
-		delete(newLists, phys)
-	} else {
-		newLists[phys] = spliced
-	}
-
-	rawList, err := block.EncodeBlocklist(listsFor(newLists, tables))
-	if err != nil {
-		return false, err
-	}
-	if err := writeFileSync(p.blocklist(next), rawList); err != nil {
-		return false, err
-	}
-	syncDir(d.dir)
-	if err := d.fp("compact-after-blocklist"); err != nil {
-		return false, err
+	lists[phys] = slices.Replace(slices.Clone(lists[phys]), start, start+n, replacement...)
+	tiers[phys] = slices.Replace(slices.Clone(tiers[phys]), start, start+n, replacementTier...)
+	if len(lists[phys]) == 0 {
+		delete(lists, phys)
+		delete(tiers, phys)
 	}
 	// The manifest republishes the last published catalog and replay
 	// coordinates verbatim: compaction changes how the flushed state is
@@ -1604,33 +1637,59 @@ func (d *DurableDB) compactOnce() (bool, error) {
 		WALBase:  walBase,
 		Tables:   tables,
 	}
-	raw, err := json.MarshalIndent(m, "", "  ")
-	if err != nil {
+	if err := d.publishMerge(p, m, lists, tiers); err != nil {
+		if merged != nil {
+			merged.Close()
+		}
 		return false, err
 	}
-	tmp := p.manifest() + ".tmp"
-	if err := writeFileSync(tmp, raw); err != nil {
-		return false, err
-	}
-	if err := d.fp("compact-after-manifest-tmp"); err != nil {
-		return false, err
-	}
-	if err := os.Rename(tmp, p.manifest()); err != nil {
-		return false, err
-	}
-	syncDir(d.dir)
-
-	d.mu.Lock()
-	d.epoch = next
-	d.setLists(p, newLists)
-	d.mu.Unlock()
 	d.compactions.Add(1)
-	d.compactedBytes.Add(mergedBytes)
+	d.compactedBytes.Add(desc.Bytes)
 	if err := d.fp("compact-after-manifest-rename"); err != nil {
 		return true, err
 	}
 	d.gcStale()
 	return true, nil
+}
+
+// publishMerge writes the blocklist and manifest of a compaction's epoch and
+// swaps the in-memory state to it. On error nothing has been published.
+func (d *DurableDB) publishMerge(p durablePaths, m manifest, lists map[string][]block.Desc, tiers map[string][]*block.Handle) error {
+	if err := d.fp("compact-after-block"); err != nil {
+		return err
+	}
+	rawList, err := block.EncodeBlocklist(listsFor(lists, m.Tables))
+	if err != nil {
+		return err
+	}
+	if err := writeFileSync(p.blocklist(m.Epoch), rawList); err != nil {
+		return err
+	}
+	syncDir(d.dir)
+	if err := d.fp("compact-after-blocklist"); err != nil {
+		return err
+	}
+	raw, err := json.MarshalIndent(m, "", "  ")
+	if err != nil {
+		return err
+	}
+	tmp := p.manifest() + ".tmp"
+	if err := writeFileSync(tmp, raw); err != nil {
+		return err
+	}
+	if err := d.fp("compact-after-manifest-tmp"); err != nil {
+		return err
+	}
+	if err := os.Rename(tmp, p.manifest()); err != nil {
+		return err
+	}
+	syncDir(d.dir)
+
+	d.mu.Lock()
+	d.epoch = m.Epoch
+	d.setLists(lists, tiers)
+	d.mu.Unlock()
+	return nil
 }
 
 // pickRun finds the first contiguous run of fanIn blocks at one level in
@@ -1668,40 +1727,26 @@ func maxLevel(run []block.Desc) uint32 {
 	return lvl
 }
 
-// mergeBlocks merges a run oldest-to-newest, later entries winning per
-// key. Tombstones are dropped when the run is at the bottom of the
-// blocklist (nothing older exists for them to shadow); otherwise they are
-// preserved so older blocks stay masked.
-func mergeBlocks(p durablePaths, run []block.Desc, bottom bool) ([]block.Entry, int, error) {
-	width := 0
-	// Keyed by block.KeyBits (the same identity block.Encode sorts and
-	// dedupes under): a float64-keyed map would keep every NaN entry of
-	// the run as a distinct key, and the merged block would carry
-	// duplicates Encode rejects — wedging compaction permanently.
-	live := make(map[uint64]block.Entry)
-	for _, desc := range run {
-		entries, w, err := block.ReadAll(p.block(desc.ID))
-		if err != nil {
-			return nil, 0, fmt.Errorf("engine: compacting block %016x: %w", desc.ID, err)
-		}
-		if width == 0 {
-			width = w
-		} else if w != width {
-			return nil, 0, fmt.Errorf("engine: compacting block %016x: width %d != run width %d", desc.ID, w, width)
-		}
-		for _, e := range entries {
-			live[block.KeyBits(e.PK)] = e
-		}
+// mergeBlocks merges a run, given oldest first, into one block at level:
+// later entries win per key. Tombstones are dropped when the run is at the
+// bottom of the blocklist (nothing older exists for them to shadow);
+// otherwise they are preserved so older blocks stay masked. The run's
+// blocks are already sorted, so the merge is block.Merge's walk fed straight
+// to the writer — a read-ahead buffer of each input in memory, never a run. A merge that
+// leaves no entry writes no block: the handle is nil.
+func (d *DurableDB) mergeBlocks(p durablePaths, run []*block.Handle, level uint32, bottom bool) (block.Desc, *block.Handle, error) {
+	desc, h, err := d.writeBlock(p, run[0].Width(), level, func(add func(float64, []float64) error) error {
+		return block.Merge(run, func(pk float64, row []float64) error {
+			if row == nil && bottom {
+				return nil
+			}
+			return add(pk, row)
+		})
+	})
+	if err != nil {
+		return block.Desc{}, nil, fmt.Errorf("engine: compacting: %w", err)
 	}
-	merged := make([]block.Entry, 0, len(live))
-	for _, e := range live {
-		if e.Tombstone && bottom {
-			continue
-		}
-		merged = append(merged, e)
-	}
-	block.SortEntries(merged)
-	return merged, width, nil
+	return desc, h, nil
 }
 
 // compactor is the background merge goroutine: it sleeps until a
@@ -1766,6 +1811,13 @@ type StorageStats struct {
 	FlushedBytes       int64   `json:"flushed_bytes"`
 	CompactedBytes     int64   `json:"compacted_bytes"`
 	WriteAmplification float64 `json:"write_amplification"`
+	// BlockResidentBytes is the memory the open blocks hold: per block a
+	// footer and — once a cold read has probed it — a page index and a
+	// bloom filter, never entries. BlockPageReads
+	// counts the pages BlockRead has read from block files — one per block
+	// whose fence and bloom let a key through.
+	BlockResidentBytes int64 `json:"block_resident_bytes"`
+	BlockPageReads     int64 `json:"block_page_reads"`
 	// CompactErrors counts failed compaction rounds; LastCompactError is
 	// the most recent failure, empty once a later round succeeds. A
 	// growing CompactionBacklog alongside a non-empty LastCompactError
@@ -1791,10 +1843,14 @@ func (d *DurableDB) StorageStats() StorageStats {
 			}
 		}
 	}
-	lists := d.lists
-	fanIn := d.opts.fanIn()
-	st.CompactionBacklog = countBacklog(lists, fanIn)
+	for _, tier := range d.tiers {
+		for _, h := range tier {
+			st.BlockResidentBytes += h.ResidentBytes()
+		}
+	}
+	st.CompactionBacklog = countBacklog(d.lists, d.opts.fanIn())
 	d.mu.RUnlock()
+	st.BlockPageReads = d.pageReads.Load()
 	st.Flushes = d.flushes.Load()
 	st.Compactions = d.compactions.Load()
 	st.FlushedBytes = d.flushedBytes.Load()
@@ -1868,12 +1924,12 @@ func (d *DurableDB) TableBlocks(name string) ([]TableBlockStats, error) {
 
 // BlockRead answers a point read from the block tier alone — the path a
 // cold (evicted or larger-than-RAM) table would take. Blocks are probed
-// newest to oldest; each block's key fence and bloom filter exclude it
-// before any entry load, so a read outside a block's key range costs
-// nothing. probed counts the blocks whose entries were actually
-// consulted. The answer reflects the last flush cut, not the WAL tail:
-// found=false means the key was absent (or deleted) as of the last
-// checkpoint.
+// newest to oldest; each block's key fence and bloom filter, both resident
+// from the block's first probe on, exclude it before any page is touched, so a read outside a block's key
+// range costs nothing, and a block they let through costs one page read.
+// probed counts those pages. The answer reflects the last flush cut, not
+// the WAL tail: found=false means the key was absent (or deleted) as of the
+// last checkpoint.
 func (d *DurableDB) BlockRead(table string, pk float64) (row []float64, found bool, probed int, err error) {
 	for {
 		d.mu.RLock()
@@ -1884,23 +1940,20 @@ func (d *DurableDB) BlockRead(table string, pk float64) (row []float64, found bo
 		}
 		tb, _ := meta.route(pk)
 		epoch := d.epoch
-		descs := d.lists[tb.name]
-		handles := make([]*block.Handle, len(descs))
-		for i, desc := range descs {
-			handles[i] = d.handles[desc.ID]
-		}
+		tier := d.tiers[tb.name]
 		d.mu.RUnlock()
-		row, found, n, perr := probeBlocks(handles, pk)
+		row, found, n, perr := probeBlocks(tier, pk)
 		probed += n
-		if perr == nil || !errors.Is(perr, fs.ErrNotExist) {
+		d.pageReads.Add(int64(n))
+		if perr == nil || !errors.Is(perr, os.ErrClosed) {
 			return row, found, probed, perr
 		}
-		// The probe raced a compaction: between the handle snapshot above
-		// and the file load, a new epoch was published and gcStale unlinked
-		// a merged-away block that this snapshot still references but never
-		// loaded. The freshly published blocklist describes the same
-		// flushed state, so retry against it. If the epoch has not moved,
-		// the file is genuinely missing — surface the error.
+		// The probe raced a compaction: between loading the tier above and
+		// the page read, a new epoch was published and setLists closed a
+		// merged-away block this tier still names. The freshly published
+		// blocklist describes the same flushed state, so retry against it.
+		// If the epoch has not moved, the database itself was closed —
+		// surface the error.
 		d.mu.RLock()
 		cur := d.epoch
 		d.mu.RUnlock()
@@ -1910,27 +1963,24 @@ func (d *DurableDB) BlockRead(table string, pk float64) (row []float64, found bo
 	}
 }
 
-// probeBlocks probes a blocklist snapshot newest to oldest for pk,
-// returning the first entry found. probed counts blocks whose entries
-// were consulted (fence/bloom exclusions are free).
-func probeBlocks(handles []*block.Handle, pk float64) (row []float64, found bool, probed int, err error) {
-	for i := len(handles) - 1; i >= 0; i-- {
-		h := handles[i]
-		if h == nil || !h.MaybeContains(pk) {
+// probeBlocks probes a table's open blocks newest to oldest for pk,
+// returning the first entry found. probed counts the blocks a page was read
+// from (fence/bloom exclusions are free).
+func probeBlocks(tier []*block.Handle, pk float64) (row []float64, found bool, probed int, err error) {
+	for i := len(tier) - 1; i >= 0; i-- {
+		h := tier[i]
+		if !h.MaybeContains(pk) {
 			continue
 		}
 		probed++
-		e, ok, gerr := h.Get(pk)
+		row, ok, gerr := h.Get(pk)
 		if gerr != nil {
 			return nil, false, probed, gerr
 		}
 		if !ok {
 			continue // bloom false positive
 		}
-		if e.Tombstone {
-			return nil, false, probed, nil
-		}
-		return e.Row, true, probed, nil
+		return row, row != nil, probed, nil // a nil row is a tombstone
 	}
 	return nil, false, probed, nil
 }
@@ -2019,6 +2069,7 @@ func (d *DurableDB) Close() error {
 		o.Close()
 	}
 	d.orphans = nil
+	d.closeBlocks()
 	return d.log.Close()
 }
 

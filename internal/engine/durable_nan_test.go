@@ -2,12 +2,12 @@ package engine
 
 import (
 	"errors"
-	"io/fs"
 	"math"
+	"os"
+	"slices"
 	"sync"
 	"testing"
 
-	"hermit/internal/block"
 	"hermit/internal/hermit"
 	"hermit/internal/storage"
 )
@@ -16,7 +16,7 @@ import (
 // never equals itself, so any float64-keyed map silently loses it. The
 // version chains key by bit pattern instead: duplicate NaN inserts are
 // rejected, delete/update find the chain, and a delta flush emits exactly
-// one entry per NaN payload — not one per insert, which block.Encode
+// one entry per NaN payload — not one per insert, which a block.Writer
 // would reject as duplicates.
 func TestNaNPrimaryKeyEngine(t *testing.T) {
 	db := NewDB(hermit.LogicalPointers)
@@ -34,9 +34,15 @@ func TestNaNPrimaryKeyEngine(t *testing.T) {
 	if err := tb.UpdateColumn(nan, 1, 3); err != nil {
 		t.Fatalf("update by NaN key: %v", err)
 	}
-	entries := tb.DeltaVersions(0, db.Clock().Now())
-	if len(entries) != 1 || !math.IsNaN(entries[0].PK) || entries[0].Row[1] != 3 {
-		t.Fatalf("delta = %+v, want exactly one NaN upsert with v=3", entries)
+	var delta [][]float64
+	if err := tb.DeltaVersions(0, db.Clock().Now(), func(_ float64, row []float64) error {
+		delta = append(delta, slices.Clone(row))
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(delta) != 1 || len(delta[0]) != 2 || !math.IsNaN(delta[0][0]) || delta[0][1] != 3 {
+		t.Fatalf("delta = %v, want exactly one NaN upsert with v=3", delta)
 	}
 	if found, err := tb.Delete(nan); err != nil || !found {
 		t.Fatalf("delete by NaN key: found=%v err=%v", found, err)
@@ -124,9 +130,9 @@ func TestDurableNaNKeyCheckpointCompactRecover(t *testing.T) {
 	})
 }
 
-// A point read that snapshots the blocklist just before a compaction
-// publishes must retry against the fresh list when the merged-away files
-// are already unlinked — not surface a spurious ENOENT.
+// A point read that loads a table's tier just before a compaction
+// publishes must retry against the fresh tier when the merged-away blocks
+// are already closed — not surface a spurious os.ErrClosed.
 func TestBlockReadRetriesAfterCompaction(t *testing.T) {
 	dir := t.TempDir()
 	d, err := OpenDurableOptions(dir, hermit.LogicalPointers,
@@ -146,33 +152,34 @@ func TestBlockReadRetriesAfterCompaction(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Snapshot handles the way a concurrent BlockRead would, before the
-	// compaction publishes and gcStale unlinks the merged-away files.
+	// Load the tier the way a concurrent BlockRead would, before the
+	// compaction publishes and setLists closes the merged-away blocks.
 	d.mu.RLock()
-	descs := d.lists["t"]
-	stale := make([]*block.Handle, len(descs))
-	for i, desc := range descs {
-		stale[i] = d.handles[desc.ID]
-	}
+	stale := d.tiers["t"]
 	d.mu.RUnlock()
 	if merged, err := d.Compact(); err != nil || !merged {
 		t.Fatalf("compact: merged=%v err=%v", merged, err)
 	}
-	// The stale snapshot now references unlinked files: a raw probe hits
-	// ENOENT (the trigger for the retry path)...
-	if _, _, _, err := probeBlocks(stale, 0); !errors.Is(err, fs.ErrNotExist) {
-		t.Fatalf("stale probe error = %v, want fs.ErrNotExist", err)
+	// The stale tier now names closed blocks: a raw probe fails (the trigger
+	// for the retry path)...
+	if _, _, _, err := probeBlocks(stale, 0); !errors.Is(err, os.ErrClosed) {
+		t.Fatalf("stale probe error = %v, want os.ErrClosed", err)
 	}
-	// ...and BlockRead retries against the published blocklist.
+	// ...and BlockRead retries against the published tier.
 	row, found, _, err := d.BlockRead("t", 0)
 	if err != nil || !found || row[1] != 0 {
 		t.Fatalf("BlockRead after compaction = %v found=%v err=%v", row, found, err)
 	}
+	// With no new epoch to retry on — the database closed — the error surfaces.
+	d.Close()
+	if _, _, _, err := d.BlockRead("t", 0); !errors.Is(err, os.ErrClosed) {
+		t.Fatalf("BlockRead on a closed database: %v", err)
+	}
 }
 
 // Cold point reads hammered while checkpoints and compactions republish
-// the blocklist must never fail: before BlockRead retried on unlinked
-// files, this raced into spurious ENOENTs.
+// the blocklist must never fail: BlockRead retries when the tier it loaded
+// is retired under it.
 func TestBlockReadUnderCompactionChurn(t *testing.T) {
 	dir := t.TempDir()
 	d, err := OpenDurableOptions(dir, hermit.LogicalPointers,

@@ -508,18 +508,19 @@ func (t *Table) ScanLive(fn func(rid storage.RID, row []float64) bool) {
 }
 
 // DeltaVersions harvests the changes committed in the half-open window
-// (prevTS, ts]: for every key whose visible-at-ts incarnation began after
-// prevTS an upsert entry carrying the full row, and for every key whose
-// chain died in the window a tombstone entry. Replaying the resulting
-// block on top of the state at prevTS reproduces exactly the live rows at
-// ts. Entries come back sorted by key in the order block.Encode requires:
-// the primary index's leaves are walked in that order (keyorder), so
-// nothing is sorted here.
+// (prevTS, ts] and hands them to emit in key order: for every key whose
+// visible-at-ts incarnation began after prevTS the full row, and for every
+// key whose chain died in the window a nil row — a tombstone. Replaying the
+// entries on top of the state at prevTS reproduces exactly the live rows at
+// ts. The order is the one a block.Writer requires: the primary index's
+// leaves are walked in that order (keyorder), so nothing is sorted here.
+// The row is emit's only for the call; emit's first error ends the harvest
+// and is returned.
 //
 // The caller must pin a snapshot at or below prevTS for the duration (the
 // durable layer's flush snapshot), so no version visible at ts can be
 // reclaimed between the chain walk and the row fetch.
-func (t *Table) DeltaVersions(prevTS, ts uint64) []block.Entry {
+func (t *Table) DeltaVersions(prevTS, ts uint64, emit func(pk float64, row []float64) error) error {
 	type cand struct {
 		rid  storage.RID
 		pk   float64
@@ -557,19 +558,23 @@ func (t *Table) DeltaVersions(prevTS, ts uint64) []block.Entry {
 	})
 	t.verMu.RUnlock()
 	t.primaryMu.RUnlock()
-	entries := make([]block.Entry, 0, len(cands))
+	var row []float64
 	for _, c := range cands {
 		if c.tomb {
-			entries = append(entries, block.Entry{PK: c.pk, Tombstone: true})
+			if err := emit(c.pk, nil); err != nil {
+				return err
+			}
 			continue
 		}
-		row, err := t.store.Get(c.rid, nil)
-		if err != nil {
+		var err error
+		if row, err = t.store.Get(c.rid, row); err != nil {
 			continue // unreachable with the flush snapshot pinned; defensive
 		}
-		entries = append(entries, block.Entry{PK: c.pk, Row: row})
+		if err := emit(c.pk, row); err != nil {
+			return err
+		}
 	}
-	return entries
+	return nil
 }
 
 // GCVersions reclaims every version whose endTS is at or below horizon:

@@ -199,16 +199,18 @@ func (m *modelTable) checkDelta(t *testing.T, pinned, ts uint64) {
 			delta[k] = v
 		}
 	}
-	entries := m.tb.DeltaVersions(pinned, ts)
-	if len(entries) != len(delta) {
-		t.Fatalf("DeltaVersions(%d, %d): %d entries, oracle has %d", pinned, ts, len(entries), len(delta))
-	}
-	for _, e := range entries {
-		v := delta[block.KeyBits(e.PK)]
-		if v == nil || e.Tombstone == v.visibleAt(ts) || (!e.Tombstone && !sameRow(e.Row, v.row)) {
-			t.Fatalf("DeltaVersions(%d, %d): entry %+v, oracle version %+v", pinned, ts, e, v)
+	n := 0
+	err := m.tb.DeltaVersions(pinned, ts, func(pk float64, row []float64) error {
+		n++
+		v := delta[block.KeyBits(pk)]
+		if tombstone := row == nil; v == nil || tombstone == v.visibleAt(ts) || (!tombstone && !sameRow(row, v.row)) {
+			t.Fatalf("DeltaVersions(%d, %d): entry %v %v, oracle version %+v", pinned, ts, pk, row, v)
 		}
-		delete(delta, block.KeyBits(e.PK)) // a second entry for the key finds nil
+		delete(delta, block.KeyBits(pk)) // a second entry for the key finds nil
+		return nil
+	})
+	if err != nil || len(delta) != 0 {
+		t.Fatalf("DeltaVersions(%d, %d): %d entries, the oracle has %d more; err %v", pinned, ts, n, len(delta), err)
 	}
 }
 

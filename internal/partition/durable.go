@@ -77,8 +77,9 @@ func (t *Table) BlockStats() ([]engine.TableBlockStats, error) {
 // ColdPoint answers a point read for pk from the block tier alone — the
 // partition is derived from the key, then only that partition's blocks
 // are consulted (fences and bloom filters first), exactly the fan-out a
-// cold scatter-gather read would take. probed counts the blocks whose
-// entries were loaded. The answer reflects the last flush cut.
+// cold scatter-gather read would take. probed counts the blocks a page was
+// read from; nothing of them stays in memory. The answer reflects the last
+// flush cut.
 func (t *Table) ColdPoint(pk float64) (row []float64, found bool, probed int, err error) {
 	m, ok := t.mut.(durMutator)
 	if !ok {

@@ -154,6 +154,10 @@ func TestHTTPFallback(t *testing.T) {
 	if st.Storage.WriteAmplification < 1 {
 		t.Fatalf("write amplification %v < 1 after a flush", st.Storage.WriteAmplification)
 	}
+	if st.Storage.BlockResidentBytes <= 0 || st.Storage.BlockPageReads != 0 {
+		t.Fatalf("stats: open blocks hold %d B after %d page reads, want > 0 and none yet",
+			st.Storage.BlockResidentBytes, st.Storage.BlockPageReads)
+	}
 	hr, err = http.Get(base + "/healthz")
 	if err != nil || hr.StatusCode != 200 {
 		t.Fatalf("healthz: %v %d", err, hr.StatusCode)

@@ -8,7 +8,9 @@
 // BENCH_hotpath.json must carry every tracked workload at GOMAXPROCS 1 and
 // at the recording machine's num_cpu; BENCH_durability.json every sync
 // policy at 1, 8 and 64 writers, with group commit's point — more writers,
-// more records per fsync — visible in it.
+// more records per fsync — visible in it; BENCH_compaction.json both
+// cold-read classes, with the open blocks holding at most 2 bytes per
+// flushed row (an index and a bloom, not the rows).
 //
 // BENCH_scenarios.json gets deeper validation: at least four scenarios,
 // each with a spec hash, matching trace_hash and trace_hash_recheck (the
@@ -101,6 +103,9 @@ func check(path string) error {
 	}
 	if a.Experiment == "durability" {
 		return checkDurability(raw)
+	}
+	if a.Experiment == "compaction" {
+		return checkCompaction(raw)
 	}
 	return nil
 }
@@ -233,6 +238,48 @@ func checkDurability(raw []byte) error {
 	}
 	if one, many := rate["group-commit"][1], rate["group-commit"][64]; many <= one {
 		return fmt.Errorf("group-commit: %.0f inserts/s at 64 writers, %.0f at 1 — the fsync is not being shared", many, one)
+	}
+	return nil
+}
+
+// compactionArtifact is the slice of BENCH_compaction.json benchcheck
+// verifies beyond the shared header.
+type compactionArtifact struct {
+	ColdReads []struct {
+		Kind      string   `json:"kind"`
+		Reads     int      `json:"reads"`
+		NSPerRead float64  `json:"ns_per_read"`
+		Resident  *float64 `json:"resident_bytes_per_flushed_row"`
+	} `json:"cold_reads"`
+}
+
+// maxResidentPerFlushedRow bounds what the open blocks may keep in memory
+// per entry of the tier: a page index and a 10-bit bloom come to about 1.6
+// bytes; a block tier that keeps decoded rows holds forty.
+const maxResidentPerFlushedRow = 2.0
+
+// checkCompaction enforces the compaction artifact's cold-read contract:
+// both classes measured, each next to the memory that serves it, and that
+// memory an index and a filter — not a second copy of the rows.
+func checkCompaction(raw []byte) error {
+	var ca compactionArtifact
+	if err := json.Unmarshal(raw, &ca); err != nil {
+		return fmt.Errorf("compaction block: %v", err)
+	}
+	if len(ca.ColdReads) < 2 {
+		return fmt.Errorf("%d cold-read classes recorded, want present and absent keys", len(ca.ColdReads))
+	}
+	for _, p := range ca.ColdReads {
+		if p.Reads <= 0 || p.NSPerRead <= 0 {
+			return fmt.Errorf("cold reads of %s keys: nothing recorded", p.Kind)
+		}
+		if p.Resident == nil || *p.Resident <= 0 {
+			return fmt.Errorf("cold reads of %s keys: missing resident_bytes_per_flushed_row", p.Kind)
+		}
+		if *p.Resident > maxResidentPerFlushedRow {
+			return fmt.Errorf("cold reads of %s keys: open blocks hold %.2f B per flushed row, want <= %.0f",
+				p.Kind, *p.Resident, maxResidentPerFlushedRow)
+		}
 	}
 	return nil
 }

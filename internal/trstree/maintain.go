@@ -98,7 +98,15 @@ func (n *node) covers(m, nv float64) bool {
 // already collected and the side-buffer replay adds again is a surplus
 // candidate, which validation filters; dropping it as a duplicate instead
 // would risk a false negative.
+//
+// The buffer's capacity is counted in Stats().SizeBytes, so it follows the
+// entries held: a full buffer grows by an eighth (at least outlierStep
+// entries), not by append's doubling, and removeOutlier gives back the
+// array once half of it is unused.
 func (n *node) addOutlier(m float64, id uint64) {
+	if held := len(n.outliers); held == cap(n.outliers) {
+		n.rehouse(held + max(outlierStep, held/8))
+	}
 	n.outliers = append(n.outliers, outlierEntry{m: m, id: id})
 }
 
@@ -108,10 +116,25 @@ func (n *node) removeOutlier(m float64, id uint64) bool {
 			last := len(n.outliers) - 1
 			n.outliers[i] = n.outliers[last]
 			n.outliers = n.outliers[:last]
+			if last <= cap(n.outliers)/2 {
+				n.rehouse(last)
+			}
 			return true
 		}
 	}
 	return false
+}
+
+// outlierStep is the least a full outlier buffer grows by.
+const outlierStep = 8
+
+// rehouse moves the outlier buffer into an array of the given capacity.
+func (n *node) rehouse(capacity int) {
+	if capacity == 0 {
+		n.outliers = nil
+		return
+	}
+	n.outliers = append(make([]outlierEntry, 0, capacity), n.outliers...)
 }
 
 func (t *Tree) bufferOp(op bufferedOp) {

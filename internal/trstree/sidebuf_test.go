@@ -108,3 +108,35 @@ func TestLookupSeesSideBufferedInserts(t *testing.T) {
 		t.Fatal("on-model insert unreachable after side-buffer replay")
 	}
 }
+
+// The outlier buffer's capacity — which Stats().SizeBytes counts — follows
+// the entries it holds through growth and shrinkage: never more than an
+// eighth (or outlierStep) above them after an add, never more than twice
+// them after a remove, nothing at all when empty.
+func TestOutlierBufferFollowsEntries(t *testing.T) {
+	n := &node{}
+	const peak = 5000
+	for i := 0; i < peak; i++ {
+		n.addOutlier(float64(i), uint64(i))
+		if room := cap(n.outliers); room > len(n.outliers)+max(outlierStep, len(n.outliers)/8) {
+			t.Fatalf("growth: %d entries in an array of %d", len(n.outliers), room)
+		}
+	}
+	for i := 0; i < peak; i++ {
+		if !n.removeOutlier(float64(i), uint64(i)) {
+			t.Fatalf("entry %d not found", i)
+		}
+		if held, room := len(n.outliers), cap(n.outliers); held > 0 && room >= 2*held+2 {
+			t.Fatalf("shrinkage: %d entries in an array of %d", held, room)
+		}
+	}
+	if n.outliers != nil {
+		t.Fatalf("an empty buffer keeps an array of %d", cap(n.outliers))
+	}
+	// An as-built buffer (exact capacity) stays exact until it is written.
+	n.outliers = make([]outlierEntry, 100)
+	n.addOutlier(1, 1)
+	if cap(n.outliers) != 112 {
+		t.Fatalf("first add to a full buffer of 100: capacity %d", cap(n.outliers))
+	}
+}
