@@ -56,18 +56,28 @@ func main() {
 	if err := transfer(0, 1, 30); err != nil {
 		log.Fatal(err)
 	}
+	// A RID is dereferenced under the snapshot its query ran at: the commit
+	// that supersedes a version reclaims it, and the slot goes to the next
+	// row written, unless a snapshot that sees the version is still open.
 	balance := func(snap *hermitdb.Snapshot, id float64) float64 {
 		rids, _, err := tb.PointQueryAt(snap, 0, id)
 		if err != nil || len(rids) != 1 {
 			log.Fatalf("account %v: %v", id, err)
 		}
-		v, _ := tb.Store().Value(rids[0], 1)
-		return v
+		rows, err := tb.FetchRows(rids, nil)
+		if err != nil {
+			log.Fatalf("account %v: %v", id, err)
+		}
+		return rows[0][1]
 	}
-	now := db.Snapshot()
-	defer now.Release()
-	fmt.Printf("account 0: %3.0f before, %3.0f after\n", balance(before, 0), balance(now, 0))
-	fmt.Printf("account 1: %3.0f before, %3.0f after\n", balance(before, 1), balance(now, 1))
+	err = hermitdb.WithSnapshot(db, func(now *hermitdb.Snapshot) error {
+		fmt.Printf("account 0: %3.0f before, %3.0f after\n", balance(before, 0), balance(now, 0))
+		fmt.Printf("account 1: %3.0f before, %3.0f after\n", balance(before, 1), balance(now, 1))
+		return nil
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	// First committer wins: a stale transaction loses and applies nothing.
 	x1, x2 := db.Begin(), db.Begin()

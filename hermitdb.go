@@ -152,13 +152,15 @@ func WithSnapshot(db *DB, fn func(*Snapshot) error) error {
 //	results := tb.ExecuteBatch(ops, 8)
 type (
 	// RID is a physical record identifier ("blockID+offset", §5.1): the
-	// address of one version of a row. It names that version for as long
-	// as a snapshot that can see it is open; once the row has been updated
-	// or deleted and a version-GC pass has reclaimed the version, the slot
-	// is reused and the RID reads whichever row was written there next.
-	// Fetch what a query returns under the snapshot the query ran at
-	// (RangeQueryAt, then FetchRows, inside WithSnapshot) when writers or
-	// GC may run in between.
+	// address of one version of a row, good for as long as that version is
+	// kept. The commit that updates or deletes a row reclaims the version it
+	// ends — unless an open snapshot can still see it — and the slot is
+	// reused: the RID then reads whichever row was written there next. So a
+	// RID returned by an auto-snapshot query (RangeQuery, PointQuery) is good
+	// until the next commit to the table, and one returned by a query at a
+	// held snapshot for as long as the snapshot is held. When writers may
+	// run in between, fetch what a query returns under the snapshot the
+	// query ran at: RangeQueryAt, then FetchRows, inside WithSnapshot.
 	RID = storage.RID
 	// Op is one operation in an ExecuteBatch batch.
 	Op = engine.Op

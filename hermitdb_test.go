@@ -237,16 +237,16 @@ func TestHeapBytesPerRowBudget(t *testing.T) {
 // churnSynthetic turns the table loaded by loadSyntheticWithHermit over:
 // each turnover visits every live row once, in random order, and either
 // rewrites its payload column (a new version of the row) or deletes it and
-// inserts a row under a fresh key, so the live count never moves; DB.GC
-// runs after every tenth of a turnover. keys holds the live primary keys
-// and is kept up to date.
-func churnSynthetic(t *testing.T, db *hermitdb.DB, tb *hermitdb.Table, keys []float64, turnovers int) {
+// inserts a row under a fresh key, so the live count never moves. No GC
+// call is made: each commit reclaims the version it ends. keys holds the
+// live primary keys and is kept up to date.
+func churnSynthetic(t *testing.T, tb *hermitdb.Table, keys []float64, turnovers int) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(2))
 	next := float64(len(keys))
 	row := make([]float64, 4)
 	for turn := 0; turn < turnovers; turn++ {
-		for n, i := range rng.Perm(len(keys)) {
+		for _, i := range rng.Perm(len(keys)) {
 			if rng.Intn(2) == 0 {
 				if err := tb.UpdateColumn(keys[i], 3, rng.Float64()); err != nil {
 					t.Fatal(err)
@@ -262,9 +262,6 @@ func churnSynthetic(t *testing.T, db *hermitdb.DB, tb *hermitdb.Table, keys []fl
 				}
 				keys[i] = next
 				next++
-			}
-			if (n+1)%(len(keys)/10) == 0 {
-				db.GC()
 			}
 		}
 	}
@@ -286,14 +283,14 @@ func liveKeys(rows int) []float64 {
 // been written to: five turnovers of every row later the table has the
 // rows it was loaded with, a million versions have come and gone, and what
 // the process holds per live row must be within 1.3x of what it held as
-// loaded — row and version slots that GC reclaims are refilled, hollow
-// B+-tree nodes merge — with Memory() still accounting for it. The slack
-// is what a store with writes in flight holds over a freshly loaded one:
-// the tenth of a turnover of dead versions between two GC passes, and
-// B+-tree nodes that splits and merges keep between half full and full
-// where the bulk load packed them to 85%. Measured when the budget was set:
-// 130.7 B/row against 103.3 as loaded, 1.27x. (An engine that appends every
-// version and never merges a node held 468.6 after the same run, 4.5x.)
+// loaded — the row and version slot a commit reclaims is refilled by the
+// next, hollow B+-tree nodes merge — with Memory() still accounting for it.
+// The slack is what a store that has been written to holds over a freshly
+// loaded one: B+-tree nodes that splits and merges keep between half full
+// and full where the bulk load packed them to 85%. Measured: 122.8 B/row
+// against 103.3 as loaded, 1.19x (130.7, 1.27x, when reclamation was a GC
+// pass every tenth of a turnover; an engine that appends every version and
+// never merges a node held 468.6 after the same run, 4.5x).
 func TestHeapFollowsLiveRows(t *testing.T) {
 	if testing.Short() {
 		t.Skip("five turnovers of 200k rows")
@@ -306,7 +303,7 @@ func TestHeapFollowsLiveRows(t *testing.T) {
 	db, tb := loadSyntheticWithHermit(t, rows)
 	runtime.GC()
 	runtime.ReadMemStats(&loaded)
-	churnSynthetic(t, db, tb, keys, 5)
+	churnSynthetic(t, tb, keys, 5)
 	runtime.GC()
 	runtime.ReadMemStats(&after)
 	asLoaded := float64(loaded.HeapAlloc-before.HeapAlloc) / rows
@@ -364,7 +361,7 @@ func TestHeapProfileOfChurn(t *testing.T) {
 	}
 	const rows = 1_000_000
 	db, tb := loadSyntheticWithHermit(t, rows)
-	churnSynthetic(t, db, tb, liveKeys(rows), 5)
+	churnSynthetic(t, tb, liveKeys(rows), 5)
 	writeHeapProfile(t, *heapChurnProfile)
 	runtime.KeepAlive(db)
 }

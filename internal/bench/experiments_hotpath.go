@@ -24,9 +24,9 @@ import (
 // depth-64 pipelined bursts, the three that go through the
 // primary index by key (an in-memory update, a delete/re-insert cycle, and
 // a Hermit range query under logical pointers, whose every candidate takes
-// the primary-index hop), and a write churn at constant live rows with
-// version GC running (the one lane whose writes are reclaimed, and which
-// also records the heap it holds per live row) — as allocs/op, bytes/op,
+// the primary-index hop), and a write churn at constant live rows (the lane
+// that also records the heap it holds per live row; every write lane
+// reclaims the versions it ends, as every commit does) — as allocs/op, bytes/op,
 // ns/op, and throughput, each at GOMAXPROCS 1 and NumCPU. The artifact is the
 // regression baseline for the zero-alloc read-path contract: the same
 // numbers `testing.AllocsPerRun` guards enforce in tier-1 are recorded
@@ -179,8 +179,8 @@ func setupHotpathRange(cfg Config, n int) (func() error, func(), error) {
 
 // setupHotpathUpdate measures an auto-commit UpdateColumn of a random key:
 // head lookup through the primary index, version row, primary-entry swap
-// and stamp at commit. No version GC runs, so chains grow by one version
-// per op.
+// and stamp at commit, then the superseded version reclaimed: its index
+// entry, header and row slot, which the next op's version takes.
 func setupHotpathUpdate(cfg Config, n int) (func() error, func(), error) {
 	tb, err := buildHotpathTable(n)
 	if err != nil {
@@ -198,7 +198,8 @@ func setupHotpathUpdate(cfg Config, n int) (func() error, func(), error) {
 // setupHotpathDelete measures the delete of a random live key followed by
 // its re-insert over the dead chain — the cycle that keeps the table full
 // for as long as the lane runs, so one op is a Delete plus an Insert: two
-// head lookups, a header write, a version row and a primary-entry swap.
+// head lookups, a header write, the dead chain reclaimed with its primary
+// entry, a version row and a primary entry put back.
 func setupHotpathDelete(cfg Config, n int) (func() error, func(), error) {
 	tb, err := buildHotpathTable(n)
 	if err != nil {
@@ -223,11 +224,12 @@ const hotpathChurnTurnovers = 3
 
 // setupHotpathChurn measures the write path with reclamation on it: a
 // table with a secondary B+-tree held at n live rows while every op either
-// updates a random row or deletes it and inserts a row under a fresh key,
-// and version GC runs once per n/10 ops — so the op's cost includes its
-// share of a GC pass, and its version lands in a slot a pass has freed. The
-// fixture is turned over hotpathChurnTurnovers times first; *heap receives
-// what the process then holds per live row.
+// updates a random row or deletes it and inserts a row under a fresh key.
+// Each commit reclaims the version it ends, so the next version lands in the
+// slot it freed; the DB.GC call once per n/10 ops, which used to be where
+// reclamation happened, finds nothing to do. The fixture is turned over
+// hotpathChurnTurnovers times first; *heap receives what the process then
+// holds per live row.
 func setupHotpathChurn(cfg Config, n int, heap *float64) (func() error, func(), error) {
 	var m0, m1 runtime.MemStats
 	runtime.GC()

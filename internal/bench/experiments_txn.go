@@ -138,8 +138,9 @@ func RunTxn(cfg Config) error {
 		if err != nil {
 			return err
 		}
-		// Reclaim the sweep's dead versions so every cell scans the same
-		// live set (what checkpoint's GC pass does in a durable deployment).
+		// Every cell scans the same live set: whatever the sweep's scans
+		// pinned past its last commits goes here (a near no-op — the writers
+		// reclaim as they commit).
 		db.GC()
 		if w == 0 {
 			idle = scanOps

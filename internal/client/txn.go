@@ -10,7 +10,7 @@ import (
 // write-write race). The transaction holds a snapshot on the server until
 // Commit or Rollback — abandoning one (or dropping the connection) is
 // safe, the session teardown rolls it back — but holding it open pins the
-// server's version GC horizon.
+// server's reclaim horizon: what commits end piles up until it is released.
 type Txn struct {
 	c    *Conn
 	id   uint64

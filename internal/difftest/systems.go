@@ -55,7 +55,7 @@ func ridPKs(tb *engine.Table, rids []storage.RID) ([]float64, error) {
 
 // tableState dumps a table's live rows keyed by primary key (col 0 in
 // every generated schema). ScanLive resolves MVCC visibility — the raw
-// store also holds superseded and deleted versions awaiting GC.
+// store also holds the superseded and deleted versions a snapshot pins.
 func tableState(tb *engine.Table) (map[float64][]float64, error) {
 	out := make(map[float64][]float64, tb.Len())
 	tb.ScanLive(func(_ storage.RID, row []float64) bool {

@@ -154,11 +154,11 @@ func TestHermitRangeReadIntoSteadyState(t *testing.T) {
 	}
 }
 
-// TestUpdateColumnZeroAllocs pins the auto-commit update: the current row is
-// copied into pooled scratch, the primary entry is swapped in place, and the
-// version header lands in its block's chunk. What remains is amortised
-// growth — a store block and a header chunk per 4096 versions, the GC
-// queue's doubling — which AllocsPerRun's integer average reads as 0.
+// TestUpdateColumnZeroAllocs pins the auto-commit update, reclamation of the
+// superseded version included: the current row is copied into pooled
+// scratch, the primary entry is swapped in place, the version header lands
+// in its block's chunk, and the version the update ended is reclaimed from
+// the same scratch row, its slot the next update's.
 func TestUpdateColumnZeroAllocs(t *testing.T) {
 	tb := guardTable(t, 4096)
 	i, gen := 0, 0.0
@@ -175,7 +175,8 @@ func TestUpdateColumnZeroAllocs(t *testing.T) {
 }
 
 // TestDeleteZeroAllocs pins the auto-commit delete: one primary-index
-// lookup and one header write.
+// lookup and one header write, then the dead chain reclaimed — its row read
+// into a stack buffer, its index entries and primary entry removed.
 func TestDeleteZeroAllocs(t *testing.T) {
 	const n = 4096
 	tb := guardTable(t, n)

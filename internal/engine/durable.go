@@ -61,8 +61,9 @@ import (
 // blocks + old replay window, nothing lost) or the new one (new blocks +
 // the tail past the new cut), never a double apply. A background
 // compactor merges same-level block runs (size-tiered), dropping
-// superseded entries and bottom-level tombstones, and runs the MVCC
-// version-GC pass — both off the checkpoint critical path. The WAL
+// superseded entries and bottom-level tombstones, off the checkpoint
+// critical path. (Dead row versions are no business of either: the commit
+// that ends a version reclaims it, see mvcc.go.) The WAL
 // segment rotates only when it exceeds DurableOptions.WALRotateBytes;
 // rotation quiesces mutations for the whole flush (still only a delta)
 // so no acknowledged record can land in a segment the manifest no longer
@@ -129,9 +130,8 @@ type DurableDB struct {
 	pubWALSeg      uint64
 	pubWALStart    int64
 
-	// lastFlushTS is the commit timestamp of the last flush cut. Version
-	// GC (which runs during compaction) caps its horizon here so it can
-	// never reclaim a chain whose death no block has recorded yet.
+	// lastFlushTS is the commit timestamp of the last flush cut: the next
+	// delta's window opens after it. Guarded by mu.
 	lastFlushTS uint64
 
 	// blockSeq issues block file IDs, monotonic per database directory.
@@ -404,8 +404,10 @@ func OpenDurableOptions(dir string, scheme hermit.PointerScheme, opts DurableOpt
 	if _, err := os.Stat(filepath.Join(dir, "wal.log")); err == nil {
 		return nil, fmt.Errorf("engine: %s holds a pre-epoch WAL (wal.log); migrate it before opening", dir)
 	}
+	db := NewDB(scheme)
+	db.trackDeletes = true // reclaimed deletes must still reach a delta block
 	d := &DurableDB{
-		db:             NewDB(scheme),
+		db:             db,
 		dir:            dir,
 		opts:           opts,
 		tables:         make(map[string]*durableMeta),
@@ -486,8 +488,7 @@ func OpenDurableOptions(dir string, scheme hermit.PointerScheme, opts DurableOpt
 	}
 	// The flush cut: everything restored from blocks is flushed as of this
 	// clock position; everything the WAL tail replays (below) commits
-	// after it and lands in the next delta, and version GC never reaches
-	// past it.
+	// after it and lands in the next delta.
 	d.lastFlushTS = d.db.clock.Now()
 	// Phase 2: replay the WAL tail. Replay stops at the first torn or
 	// corrupt frame on its own; a record that fails to apply is counted
@@ -610,16 +611,11 @@ func (d *DurableDB) Snapshot() *Snapshot { return d.db.Snapshot() }
 // Clock returns the commit clock ordering every table in this database.
 func (d *DurableDB) Clock() *Clock { return d.db.Clock() }
 
-// GC runs one version-garbage-collection pass (see DB.GC). Compaction
-// runs it automatically; this is the manual hook. The horizon is the
-// oldest live snapshot, capped at the last flush cut — so GC can never
-// erase a change no block has recorded.
-func (d *DurableDB) GC() int {
-	d.mu.RLock()
-	cut := d.lastFlushTS
-	d.mu.RUnlock()
-	return d.db.GCBelow(cut)
-}
+// GC reclaims whatever backlog of ended versions a released snapshot left
+// behind, down to the oldest live snapshot (see DB.GC). It does not wait for
+// a flush: a reclaimed delete reaches the next delta block through its
+// table's delete list.
+func (d *DurableDB) GC() int { return d.db.GC() }
 
 // restoreTable rebuilds one logical table from its blocklists, its
 // partitions side by side (eachPartition): a partition's rows, RIDs and
@@ -1239,13 +1235,15 @@ type physTable struct {
 // with the crash outcome of each window:
 //
 //  1. Swap window (exclusive latch, short): flush the WAL, capture the
-//     cut — flush timestamp, catalog copy, current blocklists, and the
-//     replay offset (the synced WAL size). Crash: old manifest, full
-//     old-window replay — nothing lost.
+//     cut — the flush snapshot and its timestamp, catalog copy, current
+//     blocklists, and the replay offset (the synced WAL size). Crash: old
+//     manifest, full old-window replay — nothing lost.
 //  2. Unlatched write phase: harvest each table's delta (DeltaVersions)
 //     and write it as an immutable block (tmp + fsync + rename).
 //     Mutations proceed concurrently; they commit after the cut, so they
-//     belong to the next delta and to the WAL tail both manifests replay.
+//     belong to the next delta and to the WAL tail both manifests replay,
+//     and the flush snapshot keeps them from reclaiming a version the cut
+//     sees before its row is in the block.
 //     Crash: the new blocks are unreferenced garbage, GC'd later.
 //  3. Write the next epoch's blocklist file naming old + new blocks.
 //     Crash: same.
@@ -1255,7 +1253,8 @@ type physTable struct {
 //     new cut. Replay can never start before its image's cut, so recovery
 //     never double-applies.
 //  5. Re-latch briefly to publish the new epoch in memory, advance the
-//     flush cut, delete stale files and kick the compactor.
+//     flush cut, trim the tables' delete lists up to it, delete stale files
+//     and kick the compactor.
 //
 // When the WAL segment has outgrown DurableOptions.WALRotateBytes the
 // checkpoint instead rotates: it holds the latch across the whole flush
@@ -1289,9 +1288,14 @@ func (d *DurableDB) checkpointLocked() error {
 	if err := d.fp("after-wal-sync"); err != nil {
 		return err
 	}
+	// The flush snapshot: registered for as long as the delta is being
+	// read, so the commits that run beside the write phase reclaim nothing
+	// the cut can see.
+	snap := d.db.Snapshot()
+	defer snap.Release()
 	rb := d.opts.rotateBytes()
 	cut := flushCut{
-		flushTS:  d.db.clock.Now(),
+		flushTS:  snap.TS(),
 		prevTS:   d.lastFlushTS,
 		tables:   copyTables(d.tables),
 		lists:    maps.Clone(d.lists),
@@ -1361,6 +1365,9 @@ func (d *DurableDB) checkpointLocked() error {
 		}
 	}
 	d.lastFlushTS = cut.flushTS
+	for _, pt := range cut.phys {
+		pt.tb.trimDeletes(cut.flushTS)
+	}
 	unlatch()
 	for _, ch := range rotatedWatchers {
 		select {
@@ -1559,11 +1566,9 @@ func (d *DurableDB) setLists(newLists map[string][]block.Desc, newTiers map[stri
 // one block at the next level (dropping superseded entries, and
 // tombstones when the run starts at the bottom of the list), publishes
 // the result as a new epoch — reusing the last published catalog and
-// replay coordinates verbatim, so the WAL tail is untouched — and then
-// runs a version-GC pass. It reports whether a merge happened; the GC
-// pass runs either way (GC rides compaction, not checkpoints). The
-// background compactor calls this in a loop; it is also the manual hook
-// for deterministic tests.
+// replay coordinates verbatim, so the WAL tail is untouched. It reports
+// whether a merge happened. The background compactor calls this in a loop;
+// it is also the manual hook for deterministic tests.
 func (d *DurableDB) Compact() (bool, error) {
 	merged, err := d.compact()
 	d.compactErrMu.Lock()
@@ -1575,22 +1580,10 @@ func (d *DurableDB) Compact() (bool, error) {
 	return merged, err
 }
 
+// compact performs at most one merge.
 func (d *DurableDB) compact() (bool, error) {
 	d.ckptMu.Lock()
 	defer d.ckptMu.Unlock()
-	merged, err := d.compactOnce()
-	if err != nil {
-		return merged, err
-	}
-	d.mu.RLock()
-	cut := d.lastFlushTS
-	d.mu.RUnlock()
-	d.db.GCBelow(cut)
-	return merged, d.fp("compact-after-gc")
-}
-
-// compactOnce performs at most one merge. Caller holds ckptMu.
-func (d *DurableDB) compactOnce() (bool, error) {
 	p := durablePaths{d.dir}
 	d.mu.RLock()
 	lists, tiers := maps.Clone(d.lists), maps.Clone(d.tiers)
@@ -1648,8 +1641,10 @@ func (d *DurableDB) compactOnce() (bool, error) {
 	if err := d.fp("compact-after-manifest-rename"); err != nil {
 		return true, err
 	}
+	// As at the end of a checkpoint ("after-gc"), the gc is that of the
+	// files the new epoch no longer names.
 	d.gcStale()
-	return true, nil
+	return true, d.fp("compact-after-gc")
 }
 
 // publishMerge writes the blocklist and manifest of a compaction's epoch and
@@ -1787,8 +1782,8 @@ func (d *DurableDB) stopCompactor() {
 	<-d.compactDone
 }
 
-// StorageStats summarises the block storage tier (see /v1/stats on the
-// serving side).
+// StorageStats summarises the block storage tier and the reclamation of
+// dead row versions (see /v1/stats on the serving side).
 type StorageStats struct {
 	// Epoch is the published manifest epoch; WALSegment the segment
 	// currently appended to.
@@ -1824,6 +1819,16 @@ type StorageStats struct {
 	// means the compactor is stalled, not idle.
 	CompactErrors    int64  `json:"compact_errors"`
 	LastCompactError string `json:"last_compact_error,omitempty"`
+	// VersionsPending counts, over all tables, the row versions ended and
+	// not yet reclaimed: pinned by an open snapshot, or the backlog a
+	// released one left for the next commits to work off. It is near zero
+	// on a database nobody holds a snapshot on; one that only grows names a
+	// leaked snapshot. VersionsReclaimed counts the versions reclaimed since
+	// open. UnflushedDeletes counts the deletes the next checkpoint has
+	// still to write as tombstones (16 bytes each until then).
+	VersionsPending   int    `json:"versions_pending"`
+	VersionsReclaimed uint64 `json:"versions_reclaimed"`
+	UnflushedDeletes  int    `json:"unflushed_deletes"`
 }
 
 // StorageStats snapshots the block storage tier's counters.
@@ -1849,6 +1854,14 @@ func (d *DurableDB) StorageStats() StorageStats {
 		}
 	}
 	st.CompactionBacklog = countBacklog(d.lists, d.opts.fanIn())
+	for _, meta := range d.tables {
+		for _, tb := range meta.phys {
+			pending, reclaimed, deletes := tb.VersionStats()
+			st.VersionsPending += pending
+			st.VersionsReclaimed += reclaimed
+			st.UnflushedDeletes += deletes
+		}
+	}
 	d.mu.RUnlock()
 	st.BlockPageReads = d.pageReads.Load()
 	st.Flushes = d.flushes.Load()

@@ -1,11 +1,15 @@
 package engine
 
 import (
+	"maps"
+	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"hermit/internal/hermit"
+	"hermit/internal/storage"
 	"hermit/internal/trstree"
 )
 
@@ -269,5 +273,104 @@ func TestDurableMixedBatchAcrossTables(t *testing.T) {
 	tb, _ := d2.Table("b")
 	if ta.Len() != 2 || tb.Len() != 1 {
 		t.Fatalf("recovered a=%d b=%d, want 2/1", ta.Len(), tb.Len())
+	}
+}
+
+// TestCheckpointUnderChurn races checkpoints against writers that update,
+// delete and re-insert — every commit of theirs reclaiming what it ended —
+// and compares what recovery rebuilds with what the writers were
+// acknowledged. The checkpoint reads its delta unlatched: a version its cut
+// sees that a writer supersedes a moment later must stay until its row is in
+// the block (the flush snapshot), and a key deleted since the last cut whose
+// chain is gone by then must still leave its tombstone (the delete list).
+// Without the first the harvest loses rows, or fails fetching them; without
+// the second deleted keys come back.
+func TestCheckpointUnderChurn(t *testing.T) {
+	const writers, keysPer = 2, 200
+	ops := 6000
+	if testing.Short() || raceEnabled {
+		ops = 2000
+	}
+	dir := t.TempDir()
+	opts := DurableOptions{DisableAutoCompact: true, CompactFanIn: 2}
+	d, err := OpenDurableOptions(dir, hermit.PhysicalPointers, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.CreateTable("t", []string{"pk", "v"}, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.CreateIndex("t", IndexDef{Kind: "btree", Col: 1}); err != nil {
+		t.Fatal(err)
+	}
+	// Each writer owns a range of keys, so its oracle is exact.
+	oracles := make([]map[float64]float64, writers)
+	var wg sync.WaitGroup
+	for w := range oracles {
+		oracles[w] = make(map[float64]float64)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			oracle, rng := oracles[w], rand.New(rand.NewSource(int64(w)))
+			for i := 0; i < ops; i++ {
+				pk, v := float64(w*keysPer+rng.Intn(keysPer)), float64(i)
+				var err error
+				switch _, live := oracle[pk]; {
+				case !live:
+					_, err = d.Insert("t", []float64{pk, v})
+					oracle[pk] = v
+				case rng.Intn(3) == 0:
+					_, err = d.Delete("t", pk)
+					delete(oracle, pk)
+				default:
+					err = d.UpdateColumn("t", pk, 1, v)
+					oracle[pk] = v
+				}
+				if err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	var stopped atomic.Bool
+	flushes, flusher := 0, make(chan struct{})
+	go func() {
+		defer close(flusher)
+		for !stopped.Load() {
+			if err := d.Checkpoint(); err != nil {
+				t.Errorf("checkpoint %d: %v", flushes, err)
+				return
+			}
+			if _, err := d.Compact(); err != nil {
+				t.Errorf("compaction after checkpoint %d: %v", flushes, err)
+				return
+			}
+			flushes++
+		}
+	}()
+	wg.Wait()
+	stopped.Store(true)
+	<-flusher
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	d2, err := OpenDurableOptions(dir, hermit.PhysicalPointers, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d2.Close()
+	if n, err := d2.RecoverySkipped(); n != 0 {
+		t.Fatalf("%d records skipped during recovery (last: %v)", n, err)
+	}
+	want := make(map[float64]float64)
+	for _, o := range oracles {
+		maps.Copy(want, o)
+	}
+	got := make(map[float64]float64)
+	tb, _ := d2.Table("t")
+	tb.ScanLive(func(_ storage.RID, row []float64) bool { got[row[0]] = row[1]; return true })
+	if !maps.Equal(got, want) {
+		t.Fatalf("after %d checkpoints: recovered %d rows, acknowledged %d; they differ", flushes, len(got), len(want))
 	}
 }

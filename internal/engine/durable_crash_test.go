@@ -3,12 +3,15 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
 	"hermit/internal/hermit"
+	"hermit/internal/storage"
 )
 
 // This file is the crash-injection suite: it simulates a process kill at
@@ -643,5 +646,212 @@ func TestDurableOldManifestRejected(t *testing.T) {
 	}
 	if _, err := OpenDurable(dir, hermit.LogicalPointers); err == nil {
 		t.Fatal("version-4 manifest accepted")
+	}
+}
+
+// The reclaimed-delete sweep. A delete with no snapshot open reclaims its
+// chain before Delete returns, so the only thing that carries the death to
+// the next delta block is the table's delete list. deleteDB builds the cases —
+// keys flushed by a first checkpoint, then deleted, deleted and re-inserted,
+// deleted twice around a re-insert — and straddle adds, from inside the
+// second checkpoint's write phase (commits after its cut, which that delta
+// must leave to the next one), the second halves of the histories that
+// straddle the cut. oracle is the acknowledged state: key -> v.
+type deleteDB struct {
+	d      *DurableDB
+	oracle map[float64]float64
+	pinned bool // a flush snapshot is open: what a delete ends has to stay
+}
+
+func (x *deleteDB) put(t *testing.T, pk, v float64) {
+	t.Helper()
+	if _, err := x.d.Insert("t", []float64{pk, v}); err != nil {
+		t.Fatal(err)
+	}
+	x.oracle[pk] = v
+}
+
+func (x *deleteDB) del(t *testing.T, pk float64) {
+	t.Helper()
+	if found, err := x.d.Delete("t", pk); err != nil || !found {
+		t.Fatalf("delete %v: found=%v err=%v", pk, found, err)
+	}
+	delete(x.oracle, pk)
+	tb, _ := x.d.Table("t")
+	if _, ok := tb.Primary().Get(pk); ok != x.pinned {
+		t.Fatalf("delete %v: chain still there: %v, flush snapshot open: %v", pk, ok, x.pinned)
+	}
+}
+
+func buildDeleteDB(t *testing.T, dir string, opts DurableOptions) *deleteDB {
+	t.Helper()
+	opts.CompactFanIn = 2
+	d, err := OpenDurableOptions(dir, hermit.LogicalPointers, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.CreateTable("t", []string{"pk", "v"}, 0); err != nil {
+		t.Fatal(err)
+	}
+	x := &deleteDB{d: d, oracle: make(map[float64]float64)}
+	for pk := 0.0; pk < 10; pk++ {
+		x.put(t, pk, 0)
+	}
+	if err := d.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	x.del(t, 1) // flushed, then deleted
+	x.del(t, 2) // deleted, re-inserted, deleted again: all before the cut
+	x.put(t, 2, 1)
+	x.del(t, 2)
+	x.del(t, 3) // deleted and re-inserted before the cut, deleted after it
+	x.put(t, 3, 1)
+	x.del(t, 4)     // deleted before the cut, re-inserted after it
+	x.del(t, 5)     // deleted before the cut, re-inserted and deleted again after it
+	x.put(t, 20, 1) // born and dead inside the window: a tombstone over nothing
+	x.del(t, 20)
+	x.put(t, 21, 1) // born inside the window, updated after the cut
+	return x
+}
+
+// straddle is the part of the histories that commits after the cut.
+func (x *deleteDB) straddle(t *testing.T) {
+	t.Helper()
+	x.del(t, 3)
+	x.put(t, 4, 2)
+	x.put(t, 5, 2)
+	x.del(t, 5)
+	if err := x.d.UpdateColumn("t", 21, 1, 2); err != nil {
+		t.Fatal(err)
+	}
+	x.oracle[21] = 2
+	x.del(t, 6) // flushed long ago, deleted after the cut
+}
+
+// verifyDeleteDB compares a recovered database with the oracle, through the
+// table and — for the keys the oracle has lost — through the blocks alone.
+func verifyDeleteDB(t *testing.T, d *DurableDB, oracle map[float64]float64, ctx string) {
+	t.Helper()
+	if n, err := d.RecoverySkipped(); n != 0 {
+		t.Fatalf("%s: %d records skipped during recovery (last: %v)", ctx, n, err)
+	}
+	tb, err := d.Table("t")
+	if err != nil {
+		t.Fatalf("%s: %v", ctx, err)
+	}
+	got := make(map[float64]float64)
+	tb.ScanLive(func(_ storage.RID, row []float64) bool { got[row[0]] = row[1]; return true })
+	if !maps.Equal(got, oracle) {
+		t.Fatalf("%s: recovered %v, acknowledged %v", ctx, got, oracle)
+	}
+}
+
+// TestReclaimedDeleteNeverResurrects: delete → (reclaimed at once) →
+// checkpoint → close → reopen, with the checkpoint killed at each of its step
+// boundaries in both modes, and once left alone; then the same state taken
+// through a compaction killed at each of its. The recovered database must
+// equal the acknowledged one every time, and go on to checkpoint, compact
+// to completion and recover again.
+func TestReclaimedDeleteNeverResurrects(t *testing.T) {
+	reopen := func(t *testing.T, dir string, opts DurableOptions, oracle map[float64]float64, ctx string) *DurableDB {
+		t.Helper()
+		opts.CompactFanIn = 2
+		d, err := OpenDurableOptions(dir, hermit.LogicalPointers, opts)
+		if err != nil {
+			t.Fatalf("%s: %v", ctx, err)
+		}
+		verifyDeleteDB(t, d, oracle, ctx)
+		return d
+	}
+	settle := func(t *testing.T, dir string, opts DurableOptions, oracle map[float64]float64) {
+		t.Helper()
+		d := reopen(t, dir, opts, oracle, "after recovery")
+		if err := d.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		for merged := true; merged; {
+			var err error
+			if merged, err = d.Compact(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := d.Close(); err != nil {
+			t.Fatal(err)
+		}
+		reopen(t, dir, opts, oracle, "after checkpoint, full compaction and a second recovery").Close()
+	}
+	for _, mode := range []struct {
+		name   string
+		rotate bool
+	}{{"incremental", false}, {"rotating", true}} {
+		opts := crashOpts(mode.rotate)
+		steps := checkpointSteps(t, func(t *testing.T, dir string) *DurableDB { return buildDeleteDB(t, dir, opts).d })
+		for _, step := range append(steps, "no-crash") {
+			t.Run(mode.name+"/"+step, func(t *testing.T) {
+				dir := t.TempDir()
+				x := buildDeleteDB(t, dir, opts)
+				x.d.failpoint = func(s string) error {
+					if s == "after-swap" {
+						// The latch is free: commits past the cut, beside the write phase.
+						x.pinned = true
+						x.straddle(t)
+					}
+					if s == step {
+						return fmt.Errorf("%w at %s", errInjectedCrash, s)
+					}
+					return nil
+				}
+				if err := x.d.Checkpoint(); (step != "no-crash") != errors.Is(err, errInjectedCrash) {
+					t.Fatalf("checkpoint: %v", err)
+				}
+				if err := x.d.Close(); err != nil {
+					t.Fatal(err)
+				}
+				settle(t, dir, opts, x.oracle)
+			})
+		}
+	}
+	// Two level-0 blocks, the second one's tombstones all from the delete
+	// list: the merge of the two, killed at each step.
+	opts := crashOpts(false)
+	var steps []string
+	{
+		x := buildDeleteDB(t, t.TempDir(), opts)
+		x.d.failpoint = func(s string) error {
+			if strings.HasPrefix(s, "compact-") {
+				steps = append(steps, s)
+			}
+			return nil
+		}
+		if err := x.d.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		if merged, err := x.d.Compact(); err != nil || !merged {
+			t.Fatalf("compaction probe: merged=%v err=%v", merged, err)
+		}
+		x.d.Close()
+	}
+	for _, step := range steps {
+		t.Run("compaction/"+step, func(t *testing.T) {
+			dir := t.TempDir()
+			x := buildDeleteDB(t, dir, opts)
+			if err := x.d.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			x.straddle(t)
+			x.d.failpoint = func(s string) error {
+				if s == step {
+					return fmt.Errorf("%w at %s", errInjectedCrash, s)
+				}
+				return nil
+			}
+			if _, err := x.d.Compact(); !errors.Is(err, errInjectedCrash) {
+				t.Fatalf("failpoint not hit: %v", err)
+			}
+			if err := x.d.Close(); err != nil {
+				t.Fatal(err)
+			}
+			settle(t, dir, opts, x.oracle)
+		})
 	}
 }

@@ -40,6 +40,9 @@ type DB struct {
 	clock  *Clock
 	mu     sync.RWMutex
 	tables map[string]*Table
+	// trackDeletes is handed to every table created: set by the durable
+	// layer, whose delta flushes read the tables' delete lists (mvcc.go).
+	trackDeletes bool
 }
 
 // NewDB creates a database using the given tuple-identifier scheme (§5.1),
@@ -95,6 +98,7 @@ func (db *DB) CreateTable(name string, cols []string, pkCol int) (*Table, error)
 		hermitHostMu: make(map[int]*sync.RWMutex),
 		cmHostMu:     make(map[int]*sync.RWMutex),
 		runtime:      newColRuntime(len(cols)),
+		trackDeletes: db.trackDeletes,
 	}
 	db.tables[name] = t
 	return t, nil
@@ -135,7 +139,7 @@ const primaryOrder = 128
 
 // Table is one relation plus its indexes. Rows are multi-versioned (see
 // mvcc.go): every mutation puts an immutable version row into the store
-// (in a slot version GC has freed, if there is one),
+// (in a slot a reclaimed version has freed, if there is one),
 // every secondary index keeps one entry per version, the primary index one
 // entry per key, and reads resolve visibility against a commit-timestamp
 // snapshot.
@@ -151,18 +155,23 @@ type Table struct {
 	// MVCC state (mvcc.go), all guarded by verMu: vers holds one header
 	// chunk per store block (nil until a version of the block is stamped),
 	// so a RID indexes straight to its version header; ended queues the
-	// RIDs of ended versions in endTS order for GC; liveRows counts the
-	// rows live at the latest timestamp. The chains' heads are the primary
-	// index's entries.
-	verMu    sync.RWMutex
-	vers     []*verChunk
-	ended    []storage.RID
-	liveRows int
+	// RIDs of ended versions in endTS order until a commit reclaims them,
+	// and reclaimed counts those; liveRows counts the rows live at the
+	// latest timestamp; deletes lists, in commit order, the deletes no flush
+	// has recorded yet — kept only when trackDeletes is set, at creation.
+	// The chains' heads are the primary index's entries.
+	verMu        sync.RWMutex
+	vers         []*verChunk
+	ended        fifo[storage.RID]
+	reclaimed    uint64
+	liveRows     int
+	deletes      fifo[keyDeath]
+	trackDeletes bool
 
 	// primary maps each key to its newest version's RID — the head of the
 	// key's version chain — under primaryMu. It is a unique-key tree
 	// (btree.Tree.Swap): written at commit by stampInsert/stampUpdate and
-	// by GC, never by the apply phase.
+	// by reclaim, never by the apply phase.
 	primary   *btree.Tree
 	secondary map[int]*btree.Tree   // complete B+-tree indexes (the Baseline)
 	hermits   map[int]*hermit.Index // Hermit indexes
@@ -279,14 +288,24 @@ func (t *Table) InsertProfiled(row []float64) (storage.RID, InsertStats, error) 
 }
 
 func (t *Table) insert(row []float64) (storage.RID, InsertStats, error) {
-	var st InsertStats
 	// Validate the width up front: row[t.pkCol] below must not panic on a
 	// short row (e.g. a malformed ExecuteBatch op).
 	if len(row) != len(t.cols) {
-		return 0, st, storage.ErrBadRow
+		return 0, InsertStats{}, storage.ErrBadRow
 	}
 	t.catalog.RLock()
 	defer t.catalog.RUnlock()
+	rid, st, err := t.applyInsert(row)
+	if err == nil {
+		t.reclaimAfter(1)
+	}
+	return rid, st, err
+}
+
+// applyInsert is insert under the catalog latch and up to the commit: it
+// takes the key's stripe and lets go of it.
+func (t *Table) applyInsert(row []float64) (storage.RID, InsertStats, error) {
+	var st InsertStats
 	profile := t.profile.Load()
 
 	var t0 time.Time
@@ -387,7 +406,7 @@ func (t *Table) insertIndexEntries(rid storage.RID, row []float64) {
 }
 
 // removeIndexEntries removes one version's entries from every secondary
-// index — the GC-side inverse of insertIndexEntries. Caller holds
+// index — reclaim's inverse of insertIndexEntries. Caller holds
 // t.catalog shared.
 func (t *Table) removeIndexEntries(rid storage.RID, row []float64) {
 	id := t.identify(rid, row)
@@ -435,33 +454,53 @@ func (t *Table) hostLatchFor(hostCol int, host *btree.Tree) *sync.RWMutex {
 }
 
 // Delete removes the row with the given primary key, reporting whether the
-// key existed. Under MVCC a delete only ends the live version's timestamp
-// interval: index entries and the store row stay until version GC reclaims
-// them, so snapshots older than the delete keep resolving the row.
+// key existed. Under MVCC a delete ends the live version's timestamp
+// interval; index entries and the store row stay while a snapshot older than
+// the delete can resolve the row, and otherwise go before Delete returns
+// (reclaimAfter).
 func (t *Table) Delete(pk float64) (bool, error) {
 	t.catalog.RLock()
 	defer t.catalog.RUnlock()
+	budget := t.applyDelete(pk)
+	if budget > 0 {
+		t.reclaimAfter(budget)
+	}
+	return budget > 0, nil
+}
+
+// applyDelete commits the delete of pk, if it is live, under its stripe, and
+// returns the reclaim budget the commit has earned (see applyUpdate): none
+// when the key was absent.
+func (t *Table) applyDelete(pk float64) (budget int) {
 	stripe := t.rows.mu(pk)
 	stripe.Lock()
 	defer stripe.Unlock()
 	cur, hdr := t.head(pk)
 	if !hdr.live() {
-		return false, nil
+		return 0
 	}
 	t.writes.Add(1)
 	c := t.clock
 	c.commitMu.Lock()
 	commitTS := c.ts.Load() + 1
-	t.stampDelete(cur, commitTS)
+	t.stampDelete(cur, pk, commitTS)
 	c.ts.Store(commitTS)
 	c.commitMu.Unlock()
-	return true, nil
+	if t.takeEnded(cur, commitTS) {
+		var buf [rowStack]float64
+		if row, err := t.store.Get(cur, buf[:0]); err == nil {
+			t.reclaimVersion(cur, row, noRID)
+		}
+		return 1
+	}
+	return 2
 }
 
 // UpdateColumn changes one column of the row with the given primary key.
 // Under MVCC the update appends a fresh version row carrying the new value
-// and indexes it everywhere; the superseded version keeps its entries (for
-// older snapshots) until GC. The primary-key column itself cannot be
+// and indexes it everywhere; the superseded version keeps its entries while
+// a snapshot older than the update is open, and otherwise is reclaimed
+// before UpdateColumn returns. The primary-key column itself cannot be
 // changed — the version chains and the per-key write stripes are keyed by
 // it; delete and re-insert instead.
 func (t *Table) UpdateColumn(pk float64, col int, v float64) error {
@@ -473,12 +512,25 @@ func (t *Table) UpdateColumn(pk float64, col int, v float64) error {
 	}
 	t.catalog.RLock()
 	defer t.catalog.RUnlock()
+	budget, err := t.applyUpdate(pk, col, v)
+	if budget > 0 {
+		t.reclaimAfter(budget)
+	}
+	return err
+}
+
+// applyUpdate commits the update under pk's stripe. It returns the reclaim
+// budget the commit has earned: none when nothing was committed (an update to
+// the value the row already has), one when the superseded version could be
+// reclaimed here, with the stripe held and its row at hand, and two when it
+// had to be left on the queue.
+func (t *Table) applyUpdate(pk float64, col int, v float64) (budget int, err error) {
 	stripe := t.rows.mu(pk)
 	stripe.Lock()
 	defer stripe.Unlock()
 	cur, hdr := t.head(pk)
 	if !hdr.live() {
-		return fmt.Errorf("engine: update: no row with pk %v", pk)
+		return 0, fmt.Errorf("engine: update: no row with pk %v", pk)
 	}
 	// The new version's row is built in pooled scratch: the store copies it
 	// on insert and the index maintenance below only reads it.
@@ -486,19 +538,20 @@ func (t *Table) UpdateColumn(pk float64, col int, v float64) error {
 	defer putScratch(sc)
 	row, err := t.store.Get(cur, sc.row)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	sc.row = row
 	t.writes.Add(1)
 	t.runtime[col].updates.Add(1)
 	t.runtime[col].widen(v)
-	if row[col] == v {
-		return nil
+	old := row[col]
+	if old == v {
+		return 0, nil
 	}
 	row[col] = v
 	rid, err := t.store.Insert(row)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	t.insertIndexEntries(rid, row)
 	c := t.clock
@@ -507,5 +560,10 @@ func (t *Table) UpdateColumn(pk float64, col int, v float64) error {
 	t.stampUpdate(pk, rid, commitTS)
 	c.ts.Store(commitTS)
 	c.commitMu.Unlock()
-	return nil
+	if t.takeEnded(cur, commitTS) {
+		row[col] = old
+		t.reclaimVersion(cur, row, rid)
+		return 1, nil
+	}
+	return 2, nil
 }

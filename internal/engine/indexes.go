@@ -346,8 +346,9 @@ type MemoryStats struct {
 	ExistingBytes uint64 // complete secondary indexes not marked new
 	NewBytes      uint64 // new complete indexes + Hermit TRS-Trees + CMs
 	// VersionBytes is the MVCC version table (mvcc.go): the header chunks,
-	// one slot per store slot and reused with it, and the GC queue. It is
-	// not part of the paper's breakdown, so Total leaves it out.
+	// one slot per store slot and reused with it, the queue of ended
+	// versions and the list of unflushed deletes. It is not part of the
+	// paper's breakdown, so Total leaves it out.
 	VersionBytes uint64
 }
 

@@ -25,19 +25,20 @@ import (
 //     briefly on the individual structure latches they touch.
 //   - t.primaryMu guards the primary B+-tree, which is also the MVCC
 //     key→chain-head structure; t.verMu guards the version table (headers,
-//     GC queue, live-row count; see mvcc.go). The two are the only engine
+//     queue of ended versions, delete list, live-row count; see mvcc.go).
+//     The two are the only engine
 //     latches a writer nests, and always primaryMu before verMu: the
 //     commit step (stampInsert, stampUpdate) swaps a key's primary entry
-//     and stamps the version it now names in one hold of both, and GC
-//     reclaims a version — inside its key's stripe — in one exclusive hold
-//     of both: it drops the primary entry if the version is its chain's
-//     head, else cuts the prev link that names it (sever), and zeroes the
-//     header, before the slot is freed for reuse. So whoever reads an
+//     and stamps the version it now names in one hold of both, and a
+//     version is reclaimed (reclaimVersion) — inside its key's stripe — in
+//     one exclusive hold of both: the primary entry goes if the version is
+//     its chain's head, else the prev link that names it is cut (unlink),
+//     and the header is zeroed, before the slot is freed for reuse. So whoever reads an
 //     entry under primaryMu finds a stamped header of that key behind it,
 //     and no header's prev names a slot that may have changed hands.
 //     Readers take the two in the same order and hand over — verMu is
-//     taken shared before primaryMu is released (handOver) — so GC cannot
-//     reclaim a head, nor a commit restamp its slot for another key,
+//     taken shared before primaryMu is released (handOver) — so no commit
+//     can reclaim a head, nor restamp its slot for another key,
 //     between the entry's read and the chain walk; the full-table walks
 //     (ScanLive, DeltaVersions) hold both throughout. Both are taken
 //     inside the clock's commit lock on the commit path, never the other

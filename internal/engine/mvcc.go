@@ -1,15 +1,16 @@
 package engine
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
 	"unsafe"
 
-	"hermit/internal/block"
 	"hermit/internal/btree"
 	"hermit/internal/hermit"
+	"hermit/internal/keyorder"
 	"hermit/internal/storage"
 )
 
@@ -52,30 +53,50 @@ import (
 // a reader would reach a head whose header is still zero, read the zero
 // header as the end of the chain, and lose the older version behind it.
 //
-// Version garbage collection (GCVersions) reclaims versions whose endTS is
-// at or below the oldest timestamp any live snapshot could read, removing
-// their index entries and freeing their store rows. The durable layer
-// runs it during block compaction — off the checkpoint critical path — and
-// caps the horizon at its last flush cut so GC can never erase a change
-// (in particular a whole-chain delete) that no block has recorded yet; it
-// is also exported via DB.GC.
+// Reclamation is part of the commit that causes it. Every commit — the
+// auto-commit writes, Txn.Commit, and through them the durable layer's
+// submits, WAL replay and follower apply — ends, once it has published and
+// let go of its key stripes, by draining from the front of the queue of
+// ended versions (Table.ended, in endTS order) at most as many versions as
+// it ended plus one (reclaimAfter): each loses its index entries, its header
+// and its store row. The horizon is Clock.OldestActive — the oldest
+// timestamp a registered snapshot reads at, the clock itself when none is
+// open — and a version goes when its endTS is at or below it, so with no
+// snapshot pinned a superseded or deleted version is gone before the next
+// write, and the backlog a long snapshot leaves behind shrinks by at least
+// one version per commit once the snapshot is released. The auto-commit
+// update and delete take the usual case by a shorter road: when no snapshot
+// can see the version they have just ended they reclaim it before they let
+// go of its key's stripe, its row at hand (takeEnded), and drain one version
+// fewer afterwards. There is no GC pass to schedule and none to wait for;
+// DB.GC and GCVersions are the same drain without the budget, for a caller
+// that wants a backlog gone now.
+//
+// Reclamation does not wait for the durable layer's flush. A reclaimed
+// whole-chain delete leaves no chain behind for the next delta block to find,
+// so a table of a DurableDB names its deletes instead: stampDelete appends
+// (key, commitTS) to Table.deletes, DeltaVersions merges the window of that
+// list into its harvest as tombstones, and the checkpoint that publishes the
+// window trims it (trimDeletes). An entry is 16 bytes and stands for a
+// delete record in the WAL tail no manifest has cut off yet, so whatever
+// bounds the log bounds the list.
 //
 // Reuse rule: a freed row slot, and the header slot that goes with it, is
-// taken by the next insert, so a RID names a version only until GC
-// reclaims it. Nothing the table keeps may name a reclaimed slot: before a
-// version's row is freed GC removes its index entries, drops the primary
-// entry if the version is its chain's head, and otherwise cuts the prev
-// link that leads to it (sever), so a chain walk never steps from one key's
-// versions into the slot's next tenant. A reader keeps its RIDs good by
-// holding its snapshot: no version visible at a registered snapshot is
-// reclaimed. A reused slot's header is zero until its new version commits,
-// and that commit is later than every snapshot that could have met the
-// slot's RID under its old tenant, so to them it stays invisible.
+// taken by the next insert, so a RID names a version only until it is
+// reclaimed. Nothing the table keeps may name a reclaimed slot: before a
+// version's row is freed its index entries are removed, the primary entry
+// is dropped if the version is its chain's head, and otherwise the prev
+// link that leads to it is cut (unlink), so a chain walk never steps from
+// one key's versions into the slot's next tenant. A reader keeps its RIDs
+// good by holding its snapshot: no version visible at a registered snapshot
+// is reclaimed. Without one, a RID is good until the next commit. A reused
+// slot's header is zero until its new version commits, and that commit is
+// later than every snapshot that could have met the slot's RID under its
+// old tenant, so to them it stays invisible.
 
 // Clock is the global commit clock a database (or a set of partitioned
 // databases) orders its transactions with. It also registers live
-// snapshots so version GC never reclaims a version a reader could still
-// resolve.
+// snapshots so no commit reclaims a version a reader could still resolve.
 type Clock struct {
 	ts atomic.Uint64 // last published commit timestamp
 
@@ -107,9 +128,10 @@ func NewClock() *Clock {
 func (c *Clock) Now() uint64 { return c.ts.Load() }
 
 // Snapshot registers and returns a read snapshot at the current commit
-// timestamp. The caller must Release (or Recycle) it, or version GC will
-// treat it as live forever. The returned object may come from the clock's
-// free-list — a recycled registration slot rather than a fresh allocation.
+// timestamp. The caller must Release (or Recycle) it, or everything ended
+// after it stays pinned for ever. The returned object may come from the
+// clock's free-list — a recycled registration slot rather than a fresh
+// allocation.
 func (c *Clock) Snapshot() *Snapshot {
 	c.regMu.Lock()
 	ts := c.ts.Load()
@@ -140,8 +162,8 @@ func (c *Clock) release(ts uint64) {
 }
 
 // OldestActive returns the oldest timestamp any live snapshot reads at, or
-// the current clock when no snapshot is open: the horizon below which
-// version GC may reclaim.
+// the current clock when no snapshot is open: the horizon at or below which
+// an ended version may be reclaimed.
 func (c *Clock) OldestActive() uint64 {
 	c.regMu.Lock()
 	defer c.regMu.Unlock()
@@ -168,8 +190,8 @@ type Snapshot struct {
 // TS returns the snapshot's commit timestamp.
 func (s *Snapshot) TS() uint64 { return s.ts }
 
-// Release unregisters the snapshot, allowing version GC to reclaim
-// versions only it could see. Releasing twice is a no-op.
+// Release unregisters the snapshot, allowing the versions only it could see
+// to be reclaimed. Releasing twice is a no-op.
 func (s *Snapshot) Release() {
 	if s != nil && !s.released.Swap(true) {
 		s.clock.release(s.ts)
@@ -204,10 +226,11 @@ func (s *Snapshot) Recycle() {
 // commit-timestamp interval [beginTS, endTS) during which the row is its
 // key's visible incarnation, and the RID of the version it superseded.
 // The zero header means "unstamped" — a row applied and not yet committed,
-// or a slot GC reclaimed and no commit has refilled — and is invisible at
+// or a reclaimed slot no commit has refilled — and is invisible at
 // every timestamp (the clock's first commit is 1). Headers are pointer-free,
 // written at commit under both the clock's commit lock and the table's
-// verMu; GC rewrites prev (sever) and zeroes the header under verMu.
+// verMu; reclaimVersion rewrites prev (unlink) and zeroes the header under
+// verMu.
 type verHeader struct {
 	beginTS uint64
 	endTS   uint64      // 0 while this is the live version
@@ -215,8 +238,8 @@ type verHeader struct {
 }
 
 // noRID is the prev of a chain's oldest version — the oldest ever, or the
-// oldest GC has left: a RID beyond any block the store can hold, so its
-// header reads as zero and ends a chain walk.
+// oldest not yet reclaimed: a RID beyond any block the store can hold, so
+// its header reads as zero and ends a chain walk.
 const noRID = ^storage.RID(0)
 
 // verChunk holds the headers of one storage block, indexed by slot.
@@ -264,22 +287,13 @@ func (t *Table) Snapshot() *Snapshot { return t.clock.Snapshot() }
 // partitioned table so cross-partition snapshots are consistent).
 func (db *DB) Clock() *Clock { return db.clock }
 
-// GC runs one version-garbage-collection pass over every table: versions
-// no snapshot can resolve any more — endTS at or below the oldest live
-// snapshot — lose their index entries and store rows. It returns the
-// number of versions reclaimed.
-func (db *DB) GC() int { return db.GCBelow(^uint64(0)) }
-
-// GCBelow is GC with an additional horizon cap: versions are reclaimed
-// only below min(oldest live snapshot, limit). The durable layer uses the
-// cap to keep every change committed after its last flush cut alive until
-// a delta block has recorded it, without registering a snapshot that
-// would pin Clock.OldestActive for everyone else.
-func (db *DB) GCBelow(limit uint64) int {
+// GC drains every table's queue of ended versions down to the oldest live
+// snapshot and returns the number of versions reclaimed. Commits reclaim as
+// they go (reclaimAfter), so this finds work only after a snapshot that
+// pinned a backlog has been released and before later commits have worked
+// it off.
+func (db *DB) GC() int {
 	horizon := db.clock.OldestActive()
-	if limit < horizon {
-		horizon = limit
-	}
 	db.mu.RLock()
 	tables := make([]*Table, 0, len(db.tables))
 	for _, t := range db.tables {
@@ -311,12 +325,12 @@ func (t *Table) head(pk float64) (storage.RID, verHeader) {
 // handOver trades the primary latch for the version latch, both shared,
 // taking the second before it lets go of the first. A reader that carries
 // chain heads from the primary index to the version table must not leave a
-// gap between the two holds: GC could drop a dead chain's entry, free its
-// head's slot and a commit stamp another key's version into it, and the
-// walk that set out from the stale head would continue down that key's
-// chain. GC changes both structures under both latches held exclusively,
-// so with the holds overlapping every head read is still its key's when
-// its header is.
+// gap between the two holds: one commit could drop a dead chain's entry and
+// free its head's slot, the next stamp another key's version into it, and
+// the walk that set out from the stale head would continue down that key's
+// chain. reclaimVersion changes both structures under both latches held
+// exclusively, so with the holds overlapping every head read is still its
+// key's when its header is.
 func (t *Table) handOver() {
 	t.verMu.RLock()
 	t.primaryMu.RUnlock()
@@ -428,31 +442,114 @@ func (t *Table) stampUpdate(pk float64, rid storage.RID, commitTS uint64) {
 	t.primaryMu.Unlock()
 }
 
-// stampDelete ends the head old at commitTS without a successor.
-func (t *Table) stampDelete(old storage.RID, commitTS uint64) {
+// stampDelete ends the head old of pk at commitTS without a successor. A
+// table that flushes deltas (trackDeletes) notes the death: the chain may be
+// reclaimed before the next flush, and the flush must still write the
+// tombstone.
+func (t *Table) stampDelete(old storage.RID, pk float64, commitTS uint64) {
 	t.verMu.Lock()
 	t.end(old, commitTS)
 	t.liveRows--
+	if t.trackDeletes {
+		t.deletes.push(keyDeath{pk: pk, ts: commitTS})
+	}
 	t.verMu.Unlock()
 }
 
-// end closes old's visibility interval at commitTS and queues it for GC;
-// t.verMu is held exclusively. Commit timestamps only grow, so the queue
-// stays sorted by endTS.
+// end closes old's visibility interval at commitTS and queues it for
+// reclamation; t.verMu is held exclusively. Commit timestamps only grow, so
+// the queue stays sorted by endTS.
 func (t *Table) end(old storage.RID, commitTS uint64) {
 	t.vers[old.Block()][old.Slot()].endTS = commitTS
-	t.ended = append(t.ended, old)
+	t.ended.push(old)
+}
+
+// keyDeath is one entry of Table.deletes: pk's live version ended at ts
+// without a successor.
+type keyDeath struct {
+	pk float64
+	ts uint64
+}
+
+// trimDeletes drops the deletes committed at or before ts: a published
+// delta block has recorded them.
+func (t *Table) trimDeletes(ts uint64) {
+	t.verMu.Lock()
+	n := 0
+	for n < t.deletes.len() && t.deletes.items()[n].ts <= ts {
+		n++
+	}
+	t.deletes.drop(n)
+	t.verMu.Unlock()
+}
+
+// VersionStats reports the table's reclamation state: versions ended and
+// still queued (pinned by a snapshot, or waiting for the next commits'
+// budgets), versions reclaimed so far, and deletes no flush has recorded yet
+// (zero on a table that flushes nothing).
+func (t *Table) VersionStats() (pending int, reclaimed uint64, unflushedDeletes int) {
+	t.verMu.RLock()
+	defer t.verMu.RUnlock()
+	return t.ended.len(), t.reclaimed, t.deletes.len()
+}
+
+// fifo is a first-in-first-out queue in one array: push appends, drop
+// removes from the front by advancing head. The consumed front is closed up
+// once it is more than half of what the array holds, so a drop costs O(1)
+// amortised however long the queue; and an array grown for a long backlog is
+// given back as the backlog drains — when that closing-up finds less than a
+// quarter of the capacity in use, the rest moves to an array of twice its
+// size. Arrays of fifoFloor elements or fewer are kept: a queue that
+// hovers around empty never allocates.
+type fifo[T comparable] struct {
+	buf  []T
+	head int
+}
+
+const fifoFloor = 64
+
+func (q *fifo[T]) len() int         { return len(q.buf) - q.head }
+func (q *fifo[T]) items() []T       { return q.buf[q.head:] }
+func (q *fifo[T]) push(v T)         { q.buf = append(q.buf, v) }
+func (q *fifo[T]) capBytes() uint64 { return uint64(cap(q.buf)) * uint64(unsafe.Sizeof(*new(T))) }
+
+// remove takes the newest element equal to v out of the queue, wherever it
+// stands, and reports whether there was one.
+func (q *fifo[T]) remove(v T) bool {
+	for i := len(q.buf) - 1; i >= q.head; i-- {
+		if q.buf[i] == v {
+			q.buf = append(q.buf[:i], q.buf[i+1:]...)
+			if q.head == len(q.buf) {
+				q.buf, q.head = q.buf[:0], 0
+			}
+			return true
+		}
+	}
+	return false
+}
+
+func (q *fifo[T]) drop(n int) {
+	q.head += n
+	if q.head <= len(q.buf)/2 {
+		return
+	}
+	rest := q.buf[q.head:]
+	if c := cap(q.buf); c > fifoFloor && len(rest) < c/4 {
+		q.buf = append(make([]T, 0, max(2*len(rest), fifoFloor)), rest...)
+	} else {
+		q.buf = q.buf[:copy(q.buf, rest)]
+	}
+	q.head = 0
 }
 
 // versionBytes estimates the heap the version table holds: the header
-// chunks (one per store block, reused with the block's slots) and the GC
-// queue's array, which GC compacts in place and so keeps at the size of
-// the longest backlog it has seen. (The key→head mapping is the primary
-// index, accounted as PrimaryBytes.)
+// chunks (one per store block, reused with the block's slots), the queue of
+// ended versions and the list of unflushed deletes. (The key→head mapping is
+// the primary index, accounted as PrimaryBytes.)
 func (t *Table) versionBytes() uint64 {
 	t.verMu.RLock()
 	defer t.verMu.RUnlock()
-	b := uint64(cap(t.vers)+cap(t.ended)) * 8
+	b := uint64(cap(t.vers))*8 + t.ended.capBytes() + t.deletes.capBytes()
 	for _, c := range t.vers {
 		if c != nil {
 			b += uint64(unsafe.Sizeof(*c))
@@ -473,7 +570,7 @@ func (t *Table) Len() int {
 // primary-key order. The row slice is reused between calls; fn must not
 // retain it. Scanning stops early if fn returns false. It is the
 // MVCC-aware replacement for scanning the row store directly (which also
-// holds superseded and deleted versions awaiting GC).
+// holds the superseded and deleted versions a snapshot pins).
 func (t *Table) ScanLive(fn func(rid storage.RID, row []float64) bool) {
 	// The snapshot keeps the harvested versions from being reclaimed, and
 	// their slots refilled, before their rows are fetched.
@@ -510,16 +607,26 @@ func (t *Table) ScanLive(fn func(rid storage.RID, row []float64) bool) {
 // DeltaVersions harvests the changes committed in the half-open window
 // (prevTS, ts] and hands them to emit in key order: for every key whose
 // visible-at-ts incarnation began after prevTS the full row, and for every
-// key whose chain died in the window a nil row — a tombstone. Replaying the
-// entries on top of the state at prevTS reproduces exactly the live rows at
-// ts. The order is the one a block.Writer requires: the primary index's
-// leaves are walked in that order (keyorder), so nothing is sorted here.
-// The row is emit's only for the call; emit's first error ends the harvest
-// and is returned.
+// key that died in the window and has no incarnation at ts a nil row — a
+// tombstone. Replaying the entries on top of the state at prevTS reproduces
+// exactly the live rows at ts. The order is the one a block.Writer requires:
+// the primary index's leaves are walked in that order (keyorder) and the
+// window of the delete list is sorted into it. The row is emit's only for
+// the call; emit's first error ends the harvest and is returned.
 //
-// The caller must pin a snapshot at or below prevTS for the duration (the
-// durable layer's flush snapshot), so no version visible at ts can be
-// reclaimed between the chain walk and the row fetch.
+// A key's chain, while the primary index has it, speaks for itself: the walk
+// from its head finds the newest version begun at or before ts, a row or a
+// death. A chain that a delete ended may have been reclaimed since, wholly
+// (no entry) or up to a re-insert after ts (a head begun after ts with
+// nothing behind it); then the delete list is what remembers the death, and
+// its entry in the window becomes the tombstone. A key re-inserted at or
+// before ts is a chain again, and emits its row.
+//
+// The caller must pin a snapshot at or below ts for the duration (the
+// durable layer's flush snapshot), so no version visible at ts is reclaimed
+// between the chain walk and the row fetch — and, on a table that keeps no
+// delete list, one at or below prevTS, so that every chain that died in the
+// window is still there to say so.
 func (t *Table) DeltaVersions(prevTS, ts uint64, emit func(pk float64, row []float64) error) error {
 	type cand struct {
 		rid  storage.RID
@@ -529,7 +636,34 @@ func (t *Table) DeltaVersions(prevTS, ts uint64, emit func(pk float64, row []flo
 	cands := make([]cand, 0, 64)
 	t.primaryMu.RLock()
 	t.verMu.RLock()
+	// The window of the delete list as ranks (keyorder.Rank: their unsigned
+	// order is the key order, and -0 ranks with +0, as blocks identify keys),
+	// sorted, one per key.
+	var deaths []uint64
+	for _, d := range t.deletes.items() {
+		if d.ts > ts {
+			break
+		}
+		if d.ts > prevTS {
+			deaths = append(deaths, keyorder.Rank(d.pk))
+		}
+	}
+	slices.Sort(deaths)
+	deaths = slices.Compact(deaths)
 	t.primary.Each(func(pk float64, head uint64) bool {
+		// The entry carries the key as first inserted; what is emitted is the
+		// key of its rank.
+		rank := keyorder.Rank(pk)
+		pk = keyorder.Unrank(rank)
+		// Listed keys that sort before this one have no entry: reclaimed.
+		for len(deaths) > 0 && deaths[0] < rank {
+			cands = append(cands, cand{pk: keyorder.Unrank(deaths[0]), tomb: true})
+			deaths = deaths[1:]
+		}
+		listed := len(deaths) > 0 && deaths[0] == rank
+		if listed {
+			deaths = deaths[1:]
+		}
 		// Walk to the newest version begun at or before ts: the key's
 		// incarnation as of the flush cut (a commit racing past ts may
 		// already have stamped newer heads).
@@ -539,115 +673,195 @@ func (t *Table) DeltaVersions(prevTS, ts uint64, emit func(pk float64, row []flo
 			rid = h.prev
 			h = t.header(rid)
 		}
-		if h.beginTS == 0 {
-			return true
-		}
-		// The entry carries the key as first inserted; blocks identify
-		// keys by their normalised bits (-0 is +0).
-		pk = math.Float64frombits(block.KeyBits(pk))
-		if h.endTS == 0 || ts < h.endTS {
+		switch {
+		case h.beginTS == 0:
+			// Everything the chain has left began after ts.
+			if listed {
+				cands = append(cands, cand{pk: pk, tomb: true})
+			}
+		case h.endTS == 0 || ts < h.endTS:
 			if h.beginTS > prevTS {
 				cands = append(cands, cand{rid: rid, pk: pk})
 			}
-		} else if h.endTS > prevTS {
-			// Dead at ts, and the death is inside the window: the key was
-			// deleted since the last flush.
+		case h.endTS > prevTS:
+			// Dead at ts, and the death is inside the window.
 			cands = append(cands, cand{pk: pk, tomb: true})
 		}
 		return true
 	})
+	for _, rank := range deaths {
+		cands = append(cands, cand{pk: keyorder.Unrank(rank), tomb: true})
+	}
 	t.verMu.RUnlock()
 	t.primaryMu.RUnlock()
-	var row []float64
-	for _, c := range cands {
-		if c.tomb {
-			if err := emit(c.pk, nil); err != nil {
-				return err
+
+	// Rows are fetched a run at a time, one hold of the store's latch each.
+	const run = 256
+	rids := make([]storage.RID, 0, run)
+	var rows []float64
+	width := t.store.Width()
+	for len(cands) > 0 {
+		chunk := cands[:min(run, len(cands))]
+		cands = cands[len(chunk):]
+		rids = rids[:0]
+		for _, c := range chunk {
+			if !c.tomb {
+				rids = append(rids, c.rid)
 			}
-			continue
 		}
 		var err error
-		if row, err = t.store.Get(c.rid, row); err != nil {
-			continue // unreachable with the flush snapshot pinned; defensive
+		if rows, err = t.store.GetRun(rids, rows); err != nil {
+			return fmt.Errorf("engine: delta harvest of %q at %d: %w (no snapshot pinned at the cut?)", t.name, ts, err)
 		}
-		if err := emit(c.pk, row); err != nil {
-			return err
+		next := rows
+		for _, c := range chunk {
+			var row []float64
+			if !c.tomb {
+				row, next = next[:width:width], next[width:]
+			}
+			if err := emit(c.pk, row); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
 }
 
-// GCVersions reclaims every version whose endTS is at or below horizon:
-// its secondary-index entries are removed, its header zeroed and its store
-// row freed — slot and header slot go to the next insert. A fully dead
-// chain (deleted key old enough to reclaim) also gives up its primary-index
-// entry. It returns the number of versions reclaimed. The pass drains the
-// queue of ended versions, so it costs O(versions reclaimed), not O(table).
-// Safe to run concurrently with readers and writers: each version is
-// reclaimed under its key's stripe, and only versions invisible to every
-// snapshot at or after horizon are touched.
+// GCVersions reclaims every version whose endTS is at or below horizon and
+// returns their number: reclaim without a budget, for a caller that wants a
+// backlog gone at once (DB.GC). Safe to run concurrently with readers,
+// writers and other drains.
 func (t *Table) GCVersions(horizon uint64) int {
 	t.catalog.RLock()
 	defer t.catalog.RUnlock()
+	return t.reclaim(horizon, math.MaxInt)
+}
 
+// reclaimAfter is the last step of a commit to t: it reclaims at most budget
+// versions from the front of the queue — the number the commit ended, and
+// one more — so the queue is empty again after a commit that found it empty,
+// and a backlog left by a snapshot since released shrinks with every commit.
+// The caller holds t.catalog shared and none of t's stripes.
+func (t *Table) reclaimAfter(budget int) {
+	t.verMu.RLock()
+	pending := t.ended.len()
+	t.verMu.RUnlock()
+	if pending > 0 {
+		t.reclaim(t.clock.OldestActive(), budget)
+	}
+}
+
+// takeEnded claims rid, the version the caller's commit at commitTS has just
+// ended, for reclamation on the spot — the caller still holds the key's
+// stripe and has the row, which is most of what reclaim would have to get
+// again. It reports whether rid is the caller's: no snapshot can see it (none
+// is registered below commitTS, and none will be), and no concurrent drain
+// has taken it off the queue, which takeEnded then does.
+func (t *Table) takeEnded(rid storage.RID, commitTS uint64) bool {
+	if t.clock.OldestActive() < commitTS {
+		return false
+	}
+	t.verMu.Lock()
+	defer t.verMu.Unlock()
+	return t.ended.remove(rid)
+}
+
+// reclaimStack is the batch reclaim keeps on its stack — an auto-commit
+// write's budget is at most 2 — and rowStack the row width it does.
+const (
+	reclaimStack = 8
+	rowStack     = 16
+)
+
+// reclaim takes up to budget versions whose endTS is at or below horizon off
+// the front of the queue and reclaims them (reclaimVersion), each under its
+// key's stripe. It returns the number of versions reclaimed, and costs
+// O(that number), not O(table). The caller holds t.catalog shared. Only
+// versions invisible to every snapshot at or after horizon are touched;
+// batches taken by concurrent drains are disjoint, and the order in which a
+// chain's versions go does not matter (see unlink).
+func (t *Table) reclaim(horizon uint64, budget int) int {
 	t.verMu.Lock()
 	n := 0
-	for n < len(t.ended) && t.header(t.ended[n]).endTS <= horizon {
+	for n < budget && n < t.ended.len() && t.header(t.ended.items()[n]).endTS <= horizon {
 		n++
 	}
 	if n == 0 {
 		t.verMu.Unlock()
 		return 0
 	}
-	// The queue keeps its array (appends refill the front that the copy
-	// vacates), so the batch is copied out of it.
-	dead := slices.Clone(t.ended[:n])
-	t.ended = t.ended[:copy(t.ended, t.ended[n:])]
+	// The batch is copied out of the queue, whose array appends go on
+	// refilling.
+	var stack [reclaimStack]storage.RID
+	dead := stack[:0]
+	if n > len(stack) {
+		dead = make([]storage.RID, 0, n)
+	}
+	dead = append(dead, t.ended.items()[:n]...)
+	t.ended.drop(n)
 	t.verMu.Unlock()
 
 	// Newest first: a chain's versions end in order, so the first of a
-	// chain's versions met here is the newest the pass reclaims. Cutting the
-	// link to it takes every older one off the chain with it, and their
-	// turns find nothing left to cut after a walk over the versions that
-	// stay — in queue order each would walk the whole backlog of its chain.
-	var row []float64
+	// chain's versions met here is the newest of the batch. Cutting the link
+	// to it takes every older one off the chain with it, and their turns find
+	// nothing left to cut after a walk over the versions that stay — in queue
+	// order each would walk the whole backlog of its chain.
+	var buf [rowStack]float64
+	row := buf[:0]
 	for i := n - 1; i >= 0; i-- {
 		rid := dead[i]
 		var err error
 		if row, err = t.store.Get(rid, row); err != nil {
-			continue // unreachable: only this pass frees version rows
+			continue // unreachable: a version's row is freed by whoever took it off the queue
 		}
-		pk := row[t.pkCol]
 		// Writers of this key hold its stripe from reading the head to
 		// stamping over it, so they never see the head entry vanish.
-		stripe := t.rows.mu(pk)
+		stripe := t.rows.mu(row[t.pkCol])
 		stripe.Lock()
-		// A dead version that is still its key's head is the whole chain
-		// (everything older ended earlier and is unreachable without it): the
-		// exact-entry delete removes the primary entry in that case alone.
-		// Otherwise the version hangs off a newer one, whose link to it goes
-		// before the slot does (the reuse rule).
-		t.primaryMu.Lock()
-		t.verMu.Lock()
-		if !t.primary.Delete(pk, uint64(rid)) {
-			t.sever(pk, rid)
-		}
-		t.stamp(rid, verHeader{})
-		t.verMu.Unlock()
-		t.primaryMu.Unlock()
-		t.removeIndexEntries(rid, row)
-		t.store.Delete(rid)
+		t.reclaimVersion(rid, row, noRID)
 		stripe.Unlock()
 	}
 	return n
 }
 
-// sever cuts the prev link that names victim, a version of pk about to be
-// reclaimed, out of pk's chain; t.primaryMu and t.verMu are held
-// exclusively. The walk from the head passes only versions that stay — no
-// link names a reclaimed slot — and finds none to cut when an earlier turn
-// of the pass already took victim off the chain.
-func (t *Table) sever(pk float64, victim storage.RID) {
+// reclaimVersion reclaims the version rid, off the queue already, whose row
+// is row and whose key's stripe the caller holds: its secondary-index
+// entries are removed, its header zeroed and its store row freed — slot and
+// header slot go to the next insert. A fully dead chain (a deleted key) also
+// gives up its primary-index entry. succ is the version that superseded rid
+// when the caller has just stamped it, noRID otherwise (see unlink). The
+// caller holds t.catalog shared.
+func (t *Table) reclaimVersion(rid storage.RID, row []float64, succ storage.RID) {
+	t.primaryMu.Lock()
+	t.verMu.Lock()
+	t.unlink(row[t.pkCol], rid, succ)
+	t.stamp(rid, verHeader{})
+	t.reclaimed++
+	t.verMu.Unlock()
+	t.primaryMu.Unlock()
+	t.removeIndexEntries(rid, row)
+	t.store.Delete(rid)
+}
+
+// unlink takes victim, a version of pk about to be reclaimed, out of what
+// the table can reach (the reuse rule); t.primaryMu and t.verMu are held
+// exclusively. A caller that knows the version whose prev names victim —
+// the update that has just stamped it, still inside the key's stripe —
+// passes it as succ, and the link is cut there. Otherwise: a dead version
+// that is still its key's head is the whole chain — everything older ended
+// earlier and is unreachable without it — and the exact-entry delete removes
+// the primary entry in that case alone; any other hangs off a newer one, and
+// the walk from the head, which passes only versions that stay — no link
+// names a reclaimed slot — cuts the link to it, or finds nothing to cut when
+// the reclamation of a newer version already took victim off the chain.
+func (t *Table) unlink(pk float64, victim, succ storage.RID) {
+	if succ != noRID {
+		t.vers[succ.Block()][succ.Slot()].prev = noRID
+		return
+	}
+	if t.primary.Delete(pk, uint64(victim)) {
+		return
+	}
 	head, ok := t.primary.Get(pk)
 	if !ok {
 		return

@@ -15,15 +15,20 @@ import (
 
 // The MVCC model check: seeded random runs of insert / update / delete /
 // multi-key Txn / snapshot open and release / version GC against a naive
-// oracle that keeps every version of every key in a plain map. After every
-// GC pass each open snapshot must still resolve exactly the oracle's rows
-// through PointQueryAt, RangeQueryAt on every access path the planner
-// offers, ScanLive and DeltaVersions, the pass must have reclaimed exactly
-// the versions the oracle says no snapshot can reach, and no version left
-// may link to a slot the pass freed (checkChains). One op of the mix is a
-// fixed schedule (reuse, in runMVCCModel) that puts another key's version
-// into a slot a chain used to pass through and reads at the snapshots that
-// would walk into it.
+// oracle that keeps every version of every key in a plain map and reclaims
+// as the engine does: every commit takes, from the front of the queue of
+// ended versions, at most as many as it ended plus one of those no snapshot
+// can reach. After every step the store must hold exactly the versions the
+// oracle has not reclaimed, and no version left may link to a freed slot
+// (checkChains). At intervals each open snapshot must still resolve exactly
+// the oracle's rows through PointQueryAt, RangeQueryAt on every access path
+// the planner offers, ScanLive and DeltaVersions — on the odd seeds with the
+// delete list on, so that a window may open below the oldest snapshot and the
+// list must supply the tombstones of the chains reclaimed since. Two ops of
+// the mix are fixed schedules (in runMVCCModel): reuse puts another key's
+// version into a slot a chain used to pass through and reads at the snapshots
+// that would walk into it; pinned builds a backlog under a snapshot, releases
+// it, and counts the commits that work the backlog off.
 
 // modelVer is one version of one key in the oracle.
 type modelVer struct {
@@ -41,6 +46,10 @@ func (v *modelVer) visibleAt(ts uint64) bool {
 type modelTable struct {
 	tb   *Table
 	vers map[uint64][]*modelVer // oldest first
+	// queue holds the ended versions not yet reclaimed, in the order they
+	// ended; stored counts the versions not yet reclaimed, ended or live.
+	queue  []*modelVer
+	stored int
 }
 
 func newModelTable(tb *Table) *modelTable {
@@ -71,9 +80,11 @@ func (m *modelTable) put(pk float64, row []float64, ts uint64) {
 	k := block.KeyBits(pk)
 	if v := m.newest(pk); v != nil && v.end == 0 {
 		v.end = ts
+		m.queue = append(m.queue, v)
 	}
 	if row != nil {
 		m.vers[k] = append(m.vers[k], &modelVer{begin: ts, row: append([]float64(nil), row...)})
+		m.stored++
 	}
 }
 
@@ -92,19 +103,30 @@ func (m *modelTable) rowsAt(ts uint64, col int, lo, hi float64) map[uint64][]flo
 	return out
 }
 
-// reclaim marks every version ended at or below horizon and returns how
-// many were newly marked: what one GC pass must report.
-func (m *modelTable) reclaim(horizon uint64) int {
+// reclaim takes up to budget versions ended at or below horizon off the
+// front of the queue and returns their number: what a commit (budget: the
+// versions it ended, plus one) or a GC call (no budget) must reclaim.
+func (m *modelTable) reclaim(horizon uint64, budget int) int {
 	n := 0
-	for _, vs := range m.vers {
-		for _, v := range vs {
-			if v.end != 0 && v.end <= horizon && !v.reclaimed {
-				v.reclaimed = true
-				n++
-			}
-		}
+	for n < budget && n < len(m.queue) && m.queue[n].end <= horizon {
+		m.queue[n].reclaimed = true
+		n++
 	}
+	m.queue = m.queue[n:]
+	m.stored -= n
 	return n
+}
+
+// checkStore compares what the store and the queue hold with the oracle.
+func (m *modelTable) checkStore(t *testing.T, what string) {
+	t.Helper()
+	if got := m.tb.store.Len(); got != m.stored {
+		t.Fatalf("after %s: the store holds %d versions, the oracle %d", what, got, m.stored)
+	}
+	if pending, _, _ := m.tb.VersionStats(); pending != len(m.queue) {
+		t.Fatalf("after %s: %d versions queued, the oracle has %d", what, pending, len(m.queue))
+	}
+	m.checkChains(t)
 }
 
 func sameRow(a, b []float64) bool {
@@ -182,8 +204,9 @@ func (m *modelTable) checkLive(t *testing.T) {
 	m.checkRIDs(t, "ScanLive", rids, live)
 }
 
-// checkDelta compares DeltaVersions(pinned, ts) with the oracle; pinned is
-// the timestamp of the oldest open snapshot and ts at or above it.
+// checkDelta compares DeltaVersions(pinned, ts) with the oracle; a snapshot
+// is open at ts or below and, unless the table lists its deletes, at pinned
+// or below.
 func (m *modelTable) checkDelta(t *testing.T, pinned, ts uint64) {
 	t.Helper()
 	delta := make(map[uint64]*modelVer) // key -> its incarnation as of ts, if it changed in (pinned, ts]
@@ -291,6 +314,7 @@ func runMVCCModel(t *testing.T, scheme hermit.PointerScheme, seed int64, ops int
 	if err != nil {
 		t.Fatal(err)
 	}
+	tb.trackDeletes = seed%2 == 1
 	m := newModelTable(tb)
 	var ts uint64 // the oracle's clock
 
@@ -391,6 +415,20 @@ func runMVCCModel(t *testing.T, scheme hermit.PointerScheme, seed int64, ops int
 		for _, s := range snaps[1:] {
 			m.checkDelta(t, snaps[0].ts, s.ts)
 		}
+		// With the delete list the window may open anywhere: the chains that
+		// died in it and were reclaimed are in the list.
+		if tb.trackDeletes {
+			for _, s := range snaps {
+				m.checkDelta(t, 0, s.ts)
+				m.checkDelta(t, uint64(rng.Int63n(int64(s.ts)+1)), s.ts)
+			}
+		}
+	}
+	// committed mirrors the tail of an engine commit that ended the given
+	// number of versions, and checks the store after it.
+	committed := func(what string, ended int) {
+		m.reclaim(horizon(), ended+1)
+		m.checkStore(t, what)
 	}
 	// The auto-commit writes, each checked against and mirrored into the
 	// oracle.
@@ -402,6 +440,7 @@ func runMVCCModel(t *testing.T, scheme hermit.PointerScheme, seed int64, ops int
 		if err == nil {
 			ts++
 			m.put(row[0], row, ts)
+			committed("insert", 0)
 		}
 	}
 	update := func(pk float64, col int, v float64) {
@@ -415,6 +454,7 @@ func runMVCCModel(t *testing.T, scheme hermit.PointerScheme, seed int64, ops int
 			row[col] = v
 			ts++
 			m.put(pk, row, ts)
+			committed("update", 1)
 		}
 	}
 	del := func(pk float64) {
@@ -425,26 +465,20 @@ func runMVCCModel(t *testing.T, scheme hermit.PointerScheme, seed int64, ops int
 		if found {
 			ts++
 			m.put(pk, nil, ts)
+			committed("delete", 1)
 		}
 	}
 	gc := func() {
 		h := horizon()
-		want := m.reclaim(h)
+		want := m.reclaim(h, math.MaxInt)
 		if got := db.GC(); got != want {
 			t.Fatalf("GC at horizon %d reclaimed %d versions, oracle %d", h, got, want)
 		}
-		m.checkChains(t)
+		m.checkStore(t, "GC")
 	}
-	// reuse is the schedule that tells slot reuse from slot reuse done
-	// right: delete(A) → insert(A) → GC → a write of another key landing in
-	// the slot of A's reclaimed version, read at snapshots taken between
-	// A's two commits. A's new head was linked to that slot when it was
-	// stamped; unless GC cut the link, a walk from the head at a snapshot
-	// that predates it goes on into the slot's new tenant — and, when that
-	// is an updated row's version, down that row's chain to a version the
-	// snapshot does see: key A reads another key's row.
-	fresh := 1000.0 // keys the random ops never touch
-	reuse := func(byUpdate bool) {
+	// quiesce ends the open transaction and every snapshot, and reclaims what
+	// they pinned: the state the fixed schedules start from.
+	quiesce := func() {
 		if open != nil {
 			open.x.Rollback()
 			open = nil
@@ -453,7 +487,19 @@ func runMVCCModel(t *testing.T, scheme hermit.PointerScheme, seed int64, ops int
 			s.Release()
 		}
 		snaps = snaps[:0]
-		gc() // everything ended so far
+		gc()
+	}
+	// reuse is the schedule that tells slot reuse from slot reuse done
+	// right: delete(A) → insert(A), the commit that reclaims A's deleted
+	// version → a write of another key landing in that version's slot, read
+	// at snapshots taken between A's two commits. A's new head was linked to
+	// that slot when it was stamped; unless reclaim cut the link, a walk from
+	// the head at a snapshot that predates it goes on into the slot's new
+	// tenant — and, when that is an updated row's version, down that row's
+	// chain to a version the snapshot does see: key A reads another key's row.
+	fresh := 1000.0 // keys the random ops never touch
+	reuse := func(byUpdate bool) {
+		quiesce()
 		for tb.store.Deleted() > 0 {
 			fresh++
 			insert(newRow(fresh)) // and no free slot but the one to come
@@ -461,12 +507,14 @@ func runMVCCModel(t *testing.T, scheme hermit.PointerScheme, seed int64, ops int
 		a, b := pick(), float64(130+rng.Intn(270)) // b: preloaded, never deleted
 		insert(newRow(a))                          // live already, or now
 		slot, _ := tb.head(a)
+		snaps = append(snaps, db.Snapshot()) // A live: its delete cannot reclaim it at once
 		del(a)
 		snaps = append(snaps, db.Snapshot()) // A deleted
 		update(b, 2, m.at(b, ts)[2]+1)
 		snaps = append(snaps, db.Snapshot()) // and B changed since
-		insert(newRow(a))
-		gc() // A's deleted version, and nothing else
+		snaps[0].Release()
+		snaps = snaps[1:]
+		insert(newRow(a)) // links to A's deleted version, then reclaims it: that and nothing else
 		if n := tb.store.Deleted(); n != 1 {
 			t.Fatalf("reuse: %d free slots after reclaiming one version", n)
 		}
@@ -480,7 +528,52 @@ func runMVCCModel(t *testing.T, scheme hermit.PointerScheme, seed int64, ops int
 		if rid, _ := tb.head(b); rid != slot {
 			t.Fatalf("reuse: key %v's version went to %v, not to the free slot %v", b, rid, slot)
 		}
-		m.checkChains(t)
+		verify()
+	}
+	// write is one random auto-commit write.
+	write := func() {
+		switch rng.Intn(3) {
+		case 0:
+			insert(newRow(pickAny()))
+		case 1:
+			update(pickAny(), 1+rng.Intn(2), float64(rng.Intn(1000)))
+		default:
+			del(pickAny())
+		}
+	}
+	// pinned is pin → churn → release → churn: whatever a run of writes ends
+	// under a snapshot stays, every row the snapshot sees still resolves,
+	// and once it is released each commit — here inserts, which end nothing
+	// and so reclaim the least a commit does, one version — takes the
+	// backlog down until it is gone; after that a write leaves nothing
+	// behind it.
+	pinned := func() {
+		quiesce()
+		snaps = append(snaps, db.Snapshot())
+		for i := 0; i < 40; i++ {
+			write()
+		}
+		backlog := len(m.queue)
+		if backlog == 0 {
+			t.Fatal("pinned: 40 writes under a snapshot ended nothing")
+		}
+		verify()
+		snaps[0].Release()
+		snaps = snaps[:0]
+		for i := 0; len(m.queue) > 0; i++ {
+			if i == backlog {
+				t.Fatalf("pinned: a backlog of %d versions is not gone after %d commits: %d left", backlog, i, len(m.queue))
+			}
+			fresh++
+			insert(newRow(fresh))
+		}
+		for i := 0; i < 20; i++ {
+			write()
+			if len(m.queue) != 0 {
+				t.Fatalf("pinned: a write with no snapshot open left %d versions queued", len(m.queue))
+			}
+		}
+		snaps = append(snaps, db.Snapshot())
 		verify()
 	}
 
@@ -559,11 +652,19 @@ func runMVCCModel(t *testing.T, scheme hermit.PointerScheme, seed int64, ops int
 				if res.TS != ts {
 					t.Fatalf("commit at %d, oracle at %d", res.TS, ts)
 				}
+				ended := 0
 				for k, w := range open.writes {
-					if pk := open.keys[k]; w.row != nil || m.at(pk, ts-1) != nil {
+					pk := open.keys[k]
+					live := m.at(pk, ts-1) != nil
+					if live {
+						ended++
+					}
+					if w.row != nil || live {
 						m.put(pk, w.row, ts)
 					}
 				}
+				open = nil // its snapshot is released before the commit reclaims
+				committed("txn commit", ended)
 			}
 			open = nil
 		case r < 95: // open or release a snapshot
@@ -574,9 +675,11 @@ func runMVCCModel(t *testing.T, scheme hermit.PointerScheme, seed int64, ops int
 				snaps[i].Release()
 				snaps = append(snaps[:i], snaps[i+1:]...)
 			}
-		case r < 98: // GC, then every snapshot must still read its state
+		case r < 97: // GC, then every snapshot must still read its state
 			gc()
 			verify()
+		case r < 98:
+			pinned()
 		default:
 			reuse(r == 99)
 		}

@@ -412,7 +412,7 @@ func (t *Table) planLocked(col int, lo, hi float64) (AccessPath, [numPaths]PathE
 // planLockedForce is planLocked with control over the TRS-Tree stat
 // refresh (Explain forces it so plans reflect current structure).
 func (t *Table) planLockedForce(col int, lo, hi float64, refresh bool) (AccessPath, [numPaths]PathEstimate, float64, int) {
-	n := t.Len() // live rows: dead versions awaiting GC are not results
+	n := t.Len() // live rows: dead versions a snapshot pins are not results
 	sel := t.selectivity(col, lo, hi, n)
 	estRows := sel * float64(n)
 	levels := btreeLevels(n)

@@ -465,9 +465,9 @@ func (t *Table) scanRange(snap *Snapshot, col int, lo, hi float64, dst []storage
 // FetchRows materialises rows for a RID list (what a real query plan would
 // do after index retrieval); the buffer is reused across calls via dst.
 // The RIDs must come from a query at a snapshot that is still open, or
-// from one that no write to those rows and GC pass has followed: a RID
-// whose version has been reclaimed reads ErrTombstoned until the slot is
-// reused, and the slot's new row afterwards.
+// from one that no commit to the table has followed: a RID whose version
+// has been reclaimed reads ErrTombstoned until the slot is reused, and the
+// slot's new row afterwards.
 func (t *Table) FetchRows(rids []storage.RID, dst [][]float64) ([][]float64, error) {
 	if cap(dst) < len(rids) {
 		dst = make([][]float64, 0, len(rids))

@@ -210,14 +210,13 @@ type CommitResult struct {
 // or none of it. On any error nothing is applied. The transaction is done
 // afterwards either way.
 func (x *Txn) Commit() (CommitResult, error) {
-	res := CommitResult{}
 	if x.done {
-		return res, ErrTxnDone
+		return CommitResult{}, ErrTxnDone
 	}
 	x.done = true
 	defer x.snap.Release()
 	if len(x.writes) == 0 {
-		return res, nil
+		return CommitResult{}, nil
 	}
 
 	// Deterministic lock order: tables by tid, then stripes by index —
@@ -231,6 +230,31 @@ func (x *Txn) Commit() (CommitResult, error) {
 		t.catalog.RLock()
 		defer t.catalog.RUnlock()
 	}
+	res, pend, err := x.apply(tables)
+	if err != nil {
+		return res, err
+	}
+	// The stripes are free again, and the snapshot, which pinned everything
+	// this commit ended, goes first: each table reclaims for what was ended
+	// in it.
+	x.snap.Release()
+	for _, t := range tables {
+		budget := 1
+		for _, s := range pend {
+			if s.t == t && s.kind != 'i' {
+				budget++
+			}
+		}
+		t.reclaimAfter(budget)
+	}
+	return res, nil
+}
+
+// apply is Commit under the tables' catalog latches: it takes the written
+// keys' stripes, validates, applies and stamps, and lets the stripes go. It
+// returns the stampings it performed.
+func (x *Txn) apply(tables []*Table) (CommitResult, []stamped, error) {
+	res := CommitResult{}
 	type stripeRef struct {
 		t *Table
 		s uint64
@@ -264,7 +288,7 @@ func (x *Txn) Commit() (CommitResult, error) {
 		for pk := range x.writes[t] {
 			// (An absent key reads as the zero header, which passes.)
 			if _, h := t.head(pk); h.beginTS > x.snap.ts || h.endTS > x.snap.ts {
-				return res, fmt.Errorf("%w: key %v in table %q", ErrWriteConflict, pk, t.name)
+				return res, nil, fmt.Errorf("%w: key %v in table %q", ErrWriteConflict, pk, t.name)
 			}
 		}
 	}
@@ -293,7 +317,7 @@ func (x *Txn) Commit() (CommitResult, error) {
 			if err != nil {
 				// Unreachable in practice (width validated at buffer time);
 				// surface loudly rather than commit a partial transaction.
-				return res, fmt.Errorf("engine: txn apply: %w", err)
+				return res, nil, fmt.Errorf("engine: txn apply: %w", err)
 			}
 			t.insertIndexEntries(rid, w.row)
 			t.writes.Add(1)
@@ -319,7 +343,7 @@ func (x *Txn) Commit() (CommitResult, error) {
 		case 'u':
 			s.t.stampUpdate(s.pk, s.rid, commitTS)
 		default:
-			s.t.stampDelete(s.old, commitTS)
+			s.t.stampDelete(s.old, s.pk, commitTS)
 		}
 	}
 	c.ts.Store(commitTS)
@@ -338,5 +362,5 @@ func (x *Txn) Commit() (CommitResult, error) {
 		}
 		m[s.pk] = s.rid
 	}
-	return res, nil
+	return res, pend, nil
 }

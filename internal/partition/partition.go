@@ -168,11 +168,9 @@ func New(scheme hermit.PointerScheme, name string, cols []string, pkCol int, opt
 // seen entirely or not at all.
 func (t *Table) Snapshot() *engine.Snapshot { return t.clock.Snapshot() }
 
-// GC runs one version-garbage-collection pass over every partition,
-// reclaiming row versions no live snapshot can resolve (see engine.DB.GC).
-// On durable tables DurableDB.Checkpoint already runs this; in-memory
-// tables under update/delete churn should call it periodically or dead
-// versions accumulate unboundedly.
+// GC reclaims, in every partition, the backlog of ended row versions that a
+// snapshot since released had pinned (see engine.DB.GC). Nothing depends on
+// calling it: every commit reclaims what it ends and works a backlog off.
 func (t *Table) GC() int {
 	horizon := t.clock.OldestActive()
 	n := 0
@@ -441,7 +439,7 @@ func (t *Table) gather(col int, run func(p *engine.Table, dst []storage.RID) ([]
 // partition's list (index paths already return key order; scan paths
 // return RID order), appending into buf[:0]. Version rows are immutable,
 // so the keys are exactly the values the snapshot query matched; a row
-// reclaimed by a racing GC pass (only possible once no snapshot needs it)
+// reclaimed by a racing commit (only possible once no snapshot needs it)
 // is dropped.
 func (t *Table) keyedInto(part, col int, rids []storage.RID, buf []entry) []entry {
 	store := t.parts[part].Store()

@@ -31,10 +31,11 @@ func isQuery(k engine.OpKind) bool {
 //     table and routes per request.
 //
 //   - RID lifetime. Queries return version RIDs; between the query and
-//     the row fetch, version GC could reclaim them. Every query path here
-//     holds a guard snapshot — registered before the query's own snapshot,
-//     so its timestamp is no newer — across the fetch, which pins the GC
-//     horizon below anything the query can see.
+//     the row fetch, the next commit to supersede a version reclaims it.
+//     Every query path here holds a guard snapshot — registered before the
+//     query's own snapshot, so its timestamp is no newer — across the
+//     fetch, which pins the reclaim horizon below anything the query can
+//     see.
 //
 // Tenant namespaces are pure name mangling at this layer: tenant "acme"'s
 // table "users" is the engine table "acme@users". '@' is reserved in

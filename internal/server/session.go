@@ -49,7 +49,7 @@ type session struct {
 	// txns maps wire transaction ids to open engine transactions. Owned
 	// by the executor goroutine; cleaned up (rolled back, snapshots
 	// released) on any exit path so an abruptly dropped connection cannot
-	// pin the GC horizon.
+	// pin the reclaim horizon.
 	txns   map[uint64]*engine.DurableTxn
 	nextTx uint64
 

@@ -201,6 +201,28 @@ func (t *Table) Get(rid RID, dst []float64) ([]float64, error) {
 	return dst, nil
 }
 
+// GetRun copies the rows at rids, in that order and back to back, into dst
+// (allocating if dst is too small) under one hold of the read latch: what a
+// caller that materialises many rows pays instead of a latch round-trip per
+// row. It fails on the first RID that names no row.
+func (t *Table) GetRun(rids []RID, dst []float64) ([]float64, error) {
+	need := len(rids) * t.width
+	if cap(dst) < need {
+		dst = make([]float64, need)
+	}
+	dst = dst[:need]
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	for i, rid := range rids {
+		b, slot, err := t.row(rid)
+		if err != nil {
+			return nil, fmt.Errorf("storage: row %v: %w", rid, err)
+		}
+		copy(dst[i*t.width:], b.data[int(slot)*t.width:int(slot+1)*t.width])
+	}
+	return dst, nil
+}
+
 // Value returns a single column of the row at rid. This is the hot path of
 // Hermit's base-table validation step (§5.2 step 4), so it avoids copying
 // the whole row.

@@ -1,7 +1,9 @@
 package storage
 
 import (
+	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -84,6 +86,26 @@ func TestDelete(t *testing.T) {
 	}
 	if err := tb.Delete(rid); err != ErrTombstoned {
 		t.Fatalf("double delete: want ErrTombstoned, got %v", err)
+	}
+}
+
+func TestGetRun(t *testing.T) {
+	tb := NewTable(2)
+	var rids []RID
+	for i := 0; i < 5; i++ {
+		rid, _ := tb.Insert([]float64{float64(i), float64(10 * i)})
+		rids = append(rids, rid)
+	}
+	got, err := tb.GetRun([]RID{rids[3], rids[0], rids[3]}, make([]float64, 1))
+	if want := []float64{3, 30, 0, 0, 3, 30}; err != nil || !slices.Equal(got, want) {
+		t.Fatalf("GetRun = %v, %v; want %v", got, err, want)
+	}
+	if got, err := tb.GetRun(nil, got); err != nil || len(got) != 0 {
+		t.Fatalf("empty run = %v, %v", got, err)
+	}
+	tb.Delete(rids[1])
+	if _, err := tb.GetRun([]RID{rids[0], rids[1]}, nil); !errors.Is(err, ErrTombstoned) {
+		t.Fatalf("run over a freed slot: %v, want ErrTombstoned", err)
 	}
 }
 

@@ -135,8 +135,8 @@ func hotpathLaneProcs(numCPU int) []int { return []int{1, numCPU} }
 // the path whose cost is the session's flushes and the WAL's writes), and
 // the write path and primary-index hop (mem_update, mem_delete,
 // logical_range), whose ns/op is where a change to the primary index shows,
-// and the write churn with version GC on its path, which also records the
-// heap it holds per live row.
+// and the write churn at constant live rows, which also records the heap it
+// holds per live row.
 var hotpathWorkloads = []string{
 	"point_read", "range_scan", "partitioned_scan", "durable_insert", "wire_point",
 	"wire_insert_pipelined", "mem_update", "mem_delete", "logical_range", "churn",
