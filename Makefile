@@ -79,10 +79,13 @@ fuzz:
 # Bench smoke: one figure at tiny scale proves the harness end-to-end, then
 # one build each of a B+-tree and a Hermit index over 1M Synthetic rows
 # (time and allocations printed), so a regression of the construction path
-# shows without the repository benchmark.
+# shows without the repository benchmark; then the B+-tree at the paper's
+# node order and at the one every tree here runs at (btree.DefaultOrder),
+# once each: the comparison the constant was chosen by.
 bench: build
 	$(GO) run ./cmd/hermit-bench -exp fig4 -scale 0.005 -json ''
 	$(GO) test -run '^$$' -bench 'BenchmarkCreate(BTree|Hermit)Index' -benchtime 1x .
+	$(GO) test -run '^$$' -bench Order -benchtime 1x ./internal/btree
 
 # The full artifact-producing suite in one invocation: the fig4 smoke,
 # then every experiment in BENCH_EXPERIMENTS (each writes its

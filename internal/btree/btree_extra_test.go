@@ -28,7 +28,7 @@ func TestMaxAfterRightmostDeletes(t *testing.T) {
 }
 
 func TestScanWithInfiniteBounds(t *testing.T) {
-	tr := New(DefaultOrder)
+	tr := New(testOrder)
 	for i := 0; i < 50; i++ {
 		tr.Insert(float64(i), uint64(i))
 	}
@@ -40,7 +40,7 @@ func TestScanWithInfiniteBounds(t *testing.T) {
 }
 
 func TestInsertDuplicateEntryTolerated(t *testing.T) {
-	tr := New(DefaultOrder)
+	tr := New(testOrder)
 	tr.Insert(1, 7)
 	tr.Insert(1, 7) // documented as permitted
 	if tr.Len() != 2 {

@@ -10,8 +10,13 @@ import (
 	"testing/quick"
 )
 
+// testOrder is the node capacity of the tests that want structure — splits,
+// merges, hollow nodes, three levels — out of a few hundred keys; at
+// DefaultOrder the same keys would sit in one leaf.
+const testOrder = 16
+
 func TestEmpty(t *testing.T) {
-	tr := New(DefaultOrder)
+	tr := New(testOrder)
 	if tr.Len() != 0 || tr.Height() != 1 {
 		t.Fatalf("len=%d h=%d", tr.Len(), tr.Height())
 	}
@@ -29,7 +34,7 @@ func TestEmpty(t *testing.T) {
 }
 
 func TestInsertLookup(t *testing.T) {
-	tr := New(DefaultOrder)
+	tr := New(testOrder)
 	for i := 0; i < 1000; i++ {
 		tr.Insert(float64(i), uint64(i*10))
 	}
@@ -71,7 +76,7 @@ func TestDuplicateKeys(t *testing.T) {
 }
 
 func TestScanRange(t *testing.T) {
-	tr := New(DefaultOrder)
+	tr := New(testOrder)
 	for i := 0; i < 100; i++ {
 		tr.Insert(float64(i), uint64(i))
 	}
@@ -95,7 +100,7 @@ func TestScanRange(t *testing.T) {
 }
 
 func TestDelete(t *testing.T) {
-	tr := New(DefaultOrder)
+	tr := New(testOrder)
 	for i := 0; i < 200; i++ {
 		tr.Insert(float64(i%50), uint64(i))
 	}
@@ -123,7 +128,7 @@ func TestDelete(t *testing.T) {
 }
 
 func TestMinMax(t *testing.T) {
-	tr := New(DefaultOrder)
+	tr := New(testOrder)
 	for _, k := range []float64{5, -2, 8, 3} {
 		tr.Insert(k, 1)
 	}
@@ -143,7 +148,7 @@ func TestBulkLoad(t *testing.T) {
 		keys[i] = float64(i)
 		ids[i] = uint64(i)
 	}
-	tr := New(DefaultOrder)
+	tr := New(testOrder)
 	if err := tr.BulkLoad(keys, ids); err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +179,7 @@ func TestBulkLoad(t *testing.T) {
 }
 
 func TestBulkLoadErrors(t *testing.T) {
-	tr := New(DefaultOrder)
+	tr := New(testOrder)
 	if err := tr.BulkLoad([]float64{1}, []uint64{1, 2}); err == nil {
 		t.Fatal("want length mismatch error")
 	}
@@ -187,7 +192,7 @@ func TestBulkLoadErrors(t *testing.T) {
 }
 
 func TestSizeBytesGrows(t *testing.T) {
-	tr := New(DefaultOrder)
+	tr := New(testOrder)
 	empty := tr.SizeBytes()
 	for i := 0; i < 10000; i++ {
 		tr.Insert(float64(i), uint64(i))
@@ -317,7 +322,7 @@ func TestQuickBulkLoadEquivalence(t *testing.T) {
 			keys[i] = math.Floor(rng.Float64() * 100)
 			ids[i] = uint64(i)
 		}
-		inc := New(DefaultOrder)
+		inc := New(testOrder)
 		for i := range keys {
 			inc.Insert(keys[i], ids[i])
 		}
@@ -340,7 +345,7 @@ func TestQuickBulkLoadEquivalence(t *testing.T) {
 		for i, p := range sorted {
 			sk[i], sv[i] = p.k, p.v
 		}
-		bl := New(DefaultOrder)
+		bl := New(testOrder)
 		if err := bl.BulkLoad(sk, sv); err != nil {
 			return false
 		}
@@ -371,41 +376,51 @@ func TestQuickBulkLoadEquivalence(t *testing.T) {
 	}
 }
 
-func BenchmarkInsertRandom(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	tr := New(DefaultOrder)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tr.Insert(rng.Float64()*1e6, uint64(i))
+// benchOrders are the two node capacities the decision for DefaultOrder was
+// taken between (see the package comment): `go test -bench Order ./internal/btree`
+// reproduces it.
+var benchOrders = []int{16, 128}
+
+func BenchmarkOrderInsertRandom(b *testing.B) {
+	for _, order := range benchOrders {
+		b.Run(fmt.Sprintf("order=%d", order), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			tr := New(order)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				tr.Insert(rng.Float64()*1e6, uint64(i))
+			}
+		})
 	}
 }
 
-func BenchmarkPointLookup(b *testing.B) {
-	tr := New(DefaultOrder)
-	for i := 0; i < 1_000_000; i++ {
-		tr.Insert(float64(i), uint64(i))
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, ok := tr.First(float64(i % 1_000_000)); !ok {
-			b.Fatal("missing")
-		}
+func BenchmarkOrderPointLookup(b *testing.B) {
+	for _, order := range benchOrders {
+		tr, _ := ascending(1_000_000, order)
+		b.Run(fmt.Sprintf("order=%d", order), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, ok := tr.First(float64(i % 1_000_000)); !ok {
+					b.Fatal("missing")
+				}
+			}
+		})
 	}
 }
 
-func BenchmarkRangeScan1000(b *testing.B) {
-	tr := New(DefaultOrder)
-	for i := 0; i < 1_000_000; i++ {
-		tr.Insert(float64(i), uint64(i))
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		lo := float64((i * 997) % 999000)
-		n := 0
-		tr.Scan(lo, lo+999, func(float64, uint64) bool { n++; return true })
-		if n != 1000 {
-			b.Fatalf("n=%d", n)
-		}
+func BenchmarkOrderRangeScan1000(b *testing.B) {
+	for _, order := range benchOrders {
+		tr, _ := ascending(1_000_000, order)
+		b.Run(fmt.Sprintf("order=%d", order), func(b *testing.B) {
+			b.ReportMetric(float64(tr.SizeBytes())/1e6, "B/entry")
+			for i := 0; i < b.N; i++ {
+				lo := float64((i * 997) % 999000)
+				n := 0
+				tr.Scan(lo, lo+999, func(float64, uint64) bool { n++; return true })
+				if n != 1000 {
+					b.Fatalf("n=%d", n)
+				}
+			}
+		})
 	}
 }
 
@@ -489,9 +504,9 @@ func ascending(n, order int) (*Tree, []float64) {
 	return tr, ks
 }
 
-// uniqueOrders are the node capacities the unique-key benchmarks sweep:
-// the default, and the engine's primary index (engine.primaryOrder).
-var uniqueOrders = []int{DefaultOrder, 64, 128}
+// uniqueOrders are the node capacities the unique-key benchmarks sweep: the
+// paper's node, the order every tree of the engine runs at, and one between.
+var uniqueOrders = []int{16, 64, DefaultOrder}
 
 // The unique-key path at primary-index size: every probe is a different
 // random key, so each descent misses the caches the way a point read of a
@@ -510,7 +525,7 @@ func BenchmarkGetRandom1M(b *testing.B) {
 }
 
 func BenchmarkFirstRandom1M(b *testing.B) {
-	tr, ks := ascending(1_000_000, DefaultOrder)
+	tr, ks := ascending(1_000_000, 16)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, ok := tr.First(ks[i%len(ks)]); !ok {
@@ -535,7 +550,7 @@ func BenchmarkSwapRandom1M(b *testing.B) {
 }
 
 func BenchmarkMoveRandom1M(b *testing.B) {
-	tr, ks := ascending(1_000_000, DefaultOrder)
+	tr, ks := ascending(1_000_000, 16)
 	cur := make([]uint64, len(ks))
 	for i := range cur {
 		cur[i] = uint64(i)

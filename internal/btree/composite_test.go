@@ -120,7 +120,7 @@ func TestCompositeBulkLoad(t *testing.T) {
 		bs[i] = float64(i % 100)
 		ids[i] = uint64(i)
 	}
-	tr := NewComposite(DefaultOrder)
+	tr := NewComposite(testOrder)
 	if err := tr.BulkLoad(as, bs, ids); err != nil {
 		t.Fatal(err)
 	}
@@ -148,14 +148,14 @@ func TestCompositeBulkLoad(t *testing.T) {
 	if err := tr.BulkLoad([]float64{1}, []float64{}, []uint64{}); err == nil {
 		t.Fatal("mismatched accepted")
 	}
-	empty := NewComposite(DefaultOrder)
+	empty := NewComposite(testOrder)
 	if err := empty.BulkLoad(nil, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestCompositeSizeBytes(t *testing.T) {
-	tr := NewComposite(DefaultOrder)
+	tr := NewComposite(testOrder)
 	base := tr.SizeBytes()
 	for i := 0; i < 10000; i++ {
 		tr.Insert(float64(i), float64(i), uint64(i))
@@ -225,7 +225,7 @@ func TestQuickCompositeReference(t *testing.T) {
 }
 
 func BenchmarkCompositeScan(b *testing.B) {
-	tr := NewComposite(DefaultOrder)
+	tr := NewComposite(testOrder)
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 500000; i++ {
 		tr.Insert(rng.Float64()*1000, rng.Float64()*1000, uint64(i))

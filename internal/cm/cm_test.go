@@ -103,10 +103,15 @@ type fixture struct {
 	rids  []storage.RID
 }
 
+// testOrder is the node capacity of the fixtures' host trees: small, so that
+// a few thousand rows give the scans this package runs a tree of several
+// levels to cross rather than a handful of leaves.
+const testOrder = 16
+
 func newFixture(t testing.TB, n int, noise float64, seed int64) *fixture {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
-	f := &fixture{table: storage.NewTable(2), host: btree.New(btree.DefaultOrder)}
+	f := &fixture{table: storage.NewTable(2), host: btree.New(testOrder)}
 	for i := 0; i < n; i++ {
 		m := rng.Float64() * 1000
 		h := 2*m + 100

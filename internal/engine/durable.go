@@ -490,6 +490,11 @@ func OpenDurableOptions(dir string, scheme hermit.PointerScheme, opts DurableOpt
 	// clock position; everything the WAL tail replays (below) commits
 	// after it and lands in the next delta.
 	d.lastFlushTS = d.db.clock.Now()
+	for _, meta := range d.tables {
+		for _, tb := range meta.phys {
+			tb.flushedTo(d.lastFlushTS)
+		}
+	}
 	// Phase 2: replay the WAL tail. Replay stops at the first torn or
 	// corrupt frame on its own; a record that fails to apply is counted
 	// and skipped, never aborting recovery. Records carrying a transaction
@@ -625,6 +630,10 @@ func (d *DurableDB) restoreTable(name string, meta *durableMeta) error {
 		return err
 	}
 	for _, err := range eachPartition(meta.phys, func(tb *Table) error {
+		// What the blocks hold is flushed: a restored row needs no version
+		// header, and is frozen as it is inserted rather than given one for
+		// OpenDurable to take away when it sets the flush cut (flushedTo).
+		tb.flushCut.Store(math.MaxUint64)
 		return d.restorePartition(meta, tb)
 	}) {
 		if err != nil {
@@ -1366,7 +1375,7 @@ func (d *DurableDB) checkpointLocked() error {
 	}
 	d.lastFlushTS = cut.flushTS
 	for _, pt := range cut.phys {
-		pt.tb.trimDeletes(cut.flushTS)
+		pt.tb.flushedTo(cut.flushTS)
 	}
 	unlatch()
 	for _, ch := range rotatedWatchers {
@@ -1826,9 +1835,16 @@ type StorageStats struct {
 	// leaked snapshot. VersionsReclaimed counts the versions reclaimed since
 	// open. UnflushedDeletes counts the deletes the next checkpoint has
 	// still to write as tombstones (16 bytes each until then).
+	// VersionsUnfrozen counts the rows that carry a 24-byte version header —
+	// a row needs none once it has been flushed and no snapshot predates it —
+	// and VersionBytes the heap the version tables hold, those headers
+	// included: VersionsUnfrozen far above VersionsPending with no snapshot
+	// open is the WAL tail no checkpoint has flushed yet.
 	VersionsPending   int    `json:"versions_pending"`
 	VersionsReclaimed uint64 `json:"versions_reclaimed"`
 	UnflushedDeletes  int    `json:"unflushed_deletes"`
+	VersionsUnfrozen  int    `json:"versions_unfrozen"`
+	VersionBytes      uint64 `json:"version_bytes"`
 }
 
 // StorageStats snapshots the block storage tier's counters.
@@ -1856,10 +1872,12 @@ func (d *DurableDB) StorageStats() StorageStats {
 	st.CompactionBacklog = countBacklog(d.lists, d.opts.fanIn())
 	for _, meta := range d.tables {
 		for _, tb := range meta.phys {
-			pending, reclaimed, deletes := tb.VersionStats()
-			st.VersionsPending += pending
-			st.VersionsReclaimed += reclaimed
-			st.UnflushedDeletes += deletes
+			vs := tb.VersionStats()
+			st.VersionsPending += vs.Pending
+			st.VersionsReclaimed += vs.Reclaimed
+			st.UnflushedDeletes += vs.UnflushedDeletes
+			st.VersionsUnfrozen += vs.Unfrozen
+			st.VersionBytes += vs.Bytes
 		}
 	}
 	d.mu.RUnlock()

@@ -12,6 +12,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -85,7 +86,7 @@ func (db *DB) CreateTable(name string, cols []string, pkCol int) (*Table, error)
 		scheme:       db.scheme,
 		clock:        db.clock,
 		store:        storage.NewTable(len(cols)),
-		primary:      btree.New(primaryOrder),
+		primary:      btree.New(btree.DefaultOrder),
 		secondary:    make(map[int]*btree.Tree),
 		hermits:      make(map[int]*hermit.Index),
 		cms:          make(map[int]*cm.Index),
@@ -99,6 +100,10 @@ func (db *DB) CreateTable(name string, cols []string, pkCol int) (*Table, error)
 		cmHostMu:     make(map[int]*sync.RWMutex),
 		runtime:      newColRuntime(len(cols)),
 		trackDeletes: db.trackDeletes,
+		handSeen:     math.MaxUint64,
+	}
+	if !t.trackDeletes {
+		t.flushCut.Store(math.MaxUint64) // nothing to wait for
 	}
 	db.tables[name] = t
 	return t, nil
@@ -123,20 +128,6 @@ func (db *DB) Table(name string) (*Table, error) {
 	return t, nil
 }
 
-// primaryOrder is the node capacity of the primary index. Every write and
-// every logical-pointer candidate goes through it by key (head, Swap), so
-// it is sized for the point descent rather than after the paper's 256-byte
-// secondary-index node: at 128 entries a 1M-key primary is three levels
-// whose inner two stay cached, so a lookup misses in one leaf. A descent is
-// bound by those misses, not by instructions — at 16 entries the
-// closure-free Get costs what the closure-based First did. Random keys of
-// a 1M-key ascending load (internal/btree BenchmarkGetRandom1M, medians of
-// five runs alternated with the parent's): 835 ns at 16 entries per node,
-// 404 ns at 128 (64: 460 ns); 25.9 against 17.1 B/entry. It is also the
-// faster width on trees that fit the caches (20k keys: 124 ns against
-// 163 ns).
-const primaryOrder = 128
-
 // Table is one relation plus its indexes. Rows are multi-versioned (see
 // mvcc.go): every mutation puts an immutable version row into the store
 // (in a slot a reclaimed version has freed, if there is one),
@@ -152,16 +143,31 @@ type Table struct {
 	clock  *Clock
 	store  *storage.Table
 
-	// MVCC state (mvcc.go), all guarded by verMu: vers holds one header
-	// chunk per store block (nil until a version of the block is stamped),
-	// so a RID indexes straight to its version header; ended queues the
-	// RIDs of ended versions in endTS order until a commit reclaims them,
-	// and reclaimed counts those; liveRows counts the rows live at the
-	// latest timestamp; deletes lists, in commit order, the deletes no flush
-	// has recorded yet — kept only when trackDeletes is set, at creation.
-	// The chains' heads are the primary index's entries.
+	// MVCC state (mvcc.go), all guarded by verMu: vers holds, per store
+	// block (nil until a version of the block is stamped), a frozen bit per
+	// slot and the header granules of the slots that are not, so a RID
+	// indexes straight to its version header or to the fact that it needs
+	// none; granFree keeps emptied granules for the next stamp; headers
+	// counts the slots that hold a header and late those of them that only
+	// the horizon keeps from freezing, none of which began below lateFloor;
+	// hand and handSeen are the budgeted sweep's position and what it has
+	// had to leave this revolution. ended queues the RIDs of ended versions
+	// in endTS order until a commit reclaims them, and reclaimed counts
+	// those; liveRows counts the rows live at the latest timestamp; deletes
+	// lists, in commit order, the deletes no flush has recorded yet — kept
+	// only when trackDeletes is set, at creation, when also flushCut, the
+	// last published flush cut, bounds what may freeze (it is written under
+	// verMu and read without). The chains' heads are the primary index's
+	// entries.
 	verMu        sync.RWMutex
-	vers         []*verChunk
+	vers         []*verBlock
+	granFree     []*verGranule
+	headers      int
+	late         int
+	lateFloor    uint64
+	hand         int
+	handSeen     uint64
+	flushCut     atomic.Uint64
 	ended        fifo[storage.RID]
 	reclaimed    uint64
 	liveRows     int
@@ -373,8 +379,7 @@ func (t *Table) applyInsert(row []float64) (storage.RID, InsertStats, error) {
 	c := t.clock
 	c.commitMu.Lock()
 	commitTS := c.ts.Load() + 1
-	t.stampInsert(rid, pk, commitTS)
-	c.ts.Store(commitTS)
+	t.stampInsert(rid, pk, commitTS, c)
 	c.commitMu.Unlock()
 	if profile {
 		st.Table += time.Since(t0) // the primary-index write is here
@@ -486,14 +491,12 @@ func (t *Table) applyDelete(pk float64) (budget int) {
 	t.stampDelete(cur, pk, commitTS)
 	c.ts.Store(commitTS)
 	c.commitMu.Unlock()
-	if t.takeEnded(cur, commitTS) {
-		var buf [rowStack]float64
-		if row, err := t.store.Get(cur, buf[:0]); err == nil {
-			t.reclaimVersion(cur, row, noRID)
-		}
-		return 1
+	var buf [rowStack]float64
+	row, err := t.store.Get(cur, buf[:0])
+	if err != nil {
+		return 2 // unreachable: the stripe is held and cur was live
 	}
-	return 2
+	return 1 + t.settle(commitTS, c.OldestActive() >= commitTS, noRID, cur, row)
 }
 
 // UpdateColumn changes one column of the row with the given primary key.
@@ -560,10 +563,6 @@ func (t *Table) applyUpdate(pk float64, col int, v float64) (budget int, err err
 	t.stampUpdate(pk, rid, commitTS)
 	c.ts.Store(commitTS)
 	c.commitMu.Unlock()
-	if t.takeEnded(cur, commitTS) {
-		row[col] = old
-		t.reclaimVersion(cur, row, rid)
-		return 1, nil
-	}
-	return 2, nil
+	row[col] = old
+	return 1 + t.settle(commitTS, c.OldestActive() >= commitTS, rid, cur, row), nil
 }

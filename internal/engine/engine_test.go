@@ -376,11 +376,12 @@ func TestMemoryBreakdown(t *testing.T) {
 	if m.Total() != m.TableBytes+m.PrimaryBytes+m.ExistingBytes+m.NewBytes {
 		t.Fatal("total mismatch")
 	}
-	// The version table: 24 B of header per version row, in chunks of one
-	// store block (4096 rows), and nothing per key — the primary index is
-	// the key→head structure.
-	if per := float64(m.VersionBytes) / 10000; per < 24 || per > 40 {
-		t.Fatalf("version table reports %.1f B/row", per)
+	// The version table of a table as loaded: every row is frozen and carries
+	// no header, which leaves a bit and an eighth of a granule pointer per
+	// slot (1088 B per store block of 4096) and nothing per key — the primary
+	// index is the key→head structure.
+	if vs := tb.VersionStats(); vs.Unfrozen != 0 || vs.Bytes != m.VersionBytes || float64(m.VersionBytes)/10000 > 1 {
+		t.Fatalf("version table as loaded: %+v, Memory reports %d B", vs, m.VersionBytes)
 	}
 	// Hermit's new-index bytes must be far below a complete index.
 	_, tb2 := newSynthetic(t, hermit.PhysicalPointers, 10000, linearFn, 0.01, 10)

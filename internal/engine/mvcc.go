@@ -27,6 +27,56 @@ import (
 // chain — and is the only key→head structure the table has. Older
 // versions are reached from the head through the headers' prev links.
 //
+// A version's header (verHeader: beginTS, endTS, prev) is kept only while it
+// says something. The version table has, per store slot, one bit, and headers
+// in granules of 64 that exist while one of their slots needs one (verBlock).
+// A slot is in one of four states:
+//
+//   - free or unstamped — never used, reclaimed, or holding a row applied and
+//     not yet committed: bit clear, no header (or the zero header), invisible
+//     at every timestamp. This is what a slot is when nothing has been said
+//     about it, so neither the apply phase nor reclamation has anything to
+//     maintain, and the reuse rule below can lean on it.
+//   - stamped — committed, live or ended: bit clear, a header in its granule.
+//   - frozen — committed, live, nothing behind it, and begun at or below every
+//     snapshot that exists or can exist: bit set, no header. Table.header
+//     answers {beginTS: 1, prev: noRID} for it, which every reader of a header
+//     already takes the right way: visible at every snapshot, live, the end of
+//     its chain, not begun after any transaction's snapshot or any flush cut.
+//     Every row that was loaded, restored from blocks, or last written before
+//     the oldest snapshot is in this state; 24 bytes a row is what that saves.
+//   - thawed — a frozen version that an update or a delete ends gets a header
+//     back first, {1, commitTS, noRID} (end), and is a stamped version from
+//     there on: queued, reclaimed, its slot free.
+//
+// The freeze rule has three preconditions, each of which is why a reader could
+// otherwise be shown something wrong. The version is live: an end is a fact a
+// header must keep. It has no prev: whatever older version hangs behind it is
+// what an older snapshot resolves to, or what reclamation has still to cut
+// loose. And its beginTS is at or below the horizon — Clock.OldestActive, the
+// oldest timestamp a registered snapshot reads at, asked after the commit has
+// published the clock, never at stamp: a snapshot registered between a
+// commit's stamp and its publish reads at commitTS-1 and must not see the
+// version, and OldestActive reports it; one registered after the publish reads
+// at commitTS or later. On a table that flushes deltas (trackDeletes) the
+// horizon is also no later than the last published flush cut (flushCut):
+// DeltaVersions tells a row no block holds yet from a flushed one by beginTS >
+// prevTS, so a row keeps its header until a checkpoint has published the block
+// that holds it. There the checkpoint's publish step freezes what it flushed
+// (flushedTo, which also trims the delete list), recovery freezes what it
+// restored from blocks, and the rows replayed from the WAL tail wait for the
+// next checkpoint.
+//
+// Who freezes: the commit, after its publish (settle). A version it cannot
+// freeze yet — a snapshot is open below it, or it still has a predecessor that
+// one pins — is late (verHeader.late once the predecessor is gone; the cut of
+// the link, unlink, is where such a version is looked at again), and the late
+// ones are frozen by the same budgeted step at the end of every commit that
+// drains the queue of ended versions (reclaimAfter): a hand sweeps the
+// granules that exist, one per unit of budget, so whatever became freezable is
+// frozen within one revolution (sweep). DB.GC is that sweep without the
+// budget. There is no goroutine and no pass to schedule.
+//
 // The commit protocol (shared by the auto-commit paths in engine.go and
 // Txn.Commit in txn.go):
 //
@@ -59,16 +109,17 @@ import (
 // let go of its key stripes, by draining from the front of the queue of
 // ended versions (Table.ended, in endTS order) at most as many versions as
 // it ended plus one (reclaimAfter): each loses its index entries, its header
-// and its store row. The horizon is Clock.OldestActive — the oldest
+// and its store row, and the version that superseded it, with nothing behind
+// it any more, is frozen if the horizon allows. The horizon is Clock.OldestActive — the oldest
 // timestamp a registered snapshot reads at, the clock itself when none is
 // open — and a version goes when its endTS is at or below it, so with no
 // snapshot pinned a superseded or deleted version is gone before the next
 // write, and the backlog a long snapshot leaves behind shrinks by at least
-// one version per commit once the snapshot is released. The auto-commit
-// update and delete take the usual case by a shorter road: when no snapshot
-// can see the version they have just ended they reclaim it before they let
-// go of its key's stripe, its row at hand (takeEnded), and drain one version
-// fewer afterwards. There is no GC pass to schedule and none to wait for;
+// one version per commit once the snapshot is released. Every commit takes
+// the usual case by a shorter road (settle): when no snapshot can see a
+// version it has just ended it reclaims it before it lets go of its key's
+// stripe, its row at hand, and drains one version fewer afterwards. There is
+// no GC pass to schedule and none to wait for;
 // DB.GC and GCVersions are the same drain without the budget, for a caller
 // that wants a backlog gone now.
 //
@@ -77,11 +128,11 @@ import (
 // so a table of a DurableDB names its deletes instead: stampDelete appends
 // (key, commitTS) to Table.deletes, DeltaVersions merges the window of that
 // list into its harvest as tombstones, and the checkpoint that publishes the
-// window trims it (trimDeletes). An entry is 16 bytes and stands for a
+// window trims it (flushedTo). An entry is 16 bytes and stands for a
 // delete record in the WAL tail no manifest has cut off yet, so whatever
 // bounds the log bounds the list.
 //
-// Reuse rule: a freed row slot, and the header slot that goes with it, is
+// Reuse rule: a freed row slot, and the bit and header slot that go with it, is
 // taken by the next insert, so a RID names a version only until it is
 // reclaimed. Nothing the table keeps may name a reclaimed slot: before a
 // version's row is freed its index entries are removed, the primary entry
@@ -90,7 +141,7 @@ import (
 // one key's versions into the slot's next tenant. A reader keeps its RIDs
 // good by holding its snapshot: no version visible at a registered snapshot
 // is reclaimed. Without one, a RID is good until the next commit. A reused
-// slot's header is zero until its new version commits, and that commit is
+// slot's bit is clear and its header zero until its new version commits, and that commit is
 // later than every snapshot that could have met the slot's RID under its
 // old tenant, so to them it stays invisible.
 
@@ -102,6 +153,13 @@ type Clock struct {
 
 	// commitMu serialises the stamp-and-publish step of every commit.
 	commitMu sync.Mutex
+
+	// open counts the snapshots registered or about to be: it is raised
+	// before a snapshot reads the clock and lowered after it has left the
+	// registry, so a reader of the clock that then finds it zero knows that no
+	// snapshot is registered below what it read, and none will be
+	// (OldestActive's fast path — every commit asks).
+	open atomic.Int64
 
 	// regMu guards the live-snapshot registry and the free-list.
 	regMu  sync.Mutex
@@ -133,6 +191,7 @@ func (c *Clock) Now() uint64 { return c.ts.Load() }
 // clock's free-list — a recycled registration slot rather than a fresh
 // allocation.
 func (c *Clock) Snapshot() *Snapshot {
+	c.open.Add(1)
 	c.regMu.Lock()
 	ts := c.ts.Load()
 	c.active[ts]++
@@ -159,12 +218,16 @@ func (c *Clock) release(ts uint64) {
 		c.active[ts] = n - 1
 	}
 	c.regMu.Unlock()
+	c.open.Add(-1)
 }
 
 // OldestActive returns the oldest timestamp any live snapshot reads at, or
 // the current clock when no snapshot is open: the horizon at or below which
 // an ended version may be reclaimed.
 func (c *Clock) OldestActive() uint64 {
+	if ts := c.ts.Load(); c.open.Load() == 0 {
+		return ts
+	}
 	c.regMu.Lock()
 	defer c.regMu.Unlock()
 	oldest := c.ts.Load()
@@ -220,6 +283,7 @@ func (s *Snapshot) Recycle() {
 		c.free = append(c.free, s)
 	}
 	c.regMu.Unlock()
+	c.open.Add(-1)
 }
 
 // verHeader is the visibility record of one version row: the half-open
@@ -228,9 +292,9 @@ func (s *Snapshot) Recycle() {
 // The zero header means "unstamped" — a row applied and not yet committed,
 // or a reclaimed slot no commit has refilled — and is invisible at
 // every timestamp (the clock's first commit is 1). Headers are pointer-free,
-// written at commit under both the clock's commit lock and the table's
-// verMu; reclaimVersion rewrites prev (unlink) and zeroes the header under
-// verMu.
+// written by Table.stamp alone: at commit under both the clock's commit lock
+// and the table's verMu, and under verMu when reclamation cuts a prev link
+// (unlink) or zeroes the header, and when a freeze drops it.
 type verHeader struct {
 	beginTS uint64
 	endTS   uint64      // 0 while this is the live version
@@ -242,8 +306,38 @@ type verHeader struct {
 // its header reads as zero and ends a chain walk.
 const noRID = ^storage.RID(0)
 
-// verChunk holds the headers of one storage block, indexed by slot.
-type verChunk [storage.BlockRows]verHeader
+// frozenHeader is what header answers for a frozen slot (see the freeze rule
+// in the file comment): begun before every snapshot, live, nothing behind it.
+var frozenHeader = verHeader{beginTS: 1, prev: noRID}
+
+// granuleSlots is the number of version headers allocated together: the
+// slots of one word of a block's frozen bitmap.
+const (
+	granuleSlots  = 64
+	blockGranules = storage.BlockRows / granuleSlots
+)
+
+// verGranule holds the headers of granuleSlots consecutive slots. It exists
+// only while one of them says something: a granule whose headers are all
+// zero goes back to the table's free list (Table.granFree).
+type verGranule [granuleSlots]verHeader
+
+// verBlock is the version state of one store block: a frozen bit per slot,
+// and the granules of the slots that keep a header. A clear bit — the state
+// of a slot never used, freed, applied and not yet stamped, or stamped and
+// not (yet) frozen — means "read the header", and no granule means the header
+// is zero; a set bit means there is no header to read. said counts the
+// non-zero headers of each granule.
+type verBlock struct {
+	frozen [blockGranules]uint64
+	gran   [blockGranules]*verGranule
+	said   [blockGranules]uint8
+}
+
+// maxGranuleFree bounds Table.granFree. A commit that freezes what it wrote
+// takes a granule and gives it back, so a handful serve any number of
+// writers; beyond the bound emptied granules are left to the collector.
+const maxGranuleFree = 16
 
 // visibleAt reports whether the version is the visible incarnation at ts.
 func (h verHeader) visibleAt(ts uint64) bool {
@@ -253,27 +347,164 @@ func (h verHeader) visibleAt(ts uint64) bool {
 // live reports whether the version is stamped and not yet ended.
 func (h verHeader) live() bool { return h.beginTS != 0 && h.endTS == 0 }
 
-// header returns rid's version header; t.verMu is held. A RID the table
-// never stamped — out of range, or applied but not yet committed — reads
-// as the zero header.
+// late reports whether the version is one the freeze rule is waiting on:
+// live, nothing behind it, and still carrying a header only because a
+// snapshot — or, on a table that flushes deltas, the flush cut — is below its
+// beginTS.
+func (h verHeader) late() bool { return h.beginTS != 0 && h.endTS == 0 && h.prev == noRID }
+
+// header returns rid's version header; t.verMu is held. A frozen slot
+// answers frozenHeader. A RID the table never stamped — out of range, or
+// applied but not yet committed — reads as the zero header.
 func (t *Table) header(rid storage.RID) verHeader {
-	if b, s := rid.Block(), rid.Slot(); b < uint64(len(t.vers)) && t.vers[b] != nil && s < storage.BlockRows {
-		return t.vers[b][s]
+	b, s := rid.Block(), rid.Slot()
+	if b >= uint64(len(t.vers)) || s >= storage.BlockRows || t.vers[b] == nil {
+		return verHeader{}
+	}
+	vb := t.vers[b]
+	g, i := s/granuleSlots, s%granuleSlots
+	if vb.frozen[g]>>i&1 != 0 {
+		return frozenHeader
+	}
+	if gr := vb.gran[g]; gr != nil {
+		return gr[i]
 	}
 	return verHeader{}
 }
 
-// stamp writes rid's header, allocating its block's chunk on first use;
-// t.verMu is held exclusively.
+// stamp writes rid's header — it is the one place a header is written — and
+// keeps the books that follow from it: the granule that holds it is taken
+// from the free list when the slot is the first of its 64 to say something
+// and returned when it was the last, and the counts of headers and of late
+// versions move with the change. rid is not frozen; t.verMu is held
+// exclusively.
 func (t *Table) stamp(rid storage.RID, h verHeader) {
-	b := rid.Block()
+	b, s := rid.Block(), rid.Slot()
 	for uint64(len(t.vers)) <= b {
 		t.vers = append(t.vers, nil)
 	}
-	if t.vers[b] == nil {
-		t.vers[b] = new(verChunk)
+	vb := t.vers[b]
+	if vb == nil {
+		vb = new(verBlock)
+		t.vers[b] = vb
 	}
-	t.vers[b][rid.Slot()] = h
+	g, i := s/granuleSlots, s%granuleSlots
+	gr := vb.gran[g]
+	if gr == nil {
+		if h == (verHeader{}) {
+			return
+		}
+		if n := len(t.granFree); n > 0 {
+			gr, t.granFree[n-1] = t.granFree[n-1], nil
+			t.granFree = t.granFree[:n-1]
+		} else {
+			gr = new(verGranule)
+		}
+		vb.gran[g] = gr
+	}
+	old := gr[i]
+	gr[i] = h
+	switch was, is := old.late(), h.late(); {
+	case is && !was:
+		if t.late == 0 || h.beginTS < t.lateFloor {
+			t.lateFloor = h.beginTS
+		}
+		t.handSeen = min(t.handSeen, h.beginTS)
+		t.late++
+	case was && !is:
+		t.late--
+	}
+	switch {
+	case old.beginTS == 0 && h.beginTS != 0:
+		vb.said[g]++
+		t.headers++
+	case old.beginTS != 0 && h.beginTS == 0:
+		vb.said[g]--
+		t.headers--
+		if vb.said[g] == 0 {
+			vb.gran[g] = nil
+			if len(t.granFree) < maxGranuleFree {
+				t.granFree = append(t.granFree, gr)
+			}
+		}
+	}
+}
+
+// freezeIf freezes rid if the freeze rule allows it at horizon — a timestamp
+// no registered snapshot reads below, and none will: the version is live, has
+// nothing behind it, and began at or below both horizon and the flush cut.
+// Its header is dropped and its bit set. t.verMu is held exclusively.
+func (t *Table) freezeIf(rid storage.RID, horizon uint64) bool {
+	b, s := rid.Block(), rid.Slot()
+	if b >= uint64(len(t.vers)) || t.vers[b] == nil {
+		return false
+	}
+	vb, g, i := t.vers[b], s/granuleSlots, s%granuleSlots
+	if vb.gran[g] == nil {
+		return false // frozen already, or nothing stamped
+	}
+	if h := vb.gran[g][i]; !h.late() || h.beginTS > min(horizon, t.flushCut.Load()) {
+		return false
+	}
+	t.stamp(rid, verHeader{})
+	vb.frozen[g] |= 1 << i
+	return true
+}
+
+// freezeGranule freezes what the rule allows at horizon among the slots of
+// granule g of block b, and returns the lowest beginTS of the late versions
+// it had to leave. t.verMu is held exclusively.
+func (t *Table) freezeGranule(b, g int, horizon uint64) (left uint64) {
+	left = math.MaxUint64
+	vb := t.vers[b]
+	for i := 0; i < granuleSlots && vb.gran[g] != nil; i++ {
+		h := vb.gran[g][i]
+		if h.late() && !t.freezeIf(storage.MakeRID(uint64(b), uint16(g*granuleSlots+i)), horizon) {
+			left = min(left, h.beginTS)
+		}
+	}
+	return left
+}
+
+// freezeAll is the freeze rule applied to every header the table holds, at
+// horizon: what DB.GC, a published checkpoint and recovery do. It leaves
+// lateFloor exact. t.verMu is held exclusively.
+func (t *Table) freezeAll(horizon uint64) {
+	floor := uint64(math.MaxUint64)
+	for b, vb := range t.vers {
+		for g := 0; vb != nil && g < blockGranules; g++ {
+			if vb.gran[g] != nil {
+				floor = min(floor, t.freezeGranule(b, g, horizon))
+			}
+		}
+	}
+	t.lateFloor, t.hand, t.handSeen = floor, 0, math.MaxUint64
+}
+
+// sweep is freezeAll on a budget, for the end of a commit (reclaimAfter): the
+// hand moves on over the table's granules, round and round, and each unit of
+// budget takes it across one granule that exists — freezing there what the
+// rule allows at horizon — or across a block's worth of absent ones. A version
+// that became freezable is therefore frozen within one revolution. When the
+// hand comes round, lateFloor becomes the lowest beginTS it had to leave (or
+// was told of meanwhile, stamp), which is what stops the sweeping while
+// everything late is still above the horizon. t.verMu is held exclusively.
+func (t *Table) sweep(horizon uint64, budget int) {
+	horizon = min(horizon, t.flushCut.Load())
+	for ; budget > 0 && t.late > 0 && horizon >= t.lateFloor; budget-- {
+		for n := 0; n < blockGranules; n++ {
+			if t.hand >= len(t.vers)*blockGranules {
+				t.lateFloor, t.hand, t.handSeen = t.handSeen, 0, math.MaxUint64
+				break
+			}
+			b, g := t.hand/blockGranules, t.hand%blockGranules
+			t.hand++
+			if vb := t.vers[b]; vb != nil && vb.gran[g] != nil {
+				t.handSeen = min(t.handSeen, t.freezeGranule(b, g, horizon))
+				break
+			}
+		}
+	}
 }
 
 // Snapshot registers a read snapshot on the database's commit clock.
@@ -288,7 +519,8 @@ func (t *Table) Snapshot() *Snapshot { return t.clock.Snapshot() }
 func (db *DB) Clock() *Clock { return db.clock }
 
 // GC drains every table's queue of ended versions down to the oldest live
-// snapshot and returns the number of versions reclaimed. Commits reclaim as
+// snapshot, freezes what that snapshot no longer keeps from freezing, and
+// returns the number of versions reclaimed. Commits reclaim and freeze as
 // they go (reclaimAfter), so this finds work only after a snapshot that
 // pinned a backlog has been released and before later commits have worked
 // it off.
@@ -415,8 +647,12 @@ func (t *Table) versionVisible(rid storage.RID, ts uint64) bool {
 // stampInsert publishes rid as pk's new chain head at commitTS, linked to
 // the (dead) head it replaces, if any. Called with the key's stripe held
 // and the clock's commit lock held. The primary entry and the header
-// change under both latches (see the publication rule above).
-func (t *Table) stampInsert(rid storage.RID, pk float64, commitTS uint64) {
+// change under both latches (see the publication rule above). A commit that
+// stamps nothing else — the auto-commit insert — passes its clock as publish:
+// commitTS is then published and the version settled (settle) before the
+// latches are let go, which is after the publish all the same and saves the
+// commit a second hold of them.
+func (t *Table) stampInsert(rid storage.RID, pk float64, commitTS uint64, publish *Clock) {
 	t.primaryMu.Lock()
 	prev := noRID
 	if old, ok := t.primary.Swap(pk, uint64(rid)); ok {
@@ -425,6 +661,12 @@ func (t *Table) stampInsert(rid storage.RID, pk float64, commitTS uint64) {
 	t.verMu.Lock()
 	t.stamp(rid, verHeader{beginTS: commitTS, prev: prev})
 	t.liveRows++
+	if publish != nil {
+		publish.ts.Store(commitTS)
+		if publish.OldestActive() >= commitTS {
+			t.freezeIf(rid, commitTS)
+		}
+	}
 	t.verMu.Unlock()
 	t.primaryMu.Unlock()
 }
@@ -457,10 +699,15 @@ func (t *Table) stampDelete(old storage.RID, pk float64, commitTS uint64) {
 }
 
 // end closes old's visibility interval at commitTS and queues it for
-// reclamation; t.verMu is held exclusively. Commit timestamps only grow, so
-// the queue stays sorted by endTS.
+// reclamation; t.verMu is held exclusively. A frozen version is thawed: its
+// bit is cleared and it gets back a header, the one header answered for it
+// with the end filled in. Commit timestamps only grow, so the queue stays
+// sorted by endTS.
 func (t *Table) end(old storage.RID, commitTS uint64) {
-	t.vers[old.Block()][old.Slot()].endTS = commitTS
+	h := t.header(old)
+	h.endTS = commitTS
+	t.vers[old.Block()].frozen[old.Slot()/granuleSlots] &^= 1 << (old.Slot() % granuleSlots)
+	t.stamp(old, h)
 	t.ended.push(old)
 }
 
@@ -471,26 +718,52 @@ type keyDeath struct {
 	ts uint64
 }
 
-// trimDeletes drops the deletes committed at or before ts: a published
-// delta block has recorded them.
-func (t *Table) trimDeletes(ts uint64) {
+// flushedTo tells a table that flushes deltas that a published delta block —
+// or, at recovery, the blocks it was restored from — records everything
+// committed at or before ts: the deletes up to ts leave the list, the flush
+// cut moves to ts, and what was waiting for it is frozen.
+func (t *Table) flushedTo(ts uint64) {
+	horizon := t.clock.OldestActive()
 	t.verMu.Lock()
 	n := 0
 	for n < t.deletes.len() && t.deletes.items()[n].ts <= ts {
 		n++
 	}
 	t.deletes.drop(n)
+	t.flushCut.Store(ts)
+	t.freezeAll(horizon)
 	t.verMu.Unlock()
 }
 
-// VersionStats reports the table's reclamation state: versions ended and
-// still queued (pinned by a snapshot, or waiting for the next commits'
-// budgets), versions reclaimed so far, and deletes no flush has recorded yet
-// (zero on a table that flushes nothing).
-func (t *Table) VersionStats() (pending int, reclaimed uint64, unflushedDeletes int) {
+// VersionStats is the state of a table's version table.
+type VersionStats struct {
+	// Pending counts the versions ended and still queued: pinned by a
+	// snapshot, or waiting for the next commits' budgets.
+	Pending int
+	// Reclaimed counts the versions reclaimed so far.
+	Reclaimed uint64
+	// UnflushedDeletes counts the deletes no flush has recorded yet (zero on
+	// a table that flushes nothing).
+	UnflushedDeletes int
+	// Unfrozen counts the slots that hold a version header: Pending, plus the
+	// live versions a snapshot or the flush cut keeps from freezing, plus
+	// those with a pending version still behind them.
+	Unfrozen int
+	// Bytes is MemoryStats.VersionBytes.
+	Bytes uint64
+}
+
+// VersionStats reports the table's reclamation and freezing state.
+func (t *Table) VersionStats() VersionStats {
 	t.verMu.RLock()
 	defer t.verMu.RUnlock()
-	return t.ended.len(), t.reclaimed, t.deletes.len()
+	return VersionStats{
+		Pending:          t.ended.len(),
+		Reclaimed:        t.reclaimed,
+		UnflushedDeletes: t.deletes.len(),
+		Unfrozen:         t.headers,
+		Bytes:            t.versionBytesLocked(),
+	}
 }
 
 // fifo is a first-in-first-out queue in one array: push appends, drop
@@ -542,20 +815,32 @@ func (q *fifo[T]) drop(n int) {
 	q.head = 0
 }
 
-// versionBytes estimates the heap the version table holds: the header
-// chunks (one per store block, reused with the block's slots), the queue of
-// ended versions and the list of unflushed deletes. (The key→head mapping is
-// the primary index, accounted as PrimaryBytes.)
+// versionBytes estimates the heap the version table holds: per store block
+// the frozen bitmap and the granule pointers, a granule for every 64 slots of
+// which one keeps a header, the granules on the free list, the queue of ended
+// versions and the list of unflushed deletes. (The key→head mapping is the
+// primary index, accounted as PrimaryBytes.)
 func (t *Table) versionBytes() uint64 {
 	t.verMu.RLock()
 	defer t.verMu.RUnlock()
-	b := uint64(cap(t.vers))*8 + t.ended.capBytes() + t.deletes.capBytes()
-	for _, c := range t.vers {
-		if c != nil {
-			b += uint64(unsafe.Sizeof(*c))
+	return t.versionBytesLocked()
+}
+
+func (t *Table) versionBytesLocked() uint64 {
+	b := uint64(cap(t.vers))*8 + uint64(cap(t.granFree))*8 + t.ended.capBytes() + t.deletes.capBytes()
+	granules := len(t.granFree)
+	for _, vb := range t.vers {
+		if vb == nil {
+			continue
+		}
+		b += uint64(unsafe.Sizeof(*vb))
+		for _, gr := range vb.gran {
+			if gr != nil {
+				granules++
+			}
 		}
 	}
-	return b
+	return b + uint64(granules)*uint64(unsafe.Sizeof(verGranule{}))
 }
 
 // Len returns the number of live rows (at the latest commit timestamp).
@@ -626,7 +911,11 @@ func (t *Table) ScanLive(fn func(rid storage.RID, row []float64) bool) {
 // durable layer's flush snapshot), so no version visible at ts is reclaimed
 // between the chain walk and the row fetch — and, on a table that keeps no
 // delete list, one at or below prevTS, so that every chain that died in the
-// window is still there to say so.
+// window is still there to say so. A frozen row reads as begun at 1: it is in
+// no window but one that opens at 0, which is right as long as nothing begun
+// after prevTS is frozen — what the flush cut sees to on a table that keeps a
+// delete list (prevTS is the last cut or later), and the snapshot at or below
+// prevTS on one that does not.
 func (t *Table) DeltaVersions(prevTS, ts uint64, emit func(pk float64, row []float64) error) error {
 	type cand struct {
 		rid  storage.RID
@@ -728,42 +1017,80 @@ func (t *Table) DeltaVersions(prevTS, ts uint64, emit func(pk float64, row []flo
 }
 
 // GCVersions reclaims every version whose endTS is at or below horizon and
-// returns their number: reclaim without a budget, for a caller that wants a
-// backlog gone at once (DB.GC). Safe to run concurrently with readers,
-// writers and other drains.
+// returns their number, and freezes every late version begun at or below it:
+// what the end of a commit does (reclaimAfter) without a budget, for a caller
+// that wants a backlog gone at once (DB.GC). Safe to run concurrently with
+// readers, writers and other drains.
 func (t *Table) GCVersions(horizon uint64) int {
 	t.catalog.RLock()
 	defer t.catalog.RUnlock()
-	return t.reclaim(horizon, math.MaxInt)
+	n := t.reclaim(horizon, math.MaxInt)
+	t.verMu.Lock()
+	t.freezeAll(horizon)
+	t.verMu.Unlock()
+	return n
 }
 
 // reclaimAfter is the last step of a commit to t: it reclaims at most budget
 // versions from the front of the queue — the number the commit ended, and
 // one more — so the queue is empty again after a commit that found it empty,
 // and a backlog left by a snapshot since released shrinks with every commit.
-// The caller holds t.catalog shared and none of t's stripes.
+// The versions such a snapshot kept from freezing go the same way, on the
+// same budget (sweep) — unless everything late began above what the horizon
+// can be, which on a table that flushes deltas is the whole time between two
+// checkpoints and costs a commit nothing. The caller holds t.catalog shared
+// and none of t's stripes.
 func (t *Table) reclaimAfter(budget int) {
 	t.verMu.RLock()
 	pending := t.ended.len()
+	late := t.late > 0 && t.flushCut.Load() >= t.lateFloor
 	t.verMu.RUnlock()
+	if pending == 0 && !late {
+		return
+	}
+	horizon := t.clock.OldestActive()
 	if pending > 0 {
-		t.reclaim(t.clock.OldestActive(), budget)
+		t.reclaim(horizon, budget)
+	}
+	if late {
+		t.verMu.Lock()
+		t.sweep(horizon, budget)
+		t.verMu.Unlock()
 	}
 }
 
-// takeEnded claims rid, the version the caller's commit at commitTS has just
-// ended, for reclamation on the spot — the caller still holds the key's
-// stripe and has the row, which is most of what reclaim would have to get
-// again. It reports whether rid is the caller's: no snapshot can see it (none
-// is registered below commitTS, and none will be), and no concurrent drain
-// has taken it off the queue, which takeEnded then does.
-func (t *Table) takeEnded(rid storage.RID, commitTS uint64) bool {
-	if t.clock.OldestActive() < commitTS {
-		return false
+// settle is what a commit at commitTS does for one key it wrote, after it has
+// published the clock and before it lets go of the key's stripe: born is the
+// version it stamped (noRID for a delete), dead the one it ended (noRID for an
+// insert) and deadRow dead's row. quiet says that no snapshot is registered
+// below commitTS, and so none will be (Clock.OldestActive() >= commitTS, asked
+// after the publish: a snapshot registered between stamp and publish reads at
+// commitTS-1 and must see dead, not born). A quiet commit reclaims dead here —
+// the stripe is held and the row at hand, which is most of what reclaim would
+// have to get again — unless a concurrent drain took it off the queue first,
+// and freezes born, which has nothing behind it once dead is gone. settle
+// returns how many versions it left on the queue, none or one. (The
+// auto-commit insert, with one version to stamp and none to reclaim, has this
+// done inside the hold of the latches it stamps under: stampInsert.)
+func (t *Table) settle(commitTS uint64, quiet bool, born, dead storage.RID, deadRow []float64) (left int) {
+	switch {
+	case dead == noRID:
+		if quiet {
+			t.verMu.Lock()
+			t.freezeIf(born, commitTS)
+			t.verMu.Unlock()
+		}
+		return 0
+	case !quiet:
+		return 1
 	}
 	t.verMu.Lock()
-	defer t.verMu.Unlock()
-	return t.ended.remove(rid)
+	mine := t.ended.remove(dead)
+	t.verMu.Unlock()
+	if mine {
+		t.reclaimVersion(dead, deadRow, born, commitTS)
+	}
+	return 0
 }
 
 // reclaimStack is the batch reclaim keeps on its stack — an auto-commit
@@ -818,7 +1145,7 @@ func (t *Table) reclaim(horizon uint64, budget int) int {
 		// stamping over it, so they never see the head entry vanish.
 		stripe := t.rows.mu(row[t.pkCol])
 		stripe.Lock()
-		t.reclaimVersion(rid, row, noRID)
+		t.reclaimVersion(rid, row, noRID, horizon)
 		stripe.Unlock()
 	}
 	return n
@@ -830,11 +1157,14 @@ func (t *Table) reclaim(horizon uint64, budget int) int {
 // header slot go to the next insert. A fully dead chain (a deleted key) also
 // gives up its primary-index entry. succ is the version that superseded rid
 // when the caller has just stamped it, noRID otherwise (see unlink). The
-// caller holds t.catalog shared.
-func (t *Table) reclaimVersion(rid storage.RID, row []float64, succ storage.RID) {
+// version rid was cut loose from has nothing behind it any more, and is frozen
+// if the rule allows it at horizon. The caller holds t.catalog shared.
+func (t *Table) reclaimVersion(rid storage.RID, row []float64, succ storage.RID, horizon uint64) {
 	t.primaryMu.Lock()
 	t.verMu.Lock()
-	t.unlink(row[t.pkCol], rid, succ)
+	if cut := t.unlink(row[t.pkCol], rid, succ); cut != noRID {
+		t.freezeIf(cut, horizon)
+	}
 	t.stamp(rid, verHeader{})
 	t.reclaimed++
 	t.verMu.Unlock()
@@ -854,24 +1184,30 @@ func (t *Table) reclaimVersion(rid storage.RID, row []float64, succ storage.RID)
 // the walk from the head, which passes only versions that stay — no link
 // names a reclaimed slot — cuts the link to it, or finds nothing to cut when
 // the reclamation of a newer version already took victim off the chain.
-func (t *Table) unlink(pk float64, victim, succ storage.RID) {
-	if succ != noRID {
-		t.vers[succ.Block()][succ.Slot()].prev = noRID
-		return
-	}
-	if t.primary.Delete(pk, uint64(victim)) {
-		return
-	}
-	head, ok := t.primary.Get(pk)
-	if !ok {
-		return
-	}
-	for rid := storage.RID(head); t.header(rid).beginTS != 0; {
-		h := &t.vers[rid.Block()][rid.Slot()]
-		if h.prev == victim {
-			h.prev = noRID
-			return
+// unlink returns the version whose link it cut, noRID when it cut none.
+func (t *Table) unlink(pk float64, victim, succ storage.RID) (cut storage.RID) {
+	if succ == noRID {
+		if t.primary.Delete(pk, uint64(victim)) {
+			return noRID
 		}
-		rid = h.prev
+		head, ok := t.primary.Get(pk)
+		if !ok {
+			return noRID
+		}
+		succ = storage.RID(head)
+		for {
+			h := t.header(succ)
+			if h.beginTS == 0 {
+				return noRID
+			}
+			if h.prev == victim {
+				break
+			}
+			succ = h.prev
+		}
 	}
+	h := t.header(succ)
+	h.prev = noRID
+	t.stamp(succ, h)
+	return succ
 }

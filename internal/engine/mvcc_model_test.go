@@ -29,6 +29,18 @@ import (
 // version into a slot a chain used to pass through and reads at the snapshots
 // that would walk into it; pinned builds a backlog under a snapshot, releases
 // it, and counts the commits that work the backlog off.
+//
+// Freezing is checked after every step as well (checkVersions), against the
+// oracle's horizon — the oldest open snapshot or transaction, and on the odd
+// seeds no later than the last flush cut, which a flush op moves the way a
+// checkpoint does. A slot is frozen only if the oracle has its row as its
+// key's live version, begun at or below the horizon. The other way round, a
+// version that is live, has nothing behind it and began at or below the
+// horizon is frozen, or has been owed that for no more commits than one
+// revolution of the sweep's hand takes at one granule per commit — the
+// version a commit writes itself it freezes itself, so only a version born
+// under a snapshot since released is ever owed anything. With no snapshot
+// open, nothing queued and nothing owed, the table holds no header at all.
 
 // modelVer is one version of one key in the oracle.
 type modelVer struct {
@@ -50,10 +62,20 @@ type modelTable struct {
 	// ended; stored counts the versions not yet reclaimed, ended or live.
 	queue  []*modelVer
 	stored int
+	// horizon returns the oldest timestamp an open snapshot or transaction
+	// reads at, the clock when there is none; cut is the last flush cut
+	// (none: the table flushes nothing). commits counts the engine commits
+	// mirrored so far, and owed remembers, for every version the engine
+	// could have frozen and has not, its beginTS and the commit count at
+	// which that was first seen.
+	horizon func() uint64
+	cut     uint64
+	commits int
+	owed    map[storage.RID][2]uint64
 }
 
 func newModelTable(tb *Table) *modelTable {
-	return &modelTable{tb: tb, vers: make(map[uint64][]*modelVer)}
+	return &modelTable{tb: tb, vers: make(map[uint64][]*modelVer), cut: math.MaxUint64}
 }
 
 // at returns the row of pk visible at ts, or nil.
@@ -123,10 +145,10 @@ func (m *modelTable) checkStore(t *testing.T, what string) {
 	if got := m.tb.store.Len(); got != m.stored {
 		t.Fatalf("after %s: the store holds %d versions, the oracle %d", what, got, m.stored)
 	}
-	if pending, _, _ := m.tb.VersionStats(); pending != len(m.queue) {
+	if pending := m.tb.VersionStats().Pending; pending != len(m.queue) {
 		t.Fatalf("after %s: %d versions queued, the oracle has %d", what, pending, len(m.queue))
 	}
-	m.checkChains(t)
+	m.checkVersions(t, what)
 }
 
 func sameRow(a, b []float64) bool {
@@ -237,27 +259,55 @@ func (m *modelTable) checkDelta(t *testing.T, pinned, ts uint64) {
 	}
 }
 
-// checkChains asserts the reuse rule on the version table itself: every
-// stamped header sits on a live row, and its prev, if it has one, names a
-// stamped version of the same key — not a slot GC freed, and not the row
-// an insert has since put there.
-func (m *modelTable) checkChains(t *testing.T) {
+// checkVersions walks the version table slot by slot. It asserts the reuse
+// rule: every stamped header sits on a live row, and its prev, if it has one,
+// names a stamped version of the same key — not a slot reclamation freed, and
+// not the row an insert has since put there. It asserts the freeze rule both
+// ways round (see the top of the file), and that the table's counts of
+// headers and of late versions, and its floor under the latter, are what the
+// walk finds.
+func (m *modelTable) checkVersions(t *testing.T, what string) {
 	t.Helper()
 	tb := m.tb
+	horizon := min(m.horizon(), m.cut)
 	tb.verMu.RLock()
 	defer tb.verMu.RUnlock()
-	for b, chunk := range tb.vers {
-		if chunk == nil {
-			continue
-		}
-		for s, h := range chunk {
+	headers, late, floor := 0, 0, uint64(math.MaxUint64)
+	owed := make(map[storage.RID][2]uint64)
+	for b, vb := range tb.vers {
+		for s := 0; vb != nil && s < storage.BlockRows; s++ {
+			rid := storage.MakeRID(uint64(b), uint16(s))
+			h := tb.header(rid)
 			if h.beginTS == 0 {
 				continue
 			}
-			rid := storage.MakeRID(uint64(b), uint16(s))
 			row, err := tb.store.Get(rid, nil)
 			if err != nil {
-				t.Fatalf("version %v is stamped %+v but its row reads %v", rid, h, err)
+				t.Fatalf("after %s: version %v is stamped %+v but its row reads %v", what, rid, h, err)
+			}
+			if vb.frozen[s/granuleSlots]>>(s%granuleSlots)&1 != 0 {
+				if v := m.newest(row[tb.pkCol]); v == nil || v.end != 0 || v.begin > horizon || !sameRow(v.row, row) {
+					t.Fatalf("after %s, horizon %d: slot %v is frozen, row %v; the oracle's newest version of the key is %+v", what, horizon, rid, row, v)
+				}
+				if gr := vb.gran[s/granuleSlots]; gr != nil && gr[s%granuleSlots] != (verHeader{}) {
+					t.Fatalf("after %s: frozen slot %v keeps the header %+v", what, rid, gr[s%granuleSlots])
+				}
+				continue
+			}
+			headers++
+			if h.late() {
+				late++
+				floor = min(floor, h.beginTS)
+				if h.beginTS <= horizon {
+					since := [2]uint64{h.beginTS, uint64(m.commits)}
+					if o, ok := m.owed[rid]; ok && o[0] == h.beginTS {
+						since = o
+					}
+					owed[rid] = since
+					if revolution := uint64(len(tb.vers) * blockGranules); uint64(m.commits)-since[1] > revolution {
+						t.Fatalf("after %s, horizon %d: version %v %+v could be frozen since commit %d, it is commit %d and a revolution takes %d", what, horizon, rid, h, since[1], m.commits, revolution)
+					}
+				}
 			}
 			if h.prev == noRID {
 				continue
@@ -270,6 +320,13 @@ func (m *modelTable) checkChains(t *testing.T) {
 				t.Fatalf("version %v of key %v: prev %v holds key %v, header %+v", rid, row[tb.pkCol], h.prev, prev[tb.pkCol], tb.header(h.prev))
 			}
 		}
+	}
+	m.owed = owed
+	if headers != tb.headers || late != tb.late || (late > 0 && tb.lateFloor > floor) {
+		t.Fatalf("after %s: the table counts %d headers, %d late, none below %d; it holds %d, %d, the lowest at %d", what, tb.headers, tb.late, tb.lateFloor, headers, late, floor)
+	}
+	if horizon == tb.clock.Now() && len(m.queue) == 0 && len(owed) == 0 && headers != 0 {
+		t.Fatalf("after %s: no snapshot open, nothing queued, nothing late, and %d headers", what, headers)
 	}
 }
 
@@ -314,7 +371,6 @@ func runMVCCModel(t *testing.T, scheme hermit.PointerScheme, seed int64, ops int
 	if err != nil {
 		t.Fatal(err)
 	}
-	tb.trackDeletes = seed%2 == 1
 	m := newModelTable(tb)
 	var ts uint64 // the oracle's clock
 
@@ -333,6 +389,12 @@ func runMVCCModel(t *testing.T, scheme hermit.PointerScheme, seed int64, ops int
 		}
 		ts++
 		m.put(row[0], row, ts)
+	}
+	if seed%2 == 1 {
+		// A table that flushes deltas, the preload what it was restored from.
+		tb.trackDeletes = true
+		tb.flushCut.Store(ts)
+		m.cut = ts
 	}
 	if _, err := tb.CreateBTreeIndex(1, false); err != nil {
 		t.Fatal(err)
@@ -372,6 +434,7 @@ func runMVCCModel(t *testing.T, scheme hermit.PointerScheme, seed int64, ops int
 		}
 		return h
 	}
+	m.horizon = horizon
 	verify := func() {
 		if db.Clock().Now() != ts {
 			t.Fatalf("clock at %d, oracle at %d", db.Clock().Now(), ts)
@@ -415,20 +478,35 @@ func runMVCCModel(t *testing.T, scheme hermit.PointerScheme, seed int64, ops int
 		for _, s := range snaps[1:] {
 			m.checkDelta(t, snaps[0].ts, s.ts)
 		}
-		// With the delete list the window may open anywhere: the chains that
-		// died in it and were reclaimed are in the list.
+		// With the delete list the window may open anywhere from the last
+		// flush cut on, as well as above the oldest snapshot: the chains that
+		// died in it and were reclaimed are in the list, and nothing that
+		// began in it is frozen.
 		if tb.trackDeletes {
 			for _, s := range snaps {
-				m.checkDelta(t, 0, s.ts)
-				m.checkDelta(t, uint64(rng.Int63n(int64(s.ts)+1)), s.ts)
+				if lo := min(m.cut, snaps[0].ts); lo <= s.ts {
+					m.checkDelta(t, lo, s.ts)
+					m.checkDelta(t, lo+uint64(rng.Int63n(int64(s.ts-lo)+1)), s.ts)
+				}
 			}
 		}
 	}
 	// committed mirrors the tail of an engine commit that ended the given
 	// number of versions, and checks the store after it.
 	committed := func(what string, ended int) {
+		m.commits++
 		m.reclaim(horizon(), ended+1)
 		m.checkStore(t, what)
+	}
+	// flush is what a checkpoint does to the table: under a flush snapshot it
+	// harvests the window since the last cut, then publishes the cut.
+	flush := func() {
+		s := db.Snapshot()
+		m.checkDelta(t, m.cut, s.ts)
+		tb.flushedTo(s.ts)
+		m.cut = s.ts
+		s.Release()
+		m.checkStore(t, "flush")
 	}
 	// The auto-commit writes, each checked against and mirrored into the
 	// oracle.
@@ -542,7 +620,8 @@ func runMVCCModel(t *testing.T, scheme hermit.PointerScheme, seed int64, ops int
 		}
 	}
 	// pinned is pin → churn → release → churn: whatever a run of writes ends
-	// under a snapshot stays, every row the snapshot sees still resolves,
+	// under a snapshot stays, and whatever it writes keeps its header; every
+	// row the snapshot sees still resolves,
 	// and once it is released each commit — here inserts, which end nothing
 	// and so reclaim the least a commit does, one version — takes the
 	// backlog down until it is gone; after that a write leaves nothing
@@ -567,10 +646,21 @@ func runMVCCModel(t *testing.T, scheme hermit.PointerScheme, seed int64, ops int
 			fresh++
 			insert(newRow(fresh))
 		}
+		// What was born under the snapshot froze with the commits since — the
+		// rest within a revolution of the hand (checkVersions counts) — and
+		// after that no write leaves a version queued or a header behind,
+		// unless it is the header of a row no flush has recorded.
+		for len(m.owed) > 0 {
+			fresh++
+			insert(newRow(fresh))
+		}
 		for i := 0; i < 20; i++ {
 			write()
 			if len(m.queue) != 0 {
 				t.Fatalf("pinned: a write with no snapshot open left %d versions queued", len(m.queue))
+			}
+			if n := tb.VersionStats().Unfrozen; n != 0 && !tb.trackDeletes {
+				t.Fatalf("pinned: a write with no snapshot open left %d headers", n)
 			}
 		}
 		snaps = append(snaps, db.Snapshot())
@@ -667,14 +757,17 @@ func runMVCCModel(t *testing.T, scheme hermit.PointerScheme, seed int64, ops int
 				committed("txn commit", ended)
 			}
 			open = nil
-		case r < 95: // open or release a snapshot
-			if len(snaps) < 4 && rng.Intn(2) == 0 {
+		case r < 95: // open or release a snapshot, or flush
+			if tb.trackDeletes && rng.Intn(4) == 0 {
+				flush()
+			} else if len(snaps) < 4 && rng.Intn(2) == 0 {
 				snaps = append(snaps, db.Snapshot())
 			} else if len(snaps) > 1 {
 				i := 1 + rng.Intn(len(snaps)-1)
 				snaps[i].Release()
 				snaps = append(snaps[:i], snaps[i+1:]...)
 			}
+			m.checkStore(t, "snapshot")
 		case r < 97: // GC, then every snapshot must still read its state
 			gc()
 			verify()

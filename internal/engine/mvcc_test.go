@@ -590,7 +590,7 @@ func TestCheckpointRunsVersionGC(t *testing.T) {
 		if got := tb.Store().Len(); got != len(oracle) {
 			t.Fatalf("after %s: store holds %d versions for %d live rows", what, got, len(oracle))
 		}
-		if pending, _, _ := tb.VersionStats(); pending != 0 {
+		if pending := tb.VersionStats().Pending; pending != 0 {
 			t.Fatalf("after %s: %d versions queued with no snapshot open", what, pending)
 		}
 	}
@@ -625,18 +625,18 @@ func TestCheckpointRunsVersionGC(t *testing.T) {
 			settled("a write")
 		}
 		if round == 3 {
-			if _, _, unflushed := tb.VersionStats(); unflushed != deleted {
+			if unflushed := tb.VersionStats().UnflushedDeletes; unflushed != deleted {
 				t.Fatalf("delete list holds %d entries before the first flush, %d keys were deleted", unflushed, deleted)
 			}
 			if err := d.Checkpoint(); err != nil {
 				t.Fatal(err)
 			}
-			if _, _, unflushed := tb.VersionStats(); unflushed != 0 {
+			if unflushed := tb.VersionStats().UnflushedDeletes; unflushed != 0 {
 				t.Fatalf("delete list holds %d entries after the flush", unflushed)
 			}
 		}
 	}
-	if _, reclaimed, _ := tb.VersionStats(); reclaimed == 0 || d.GC() != 0 {
+	if reclaimed := tb.VersionStats().Reclaimed; reclaimed == 0 || d.GC() != 0 {
 		t.Fatalf("reclaimed %d versions at commit; a GC call after them found work", reclaimed)
 	}
 	if err := d.Checkpoint(); err != nil {
@@ -743,4 +743,108 @@ func reclaimedHeadNotWalked(t *testing.T, scheme hermit.PointerScheme) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// TestFrozenRowsReachTheirBlock follows a durable table's rows from the WAL
+// tail into blocks, with the freeze rule's durable horizon in between: a row
+// that no delta block holds yet keeps its header, whoever can see it — that
+// header's beginTS is how the next flush tells it from a flushed one — and a
+// checkpoint or a recovery freezes exactly what blocks hold. insert → close
+// without checkpoint → reopen (the rows come back from the log: unfrozen) →
+// checkpoint (flushed: frozen) → churn → reopen (restored from blocks: frozen;
+// replayed from the tail: not) → checkpoint → reopen loses no row on the way.
+func TestFrozenRowsReachTheirBlock(t *testing.T) {
+	dir := t.TempDir()
+	open := func() (*DurableDB, *Table) {
+		t.Helper()
+		d, err := OpenDurableOptions(dir, hermit.LogicalPointers, DurableOptions{DisableAutoCompact: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tb, _ := d.Table("t")
+		return d, tb
+	}
+	oracle := make(map[float64]float64)
+	check := func(what string, d *DurableDB, tb *Table, unfrozen int) {
+		t.Helper()
+		got := make(map[float64]float64)
+		tb.ScanLive(func(_ storage.RID, row []float64) bool { got[row[0]] = row[1]; return true })
+		if !maps.Equal(got, oracle) {
+			t.Fatalf("%s: table holds %d rows, the oracle %d", what, len(got), len(oracle))
+		}
+		if st := d.StorageStats(); st.VersionsUnfrozen != unfrozen || st.VersionsPending != 0 {
+			t.Fatalf("%s: %d rows carry a header (%d versions pending), want %d", what, st.VersionsUnfrozen, st.VersionsPending, unfrozen)
+		}
+	}
+	const rows = 3000
+	d, _ := open()
+	if _, err := d.CreateTable("t", []string{"pk", "v"}, 0); err != nil {
+		t.Fatal(err)
+	}
+	tb, _ := d.Table("t")
+	for i := 0; i < rows; i++ {
+		if _, err := d.Insert("t", []float64{float64(i), 0}); err != nil {
+			t.Fatal(err)
+		}
+		oracle[float64(i)] = 0
+	}
+	check("loaded, nothing flushed", d, tb, rows)
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	d, tb = open()
+	check("replayed from the log", d, tb, rows)
+	if err := d.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	check("flushed", d, tb, 0)
+	// A snapshot older than a flushed row keeps it from freezing; the commits
+	// after its release see to it.
+	snap := d.Snapshot()
+	for i := 0; i < 100; i++ {
+		pk := float64(rows + i)
+		if _, err := d.Insert("t", []float64{pk, 1}); err != nil {
+			t.Fatal(err)
+		}
+		oracle[pk] = 1
+	}
+	if err := d.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	check("flushed under a snapshot", d, tb, 100)
+	snap.Release()
+	changed := 0
+	for i := 0; i < rows; i += 7 {
+		pk := float64(i)
+		if i%2 == 0 {
+			if err := d.UpdateColumn("t", pk, 1, 2); err != nil {
+				t.Fatal(err)
+			}
+			oracle[pk] = 2
+			changed++
+		} else {
+			if _, err := d.Delete("t", pk); err != nil {
+				t.Fatal(err)
+			}
+			delete(oracle, pk)
+		}
+	}
+	check("the snapshot gone, a tail unflushed", d, tb, changed)
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	d, tb = open()
+	check("restored from blocks, the tail replayed", d, tb, changed)
+	if err := d.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	check("flushed again", d, tb, 0)
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	d, tb = open()
+	defer d.Close()
+	check("restored from blocks alone", d, tb, 0)
 }

@@ -4,10 +4,12 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 
 	"hermit/internal/hermit"
 	"hermit/internal/storage"
@@ -86,10 +88,77 @@ func TestFifo(t *testing.T) {
 // a chain link into a freed slot, a row fetched after its snapshot let go —
 // reads another key's row: every row must satisfy the predicate it was asked
 // by, carry the key it was asked for when asked by key, and no key may come
-// back twice. Run it under -race.
+// back twice. Two more readers hold their candidate RIDs, snapshot and all,
+// until the writers have committed another 64 times — slots all around theirs
+// reclaimed, refilled, frozen and thawed meanwhile — and fetch only then. Run
+// it under -race.
+//
+// The second half is the one window freezing must stay out of: a snapshot
+// registered between a commit's stamp and its publish reads at commitTS-1 and
+// must not see the version, which a version frozen at stamp would show it.
 func TestSnapshotReadersAgainstReclaimingWriters(t *testing.T) {
 	for _, scheme := range []hermit.PointerScheme{hermit.PhysicalPointers, hermit.LogicalPointers} {
 		t.Run(scheme.String(), func(t *testing.T) { snapshotReadersAgainstWriters(t, scheme) })
+		t.Run(scheme.String()+"-stamp-to-publish", func(t *testing.T) { snapshotsBetweenStampAndPublish(t, scheme) })
+	}
+}
+
+// snapshotsBetweenStampAndPublish: one writer is the only committer, so the
+// key it inserts with its n-th commit is known beforehand, by auto-commit and
+// by transaction in turn; three readers take snapshot after snapshot and ask
+// each for the key of the commit after the one it reads at, by key and by
+// index. Whenever a snapshot lands between that commit's stamp and its publish
+// the version is there to be found, and must not be.
+func snapshotsBetweenStampAndPublish(t *testing.T, scheme hermit.PointerScheme) {
+	db := NewDB(scheme)
+	tb, err := db.CreateTable("t", []string{"pk", "v"}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tb.CreateBTreeIndex(1, false); err != nil {
+		t.Fatal(err)
+	}
+	commits := 200_000
+	if testing.Short() || raceEnabled {
+		commits = 40_000
+	}
+	var stop atomic.Bool
+	var readers sync.WaitGroup
+	for r := 0; r < 3; r++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for i := 0; !stop.Load(); i++ {
+				snap := db.Snapshot()
+				next := float64(snap.TS() + 1) // the key commit TS()+1 inserts
+				rids, _, err := tb.RangeQueryAt(snap, i%2, next, next)
+				snap.Release()
+				if err != nil || len(rids) != 0 {
+					t.Errorf("a snapshot at %d sees %d row(s) of the commit after it (col %d): %v", snap.TS(), len(rids), i%2, err)
+					return
+				}
+			}
+		}()
+	}
+	for ts := 1; ts <= commits && !t.Failed(); ts++ {
+		row := []float64{float64(ts), float64(ts)}
+		if ts%2 == 0 {
+			_, err = tb.Insert(row)
+		} else {
+			x := db.Begin()
+			if err = x.Insert(tb, row); err == nil {
+				_, err = x.Commit()
+			}
+		}
+		if err != nil || db.Clock().Now() != uint64(ts) {
+			t.Fatalf("commit %d: clock at %d: %v", ts, db.Clock().Now(), err)
+		}
+	}
+	stop.Store(true)
+	readers.Wait()
+	db.GC()
+	if vs := tb.VersionStats(); vs.Unfrozen != 0 || tb.Len() != commits && !t.Failed() {
+		t.Fatalf("after the run: %d rows, %+v", tb.Len(), vs)
 	}
 }
 
@@ -124,10 +193,11 @@ func snapshotReadersAgainstWriters(t *testing.T, scheme hermit.PointerScheme) {
 	}
 	var stop atomic.Bool
 	var readers, writers sync.WaitGroup
-	for r := 0; r < 4; r++ {
+	for r := 0; r < 6; r++ {
 		readers.Add(1)
 		go func() {
 			defer readers.Done()
+			hold := r >= 4
 			rng := rand.New(rand.NewSource(int64(100 + r)))
 			seen := make(map[float64]bool)
 			var rows [][]float64
@@ -141,6 +211,9 @@ func snapshotReadersAgainstWriters(t *testing.T, scheme hermit.PointerScheme) {
 				}
 				snap := db.Snapshot()
 				rids, _, err := tb.RangeQueryAt(snap, col, lo, hi)
+				for hold && db.Clock().Now() < snap.TS()+64 && !stop.Load() {
+					runtime.Gosched()
+				}
 				if err == nil {
 					rows, err = tb.FetchRows(rids, rows)
 				}
@@ -195,7 +268,7 @@ func snapshotReadersAgainstWriters(t *testing.T, scheme hermit.PointerScheme) {
 	readers.Wait()
 	// Nothing is pinned any more: what the writers ended is gone, to the row.
 	db.GC()
-	if pending, _, _ := tb.VersionStats(); pending != 0 || tb.Store().Len() != tb.Len() {
+	if pending := tb.VersionStats().Pending; pending != 0 || tb.Store().Len() != tb.Len() {
 		t.Fatalf("after the run: %d versions queued, %d rows stored for %d live", pending, tb.Store().Len(), tb.Len())
 	}
 }
@@ -266,16 +339,17 @@ func TestChurnKeepsHeapFlat(t *testing.T) {
 	if got := tb.Store().Len(); got != rows || tb.Len() != rows {
 		t.Fatalf("store holds %d versions, table %d live rows, want %d of each", got, tb.Len(), rows)
 	}
-	pending, reclaimed, _ := tb.VersionStats()
-	if pending != 0 || reclaimed == 0 {
-		t.Fatalf("%d versions queued, %d reclaimed", pending, reclaimed)
+	if vs := tb.VersionStats(); vs.Pending != 0 || vs.Reclaimed == 0 || vs.Unfrozen != 0 {
+		t.Fatalf("after the churn, no snapshot open: %+v", vs)
 	}
 	churned := tb.Memory()
 	t.Logf("as loaded %+v (%d B), after %d ops %+v (%d B)", loaded, loaded.Total(), ops, churned, churned.Total())
 	if a, b := float64(loaded.Total()), float64(churned.Total()); b > 1.05*a || b < 0.95*a {
 		t.Fatalf("footprint %d B as loaded, %d B after the churn: more than 5%% apart", loaded.Total(), churned.Total())
 	}
-	if churned.VersionBytes > loaded.VersionBytes+8*fifoFloor {
+	// An update holds two headers at once, the load one: a granule more on
+	// the free list, and the queue's floor.
+	if churned.VersionBytes > loaded.VersionBytes+8*fifoFloor+2*uint64(unsafe.Sizeof(verGranule{})) {
 		t.Fatalf("version table %d B as loaded, %d B after the churn", loaded.VersionBytes, churned.VersionBytes)
 	}
 }
@@ -305,7 +379,7 @@ func TestLongSnapshotBacklogGivenBack(t *testing.T) {
 	for i := 0; i < updates; i++ {
 		update(i)
 	}
-	if pending, _, _ := tb.VersionStats(); pending != updates {
+	if pending := tb.VersionStats().Pending; pending != updates {
 		t.Fatalf("%d versions queued under the snapshot, want %d", pending, updates)
 	}
 	var rids []storage.RID
@@ -318,10 +392,59 @@ func TestLongSnapshotBacklogGivenBack(t *testing.T) {
 	for i := 0; i < updates; i++ {
 		update(updates + i)
 	}
-	if pending, _, _ := tb.VersionStats(); pending != 0 || tb.Store().Len() != rows {
+	if pending := tb.VersionStats().Pending; pending != 0 || tb.Store().Len() != rows {
 		t.Fatalf("after as many commits as the backlog was long: %d queued, %d versions stored", pending, tb.Store().Len())
 	}
 	if after := tb.Memory().VersionBytes; pinned < 8*updates || after > pinned-8*updates+8*fifoFloor {
 		t.Fatalf("version table %d B with the backlog, %d B without it", pinned, after)
+	}
+}
+
+// TestVersionTableBounds: the version table of a table as loaded is a bit and
+// an eighth of a pointer per slot, at most 0.5 B/row; with a snapshot pinned
+// across an update of every row every slot holds a header, and then it is the
+// dense table — 24 B a slot — and that same 0.5 B, whatever the order the
+// slots were written in; released and collected, no header is left and the
+// half-empty store's slots cost that 0.5 B again.
+func TestVersionTableBounds(t *testing.T) {
+	rows := 1_000_000
+	if testing.Short() || raceEnabled {
+		rows = 100_000
+	}
+	db := NewDB(hermit.PhysicalPointers)
+	tb, err := db.CreateTable("t", []string{"pk", "v"}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for pk := 0; pk < rows; pk++ {
+		if _, err := tb.Insert([]float64{float64(pk), 0}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	loaded := tb.VersionStats()
+	if loaded.Unfrozen != 0 || float64(loaded.Bytes) > 0.5*float64(rows) {
+		t.Fatalf("as loaded: %+v, want no header and at most 0.5 B/row", loaded)
+	}
+	snap := db.Snapshot()
+	for _, pk := range rand.New(rand.NewSource(1)).Perm(rows) {
+		if err := tb.UpdateColumn(float64(pk), 1, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pinned := tb.VersionStats()
+	slots := float64(tb.Store().Len())
+	tb.verMu.RLock()
+	queue := tb.ended.capBytes()
+	tb.verMu.RUnlock()
+	if pinned.Unfrozen != 2*rows || float64(pinned.Bytes-queue) > 24.5*slots {
+		t.Fatalf("pinned across %d updates: %+v, of it %d B of queue; want %d headers in at most %.0f B", rows, pinned, queue, 2*rows, 24.5*slots)
+	}
+	snap.Release()
+	if db.GC() != rows {
+		t.Fatal("GC left versions of the released snapshot behind")
+	}
+	freeList := float64(maxGranuleFree * unsafe.Sizeof(verGranule{}))
+	if after := tb.VersionStats(); after.Unfrozen != 0 || float64(after.Bytes) > 0.5*slots+freeList {
+		t.Fatalf("released and collected: %+v, want no header and at most 0.5 B a slot of the %.0f the store has had and a full free list", after, slots)
 	}
 }

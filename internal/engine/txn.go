@@ -184,13 +184,14 @@ func (x *Txn) Rollback() {
 	x.snap.Release()
 }
 
-// stamped describes one version stamping to perform under the commit lock.
+// stamped describes one version stamping to perform under the commit lock:
+// an insert (nothing ended), a delete (nothing written) or an update.
 type stamped struct {
-	t    *Table
-	pk   float64
-	rid  storage.RID // new version's row (zero for pure deletes)
-	old  storage.RID // the head a delete ends
-	kind byte        // 'i' insert, 'u' update, 'd' delete
+	t   *Table
+	ti  int // t's place among the transaction's tables
+	pk  float64
+	rid storage.RID // new version's row (noRID for a delete)
+	old storage.RID // the head an update or a delete ends (noRID for an insert)
 }
 
 // CommitResult reports where a committed transaction's writes landed.
@@ -230,30 +231,22 @@ func (x *Txn) Commit() (CommitResult, error) {
 		t.catalog.RLock()
 		defer t.catalog.RUnlock()
 	}
-	res, pend, err := x.apply(tables)
+	res, left, err := x.apply(tables)
 	if err != nil {
 		return res, err
 	}
-	// The stripes are free again, and the snapshot, which pinned everything
-	// this commit ended, goes first: each table reclaims for what was ended
-	// in it.
-	x.snap.Release()
-	for _, t := range tables {
-		budget := 1
-		for _, s := range pend {
-			if s.t == t && s.kind != 'i' {
-				budget++
-			}
-		}
-		t.reclaimAfter(budget)
+	// The stripes are free again: each table reclaims for what the commit had
+	// to leave on its queue.
+	for i, t := range tables {
+		t.reclaimAfter(1 + left[i])
 	}
 	return res, nil
 }
 
 // apply is Commit under the tables' catalog latches: it takes the written
-// keys' stripes, validates, applies and stamps, and lets the stripes go. It
-// returns the stampings it performed.
-func (x *Txn) apply(tables []*Table) (CommitResult, []stamped, error) {
+// keys' stripes, validates, applies, stamps and settles, and lets the stripes
+// go. It returns, per table, the number of ended versions it left queued.
+func (x *Txn) apply(tables []*Table) (CommitResult, []int, error) {
 	res := CommitResult{}
 	type stripeRef struct {
 		t *Table
@@ -297,7 +290,7 @@ func (x *Txn) apply(tables []*Table) (CommitResult, []stamped, error) {
 	// versions are invisible and the primary index still names the old
 	// heads, so readers cannot observe a partial transaction here.
 	var pend []stamped
-	for _, t := range tables {
+	for ti, t := range tables {
 		pks := make([]float64, 0, len(x.writes[t]))
 		for pk := range x.writes[t] {
 			pks = append(pks, pk)
@@ -308,7 +301,7 @@ func (x *Txn) apply(tables []*Table) (CommitResult, []stamped, error) {
 			old, h := t.head(pk)
 			if w.del {
 				if h.live() {
-					pend = append(pend, stamped{t: t, pk: pk, old: old, kind: 'd'})
+					pend = append(pend, stamped{t: t, ti: ti, pk: pk, rid: noRID, old: old})
 					t.writes.Add(1)
 				}
 				continue
@@ -324,9 +317,9 @@ func (x *Txn) apply(tables []*Table) (CommitResult, []stamped, error) {
 			for i, v := range w.row {
 				t.runtime[i].widen(v)
 			}
-			st := stamped{t: t, pk: pk, rid: rid, kind: 'i'}
+			st := stamped{t: t, ti: ti, pk: pk, rid: rid, old: noRID}
 			if h.live() {
-				st.kind = 'u'
+				st.old = old
 			}
 			pend = append(pend, st)
 		}
@@ -337,22 +330,40 @@ func (x *Txn) apply(tables []*Table) (CommitResult, []stamped, error) {
 	c.commitMu.Lock()
 	commitTS := c.ts.Load() + 1
 	for _, s := range pend {
-		switch s.kind {
-		case 'i':
-			s.t.stampInsert(s.rid, s.pk, commitTS)
-		case 'u':
-			s.t.stampUpdate(s.pk, s.rid, commitTS)
-		default:
+		switch {
+		case s.old == noRID:
+			s.t.stampInsert(s.rid, s.pk, commitTS, nil)
+		case s.rid == noRID:
 			s.t.stampDelete(s.old, s.pk, commitTS)
+		default:
+			s.t.stampUpdate(s.pk, s.rid, commitTS)
 		}
 	}
 	c.ts.Store(commitTS)
 	c.commitMu.Unlock()
 
+	// Settle, as every commit does (Table.settle), the stripes still held. The
+	// transaction's snapshot pinned everything it has just ended, so it goes
+	// first.
+	x.snap.Release()
+	quiet := c.OldestActive() >= commitTS
+	left := make([]int, len(tables))
+	var buf [rowStack]float64
+	for _, s := range pend {
+		var row []float64
+		if s.old != noRID {
+			var err error
+			if row, err = s.t.store.Get(s.old, buf[:0]); err != nil {
+				continue // unreachable: the stripe is held and old was live
+			}
+		}
+		left[s.ti] += s.t.settle(commitTS, quiet, s.rid, s.old, row)
+	}
+
 	res.TS = commitTS
 	res.RIDs = make(map[*Table]map[float64]storage.RID)
 	for _, s := range pend {
-		if s.kind == 'd' {
+		if s.rid == noRID {
 			continue
 		}
 		m := res.RIDs[s.t]
@@ -362,5 +373,5 @@ func (x *Txn) apply(tables []*Table) (CommitResult, []stamped, error) {
 		}
 		m[s.pk] = s.rid
 	}
-	return res, pend, nil
+	return res, left, nil
 }

@@ -24,7 +24,7 @@ func newCompositeFixture(t testing.TB, n int, noise float64, seed int64) *compos
 	rng := rand.New(rand.NewSource(seed))
 	f := &compositeFixture{
 		table: storage.NewTable(4),
-		host:  btree.NewComposite(btree.DefaultOrder),
+		host:  btree.NewComposite(testOrder),
 	}
 	dj := 2500.0
 	for day := 0; day < n; day++ {

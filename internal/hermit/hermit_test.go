@@ -23,13 +23,18 @@ type fixture struct {
 	rids    []storage.RID
 }
 
+// testOrder is the node capacity of the fixtures' host trees: small, so that
+// a few thousand rows give the scans this package runs a tree of several
+// levels to cross rather than a handful of leaves.
+const testOrder = 16
+
 func newFixture(t testing.TB, n int, fn func(c float64) float64, noise float64, scheme PointerScheme, seed int64) *fixture {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	f := &fixture{
 		table:   storage.NewTable(4),
-		host:    btree.New(btree.DefaultOrder),
-		primary: btree.New(btree.DefaultOrder),
+		host:    btree.New(testOrder),
+		primary: btree.New(testOrder),
 	}
 	for i := 0; i < n; i++ {
 		c := rng.Float64() * 1000
@@ -327,7 +332,7 @@ func TestDeletedTupleFilteredDuringValidation(t *testing.T) {
 func TestSizeBytesSuccinct(t *testing.T) {
 	f := newFixture(t, 50000, linearFn, 0.01, PhysicalPointers, 13)
 	idx := newIndex(t, f, PhysicalPointers, false)
-	full := btree.New(btree.DefaultOrder)
+	full := btree.New(testOrder)
 	for i, row := range f.rows {
 		full.Insert(row[2], uint64(f.rids[i]))
 	}
@@ -401,7 +406,7 @@ func TestBuildParallelWorkers(t *testing.T) {
 
 func TestEmptyTableIndex(t *testing.T) {
 	tb := storage.NewTable(4)
-	host := btree.New(btree.DefaultOrder)
+	host := btree.New(testOrder)
 	idx, err := New(tb, host, nil, Config{TargetCol: 2, HostCol: 1, Params: trstree.DefaultParams()})
 	if err != nil {
 		t.Fatal(err)

@@ -7,7 +7,9 @@
 // A row never moves, so its RID is stable for as long as the row exists. A
 // deleted row's slot is free, and the next insert fills a free slot before
 // it appends: the arenas hold as many slots as the table has had rows at
-// once, not as many as it has ever been given. A RID therefore names a row
+// once, not as many as it has ever been given — and a block whose every slot
+// is free gives its row array back until an insert needs it again. A RID
+// therefore names a row
 // only until that row is deleted — afterwards it reads ErrTombstoned, and
 // after the slot's next insert it reads the new row. Whoever keeps RIDs
 // across deletes (the engine's indexes and version chains) drops them
@@ -59,7 +61,7 @@ var (
 // block is one fixed-capacity arena of rows plus a deletion bitmap, which
 // doubles as the block's free-slot set.
 type block struct {
-	data []float64 // BlockRows * width values
+	data []float64 // BlockRows * width values; nil while every used slot is free
 	dead []uint64  // bitmap, BlockRows bits: the free slots below used
 	used int       // slots handed out so far (live or free)
 	free int       // bits set in dead
@@ -154,6 +156,9 @@ func (t *Table) Insert(row []float64) (RID, error) {
 			t.holes = t.holes[:n-1]
 		}
 		t.deleted--
+		if b.data == nil {
+			b.data = make([]float64, BlockRows*t.width)
+		}
 		copy(b.data[int(slot)*t.width:], row)
 		return MakeRID(uint64(bi), slot), nil
 	}
@@ -162,6 +167,9 @@ func (t *Table) Insert(row []float64) (RID, error) {
 	}
 	b := t.blocks[len(t.blocks)-1]
 	slot := uint16(b.used)
+	if b.data == nil {
+		b.data = make([]float64, BlockRows*t.width)
+	}
 	copy(b.data[int(slot)*t.width:], row)
 	b.used++
 	return MakeRID(uint64(len(t.blocks)-1), slot), nil
@@ -254,9 +262,11 @@ func (t *Table) Set(rid RID, col int, v float64) error {
 	return nil
 }
 
-// Delete removes the row at rid and frees its slot for a later insert.
-// Deleting an already-deleted row is an error so that index maintenance
-// bugs surface instead of silently passing.
+// Delete removes the row at rid and frees its slot for a later insert; the
+// block's row array goes with the last of its rows (the slot bookkeeping
+// stays, so the next insert into the block finds the same slots in the same
+// order and makes the array anew). Deleting an already-deleted row is an error
+// so that index maintenance bugs surface instead of silently passing.
 func (t *Table) Delete(rid RID) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -267,6 +277,9 @@ func (t *Table) Delete(rid RID) error {
 	b.setDead(slot)
 	if b.free == 1 {
 		t.holes = append(t.holes, uint32(rid.Block()))
+	}
+	if b.free == b.used {
+		b.data = nil
 	}
 	t.live--
 	t.deleted++
@@ -369,10 +382,10 @@ func (t *Table) ColumnBounds(col int) (lo, hi float64, ok bool) {
 	return lo, hi, true
 }
 
-// SizeBytes estimates the heap footprint of the table: data arenas,
-// deletion bitmaps (which are the free-slot sets) and the stack of blocks
-// with a free slot. Used by the memory-consumption experiments (Figs. 5, 7,
-// 18–20).
+// SizeBytes estimates the heap footprint of the table: data arenas (a wholly
+// free block has none), deletion bitmaps (which are the free-slot sets) and
+// the stack of blocks with a free slot. Used by the memory-consumption
+// experiments (Figs. 5, 7, 18–20).
 func (t *Table) SizeBytes() uint64 {
 	t.mu.RLock()
 	defer t.mu.RUnlock()

@@ -444,3 +444,85 @@ func TestInsertReusesFreedSlots(t *testing.T) {
 		}
 	}
 }
+
+// TestWhollyFreeBlockGivesItsArrayBack: a block whose every row is deleted
+// keeps its slot bookkeeping and drops its row array; SizeBytes says so, every
+// read path still answers, and the inserts that follow land in the RIDs they
+// always did — the top of the holes stack, lowest slot first — on an array
+// made anew.
+func TestWhollyFreeBlockGivesItsArrayBack(t *testing.T) {
+	const width, n = 3, 3 * BlockRows
+	tb := NewTable(width)
+	rids := make([]RID, n)
+	for i := range rids {
+		rids[i], _ = tb.Insert([]float64{float64(i), 1, 2})
+	}
+	loaded := tb.SizeBytes()
+	// Block 1 loses every row, in an order that is not slot order; blocks 0
+	// and 2 one row each, before and after, so the holes stack reads 0, 1, 2.
+	tb.Delete(rids[5])
+	for _, i := range rand.New(rand.NewSource(1)).Perm(BlockRows) {
+		if err := tb.Delete(rids[BlockRows+i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tb.Delete(rids[2*BlockRows+9])
+	if tb.blocks[1].data != nil || tb.blocks[0].data == nil || tb.blocks[2].data == nil {
+		t.Fatal("the wholly free block keeps its array, or a block with rows lost its own")
+	}
+	if got, want := tb.SizeBytes(), loaded-BlockRows*width*8+uint64(cap(tb.holes))*4; got != want {
+		t.Fatalf("SizeBytes %d with block 1 free, %d as loaded: want one row array less (%d)", got, loaded, want)
+	}
+	if _, err := tb.Get(rids[BlockRows], nil); err != ErrTombstoned {
+		t.Fatalf("Get in the free block: %v", err)
+	}
+	if _, err := tb.Value(rids[BlockRows+1], 0); err != ErrTombstoned {
+		t.Fatalf("Value in the free block: %v", err)
+	}
+	if _, err := tb.GetRun(rids[BlockRows:BlockRows+2], nil); err == nil {
+		t.Fatal("GetRun in the free block succeeds")
+	}
+	rows := 0
+	tb.Scan(func(rid RID, _ []float64) bool {
+		if rid.Block() == 1 {
+			t.Fatalf("Scan yields %v from the free block", rid)
+		}
+		rows++
+		return true
+	})
+	if rows != n-BlockRows-2 {
+		t.Fatalf("Scan saw %d rows, want %d", rows, n-BlockRows-2)
+	}
+	// Refill: block 2's slot first (top of the stack), then block 1 lowest
+	// slot first, then block 0's — the assignment of the parent commit.
+	want := []RID{rids[2*BlockRows+9]}
+	for s := 0; s < BlockRows; s++ {
+		want = append(want, MakeRID(1, uint16(s)))
+	}
+	want = append(want, rids[5], MakeRID(3, 0))
+	for i, w := range want {
+		rid, err := tb.Insert([]float64{float64(i), 7, 8})
+		if err != nil || rid != w {
+			t.Fatalf("insert %d went to %v (%v), want %v", i, rid, err, w)
+		}
+		if v, err := tb.Value(rid, 0); err != nil || v != float64(i) {
+			t.Fatalf("refilled slot %v reads %v (%v)", rid, v, err)
+		}
+	}
+	if got := tb.SizeBytes(); got < loaded {
+		t.Fatalf("SizeBytes %d after the refill, %d as loaded", got, loaded)
+	}
+	// A block that was never full gives its array back too, and appends into
+	// it afterwards.
+	last := MakeRID(3, 0)
+	tb.Delete(last)
+	if tb.blocks[3].data != nil {
+		t.Fatal("the one-row block keeps its array")
+	}
+	if rid, _ := tb.Insert([]float64{1, 2, 3}); rid != last {
+		t.Fatalf("insert went to %v, want %v", rid, last)
+	}
+	if rid, _ := tb.Insert([]float64{4, 5, 6}); rid != MakeRID(3, 1) {
+		t.Fatalf("append went to %v", rid)
+	}
+}
