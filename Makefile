@@ -21,7 +21,7 @@ BENCH_EXPERIMENTS = concurrency,durability,compaction,advisor,partition,txn,serv
 # uploads it as the profiles artifact.
 PROFILE_DIR = profiles
 
-.PHONY: build build-examples test race cover difftest fuzz bench bench-all bench-check bench-concurrency bench-durability bench-compaction bench-advisor bench-partition bench-txn bench-server bench-repl bench-scenarios bench-hotpath benchmark-smoke profile heap-profile fmt fmt-check vet staticcheck doc-check ci
+.PHONY: build build-examples test race cover difftest fuzz bench bench-all bench-check bench-concurrency bench-durability bench-compaction bench-advisor bench-partition bench-txn bench-server bench-repl bench-scenarios bench-hotpath benchmark-smoke profile heap-profile loc fmt fmt-check vet staticcheck doc-check ci
 
 build:
 	$(GO) build ./...
@@ -187,6 +187,17 @@ heap-profile:
 	$(GO) tool pprof -sample_index=inuse_space -top $(PROFILE_DIR)/heap-load.pb.gz > $(PROFILE_DIR)/heap-load.txt
 	$(GO) tool pprof -sample_index=inuse_space -top $(PROFILE_DIR)/heap-churn.pb.gz > $(PROFILE_DIR)/heap-churn.txt
 	@head -25 $(PROFILE_DIR)/heap-load.txt $(PROFILE_DIR)/heap-churn.txt
+
+# Non-test Go lines per top-level package — the root package, cmd, examples
+# and each internal/<pkg> — and their total; benchmark/ (the repository
+# benchmark, its own program) is not counted. ROADMAP item 7's "non-test
+# LOC" target is this number: quote it before and after in CHANGES.md.
+loc:
+	@total=0; for d in . cmd examples internal/*; do \
+		depth=; [ $$d = . ] && depth='-maxdepth 1'; \
+		n=$$(find $$d $$depth -name '*.go' -not -name '*_test.go' | xargs cat | wc -l); \
+		printf '%-22s %6d\n' $$d $$n; total=$$((total + n)); \
+	done; printf '%-22s %6d\n' total $$total
 
 fmt:
 	gofmt -w .

@@ -1,5 +1,6 @@
 // Package hermitdb is the public API of the Hermit reproduction: a
-// main-memory (and disk-based) embedded relational engine whose secondary
+// main-memory embedded relational engine — durable through a WAL and a
+// paged block tier when opened with OpenDurable — whose secondary
 // indexes can be built as Hermit indexes — succinct TRS-Tree structures
 // that exploit column correlations to answer queries through an existing
 // index on a correlated host column, as described in "Designing Succinct
@@ -22,8 +23,8 @@
 //
 // The subpackages under internal/ contain the full implementation: the
 // TRS-Tree (internal/trstree), the Hermit lookup mechanism
-// (internal/hermit), the B+-tree and storage substrates, the disk engine
-// (internal/pager), the Correlation Maps baseline (internal/cm), and the
+// (internal/hermit), the B+-tree and storage substrates, the paged block
+// tier (internal/block), the Correlation Maps baseline (internal/cm), and the
 // experiment harness (internal/bench, driven by cmd/hermit-bench).
 package hermitdb
 
@@ -47,8 +48,6 @@ type (
 	DB = engine.DB
 	// Table is one relation plus its indexes.
 	Table = engine.Table
-	// DiskTable is the disk-based engine (buffer pool + page B+-trees).
-	DiskTable = engine.DiskTable
 	// DurableDB wraps the engine with WAL + checkpoint persistence (§6).
 	// It is safe for concurrent use: mutations must go through its logged
 	// methods (Insert/Delete/UpdateColumn/ExecuteBatch), which coordinate
@@ -336,8 +335,6 @@ type Discovery = correlation.Config
 var (
 	// NewDB creates a database using the given tuple-identifier scheme.
 	NewDB = engine.NewDB
-	// OpenDiskTable creates a disk-backed table (the PostgreSQL-style engine).
-	OpenDiskTable = engine.OpenDiskTable
 	// OpenDurable opens a WAL + checkpoint durable database in a directory.
 	OpenDurable = engine.OpenDurable
 	// OpenDurableOptions opens a durable database with an explicit sync

@@ -32,7 +32,7 @@ type Config struct {
 	MeasureFor time.Duration
 	// Seed makes dataset generation deterministic.
 	Seed int64
-	// TmpDir hosts the disk-engine files (Fig. 24).
+	// TmpDir hosts the durable databases experiments open.
 	TmpDir string
 	// Concurrency is the maximum goroutine count the concurrency
 	// experiment sweeps to (the CLI's -concurrency flag).

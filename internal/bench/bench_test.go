@@ -143,8 +143,10 @@ func TestSmokeApps(t *testing.T) {
 
 func TestSmokeDisk(t *testing.T) {
 	out := runExperiment(t, "fig24")
-	if !strings.Contains(out, "buffer pool") {
-		t.Fatalf("fig24 missing pool stats:\n%s", out)
+	// The experiment itself fails on an inexact answer; the lines say the
+	// rows came from pages and that the check ran.
+	if !strings.Contains(out, "page reads=") || strings.Contains(out, "page reads=0 ") || !strings.Contains(out, "exact: ") {
+		t.Fatalf("fig24 missing page reads or the exactness line:\n%s", out)
 	}
 }
 

@@ -3,12 +3,13 @@ package bench
 import (
 	"fmt"
 	"os"
+	"path/filepath"
+	"slices"
 	"time"
 
 	"hermit/internal/engine"
 	"hermit/internal/hermit"
 	"hermit/internal/storage"
-	"hermit/internal/trstree"
 	"hermit/internal/workload"
 )
 
@@ -323,9 +324,16 @@ func Fig7MemorySensor(cfg Config) error {
 	return nil
 }
 
-// Fig24Disk reproduces Fig. 24: Sensor range lookups on the disk engine
-// (buffer-pooled heap + page B+-trees, in-memory TRS-Tree), with the
-// TRS-Tree / index / validation breakdown.
+// Fig24Disk reproduces Fig. 24 (§7.8: TRS-Tree in memory, what it resolves
+// against on disk) on the engine that serves. Two durable databases under
+// logical pointers hold the same Sensor rows — host B+-tree on the average
+// plus Hermit on reading 0 in one, a complete B+-tree on reading 0 in the
+// other — and one checkpoint puts every row in 2 KiB pages of the block
+// tier. A range is answered by coldTable.rangeQuery: indexes in memory,
+// every row it validates read back from a page. Throughput and the
+// Fig. 24b breakdown are timings; candidates, rows and page reads are
+// counts, and every counted answer is compared with Table.RangeQuery on
+// the same table.
 func Fig24Disk(cfg Config) error {
 	cfg = cfg.sanitized()
 	header(cfg.Out, "fig24", "Disk-based range lookup and breakdown (Sensor)")
@@ -341,110 +349,195 @@ func Fig24Disk(cfg Config) error {
 	n := cfg.rows(paperSensorRows / 4)
 	spec := workload.DefaultSensorSpec(n)
 	spec.Seed = cfg.Seed
-	build := func(sub string, useHermit bool) (*engine.DiskTable, error) {
-		d := dir + "/" + sub
-		if err := os.MkdirAll(d, 0o755); err != nil {
-			return nil, err
-		}
-		// Pool sized well below the dataset so lookups pay real page I/O.
-		dt, err := engine.OpenDiskTable(d, spec.Columns(), spec.PKCol(), 128)
+	col, host := spec.ReadingCol(0), spec.AvgCol()
+	build := func(sub string, defs ...engine.IndexDef) (coldTable, error) {
+		d, err := engine.OpenDurable(filepath.Join(dir, sub), hermit.LogicalPointers)
 		if err != nil {
-			return nil, err
+			return coldTable{}, err
 		}
-		if err := spec.Generate(func(row []float64) error {
-			_, err := dt.Insert(row)
-			return err
-		}); err != nil {
-			return nil, err
+		tb, err := d.CreateTable("sensor", spec.Columns(), spec.PKCol())
+		if err == nil {
+			err = spec.Generate(func(row []float64) error {
+				_, err := d.Insert("sensor", row)
+				return err
+			})
 		}
-		if useHermit {
-			if _, err := dt.CreateDiskBTreeIndex(spec.AvgCol()); err != nil {
-				return nil, err
-			}
-			if _, err := dt.CreateDiskHermitIndex(spec.ReadingCol(0), spec.AvgCol(), trstree.DefaultParams()); err != nil {
-				return nil, err
-			}
-		} else {
-			if _, err := dt.CreateDiskBTreeIndex(spec.ReadingCol(0)); err != nil {
-				return nil, err
+		for _, def := range defs {
+			if err == nil {
+				err = d.CreateIndex("sensor", def)
 			}
 		}
-		return dt, nil
+		if err == nil {
+			err = d.Checkpoint()
+		}
+		if err != nil {
+			d.Close()
+			return coldTable{}, err
+		}
+		return coldTable{d, tb, col, host}, nil
 	}
-	dtH, err := build("hermit", true)
+	hx, err := build("hermit",
+		engine.IndexDef{Kind: "btree", Col: host}, engine.IndexDef{Kind: "hermit", Col: col, Host: host})
 	if err != nil {
 		return err
 	}
-	defer dtH.Close()
-	dtB, err := build("baseline", false)
+	defer hx.d.Close()
+	base, err := build("baseline", engine.IndexDef{Kind: "btree", Col: col, MarkNew: true})
 	if err != nil {
 		return err
 	}
-	defer dtB.Close()
-	dLo, dHi, ok, err := diskBounds(dtH, spec.ReadingCol(0))
-	if err != nil {
-		return err
-	}
+	defer base.d.Close()
+	dLo, dHi, ok := hx.tb.Store().ColumnBounds(col)
 	if !ok {
-		return fmt.Errorf("bench: empty disk table")
+		return fmt.Errorf("bench: empty sensor table")
 	}
-	fmt.Fprintf(cfg.Out, "rows=%d pool=128 pages\n", n)
-	fmt.Fprintf(cfg.Out, "%-12s %14s %14s\n", "selectivity", "HERMIT", "Baseline")
-	measure := func(dt *engine.DiskTable, sel float64) (float64, error) {
+	fmt.Fprintf(cfg.Out, "rows=%d in %s of 2 KiB pages; TRS-Tree %s in memory\n",
+		n, fmtBytes(uint64(hx.d.StorageStats().BlockBytes)), fmtBytes(hx.tb.Hermit(col).SizeBytes()))
+	measure := func(c coldTable, sel float64) (float64, error) {
 		gen := workload.QueryGen(dLo, dHi, sel, cfg.Seed+31)
 		start := time.Now()
 		ops := 0
 		for time.Since(start) < cfg.MeasureFor {
 			q := gen()
-			if _, _, err := dt.RangeQuery(spec.ReadingCol(0), q.Lo, q.Hi); err != nil {
+			if _, err := c.rangeQuery(q.Lo, q.Hi); err != nil {
 				return 0, err
 			}
 			ops++
 		}
 		return float64(ops) / time.Since(start).Seconds(), nil
 	}
+	// counted answers the same coldQueries ranges on one table, checks each
+	// answer against the in-memory engine, and sums what it cost.
+	const coldQueries = 50
+	counted := func(c coldTable, sel float64) (sum coldAnswer, err error) {
+		gen := workload.QueryGen(dLo, dHi, sel, cfg.Seed+33)
+		for i := 0; i < coldQueries; i++ {
+			q := gen()
+			a, err := c.rangeQuery(q.Lo, q.Hi)
+			if err != nil {
+				return sum, err
+			}
+			rids, _, err := c.tb.RangeQuery(col, q.Lo, q.Hi)
+			if err != nil {
+				return sum, err
+			}
+			want := make([]float64, len(rids))
+			for j, rid := range rids {
+				if want[j], err = c.tb.Store().Value(rid, spec.PKCol()); err != nil {
+					return sum, err
+				}
+			}
+			slices.Sort(want)
+			if !slices.Equal(a.pks, want) {
+				return sum, fmt.Errorf("bench: fig24 cold answer for [%g, %g] has %d rows, the in-memory engine %d",
+					q.Lo, q.Hi, len(a.pks), len(want))
+			}
+			sum.add(a)
+		}
+		return sum, nil
+	}
+	fmt.Fprintf(cfg.Out, "%-12s %12s %12s %7s | %10s %8s %10s %8s\n",
+		"selectivity", "HERMIT", "Baseline", "ratio", "candidates", "rows", "page reads", "fp share")
+	var total coldAnswer
 	for _, sel := range appSelectivities {
-		h, err := measure(dtH, sel)
-		if err != nil {
-			return err
+		var ops [2]float64 // Hermit, baseline
+		var sum [2]coldAnswer
+		for i, c := range []coldTable{hx, base} {
+			var err error
+			if ops[i], err = measure(c, sel); err != nil {
+				return err
+			}
+			if sum[i], err = counted(c, sel); err != nil {
+				return err
+			}
 		}
-		b, err := measure(dtB, sel)
-		if err != nil {
-			return err
+		h, b, ch, cb := ops[0], ops[1], sum[0], sum[1]
+		if !slices.Equal(ch.pks, cb.pks) || ch.pageReads != ch.candidates || cb.candidates != len(cb.pks) {
+			return fmt.Errorf("bench: fig24 at %.1f%%: hermit %d rows / %d candidates / %d page reads, baseline %d rows / %d candidates",
+				sel*100, len(ch.pks), ch.candidates, ch.pageReads, len(cb.pks), cb.candidates)
 		}
-		fmt.Fprintf(cfg.Out, "%-12s %14.2f ops %11.2f ops\n",
-			fmt.Sprintf("%.1f%%", sel*100), h, b)
+		fmt.Fprintf(cfg.Out, "%-12s %8.2f ops %8.2f ops %6.2fx | %10d %8d %10d %7.1f%%\n",
+			fmt.Sprintf("%.1f%%", sel*100), h, b, h/b, ch.candidates, len(ch.pks), ch.pageReads,
+			100*float64(ch.pageReads-len(ch.pks))/float64(max(ch.pageReads, 1)))
+		total.add(ch)
 	}
 	// Breakdown panel (Fig. 24b): TRS-Tree vs index vs validation.
-	dtH.SetProfile(true)
-	gen := workload.QueryGen(dLo, dHi, 0.05, cfg.Seed+33)
-	var total hermit.Breakdown
-	for i := 0; i < 20; i++ {
-		q := gen()
-		_, st, err := dtH.RangeQuery(spec.ReadingCol(0), q.Lo, q.Hi)
-		if err != nil {
-			return err
-		}
-		total.Add(st.Breakdown)
-	}
-	fr := total.Fractions()
+	fr := total.breakdown.Fractions()
 	fmt.Fprintf(cfg.Out, "hermit breakdown: trs-tree %.1f%% / index %.1f%% / validation %.1f%%\n",
 		fr[hermit.PhaseTRSTree]*100, fr[hermit.PhaseHostIndex]*100, fr[hermit.PhaseBaseTable]*100)
-	ps := dtH.Pool().Stats()
-	fmt.Fprintf(cfg.Out, "buffer pool: hits=%d misses=%d evictions=%d\n", ps.Hits, ps.Misses, ps.Evictions)
+	fmt.Fprintf(cfg.Out, "hermit counts: candidates=%d rows=%d page reads=%d (%.2f per candidate)\n",
+		total.candidates, len(total.pks), total.pageReads, float64(total.pageReads)/float64(max(total.candidates, 1)))
+	fmt.Fprintf(cfg.Out, "exact: %d/%d cold answers per table equal Table.RangeQuery, hermit rows = baseline rows\n",
+		coldQueries*len(appSelectivities), coldQueries*len(appSelectivities))
 	return nil
 }
 
-func diskBounds(dt *engine.DiskTable, col int) (float64, float64, bool, error) {
-	// DiskTable does not expose its heap; bound via an unindexed range scan
-	// over (-inf, +inf) would be wasteful, so scan once through RangeQuery
-	// on the column itself only if unindexed. Instead use a generous fixed
-	// domain: sensor readings live in [0, channelMax].
-	rids, _, err := dt.RangeQuery(col, 0, 1e12)
-	if err != nil || len(rids) == 0 {
-		return 0, 0, false, err
+// coldAnswer is one range answered from the block tier, and what it cost.
+type coldAnswer struct {
+	pks        []float64 // qualifying primary keys, ascending
+	candidates int       // distinct keys the index named
+	pageReads  int       // pages BlockRead fetched for them
+	breakdown  hermit.Breakdown
+}
+
+func (a *coldAnswer) add(b coldAnswer) {
+	a.pks = append(a.pks, b.pks...)
+	a.candidates += b.candidates
+	a.pageReads += b.pageReads
+	a.breakdown.Add(b.breakdown)
+}
+
+// coldTable is a checkpointed logical-pointer table queried on col with the
+// indexes in memory and the rows in pages; host is the host column of col's
+// Hermit index, when that is the index it has.
+type coldTable struct {
+	d         *engine.DurableDB
+	tb        *engine.Table
+	col, host int
+}
+
+// rangeQuery answers lo <= col <= hi: primary keys harvested through the
+// index col has (a Hermit index's TRS-Tree ranges resolved on the host tree
+// plus its outliers, or the complete tree), sorted and deduplicated, each
+// row fetched with BlockRead and the predicate checked on the row the page
+// returned. A key the tier no longer holds is skipped; an I/O error fails
+// the query — a candidate is never silently dropped.
+func (c coldTable) rangeQuery(lo, hi float64) (a coldAnswer, err error) {
+	var ids []uint64
+	collect := func(_ float64, id uint64) bool {
+		ids = append(ids, id)
+		return true
 	}
-	return 0, 600, true, nil
+	t0 := time.Now()
+	if hx := c.tb.Hermit(c.col); hx != nil {
+		res := hx.Tree().Lookup(lo, hi)
+		a.breakdown[hermit.PhaseTRSTree] = time.Since(t0)
+		t0 = time.Now()
+		ids = res.IDs
+		for _, r := range res.Ranges {
+			c.tb.Secondary(c.host).Scan(r.Lo, r.Hi, collect)
+		}
+	} else {
+		c.tb.Secondary(c.col).Scan(lo, hi, collect)
+	}
+	a.breakdown[hermit.PhaseHostIndex] = time.Since(t0)
+	t0 = time.Now()
+	slices.Sort(ids)
+	ids = slices.Compact(ids)
+	a.candidates = len(ids)
+	for _, id := range ids {
+		pk := hermit.LogicalKey(id)
+		row, found, probed, err := c.d.BlockRead(c.tb.Name(), pk)
+		a.pageReads += probed
+		if err != nil {
+			return a, err
+		}
+		if found && row[c.col] >= lo && row[c.col] <= hi {
+			a.pks = append(a.pks, pk)
+		}
+	}
+	a.breakdown[hermit.PhaseBaseTable] = time.Since(t0)
+	return a, nil
 }
 
 // Fig26Outliers reproduces Fig. 26's point: a TRS-Tree over two correlated

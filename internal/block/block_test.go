@@ -12,6 +12,7 @@ import (
 	"path/filepath"
 	"slices"
 	"sort"
+	"sync"
 	"testing"
 
 	"hermit/internal/keyorder"
@@ -694,6 +695,99 @@ func TestHandleSurfacesIOErrors(t *testing.T) {
 	}
 	if _, _, err := h.Get(1); !errors.Is(err, os.ErrClosed) {
 		t.Fatalf("Get on a closed handle: %v", err)
+	}
+}
+
+// failingReader fails its next `failures` reads at or beyond `from`, then
+// reads through.
+type failingReader struct {
+	*bytes.Reader
+	from     int64
+	failures int
+}
+
+func (r *failingReader) ReadAt(p []byte, off int64) (int, error) {
+	if off >= r.from && r.failures > 0 {
+		r.failures--
+		return 0, errors.New("injected read failure")
+	}
+	return r.Reader.ReadAt(p, off)
+}
+
+// lockedFailingReader is a failingReader several goroutines may read.
+type lockedFailingReader struct {
+	mu sync.Mutex
+	failingReader
+}
+
+func (r *lockedFailingReader) ReadAt(p []byte, off int64) (int, error) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.failingReader.ReadAt(p, off)
+}
+
+// A read of the index and bloom that fails is tried again by the next
+// caller; only corruption is remembered.
+func TestHandleRetriesFailedLoad(t *testing.T) {
+	raw := mustEncode(t, 1, []entry{{pk: 1, row: []float64{10}}, {pk: 2, row: []float64{20}}})
+	src := &failingReader{Reader: bytes.NewReader(raw)}
+	h, err := newHandle(src, int64(len(raw)), "flaky")
+	if err != nil {
+		t.Fatal(err)
+	}
+	src.from, src.failures = int64(h.end), 1
+	if _, _, err := h.Get(2); err == nil || errors.Is(err, ErrCorrupt) {
+		t.Fatalf("Get through a failed meta read: err=%v", err)
+	}
+	if h.loaded.Load() {
+		t.Fatal("a failed load published the index and bloom")
+	}
+	if row, found, err := h.Get(2); err != nil || !found || row[0] != 20 {
+		t.Fatalf("Get after the read recovered = %v found=%v err=%v", row, found, err)
+	}
+	if h.MaybeContains(1.5) && !h.bloom.maybeContains(1.5) {
+		t.Fatal("MaybeContains still answers true for a key the loaded bloom excludes")
+	}
+
+	// Several readers meeting a flaky load: each retries its own failure, and
+	// they all end up reading through the one copy that loaded.
+	flaky := &lockedFailingReader{failingReader: failingReader{Reader: bytes.NewReader(raw)}}
+	if h, err = newHandle(flaky, int64(len(raw)), "contended"); err != nil {
+		t.Fatal(err)
+	}
+	flaky.from, flaky.failures = int64(h.end), 3
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for try := 0; ; try++ {
+				row, found, err := h.Get(1)
+				if err == nil && found && row[0] == 10 {
+					return
+				}
+				if err == nil || try == 4 {
+					t.Errorf("contended Get = %v found=%v err=%v after %d tries", row, found, err, try)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+
+	// Corrupt metadata stays corrupt without being read again.
+	bad := slices.Clone(raw)
+	bad[h.end] ^= 0xff
+	src = &failingReader{Reader: bytes.NewReader(bad)}
+	if h, err = newHandle(src, int64(len(bad)), "corrupt"); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := h.Get(2); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("Get on corrupt metadata: %v", err)
+	}
+	src.from, src.failures = int64(h.end), 1
+	if _, _, err := h.Get(2); !errors.Is(err, ErrCorrupt) || src.failures != 1 {
+		t.Fatalf("second Get on corrupt metadata: err=%v, metadata re-read=%v", err, src.failures != 1)
 	}
 }
 

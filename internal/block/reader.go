@@ -3,6 +3,7 @@ package block
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -35,11 +36,13 @@ type Handle struct {
 	metaLen int    // bytes of index and bloom between end and the footer
 	metaCRC uint32
 
-	// The index and bloom, loaded by the first call that needs them; loaded
-	// publishes them to ResidentBytes.
-	once    sync.Once
-	loadErr error
+	// The index and bloom, read by the first call that needs them; loaded
+	// publishes them to every later one. corrupt is the one failure that is
+	// remembered: the bytes will not get better. A failed read is not — the
+	// next caller tries again.
 	loaded  atomic.Bool
+	loadMu  sync.Mutex
+	corrupt error
 	index   []byte // per page: f64 first key | u64 offset
 	bloom   bloom
 }
@@ -122,17 +125,29 @@ func (h *Handle) readFooter(size int64) error {
 	return nil
 }
 
-// load reads and checks the index and bloom, once; every later call returns
-// what the first found.
+// load makes the index and bloom resident: one atomic load once they are.
 func (h *Handle) load() error {
-	h.once.Do(func() {
-		if h.loadErr = h.readMeta(); h.loadErr != nil {
-			h.loadErr = fmt.Errorf("block: %s: %w", h.name, h.loadErr)
-			return
+	if h.loaded.Load() {
+		return nil
+	}
+	return h.loadSlow()
+}
+
+func (h *Handle) loadSlow() error {
+	h.loadMu.Lock()
+	defer h.loadMu.Unlock()
+	if h.loaded.Load() || h.corrupt != nil {
+		return h.corrupt
+	}
+	if err := h.readMeta(); err != nil {
+		err = fmt.Errorf("block: %s: %w", h.name, err)
+		if errors.Is(err, ErrCorrupt) {
+			h.corrupt = err
 		}
-		h.loaded.Store(true)
-	})
-	return h.loadErr
+		return err
+	}
+	h.loaded.Store(true)
+	return nil
 }
 
 func (h *Handle) readMeta() error {

@@ -24,6 +24,7 @@ package difftest
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"hermit/internal/engine"
@@ -279,9 +280,36 @@ func Run(cfgName string, cfg Config) error {
 			if err := audit(m, sys, step); err != nil {
 				return err
 			}
+			// The "blocks" cycle checkpointed and drained the compactor
+			// before it reopened: the block tier is the oracle's state.
+			if ds, ok := sys.(*durSystem); ok && ds.compact {
+				if err := auditBlocks(m, ds, nextPK, step); err != nil {
+					return err
+				}
+			}
 		}
 	}
 	return audit(m, sys, cfg.Ops)
+}
+
+// auditBlocks compares the block tier with the oracle key by key: every
+// key the stream has ever inserted — they are the integers below nextPK —
+// reads back from its page bit-identical when live and not found when
+// deleted, whatever mix of delta and merged blocks holds its history.
+func auditBlocks(m *model, ds *durSystem, nextPK float64, step int) error {
+	for pk := float64(0); pk < nextPK; pk++ {
+		row, found, _, err := ds.d.BlockRead(ds.name, pk)
+		want, live := m.rows[pk]
+		switch {
+		case err != nil:
+			return Failure{step, fmt.Sprintf("blocks: pk %v: %v", pk, err)}
+		case found != live:
+			return Failure{step, fmt.Sprintf("blocks: pk %v found=%v, oracle live=%v", pk, found, live)}
+		case live && !slices.Equal(row, want):
+			return Failure{step, fmt.Sprintf("blocks: pk %v = %v, oracle %v", pk, row, want)}
+		}
+	}
+	return nil
 }
 
 // actKind names the four operations of the stream.

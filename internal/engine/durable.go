@@ -1485,46 +1485,54 @@ func (d *DurableDB) writeEpoch(p durablePaths, cut *flushCut) (newLog *wal.Log, 
 			return newLog, 0, ferr
 		}
 	}
-	rawList, werr := block.EncodeBlocklist(listsFor(cut.lists, cut.tables))
-	if werr != nil {
-		return newLog, 0, werr
-	}
-	if werr := writeFileSync(p.blocklist(cut.next), rawList); werr != nil {
-		return newLog, 0, werr
-	}
-	// Make the block renames, the blocklist and (on rotation) the new
-	// segment durable before the manifest can name them: without this
-	// ordering, a power loss right after the manifest rename could
-	// publish an epoch whose files the directory lost.
-	syncDir(d.dir)
-	if ferr := d.fp("after-blocklist"); ferr != nil {
-		return newLog, 0, ferr
-	}
 	m := manifest{
-		Version:  manifestVersion,
-		Scheme:   int(d.db.Scheme()),
 		Epoch:    cut.next,
 		WALSeg:   cut.walSeg,
 		WALStart: cut.walStart,
 		WALBase:  cut.walBase,
 		Tables:   cut.tables,
 	}
-	raw, werr := json.MarshalIndent(m, "", "  ")
-	if werr != nil {
-		return newLog, 0, werr
+	return newLog, flushed, d.publishEpoch(p, "", m, cut.lists)
+}
+
+// publishEpoch makes epoch m durable: the blocklist naming lists, then the
+// manifest — m, stamped with the layout version and the pointer scheme —
+// through manifest.tmp and a rename, the commit point. On error nothing has
+// been published. step prefixes the failpoint names ("" for a checkpoint,
+// "compact-" for a compaction).
+func (d *DurableDB) publishEpoch(p durablePaths, step string, m manifest, lists map[string][]block.Desc) error {
+	m.Version, m.Scheme = manifestVersion, int(d.db.Scheme())
+	rawList, err := block.EncodeBlocklist(listsFor(lists, m.Tables))
+	if err != nil {
+		return err
+	}
+	if err := writeFileSync(p.blocklist(m.Epoch), rawList); err != nil {
+		return err
+	}
+	// Make the block renames, the blocklist and (on rotation) the new
+	// segment durable before the manifest can name them: without this
+	// ordering, a power loss right after the manifest rename could
+	// publish an epoch whose files the directory lost.
+	syncDir(d.dir)
+	if err := d.fp(step + "after-blocklist"); err != nil {
+		return err
+	}
+	raw, err := json.MarshalIndent(m, "", "  ")
+	if err != nil {
+		return err
 	}
 	tmp := p.manifest() + ".tmp"
-	if werr := writeFileSync(tmp, raw); werr != nil {
-		return newLog, 0, werr
+	if err := writeFileSync(tmp, raw); err != nil {
+		return err
 	}
-	if ferr := d.fp("after-manifest-tmp"); ferr != nil {
-		return newLog, 0, ferr
+	if err := d.fp(step + "after-manifest-tmp"); err != nil {
+		return err
 	}
-	if werr := os.Rename(tmp, p.manifest()); werr != nil {
-		return newLog, 0, werr
+	if err := os.Rename(tmp, p.manifest()); err != nil {
+		return err
 	}
 	syncDir(d.dir)
-	return newLog, flushed, nil
+	return nil
 }
 
 // listsFor shapes the per-phys blocklist map for encoding: one List per
@@ -1631,20 +1639,26 @@ func (d *DurableDB) compact() (bool, error) {
 	// coordinates verbatim: compaction changes how the flushed state is
 	// stored, never what it is or where the tail begins.
 	m := manifest{
-		Version:  manifestVersion,
-		Scheme:   int(d.db.Scheme()),
 		Epoch:    next,
 		WALSeg:   walSeg,
 		WALStart: walStart,
 		WALBase:  walBase,
 		Tables:   tables,
 	}
-	if err := d.publishMerge(p, m, lists, tiers); err != nil {
+	err = d.fp("compact-after-block")
+	if err == nil {
+		err = d.publishEpoch(p, "compact-", m, lists)
+	}
+	if err != nil {
 		if merged != nil {
 			merged.Close()
 		}
 		return false, err
 	}
+	d.mu.Lock()
+	d.epoch = next
+	d.setLists(lists, tiers)
+	d.mu.Unlock()
 	d.compactions.Add(1)
 	d.compactedBytes.Add(desc.Bytes)
 	if err := d.fp("compact-after-manifest-rename"); err != nil {
@@ -1654,46 +1668,6 @@ func (d *DurableDB) compact() (bool, error) {
 	// files the new epoch no longer names.
 	d.gcStale()
 	return true, d.fp("compact-after-gc")
-}
-
-// publishMerge writes the blocklist and manifest of a compaction's epoch and
-// swaps the in-memory state to it. On error nothing has been published.
-func (d *DurableDB) publishMerge(p durablePaths, m manifest, lists map[string][]block.Desc, tiers map[string][]*block.Handle) error {
-	if err := d.fp("compact-after-block"); err != nil {
-		return err
-	}
-	rawList, err := block.EncodeBlocklist(listsFor(lists, m.Tables))
-	if err != nil {
-		return err
-	}
-	if err := writeFileSync(p.blocklist(m.Epoch), rawList); err != nil {
-		return err
-	}
-	syncDir(d.dir)
-	if err := d.fp("compact-after-blocklist"); err != nil {
-		return err
-	}
-	raw, err := json.MarshalIndent(m, "", "  ")
-	if err != nil {
-		return err
-	}
-	tmp := p.manifest() + ".tmp"
-	if err := writeFileSync(tmp, raw); err != nil {
-		return err
-	}
-	if err := d.fp("compact-after-manifest-tmp"); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, p.manifest()); err != nil {
-		return err
-	}
-	syncDir(d.dir)
-
-	d.mu.Lock()
-	d.epoch = m.Epoch
-	d.setLists(lists, tiers)
-	d.mu.Unlock()
-	return nil
 }
 
 // pickRun finds the first contiguous run of fanIn blocks at one level in

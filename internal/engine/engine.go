@@ -1,8 +1,8 @@
 // Package engine is the mini-RDBMS that hosts both indexing mechanisms for
 // the experiments: a main-memory engine (the paper's DBMS-X stand-in) whose
 // tables are storage.Tables with B+-tree primary/secondary indexes and
-// Hermit indexes, plus a disk engine (disk.go) over the pager substrate for
-// the PostgreSQL experiments.
+// Hermit indexes. DurableDB (durable.go) adds a WAL and checkpoints into the
+// paged block tier (internal/block), which the PostgreSQL experiment reads.
 //
 // The engine is deliberately small — catalog, index maintenance on writes,
 // and point/range query routing — because the paper's evaluation only
