@@ -176,17 +176,22 @@ profile: build
 # Heap census of a loaded table: 1M Synthetic rows + host B+-tree + Hermit
 # index through the public API, profiled while live, and of the same table
 # after five turnovers of every row (updates, deletes and inserts at a
-# constant live count, DB.GC every tenth of a turnover). The text reports
-# ($(PROFILE_DIR)/heap-load.txt and heap-churn.txt, uploaded by CI with the
-# pb.gz) are the artifacts a memory claim starts from: the second shows what
-# writing to the table adds to the first.
+# constant live count, no GC call); and of a 200k-row table of a DurableDB five
+# turnovers after its only checkpoint, which fails if the version table holds
+# more than 4 B/row there — what an unflushed row costs is a bit. The text
+# reports ($(PROFILE_DIR)/heap-load.txt, heap-churn.txt and
+# heap-durable-churn.txt, uploaded by CI with the pb.gz) are the artifacts a
+# memory claim starts from: the second shows what writing to the table adds to
+# the first, the third what serving it durably does.
 heap-profile:
 	@mkdir -p $(PROFILE_DIR)
-	$(GO) test -count=1 -run 'TestHeapProfileOf(Load|Churn)$$' . -memprofilerate 4096 \
-		-heap.profile $(PROFILE_DIR)/heap-load.pb.gz -heap.churnprofile $(PROFILE_DIR)/heap-churn.pb.gz
+	$(GO) test -count=1 -run 'TestHeapProfileOf(Load|Churn|DurableChurn)$$' . -memprofilerate 4096 \
+		-heap.profile $(PROFILE_DIR)/heap-load.pb.gz -heap.churnprofile $(PROFILE_DIR)/heap-churn.pb.gz \
+		-heap.durableprofile $(PROFILE_DIR)/heap-durable-churn.pb.gz
 	$(GO) tool pprof -sample_index=inuse_space -top $(PROFILE_DIR)/heap-load.pb.gz > $(PROFILE_DIR)/heap-load.txt
 	$(GO) tool pprof -sample_index=inuse_space -top $(PROFILE_DIR)/heap-churn.pb.gz > $(PROFILE_DIR)/heap-churn.txt
-	@head -25 $(PROFILE_DIR)/heap-load.txt $(PROFILE_DIR)/heap-churn.txt
+	$(GO) tool pprof -sample_index=inuse_space -top $(PROFILE_DIR)/heap-durable-churn.pb.gz > $(PROFILE_DIR)/heap-durable-churn.txt
+	@head -25 $(PROFILE_DIR)/heap-load.txt $(PROFILE_DIR)/heap-churn.txt $(PROFILE_DIR)/heap-durable-churn.txt
 
 # Non-test Go lines per top-level package — the root package, cmd, examples
 # and each internal/<pkg> — and their total; benchmark/ (the repository

@@ -243,20 +243,43 @@ func TestHeapBytesPerRowBudget(t *testing.T) {
 	runtime.KeepAlive(db)
 }
 
+// churnTable is what churnSynthetic writes through: a *hermitdb.Table, or a
+// table of a DurableDB (durableSyn).
+type churnTable interface {
+	Insert(row []float64) (hermitdb.RID, error)
+	UpdateColumn(pk float64, col int, v float64) error
+	Delete(pk float64) (bool, error)
+	Len() int
+}
+
+// durableSyn is the table "syn" of a durable database, written through the
+// database as a durable table must be.
+type durableSyn struct{ d *hermitdb.DurableDB }
+
+func (s durableSyn) Insert(row []float64) (hermitdb.RID, error) { return s.d.Insert("syn", row) }
+func (s durableSyn) UpdateColumn(pk float64, col int, v float64) error {
+	return s.d.UpdateColumn("syn", pk, col, v)
+}
+func (s durableSyn) Delete(pk float64) (bool, error) { return s.d.Delete("syn", pk) }
+func (s durableSyn) Len() int {
+	tb, _ := s.d.Table("syn")
+	return tb.Len()
+}
+
 // churnSynthetic turns the table loaded by loadSyntheticWithHermit over:
 // each turnover visits every live row once, in random order, and either
-// rewrites its payload column (a new version of the row) or deletes it and
-// inserts a row under a fresh key, so the live count never moves. No GC
-// call is made: each commit reclaims the version it ends. keys holds the
-// live primary keys and is kept up to date.
-func churnSynthetic(t *testing.T, tb *hermitdb.Table, keys []float64, turnovers int) {
+// rewrites its payload column (a new version of the row) or — one visit in
+// deleteOneIn — deletes it and inserts a row under a fresh key, so the live
+// count never moves. No GC call is made: each commit reclaims the version it
+// ends. keys holds the live primary keys and is kept up to date.
+func churnSynthetic(t *testing.T, tb churnTable, keys []float64, turnovers, deleteOneIn int) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(2))
 	next := float64(len(keys))
 	row := make([]float64, 4)
 	for turn := 0; turn < turnovers; turn++ {
 		for _, i := range rng.Perm(len(keys)) {
-			if rng.Intn(2) == 0 {
+			if rng.Intn(deleteOneIn) < deleteOneIn-1 {
 				if err := tb.UpdateColumn(keys[i], 3, rng.Float64()); err != nil {
 					t.Fatal(err)
 				}
@@ -316,7 +339,7 @@ func TestHeapFollowsLiveRows(t *testing.T) {
 	runtime.GC()
 	runtime.ReadMemStats(&loaded)
 	versionsAsLoaded := tb.Memory().VersionBytes
-	churnSynthetic(t, tb, keys, 5)
+	churnSynthetic(t, tb, keys, 5, 2)
 	runtime.GC()
 	runtime.ReadMemStats(&after)
 	asLoaded := float64(loaded.HeapAlloc-before.HeapAlloc) / rows
@@ -339,11 +362,13 @@ func TestHeapFollowsLiveRows(t *testing.T) {
 
 // heapProfile makes TestHeapProfileOfLoad write a heap profile of a loaded
 // 1M-row table, taken while the table is live, and heapChurnProfile makes
-// TestHeapProfileOfChurn write one of the same table after five turnovers
-// (`make heap-profile`).
+// TestHeapProfileOfChurn write one of the same table after five turnovers;
+// heapDurableProfile makes TestHeapProfileOfDurableChurn write one of a durable
+// table five turnovers after its only checkpoint (`make heap-profile`).
 var (
-	heapProfile      = flag.String("heap.profile", "", "write the heap profile of a 1M-row Synthetic load to this file")
-	heapChurnProfile = flag.String("heap.churnprofile", "", "write the heap profile of a 1M-row Synthetic table after five turnovers to this file")
+	heapProfile        = flag.String("heap.profile", "", "write the heap profile of a 1M-row Synthetic load to this file")
+	heapChurnProfile   = flag.String("heap.churnprofile", "", "write the heap profile of a 1M-row Synthetic table after five turnovers to this file")
+	heapDurableProfile = flag.String("heap.durableprofile", "", "write the heap profile of a 200k-row durable Synthetic table five turnovers after its checkpoint to this file")
 )
 
 // writeHeapProfile writes the heap profile of the live heap to path.
@@ -377,7 +402,57 @@ func TestHeapProfileOfChurn(t *testing.T) {
 	}
 	const rows = 1_000_000
 	db, tb := loadSyntheticWithHermit(t, rows)
-	churnSynthetic(t, tb, liveKeys(rows), 5)
+	churnSynthetic(t, tb, liveKeys(rows), 5, 2)
 	writeHeapProfile(t, *heapChurnProfile)
 	runtime.KeepAlive(db)
+}
+
+// TestHeapProfileOfDurableChurn is the census of a table that serves: a
+// DurableDB, 200k Synthetic rows with the host B+-tree and the Hermit index,
+// one checkpoint, then five turnovers (one visit in a hundred a delete and an
+// insert) and no checkpoint after them — every live row is in the WAL tail and
+// in no block. It is also the guard on what that costs in memory: a bit a row
+// and 16 bytes a delete, not a version header a row (24 B/row, when a row kept
+// its header until a checkpoint had flushed it).
+func TestHeapProfileOfDurableChurn(t *testing.T) {
+	if *heapDurableProfile == "" {
+		t.Skip("no -heap.durableprofile file named")
+	}
+	const rows = 200_000
+	d, err := hermitdb.OpenDurable(t.TempDir(), hermitdb.PhysicalPointers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	spec := hermitdb.SyntheticSpec{Rows: rows, Fn: hermitdb.Sigmoid, Noise: 0.01, Seed: 1}
+	if _, err := d.CreateTable("syn", spec.Columns(), spec.PKCol()); err != nil {
+		t.Fatal(err)
+	}
+	syn := durableSyn{d}
+	if err := spec.Generate(func(row []float64) error {
+		_, err := syn.Insert(row)
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for _, def := range []hermitdb.IndexDef{
+		{Kind: "btree", Col: spec.HostCol()},
+		{Kind: "hermit", Col: spec.TargetCol(), Host: spec.HostCol()},
+	} {
+		if err := d.CreateIndex("syn", def); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := d.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	churnSynthetic(t, syn, liveKeys(rows), 5, 100)
+	writeHeapProfile(t, *heapDurableProfile)
+	tb, _ := d.Table("syn")
+	st := d.StorageStats()
+	perRow := float64(tb.Memory().VersionBytes) / rows
+	t.Logf("version table %.2f B/row; %d rows unflushed, %d deletes listed, %d rows carry a header", perRow, st.VersionsUnflushed, st.UnflushedDeletes, st.VersionsUnfrozen)
+	if perRow > 4 {
+		t.Errorf("version table %.2f B/row five turnovers after the checkpoint, want <= 4: unflushed rows carry headers again?", perRow)
+	}
 }

@@ -52,8 +52,8 @@ import (
 // (no-sync / group-commit / sync-every-op); an acknowledged synced write
 // is never lost by a crash.
 //
-// Checkpoint is incremental: it harvests only the versions committed
-// since the last flush cut (Table.DeltaVersions) into one immutable,
+// Checkpoint is incremental: it harvests only the versions no block holds
+// yet (Table.DeltaVersions, which reads a bit per slot) into one immutable,
 // sorted block file per changed physical table, then atomically publishes
 // a new epoch — a blocklist manifest naming every live block plus the
 // (WAL segment, offset) pair replay resumes from — by renaming
@@ -129,10 +129,6 @@ type DurableDB struct {
 	manifestTables map[string]*durableMeta
 	pubWALSeg      uint64
 	pubWALStart    int64
-
-	// lastFlushTS is the commit timestamp of the last flush cut: the next
-	// delta's window opens after it. Guarded by mu.
-	lastFlushTS uint64
 
 	// blockSeq issues block file IDs, monotonic per database directory.
 	blockSeq atomic.Uint64
@@ -486,13 +482,11 @@ func OpenDurableOptions(dir string, scheme hermit.PointerScheme, opts DurableOpt
 			}
 		}
 	}
-	// The flush cut: everything restored from blocks is flushed as of this
-	// clock position; everything the WAL tail replays (below) commits
-	// after it and lands in the next delta.
-	d.lastFlushTS = d.db.clock.Now()
+	// Everything restored from blocks is flushed; everything the WAL tail
+	// replays (below) commits after it and lands in the next delta.
 	for _, meta := range d.tables {
 		for _, tb := range meta.phys {
-			tb.flushedTo(d.lastFlushTS)
+			tb.flushedTo(d.db.clock.Now())
 		}
 	}
 	// Phase 2: replay the WAL tail. Replay stops at the first torn or
@@ -629,13 +623,7 @@ func (d *DurableDB) restoreTable(name string, meta *durableMeta) error {
 	if err := d.createPhysical(name, meta); err != nil {
 		return err
 	}
-	for _, err := range eachPartition(meta.phys, func(tb *Table) error {
-		// What the blocks hold is flushed: a restored row needs no version
-		// header, and is frozen as it is inserted rather than given one for
-		// OpenDurable to take away when it sets the flush cut (flushedTo).
-		tb.flushCut.Store(math.MaxUint64)
-		return d.restorePartition(meta, tb)
-	}) {
+	for _, err := range eachPartition(meta.phys, func(tb *Table) error { return d.restorePartition(meta, tb) }) {
 		if err != nil {
 			return err
 		}
@@ -1215,7 +1203,6 @@ func (d *DurableDB) fp(step string) error {
 // the state it needs to build and publish a new epoch without the latch.
 type flushCut struct {
 	flushTS uint64
-	prevTS  uint64
 	tables  map[string]*durableMeta
 	phys    []physTable
 	lists   map[string][]block.Desc
@@ -1261,9 +1248,9 @@ type physTable struct {
 //     the old epoch in full; after it, the blocks plus the tail past the
 //     new cut. Replay can never start before its image's cut, so recovery
 //     never double-applies.
-//  5. Re-latch briefly to publish the new epoch in memory, advance the
-//     flush cut, trim the tables' delete lists up to it, delete stale files
-//     and kick the compactor.
+//  5. Re-latch briefly to publish the new epoch in memory, tell the tables
+//     what is flushed now (Table.flushedTo: unflushed bits and delete lists
+//     up to the cut), delete stale files and kick the compactor.
 //
 // When the WAL segment has outgrown DurableOptions.WALRotateBytes the
 // checkpoint instead rotates: it holds the latch across the whole flush
@@ -1305,7 +1292,6 @@ func (d *DurableDB) checkpointLocked() error {
 	rb := d.opts.rotateBytes()
 	cut := flushCut{
 		flushTS:  snap.TS(),
-		prevTS:   d.lastFlushTS,
 		tables:   copyTables(d.tables),
 		lists:    maps.Clone(d.lists),
 		tiers:    maps.Clone(d.tiers),
@@ -1373,7 +1359,6 @@ func (d *DurableDB) checkpointLocked() error {
 			newLog.Watch(ch)
 		}
 	}
-	d.lastFlushTS = cut.flushTS
 	for _, pt := range cut.phys {
 		pt.tb.flushedTo(cut.flushTS)
 	}
@@ -1456,7 +1441,7 @@ func (d *DurableDB) writeEpoch(p durablePaths, cut *flushCut) (newLog *wal.Log, 
 	for _, pt := range cut.phys {
 		// The table's rows go from its store to the file a page at a time.
 		desc, h, werr := d.writeBlock(p, pt.tb.Store().Width(), 0, func(add func(float64, []float64) error) error {
-			return pt.tb.DeltaVersions(cut.prevTS, cut.flushTS, add)
+			return pt.tb.DeltaVersions(cut.flushTS, add)
 		})
 		if werr != nil {
 			return newLog, 0, werr
@@ -1808,15 +1793,17 @@ type StorageStats struct {
 	// on a database nobody holds a snapshot on; one that only grows names a
 	// leaked snapshot. VersionsReclaimed counts the versions reclaimed since
 	// open. UnflushedDeletes counts the deletes the next checkpoint has
-	// still to write as tombstones (16 bytes each until then).
-	// VersionsUnfrozen counts the rows that carry a 24-byte version header —
-	// a row needs none once it has been flushed and no snapshot predates it —
-	// and VersionBytes the heap the version tables hold, those headers
-	// included: VersionsUnfrozen far above VersionsPending with no snapshot
-	// open is the WAL tail no checkpoint has flushed yet.
+	// still to write as tombstones (16 bytes each until then), and
+	// VersionsUnflushed the row versions it has still to write — the live rows
+	// no block holds, a bit each: together the footprint of the WAL tail.
+	// VersionsUnfrozen counts the rows that carry a 24-byte version header — a
+	// row needs none once no snapshot predates it, flushed or not, so it too is
+	// near zero unless a snapshot is held — and VersionBytes the heap the
+	// version tables hold, headers and bits included.
 	VersionsPending   int    `json:"versions_pending"`
 	VersionsReclaimed uint64 `json:"versions_reclaimed"`
 	UnflushedDeletes  int    `json:"unflushed_deletes"`
+	VersionsUnflushed int    `json:"versions_unflushed"`
 	VersionsUnfrozen  int    `json:"versions_unfrozen"`
 	VersionBytes      uint64 `json:"version_bytes"`
 }
@@ -1850,6 +1837,7 @@ func (d *DurableDB) StorageStats() StorageStats {
 			st.VersionsPending += vs.Pending
 			st.VersionsReclaimed += vs.Reclaimed
 			st.UnflushedDeletes += vs.UnflushedDeletes
+			st.VersionsUnflushed += vs.Unflushed
 			st.VersionsUnfrozen += vs.Unfrozen
 			st.VersionBytes += vs.Bytes
 		}

@@ -20,6 +20,7 @@ import (
 // would reject as duplicates.
 func TestNaNPrimaryKeyEngine(t *testing.T) {
 	db := NewDB(hermit.LogicalPointers)
+	db.trackDeletes = true // its tables flush deltas: DeltaVersions has bits to read
 	tb, err := db.CreateTable("t", []string{"k", "v"}, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -35,7 +36,7 @@ func TestNaNPrimaryKeyEngine(t *testing.T) {
 		t.Fatalf("update by NaN key: %v", err)
 	}
 	var delta [][]float64
-	if err := tb.DeltaVersions(0, db.Clock().Now(), func(_ float64, row []float64) error {
+	if err := tb.DeltaVersions(db.Clock().Now(), func(_ float64, row []float64) error {
 		delta = append(delta, slices.Clone(row))
 		return nil
 	}); err != nil {

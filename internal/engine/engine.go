@@ -102,9 +102,6 @@ func (db *DB) CreateTable(name string, cols []string, pkCol int) (*Table, error)
 		trackDeletes: db.trackDeletes,
 		handSeen:     math.MaxUint64,
 	}
-	if !t.trackDeletes {
-		t.flushCut.Store(math.MaxUint64) // nothing to wait for
-	}
 	db.tables[name] = t
 	return t, nil
 }
@@ -153,12 +150,12 @@ type Table struct {
 	// hand and handSeen are the budgeted sweep's position and what it has
 	// had to leave this revolution. ended queues the RIDs of ended versions
 	// in endTS order until a commit reclaims them, and reclaimed counts
-	// those; liveRows counts the rows live at the latest timestamp; deletes
-	// lists, in commit order, the deletes no flush has recorded yet — kept
-	// only when trackDeletes is set, at creation, when also flushCut, the
-	// last published flush cut, bounds what may freeze (it is written under
-	// verMu and read without). The chains' heads are the primary index's
-	// entries.
+	// those; liveRows counts the rows live at the latest timestamp. What a
+	// table that flushes deltas owes its next delta block — trackDeletes, set at
+	// creation; any other table keeps neither — is deletes, in commit order the
+	// deletes no flush has recorded yet, and one unflushed bit per slot in
+	// vers, unflushed counting the set ones: the versions no block holds. The
+	// chains' heads are the primary index's entries.
 	verMu        sync.RWMutex
 	vers         []*verBlock
 	granFree     []*verGranule
@@ -167,11 +164,11 @@ type Table struct {
 	lateFloor    uint64
 	hand         int
 	handSeen     uint64
-	flushCut     atomic.Uint64
 	ended        fifo[storage.RID]
 	reclaimed    uint64
 	liveRows     int
 	deletes      fifo[keyDeath]
+	unflushed    int
 	trackDeletes bool
 
 	// primary maps each key to its newest version's RID — the head of the

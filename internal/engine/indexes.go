@@ -345,8 +345,9 @@ type MemoryStats struct {
 	PrimaryBytes  uint64
 	ExistingBytes uint64 // complete secondary indexes not marked new
 	NewBytes      uint64 // new complete indexes + Hermit TRS-Trees + CMs
-	// VersionBytes is the MVCC version table (mvcc.go): the header chunks,
-	// one slot per store slot and reused with it, the queue of ended
+	// VersionBytes is the MVCC version table (mvcc.go): a frozen bit per
+	// store slot (and an unflushed bit, on a table that flushes deltas), the
+	// header granules of the slots that keep a header, the queue of ended
 	// versions and the list of unflushed deletes. It is not part of the
 	// paper's breakdown, so Total leaves it out.
 	VersionBytes uint64

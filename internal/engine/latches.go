@@ -24,8 +24,8 @@ import (
 //     writes to different keys proceed in parallel and only serialise
 //     briefly on the individual structure latches they touch.
 //   - t.primaryMu guards the primary B+-tree, which is also the MVCC
-//     key→chain-head structure; t.verMu guards the version table (headers,
-//     queue of ended versions, delete list, live-row count; see mvcc.go).
+//     key→chain-head structure; t.verMu guards the version table (headers
+//     and bits, queue of ended versions, delete list, live-row count; see mvcc.go).
 //     The two are the only engine
 //     latches a writer nests, and always primaryMu before verMu: the
 //     commit step (stampInsert, stampUpdate) swaps a key's primary entry
@@ -39,10 +39,13 @@ import (
 //     Readers take the two in the same order and hand over — verMu is
 //     taken shared before primaryMu is released (handOver) — so no commit
 //     can reclaim a head, nor restamp its slot for another key,
-//     between the entry's read and the chain walk; the full-table walks
-//     (ScanLive, DeltaVersions) hold both throughout. Both are taken
-//     inside the clock's commit lock on the commit path, never the other
-//     way round.
+//     between the entry's read and the chain walk; the full-table walk
+//     (ScanLive) holds both throughout. A checkpoint's harvest
+//     (DeltaVersions) walks no index: it holds verMu alone, shared, for the
+//     scan of the unflushed bitmaps and the visibility checks, and reads
+//     keys and rows from the store afterwards (the flush snapshot keeps
+//     them). Both are taken inside the clock's commit lock on the commit
+//     path, never the other way round.
 //   - The row store (storage.Table) has its own internal latch and is
 //     always the innermost lock.
 //

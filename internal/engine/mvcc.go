@@ -2,7 +2,9 @@ package engine
 
 import (
 	"fmt"
+	"iter"
 	"math"
+	"math/bits"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -42,7 +44,7 @@ import (
 //     snapshot that exists or can exist: bit set, no header. Table.header
 //     answers {beginTS: 1, prev: noRID} for it, which every reader of a header
 //     already takes the right way: visible at every snapshot, live, the end of
-//     its chain, not begun after any transaction's snapshot or any flush cut.
+//     its chain, not begun after any transaction's snapshot.
 //     Every row that was loaded, restored from blocks, or last written before
 //     the oldest snapshot is in this state; 24 bytes a row is what that saves.
 //   - thawed — a frozen version that an update or a delete ends gets a header
@@ -58,14 +60,9 @@ import (
 // published the clock, never at stamp: a snapshot registered between a
 // commit's stamp and its publish reads at commitTS-1 and must not see the
 // version, and OldestActive reports it; one registered after the publish reads
-// at commitTS or later. On a table that flushes deltas (trackDeletes) the
-// horizon is also no later than the last published flush cut (flushCut):
-// DeltaVersions tells a row no block holds yet from a flushed one by beginTS >
-// prevTS, so a row keeps its header until a checkpoint has published the block
-// that holds it. There the checkpoint's publish step freezes what it flushed
-// (flushedTo, which also trims the delete list), recovery freezes what it
-// restored from blocks, and the rows replayed from the WAL tail wait for the
-// next checkpoint.
+// at commitTS or later. Whether a block holds the row is no part of the rule:
+// a table that flushes deltas keeps that in a bit of its own (below), and
+// freezes at commit exactly like an in-memory one.
 //
 // Who freezes: the commit, after its publish (settle). A version it cannot
 // freeze yet — a snapshot is open below it, or it still has a predecessor that
@@ -123,14 +120,19 @@ import (
 // DB.GC and GCVersions are the same drain without the budget, for a caller
 // that wants a backlog gone now.
 //
-// Reclamation does not wait for the durable layer's flush. A reclaimed
-// whole-chain delete leaves no chain behind for the next delta block to find,
-// so a table of a DurableDB names its deletes instead: stampDelete appends
-// (key, commitTS) to Table.deletes, DeltaVersions merges the window of that
-// list into its harvest as tombstones, and the checkpoint that publishes the
-// window trims it (flushedTo). An entry is 16 bytes and stands for a
-// delete record in the WAL tail no manifest has cut off yet, so whatever
-// bounds the log bounds the list.
+// What a table of a DurableDB owes its next delta block is kept in two places,
+// neither of them a header. A row no block holds yet has its unflushed bit set
+// (verBlock.unflushed, allocated only when trackDeletes is): every stamp of a
+// live version sets it (stampInsert, stampUpdate — whoever commits), reclaiming
+// the slot clears it, and so does the checkpoint that wrote the row, once it
+// has published (flushedTo: the versions begun at or before its cut, no others;
+// a checkpoint that fails clears none, and its retry harvests the same delta).
+// DeltaVersions reads the set bits, not the table. And a reclaimed whole-chain
+// delete leaves neither chain nor bit behind, so stampDelete appends (key,
+// commitTS) to Table.deletes, DeltaVersions makes a tombstone of every entry
+// whose key has no row at its cut, and flushedTo trims the list: 16 bytes a
+// delete record of the WAL tail no manifest has cut off yet, so whatever bounds
+// the log bounds the list; the bits are 1/8 byte a slot whatever the log holds.
 //
 // Reuse rule: a freed row slot, and the bit and header slot that go with it, is
 // taken by the next insert, so a RID names a version only until it is
@@ -327,11 +329,13 @@ type verGranule [granuleSlots]verHeader
 // of a slot never used, freed, applied and not yet stamped, or stamped and
 // not (yet) frozen — means "read the header", and no granule means the header
 // is zero; a set bit means there is no header to read. said counts the
-// non-zero headers of each granule.
+// non-zero headers of each granule. unflushed, nil unless the table flushes
+// deltas, has a bit per slot too: set while it holds a version no block records.
 type verBlock struct {
-	frozen [blockGranules]uint64
-	gran   [blockGranules]*verGranule
-	said   [blockGranules]uint8
+	frozen    [blockGranules]uint64
+	gran      [blockGranules]*verGranule
+	said      [blockGranules]uint8
+	unflushed *[blockGranules]uint64
 }
 
 // maxGranuleFree bounds Table.granFree. A commit that freezes what it wrote
@@ -349,8 +353,7 @@ func (h verHeader) live() bool { return h.beginTS != 0 && h.endTS == 0 }
 
 // late reports whether the version is one the freeze rule is waiting on:
 // live, nothing behind it, and still carrying a header only because a
-// snapshot — or, on a table that flushes deltas, the flush cut — is below its
-// beginTS.
+// snapshot is below its beginTS.
 func (h verHeader) late() bool { return h.beginTS != 0 && h.endTS == 0 && h.prev == noRID }
 
 // header returns rid's version header; t.verMu is held. A frozen slot
@@ -432,8 +435,8 @@ func (t *Table) stamp(rid storage.RID, h verHeader) {
 
 // freezeIf freezes rid if the freeze rule allows it at horizon — a timestamp
 // no registered snapshot reads below, and none will: the version is live, has
-// nothing behind it, and began at or below both horizon and the flush cut.
-// Its header is dropped and its bit set. t.verMu is held exclusively.
+// nothing behind it, and began at or below horizon. Its header is dropped and
+// its bit set. t.verMu is held exclusively.
 func (t *Table) freezeIf(rid storage.RID, horizon uint64) bool {
 	b, s := rid.Block(), rid.Slot()
 	if b >= uint64(len(t.vers)) || t.vers[b] == nil {
@@ -443,7 +446,7 @@ func (t *Table) freezeIf(rid storage.RID, horizon uint64) bool {
 	if vb.gran[g] == nil {
 		return false // frozen already, or nothing stamped
 	}
-	if h := vb.gran[g][i]; !h.late() || h.beginTS > min(horizon, t.flushCut.Load()) {
+	if h := vb.gran[g][i]; !h.late() || h.beginTS > horizon {
 		return false
 	}
 	t.stamp(rid, verHeader{})
@@ -466,31 +469,15 @@ func (t *Table) freezeGranule(b, g int, horizon uint64) (left uint64) {
 	return left
 }
 
-// freezeAll is the freeze rule applied to every header the table holds, at
-// horizon: what DB.GC, a published checkpoint and recovery do. It leaves
-// lateFloor exact. t.verMu is held exclusively.
-func (t *Table) freezeAll(horizon uint64) {
-	floor := uint64(math.MaxUint64)
-	for b, vb := range t.vers {
-		for g := 0; vb != nil && g < blockGranules; g++ {
-			if vb.gran[g] != nil {
-				floor = min(floor, t.freezeGranule(b, g, horizon))
-			}
-		}
-	}
-	t.lateFloor, t.hand, t.handSeen = floor, 0, math.MaxUint64
-}
-
-// sweep is freezeAll on a budget, for the end of a commit (reclaimAfter): the
-// hand moves on over the table's granules, round and round, and each unit of
-// budget takes it across one granule that exists — freezing there what the
-// rule allows at horizon — or across a block's worth of absent ones. A version
-// that became freezable is therefore frozen within one revolution. When the
-// hand comes round, lateFloor becomes the lowest beginTS it had to leave (or
-// was told of meanwhile, stamp), which is what stops the sweeping while
-// everything late is still above the horizon. t.verMu is held exclusively.
+// sweep is GCVersions' freeze on a budget, for the end of a commit: the hand
+// moves on over the table's granules, round and round, and each unit of budget
+// takes it across one granule that exists — freezing there what the rule allows
+// at horizon — or across a block's worth of absent ones. A version that became
+// freezable is therefore frozen within one revolution. When the hand comes
+// round, lateFloor becomes the lowest beginTS it had to leave (or was told of
+// meanwhile, stamp), which is what stops the sweeping while everything late is
+// still above the horizon. t.verMu is held exclusively.
 func (t *Table) sweep(horizon uint64, budget int) {
-	horizon = min(horizon, t.flushCut.Load())
 	for ; budget > 0 && t.late > 0 && horizon >= t.lateFloor; budget-- {
 		for n := 0; n < blockGranules; n++ {
 			if t.hand >= len(t.vers)*blockGranules {
@@ -660,6 +647,7 @@ func (t *Table) stampInsert(rid storage.RID, pk float64, commitTS uint64, publis
 	}
 	t.verMu.Lock()
 	t.stamp(rid, verHeader{beginTS: commitTS, prev: prev})
+	t.setUnflushed(rid, true)
 	t.liveRows++
 	if publish != nil {
 		publish.ts.Store(commitTS)
@@ -680,6 +668,7 @@ func (t *Table) stampUpdate(pk float64, rid storage.RID, commitTS uint64) {
 	t.verMu.Lock()
 	t.end(old, commitTS)
 	t.stamp(rid, verHeader{beginTS: commitTS, prev: old})
+	t.setUnflushed(rid, true)
 	t.verMu.Unlock()
 	t.primaryMu.Unlock()
 }
@@ -718,20 +707,65 @@ type keyDeath struct {
 	ts uint64
 }
 
+// setUnflushed sets or clears rid's unflushed bit and keeps the count of set
+// bits; on a table that flushes nothing it does nothing. A version was stamped
+// at rid, so its verBlock exists; t.verMu is held exclusively.
+func (t *Table) setUnflushed(rid storage.RID, on bool) {
+	if !t.trackDeletes {
+		return
+	}
+	vb, g, i := t.vers[rid.Block()], rid.Slot()/granuleSlots, rid.Slot()%granuleSlots
+	if vb.unflushed == nil {
+		vb.unflushed = new([blockGranules]uint64)
+	}
+	// Out of the word and the count, and back in if on.
+	t.unflushed -= int(vb.unflushed[g] >> i & 1)
+	if vb.unflushed[g] &^= 1 << i; on {
+		vb.unflushed[g] |= 1 << i
+		t.unflushed++
+	}
+}
+
+// unflushedSlots ranges over the slots whose unflushed bit is set, in RID
+// order, each with its header. t.verMu is held; a holder of it exclusively may
+// clear the bit of the slot it is at.
+func (t *Table) unflushedSlots() iter.Seq2[storage.RID, verHeader] {
+	return func(yield func(storage.RID, verHeader) bool) {
+		for b, vb := range t.vers {
+			if vb == nil || vb.unflushed == nil {
+				continue
+			}
+			for g, w := range vb.unflushed {
+				for ; w != 0; w &= w - 1 {
+					rid := storage.MakeRID(uint64(b), uint16(g*granuleSlots+bits.TrailingZeros64(w)))
+					if !yield(rid, t.header(rid)) {
+						return
+					}
+				}
+			}
+		}
+	}
+}
+
 // flushedTo tells a table that flushes deltas that a published delta block —
 // or, at recovery, the blocks it was restored from — records everything
-// committed at or before ts: the deletes up to ts leave the list, the flush
-// cut moves to ts, and what was waiting for it is frozen.
+// committed at or before ts: the deletes up to ts leave the list, and the
+// versions begun at or before ts are unflushed no longer. One begun after ts —
+// a commit that ran beside the checkpoint's write phase — keeps its bit. The
+// caller still pins the snapshot at ts it harvested under (at recovery it is
+// alone), so a frozen slot, which reads as begun at 1, did begin by ts.
 func (t *Table) flushedTo(ts uint64) {
-	horizon := t.clock.OldestActive()
 	t.verMu.Lock()
 	n := 0
 	for n < t.deletes.len() && t.deletes.items()[n].ts <= ts {
 		n++
 	}
 	t.deletes.drop(n)
-	t.flushCut.Store(ts)
-	t.freezeAll(horizon)
+	for rid, h := range t.unflushedSlots() {
+		if h.beginTS <= ts {
+			t.setUnflushed(rid, false)
+		}
+	}
 	t.verMu.Unlock()
 }
 
@@ -746,9 +780,13 @@ type VersionStats struct {
 	// a table that flushes nothing).
 	UnflushedDeletes int
 	// Unfrozen counts the slots that hold a version header: Pending, plus the
-	// live versions a snapshot or the flush cut keeps from freezing, plus
-	// those with a pending version still behind them.
+	// live versions a snapshot keeps from freezing, plus those with a pending
+	// version still behind them.
 	Unfrozen int
+	// Unflushed counts the versions no block holds (zero on a table that
+	// flushes nothing): the live rows written since the last checkpoint's cut —
+	// the WAL tail's footprint — and any predecessor of theirs a snapshot pins.
+	Unflushed int
 	// Bytes is MemoryStats.VersionBytes.
 	Bytes uint64
 }
@@ -762,6 +800,7 @@ func (t *Table) VersionStats() VersionStats {
 		Reclaimed:        t.reclaimed,
 		UnflushedDeletes: t.deletes.len(),
 		Unfrozen:         t.headers,
+		Unflushed:        t.unflushed,
 		Bytes:            t.versionBytesLocked(),
 	}
 }
@@ -816,9 +855,10 @@ func (q *fifo[T]) drop(n int) {
 }
 
 // versionBytes estimates the heap the version table holds: per store block
-// the frozen bitmap and the granule pointers, a granule for every 64 slots of
-// which one keeps a header, the granules on the free list, the queue of ended
-// versions and the list of unflushed deletes. (The key→head mapping is the
+// the frozen bitmap, the granule pointers and (on a table that flushes deltas)
+// the unflushed bitmap, a granule for every 64 slots of which one keeps a
+// header, the granules on the free list, the queue of ended versions and the
+// list of unflushed deletes. (The key→head mapping is the
 // primary index, accounted as PrimaryBytes.)
 func (t *Table) versionBytes() uint64 {
 	t.verMu.RLock()
@@ -834,6 +874,9 @@ func (t *Table) versionBytesLocked() uint64 {
 			continue
 		}
 		b += uint64(unsafe.Sizeof(*vb))
+		if vb.unflushed != nil {
+			b += uint64(unsafe.Sizeof(*vb.unflushed))
+		}
 		for _, gr := range vb.gran {
 			if gr != nil {
 				granules++
@@ -889,126 +932,85 @@ func (t *Table) ScanLive(fn func(rid storage.RID, row []float64) bool) {
 	}
 }
 
-// DeltaVersions harvests the changes committed in the half-open window
-// (prevTS, ts] and hands them to emit in key order: for every key whose
-// visible-at-ts incarnation began after prevTS the full row, and for every
-// key that died in the window and has no incarnation at ts a nil row — a
-// tombstone. Replaying the entries on top of the state at prevTS reproduces
-// exactly the live rows at ts. The order is the one a block.Writer requires:
-// the primary index's leaves are walked in that order (keyorder) and the
-// window of the delete list is sorted into it. The row is emit's only for
-// the call; emit's first error ends the harvest and is returned.
+// DeltaVersions harvests what a table that flushes deltas has committed up to
+// ts and no block records yet, and hands it to emit in key order: for every
+// key whose visible-at-ts incarnation is unflushed the full row, and for every
+// other key on the delete list up to ts a nil row — a tombstone. Replaying the
+// entries on top of what the blocks hold reproduces exactly the live rows at
+// ts. The order is the one a block.Writer requires (keyorder; -0 is emitted as
+// +0, as blocks identify keys). The row is emit's only for the call; emit's
+// first error ends the harvest and is returned.
 //
-// A key's chain, while the primary index has it, speaks for itself: the walk
-// from its head finds the newest version begun at or before ts, a row or a
-// death. A chain that a delete ended may have been reclaimed since, wholly
-// (no entry) or up to a re-insert after ts (a head begun after ts with
-// nothing behind it); then the delete list is what remembers the death, and
-// its entry in the window becomes the tombstone. A key re-inserted at or
-// before ts is a chain again, and emits its row.
+// The rows are the slots whose unflushed bit is set and whose version is
+// visible at ts: one begun after ts belongs to the next delta, and one ended at
+// or before ts was deleted, or superseded by a version with a bit of its own. A
+// frozen slot is visible at ts: it is live, and nothing begun above a
+// registered snapshot freezes. A listed key that has a row at ts all the same
+// was re-inserted after the delete, and the row is what the block must say. The
+// cost is that of the unflushed rows, not of the table, and t.verMu is held,
+// shared, for the scan of the bitmaps alone.
 //
-// The caller must pin a snapshot at or below ts for the duration (the
-// durable layer's flush snapshot), so no version visible at ts is reclaimed
-// between the chain walk and the row fetch — and, on a table that keeps no
-// delete list, one at or below prevTS, so that every chain that died in the
-// window is still there to say so. A frozen row reads as begun at 1: it is in
-// no window but one that opens at 0, which is right as long as nothing begun
-// after prevTS is frozen — what the flush cut sees to on a table that keeps a
-// delete list (prevTS is the last cut or later), and the snapshot at or below
-// prevTS on one that does not.
-func (t *Table) DeltaVersions(prevTS, ts uint64, emit func(pk float64, row []float64) error) error {
-	type cand struct {
-		rid  storage.RID
-		pk   float64
-		tomb bool
-	}
-	cands := make([]cand, 0, 64)
-	t.primaryMu.RLock()
+// The caller pins a snapshot at or below ts for the duration (the durable
+// layer's flush snapshot), so no version visible at ts is reclaimed before its
+// row is fetched, and calls flushedTo(ts) before it lets go of it if it
+// published the block — and not at all if it did not.
+func (t *Table) DeltaVersions(ts uint64, emit func(pk float64, row []float64) error) error {
+	// A tombstone is an entry without a RID. Sorted by (key, RID) it comes
+	// after the row of its key, if there is one, and is dropped for it.
 	t.verMu.RLock()
-	// The window of the delete list as ranks (keyorder.Rank: their unsigned
-	// order is the key order, and -0 ranks with +0, as blocks identify keys),
-	// sorted, one per key.
-	var deaths []uint64
+	rids := make([]uint64, 0, t.unflushed+t.deletes.len())
+	for rid, h := range t.unflushedSlots() {
+		if h.visibleAt(ts) {
+			rids = append(rids, uint64(rid))
+		}
+	}
+	rows := len(rids)
+	keys := make([]float64, rows, cap(rids))
 	for _, d := range t.deletes.items() {
 		if d.ts > ts {
 			break
 		}
-		if d.ts > prevTS {
-			deaths = append(deaths, keyorder.Rank(d.pk))
-		}
-	}
-	slices.Sort(deaths)
-	deaths = slices.Compact(deaths)
-	t.primary.Each(func(pk float64, head uint64) bool {
-		// The entry carries the key as first inserted; what is emitted is the
-		// key of its rank.
-		rank := keyorder.Rank(pk)
-		pk = keyorder.Unrank(rank)
-		// Listed keys that sort before this one have no entry: reclaimed.
-		for len(deaths) > 0 && deaths[0] < rank {
-			cands = append(cands, cand{pk: keyorder.Unrank(deaths[0]), tomb: true})
-			deaths = deaths[1:]
-		}
-		listed := len(deaths) > 0 && deaths[0] == rank
-		if listed {
-			deaths = deaths[1:]
-		}
-		// Walk to the newest version begun at or before ts: the key's
-		// incarnation as of the flush cut (a commit racing past ts may
-		// already have stamped newer heads).
-		rid := storage.RID(head)
-		h := t.header(rid)
-		for h.beginTS > ts {
-			rid = h.prev
-			h = t.header(rid)
-		}
-		switch {
-		case h.beginTS == 0:
-			// Everything the chain has left began after ts.
-			if listed {
-				cands = append(cands, cand{pk: pk, tomb: true})
-			}
-		case h.endTS == 0 || ts < h.endTS:
-			if h.beginTS > prevTS {
-				cands = append(cands, cand{rid: rid, pk: pk})
-			}
-		case h.endTS > prevTS:
-			// Dead at ts, and the death is inside the window.
-			cands = append(cands, cand{pk: pk, tomb: true})
-		}
-		return true
-	})
-	for _, rank := range deaths {
-		cands = append(cands, cand{pk: keyorder.Unrank(rank), tomb: true})
+		keys, rids = append(keys, d.pk), append(rids, uint64(noRID))
 	}
 	t.verMu.RUnlock()
-	t.primaryMu.RUnlock()
+	for i, rid := range rids[:rows] {
+		var err error
+		if keys[i], err = t.store.Value(storage.RID(rid), t.pkCol); err != nil {
+			return fmt.Errorf("engine: delta harvest of %q at %d: %w (no snapshot pinned at the cut?)", t.name, ts, err)
+		}
+	}
+	keyorder.SortPairs(keys, rids)
 
 	// Rows are fetched a run at a time, one hold of the store's latch each.
 	const run = 256
-	rids := make([]storage.RID, 0, run)
-	var rows []float64
-	width := t.store.Width()
-	for len(cands) > 0 {
-		chunk := cands[:min(run, len(cands))]
-		cands = cands[len(chunk):]
-		rids = rids[:0]
-		for _, c := range chunk {
-			if !c.tomb {
-				rids = append(rids, c.rid)
+	fetch := make([]storage.RID, 0, run)
+	var buf []float64
+	width, last := t.store.Width(), uint64(0)
+	for at := 0; at < len(keys); {
+		chunk := rids[at:min(at+run, len(rids))]
+		fetch = fetch[:0]
+		for _, rid := range chunk {
+			if storage.RID(rid) != noRID {
+				fetch = append(fetch, storage.RID(rid))
 			}
 		}
 		var err error
-		if rows, err = t.store.GetRun(rids, rows); err != nil {
+		if buf, err = t.store.GetRun(fetch, buf); err != nil {
 			return fmt.Errorf("engine: delta harvest of %q at %d: %w (no snapshot pinned at the cut?)", t.name, ts, err)
 		}
-		next := rows
-		for _, c := range chunk {
+		next := buf
+		for _, rid := range chunk {
+			rank := keyorder.Rank(keys[at])
+			dup := at > 0 && rank == last
+			last = rank
+			at++
 			var row []float64
-			if !c.tomb {
+			if storage.RID(rid) != noRID {
 				row, next = next[:width:width], next[width:]
+			} else if dup {
+				continue // the key has a row at ts, or died twice
 			}
-			if err := emit(c.pk, row); err != nil {
+			if err := emit(keyorder.Unrank(rank), row); err != nil {
 				return err
 			}
 		}
@@ -1025,8 +1027,18 @@ func (t *Table) GCVersions(horizon uint64) int {
 	t.catalog.RLock()
 	defer t.catalog.RUnlock()
 	n := t.reclaim(horizon, math.MaxInt)
+	// The freeze rule applied to every header the table holds; it leaves
+	// lateFloor exact.
 	t.verMu.Lock()
-	t.freezeAll(horizon)
+	floor := uint64(math.MaxUint64)
+	for b, vb := range t.vers {
+		for g := 0; vb != nil && g < blockGranules; g++ {
+			if vb.gran[g] != nil {
+				floor = min(floor, t.freezeGranule(b, g, horizon))
+			}
+		}
+	}
+	t.lateFloor, t.hand, t.handSeen = floor, 0, math.MaxUint64
 	t.verMu.Unlock()
 	return n
 }
@@ -1036,14 +1048,12 @@ func (t *Table) GCVersions(horizon uint64) int {
 // one more — so the queue is empty again after a commit that found it empty,
 // and a backlog left by a snapshot since released shrinks with every commit.
 // The versions such a snapshot kept from freezing go the same way, on the
-// same budget (sweep) — unless everything late began above what the horizon
-// can be, which on a table that flushes deltas is the whole time between two
-// checkpoints and costs a commit nothing. The caller holds t.catalog shared
-// and none of t's stripes.
+// same budget (sweep). The caller holds t.catalog shared and none of t's
+// stripes.
 func (t *Table) reclaimAfter(budget int) {
 	t.verMu.RLock()
 	pending := t.ended.len()
-	late := t.late > 0 && t.flushCut.Load() >= t.lateFloor
+	late := t.late > 0
 	t.verMu.RUnlock()
 	if pending == 0 && !late {
 		return
@@ -1166,6 +1176,7 @@ func (t *Table) reclaimVersion(rid storage.RID, row []float64, succ storage.RID,
 		t.freezeIf(cut, horizon)
 	}
 	t.stamp(rid, verHeader{})
+	t.setUnflushed(rid, false)
 	t.reclaimed++
 	t.verMu.Unlock()
 	t.primaryMu.Unlock()

@@ -22,18 +22,21 @@ import (
 // oracle has not reclaimed, and no version left may link to a freed slot
 // (checkChains). At intervals each open snapshot must still resolve exactly
 // the oracle's rows through PointQueryAt, RangeQueryAt on every access path
-// the planner offers, ScanLive and DeltaVersions — on the odd seeds with the
-// delete list on, so that a window may open below the oldest snapshot and the
-// list must supply the tombstones of the chains reclaimed since. Two ops of
+// the planner offers, ScanLive and — on the odd seeds, where the table flushes
+// deltas — DeltaVersions: the harvest up to the snapshot of what was committed
+// since the last flush, the delete list supplying the tombstones of the chains
+// reclaimed since. Two ops of
 // the mix are fixed schedules (in runMVCCModel): reuse puts another key's
 // version into a slot a chain used to pass through and reads at the snapshots
 // that would walk into it; pinned builds a backlog under a snapshot, releases
 // it, and counts the commits that work the backlog off.
 //
 // Freezing is checked after every step as well (checkVersions), against the
-// oracle's horizon — the oldest open snapshot or transaction, and on the odd
-// seeds no later than the last flush cut, which a flush op moves the way a
-// checkpoint does. A slot is frozen only if the oracle has its row as its
+// oracle's horizon — the oldest open snapshot or transaction; what a flush op
+// has or has not recorded (it moves the cut the way a checkpoint does) is no
+// part of it, but the unflushed bits are checked in the same walk: a slot's is
+// set exactly if its version began after the cut, and their count is the
+// table's. A slot is frozen only if the oracle has its row as its
 // key's live version, begun at or below the horizon. The other way round, a
 // version that is live, has nothing behind it and began at or below the
 // horizon is frozen, or has been owed that for no more commits than one
@@ -64,7 +67,7 @@ type modelTable struct {
 	stored int
 	// horizon returns the oldest timestamp an open snapshot or transaction
 	// reads at, the clock when there is none; cut is the last flush cut
-	// (none: the table flushes nothing). commits counts the engine commits
+	// (MaxUint64: the table flushes nothing). commits counts the engine commits
 	// mirrored so far, and owed remembers, for every version the engine
 	// could have frozen and has not, its beginTS and the commit count at
 	// which that was first seen.
@@ -226,12 +229,11 @@ func (m *modelTable) checkLive(t *testing.T) {
 	m.checkRIDs(t, "ScanLive", rids, live)
 }
 
-// checkDelta compares DeltaVersions(pinned, ts) with the oracle; a snapshot
-// is open at ts or below and, unless the table lists its deletes, at pinned
-// or below.
-func (m *modelTable) checkDelta(t *testing.T, pinned, ts uint64) {
+// checkDelta compares DeltaVersions(ts) with the oracle's changes in the
+// window (m.cut, ts]; a snapshot is open at ts or below.
+func (m *modelTable) checkDelta(t *testing.T, ts uint64) {
 	t.Helper()
-	delta := make(map[uint64]*modelVer) // key -> its incarnation as of ts, if it changed in (pinned, ts]
+	delta := make(map[uint64]*modelVer) // key -> its incarnation as of ts, if it changed in (cut, ts]
 	for k, vs := range m.vers {
 		i := len(vs) - 1
 		for i >= 0 && vs[i].begin > ts {
@@ -240,22 +242,27 @@ func (m *modelTable) checkDelta(t *testing.T, pinned, ts uint64) {
 		if i < 0 {
 			continue
 		}
-		if v := vs[i]; v.visibleAt(ts) && v.begin > pinned || !v.visibleAt(ts) && v.end > pinned {
+		if v := vs[i]; v.visibleAt(ts) && v.begin > m.cut || !v.visibleAt(ts) && v.end > m.cut {
 			delta[k] = v
 		}
 	}
-	n := 0
-	err := m.tb.DeltaVersions(pinned, ts, func(pk float64, row []float64) error {
+	n, last := 0, uint64(0)
+	err := m.tb.DeltaVersions(ts, func(pk float64, row []float64) error {
+		if rank := keyorder.Rank(pk); n > 0 && rank <= last {
+			t.Fatalf("DeltaVersions(%d): key %v out of order", ts, pk)
+		} else {
+			last = rank
+		}
 		n++
 		v := delta[block.KeyBits(pk)]
 		if tombstone := row == nil; v == nil || tombstone == v.visibleAt(ts) || (!tombstone && !sameRow(row, v.row)) {
-			t.Fatalf("DeltaVersions(%d, %d): entry %v %v, oracle version %+v", pinned, ts, pk, row, v)
+			t.Fatalf("DeltaVersions(%d) since %d: entry %v %v, oracle version %+v", ts, m.cut, pk, row, v)
 		}
 		delete(delta, block.KeyBits(pk)) // a second entry for the key finds nil
 		return nil
 	})
 	if err != nil || len(delta) != 0 {
-		t.Fatalf("DeltaVersions(%d, %d): %d entries, the oracle has %d more; err %v", pinned, ts, n, len(delta), err)
+		t.Fatalf("DeltaVersions(%d) since %d: %d entries, the oracle has %d more; err %v", ts, m.cut, n, len(delta), err)
 	}
 }
 
@@ -263,31 +270,53 @@ func (m *modelTable) checkDelta(t *testing.T, pinned, ts uint64) {
 // rule: every stamped header sits on a live row, and its prev, if it has one,
 // names a stamped version of the same key — not a slot reclamation freed, and
 // not the row an insert has since put there. It asserts the freeze rule both
-// ways round (see the top of the file), and that the table's counts of
-// headers and of late versions, and its floor under the latter, are what the
-// walk finds.
+// ways round (see the top of the file), that a slot's unflushed bit is set
+// exactly if a version begun after the flush cut is stamped there, and that the
+// table's counts of headers, of late versions and of unflushed bits, and its
+// floor under the late ones, are what the walk finds.
 func (m *modelTable) checkVersions(t *testing.T, what string) {
 	t.Helper()
 	tb := m.tb
-	horizon := min(m.horizon(), m.cut)
+	horizon := m.horizon()
 	tb.verMu.RLock()
 	defer tb.verMu.RUnlock()
-	headers, late, floor := 0, 0, uint64(math.MaxUint64)
+	headers, late, floor, unflushed := 0, 0, uint64(math.MaxUint64), 0
 	owed := make(map[storage.RID][2]uint64)
 	for b, vb := range tb.vers {
 		for s := 0; vb != nil && s < storage.BlockRows; s++ {
 			rid := storage.MakeRID(uint64(b), uint16(s))
 			h := tb.header(rid)
+			bit := vb.unflushed != nil && vb.unflushed[s/granuleSlots]>>(s%granuleSlots)&1 != 0
+			if bit {
+				unflushed++
+			}
 			if h.beginTS == 0 {
+				if bit {
+					t.Fatalf("after %s: slot %v holds no version and its unflushed bit is set", what, rid)
+				}
 				continue
 			}
 			row, err := tb.store.Get(rid, nil)
 			if err != nil {
 				t.Fatalf("after %s: version %v is stamped %+v but its row reads %v", what, rid, h, err)
 			}
+			// The oracle's version in the slot: the one of the row's key that
+			// ended when the header says (a frozen or thawed header says begun at 1).
+			var v *modelVer
+			for _, c := range m.vers[block.KeyBits(row[tb.pkCol])] {
+				if c.end == h.endTS && !c.reclaimed {
+					v = c
+				}
+			}
+			if v == nil || !sameRow(v.row, row) || (h.beginTS != v.begin && h.beginTS != 1) {
+				t.Fatalf("after %s: slot %v holds %v, header %+v; the oracle's version is %+v", what, rid, row, h, v)
+			}
+			if bit != (v.begin > m.cut) {
+				t.Fatalf("after %s, flush cut %d: version %v of key %v began at %d and its unflushed bit is %v", what, m.cut, rid, row[tb.pkCol], v.begin, bit)
+			}
 			if vb.frozen[s/granuleSlots]>>(s%granuleSlots)&1 != 0 {
-				if v := m.newest(row[tb.pkCol]); v == nil || v.end != 0 || v.begin > horizon || !sameRow(v.row, row) {
-					t.Fatalf("after %s, horizon %d: slot %v is frozen, row %v; the oracle's newest version of the key is %+v", what, horizon, rid, row, v)
+				if v.end != 0 || v.begin > horizon {
+					t.Fatalf("after %s, horizon %d: slot %v is frozen, row %v; the oracle's version is %+v", what, horizon, rid, row, v)
 				}
 				if gr := vb.gran[s/granuleSlots]; gr != nil && gr[s%granuleSlots] != (verHeader{}) {
 					t.Fatalf("after %s: frozen slot %v keeps the header %+v", what, rid, gr[s%granuleSlots])
@@ -324,6 +353,9 @@ func (m *modelTable) checkVersions(t *testing.T, what string) {
 	m.owed = owed
 	if headers != tb.headers || late != tb.late || (late > 0 && tb.lateFloor > floor) {
 		t.Fatalf("after %s: the table counts %d headers, %d late, none below %d; it holds %d, %d, the lowest at %d", what, tb.headers, tb.late, tb.lateFloor, headers, late, floor)
+	}
+	if unflushed != tb.unflushed {
+		t.Fatalf("after %s: the table counts %d unflushed versions, %d bits are set", what, tb.unflushed, unflushed)
 	}
 	if horizon == tb.clock.Now() && len(m.queue) == 0 && len(owed) == 0 && headers != 0 {
 		t.Fatalf("after %s: no snapshot open, nothing queued, nothing late, and %d headers", what, headers)
@@ -372,7 +404,8 @@ func runMVCCModel(t *testing.T, scheme hermit.PointerScheme, seed int64, ops int
 		t.Fatal(err)
 	}
 	m := newModelTable(tb)
-	var ts uint64 // the oracle's clock
+	var ts uint64                 // the oracle's clock
+	tb.trackDeletes = seed%2 == 1 // a table that flushes deltas
 
 	newRow := func(pk float64) []float64 {
 		c := float64(rng.Intn(1000))
@@ -390,10 +423,9 @@ func runMVCCModel(t *testing.T, scheme hermit.PointerScheme, seed int64, ops int
 		ts++
 		m.put(row[0], row, ts)
 	}
-	if seed%2 == 1 {
-		// A table that flushes deltas, the preload what it was restored from.
-		tb.trackDeletes = true
-		tb.flushCut.Store(ts)
+	if tb.trackDeletes {
+		// The preload is what the table was restored from.
+		tb.flushedTo(ts)
 		m.cut = ts
 	}
 	if _, err := tb.CreateBTreeIndex(1, false); err != nil {
@@ -472,22 +504,11 @@ func runMVCCModel(t *testing.T, scheme hermit.PointerScheme, seed int64, ops int
 			}
 		}
 		m.checkLive(t)
-		// The flush cut's harvest, up to now and up to each snapshot: a cut
-		// below a chain's head makes DeltaVersions walk the chain.
-		m.checkDelta(t, snaps[0].ts, ts)
-		for _, s := range snaps[1:] {
-			m.checkDelta(t, snaps[0].ts, s.ts)
-		}
-		// With the delete list the window may open anywhere from the last
-		// flush cut on, as well as above the oldest snapshot: the chains that
-		// died in it and were reclaimed are in the list, and nothing that
-		// began in it is frozen.
+		// The harvest of what is unflushed, up to each snapshot — one at or
+		// below the last flush cut harvests nothing.
 		if tb.trackDeletes {
 			for _, s := range snaps {
-				if lo := min(m.cut, snaps[0].ts); lo <= s.ts {
-					m.checkDelta(t, lo, s.ts)
-					m.checkDelta(t, lo+uint64(rng.Int63n(int64(s.ts-lo)+1)), s.ts)
-				}
+				m.checkDelta(t, s.ts)
 			}
 		}
 	}
@@ -502,7 +523,7 @@ func runMVCCModel(t *testing.T, scheme hermit.PointerScheme, seed int64, ops int
 	// harvests the window since the last cut, then publishes the cut.
 	flush := func() {
 		s := db.Snapshot()
-		m.checkDelta(t, m.cut, s.ts)
+		m.checkDelta(t, s.ts)
 		tb.flushedTo(s.ts)
 		m.cut = s.ts
 		s.Release()
@@ -649,7 +670,7 @@ func runMVCCModel(t *testing.T, scheme hermit.PointerScheme, seed int64, ops int
 		// What was born under the snapshot froze with the commits since — the
 		// rest within a revolution of the hand (checkVersions counts) — and
 		// after that no write leaves a version queued or a header behind,
-		// unless it is the header of a row no flush has recorded.
+		// whether or not a flush has recorded its row.
 		for len(m.owed) > 0 {
 			fresh++
 			insert(newRow(fresh))
@@ -659,7 +680,7 @@ func runMVCCModel(t *testing.T, scheme hermit.PointerScheme, seed int64, ops int
 			if len(m.queue) != 0 {
 				t.Fatalf("pinned: a write with no snapshot open left %d versions queued", len(m.queue))
 			}
-			if n := tb.VersionStats().Unfrozen; n != 0 && !tb.trackDeletes {
+			if n := tb.VersionStats().Unfrozen; n != 0 {
 				t.Fatalf("pinned: a write with no snapshot open left %d headers", n)
 			}
 		}

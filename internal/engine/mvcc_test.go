@@ -746,13 +746,14 @@ func reclaimedHeadNotWalked(t *testing.T, scheme hermit.PointerScheme) {
 }
 
 // TestFrozenRowsReachTheirBlock follows a durable table's rows from the WAL
-// tail into blocks, with the freeze rule's durable horizon in between: a row
-// that no delta block holds yet keeps its header, whoever can see it — that
-// header's beginTS is how the next flush tells it from a flushed one — and a
-// checkpoint or a recovery freezes exactly what blocks hold. insert → close
-// without checkpoint → reopen (the rows come back from the log: unfrozen) →
-// checkpoint (flushed: frozen) → churn → reopen (restored from blocks: frozen;
-// replayed from the tail: not) → checkpoint → reopen loses no row on the way.
+// tail into blocks. Whether a block holds a row is no part of the freeze rule —
+// a row no delta block holds yet is frozen like any other once no snapshot
+// predates it — and is counted apart, a bit a row: set by the write, replayed
+// from the log with it, cleared by the checkpoint that flushes the row and not
+// set at all on a row restored from blocks. insert → close without checkpoint
+// → reopen (the rows come back from the log: unflushed) → checkpoint (flushed)
+// → churn → reopen (restored from blocks: flushed; replayed from the tail: not)
+// → checkpoint → reopen loses no row on the way.
 func TestFrozenRowsReachTheirBlock(t *testing.T) {
 	dir := t.TempDir()
 	open := func() (*DurableDB, *Table) {
@@ -765,15 +766,15 @@ func TestFrozenRowsReachTheirBlock(t *testing.T) {
 		return d, tb
 	}
 	oracle := make(map[float64]float64)
-	check := func(what string, d *DurableDB, tb *Table, unfrozen int) {
+	check := func(what string, d *DurableDB, tb *Table, unfrozen, unflushed int) {
 		t.Helper()
 		got := make(map[float64]float64)
 		tb.ScanLive(func(_ storage.RID, row []float64) bool { got[row[0]] = row[1]; return true })
 		if !maps.Equal(got, oracle) {
 			t.Fatalf("%s: table holds %d rows, the oracle %d", what, len(got), len(oracle))
 		}
-		if st := d.StorageStats(); st.VersionsUnfrozen != unfrozen || st.VersionsPending != 0 {
-			t.Fatalf("%s: %d rows carry a header (%d versions pending), want %d", what, st.VersionsUnfrozen, st.VersionsPending, unfrozen)
+		if st := d.StorageStats(); st.VersionsUnfrozen != unfrozen || st.VersionsUnflushed != unflushed || st.VersionsPending != 0 {
+			t.Fatalf("%s: %d rows carry a header, %d are unflushed (%d versions pending), want %d, %d", what, st.VersionsUnfrozen, st.VersionsUnflushed, st.VersionsPending, unfrozen, unflushed)
 		}
 	}
 	const rows = 3000
@@ -788,19 +789,19 @@ func TestFrozenRowsReachTheirBlock(t *testing.T) {
 		}
 		oracle[float64(i)] = 0
 	}
-	check("loaded, nothing flushed", d, tb, rows)
+	check("loaded, nothing flushed", d, tb, 0, rows)
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
 
 	d, tb = open()
-	check("replayed from the log", d, tb, rows)
+	check("replayed from the log", d, tb, 0, rows)
 	if err := d.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	check("flushed", d, tb, 0)
-	// A snapshot older than a flushed row keeps it from freezing; the commits
-	// after its release see to it.
+	check("flushed", d, tb, 0, 0)
+	// A snapshot older than a row keeps it from freezing, flushed or not; the
+	// commits after its release see to it.
 	snap := d.Snapshot()
 	for i := 0; i < 100; i++ {
 		pk := float64(rows + i)
@@ -812,7 +813,7 @@ func TestFrozenRowsReachTheirBlock(t *testing.T) {
 	if err := d.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	check("flushed under a snapshot", d, tb, 100)
+	check("flushed under a snapshot", d, tb, 100, 0)
 	snap.Release()
 	changed := 0
 	for i := 0; i < rows; i += 7 {
@@ -830,21 +831,21 @@ func TestFrozenRowsReachTheirBlock(t *testing.T) {
 			delete(oracle, pk)
 		}
 	}
-	check("the snapshot gone, a tail unflushed", d, tb, changed)
+	check("the snapshot gone, a tail unflushed", d, tb, 0, changed)
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
 
 	d, tb = open()
-	check("restored from blocks, the tail replayed", d, tb, changed)
+	check("restored from blocks, the tail replayed", d, tb, 0, changed)
 	if err := d.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	check("flushed again", d, tb, 0)
+	check("flushed again", d, tb, 0, 0)
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
 	d, tb = open()
 	defer d.Close()
-	check("restored from blocks alone", d, tb, 0)
+	check("restored from blocks alone", d, tb, 0, 0)
 }

@@ -151,11 +151,11 @@ func TestHTTPFallback(t *testing.T) {
 		t.Fatalf("stats after an update and a delete: %d versions pending, %d reclaimed, %d unflushed deletes; want 0, 2, 1",
 			st.VersionsPending, st.VersionsReclaimed, st.UnflushedDeletes)
 	}
-	// None of the nine live rows is in a block yet, so each still carries the
-	// version header the flush will tell it from a flushed row by.
-	if st := stats().Storage; st.VersionsUnfrozen != 9 || st.VersionBytes == 0 {
-		t.Fatalf("stats before the first checkpoint: %d rows carry a header in %d B of version table; want 9, > 0",
-			st.VersionsUnfrozen, st.VersionBytes)
+	// None of the nine live rows is in a block yet: each is one unflushed bit,
+	// and none carries a version header for it — no snapshot is open.
+	if st := stats().Storage; st.VersionsUnfrozen != 0 || st.VersionsUnflushed != 9 || st.VersionBytes == 0 {
+		t.Fatalf("stats before the first checkpoint: %d rows carry a header, %d are unflushed, %d B of version table; want 0, 9, > 0",
+			st.VersionsUnfrozen, st.VersionsUnflushed, st.VersionBytes)
 	}
 	// A checkpoint, so the storage section has real block-tier numbers to
 	// report.
@@ -163,9 +163,9 @@ func TestHTTPFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := stats()
-	if st.Storage.UnflushedDeletes != 0 || st.Storage.VersionsUnfrozen != 0 {
-		t.Fatalf("stats: %d unflushed deletes, %d rows with a header after a checkpoint",
-			st.Storage.UnflushedDeletes, st.Storage.VersionsUnfrozen)
+	if st.Storage.UnflushedDeletes != 0 || st.Storage.VersionsUnflushed != 0 || st.Storage.VersionsUnfrozen != 0 {
+		t.Fatalf("stats: %d unflushed deletes, %d unflushed rows, %d rows with a header after a checkpoint",
+			st.Storage.UnflushedDeletes, st.Storage.VersionsUnflushed, st.Storage.VersionsUnfrozen)
 	}
 	if st.Requests == 0 {
 		t.Fatalf("stats did not count HTTP requests: %+v", st)
