@@ -197,12 +197,17 @@ heap-profile:
 # and each internal/<pkg> — and their total; benchmark/ (the repository
 # benchmark, its own program) is not counted. ROADMAP item 7's "non-test
 # LOC" target is this number: quote it before and after in CHANGES.md.
+# The last line counts the public API: the exported identifiers hermitdb.go
+# declares (top-level type, func, var and const names, grouped ones
+# included).
 loc:
 	@total=0; for d in . cmd examples internal/*; do \
 		depth=; [ $$d = . ] && depth='-maxdepth 1'; \
 		n=$$(find $$d $$depth -name '*.go' -not -name '*_test.go' | xargs cat | wc -l); \
 		printf '%-22s %6d\n' $$d $$n; total=$$((total + n)); \
 	done; printf '%-22s %6d\n' total $$total
+	@printf '%-22s %6d\n' 'hermitdb.go exported' \
+		$$(grep -cE '^(type|func|var|const) [A-Z]|^	[A-Z][A-Za-z0-9_]* +=' hermitdb.go)
 
 fmt:
 	gofmt -w .

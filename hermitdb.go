@@ -167,8 +167,6 @@ type (
 	OpKind = engine.OpKind
 	// OpResult is the positional outcome of one Op.
 	OpResult = engine.OpResult
-	// RangeReq is one range predicate for Table.QueryConcurrent.
-	RangeReq = engine.RangeReq
 )
 
 // Batched-executor operation kinds.

@@ -12,8 +12,9 @@ import (
 )
 
 // srvSystem replays the op stream through the full serving tier: a
-// loopback hermitd Server fronting a durable database, driven by the
-// client package under a tenant namespace. Every operation — DDL
+// loopback hermitd Server fronting a durable database, its table
+// hash-partitioned (srvParts), driven by the client package under a tenant
+// namespace. Every operation — DDL
 // included — crosses the wire, so the protocol encoding, session
 // dispatch, backend routing and error mapping are all inside the
 // differential comparison. cycle() restarts the whole stack (server
@@ -151,8 +152,14 @@ func (s *srvSystem) close() error {
 	return s.d.Close()
 }
 
+// srvParts is the served table's partition count: every wire read scatters
+// and gathers, the path the serving benchmark measures. (A one-partition
+// table is covered by the server package's round-trip test.)
+const srvParts = 3
+
 // buildServer constructs the served system, issuing all DDL over the
-// wire: the table plus the host B+-tree and target Hermit index.
+// wire: the partitioned table plus the host B+-tree and target Hermit
+// index.
 func buildServer(cfg Config, s schema) (system, error) {
 	d, err := engine.OpenDurable(cfg.Dir, hermit.PhysicalPointers)
 	if err != nil {
@@ -163,7 +170,7 @@ func buildServer(cfg Config, s schema) (system, error) {
 		d.Close()
 		return nil, err
 	}
-	if err := ss.conn.CreateTable("t", s.cols, 0, 0); err != nil {
+	if err := ss.conn.CreateTable("t", s.cols, 0, srvParts); err != nil {
 		ss.close()
 		return nil, err
 	}

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -81,23 +82,9 @@ func TestConcurrentReadersAndWriters(t *testing.T) {
 					}
 				case 1:
 					q := rangeGen()
-					rids, st, err := tb.RangeQuery(spec.HostCol(), q.Lo, q.Hi)
-					if err != nil {
+					if err := checkBTreeRange(tb, spec.HostCol(), q.Lo, q.Hi); err != nil {
 						fail("btree range query: %v", err)
 						return
-					}
-					if st.Kind != KindBTree {
-						fail("host column served by %v, want btree", st.Kind)
-						return
-					}
-					for _, rid := range rids {
-						v, err := tb.Store().Value(rid, spec.HostCol())
-						// A concurrent delete may tombstone a returned row;
-						// a surviving row must satisfy the predicate.
-						if err == nil && (v < q.Lo || v > q.Hi) {
-							fail("btree range returned %v outside [%v, %v]", v, q.Lo, q.Hi)
-							return
-						}
 					}
 				default:
 					q := hermitGen()
@@ -165,6 +152,33 @@ func TestConcurrentReadersAndWriters(t *testing.T) {
 			}
 		}
 	}
+}
+
+// checkBTreeRange runs a range query that the complete B+-tree on col must
+// serve and checks every returned row against the predicate. The rows are
+// read under the snapshot the query ran at: once it is released, a
+// writer's commit may reclaim a returned version and reuse its slot for
+// another row.
+func checkBTreeRange(tb *Table, col int, lo, hi float64) error {
+	snap := tb.clock.Snapshot()
+	defer snap.Release()
+	rids, st, err := tb.RangeQueryAt(snap, col, lo, hi)
+	if err != nil {
+		return err
+	}
+	if st.Kind != KindBTree {
+		return fmt.Errorf("column %d served by %v, want btree", col, st.Kind)
+	}
+	for _, rid := range rids {
+		v, err := tb.Store().Value(rid, col)
+		if err != nil {
+			return err
+		}
+		if v < lo || v > hi {
+			return fmt.Errorf("returned %v outside [%v, %v]", v, lo, hi)
+		}
+	}
+	return nil
 }
 
 // TestExecuteBatchMatchesSerial runs the same query batch through the
@@ -310,21 +324,21 @@ func TestExecuteBatchMalformedOps(t *testing.T) {
 func TestQueryConcurrentAcrossIndexes(t *testing.T) {
 	tb := buildConcurrentTable(t, 3000)
 	spec := workload.SyntheticSpec{}
-	var reqs []RangeReq
+	var reqs []Op
 	gen := workload.QueryGen(0, workload.SyntheticSpan, 0.03, 5)
 	for i := 0; i < 120; i++ {
 		q := gen()
 		switch i % 3 {
 		case 0:
-			reqs = append(reqs, RangeReq{Col: spec.PKCol(), Lo: q.Lo, Hi: q.Hi})
+			reqs = append(reqs, Op{Kind: OpRange, Col: spec.PKCol(), Lo: q.Lo, Hi: q.Hi})
 		case 1:
-			reqs = append(reqs, RangeReq{Col: spec.HostCol(), Lo: 2*q.Lo + 100, Hi: 2*q.Hi + 100})
+			reqs = append(reqs, Op{Kind: OpRange, Col: spec.HostCol(), Lo: 2*q.Lo + 100, Hi: 2*q.Hi + 100})
 		default:
-			reqs = append(reqs, RangeReq{Col: spec.TargetCol(), Lo: q.Lo, Hi: q.Hi})
+			reqs = append(reqs, Op{Kind: OpRange, Col: spec.TargetCol(), Lo: q.Lo, Hi: q.Hi})
 		}
 	}
 	for _, workers := range []int{1, 4, 16} {
-		results := tb.QueryConcurrent(reqs, workers)
+		results := tb.ExecuteBatch(reqs, workers)
 		if len(results) != len(reqs) {
 			t.Fatalf("workers=%d: %d results for %d reqs", workers, len(results), len(reqs))
 		}

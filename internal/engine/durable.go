@@ -9,7 +9,6 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"runtime"
 	"slices"
 	"sort"
 	"strconv"
@@ -274,6 +273,20 @@ type durableMeta struct {
 func (m *durableMeta) route(pk float64) (*Table, uint32) {
 	p := PartitionOf(pk, m.Partitions)
 	return m.phys[p], uint32(p)
+}
+
+// target returns the engine table, partition id and primary key a mutation
+// op on this table routes to: an insert's key is its row's.
+func (m *durableMeta) target(op *Op) (*Table, uint32, float64) {
+	pk := op.PK
+	if op.Kind == OpInsert {
+		pk = 0
+		if m.PKCol < len(op.Row) {
+			pk = op.Row[m.PKCol]
+		}
+	}
+	tb, part := m.route(pk)
+	return tb, part, pk
 }
 
 // createPhysical creates the engine tables behind the logical table name
@@ -617,13 +630,13 @@ func (d *DurableDB) Clock() *Clock { return d.db.Clock() }
 func (d *DurableDB) GC() int { return d.db.GC() }
 
 // restoreTable rebuilds one logical table from its blocklists, its
-// partitions side by side (eachPartition): a partition's rows, RIDs and
+// partitions side by side (Parallel): a partition's rows, RIDs and
 // indexes are a function of its own blocks alone.
 func (d *DurableDB) restoreTable(name string, meta *durableMeta) error {
 	if err := d.createPhysical(name, meta); err != nil {
 		return err
 	}
-	for _, err := range eachPartition(meta.phys, func(tb *Table) error { return d.restorePartition(meta, tb) }) {
+	for _, err := range Parallel(meta.phys, 0, func(tb *Table) error { return d.restorePartition(meta, tb) }) {
 		if err != nil {
 			return err
 		}
@@ -663,30 +676,6 @@ func (d *DurableDB) restorePartition(meta *durableMeta, tb *Table) error {
 		}
 	}
 	return nil
-}
-
-// eachPartition runs fn over the physical tables of one logical table on
-// min(GOMAXPROCS, partitions) goroutines, the caller's among them, and
-// returns fn's errors by partition.
-func eachPartition(phys []*Table, fn func(tb *Table) error) []error {
-	errs := make([]error, len(phys))
-	var next atomic.Int64
-	work := func() {
-		for i := next.Add(1) - 1; i < int64(len(phys)); i = next.Add(1) - 1 {
-			errs[i] = fn(phys[i])
-		}
-	}
-	var wg sync.WaitGroup
-	for w := min(runtime.GOMAXPROCS(0), len(phys)); w > 1; w-- {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			work()
-		}()
-	}
-	work()
-	wg.Wait()
-	return errs
 }
 
 // physicalNames lists the engine tables backing a logical table: the name
@@ -953,7 +942,7 @@ func (d *DurableDB) CreateIndex(table string, def IndexDef) error {
 		d.mu.Unlock()
 		return fmt.Errorf("engine: %s indexes are not supported on partitioned tables", def.Kind)
 	}
-	errs := eachPartition(meta.phys, func(tb *Table) error { return applyIndexDef(tb, def) })
+	errs := Parallel(meta.phys, 0, func(tb *Table) error { return applyIndexDef(tb, def) })
 	for _, err := range errs {
 		if err == nil {
 			continue
@@ -1072,14 +1061,7 @@ func (d *DurableDB) submit(op *Op, res *OpResult) wal.Ticket {
 		res.Err = fmt.Errorf("%w: %q", ErrNoSuchTable, op.Table)
 		return wal.Ticket{}
 	}
-	pk := op.PK
-	if op.Kind == OpInsert {
-		pk = 0
-		if meta.PKCol < len(op.Row) {
-			pk = op.Row[meta.PKCol]
-		}
-	}
-	tb, part := meta.route(pk)
+	tb, part, pk := meta.target(op)
 	rec := wal.Record{Table: op.Table, Part: part}
 	// Submit copies the payload into the log's buffer before it returns, so
 	// the record is encoded in this frame (a wider row spills to the heap).

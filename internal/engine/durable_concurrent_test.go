@@ -67,14 +67,17 @@ func TestDurableConcurrentMutations(t *testing.T) {
 		readers.Add(1)
 		go func() {
 			defer readers.Done()
-			reqs := []RangeReq{{Col: 2, Lo: 100, Hi: 200}, {Col: 1, Lo: 300, Hi: 500}}
+			reqs := []Op{
+				{Table: "syn", Kind: OpRange, Col: 2, Lo: 100, Hi: 200},
+				{Table: "syn", Kind: OpRange, Col: 1, Lo: 300, Hi: 500},
+			}
 			for {
 				select {
 				case <-stop:
 					return
 				default:
 				}
-				for _, res := range d.QueryConcurrent("syn", reqs, 2) {
+				for _, res := range d.ExecuteBatch(reqs, 2) {
 					if res.Err != nil {
 						t.Error(res.Err)
 						return

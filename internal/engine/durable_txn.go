@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"hermit/internal/storage"
 	"hermit/internal/wal"
 )
 
@@ -38,87 +39,68 @@ func (tx *DurableTxn) Snapshot() *Snapshot { return tx.x.Snapshot() }
 // value before Commit succeeds).
 func (tx *DurableTxn) Result() CommitResult { return tx.res }
 
-// route resolves the engine table and partition id a mutation on (table,
-// pk) targets, like DurableDB.submit.
-func (tx *DurableTxn) route(table string, pk float64) (*Table, uint32, error) {
+// route resolves the engine table, partition id and primary key a
+// mutation op targets, like DurableDB.submit.
+func (tx *DurableTxn) route(op *Op) (*Table, uint32, float64, error) {
 	tx.d.mu.RLock()
 	defer tx.d.mu.RUnlock()
-	meta := tx.d.tables[table]
+	meta := tx.d.tables[op.Table]
 	if meta == nil {
-		return nil, 0, fmt.Errorf("%w: %q", ErrNoSuchTable, table)
+		return nil, 0, 0, fmt.Errorf("%w: %q", ErrNoSuchTable, op.Table)
 	}
-	tb, part := meta.route(pk)
-	return tb, part, nil
+	tb, part, pk := meta.target(op)
+	return tb, part, pk, nil
 }
 
-// record buffers the WAL record for one accepted mutation.
-func (tx *DurableTxn) record(rec wal.Record, pk float64) {
+// Mutate buffers one mutation on op.Table — Insert, Delete or Update by
+// op.Kind — routed to its key's partition, together with the WAL record
+// Commit logs for it. A delete of an absent key buffers nothing: there is
+// nothing to replay.
+func (tx *DurableTxn) Mutate(op Op) (bool, error) {
+	if tx.done {
+		return false, ErrTxnDone
+	}
+	tb, part, pk, err := tx.route(&op)
+	if err != nil {
+		return false, err
+	}
+	found, err := tx.x.Mutate(tb, op)
+	if err != nil {
+		return false, err
+	}
+	rec := wal.Record{Table: op.Table, Part: part}
+	switch op.Kind {
+	case OpInsert:
+		rec.Op, rec.Payload = wal.OpInsert, encodeFloats(op.Row)
+	case OpDelete:
+		if !found {
+			return false, nil
+		}
+		rec.Op, rec.Payload = wal.OpDelete, encodeFloats([]float64{pk})
+	default:
+		rec.Op, rec.Payload = wal.OpUpdate, encodeFloats([]float64{pk, float64(op.Col), op.Value})
+	}
 	tx.recs = append(tx.recs, rec)
 	tx.pks = append(tx.pks, pk)
+	return found, nil
 }
 
 // Insert buffers a row insert (see Txn.Insert).
 func (tx *DurableTxn) Insert(table string, row []float64) error {
-	if tx.done {
-		return ErrTxnDone
-	}
-	var pk float64
-	tx.d.mu.RLock()
-	meta := tx.d.tables[table]
-	if meta == nil {
-		tx.d.mu.RUnlock()
-		return fmt.Errorf("%w: %q", ErrNoSuchTable, table)
-	}
-	if meta.PKCol < len(row) {
-		pk = row[meta.PKCol]
-	}
-	tx.d.mu.RUnlock()
-	tb, part, err := tx.route(table, pk)
-	if err != nil {
-		return err
-	}
-	if err := tx.x.Insert(tb, row); err != nil {
-		return err
-	}
-	tx.record(wal.Record{Op: wal.OpInsert, Table: table, Part: part, Payload: encodeFloats(row)}, pk)
-	return nil
+	_, err := tx.Mutate(Op{Kind: OpInsert, Table: table, Row: row})
+	return err
 }
 
 // Delete buffers a delete (see Txn.Delete). Deletes of absent keys are
 // not logged — there is nothing to replay.
 func (tx *DurableTxn) Delete(table string, pk float64) (bool, error) {
-	if tx.done {
-		return false, ErrTxnDone
-	}
-	tb, part, err := tx.route(table, pk)
-	if err != nil {
-		return false, err
-	}
-	found, err := tx.x.Delete(tb, pk)
-	if err != nil || !found {
-		return found, err
-	}
-	tx.record(wal.Record{Op: wal.OpDelete, Table: table, Part: part, Payload: encodeFloats([]float64{pk})}, pk)
-	return true, nil
+	return tx.Mutate(Op{Kind: OpDelete, Table: table, PK: pk})
 }
 
 // Update buffers a single-column update (see Txn.Update).
 func (tx *DurableTxn) Update(table string, pk float64, col int, v float64) error {
-	if tx.done {
-		return ErrTxnDone
-	}
-	tb, part, err := tx.route(table, pk)
-	if err != nil {
-		return err
-	}
-	if err := tx.x.Update(tb, pk, col, v); err != nil {
-		return err
-	}
-	tx.record(wal.Record{
-		Op: wal.OpUpdate, Table: table, Part: part,
-		Payload: encodeFloats([]float64{pk, float64(col), v}),
-	}, pk)
-	return nil
+	_, err := tx.Mutate(Op{Kind: OpUpdate, Table: table, PK: pk, Col: col, Value: v})
+	return err
 }
 
 // Rollback discards the transaction; nothing was applied or logged.
@@ -213,81 +195,15 @@ func (tx *DurableTxn) submitCommit() (wal.Ticket, error) {
 // read-only batch drains across a pool of workers goroutines sharing one
 // snapshot.
 func (d *DurableDB) ExecuteBatch(ops []Op, workers int) []OpResult {
-	resolveQuery := func(op Op) (*Table, error) { return d.db.Table(op.Table) }
-	if !hasMutations(ops) {
-		snap := d.Snapshot()
-		defer snap.Release()
-		return runOps(ops, workers, func(op Op) OpResult {
-			tb, err := resolveQuery(op)
-			if err != nil {
-				return OpResult{Err: err}
-			}
-			return tb.queryOpAt(snap, op)
-		})
-	}
-	results := make([]OpResult, len(ops))
 	tx := d.Begin()
-	defer tx.Rollback()
-	type ins struct {
-		i  int
-		t  *Table
-		pk float64
+	return execute(tx, ops, workers, func(op Op) (*Table, error) { return d.db.Table(op.Table) }, tx.inserted)
+}
+
+// inserted reports the RID of a committed insert's row.
+func (tx *DurableTxn) inserted(op Op) storage.RID {
+	tb, _, pk, err := tx.route(&op)
+	if err != nil {
+		return 0
 	}
-	var (
-		inserts []ins
-		mutIdx  []int
-		failed  = -1
-	)
-	for i, op := range ops {
-		if !op.Kind.isMutation() {
-			if tb, err := resolveQuery(op); err != nil {
-				results[i].Err = err
-			} else {
-				results[i] = tb.queryOpAt(tx.Snapshot(), op)
-			}
-			continue
-		}
-		mutIdx = append(mutIdx, i)
-		switch op.Kind {
-		case OpInsert:
-			if results[i].Err = tx.Insert(op.Table, op.Row); results[i].Err == nil {
-				// Remember where the row routed so the committed version's
-				// RID can be reported (the last buffered record is this op's).
-				pk := tx.pks[len(tx.pks)-1]
-				if tb, _, err := tx.route(op.Table, pk); err == nil {
-					inserts = append(inserts, ins{i: i, t: tb, pk: pk})
-				}
-			}
-		case OpDelete:
-			results[i].Found, results[i].Err = tx.Delete(op.Table, op.PK)
-		case OpUpdate:
-			results[i].Err = tx.Update(op.Table, op.PK, op.Col, op.Value)
-		default:
-			results[i].Err = fmt.Errorf("engine: unknown op kind %d", op.Kind)
-		}
-		if results[i].Err != nil {
-			failed = i
-			break
-		}
-	}
-	if failed >= 0 {
-		abortBatch(ops, results, failed, func(op Op) OpResult {
-			tb, err := resolveQuery(op)
-			if err != nil {
-				return OpResult{Err: err}
-			}
-			return tb.queryOpAt(tx.Snapshot(), op)
-		})
-		return results
-	}
-	if err := tx.Commit(); err != nil {
-		for _, i := range mutIdx {
-			results[i].Err = err
-		}
-		return results
-	}
-	for _, in := range inserts {
-		results[in.i].RID = tx.Result().RIDs[in.t][in.pk]
-	}
-	return results
+	return tx.res.RIDs[tb][pk]
 }

@@ -4,19 +4,30 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
 	"hermit/internal/storage"
 )
 
-// This file is the batched executor. Since the MVCC rework a batch that
-// contains mutations is one atomic snapshot-isolation transaction: queries
-// in the batch read the snapshot taken when the batch starts, mutations
-// buffer into the transaction and commit together — all of them or none.
-// Read-only batches keep the PR-1 behaviour of draining across a worker
-// pool, now with every worker sharing one snapshot so the whole batch
-// observes a single consistent state.
+// This file is the batch executor, and ExecBatch is the one place the
+// batch contract is written:
+//
+//   - queries read the batch-start snapshot;
+//   - mutations are all-or-nothing: they buffer in one transaction and
+//     commit together;
+//   - the failing mutation keeps its own error, and every sibling mutation
+//     reports ErrTxnAborted (a failed commit reports its error on every
+//     mutation);
+//   - queries after the failure are still answered.
+//
+// A batch without mutations drains across a pool of goroutines (Parallel)
+// reading that one snapshot. What a batch runs in is a BatchTxn — a Txn for
+// DB and Table batches, a DurableTxn for DurableDB ones, the partitioned
+// table's transactions for partition.Table ones — and what it returns is
+// the caller's result type, so the serving tier answers wire responses
+// from the same loop.
 
 // ErrTxnAborted marks the other mutations of an atomic batch whose
 // transaction aborted because one mutation failed (that op carries the
@@ -107,60 +118,89 @@ type OpResult struct {
 	Err error
 }
 
-// runOps drains ops[next..] across workers goroutines, executing each Op
-// through exec and writing results in order.
-func runOps(ops []Op, workers int, exec func(Op) OpResult) []OpResult {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+// BatchTxn is the transaction a batch runs in (ExecBatch).
+type BatchTxn interface {
+	// Snapshot is the batch-start snapshot every query of the batch reads.
+	Snapshot() *Snapshot
+	// Mutate buffers one mutation (OpInsert, OpDelete or OpUpdate),
+	// reporting whether a delete found its key.
+	Mutate(op Op) (found bool, err error)
+	// Commit applies every buffered mutation, or none of them.
+	Commit() error
+	// Rollback discards the transaction; after Commit it does nothing.
+	Rollback()
+}
+
+// ExecBatch runs ops in x under the batch contract (file comment). query
+// answers one read op at the batch snapshot; mutated turns one mutation's
+// outcome into its result. A batch without mutations drains through
+// Parallel on workers goroutines, so query must be safe for concurrent use
+// there; a batch with mutations runs on the caller alone. x is finished —
+// committed or rolled back — when ExecBatch returns. Results align with
+// ops.
+func ExecBatch[R any](x BatchTxn, ops []Op, workers int, query func(*Snapshot, Op) R, mutated func(op Op, found bool, err error) R) []R {
+	defer x.Rollback()
+	snap := x.Snapshot()
+	read := func(op Op) R { return query(snap, op) }
+	if !slices.ContainsFunc(ops, func(op Op) bool { return op.Kind.isMutation() }) {
+		return Parallel(ops, workers, read)
 	}
-	if workers > len(ops) {
-		workers = len(ops)
+	results := make([]R, len(ops))
+	found := make([]bool, len(ops))
+	failed := -1
+	var err error
+	for i, op := range ops {
+		if !op.Kind.isMutation() {
+			results[i] = read(op)
+		} else if found[i], err = x.Mutate(op); err != nil {
+			failed = i
+			break
+		}
 	}
-	results := make([]OpResult, len(ops))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(ops) {
-					return
-				}
-				results[i] = exec(ops[i])
+	if failed < 0 {
+		err = x.Commit()
+	}
+	for i, op := range ops {
+		switch {
+		case !op.Kind.isMutation():
+			if failed >= 0 && i > failed {
+				results[i] = read(op)
 			}
-		}()
+		case failed >= 0 && i != failed:
+			results[i] = mutated(op, found[i], ErrTxnAborted)
+		default:
+			results[i] = mutated(op, found[i], err)
+		}
 	}
-	wg.Wait()
 	return results
 }
 
-// abortBatch finishes an aborted atomic batch: queries after the failing
-// op still execute (against the batch snapshot, via query), and every
-// sibling mutation — attempted or not — is marked ErrTxnAborted, while
-// the failing op keeps its specific error.
-func abortBatch(ops []Op, results []OpResult, failed int, query func(Op) OpResult) {
-	for i := failed + 1; i < len(ops); i++ {
-		if !ops[i].Kind.isMutation() {
-			results[i] = query(ops[i])
+// Parallel runs fn over items on min(workers, len(items)) goroutines, the
+// caller's among them (workers <= 0 selects GOMAXPROCS), and returns fn's
+// results in item order: the read pool of a batch without mutations, and
+// the per-partition fan-out of durable recovery and index builds.
+func Parallel[T, R any](items []T, workers int, fn func(T) R) []R {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	results := make([]R, len(items))
+	var next atomic.Int64
+	work := func() {
+		for i := int(next.Add(1)) - 1; i < len(items); i = int(next.Add(1)) - 1 {
+			results[i] = fn(items[i])
 		}
 	}
-	for i, op := range ops {
-		if op.Kind.isMutation() && i != failed && results[i].Err == nil {
-			results[i].Err = ErrTxnAborted
-		}
+	var wg sync.WaitGroup
+	for w := min(workers, len(items)); w > 1; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
 	}
-}
-
-// hasMutations reports whether any op in the batch writes.
-func hasMutations(ops []Op) bool {
-	for _, op := range ops {
-		if op.Kind.isMutation() {
-			return true
-		}
-	}
-	return false
+	work()
+	wg.Wait()
+	return results
 }
 
 // queryOpAt executes one read-only op against the snapshot.
@@ -174,146 +214,79 @@ func (t *Table) queryOpAt(snap *Snapshot, op Op) OpResult {
 	case OpRange2:
 		r.RIDs, r.Stats, r.Err = t.RangeQuery2At(snap, op.Col, op.Lo, op.Hi, op.BCol, op.BLo, op.BHi)
 	default:
-		r.Err = fmt.Errorf("engine: unknown op kind %d", op.Kind)
+		r.Err = fmt.Errorf("engine: op kind %d is not a query", op.Kind)
 	}
 	return r
 }
 
-// executeAtomic runs a batch containing mutations as one transaction on
-// clock. resolve maps an op to its table. Queries read the transaction's
-// snapshot; mutations buffer and commit together. Any mutation failure —
-// including an unresolvable table or a commit conflict — aborts the whole
-// transaction, leaving every mutation unapplied.
-func executeAtomic(clock *Clock, ops []Op, resolve func(Op) (*Table, error)) []OpResult {
-	results := make([]OpResult, len(ops))
-	x := BeginTxn(clock)
-	defer x.Rollback()
-	type ins struct {
-		i  int
-		t  *Table
-		pk float64
-	}
-	var (
-		inserts []ins
-		mutIdx  []int
-		failed  = -1
-	)
-	for i, op := range ops {
-		tb, err := resolve(op)
-		if err != nil {
-			results[i].Err = err
-			if op.Kind.isMutation() {
-				failed = i
-				break
-			}
-			continue
-		}
-		if !op.Kind.isMutation() {
-			results[i] = tb.queryOpAt(x.Snapshot(), op)
-			continue
-		}
-		mutIdx = append(mutIdx, i)
-		switch op.Kind {
-		case OpInsert:
-			if results[i].Err = x.Insert(tb, op.Row); results[i].Err == nil {
-				inserts = append(inserts, ins{i: i, t: tb, pk: op.Row[tb.pkCol]})
-			}
-		case OpDelete:
-			results[i].Found, results[i].Err = x.Delete(tb, op.PK)
-		case OpUpdate:
-			results[i].Err = x.Update(tb, op.PK, op.Col, op.Value)
-		default:
-			results[i].Err = fmt.Errorf("engine: unknown op kind %d", op.Kind)
-		}
-		if results[i].Err != nil {
-			failed = i
-			break
-		}
-	}
-	if failed >= 0 {
-		abortBatch(ops, results, failed, func(op Op) OpResult {
-			tb, err := resolve(op)
-			if err != nil {
-				return OpResult{Err: err}
-			}
-			return tb.queryOpAt(x.Snapshot(), op)
-		})
-		return results
-	}
-	res, err := x.Commit()
-	if err != nil {
-		for _, i := range mutIdx {
-			results[i].Err = err
-		}
-		return results
-	}
-	for _, in := range inserts {
-		results[in.i].RID = res.RIDs[in.t][in.pk]
-	}
-	return results
-}
-
-// ExecuteBatch runs a batch of operations across tables. A batch with any
-// mutation executes as one atomic snapshot-isolation transaction: queries
-// read the batch-start snapshot, mutations apply all-or-nothing (a failed
-// mutation or a write-write conflict aborts every mutation — see
-// OpResult.Err), and workers is ignored for the transactional part. A
-// read-only batch drains across a pool of workers goroutines (<= 0 selects
-// GOMAXPROCS) sharing one snapshot. Results are positionally aligned with
-// ops.
-func (db *DB) ExecuteBatch(ops []Op, workers int) []OpResult {
-	resolve := func(op Op) (*Table, error) { return db.Table(op.Table) }
-	if hasMutations(ops) {
-		return executeAtomic(db.clock, ops, resolve)
-	}
-	snap := db.Snapshot()
-	defer snap.Release()
-	return runOps(ops, workers, func(op Op) OpResult {
+// execute is ExecuteBatch over the engine's own tables: resolve finds an
+// op's table, inserted where a committed insert's row landed.
+func execute(x BatchTxn, ops []Op, workers int, resolve func(Op) (*Table, error), inserted func(Op) storage.RID) []OpResult {
+	query := func(snap *Snapshot, op Op) OpResult {
 		tb, err := resolve(op)
 		if err != nil {
 			return OpResult{Err: err}
 		}
 		return tb.queryOpAt(snap, op)
+	}
+	return ExecBatch(x, ops, workers, query, func(op Op, found bool, err error) OpResult {
+		r := OpResult{Found: found, Err: err}
+		if err == nil && op.Kind == OpInsert {
+			r.RID = inserted(op)
+		}
+		return r
 	})
+}
+
+// txnBatch is the BatchTxn of a DB or Table batch: one Txn, each op's table
+// found by resolve.
+type txnBatch struct {
+	x       *Txn
+	resolve func(Op) (*Table, error)
+	res     CommitResult
+}
+
+func (b *txnBatch) Snapshot() *Snapshot { return b.x.Snapshot() }
+
+func (b *txnBatch) Mutate(op Op) (bool, error) {
+	tb, err := b.resolve(op)
+	if err != nil {
+		return false, err
+	}
+	return b.x.Mutate(tb, op)
+}
+
+func (b *txnBatch) Commit() (err error) {
+	b.res, err = b.x.Commit()
+	return err
+}
+
+func (b *txnBatch) Rollback() { b.x.Rollback() }
+
+// inserted reports the RID of a committed insert's row.
+func (b *txnBatch) inserted(op Op) storage.RID {
+	tb, _ := b.resolve(op)
+	return b.res.RIDs[tb][op.Row[tb.pkCol]]
+}
+
+// executeTxn is ExecuteBatch in a Txn on clock.
+func executeTxn(clock *Clock, ops []Op, workers int, resolve func(Op) (*Table, error)) []OpResult {
+	b := &txnBatch{x: BeginTxn(clock), resolve: resolve}
+	return execute(b, ops, workers, resolve, b.inserted)
+}
+
+// ExecuteBatch runs a batch of operations across tables under the batch
+// contract (see ExecBatch): a batch with any mutation is one atomic
+// snapshot-isolation transaction — a failed mutation or a write-write
+// conflict aborts every mutation, see OpResult.Err — and a read-only batch
+// drains across workers goroutines (<= 0 selects GOMAXPROCS) sharing one
+// snapshot. Results are positionally aligned with ops.
+func (db *DB) ExecuteBatch(ops []Op, workers int) []OpResult {
+	return executeTxn(db.clock, ops, workers, func(op Op) (*Table, error) { return db.Table(op.Table) })
 }
 
 // ExecuteBatch runs a batch of operations against this table; Op.Table is
 // ignored. See DB.ExecuteBatch for the atomicity contract.
 func (t *Table) ExecuteBatch(ops []Op, workers int) []OpResult {
-	resolve := func(Op) (*Table, error) { return t, nil }
-	if hasMutations(ops) {
-		return executeAtomic(t.clock, ops, resolve)
-	}
-	snap := t.clock.Snapshot()
-	defer snap.Release()
-	return runOps(ops, workers, func(op Op) OpResult { return t.queryOpAt(snap, op) })
-}
-
-// QueryConcurrent serves a slice of single-column range queries against
-// one table on a pool of workers goroutines: the durable counterpart of
-// Table.QueryConcurrent.
-func (d *DurableDB) QueryConcurrent(table string, queries []RangeReq, workers int) []OpResult {
-	ops := make([]Op, len(queries))
-	for i, q := range queries {
-		ops[i] = Op{Table: table, Kind: OpRange, Col: q.Col, Lo: q.Lo, Hi: q.Hi}
-	}
-	return d.ExecuteBatch(ops, workers)
-}
-
-// QueryConcurrent serves a slice of single-column range queries on a pool
-// of workers goroutines, all reading one shared snapshot: the read-only
-// fast path of ExecuteBatch. Queries on different indexes proceed without
-// contention, and none of them can observe a concurrent batch partially.
-func (t *Table) QueryConcurrent(queries []RangeReq, workers int) []OpResult {
-	ops := make([]Op, len(queries))
-	for i, q := range queries {
-		ops[i] = Op{Kind: OpRange, Col: q.Col, Lo: q.Lo, Hi: q.Hi}
-	}
-	return t.ExecuteBatch(ops, workers)
-}
-
-// RangeReq is one single-column range predicate for QueryConcurrent.
-type RangeReq struct {
-	Col    int
-	Lo, Hi float64
+	return executeTxn(t.clock, ops, workers, func(Op) (*Table, error) { return t, nil })
 }

@@ -161,6 +161,20 @@ func (x *Txn) Update(t *Table, pk float64, col int, v float64) error {
 	return nil
 }
 
+// Mutate buffers one mutation op on t — Insert, Delete or Update by
+// op.Kind — reporting whether a delete found its key.
+func (x *Txn) Mutate(t *Table, op Op) (bool, error) {
+	switch op.Kind {
+	case OpInsert:
+		return false, x.Insert(t, op.Row)
+	case OpDelete:
+		return x.Delete(t, op.PK)
+	case OpUpdate:
+		return false, x.Update(t, op.PK, op.Col, op.Value)
+	}
+	return false, fmt.Errorf("engine: op kind %d is not a mutation", op.Kind)
+}
+
 // Get returns the transaction's view of pk: its own buffered write when
 // present, else the row visible at the snapshot.
 func (x *Txn) Get(t *Table, pk float64) ([]float64, bool, error) {

@@ -28,23 +28,26 @@ func CreateDurable(d *engine.DurableDB, name string, cols []string, pkCol int, o
 	return OpenDurable(d, name, opts)
 }
 
-// OpenDurable wraps an existing durable partitioned table (created by
-// CreateDurable or recovered by OpenDurable on the engine side) in its
-// scatter-gather wrapper. Options.Partitions is ignored — the recovered
-// count wins; Options.Workers sizes the scatter pool.
+// OpenDurable wraps an existing durable table (created by CreateDurable or
+// DurableDB.CreateTable, or recovered by engine.OpenDurable) in its
+// scatter-gather wrapper. A table created without partitions is wrapped as
+// its only partition: its queries gather on the caller, with no fan-out
+// and no merge, and still return rows ordered by the predicate column.
+// Options.Partitions is ignored — the recovered count wins;
+// Options.Workers sizes the scatter pool.
 func OpenDurable(d *engine.DurableDB, name string, opts Options) (*Table, error) {
 	n, err := d.Partitions(name)
 	if err != nil {
 		return nil, err
 	}
-	if n == 0 {
-		return nil, fmt.Errorf("partition: table %q is not partitioned", name)
-	}
-	opts.Partitions = n
 	opts = opts.sanitized()
-	parts := make([]*engine.Table, n)
+	parts := make([]*engine.Table, max(n, 1))
 	for i := range parts {
-		tb, err := d.Table(engine.PartitionName(name, i))
+		phys := name
+		if n > 0 {
+			phys = engine.PartitionName(name, i)
+		}
+		tb, err := d.Table(phys)
 		if err != nil {
 			return nil, err
 		}
@@ -120,29 +123,20 @@ func (m durMutator) dropIndex(col int, kind engine.IndexKind) error {
 	return m.d.DropIndex(m.name, col, kind.String())
 }
 
-func (m durMutator) begin() partTxn {
-	return &durTxn{name: m.name, tx: m.d.Begin()}
+func (m durMutator) begin() engine.BatchTxn {
+	return durTxn{DurableTxn: m.d.Begin(), name: m.name}
 }
 
 // durTxn is an atomic cross-partition transaction over a durable
-// partitioned table: a DurableTxn addressed by the logical name, which
-// routes each mutation to its hash partition and WAL-logs the whole group
-// under one transaction id.
+// partitioned table: a DurableTxn addressed by the logical name (a batch's
+// Op.Table is ignored), which routes each mutation to its hash partition
+// and WAL-logs the whole group under one transaction id.
 type durTxn struct {
+	*engine.DurableTxn
 	name string
-	tx   *engine.DurableTxn
 }
 
-func (x *durTxn) insert(_ int, row []float64) error { return x.tx.Insert(x.name, row) }
-
-func (x *durTxn) remove(_ int, pk float64) (bool, error) { return x.tx.Delete(x.name, pk) }
-
-func (x *durTxn) update(_ int, pk float64, col int, v float64) error {
-	return x.tx.Update(x.name, pk, col, v)
+func (x durTxn) Mutate(op engine.Op) (bool, error) {
+	op.Table = x.name
+	return x.DurableTxn.Mutate(op)
 }
-
-func (x *durTxn) snapshot() *engine.Snapshot { return x.tx.Snapshot() }
-
-func (x *durTxn) commit() error { return x.tx.Commit() }
-
-func (x *durTxn) rollback() { x.tx.Rollback() }

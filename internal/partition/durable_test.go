@@ -207,12 +207,34 @@ func TestDurablePartitionedDDLAndGuards(t *testing.T) {
 	if err := pt.DropIndex(1, engine.KindBTree); err != nil {
 		t.Fatal(err)
 	}
-	// OpenDurable on a plain table refuses.
-	if _, err := d.CreateTable("plain", []string{"x"}, 0); err != nil {
+	// OpenDurable wraps a plain table as its only partition: writes go
+	// through the logged paths, a range gathers in predicate-column order.
+	if _, err := d.CreateTable("plain", []string{"x", "y"}, 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenDurable(d, "plain", Options{}); err == nil {
-		t.Fatal("OpenDurable on unpartitioned table accepted")
+	plain, err := OpenDurable(d, "plain", Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plain.Partitions() != 1 {
+		t.Fatalf("plain table wrapped as %d partitions, want 1", plain.Partitions())
+	}
+	for i := 0; i < 20; i++ {
+		if _, err := plain.Insert([]float64{float64(i), float64(19 - i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rids, st, err := plain.RangeQuery(1, 5, 9)
+	if err != nil || st.FanOut != 1 || len(rids) != 5 {
+		t.Fatalf("plain range: %d rows, fan-out %d, err %v", len(rids), st.FanOut, err)
+	}
+	for i, rid := range rids {
+		if row, err := plain.FetchRow(rid); err != nil || row[1] != float64(5+i) {
+			t.Fatalf("plain range row %d = %v (err %v), want y = %d in order", i, row, err, 5+i)
+		}
+	}
+	if tb, _ := d.Table("plain"); tb.Len() != 20 {
+		t.Fatalf("plain table holds %d rows, want 20", tb.Len())
 	}
 }
 

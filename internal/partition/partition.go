@@ -19,7 +19,9 @@
 // The same wrapper fronts the in-memory engine (New) and the durable
 // engine (CreateDurable/OpenDurable), where mutations go through the
 // WAL-logged DurableDB paths: each record carries its partition id, and
-// checkpoint/recovery rebuild every partition (see engine.DurableDB).
+// checkpoint/recovery rebuild every partition (see engine.DurableDB). A
+// durable table created without partitions opens as a one-partition
+// table, so the serving tier fronts every table with this one type.
 // Explain reports the fan-out with one costed engine plan per partition,
 // and EnableAdvisor runs the self-tuning advisor over aggregated
 // per-partition counters, applying its DDL uniformly to all partitions.
@@ -117,17 +119,7 @@ type mutator interface {
 	// begin starts an atomic cross-partition transaction (ExecuteBatch's
 	// substrate): mutations buffer, route by primary key, and commit with
 	// one clock advance, so no snapshot ever observes a partial batch.
-	begin() partTxn
-}
-
-// partTxn is one atomic cross-partition transaction.
-type partTxn interface {
-	insert(part int, row []float64) error
-	remove(part int, pk float64) (bool, error)
-	update(part int, pk float64, col int, v float64) error
-	snapshot() *engine.Snapshot
-	commit() error
-	rollback()
+	begin() engine.BatchTxn
 }
 
 // New creates an in-memory partitioned table: one private engine.DB per
@@ -392,34 +384,35 @@ func putGatherScratch(sc *gatherScratch) {
 	gatherPool.Put(sc)
 }
 
+// legFunc runs one gather leg on partition p. It receives a reusable
+// result buffer (the Into contract: results are appended into dst[:0]);
+// legs without an Into variant may ignore it.
+type legFunc func(p *engine.Table, dst []storage.RID) ([]storage.RID, engine.QueryStats, error)
+
 // gather scatters run across every partition on the bounded pool, orders
-// each partition's hits by the predicate column, and k-way merges. run
-// receives a reusable result buffer (the Into contract: results are
-// appended into dst[:0]); legs without an Into variant may ignore it.
-func (t *Table) gather(col int, run func(p *engine.Table, dst []storage.RID) ([]storage.RID, engine.QueryStats, error)) ([]RID, Stats, error) {
+// each partition's hits by the predicate column, and k-way merges. A
+// one-partition table's single leg runs on the caller.
+func (t *Table) gather(col int, run legFunc) ([]RID, Stats, error) {
 	n := len(t.parts)
 	sc := gatherPool.Get().(*gatherScratch)
 	defer putGatherScratch(sc)
 	sc.slots(n)
 	stats := make([]engine.QueryStats, n) // escapes via Stats.PerPartition
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			t.sem <- struct{}{} // bounded pool: at most Workers tasks in flight
-			defer func() { <-t.sem }()
-			rids, qs, err := run(t.parts[i], sc.rids[i])
-			sc.rids[i] = rids[:0] // keep the (possibly regrown) buffer pooled
-			if err != nil {
-				sc.errs[i] = err
-				return
-			}
-			stats[i] = qs
-			sc.lists[i] = t.keyedInto(i, col, rids, sc.lists[i])
-		}(i)
+	if n == 1 {
+		t.leg(0, col, run, sc, stats) // one leg runs on the caller: nothing runs beside it
+	} else {
+		var wg sync.WaitGroup
+		for i := 0; i < n; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				t.sem <- struct{}{} // bounded pool: at most Workers tasks in flight
+				defer func() { <-t.sem }()
+				t.leg(i, col, run, sc, stats)
+			}(i)
+		}
+		wg.Wait()
 	}
-	wg.Wait()
 	st := Stats{FanOut: n, PerPartition: stats}
 	for _, err := range sc.errs {
 		if err != nil {
@@ -433,6 +426,18 @@ func (t *Table) gather(col int, run func(p *engine.Table, dst []storage.RID) ([]
 	out, sc.heads = mergeSorted(sc.lists, sc.heads)
 	st.Rows = len(out)
 	return out, st, nil
+}
+
+// leg runs partition i's part of a gather into the scratch slots at i.
+func (t *Table) leg(i, col int, run legFunc, sc *gatherScratch, stats []engine.QueryStats) {
+	rids, qs, err := run(t.parts[i], sc.rids[i])
+	sc.rids[i] = rids[:0] // keep the (possibly regrown) buffer pooled
+	if err != nil {
+		sc.errs[i] = err
+		return
+	}
+	stats[i] = qs
+	sc.lists[i] = t.keyedInto(i, col, rids, sc.lists[i])
 }
 
 // keyedInto pairs each hit with its ordering key and sorts the
@@ -518,10 +523,16 @@ func mergeSorted(lists [][]entry, heap []mergeHead) ([]RID, []mergeHead) {
 			heap = append(heap, mergeHead{i, 0})
 		}
 	}
+	out := make([]RID, 0, total)
+	if len(heap) == 1 { // one list holds every hit: it is the merge
+		for _, e := range lists[heap[0].list] {
+			out = append(out, e.rid)
+		}
+		return out, heap
+	}
 	for i := len(heap)/2 - 1; i >= 0; i-- {
 		siftDown(lists, heap, i)
 	}
-	out := make([]RID, 0, total)
 	for len(heap) > 0 {
 		h := heap[0]
 		out = append(out, headAt(lists, h).rid)
@@ -652,7 +663,7 @@ func (m memMutator) dropIndex(col int, kind engine.IndexKind) error {
 	return nil
 }
 
-func (m memMutator) begin() partTxn {
+func (m memMutator) begin() engine.BatchTxn {
 	return &memTxn{t: m.t, x: engine.BeginTxn(m.t.clock)}
 }
 
@@ -664,23 +675,23 @@ type memTxn struct {
 	x *engine.Txn
 }
 
-func (x *memTxn) insert(part int, row []float64) error {
-	return x.x.Insert(x.t.parts[part], row)
+func (x *memTxn) Snapshot() *engine.Snapshot { return x.x.Snapshot() }
+
+// Mutate buffers op on the partition that owns its key.
+func (x *memTxn) Mutate(op engine.Op) (bool, error) {
+	pk := op.PK
+	if op.Kind == engine.OpInsert {
+		if len(op.Row) != len(x.t.cols) {
+			return false, storage.ErrBadRow
+		}
+		pk = op.Row[x.t.pkCol]
+	}
+	return x.x.Mutate(x.t.parts[x.t.owner(pk)], op)
 }
 
-func (x *memTxn) remove(part int, pk float64) (bool, error) {
-	return x.x.Delete(x.t.parts[part], pk)
-}
-
-func (x *memTxn) update(part int, pk float64, col int, v float64) error {
-	return x.x.Update(x.t.parts[part], pk, col, v)
-}
-
-func (x *memTxn) snapshot() *engine.Snapshot { return x.x.Snapshot() }
-
-func (x *memTxn) commit() error {
+func (x *memTxn) Commit() error {
 	_, err := x.x.Commit()
 	return err
 }
 
-func (x *memTxn) rollback() { x.x.Rollback() }
+func (x *memTxn) Rollback() { x.x.Rollback() }

@@ -9,33 +9,17 @@ import (
 	"hermit/internal/engine"
 	"hermit/internal/partition"
 	"hermit/internal/server/proto"
-	"hermit/internal/storage"
 )
 
-// isQuery reports whether an op kind is one of the three read kinds.
-func isQuery(k engine.OpKind) bool {
-	switch k {
-	case engine.OpPoint, engine.OpRange, engine.OpRange2:
-		return true
-	}
-	return false
-}
-
 // backend adapts the wire protocol's operation surface onto a DurableDB.
-// It owns the two impedance mismatches the engine does not hide:
-//
-//   - Partitioned logical tables. DurableDB mutations auto-route to hash
-//     partitions, but queries on a partitioned logical name must go
-//     through a partition.Table wrapper (the engine only knows the t#i
-//     physical tables). The backend caches one wrapper per partitioned
-//     table and routes per request.
-//
-//   - RID lifetime. Queries return version RIDs; between the query and
-//     the row fetch, the next commit to supersede a version reclaims it.
-//     Every query path here holds a guard snapshot — registered before the
-//     query's own snapshot, so its timestamp is no newer — across the
-//     fetch, which pins the reclaim horizon below anything the query can
-//     see.
+// Every table it serves is a partition.Table — an unpartitioned table is
+// its own only partition — so every read takes one road (answer): resolve
+// the table, query it at a snapshot, fetch the rows under that same
+// snapshot, answer. The snapshot is what keeps the query's rows: a version
+// it can see is not reclaimed while it is registered, so the RIDs the query
+// returns stay good through the fetch. A read run holds one snapshot for
+// the run; an atomic batch or a wire transaction reads at its
+// transaction's.
 //
 // Tenant namespaces are pure name mangling at this layer: tenant "acme"'s
 // table "users" is the engine table "acme@users". '@' is reserved in
@@ -45,12 +29,12 @@ type backend struct {
 	d       *engine.DurableDB
 	workers int
 
-	mu    sync.Mutex
-	parts map[string]*partition.Table
+	mu     sync.Mutex
+	tables map[string]*partition.Table
 }
 
 func newBackend(d *engine.DurableDB, workers int) *backend {
-	return &backend{d: d, workers: workers, parts: make(map[string]*partition.Table)}
+	return &backend{d: d, workers: workers, tables: make(map[string]*partition.Table)}
 }
 
 // errReject wraps a proto error code so session code can map engine
@@ -113,36 +97,22 @@ func validTenant(tenant string) error {
 	return nil
 }
 
-// resolve returns the partition wrapper for a partitioned logical table,
-// or nil for a plain table. name is already physical (tenant-mangled).
+// resolve returns the served table behind a physical (tenant-mangled)
+// name, opening its partition.Table wrapper on first use. A wrapper holds
+// the engine tables of its partitions, which DDL changes in place, so it
+// stays good for the life of the database.
 func (b *backend) resolve(name string) (*partition.Table, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if pt, ok := b.parts[name]; ok {
+	if pt, ok := b.tables[name]; ok {
 		return pt, nil
-	}
-	n, err := b.d.Partitions(name)
-	if err != nil {
-		return nil, err
-	}
-	if n == 0 {
-		return nil, nil
 	}
 	pt, err := partition.OpenDurable(b.d, name, partition.Options{Workers: b.workers})
 	if err != nil {
 		return nil, err
 	}
-	b.parts[name] = pt
+	b.tables[name] = pt
 	return pt, nil
-}
-
-// forget drops a cached wrapper (used when DDL changes a table's shape —
-// currently only index creation, which the wrapper reflects lazily enough
-// that a re-open is the simplest correctness story).
-func (b *backend) forget(name string) {
-	b.mu.Lock()
-	delete(b.parts, name)
-	b.mu.Unlock()
 }
 
 // engineOp converts a wire op into an engine.Op against physical table
@@ -173,208 +143,11 @@ func engineOp(tenant string, r *proto.Request) (engine.Op, error) {
 	return op, nil
 }
 
-// fetchPlain materialises query-result rows from a plain engine table.
-func (b *backend) fetchPlain(table string, rids []storage.RID) ([][]float64, error) {
-	tb, err := b.d.Table(table)
-	if err != nil {
-		return nil, err
-	}
-	rows, err := tb.FetchRows(rids, nil)
-	if err != nil {
-		return nil, err
-	}
-	// FetchRows reuses one backing buffer per call; copy before the next
-	// fetch (and before the response outlives the guard snapshot scope).
-	out := make([][]float64, len(rows))
-	for i, r := range rows {
-		out[i] = append([]float64(nil), r...)
-	}
-	return out, nil
-}
-
-// fetchPart materialises query-result rows from a partitioned table.
-func fetchPart(pt *partition.Table, rids []partition.RID) ([][]float64, error) {
-	out := make([][]float64, 0, len(rids))
-	for _, rid := range rids {
-		row, err := pt.FetchRow(rid)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, row)
-	}
-	return out, nil
-}
-
-// runReads executes a coalesced group of auto-commit read requests — the
-// session's pipelining unit. Plain-table ops funnel into one
-// DurableDB.ExecuteBatch call (shared snapshot, worker pool); ops on each
-// partitioned table funnel into that table's ExecuteBatch. A guard
-// snapshot taken before either call covers the row fetches. Responses land
-// in out at their request's position; a position the session has already
-// answered (quota, role) is left alone.
-func (b *backend) runReads(tenant string, reqs []proto.Request, out []proto.Response) {
-	guard := b.d.Snapshot()
-	defer guard.Release()
-
-	var plainOps []engine.Op
-	var plainIdx []int
-	partOps := make(map[*partition.Table][]engine.Op)
-	partIdx := make(map[*partition.Table][]int)
-
-	for i := range reqs {
-		if out[i].Type != respNone {
-			continue
-		}
-		op, err := engineOp(tenant, &reqs[i])
-		if err != nil {
-			out[i] = errorResponse(err)
-			continue
-		}
-		pt, err := b.resolve(op.Table)
-		if err != nil {
-			out[i] = errorResponse(err)
-			continue
-		}
-		if pt == nil {
-			plainOps, plainIdx = append(plainOps, op), append(plainIdx, i)
-		} else {
-			partOps[pt], partIdx[pt] = append(partOps[pt], op), append(partIdx[pt], i)
-		}
-	}
-
-	if len(plainOps) > 0 {
-		results := b.d.ExecuteBatch(plainOps, b.workers)
-		for k, res := range results {
-			i := plainIdx[k]
-			if res.Err != nil {
-				out[i] = errorResponse(res.Err)
-				continue
-			}
-			rows, err := b.fetchPlain(plainOps[k].Table, res.RIDs)
-			if err != nil {
-				out[i] = errorResponse(err)
-				continue
-			}
-			out[i] = proto.Response{Type: proto.RespRows, Rows: rows}
-		}
-	}
-	for pt, ops := range partOps {
-		results := pt.ExecuteBatch(ops, b.workers)
-		for k, res := range results {
-			i := partIdx[pt][k]
-			if res.Err != nil {
-				out[i] = errorResponse(res.Err)
-				continue
-			}
-			rows, err := fetchPart(pt, res.RIDs)
-			if err != nil {
-				out[i] = errorResponse(err)
-				continue
-			}
-			out[i] = proto.Response{Type: proto.RespRows, Rows: rows}
-		}
-	}
-}
-
-// runBatch executes a wire batch atomically. All-plain batches go through
-// DurableDB.ExecuteBatch; a batch whose ops all target one partitioned
-// table goes through that table's cross-partition ExecuteBatch. A batch
-// that queries a partitioned table while also touching other tables is
-// refused (the engine executor cannot resolve partitioned logical names
-// for reads) — mutations on partitioned tables inside mixed batches are
-// fine, since the transaction layer auto-routes them.
-func (b *backend) runBatch(tenant string, r *proto.Request) proto.Response {
-	if len(r.Ops) == 0 {
-		return proto.Response{Type: proto.RespBatch}
-	}
-	ops := make([]engine.Op, len(r.Ops))
-	for i := range r.Ops {
-		op, err := engineOp(tenant, &r.Ops[i])
-		if err != nil {
-			return errorResponse(err)
-		}
-		ops[i] = op
-	}
-
-	// Classify the referenced tables.
-	var singlePart *partition.Table
-	singleTable, mixed := ops[0].Table, false
-	for _, op := range ops {
-		if op.Table != singleTable {
-			mixed = true
-		}
-	}
-	if !mixed {
-		pt, err := b.resolve(singleTable)
-		if err != nil {
-			return errorResponse(err)
-		}
-		singlePart = pt
-	}
-
-	guard := b.d.Snapshot()
-	defer guard.Release()
-
-	var results []engine.OpResult
-	var partResults []partition.OpResult
-	if singlePart != nil {
-		partResults = singlePart.ExecuteBatch(ops, b.workers)
-	} else {
-		for _, op := range ops {
-			if !isQuery(op.Kind) {
-				continue
-			}
-			pt, err := b.resolve(op.Table)
-			if err != nil {
-				return errorResponse(err)
-			}
-			if pt != nil {
-				return errorResponse(reject(proto.CodeBadRequest,
-					"query on partitioned table %q in a multi-table batch", op.Table))
-			}
-		}
-		results = b.d.ExecuteBatch(ops, b.workers)
-	}
-
-	resp := proto.Response{Type: proto.RespBatch, Results: make([]proto.Response, len(ops))}
-	for i, op := range ops {
-		var err error
-		var found bool
-		var rows [][]float64
-		if singlePart != nil {
-			res := partResults[i]
-			err, found = res.Err, res.Found
-			if err == nil && isQuery(op.Kind) {
-				rows, err = fetchPart(singlePart, res.RIDs)
-			}
-		} else {
-			res := results[i]
-			err, found = res.Err, res.Found
-			if err == nil && isQuery(op.Kind) {
-				rows, err = b.fetchPlain(op.Table, res.RIDs)
-			}
-		}
-		switch {
-		case err != nil:
-			resp.Results[i] = errorResponse(err)
-		case isQuery(op.Kind):
-			resp.Results[i] = proto.Response{Type: proto.RespRows, Rows: rows}
-		case op.Kind == engine.OpDelete:
-			resp.Results[i] = proto.Response{Type: proto.RespFound, Found: found}
-		default:
-			resp.Results[i] = proto.Response{Type: proto.RespOK}
-		}
-	}
-	return resp
-}
-
-// runWrites executes a run of auto-commit mutation requests — the write
-// side of the session's pipelining unit — through one ApplyEach: each
-// request is its own mutation with its own outcome, and the run waits for
-// the log once. Responses land in out like runReads'.
-func (b *backend) runWrites(tenant string, reqs []proto.Request, out []proto.Response) {
-	ops := make([]engine.Op, 0, len(reqs))
-	idx := make([]int, 0, len(reqs))
+// engineOps converts the requests of a run that are still unanswered into
+// engine ops, answering the ones that do not convert; idx maps each op back
+// to its request.
+func engineOps(tenant string, reqs []proto.Request, out []proto.Response) (ops []engine.Op, idx []int) {
+	ops, idx = make([]engine.Op, 0, len(reqs)), make([]int, 0, len(reqs))
 	for i := range reqs {
 		if out[i].Type != respNone {
 			continue
@@ -386,15 +159,79 @@ func (b *backend) runWrites(tenant string, reqs []proto.Request, out []proto.Res
 		}
 		ops, idx = append(ops, op), append(idx, i)
 	}
-	for k, res := range b.d.ApplyEach(ops) {
-		switch i := idx[k]; {
-		case res.Err != nil:
-			out[i] = errorResponse(res.Err)
-		case ops[k].Kind == engine.OpDelete:
-			out[i] = proto.Response{Type: proto.RespFound, Found: res.Found}
-		default:
-			out[i] = proto.Response{Type: proto.RespOK}
+	return ops, idx
+}
+
+// answer runs one read op on its table at snap and fetches the rows under
+// the same snapshot, which pins them until the fetch is done.
+func (b *backend) answer(snap *engine.Snapshot, op engine.Op) proto.Response {
+	pt, err := b.resolve(op.Table)
+	if err != nil {
+		return errorResponse(err)
+	}
+	res := pt.QueryAt(snap, op)
+	if res.Err != nil {
+		return errorResponse(res.Err)
+	}
+	rows := make([][]float64, len(res.RIDs))
+	for i, rid := range res.RIDs {
+		if rows[i], err = pt.FetchRow(rid); err != nil {
+			return errorResponse(err)
 		}
+	}
+	return proto.Response{Type: proto.RespRows, Rows: rows}
+}
+
+// written answers one mutation from its outcome.
+func written(op engine.Op, found bool, err error) proto.Response {
+	switch {
+	case err != nil:
+		return errorResponse(err)
+	case op.Kind == engine.OpDelete:
+		return proto.Response{Type: proto.RespFound, Found: found}
+	}
+	return proto.Response{Type: proto.RespOK}
+}
+
+// runReads executes a coalesced group of auto-commit read requests — the
+// session's pipelining unit — on the engine's read pool at one snapshot.
+// Responses land in out at their request's position; a position the
+// session has already answered (quota, role) is left alone.
+func (b *backend) runReads(tenant string, reqs []proto.Request, out []proto.Response) {
+	ops, idx := engineOps(tenant, reqs, out)
+	snap := b.d.Snapshot()
+	defer snap.Release()
+	resps := engine.Parallel(ops, b.workers, func(op engine.Op) proto.Response { return b.answer(snap, op) })
+	for k, resp := range resps {
+		out[idx[k]] = resp
+	}
+}
+
+// runBatch executes a wire batch under the engine's batch contract
+// (engine.ExecBatch) in one DurableTxn: queries on any table read the
+// batch-start snapshot, mutations on any table commit all-or-nothing, and
+// each op is answered on its own — a missing table fails its op, never the
+// batch.
+func (b *backend) runBatch(tenant string, r *proto.Request) proto.Response {
+	ops := make([]engine.Op, len(r.Ops))
+	for i := range r.Ops {
+		op, err := engineOp(tenant, &r.Ops[i])
+		if err != nil {
+			return errorResponse(err)
+		}
+		ops[i] = op
+	}
+	return proto.Response{Type: proto.RespBatch, Results: engine.ExecBatch(b.d.Begin(), ops, b.workers, b.answer, written)}
+}
+
+// runWrites executes a run of auto-commit mutation requests — the write
+// side of the session's pipelining unit — through one ApplyEach: each
+// request is its own mutation with its own outcome, and the run waits for
+// the log once. Responses land in out like runReads'.
+func (b *backend) runWrites(tenant string, reqs []proto.Request, out []proto.Response) {
+	ops, idx := engineOps(tenant, reqs, out)
+	for k, res := range b.d.ApplyEach(ops) {
+		out[idx[k]] = written(ops[k], res.Found, res.Err)
 	}
 }
 
@@ -405,76 +242,17 @@ func (b *backend) runTxnQuery(tenant string, tx *engine.DurableTxn, r *proto.Req
 	if err != nil {
 		return errorResponse(err)
 	}
-	pt, err := b.resolve(op.Table)
-	if err != nil {
-		return errorResponse(err)
-	}
-	snap := tx.Snapshot()
-	if snap == nil {
-		return errorResponse(engine.ErrTxnDone)
-	}
-	var rows [][]float64
-	if pt != nil {
-		var rids []partition.RID
-		switch op.Kind {
-		case engine.OpPoint:
-			rids, _, err = pt.PointQueryAt(snap, op.Col, op.Lo)
-		case engine.OpRange:
-			rids, _, err = pt.RangeQueryAt(snap, op.Col, op.Lo, op.Hi)
-		case engine.OpRange2:
-			rids, _, err = pt.RangeQuery2At(snap, op.Col, op.Lo, op.Hi, op.BCol, op.BLo, op.BHi)
-		}
-		if err == nil {
-			rows, err = fetchPart(pt, rids)
-		}
-	} else {
-		var tb *engine.Table
-		if tb, err = b.d.Table(op.Table); err == nil {
-			var rids []storage.RID
-			switch op.Kind {
-			case engine.OpPoint:
-				rids, _, err = tb.PointQueryAt(snap, op.Col, op.Lo)
-			case engine.OpRange:
-				rids, _, err = tb.RangeQueryAt(snap, op.Col, op.Lo, op.Hi)
-			case engine.OpRange2:
-				rids, _, err = tb.RangeQuery2At(snap, op.Col, op.Lo, op.Hi, op.BCol, op.BLo, op.BHi)
-			}
-			if err == nil {
-				rows, err = b.fetchPlain(op.Table, rids)
-			}
-		}
-	}
-	if err != nil {
-		return errorResponse(err)
-	}
-	return proto.Response{Type: proto.RespRows, Rows: rows}
+	return b.answer(tx.Snapshot(), op)
 }
 
 // runTxnMutation buffers one mutation into an open transaction.
 func runTxnMutation(tenant string, tx *engine.DurableTxn, r *proto.Request) proto.Response {
-	name, err := physical(tenant, r.Table)
+	op, err := engineOp(tenant, r)
 	if err != nil {
 		return errorResponse(err)
 	}
-	switch r.Type {
-	case proto.ReqInsert:
-		if err := tx.Insert(name, r.Row); err != nil {
-			return errorResponse(err)
-		}
-		return proto.Response{Type: proto.RespOK}
-	case proto.ReqUpdate:
-		if err := tx.Update(name, r.PK, int(r.Col), r.Value); err != nil {
-			return errorResponse(err)
-		}
-		return proto.Response{Type: proto.RespOK}
-	case proto.ReqDelete:
-		found, err := tx.Delete(name, r.PK)
-		if err != nil {
-			return errorResponse(err)
-		}
-		return proto.Response{Type: proto.RespFound, Found: found}
-	}
-	return errorResponse(reject(proto.CodeBadRequest, "type %d is not a mutation", r.Type))
+	found, err := tx.Mutate(op)
+	return written(op, found, err)
 }
 
 // runDDL executes a create-table or create-index request.
@@ -503,9 +281,7 @@ func (b *backend) runDDL(tenant string, r *proto.Request) proto.Response {
 			def.Kind = "hermit"
 			def.Host = int(r.Host)
 		}
-		if err = b.d.CreateIndex(name, def); err == nil {
-			b.forget(name)
-		}
+		err = b.d.CreateIndex(name, def)
 	default:
 		return errorResponse(reject(proto.CodeBadRequest, "type %d is not DDL", r.Type))
 	}

@@ -80,7 +80,7 @@ const (
 	ReqUpdate ReqType = 7
 	// ReqDelete removes the row with primary key PK.
 	ReqDelete ReqType = 8
-	// ReqBatch executes Ops as one atomic batch (see engine.ExecuteBatch).
+	// ReqBatch executes Ops as one atomic batch (see engine.ExecBatch).
 	ReqBatch ReqType = 9
 	// ReqTxnBegin opens a server-side transaction; the response carries
 	// its id, which subsequent requests reference via Txn.

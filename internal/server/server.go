@@ -33,8 +33,9 @@ type Options struct {
 	MaxInflight int
 	// QueueDepth is each session's pipelining queue capacity. Default 128.
 	QueueDepth int
-	// Workers is the per-batch worker count handed to ExecuteBatch
-	// (<= 0 selects GOMAXPROCS).
+	// Workers is the goroutine count of the engine's read pool for a run
+	// of reads or a read-only batch (<= 0 selects GOMAXPROCS), and the
+	// scatter pool bound of every served table.
 	Workers int
 	// TenantOps caps the total operations a tenant may issue over the
 	// server's lifetime (a deliberately simple quota: batches cost their

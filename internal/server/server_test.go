@@ -237,6 +237,15 @@ func TestFullOpSurfaceRoundTrip(t *testing.T) {
 		if len(rows) != 6 { // x = 10,12,...,20
 			t.Fatalf("%s range: %d rows, want 6: %v", table, len(rows), rows)
 		}
+		// Every served table answers a range in predicate-column order.
+		for i := 1; i < len(rows); i++ {
+			if rows[i-1][1] > rows[i][1] {
+				t.Fatalf("%s range not in column order: %v", table, rows)
+			}
+		}
+		if rows, err := c.Range(table, 0, 40, 44); err != nil || len(rows) != 5 || rows[0][0] != 40 || rows[4][0] != 44 {
+			t.Fatalf("%s pk range: rows=%v err=%v", table, rows, err)
+		}
 		// Update + verify, delete + verify.
 		if err := c.Update(table, 7, 1, 1000); err != nil {
 			t.Fatalf("%s update: %v", table, err)
@@ -395,6 +404,104 @@ func TestFullOpSurfaceRoundTrip(t *testing.T) {
 	// Unknown txn id.
 	if err := tx.Commit(); !errors.Is(err, client.ErrTxnUnknown) {
 		t.Fatalf("commit after rollback: want ErrTxnUnknown, got %v", err)
+	}
+}
+
+// TestBatchAnswersEveryOp: a wire batch is answered op by op, whatever
+// tables it names. An op on a missing table fails alone with ErrNoTable —
+// when it is a mutation, its sibling mutations report ErrAborted — and a
+// batch may query a partitioned table beside another table, both read at
+// the batch-start snapshot.
+func TestBatchAnswersEveryOp(t *testing.T) {
+	srv, _ := startServer(t, Options{})
+	c := dial(t, srv, client.Options{})
+	for _, spec := range []struct {
+		name  string
+		parts int
+	}{{"plain", 0}, {"parted", 3}} {
+		if err := c.CreateTable(spec.name, []string{"id", "x"}, 0, spec.parts); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 10; i++ {
+			if err := c.Insert(spec.name, []float64{float64(i), float64(i)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	batch := func(ops ...client.Op) []client.Result {
+		t.Helper()
+		res, err := c.Batch(ops)
+		if err != nil {
+			t.Fatalf("batch failed as a whole: %v", err)
+		}
+		return res
+	}
+	wantErr := func(what string, err, want error) {
+		t.Helper()
+		if !errors.Is(err, want) {
+			t.Fatalf("%s: err %v, want %v", what, err, want)
+		}
+	}
+
+	// One table, and it is missing.
+	res := batch(
+		client.Op{Kind: client.OpInsert, Table: "missing", Row: []float64{1, 1}},
+		client.Op{Kind: client.OpDelete, Table: "missing", PK: 1},
+	)
+	wantErr("one-table insert", res[0].Err, client.ErrNoTable)
+	wantErr("one-table delete", res[1].Err, client.ErrAborted)
+
+	// Two tables, a mutation on the missing one aborts the rest.
+	res = batch(
+		client.Op{Kind: client.OpInsert, Table: "plain", Row: []float64{100, 1}},
+		client.Op{Kind: client.OpUpdate, Table: "missing", PK: 1, Col: 1, Value: 2},
+		client.Op{Kind: client.OpDelete, Table: "parted", PK: 3},
+		client.Op{Kind: client.OpPoint, Table: "parted", Col: 0, Lo: 3},
+	)
+	wantErr("sibling insert", res[0].Err, client.ErrAborted)
+	wantErr("missing update", res[1].Err, client.ErrNoTable)
+	wantErr("sibling delete", res[2].Err, client.ErrAborted)
+	if res[3].Err != nil || len(res[3].Rows) != 1 {
+		t.Fatalf("query after the failure: rows=%v err=%v", res[3].Rows, res[3].Err)
+	}
+	if rows, err := c.Point("plain", 0, 100); err != nil || len(rows) != 0 {
+		t.Fatalf("aborted batch leaked row 100: rows=%v err=%v", rows, err)
+	}
+
+	// Two tables, a query on the missing one fails alone.
+	res = batch(
+		client.Op{Kind: client.OpRange, Table: "missing", Col: 0, Lo: 0, Hi: 9},
+		client.Op{Kind: client.OpInsert, Table: "plain", Row: []float64{101, 1}},
+	)
+	wantErr("missing query", res[0].Err, client.ErrNoTable)
+	if res[1].Err != nil {
+		t.Fatalf("insert beside a failed query: %v", res[1].Err)
+	}
+
+	// A partitioned table queried beside another table, at the batch
+	// snapshot: neither of the batch's own writes is visible to it.
+	res = batch(
+		client.Op{Kind: client.OpInsert, Table: "plain", Row: []float64{200, 7}},
+		client.Op{Kind: client.OpDelete, Table: "parted", PK: 4},
+		client.Op{Kind: client.OpRange, Table: "parted", Col: 1, Lo: 0, Hi: 9},
+		client.Op{Kind: client.OpPoint, Table: "plain", Col: 0, Lo: 200},
+	)
+	if res[0].Err != nil || res[1].Err != nil || !res[1].Found {
+		t.Fatalf("mutations: %v, %v found=%v", res[0].Err, res[1].Err, res[1].Found)
+	}
+	if res[2].Err != nil || len(res[2].Rows) != 10 {
+		t.Fatalf("partitioned query in a two-table batch: rows=%v err=%v", res[2].Rows, res[2].Err)
+	}
+	for i, row := range res[2].Rows {
+		if row[1] != float64(i) {
+			t.Fatalf("partitioned batch range not in column order: %v", res[2].Rows)
+		}
+	}
+	if res[3].Err != nil || len(res[3].Rows) != 0 {
+		t.Fatalf("batch read its own insert: rows=%v err=%v", res[3].Rows, res[3].Err)
+	}
+	if rows, err := c.Range("parted", 1, 0, 9); err != nil || len(rows) != 9 {
+		t.Fatalf("after the batch: %d partitioned rows (err %v), want 9", len(rows), err)
 	}
 }
 

@@ -18,9 +18,9 @@ import (
 // The queue is what makes pipelining work: a client may write hundreds of
 // frames before reading a single response, and the reader keeps decoding
 // while the executor works. The executor drains it in runs: consecutive
-// auto-commit reads become one ExecuteBatch call (see backend.runReads),
-// so a pipelined point-query storm executes on the engine's worker pool
-// under a single shared snapshot instead of as N serial queries, and
+// auto-commit reads become one pass of the engine's read pool (see
+// backend.runReads), so a pipelined point-query storm executes under a
+// single shared snapshot instead of as N serial queries, and
 // consecutive auto-commit writes become one ApplyEach call (see
 // backend.runWrites), which submits every record to the log before it
 // waits for the first acknowledgement.
@@ -247,7 +247,7 @@ type runKind uint8
 
 const (
 	noRun    runKind = iota // executed alone by handleOne
-	readRun                 // point and range queries: one ExecuteBatch
+	readRun                 // point and range queries: one read-pool pass
 	writeRun                // inserts, updates, deletes: one ApplyEach
 )
 
@@ -268,8 +268,8 @@ func runOf(r *proto.Request) runKind {
 
 // runCoalesced executes first plus the requests of the same run kind
 // already queued behind it (up to maxCoalesce) as one run, writing
-// responses in order. A run of reads is one ExecuteBatch under a shared
-// snapshot; a run of writes is one ApplyEach — still one auto-commit
+// responses in order. A run of reads is one pass of the engine's read
+// pool under a shared snapshot; a run of writes is one ApplyEach — still one auto-commit
 // mutation, one WAL record and one result per request, but one wait for
 // the log and one quorum wait for the lot. The first queued entry that
 // cannot join is returned as carry for the main loop. It releases the
