@@ -195,11 +195,13 @@ func (tx *DurableTxn) submitCommit() (wal.Ticket, error) {
 // read-only batch drains across a pool of workers goroutines sharing one
 // snapshot.
 func (d *DurableDB) ExecuteBatch(ops []Op, workers int) []OpResult {
-	tx := d.Begin()
-	return execute(tx, ops, workers, func(op Op) (*Table, error) { return d.db.Table(op.Table) }, tx.inserted)
+	return execute(d.Begin(), ops, workers)
 }
 
-// inserted reports the RID of a committed insert's row.
+// table finds the engine table a batch query names (tableTxn).
+func (tx *DurableTxn) table(op Op) (*Table, error) { return tx.d.db.Table(op.Table) }
+
+// inserted reports the RID of a committed insert's row (tableTxn).
 func (tx *DurableTxn) inserted(op Op) storage.RID {
 	tb, _, pk, err := tx.route(&op)
 	if err != nil {

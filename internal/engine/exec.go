@@ -219,11 +219,19 @@ func (t *Table) queryOpAt(snap *Snapshot, op Op) OpResult {
 	return r
 }
 
-// execute is ExecuteBatch over the engine's own tables: resolve finds an
-// op's table, inserted where a committed insert's row landed.
-func execute(x BatchTxn, ops []Op, workers int, resolve func(Op) (*Table, error), inserted func(Op) storage.RID) []OpResult {
+// tableTxn is the BatchTxn of a batch over the engine's own tables, which
+// also finds the table an op names and, after Commit, where a committed
+// insert's row landed.
+type tableTxn interface {
+	BatchTxn
+	table(op Op) (*Table, error)
+	inserted(op Op) storage.RID
+}
+
+// execute is ExecuteBatch over the engine's own tables.
+func execute(x tableTxn, ops []Op, workers int) []OpResult {
 	query := func(snap *Snapshot, op Op) OpResult {
-		tb, err := resolve(op)
+		tb, err := x.table(op)
 		if err != nil {
 			return OpResult{Err: err}
 		}
@@ -232,13 +240,13 @@ func execute(x BatchTxn, ops []Op, workers int, resolve func(Op) (*Table, error)
 	return ExecBatch(x, ops, workers, query, func(op Op, found bool, err error) OpResult {
 		r := OpResult{Found: found, Err: err}
 		if err == nil && op.Kind == OpInsert {
-			r.RID = inserted(op)
+			r.RID = x.inserted(op)
 		}
 		return r
 	})
 }
 
-// txnBatch is the BatchTxn of a DB or Table batch: one Txn, each op's table
+// txnBatch is the tableTxn of a DB or Table batch: one Txn, each op's table
 // found by resolve.
 type txnBatch struct {
 	x       *Txn
@@ -263,16 +271,11 @@ func (b *txnBatch) Commit() (err error) {
 
 func (b *txnBatch) Rollback() { b.x.Rollback() }
 
-// inserted reports the RID of a committed insert's row.
+func (b *txnBatch) table(op Op) (*Table, error) { return b.resolve(op) }
+
 func (b *txnBatch) inserted(op Op) storage.RID {
 	tb, _ := b.resolve(op)
 	return b.res.RIDs[tb][op.Row[tb.pkCol]]
-}
-
-// executeTxn is ExecuteBatch in a Txn on clock.
-func executeTxn(clock *Clock, ops []Op, workers int, resolve func(Op) (*Table, error)) []OpResult {
-	b := &txnBatch{x: BeginTxn(clock), resolve: resolve}
-	return execute(b, ops, workers, resolve, b.inserted)
 }
 
 // ExecuteBatch runs a batch of operations across tables under the batch
@@ -282,11 +285,11 @@ func executeTxn(clock *Clock, ops []Op, workers int, resolve func(Op) (*Table, e
 // drains across workers goroutines (<= 0 selects GOMAXPROCS) sharing one
 // snapshot. Results are positionally aligned with ops.
 func (db *DB) ExecuteBatch(ops []Op, workers int) []OpResult {
-	return executeTxn(db.clock, ops, workers, func(op Op) (*Table, error) { return db.Table(op.Table) })
+	return execute(&txnBatch{x: BeginTxn(db.clock), resolve: func(op Op) (*Table, error) { return db.Table(op.Table) }}, ops, workers)
 }
 
 // ExecuteBatch runs a batch of operations against this table; Op.Table is
 // ignored. See DB.ExecuteBatch for the atomicity contract.
 func (t *Table) ExecuteBatch(ops []Op, workers int) []OpResult {
-	return executeTxn(t.clock, ops, workers, func(Op) (*Table, error) { return t, nil })
+	return execute(&txnBatch{x: BeginTxn(t.clock), resolve: func(Op) (*Table, error) { return t, nil }}, ops, workers)
 }

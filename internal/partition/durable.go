@@ -32,9 +32,9 @@ func CreateDurable(d *engine.DurableDB, name string, cols []string, pkCol int, o
 // DurableDB.CreateTable, or recovered by engine.OpenDurable) in its
 // scatter-gather wrapper. A table created without partitions is wrapped as
 // its only partition: its queries gather on the caller, with no fan-out
-// and no merge, and still return rows ordered by the predicate column.
-// Options.Partitions is ignored — the recovered count wins;
-// Options.Workers sizes the scatter pool.
+// and no pool slot, and still return rows ordered by the predicate
+// column. Options.Partitions is ignored — the recovered count wins;
+// Options.Workers sizes the scatter pool of a partitioned table.
 func OpenDurable(d *engine.DurableDB, name string, opts Options) (*Table, error) {
 	n, err := d.Partitions(name)
 	if err != nil {

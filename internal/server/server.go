@@ -35,7 +35,9 @@ type Options struct {
 	QueueDepth int
 	// Workers is the goroutine count of the engine's read pool for a run
 	// of reads or a read-only batch (<= 0 selects GOMAXPROCS), and the
-	// scatter pool bound of every served table.
+	// scatter pool bound of every partitioned served table. A table served
+	// without partitions scans on the goroutine that runs the read, outside
+	// that bound.
 	Workers int
 	// TenantOps caps the total operations a tenant may issue over the
 	// server's lifetime (a deliberately simple quota: batches cost their
