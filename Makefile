@@ -15,13 +15,13 @@ STATICCHECK_VERSION = 2025.1.1
 
 # BENCH_EXPERIMENTS is every experiment whose BENCH_*.json artifact CI
 # records; bench-all runs them in one invocation after the fig4 smoke.
-BENCH_EXPERIMENTS = concurrency,durability,compaction,advisor,partition,txn,server,repl,scenarios,hotpath
+BENCH_EXPERIMENTS = durability,compaction,advisor,txn,server,repl,scenarios,hotpath
 
 # PROFILE_DIR receives the pb.gz profiles `make profile` captures; CI
 # uploads it as the profiles artifact.
 PROFILE_DIR = profiles
 
-.PHONY: build build-examples test race cover difftest fuzz bench bench-all bench-check bench-concurrency bench-durability bench-compaction bench-advisor bench-partition bench-txn bench-server bench-repl bench-scenarios bench-hotpath benchmark-smoke profile heap-profile loc fmt fmt-check vet staticcheck doc-check ci
+.PHONY: build build-examples test race cover difftest fuzz bench bench-all bench-check bench-durability bench-compaction bench-advisor bench-txn bench-server bench-repl bench-scenarios bench-hotpath benchmark-smoke profile heap-profile loc fmt fmt-check vet staticcheck doc-check ci
 
 build:
 	$(GO) build ./...
@@ -98,10 +98,6 @@ bench-all: bench
 bench-check:
 	$(GO) run ./internal/tools/benchcheck
 
-# Concurrency sweep with the machine-readable BENCH_concurrency.json.
-bench-concurrency: build
-	$(GO) run ./cmd/hermit-bench -exp concurrency
-
 # Durability sweep (sync policies + recovery) with BENCH_durability.json.
 bench-durability: build
 	$(GO) run ./cmd/hermit-bench -exp durability
@@ -115,11 +111,6 @@ bench-compaction: build
 # BENCH_advisor.json.
 bench-advisor: build
 	$(GO) run ./cmd/hermit-bench -exp advisor
-
-# Partition sweep (scatter-gather throughput vs partitions x goroutines,
-# pk point overhead) with BENCH_partition.json.
-bench-partition: build
-	$(GO) run ./cmd/hermit-bench -exp partition
 
 # Txn sweep (snapshot scans under writers, optimistic abort rate, snapshot
 # registration overhead) with BENCH_txn.json.

@@ -73,7 +73,6 @@ func BenchmarkFig28CMLinearMemory(b *testing.B)      { runFigure(b, "fig28") }
 func BenchmarkFig29CMSigmoidThroughput(b *testing.B) { runFigure(b, "fig29") }
 func BenchmarkFig30CMSigmoidMemory(b *testing.B)     { runFigure(b, "fig30") }
 func BenchmarkAblations(b *testing.B)                { runFigure(b, "ablation") }
-func BenchmarkConcurrency(b *testing.B)              { runFigure(b, "concurrency") }
 
 // The index-construction benchmarks build one index per iteration over a
 // 1M-row Synthetic table loaded once (colB = sigmoid(colC), 1 % noise), and

@@ -6,7 +6,6 @@
 //	hermit-bench -exp fig4
 //	hermit-bench -exp all -scale 0.05
 //	hermit-bench -exp fig16,fig17,fig18 -scale 0.1 -measure 1s
-//	hermit-bench -exp concurrency -concurrency 16
 //	hermit-bench -exp durability -measure 500ms
 //	hermit-bench -scenario timeseries
 //	hermit-bench -scenario my-workload.json -scale 0.1
@@ -40,17 +39,16 @@ import (
 
 func main() {
 	var (
-		exp         = flag.String("exp", "", "experiment id(s), comma separated, or 'all'")
-		list        = flag.Bool("list", false, "list available experiments")
-		scale       = flag.Float64("scale", 0.02, "dataset scale factor (1.0 = paper size)")
-		measure     = flag.Duration("measure", 300*time.Millisecond, "measurement time per plotted point")
-		seed        = flag.Int64("seed", 1, "workload generation seed")
-		concurrency = flag.Int("concurrency", 8, "max goroutines for the concurrency throughput sweep")
-		jsonDir     = flag.String("json", ".", "directory for machine-readable BENCH_*.json results ('' disables)")
-		scen        = flag.String("scenario", "", "replay one scenario: a canned name or a JSON spec file")
-		addr        = flag.String("addr", "", "with -scenario: address of a running hermitd for wire-target specs")
-		cpuprofile  = flag.String("cpuprofile", "", "write a CPU profile (pb.gz) covering the run to this file")
-		memprofile  = flag.String("memprofile", "", "write an allocation profile (pb.gz) at exit to this file")
+		exp        = flag.String("exp", "", "experiment id(s), comma separated, or 'all'")
+		list       = flag.Bool("list", false, "list available experiments")
+		scale      = flag.Float64("scale", 0.02, "dataset scale factor (1.0 = paper size)")
+		measure    = flag.Duration("measure", 300*time.Millisecond, "measurement time per plotted point")
+		seed       = flag.Int64("seed", 1, "workload generation seed")
+		jsonDir    = flag.String("json", ".", "directory for machine-readable BENCH_*.json results ('' disables)")
+		scen       = flag.String("scenario", "", "replay one scenario: a canned name or a JSON spec file")
+		addr       = flag.String("addr", "", "with -scenario: address of a running hermitd for wire-target specs")
+		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile (pb.gz) covering the run to this file")
+		memprofile = flag.String("memprofile", "", "write an allocation profile (pb.gz) at exit to this file")
 	)
 	flag.Parse()
 
@@ -66,7 +64,6 @@ func main() {
 		cfg.Scale = *scale
 		cfg.MeasureFor = *measure
 		cfg.Seed = *seed
-		cfg.Concurrency = *concurrency
 		cfg.JSONDir = *jsonDir
 		spec, err := loadScenario(*scen)
 		if err != nil {
@@ -100,7 +97,6 @@ func main() {
 	cfg.Scale = *scale
 	cfg.MeasureFor = *measure
 	cfg.Seed = *seed
-	cfg.Concurrency = *concurrency
 	cfg.JSONDir = *jsonDir
 
 	var ids []string

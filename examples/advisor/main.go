@@ -64,7 +64,7 @@ func main() {
 		if time.Since(start) > 30*time.Second {
 			log.Fatal("advisor did not act — is the dataset correlated?")
 		}
-		if _, _, err := tb.RangeQuery(high, y, z); err != nil {
+		if _, _, err := tb.Exec(hermitdb.Query{Col: high, Lo: y, Hi: z}, nil); err != nil {
 			log.Fatal(err)
 		}
 		queries++
@@ -93,12 +93,12 @@ func main() {
 		fmt.Printf("  %-10s cost %8.0f units  est rows %5d  est candidates %5d\n",
 			c.Path, c.Cost, c.EstRows, c.EstCandidates)
 	}
-	rids, stats, err := tb.RangeQuery(high, y, z)
+	rows, stats, err := tb.Exec(hermitdb.Query{Col: high, Lo: y, Hi: z}, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("query: %d trading days matched via %s (fp ratio %.1f%%), %d rids\n",
-		stats.Rows, stats.Path, stats.FalsePositiveRatio()*100, len(rids))
+	fmt.Printf("query: %d trading days matched via %s (fp ratio %.1f%%), %d values returned\n",
+		stats.Rows, stats.Path, stats.FalsePositiveRatio()*100, len(rows))
 
 	m := tb.Memory()
 	fmt.Printf("memory: new (auto-created) indexes %.2f KB vs table %.1f MB\n",

@@ -53,11 +53,11 @@ func main() {
 		lo, hi, _ := tb.Store().ColumnBounds(col)
 		mid := lo + (hi-lo)/2
 		width := (hi - lo) * 0.02
-		rids, stats, err := tb.RangeQuery(col, mid, mid+width)
+		_, stats, err := tb.Exec(hermitdb.Query{Col: col, Lo: mid, Hi: mid + width}, nil)
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("  %-8s range query: %d rows via %s (fp %.1f%%)\n",
-			cols[col], len(rids), stats.Kind, stats.FalsePositiveRatio()*100)
+			cols[col], stats.Rows, stats.Kind, stats.FalsePositiveRatio()*100)
 	}
 }

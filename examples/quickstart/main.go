@@ -45,8 +45,9 @@ func main() {
 	}
 	fmt.Printf("index on fee built as: %s\n", kind)
 
-	// Query through it: fees between 1.50 and 1.53.
-	rids, stats, err := tb.RangeQuery(2, 1.50, 1.53)
+	// Query through it: fees between 1.50 and 1.53. The answer is the
+	// matching rows themselves, three values each, back to back.
+	hits, stats, err := tb.Exec(hermitdb.Query{Col: 2, Lo: 1.50, Hi: 1.53}, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -54,11 +55,8 @@ func main() {
 		stats.Rows, stats.Candidates, stats.FalsePositiveRatio()*100)
 
 	// Show a couple of matching rows.
-	rows2, err := tb.FetchRows(rids[:min(3, len(rids))], nil)
-	if err != nil {
-		log.Fatal(err)
-	}
-	for _, r := range rows2 {
+	for i := 0; i < min(3, stats.Rows); i++ {
+		r := hits[3*i : 3*i+3]
 		fmt.Printf("  id=%.0f price=%.2f fee=%.4f\n", r[0], r[1], r[2])
 	}
 
@@ -70,10 +68,3 @@ func main() {
 }
 
 func mb(b uint64) float64 { return float64(b) / (1 << 20) }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

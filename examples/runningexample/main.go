@@ -84,12 +84,13 @@ func main() {
 	qLo := spLo + (spHi-spLo)*0.40
 	qHi := spLo + (spHi-spLo)*0.45
 	query := func(label string) {
-		rids, stats, err := tb.RangeQuery2(0, 5000, 8000, 2, qLo, qHi)
+		q := hermitdb.Query{Col: 0, Lo: 5000, Hi: 8000, And: &hermitdb.Pred{Col: 2, Lo: qLo, Hi: qHi}}
+		_, stats, err := tb.Exec(q, nil)
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("%s: TIME in [5000,8000] AND SP in [%.0f,%.0f] -> %d days (%d candidates, fp %.1f%%)\n",
-			label, qLo, qHi, len(rids), stats.Candidates, stats.FalsePositiveRatio()*100)
+			label, qLo, qHi, stats.Rows, stats.Candidates, stats.FalsePositiveRatio()*100)
 	}
 	query("before crash")
 

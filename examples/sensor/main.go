@@ -60,7 +60,7 @@ func main() {
 
 	// "During which period did sensor 5 read between 40 and 60?"
 	tb.SetProfile(true)
-	rids, stats, err := tb.RangeQuery(sensor5, 40, 60)
+	rows, stats, err := tb.Exec(hermitdb.Query{Col: sensor5, Lo: 40, Hi: 60}, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -77,12 +77,8 @@ func main() {
 	fmt.Printf("TRS-Tree: height=%d leaves=%d outliers=%d\n", ts.Height, ts.Leaves, ts.Outliers)
 
 	// The same row, from memory and from the page the checkpoint wrote.
-	if len(rids) > 0 {
-		rows, err := tb.FetchRows(rids[:1], nil)
-		if err != nil {
-			log.Fatal(err)
-		}
-		hot := rows[0]
+	if stats.Rows > 0 {
+		hot := rows[:len(spec.Columns())]
 		cold, found, pages, err := db.BlockRead("sensor", hot[spec.PKCol()])
 		if err != nil || !found {
 			log.Fatalf("block read of key %v: found=%v err=%v", hot[spec.PKCol()], found, err)

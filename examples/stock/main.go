@@ -45,19 +45,15 @@ func main() {
 	lo, hi, _ := tb.Store().ColumnBounds(spec.HighCol(ticker))
 	y := lo + (hi-lo)*0.40
 	z := lo + (hi-lo)*0.45
-	rids, stats, err := tb.RangeQuery(spec.HighCol(ticker), y, z)
+	rows, stats, err := tb.Exec(hermitdb.Query{Col: spec.HighCol(ticker), Lo: y, Hi: z}, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("ticker %d high in [%.2f, %.2f]: %d trading days (fp ratio %.1f%%)\n",
 		ticker, y, z, stats.Rows, stats.FalsePositiveRatio()*100)
-	if len(rids) > 0 {
-		rows, err := tb.FetchRows(rids[:1], nil)
-		if err != nil {
-			log.Fatal(err)
-		}
+	if stats.Rows > 0 {
 		fmt.Printf("  first match: day=%.0f low=%.2f high=%.2f\n",
-			rows[0][0], rows[0][spec.LowCol(ticker)], rows[0][spec.HighCol(ticker)])
+			rows[0], rows[spec.LowCol(ticker)], rows[spec.HighCol(ticker)])
 	}
 
 	// Crash days live in the outlier buffers.

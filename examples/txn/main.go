@@ -56,19 +56,14 @@ func main() {
 	if err := transfer(0, 1, 30); err != nil {
 		log.Fatal(err)
 	}
-	// A RID is dereferenced under the snapshot its query ran at: the commit
-	// that supersedes a version reclaims it, and the slot goes to the next
-	// row written, unless a snapshot that sees the version is still open.
+	// A query names the snapshot it reads at; its rows are copied out
+	// under that snapshot.
 	balance := func(snap *hermitdb.Snapshot, id float64) float64 {
-		rids, _, err := tb.PointQueryAt(snap, 0, id)
-		if err != nil || len(rids) != 1 {
+		row, st, err := tb.Exec(hermitdb.Query{Col: 0, Lo: id, Hi: id, Snap: snap}, nil)
+		if err != nil || st.Rows != 1 {
 			log.Fatalf("account %v: %v", id, err)
 		}
-		rows, err := tb.FetchRows(rids, nil)
-		if err != nil {
-			log.Fatalf("account %v: %v", id, err)
-		}
-		return rows[0][1]
+		return row[1]
 	}
 	err = hermitdb.WithSnapshot(db, func(now *hermitdb.Snapshot) error {
 		fmt.Printf("account 0: %3.0f before, %3.0f after\n", balance(before, 0), balance(now, 0))
@@ -103,7 +98,7 @@ func main() {
 		{Kind: hermitdb.OpInsert, Row: []float64{3, 0}}, // duplicate id
 	}, 2)
 	fmt.Printf("atomic batch: op0 err=%v\n", res[0].Err)
-	if rids, _, _ := tb.PointQuery(0, 99); len(rids) == 0 {
+	if _, st, _ := tb.Exec(hermitdb.Query{Col: 0, Lo: 99, Hi: 99}, nil); st.Rows == 0 {
 		fmt.Println("account 99 was rolled back with the failing batch")
 	}
 }

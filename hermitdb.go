@@ -14,7 +14,8 @@
 //	// ... insert rows ...
 //	tb.CreateBTreeIndex(1, false)  // complete index on "low" (the host)
 //	tb.CreateHermitIndex(2, 1)     // succinct Hermit index on "high"
-//	rids, stats, _ := tb.RangeQuery(2, 100, 120)
+//	rows, stats, _ := tb.Exec(hermitdb.Query{Col: 2, Lo: 100, Hi: 120}, nil)
+//	// rows holds every matching row, 3 values each, back to back.
 //
 // Or let the engine decide from the data, as the paper's workflow does:
 //
@@ -60,6 +61,12 @@ type (
 	SyncPolicy = engine.SyncPolicy
 	// IndexDef records how to rebuild one index during recovery.
 	IndexDef = engine.IndexDef
+	// Query is one read: a range predicate (a point when Lo == Hi), an
+	// optional second predicate, the snapshot it reads at and an optional
+	// forced access path.
+	Query = engine.Query
+	// Pred is one range predicate, a Query's optional second one.
+	Pred = engine.Pred
 	// QueryStats describes one query's execution.
 	QueryStats = engine.QueryStats
 	// InsertStats breaks an insert's cost into index-maintenance classes.
@@ -97,8 +104,8 @@ const (
 // DurableDB.Begin is the WAL-logged counterpart: the transaction's
 // mutations are logged as one txn-begin/commit group, and recovery
 // discards transactions whose commit record never reached the log.
-// Snapshots are first-class (WithSnapshot, DB.Snapshot, the *At query
-// variants), so several queries can observe one consistent state.
+// Snapshots are first-class (WithSnapshot, DB.Snapshot, Query.Snap), so
+// several queries can observe one consistent state.
 type (
 	// Txn is a snapshot-isolation transaction (DB.Begin).
 	Txn = engine.Txn
@@ -111,8 +118,7 @@ type (
 	// Clock is the commit clock ordering transactions; partitioned tables
 	// share one across partitions.
 	Clock = engine.Clock
-	// CommitResult reports a committed transaction's timestamp and the
-	// RIDs its writes landed at.
+	// CommitResult reports a committed transaction's timestamp.
 	CommitResult = engine.CommitResult
 )
 
@@ -128,7 +134,7 @@ var (
 )
 
 // WithSnapshot runs fn against one registered snapshot of db and releases
-// it afterwards: every query issued through the *At variants inside fn
+// it afterwards: every query inside fn that names it as Query.Snap
 // observes the same commit-clock instant.
 func WithSnapshot(db *DB, fn func(*Snapshot) error) error {
 	snap := db.Snapshot()
@@ -145,7 +151,7 @@ func WithSnapshot(db *DB, fn func(*Snapshot) error) error {
 // pool sharing one snapshot:
 //
 //	ops := []hermitdb.Op{
-//		{Kind: hermitdb.OpRange, Col: 2, Lo: 100, Hi: 120},
+//		{Kind: hermitdb.OpQuery, Query: hermitdb.Query{Col: 2, Lo: 100, Hi: 120}},
 //		{Kind: hermitdb.OpInsert, Row: []float64{9, 1, 2, 3}},
 //	}
 //	results := tb.ExecuteBatch(ops, 8)
@@ -154,12 +160,10 @@ type (
 	// address of one version of a row, good for as long as that version is
 	// kept. The commit that updates or deletes a row reclaims the version it
 	// ends — unless an open snapshot can still see it — and the slot is
-	// reused: the RID then reads whichever row was written there next. So a
-	// RID returned by an auto-snapshot query (RangeQuery, PointQuery) is good
-	// until the next commit to the table, and one returned by a query at a
-	// held snapshot for as long as the snapshot is held. When writers may
-	// run in between, fetch what a query returns under the snapshot the
-	// query ran at: RangeQueryAt, then FetchRows, inside WithSnapshot.
+	// reused: the RID then reads whichever row was written there next.
+	// Queries answer with rows, copied under the snapshot they read at
+	// (Exec), so no caller holds a RID across a commit; Table.Lookup, the
+	// RID stage under Exec, documents how long its RIDs stay good.
 	RID = storage.RID
 	// Op is one operation in an ExecuteBatch batch.
 	Op = engine.Op
@@ -171,9 +175,7 @@ type (
 
 // Batched-executor operation kinds.
 const (
-	OpRange  = engine.OpRange
-	OpPoint  = engine.OpPoint
-	OpRange2 = engine.OpRange2
+	OpQuery  = engine.OpQuery
 	OpInsert = engine.OpInsert
 	OpDelete = engine.OpDelete
 	OpUpdate = engine.OpUpdate
@@ -190,7 +192,7 @@ const (
 //
 //	pt, _ := hermitdb.CreatePartitionedTable(hermitdb.PhysicalPointers,
 //		"orders", cols, 0, hermitdb.PartitionOptions{Partitions: 8})
-//	rids, stats, _ := pt.RangeQuery(2, 100, 120) // stats.FanOut == 8
+//	rows, stats, _ := pt.Exec(hermitdb.Query{Col: 2, Lo: 100, Hi: 120}, nil) // stats.FanOut == 8
 type (
 	// PartitionedTable is a hash-partitioned table with scatter-gather
 	// execution (see internal/partition).
@@ -221,13 +223,15 @@ var (
 	OpenPartitionedDurable = partition.OpenDurable
 )
 
-// Cost-based planning and self-tuning. Every RangeQuery/PointQuery is
+// Cost-based planning and self-tuning. A Query whose Path is left zero is
 // routed through the access path the planner estimates cheapest, using
 // per-path runtime feedback (hit counts, false-positive EWMAs, sampled
-// latency EWMAs); Table.Explain exposes the plan without executing it:
+// latency EWMAs); Table.Explain exposes the plan without executing it, and
+// a Query.Path forces any path the plan lists as available:
 //
 //	plan, _ := tb.Explain(2, 100, 120)
 //	fmt.Println(plan.Chosen, plan.Candidates[0].Cost)
+//	rows, _, _ := tb.Exec(hermitdb.Query{Col: 2, Lo: 100, Hi: 120, Path: hermitdb.PathHermit}, nil)
 //
 // The background advisor closes the loop the paper leaves to the DBA: it
 // watches the observed query mix, discovers correlated column pairs from
@@ -246,9 +250,6 @@ type (
 	PathEstimate = engine.PathEstimate
 	// AccessPath identifies one way the engine can serve a predicate.
 	AccessPath = engine.AccessPath
-	// RoutingMode selects cost-based or fixed-priority routing
-	// (Table.SetRouting).
-	RoutingMode = engine.RoutingMode
 	// ColumnQueryStats summarises one column's observed workload
 	// (Table.QueryStatsFor).
 	ColumnQueryStats = engine.ColumnQueryStats
@@ -262,7 +263,7 @@ type (
 	AdvisorAction = advisor.Action
 )
 
-// Access paths the planner can choose.
+// Access paths the planner can choose, and a Query.Path may force.
 const (
 	// PathScan is the sequential-scan fallback.
 	PathScan = engine.PathScan
@@ -276,14 +277,6 @@ const (
 	PathCM = engine.PathCM
 	// PathTRSDirect resolves TRS-Tree host ranges by a sequential scan.
 	PathTRSDirect = engine.PathTRSDirect
-)
-
-// Routing modes for Table.SetRouting.
-const (
-	// RouteCost plans every query with the cost model (the default).
-	RouteCost = engine.RouteCost
-	// RouteStatic restores the fixed pre-planner priority.
-	RouteStatic = engine.RouteStatic
 )
 
 // Advisor action kinds (AdvisorAction.Kind).

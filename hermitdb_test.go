@@ -47,12 +47,12 @@ func TestFacadeEndToEnd(t *testing.T) {
 		t.Fatalf("kind=%v", tb.IndexOn(2))
 	}
 	lo, hi, _ := tb.Store().ColumnBounds(2)
-	rids, st, err := tb.RangeQuery(2, lo, (lo+hi)/2)
+	rows, st, err := tb.Exec(hermitdb.Query{Col: 2, Lo: lo, Hi: (lo + hi) / 2}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Rows != len(rids) || st.Rows == 0 {
-		t.Fatalf("rows=%d rids=%d", st.Rows, len(rids))
+	if len(rows) != 3*st.Rows || st.Rows == 0 {
+		t.Fatalf("rows=%d values=%d", st.Rows, len(rows))
 	}
 	m := tb.Memory()
 	if m.NewBytes == 0 || m.NewBytes*3 > m.ExistingBytes {
@@ -85,7 +85,7 @@ func TestFacadeAutoIndex(t *testing.T) {
 		t.Fatalf("auto index built %v, want hermit", kind)
 	}
 	q := hermitdb.QueryGen(0, 1000, 0.05, 2)()
-	rids, _, err := tb.RangeQuery(spec.TargetCol(), q.Lo, q.Hi)
+	_, st, err := tb.Exec(hermitdb.Query{Col: spec.TargetCol(), Lo: q.Lo, Hi: q.Hi}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,8 +99,8 @@ func TestFacadeAutoIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rids) != want {
-		t.Fatalf("auto hermit returned %d rows, want %d", len(rids), want)
+	if st.Rows != want {
+		t.Fatalf("auto hermit returned %d rows, want %d", st.Rows, want)
 	}
 }
 
@@ -127,18 +127,18 @@ func TestPartitionedFacade(t *testing.T) {
 	if err := pt.CreateHermitIndex(spec.TargetCol(), spec.HostCol(), hermitdb.DefaultParams()); err != nil {
 		t.Fatal(err)
 	}
-	rids, stats, err := pt.RangeQuery(spec.TargetCol(), 100, 120)
+	rows, stats, err := pt.Exec(hermitdb.Query{Col: spec.TargetCol(), Lo: 100, Hi: 120}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if stats.FanOut != 4 || stats.Routed {
 		t.Fatalf("range stats: %+v, want 4-way scatter", stats)
 	}
-	if len(rids) == 0 {
+	if len(rows) == 0 {
 		t.Fatal("range query returned no rows")
 	}
-	if _, st, err := pt.PointQuery(spec.PKCol(), 7); err != nil || !st.Routed {
-		t.Fatalf("pk point query: routed=%v err=%v", st.Routed, err)
+	if row, st, err := pt.Exec(hermitdb.Query{Col: spec.PKCol(), Lo: 7, Hi: 7}, nil); err != nil || !st.Routed || len(row) == 0 || row[spec.PKCol()] != 7 {
+		t.Fatalf("pk point query: routed=%v row=%v err=%v", st.Routed, row, err)
 	}
 	plan, err := pt.Explain(spec.TargetCol(), 100, 120)
 	if err != nil {
@@ -178,8 +178,8 @@ func TestPartitionedFacade(t *testing.T) {
 	if dt2.Len() != 100 {
 		t.Fatalf("recovered %d rows, want 100", dt2.Len())
 	}
-	if rids, _, err := dt2.PointQuery(0, 42); err != nil || len(rids) != 1 {
-		t.Fatalf("recovered pk lookup: %v, %v", rids, err)
+	if row, _, err := dt2.Exec(hermitdb.Query{Col: 0, Lo: 42, Hi: 42}, nil); err != nil || len(row) != 2 || row[1] != 0 {
+		t.Fatalf("recovered pk lookup: %v, %v", row, err)
 	}
 }
 

@@ -34,9 +34,6 @@ type Config struct {
 	Seed int64
 	// TmpDir hosts the durable databases experiments open.
 	TmpDir string
-	// Concurrency is the maximum goroutine count the concurrency
-	// experiment sweeps to (the CLI's -concurrency flag).
-	Concurrency int
 	// JSONDir, when non-empty, receives machine-readable BENCH_*.json
 	// result files alongside the printed tables.
 	JSONDir string
@@ -45,13 +42,12 @@ type Config struct {
 // DefaultConfig returns the CLI defaults.
 func DefaultConfig(out io.Writer) Config {
 	return Config{
-		Out:         out,
-		Scale:       0.02,
-		MeasureFor:  300 * time.Millisecond,
-		Seed:        1,
-		TmpDir:      "",
-		Concurrency: 8,
-		JSONDir:     ".",
+		Out:        out,
+		Scale:      0.02,
+		MeasureFor: 300 * time.Millisecond,
+		Seed:       1,
+		TmpDir:     "",
+		JSONDir:    ".",
 	}
 }
 
@@ -65,10 +61,31 @@ func (c Config) sanitized() Config {
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
-	if c.Concurrency <= 0 {
-		c.Concurrency = 8
-	}
 	return c
+}
+
+// maxGoroutines is the most clients, writers or server workers a sweep
+// reaches (the serving, replication, transaction and durability
+// experiments).
+const maxGoroutines = 8
+
+// goroutineCounts returns the swept goroutine counts: powers of two up to
+// and including maxGoroutines.
+func goroutineCounts() []int {
+	var out []int
+	for g := 1; g < maxGoroutines; g *= 2 {
+		out = append(out, g)
+	}
+	return append(out, maxGoroutines)
+}
+
+// speedup guards against a zero baseline (a degenerate measurement window
+// where no operation completed): NaN/Inf would fail JSON marshalling.
+func speedup(ops, base float64) float64 {
+	if base <= 0 {
+		return 0
+	}
+	return ops / base
 }
 
 // rows scales a paper-sized row count, with a floor that keeps the
@@ -118,11 +135,9 @@ var Registry = []Experiment{
 	{"fig29", "CM vs Hermit range throughput vs noise (Sigmoid)", Fig29CMSigmoidThroughput},
 	{"fig30", "CM vs Hermit memory vs noise (Sigmoid)", Fig30CMSigmoidMemory},
 	{"ablation", "Ablations: sampling, range union, outlier buffer", Ablations},
-	{"concurrency", "Concurrent serving: throughput vs goroutines", RunConcurrency},
 	{"durability", "Durable inserts vs sync policy; recovery vs WAL length", RunDurability},
 	{"compaction", "Block tier: checkpoint pause vs table size; write amplification; bloom-gated cold reads", RunCompaction},
 	{"advisor", "Self-tuning: advisor auto-indexing and planner re-routing", RunAdvisor},
-	{"partition", "Hash partitioning: scatter-gather throughput vs partitions x goroutines", RunPartition},
 	{"txn", "MVCC transactions: scan-under-writes, abort rate, snapshot overhead", RunTxn},
 	{"server", "Network serving tier: loopback throughput/latency vs clients", RunServer},
 	{"repl", "Replication: follower read scaling; lag vs write rate", RunRepl},
@@ -146,18 +161,17 @@ func header(w io.Writer, id, title string) {
 }
 
 // buildSynthetic creates a Synthetic table under the given scheme with the
-// host index on colB in place, ready for a new index on colC. The table is
-// pinned to static routing: every figure compares named mechanisms, so the
-// cost planner must not re-route wide predicates to a scan mid-experiment
-// (the advisor experiment, which measures the planner itself, builds its
-// own table).
+// host index on colB in place, ready for a new index on colC. Every figure
+// compares named mechanisms, so its queries name their access path
+// (Query.Path) and the cost planner never re-routes a wide predicate to a
+// scan mid-experiment (the advisor experiment, which measures the planner
+// itself, leaves the path to it).
 func buildSynthetic(cfg Config, scheme hermit.PointerScheme, rowsN int, fn workload.CorrelationKind, noise float64) (*engine.Table, error) {
 	db := engine.NewDB(scheme)
 	tb, err := db.CreateTable("synthetic", workload.SyntheticSpec{}.Columns(), workload.SyntheticSpec{}.PKCol())
 	if err != nil {
 		return nil, err
 	}
-	tb.SetRouting(engine.RouteStatic)
 	spec := workload.SyntheticSpec{Rows: rowsN, Fn: fn, Noise: noise, Seed: cfg.Seed}
 	err = spec.Generate(func(row []float64) error {
 		_, err := tb.Insert(row)
@@ -172,15 +186,18 @@ func buildSynthetic(cfg Config, scheme hermit.PointerScheme, rowsN int, fn workl
 	return tb, nil
 }
 
-// measureRange drives range queries against col for cfg.MeasureFor and
-// returns operations/second.
-func measureRange(cfg Config, tb *engine.Table, col int, lo, hi, sel float64) (float64, error) {
+// measureRange drives range queries against col through path for
+// cfg.MeasureFor and returns operations/second. Each query fetches its
+// rows, into one reused buffer.
+func measureRange(cfg Config, tb *engine.Table, col int, path engine.AccessPath, lo, hi, sel float64) (float64, error) {
 	gen := workload.QueryGen(lo, hi, sel, cfg.Seed+99)
+	var rows []float64
 	start := time.Now()
 	ops := 0
 	for time.Since(start) < cfg.MeasureFor {
 		q := gen()
-		if _, _, err := tb.RangeQuery(col, q.Lo, q.Hi); err != nil {
+		var err error
+		if rows, _, err = tb.Exec(engine.Query{Col: col, Lo: q.Lo, Hi: q.Hi, Path: path}, rows[:0]); err != nil {
 			return 0, err
 		}
 		ops++
@@ -188,13 +205,16 @@ func measureRange(cfg Config, tb *engine.Table, col int, lo, hi, sel float64) (f
 	return float64(ops) / time.Since(start).Seconds(), nil
 }
 
-// measurePoint drives point queries for cfg.MeasureFor.
-func measurePoint(cfg Config, tb *engine.Table, col int, lo, hi float64) (float64, error) {
+// measurePoint drives point queries through path for cfg.MeasureFor.
+func measurePoint(cfg Config, tb *engine.Table, col int, path engine.AccessPath, lo, hi float64) (float64, error) {
 	gen := workload.PointGen(lo, hi, cfg.Seed+77)
+	var rows []float64
 	start := time.Now()
 	ops := 0
 	for time.Since(start) < cfg.MeasureFor {
-		if _, _, err := tb.PointQuery(col, gen()); err != nil {
+		v := gen()
+		var err error
+		if rows, _, err = tb.Exec(engine.Query{Col: col, Lo: v, Hi: v, Path: path}, rows[:0]); err != nil {
 			return 0, err
 		}
 		ops++
@@ -202,20 +222,28 @@ func measurePoint(cfg Config, tb *engine.Table, col int, lo, hi float64) (float6
 	return float64(ops) / time.Since(start).Seconds(), nil
 }
 
-// aggregateBreakdown runs nq range queries and returns summed per-phase
-// fractions.
-func aggregateBreakdown(tb *engine.Table, col int, lo, hi, sel float64, nq int, seed int64) ([4]float64, error) {
+// aggregateBreakdown runs nq range queries through path and returns summed
+// per-phase fractions.
+func aggregateBreakdown(tb *engine.Table, col int, path engine.AccessPath, lo, hi, sel float64, nq int, seed int64) ([4]float64, error) {
 	gen := workload.QueryGen(lo, hi, sel, seed)
 	var total hermit.Breakdown
 	for i := 0; i < nq; i++ {
 		q := gen()
-		_, st, err := tb.RangeQuery(col, q.Lo, q.Hi)
+		_, st, err := tb.Exec(engine.Query{Col: col, Lo: q.Lo, Hi: q.Hi, Path: path}, nil)
 		if err != nil {
 			return [4]float64{}, err
 		}
 		total.Add(st.Breakdown)
 	}
 	return total.Fractions(), nil
+}
+
+// mechanism names the access path of a figure's Hermit or baseline series.
+func mechanism(useHermit bool) engine.AccessPath {
+	if useHermit {
+		return engine.PathHermit
+	}
+	return engine.PathBTree
 }
 
 // defaultParams returns the paper's default TRS-Tree configuration (§7.1).

@@ -45,7 +45,7 @@ func TestRegistryComplete(t *testing.T) {
 		"fig12", "fig13", "fig14", "fig15", "fig16", "fig17", "fig18",
 		"fig19", "fig20", "fig21", "fig22", "fig23", "fig24", "tab1",
 		"fig26", "fig27", "fig28", "fig29", "fig30", "ablation",
-		"concurrency", "durability", "compaction", "advisor", "partition",
+		"durability", "compaction", "advisor",
 		"txn", "server", "repl", "scenarios", "hotpath",
 	}
 	for _, id := range want {
@@ -173,114 +173,12 @@ func TestSmokeAblation(t *testing.T) {
 	}
 }
 
-func TestSmokePartition(t *testing.T) {
-	e, ok := ByID("partition")
-	if !ok {
-		t.Fatal("partition experiment not registered")
-	}
-	cfg := tinyConfig(t)
-	cfg.Concurrency = 2
-	cfg.JSONDir = t.TempDir()
-	buf := &bytes.Buffer{}
-	cfg.Out = buf
-	if err := e.Run(cfg); err != nil {
-		t.Fatalf("partition: %v\n%s", err, buf.String())
-	}
-	out := buf.String()
-	if !strings.Contains(out, "range-scan") || !strings.Contains(out, "point-query overhead") {
-		t.Fatalf("partition output malformed:\n%s", out)
-	}
-	data, err := os.ReadFile(filepath.Join(cfg.JSONDir, "BENCH_partition.json"))
-	if err != nil {
-		t.Fatalf("BENCH_partition.json not written: %v", err)
-	}
-	var rep struct {
-		Experiment string `json:"experiment"`
-		Seed       int64  `json:"seed"`
-		Caveat     string `json:"caveat"`
-		RangeScan  []struct {
-			Partitions int     `json:"partitions"`
-			Goroutines int     `json:"goroutines"`
-			OpsPerSec  float64 `json:"ops_per_sec"`
-			Speedup    float64 `json:"speedup_vs_1_partition"`
-		} `json:"range_scan"`
-		Mixed    []any `json:"mixed_90_10"`
-		Overhead struct {
-			Partitions int     `json:"partitions"`
-			Single     float64 `json:"ops_per_sec_1_partition"`
-			Multi      float64 `json:"ops_per_sec_n_partitions"`
-		} `json:"point_overhead"`
-	}
-	if err := json.Unmarshal(data, &rep); err != nil {
-		t.Fatalf("BENCH_partition.json malformed: %v\n%s", err, data)
-	}
-	// 3 partition counts x 2 goroutine counts per sweep.
-	if rep.Experiment != "partition" || rep.Seed != 1 || len(rep.RangeScan) != 6 || len(rep.Mixed) != 6 {
-		t.Fatalf("unexpected report: %+v", rep)
-	}
-	if rep.Caveat == "" {
-		t.Fatal("caveat (1-CPU container note) missing from JSON")
-	}
-	for _, p := range rep.RangeScan {
-		if p.OpsPerSec <= 0 || p.Speedup <= 0 {
-			t.Fatalf("non-positive throughput in %+v", p)
-		}
-	}
-	if rep.Overhead.Single <= 0 || rep.Overhead.Multi <= 0 || rep.Overhead.Partitions != 4 {
-		t.Fatalf("point overhead malformed: %+v", rep.Overhead)
-	}
-}
-
-func TestSmokeConcurrency(t *testing.T) {
-	e, ok := ByID("concurrency")
-	if !ok {
-		t.Fatal("concurrency experiment not registered")
-	}
-	cfg := tinyConfig(t)
-	cfg.Concurrency = 4
-	cfg.JSONDir = t.TempDir()
-	buf := &bytes.Buffer{}
-	cfg.Out = buf
-	if err := e.Run(cfg); err != nil {
-		t.Fatalf("concurrency: %v\n%s", err, buf.String())
-	}
-	out := buf.String()
-	if !strings.Contains(out, "read-only") || !strings.Contains(out, "mixed") {
-		t.Fatalf("concurrency output malformed:\n%s", out)
-	}
-	data, err := os.ReadFile(filepath.Join(cfg.JSONDir, "BENCH_concurrency.json"))
-	if err != nil {
-		t.Fatalf("BENCH_concurrency.json not written: %v", err)
-	}
-	var rep struct {
-		Experiment string `json:"experiment"`
-		ReadOnly   []struct {
-			Goroutines int     `json:"goroutines"`
-			OpsPerSec  float64 `json:"ops_per_sec"`
-			Speedup    float64 `json:"speedup"`
-		} `json:"read_only_range"`
-		Mixed []any `json:"mixed_90_10"`
-	}
-	if err := json.Unmarshal(data, &rep); err != nil {
-		t.Fatalf("BENCH_concurrency.json malformed: %v\n%s", err, data)
-	}
-	if rep.Experiment != "concurrency" || len(rep.ReadOnly) != 3 || len(rep.Mixed) != 3 {
-		t.Fatalf("unexpected report: %+v", rep)
-	}
-	for _, p := range rep.ReadOnly {
-		if p.OpsPerSec <= 0 || p.Speedup <= 0 {
-			t.Fatalf("non-positive throughput in %+v", p)
-		}
-	}
-}
-
 func TestSmokeDurability(t *testing.T) {
 	e, ok := ByID("durability")
 	if !ok {
 		t.Fatal("durability experiment not registered")
 	}
 	cfg := tinyConfig(t)
-	cfg.Concurrency = 4
 	cfg.JSONDir = t.TempDir()
 	buf := &bytes.Buffer{}
 	cfg.Out = buf

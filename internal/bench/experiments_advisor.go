@@ -89,7 +89,7 @@ func RunAdvisor(cfg Config) error {
 		n, spec.TargetCol(), spec.HostCol())
 
 	sel := 0.01
-	rep.BeforeOpsPerSec, err = measureRange(cfg, tb, spec.TargetCol(), 0, workload.SyntheticSpan, sel)
+	rep.BeforeOpsPerSec, err = measureRange(cfg, tb, spec.TargetCol(), engine.PathAuto, 0, workload.SyntheticSpan, sel)
 	if err != nil {
 		return err
 	}
@@ -112,7 +112,7 @@ func RunAdvisor(cfg Config) error {
 			return fmt.Errorf("bench: advisor did not act within %v", advisorConvergeTimeout)
 		}
 		q := gen()
-		if _, _, err := tb.RangeQuery(spec.TargetCol(), q.Lo, q.Hi); err != nil {
+		if _, _, err := tb.Exec(engine.Query{Col: spec.TargetCol(), Lo: q.Lo, Hi: q.Hi}, nil); err != nil {
 			return err
 		}
 		queries++
@@ -130,7 +130,7 @@ func RunAdvisor(cfg Config) error {
 	fmt.Fprintf(cfg.Out, "advisor acted after %d queries / %.1f ms: %s col%d (host col%d, est. outliers %.1f%%)\n",
 		queries, rep.ConvergenceMS, rep.Action.Kind, act.Col, act.Host, act.OutlierRatio*100)
 
-	rep.AfterOpsPerSec, err = measureRange(cfg, tb, spec.TargetCol(), 0, workload.SyntheticSpan, sel)
+	rep.AfterOpsPerSec, err = measureRange(cfg, tb, spec.TargetCol(), engine.PathAuto, 0, workload.SyntheticSpan, sel)
 	if err != nil {
 		return err
 	}

@@ -42,7 +42,6 @@ func buildStock(cfg Config, scheme hermit.PointerScheme, spec workload.StockSpec
 	if err != nil {
 		return nil, err
 	}
-	tb.SetRouting(engine.RouteStatic) // figures name their mechanism; see buildSynthetic
 	if err := spec.Generate(func(row []float64) error {
 		_, err := tb.Insert(row)
 		return err
@@ -98,11 +97,11 @@ func Fig4RangeStock(cfg Config) error {
 			return err
 		}
 		for _, sel := range appSelectivities {
-			h, err := measureStockQueries(cfg, tbH, spec, sel)
+			h, err := measureStockQueries(cfg, tbH, spec, engine.PathHermit, sel)
 			if err != nil {
 				return err
 			}
-			b, err := measureStockQueries(cfg, tbB, spec, sel)
+			b, err := measureStockQueries(cfg, tbB, spec, engine.PathBTree, sel)
 			if err != nil {
 				return err
 			}
@@ -114,19 +113,21 @@ func Fig4RangeStock(cfg Config) error {
 }
 
 // measureStockQueries rotates "highest price between Y and Z" queries over
-// all tickers.
-func measureStockQueries(cfg Config, tb *engine.Table, spec workload.StockSpec, sel float64) (float64, error) {
+// all tickers, through path, fetching the rows.
+func measureStockQueries(cfg Config, tb *engine.Table, spec workload.StockSpec, path engine.AccessPath, sel float64) (float64, error) {
 	lo, hi, ok := tb.Store().ColumnBounds(spec.HighCol(0))
 	if !ok {
 		return 0, fmt.Errorf("bench: empty stock table")
 	}
 	gen := workload.QueryGen(lo, hi, sel, cfg.Seed+21)
+	var rows []float64
 	start := time.Now()
 	ops := 0
 	for time.Since(start) < cfg.MeasureFor {
 		q := gen()
 		col := spec.HighCol(ops % spec.Stocks)
-		if _, _, err := tb.RangeQuery(col, q.Lo, q.Hi); err != nil {
+		var err error
+		if rows, _, err = tb.Exec(engine.Query{Col: col, Lo: q.Lo, Hi: q.Hi, Path: path}, rows[:0]); err != nil {
 			return 0, err
 		}
 		ops++
@@ -199,7 +200,6 @@ func buildSensor(cfg Config, scheme hermit.PointerScheme, rowsN int) (*engine.Ta
 	if err != nil {
 		return nil, spec, err
 	}
-	tb.SetRouting(engine.RouteStatic) // figures name their mechanism; see buildSynthetic
 	if err := spec.Generate(func(row []float64) error {
 		_, err := tb.Insert(row)
 		return err
@@ -252,11 +252,11 @@ func Fig6RangeSensor(cfg Config) error {
 			return err
 		}
 		for _, sel := range appSelectivities {
-			h, err := measureSensorQueries(cfg, tbH, spec, sel)
+			h, err := measureSensorQueries(cfg, tbH, spec, engine.PathHermit, sel)
 			if err != nil {
 				return err
 			}
-			b, err := measureSensorQueries(cfg, tbB, spec, sel)
+			b, err := measureSensorQueries(cfg, tbB, spec, engine.PathBTree, sel)
 			if err != nil {
 				return err
 			}
@@ -267,7 +267,7 @@ func Fig6RangeSensor(cfg Config) error {
 	return nil
 }
 
-func measureSensorQueries(cfg Config, tb *engine.Table, spec workload.SensorSpec, sel float64) (float64, error) {
+func measureSensorQueries(cfg Config, tb *engine.Table, spec workload.SensorSpec, path engine.AccessPath, sel float64) (float64, error) {
 	// Each channel has its own scale, so queries are generated per-channel
 	// to keep the selectivity comparable across the rotation.
 	gens := make([]func() workload.RangeQuery, spec.Sensors)
@@ -278,12 +278,14 @@ func measureSensorQueries(cfg Config, tb *engine.Table, spec workload.SensorSpec
 		}
 		gens[i] = workload.QueryGen(lo, hi, sel, cfg.Seed+23+int64(i))
 	}
+	var rows []float64
 	start := time.Now()
 	ops := 0
 	for time.Since(start) < cfg.MeasureFor {
 		s := ops % spec.Sensors
 		q := gens[s]()
-		if _, _, err := tb.RangeQuery(spec.ReadingCol(s), q.Lo, q.Hi); err != nil {
+		var err error
+		if rows, _, err = tb.Exec(engine.Query{Col: spec.ReadingCol(s), Lo: q.Lo, Hi: q.Hi, Path: path}, rows[:0]); err != nil {
 			return 0, err
 		}
 		ops++
@@ -332,8 +334,8 @@ func Fig7MemorySensor(cfg Config) error {
 // tier. A range is answered by coldTable.rangeQuery: indexes in memory,
 // every row it validates read back from a page. Throughput and the
 // Fig. 24b breakdown are timings; candidates, rows and page reads are
-// counts, and every counted answer is compared with Table.RangeQuery on
-// the same table.
+// counts, and every counted answer is compared with Table.Exec on the
+// same table.
 func Fig24Disk(cfg Config) error {
 	cfg = cfg.sanitized()
 	header(cfg.Out, "fig24", "Disk-based range lookup and breakdown (Sensor)")
@@ -417,15 +419,13 @@ func Fig24Disk(cfg Config) error {
 			if err != nil {
 				return sum, err
 			}
-			rids, _, err := c.tb.RangeQuery(col, q.Lo, q.Hi)
+			rows, _, err := c.tb.Exec(engine.Query{Col: col, Lo: q.Lo, Hi: q.Hi}, nil)
 			if err != nil {
 				return sum, err
 			}
-			want := make([]float64, len(rids))
-			for j, rid := range rids {
-				if want[j], err = c.tb.Store().Value(rid, spec.PKCol()); err != nil {
-					return sum, err
-				}
+			var want []float64
+			for _, row := range engine.SplitRows(rows, len(spec.Columns()), nil) {
+				want = append(want, row[spec.PKCol()])
 			}
 			slices.Sort(want)
 			if !slices.Equal(a.pks, want) {
@@ -467,7 +467,7 @@ func Fig24Disk(cfg Config) error {
 		fr[hermit.PhaseTRSTree]*100, fr[hermit.PhaseHostIndex]*100, fr[hermit.PhaseBaseTable]*100)
 	fmt.Fprintf(cfg.Out, "hermit counts: candidates=%d rows=%d page reads=%d (%.2f per candidate)\n",
 		total.candidates, len(total.pks), total.pageReads, float64(total.pageReads)/float64(max(total.candidates, 1)))
-	fmt.Fprintf(cfg.Out, "exact: %d/%d cold answers per table equal Table.RangeQuery, hermit rows = baseline rows\n",
+	fmt.Fprintf(cfg.Out, "exact: %d/%d cold answers per table equal Table.Exec, hermit rows = baseline rows\n",
 		coldQueries*len(appSelectivities), coldQueries*len(appSelectivities))
 	return nil
 }
@@ -565,7 +565,7 @@ func Fig26Outliers(cfg Config) error {
 	bad := 0
 	for i := 0; i < 50; i++ {
 		q := gen()
-		rids, _, err := tb.RangeQuery(spec.HighCol(0), q.Lo, q.Hi)
+		_, qs, err := tb.Exec(engine.Query{Col: spec.HighCol(0), Lo: q.Lo, Hi: q.Hi, Path: engine.PathHermit}, nil)
 		if err != nil {
 			return err
 		}
@@ -576,7 +576,7 @@ func Fig26Outliers(cfg Config) error {
 			}
 			return true
 		})
-		if len(rids) != want {
+		if qs.Rows != want {
 			bad++
 		}
 	}

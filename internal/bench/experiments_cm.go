@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"hermit/internal/cm"
+	"hermit/internal/engine"
 	"hermit/internal/hermit"
 	"hermit/internal/trstree"
 	"hermit/internal/workload"
@@ -41,7 +42,7 @@ func buildCMComparison(cfg Config, fn workload.CorrelationKind, noise, hostBucke
 		return nil, nil, err
 	}
 	run["HERMIT"] = func(lo, hi float64) error {
-		_, _, err := hermitTb.RangeQuery(2, lo, hi)
+		_, _, err := hermitTb.Exec(engine.Query{Col: 2, Lo: lo, Hi: hi, Path: engine.PathHermit}, nil)
 		return err
 	}
 	mem["HERMIT"] = hx.SizeBytes()
@@ -55,7 +56,7 @@ func buildCMComparison(cfg Config, fn workload.CorrelationKind, noise, hostBucke
 		return nil, nil, err
 	}
 	run["Baseline"] = func(lo, hi float64) error {
-		_, _, err := baseTb.RangeQuery(2, lo, hi)
+		_, _, err := baseTb.Exec(engine.Query{Col: 2, Lo: lo, Hi: hi, Path: engine.PathBTree}, nil)
 		return err
 	}
 	mem["Baseline"] = full.SizeBytes()

@@ -80,7 +80,7 @@ func RunDurability(cfg Config) error {
 	// Group commit amortises the fsync across concurrent waiters, so its
 	// throughput scales with the client count where sync-every-op's fsync
 	// cost is paid per drained batch regardless; sweep clients to show it.
-	counts := []int{1, cfg.Concurrency, 8 * cfg.Concurrency}
+	counts := []int{1, maxGoroutines, 8 * maxGoroutines}
 	fmt.Fprintf(cfg.Out, "-- durable insert throughput (batched executor) --\n")
 	fmt.Fprintf(cfg.Out, "%-16s %-12s %14s\n", "sync policy", "clients", "throughput")
 	for _, opts := range []engine.DurableOptions{

@@ -14,7 +14,6 @@ import (
 	"hermit/internal/hermit"
 	"hermit/internal/partition"
 	"hermit/internal/server"
-	"hermit/internal/storage"
 )
 
 // The hotpath experiment measures the allocator cost of the engine's
@@ -121,7 +120,6 @@ func buildHotpathTable(n int) (*engine.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	tb.SetRouting(engine.RouteStatic)
 	for i := 0; i < n; i++ {
 		if _, err := tb.Insert([]float64{float64(i), float64(i) * 0.5}); err != nil {
 			return nil, err
@@ -130,48 +128,49 @@ func buildHotpathTable(n int) (*engine.Table, error) {
 	return tb, nil
 }
 
-// setupHotpathPoint measures a PK point read through the caller-buffer
-// query API — the path the zero-alloc contract covers.
+// setupHotpathPoint measures a PK point read of the whole row into a
+// reused buffer — the path the zero-alloc contract covers.
 func setupHotpathPoint(cfg Config, n int) (func() error, func(), error) {
 	tb, err := buildHotpathTable(n)
 	if err != nil {
 		return nil, nil, err
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed + 11))
-	var dst []storage.RID
+	var dst []float64
 	op := func() error {
-		rids, _, err := tb.PointQueryInto(0, float64(rng.Intn(n)), dst)
+		v := float64(rng.Intn(n))
+		rows, st, err := tb.Exec(engine.Query{Col: 0, Lo: v, Hi: v, Path: engine.PathPrimary}, dst[:0])
 		if err != nil {
 			return err
 		}
-		if len(rids) != 1 {
-			return fmt.Errorf("point read matched %d rows, want 1", len(rids))
+		if st.Rows != 1 {
+			return fmt.Errorf("point read matched %d rows, want 1", st.Rows)
 		}
-		dst = rids
+		dst = rows
 		return nil
 	}
 	return op, func() {}, nil
 }
 
 // setupHotpathRange measures a primary-index range scan spanning
-// hotpathSpan rows, again through the caller-buffer API.
+// hotpathSpan rows, again into a reused buffer.
 func setupHotpathRange(cfg Config, n int) (func() error, func(), error) {
 	tb, err := buildHotpathTable(n)
 	if err != nil {
 		return nil, nil, err
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed + 13))
-	var dst []storage.RID
+	var dst []float64
 	op := func() error {
 		lo := float64(rng.Intn(n - hotpathSpan))
-		rids, _, err := tb.RangeQueryInto(0, lo, lo+hotpathSpan-1, dst)
+		rows, st, err := tb.Exec(engine.Query{Col: 0, Lo: lo, Hi: lo + hotpathSpan - 1, Path: engine.PathPrimary}, dst[:0])
 		if err != nil {
 			return err
 		}
-		if len(rids) != hotpathSpan {
-			return fmt.Errorf("range scan matched %d rows, want %d", len(rids), hotpathSpan)
+		if st.Rows != hotpathSpan {
+			return fmt.Errorf("range scan matched %d rows, want %d", st.Rows, hotpathSpan)
 		}
-		dst = rids
+		dst = rows
 		return nil
 	}
 	return op, func() {}, nil
@@ -239,7 +238,6 @@ func setupHotpathChurn(cfg Config, n int, heap *float64) (func() error, func(), 
 	if err != nil {
 		return nil, nil, err
 	}
-	tb.SetRouting(engine.RouteStatic)
 	keys := make([]float64, n)
 	for i := range keys {
 		keys[i] = float64(i)
@@ -299,7 +297,6 @@ func setupHotpathLogicalRange(cfg Config, n int) (func() error, func(), error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	tb.SetRouting(engine.RouteStatic)
 	// Keys are laid out against the target order, so the keys of one range
 	// are spread over the primary index rather than adjacent in one leaf.
 	stride := 7919 // prime, coprime to every n the experiment uses
@@ -316,17 +313,17 @@ func setupHotpathLogicalRange(cfg Config, n int) (func() error, func(), error) {
 		return nil, nil, err
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed + 31))
-	var dst []storage.RID
+	var dst []float64
 	op := func() error {
 		lo := float64(rng.Intn(n - hotpathSpan))
-		rids, st, err := tb.RangeQueryInto(2, lo, lo+hotpathSpan-1, dst)
+		rows, st, err := tb.Exec(engine.Query{Col: 2, Lo: lo, Hi: lo + hotpathSpan - 1, Path: engine.PathHermit}, dst[:0])
 		if err != nil {
 			return err
 		}
-		if len(rids) != hotpathSpan || st.Path != engine.PathHermit {
-			return fmt.Errorf("logical range matched %d rows via %v, want %d via hermit", len(rids), st.Path, hotpathSpan)
+		if st.Rows != hotpathSpan {
+			return fmt.Errorf("logical range matched %d rows, want %d", st.Rows, hotpathSpan)
 		}
-		dst = rids
+		dst = rows
 		return nil
 	}
 	return op, func() {}, nil
@@ -341,22 +338,23 @@ func setupHotpathPartitioned(cfg Config, n int) (func() error, func(), error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	pt.SetRouting(engine.RouteStatic)
 	for i := 0; i < n; i++ {
 		if _, err := pt.Insert([]float64{float64(i), float64(i) * 0.5}); err != nil {
 			return nil, nil, err
 		}
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed + 17))
+	var dst []float64
 	op := func() error {
 		lo := float64(rng.Intn(n - hotpathSpan))
-		rids, _, err := pt.RangeQuery(0, lo, lo+hotpathSpan-1)
+		rows, st, err := pt.Exec(engine.Query{Col: 0, Lo: lo, Hi: lo + hotpathSpan - 1, Path: engine.PathPrimary}, dst[:0])
 		if err != nil {
 			return err
 		}
-		if len(rids) != hotpathSpan {
-			return fmt.Errorf("partitioned scan matched %d rows, want %d", len(rids), hotpathSpan)
+		if st.Rows != hotpathSpan {
+			return fmt.Errorf("partitioned scan matched %d rows, want %d", st.Rows, hotpathSpan)
 		}
+		dst = rows
 		return nil
 	}
 	return op, func() {}, nil
@@ -415,7 +413,7 @@ func startHotpathServer(cfg Config, create func(d *engine.DurableDB) error) (*cl
 		stop()
 		return nil, nil, err
 	}
-	srv := server.New(d, server.Options{MaxInflight: 4096, QueueDepth: 256, Workers: cfg.Concurrency})
+	srv := server.New(d, server.Options{MaxInflight: 4096, QueueDepth: 256, Workers: maxGoroutines})
 	if err := srv.Start("127.0.0.1:0"); err != nil {
 		stop()
 		return nil, nil, err

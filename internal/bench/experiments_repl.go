@@ -136,7 +136,7 @@ func startReplCluster(cfg Config, dir string, nFollowers int) (*replCluster, err
 		return nil, err
 	}
 	c.lsrv = server.New(c.ld, server.Options{
-		Leader: c.leader, MaxInflight: 4096, QueueDepth: 256, Workers: cfg.Concurrency,
+		Leader: c.leader, MaxInflight: 4096, QueueDepth: 256, Workers: maxGoroutines,
 	})
 	if err := c.lsrv.Start("127.0.0.1:0"); err != nil {
 		return nil, err
@@ -257,7 +257,7 @@ func RunRepl(cfg Config) error {
 	return nil
 }
 
-// measureReplReads spreads cfg.Concurrency cluster clients over the
+// measureReplReads spreads maxGoroutines cluster clients over the
 // first nf follower endpoints for cfg.MeasureFor of point reads.
 func measureReplReads(cfg Config, c *replCluster, nf, rowsN int) (replReadPoint, error) {
 	var (
@@ -278,7 +278,7 @@ func measureReplReads(cfg Config, c *replCluster, nf, rowsN int) (replReadPoint,
 	}
 	addrs := c.followerAddrs(nf)
 	start := time.Now()
-	for w := 0; w < cfg.Concurrency; w++ {
+	for w := 0; w < maxGoroutines; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
@@ -316,7 +316,7 @@ func measureReplReads(cfg Config, c *replCluster, nf, rowsN int) (replReadPoint,
 	el := time.Since(start).Seconds()
 	p := replReadPoint{
 		Followers: nf,
-		Clients:   cfg.Concurrency,
+		Clients:   maxGoroutines,
 		OpsPerSec: float64(totalOps) / el,
 	}
 	p.P50Micros, p.P99Micros, p.P999Micros = quantiles(lats)

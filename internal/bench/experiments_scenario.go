@@ -202,7 +202,7 @@ func runOneScenario(cfg Config, spec *scenario.Spec) (scenarioResult, error) {
 			return scenarioResult{}, err
 		}
 		defer d.Close()
-		srv := server.New(d, server.Options{MaxInflight: 4096, QueueDepth: 256, Workers: cfg.Concurrency})
+		srv := server.New(d, server.Options{MaxInflight: 4096, QueueDepth: 256, Workers: maxGoroutines})
 		if err := srv.Start("127.0.0.1:0"); err != nil {
 			return scenarioResult{}, err
 		}

@@ -101,7 +101,7 @@ func RunServer(cfg Config) error {
 	srv := server.New(d, server.Options{
 		MaxInflight: 4096,
 		QueueDepth:  256,
-		Workers:     cfg.Concurrency,
+		Workers:     maxGoroutines,
 	})
 	if err := srv.Start("127.0.0.1:0"); err != nil {
 		return err
@@ -125,7 +125,7 @@ func RunServer(cfg Config) error {
 		"clients", "mode", "workload", "throughput", "p50", "p99")
 	for _, mode := range []string{"oneshot", "pipelined"} {
 		for _, wl := range []string{"point", "mixed"} {
-			for _, c := range goroutineCounts(cfg.Concurrency) {
+			for _, c := range goroutineCounts() {
 				p, err := measureServing(cfg, addr, c, mode, wl, n)
 				if err != nil {
 					return err

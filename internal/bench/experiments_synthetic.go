@@ -45,11 +45,11 @@ func syntheticRangeFigure(cfg Config, id, title string, fn workload.CorrelationK
 			return err
 		}
 		for _, sel := range rangeSelectivities {
-			h, err := measureRange(cfg, hermitTb, 2, 0, workload.SyntheticSpan, sel)
+			h, err := measureRange(cfg, hermitTb, 2, engine.PathHermit, 0, workload.SyntheticSpan, sel)
 			if err != nil {
 				return err
 			}
-			b, err := measureRange(cfg, baseTb, 2, 0, workload.SyntheticSpan, sel)
+			b, err := measureRange(cfg, baseTb, 2, engine.PathBTree, 0, workload.SyntheticSpan, sel)
 			if err != nil {
 				return err
 			}
@@ -99,7 +99,7 @@ func breakdownFigure(cfg Config, id, title string, useHermit bool) error {
 			}
 		}
 		for _, sel := range rangeSelectivities {
-			fr, err := aggregateBreakdown(tb, 2, 0, workload.SyntheticSpan, sel, 30, cfg.Seed+5)
+			fr, err := aggregateBreakdown(tb, 2, mechanism(useHermit), 0, workload.SyntheticSpan, sel, 30, cfg.Seed+5)
 			if err != nil {
 				return err
 			}
@@ -155,11 +155,11 @@ func pointFigure(cfg Config, id, title string, fn workload.CorrelationKind) erro
 			if _, err := baseTb.CreateBTreeIndex(2, true); err != nil {
 				return err
 			}
-			h, err := measurePoint(cfg, hermitTb, 2, 0, workload.SyntheticSpan)
+			h, err := measurePoint(cfg, hermitTb, 2, engine.PathHermit, 0, workload.SyntheticSpan)
 			if err != nil {
 				return err
 			}
-			b, err := measurePoint(cfg, baseTb, 2, 0, workload.SyntheticSpan)
+			b, err := measurePoint(cfg, baseTb, 2, engine.PathBTree, 0, workload.SyntheticSpan)
 			if err != nil {
 				return err
 			}
@@ -206,7 +206,8 @@ func pointBreakdownFigure(cfg Config, id, title string, useHermit bool) error {
 			gen := workload.PointGen(0, workload.SyntheticSpan, cfg.Seed+3)
 			var total hermit.Breakdown
 			for i := 0; i < 200; i++ {
-				_, st, err := tb.PointQuery(2, gen())
+				v := gen()
+				_, st, err := tb.Exec(engine.Query{Col: 2, Lo: v, Hi: v, Path: mechanism(useHermit)}, nil)
 				if err != nil {
 					return err
 				}
@@ -390,7 +391,6 @@ func buildMultiColumn(cfg Config, rowsN, targets int, makeHermit bool) (*engine.
 	if err != nil {
 		return nil, nil, err
 	}
-	tb.SetRouting(engine.RouteStatic) // figures name their mechanism; see buildSynthetic
 	spec := workload.SyntheticSpec{Rows: rowsN, Fn: workload.Linear, Noise: 0.01, Seed: cfg.Seed}
 	row := make([]float64, len(cols))
 	err = spec.Generate(func(src []float64) error {
@@ -618,11 +618,12 @@ func Fig23Reorg(cfg Config) error {
 			}
 			reorged = "yes"
 		}
+		var rows []float64
 		start := time.Now()
 		ops := 0
 		for time.Since(start) < cfg.MeasureFor {
 			q := gen()
-			if _, _, err := tb.RangeQuery(2, q.Lo, q.Hi); err != nil {
+			if rows, _, err = tb.Exec(engine.Query{Col: 2, Lo: q.Lo, Hi: q.Hi, Path: engine.PathHermit}, rows[:0]); err != nil {
 				return err
 			}
 			ops++

@@ -133,7 +133,7 @@ func RunTxn(cfg Config) error {
 		return err
 	}
 	var idle float64
-	for _, w := range writerCounts(cfg.Concurrency) {
+	for _, w := range writerCounts() {
 		scanOps, writeOps, err := measureScanUnderWrites(cfg, tb, w, n)
 		if err != nil {
 			return err
@@ -163,7 +163,7 @@ func RunTxn(cfg Config) error {
 	if err != nil {
 		return err
 	}
-	for _, g := range goroutineCounts(cfg.Concurrency) {
+	for _, g := range goroutineCounts() {
 		p, err := measureAbortRate(cfg, db2, tb2, g)
 		if err != nil {
 			return err
@@ -199,9 +199,9 @@ func RunTxn(cfg Config) error {
 
 // writerCounts returns the swept writer goroutine counts, always starting
 // at zero (the idle-scan baseline).
-func writerCounts(max int) []int {
+func writerCounts() []int {
 	out := []int{0}
-	for _, g := range goroutineCounts(max) {
+	for _, g := range goroutineCounts() {
 		if g != 0 {
 			out = append(out, g)
 		}
@@ -237,7 +237,7 @@ func measureScanUnderWrites(cfg Config, tb *engine.Table, writers, rowsN int) (f
 		gen := workload.QueryGen(0, workload.SyntheticSpan, 0.01, cfg.Seed+21)
 		for !stop.Load() {
 			q := gen()
-			if _, _, err := tb.RangeQuery(spec.TargetCol(), q.Lo, q.Hi); err != nil {
+			if _, _, err := tb.Exec(engine.Query{Col: spec.TargetCol(), Lo: q.Lo, Hi: q.Hi}, nil); err != nil {
 				recordErr(err)
 				return
 			}
@@ -356,23 +356,21 @@ func measureSnapshotOverhead(cfg Config, tb *engine.Table) (txnSnapshotOverhead,
 	// Warm-up: let the cost planner's per-path feedback converge before
 	// either measurement, so the comparison isolates snapshot registration
 	// rather than planner training order.
-	if _, err := run(func(lo, hi float64) error {
-		_, _, err := tb.RangeQuery(spec.TargetCol(), lo, hi)
+	perQueryRun := func(lo, hi float64) error {
+		_, _, err := tb.Exec(engine.Query{Col: spec.TargetCol(), Lo: lo, Hi: hi}, nil)
 		return err
-	}); err != nil {
+	}
+	if _, err := run(perQueryRun); err != nil {
 		return txnSnapshotOverhead{}, err
 	}
-	perQuery, err := run(func(lo, hi float64) error {
-		_, _, err := tb.RangeQuery(spec.TargetCol(), lo, hi)
-		return err
-	})
+	perQuery, err := run(perQueryRun)
 	if err != nil {
 		return txnSnapshotOverhead{}, err
 	}
 	snap := tb.Snapshot()
 	defer snap.Release()
 	reused, err := run(func(lo, hi float64) error {
-		_, _, err := tb.RangeQueryAt(snap, spec.TargetCol(), lo, hi)
+		_, _, err := tb.Exec(engine.Query{Col: spec.TargetCol(), Lo: lo, Hi: hi, Snap: snap}, nil)
 		return err
 	})
 	if err != nil {

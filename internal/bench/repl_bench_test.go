@@ -17,12 +17,11 @@ func TestReplExperimentSmoke(t *testing.T) {
 	dir := t.TempDir()
 	var out bytes.Buffer
 	cfg := Config{
-		Out:         &out,
-		Scale:       0.001,
-		MeasureFor:  30 * time.Millisecond,
-		Seed:        1,
-		Concurrency: 2,
-		JSONDir:     dir,
+		Out:        &out,
+		Scale:      0.001,
+		MeasureFor: 30 * time.Millisecond,
+		Seed:       1,
+		JSONDir:    dir,
 	}
 	if err := RunRepl(cfg); err != nil {
 		t.Fatal(err)
@@ -53,7 +52,7 @@ func TestReplExperimentSmoke(t *testing.T) {
 		if p.Followers != wantFollowers[i] {
 			t.Fatalf("read point %d covers %d followers, want %d", i, p.Followers, wantFollowers[i])
 		}
-		if p.Clients != cfg.Concurrency || p.OpsPerSec <= 0 {
+		if p.Clients != maxGoroutines || p.OpsPerSec <= 0 {
 			t.Fatalf("read point inconsistent: %+v", p)
 		}
 		if p.P50Micros <= 0 || p.P99Micros < p.P50Micros {

@@ -20,12 +20,11 @@ func TestScenarioExperimentSmoke(t *testing.T) {
 	dir := t.TempDir()
 	var out bytes.Buffer
 	cfg := Config{
-		Out:         &out,
-		Scale:       0.001,
-		MeasureFor:  30 * time.Millisecond,
-		Seed:        1,
-		Concurrency: 2,
-		JSONDir:     dir,
+		Out:        &out,
+		Scale:      0.001,
+		MeasureFor: 30 * time.Millisecond,
+		Seed:       1,
+		JSONDir:    dir,
 	}
 	if err := RunScenarios(cfg); err != nil {
 		t.Fatal(err)
@@ -88,12 +87,11 @@ func TestScenarioExperimentDeterministicHashes(t *testing.T) {
 		dir := t.TempDir()
 		var out bytes.Buffer
 		cfg := Config{
-			Out:         &out,
-			Scale:       0.001,
-			MeasureFor:  30 * time.Millisecond,
-			Seed:        1,
-			Concurrency: 2,
-			JSONDir:     dir,
+			Out:        &out,
+			Scale:      0.001,
+			MeasureFor: 30 * time.Millisecond,
+			Seed:       1,
+			JSONDir:    dir,
 		}
 		if err := RunScenarios(cfg); err != nil {
 			t.Fatal(err)

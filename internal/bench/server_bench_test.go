@@ -17,12 +17,11 @@ func TestServerExperimentSmoke(t *testing.T) {
 	dir := t.TempDir()
 	var out bytes.Buffer
 	cfg := Config{
-		Out:         &out,
-		Scale:       0.001,
-		MeasureFor:  30 * time.Millisecond,
-		Seed:        1,
-		Concurrency: 2,
-		JSONDir:     dir,
+		Out:        &out,
+		Scale:      0.001,
+		MeasureFor: 30 * time.Millisecond,
+		Seed:       1,
+		JSONDir:    dir,
 	}
 	if err := RunServer(cfg); err != nil {
 		t.Fatal(err)
@@ -41,7 +40,7 @@ func TestServerExperimentSmoke(t *testing.T) {
 	if rep.NumCPU <= 0 || rep.GOMAXPROCS <= 0 {
 		t.Fatalf("cpu topology missing: num_cpu=%d gomaxprocs=%d", rep.NumCPU, rep.GOMAXPROCS)
 	}
-	want := 2 * 2 * len(goroutineCounts(cfg.Concurrency))
+	want := 2 * 2 * len(goroutineCounts())
 	if len(rep.Sweep) != want {
 		t.Fatalf("sweep has %d points, want %d", len(rep.Sweep), want)
 	}

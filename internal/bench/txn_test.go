@@ -16,12 +16,11 @@ func TestTxnExperimentSmoke(t *testing.T) {
 	dir := t.TempDir()
 	var out bytes.Buffer
 	cfg := Config{
-		Out:         &out,
-		Scale:       0.001,
-		MeasureFor:  30 * time.Millisecond,
-		Seed:        1,
-		Concurrency: 4,
-		JSONDir:     dir,
+		Out:        &out,
+		Scale:      0.001,
+		MeasureFor: 30 * time.Millisecond,
+		Seed:       1,
+		JSONDir:    dir,
 	}
 	if err := RunTxn(cfg); err != nil {
 		t.Fatal(err)
@@ -37,9 +36,9 @@ func TestTxnExperimentSmoke(t *testing.T) {
 	if rep.Experiment != "txn" || rep.Seed != 1 || rep.Rows <= 0 {
 		t.Fatalf("header garbled: %+v", rep)
 	}
-	if len(rep.ScanUnderWrites) != len(writerCounts(cfg.Concurrency)) {
+	if len(rep.ScanUnderWrites) != len(writerCounts()) {
 		t.Fatalf("scan sweep has %d points, want %d",
-			len(rep.ScanUnderWrites), len(writerCounts(cfg.Concurrency)))
+			len(rep.ScanUnderWrites), len(writerCounts()))
 	}
 	if rep.ScanUnderWrites[0].Writers != 0 || rep.ScanUnderWrites[0].WriteOpsPerSec != 0 {
 		t.Fatalf("idle baseline wrong: %+v", rep.ScanUnderWrites[0])
@@ -52,7 +51,7 @@ func TestTxnExperimentSmoke(t *testing.T) {
 			t.Fatalf("write throughput missing at writers=%d", p.Writers)
 		}
 	}
-	if len(rep.AbortRate) != len(goroutineCounts(cfg.Concurrency)) {
+	if len(rep.AbortRate) != len(goroutineCounts()) {
 		t.Fatalf("abort sweep has %d points", len(rep.AbortRate))
 	}
 	for _, p := range rep.AbortRate {

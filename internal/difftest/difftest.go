@@ -9,8 +9,9 @@
 // bit-identically, comparisons are exact equality, never tolerance-based.
 //
 // The harness runs the same stream against several configurations (see
-// Configs): the in-memory engine under the cost planner and under static
-// routing, the hash-partitioned scatter-gather table, and durable
+// Configs): the in-memory engine, the hash-partitioned scatter-gather
+// table — both also answering every query once per access path the
+// planner lists (Query.Path), on one snapshot — and durable
 // databases — plain and partitioned — that are closed, reopened and
 // checkpointed mid-stream, asserting the recovered state still matches the
 // oracle row for row, and the network serving tier: the same stream
@@ -22,10 +23,10 @@
 package difftest
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 	"slices"
-	"sort"
 
 	"hermit/internal/engine"
 	"hermit/internal/hermit"
@@ -48,9 +49,8 @@ type Config struct {
 
 // Configs lists the differential configurations the harness covers.
 var Configs = []string{
-	"inmem-cost",          // in-memory engine, cost-based planner (default)
-	"inmem-static",        // in-memory engine, fixed static routing
-	"partitioned",         // hash-partitioned scatter-gather table
+	"inmem-cost",          // in-memory engine, cost-based planner, plus every path
+	"partitioned",         // hash-partitioned scatter-gather table, plus every path
 	"durable",             // WAL+checkpoint engine, close/reopen mid-stream
 	"durable-partitioned", // partitioned durable table, close/reopen mid-stream
 	"txn",                 // atomic multi-op batches vs an all-or-nothing oracle (durable)
@@ -158,16 +158,16 @@ func (m *model) update(pk float64, col int, v float64) bool {
 	return true
 }
 
-// query returns the sorted primary keys of rows with lo <= row[col] <= hi.
-func (m *model) query(col int, lo, hi float64) []float64 {
-	var out []float64
-	for pk, row := range m.rows {
+// query returns copies of the rows with lo <= row[col] <= hi, ordered by
+// primary key.
+func (m *model) query(col int, lo, hi float64) [][]float64 {
+	var out [][]float64
+	for _, row := range m.rows {
 		if row[col] >= lo && row[col] <= hi {
-			out = append(out, pk)
+			out = append(out, append([]float64(nil), row...))
 		}
 	}
-	sort.Float64s(out)
-	return out
+	return sortRows(out)
 }
 
 // pick returns a uniformly random live primary key.
@@ -179,13 +179,13 @@ func (m *model) pick(rng *rand.Rand) (float64, bool) {
 }
 
 // system is the real-database side of the comparison. Implementations
-// must report results in oracle vocabulary: sorted matching primary keys
-// for queries, the full live row set for state audits.
+// must report results in oracle vocabulary: the matching rows ordered by
+// primary key for queries, the full live row set for state audits.
 type system interface {
 	insert(row []float64) error
 	remove(pk float64) (bool, error)
 	update(pk float64, col int, v float64) error
-	query(col int, lo, hi float64) ([]float64, error)
+	query(col int, lo, hi float64) ([][]float64, error)
 	state() (map[float64][]float64, error)
 	// cycle is the durability round-trip: optionally checkpoint, then
 	// close and reopen, rebinding handles. Non-durable systems no-op.
@@ -266,6 +266,11 @@ func Run(cfgName string, cfg Config) error {
 				return Failure{Step: step + i, What: err.Error()}
 			}
 		}
+		if ps, ok := sys.(pathSystem); ok && len(acts) == 1 && acts[0].kind == actQuery {
+			if err := checkEveryPath(ps, &acts[0]); err != nil {
+				return Failure{Step: step, What: err.Error()}
+			}
+		}
 		// The cycle follows the burst that crossed its step, so recovery
 		// replays a log whose tail a run wrote.
 		due := false
@@ -333,21 +338,35 @@ type action struct {
 	v      float64   // update
 	lo, hi float64   // query
 
-	wantOK  bool      // insert or update accepted, delete found its key
-	wantPKs []float64 // query
+	wantOK   bool        // insert or update accepted, delete found its key
+	wantRows [][]float64 // query, ordered by primary key
 }
 
 // outcome is what the system made of an action.
 type outcome struct {
 	err   error
-	found bool      // delete
-	pks   []float64 // query, sorted
+	found bool        // delete
+	rows  [][]float64 // query, ordered by primary key
 }
 
 // burstSystem is a system that takes a run of actions at once and answers
 // them in order (the serving tier, through a client pipeline).
 type burstSystem interface {
 	burst(acts []action) ([]outcome, error)
+}
+
+// pathSystem is a system that answers a query once per access path its
+// planner lists as available (Explain), forcing each through Query.Path,
+// all at one snapshot — so every path, not only the one the planner
+// prefers, is held to the oracle after every query step.
+type pathSystem interface {
+	everyPath(col int, lo, hi float64) ([]pathRows, error)
+}
+
+// pathRows is one access path's answer, ordered by primary key.
+type pathRows struct {
+	path engine.AccessPath
+	rows [][]float64
 }
 
 // apply executes one action on the system.
@@ -360,9 +379,24 @@ func apply(sys system, a *action) (o outcome) {
 	case actUpdate:
 		o.err = sys.update(a.pk, a.col, a.v)
 	case actQuery:
-		o.pks, o.err = sys.query(a.col, a.lo, a.hi)
+		o.rows, o.err = sys.query(a.col, a.lo, a.hi)
 	}
 	return o
+}
+
+// checkEveryPath runs a query action on every access path the system lists
+// and compares each answer with the oracle's.
+func checkEveryPath(ps pathSystem, a *action) error {
+	answers, err := ps.everyPath(a.col, a.lo, a.hi)
+	if err != nil {
+		return fmt.Errorf("query col=%d [%v,%v] on every path: %v", a.col, a.lo, a.hi, err)
+	}
+	for _, ans := range answers {
+		if err := sameRows(a.wantRows, ans.rows); err != nil {
+			return fmt.Errorf("query col=%d [%v,%v] via %v: %v", a.col, a.lo, a.hi, ans.path, err)
+		}
+	}
+	return nil
 }
 
 // check compares the system's outcome with the oracle's verdict.
@@ -391,7 +425,7 @@ func (a *action) check(o outcome) error {
 		}
 	case actQuery:
 		if o.err == nil {
-			o.err = samePKs(a.wantPKs, o.pks)
+			o.err = sameRows(a.wantRows, o.rows)
 		}
 		if o.err != nil {
 			return fmt.Errorf("query col=%d [%v,%v]: %v", a.col, a.lo, a.hi, o.err)
@@ -439,7 +473,7 @@ func genAction(rng *rand.Rand, s schema, m *model, nextPK *float64) action {
 			lo = clo + rng.Float64()*(chi-clo)
 			hi = lo + rng.Float64()*rng.Float64()*(chi-clo)
 		}
-		return action{kind: actQuery, col: col, lo: lo, hi: hi, wantPKs: m.query(col, lo, hi)}
+		return action{kind: actQuery, col: col, lo: lo, hi: hi, wantRows: m.query(col, lo, hi)}
 	default: // point query, biased toward the primary key
 		col := 0
 		if rng.Float64() < 0.4 {
@@ -454,7 +488,7 @@ func genAction(rng *rand.Rand, s schema, m *model, nextPK *float64) action {
 			lo, hi := s.valueRange(col)
 			v = lo + rng.Float64()*(hi-lo)
 		}
-		return action{kind: actQuery, col: col, lo: v, hi: v, wantPKs: m.query(col, v, v)}
+		return action{kind: actQuery, col: col, lo: v, hi: v, wantRows: m.query(col, v, v)}
 	}
 }
 
@@ -471,7 +505,7 @@ func hotKeyActions(rng *rand.Rand, s schema, m *model, nextPK *float64) []action
 	lo, hi := s.valueRange(2)
 	v := lo + rng.Float64()*(hi-lo)
 	point := func() action {
-		return action{kind: actQuery, col: 0, lo: pk, hi: pk, wantPKs: m.query(0, pk, pk)}
+		return action{kind: actQuery, col: 0, lo: pk, hi: pk, wantRows: m.query(0, pk, pk)}
 	}
 	return []action{
 		{kind: actInsert, row: first, wantOK: m.insert(first)},
@@ -489,14 +523,22 @@ func pickOrZero(m *model, rng *rand.Rand) float64 {
 	return pk
 }
 
-// samePKs compares two sorted primary-key lists exactly.
-func samePKs(want, got []float64) error {
+// sortRows orders rows by primary key (col 0 in every generated schema)
+// and returns them.
+func sortRows(rows [][]float64) [][]float64 {
+	slices.SortFunc(rows, func(a, b []float64) int { return cmp.Compare(a[0], b[0]) })
+	return rows
+}
+
+// sameRows compares two primary-key-ordered row lists exactly, value for
+// value.
+func sameRows(want, got [][]float64) error {
 	if len(want) != len(got) {
 		return fmt.Errorf("%d rows, oracle %d", len(got), len(want))
 	}
 	for i := range want {
-		if want[i] != got[i] {
-			return fmt.Errorf("row %d: pk %v, oracle %v", i, got[i], want[i])
+		if !slices.Equal(want[i], got[i]) {
+			return fmt.Errorf("row %d: %v, oracle %v", i, got[i], want[i])
 		}
 	}
 	return nil
@@ -537,14 +579,11 @@ func build(cfgName string, cfg Config, s schema) (system, error) {
 		parts = 3
 	}
 	switch cfgName {
-	case "inmem-cost", "inmem-static":
+	case "inmem-cost":
 		db := engine.NewDB(hermit.PhysicalPointers)
 		tb, err := db.CreateTable("t", s.cols, 0)
 		if err != nil {
 			return nil, err
-		}
-		if cfgName == "inmem-static" {
-			tb.SetRouting(engine.RouteStatic)
 		}
 		if _, err := tb.CreateBTreeIndex(1, false); err != nil {
 			return nil, err

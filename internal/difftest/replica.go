@@ -113,12 +113,8 @@ func (s *replicaSystem) update(pk float64, col int, v float64) error {
 	return s.d.UpdateColumn(s.name, pk, col, v)
 }
 
-func (s *replicaSystem) query(col int, lo, hi float64) ([]float64, error) {
-	rids, _, err := s.tb.RangeQuery(col, lo, hi)
-	if err != nil {
-		return nil, err
-	}
-	return ridPKs(s.tb, rids)
+func (s *replicaSystem) query(col int, lo, hi float64) ([][]float64, error) {
+	return tableRows(s.tb, engine.Query{Col: col, Lo: lo, Hi: hi})
 }
 
 // state is the three-way audit: wait for the follower to reach the

@@ -3,7 +3,6 @@ package difftest
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"hermit/internal/client"
 	"hermit/internal/engine"
@@ -56,22 +55,12 @@ func (s *srvSystem) update(pk float64, col int, v float64) error {
 	return s.conn.Update(s.name, pk, col, v)
 }
 
-func (s *srvSystem) query(col int, lo, hi float64) ([]float64, error) {
+func (s *srvSystem) query(col int, lo, hi float64) ([][]float64, error) {
 	rows, err := s.conn.Range(s.name, col, lo, hi)
 	if err != nil {
 		return nil, err
 	}
-	return sortedPKs(rows), nil
-}
-
-// sortedPKs reduces result rows to the oracle's vocabulary.
-func sortedPKs(rows [][]float64) []float64 {
-	out := make([]float64, 0, len(rows))
-	for _, row := range rows {
-		out = append(out, row[0])
-	}
-	sort.Float64s(out)
-	return out
+	return sortRows(rows), nil
 }
 
 // burst sends a run of actions as one client pipeline — independent
@@ -99,7 +88,7 @@ func (s *srvSystem) burst(acts []action) ([]outcome, error) {
 	for i, r := range results {
 		outs[i] = outcome{err: r.Err, found: r.Found}
 		if acts[i].kind == actQuery && r.Err == nil {
-			outs[i].pks = sortedPKs(r.Rows)
+			outs[i].rows = sortRows(r.Rows)
 		}
 	}
 	return outs, nil

@@ -2,7 +2,6 @@ package difftest
 
 import (
 	"fmt"
-	"sort"
 
 	"hermit/internal/engine"
 	"hermit/internal/hermit"
@@ -26,12 +25,22 @@ func (s *memSystem) update(pk float64, col int, v float64) error {
 	return s.tb.UpdateColumn(pk, col, v)
 }
 
-func (s *memSystem) query(col int, lo, hi float64) ([]float64, error) {
-	rids, _, err := s.tb.RangeQuery(col, lo, hi)
+func (s *memSystem) query(col int, lo, hi float64) ([][]float64, error) {
+	return tableRows(s.tb, engine.Query{Col: col, Lo: lo, Hi: hi})
+}
+
+// everyPath runs the predicate once per path the table's plan lists as
+// available, all at one snapshot.
+func (s *memSystem) everyPath(col int, lo, hi float64) ([]pathRows, error) {
+	plan, err := s.tb.Explain(col, lo, hi)
 	if err != nil {
 		return nil, err
 	}
-	return ridPKs(s.tb, rids)
+	snap := s.tb.Snapshot()
+	defer snap.Release()
+	return forEachPath(plan, func(path engine.AccessPath) ([][]float64, error) {
+		return tableRows(s.tb, engine.Query{Col: col, Lo: lo, Hi: hi, Snap: snap, Path: path})
+	})
 }
 
 func (s *memSystem) state() (map[float64][]float64, error) { return tableState(s.tb) }
@@ -39,17 +48,28 @@ func (s *memSystem) state() (map[float64][]float64, error) { return tableState(s
 func (s *memSystem) cycle(bool) error { return nil }
 func (s *memSystem) close() error     { return nil }
 
-// ridPKs maps engine RIDs to sorted primary keys.
-func ridPKs(tb *engine.Table, rids []storage.RID) ([]float64, error) {
-	out := make([]float64, 0, len(rids))
-	for _, rid := range rids {
-		v, err := tb.Store().Value(rid, tb.PKCol())
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, v)
+// tableRows answers q on an engine table, ordered by primary key.
+func tableRows(tb *engine.Table, q engine.Query) ([][]float64, error) {
+	flat, _, err := tb.Exec(q, nil)
+	if err != nil {
+		return nil, err
 	}
-	sort.Float64s(out)
+	return sortRows(engine.SplitRows(flat, len(tb.Columns()), nil)), nil
+}
+
+// forEachPath answers through every path plan lists as available.
+func forEachPath(plan engine.Plan, answer func(engine.AccessPath) ([][]float64, error)) ([]pathRows, error) {
+	var out []pathRows
+	for _, c := range plan.Candidates {
+		if !c.Available {
+			continue
+		}
+		rows, err := answer(c.Path)
+		if err != nil {
+			return nil, fmt.Errorf("via %v: %w", c.Path, err)
+		}
+		out = append(out, pathRows{c.Path, rows})
+	}
 	return out, nil
 }
 
@@ -81,12 +101,23 @@ func (s *partSystem) update(pk float64, col int, v float64) error {
 	return s.pt.UpdateColumn(pk, col, v)
 }
 
-func (s *partSystem) query(col int, lo, hi float64) ([]float64, error) {
-	rids, _, err := s.pt.RangeQuery(col, lo, hi)
+func (s *partSystem) query(col int, lo, hi float64) ([][]float64, error) {
+	return partRows(s.pt, engine.Query{Col: col, Lo: lo, Hi: hi})
+}
+
+// everyPath runs the predicate once per path the executing partitions'
+// plan lists as available (DDL is uniform, so every partition lists the
+// same ones), all at one snapshot.
+func (s *partSystem) everyPath(col int, lo, hi float64) ([]pathRows, error) {
+	plan, err := s.pt.Explain(col, lo, hi)
 	if err != nil {
 		return nil, err
 	}
-	return partPKs(s.pt, rids)
+	snap := s.pt.Snapshot()
+	defer snap.Release()
+	return forEachPath(plan.PerPartition[plan.Part], func(path engine.AccessPath) ([][]float64, error) {
+		return partRows(s.pt, engine.Query{Col: col, Lo: lo, Hi: hi, Snap: snap, Path: path})
+	})
 }
 
 func (s *partSystem) state() (map[float64][]float64, error) { return partState(s.pt) }
@@ -94,18 +125,13 @@ func (s *partSystem) state() (map[float64][]float64, error) { return partState(s
 func (s *partSystem) cycle(bool) error { return nil }
 func (s *partSystem) close() error     { return nil }
 
-// partPKs maps partitioned RIDs to sorted primary keys.
-func partPKs(pt *partition.Table, rids []partition.RID) ([]float64, error) {
-	out := make([]float64, 0, len(rids))
-	for _, r := range rids {
-		row, err := pt.FetchRow(r)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, row[pt.PKCol()])
+// partRows answers q on a partitioned table, ordered by primary key.
+func partRows(pt *partition.Table, q engine.Query) ([][]float64, error) {
+	flat, _, err := pt.Exec(q, nil)
+	if err != nil {
+		return nil, err
 	}
-	sort.Float64s(out)
-	return out, nil
+	return sortRows(engine.SplitRows(flat, len(pt.Columns()), nil)), nil
 }
 
 // partState unions every partition's live rows.
@@ -174,19 +200,12 @@ func (s *durSystem) update(pk float64, col int, v float64) error {
 	return s.d.UpdateColumn(s.name, pk, col, v)
 }
 
-func (s *durSystem) query(col int, lo, hi float64) ([]float64, error) {
+func (s *durSystem) query(col int, lo, hi float64) ([][]float64, error) {
+	q := engine.Query{Col: col, Lo: lo, Hi: hi}
 	if s.parts > 0 {
-		rids, _, err := s.pt.RangeQuery(col, lo, hi)
-		if err != nil {
-			return nil, err
-		}
-		return partPKs(s.pt, rids)
+		return partRows(s.pt, q)
 	}
-	rids, _, err := s.tb.RangeQuery(col, lo, hi)
-	if err != nil {
-		return nil, err
-	}
-	return ridPKs(s.tb, rids)
+	return tableRows(s.tb, q)
 }
 
 func (s *durSystem) state() (map[float64][]float64, error) {

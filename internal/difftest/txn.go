@@ -181,7 +181,7 @@ func runTxn(cfg Config) error {
 		if err != nil {
 			return Failure{step, fmt.Sprintf("range col=%d: %v", col, err)}
 		}
-		if err := samePKs(want, got); err != nil {
+		if err := sameRows(want, got); err != nil {
 			return Failure{step, fmt.Sprintf("range col=%d [%v,%v]: %v", col, qlo, qhi, err)}
 		}
 	}
@@ -230,36 +230,22 @@ func runSnapshotScan(cfg Config) error {
 	go func() {
 		defer wg.Done()
 		for !stop.Load() {
-			snap := pt.Snapshot()
-			rids, _, err := pt.RangeQueryAt(snap, 2, 1, 1) // all marker rows
+			rows, err := partRows(pt, engine.Query{Col: 2, Lo: 1, Hi: 1}) // all marker rows
 			if err != nil {
 				readErr.Store(fmt.Errorf("marker scan: %w", err))
-				snap.Release()
 				return
 			}
-			if len(rids) != markers {
-				readErr.Store(fmt.Errorf("marker scan saw %d rows, want %d", len(rids), markers))
-				snap.Release()
+			if len(rows) != markers {
+				readErr.Store(fmt.Errorf("marker scan saw %d rows, want %d", len(rows), markers))
 				return
 			}
-			var gen float64
-			for i, rid := range rids {
-				row, err := pt.FetchRow(rid)
-				if err != nil {
-					readErr.Store(fmt.Errorf("fetch under snapshot: %w", err))
-					snap.Release()
-					return
-				}
-				if i == 0 {
-					gen = row[1]
-				} else if row[1] != gen {
+			for _, row := range rows {
+				if row[1] != rows[0][1] {
 					readErr.Store(fmt.Errorf(
-						"torn batch observed: marker generations %v and %v in one scan", gen, row[1]))
-					snap.Release()
+						"torn batch observed: marker generations %v and %v in one scan", rows[0][1], row[1]))
 					return
 				}
 			}
-			snap.Release()
 			scans.Add(1)
 		}
 	}()
@@ -310,13 +296,12 @@ func runSnapshotScan(cfg Config) error {
 	}
 	// Final state: every marker carries the last generation.
 	for i := 0; i < markers; i++ {
-		rids, _, err := pt.PointQuery(0, float64(i))
-		if err != nil || len(rids) != 1 {
-			return Failure{Step: -1, What: fmt.Sprintf("marker %d: rids=%d err=%v", i, len(rids), err)}
+		rows, err := partRows(pt, engine.Query{Col: 0, Lo: float64(i), Hi: float64(i)})
+		if err != nil || len(rows) != 1 {
+			return Failure{Step: -1, What: fmt.Sprintf("marker %d: %d rows, err %v", i, len(rows), err)}
 		}
-		row, err := pt.FetchRow(rids[0])
-		if err != nil || row[1] != float64(rounds) {
-			return Failure{Step: -1, What: fmt.Sprintf("marker %d gen=%v, want %d", i, row[1], rounds)}
+		if rows[0][1] != float64(rounds) {
+			return Failure{Step: -1, What: fmt.Sprintf("marker %d gen=%v, want %d", i, rows[0][1], rounds)}
 		}
 	}
 	return nil

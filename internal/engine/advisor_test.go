@@ -13,7 +13,7 @@ func driveQueries(t *testing.T, tb *Table, col, n int) {
 	t.Helper()
 	for i := 0; i < n; i++ {
 		lo := float64(i%40) * 20
-		if _, _, err := tb.RangeQuery(col, lo, lo+10); err != nil {
+		if _, _, err := rowsOf(tb, Query{Col: col, Lo: lo, Hi: lo + 10}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -50,11 +50,11 @@ func TestAdvisorAutoCreatesHermitInMemory(t *testing.T) {
 	if plan.Chosen != PathHermit {
 		t.Fatalf("planner chose %v after auto-create\n%+v", plan.Chosen, plan.Candidates)
 	}
-	rids, st, err := tb.RangeQuery(2, 100, 140)
+	rids, st, err := rowsOf(tb, Query{Col: 2, Lo: 100, Hi: 140})
 	if err != nil || st.Path != PathHermit {
 		t.Fatalf("query path %v err %v", st.Path, err)
 	}
-	if !sameRIDs(rids, expected(tb, 2, 100, 140)) {
+	if !sameRows(rids, expected(tb, 2, 100, 140)) {
 		t.Fatal("auto-indexed results wrong")
 	}
 }
@@ -132,11 +132,11 @@ func TestAdvisorDurableEndToEnd(t *testing.T) {
 	if tb.IndexOn(2) != KindHermit {
 		t.Fatalf("after reopen col 2 served by %v", tb.IndexOn(2))
 	}
-	rids, st, err := tb.RangeQuery(2, 100, 140)
+	rids, st, err := rowsOf(tb, Query{Col: 2, Lo: 100, Hi: 140})
 	if err != nil || st.Path != PathHermit {
 		t.Fatalf("after reopen: path %v err %v", st.Path, err)
 	}
-	if !sameRIDs(rids, want) {
+	if !sameRows(rids, want) {
 		t.Fatal("after reopen: results wrong")
 	}
 

@@ -5,19 +5,18 @@ import (
 	"testing"
 
 	"hermit/internal/hermit"
-	"hermit/internal/storage"
 )
 
 // Allocation regression guards for the hot paths. The zero-alloc contract
 // is part of the engine's performance surface (see ARCHITECTURE.md "Hot
-// paths & allocation discipline"): a PK point read with a reused result
-// buffer, a warm snapshot read, an auto-commit update and a delete must not
-// allocate at steady state. testing.AllocsPerRun under the race detector counts
-// the detector's own bookkeeping, so the guards skip under -race.
+// paths & allocation discipline"): an Exec of a PK point or an exact-path
+// range into a reused row buffer, a warm snapshot read, an auto-commit
+// update and a delete must not allocate at steady state. testing.AllocsPerRun
+// under the race detector counts the detector's own bookkeeping, so the
+// guards skip under -race.
 
-// guardTable builds a small two-column table with static routing (the
-// planner's sampled latency clock reads are fine, but static routing keeps
-// the guard focused on the execution path).
+// guardTable builds a small two-column table; its queries go through the
+// planner, which picks the primary index for the key column.
 func guardTable(t testing.TB, n int) *Table {
 	t.Helper()
 	db := NewDB(hermit.PhysicalPointers)
@@ -25,7 +24,6 @@ func guardTable(t testing.TB, n int) *Table {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tb.SetRouting(RouteStatic)
 	row := make([]float64, 2)
 	for i := 0; i < n; i++ {
 		row[0], row[1] = float64(i), float64(i%97)
@@ -50,18 +48,19 @@ func measureAllocs(t *testing.T, runs int, fn func()) float64 {
 
 func TestPointReadZeroAllocs(t *testing.T) {
 	tb := guardTable(t, 4096)
-	dst := make([]storage.RID, 0, 8)
+	dst := make([]float64, 0, 8)
 	i := 0
 	allocs := measureAllocs(t, 200, func() {
 		i = (i*31 + 17) % 4096
+		v := float64(i)
 		var err error
-		dst, _, err = tb.PointQueryInto(0, float64(i), dst)
-		if err != nil || len(dst) != 1 {
-			t.Fatalf("point read: %v rows=%d", err, len(dst))
+		dst, _, err = tb.Exec(Query{Col: 0, Lo: v, Hi: v}, dst[:0])
+		if err != nil || len(dst) != 2 || dst[0] != v {
+			t.Fatalf("point read: %v row=%v", err, dst)
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("PK point read allocates %.2f/op, want 0", allocs)
+		t.Fatalf("PK point Exec allocates %.2f/op, want 0", allocs)
 	}
 }
 
@@ -69,18 +68,19 @@ func TestWarmSnapshotReadZeroAllocs(t *testing.T) {
 	tb := guardTable(t, 4096)
 	snap := tb.clock.Snapshot()
 	defer snap.Release()
-	dst := make([]storage.RID, 0, 8)
+	dst := make([]float64, 0, 8)
 	i := 0
 	allocs := measureAllocs(t, 200, func() {
 		i = (i*31 + 17) % 4096
+		v := float64(i)
 		var err error
-		dst, _, err = tb.PointQueryAtInto(snap, 0, float64(i), dst)
-		if err != nil || len(dst) != 1 {
-			t.Fatalf("snapshot read: %v rows=%d", err, len(dst))
+		dst, _, err = tb.Exec(Query{Col: 0, Lo: v, Hi: v, Snap: snap}, dst[:0])
+		if err != nil || len(dst) != 2 || dst[0] != v {
+			t.Fatalf("snapshot read: %v row=%v", err, dst)
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("warm PointQueryAtInto allocates %.2f/op, want 0", allocs)
+		t.Fatalf("warm Exec at a held snapshot allocates %.2f/op, want 0", allocs)
 	}
 }
 
@@ -89,28 +89,29 @@ func TestWarmSnapshotReadZeroAllocs(t *testing.T) {
 // incidentals, and today there are none.
 func TestRangeReadIntoSteadyState(t *testing.T) {
 	tb := guardTable(t, 4096)
-	dst := make([]storage.RID, 0, 64)
+	dst := make([]float64, 0, 64)
 	lo := 0.0
 	allocs := measureAllocs(t, 200, func() {
 		lo += 13
 		if lo > 4000 {
 			lo = 0
 		}
+		var st QueryStats
 		var err error
-		dst, _, err = tb.RangeQueryInto(0, lo, lo+31, dst)
-		if err != nil {
-			t.Fatal(err)
+		dst, st, err = tb.Exec(Query{Col: 0, Lo: lo, Hi: lo + 31}, dst[:0])
+		if err != nil || st.Path != PathPrimary || len(dst) != 2*32 {
+			t.Fatalf("range read: err=%v path=%v values=%d", err, st.Path, len(dst))
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("warm RangeQueryInto allocates %.2f/op, want 0", allocs)
+		t.Fatalf("warm range Exec allocates %.2f/op, want 0", allocs)
 	}
 }
 
 // TestHermitRangeReadIntoSteadyState pins the paper's headline path: a
 // Hermit range query harvests TRS-Tree ranges, host-index identifiers and
-// candidate RIDs into pooled scratch, so with a carried dst it allocates
-// nothing — under either pointer scheme.
+// candidate RIDs into pooled scratch and copies the rows into the carried
+// dst, so it allocates nothing — under either pointer scheme.
 func TestHermitRangeReadIntoSteadyState(t *testing.T) {
 	for _, scheme := range []hermit.PointerScheme{hermit.PhysicalPointers, hermit.LogicalPointers} {
 		db := NewDB(scheme)
@@ -118,7 +119,6 @@ func TestHermitRangeReadIntoSteadyState(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tb.SetRouting(RouteStatic)
 		for i := 0; i < 4096; i++ {
 			host := 2*float64(i) + 100
 			if i%100 == 0 {
@@ -134,7 +134,7 @@ func TestHermitRangeReadIntoSteadyState(t *testing.T) {
 		if _, err := tb.CreateHermitIndex(2, 1); err != nil {
 			t.Fatal(err)
 		}
-		dst := make([]storage.RID, 0, 64)
+		dst := make([]float64, 0, 3*64)
 		lo := 0.0
 		allocs := measureAllocs(t, 200, func() {
 			lo += 13
@@ -143,13 +143,13 @@ func TestHermitRangeReadIntoSteadyState(t *testing.T) {
 			}
 			var st QueryStats
 			var err error
-			dst, st, err = tb.RangeQueryInto(2, lo, lo+31, dst)
-			if err != nil || st.Path != PathHermit || len(dst) != 32 {
-				t.Fatalf("%v: hermit range read: err=%v path=%v rows=%d", scheme, err, st.Path, len(dst))
+			dst, st, err = tb.Exec(Query{Col: 2, Lo: lo, Hi: lo + 31, Path: PathHermit}, dst[:0])
+			if err != nil || st.Rows != 32 || len(dst) != 3*32 {
+				t.Fatalf("%v: hermit range read: err=%v rows=%d values=%d", scheme, err, st.Rows, len(dst))
 			}
 		})
 		if allocs != 0 {
-			t.Fatalf("%v: warm Hermit RangeQueryInto allocates %.2f/op, want 0", scheme, allocs)
+			t.Fatalf("%v: warm Hermit range Exec allocates %.2f/op, want 0", scheme, allocs)
 		}
 	}
 }

@@ -111,55 +111,44 @@ func (t *Table) CompositeHermit(aCol, mCol int) *hermit.CompositeIndex {
 	return t.compositeHermits[colPair{aCol, mCol}]
 }
 
-// RangeQuery2 answers the conjunctive predicate
+// lookup2Locked is Lookup's two-column case,
 //
-//	aLo <= aCol <= aHi AND bLo <= bCol <= bHi
+//	q.Lo <= q.Col <= q.Hi AND q.And.Lo <= q.And.Col <= q.And.Hi,
 //
-// through the best available two-column access path: a composite Hermit
-// index on (aCol, bCol), a complete composite index, or a single-column
-// plan on whichever column has an index (fetch + residual filter), falling
-// back to a table scan.
-func (t *Table) RangeQuery2(aCol int, aLo, aHi float64, bCol int, bLo, bHi float64) ([]storage.RID, QueryStats, error) {
-	snap := t.clock.Snapshot()
-	defer snap.Release()
-	return t.RangeQuery2At(snap, aCol, aLo, aHi, bCol, bLo, bHi)
-}
-
-// RangeQuery2At is RangeQuery2 reading at the caller's snapshot.
-// Composite indexes are physical-pointer-only, so candidates are version
-// RIDs and visibility filters them directly.
-func (t *Table) RangeQuery2At(snap *Snapshot, aCol int, aLo, aHi float64, bCol int, bLo, bHi float64) ([]storage.RID, QueryStats, error) {
-	if aCol < 0 || aCol >= len(t.cols) || bCol < 0 || bCol >= len(t.cols) {
-		return nil, QueryStats{}, ErrNoSuchColumn
+// with t.catalog held shared. Under PathAuto a composite Hermit index on
+// (Col, And.Col) serves it, else a complete composite index; otherwise —
+// and whenever q.Path is set — the first predicate runs on its own path and
+// And filters the visible versions it returns (version rows are immutable,
+// so the check is exact). Composite indexes are physical-pointer-only, so
+// their candidates are version RIDs and visibility filters them directly.
+func (t *Table) lookup2Locked(q Query, dst []storage.RID) ([]storage.RID, QueryStats, error) {
+	key, and := colPair{q.Col, q.And.Col}, *q.And
+	if q.Path == PathAuto {
+		if hx, ok := t.compositeHermits[key]; ok {
+			// The composite Hermit lookup traverses its self-latching TRS-Tree
+			// plus the hosting composite B+-tree, which is engine-latched.
+			hostMu := t.compositeMu.get(colPair{q.Col, t.compositeHostOf[key]})
+			hostMu.RLock()
+			res := hx.Lookup(q.Lo, q.Hi, and.Lo, and.Hi)
+			hostMu.RUnlock()
+			rids := t.filterVersions(q.Snap, res.RIDs, res.RIDs[:0]) // owned: filter in place
+			return rids, QueryStats{
+				Kind: KindHermit, Path: PathHermit, Rows: len(rids),
+				Candidates: res.Candidates, Breakdown: res.Breakdown,
+			}, nil
+		}
+		if tr, ok := t.composites[key]; ok {
+			return t.compositeBaseline(q.Snap, tr, t.compositeMu.get(key), q.Lo, q.Hi, and.Lo, and.Hi)
+		}
 	}
-	t.catalog.RLock()
-	defer t.catalog.RUnlock()
-	if hx, ok := t.compositeHermits[colPair{aCol, bCol}]; ok {
-		// The composite Hermit lookup traverses its self-latching TRS-Tree
-		// plus the hosting composite B+-tree, which is engine-latched.
-		hostMu := t.compositeMu.get(colPair{aCol, t.compositeHostOf[colPair{aCol, bCol}]})
-		hostMu.RLock()
-		res := hx.Lookup(aLo, aHi, bLo, bHi)
-		hostMu.RUnlock()
-		rids := t.filterVersions(snap, res.RIDs, res.RIDs[:0]) // owned: filter in place
-		return rids, QueryStats{
-			Kind: KindHermit, Rows: len(rids),
-			Candidates: res.Candidates, Breakdown: res.Breakdown,
-		}, nil
-	}
-	if tr, ok := t.composites[colPair{aCol, bCol}]; ok {
-		return t.compositeBaseline(snap, tr, t.compositeMu.get(colPair{aCol, bCol}), aLo, aHi, bLo, bHi)
-	}
-	// Single-column plan with residual filter (version rows are immutable,
-	// so the residual check against the returned visible versions is exact).
-	rids, st, err := t.rangeQueryLocked(snap, aCol, aLo, aHi)
+	rids, st, err := t.lookupLocked(q, dst)
 	if err != nil {
 		return nil, st, err
 	}
 	out := rids[:0]
 	for _, rid := range rids {
-		v, err := t.store.Value(rid, bCol)
-		if err == nil && v >= bLo && v <= bHi {
+		v, err := t.store.Value(rid, and.Col)
+		if err == nil && v >= and.Lo && v <= and.Hi {
 			out = append(out, rid)
 		}
 	}
@@ -170,7 +159,7 @@ func (t *Table) RangeQuery2At(snap *Snapshot, aCol int, aLo, aHi float64, bCol i
 // compositeBaseline is the conventional composite-index plan; mu is the
 // scanned composite index's latch.
 func (t *Table) compositeBaseline(snap *Snapshot, tr *btree.CompositeTree, mu *sync.RWMutex, aLo, aHi, bLo, bHi float64) ([]storage.RID, QueryStats, error) {
-	st := QueryStats{Kind: KindBTree}
+	st := QueryStats{Kind: KindBTree, Path: PathBTree}
 	profile := t.profile.Load()
 	var t0 time.Time
 	if profile {

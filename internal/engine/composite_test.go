@@ -2,7 +2,6 @@ package engine
 
 import (
 	"math/rand"
-	"sort"
 	"testing"
 
 	"hermit/internal/hermit"
@@ -37,11 +36,11 @@ func newStockHistory(t testing.TB, n int, seed int64) *Table {
 	return tb
 }
 
-func expected2(tb *Table, aCol int, aLo, aHi float64, bCol int, bLo, bHi float64) []storage.RID {
-	var out []storage.RID
-	tb.Store().Scan(func(rid storage.RID, row []float64) bool {
+func expected2(tb *Table, aCol int, aLo, aHi float64, bCol int, bLo, bHi float64) [][]float64 {
+	var out [][]float64
+	tb.ScanLive(func(_ storage.RID, row []float64) bool {
 		if row[aCol] >= aLo && row[aCol] <= aHi && row[bCol] >= bLo && row[bCol] <= bHi {
-			out = append(out, rid)
+			out = append(out, append([]float64(nil), row...))
 		}
 		return true
 	})
@@ -64,18 +63,18 @@ func TestCompositeEngineRunningExample(t *testing.T) {
 		spLo := 100 + rng.Float64()*400
 		spHi := spLo + rng.Float64()*100
 		want := expected2(tbH, 0, aLo, aHi, 2, spLo, spHi)
-		rh, sh, err := tbH.RangeQuery2(0, aLo, aHi, 2, spLo, spHi)
+		rh, sh, err := rowsOf(tbH, Query{Col: 0, Lo: aLo, Hi: aHi, And: &Pred{Col: 2, Lo: spLo, Hi: spHi}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		rb, sb, err := tbB.RangeQuery2(0, aLo, aHi, 2, spLo, spHi)
+		rb, sb, err := rowsOf(tbB, Query{Col: 0, Lo: aLo, Hi: aHi, And: &Pred{Col: 2, Lo: spLo, Hi: spHi}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !sameRIDs(rh, want) {
+		if !sameRows(rh, want) {
 			t.Fatalf("composite hermit wrong for TIME[%v,%v] SP[%v,%v]", aLo, aHi, spLo, spHi)
 		}
-		if !sameRIDs(rb, want) {
+		if !sameRows(rb, want) {
 			t.Fatal("composite baseline wrong")
 		}
 		if sh.Kind != KindHermit || sb.Kind != KindBTree {
@@ -113,7 +112,7 @@ func TestCompositeEngineErrors(t *testing.T) {
 	if _, err := tb.CreateCompositeHermitIndex(0, 2, 1); err != ErrDupIndex {
 		t.Fatal(err)
 	}
-	if _, _, err := tb.RangeQuery2(99, 0, 1, 0, 0, 1); err != ErrNoSuchColumn {
+	if _, _, err := rowsOf(tb, Query{Col: 99, Lo: 0, Hi: 1, And: &Pred{Col: 0, Lo: 0, Hi: 1}}); err != ErrNoSuchColumn {
 		t.Fatal(err)
 	}
 	// Logical-pointer DB rejects composite indexes.
@@ -132,14 +131,14 @@ func TestRangeQuery2SingleColumnFallback(t *testing.T) {
 	// No composite index on (0, 3): falls back to the TIME index plus a
 	// residual filter on VOL.
 	tb := newStockHistory(t, 3000, 4)
-	rids, st, err := tb.RangeQuery2(0, 100, 200, 3, 0, 5e5)
+	rids, st, err := rowsOf(tb, Query{Col: 0, Lo: 100, Hi: 200, And: &Pred{Col: 3, Lo: 0, Hi: 5e5}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st.Kind != KindPrimary {
 		t.Fatalf("fallback kind=%v", st.Kind)
 	}
-	if !sameRIDs(rids, expected2(tb, 0, 100, 200, 3, 0, 5e5)) {
+	if !sameRows(rids, expected2(tb, 0, 100, 200, 3, 0, 5e5)) {
 		t.Fatal("fallback results wrong")
 	}
 }
@@ -154,28 +153,22 @@ func TestCompositeMaintenanceThroughEngine(t *testing.T) {
 	if _, err := tb.Insert(row); err != nil {
 		t.Fatal(err)
 	}
-	rids, _, err := tb.RangeQuery2(0, 99999, 99999, 2, 375, 375)
+	rids, _, err := rowsOf(tb, Query{Col: 0, Lo: 99999, Hi: 99999, And: &Pred{Col: 2, Lo: 375, Hi: 375}})
 	if err != nil || len(rids) != 1 {
 		t.Fatalf("inserted row not found: %v %v", rids, err)
 	}
 	if ok, err := tb.Delete(99999); err != nil || !ok {
 		t.Fatalf("delete: %v %v", ok, err)
 	}
-	rids, _, err = tb.RangeQuery2(0, 99999, 99999, 2, 375, 375)
+	rids, _, err = rowsOf(tb, Query{Col: 0, Lo: 99999, Hi: 99999, And: &Pred{Col: 2, Lo: 375, Hi: 375}})
 	if err != nil || len(rids) != 0 {
 		t.Fatalf("deleted row visible: %v %v", rids, err)
 	}
-	// Order check on the composite scan output.
-	rids, _, err = tb.RangeQuery2(0, 0, 2000, 2, 0, 1e9)
+	rids, _, err = rowsOf(tb, Query{Col: 0, Lo: 0, Hi: 2000, And: &Pred{Col: 2, Lo: 0, Hi: 1e9}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sort.SliceIsSorted(rids, func(a, b int) bool { return rids[a] < rids[b] }) {
-		// Hermit output is sorted by RID after dedup; baseline by key. Both
-		// are fine — just ensure exactness.
-		t.Log("composite hermit output not RID-sorted (acceptable)")
-	}
-	if !sameRIDs(rids, expected2(tb, 0, 0, 2000, 2, 0, 1e9)) {
+	if !sameRows(rids, expected2(tb, 0, 0, 2000, 2, 0, 1e9)) {
 		t.Fatal("full-range composite query wrong after maintenance")
 	}
 }

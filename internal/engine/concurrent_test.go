@@ -71,7 +71,7 @@ func TestConcurrentReadersAndWriters(t *testing.T) {
 				switch r % 3 {
 				case 0:
 					pk := float64(int(pointGen()))
-					rids, st, err := tb.PointQuery(spec.PKCol(), pk)
+					rids, st, err := rowsOf(tb, Query{Col: spec.PKCol(), Lo: pk, Hi: pk})
 					if err != nil {
 						fail("point query: %v", err)
 						return
@@ -88,7 +88,7 @@ func TestConcurrentReadersAndWriters(t *testing.T) {
 					}
 				default:
 					q := hermitGen()
-					_, st, err := tb.RangeQuery(spec.TargetCol(), q.Lo, q.Hi)
+					_, st, err := rowsOf(tb, Query{Col: spec.TargetCol(), Lo: q.Lo, Hi: q.Hi})
 					if err != nil {
 						fail("hermit range query: %v", err)
 						return
@@ -143,7 +143,7 @@ func TestConcurrentReadersAndWriters(t *testing.T) {
 		base := float64(rows + w*opsPerGoro)
 		for i := 1; i < opsPerGoro; i += 2 {
 			pk := base + float64(i)
-			rids, _, err := tb.PointQuery(spec.PKCol(), pk)
+			rids, _, err := rowsOf(tb, Query{Col: spec.PKCol(), Lo: pk, Hi: pk})
 			if err != nil {
 				t.Fatalf("post-check pk %v: %v", pk, err)
 			}
@@ -155,26 +155,17 @@ func TestConcurrentReadersAndWriters(t *testing.T) {
 }
 
 // checkBTreeRange runs a range query that the complete B+-tree on col must
-// serve and checks every returned row against the predicate. The rows are
-// read under the snapshot the query ran at: once it is released, a
-// writer's commit may reclaim a returned version and reuse its slot for
-// another row.
+// serve and checks every returned row against the predicate.
 func checkBTreeRange(tb *Table, col int, lo, hi float64) error {
-	snap := tb.clock.Snapshot()
-	defer snap.Release()
-	rids, st, err := tb.RangeQueryAt(snap, col, lo, hi)
+	rows, st, err := rowsOf(tb, Query{Col: col, Lo: lo, Hi: hi})
 	if err != nil {
 		return err
 	}
 	if st.Kind != KindBTree {
 		return fmt.Errorf("column %d served by %v, want btree", col, st.Kind)
 	}
-	for _, rid := range rids {
-		v, err := tb.Store().Value(rid, col)
-		if err != nil {
-			return err
-		}
-		if v < lo || v > hi {
+	for _, row := range rows {
+		if v := row[col]; v < lo || v > hi {
 			return fmt.Errorf("returned %v outside [%v, %v]", v, lo, hi)
 		}
 	}
@@ -194,28 +185,19 @@ func TestExecuteBatchMatchesSerial(t *testing.T) {
 		if i%3 == 0 {
 			col = spec.PKCol()
 		}
-		ops = append(ops, Op{Kind: OpRange, Col: col, Lo: q.Lo, Hi: q.Hi})
+		ops = append(ops, Op{Kind: OpQuery, Query: Query{Col: col, Lo: q.Lo, Hi: q.Hi}})
 	}
 	parallel := tb.ExecuteBatch(ops, 8)
 	for i, op := range ops {
-		rids, _, err := tb.RangeQuery(op.Col, op.Lo, op.Hi)
+		rows, _, err := rowsOf(tb, op.Query)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if parallel[i].Err != nil {
 			t.Fatalf("op %d: %v", i, parallel[i].Err)
 		}
-		got := make(map[uint64]bool, len(parallel[i].RIDs))
-		for _, rid := range parallel[i].RIDs {
-			got[uint64(rid)] = true
-		}
-		if len(parallel[i].RIDs) != len(rids) {
-			t.Fatalf("op %d: parallel %d rids, serial %d", i, len(parallel[i].RIDs), len(rids))
-		}
-		for _, rid := range rids {
-			if !got[uint64(rid)] {
-				t.Fatalf("op %d: missing rid %v", i, rid)
-			}
+		if got := SplitRows(parallel[i].Rows, len(tb.cols), nil); !sameRows(got, rows) {
+			t.Fatalf("op %d: parallel %d rows, serial %d, or different rows", i, len(got), len(rows))
 		}
 	}
 }
@@ -242,14 +224,14 @@ func TestExecuteBatchMixed(t *testing.T) {
 		case 0:
 			ops = append(ops, Op{Table: name, Kind: OpInsert, Row: []float64{float64(1000 + i), 1}})
 		case 1:
-			ops = append(ops, Op{Table: name, Kind: OpPoint, Col: 0, Lo: float64(i)})
+			ops = append(ops, Op{Table: name, Kind: OpQuery, Query: Query{Col: 0, Lo: float64(i), Hi: float64(i)}})
 		case 2:
 			ops = append(ops, Op{Table: name, Kind: OpUpdate, PK: float64(i), Col: 1, Value: -1})
 		default:
 			ops = append(ops, Op{Table: name, Kind: OpDelete, PK: float64(90 + i%10)})
 		}
 	}
-	ops = append(ops, Op{Table: "missing", Kind: OpPoint, Col: 0, Lo: 1})
+	ops = append(ops, Op{Table: "missing", Kind: OpQuery, Query: Query{Col: 0, Lo: 1, Hi: 1}})
 	results := db.ExecuteBatch(ops, 4)
 	for i, op := range ops {
 		r := results[i]
@@ -262,14 +244,14 @@ func TestExecuteBatchMixed(t *testing.T) {
 		if r.Err != nil {
 			t.Fatalf("op %d (%v on %s): %v", i, op.Kind, op.Table, r.Err)
 		}
-		if op.Kind == OpPoint && len(r.RIDs) != 1 {
-			t.Fatalf("op %d: point query found %d rows", i, len(r.RIDs))
+		if op.Kind == OpQuery && r.Stats.Rows != 1 {
+			t.Fatalf("op %d: point query found %d rows", i, r.Stats.Rows)
 		}
 	}
 	// Inserted rows are queryable afterwards.
 	for i := 0; i < 50; i += 4 {
 		tb, _ := db.Table([]string{"a", "b"}[i%2])
-		rids, _, err := tb.PointQuery(0, float64(1000+i))
+		rids, _, err := rowsOf(tb, Query{Col: 0, Lo: float64(1000 + i), Hi: float64(1000 + i)})
 		if err != nil || len(rids) != 1 {
 			t.Fatalf("inserted pk %d: rids=%d err=%v", 1000+i, len(rids), err)
 		}
@@ -287,8 +269,8 @@ func TestExecuteBatchMalformedOps(t *testing.T) {
 		t.Fatal(err)
 	}
 	results := tb.ExecuteBatch([]Op{
-		{Kind: OpInsert, Row: []float64{7, 8}},     // valid, but aborted below
-		{Kind: OpRange, Col: 99, Lo: 0, Hi: 1},     // bad column: per-op query error
+		{Kind: OpInsert, Row: []float64{7, 8}},        // valid, but aborted below
+		{Kind: OpQuery, Query: Query{Col: 99, Hi: 1}}, // bad column: per-op query error
 		{Kind: OpInsert},                           // nil row: aborts the txn
 		{Kind: OpInsert, Row: []float64{1}},        // never attempted
 		{Kind: OpUpdate, PK: 7, Col: 99, Value: 0}, // never attempted
@@ -305,7 +287,7 @@ func TestExecuteBatchMalformedOps(t *testing.T) {
 	if errors.Is(results[2].Err, ErrTxnAborted) {
 		t.Fatalf("failing op should carry its own error, got ErrTxnAborted")
 	}
-	if rids, _, err := tb.PointQuery(0, 7); err != nil || len(rids) != 0 {
+	if rids, _, err := rowsOf(tb, Query{Col: 0, Lo: 7, Hi: 7}); err != nil || len(rids) != 0 {
 		t.Fatalf("aborted batch leaked a row: rids=%d err=%v", len(rids), err)
 	}
 	// The same valid insert in a clean batch applies.
@@ -313,7 +295,7 @@ func TestExecuteBatchMalformedOps(t *testing.T) {
 	if clean[0].Err != nil {
 		t.Fatalf("clean batch: %v", clean[0].Err)
 	}
-	if rids, _, err := tb.PointQuery(0, 7); err != nil || len(rids) != 1 {
+	if rids, _, err := rowsOf(tb, Query{Col: 0, Lo: 7, Hi: 7}); err != nil || len(rids) != 1 {
 		t.Fatalf("clean batch not applied: rids=%d err=%v", len(rids), err)
 	}
 }
@@ -330,11 +312,11 @@ func TestQueryConcurrentAcrossIndexes(t *testing.T) {
 		q := gen()
 		switch i % 3 {
 		case 0:
-			reqs = append(reqs, Op{Kind: OpRange, Col: spec.PKCol(), Lo: q.Lo, Hi: q.Hi})
+			reqs = append(reqs, Op{Kind: OpQuery, Query: Query{Col: spec.PKCol(), Lo: q.Lo, Hi: q.Hi}})
 		case 1:
-			reqs = append(reqs, Op{Kind: OpRange, Col: spec.HostCol(), Lo: 2*q.Lo + 100, Hi: 2*q.Hi + 100})
+			reqs = append(reqs, Op{Kind: OpQuery, Query: Query{Col: spec.HostCol(), Lo: 2*q.Lo + 100, Hi: 2*q.Hi + 100}})
 		default:
-			reqs = append(reqs, Op{Kind: OpRange, Col: spec.TargetCol(), Lo: q.Lo, Hi: q.Hi})
+			reqs = append(reqs, Op{Kind: OpQuery, Query: Query{Col: spec.TargetCol(), Lo: q.Lo, Hi: q.Hi}})
 		}
 	}
 	for _, workers := range []int{1, 4, 16} {
@@ -381,7 +363,7 @@ func TestConcurrentInsertDuplicateKeys(t *testing.T) {
 		t.Fatalf("table has %d rows, want %d", tb.Len(), keys)
 	}
 	for k := 0; k < keys; k++ {
-		rids, _, err := tb.PointQuery(0, float64(k))
+		rids, _, err := rowsOf(tb, Query{Col: 0, Lo: float64(k), Hi: float64(k)})
 		if err != nil || len(rids) != 1 {
 			t.Fatalf("key %d: rids=%d err=%v", k, len(rids), err)
 		}
@@ -432,7 +414,7 @@ func TestHermitHostLatchBoundAtCreation(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 300; i++ {
-			if _, _, err := tb.RangeQuery(1, 100, 200); err != nil {
+			if _, _, err := rowsOf(tb, Query{Col: 1, Lo: 100, Hi: 200}); err != nil {
 				t.Errorf("hermit lookup: %v", err)
 				return
 			}
@@ -459,15 +441,15 @@ func TestUpdatePrimaryKeyRejected(t *testing.T) {
 	if err := tb.UpdateColumn(5, 0, 5); err == nil {
 		t.Fatal("same-value pk update accepted; rejection should be unconditional")
 	}
-	rids, _, err := tb.PointQuery(0, 5)
+	rids, _, err := rowsOf(tb, Query{Col: 0, Lo: 5, Hi: 5})
 	if err != nil || len(rids) != 1 {
 		t.Fatalf("row lost after rejected pk update: rids=%d err=%v", len(rids), err)
 	}
 }
 
 // TestUpdateMaintainsCompositeIndexes: UpdateColumn must reindex composite
-// B+-trees and composite Hermit indexes on either component, so RangeQuery2
-// neither returns stale entries nor misses moved rows.
+// B+-trees and composite Hermit indexes on either component, so a
+// two-column query neither returns stale entries nor misses moved rows.
 func TestUpdateMaintainsCompositeIndexes(t *testing.T) {
 	db := NewDB(hermit.PhysicalPointers)
 	tb, err := db.CreateTable("t", []string{"id", "a", "n", "m"}, 0)
@@ -491,20 +473,20 @@ func TestUpdateMaintainsCompositeIndexes(t *testing.T) {
 	if err := tb.UpdateColumn(100, 2, 9000); err != nil {
 		t.Fatal(err)
 	}
-	if rids, _, err := tb.RangeQuery2(1, 10, 10, 2, 200, 200); err != nil || len(rids) != 0 {
+	if rids, _, err := rowsOf(tb, Query{Col: 1, Lo: 10, Hi: 10, And: &Pred{Col: 2, Lo: 200, Hi: 200}}); err != nil || len(rids) != 0 {
 		t.Fatalf("stale composite entry after n update: rids=%d err=%v", len(rids), err)
 	}
-	if rids, _, err := tb.RangeQuery2(1, 10, 10, 2, 9000, 9000); err != nil || len(rids) != 1 {
+	if rids, _, err := rowsOf(tb, Query{Col: 1, Lo: 10, Hi: 10, And: &Pred{Col: 2, Lo: 9000, Hi: 9000}}); err != nil || len(rids) != 1 {
 		t.Fatalf("moved row not found via composite: rids=%d err=%v", len(rids), err)
 	}
 	// Move row 200's leading component a: 20 -> 777.
 	if err := tb.UpdateColumn(200, 1, 777); err != nil {
 		t.Fatal(err)
 	}
-	if rids, _, err := tb.RangeQuery2(1, 20, 20, 2, 400, 400); err != nil || len(rids) != 0 {
+	if rids, _, err := rowsOf(tb, Query{Col: 1, Lo: 20, Hi: 20, And: &Pred{Col: 2, Lo: 400, Hi: 400}}); err != nil || len(rids) != 0 {
 		t.Fatalf("stale composite entry after a update: rids=%d err=%v", len(rids), err)
 	}
-	if rids, _, err := tb.RangeQuery2(1, 777, 777, 2, 400, 400); err != nil || len(rids) != 1 {
+	if rids, _, err := rowsOf(tb, Query{Col: 1, Lo: 777, Hi: 777, And: &Pred{Col: 2, Lo: 400, Hi: 400}}); err != nil || len(rids) != 1 {
 		t.Fatalf("moved row not found after a update: rids=%d err=%v", len(rids), err)
 	}
 	// Move row 300's composite-Hermit target m: 601 -> 5555; the (a, m)
@@ -512,10 +494,10 @@ func TestUpdateMaintainsCompositeIndexes(t *testing.T) {
 	if err := tb.UpdateColumn(300, 3, 5555); err != nil {
 		t.Fatal(err)
 	}
-	if rids, _, err := tb.RangeQuery2(1, 30, 30, 3, 601, 601); err != nil || len(rids) != 0 {
+	if rids, _, err := rowsOf(tb, Query{Col: 1, Lo: 30, Hi: 30, And: &Pred{Col: 3, Lo: 601, Hi: 601}}); err != nil || len(rids) != 0 {
 		t.Fatalf("stale composite hermit result: rids=%d err=%v", len(rids), err)
 	}
-	if rids, _, err := tb.RangeQuery2(1, 30, 30, 3, 5555, 5555); err != nil || len(rids) != 1 {
+	if rids, _, err := rowsOf(tb, Query{Col: 1, Lo: 30, Hi: 30, And: &Pred{Col: 3, Lo: 5555, Hi: 5555}}); err != nil || len(rids) != 1 {
 		t.Fatalf("moved target not found via composite hermit: rids=%d err=%v", len(rids), err)
 	}
 }
@@ -542,7 +524,7 @@ func TestConcurrentHermitReorg(t *testing.T) {
 			default:
 			}
 			q := gen()
-			if _, _, err := tb.RangeQuery(spec.TargetCol(), q.Lo, q.Hi); err != nil {
+			if _, _, err := rowsOf(tb, Query{Col: spec.TargetCol(), Lo: q.Lo, Hi: q.Hi}); err != nil {
 				t.Errorf("lookup during reorg: %v", err)
 				return
 			}

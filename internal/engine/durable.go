@@ -1072,7 +1072,7 @@ func (d *DurableDB) submit(op *Op, res *OpResult) wal.Ticket {
 	switch op.Kind {
 	case OpInsert:
 		rec.Op = wal.OpInsert
-		if res.RID, res.Err = tb.Insert(op.Row); res.Err == nil {
+		if res.rid, res.Err = tb.Insert(op.Row); res.Err == nil {
 			rec.Payload = appendFloats(scratch[:0], op.Row...)
 		}
 	case OpDelete:
@@ -1147,7 +1147,7 @@ func (d *DurableDB) applyOne(op Op) (res OpResult) {
 // Insert validates+applies a row insert, then logs it.
 func (d *DurableDB) Insert(table string, row []float64) (storage.RID, error) {
 	res := d.applyOne(Op{Kind: OpInsert, Table: table, Row: row})
-	return res.RID, res.Err
+	return res.rid, res.Err
 }
 
 // Delete validates+applies a delete by primary key, then logs it. A delete

@@ -3,6 +3,7 @@ package engine
 import (
 	"maps"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -68,8 +69,8 @@ func TestDurableConcurrentMutations(t *testing.T) {
 		go func() {
 			defer readers.Done()
 			reqs := []Op{
-				{Table: "syn", Kind: OpRange, Col: 2, Lo: 100, Hi: 200},
-				{Table: "syn", Kind: OpRange, Col: 1, Lo: 300, Hi: 500},
+				{Table: "syn", Kind: OpQuery, Query: Query{Col: 2, Lo: 100, Hi: 200}},
+				{Table: "syn", Kind: OpQuery, Query: Query{Col: 1, Lo: 300, Hi: 500}},
 			}
 			for {
 				select {
@@ -112,10 +113,10 @@ func TestDurableConcurrentMutations(t *testing.T) {
 		t.Fatalf("recovered %d rows, want %d", tb2.Len(), wantLen)
 	}
 	// Spot-check an update and a delete survived.
-	if rids, _, err := tb2.PointQuery(0, 10_000); err != nil || len(rids) != 1 {
+	if rids, _, err := rowsOf(tb2, Query{Col: 0, Lo: 10_000, Hi: 10_000}); err != nil || len(rids) != 1 {
 		t.Fatalf("updated key lost: %v %v", rids, err)
 	}
-	if rids, _, err := tb2.PointQuery(0, 10_020); err != nil || len(rids) != 0 {
+	if rids, _, err := rowsOf(tb2, Query{Col: 0, Lo: 10_020, Hi: 10_020}); err != nil || len(rids) != 0 {
 		t.Fatalf("deleted key resurrected: %v %v", rids, err)
 	}
 }
@@ -225,18 +226,13 @@ func TestDurableMixedBatchAcrossTables(t *testing.T) {
 		{Table: "a", Kind: OpInsert, Row: []float64{1, 10}},
 		{Table: "b", Kind: OpInsert, Row: []float64{1, 20}},
 		{Table: "a", Kind: OpInsert, Row: []float64{2, 30}},
-		{Table: "missing", Kind: OpRange, Col: 0, Lo: 0, Hi: 1},
+		{Table: "missing", Kind: OpQuery, Query: Query{Col: 0, Lo: 0, Hi: 1}},
 	}
 	res := d.ExecuteBatch(ops, 4)
 	for i := 0; i < 3; i++ {
 		if res[i].Err != nil {
 			t.Fatalf("op %d: %v", i, res[i].Err)
 		}
-	}
-	// Committed inserts report the RID their version landed at.
-	tbA, _ := d.Table("a")
-	if v, err := tbA.Store().Value(res[0].RID, 1); err != nil || v != 10 {
-		t.Fatalf("insert RID not reported: val=%v err=%v", v, err)
 	}
 	if res[3].Err == nil {
 		t.Fatal("query on missing table accepted")
@@ -249,19 +245,20 @@ func TestDurableMixedBatchAcrossTables(t *testing.T) {
 	if bad[0].Err == nil || bad[1].Err == nil {
 		t.Fatalf("batch with missing-table mutation not aborted: %v %v", bad[0].Err, bad[1].Err)
 	}
-	probe := d.ExecuteBatch([]Op{{Table: "a", Kind: OpPoint, Col: 0, Lo: 50}}, 1)[0]
-	if probe.Err != nil || len(probe.RIDs) != 0 {
-		t.Fatalf("aborted durable batch leaked a row: %d err=%v", len(probe.RIDs), probe.Err)
+	probe := d.ExecuteBatch([]Op{{Table: "a", Kind: OpQuery, Query: Query{Col: 0, Lo: 50, Hi: 50}}}, 1)[0]
+	if probe.Err != nil || len(probe.Rows) != 0 {
+		t.Fatalf("aborted durable batch leaked a row: %v err=%v", probe.Rows, probe.Err)
 	}
 	// Queries in a batch see the tables.
 	qres := d.ExecuteBatch([]Op{
-		{Table: "a", Kind: OpRange, Col: 0, Lo: 0, Hi: 10},
-		{Table: "b", Kind: OpPoint, Col: 0, Lo: 1},
+		{Table: "a", Kind: OpQuery, Query: Query{Col: 0, Lo: 0, Hi: 10}},
+		{Table: "b", Kind: OpQuery, Query: Query{Col: 0, Lo: 1, Hi: 1}},
 	}, 2)
-	if qres[0].Err != nil || len(qres[0].RIDs) != 2 {
+	// Committed inserts are whole rows in the answers.
+	if qres[0].Err != nil || !slices.Equal(qres[0].Rows, []float64{1, 10, 2, 30}) {
 		t.Fatalf("query a: %v", qres[0])
 	}
-	if qres[1].Err != nil || len(qres[1].RIDs) != 1 {
+	if qres[1].Err != nil || !slices.Equal(qres[1].Rows, []float64{1, 20}) {
 		t.Fatalf("query b: %v", qres[1])
 	}
 	if err := d.Close(); err != nil {

@@ -104,10 +104,10 @@ func verifyCrashDB(t *testing.T, d *DurableDB, ctx string) {
 	if tb.IndexOn(2) != KindHermit {
 		t.Fatalf("%s: hermit index not rebuilt", ctx)
 	}
-	if rids, _, err := tb.PointQuery(0, 42); err != nil || len(rids) != 0 {
+	if rids, _, err := rowsOf(tb, Query{Col: 0, Lo: 42, Hi: 42}); err != nil || len(rids) != 0 {
 		t.Fatalf("%s: deleted row resurrected: %v %v", ctx, rids, err)
 	}
-	if rids, _, err := tb.RangeQuery(2, 1234.5, 1234.5); err != nil || len(rids) != 1 {
+	if rids, _, err := rowsOf(tb, Query{Col: 2, Lo: 1234.5, Hi: 1234.5}); err != nil || len(rids) != 1 {
 		t.Fatalf("%s: updated row wrong: %v %v", ctx, rids, err)
 	}
 }
@@ -284,15 +284,15 @@ func verifyCompactDB(t *testing.T, d *DurableDB, ctx string) {
 	if tb.Len() != 89 {
 		t.Fatalf("%s: %d rows, want 89", ctx, tb.Len())
 	}
-	if rids, _, err := tb.PointQuery(0, 5); err != nil || len(rids) != 0 {
+	if rids, _, err := rowsOf(tb, Query{Col: 0, Lo: 5, Hi: 5}); err != nil || len(rids) != 0 {
 		t.Fatalf("%s: tombstoned row resurrected: %v %v", ctx, rids, err)
 	}
 	// pk 60 was written only by the last checkpoint (ck=3): value 3.
-	rids, _, err := tb.PointQuery(0, 60)
+	rids, _, err := rowsOf(tb, Query{Col: 0, Lo: 60, Hi: 60})
 	if err != nil || len(rids) != 1 {
 		t.Fatalf("%s: pk 60: %v %v", ctx, rids, err)
 	}
-	if v, _ := tb.Store().Value(rids[0], 1); v != 3 {
+	if v := rids[0][1]; v != 3 {
 		t.Fatalf("%s: pk 60 v=%v, want 3", ctx, v)
 	}
 }
@@ -420,7 +420,7 @@ func TestCheckpointBoundedStall(t *testing.T) {
 	}
 	defer d2.Close()
 	tb, _ := d2.Table("syn")
-	if rids, _, err := tb.PointQuery(0, 9000); err != nil || len(rids) != 1 {
+	if rids, _, err := rowsOf(tb, Query{Col: 0, Lo: 9000, Hi: 9000}); err != nil || len(rids) != 1 {
 		t.Fatalf("insert overlapping checkpoint lost: %v %v", rids, err)
 	}
 }
@@ -469,7 +469,7 @@ func TestDurableDuplicatePKDoesNotPoisonWAL(t *testing.T) {
 	if tb.Len() != 2 {
 		t.Fatalf("recovered %d rows, want 2", tb.Len())
 	}
-	rids, _, err := tb.PointQuery(1, 10)
+	rids, _, err := rowsOf(tb, Query{Col: 1, Lo: 10, Hi: 10})
 	if err != nil || len(rids) != 1 {
 		t.Fatalf("first insert's value lost: %v %v", rids, err)
 	}
@@ -533,7 +533,7 @@ func TestDurableTornTailThenMoreWrites(t *testing.T) {
 		t.Fatalf("recovered %d rows, want 69 (post-tear writes shadowed behind the torn tail)", tb3.Len())
 	}
 	for _, pk := range []float64{0, 48, 100, 119} {
-		if rids, _, err := tb3.PointQuery(0, pk); err != nil || len(rids) != 1 {
+		if rids, _, err := rowsOf(tb3, Query{Col: 0, Lo: pk, Hi: pk}); err != nil || len(rids) != 1 {
 			t.Fatalf("pk %v lost: %v %v", pk, rids, err)
 		}
 	}

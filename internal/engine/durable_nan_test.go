@@ -289,3 +289,91 @@ func TestCompactErrorSurfacedInStats(t *testing.T) {
 		t.Fatalf("CompactErrors = %d, want the counter to persist at 1", st.CompactErrors)
 	}
 }
+
+// TestNaNPrimaryKeyTxn: a transaction's write buffer keys by bit pattern
+// too. A NaN key buffered by one insert is found again by the next — a
+// second NaN insert is a duplicate, a delete after the insert cancels it —
+// and Commit applies it instead of losing it (a float64-keyed buffer made
+// Commit dereference a missing entry and panic).
+func TestNaNPrimaryKeyTxn(t *testing.T) {
+	db := NewDB(hermit.PhysicalPointers)
+	tb, err := db.CreateTable("t", []string{"k", "v"}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nan := math.NaN()
+	x := db.Begin()
+	if err := x.Insert(tb, []float64{nan, 1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := x.Insert(tb, []float64{nan, 2}); !errors.Is(err, ErrDupKey) {
+		t.Fatalf("second NaN insert in one txn: got %v, want ErrDupKey", err)
+	}
+	if row, ok, err := x.Get(tb, nan); err != nil || !ok || row[1] != 1 {
+		t.Fatalf("read-your-writes of a NaN key: %v %v %v", row, ok, err)
+	}
+	if _, err := x.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	rows, _, err := tb.Exec(Query{Col: 0, Lo: nan, Hi: nan, Path: PathPrimary}, nil)
+	if err != nil || len(rows) != 2 || !math.IsNaN(rows[0]) || rows[1] != 1 {
+		t.Fatalf("committed NaN row: %v err=%v", rows, err)
+	}
+
+	// Insert then delete in one transaction: nothing is applied.
+	other := math.Float64frombits(math.Float64bits(nan) ^ 1) // another NaN payload
+	x = db.Begin()
+	if err := x.Insert(tb, []float64{other, 5}); err != nil {
+		t.Fatal(err)
+	}
+	if found, err := x.Delete(tb, other); err != nil || !found {
+		t.Fatalf("delete of the NaN key the txn inserted: found=%v err=%v", found, err)
+	}
+	if _, err := x.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if tb.Len() != 1 {
+		t.Fatalf("Len = %d after insert+delete of a second NaN key, want 1", tb.Len())
+	}
+}
+
+// TestNaNPrimaryKeyDurableBatch: an atomic batch inserting a NaN key — the
+// path a wire batch frame takes — commits, is logged and survives reopen.
+func TestNaNPrimaryKeyDurableBatch(t *testing.T) {
+	dir := t.TempDir()
+	d, err := OpenDurable(dir, hermit.PhysicalPointers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.CreateTable("t", []string{"k", "v"}, 0); err != nil {
+		t.Fatal(err)
+	}
+	nan := math.NaN()
+	res := d.ExecuteBatch([]Op{
+		{Table: "t", Kind: OpInsert, Row: []float64{nan, 1}},
+		{Table: "t", Kind: OpInsert, Row: []float64{7, 2}},
+	}, 1)
+	for i, r := range res {
+		if r.Err != nil {
+			t.Fatalf("op %d: %v", i, r.Err)
+		}
+	}
+	if res := d.ExecuteBatch([]Op{{Table: "t", Kind: OpInsert, Row: []float64{nan, 3}}}, 1); !errors.Is(res[0].Err, ErrDupKey) {
+		t.Fatalf("duplicate NaN insert by batch: %v, want ErrDupKey", res[0].Err)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	d, err = OpenDurable(dir, hermit.PhysicalPointers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	tb, err := d.Table("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tb.Len() != 2 {
+		t.Fatalf("reopened: %d rows, want 2", tb.Len())
+	}
+}

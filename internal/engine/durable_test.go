@@ -38,7 +38,7 @@ func snapshotResults(t *testing.T, tb *Table) map[[2]float64]int {
 	t.Helper()
 	out := map[[2]float64]int{}
 	for _, q := range [][2]float64{{0, 100}, {250, 300}, {500, 501}, {900, 1000}} {
-		rids, _, err := tb.RangeQuery(2, q[0], q[1])
+		rids, _, err := rowsOf(tb, Query{Col: 2, Lo: q[0], Hi: q[1]})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -127,7 +127,7 @@ func TestDurableCheckpointPlusTail(t *testing.T) {
 		}
 	}
 	// The update must be visible.
-	rids, _, err := tb2.RangeQuery(2, 777.5, 777.5)
+	rids, _, err := rowsOf(tb2, Query{Col: 2, Lo: 777.5, Hi: 777.5})
 	if err != nil || len(rids) != 1 {
 		t.Fatalf("updated row not recovered: %v %v", rids, err)
 	}
@@ -171,7 +171,7 @@ func TestDurableTornTailIgnored(t *testing.T) {
 	if tb.IndexOn(2) != KindHermit {
 		t.Fatal("index DDL before the torn record lost")
 	}
-	rids, _, err := tb.PointQuery(0, 99999)
+	rids, _, err := rowsOf(tb, Query{Col: 0, Lo: 99999, Hi: 99999})
 	if err != nil || len(rids) != 0 {
 		t.Fatalf("torn insert visible: %v %v", rids, err)
 	}
@@ -231,7 +231,7 @@ func TestDurableCompositeIndexRecovery(t *testing.T) {
 	if tb.CompositeHermit(0, 2) == nil {
 		t.Fatal("composite hermit not rebuilt")
 	}
-	rids, _, err := tb.RangeQuery2(0, 100, 200, 2, 0, 1e9)
+	rids, _, err := rowsOf(tb, Query{Col: 0, Lo: 100, Hi: 200, And: &Pred{Col: 2, Lo: 0, Hi: 1e9}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +275,7 @@ func TestApplyEachSameKeyRun(t *testing.T) {
 		{Kind: OpInsert, Row: []float64{7, 4, 4}},
 		{Kind: OpUpdate, PK: 7, Col: 2, Value: 5},
 		{Kind: OpInsert, Row: []float64{8, 0, 0}},
-		{Kind: OpPoint, Col: 0, Lo: 7}, // not a mutation: fails alone
+		{Kind: OpQuery, Query: Query{Col: 0, Lo: 7, Hi: 7}}, // not a mutation: fails alone
 	}
 	wantErr := []bool{false, false, true, false, false, true, false, false, false, true}
 	want := [][]float64{{7, 4, 5}, {8, 0, 0}}

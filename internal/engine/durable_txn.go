@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"hermit/internal/storage"
 	"hermit/internal/wal"
 )
 
@@ -22,7 +21,6 @@ type DurableTxn struct {
 	x    *Txn
 	recs []wal.Record // mutation records, in buffer order
 	pks  []float64    // the d.rows stripe keys Commit must hold
-	res  CommitResult // where the committed writes landed (after Commit)
 	done bool
 }
 
@@ -34,10 +32,6 @@ func (d *DurableDB) Begin() *DurableTxn {
 
 // Snapshot returns the transaction's read snapshot (see Txn.Snapshot).
 func (tx *DurableTxn) Snapshot() *Snapshot { return tx.x.Snapshot() }
-
-// Result reports where a committed transaction's writes landed (the zero
-// value before Commit succeeds).
-func (tx *DurableTxn) Result() CommitResult { return tx.res }
 
 // route resolves the engine table, partition id and primary key a
 // mutation op targets, like DurableDB.submit.
@@ -164,13 +158,14 @@ func (tx *DurableTxn) submitCommit() (wal.Ticket, error) {
 			d.rows.stripes[stripes[i]].Unlock()
 		}
 	}()
-	res, err := tx.x.Commit()
-	if err != nil {
+	if _, err := tx.x.Commit(); err != nil {
 		return wal.Ticket{}, err
 	}
-	tx.res = res
 	id := d.txnSeq.Add(1)
-	var tk wal.Ticket
+	var (
+		tk  wal.Ticket
+		err error
+	)
 	submit := func(rec wal.Record) {
 		if err == nil {
 			rec.Txn = id
@@ -200,12 +195,3 @@ func (d *DurableDB) ExecuteBatch(ops []Op, workers int) []OpResult {
 
 // table finds the engine table a batch query names (tableTxn).
 func (tx *DurableTxn) table(op Op) (*Table, error) { return tx.d.db.Table(op.Table) }
-
-// inserted reports the RID of a committed insert's row (tableTxn).
-func (tx *DurableTxn) inserted(op Op) storage.RID {
-	tb, _, pk, err := tx.route(&op)
-	if err != nil {
-		return 0
-	}
-	return tx.res.RIDs[tb][pk]
-}

@@ -222,7 +222,6 @@ type Table struct {
 	// paths (see planner.go) and read by the planner and the advisor.
 	runtime []colRuntime
 	writes  atomic.Uint64
-	routing atomic.Int32 // RoutingMode; RouteCost by default
 	// Table-wide latency calibration (planner.go): EWMAs of observed
 	// nanoseconds and of the model cost across all timed queries. The
 	// global ratio anchors per-path calibration so a path that has never

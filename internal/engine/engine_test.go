@@ -1,10 +1,11 @@
 package engine
 
 import (
+	"cmp"
 	"errors"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -51,33 +52,36 @@ func newSynthetic(t testing.TB, scheme hermit.PointerScheme, n int, fn func(floa
 	return db, tb
 }
 
+// rowsOf runs q through Exec and views the answer one slice per row.
+func rowsOf(tb *Table, q Query) ([][]float64, QueryStats, error) {
+	flat, st, err := tb.Exec(q, nil)
+	return SplitRows(flat, len(tb.cols), nil), st, err
+}
+
 // expected computes the ground truth by scanning the live rows (the raw
 // store also holds superseded/deleted versions awaiting GC).
-func expected(tb *Table, col int, lo, hi float64) []storage.RID {
-	var out []storage.RID
-	tb.ScanLive(func(rid storage.RID, row []float64) bool {
+func expected(tb *Table, col int, lo, hi float64) [][]float64 {
+	var out [][]float64
+	tb.ScanLive(func(_ storage.RID, row []float64) bool {
 		if v := row[col]; v >= lo && v <= hi {
-			out = append(out, rid)
+			out = append(out, append([]float64(nil), row...))
 		}
 		return true
 	})
 	return out
 }
 
-func sameRIDs(a, b []storage.RID) bool {
+// sameRows reports whether a and b hold the same rows, in any order.
+func sameRows(a, b [][]float64) bool {
 	if len(a) != len(b) {
 		return false
 	}
-	as := append([]storage.RID(nil), a...)
-	bs := append([]storage.RID(nil), b...)
-	sort.Slice(as, func(i, j int) bool { return as[i] < as[j] })
-	sort.Slice(bs, func(i, j int) bool { return bs[i] < bs[j] })
-	for i := range as {
-		if as[i] != bs[i] {
-			return false
-		}
+	byPK := func(rows [][]float64) [][]float64 {
+		rows = slices.Clone(rows)
+		slices.SortFunc(rows, func(x, y []float64) int { return cmp.Compare(x[0], y[0]) })
+		return rows
 	}
-	return true
+	return slices.EqualFunc(byPK(a), byPK(b), slices.Equal[[]float64])
 }
 
 func TestCreateTableValidation(t *testing.T) {
@@ -141,19 +145,19 @@ func TestHermitVsBaselineSameResults(t *testing.T) {
 		for trial := 0; trial < 25; trial++ {
 			lo := rng.Float64() * 1000
 			hi := lo + rng.Float64()*80
-			rh, sh, err := tbH.RangeQuery(2, lo, hi)
+			rh, sh, err := rowsOf(tbH, Query{Col: 2, Lo: lo, Hi: hi})
 			if err != nil {
 				t.Fatal(err)
 			}
-			rb, sb, err := tbB.RangeQuery(2, lo, hi)
+			rb, sb, err := rowsOf(tbB, Query{Col: 2, Lo: lo, Hi: hi})
 			if err != nil {
 				t.Fatal(err)
 			}
 			want := expected(tbH, 2, lo, hi)
-			if !sameRIDs(rh, want) {
+			if !sameRows(rh, want) {
 				t.Fatalf("%v hermit wrong for [%v,%v]", scheme, lo, hi)
 			}
-			if !sameRIDs(rb, want) {
+			if !sameRows(rb, want) {
 				t.Fatalf("%v baseline wrong for [%v,%v]", scheme, lo, hi)
 			}
 			if sh.Rows != len(want) || sb.Rows != len(want) {
@@ -166,33 +170,33 @@ func TestHermitVsBaselineSameResults(t *testing.T) {
 func TestQueryRouting(t *testing.T) {
 	_, tb := newSynthetic(t, hermit.PhysicalPointers, 5000, linearFn, 0.01, 3)
 	// Primary-key routing.
-	rids, st, err := tb.RangeQuery(0, 10, 20)
+	rids, st, err := rowsOf(tb, Query{Col: 0, Lo: 10, Hi: 20})
 	if err != nil || st.Kind != KindPrimary {
 		t.Fatalf("pk routing kind=%v err=%v", st.Kind, err)
 	}
-	if !sameRIDs(rids, expected(tb, 0, 10, 20)) {
+	if !sameRows(rids, expected(tb, 0, 10, 20)) {
 		t.Fatal("pk results")
 	}
 	// Unindexed column falls back to a scan.
-	rids, st, err = tb.RangeQuery(3, 0.1, 0.2)
+	rids, st, err = rowsOf(tb, Query{Col: 3, Lo: 0.1, Hi: 0.2})
 	if err != nil || st.Kind != KindNone {
 		t.Fatalf("scan routing kind=%v err=%v", st.Kind, err)
 	}
-	if !sameRIDs(rids, expected(tb, 3, 0.1, 0.2)) {
+	if !sameRows(rids, expected(tb, 3, 0.1, 0.2)) {
 		t.Fatal("scan results")
 	}
 	// Host column uses its complete index.
-	_, st, err = tb.RangeQuery(1, 200, 400)
+	_, st, err = rowsOf(tb, Query{Col: 1, Lo: 200, Hi: 400})
 	if err != nil || st.Kind != KindBTree {
 		t.Fatalf("host routing kind=%v err=%v", st.Kind, err)
 	}
 	// Out-of-range column.
-	if _, _, err := tb.RangeQuery(99, 0, 1); err != ErrNoSuchColumn {
+	if _, _, err := rowsOf(tb, Query{Col: 99, Lo: 0, Hi: 1}); err != ErrNoSuchColumn {
 		t.Fatalf("want ErrNoSuchColumn, got %v", err)
 	}
 	// Point query.
 	pk := 1234.0
-	rids, _, err = tb.PointQuery(0, pk)
+	rids, _, err = rowsOf(tb, Query{Col: 0, Lo: pk, Hi: pk})
 	if err != nil || len(rids) != 1 {
 		t.Fatalf("point query: %v %v", rids, err)
 	}
@@ -236,11 +240,11 @@ func TestHermitOnPrimaryHost(t *testing.T) {
 		t.Fatal(err)
 	}
 	lo, hi := 3000.0, 3300.0
-	rids, _, err := tb.RangeQuery(1, lo, hi)
+	rids, _, err := rowsOf(tb, Query{Col: 1, Lo: lo, Hi: hi})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sameRIDs(rids, expected(tb, 1, lo, hi)) {
+	if !sameRows(rids, expected(tb, 1, lo, hi)) {
 		t.Fatal("primary-hosted hermit wrong")
 	}
 	// Logical pointers cannot host on the primary index.
@@ -269,8 +273,8 @@ func TestCreateIndexAuto(t *testing.T) {
 	if kind != KindBTree {
 		t.Fatalf("uncorrelated column built %v, want btree", kind)
 	}
-	rids, _, err := tb.RangeQuery(3, 0.2, 0.4)
-	if err != nil || !sameRIDs(rids, expected(tb, 3, 0.2, 0.4)) {
+	rids, _, err := rowsOf(tb, Query{Col: 3, Lo: 0.2, Hi: 0.4})
+	if err != nil || !sameRows(rids, expected(tb, 3, 0.2, 0.4)) {
 		t.Fatal("auto btree results wrong")
 	}
 }
@@ -290,11 +294,11 @@ func TestDeleteMaintainsAllIndexes(t *testing.T) {
 	if ok, err := tb.Delete(999999); err != nil || ok {
 		t.Fatalf("delete missing: ok=%v err=%v", ok, err)
 	}
-	rids, _, err := tb.RangeQuery(2, 0, 1000)
+	rids, _, err := rowsOf(tb, Query{Col: 2, Lo: 0, Hi: 1000})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sameRIDs(rids, expected(tb, 2, 0, 1000)) {
+	if !sameRows(rids, expected(tb, 2, 0, 1000)) {
 		t.Fatal("results wrong after deletes")
 	}
 	if tb.Len() != 5000-1667 {
@@ -323,15 +327,15 @@ func TestUpdateColumnPaths(t *testing.T) {
 	if err := tb.UpdateColumn(1e9, 1, 0); err == nil {
 		t.Fatal("update of missing pk succeeded")
 	}
-	rids, _, err := tb.RangeQuery(2, 777, 778)
+	rids, _, err := rowsOf(tb, Query{Col: 2, Lo: 777, Hi: 778})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sameRIDs(rids, expected(tb, 2, 777, 778)) {
+	if !sameRows(rids, expected(tb, 2, 777, 778)) {
 		t.Fatal("updated target not queryable")
 	}
-	rids, _, err = tb.RangeQuery(2, 0, 1000)
-	if err != nil || !sameRIDs(rids, expected(tb, 2, 0, 1000)) {
+	rids, _, err = rowsOf(tb, Query{Col: 2, Lo: 0, Hi: 1000})
+	if err != nil || !sameRows(rids, expected(tb, 2, 0, 1000)) {
 		t.Fatal("full range wrong after updates")
 	}
 }
@@ -396,10 +400,6 @@ func TestMemoryBreakdown(t *testing.T) {
 
 func TestCMIndexInEngine(t *testing.T) {
 	_, tb := newSynthetic(t, hermit.PhysicalPointers, 10000, linearFn, 0.05, 11)
-	// Pin static routing: this test exercises the CM mechanism itself, and
-	// the cost planner would (correctly) abandon CM for a scan once it
-	// observes CM's coarse-bucket false-positive ratio.
-	tb.SetRouting(RouteStatic)
 	cfg := cm.Config{TargetBucket: 16, HostBucket: 64}
 	if _, err := tb.CreateCMIndex(2, 1, cfg); err != nil {
 		t.Fatal(err)
@@ -411,11 +411,14 @@ func TestCMIndexInEngine(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		lo := rng.Float64() * 1000
 		hi := lo + rng.Float64()*60
-		rids, st, err := tb.RangeQuery(2, lo, hi)
+		// The path is forced: this test exercises the CM mechanism itself,
+		// and the cost planner would (correctly) abandon CM for a scan once
+		// it observes CM's coarse-bucket false-positive ratio.
+		rids, st, err := rowsOf(tb, Query{Col: 2, Lo: lo, Hi: hi, Path: PathCM})
 		if err != nil || st.Kind != KindCM {
 			t.Fatalf("err=%v kind=%v", err, st.Kind)
 		}
-		if !sameRIDs(rids, expected(tb, 2, lo, hi)) {
+		if !sameRows(rids, expected(tb, 2, lo, hi)) {
 			t.Fatal("cm results wrong")
 		}
 	}
@@ -434,15 +437,14 @@ func TestCMIndexInEngine(t *testing.T) {
 
 func TestProfileQueryBreakdown(t *testing.T) {
 	_, tb := newSynthetic(t, hermit.LogicalPointers, 10000, sigmoidFn, 0.02, 13)
-	// Pin static routing: the breakdown assertions target the Hermit and
+	// The paths are forced: the breakdown assertions target the Hermit and
 	// baseline mechanisms specifically, and these wide predicates are ones
 	// the cost planner would route to a scan under logical pointers.
-	tb.SetRouting(RouteStatic)
 	if _, err := tb.CreateHermitIndex(2, 1, WithProfile()); err != nil {
 		t.Fatal(err)
 	}
 	tb.SetProfile(true)
-	_, st, err := tb.RangeQuery(2, 100, 300)
+	_, st, err := rowsOf(tb, Query{Col: 2, Lo: 100, Hi: 300, Path: PathHermit})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -450,7 +452,7 @@ func TestProfileQueryBreakdown(t *testing.T) {
 		t.Fatal("hermit breakdown empty")
 	}
 	// Baseline breakdown on the host column.
-	_, st, err = tb.RangeQuery(1, 2000, 5000)
+	_, st, err = rowsOf(tb, Query{Col: 1, Lo: 2000, Hi: 5000, Path: PathBTree})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -465,19 +467,30 @@ func TestProfileQueryBreakdown(t *testing.T) {
 	}
 }
 
+// TestFetchRows: Exec's rows are the rows at Lookup's RIDs, whole and in
+// Lookup's order, read at one snapshot.
 func TestFetchRows(t *testing.T) {
 	_, tb := newSynthetic(t, hermit.PhysicalPointers, 1000, linearFn, 0, 14)
-	rids, _, err := tb.RangeQuery(0, 10, 14)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows, err := tb.FetchRows(rids, nil)
-	if err != nil || len(rows) != len(rids) {
-		t.Fatalf("rows=%d err=%v", len(rows), err)
-	}
-	for _, r := range rows {
-		if r[0] < 10 || r[0] > 14 {
-			t.Fatalf("row %v out of range", r)
+	snap := tb.Snapshot()
+	defer snap.Release()
+	for _, q := range []Query{{Col: 0, Lo: 10, Hi: 14}, {Col: 1, Lo: 300, Hi: 400}, {Col: 3, Lo: 0.2, Hi: 0.3}} {
+		q.Snap = snap
+		rids, _, err := tb.Lookup(q, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows, st, err := tb.Exec(q, nil)
+		if err != nil || st.Rows != len(rids) || len(rows) != len(rids)*len(tb.cols) {
+			t.Fatalf("%+v: %d values for %d RIDs (stats %d rows), err=%v", q, len(rows), len(rids), st.Rows, err)
+		}
+		for i, rid := range rids {
+			want, err := tb.Store().Get(rid, nil)
+			if err != nil || !slices.Equal(rows[i*4:i*4+4], want) {
+				t.Fatalf("%+v: row %d = %v, RID %v holds %v (%v)", q, i, rows[i*4:i*4+4], rid, want, err)
+			}
+			if v := want[q.Col]; v < q.Lo || v > q.Hi {
+				t.Fatalf("%+v: row %v out of range", q, want)
+			}
 		}
 	}
 }
@@ -516,15 +529,15 @@ func TestQuickEngineEquivalence(t *testing.T) {
 		for trial := 0; trial < 6; trial++ {
 			lo := rng.Float64() * 1000
 			hi := lo + rng.Float64()*100
-			rh, _, err := tbH.RangeQuery(2, lo, hi)
+			rh, _, err := rowsOf(tbH, Query{Col: 2, Lo: lo, Hi: hi})
 			if err != nil {
 				return false
 			}
-			rb, _, err := tbB.RangeQuery(2, lo, hi)
+			rb, _, err := rowsOf(tbB, Query{Col: 2, Lo: lo, Hi: hi})
 			if err != nil {
 				return false
 			}
-			if !sameRIDs(rh, rb) {
+			if !sameRows(rh, rb) {
 				return false
 			}
 		}
@@ -543,7 +556,6 @@ func TestHermitNoFalseNegativeBeyondBuildBounds(t *testing.T) {
 	cubic := func(c float64) float64 { return math.Pow(c-500, 3) } // steepest at the domain edges
 	for _, scheme := range []hermit.PointerScheme{hermit.PhysicalPointers, hermit.LogicalPointers} {
 		_, tb := newSynthetic(t, scheme, 60000, cubic, 0, 31)
-		tb.SetRouting(RouteStatic)
 		if _, err := tb.CreateHermitIndex(2, 1); err != nil {
 			t.Fatal(err)
 		}
@@ -562,11 +574,11 @@ func TestHermitNoFalseNegativeBeyondBuildBounds(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, q := range [][2]float64{{-5, -5}, {-100, -1}, {1005, 1005}, {1001, 3000}, {-20, 2000}} {
-			got, st, err := tb.RangeQuery(2, q[0], q[1])
+			got, st, err := rowsOf(tb, Query{Col: 2, Lo: q[0], Hi: q[1], Path: PathHermit})
 			if err != nil || st.Path != PathHermit {
 				t.Fatalf("%v: query %v: err=%v path=%v", scheme, q, err, st.Path)
 			}
-			if want := expected(tb, 2, q[0], q[1]); !sameRIDs(got, want) {
+			if want := expected(tb, 2, q[0], q[1]); !sameRows(got, want) {
 				t.Errorf("%v: query %v returned %d rows, want %d", scheme, q, len(got), len(want))
 			}
 		}

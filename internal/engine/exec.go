@@ -2,7 +2,6 @@ package engine
 
 import (
 	"errors"
-	"fmt"
 	"runtime"
 	"slices"
 	"sync"
@@ -38,13 +37,8 @@ var ErrTxnAborted = errors.New("engine: atomic batch aborted; no mutation was ap
 type OpKind int
 
 const (
-	// OpRange is a single-column range query (Col, Lo, Hi).
-	OpRange OpKind = iota
-	// OpPoint is a single-column equality query (Col, Lo).
-	OpPoint
-	// OpRange2 is a conjunctive two-column range query
-	// (Col, Lo, Hi) AND (BCol, BLo, BHi).
-	OpRange2
+	// OpQuery answers Op.Query (Exec).
+	OpQuery OpKind = iota
 	// OpInsert appends Row to the table.
 	OpInsert
 	// OpDelete removes the row with primary key PK.
@@ -56,29 +50,14 @@ const (
 // String implements fmt.Stringer.
 func (k OpKind) String() string {
 	switch k {
-	case OpRange:
-		return "range"
-	case OpPoint:
-		return "point"
-	case OpRange2:
-		return "range2"
+	case OpQuery:
+		return "query"
 	case OpInsert:
 		return "insert"
 	case OpDelete:
 		return "delete"
 	default:
 		return "update"
-	}
-}
-
-// isMutation reports whether the op kind writes (unknown kinds count as
-// mutations so a malformed batch aborts rather than half-applies).
-func (k OpKind) isMutation() bool {
-	switch k {
-	case OpRange, OpPoint, OpRange2:
-		return false
-	default:
-		return true
 	}
 }
 
@@ -89,33 +68,33 @@ type Op struct {
 	Table string
 	Kind  OpKind
 
-	// Query operands.
-	Col    int
-	Lo, Hi float64
-	// Second predicate for OpRange2.
-	BCol     int
-	BLo, BHi float64
+	// Query is an OpQuery's read. The batch reads at its own snapshot, so
+	// Query.Snap is ignored.
+	Query Query
 
 	// Write operands.
 	Row   []float64 // OpInsert
 	PK    float64   // OpDelete, OpUpdate
+	Col   int       // OpUpdate
 	Value float64   // OpUpdate
 }
 
 // OpResult is the outcome of one Op, at the batch position of its Op.
 type OpResult struct {
-	// RIDs holds the matching tuples of a query.
-	RIDs []storage.RID
+	// Rows holds a query's matching rows, whole and back to back (Exec's
+	// layout; SplitRows views them one slice per row).
+	Rows []float64
 	// Stats describes a query's execution.
 	Stats QueryStats
-	// RID is the location of an inserted row's committed version.
-	RID storage.RID
 	// Found reports whether an OpDelete removed a row.
 	Found bool
 	// Err is the per-operation failure, if any. In a batch with mutations
 	// a failing mutation aborts the whole transaction: the failing op
 	// carries its error and every other mutation carries ErrTxnAborted.
 	Err error
+
+	// rid is where an auto-commit insert's row landed (DurableDB.Insert).
+	rid storage.RID
 }
 
 // BatchTxn is the transaction a batch runs in (ExecBatch).
@@ -132,17 +111,21 @@ type BatchTxn interface {
 }
 
 // ExecBatch runs ops in x under the batch contract (file comment). query
-// answers one read op at the batch snapshot; mutated turns one mutation's
+// answers one OpQuery — its Query.Snap set to the batch snapshot, so query
+// is an Exec over the table op.Table names; mutated turns one mutation's
 // outcome into its result. A batch without mutations drains through
 // Parallel on workers goroutines, so query must be safe for concurrent use
 // there; a batch with mutations runs on the caller alone. x is finished —
 // committed or rolled back — when ExecBatch returns. Results align with
 // ops.
-func ExecBatch[R any](x BatchTxn, ops []Op, workers int, query func(*Snapshot, Op) R, mutated func(op Op, found bool, err error) R) []R {
+func ExecBatch[R any](x BatchTxn, ops []Op, workers int, query func(Op) R, mutated func(op Op, found bool, err error) R) []R {
 	defer x.Rollback()
 	snap := x.Snapshot()
-	read := func(op Op) R { return query(snap, op) }
-	if !slices.ContainsFunc(ops, func(op Op) bool { return op.Kind.isMutation() }) {
+	read := func(op Op) R {
+		op.Query.Snap = snap
+		return query(op)
+	}
+	if !slices.ContainsFunc(ops, func(op Op) bool { return op.Kind != OpQuery }) {
 		return Parallel(ops, workers, read)
 	}
 	results := make([]R, len(ops))
@@ -150,7 +133,7 @@ func ExecBatch[R any](x BatchTxn, ops []Op, workers int, query func(*Snapshot, O
 	failed := -1
 	var err error
 	for i, op := range ops {
-		if !op.Kind.isMutation() {
+		if op.Kind == OpQuery {
 			results[i] = read(op)
 		} else if found[i], err = x.Mutate(op); err != nil {
 			failed = i
@@ -162,7 +145,7 @@ func ExecBatch[R any](x BatchTxn, ops []Op, workers int, query func(*Snapshot, O
 	}
 	for i, op := range ops {
 		switch {
-		case !op.Kind.isMutation():
+		case op.Kind == OpQuery:
 			if failed >= 0 && i > failed {
 				results[i] = read(op)
 			}
@@ -203,46 +186,26 @@ func Parallel[T, R any](items []T, workers int, fn func(T) R) []R {
 	return results
 }
 
-// queryOpAt executes one read-only op against the snapshot.
-func (t *Table) queryOpAt(snap *Snapshot, op Op) OpResult {
-	var r OpResult
-	switch op.Kind {
-	case OpRange:
-		r.RIDs, r.Stats, r.Err = t.RangeQueryAt(snap, op.Col, op.Lo, op.Hi)
-	case OpPoint:
-		r.RIDs, r.Stats, r.Err = t.PointQueryAt(snap, op.Col, op.Lo)
-	case OpRange2:
-		r.RIDs, r.Stats, r.Err = t.RangeQuery2At(snap, op.Col, op.Lo, op.Hi, op.BCol, op.BLo, op.BHi)
-	default:
-		r.Err = fmt.Errorf("engine: op kind %d is not a query", op.Kind)
-	}
-	return r
-}
-
 // tableTxn is the BatchTxn of a batch over the engine's own tables, which
-// also finds the table an op names and, after Commit, where a committed
-// insert's row landed.
+// also finds the table an op names.
 type tableTxn interface {
 	BatchTxn
 	table(op Op) (*Table, error)
-	inserted(op Op) storage.RID
 }
 
 // execute is ExecuteBatch over the engine's own tables.
 func execute(x tableTxn, ops []Op, workers int) []OpResult {
-	query := func(snap *Snapshot, op Op) OpResult {
+	query := func(op Op) OpResult {
 		tb, err := x.table(op)
 		if err != nil {
 			return OpResult{Err: err}
 		}
-		return tb.queryOpAt(snap, op)
-	}
-	return ExecBatch(x, ops, workers, query, func(op Op, found bool, err error) OpResult {
-		r := OpResult{Found: found, Err: err}
-		if err == nil && op.Kind == OpInsert {
-			r.RID = x.inserted(op)
-		}
+		var r OpResult
+		r.Rows, r.Stats, r.Err = tb.Exec(op.Query, nil)
 		return r
+	}
+	return ExecBatch(x, ops, workers, query, func(_ Op, found bool, err error) OpResult {
+		return OpResult{Found: found, Err: err}
 	})
 }
 
@@ -251,7 +214,6 @@ func execute(x tableTxn, ops []Op, workers int) []OpResult {
 type txnBatch struct {
 	x       *Txn
 	resolve func(Op) (*Table, error)
-	res     CommitResult
 }
 
 func (b *txnBatch) Snapshot() *Snapshot { return b.x.Snapshot() }
@@ -264,19 +226,14 @@ func (b *txnBatch) Mutate(op Op) (bool, error) {
 	return b.x.Mutate(tb, op)
 }
 
-func (b *txnBatch) Commit() (err error) {
-	b.res, err = b.x.Commit()
+func (b *txnBatch) Commit() error {
+	_, err := b.x.Commit()
 	return err
 }
 
 func (b *txnBatch) Rollback() { b.x.Rollback() }
 
 func (b *txnBatch) table(op Op) (*Table, error) { return b.resolve(op) }
-
-func (b *txnBatch) inserted(op Op) storage.RID {
-	tb, _ := b.resolve(op)
-	return b.res.RIDs[tb][op.Row[tb.pkCol]]
-}
 
 // ExecuteBatch runs a batch of operations across tables under the batch
 // contract (see ExecBatch): a batch with any mutation is one atomic

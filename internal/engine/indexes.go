@@ -293,8 +293,9 @@ func (k IndexKind) String() string {
 	}
 }
 
-// IndexOn reports which index kind serves queries on col (the routing
-// priority Lookup uses).
+// IndexOn reports which index mechanism serves col: Hermit, then CM, then
+// a complete B+-tree, then the primary index. The planner may still run a
+// query on another path (Explain).
 func (t *Table) IndexOn(col int) IndexKind {
 	t.catalog.RLock()
 	defer t.catalog.RUnlock()

@@ -53,7 +53,7 @@ func TestIntegrationWorkloadLifecycle(t *testing.T) {
 				default:
 				}
 				lo := rng.Float64() * 400
-				if _, _, err := tb.RangeQuery(spec.ReadingCol(3), lo, lo+20); err != nil {
+				if _, _, err := rowsOf(tb, Query{Col: spec.ReadingCol(3), Lo: lo, Hi: lo + 20}); err != nil {
 					t.Error(err)
 					return
 				}
@@ -97,11 +97,11 @@ func TestIntegrationWorkloadLifecycle(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		lo := rng.Float64() * 400
 		hi := lo + rng.Float64()*50
-		rids, _, err := tb.RangeQuery(spec.ReadingCol(3), lo, hi)
+		rids, _, err := rowsOf(tb, Query{Col: spec.ReadingCol(3), Lo: lo, Hi: hi})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !sameRIDs(rids, expected(tb, spec.ReadingCol(3), lo, hi)) {
+		if !sameRows(rids, expected(tb, spec.ReadingCol(3), lo, hi)) {
 			t.Fatalf("inexact results after lifecycle for [%v,%v]", lo, hi)
 		}
 	}
@@ -141,11 +141,11 @@ func TestIntegrationMultiHermitSharedHost(t *testing.T) {
 	for col := 2; col <= 4; col++ {
 		lo := rng.Float64() * 500
 		hi := lo + 100
-		rids, _, err := tb.RangeQuery(col, lo, hi)
+		rids, _, err := rowsOf(tb, Query{Col: col, Lo: lo, Hi: hi})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !sameRIDs(rids, expected(tb, col, lo, hi)) {
+		if !sameRows(rids, expected(tb, col, lo, hi)) {
 			t.Fatalf("col %d inexact after host updates", col)
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"hermit/internal/block"
@@ -21,8 +22,8 @@ import (
 // can reach. After every step the store must hold exactly the versions the
 // oracle has not reclaimed, and no version left may link to a freed slot
 // (checkChains). At intervals each open snapshot must still resolve exactly
-// the oracle's rows through PointQueryAt, RangeQueryAt on every access path
-// the planner offers, ScanLive and — on the odd seeds, where the table flushes
+// the oracle's rows through Exec — at the snapshot, under the planner and
+// forced onto every access path it offers — ScanLive and — on the odd seeds, where the table flushes
 // deltas — DeltaVersions: the harvest up to the snapshot of what was committed
 // since the last flush, the delete list supplying the tombstones of the chains
 // reclaimed since. Two ops of
@@ -166,17 +167,13 @@ func sameRow(a, b []float64) bool {
 	return true
 }
 
-// checkRIDs fails unless rids fetch exactly the rows of want.
-func (m *modelTable) checkRIDs(t *testing.T, what string, rids []storage.RID, want map[uint64][]float64) {
+// checkRows fails unless rows are exactly the rows of want.
+func (m *modelTable) checkRows(t *testing.T, what string, rows [][]float64, want map[uint64][]float64) {
 	t.Helper()
-	if len(rids) != len(want) {
-		t.Fatalf("%s: %d rows, oracle has %d", what, len(rids), len(want))
+	if len(rows) != len(want) {
+		t.Fatalf("%s: %d rows, oracle has %d", what, len(rows), len(want))
 	}
-	for _, rid := range rids {
-		row, err := m.tb.store.Get(rid, nil)
-		if err != nil {
-			t.Fatalf("%s: fetching %v: %v", what, rid, err)
-		}
+	for _, row := range rows {
 		if w := want[block.KeyBits(row[m.tb.pkCol])]; !sameRow(row, w) {
 			t.Fatalf("%s: returned row %v, oracle has %v", what, row, w)
 		}
@@ -184,16 +181,17 @@ func (m *modelTable) checkRIDs(t *testing.T, what string, rids []storage.RID, wa
 }
 
 // checkQuery runs the predicate at snap through the planner's choice and
-// through every access path Explain reports available.
+// through every access path Explain reports available, forced by
+// Query.Path.
 func (m *modelTable) checkQuery(t *testing.T, snap *Snapshot, col int, lo, hi float64) {
 	t.Helper()
 	want := m.rowsAt(snap.ts, col, lo, hi)
 	what := fmt.Sprintf("ts %d col %d [%v, %v]", snap.ts, col, lo, hi)
-	rids, _, err := m.tb.RangeQueryAt(snap, col, lo, hi)
+	rows, _, err := rowsOf(m.tb, Query{Col: col, Lo: lo, Hi: hi, Snap: snap})
 	if err != nil {
 		t.Fatalf("%s: %v", what, err)
 	}
-	m.checkRIDs(t, what, rids, want)
+	m.checkRows(t, what, rows, want)
 	plan, err := m.tb.Explain(col, lo, hi)
 	if err != nil {
 		t.Fatalf("%s: explain: %v", what, err)
@@ -202,13 +200,11 @@ func (m *modelTable) checkQuery(t *testing.T, snap *Snapshot, col int, lo, hi fl
 		if !e.Available {
 			continue
 		}
-		m.tb.catalog.RLock()
-		rids, _, err := m.tb.execPathLocked(snap, e.Path, col, lo, hi, nil)
-		m.tb.catalog.RUnlock()
+		rows, _, err := rowsOf(m.tb, Query{Col: col, Lo: lo, Hi: hi, Snap: snap, Path: e.Path})
 		if err != nil {
 			t.Fatalf("%s via %v: %v", what, e.Path, err)
 		}
-		m.checkRIDs(t, what+" via "+e.Path.String(), rids, want)
+		m.checkRows(t, what+" via "+e.Path.String(), rows, want)
 	}
 }
 
@@ -224,9 +220,9 @@ func (m *modelTable) checkLive(t *testing.T) {
 	if m.tb.Len() != len(live) {
 		t.Fatalf("Len = %d, oracle has %d live rows", m.tb.Len(), len(live))
 	}
-	var rids []storage.RID
-	m.tb.ScanLive(func(rid storage.RID, _ []float64) bool { rids = append(rids, rid); return true })
-	m.checkRIDs(t, "ScanLive", rids, live)
+	var rows [][]float64
+	m.tb.ScanLive(func(_ storage.RID, row []float64) bool { rows = append(rows, slices.Clone(row)); return true })
+	m.checkRows(t, "ScanLive", rows, live)
 }
 
 // checkDelta compares DeltaVersions(ts) with the oracle's changes in the
@@ -473,22 +469,20 @@ func runMVCCModel(t *testing.T, scheme hermit.PointerScheme, seed int64, ops int
 		}
 		for _, s := range snaps {
 			for _, pk := range keys {
-				rids, _, err := tb.PointQueryAt(s, 0, pk)
+				rids, _, err := rowsOf(tb, Query{Col: 0, Lo: pk, Hi: pk, Snap: s})
 				if err != nil {
 					t.Fatal(err)
 				}
-				m.checkRIDs(t, fmt.Sprintf("ts %d pk %v", s.ts, pk), rids, m.rowsAt(s.ts, 0, pk, pk))
+				m.checkRows(t, fmt.Sprintf("ts %d pk %v", s.ts, pk), rids, m.rowsAt(s.ts, 0, pk, pk))
 			}
 			// A NaN key is a point on the primary index alone: no other
 			// path compares by the total order.
 			for _, pk := range nans {
-				tb.catalog.RLock()
-				rids, _, err := tb.execPathLocked(s, PathPrimary, 0, pk, pk, nil)
-				tb.catalog.RUnlock()
+				rows, _, err := rowsOf(tb, Query{Col: 0, Lo: pk, Hi: pk, Snap: s, Path: PathPrimary})
 				if err != nil {
 					t.Fatal(err)
 				}
-				m.checkRIDs(t, fmt.Sprintf("ts %d NaN pk %#x", s.ts, math.Float64bits(pk)), rids, m.rowsAt(s.ts, 0, pk, pk))
+				m.checkRows(t, fmt.Sprintf("ts %d NaN pk %#x", s.ts, math.Float64bits(pk)), rows, m.rowsAt(s.ts, 0, pk, pk))
 			}
 			m.checkQuery(t, s, 0, 0, 200)
 			// Infinite bounds on the key column take in the infinite keys

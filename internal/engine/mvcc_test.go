@@ -45,26 +45,26 @@ func TestSnapshotIsolationReads(t *testing.T) {
 	}
 
 	// The old snapshot still sees the pre-mutation state.
-	rids, _, err := tb.PointQueryAt(snap, 0, 10)
+	rids, _, err := rowsOf(tb, Query{Col: 0, Lo: 10, Hi: 10, Snap: snap})
 	if err != nil || len(rids) != 1 {
 		t.Fatalf("snapshot pk 10: %d rids, err %v", len(rids), err)
 	}
-	if v, _ := tb.Store().Value(rids[0], 1); v != 20 {
+	if v := rids[0][1]; v != 20 {
 		t.Fatalf("snapshot read col a = %v, want pre-update 20", v)
 	}
-	if rids, _, _ := tb.PointQueryAt(snap, 0, 20); len(rids) != 1 {
+	if rids, _, _ := rowsOf(tb, Query{Col: 0, Lo: 20, Hi: 20, Snap: snap}); len(rids) != 1 {
 		t.Fatalf("snapshot lost deleted row: %d rids", len(rids))
 	}
-	if rids, _, _ := tb.PointQueryAt(snap, 0, 500); len(rids) != 0 {
+	if rids, _, _ := rowsOf(tb, Query{Col: 0, Lo: 500, Hi: 500, Snap: snap}); len(rids) != 0 {
 		t.Fatalf("snapshot sees later insert: %d rids", len(rids))
 	}
 
 	// A fresh read sees the new state.
-	if rids, _, _ := tb.PointQuery(0, 20); len(rids) != 0 {
+	if rids, _, _ := rowsOf(tb, Query{Col: 0, Lo: 20, Hi: 20}); len(rids) != 0 {
 		t.Fatalf("latest read sees deleted row")
 	}
-	rids, _, _ = tb.PointQuery(0, 10)
-	if v, _ := tb.Store().Value(rids[0], 1); v != 999 {
+	rids, _, _ = rowsOf(tb, Query{Col: 0, Lo: 10, Hi: 10})
+	if v := rids[0][1]; v != 999 {
 		t.Fatalf("latest read col a = %v, want 999", v)
 	}
 }
@@ -100,16 +100,10 @@ func TestTxnCommitAtomicVisibility(t *testing.T) {
 				return
 			default:
 			}
-			// The RIDs are dereferenced under the snapshot the query ran at:
-			// each commit of the writer reclaims the versions the commit
-			// before it ended, and their slots go to its next ten.
-			snap := db.Snapshot()
-			rids, _, err := tb.RangeQueryAt(snap, 0, 0, 9)
-			var rows [][]float64
-			if err == nil {
-				rows, err = tb.FetchRows(rids, nil)
-			}
-			snap.Release()
+			// Exec copies the rows under the snapshot it read at: each
+			// commit of the writer reclaims the versions the commit before
+			// it ended, and their slots go to its next ten.
+			rows, _, err := rowsOf(tb, Query{Col: 0, Lo: 0, Hi: 9})
 			if err != nil || len(rows) != 10 {
 				t.Errorf("reader: %d rows err=%v", len(rows), err)
 				return
@@ -195,29 +189,29 @@ func primaryHeadAlwaysStamped(t *testing.T, scheme hermit.PointerScheme) {
 	}
 	reader(func(snap *Snapshot) error {
 		for pk := 0; pk < keys; pk++ {
-			if rids, _, err := tb.PointQueryAt(snap, 0, float64(pk)); err != nil || len(rids) != 1 {
+			if rids, _, err := rowsOf(tb, Query{Col: 0, Lo: float64(pk), Hi: float64(pk), Snap: snap}); err != nil || len(rids) != 1 {
 				return fmt.Errorf("point read of live key %d at ts %d: %d rows, err=%v", pk, snap.TS(), len(rids), err)
 			}
 		}
-		rids, _, err := tb.PointQueryAt(pinned, 0, cycled)
+		rids, _, err := rowsOf(tb, Query{Col: 0, Lo: cycled, Hi: cycled, Snap: pinned})
 		if err != nil || len(rids) != 1 {
 			return fmt.Errorf("pinned snapshot lost the cycled key: %d rows, err=%v", len(rids), err)
 		}
-		if v, _ := tb.Store().Value(rids[0], 1); v != -1 {
+		if v := rids[0][1]; v != -1 {
 			return fmt.Errorf("pinned snapshot reads a=%v for the cycled key, want its first version", v)
 		}
 		return nil
 	})
 	reader(func(snap *Snapshot) error {
-		if rids, _, err := tb.RangeQueryAt(snap, 0, 0, keys-1); err != nil || len(rids) != keys {
+		if rids, _, err := rowsOf(tb, Query{Col: 0, Lo: 0, Hi: keys - 1, Snap: snap}); err != nil || len(rids) != keys {
 			return fmt.Errorf("key-range read at ts %d: %d rows, want %d, err=%v", snap.TS(), len(rids), keys, err)
 		}
 		// Column a of the live keys never changes: the secondary index
 		// must resolve all of them through the primary index.
-		if rids, _, err := tb.RangeQueryAt(snap, 1, 0, keys-1); err != nil || len(rids) != keys {
+		if rids, _, err := rowsOf(tb, Query{Col: 1, Lo: 0, Hi: keys - 1, Snap: snap}); err != nil || len(rids) != keys {
 			return fmt.Errorf("secondary read at ts %d: %d rows, want %d, err=%v", snap.TS(), len(rids), keys, err)
 		}
-		if rids, _, err := tb.RangeQueryAt(pinned, 0, 0, cycled); err != nil || len(rids) != keys+1 {
+		if rids, _, err := rowsOf(tb, Query{Col: 0, Lo: 0, Hi: cycled, Snap: pinned}); err != nil || len(rids) != keys+1 {
 			return fmt.Errorf("pinned key-range read: %d rows, want %d, err=%v", len(rids), keys+1, err)
 		}
 		return nil
@@ -274,12 +268,12 @@ func TestTxnFirstCommitterWins(t *testing.T) {
 		t.Fatalf("second committer: %v, want ErrWriteConflict", err)
 	}
 	// x2 applied nothing, not even its non-conflicting write.
-	rids, _, _ := tb.PointQuery(0, 5)
-	if v, _ := tb.Store().Value(rids[0], 1); v != 111 {
+	rids, _, _ := rowsOf(tb, Query{Col: 0, Lo: 5, Hi: 5})
+	if v := rids[0][1]; v != 111 {
 		t.Fatalf("pk 5 col a = %v, want x1's 111", v)
 	}
-	rids, _, _ = tb.PointQuery(0, 6)
-	if v, _ := tb.Store().Value(rids[0], 1); v != 12 {
+	rids, _, _ = rowsOf(tb, Query{Col: 0, Lo: 6, Hi: 6})
+	if v := rids[0][1]; v != 12 {
 		t.Fatalf("pk 6 col a = %v, want untouched 12", v)
 	}
 	// Delete-after-snapshot also conflicts.
@@ -320,11 +314,11 @@ func TestTxnRollbackAndReadYourWrites(t *testing.T) {
 		t.Fatal("read-your-writes delete still visible")
 	}
 	// Other readers see none of it.
-	if rids, _, _ := tb.PointQuery(0, 777); len(rids) != 0 {
+	if rids, _, _ := rowsOf(tb, Query{Col: 0, Lo: 777, Hi: 777}); len(rids) != 0 {
 		t.Fatal("uncommitted insert visible")
 	}
 	x.Rollback()
-	if rids, _, _ := tb.PointQuery(0, 4); len(rids) != 1 {
+	if rids, _, _ := rowsOf(tb, Query{Col: 0, Lo: 4, Hi: 4}); len(rids) != 1 {
 		t.Fatal("rolled-back delete applied")
 	}
 	if _, err := x.Commit(); !errors.Is(err, ErrTxnDone) {
@@ -347,11 +341,11 @@ func TestTxnRollbackAndReadYourWrites(t *testing.T) {
 	if _, err := z.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	rids, _, _ := tb.PointQuery(0, 8)
+	rids, _, _ := rowsOf(tb, Query{Col: 0, Lo: 8, Hi: 8})
 	if len(rids) != 1 {
 		t.Fatalf("replaced row: %d rids", len(rids))
 	}
-	if v, _ := tb.Store().Value(rids[0], 1); v != 4242 {
+	if v := rids[0][1]; v != 4242 {
 		t.Fatalf("replaced row col a = %v", v)
 	}
 }
@@ -373,10 +367,10 @@ func TestVersionGC(t *testing.T) {
 	// superseded before it may go (none here are old enough to matter for
 	// the chains it reads).
 	db.GC()
-	if rids, _, _ := tb.PointQueryAt(snap, 0, 1); len(rids) != 1 {
+	if rids, _, _ := rowsOf(tb, Query{Col: 0, Lo: 1, Hi: 1, Snap: snap}); len(rids) != 1 {
 		t.Fatal("GC broke a pinned snapshot (update chain)")
 	}
-	if rids, _, _ := tb.PointQueryAt(snap, 0, 2); len(rids) != 1 {
+	if rids, _, _ := rowsOf(tb, Query{Col: 0, Lo: 2, Hi: 2, Snap: snap}); len(rids) != 1 {
 		t.Fatal("GC broke a pinned snapshot (deleted row)")
 	}
 	snap.Release()
@@ -385,15 +379,15 @@ func TestVersionGC(t *testing.T) {
 		t.Fatal("GC reclaimed nothing after snapshot release")
 	}
 	// Latest state intact: pk 1 updated, pk 2 gone, everything queryable.
-	rids, _, err := tb.RangeQuery(0, 0, 99)
+	rids, _, err := rowsOf(tb, Query{Col: 0, Lo: 0, Hi: 99})
 	if err != nil || len(rids) != 99 {
 		t.Fatalf("after GC: %d rids err=%v", len(rids), err)
 	}
-	rids, _, _ = tb.PointQuery(0, 1)
-	if v, _ := tb.Store().Value(rids[0], 1); v != 1009 {
+	rids, _, _ = rowsOf(tb, Query{Col: 0, Lo: 1, Hi: 1})
+	if v := rids[0][1]; v != 1009 {
 		t.Fatalf("after GC pk 1 col a = %v", v)
 	}
-	if rids, _, _ := tb.PointQuery(1, 1009); len(rids) != 1 {
+	if rids, _, _ := rowsOf(tb, Query{Col: 1, Lo: 1009, Hi: 1009}); len(rids) != 1 {
 		t.Fatalf("secondary-path query after GC broken")
 	}
 	// Deleted key's chain is fully reclaimed: a re-insert starts fresh.
@@ -462,17 +456,17 @@ func TestDurableTxnRoundTrip(t *testing.T) {
 	if tb.Len() != 20 { // 20 inserts + 1 txn insert - 1 txn delete
 		t.Fatalf("recovered %d rows, want 20", tb.Len())
 	}
-	if rids, _, _ := tb.PointQuery(0, 100); len(rids) != 1 {
+	if rids, _, _ := rowsOf(tb, Query{Col: 0, Lo: 100, Hi: 100}); len(rids) != 1 {
 		t.Fatal("committed txn insert lost")
 	}
-	if rids, _, _ := tb.PointQuery(0, 200); len(rids) != 0 {
+	if rids, _, _ := rowsOf(tb, Query{Col: 0, Lo: 200, Hi: 200}); len(rids) != 0 {
 		t.Fatal("rolled-back txn insert recovered")
 	}
-	rids, _, _ := tb.PointQuery(0, 5)
-	if v, _ := tb.Store().Value(rids[0], 1); v != 55 {
+	rids, _, _ := rowsOf(tb, Query{Col: 0, Lo: 5, Hi: 5})
+	if v := rids[0][1]; v != 55 {
 		t.Fatalf("committed txn update lost: %v", v)
 	}
-	if rids, _, _ := tb.PointQuery(0, 6); len(rids) != 0 {
+	if rids, _, _ := rowsOf(tb, Query{Col: 0, Lo: 6, Hi: 6}); len(rids) != 0 {
 		t.Fatal("committed txn delete lost")
 	}
 }
@@ -541,7 +535,7 @@ func TestRecoveryDiscardsUncommittedTail(t *testing.T) {
 		t.Fatalf("recovered %d rows, want 10 (uncommitted tail must roll back)", tb.Len())
 	}
 	for i := 0; i < 3; i++ {
-		if rids, _, _ := tb.PointQuery(0, float64(100+i)); len(rids) != 0 {
+		if rids, _, _ := rowsOf(tb, Query{Col: 0, Lo: float64(100 + i), Hi: float64(100 + i)}); len(rids) != 0 {
 			t.Fatalf("uncommitted insert %d recovered", 100+i)
 		}
 	}
@@ -562,7 +556,7 @@ func TestRecoveryDiscardsUncommittedTail(t *testing.T) {
 	}
 	defer d3.Close()
 	tb3, _ := d3.Table("t")
-	if rids, _, _ := tb3.PointQuery(0, 300); len(rids) != 1 {
+	if rids, _, _ := rowsOf(tb3, Query{Col: 0, Lo: 300, Hi: 300}); len(rids) != 1 {
 		t.Fatal("committed txn lost after second recovery")
 	}
 }
@@ -712,9 +706,9 @@ func reclaimedHeadNotWalked(t *testing.T, scheme hermit.PointerScheme) {
 				if i%3 == 0 {
 					lo, hi = ghost0, ghost0+ghosts
 				}
-				rids, _, err := tb.RangeQueryAt(snap, 0, lo, hi)
-				for _, rid := range rids {
-					if pk, _ := tb.Store().Value(rid, 0); pk < lo || pk > hi {
+				rows, _, err := rowsOf(tb, Query{Col: 0, Lo: lo, Hi: hi, Snap: snap})
+				for _, row := range rows {
+					if pk := row[0]; pk < lo || pk > hi {
 						err = fmt.Errorf("read of keys [%v, %v] at ts %d returned key %v", lo, hi, snap.TS(), pk)
 					}
 				}

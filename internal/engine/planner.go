@@ -14,7 +14,8 @@ import (
 
 // This file is the cost-based access-path planner. Instead of the fixed
 // routing priority the engine shipped with (Hermit, then CM, then B+-tree,
-// then primary, then scan), every point/range query is planned: the engine
+// then primary, then scan), every point/range query that does not force a
+// path (Query.Path) is planned: the engine
 // enumerates the access paths that can serve the predicate, estimates each
 // one's cost from table statistics (cached column bounds, row count) and
 // per-path runtime feedback (hit counts, false-positive EWMAs, latency
@@ -34,8 +35,11 @@ import (
 type AccessPath int
 
 const (
+	// PathAuto lets the planner choose (the zero Query.Path); it is never
+	// a path a query ran on.
+	PathAuto AccessPath = iota
 	// PathScan is the unindexed fallback: a sequential column scan.
-	PathScan AccessPath = iota
+	PathScan
 	// PathPrimary scans the primary index (predicate on the key column).
 	PathPrimary
 	// PathBTree scans a complete secondary B+-tree index.
@@ -70,6 +74,8 @@ func (p AccessPath) String() string {
 		return "cm"
 	case PathTRSDirect:
 		return "trs-direct"
+	case PathAuto:
+		return "auto"
 	default:
 		return "scan"
 	}
@@ -91,22 +97,6 @@ func (p AccessPath) Kind() IndexKind {
 		return KindNone
 	}
 }
-
-// RoutingMode selects how RangeQuery picks its access path.
-type RoutingMode int32
-
-const (
-	// RouteCost plans every query with the cost model (the default).
-	RouteCost RoutingMode = iota
-	// RouteStatic uses the fixed pre-planner priority (Hermit, CM, B+-tree,
-	// primary, scan). The figure benchmarks pin tables to this mode so each
-	// experiment measures the mechanism it names rather than the planner's
-	// choice.
-	RouteStatic
-)
-
-// SetRouting selects the table's routing mode (default RouteCost).
-func (t *Table) SetRouting(m RoutingMode) { t.routing.Store(int32(m)) }
 
 // Abstract cost units. One unit is roughly one B+-tree level descent; the
 // other constants are multiples of that calibrated to the in-memory
@@ -297,8 +287,8 @@ func (t *Table) resetPathStats(col int, paths ...AccessPath) {
 }
 
 // pathForKind maps an index kind to the access path that mechanism
-// executes — the static routing priority's vocabulary, shared by
-// staticPathLocked, QueryStatsFor and the advisor snapshot.
+// executes — the vocabulary QueryStatsFor and the advisor snapshot report
+// a column's serving index in.
 func pathForKind(k IndexKind) AccessPath {
 	switch k {
 	case KindHermit:
@@ -353,7 +343,7 @@ type Plan struct {
 	Rows int
 	// Selectivity is the estimated fraction of rows qualifying.
 	Selectivity float64
-	// Chosen is the path RangeQuery would execute.
+	// Chosen is the path Exec would run under PathAuto.
 	Chosen AccessPath
 	// Candidates holds every path's estimate, cheapest available first
 	// (unavailable paths trail, in path order).
@@ -361,15 +351,17 @@ type Plan struct {
 }
 
 // Explain plans the range predicate lo <= col <= hi without executing it:
-// it reports the access path RangeQuery would choose and the per-path cost
-// estimates behind the choice. A point query is Explain(col, v, v).
+// it reports the access path Exec would choose under PathAuto and the
+// per-path cost estimates behind the choice; the paths it lists as
+// available are the ones a Query.Path may force. A point query is
+// Explain(col, v, v).
 func (t *Table) Explain(col int, lo, hi float64) (Plan, error) {
 	if col < 0 || col >= len(t.cols) {
 		return Plan{}, ErrNoSuchColumn
 	}
 	t.catalog.RLock()
 	defer t.catalog.RUnlock()
-	chosen, ests, sel, n := t.planLockedForce(col, lo, hi, true)
+	chosen, ests, sel, n := t.planLocked(col, lo, hi, true)
 	plan := Plan{
 		Table:       t.name,
 		Column:      t.cols[col],
@@ -384,7 +376,7 @@ func (t *Table) Explain(col int, lo, hi float64) (Plan, error) {
 	for phase := 0; phase < 2; phase++ {
 		avail := phase == 0
 		var idxs []int
-		for i := range ests {
+		for i := int(PathScan); i < len(ests); i++ {
 			if ests[i].Available == avail {
 				idxs = append(idxs, i)
 			}
@@ -403,15 +395,32 @@ func (t *Table) Explain(col int, lo, hi float64) (Plan, error) {
 	return plan, nil
 }
 
-// planLocked estimates every path for the predicate and picks the cheapest
-// available one. t.catalog is held shared.
-func (t *Table) planLocked(col int, lo, hi float64) (AccessPath, [numPaths]PathEstimate, float64, int) {
-	return t.planLockedForce(col, lo, hi, false)
+// availableLocked reports whether path can serve a predicate on col — the
+// Available column of Explain, and what a forced Query.Path is checked
+// against; t.catalog is held shared.
+func (t *Table) availableLocked(col int, path AccessPath) bool {
+	switch path {
+	case PathScan:
+		return true
+	case PathPrimary:
+		return col == t.pkCol
+	case PathBTree:
+		return t.secondary[col] != nil
+	case PathHermit, PathTRSDirect:
+		return t.hermits[col] != nil
+	case PathCM:
+		return t.cms[col] != nil
+	default:
+		return false
+	}
 }
 
-// planLockedForce is planLocked with control over the TRS-Tree stat
-// refresh (Explain forces it so plans reflect current structure).
-func (t *Table) planLockedForce(col int, lo, hi float64, refresh bool) (AccessPath, [numPaths]PathEstimate, float64, int) {
+// planLocked estimates every path for the predicate and picks the cheapest
+// available one, returning it with the estimates, the selectivity and the
+// live row count they used; t.catalog is held shared. refresh forces the
+// TRS-Tree stat refresh and the formatted Reasons (Explain's plans reflect
+// current structure).
+func (t *Table) planLocked(col int, lo, hi float64, refresh bool) (AccessPath, [numPaths]PathEstimate, float64, int) {
 	n := t.Len() // live rows: dead versions a snapshot pins are not results
 	sel := t.selectivity(col, lo, hi, n)
 	estRows := sel * float64(n)
@@ -425,20 +434,18 @@ func (t *Table) planLockedForce(col int, lo, hi float64, refresh bool) (AccessPa
 	}
 
 	var ests [numPaths]PathEstimate
-	for p := AccessPath(0); p < numPaths; p++ {
-		ests[p] = PathEstimate{Path: p, EstRows: int(math.Ceil(estRows))}
+	for p := PathScan; p < numPaths; p++ {
+		ests[p] = PathEstimate{Path: p, Available: t.availableLocked(col, p), EstRows: int(math.Ceil(estRows))}
 	}
 
 	// Scan: always available; qualifies the target column directly, so no
 	// fetch phase and no pointer resolution.
-	ests[PathScan].Available = true
 	ests[PathScan].Cost = float64(n) * costScanRow
 	ests[PathScan].EstCandidates = n
 	ests[PathScan].Reason = "sequential column scan; no latches, no fetches"
 
-	if col == t.pkCol {
+	if ests[PathPrimary].Available {
 		e := &ests[PathPrimary]
-		e.Available = true
 		e.Cost = levels*costLevel + estRows*(costEntry+costFetch)
 		e.EstCandidates = e.EstRows
 		e.Reason = "primary index range scan (exact)"
@@ -446,9 +453,8 @@ func (t *Table) planLockedForce(col int, lo, hi float64, refresh bool) (AccessPa
 		ests[PathPrimary].Reason = "predicate is not on the primary-key column"
 	}
 
-	if t.secondary[col] != nil {
+	if ests[PathBTree].Available {
 		e := &ests[PathBTree]
-		e.Available = true
 		e.Cost = levels*costLevel + estRows*(costEntry+resolve)
 		e.EstCandidates = e.EstRows
 		e.Reason = "complete B+-tree (exact)"
@@ -471,7 +477,6 @@ func (t *Table) planLockedForce(col int, lo, hi float64, refresh bool) (AccessPa
 		bloat := 1 / (1 - fpEst)
 		estCand := estRows * bloat
 		e := &ests[PathHermit]
-		e.Available = true
 		e.FPEstimate = fpEst
 		e.EstCandidates = int(math.Ceil(estCand))
 		e.Cost = treeH*costLevel + estCand*(costEntry+resolve)
@@ -486,7 +491,6 @@ func (t *Table) planLockedForce(col int, lo, hi float64, refresh bool) (AccessPa
 		}
 
 		ed := &ests[PathTRSDirect]
-		ed.Available = true
 		ed.FPEstimate = fpEst
 		ed.EstCandidates = e.EstCandidates
 		ed.Cost = treeH*costLevel + float64(n)*costScanRow + estCand*costFetch
@@ -496,7 +500,7 @@ func (t *Table) planLockedForce(col int, lo, hi float64, refresh bool) (AccessPa
 		ests[PathTRSDirect].Reason = "no Hermit index (TRS-Tree) on this column"
 	}
 
-	if t.cms[col] != nil {
+	if ests[PathCM].Available {
 		rt := &t.runtime[col].paths[PathCM]
 		fpEst := 0.3
 		observed := false
@@ -506,7 +510,6 @@ func (t *Table) planLockedForce(col int, lo, hi float64, refresh bool) (AccessPa
 		}
 		estCand := estRows / (1 - fpEst)
 		e := &ests[PathCM]
-		e.Available = true
 		e.FPEstimate = fpEst
 		e.EstCandidates = int(math.Ceil(estCand))
 		e.Cost = costLevel + estCand*(costEntry+costFetch)
@@ -531,7 +534,7 @@ func (t *Table) planLockedForce(col int, lo, hi float64, refresh bool) (AccessPa
 	}
 	chosen := PathScan
 	best := math.Inf(1)
-	for p := AccessPath(0); p < numPaths; p++ {
+	for p := PathScan; p < numPaths; p++ {
 		e := &ests[p]
 		rt := &t.runtime[col].paths[p]
 		e.ObservedQueries = rt.count.Load()
@@ -635,8 +638,9 @@ type ColumnQueryStats struct {
 	Queries uint64
 	Updates uint64
 	// ServingPath is the access path of the column's serving index
-	// mechanism (the static routing priority) — the path whose observed
-	// statistics are reported below. The cost planner may still route an
+	// mechanism (Hermit, then CM, then a complete B+-tree, then the
+	// primary index) — the path whose observed statistics are reported
+	// below. The cost planner may still route an
 	// individual query elsewhere; use Table.Explain for a costed decision.
 	ServingPath AccessPath
 	// ObservedFP and FPObservations describe the serving path's

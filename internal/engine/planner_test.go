@@ -69,14 +69,14 @@ func TestExplainPathChoice(t *testing.T) {
 					plan.Candidates[0].Path, plan.Chosen)
 			}
 			// Executing must agree with the plan and return exact results.
-			rids, st, err := tb.RangeQuery(2, tc.lo, tc.hi)
+			rids, st, err := rowsOf(tb, Query{Col: 2, Lo: tc.lo, Hi: tc.hi})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if st.Path != plan.Chosen {
 				t.Fatalf("executed %v, planned %v", st.Path, plan.Chosen)
 			}
-			if !sameRIDs(rids, expected(tb, 2, tc.lo, tc.hi)) {
+			if !sameRows(rids, expected(tb, 2, tc.lo, tc.hi)) {
 				t.Fatalf("path %v returned wrong rows", st.Path)
 			}
 		})
@@ -128,7 +128,7 @@ func TestPlannerRuntimeFeedback(t *testing.T) {
 	}
 	for i := 0; i < 64; i++ {
 		lo := float64(i % 40 * 20)
-		if _, _, err := tb.RangeQuery(2, lo, lo+15); err != nil {
+		if _, _, err := rowsOf(tb, Query{Col: 2, Lo: lo, Hi: lo + 15}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -151,10 +151,10 @@ func TestPlannerRuntimeFeedback(t *testing.T) {
 	}
 }
 
-// TestTRSDirectPath executes the TRS-direct access path explicitly (the
-// cost model rarely picks it in this row-store — a plain scan qualifies the
-// target column at the same per-row price — but it must stay correct) and
-// checks it appears costed in plans under both pointer schemes.
+// TestTRSDirectPath forces the TRS-direct access path (the cost model
+// rarely picks it in this row-store — a plain scan qualifies the target
+// column at the same per-row price — but it must stay correct) and checks
+// it appears costed in plans under both pointer schemes.
 func TestTRSDirectPath(t *testing.T) {
 	for _, scheme := range []hermit.PointerScheme{hermit.PhysicalPointers, hermit.LogicalPointers} {
 		_, tb := newSynthetic(t, scheme, 6000, sigmoidFn, 0.05, 9)
@@ -162,18 +162,14 @@ func TestTRSDirectPath(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, q := range [][2]float64{{100, 150}, {0, 1000}, {900, 910}} {
-			snap := tb.clock.Snapshot()
-			tb.catalog.RLock()
-			rids, st, err := tb.execPathLocked(snap, PathTRSDirect, 2, q[0], q[1], nil)
-			tb.catalog.RUnlock()
-			snap.Release()
+			rids, st, err := rowsOf(tb, Query{Col: 2, Lo: q[0], Hi: q[1], Path: PathTRSDirect})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if st.Kind != KindHermit {
-				t.Fatalf("trs-direct kind %v", st.Kind)
+			if st.Kind != KindHermit || st.Path != PathTRSDirect {
+				t.Fatalf("trs-direct ran as %v/%v", st.Kind, st.Path)
 			}
-			if !sameRIDs(rids, expected(tb, 2, q[0], q[1])) {
+			if !sameRows(rids, expected(tb, 2, q[0], q[1])) {
 				t.Fatalf("%v trs-direct wrong for [%v,%v]", scheme, q[0], q[1])
 			}
 		}
@@ -185,7 +181,8 @@ func TestTRSDirectPath(t *testing.T) {
 }
 
 // TestExplainUnavailablePaths checks unavailability reporting and argument
-// validation.
+// validation, and that forcing a path Explain lists as unavailable fails
+// instead of running another one.
 func TestExplainUnavailablePaths(t *testing.T) {
 	_, tb := newSynthetic(t, hermit.PhysicalPointers, 3000, linearFn, 0, 5)
 	plan := explain(t, tb, 3, 0.2, 0.4) // colD: unindexed
@@ -198,6 +195,16 @@ func TestExplainUnavailablePaths(t *testing.T) {
 		} else if e.Reason == "" {
 			t.Fatalf("%v has no unavailability reason", p)
 		}
+		if _, _, err := tb.Exec(Query{Col: 3, Lo: 0.2, Hi: 0.4, Path: p}, nil); !errors.Is(err, ErrPathUnavailable) {
+			t.Fatalf("forcing unavailable %v: err %v, want ErrPathUnavailable", p, err)
+		}
+	}
+	if _, _, err := tb.Exec(Query{Col: 3, Lo: 0.2, Hi: 0.4, Path: numPaths}, nil); !errors.Is(err, ErrPathUnavailable) {
+		t.Fatalf("forcing an unknown path: err %v, want ErrPathUnavailable", err)
+	}
+	if rows, st, err := rowsOf(tb, Query{Col: 3, Lo: 0.2, Hi: 0.4, Path: PathScan}); err != nil || st.Path != PathScan ||
+		!sameRows(rows, expected(tb, 3, 0.2, 0.4)) {
+		t.Fatalf("forced scan: path %v err %v", st.Path, err)
 	}
 	if plan := explain(t, tb, 0, 10, 20); plan.Chosen != PathPrimary {
 		t.Fatalf("pk column chose %v", plan.Chosen)
@@ -218,7 +225,7 @@ func TestDropIndex(t *testing.T) {
 		t.Fatalf("want ErrHostInUse, got %v", err)
 	}
 	// Accrue some hermit-path history first, so the drop has stats to clear.
-	if _, _, err := tb.RangeQuery(2, 100, 140); err != nil {
+	if _, _, err := rowsOf(tb, Query{Col: 2, Lo: 100, Hi: 140}); err != nil {
 		t.Fatal(err)
 	}
 	if err := tb.DropIndex(2, KindHermit); err != nil {
@@ -232,11 +239,11 @@ func TestDropIndex(t *testing.T) {
 		t.Fatalf("path stats survived the drop: %+v", e)
 	}
 	// Queries survive the drop (scan fallback) and stay correct.
-	rids, st, err := tb.RangeQuery(2, 100, 140)
+	rids, st, err := rowsOf(tb, Query{Col: 2, Lo: 100, Hi: 140})
 	if err != nil || st.Path == PathHermit {
 		t.Fatalf("post-drop query: path %v err %v", st.Path, err)
 	}
-	if !sameRIDs(rids, expected(tb, 2, 100, 140)) {
+	if !sameRows(rids, expected(tb, 2, 100, 140)) {
 		t.Fatal("post-drop results wrong")
 	}
 	// Dependent gone: the host drops now.

@@ -1,6 +1,9 @@
 package engine
 
 import (
+	"errors"
+	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -14,8 +17,9 @@ import (
 type QueryStats struct {
 	// Kind is the index mechanism that served the query.
 	Kind IndexKind
-	// Path is the access path the planner executed (finer-grained than
-	// Kind: PathHermit and PathTRSDirect both report KindHermit).
+	// Path is the access path the query ran on — the planner's choice, or
+	// Query.Path when set (finer-grained than Kind: PathHermit and
+	// PathTRSDirect both report KindHermit).
 	Path AccessPath
 	// Rows is the number of qualifying tuples.
 	Rows int
@@ -42,8 +46,9 @@ func (q QueryStats) FalsePositiveRatio() float64 {
 // and the pre-bound append callbacks (method values created once per
 // scratch object) keep index Scan calls from minting a fresh closure per
 // query. Scratch memory never escapes into query results — results go to
-// the caller's dst buffer or a fresh allocation — so returning the object
-// to the pool is always safe.
+// the caller's dst buffer or a fresh allocation, and Exec copies rows out
+// of the RIDs it keeps in out — so returning the object to the pool is
+// always safe.
 //
 // Pool discipline: scratch is acquired after all latches the path takes
 // are decided and is released before the query returns; it interacts with
@@ -52,6 +57,8 @@ type queryScratch struct {
 	ids  []uint64
 	rids []storage.RID
 	res  []storage.RID
+	// out is Exec's RID stage: the RIDs whose rows it copies out.
+	out []storage.RID
 	// row is UpdateColumn's copy of the current version: the next
 	// version's row is built in it.
 	row []float64
@@ -91,7 +98,10 @@ func putScratch(sc *queryScratch) {
 	if cap(sc.res) > maxScratchEntries {
 		sc.res = nil
 	}
-	sc.ids, sc.rids, sc.res = sc.ids[:0], sc.rids[:0], sc.res[:0]
+	if cap(sc.out) > maxScratchEntries {
+		sc.out = nil
+	}
+	sc.ids, sc.rids, sc.res, sc.out = sc.ids[:0], sc.rids[:0], sc.res[:0], sc.out[:0]
 	sc.harvest.Trim(maxScratchEntries)
 	if cap(sc.tres.IDs) > maxScratchEntries {
 		sc.tres.IDs = nil
@@ -109,67 +119,123 @@ func resultBuf(dst []storage.RID, n int) []storage.RID {
 	return dst[:0]
 }
 
-// RangeQuery returns the RIDs of rows with lo <= col <= hi, reading at a
-// snapshot of the latest commit timestamp. It routes through the access
-// path the cost-based planner estimates cheapest (see planner.go);
-// SetRouting(RouteStatic) restores the fixed pre-planner priority (Hermit,
-// then CM, then a complete B+-tree, then the primary index, then a full
-// scan). Execution results — hit counts, false-positive ratios, sampled
-// latencies — are fed back into the planner's per-path statistics. Queries
-// hold only the catalog read latch (shared with all other queries and
-// writers) plus the read latch of the index structures they traverse, so
-// concurrent queries on different indexes do not contend, and writers
-// never block snapshot reads.
-func (t *Table) RangeQuery(col int, lo, hi float64) ([]storage.RID, QueryStats, error) {
-	snap := t.clock.Snapshot()
-	defer snap.Recycle()
-	return t.RangeQueryAtInto(snap, col, lo, hi, nil)
+// ErrPathUnavailable is returned for a Query whose Path names an access
+// path the table cannot run for its predicate — one Explain lists as
+// unavailable. A forced path is never silently re-routed.
+var ErrPathUnavailable = errors.New("engine: access path not available for this predicate")
+
+// Pred is one range predicate: Lo <= Col <= Hi.
+type Pred struct {
+	Col    int
+	Lo, Hi float64
 }
 
-// RangeQueryInto is RangeQuery with a caller-supplied result buffer: the
-// matching RIDs are appended into dst[:0] and the (possibly grown) buffer
-// is returned. A caller that carries dst across queries amortises the
-// result allocation away entirely; dst may be nil for a fresh buffer.
-func (t *Table) RangeQueryInto(col int, lo, hi float64, dst []storage.RID) ([]storage.RID, QueryStats, error) {
-	snap := t.clock.Snapshot()
-	defer snap.Recycle()
-	return t.RangeQueryAtInto(snap, col, lo, hi, dst)
+// Query is one read: the rows with Lo <= Col <= Hi (a point query is
+// Lo == Hi) that also satisfy And when it is set, as of one snapshot.
+type Query struct {
+	// Col, Lo and Hi are the predicate.
+	Col    int
+	Lo, Hi float64
+	// And is an optional second predicate (a two-column query). A
+	// composite index on (Col, And.Col) serves it when Path is PathAuto;
+	// otherwise the first predicate's path runs and And is checked on each
+	// row it returns.
+	And *Pred
+	// Snap is the snapshot the query reads at. When nil, Exec takes one
+	// and releases it before returning.
+	Snap *Snapshot
+	// Path forces the access path of the first predicate; the zero value,
+	// PathAuto, lets the planner choose. A path the table cannot run for
+	// the predicate fails with ErrPathUnavailable.
+	Path AccessPath
 }
 
-// RangeQueryAt is RangeQuery reading at the caller's snapshot: every index
-// still returns candidate RIDs, but visibility is resolved per candidate
-// against the snapshot's commit timestamp, so the result reflects exactly
-// the state at Snapshot time no matter what commits concurrently.
-func (t *Table) RangeQueryAt(snap *Snapshot, col int, lo, hi float64) ([]storage.RID, QueryStats, error) {
-	return t.RangeQueryAtInto(snap, col, lo, hi, nil)
+// Exec answers q with whole rows: it appends every matching row, row by
+// row and back to back (len(Columns()) values each), to dst and returns
+// the grown buffer. The rows are read under q.Snap — or under a snapshot
+// Exec holds for the whole call — so no concurrent commit can reclaim a
+// row between finding and copying it. With a reused dst a warm query on
+// an exact path allocates nothing. Execution results (hit counts,
+// false-positive ratios, sampled latencies) feed the planner's per-path
+// statistics. Queries hold only the catalog read latch plus the read
+// latches of the structures they traverse, so queries on different
+// indexes do not contend and writers never block snapshot reads.
+func (t *Table) Exec(q Query, dst []float64) ([]float64, QueryStats, error) {
+	if q.Snap == nil {
+		q.Snap = t.clock.Snapshot()
+		defer q.Snap.Recycle()
+	}
+	sc := getScratch()
+	defer putScratch(sc)
+	rids, st, err := t.Lookup(q, sc.out)
+	if err != nil {
+		return dst, st, err
+	}
+	sc.out = rids
+	dst, err = t.appendRows(dst, rids)
+	return dst, st, err
 }
 
-// RangeQueryAtInto is RangeQueryAt with a caller-supplied result buffer
-// (see RangeQueryInto for the dst contract). With a reused dst a warm
-// query on an exact path allocates nothing.
-func (t *Table) RangeQueryAtInto(snap *Snapshot, col int, lo, hi float64, dst []storage.RID) ([]storage.RID, QueryStats, error) {
-	if col < 0 || col >= len(t.cols) {
+// appendRows appends the rows at rids to dst, back to back, under one hold
+// of the store's latch.
+func (t *Table) appendRows(dst []float64, rids []storage.RID) ([]float64, error) {
+	n, need := len(dst), len(rids)*len(t.cols)
+	dst = slices.Grow(dst, need)
+	if _, err := t.store.GetRun(rids, dst[n:n+need]); err != nil {
+		return dst[:n], err
+	}
+	return dst[:n+need], nil
+}
+
+// SplitRows appends to dst one view per row of flat, Exec's back-to-back
+// layout of width-value rows; the views share flat's memory.
+func SplitRows(flat []float64, width int, dst [][]float64) [][]float64 {
+	for i := 0; i+width <= len(flat) && width > 0; i += width {
+		dst = append(dst, flat[i:i+width:i+width])
+	}
+	return dst
+}
+
+// Lookup is Exec's first stage: it plans q (or takes q.Path), runs the
+// access path and appends the RIDs of the matching row versions visible
+// at q.Snap into dst[:0] (freshly allocated when dst is nil). A RID names
+// one version of a row and is good while a snapshot that sees it is held:
+// with a nil q.Snap, Lookup's own snapshot is released on return, and the
+// RIDs are good only until the next commit to the table.
+func (t *Table) Lookup(q Query, dst []storage.RID) ([]storage.RID, QueryStats, error) {
+	if q.Col < 0 || q.Col >= len(t.cols) || q.And != nil && (q.And.Col < 0 || q.And.Col >= len(t.cols)) {
 		return nil, QueryStats{}, ErrNoSuchColumn
+	}
+	if q.Snap == nil {
+		q.Snap = t.clock.Snapshot()
+		defer q.Snap.Recycle()
 	}
 	t.catalog.RLock()
 	defer t.catalog.RUnlock()
-	var chosen AccessPath
-	var modelCost float64
-	if RoutingMode(t.routing.Load()) == RouteCost {
+	if q.And != nil {
+		return t.lookup2Locked(q, dst)
+	}
+	return t.lookupLocked(q, dst)
+}
+
+// lookupLocked is Lookup's single-predicate case; t.catalog is held shared.
+func (t *Table) lookupLocked(q Query, dst []storage.RID) ([]storage.RID, QueryStats, error) {
+	path, modelCost := q.Path, 0.0
+	if path == PathAuto {
 		var ests [numPaths]PathEstimate
-		chosen, ests, _, _ = t.planLocked(col, lo, hi)
-		modelCost = ests[chosen].Cost
-	} else {
-		chosen = t.staticPathLocked(col)
+		path, ests, _, _ = t.planLocked(q.Col, q.Lo, q.Hi, false)
+		modelCost = ests[path].Cost
+	} else if !t.availableLocked(q.Col, path) {
+		return nil, QueryStats{}, fmt.Errorf("%w: %v on column %q", ErrPathUnavailable, path, t.cols[q.Col])
 	}
 	// Latency is sampled (1 in latencySampleMask+1) so the feedback loop
 	// does not tax every query with clock reads.
-	timed := t.runtime[col].paths[chosen].count.Load()&latencySampleMask == 0
+	timed := t.runtime[q.Col].paths[path].count.Load()&latencySampleMask == 0
 	var t0 time.Time
 	if timed {
 		t0 = time.Now()
 	}
-	rids, st, err := t.execPathLocked(snap, chosen, col, lo, hi, dst)
+	rids, st, err := t.execPathLocked(q.Snap, path, q.Col, q.Lo, q.Hi, dst)
 	if err != nil {
 		return nil, st, err
 	}
@@ -177,29 +243,15 @@ func (t *Table) RangeQueryAtInto(snap *Snapshot, col int, lo, hi float64, dst []
 	if timed {
 		elapsed = time.Since(t0)
 	}
-	t.recordQuery(col, chosen, modelCost, elapsed, st)
-	st.Path = chosen
+	t.recordQuery(q.Col, path, modelCost, elapsed, st)
+	st.Path = path
 	return rids, st, nil
-}
-
-// staticPathLocked is the fixed pre-planner routing priority; t.catalog is
-// held shared.
-func (t *Table) staticPathLocked(col int) AccessPath {
-	return pathForKind(t.indexOnLocked(col))
-}
-
-// rangeQueryLocked routes a single-column predicate through the static
-// priority; t.catalog is held shared. (The composite two-column fallback
-// uses it so RangeQuery2's behaviour is independent of the planner.)
-func (t *Table) rangeQueryLocked(snap *Snapshot, col int, lo, hi float64) ([]storage.RID, QueryStats, error) {
-	return t.execPathLocked(snap, t.staticPathLocked(col), col, lo, hi, nil)
 }
 
 // execPathLocked executes the predicate over one access path at the given
 // snapshot; t.catalog is held shared. The caller guarantees the path is
-// available (planLocked or staticPathLocked). Results are appended into
-// dst when non-nil (see RangeQueryInto); with nil dst each path falls back
-// to its own allocation.
+// available (planLocked or availableLocked). Results are appended into
+// dst[:0], or into a fresh allocation when dst is nil.
 func (t *Table) execPathLocked(snap *Snapshot, path AccessPath, col int, lo, hi float64, dst []storage.RID) ([]storage.RID, QueryStats, error) {
 	switch path {
 	case PathHermit:
@@ -335,27 +387,16 @@ func (t *Table) hermitLogicalRange(snap *Snapshot, col int, lo, hi float64, dst 
 	return out, st, nil
 }
 
-// PointQuery returns the RIDs of rows with col == v at a snapshot of the
-// latest commit timestamp.
-func (t *Table) PointQuery(col int, v float64) ([]storage.RID, QueryStats, error) {
-	return t.RangeQuery(col, v, v)
+// RangeQueryInto is Lookup(Query{Col: col, Lo: lo, Hi: hi}, dst). It
+// exists only for benchmark/, which calls it, and goes with benchmark v2.
+func (t *Table) RangeQueryInto(col int, lo, hi float64, dst []storage.RID) ([]storage.RID, QueryStats, error) {
+	return t.Lookup(Query{Col: col, Lo: lo, Hi: hi}, dst)
 }
 
-// PointQueryAt is PointQuery reading at the caller's snapshot.
-func (t *Table) PointQueryAt(snap *Snapshot, col int, v float64) ([]storage.RID, QueryStats, error) {
-	return t.RangeQueryAt(snap, col, v, v)
-}
-
-// PointQueryInto is PointQuery with a caller-supplied result buffer (see
-// RangeQueryInto for the dst contract).
+// PointQueryInto is RangeQueryInto(col, v, v, dst). It exists only for
+// benchmark/, which calls it, and goes with benchmark v2.
 func (t *Table) PointQueryInto(col int, v float64, dst []storage.RID) ([]storage.RID, QueryStats, error) {
-	return t.RangeQueryInto(col, v, v, dst)
-}
-
-// PointQueryAtInto is PointQueryAt with a caller-supplied result buffer
-// (see RangeQueryInto for the dst contract).
-func (t *Table) PointQueryAtInto(snap *Snapshot, col int, v float64, dst []storage.RID) ([]storage.RID, QueryStats, error) {
-	return t.RangeQueryAtInto(snap, col, v, v, dst)
+	return t.Lookup(Query{Col: col, Lo: v, Hi: v}, dst)
 }
 
 // baselineRange executes the conventional secondary-index plan: index
@@ -462,23 +503,13 @@ func (t *Table) scanRange(snap *Snapshot, col int, lo, hi float64, dst []storage
 	return out, st, nil
 }
 
-// FetchRows materialises rows for a RID list (what a real query plan would
-// do after index retrieval); the buffer is reused across calls via dst.
-// The RIDs must come from a query at a snapshot that is still open, or
-// from one that no commit to the table has followed: a RID whose version
-// has been reclaimed reads ErrTombstoned until the slot is reused, and the
-// slot's new row afterwards.
+// FetchRows reads the rows at rids into dst[:0], one row each. It exists
+// only for benchmark/, which calls it after RangeQueryInto or
+// PointQueryInto, and goes with benchmark v2.
 func (t *Table) FetchRows(rids []storage.RID, dst [][]float64) ([][]float64, error) {
-	if cap(dst) < len(rids) {
-		dst = make([][]float64, 0, len(rids))
+	flat, err := t.appendRows(nil, rids)
+	if err != nil {
+		return nil, err
 	}
-	dst = dst[:0]
-	for _, rid := range rids {
-		row, err := t.store.Get(rid, nil)
-		if err != nil {
-			return nil, err
-		}
-		dst = append(dst, row)
-	}
-	return dst, nil
+	return SplitRows(flat, len(t.cols), dst[:0]), nil
 }

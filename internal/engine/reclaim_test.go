@@ -12,7 +12,6 @@ import (
 	"unsafe"
 
 	"hermit/internal/hermit"
-	"hermit/internal/storage"
 )
 
 // Reclamation at commit, outside the model check: what readers that hold a
@@ -80,18 +79,18 @@ func TestFifo(t *testing.T) {
 	}
 }
 
-// TestSnapshotReadersAgainstReclaimingWriters: four readers, each query under
-// a snapshot of its own (RangeQueryAt, then FetchRows, then release), against
-// two writers that update, delete and re-insert the same keys and reclaim what
-// they end as they go. A freed slot is refilled by the very next version
-// written, so a RID resolved a moment too late — through a stale index entry,
-// a chain link into a freed slot, a row fetched after its snapshot let go —
-// reads another key's row: every row must satisfy the predicate it was asked
-// by, carry the key it was asked for when asked by key, and no key may come
-// back twice. Two more readers hold their candidate RIDs, snapshot and all,
-// until the writers have committed another 64 times — slots all around theirs
-// reclaimed, refilled, frozen and thawed meanwhile — and fetch only then. Run
-// it under -race.
+// TestSnapshotReadersAgainstReclaimingWriters: four readers Exec under the
+// snapshot Exec takes for itself, against two writers that update, delete and
+// re-insert the same keys and reclaim what they end as they go. A freed slot
+// is refilled by the very next version written, so a RID resolved a moment
+// too late — through a stale index entry, a chain link into a freed slot, a
+// row copied after its snapshot let go — reads another key's row: every row
+// must satisfy the predicate it was asked by, be one whole committed row
+// (tag repeats the key, host follows target) and no key may come back twice.
+// Two more readers take a snapshot, hold it until the writers have committed
+// another 64 times — slots all around the versions it sees reclaimed,
+// refilled, frozen and thawed meanwhile — and only then Exec at it. Run it
+// under -race.
 //
 // The second half is the one window freezing must stay out of: a snapshot
 // registered between a commit's stamp and its publish reads at commitTS-1 and
@@ -131,7 +130,7 @@ func snapshotsBetweenStampAndPublish(t *testing.T, scheme hermit.PointerScheme) 
 			for i := 0; !stop.Load(); i++ {
 				snap := db.Snapshot()
 				next := float64(snap.TS() + 1) // the key commit TS()+1 inserts
-				rids, _, err := tb.RangeQueryAt(snap, i%2, next, next)
+				rids, _, err := rowsOf(tb, Query{Col: i % 2, Lo: next, Hi: next, Snap: snap})
 				snap.Release()
 				if err != nil || len(rids) != 0 {
 					t.Errorf("a snapshot at %d sees %d row(s) of the commit after it (col %d): %v", snap.TS(), len(rids), i%2, err)
@@ -200,7 +199,6 @@ func snapshotReadersAgainstWriters(t *testing.T, scheme hermit.PointerScheme) {
 			hold := r >= 4
 			rng := rand.New(rand.NewSource(int64(100 + r)))
 			seen := make(map[float64]bool)
-			var rows [][]float64
 			for i := 0; !stop.Load(); i++ {
 				col := i % 3 // by key, by the B+-tree, by the Hermit index
 				lo := float64(rng.Intn(keys))
@@ -209,23 +207,23 @@ func snapshotReadersAgainstWriters(t *testing.T, scheme hermit.PointerScheme) {
 					lo = float64(rng.Intn(domain))
 					hi = lo + float64(rng.Intn(40))
 				}
-				snap := db.Snapshot()
-				rids, _, err := tb.RangeQueryAt(snap, col, lo, hi)
-				for hold && db.Clock().Now() < snap.TS()+64 && !stop.Load() {
-					runtime.Gosched()
+				q := Query{Col: col, Lo: lo, Hi: hi}
+				if hold {
+					q.Snap = db.Snapshot()
+					for db.Clock().Now() < q.Snap.TS()+64 && !stop.Load() {
+						runtime.Gosched()
+					}
 				}
-				if err == nil {
-					rows, err = tb.FetchRows(rids, rows)
-				}
-				snap.Release()
+				rows, _, err := rowsOf(tb, q)
+				q.Snap.Release()
 				if err != nil {
-					t.Errorf("reader: col %d [%v, %v] at ts %d: %v", col, lo, hi, snap.TS(), err)
+					t.Errorf("reader: col %d [%v, %v] (held snapshot: %v): %v", col, lo, hi, hold, err)
 					return
 				}
 				clear(seen)
 				for _, row := range rows {
 					if row[col] < lo || row[col] > hi || row[3] != row[0] || row[1] != 2*row[2]+100 || seen[row[0]] {
-						t.Errorf("reader: col %d [%v, %v] at ts %d returned %v (key seen before: %v)", col, lo, hi, snap.TS(), row, seen[row[0]])
+						t.Errorf("reader: col %d [%v, %v] (held snapshot: %v) returned %v (key seen before: %v)", col, lo, hi, hold, row, seen[row[0]])
 						return
 					}
 					seen[row[0]] = true
@@ -382,9 +380,8 @@ func TestLongSnapshotBacklogGivenBack(t *testing.T) {
 	if pending := tb.VersionStats().Pending; pending != updates {
 		t.Fatalf("%d versions queued under the snapshot, want %d", pending, updates)
 	}
-	var rids []storage.RID
-	if rids, _, err = tb.RangeQueryAt(snap, 1, 0, 0); err != nil || len(rids) != rows {
-		t.Fatalf("the snapshot sees %d of its %d rows: %v", len(rids), rows, err)
+	if got, _, err := rowsOf(tb, Query{Col: 1, Lo: 0, Hi: 0, Snap: snap}); err != nil || len(got) != rows {
+		t.Fatalf("the snapshot sees %d of its %d rows: %v", len(got), rows, err)
 	}
 	pinned := tb.Memory().VersionBytes
 	snap.Release()

@@ -3,8 +3,10 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
+	"hermit/internal/keyorder"
 	"hermit/internal/storage"
 )
 
@@ -27,9 +29,11 @@ var (
 // a partitioned table — and is not safe for concurrent use by multiple
 // goroutines.
 type Txn struct {
-	clock  *Clock
-	snap   *Snapshot
-	writes map[*Table]map[float64]*txnWrite
+	clock *Clock
+	snap  *Snapshot
+	// writes is keyed by keyorder.Bits of the primary key: a float64 map
+	// key could never find a NaN key again.
+	writes map[*Table]map[uint64]*txnWrite
 	done   bool
 }
 
@@ -37,6 +41,7 @@ type Txn struct {
 // image (insert or update collapse to "this row exists with these values")
 // or a deletion.
 type txnWrite struct {
+	pk  float64
 	row []float64 // nil for a delete
 	del bool
 }
@@ -47,7 +52,7 @@ func BeginTxn(clock *Clock) *Txn {
 	return &Txn{
 		clock:  clock,
 		snap:   clock.Snapshot(),
-		writes: make(map[*Table]map[float64]*txnWrite),
+		writes: make(map[*Table]map[uint64]*txnWrite),
 	}
 }
 
@@ -55,15 +60,15 @@ func BeginTxn(clock *Clock) *Txn {
 func (db *DB) Begin() *Txn { return BeginTxn(db.clock) }
 
 // Snapshot returns the transaction's read snapshot, valid until Commit or
-// Rollback. Queries run through Table.RangeQueryAt against it observe the
-// database as of Begin (buffered writes excluded; use Get for
+// Rollback. Queries run through Table.Exec with it as Query.Snap observe
+// the database as of Begin (buffered writes excluded; use Get for
 // read-your-own-writes point lookups).
 func (x *Txn) Snapshot() *Snapshot { return x.snap }
 
 // effective returns the transaction's view of pk in t: the buffered write
 // if any, else the version visible at the snapshot.
 func (x *Txn) effective(t *Table, pk float64) (row []float64, live bool, err error) {
-	if w := x.writes[t][pk]; w != nil {
+	if w := x.writes[t][keyorder.Bits(pk)]; w != nil {
 		if w.del {
 			return nil, false, nil
 		}
@@ -80,13 +85,13 @@ func (x *Txn) effective(t *Table, pk float64) (row []float64, live bool, err err
 	return r, true, nil
 }
 
-func (x *Txn) buffer(t *Table, pk float64, w *txnWrite) {
+func (x *Txn) buffer(t *Table, w *txnWrite) {
 	m := x.writes[t]
 	if m == nil {
-		m = make(map[float64]*txnWrite)
+		m = make(map[uint64]*txnWrite)
 		x.writes[t] = m
 	}
-	m[pk] = w
+	m[keyorder.Bits(w.pk)] = w
 }
 
 // check validates that the transaction can still buffer writes against t.
@@ -117,7 +122,7 @@ func (x *Txn) Insert(t *Table, row []float64) error {
 	if live {
 		return fmt.Errorf("%w: %v", ErrDupKey, pk)
 	}
-	x.buffer(t, pk, &txnWrite{row: append([]float64(nil), row...)})
+	x.buffer(t, &txnWrite{pk: pk, row: append([]float64(nil), row...)})
 	return nil
 }
 
@@ -132,7 +137,7 @@ func (x *Txn) Delete(t *Table, pk float64) (bool, error) {
 	if err != nil || !live {
 		return false, err
 	}
-	x.buffer(t, pk, &txnWrite{del: true})
+	x.buffer(t, &txnWrite{pk: pk, del: true})
 	return true, nil
 }
 
@@ -157,7 +162,7 @@ func (x *Txn) Update(t *Table, pk float64, col int, v float64) error {
 	}
 	nw := append([]float64(nil), row...)
 	nw[col] = v
-	x.buffer(t, pk, &txnWrite{row: nw})
+	x.buffer(t, &txnWrite{pk: pk, row: nw})
 	return nil
 }
 
@@ -208,13 +213,10 @@ type stamped struct {
 	old storage.RID // the head an update or a delete ends (noRID for an insert)
 }
 
-// CommitResult reports where a committed transaction's writes landed.
+// CommitResult reports a committed transaction's commit timestamp.
 type CommitResult struct {
 	// TS is the commit timestamp.
 	TS uint64
-	// RIDs maps each written (table, key) to the new version's RID; pure
-	// deletes are absent.
-	RIDs map[*Table]map[float64]storage.RID
 }
 
 // Commit atomically applies the buffered writes: it validates every
@@ -269,8 +271,8 @@ func (x *Txn) apply(tables []*Table) (CommitResult, []int, error) {
 	var stripes []stripeRef
 	for _, t := range tables {
 		seen := make(map[uint64]bool)
-		for pk := range x.writes[t] {
-			s := stripeOf(pk)
+		for _, w := range x.writes[t] {
+			s := stripeOf(w.pk)
 			if !seen[s] {
 				seen[s] = true
 				stripes = append(stripes, stripeRef{t, s})
@@ -292,10 +294,10 @@ func (x *Txn) apply(tables []*Table) (CommitResult, []int, error) {
 	// stripes, so a clean validation here cannot be invalidated before the
 	// stamp below.
 	for _, t := range tables {
-		for pk := range x.writes[t] {
+		for _, w := range x.writes[t] {
 			// (An absent key reads as the zero header, which passes.)
-			if _, h := t.head(pk); h.beginTS > x.snap.ts || h.endTS > x.snap.ts {
-				return res, nil, fmt.Errorf("%w: key %v in table %q", ErrWriteConflict, pk, t.name)
+			if _, h := t.head(w.pk); h.beginTS > x.snap.ts || h.endTS > x.snap.ts {
+				return res, nil, fmt.Errorf("%w: key %v in table %q", ErrWriteConflict, w.pk, t.name)
 			}
 		}
 	}
@@ -305,13 +307,14 @@ func (x *Txn) apply(tables []*Table) (CommitResult, []int, error) {
 	// heads, so readers cannot observe a partial transaction here.
 	var pend []stamped
 	for ti, t := range tables {
-		pks := make([]float64, 0, len(x.writes[t]))
-		for pk := range x.writes[t] {
-			pks = append(pks, pk)
+		ws := make([]*txnWrite, 0, len(x.writes[t]))
+		for _, w := range x.writes[t] {
+			ws = append(ws, w)
 		}
-		sort.Float64s(pks) // deterministic apply order within a table
-		for _, pk := range pks {
-			w := x.writes[t][pk]
+		// Deterministic apply order within a table.
+		slices.SortFunc(ws, func(a, b *txnWrite) int { return keyorder.Compare(a.pk, b.pk) })
+		for _, w := range ws {
+			pk := w.pk
 			old, h := t.head(pk)
 			if w.del {
 				if h.live() {
@@ -375,17 +378,5 @@ func (x *Txn) apply(tables []*Table) (CommitResult, []int, error) {
 	}
 
 	res.TS = commitTS
-	res.RIDs = make(map[*Table]map[float64]storage.RID)
-	for _, s := range pend {
-		if s.rid == noRID {
-			continue
-		}
-		m := res.RIDs[s.t]
-		if m == nil {
-			m = make(map[float64]storage.RID)
-			res.RIDs[s.t] = m
-		}
-		m[s.pk] = s.rid
-	}
 	return res, left, nil
 }

@@ -10,17 +10,17 @@ import (
 	"hermit/internal/workload"
 )
 
-// pks materialises the primary keys behind a partitioned result set,
-// sorted.
-func pks(t *testing.T, pt *Table, rids []RID) []float64 {
-	t.Helper()
-	out := make([]float64, 0, len(rids))
-	for _, r := range rids {
-		v, err := pt.Part(r.Part).Store().Value(r.RID, pt.PKCol())
-		if err != nil {
-			t.Fatal(err)
-		}
-		out = append(out, v)
+// rowsOf runs q through Exec and views the answer one slice per row.
+func rowsOf(pt *Table, q engine.Query) ([][]float64, Stats, error) {
+	flat, st, err := pt.Exec(q, nil)
+	return engine.SplitRows(flat, len(pt.cols), nil), st, err
+}
+
+// pks is the sorted primary keys of rows.
+func pks(pt *Table, rows [][]float64) []float64 {
+	out := make([]float64, 0, len(rows))
+	for _, row := range rows {
+		out = append(out, row[pt.PKCol()])
 	}
 	sort.Float64s(out)
 	return out
@@ -56,11 +56,11 @@ func TestDurablePartitionedCloseReopen(t *testing.T) {
 	if err := pt.UpdateColumn(101, 2, 55.5); err != nil {
 		t.Fatal(err)
 	}
-	wantRange, _, err := pt.RangeQuery(2, 50, 60)
+	wantRange, _, err := rowsOf(pt, engine.Query{Col: 2, Lo: 50, Hi: 60})
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantPKs := pks(t, pt, wantRange)
+	wantPKs := pks(pt, wantRange)
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -83,14 +83,14 @@ func TestDurablePartitionedCloseReopen(t *testing.T) {
 	if pt2.Len() != spec.Rows-1 {
 		t.Fatalf("recovered %d rows, want %d", pt2.Len(), spec.Rows-1)
 	}
-	got, st, err := pt2.RangeQuery(2, 50, 60)
+	got, st, err := rowsOf(pt2, engine.Query{Col: 2, Lo: 50, Hi: 60})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st.FanOut != 4 {
 		t.Fatalf("fan-out %d after recovery", st.FanOut)
 	}
-	gotPKs := pks(t, pt2, got)
+	gotPKs := pks(pt2, got)
 	if len(gotPKs) != len(wantPKs) {
 		t.Fatalf("range after reopen: %d rows, want %d", len(gotPKs), len(wantPKs))
 	}
@@ -134,10 +134,10 @@ func TestDurablePartitionedCloseReopen(t *testing.T) {
 	if pt3.Len() != spec.Rows-1 { // -2 deletes +1 insert
 		t.Fatalf("after checkpoint+tail: %d rows, want %d", pt3.Len(), spec.Rows-1)
 	}
-	if rids, _, err := pt3.PointQuery(0, 90001); err != nil || len(rids) != 1 {
+	if rids, _, err := rowsOf(pt3, engine.Query{Col: 0, Lo: 90001, Hi: 90001}); err != nil || len(rids) != 1 {
 		t.Fatalf("post-checkpoint insert lost: %v, %v", rids, err)
 	}
-	if rids, _, err := pt3.PointQuery(0, 101); err != nil || len(rids) != 0 {
+	if rids, _, err := rowsOf(pt3, engine.Query{Col: 0, Lo: 101, Hi: 101}); err != nil || len(rids) != 0 {
 		t.Fatalf("post-checkpoint delete lost: %v, %v", rids, err)
 	}
 }
@@ -224,13 +224,13 @@ func TestDurablePartitionedDDLAndGuards(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	rids, st, err := plain.RangeQuery(1, 5, 9)
+	rids, st, err := rowsOf(plain, engine.Query{Col: 1, Lo: 5, Hi: 9})
 	if err != nil || st.FanOut != 1 || len(rids) != 5 {
 		t.Fatalf("plain range: %d rows, fan-out %d, err %v", len(rids), st.FanOut, err)
 	}
-	for i, rid := range rids {
-		if row, err := plain.FetchRow(rid); err != nil || row[1] != float64(5+i) {
-			t.Fatalf("plain range row %d = %v (err %v), want y = %d in order", i, row, err, 5+i)
+	for i, row := range rids {
+		if row[1] != float64(5+i) {
+			t.Fatalf("plain range row %d = %v, want y = %d in order", i, row, 5+i)
 		}
 	}
 	if tb, _ := d.Table("plain"); tb.Len() != 20 {

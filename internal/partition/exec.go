@@ -1,17 +1,16 @@
 package partition
 
 import (
-	"fmt"
-
 	"hermit/internal/engine"
 )
 
 // OpResult is the outcome of one engine.Op executed against a partitioned
 // table, at the batch position of its op. It mirrors engine.OpResult with
-// partition-qualified identifiers and fan-out stats.
+// fan-out stats.
 type OpResult struct {
-	// RIDs holds the merged, ordered matches of a query op.
-	RIDs []RID
+	// Rows holds a query op's merged, ordered rows, whole and back to back
+	// (Exec's layout).
+	Rows []float64
 	// Stats describes a query op's execution (fan-out, merge counts).
 	Stats Stats
 	// Found reports whether an OpDelete removed a row.
@@ -35,23 +34,12 @@ type OpResult struct {
 // capped at Options.Workers. Results align positionally with ops;
 // Op.Table is ignored.
 func (t *Table) ExecuteBatch(ops []engine.Op, workers int) []OpResult {
-	return engine.ExecBatch(t.mut.begin(), ops, workers, t.QueryAt, func(_ engine.Op, found bool, err error) OpResult {
+	query := func(op engine.Op) OpResult {
+		var r OpResult
+		r.Rows, r.Stats, r.Err = t.Exec(op.Query, nil)
+		return r
+	}
+	return engine.ExecBatch(t.mut.begin(), ops, workers, query, func(_ engine.Op, found bool, err error) OpResult {
 		return OpResult{Found: found, Err: err}
 	})
-}
-
-// QueryAt answers one read op — OpRange, OpPoint or OpRange2 — at snap.
-func (t *Table) QueryAt(snap *engine.Snapshot, op engine.Op) OpResult {
-	var r OpResult
-	switch op.Kind {
-	case engine.OpRange:
-		r.RIDs, r.Stats, r.Err = t.RangeQueryAt(snap, op.Col, op.Lo, op.Hi)
-	case engine.OpPoint:
-		r.RIDs, r.Stats, r.Err = t.PointQueryAt(snap, op.Col, op.Lo)
-	case engine.OpRange2:
-		r.RIDs, r.Stats, r.Err = t.RangeQuery2At(snap, op.Col, op.Lo, op.Hi, op.BCol, op.BLo, op.BHi)
-	default:
-		r.Err = fmt.Errorf("partition: op kind %d is not a query", op.Kind)
-	}
-	return r
 }

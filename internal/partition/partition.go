@@ -215,13 +215,6 @@ func (t *Table) Memory() engine.MemoryStats {
 	return m
 }
 
-// SetRouting selects every partition's routing mode.
-func (t *Table) SetRouting(m engine.RoutingMode) {
-	for _, p := range t.parts {
-		p.SetRouting(m)
-	}
-}
-
 // SetProfile toggles per-phase timing on every partition.
 func (t *Table) SetProfile(on bool) {
 	for _, p := range t.parts {
@@ -258,63 +251,67 @@ func (t *Table) UpdateColumn(pk float64, col int, v float64) error {
 	return t.mut.update(t.owner(pk), pk, col, v)
 }
 
-// PointQuery returns the rows with col == v. A predicate on the
-// primary-key column routes to the hash owner; any other column fans out.
-func (t *Table) PointQuery(col int, v float64) ([]RID, Stats, error) {
-	return t.RangeQuery(col, v, v)
+// Exec answers q with whole rows, like engine.Table.Exec: it appends every
+// matching row, back to back, to dst, ordered by the predicate column (ties
+// broken by partition then RID, so results are deterministic). A
+// primary-key point predicate (Col == PKCol, Lo == Hi) routes to the key's
+// hash owner; everything else scatters across the worker pool and gathers
+// with an ordered merge. Every leg reads q.Snap — or one snapshot Exec
+// holds for the whole call — so a query never observes a concurrent atomic
+// batch partially, even across partitions, and the rows are copied under
+// the snapshot the legs found them at.
+func (t *Table) Exec(q engine.Query, dst []float64) ([]float64, Stats, error) {
+	if q.Snap == nil {
+		q.Snap = t.Snapshot()
+		defer q.Snap.Recycle()
+	}
+	rids, st, err := t.lookup(q)
+	if err != nil {
+		return dst, st, err
+	}
+	w := len(t.cols)
+	dst = slices.Grow(dst, len(rids)*w)
+	for _, r := range rids {
+		n := len(dst)
+		if _, err := t.parts[r.Part].Store().Get(r.RID, dst[n:n+w]); err != nil {
+			return dst[:n], st, err
+		}
+		dst = dst[:n+w]
+	}
+	return dst, st, nil
 }
 
-// PointQueryAt is PointQuery reading at the caller's snapshot.
-func (t *Table) PointQueryAt(snap *engine.Snapshot, col int, v float64) ([]RID, Stats, error) {
-	return t.RangeQueryAt(snap, col, v, v)
+// lookup is Exec's RID stage at q.Snap, which must be set: the routed leg
+// or the gather.
+func (t *Table) lookup(q engine.Query) ([]RID, Stats, error) {
+	if q.Col == t.pkCol && q.Lo == q.Hi {
+		return t.routed(q)
+	}
+	return t.gather(q)
 }
 
-// RangeQuery returns the rows with lo <= col <= hi, ordered by the
-// predicate column (ties broken by partition then RID, so results are
-// deterministic). A primary-key point predicate (col == pkCol, lo == hi)
-// routes to one partition; everything else scatters across the worker
-// pool and gathers with an ordered merge. The whole query — every fan-out
-// leg — runs against one commit-clock snapshot, so it can never observe a
-// concurrent atomic batch partially, even across partitions.
+// RangeQuery returns the RIDs of the rows with lo <= col <= hi, read at a
+// snapshot released before it returns. It exists only for benchmark/,
+// which calls it, and goes with benchmark v2.
 func (t *Table) RangeQuery(col int, lo, hi float64) ([]RID, Stats, error) {
 	snap := t.Snapshot()
 	defer snap.Release()
-	return t.RangeQueryAt(snap, col, lo, hi)
+	return t.lookup(engine.Query{Col: col, Lo: lo, Hi: hi, Snap: snap})
 }
 
-// RangeQueryAt is RangeQuery reading at the caller's snapshot.
-func (t *Table) RangeQueryAt(snap *engine.Snapshot, col int, lo, hi float64) ([]RID, Stats, error) {
-	if col == t.pkCol && lo == hi {
-		return t.routed(snap, col, lo, hi)
-	}
-	return t.gather(col, func(p *engine.Table, dst []storage.RID) ([]storage.RID, engine.QueryStats, error) {
-		return p.RangeQueryAtInto(snap, col, lo, hi, dst)
-	})
-}
-
-// RangeQuery2 serves the conjunctive two-column predicate
-// (col in [lo, hi]) AND (bcol in [blo, bhi]) by scatter-gather against one
-// snapshot, ordered by the first column.
-func (t *Table) RangeQuery2(col int, lo, hi float64, bcol int, blo, bhi float64) ([]RID, Stats, error) {
+// PointQuery is RangeQuery with lo == hi == v. It exists only for
+// benchmark/, which calls it, and goes with benchmark v2.
+func (t *Table) PointQuery(col int, v float64) ([]RID, Stats, error) {
 	snap := t.Snapshot()
 	defer snap.Release()
-	return t.RangeQuery2At(snap, col, lo, hi, bcol, blo, bhi)
-}
-
-// RangeQuery2At is RangeQuery2 reading at the caller's snapshot.
-func (t *Table) RangeQuery2At(snap *engine.Snapshot, col int, lo, hi float64, bcol int, blo, bhi float64) ([]RID, Stats, error) {
-	return t.gather(col, func(p *engine.Table, _ []storage.RID) ([]storage.RID, engine.QueryStats, error) {
-		// The composite path has no Into variant; its fan-out legs allocate
-		// their results as before.
-		return p.RangeQuery2At(snap, col, lo, hi, bcol, blo, bhi)
-	})
+	return t.lookup(engine.Query{Col: col, Lo: v, Hi: v, Snap: snap})
 }
 
 // routed executes a primary-key point predicate on its single owner.
-func (t *Table) routed(snap *engine.Snapshot, col int, lo, hi float64) ([]RID, Stats, error) {
-	p := t.owner(lo)
+func (t *Table) routed(q engine.Query) ([]RID, Stats, error) {
+	p := t.owner(q.Lo)
 	st := Stats{FanOut: 1, Routed: true, PerPartition: make([]engine.QueryStats, len(t.parts))}
-	rids, qs, err := t.parts[p].RangeQueryAt(snap, col, lo, hi)
+	rids, qs, err := t.parts[p].Lookup(q, nil)
 	if err != nil {
 		return nil, st, err
 	}
@@ -386,24 +383,19 @@ func putGatherScratch(sc *gatherScratch) {
 	gatherPool.Put(sc)
 }
 
-// legFunc runs one gather leg on partition p. It receives a reusable
-// result buffer (the Into contract: results are appended into dst[:0]);
-// legs without an Into variant may ignore it.
-type legFunc func(p *engine.Table, dst []storage.RID) ([]storage.RID, engine.QueryStats, error)
-
-// gather scatters run across every partition on the bounded pool, orders
+// gather runs q's Lookup on every partition on the bounded pool, orders
 // each partition's hits by the predicate column, and k-way merges. A
 // one-partition table's single leg runs on the caller, outside the pool:
 // served over the wire, a goroutine and a pool slot per read cost such a
 // table about a fifth of its pipelined read throughput.
-func (t *Table) gather(col int, run legFunc) ([]RID, Stats, error) {
+func (t *Table) gather(q engine.Query) ([]RID, Stats, error) {
 	n := len(t.parts)
 	sc := gatherPool.Get().(*gatherScratch)
 	defer putGatherScratch(sc)
 	sc.slots(n)
 	stats := make([]engine.QueryStats, n) // escapes via Stats.PerPartition
 	if n == 1 {
-		t.leg(0, col, run, sc, stats)
+		t.leg(0, q, sc, stats)
 	} else {
 		var wg sync.WaitGroup
 		for i := 0; i < n; i++ {
@@ -412,7 +404,7 @@ func (t *Table) gather(col int, run legFunc) ([]RID, Stats, error) {
 				defer wg.Done()
 				t.sem <- struct{}{} // bounded pool: at most Workers tasks in flight
 				defer func() { <-t.sem }()
-				t.leg(i, col, run, sc, stats)
+				t.leg(i, q, sc, stats)
 			}(i)
 		}
 		wg.Wait()
@@ -433,15 +425,15 @@ func (t *Table) gather(col int, run legFunc) ([]RID, Stats, error) {
 }
 
 // leg runs partition i's part of a gather into the scratch slots at i.
-func (t *Table) leg(i, col int, run legFunc, sc *gatherScratch, stats []engine.QueryStats) {
-	rids, qs, err := run(t.parts[i], sc.rids[i])
+func (t *Table) leg(i int, q engine.Query, sc *gatherScratch, stats []engine.QueryStats) {
+	rids, qs, err := t.parts[i].Lookup(q, sc.rids[i])
 	sc.rids[i] = rids[:0] // keep the (possibly regrown) buffer pooled
 	if err != nil {
 		sc.errs[i] = err
 		return
 	}
 	stats[i] = qs
-	sc.lists[i] = t.keyedInto(i, col, rids, sc.lists[i])
+	sc.lists[i] = t.keyedInto(i, q.Col, rids, sc.lists[i])
 }
 
 // keyedInto pairs each hit with its ordering key and sorts the
@@ -545,7 +537,8 @@ func mergeSorted(lists [][]entry, heap []mergeHead) ([]RID, []mergeHead) {
 	return out, heap
 }
 
-// FetchRow materialises the row behind a partitioned RID.
+// FetchRow reads the row behind a partitioned RID. It exists only for
+// benchmark/, which calls it after RangeQuery, and goes with benchmark v2.
 func (t *Table) FetchRow(rid RID) ([]float64, error) {
 	if rid.Part < 0 || rid.Part >= len(t.parts) {
 		return nil, fmt.Errorf("partition: RID partition %d out of range", rid.Part)

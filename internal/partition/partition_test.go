@@ -1,9 +1,11 @@
 package partition
 
 import (
+	"errors"
 	"math/rand"
-	"sort"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"hermit/internal/advisor"
@@ -56,18 +58,18 @@ func TestRoutingSpreadsRows(t *testing.T) {
 func TestPointQueryRoutesToOwner(t *testing.T) {
 	pt := newSynthetic(t, 4, 2000)
 	for pk := float64(0); pk < 50; pk++ {
-		rids, st, err := pt.PointQuery(0, pk)
+		rids, st, err := rowsOf(pt, engine.Query{Col: 0, Lo: pk, Hi: pk})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !st.Routed || st.FanOut != 1 {
 			t.Fatalf("pk point query: Routed=%v FanOut=%d, want routed single partition", st.Routed, st.FanOut)
 		}
-		if len(rids) != 1 {
-			t.Fatalf("pk %v: %d matches, want 1", pk, len(rids))
+		if len(rids) != 1 || rids[0][0] != pk {
+			t.Fatalf("pk %v: %v, want its one row", pk, rids)
 		}
-		if want := engine.PartitionOf(pk, 4); rids[0].Part != want {
-			t.Fatalf("pk %v served by partition %d, owner is %d", pk, rids[0].Part, want)
+		if want := engine.PartitionOf(pk, 4); st.PerPartition[want].Rows != 1 {
+			t.Fatalf("pk %v not served by its owner, partition %d: %+v", pk, want, st.PerPartition)
 		}
 	}
 }
@@ -98,53 +100,32 @@ func TestRangeQueryMatchesUnpartitioned(t *testing.T) {
 		if col == 1 { // host column values live in [100, 2100]
 			lo, hi = 2*lo+100, 2*hi+100
 		}
-		prids, _, err := pt.RangeQuery(col, lo, hi)
+		prows, _, err := rowsOf(pt, engine.Query{Col: col, Lo: lo, Hi: hi})
 		if err != nil {
 			t.Fatal(err)
 		}
-		frids, _, err := tb.RangeQuery(col, lo, hi)
+		flat, _, err := tb.Exec(engine.Query{Col: col, Lo: lo, Hi: hi}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(prids) != len(frids) {
-			t.Fatalf("col %d [%v,%v]: partitioned %d rows, flat %d", col, lo, hi, len(prids), len(frids))
+		frows := engine.SplitRows(flat, len(spec.Columns()), nil)
+		if len(prows) != len(frows) {
+			t.Fatalf("col %d [%v,%v]: partitioned %d rows, flat %d", col, lo, hi, len(prows), len(frows))
 		}
 		// Same multiset of rows: compare by primary key.
-		ppks := make([]float64, len(prids))
-		for i, r := range prids {
-			v, err := pt.Part(r.Part).Store().Value(r.RID, spec.PKCol())
-			if err != nil {
-				t.Fatal(err)
-			}
-			ppks[i] = v
-		}
-		fpks := make([]float64, len(frids))
-		for i, r := range frids {
-			v, err := tb.Store().Value(r, spec.PKCol())
-			if err != nil {
-				t.Fatal(err)
-			}
-			fpks[i] = v
-		}
-		sortedP := append([]float64(nil), ppks...)
-		sort.Float64s(sortedP)
-		sort.Float64s(fpks)
+		ppks, fpks := pks(pt, prows), pks(pt, frows)
 		for i := range fpks {
-			if sortedP[i] != fpks[i] {
+			if ppks[i] != fpks[i] {
 				t.Fatalf("col %d [%v,%v]: result sets differ at %d", col, lo, hi, i)
 			}
 		}
 		// Ordered merge: results must be sorted by the predicate column.
 		prev := lo
-		for _, r := range prids {
-			v, err := pt.Part(r.Part).Store().Value(r.RID, col)
-			if err != nil {
-				t.Fatal(err)
+		for _, row := range prows {
+			if row[col] < prev {
+				t.Fatalf("col %d: merge out of order (%v after %v)", col, row[col], prev)
 			}
-			if v < prev {
-				t.Fatalf("col %d: merge out of order (%v after %v)", col, v, prev)
-			}
-			prev = v
+			prev = row[col]
 		}
 	}
 }
@@ -157,13 +138,13 @@ func TestMutationsRouteAndMaintainIndexes(t *testing.T) {
 	if found, err := pt.Delete(17); err != nil || found {
 		t.Fatalf("second Delete(17) = %v, %v; want absent", found, err)
 	}
-	if rids, _, err := pt.PointQuery(0, 17); err != nil || len(rids) != 0 {
+	if rids, _, err := rowsOf(pt, engine.Query{Col: 0, Lo: 17, Hi: 17}); err != nil || len(rids) != 0 {
 		t.Fatalf("deleted key still visible: %v, %v", rids, err)
 	}
 	if err := pt.UpdateColumn(18, 2, 123.5); err != nil {
 		t.Fatal(err)
 	}
-	rids, st, err := pt.RangeQuery(2, 123.4, 123.6)
+	rids, st, err := rowsOf(pt, engine.Query{Col: 2, Lo: 123.4, Hi: 123.6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,14 +152,8 @@ func TestMutationsRouteAndMaintainIndexes(t *testing.T) {
 		t.Fatalf("range fan-out %d, want 3", st.FanOut)
 	}
 	foundPK := false
-	for _, r := range rids {
-		pk, err := pt.Part(r.Part).Store().Value(r.RID, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if pk == 18 {
-			foundPK = true
-		}
+	for _, row := range rids {
+		foundPK = foundPK || row[0] == 18
 	}
 	if !foundPK {
 		t.Fatal("updated row not found through Hermit index after UpdateColumn")
@@ -196,12 +171,12 @@ func TestMutationsRouteAndMaintainIndexes(t *testing.T) {
 func TestExecuteBatchMixed(t *testing.T) {
 	pt := newSynthetic(t, 4, 1000)
 	ops := []engine.Op{
-		{Kind: engine.OpRange, Col: 2, Lo: 100, Hi: 200},
+		{Kind: engine.OpQuery, Query: engine.Query{Col: 2, Lo: 100, Hi: 200}},
 		{Kind: engine.OpInsert, Row: []float64{5000, 300, 100, 0.5}},
-		{Kind: engine.OpPoint, Col: 0, Lo: 42},
+		{Kind: engine.OpQuery, Query: engine.Query{Col: 0, Lo: 42, Hi: 42}},
 		{Kind: engine.OpDelete, PK: 43},
 		{Kind: engine.OpUpdate, PK: 44, Col: 3, Value: 0.25},
-		{Kind: engine.OpRange2, Col: 2, Lo: 0, Hi: 500, BCol: 3, BLo: 0, BHi: 1},
+		{Kind: engine.OpQuery, Query: engine.Query{Col: 2, Lo: 0, Hi: 500, And: &engine.Pred{Col: 3, Lo: 0, Hi: 1}}},
 	}
 	res := pt.ExecuteBatch(ops, 3)
 	for i, r := range res {
@@ -305,7 +280,7 @@ func TestAdvisorAggregatesAndTunesAllPartitions(t *testing.T) {
 	// Drive queries at the unindexed target column so the advisor sees a
 	// hot column in the aggregated counters.
 	for i := 0; i < 200; i++ {
-		if _, _, err := pt.RangeQuery(spec.TargetCol(), float64(i%900), float64(i%900)+20); err != nil {
+		if _, _, err := rowsOf(pt, engine.Query{Col: spec.TargetCol(), Lo: float64(i % 900), Hi: float64(i%900) + 20}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -344,7 +319,7 @@ func TestConcurrentScatterGather(t *testing.T) {
 				switch i % 3 {
 				case 0:
 					lo := rng.Float64() * 900
-					if _, _, err := pt.RangeQuery(2, lo, lo+30); err != nil {
+					if _, _, err := rowsOf(pt, engine.Query{Col: 2, Lo: lo, Hi: lo + 30}); err != nil {
 						t.Error(err)
 						return
 					}
@@ -355,7 +330,8 @@ func TestConcurrentScatterGather(t *testing.T) {
 						return
 					}
 				default:
-					if _, _, err := pt.PointQuery(0, float64(rng.Intn(2000))); err != nil {
+					pk := float64(rng.Intn(2000))
+					if _, _, err := rowsOf(pt, engine.Query{Col: 0, Lo: pk, Hi: pk}); err != nil {
 						t.Error(err)
 						return
 					}
@@ -364,6 +340,119 @@ func TestConcurrentScatterGather(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
+}
+
+// TestExecUnderReclaimingWriters: readers Exec scatter-gather and routed
+// queries while two writers update, delete and re-insert the same keys, so
+// every commit reclaims the versions it ends and the next write takes the
+// freed slot. Exec copies the rows under the snapshot its legs read at:
+// every returned row must satisfy the predicate, be one whole committed row
+// (tag repeats the key, host follows target) and come back once, and the
+// answer must be ordered by the predicate column. Run it under -race.
+func TestExecUnderReclaimingWriters(t *testing.T) {
+	const keys, domain = 256, 1000
+	pt, err := New(hermit.PhysicalPointers, "t", []string{"pk", "host", "target", "tag"}, 0,
+		Options{Partitions: 3, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	newRow := func(rng *rand.Rand, pk float64) []float64 {
+		c := float64(rng.Intn(domain))
+		return []float64{pk, 2*c + 100, c, pk}
+	}
+	rng := rand.New(rand.NewSource(1))
+	for pk := 0; pk < keys; pk++ {
+		if _, err := pt.Insert(newRow(rng, float64(pk))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := pt.CreateBTreeIndex(1, false); err != nil {
+		t.Fatal(err)
+	}
+	if err := pt.CreateHermitIndex(2, 1, trstree.Params{}); err != nil {
+		t.Fatal(err)
+	}
+	writes := 6000
+	if testing.Short() {
+		writes = 2000
+	}
+	var stop atomic.Bool
+	var readers, writers sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			rng := rand.New(rand.NewSource(int64(100 + r)))
+			seen := make(map[float64]bool)
+			for i := 0; !stop.Load(); i++ {
+				col := i % 3 // by key (a point routes), by the B+-tree, by the Hermit index
+				lo := float64(rng.Intn(keys))
+				hi := lo + float64(rng.Intn(8)*(i%2))
+				if col != 0 {
+					lo = float64(rng.Intn(domain))
+					hi = lo + float64(rng.Intn(40))
+					if col == 1 {
+						lo, hi = 2*lo+100, 2*hi+100
+					}
+				}
+				rows, _, err := rowsOf(pt, engine.Query{Col: col, Lo: lo, Hi: hi})
+				if err != nil {
+					t.Errorf("reader: col %d [%v, %v]: %v", col, lo, hi, err)
+					return
+				}
+				clear(seen)
+				for j, row := range rows {
+					if row[col] < lo || row[col] > hi || row[3] != row[0] || row[1] != 2*row[2]+100 || seen[row[0]] ||
+						j > 0 && row[col] < rows[j-1][col] {
+						t.Errorf("reader: col %d [%v, %v] returned %v at %d of %v", col, lo, hi, row, j, rows)
+						return
+					}
+					seen[row[0]] = true
+				}
+			}
+		}()
+	}
+	for w := 0; w < 2; w++ {
+		writers.Add(1)
+		go func() {
+			defer writers.Done()
+			rng := rand.New(rand.NewSource(int64(200 + w)))
+			for i := 0; i < writes && !t.Failed(); i++ {
+				// Both writers draw from the same keys, so an update or a
+				// delete may find its key gone and an insert find it back.
+				pk := float64(rng.Intn(keys))
+				var err error
+				switch rng.Intn(3) {
+				case 0:
+					// Move the row's target and host together, in one commit.
+					c := float64(rng.Intn(domain))
+					res := pt.ExecuteBatch([]engine.Op{
+						{Kind: engine.OpUpdate, PK: pk, Col: 2, Value: c},
+						{Kind: engine.OpUpdate, PK: pk, Col: 1, Value: 2*c + 100},
+					}, 1)
+					// The key may be gone, or the other writer may have
+					// committed to it first.
+					if err = res[0].Err; err != nil && (strings.Contains(err.Error(), "no row with pk") ||
+						errors.Is(err, engine.ErrTxnAborted) || errors.Is(err, engine.ErrWriteConflict)) {
+						err = nil
+					}
+				case 1:
+					_, err = pt.Delete(pk)
+				default:
+					if _, err = pt.Insert(newRow(rng, pk)); errors.Is(err, engine.ErrDupKey) {
+						err = nil
+					}
+				}
+				if err != nil {
+					t.Errorf("writer: %v", err)
+					return
+				}
+			}
+		}()
+	}
+	writers.Wait()
+	stop.Store(true)
+	readers.Wait()
 }
 
 func TestPartitionOfDeterministicAndInRange(t *testing.T) {
@@ -423,7 +512,7 @@ func TestPartitionedVersionGC(t *testing.T) {
 	}
 	// The held snapshot pins the pre-update versions.
 	pt.GC()
-	if rids, _, err := pt.RangeQueryAt(snap, 1, 0, 0); err != nil || len(rids) != 60 {
+	if rids, _, err := rowsOf(pt, engine.Query{Col: 1, Lo: 0, Hi: 0, Snap: snap}); err != nil || len(rids) != 60 {
 		t.Fatalf("pinned snapshot broken by GC: %d rids err=%v", len(rids), err)
 	}
 	snap.Release()
@@ -433,7 +522,7 @@ func TestPartitionedVersionGC(t *testing.T) {
 	if got := storeRows(); got != 60 {
 		t.Fatalf("store holds %d rows after GC, want 60", got)
 	}
-	rids, _, err := pt.RangeQuery(1, 4, 4)
+	rids, _, err := rowsOf(pt, engine.Query{Col: 1, Lo: 4, Hi: 4})
 	if err != nil || len(rids) != 60 {
 		t.Fatalf("latest state after GC: %d rids err=%v", len(rids), err)
 	}

@@ -90,8 +90,8 @@ func IsAbort(err error) bool {
 // table adapts the three embedded table flavours (engine, partitioned,
 // durable flavours of both) behind one op surface.
 type table interface {
-	point(col int, v float64) (int, error)
-	scan(col int, lo, hi float64) (int, error)
+	// query answers q and reports how many rows matched.
+	query(q engine.Query) (int, error)
 	insert(row []float64) error
 	update(pk float64, col int, v float64) error
 	del(pk float64) (bool, error)
@@ -219,10 +219,8 @@ type embedSession struct{ tables []table }
 func (s *embedSession) Apply(op *Op) (int, error) {
 	tb := s.tables[op.Tenant]
 	switch op.Kind {
-	case OpPoint:
-		return tb.point(op.Col, op.Key)
-	case OpRange:
-		return tb.scan(op.Col, op.Lo, op.Hi)
+	case OpPoint, OpRange:
+		return tb.query(engineQuery(op))
 	case OpInsert:
 		return 1, tb.insert(op.Row)
 	case OpUpdate:
@@ -255,14 +253,9 @@ type engineTable struct {
 	name string
 }
 
-func (e *engineTable) point(col int, v float64) (int, error) {
-	rids, _, err := e.t.PointQuery(col, v)
-	return len(rids), err
-}
-
-func (e *engineTable) scan(col int, lo, hi float64) (int, error) {
-	rids, _, err := e.t.RangeQuery(col, lo, hi)
-	return len(rids), err
+func (e *engineTable) query(q engine.Query) (int, error) {
+	_, st, err := e.t.Exec(q, nil)
+	return st.Rows, err
 }
 
 func (e *engineTable) insert(row []float64) error {
@@ -295,14 +288,9 @@ func (e *engineTable) atomic(members []Op) error {
 // partTable adapts a partitioned table (volatile or durable).
 type partTable struct{ t *partition.Table }
 
-func (p *partTable) point(col int, v float64) (int, error) {
-	rids, _, err := p.t.PointQuery(col, v)
-	return len(rids), err
-}
-
-func (p *partTable) scan(col int, lo, hi float64) (int, error) {
-	rids, _, err := p.t.RangeQuery(col, lo, hi)
-	return len(rids), err
+func (p *partTable) query(q engine.Query) (int, error) {
+	_, st, err := p.t.Exec(q, nil)
+	return st.Rows, err
 }
 
 func (p *partTable) insert(row []float64) error {
@@ -323,21 +311,27 @@ func (p *partTable) atomic(members []Op) error {
 	return batchError(len(results), func(i int) error { return results[i].Err })
 }
 
+// engineQuery lowers a compiled point or range read to an engine query.
+func engineQuery(op *Op) engine.Query {
+	if op.Kind == OpPoint {
+		return engine.Query{Col: op.Col, Lo: op.Key, Hi: op.Key}
+	}
+	return engine.Query{Col: op.Col, Lo: op.Lo, Hi: op.Hi}
+}
+
 // engineOps lowers compiled txn members to engine batch ops.
 func engineOps(members []Op, tableName string) []engine.Op {
 	ops := make([]engine.Op, len(members))
 	for i, m := range members {
 		switch m.Kind {
-		case OpPoint:
-			ops[i] = engine.Op{Table: tableName, Kind: engine.OpPoint, Col: m.Col, Lo: m.Key}
+		case OpPoint, OpRange:
+			ops[i] = engine.Op{Table: tableName, Kind: engine.OpQuery, Query: engineQuery(&m)}
 		case OpUpdate:
 			ops[i] = engine.Op{Table: tableName, Kind: engine.OpUpdate, PK: m.Key, Col: m.Col, Value: m.Val}
 		case OpInsert:
 			ops[i] = engine.Op{Table: tableName, Kind: engine.OpInsert, Row: m.Row}
 		case OpDelete:
 			ops[i] = engine.Op{Table: tableName, Kind: engine.OpDelete, PK: m.Key}
-		case OpRange:
-			ops[i] = engine.Op{Table: tableName, Kind: engine.OpRange, Col: m.Col, Lo: m.Lo, Hi: m.Hi}
 		}
 	}
 	return ops

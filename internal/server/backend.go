@@ -14,12 +14,9 @@ import (
 // backend adapts the wire protocol's operation surface onto a DurableDB.
 // Every table it serves is a partition.Table — an unpartitioned table is
 // its own only partition — so every read takes one road (answer): resolve
-// the table, query it at a snapshot, fetch the rows under that same
-// snapshot, answer. The snapshot is what keeps the query's rows: a version
-// it can see is not reclaimed while it is registered, so the RIDs the query
-// returns stay good through the fetch. A read run holds one snapshot for
-// the run; an atomic batch or a wire transaction reads at its
-// transaction's.
+// the table, Exec the query at a snapshot, answer with the rows. A read run
+// holds one snapshot for the run; an atomic batch or a wire transaction
+// reads at its transaction's.
 //
 // Tenant namespaces are pure name mangling at this layer: tenant "acme"'s
 // table "users" is the engine table "acme@users". '@' is reserved in
@@ -125,12 +122,12 @@ func engineOp(tenant string, r *proto.Request) (engine.Op, error) {
 	op := engine.Op{Table: name}
 	switch r.Type {
 	case proto.ReqPoint:
-		op.Kind, op.Col, op.Lo = engine.OpPoint, int(r.Col), r.Lo
+		op.Kind, op.Query = engine.OpQuery, engine.Query{Col: int(r.Col), Lo: r.Lo, Hi: r.Lo}
 	case proto.ReqRange:
-		op.Kind, op.Col, op.Lo, op.Hi = engine.OpRange, int(r.Col), r.Lo, r.Hi
+		op.Kind, op.Query = engine.OpQuery, engine.Query{Col: int(r.Col), Lo: r.Lo, Hi: r.Hi}
 	case proto.ReqRange2:
-		op.Kind, op.Col, op.Lo, op.Hi = engine.OpRange2, int(r.Col), r.Lo, r.Hi
-		op.BCol, op.BLo, op.BHi = int(r.BCol), r.BLo, r.BHi
+		op.Kind, op.Query = engine.OpQuery, engine.Query{Col: int(r.Col), Lo: r.Lo, Hi: r.Hi,
+			And: &engine.Pred{Col: int(r.BCol), Lo: r.BLo, Hi: r.BHi}}
 	case proto.ReqInsert:
 		op.Kind, op.Row = engine.OpInsert, r.Row
 	case proto.ReqUpdate:
@@ -162,24 +159,21 @@ func engineOps(tenant string, reqs []proto.Request, out []proto.Response) (ops [
 	return ops, idx
 }
 
-// answer runs one read op on its table at snap and fetches the rows under
-// the same snapshot, which pins them until the fetch is done.
-func (b *backend) answer(snap *engine.Snapshot, op engine.Op) proto.Response {
+// answer runs one read op on its table at op.Query.Snap: one Exec.
+func (b *backend) answer(op engine.Op) proto.Response {
 	pt, err := b.resolve(op.Table)
 	if err != nil {
 		return errorResponse(err)
 	}
-	res := pt.QueryAt(snap, op)
-	if res.Err != nil {
-		return errorResponse(res.Err)
+	flat, st, err := pt.Exec(op.Query, nil)
+	if err != nil {
+		return errorResponse(err)
 	}
-	rows := make([][]float64, len(res.RIDs))
-	for i, rid := range res.RIDs {
-		if rows[i], err = pt.FetchRow(rid); err != nil {
-			return errorResponse(err)
-		}
+	resp := proto.Response{Type: proto.RespRows}
+	if n := st.Rows; n > 0 { // Exec's st.Rows whole rows, back to back
+		resp.Rows = engine.SplitRows(flat, len(flat)/n, make([][]float64, 0, n))
 	}
-	return proto.Response{Type: proto.RespRows, Rows: rows}
+	return resp
 }
 
 // written answers one mutation from its outcome.
@@ -201,7 +195,10 @@ func (b *backend) runReads(tenant string, reqs []proto.Request, out []proto.Resp
 	ops, idx := engineOps(tenant, reqs, out)
 	snap := b.d.Snapshot()
 	defer snap.Release()
-	resps := engine.Parallel(ops, b.workers, func(op engine.Op) proto.Response { return b.answer(snap, op) })
+	for i := range ops {
+		ops[i].Query.Snap = snap
+	}
+	resps := engine.Parallel(ops, b.workers, b.answer)
 	for k, resp := range resps {
 		out[idx[k]] = resp
 	}
@@ -242,7 +239,8 @@ func (b *backend) runTxnQuery(tenant string, tx *engine.DurableTxn, r *proto.Req
 	if err != nil {
 		return errorResponse(err)
 	}
-	return b.answer(tx.Snapshot(), op)
+	op.Query.Snap = tx.Snapshot()
+	return b.answer(op)
 }
 
 // runTxnMutation buffers one mutation into an open transaction.
