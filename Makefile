@@ -66,15 +66,20 @@ difftest:
 # inputs), then the block tier's two decoders (FuzzDecodeBlock: a block
 # image as given and with every checksum recomputed, so the structure checks
 # behind the checksums are reached — opened, iterated, point-read and
-# re-encoded; FuzzDecodeBlocklist: the manifest). The seed corpus alone runs
-# in every `go test`; new inputs land in the Go build cache's fuzz directory,
-# a failing one under the package's testdata/fuzz.
+# re-encoded; FuzzDecodeBlocklist: the manifest), then the paper's safety
+# property (FuzzHermit: a Hermit index's candidates cover every matching
+# row through inserts, deletes, host updates, reorganizations and writes
+# parked in the side buffer, odd values included, under both pointer
+# schemes). The seed corpus alone runs in every `go test`; new inputs land
+# in the Go build cache's fuzz directory, a failing one under the package's
+# testdata/fuzz. (A worker minimizing a new input reports 0 execs/sec.)
 FUZZTIME = 20s
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzTreeTotalOrder -fuzztime $(FUZZTIME) ./internal/btree
 	$(GO) test -run '^$$' -fuzz FuzzSortPairs -fuzztime $(FUZZTIME) ./internal/keyorder
 	$(GO) test -run '^$$' -fuzz 'FuzzDecodeBlock$$' -fuzztime $(FUZZTIME) ./internal/block
 	$(GO) test -run '^$$' -fuzz 'FuzzDecodeBlocklist$$' -fuzztime $(FUZZTIME) ./internal/block
+	$(GO) test -run '^$$' -fuzz FuzzHermit -fuzztime $(FUZZTIME) ./internal/hermit
 
 # Bench smoke: one figure at tiny scale proves the harness end-to-end, then
 # one build each of a B+-tree and a Hermit index over 1M Synthetic rows

@@ -341,7 +341,8 @@ var (
 	WithParams = engine.WithParams
 	// WithBuildWorkers enables parallel TRS-Tree construction (App. D.2).
 	WithBuildWorkers = engine.WithBuildWorkers
-	// WithProfile enables per-phase lookup timing.
+	// WithProfile does nothing: per-phase timing is Table.SetProfile. It
+	// stays for benchmark/, which passes it.
 	WithProfile = engine.WithProfile
 )
 

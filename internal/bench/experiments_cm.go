@@ -25,62 +25,90 @@ var cmNoiseLevels = []float64{0, 0.025, 0.05, 0.075, 0.10}
 // every structure through the same measurement loop.
 type queryFn func(lo, hi float64) error
 
+// competitor is one structure of the comparison: its range lookup, and its
+// memory. The CM variants share one table and take turns on it — use builds
+// the variant's index there (nil for the others, whose index stays).
+type competitor struct {
+	use   func() error
+	query queryFn
+	mem   uint64
+}
+
 // buildCMComparison builds all competitors for one (fn, noise, hostBucket)
-// cell and returns measurement closures keyed by competitor name plus the
-// memory of each structure.
-func buildCMComparison(cfg Config, fn workload.CorrelationKind, noise, hostBucket float64) (map[string]queryFn, map[string]uint64, error) {
+// cell, keyed by competitor name. Every lookup is an Exec through the
+// competitor's own path, rows fetched.
+func buildCMComparison(cfg Config, fn workload.CorrelationKind, noise, hostBucket float64) (map[string]competitor, error) {
 	n := cfg.rows(paperSyntheticRows)
-	run := make(map[string]queryFn)
-	mem := make(map[string]uint64)
+	out := make(map[string]competitor)
+	exec := func(tb *engine.Table, path engine.AccessPath) queryFn {
+		var rows []float64
+		return func(lo, hi float64) (err error) {
+			rows, _, err = tb.Exec(engine.Query{Col: 2, Lo: lo, Hi: hi, Path: path}, rows[:0])
+			return err
+		}
+	}
 
 	hermitTb, err := buildSynthetic(cfg, hermit.PhysicalPointers, n, fn, noise)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	hx, err := hermitTb.CreateHermitIndex(2, 1)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	run["HERMIT"] = func(lo, hi float64) error {
-		_, _, err := hermitTb.Exec(engine.Query{Col: 2, Lo: lo, Hi: hi, Path: engine.PathHermit}, nil)
-		return err
-	}
-	mem["HERMIT"] = hx.SizeBytes()
+	out["HERMIT"] = competitor{query: exec(hermitTb, engine.PathHermit), mem: hx.SizeBytes()}
 
 	baseTb, err := buildSynthetic(cfg, hermit.PhysicalPointers, n, fn, noise)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	full, err := baseTb.CreateBTreeIndex(2, true)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	run["Baseline"] = func(lo, hi float64) error {
-		_, _, err := baseTb.Exec(engine.Query{Col: 2, Lo: lo, Hi: hi, Path: engine.PathBTree}, nil)
-		return err
-	}
-	mem["Baseline"] = full.SizeBytes()
+	out["Baseline"] = competitor{query: exec(baseTb, engine.PathBTree), mem: full.SizeBytes()}
 
-	// One table shared by all CM variants (CM reads, never mutates it).
 	cmTb, err := buildSynthetic(cfg, hermit.PhysicalPointers, n, fn, noise)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	for _, tbkt := range cmTargetBuckets {
-		name := fmt.Sprintf("CM-%.0f", tbkt)
-		cx, err := cm.NewIndex(cmTb.Store(), cmTb.Secondary(1), cm.Config{
-			TargetBucket: tbkt, HostBucket: hostBucket, TargetCol: 2, HostCol: 1,
-		})
-		if err != nil {
-			return nil, nil, err
+		use := func() error {
+			if cmTb.CM(2) != nil {
+				if err := cmTb.DropIndex(2, engine.KindCM); err != nil {
+					return err
+				}
+			}
+			_, err := cmTb.CreateCMIndex(2, 1, cm.Config{TargetBucket: tbkt, HostBucket: hostBucket})
+			return err
 		}
-		run[name] = func(lo, hi float64) error {
-			cx.Lookup(lo, hi)
-			return nil
+		if err := use(); err != nil {
+			return nil, err
 		}
-		mem[name] = cx.SizeBytes()
+		out[fmt.Sprintf("CM-%.0f", tbkt)] = competitor{use: use, query: exec(cmTb, engine.PathCM), mem: cmTb.CM(2).SizeBytes()}
 	}
-	return run, mem, nil
+	return out, nil
+}
+
+// measure runs c's range lookups for cfg.MeasureFor and returns
+// operations/second.
+func (c competitor) measure(cfg Config) (float64, error) {
+	if c.use != nil {
+		if err := c.use(); err != nil {
+			return 0, err
+		}
+	}
+	gen := workload.QueryGen(0, workload.SyntheticSpan, 0.0001, cfg.Seed+51)
+	start := time.Now()
+	ops := 0
+	for time.Since(start) < cfg.MeasureFor {
+		q := gen()
+		if err := c.query(q.Lo, q.Hi); err != nil {
+			return 0, err
+		}
+		ops++
+	}
+	return float64(ops) / time.Since(start).Seconds(), nil
 }
 
 // cmCompetitors is the printing order.
@@ -98,23 +126,17 @@ func cmThroughputFigure(cfg Config, id, title string, fn workload.CorrelationKin
 		}
 		fmt.Fprintln(cfg.Out)
 		for _, noise := range cmNoiseLevels {
-			run, _, err := buildCMComparison(cfg, fn, noise, hb)
+			comp, err := buildCMComparison(cfg, fn, noise, hb)
 			if err != nil {
 				return err
 			}
 			fmt.Fprintf(cfg.Out, "%-8s", fmt.Sprintf("%.1f%%", noise*100))
 			for _, c := range cmCompetitors {
-				gen := workload.QueryGen(0, workload.SyntheticSpan, 0.0001, cfg.Seed+51)
-				start := time.Now()
-				ops := 0
-				for time.Since(start) < cfg.MeasureFor {
-					q := gen()
-					if err := run[c](q.Lo, q.Hi); err != nil {
-						return err
-					}
-					ops++
+				ops, err := comp[c].measure(cfg)
+				if err != nil {
+					return err
 				}
-				fmt.Fprintf(cfg.Out, " %12s", fmtKops(float64(ops)/time.Since(start).Seconds()))
+				fmt.Fprintf(cfg.Out, " %12s", fmtKops(ops))
 			}
 			fmt.Fprintln(cfg.Out)
 		}
@@ -134,13 +156,13 @@ func cmMemoryFigure(cfg Config, id, title string, fn workload.CorrelationKind) e
 		}
 		fmt.Fprintln(cfg.Out)
 		for _, noise := range cmNoiseLevels {
-			_, mem, err := buildCMComparison(cfg, fn, noise, hb)
+			comp, err := buildCMComparison(cfg, fn, noise, hb)
 			if err != nil {
 				return err
 			}
 			fmt.Fprintf(cfg.Out, "%-8s", fmt.Sprintf("%.1f%%", noise*100))
 			for _, c := range cmCompetitors {
-				fmt.Fprintf(cfg.Out, " %12s", fmtBytes(mem[c]))
+				fmt.Fprintf(cfg.Out, " %12s", fmtBytes(comp[c].mem))
 			}
 			fmt.Fprintln(cfg.Out)
 		}

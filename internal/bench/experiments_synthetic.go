@@ -239,7 +239,8 @@ var (
 )
 
 // errorBoundSweep builds, for each (noise, error_bound) pair, a Hermit
-// index and reports via report(). Tables are shared across error bounds.
+// index on colC and reports via report(). Tables are shared across error
+// bounds; the index is dropped and rebuilt for each.
 func errorBoundSweep(cfg Config, fn workload.CorrelationKind,
 	report func(noise, eb float64, tb *engine.Table, hx *hermit.Index) error) error {
 	n := cfg.rows(paperSyntheticRows)
@@ -249,22 +250,49 @@ func errorBoundSweep(cfg Config, fn workload.CorrelationKind,
 			return err
 		}
 		for _, eb := range errorBounds {
-			params := defaultParams()
-			params.ErrorBound = eb
-			// Rebuild only the Hermit index for each error bound.
-			fresh, err := hermit.New(tb.Store(), tb.Secondary(1), tb.Primary(), hermit.Config{
-				TargetCol: 2, HostCol: 1, PKCol: 0,
-				Scheme: hermit.LogicalPointers, Params: params,
-			})
+			hx, err := rebuildHermit(tb, eb)
 			if err != nil {
 				return err
 			}
-			if err := report(noise, eb, tb, fresh); err != nil {
+			if err := report(noise, eb, tb, hx); err != nil {
 				return err
 			}
 		}
 	}
 	return nil
+}
+
+// rebuildHermit replaces tb's Hermit index on colC (hosted on colB) by one
+// built with the given error_bound.
+func rebuildHermit(tb *engine.Table, eb float64) (*hermit.Index, error) {
+	if tb.Hermit(2) != nil {
+		if err := tb.DropIndex(2, engine.KindHermit); err != nil {
+			return nil, err
+		}
+	}
+	params := defaultParams()
+	params.ErrorBound = eb
+	return tb.CreateHermitIndex(2, 1, engine.WithParams(params))
+}
+
+// hermitFalsePositives runs n range queries drawn from gen on tb's Hermit
+// index and returns their false-positive ratio, 1 − ΣRows/ΣCandidates: the
+// share of the candidates the index harvested that the base-table pass
+// dropped (Fig. 17).
+func hermitFalsePositives(tb *engine.Table, gen func() workload.RangeQuery, n int) (float64, error) {
+	var rows, cands int
+	for i := 0; i < n; i++ {
+		q := gen()
+		_, st, err := tb.Exec(engine.Query{Col: 2, Lo: q.Lo, Hi: q.Hi, Path: engine.PathHermit}, nil)
+		if err != nil {
+			return 0, err
+		}
+		rows, cands = rows+st.Rows, cands+st.Candidates
+	}
+	if cands == 0 {
+		return 0, nil
+	}
+	return 1 - float64(rows)/float64(cands), nil
 }
 
 // Fig16ErrorBound reproduces Fig. 16: range throughput (0.01% selectivity)
@@ -275,18 +303,13 @@ func Fig16ErrorBound(cfg Config) error {
 	for _, fn := range []workload.CorrelationKind{workload.Linear, workload.Sigmoid} {
 		fmt.Fprintf(cfg.Out, "-- %s correlation --\n", fn)
 		fmt.Fprintf(cfg.Out, "%-8s %-12s %14s\n", "noise", "error_bound", "throughput")
-		err := errorBoundSweep(cfg, fn, func(noise, eb float64, tb *engine.Table, hx *hermit.Index) error {
-			gen := workload.QueryGen(0, workload.SyntheticSpan, 0.0001, cfg.Seed+9)
-			start := time.Now()
-			ops := 0
-			for time.Since(start) < cfg.MeasureFor {
-				q := gen()
-				hx.Lookup(q.Lo, q.Hi)
-				ops++
+		err := errorBoundSweep(cfg, fn, func(noise, eb float64, tb *engine.Table, _ *hermit.Index) error {
+			ops, err := measureRange(cfg, tb, 2, engine.PathHermit, 0, workload.SyntheticSpan, 0.0001)
+			if err != nil {
+				return err
 			}
 			fmt.Fprintf(cfg.Out, "%-8s %-12.0f %14s\n",
-				fmt.Sprintf("%.1f%%", noise*100), eb,
-				fmtKops(float64(ops)/time.Since(start).Seconds()))
+				fmt.Sprintf("%.1f%%", noise*100), eb, fmtKops(ops))
 			return nil
 		})
 		if err != nil {
@@ -304,15 +327,13 @@ func Fig17FalsePositives(cfg Config) error {
 	for _, fn := range []workload.CorrelationKind{workload.Linear, workload.Sigmoid} {
 		fmt.Fprintf(cfg.Out, "-- %s correlation --\n", fn)
 		fmt.Fprintf(cfg.Out, "%-8s %-12s %14s\n", "noise", "error_bound", "fp-ratio")
-		err := errorBoundSweep(cfg, fn, func(noise, eb float64, tb *engine.Table, hx *hermit.Index) error {
-			gen := workload.QueryGen(0, workload.SyntheticSpan, 0.0001, cfg.Seed+11)
-			for i := 0; i < 50; i++ {
-				q := gen()
-				hx.Lookup(q.Lo, q.Hi)
+		err := errorBoundSweep(cfg, fn, func(noise, eb float64, tb *engine.Table, _ *hermit.Index) error {
+			fp, err := hermitFalsePositives(tb, workload.QueryGen(0, workload.SyntheticSpan, 0.0001, cfg.Seed+11), 50)
+			if err != nil {
+				return err
 			}
 			fmt.Fprintf(cfg.Out, "%-8s %-12.0f %13.1f%%\n",
-				fmt.Sprintf("%.1f%%", noise*100), eb,
-				hx.LifetimeFalsePositiveRatio()*100)
+				fmt.Sprintf("%.1f%%", noise*100), eb, fp*100)
 			return nil
 		})
 		if err != nil {

@@ -57,21 +57,13 @@ func TestShapeFalsePositivesGrowWithErrorBound(t *testing.T) {
 	}
 	var prev float64 = -1
 	for _, eb := range []float64{1, 100, 10000} {
-		params := defaultParams()
-		params.ErrorBound = eb
-		hx, err := hermit.New(tb.Store(), tb.Secondary(1), tb.Primary(), hermit.Config{
-			TargetCol: 2, HostCol: 1, PKCol: 0,
-			Scheme: hermit.LogicalPointers, Params: params,
-		})
+		if _, err := rebuildHermit(tb, eb); err != nil {
+			t.Fatal(err)
+		}
+		fp, err := hermitFalsePositives(tb, workload.QueryGen(0, workload.SyntheticSpan, 0.0001, 7), 30)
 		if err != nil {
 			t.Fatal(err)
 		}
-		gen := workload.QueryGen(0, workload.SyntheticSpan, 0.0001, 7)
-		for i := 0; i < 30; i++ {
-			q := gen()
-			hx.Lookup(q.Lo, q.Hi)
-		}
-		fp := hx.LifetimeFalsePositiveRatio()
 		if fp < prev {
 			t.Fatalf("fp(eb=%v)=%v < fp at smaller eb %v", eb, fp, prev)
 		}
@@ -136,17 +128,23 @@ func TestShapeStockMemoryBreakdown(t *testing.T) {
 // throughput than Correlation Maps at comparable (or smaller) memory.
 func TestShapeHermitBeatsCMUnderNoise(t *testing.T) {
 	cfg := shapeConfig(t).sanitized()
-	run, mem, err := buildCMComparison(cfg, workload.Linear, 0.05, 64)
+	comp, err := buildCMComparison(cfg, workload.Linear, 0.05, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
 	timed := func(name string) float64 {
+		c := comp[name]
+		if c.use != nil {
+			if err := c.use(); err != nil {
+				t.Fatal(err)
+			}
+		}
 		gen := workload.QueryGen(0, workload.SyntheticSpan, 0.001, 11)
 		start := time.Now()
 		const nq = 50
 		for i := 0; i < nq; i++ {
 			q := gen()
-			if err := run[name](q.Lo, q.Hi); err != nil {
+			if err := c.query(q.Lo, q.Hi); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -157,8 +155,8 @@ func TestShapeHermitBeatsCMUnderNoise(t *testing.T) {
 	if hermitNs*2 > cmNs {
 		t.Fatalf("hermit %vns/query not ≪ CM-16 %vns/query under 5%% noise", hermitNs, cmNs)
 	}
-	if mem["HERMIT"] > mem["Baseline"] {
-		t.Fatalf("hermit mem %d above complete index %d", mem["HERMIT"], mem["Baseline"])
+	if comp["HERMIT"].mem > comp["Baseline"].mem {
+		t.Fatalf("hermit mem %d above complete index %d", comp["HERMIT"].mem, comp["Baseline"].mem)
 	}
 }
 

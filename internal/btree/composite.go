@@ -1,8 +1,11 @@
 package btree
 
 import (
+	"cmp"
 	"fmt"
 	"sort"
+
+	"hermit/internal/keyorder"
 )
 
 // CompositeTree is a B+-tree over two-column composite keys (a, b), the
@@ -36,23 +39,17 @@ func NewComposite(order int) *CompositeTree {
 // Len returns the number of entries.
 func (t *CompositeTree) Len() int { return t.size }
 
+// cmp3 orders entries by (a, b, id) under keyorder.Compare — the order
+// keyorder.SortTriples bulk-loads in, so inserts, deletes and scans find
+// every entry where BulkLoad put it, NaN and ±0 keys included.
 func cmp3(a1, b1 float64, v1 uint64, a2, b2 float64, v2 uint64) int {
-	switch {
-	case a1 < a2:
-		return -1
-	case a1 > a2:
-		return 1
-	case b1 < b2:
-		return -1
-	case b1 > b2:
-		return 1
-	case v1 < v2:
-		return -1
-	case v1 > v2:
-		return 1
-	default:
-		return 0
+	if c := keyorder.Compare(a1, a2); c != 0 {
+		return c
 	}
+	if c := keyorder.Compare(b1, b2); c != 0 {
+		return c
+	}
+	return cmp.Compare(v1, v2)
 }
 
 func (n *cnode) search(a, b float64, v uint64) int {
@@ -158,10 +155,12 @@ func (t *CompositeTree) Delete(a, b float64, id uint64) bool {
 }
 
 // Scan calls fn for every entry with aLo <= a <= aHi and bLo <= b <= bHi in
-// ascending (a, b, id) order. Navigation seeks the leading component; the
-// second component is filtered during the leaf walk.
+// ascending (a, b, id) order, the bounds taken in keyorder's total order: a
+// Scan with non-NaN bounds never yields a NaN in either column. Navigation
+// seeks the leading component; the second component is filtered during the
+// leaf walk.
 func (t *CompositeTree) Scan(aLo, aHi, bLo, bHi float64, fn func(a, b float64, id uint64) bool) {
-	if aLo > aHi || bLo > bHi {
+	if keyorder.Less(aHi, aLo) || keyorder.Less(bHi, bLo) {
 		return
 	}
 	n := t.root
@@ -171,10 +170,10 @@ func (t *CompositeTree) Scan(aLo, aHi, bLo, bHi float64, fn func(a, b float64, i
 	i := n.search(aLo, bLo, 0)
 	for n != nil {
 		for ; i < len(n.a); i++ {
-			if n.a[i] > aHi {
+			if keyorder.Less(aHi, n.a[i]) {
 				return
 			}
-			if n.b[i] < bLo || n.b[i] > bHi {
+			if keyorder.Less(n.b[i], bLo) || keyorder.Less(bHi, n.b[i]) {
 				continue
 			}
 			if !fn(n.a[i], n.b[i], n.tie[i]) {
@@ -185,16 +184,6 @@ func (t *CompositeTree) Scan(aLo, aHi, bLo, bHi float64, fn func(a, b float64, i
 		i = 0
 	}
 }
-
-// ScanPrefix calls fn for every entry with aLo <= a <= aHi, regardless of b.
-func (t *CompositeTree) ScanPrefix(aLo, aHi float64, fn func(a, b float64, id uint64) bool) {
-	t.Scan(aLo, aHi, negInf, posInf, fn)
-}
-
-const (
-	negInf = -1.797693134862315708145274237317043567981e308
-	posInf = 1.797693134862315708145274237317043567981e308
-)
 
 // SizeBytes estimates the heap footprint of the composite tree.
 func (t *CompositeTree) SizeBytes() uint64 {

@@ -3,9 +3,12 @@ package btree
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
+
+	"hermit/internal/keyorder"
 )
 
 func TestCompositeInsertScan(t *testing.T) {
@@ -31,12 +34,6 @@ func TestCompositeInsertScan(t *testing.T) {
 	})
 	if count != 10*5 {
 		t.Fatalf("count=%d want 50", count)
-	}
-	// Prefix scan ignores b.
-	count = 0
-	tr.ScanPrefix(10, 19, func(a, b float64, _ uint64) bool { count++; return true })
-	if count != 10*20 {
-		t.Fatalf("prefix count=%d", count)
 	}
 	// Inverted predicates.
 	tr.Scan(5, 1, 0, 100, func(float64, float64, uint64) bool {
@@ -221,6 +218,76 @@ func TestQuickCompositeReference(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 10}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// A composite tree over NaN, ±0 and ±Inf in both columns — built by Insert
+// and by BulkLoad in keyorder.SortTriples order, as the engine builds it —
+// answers every Scan with non-NaN bounds like a filter by ordinary
+// comparison (so never with a NaN), finds every entry to Delete, and is
+// empty after.
+func TestCompositeTotalOrder(t *testing.T) {
+	keys := []float64{negNaN, nanA, nanB, math.Inf(-1), -1, negZero, 0, 1, 2, math.Inf(1)}
+	var as, bs []float64
+	var ids []uint64
+	for _, a := range keys {
+		for _, b := range keys {
+			for r := 0; r < 3; r++ {
+				as, bs, ids = append(as, a), append(bs, b), append(ids, uint64(len(ids)))
+			}
+		}
+	}
+	bounds := []float64{math.Inf(-1), -1, negZero, 0, 1, math.Inf(1)}
+	for _, build := range []string{"insert", "bulk"} {
+		tr := NewComposite(4)
+		if build == "bulk" {
+			sa, sb, si := slices.Clone(as), slices.Clone(bs), slices.Clone(ids)
+			keyorder.SortTriples(sa, sb, si)
+			if err := tr.BulkLoad(sa, sb, si); err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			for _, i := range rand.New(rand.NewSource(1)).Perm(len(ids)) {
+				tr.Insert(as[i], bs[i], ids[i])
+			}
+		}
+		for _, aLo := range bounds {
+			for _, aHi := range bounds {
+				for _, bLo := range bounds {
+					for _, bHi := range bounds {
+						var want, got []uint64
+						for i, id := range ids {
+							if as[i] >= aLo && as[i] <= aHi && bs[i] >= bLo && bs[i] <= bHi {
+								want = append(want, id)
+							}
+						}
+						tr.Scan(aLo, aHi, bLo, bHi, func(a, b float64, id uint64) bool {
+							if a != a || b != b {
+								t.Fatalf("%s: Scan(%v, %v, %v, %v) returned (%v, %v)", build, aLo, aHi, bLo, bHi, a, b)
+							}
+							got = append(got, id)
+							return true
+						})
+						slices.Sort(got)
+						if !slices.Equal(got, want) {
+							t.Fatalf("%s: Scan(%v, %v, %v, %v) = %v, want %v", build, aLo, aHi, bLo, bHi, got, want)
+						}
+					}
+				}
+			}
+		}
+		for i, id := range ids {
+			if !tr.Delete(as[i], bs[i], id) {
+				t.Fatalf("%s: Delete(%v, %v, %d) did not find the entry", build, as[i], bs[i], id)
+			}
+		}
+		tr.Scan(math.Inf(-1), math.Inf(1), math.Inf(-1), math.Inf(1), func(a, b float64, id uint64) bool {
+			t.Fatalf("%s: (%v, %v, %d) left after deleting every entry", build, a, b, id)
+			return false
+		})
+		if tr.Len() != 0 {
+			t.Fatalf("%s: Len %d after deleting every entry", build, tr.Len())
+		}
 	}
 }
 

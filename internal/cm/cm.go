@@ -7,8 +7,9 @@
 // host buckets that contain at least one co-occurring tuple. A lookup on M
 // expands the predicate to whole target buckets, collects the mapped host
 // buckets, converts them to host value ranges, and resolves those ranges
-// against the host index — followed, as for Hermit, by base-table
-// validation.
+// against the host index. As for Hermit (internal/hermit), that is a
+// harvest of candidates that reads no row: the base-table visit that drops
+// the false positives is the engine's one base-table pass.
 //
 // Faithful to the original design (and to the paper's critique of it), CM
 // has no outlier handling: a noisy tuple simply adds its bucket mapping, so
@@ -159,15 +160,13 @@ func (c *Map) SizeBytes() uint64 {
 	return s
 }
 
-// Index wraps a Map with the same resolve-and-validate pipeline Hermit
-// uses, so the comparison in Figs. 27–30 measures the structures, not the
+// Index wraps a Map with the same harvest Hermit runs — buckets, then host
+// index — so the comparison in Figs. 27–30 measures the structures, not the
 // plumbing. Physical tuple pointers are assumed (the scheme CM's original
 // evaluation used).
 type Index struct {
-	cfg   Config
-	table *storage.Table
-	host  *btree.Tree
-	m     *Map
+	host *btree.Tree
+	m    *Map
 }
 
 // NewIndex builds a Correlation Map index by scanning the table.
@@ -176,7 +175,6 @@ func NewIndex(table *storage.Table, host *btree.Tree, cfg Config) (*Index, error
 	if err != nil {
 		return nil, err
 	}
-	idx := &Index{cfg: cfg, table: table, host: host, m: m}
 	err = table.ScanPairs(cfg.TargetCol, cfg.HostCol, func(_ storage.RID, mv, nv float64) bool {
 		m.Add(mv, nv)
 		return true
@@ -184,7 +182,7 @@ func NewIndex(table *storage.Table, host *btree.Tree, cfg Config) (*Index, error
 	if err != nil {
 		return nil, err
 	}
-	return idx, nil
+	return &Index{host: host, m: m}, nil
 }
 
 // Map returns the underlying bucket structure.
@@ -193,36 +191,13 @@ func (x *Index) Map() *Map { return x.m }
 // SizeBytes returns the CM structure's footprint.
 func (x *Index) SizeBytes() uint64 { return x.m.SizeBytes() }
 
-// Result mirrors hermit.Result for the comparison harness.
-type Result struct {
-	RIDs       []storage.RID
-	Candidates int
-	Qualified  int
-}
-
-// Lookup answers lo <= M <= hi exactly: CM ranges -> host index -> base
-// table validation.
-func (x *Index) Lookup(lo, hi float64) Result {
-	var res Result
-	ranges := x.m.Lookup(lo, hi)
-	seen := make(map[storage.RID]struct{})
-	for _, r := range ranges {
-		x.host.Scan(r.Lo, r.Hi, func(_ float64, id uint64) bool {
-			rid := storage.RID(id)
-			if _, dup := seen[rid]; dup {
-				return true
-			}
-			seen[rid] = struct{}{}
-			res.Candidates++
-			m, err := x.table.Value(rid, x.cfg.TargetCol)
-			if err == nil && m >= lo && m <= hi {
-				res.RIDs = append(res.RIDs, rid)
-				res.Qualified++
-			}
-			return true
-		})
+// Lookup harvests the candidates for lo <= M <= hi: it calls fn with every
+// host-index entry of the host ranges the map gives for the predicate — a
+// superset of the matching tuples, read from no row.
+func (x *Index) Lookup(lo, hi float64, fn func(key float64, id uint64) bool) {
+	for _, r := range x.m.Lookup(lo, hi) {
+		x.host.Scan(r.Lo, r.Hi, fn)
 	}
-	return res
 }
 
 // Insert maintains the map for a new tuple.

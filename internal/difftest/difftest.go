@@ -25,6 +25,7 @@ package difftest
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 
@@ -85,7 +86,7 @@ func genSchema(rng *rand.Rand) schema {
 }
 
 // row generates one fresh row with primary key pk and a correlated
-// (host, target) pair.
+// (host, target) pair. Now and then a value is an odd one (odd).
 func (s schema) row(rng *rand.Rand, pk float64) []float64 {
 	row := make([]float64, len(s.cols))
 	c := rng.Float64() * workload.SyntheticSpan
@@ -93,11 +94,30 @@ func (s schema) row(rng *rand.Rand, pk float64) []float64 {
 	if s.noise > 0 && rng.Float64() < s.noise {
 		b = rng.Float64() * 12000
 	}
-	row[0], row[1], row[2] = pk, b, c
+	row[0], row[1], row[2] = pk, odd(rng, b), odd(rng, c)
 	for i := 3; i < len(row); i++ {
-		row[i] = rng.Float64()
+		row[i] = odd(rng, rng.Float64())
 	}
 	return row
+}
+
+// oddValues are the float64s arithmetic on the generated data never
+// produces, yet every tier must store and compare: both zeros, both
+// infinities, NaNs of either sign and several payloads, and subnormals.
+var oddValues = []float64{
+	0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1),
+	math.NaN(), math.Float64frombits(0x7ff8000000000001), math.Float64frombits(0xfff8000000000002),
+	math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, math.Float64frombits(0x000fffffffffffff),
+}
+
+// odd returns v, or one time in 40 an odd value in its place: a data
+// value, an updated value or a query bound. The oracle compares as the
+// engine does — a NaN satisfies no range, -0 equals +0.
+func odd(rng *rand.Rand, v float64) float64 {
+	if rng.Intn(40) == 0 {
+		return oddValues[rng.Intn(len(oddValues))]
+	}
+	return v
 }
 
 // valueRange returns the span queries and updates on col draw from.
@@ -310,7 +330,7 @@ func auditBlocks(m *model, ds *durSystem, nextPK float64, step int) error {
 			return Failure{step, fmt.Sprintf("blocks: pk %v: %v", pk, err)}
 		case found != live:
 			return Failure{step, fmt.Sprintf("blocks: pk %v found=%v, oracle live=%v", pk, found, live)}
-		case live && !slices.Equal(row, want):
+		case live && !sameRow(row, want):
 			return Failure{step, fmt.Sprintf("blocks: pk %v = %v, oracle %v", pk, row, want)}
 		}
 	}
@@ -456,7 +476,7 @@ func genAction(rng *rand.Rand, s schema, m *model, nextPK *float64) action {
 	case p < 0.57: // update (sometimes an absent key)
 		col := 1 + rng.Intn(width-1)
 		lo, hi := s.valueRange(col)
-		v := lo + rng.Float64()*(hi-lo)
+		v := odd(rng, lo+rng.Float64()*(hi-lo))
 		pk, ok := m.pick(rng)
 		if !ok || rng.Float64() < 0.2 {
 			pk = *nextPK + 2000 + rng.Float64()
@@ -473,6 +493,7 @@ func genAction(rng *rand.Rand, s schema, m *model, nextPK *float64) action {
 			lo = clo + rng.Float64()*(chi-clo)
 			hi = lo + rng.Float64()*rng.Float64()*(chi-clo)
 		}
+		lo, hi = odd(rng, lo), odd(rng, hi)
 		return action{kind: actQuery, col: col, lo: lo, hi: hi, wantRows: m.query(col, lo, hi)}
 	default: // point query, biased toward the primary key
 		col := 0
@@ -488,6 +509,7 @@ func genAction(rng *rand.Rand, s schema, m *model, nextPK *float64) action {
 			lo, hi := s.valueRange(col)
 			v = lo + rng.Float64()*(hi-lo)
 		}
+		v = odd(rng, v)
 		return action{kind: actQuery, col: col, lo: v, hi: v, wantRows: m.query(col, v, v)}
 	}
 }
@@ -530,14 +552,20 @@ func sortRows(rows [][]float64) [][]float64 {
 	return rows
 }
 
-// sameRows compares two primary-key-ordered row lists exactly, value for
-// value.
+// sameRow compares two rows bit for bit: the sign of a zero and a NaN's
+// payload are part of a stored value.
+func sameRow(a, b []float64) bool {
+	return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
+}
+
+// sameRows compares two primary-key-ordered row lists exactly, bit for
+// bit.
 func sameRows(want, got [][]float64) error {
 	if len(want) != len(got) {
 		return fmt.Errorf("%d rows, oracle %d", len(got), len(want))
 	}
 	for i := range want {
-		if !slices.Equal(want[i], got[i]) {
+		if !sameRow(want[i], got[i]) {
 			return fmt.Errorf("row %d: %v, oracle %v", i, got[i], want[i])
 		}
 	}
@@ -558,13 +586,8 @@ func audit(m *model, sys system, step int) error {
 		if !ok {
 			return Failure{step, fmt.Sprintf("state: pk %v missing", pk)}
 		}
-		if len(row) != len(want) {
-			return Failure{step, fmt.Sprintf("state: pk %v width %d, oracle %d", pk, len(row), len(want))}
-		}
-		for c := range want {
-			if row[c] != want[c] {
-				return Failure{step, fmt.Sprintf("state: pk %v col %d = %v, oracle %v", pk, c, row[c], want[c])}
-			}
+		if !sameRow(row, want) {
+			return Failure{step, fmt.Sprintf("state: pk %v = %v, oracle %v", pk, row, want)}
 		}
 	}
 	return nil

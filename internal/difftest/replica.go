@@ -153,13 +153,8 @@ func sameState(want, got map[float64][]float64) error {
 		if !ok {
 			return fmt.Errorf("pk %v missing", pk)
 		}
-		if len(grow) != len(wrow) {
-			return fmt.Errorf("pk %v width %d, want %d", pk, len(grow), len(wrow))
-		}
-		for c := range wrow {
-			if grow[c] != wrow[c] {
-				return fmt.Errorf("pk %v col %d = %v, want %v", pk, c, grow[c], wrow[c])
-			}
+		if !sameRow(grow, wrow) {
+			return fmt.Errorf("pk %v = %v, want %v", pk, grow, wrow)
 		}
 	}
 	return nil

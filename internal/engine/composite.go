@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"hermit/internal/btree"
@@ -90,8 +89,7 @@ func (t *Table) CreateCompositeHermitIndex(aCol, mCol, nCol int, opts ...HermitO
 		opt(&o)
 	}
 	hx, err := hermit.NewComposite(t.store, host, hermit.CompositeConfig{
-		ACol: aCol, TargetCol: mCol, HostCol: nCol,
-		Params: o.params, Profile: o.profile,
+		ACol: aCol, TargetCol: mCol, HostCol: nCol, Params: o.params,
 	})
 	if err != nil {
 		return nil, err
@@ -111,76 +109,63 @@ func (t *Table) CompositeHermit(aCol, mCol int) *hermit.CompositeIndex {
 	return t.compositeHermits[colPair{aCol, mCol}]
 }
 
-// lookup2Locked is Lookup's two-column case,
+// run2Locked is run's two-column case,
 //
 //	q.Lo <= q.Col <= q.Hi AND q.And.Lo <= q.And.Col <= q.And.Hi,
 //
 // with t.catalog held shared. Under PathAuto a composite Hermit index on
 // (Col, And.Col) serves it, else a complete composite index; otherwise —
-// and whenever q.Path is set — the first predicate runs on its own path and
-// And filters the visible versions it returns (version rows are immutable,
-// so the check is exact). Composite indexes are physical-pointer-only, so
-// their candidates are version RIDs and visibility filters them directly.
-func (t *Table) lookup2Locked(q Query, dst []storage.RID) ([]storage.RID, QueryStats, error) {
-	key, and := colPair{q.Col, q.And.Col}, *q.And
-	if q.Path == PathAuto {
-		if hx, ok := t.compositeHermits[key]; ok {
-			// The composite Hermit lookup traverses its self-latching TRS-Tree
-			// plus the hosting composite B+-tree, which is engine-latched.
-			hostMu := t.compositeMu.get(colPair{q.Col, t.compositeHostOf[key]})
-			hostMu.RLock()
-			res := hx.Lookup(q.Lo, q.Hi, and.Lo, and.Hi)
-			hostMu.RUnlock()
-			rids := t.filterVersions(q.Snap, res.RIDs, res.RIDs[:0]) // owned: filter in place
-			return rids, QueryStats{
-				Kind: KindHermit, Path: PathHermit, Rows: len(rids),
-				Candidates: res.Candidates, Breakdown: res.Breakdown,
-			}, nil
-		}
-		if tr, ok := t.composites[key]; ok {
-			return t.compositeBaseline(q.Snap, tr, t.compositeMu.get(key), q.Lo, q.Hi, and.Lo, and.Hi)
-		}
-	}
-	rids, st, err := t.lookupLocked(q, dst)
-	if err != nil {
-		return nil, st, err
-	}
-	out := rids[:0]
-	for _, rid := range rids {
-		v, err := t.store.Value(rid, and.Col)
-		if err == nil && v >= and.Lo && v <= and.Hi {
-			out = append(out, rid)
-		}
-	}
-	st.Rows = len(out)
-	return out, st, nil
+// and whenever q.Path is set — the first predicate runs on its own path
+// and the pass checks And on every row it copies. Composite indexes are
+// physical-pointer-only, so their candidates are version RIDs.
+func (t *Table) run2Locked(q Query, a *Answer, sc *queryScratch) (QueryStats, error) {
+	n := len(a.RIDs)
+	st, err := t.run2Path(q, a, sc)
+	st.Rows = len(a.RIDs) - n // the pass counted the first predicate's rows
+	return st, err
 }
 
-// compositeBaseline is the conventional composite-index plan; mu is the
-// scanned composite index's latch.
-func (t *Table) compositeBaseline(snap *Snapshot, tr *btree.CompositeTree, mu *sync.RWMutex, aLo, aHi, bLo, bHi float64) ([]storage.RID, QueryStats, error) {
-	st := QueryStats{Kind: KindBTree, Path: PathBTree}
+// run2Path runs run2Locked's access path and its pass.
+func (t *Table) run2Path(q Query, a *Answer, sc *queryScratch) (QueryStats, error) {
+	key := colPair{q.Col, q.And.Col}
+	hx, hermitOK := t.compositeHermits[key]
+	tr, btreeOK := t.composites[key]
 	profile := t.profile.Load()
+	switch {
+	case q.Path != PathAuto || !hermitOK && !btreeOK:
+		return t.runLocked(q, a, sc)
+	case hermitOK:
+		// The composite Hermit lookup traverses its self-latching TRS-Tree
+		// plus the hosting composite B+-tree, which is engine-latched.
+		st := QueryStats{Kind: KindHermit, Path: PathHermit}
+		hostMu := t.compositeMu.get(colPair{q.Col, t.compositeHostOf[key]})
+		hostMu.RLock()
+		st.Breakdown = hx.Lookup(q.Lo, q.Hi, q.And.Lo, q.And.Hi, &sc.harvest, profile)
+		hostMu.RUnlock()
+		err := t.pass(q, sc.harvest.IDs, versionRIDs, false, sc, &st, a)
+		return st, err
+	}
+	// The conventional composite-index plan: both predicates are the
+	// index's own, so the pass checks neither (but for NaN bounds).
+	st := QueryStats{Kind: KindBTree, Path: PathBTree}
 	var t0 time.Time
 	if profile {
 		t0 = time.Now()
 	}
-	var rids []storage.RID
+	mu := t.compositeMu.get(key)
+	sc.ids = sc.ids[:0]
 	mu.RLock()
-	tr.Scan(aLo, aHi, bLo, bHi, func(_, _ float64, id uint64) bool {
-		rids = append(rids, storage.RID(id))
+	tr.Scan(q.Lo, q.Hi, q.And.Lo, q.And.Hi, func(_, _ float64, id uint64) bool {
+		sc.ids = append(sc.ids, id)
 		return true
 	})
 	mu.RUnlock()
 	if profile {
 		st.Breakdown[hermit.PhaseHostIndex] += time.Since(t0)
-		t0 = time.Now()
 	}
-	st.Candidates = len(rids)
-	out := t.filterVersions(snap, rids, rids[:0]) // owned: filter in place
-	if profile {
-		st.Breakdown[hermit.PhaseBaseTable] += time.Since(t0)
+	if ordered(q.And.Lo, q.And.Hi) {
+		q.And = nil
 	}
-	st.Rows = len(out)
-	return out, st, nil
+	err := t.pass(q, sc.ids, versionRIDs, ordered(q.Lo, q.Hi), sc, &st, a)
+	return st, err
 }

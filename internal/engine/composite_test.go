@@ -1,7 +1,9 @@
 package engine
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"hermit/internal/hermit"
@@ -141,6 +143,79 @@ func TestRangeQuery2SingleColumnFallback(t *testing.T) {
 	if !sameRows(rids, expected2(tb, 0, 100, 200, 3, 0, 5e5)) {
 		t.Fatal("fallback results wrong")
 	}
+}
+
+// A composite B+-tree range over columns holding NaN payloads, ±0 and ±Inf
+// answers like the scan — and so never with a row whose value is NaN —
+// after its bulk load, after inserts, and after deletes that reclaimed
+// entries and re-inserts that reuse their slots.
+func TestCompositeBTreeNonFinite(t *testing.T) {
+	specials := []float64{
+		math.Float64frombits(0xfff8000000000001), math.Inf(-1), -1, math.Copysign(0, -1),
+		0, 1, math.Inf(1), math.NaN(), math.Float64frombits(0x7ff8000000000002),
+	}
+	tb, err := NewDB(hermit.PhysicalPointers).CreateTable("t", []string{"pk", "a", "b"}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pk := 0.0
+	load := func() {
+		for _, a := range specials {
+			for _, b := range specials {
+				if _, err := tb.Insert([]float64{pk, a, b}); err != nil {
+					t.Fatal(err)
+				}
+				pk++
+			}
+		}
+	}
+	pks := func(q Query) []float64 {
+		rows, st, err := rowsOf(tb, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if q.Path == PathAuto && st.Path != PathBTree {
+			t.Fatalf("composite range ran on %v", st.Path)
+		}
+		var out []float64
+		for _, r := range rows {
+			out = append(out, r[0])
+		}
+		slices.Sort(out)
+		return out
+	}
+	check := func(when string) {
+		bounds := []float64{math.Inf(-1), -1, math.Copysign(0, -1), 0, 1, math.Inf(1)}
+		for _, aLo := range bounds {
+			for _, aHi := range bounds {
+				for _, bLo := range bounds[:3] {
+					for _, bHi := range bounds[3:] {
+						q := Query{Col: 1, Lo: aLo, Hi: aHi, And: &Pred{Col: 2, Lo: bLo, Hi: bHi}}
+						got := pks(q)
+						q.Path = PathScan
+						if want := pks(q); !slices.Equal(got, want) {
+							t.Fatalf("%s: a in [%v, %v], b in [%v, %v]: composite %v, scan %v", when, aLo, aHi, bLo, bHi, got, want)
+						}
+					}
+				}
+			}
+		}
+	}
+	load()
+	if _, err := tb.CreateCompositeBTreeIndex(1, 2, false); err != nil {
+		t.Fatal(err)
+	}
+	check("bulk-loaded")
+	load()
+	check("inserted")
+	for k := 0.0; k < pk; k += 2 {
+		if ok, err := tb.Delete(k); err != nil || !ok {
+			t.Fatalf("delete %v: %v %v", k, ok, err)
+		}
+	}
+	check("deleted")
+	load()
+	check("re-inserted")
 }
 
 func TestCompositeMaintenanceThroughEngine(t *testing.T) {

@@ -535,17 +535,17 @@ func (t *Table) applyUpdate(pk float64, col int, v float64) (budget int, err err
 	// on insert and the index maintenance below only reads it.
 	sc := getScratch()
 	defer putScratch(sc)
-	row, err := t.store.Get(cur, sc.row)
+	row, err := t.store.Get(cur, sc.rows)
 	if err != nil {
 		return 0, err
 	}
-	sc.row = row
+	sc.rows = row
 	t.writes.Add(1)
 	t.runtime[col].updates.Add(1)
 	t.runtime[col].widen(v)
 	old := row[col]
-	if old == v {
-		return 0, nil
+	if math.Float64bits(old) == math.Float64bits(v) {
+		return 0, nil // the value it has, bit for bit: -0 over +0 is an update
 	}
 	row[col] = v
 	rid, err := t.store.Insert(row)

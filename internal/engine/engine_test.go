@@ -340,6 +340,26 @@ func TestUpdateColumnPaths(t *testing.T) {
 	}
 }
 
+// An update stores the value it was given, bit for bit: -0 over +0 and one
+// NaN payload over another are updates, not the value the row already has.
+func TestUpdateColumnKeepsBits(t *testing.T) {
+	tb, err := NewDB(hermit.PhysicalPointers).CreateTable("t", []string{"k", "v"}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tb.Insert([]float64{1, 0}); err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []float64{math.Copysign(0, -1), 0, math.NaN(), math.Float64frombits(0x7ff8000000000001)} {
+		if err := tb.UpdateColumn(1, 1, v); err != nil {
+			t.Fatal(err)
+		}
+		if got := mustValue(t, tb, 1, 1); math.Float64bits(got) != math.Float64bits(v) {
+			t.Fatalf("updated to %#x, reads %#x", math.Float64bits(v), math.Float64bits(got))
+		}
+	}
+}
+
 func mustValue(t *testing.T, tb *Table, pk float64, col int) float64 {
 	t.Helper()
 	v, ok := tb.Primary().First(pk)

@@ -58,7 +58,6 @@ type HermitOption func(*hermitOpts)
 type hermitOpts struct {
 	params  trstree.Params
 	workers int
-	profile bool
 }
 
 // WithParams overrides the TRS-Tree parameters (default: paper defaults).
@@ -71,9 +70,11 @@ func WithBuildWorkers(n int) HermitOption {
 	return func(o *hermitOpts) { o.workers = n }
 }
 
-// WithProfile enables per-phase lookup timing on the index.
+// WithProfile does nothing: per-phase timing is the table's one switch,
+// SetProfile. It stays only because benchmark/ passes it, and goes with
+// benchmark v2.
 func WithProfile() HermitOption {
-	return func(o *hermitOpts) { o.profile = true }
+	return func(*hermitOpts) {}
 }
 
 // CreateHermitIndex builds a Hermit index on col using hostCol's complete
@@ -111,14 +112,13 @@ func (t *Table) CreateHermitIndex(col, hostCol int, opts ...HermitOption) (*herm
 		Scheme:       t.scheme,
 		Params:       o.params,
 		BuildWorkers: o.workers,
-		Profile:      o.profile,
 	}
 	// Hosting on the primary index is only sound when it stores the same
 	// identifier kind the Hermit lookup expects.
 	if hostCol == t.pkCol && t.scheme == hermit.LogicalPointers {
 		return nil, fmt.Errorf("engine: primary index cannot host under logical pointers (stores RIDs, not pks)")
 	}
-	hx, err := hermit.New(t.store, host, t.primary, cfg)
+	hx, err := hermit.New(t.store, host, cfg)
 	if err != nil {
 		return nil, err
 	}

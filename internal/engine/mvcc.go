@@ -624,13 +624,6 @@ func (t *Table) visibleFrom(rid storage.RID, ts uint64) (storage.RID, bool) {
 	}
 }
 
-// versionVisible reports whether the version row rid is visible at ts.
-func (t *Table) versionVisible(rid storage.RID, ts uint64) bool {
-	t.verMu.RLock()
-	defer t.verMu.RUnlock()
-	return t.header(rid).visibleAt(ts)
-}
-
 // stampInsert publishes rid as pk's new chain head at commitTS, linked to
 // the (dead) head it replaces, if any. Called with the key's stripe held
 // and the clock's commit lock held. The primary entry and the header

@@ -3,13 +3,11 @@ package engine
 import (
 	"fmt"
 	"math"
-	"slices"
 	"sync/atomic"
 	"time"
 
 	"hermit/internal/hermit"
 	"hermit/internal/stats"
-	"hermit/internal/storage"
 )
 
 // This file is the cost-based access-path planner. Instead of the fixed
@@ -672,66 +670,3 @@ func (t *Table) QueryStatsFor(col int) (ColumnQueryStats, error) {
 // Writes returns the table's lifetime mutation count (inserts + deletes +
 // updates), the write side of the advisor's query-mix ratio.
 func (t *Table) Writes() uint64 { return t.writes.Load() }
-
-// trsDirectRange executes PathTRSDirect: a TRS-Tree lookup resolved by one
-// sequential pass over the host column (version rows whose host value
-// falls in a predicted range, plus the buffered outliers) with
-// target-column validation and snapshot visibility resolution — no
-// host-index or primary-index latches.
-func (t *Table) trsDirectRange(snap *Snapshot, col int, lo, hi float64, dst []storage.RID) ([]storage.RID, QueryStats, error) {
-	hx := t.hermits[col]
-	hostCol := t.hostOf[col]
-	sc := getScratch()
-	defer putScratch(sc)
-	tres := &sc.tres
-	hx.Tree().LookupInto(lo, hi, tres)
-	sc.rids = sc.rids[:0]
-	// Outlier identifiers resolve like Hermit candidates: directly under
-	// physical pointers, through the primary index and the version chains
-	// under logical pointers (the primary names the newest incarnation, the
-	// chain the one the snapshot reads).
-	if t.scheme == hermit.LogicalPointers {
-		sc.ids = append(sc.ids[:0], tres.IDs...)
-		sc.rids, _ = t.resolveKeys(sc.ids, snap.ts, sc.rids)
-	} else {
-		for _, id := range tres.IDs {
-			sc.rids = append(sc.rids, storage.RID(id))
-		}
-	}
-	err := t.store.ScanColumn(hostCol, func(rid storage.RID, nv float64) bool {
-		for _, r := range tres.Ranges {
-			if nv >= r.Lo && nv <= r.Hi {
-				sc.rids = append(sc.rids, rid)
-				break
-			}
-		}
-		return true
-	})
-	if err != nil {
-		return nil, QueryStats{Kind: KindHermit}, err
-	}
-	// Deduplicate (a row can be both an outlier and inside a predicted
-	// range), then validate against the target column and resolve
-	// visibility. Every version of a matching key is its own candidate, so
-	// the visible incarnation is always present.
-	slices.Sort(sc.rids)
-	st := QueryStats{Kind: KindHermit}
-	out := resultBuf(dst, len(sc.rids))
-	var prev storage.RID
-	for i, rid := range sc.rids {
-		if i > 0 && rid == prev {
-			continue
-		}
-		prev = rid
-		st.Candidates++
-		m, err := t.store.Value(rid, col)
-		if err != nil {
-			continue // reclaimed between harvest and validation
-		}
-		if m >= lo && m <= hi && t.versionVisible(rid, snap.ts) {
-			out = append(out, rid)
-		}
-	}
-	st.Rows = len(out)
-	return out, st, nil
-}

@@ -3,6 +3,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 	"time"
@@ -23,12 +24,14 @@ type QueryStats struct {
 	Path AccessPath
 	// Rows is the number of qualifying tuples.
 	Rows int
-	// Candidates counts tuples fetched before validation (equals Rows for
-	// exact mechanisms).
+	// Candidates counts the distinct candidates the access path handed the
+	// base-table pass, false positives and versions no snapshot of the query
+	// sees included (equals Rows for exact mechanisms on a table with one
+	// version per row).
 	Candidates int
-	// Breakdown holds per-phase time when the table's profile flag is on.
-	// For the baseline the phases map to: secondary index (PhaseHostIndex),
-	// primary index (PhasePrimaryIndex), base table (PhaseBaseTable).
+	// Breakdown holds per-phase time when the table's profile flag is on:
+	// TRS-Tree, host (or secondary) index, primary index (resolving logical
+	// identifiers) and base table (the pass).
 	Breakdown hermit.Breakdown
 }
 
@@ -40,30 +43,26 @@ func (q QueryStats) FalsePositiveRatio() float64 {
 	return 1 - float64(q.Rows)/float64(q.Candidates)
 }
 
-// queryScratch holds the harvest buffers one query execution reuses. The
-// objects are pooled package-wide so a steady-state read allocates
-// nothing: candidate keys, ids, and RIDs land in recycled backing arrays,
-// and the pre-bound append callbacks (method values created once per
-// scratch object) keep index Scan calls from minting a fresh closure per
-// query. Scratch memory never escapes into query results — results go to
-// the caller's dst buffer or a fresh allocation, and Exec copies rows out
-// of the RIDs it keeps in out — so returning the object to the pool is
-// always safe.
+// queryScratch holds the buffers one query execution reuses. The objects
+// are pooled package-wide so a steady-state read allocates nothing:
+// candidate ids and RIDs land in recycled backing arrays, and the
+// pre-bound append callback (a method value created once per scratch
+// object) keeps index Scan calls from minting a fresh closure per query.
+// Scratch memory never escapes into query results — the pass copies into
+// the caller's Answer — so returning the object to the pool is always safe.
 //
-// Pool discipline: scratch is acquired after all latches the path takes
-// are decided and is released before the query returns; it interacts with
-// no latch, so it adds nothing to the lock order.
+// Pool discipline: scratch is acquired before any latch and released after
+// the query has let go of them all; it interacts with no latch, so it adds
+// nothing to the lock order.
 type queryScratch struct {
 	ids  []uint64
 	rids []storage.RID
-	res  []storage.RID
-	// out is Exec's RID stage: the RIDs whose rows it copies out.
-	out []storage.RID
-	// row is UpdateColumn's copy of the current version: the next
-	// version's row is built in it.
-	row []float64
-	// harvest is the physical-pointer Hermit lookup's scratch; tres the
-	// TRS-Tree result of the paths that resolve the tree's output themselves.
+	// out holds the RIDs Exec does not keep; rows holds the rows Lookup
+	// does not keep, and UpdateColumn's copy of the current version.
+	out  []storage.RID
+	rows []float64
+	// harvest is the Hermit lookups' scratch; tres the TRS-Tree result of
+	// PathTRSDirect, which resolves the tree's output itself.
 	harvest hermit.Scratch
 	tres    trstree.Result
 
@@ -72,9 +71,9 @@ type queryScratch struct {
 	appendID func(key float64, id uint64) bool
 }
 
-// maxScratchEntries caps scratch retention: a query that harvested an
-// unusually large candidate set (a full-table scan, say) must not pin that
-// memory in the pool forever.
+// maxScratchEntries caps scratch retention, in entries and in row values:
+// a query that harvested an unusually large candidate set (a full-table
+// scan, say) must not pin that memory in the pool forever.
 const maxScratchEntries = 1 << 16
 
 var queryScratchPool = sync.Pool{New: func() any {
@@ -89,19 +88,10 @@ func getScratch() *queryScratch { return queryScratchPool.Get().(*queryScratch) 
 // putScratch resets and returns a scratch object to the pool, dropping
 // oversized backing arrays.
 func putScratch(sc *queryScratch) {
-	if cap(sc.ids) > maxScratchEntries {
-		sc.ids = nil
-	}
-	if cap(sc.rids) > maxScratchEntries {
-		sc.rids = nil
-	}
-	if cap(sc.res) > maxScratchEntries {
-		sc.res = nil
-	}
-	if cap(sc.out) > maxScratchEntries {
-		sc.out = nil
-	}
-	sc.ids, sc.rids, sc.res, sc.out = sc.ids[:0], sc.rids[:0], sc.res[:0], sc.out[:0]
+	sc.ids = trimmed(sc.ids)
+	sc.rids = trimmed(sc.rids)
+	sc.out = trimmed(sc.out)
+	sc.rows = trimmed(sc.rows)
 	sc.harvest.Trim(maxScratchEntries)
 	if cap(sc.tres.IDs) > maxScratchEntries {
 		sc.tres.IDs = nil
@@ -109,14 +99,13 @@ func putScratch(sc *queryScratch) {
 	queryScratchPool.Put(sc)
 }
 
-// resultBuf returns the buffer query results are appended into: the
-// caller's dst (reset to length zero), or a fresh allocation sized for n
-// results when no dst was supplied.
-func resultBuf(dst []storage.RID, n int) []storage.RID {
-	if dst == nil && n > 0 {
-		return make([]storage.RID, 0, n)
+// trimmed empties a pooled buffer, dropping it when it outgrew
+// maxScratchEntries.
+func trimmed[T any](s []T) []T {
+	if cap(s) > maxScratchEntries {
+		return nil
 	}
-	return dst[:0]
+	return s[:0]
 }
 
 // ErrPathUnavailable is returned for a Query whose Path names an access
@@ -132,17 +121,21 @@ type Pred struct {
 
 // Query is one read: the rows with Lo <= Col <= Hi (a point query is
 // Lo == Hi) that also satisfy And when it is set, as of one snapshot.
+// Values compare as float64s do: -0 equals +0, and a NaN — value or bound —
+// satisfies no range. The one exception is a key named by itself: a point
+// on the primary index (PathPrimary, Lo and Hi the same bits) finds that
+// key, NaN payloads included.
 type Query struct {
 	// Col, Lo and Hi are the predicate.
 	Col    int
 	Lo, Hi float64
 	// And is an optional second predicate (a two-column query). A
 	// composite index on (Col, And.Col) serves it when Path is PathAuto;
-	// otherwise the first predicate's path runs and And is checked on each
-	// row it returns.
+	// otherwise the first predicate's path runs and the base-table pass
+	// checks And on each row.
 	And *Pred
-	// Snap is the snapshot the query reads at. When nil, Exec takes one
-	// and releases it before returning.
+	// Snap is the snapshot the query reads at. When nil, the query takes
+	// one and releases it before returning.
 	Snap *Snapshot
 	// Path forces the access path of the first predicate; the zero value,
 	// PathAuto, lets the planner choose. A path the table cannot run for
@@ -150,41 +143,59 @@ type Query struct {
 	Path AccessPath
 }
 
+// Answer is what a query's base-table pass appends to: the RIDs of the
+// matching row versions, in RID order, and their rows, whole and back to
+// back (len(Columns()) values each), one per RID. A RID names one version
+// of a row and is good while a snapshot that sees it is held; the rows
+// are copies.
+type Answer struct {
+	RIDs []storage.RID
+	Rows []float64
+}
+
 // Exec answers q with whole rows: it appends every matching row, row by
 // row and back to back (len(Columns()) values each), to dst and returns
-// the grown buffer. The rows are read under q.Snap — or under a snapshot
-// Exec holds for the whole call — so no concurrent commit can reclaim a
-// row between finding and copying it. With a reused dst a warm query on
+// the grown buffer. The rows are copied under q.Snap — or under a snapshot
+// the query holds for the whole call — so no concurrent commit can reclaim
+// a row between finding and copying it. With a reused dst a warm query on
 // an exact path allocates nothing. Execution results (hit counts,
 // false-positive ratios, sampled latencies) feed the planner's per-path
 // statistics. Queries hold only the catalog read latch plus the read
 // latches of the structures they traverse, so queries on different
 // indexes do not contend and writers never block snapshot reads.
 func (t *Table) Exec(q Query, dst []float64) ([]float64, QueryStats, error) {
-	if q.Snap == nil {
-		q.Snap = t.clock.Snapshot()
-		defer q.Snap.Recycle()
-	}
 	sc := getScratch()
 	defer putScratch(sc)
-	rids, st, err := t.Lookup(q, sc.out)
-	if err != nil {
-		return dst, st, err
-	}
-	sc.out = rids
-	dst, err = t.appendRows(dst, rids)
-	return dst, st, err
+	a := Answer{RIDs: sc.out[:0], Rows: dst}
+	st, err := t.run(q, &a, sc)
+	sc.out = a.RIDs
+	return a.Rows, st, err
 }
 
-// appendRows appends the rows at rids to dst, back to back, under one hold
-// of the store's latch.
-func (t *Table) appendRows(dst []float64, rids []storage.RID) ([]float64, error) {
-	n, need := len(dst), len(rids)*len(t.cols)
-	dst = slices.Grow(dst, need)
-	if _, err := t.store.GetRun(rids, dst[n:n+need]); err != nil {
-		return dst[:n], err
+// Lookup is Exec keeping the RIDs instead of the rows: it appends the RIDs
+// of the matching row versions visible at q.Snap, in RID order, into
+// dst[:0] (freshly allocated when dst is nil). With a nil q.Snap, the
+// query's own snapshot is released on return, and the RIDs are good only
+// until the next commit to the table.
+func (t *Table) Lookup(q Query, dst []storage.RID) ([]storage.RID, QueryStats, error) {
+	sc := getScratch()
+	defer putScratch(sc)
+	a := Answer{RIDs: dst[:0], Rows: sc.rows[:0]}
+	st, err := t.run(q, &a, sc)
+	sc.rows = a.Rows
+	if err != nil {
+		return nil, st, err
 	}
-	return dst[:n+need], nil
+	return a.RIDs, st, nil
+}
+
+// Run answers q into a, keeping both the RIDs and the rows (a partition's
+// gather leg merges on the rows and reports the RIDs). On error a is left
+// as it was.
+func (t *Table) Run(q Query, a *Answer) (QueryStats, error) {
+	sc := getScratch()
+	defer putScratch(sc)
+	return t.run(q, a, sc)
 }
 
 // SplitRows appends to dst one view per row of flat, Exec's back-to-back
@@ -196,15 +207,12 @@ func SplitRows(flat []float64, width int, dst [][]float64) [][]float64 {
 	return dst
 }
 
-// Lookup is Exec's first stage: it plans q (or takes q.Path), runs the
-// access path and appends the RIDs of the matching row versions visible
-// at q.Snap into dst[:0] (freshly allocated when dst is nil). A RID names
-// one version of a row and is good while a snapshot that sees it is held:
-// with a nil q.Snap, Lookup's own snapshot is released on return, and the
-// RIDs are good only until the next commit to the table.
-func (t *Table) Lookup(q Query, dst []storage.RID) ([]storage.RID, QueryStats, error) {
+// run is every query's one execution: it plans q (or takes q.Path), runs
+// the access path, and hands the path's candidates to the base-table pass,
+// which appends the answer to a.
+func (t *Table) run(q Query, a *Answer, sc *queryScratch) (QueryStats, error) {
 	if q.Col < 0 || q.Col >= len(t.cols) || q.And != nil && (q.And.Col < 0 || q.And.Col >= len(t.cols)) {
-		return nil, QueryStats{}, ErrNoSuchColumn
+		return QueryStats{}, ErrNoSuchColumn
 	}
 	if q.Snap == nil {
 		q.Snap = t.clock.Snapshot()
@@ -213,20 +221,21 @@ func (t *Table) Lookup(q Query, dst []storage.RID) ([]storage.RID, QueryStats, e
 	t.catalog.RLock()
 	defer t.catalog.RUnlock()
 	if q.And != nil {
-		return t.lookup2Locked(q, dst)
+		return t.run2Locked(q, a, sc)
 	}
-	return t.lookupLocked(q, dst)
+	return t.runLocked(q, a, sc)
 }
 
-// lookupLocked is Lookup's single-predicate case; t.catalog is held shared.
-func (t *Table) lookupLocked(q Query, dst []storage.RID) ([]storage.RID, QueryStats, error) {
+// runLocked is run's single-predicate case (and the first predicate of a
+// two-column query no composite index serves); t.catalog is held shared.
+func (t *Table) runLocked(q Query, a *Answer, sc *queryScratch) (QueryStats, error) {
 	path, modelCost := q.Path, 0.0
 	if path == PathAuto {
 		var ests [numPaths]PathEstimate
 		path, ests, _, _ = t.planLocked(q.Col, q.Lo, q.Hi, false)
 		modelCost = ests[path].Cost
 	} else if !t.availableLocked(q.Col, path) {
-		return nil, QueryStats{}, fmt.Errorf("%w: %v on column %q", ErrPathUnavailable, path, t.cols[q.Col])
+		return QueryStats{}, fmt.Errorf("%w: %v on column %q", ErrPathUnavailable, path, t.cols[q.Col])
 	}
 	// Latency is sampled (1 in latencySampleMask+1) so the feedback loop
 	// does not tax every query with clock reads.
@@ -235,9 +244,9 @@ func (t *Table) lookupLocked(q Query, dst []storage.RID) ([]storage.RID, QuerySt
 	if timed {
 		t0 = time.Now()
 	}
-	rids, st, err := t.execPathLocked(q.Snap, path, q.Col, q.Lo, q.Hi, dst)
+	st, err := t.execPathLocked(q, path, a, sc)
 	if err != nil {
-		return nil, st, err
+		return st, err
 	}
 	var elapsed time.Duration
 	if timed {
@@ -245,146 +254,148 @@ func (t *Table) lookupLocked(q Query, dst []storage.RID) ([]storage.RID, QuerySt
 	}
 	t.recordQuery(q.Col, path, modelCost, elapsed, st)
 	st.Path = path
-	return rids, st, nil
+	return st, nil
 }
 
-// execPathLocked executes the predicate over one access path at the given
-// snapshot; t.catalog is held shared. The caller guarantees the path is
-// available (planLocked or availableLocked). Results are appended into
-// dst[:0], or into a fresh allocation when dst is nil.
-func (t *Table) execPathLocked(snap *Snapshot, path AccessPath, col int, lo, hi float64, dst []storage.RID) ([]storage.RID, QueryStats, error) {
+// execPathLocked runs q's first predicate on one access path and its
+// candidates through the pass; t.catalog is held shared. The caller
+// guarantees the path is available (planLocked or availableLocked).
+func (t *Table) execPathLocked(q Query, path AccessPath, a *Answer, sc *queryScratch) (QueryStats, error) {
+	st := QueryStats{Kind: path.Kind()}
+	var err error
 	switch path {
 	case PathHermit:
-		if t.scheme == hermit.LogicalPointers {
-			return t.hermitLogicalRange(snap, col, lo, hi, dst)
-		}
-		// The Hermit lookup traverses its self-latching TRS-Tree, then the
-		// host index; both candidate harvesting and validation run against
-		// immutable version rows, so the engine only filters visibility.
-		sc := getScratch()
-		defer putScratch(sc)
-		hostMu := t.hermitHostMu[col]
+		// The TRS-Tree latches itself; the host index is the structure bound
+		// to the column at creation, under its own latch.
+		hostMu := t.hermitHostMu[q.Col]
 		hostMu.RLock()
-		res := t.hermits[col].LookupInto(lo, hi, &sc.harvest)
+		st.Breakdown = t.hermits[q.Col].Lookup(q.Lo, q.Hi, &sc.harvest, t.profile.Load())
 		hostMu.RUnlock()
-		rids := t.filterVersions(snap, res.RIDs, dst)
-		return rids, QueryStats{
-			Kind:       KindHermit,
-			Rows:       len(rids),
-			Candidates: res.Candidates,
-			Breakdown:  res.Breakdown,
-		}, nil
+		err = t.pass(q, sc.harvest.IDs, t.harvested(), false, sc, &st, a)
 	case PathCM:
-		// CM lookups read the bucket map and scan the host index (CM is
-		// physical-pointers only, so candidates are version RIDs).
-		cmMu := t.cmMu.get(col)
+		// CM is physical-pointers only, so its candidates are version RIDs.
+		cmMu, hostMu := t.cmMu.get(q.Col), t.cmHostMu[q.Col]
 		cmMu.RLock()
-		hostMu := t.cmHostMu[col]
 		hostMu.RLock()
-		res := t.cms[col].Lookup(lo, hi)
+		sc.ids = sc.ids[:0]
+		t.cms[q.Col].Lookup(q.Lo, q.Hi, sc.appendID)
 		hostMu.RUnlock()
 		cmMu.RUnlock()
-		rids := t.filterVersions(snap, res.RIDs, dst)
-		return rids, QueryStats{
-			Kind:       KindCM,
-			Rows:       len(rids),
-			Candidates: res.Candidates,
-		}, nil
+		err = t.pass(q, sc.ids, versionRIDs, false, sc, &st, a)
 	case PathBTree:
-		return t.baselineRange(snap, t.secondary[col], t.secondaryMu.get(col), KindBTree, col, lo, hi, dst)
+		err = t.btreeRange(q, sc, &st, a)
 	case PathPrimary:
-		return t.primaryRange(snap, lo, hi, dst)
+		err = t.primaryRange(q, sc, &st, a)
 	case PathTRSDirect:
-		return t.trsDirectRange(snap, col, lo, hi, dst)
+		err = t.trsDirectRange(q, sc, &st, a)
 	default:
-		return t.scanRange(snap, col, lo, hi, dst)
+		err = t.scanRange(q, sc, &st, a)
 	}
+	return st, err
 }
 
-// filterVersions appends the candidates whose version is visible at the
-// snapshot into dst[:0] (freshly allocated when dst is nil), leaving src
-// intact — src is usually pooled scratch, which must never escape into
-// results; a caller that owns src may pass src[:0] to filter in place.
-// Exact for candidate sets that are per-version (every index keeps one
-// entry per version, and a version's row is immutable, so a validated
-// candidate either is the visible incarnation of its key or is filtered
-// here; the visible incarnation always appears among the candidates
-// through its own entries).
-func (t *Table) filterVersions(snap *Snapshot, src, dst []storage.RID) []storage.RID {
-	out := resultBuf(dst, len(src))
-	t.verMu.RLock()
-	for _, rid := range src {
-		if t.header(rid).visibleAt(snap.ts) {
-			out = append(out, rid)
-		}
+// harvest names what an access path hands the pass.
+type harvest int
+
+const (
+	// versionRIDs are RIDs of row versions, in any order and possibly
+	// repeated: what an index stores under physical pointers.
+	versionRIDs harvest = iota
+	// logicalIDs are logical identifiers (hermit.LogicalID): what an index
+	// stores under logical pointers.
+	logicalIDs
+	// visibleRIDs are the versions visible at the query's snapshot, already
+	// resolved by the path and left in the scratch's rids (primaryRange).
+	visibleRIDs
+)
+
+// harvested is what the table's secondary indexes hand the pass.
+func (t *Table) harvested() harvest {
+	if t.scheme == hermit.LogicalPointers {
+		return logicalIDs
 	}
-	t.verMu.RUnlock()
-	return out
+	return versionRIDs
 }
 
-// hermitLogicalRange executes the Hermit mechanism under logical pointers
-// with MVCC-aware resolution: TRS-Tree ranges are scanned on the host
-// index as usual, the harvested primary keys take the primary-index hop to
-// their chain heads and resolve from there to the incarnation visible at
-// the snapshot (not necessarily the newest, which is what the primary
-// names), which is then validated against the target predicate.
-func (t *Table) hermitLogicalRange(snap *Snapshot, col int, lo, hi float64, dst []storage.RID) ([]storage.RID, QueryStats, error) {
-	hx := t.hermits[col]
-	st := QueryStats{Kind: KindHermit}
+// pass is the one base-table visit every access path ends in — step 4 of
+// Fig. 3, and the tuple fetch of a secondary-index plan. Over the
+// candidates ids it
+//
+//  1. resolves logical identifiers to their versions visible at q.Snap
+//     (resolveKeys, the primary-index hop), or sorts and deduplicates
+//     version RIDs;
+//  2. drops, under one verMu hold, the versions q.Snap does not see;
+//  3. copies the surviving rows, in RID order, to a.Rows with one
+//     storage.GetRun under one store latch;
+//  4. checks the predicate on each copied row where the path is inexact
+//     (exact false), and q.And wherever it is set, dropping the rows that
+//     fail from a.Rows;
+//  5. appends the RIDs of the rows it kept to a.RIDs.
+//
+// Each row is read once. st.Candidates counts the distinct candidates
+// (visibleRIDs: set by the path), st.Rows those that satisfy the first
+// predicate; the profile times step 1 of logical identifiers as the
+// primary-index phase and the rest as the base-table phase. On error a is
+// left as it was.
+func (t *Table) pass(q Query, ids []uint64, h harvest, exact bool, sc *queryScratch, st *QueryStats, a *Answer) error {
 	profile := t.profile.Load()
 	var t0 time.Time
 	if profile {
 		t0 = time.Now()
 	}
-	sc := getScratch()
-	defer putScratch(sc)
-	tres := &sc.tres
-	hx.Tree().LookupInto(lo, hi, tres)
-	if profile {
-		st.Breakdown[hermit.PhaseTRSTree] += time.Since(t0)
-		t0 = time.Now()
-	}
-	// Outlier identifiers are primary keys under this scheme. Harvest into
-	// the scratch so the host-index appends never grow the index-owned
-	// backing array.
-	sc.ids = append(sc.ids[:0], tres.IDs...)
-	hostMu := t.hermitHostMu[col]
-	hostMu.RLock()
-	host := t.secondary[t.hostOf[col]]
-	if host == nil {
-		// pk-hosted indexes are rejected at creation under logical
-		// pointers, so the host B+-tree always exists here; guard anyway.
-		hostMu.RUnlock()
-		return nil, st, ErrNoHostIndex
-	}
-	for _, r := range tres.Ranges {
-		host.Scan(r.Lo, r.Hi, sc.appendID)
-	}
-	hostMu.RUnlock()
-	if profile {
-		st.Breakdown[hermit.PhaseHostIndex] += time.Since(t0)
-		t0 = time.Now()
-	}
-	// Resolve each candidate key to its visible incarnation (the primary-
-	// index hop), batched ...
-	sc.res, st.Candidates = t.resolveKeys(sc.ids, snap.ts, sc.res)
-	if profile {
-		st.Breakdown[hermit.PhasePrimaryIndex] += time.Since(t0)
-		t0 = time.Now()
-	}
-	// ... then validate the target predicate against the base table.
-	out := resultBuf(dst, len(sc.res))
-	for _, rid := range sc.res {
-		m, err := t.store.Value(rid, col)
-		if err == nil && m >= lo && m <= hi {
-			out = append(out, rid)
+	rids := sc.rids
+	switch h {
+	case versionRIDs:
+		slices.Sort(ids)
+		ids = slices.Compact(ids)
+		st.Candidates = len(ids)
+		rids = rids[:0]
+		t.verMu.RLock()
+		for _, id := range ids {
+			if t.header(storage.RID(id)).visibleAt(q.Snap.ts) {
+				rids = append(rids, storage.RID(id))
+			}
 		}
+		t.verMu.RUnlock()
+	case logicalIDs:
+		rids, st.Candidates = t.resolveKeys(ids, q.Snap.ts, rids)
+		if profile {
+			st.Breakdown[hermit.PhasePrimaryIndex] += time.Since(t0)
+			t0 = time.Now()
+		}
+		slices.Sort(rids)
+	default:
+		slices.Sort(rids)
 	}
+	sc.rids = rids
+	w, n := len(t.cols), len(a.Rows)
+	a.Rows = slices.Grow(a.Rows, len(rids)*w)
+	rows := a.Rows[n : n+len(rids)*w]
+	if _, err := t.store.GetRun(rids, rows); err != nil {
+		a.Rows = a.Rows[:n]
+		return err
+	}
+	kept, matched := 0, 0
+	for i, rid := range rids {
+		row := rows[i*w : (i+1)*w]
+		if !exact && !(row[q.Col] >= q.Lo && row[q.Col] <= q.Hi) {
+			continue
+		}
+		matched++
+		if q.And != nil && !(row[q.And.Col] >= q.And.Lo && row[q.And.Col] <= q.And.Hi) {
+			continue
+		}
+		copy(rows[kept*w:], row)
+		rids[kept] = rid
+		kept++
+	}
+	a.Rows = a.Rows[:n+kept*w]
+	a.RIDs = append(a.RIDs, rids[:kept]...)
+	st.Rows = matched
 	if profile {
 		st.Breakdown[hermit.PhaseBaseTable] += time.Since(t0)
 	}
-	st.Rows = len(out)
-	return out, st, nil
+	return nil
 }
 
 // RangeQueryInto is Lookup(Query{Col: col, Lo: lo, Hi: hi}, dst). It
@@ -399,115 +410,112 @@ func (t *Table) PointQueryInto(col int, v float64, dst []storage.RID) ([]storage
 	return t.Lookup(Query{Col: col, Lo: v, Hi: v}, dst)
 }
 
-// baselineRange executes the conventional secondary-index plan: index
-// scan, then visibility resolution. This is the Baseline of every figure.
-// mu is the scanned index's latch. Under physical pointers candidates are
-// version RIDs filtered directly; under logical pointers they are primary
-// keys resolved through the version chains, with the predicate re-checked
-// on the visible incarnation (whose value may differ from the harvested
-// entry's version).
-func (t *Table) baselineRange(snap *Snapshot, idx interface {
-	Scan(lo, hi float64, fn func(key float64, id uint64) bool)
-}, mu *sync.RWMutex, kind IndexKind, col int, lo, hi float64, dst []storage.RID) ([]storage.RID, QueryStats, error) {
-	st := QueryStats{Kind: kind}
+// btreeRange executes the conventional secondary-index plan, the Baseline
+// of every figure: an index scan, then the pass. Under physical pointers
+// the candidates are version RIDs and the index is exact; under logical
+// pointers they are primary keys, and the version the snapshot sees may
+// hold another value than the one the entry was made for, so the pass
+// checks the predicate.
+func (t *Table) btreeRange(q Query, sc *queryScratch, st *QueryStats, a *Answer) error {
 	profile := t.profile.Load()
 	var t0 time.Time
 	if profile {
 		t0 = time.Now()
 	}
-	sc := getScratch()
-	defer putScratch(sc)
+	mu := t.secondaryMu.get(q.Col)
 	sc.ids = sc.ids[:0]
 	mu.RLock()
-	idx.Scan(lo, hi, sc.appendID)
+	t.secondary[q.Col].Scan(q.Lo, q.Hi, sc.appendID)
 	mu.RUnlock()
 	if profile {
 		st.Breakdown[hermit.PhaseHostIndex] += time.Since(t0)
-		t0 = time.Now()
 	}
-	if t.scheme == hermit.LogicalPointers {
-		// Resolve the harvested keys through the primary index and the
-		// version chains, then re-check the predicate on the visible
-		// incarnations.
-		sc.res, st.Candidates = t.resolveKeys(sc.ids, snap.ts, sc.res)
-		out := resultBuf(dst, len(sc.res))
-		for _, rid := range sc.res {
-			m, err := t.store.Value(rid, col)
-			if err == nil && m >= lo && m <= hi {
-				out = append(out, rid)
-			}
-		}
-		if profile {
-			st.Breakdown[hermit.PhasePrimaryIndex] += time.Since(t0)
-			t0 = time.Now()
-		}
-		st.Rows = len(out)
-		return out, st, nil
-	}
-	sc.rids = sc.rids[:0]
-	for _, id := range sc.ids {
-		sc.rids = append(sc.rids, storage.RID(id))
-	}
-	out := t.filterVersions(snap, sc.rids, dst)
-	if profile {
-		st.Breakdown[hermit.PhaseBaseTable] += time.Since(t0)
-	}
-	st.Rows = len(out)
-	st.Candidates = len(sc.ids)
-	return out, st, nil
+	h := t.harvested()
+	return t.pass(q, sc.ids, h, h == versionRIDs && ordered(q.Lo, q.Hi), sc, st, a)
 }
+
+// ordered reports whether an index scan from lo to hi — which takes its
+// bounds in keyorder's total order — finds exactly the keys the predicate
+// lo <= key <= hi admits: when neither bound is NaN.
+func ordered(lo, hi float64) bool { return !math.IsNaN(lo) && !math.IsNaN(hi) }
 
 // primaryRange serves range queries on the primary-key column. The
 // primary index keeps one entry per key, the head of its version chain, so
 // the scan yields the heads directly and each resolves through its chain to
 // the incarnation visible at the snapshot; the key value itself is shared
-// by every version, so no predicate re-check is needed. With a reused dst
-// this path — the PK point read — allocates nothing.
-func (t *Table) primaryRange(snap *Snapshot, lo, hi float64, dst []storage.RID) ([]storage.RID, QueryStats, error) {
-	st := QueryStats{Kind: KindPrimary}
-	sc := getScratch()
-	defer putScratch(sc)
+// by every version, so the pass checks no predicate — but for NaN bounds,
+// unless they name one key (Query). With a reused dst this path — the PK
+// point read — allocates nothing.
+func (t *Table) primaryRange(q Query, sc *queryScratch, st *QueryStats, a *Answer) error {
 	sc.ids = sc.ids[:0]
 	t.primaryMu.RLock()
-	t.primary.Scan(lo, hi, sc.appendID)
-	out := resultBuf(dst, len(sc.ids))
+	t.primary.Scan(q.Lo, q.Hi, sc.appendID)
+	sc.rids = sc.rids[:0]
 	for _, head := range sc.ids {
-		out = append(out, storage.RID(head))
+		sc.rids = append(sc.rids, storage.RID(head))
 	}
 	t.handOver()
-	out = t.visibleFromAll(out, snap.ts)
+	sc.rids = t.visibleFromAll(sc.rids, q.Snap.ts)
 	t.verMu.RUnlock()
-	st.Rows, st.Candidates = len(out), len(sc.ids)
-	return out, st, nil
+	st.Candidates = len(sc.ids)
+	exact := ordered(q.Lo, q.Hi) || math.Float64bits(q.Lo) == math.Float64bits(q.Hi)
+	return t.pass(q, nil, visibleRIDs, exact, sc, st, a)
 }
 
 // scanRange is the unindexed fallback: a full table scan over every
-// version row, filtered by predicate and visibility.
-func (t *Table) scanRange(snap *Snapshot, col int, lo, hi float64, dst []storage.RID) ([]storage.RID, QueryStats, error) {
-	st := QueryStats{Kind: KindNone}
-	sc := getScratch()
-	defer putScratch(sc)
-	sc.rids = sc.rids[:0]
-	err := t.store.ScanColumn(col, func(rid storage.RID, v float64) bool {
-		if v >= lo && v <= hi {
-			sc.rids = append(sc.rids, rid)
+// version row, filtered by the predicate; the pass resolves visibility.
+func (t *Table) scanRange(q Query, sc *queryScratch, st *QueryStats, a *Answer) error {
+	sc.ids = sc.ids[:0]
+	err := t.store.ScanColumn(q.Col, func(rid storage.RID, v float64) bool {
+		if v >= q.Lo && v <= q.Hi {
+			sc.ids = append(sc.ids, uint64(rid))
 		}
 		return true
 	})
 	if err != nil {
-		return nil, st, err
+		return err
 	}
-	st.Candidates = len(sc.rids)
-	out := t.filterVersions(snap, sc.rids, dst)
-	st.Rows = len(out)
-	return out, st, nil
+	return t.pass(q, sc.ids, versionRIDs, true, sc, st, a)
+}
+
+// trsDirectRange executes PathTRSDirect: a TRS-Tree lookup resolved by one
+// sequential pass over the host column — the version rows whose host value
+// falls in a predicted range, plus the buffered outliers — with no
+// host-index or primary-index latches; the pass validates.
+func (t *Table) trsDirectRange(q Query, sc *queryScratch, st *QueryStats, a *Answer) error {
+	tres := &sc.tres
+	t.hermits[q.Col].Tree().LookupInto(q.Lo, q.Hi, tres)
+	sc.ids = append(sc.ids[:0], tres.IDs...)
+	// Outlier identifiers are primary keys under logical pointers: they
+	// resolve through the primary index and the version chains to the
+	// version the snapshot reads, which joins the scanned RIDs.
+	if t.scheme == hermit.LogicalPointers {
+		sc.rids, _ = t.resolveKeys(sc.ids, q.Snap.ts, sc.rids)
+		sc.ids = sc.ids[:0]
+		for _, rid := range sc.rids {
+			sc.ids = append(sc.ids, uint64(rid))
+		}
+	}
+	err := t.store.ScanColumn(t.hostOf[q.Col], func(rid storage.RID, nv float64) bool {
+		for _, r := range tres.Ranges {
+			if nv >= r.Lo && nv <= r.Hi {
+				sc.ids = append(sc.ids, uint64(rid))
+				break
+			}
+		}
+		return true
+	})
+	if err != nil {
+		return err
+	}
+	return t.pass(q, sc.ids, versionRIDs, false, sc, st, a)
 }
 
 // FetchRows reads the rows at rids into dst[:0], one row each. It exists
 // only for benchmark/, which calls it after RangeQueryInto or
 // PointQueryInto, and goes with benchmark v2.
 func (t *Table) FetchRows(rids []storage.RID, dst [][]float64) ([][]float64, error) {
-	flat, err := t.appendRows(nil, rids)
+	flat, err := t.store.GetRun(rids, nil)
 	if err != nil {
 		return nil, err
 	}

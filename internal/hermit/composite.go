@@ -2,8 +2,6 @@ package hermit
 
 import (
 	"fmt"
-	"sort"
-	"sync/atomic"
 	"time"
 
 	"hermit/internal/btree"
@@ -18,15 +16,12 @@ import (
 // running example: host (TIME, DJ), new index (TIME, SP).
 //
 // The TRS-Tree is the same single-column structure — only the host probe
-// and validation change — so maintenance and reorganization are inherited.
+// changes — so maintenance and reorganization are inherited.
 type CompositeIndex struct {
 	cfg   CompositeConfig
 	table *storage.Table
 	tree  *trstree.Tree
 	host  *btree.CompositeTree
-
-	candidates atomic.Uint64
-	qualified  atomic.Uint64
 }
 
 // CompositeConfig describes a composite Hermit index.
@@ -39,12 +34,10 @@ type CompositeConfig struct {
 	HostCol int
 	// Params configures the TRS-Tree.
 	Params trstree.Params
-	// Profile enables per-phase timing.
-	Profile bool
 }
 
 // NewComposite builds the composite Hermit index from the table and the
-// existing (A, N) host index. Physical tuple pointers are assumed: the host
+// existing (A, N) host index, its TRS-Tree as New builds one. Physical tuple pointers are assumed: the host
 // stores RIDs (the composite form with logical pointers only adds the same
 // primary hop as the single-column index and is omitted for clarity).
 func NewComposite(table *storage.Table, host *btree.CompositeTree, cfg CompositeConfig) (*CompositeIndex, error) {
@@ -59,24 +52,15 @@ func NewComposite(table *storage.Table, host *btree.CompositeTree, cfg Composite
 		cfg.HostCol < 0 || cfg.HostCol >= w {
 		return nil, fmt.Errorf("hermit: composite column out of range")
 	}
-	pairs := make([]trstree.Pair, 0, table.Len())
-	err := table.ScanPairs(cfg.TargetCol, cfg.HostCol, func(rid storage.RID, m, n float64) bool {
-		pairs = append(pairs, trstree.Pair{M: m, N: n, ID: uint64(rid)})
-		return true
-	})
-	if err != nil {
-		return nil, err
-	}
-	lo, hi, ok := table.ColumnBounds(cfg.TargetCol)
-	if !ok {
-		lo, hi = 0, 1
-	}
-	tree, err := trstree.Build(pairs, lo, hi, cfg.Params)
+	tree, err := buildTree(table, cfg.TargetCol, cfg.HostCol, physical, cfg.Params, 1)
 	if err != nil {
 		return nil, err
 	}
 	return &CompositeIndex{cfg: cfg, table: table, tree: tree, host: host}, nil
 }
+
+// physical is the identifier a composite index stores: the RID itself.
+func physical(rid storage.RID) uint64 { return uint64(rid) }
 
 // Tree exposes the TRS-Tree for statistics and maintenance.
 func (x *CompositeIndex) Tree() *trstree.Tree { return x.tree }
@@ -85,73 +69,36 @@ func (x *CompositeIndex) Tree() *trstree.Tree { return x.tree }
 // belongs to the (A, N) pair).
 func (x *CompositeIndex) SizeBytes() uint64 { return x.tree.SizeBytes() }
 
-// Lookup answers the conjunctive predicate
+// Lookup harvests into sc.IDs the candidates for the conjunctive predicate
 //
 //	aLo <= A <= aHi AND mLo <= M <= mHi
 //
 // following §3: the M-range is translated to N-ranges by the TRS-Tree, the
-// (A, N) host index is probed with both ranges, outlier identifiers are
-// unioned in, and base-table validation restores exactness on both columns.
-func (x *CompositeIndex) Lookup(aLo, aHi, mLo, mHi float64) Result {
-	var res Result
+// (A, N) host index is probed with both ranges, and the outlier identifiers
+// are unioned in. Candidates are RIDs, a superset of the matching tuples
+// (an outlier is not checked against A either); the reader validates both
+// predicates. With profile set the returned breakdown times the two phases.
+func (x *CompositeIndex) Lookup(aLo, aHi, mLo, mHi float64, sc *Scratch, profile bool) Breakdown {
+	var bd Breakdown
 	var t0 time.Time
-	if x.cfg.Profile {
+	if profile {
 		t0 = time.Now()
 	}
-	tres := x.tree.Lookup(mLo, mHi)
-	if x.cfg.Profile {
-		res.Breakdown[PhaseTRSTree] += time.Since(t0)
+	sc.begin(x.tree, mLo, mHi)
+	if profile {
+		bd[PhaseTRSTree] = time.Since(t0)
 		t0 = time.Now()
 	}
-	ids := tres.IDs // outliers: validated on both predicates below
-	for _, r := range tres.Ranges {
+	for _, r := range sc.tres.Ranges {
 		x.host.Scan(aLo, aHi, r.Lo, r.Hi, func(_, _ float64, id uint64) bool {
-			ids = append(ids, id)
+			sc.IDs = append(sc.IDs, id)
 			return true
 		})
 	}
-	if x.cfg.Profile {
-		res.Breakdown[PhaseHostIndex] += time.Since(t0)
-		t0 = time.Now()
+	if profile {
+		bd[PhaseHostIndex] = time.Since(t0)
 	}
-	sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
-	out := make([]storage.RID, 0, len(ids))
-	var prev uint64
-	row := make([]float64, 0, x.table.Width())
-	for i, id := range ids {
-		if i > 0 && id == prev {
-			continue
-		}
-		prev = id
-		rid := storage.RID(id)
-		res.Candidates++
-		var err error
-		row, err = x.table.Get(rid, row)
-		if err != nil {
-			continue
-		}
-		if row[x.cfg.ACol] >= aLo && row[x.cfg.ACol] <= aHi &&
-			row[x.cfg.TargetCol] >= mLo && row[x.cfg.TargetCol] <= mHi {
-			out = append(out, rid)
-			res.Qualified++
-		}
-	}
-	if x.cfg.Profile {
-		res.Breakdown[PhaseBaseTable] += time.Since(t0)
-	}
-	res.RIDs = out
-	x.candidates.Add(uint64(res.Candidates))
-	x.qualified.Add(uint64(res.Qualified))
-	return res
-}
-
-// LifetimeFalsePositiveRatio aggregates over every lookup served.
-func (x *CompositeIndex) LifetimeFalsePositiveRatio() float64 {
-	c := x.candidates.Load()
-	if c == 0 {
-		return 0
-	}
-	return 1 - float64(x.qualified.Load())/float64(c)
+	return bd
 }
 
 // Insert maintains the index for a new tuple.
@@ -172,11 +119,5 @@ func (x *CompositeIndex) Source() trstree.DataSource {
 type compositeSource struct{ x *CompositeIndex }
 
 func (s compositeSource) ScanMRange(lo, hi float64, fn func(m, n float64, id uint64) bool) error {
-	return s.x.table.ScanPairs(s.x.cfg.TargetCol, s.x.cfg.HostCol,
-		func(rid storage.RID, m, n float64) bool {
-			if m < lo || m > hi {
-				return true
-			}
-			return fn(m, n, uint64(rid))
-		})
+	return scanMRange(s.x.table, s.x.cfg.TargetCol, s.x.cfg.HostCol, lo, hi, physical, fn)
 }

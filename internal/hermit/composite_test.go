@@ -45,22 +45,22 @@ func newCompositeFixture(t testing.TB, n int, noise float64, seed int64) *compos
 	return f
 }
 
-func (f *compositeFixture) expected(aLo, aHi, mLo, mHi float64) map[storage.RID]bool {
-	out := map[storage.RID]bool{}
+// expected returns the RIDs of the rows with A in [aLo, aHi] and M in
+// [mLo, mHi].
+func (f *compositeFixture) expected(aLo, aHi, mLo, mHi float64) []uint64 {
+	var out []uint64
 	for i, row := range f.rows {
 		if row[0] >= aLo && row[0] <= aHi && row[2] >= mLo && row[2] <= mHi {
-			out[f.rids[i]] = true
+			out = append(out, uint64(f.rids[i]))
 		}
 	}
 	return out
 }
 
-func newCompositeIndex(t testing.TB, f *compositeFixture, profile bool) *CompositeIndex {
+func newCompositeIndex(t testing.TB, f *compositeFixture) *CompositeIndex {
 	t.Helper()
 	idx, err := NewComposite(f.table, f.host, CompositeConfig{
-		ACol: 0, TargetCol: 2, HostCol: 1,
-		Params:  trstree.DefaultParams(),
-		Profile: profile,
+		ACol: 0, TargetCol: 2, HostCol: 1, Params: trstree.DefaultParams(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -68,16 +68,12 @@ func newCompositeIndex(t testing.TB, f *compositeFixture, profile bool) *Composi
 	return idx
 }
 
-func matches(res Result, want map[storage.RID]bool) bool {
-	if len(res.RIDs) != len(want) {
-		return false
-	}
-	for _, rid := range res.RIDs {
-		if !want[rid] {
-			return false
-		}
-	}
-	return true
+// harvest2 runs one composite lookup on a fresh scratch and returns its
+// candidates.
+func harvest2(idx *CompositeIndex, aLo, aHi, mLo, mHi float64) []uint64 {
+	var sc Scratch
+	idx.Lookup(aLo, aHi, mLo, mHi, &sc, false)
+	return sc.IDs
 }
 
 func TestCompositeValidation(t *testing.T) {
@@ -96,59 +92,51 @@ func TestCompositeValidation(t *testing.T) {
 func TestCompositeRunningExampleQuery(t *testing.T) {
 	// "WHERE TIME BETWEEN ? AND ? AND SP BETWEEN ? AND ?" (paper §3).
 	f := newCompositeFixture(t, 15000, 0.005, 2)
-	idx := newCompositeIndex(t, f, false)
+	idx := newCompositeIndex(t, f)
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 30; trial++ {
 		aLo := rng.Float64() * 14000
 		aHi := aLo + rng.Float64()*1000
 		spLo := 100 + rng.Float64()*400
 		spHi := spLo + rng.Float64()*100
-		res := idx.Lookup(aLo, aHi, spLo, spHi)
-		if !matches(res, f.expected(aLo, aHi, spLo, spHi)) {
-			t.Fatalf("wrong result for TIME [%v,%v] SP [%v,%v]", aLo, aHi, spLo, spHi)
+		if !covers(harvest2(idx, aLo, aHi, spLo, spHi), f.expected(aLo, aHi, spLo, spHi)) {
+			t.Fatalf("harvest misses a row of TIME [%v,%v] SP [%v,%v]", aLo, aHi, spLo, spHi)
 		}
-		if res.Qualified != len(res.RIDs) || res.Candidates < res.Qualified {
-			t.Fatalf("counters inconsistent: %+v", res)
-		}
-	}
-	if idx.LifetimeFalsePositiveRatio() < 0 || idx.LifetimeFalsePositiveRatio() >= 1 {
-		t.Fatalf("fp ratio %v", idx.LifetimeFalsePositiveRatio())
 	}
 }
 
+// TestCompositeBothPredicatesFilter: the host probe applies the A
+// predicate, so a narrow TIME window harvests its own rows plus, at most,
+// the TRS-Tree's outliers — not every row whose SP matches.
 func TestCompositeBothPredicatesFilter(t *testing.T) {
 	f := newCompositeFixture(t, 5000, 0.01, 4)
-	idx := newCompositeIndex(t, f, false)
-	// Narrow TIME window: the A predicate must prune rows whose SP matches.
-	res := idx.Lookup(100, 110, 0, 1e9)
-	if len(res.RIDs) != 11 {
-		t.Fatalf("TIME window returned %d rows, want 11", len(res.RIDs))
+	idx := newCompositeIndex(t, f)
+	want := f.expected(100, 110, 0, 1e9)
+	if len(want) != 11 {
+		t.Fatalf("TIME window holds %d rows, want 11", len(want))
 	}
-	// Empty intersections.
-	if res := idx.Lookup(5, 1, 0, 1e9); len(res.RIDs) != 0 {
-		t.Fatal("inverted TIME range")
+	cands := harvest2(idx, 100, 110, 0, 1e9)
+	if !covers(cands, want) {
+		t.Fatal("harvest misses a row of the TIME window")
 	}
-	if res := idx.Lookup(0, 1e9, -5, -1); len(res.RIDs) != 0 {
-		t.Fatal("impossible SP range")
+	if outliers := idx.Tree().OutlierCount(); len(cands) > len(want)+outliers {
+		t.Fatalf("TIME window harvested %d candidates: 11 rows + %d outliers at most", len(cands), outliers)
 	}
 }
 
 func TestCompositeMaintenance(t *testing.T) {
 	f := newCompositeFixture(t, 2000, 0, 5)
-	idx := newCompositeIndex(t, f, false)
+	idx := newCompositeIndex(t, f)
 	// Insert a regime-shift row (outlier).
 	row := []float64{99999, 5000, 9999, 0}
 	rid, err := f.table.Insert(row)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.rows = append(f.rows, [4]float64{row[0], row[1], row[2], row[3]})
-	f.rids = append(f.rids, rid)
 	f.host.Insert(row[0], row[1], uint64(rid))
 	idx.Insert(rid, row[2], row[1])
-	res := idx.Lookup(99999, 99999, 9999, 9999)
-	if len(res.RIDs) != 1 || res.RIDs[0] != rid {
-		t.Fatalf("inserted row not found: %+v", res)
+	if !has(harvest2(idx, 99999, 99999, 9999, 9999), uint64(rid)) {
+		t.Fatal("inserted row not harvested")
 	}
 	// Delete it.
 	idx.Delete(rid, row[2], row[1])
@@ -156,37 +144,35 @@ func TestCompositeMaintenance(t *testing.T) {
 	if err := f.table.Delete(rid); err != nil {
 		t.Fatal(err)
 	}
-	res = idx.Lookup(99999, 99999, 9999, 9999)
-	if len(res.RIDs) != 0 {
-		t.Fatal("deleted row still visible")
+	if has(harvest2(idx, 99999, 99999, 9999, 9999), uint64(rid)) {
+		t.Fatal("deleted row still harvested")
 	}
 }
 
 func TestCompositeProfileAndReorg(t *testing.T) {
 	f := newCompositeFixture(t, 10000, 0.02, 6)
-	idx := newCompositeIndex(t, f, true)
-	res := idx.Lookup(0, 5000, 200, 400)
-	if res.Breakdown.Total() == 0 {
+	idx := newCompositeIndex(t, f)
+	var sc Scratch
+	if bd := idx.Lookup(0, 5000, 200, 400, &sc, true); bd.Total() == 0 {
 		t.Fatal("no profile time recorded")
 	}
 	if idx.Tree() == nil || idx.SizeBytes() == 0 {
 		t.Fatal("accessors")
 	}
-	// Reorg through the composite source keeps results exact.
+	// Reorg through the composite source keeps the harvest covering.
 	if _, err := idx.Tree().ReorgOnce(idx.Source()); err != nil {
 		t.Fatal(err)
 	}
 	if err := idx.Tree().ReorgSubtree(0, idx.Source()); err != nil {
 		t.Fatal(err)
 	}
-	res = idx.Lookup(0, 10000, 200, 400)
-	if !matches(res, f.expected(0, 10000, 200, 400)) {
-		t.Fatal("results wrong after reorg")
+	if !covers(harvest2(idx, 0, 10000, 200, 400), f.expected(0, 10000, 200, 400)) {
+		t.Fatal("harvest misses a matching row after reorg")
 	}
 }
 
-// Property: composite lookups equal the two-predicate reference filter for
-// random windows.
+// Property: composite harvests cover the two-predicate reference filter
+// for random windows.
 func TestQuickCompositeExactness(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -204,7 +190,7 @@ func TestQuickCompositeExactness(t *testing.T) {
 			aHi := aLo + rng.Float64()*500
 			mLo := rng.Float64() * 600
 			mHi := mLo + rng.Float64()*200
-			if !matches(idx.Lookup(aLo, aHi, mLo, mHi), fx.expected(aLo, aHi, mLo, mHi)) {
+			if !covers(harvest2(idx, aLo, aHi, mLo, mHi), fx.expected(aLo, aHi, mLo, mHi)) {
 				return false
 			}
 		}
@@ -217,10 +203,11 @@ func TestQuickCompositeExactness(t *testing.T) {
 
 func BenchmarkCompositeLookup(b *testing.B) {
 	f := newCompositeFixture(b, 100000, 0.005, 1)
-	idx := newCompositeIndex(b, f, false)
+	idx := newCompositeIndex(b, f)
+	var sc Scratch
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		aLo := float64(i % 90000)
-		idx.Lookup(aLo, aLo+5000, 200, 260)
+		idx.Lookup(aLo, aLo+5000, 200, 260, &sc, false)
 	}
 }

@@ -1,23 +1,29 @@
 // Package hermit implements the Hermit secondary indexing mechanism (paper
 // §3 and §5): instead of a complete index on a target column M, it keeps a
 // succinct TRS-Tree that maps M-ranges to ranges on a correlated host
-// column N, resolves those ranges against N's existing host index, and
-// validates candidates against the base table to remove false positives.
+// column N and resolves those ranges against N's existing host index.
+//
+// A lookup is a harvest — steps 1 and 2 of Fig. 3, TRS-Tree then host
+// index — and reads no row: it returns candidate tuple identifiers, false
+// positives included, and never misses a tuple whose target value
+// satisfies the predicate. Steps 3 and 4, the primary-index hop of logical
+// identifiers and the base-table visit that drops the false positives,
+// belong to whoever owns the rows: the engine's one base-table pass
+// (internal/engine), which every access path ends in.
 //
 // Both tuple-identifier schemes of §5.1 are supported:
 //
 //   - Physical pointers: indexes store record IDs ("blockID+offset"); the
-//     PostgreSQL-style scheme. Lookups go TRS-Tree → host index → base table.
-//   - Logical pointers: indexes store primary keys; the MySQL-style scheme.
-//     Lookups add a primary-index hop before the base table.
+//     PostgreSQL-style scheme. Candidates are RIDs.
+//   - Logical pointers: indexes store primary keys (LogicalID); the
+//     MySQL-style scheme. Candidates are logical identifiers, which the
+//     reader resolves through its primary index before the base table.
 package hermit
 
 import (
 	"errors"
 	"fmt"
 	"math"
-	"slices"
-	"sync/atomic"
 	"time"
 
 	"hermit/internal/btree"
@@ -46,7 +52,9 @@ func (s PointerScheme) String() string {
 }
 
 // Phase identifies one stage of Hermit's lookup workflow (Fig. 3); the
-// breakdown experiments (Figs. 10, 14) report time per phase.
+// breakdown experiments (Figs. 10, 14) report time per phase. A lookup
+// times the first two; the reader that resolves and validates its
+// candidates times the other two.
 type Phase int
 
 const (
@@ -118,56 +126,54 @@ type Config struct {
 	Params trstree.Params
 	// BuildWorkers > 1 enables the parallel construction of Appendix D.2.
 	BuildWorkers int
-	// Profile enables per-phase timing; leave off in throughput runs to
-	// avoid clock overhead.
-	Profile bool
 }
 
 // Index is a Hermit secondary index. Create one with New.
 type Index struct {
-	cfg     Config
-	table   *storage.Table
-	tree    *trstree.Tree
-	host    *btree.Tree
-	primary *btree.Tree // nil under PhysicalPointers
-
-	// Lifetime counters for the false-positive experiments (Fig. 17);
-	// atomic so concurrent readers do not race.
-	candidates atomic.Uint64 // tuples fetched for validation
-	qualified  atomic.Uint64 // tuples that passed validation
+	cfg   Config
+	table *storage.Table
+	tree  *trstree.Tree
+	host  *btree.Tree
 }
 
 // Errors returned by New.
 var (
 	ErrNilTable     = errors.New("hermit: nil table")
 	ErrNilHostIndex = errors.New("hermit: nil host index")
-	ErrNeedPrimary  = errors.New("hermit: logical pointers require a primary index")
 )
 
 // New builds a Hermit index: it scans the table's (target, host) projection
 // and constructs the TRS-Tree. The host index must already map host-column
 // values to tuple identifiers in the same scheme.
-func New(table *storage.Table, host, primary *btree.Tree, cfg Config) (*Index, error) {
+func New(table *storage.Table, host *btree.Tree, cfg Config) (*Index, error) {
 	if table == nil {
 		return nil, ErrNilTable
 	}
 	if host == nil {
 		return nil, ErrNilHostIndex
 	}
-	if cfg.Scheme == LogicalPointers && primary == nil {
-		return nil, ErrNeedPrimary
+	idx := &Index{cfg: cfg, table: table, host: host}
+	tree, err := buildTree(table, cfg.TargetCol, cfg.HostCol, idx.identify, cfg.Params, cfg.BuildWorkers)
+	if err != nil {
+		return nil, err
 	}
-	idx := &Index{cfg: cfg, table: table, host: host, primary: primary}
-	// One scan fills the pairs and finds the target column's bounds, by
-	// storage.Table.ColumnBounds' comparisons.
+	idx.tree = tree
+	return idx, nil
+}
+
+// buildTree scans the table's (target, host) projection, one pair per row
+// identified by id, and builds the TRS-Tree over it. The tree's range is
+// the span of the finite target values: an infinite or NaN one lies outside
+// every leaf's model, so an edge leaf buffers it as an outlier.
+func buildTree(table *storage.Table, target, host int, id func(storage.RID) uint64, params trstree.Params, workers int) (*trstree.Tree, error) {
 	pairs := make([]trstree.Pair, 0, table.Len())
 	lo, hi := math.Inf(1), math.Inf(-1)
-	err := table.ScanPairs(cfg.TargetCol, cfg.HostCol, func(rid storage.RID, m, n float64) bool {
-		pairs = append(pairs, trstree.Pair{M: m, N: n, ID: idx.identify(rid)})
-		if m < lo {
+	err := table.ScanPairs(target, host, func(rid storage.RID, m, n float64) bool {
+		pairs = append(pairs, trstree.Pair{M: m, N: n, ID: id(rid)})
+		if m < lo && !math.IsInf(m, 0) {
 			lo = m
 		}
-		if m > hi {
+		if m > hi && !math.IsInf(m, 0) {
 			hi = m
 		}
 		return true
@@ -175,20 +181,13 @@ func New(table *storage.Table, host, primary *btree.Tree, cfg Config) (*Index, e
 	if err != nil {
 		return nil, fmt.Errorf("hermit: scanning table: %w", err)
 	}
-	if len(pairs) == 0 {
-		lo, hi = 0, 1 // empty table: any range works; inserts extend via edge leaves
+	if lo > hi {
+		lo, hi = 0, 1 // no finite target value: any range works; inserts extend via edge leaves
 	}
-	var tree *trstree.Tree
-	if cfg.BuildWorkers > 1 {
-		tree, err = trstree.BuildParallel(pairs, lo, hi, cfg.Params, cfg.BuildWorkers)
-	} else {
-		tree, err = trstree.Build(pairs, lo, hi, cfg.Params)
+	if workers > 1 {
+		return trstree.BuildParallel(pairs, lo, hi, params, workers)
 	}
-	if err != nil {
-		return nil, err
-	}
-	idx.tree = tree
-	return idx, nil
+	return trstree.Build(pairs, lo, hi, params)
 }
 
 // identify converts a physical RID into the identifier stored in indexes
@@ -222,36 +221,17 @@ func (x *Index) Tree() *trstree.Tree { return x.tree }
 // (the host index is owned by the host column).
 func (x *Index) SizeBytes() uint64 { return x.tree.SizeBytes() }
 
-// Result is the outcome of one lookup.
-type Result struct {
-	// RIDs are the qualifying tuples' physical locations.
-	RIDs []storage.RID
-	// Candidates counts tuples fetched for validation (including false
-	// positives); Qualified counts those that matched.
-	Candidates int
-	Qualified  int
-	// Breakdown has per-phase timings when Profile is enabled.
-	Breakdown Breakdown
-}
-
-// FalsePositiveRatio returns 1 - qualified/candidates for this result.
-func (r Result) FalsePositiveRatio() float64 {
-	if r.Candidates == 0 {
-		return 0
-	}
-	return 1 - float64(r.Qualified)/float64(r.Candidates)
-}
-
-// Scratch holds the buffers one lookup harvests into — TRS-Tree ranges and
-// outlier identifiers, host-index identifiers, candidate RIDs — so a
-// caller that keeps one across lookups (the engine pools them) allocates
-// nothing in steady state. The zero value is ready to use; a Scratch
-// serves one lookup at a time.
+// Scratch holds the buffers one lookup harvests into — the TRS-Tree's
+// ranges and outlier identifiers, and the candidates — so a caller that
+// keeps one across lookups (the engine pools them) allocates nothing in
+// steady state. The zero value is ready to use; a Scratch serves one lookup
+// at a time.
 type Scratch struct {
+	// IDs is the last lookup's harvest: candidate identifiers in the
+	// index's scheme, in no particular order and possibly repeated.
+	IDs  []uint64
 	tres trstree.Result
-	ids  []uint64
-	rids []storage.RID
-	// appendID appends a scanned host-index entry to ids; bound once so
+	// appendID appends a scanned host-index entry to IDs; bound once so
 	// Scan calls do not mint a closure per lookup.
 	appendID func(key float64, id uint64) bool
 }
@@ -259,125 +239,47 @@ type Scratch struct {
 // Trim drops buffers that grew beyond max entries, so one unusually large
 // harvest does not stay pinned in a pooled Scratch.
 func (sc *Scratch) Trim(max int) {
-	if cap(sc.ids) > max {
-		sc.ids = nil
-	}
-	if cap(sc.rids) > max {
-		sc.rids = nil
+	if cap(sc.IDs) > max {
+		sc.IDs = nil
 	}
 	if cap(sc.tres.IDs) > max {
 		sc.tres.IDs = nil
 	}
 }
 
-// Lookup runs Hermit's multi-phase search (Fig. 3) for the predicate
-// lo <= M <= hi and returns the exact matching tuples.
-func (x *Index) Lookup(lo, hi float64) Result {
-	return x.LookupInto(lo, hi, new(Scratch))
+// begin starts a harvest: the TRS-Tree lookup for lo <= M <= hi (step 1),
+// whose outlier identifiers open sc.IDs.
+func (sc *Scratch) begin(tree *trstree.Tree, lo, hi float64) {
+	if sc.appendID == nil {
+		sc.appendID = func(_ float64, id uint64) bool { sc.IDs = append(sc.IDs, id); return true }
+	}
+	tree.LookupInto(lo, hi, &sc.tres)
+	sc.IDs = append(sc.IDs[:0], sc.tres.IDs...)
 }
 
-// LookupInto is Lookup harvesting into sc. The result's RIDs alias sc's
-// memory: they are valid until sc's next lookup.
-func (x *Index) LookupInto(lo, hi float64, sc *Scratch) Result {
-	var res Result
+// Lookup harvests the candidates for lo <= M <= hi into sc.IDs: the
+// TRS-Tree's outliers (step 1) and the host-index entries of the host
+// ranges it predicts (step 2) — a superset of the matching tuples, read
+// from no row. With profile set the returned breakdown times the two
+// phases.
+func (x *Index) Lookup(lo, hi float64, sc *Scratch, profile bool) Breakdown {
+	var bd Breakdown
 	var t0 time.Time
-	if sc.appendID == nil {
-		sc.appendID = func(_ float64, id uint64) bool { sc.ids = append(sc.ids, id); return true }
-	}
-
-	// Step 1: TRS-Tree lookup.
-	if x.cfg.Profile {
+	if profile {
 		t0 = time.Now()
 	}
-	x.tree.LookupInto(lo, hi, &sc.tres)
-	if x.cfg.Profile {
-		res.Breakdown[PhaseTRSTree] += time.Since(t0)
-	}
-
-	// Step 2: host index lookup over the returned ranges; union with the
-	// outlier identifiers from step 1.
-	if x.cfg.Profile {
+	sc.begin(x.tree, lo, hi)
+	if profile {
+		bd[PhaseTRSTree] = time.Since(t0)
 		t0 = time.Now()
 	}
-	sc.ids = append(sc.ids[:0], sc.tres.IDs...)
 	for _, r := range sc.tres.Ranges {
 		x.host.Scan(r.Lo, r.Hi, sc.appendID)
 	}
-	if x.cfg.Profile {
-		res.Breakdown[PhaseHostIndex] += time.Since(t0)
+	if profile {
+		bd[PhaseHostIndex] = time.Since(t0)
 	}
-
-	// Step 3 (logical pointers only): resolve primary keys to locations.
-	rids := sc.rids[:0]
-	if x.cfg.Scheme == LogicalPointers {
-		if x.cfg.Profile {
-			t0 = time.Now()
-		}
-		for _, id := range sc.ids {
-			if v, ok := x.primary.First(LogicalKey(id)); ok {
-				rids = append(rids, storage.RID(v))
-			}
-		}
-		if x.cfg.Profile {
-			res.Breakdown[PhasePrimaryIndex] += time.Since(t0)
-		}
-	} else {
-		for _, id := range sc.ids {
-			rids = append(rids, storage.RID(id))
-		}
-	}
-
-	// Step 4: base-table validation removes false positives. Candidates are
-	// deduplicated by sorting, which beats a hash set on the sizes range
-	// queries produce.
-	if x.cfg.Profile {
-		t0 = time.Now()
-	}
-	slices.Sort(rids)
-	out := rids[:0]
-	var prev storage.RID
-	for i, rid := range rids {
-		if i > 0 && rid == prev {
-			continue
-		}
-		prev = rid
-		res.Candidates++
-		m, err := x.table.Value(rid, x.cfg.TargetCol)
-		if err != nil {
-			continue // tuple deleted between index read and fetch
-		}
-		if m >= lo && m <= hi {
-			out = append(out, rid)
-			res.Qualified++
-		}
-	}
-	if x.cfg.Profile {
-		res.Breakdown[PhaseBaseTable] += time.Since(t0)
-	}
-	sc.rids = rids
-	res.RIDs = out
-	x.candidates.Add(uint64(res.Candidates))
-	x.qualified.Add(uint64(res.Qualified))
-	return res
-}
-
-// LookupPoint answers an equality predicate M = v.
-func (x *Index) LookupPoint(v float64) Result { return x.Lookup(v, v) }
-
-// LifetimeFalsePositiveRatio aggregates the false-positive ratio over every
-// lookup served so far, the quantity Fig. 17 plots.
-func (x *Index) LifetimeFalsePositiveRatio() float64 {
-	c := x.candidates.Load()
-	if c == 0 {
-		return 0
-	}
-	return 1 - float64(x.qualified.Load())/float64(c)
-}
-
-// ResetCounters clears the lifetime false-positive counters.
-func (x *Index) ResetCounters() {
-	x.candidates.Store(0)
-	x.qualified.Store(0)
+	return bd
 }
 
 // Insert maintains the index for a newly inserted tuple. The caller supplies
@@ -409,11 +311,16 @@ func (x *Index) Source() trstree.DataSource {
 type tableSource struct{ x *Index }
 
 func (s tableSource) ScanMRange(lo, hi float64, fn func(m, n float64, id uint64) bool) error {
-	return s.x.table.ScanPairs(s.x.cfg.TargetCol, s.x.cfg.HostCol,
-		func(rid storage.RID, m, n float64) bool {
-			if m < lo || m > hi {
-				return true
-			}
-			return fn(m, n, s.x.identify(rid))
-		})
+	return scanMRange(s.x.table, s.x.cfg.TargetCol, s.x.cfg.HostCol, lo, hi, s.x.identify, fn)
+}
+
+// scanMRange is a DataSource's scan: the (target, host) pairs of the rows
+// with lo <= target <= hi, identified by id. A NaN target is in no range.
+func scanMRange(table *storage.Table, target, host int, lo, hi float64, id func(storage.RID) uint64, fn func(m, n float64, id uint64) bool) error {
+	return table.ScanPairs(target, host, func(rid storage.RID, m, n float64) bool {
+		if !(m >= lo && m <= hi) {
+			return true
+		}
+		return fn(m, n, id(rid))
+	})
 }

@@ -258,202 +258,189 @@ func (t *Table) UpdateColumn(pk float64, col int, v float64) error {
 // hash owner; everything else scatters across the worker pool and gathers
 // with an ordered merge. Every leg reads q.Snap — or one snapshot Exec
 // holds for the whole call — so a query never observes a concurrent atomic
-// batch partially, even across partitions, and the rows are copied under
-// the snapshot the legs found them at.
+// batch partially, even across partitions; each leg's rows are the copies
+// its engine pass made, and the merge copies them on into dst.
 func (t *Table) Exec(q engine.Query, dst []float64) ([]float64, Stats, error) {
-	if q.Snap == nil {
-		q.Snap = t.Snapshot()
-		defer q.Snap.Recycle()
-	}
-	rids, st, err := t.lookup(q)
+	sc := gatherPool.Get().(*gatherScratch)
+	defer putGatherScratch(sc)
+	st, err := t.gather(q, sc)
 	if err != nil {
 		return dst, st, err
 	}
 	w := len(t.cols)
-	dst = slices.Grow(dst, len(rids)*w)
-	for _, r := range rids {
-		n := len(dst)
-		if _, err := t.parts[r.Part].Store().Get(r.RID, dst[n:n+w]); err != nil {
-			return dst[:n], st, err
-		}
-		dst = dst[:n+w]
+	dst = slices.Grow(dst, len(sc.merged)*w)
+	for _, e := range sc.merged {
+		dst = append(dst, sc.legs[e.rid.Part].Rows[e.pos*w:(e.pos+1)*w]...)
 	}
 	return dst, st, nil
-}
-
-// lookup is Exec's RID stage at q.Snap, which must be set: the routed leg
-// or the gather.
-func (t *Table) lookup(q engine.Query) ([]RID, Stats, error) {
-	if q.Col == t.pkCol && q.Lo == q.Hi {
-		return t.routed(q)
-	}
-	return t.gather(q)
 }
 
 // RangeQuery returns the RIDs of the rows with lo <= col <= hi, read at a
 // snapshot released before it returns. It exists only for benchmark/,
 // which calls it, and goes with benchmark v2.
 func (t *Table) RangeQuery(col int, lo, hi float64) ([]RID, Stats, error) {
-	snap := t.Snapshot()
-	defer snap.Release()
-	return t.lookup(engine.Query{Col: col, Lo: lo, Hi: hi, Snap: snap})
+	return t.ridsOf(engine.Query{Col: col, Lo: lo, Hi: hi})
 }
 
 // PointQuery is RangeQuery with lo == hi == v. It exists only for
 // benchmark/, which calls it, and goes with benchmark v2.
 func (t *Table) PointQuery(col int, v float64) ([]RID, Stats, error) {
-	snap := t.Snapshot()
-	defer snap.Release()
-	return t.lookup(engine.Query{Col: col, Lo: v, Hi: v, Snap: snap})
+	return t.ridsOf(engine.Query{Col: col, Lo: v, Hi: v})
 }
 
-// routed executes a primary-key point predicate on its single owner.
-func (t *Table) routed(q engine.Query) ([]RID, Stats, error) {
-	p := t.owner(q.Lo)
-	st := Stats{FanOut: 1, Routed: true, PerPartition: make([]engine.QueryStats, len(t.parts))}
-	rids, qs, err := t.parts[p].Lookup(q, nil)
+// ridsOf is the gather keeping the merged RIDs, for RangeQuery and
+// PointQuery.
+func (t *Table) ridsOf(q engine.Query) ([]RID, Stats, error) {
+	sc := gatherPool.Get().(*gatherScratch)
+	defer putGatherScratch(sc)
+	st, err := t.gather(q, sc)
 	if err != nil {
 		return nil, st, err
 	}
-	st.PerPartition[p] = qs
-	st.Rows, st.Candidates = qs.Rows, qs.Candidates
-	out := make([]RID, len(rids))
-	for i, rid := range rids {
-		out[i] = RID{Part: p, RID: rid}
+	out := make([]RID, len(sc.merged))
+	for i, e := range sc.merged {
+		out[i] = e.rid
 	}
 	return out, st, nil
 }
 
-// entry is one merge candidate: the ordering key plus the global RID.
+// entry is one merge candidate: the ordering key, the global RID, and the
+// row's position in its leg's answer.
 type entry struct {
 	key float64
 	rid RID
+	pos int
 }
 
-// gatherScratch holds one scatter-gather execution's fan-out buffers —
-// per-partition result and merge-entry slices, the error slate, and the
-// merge heap — pooled so a steady-state range query stops allocating
-// O(partitions + candidate rows) per call. The returned RID list and
-// Stats.PerPartition escape to the caller and are always fresh; nothing
-// handed out aliases scratch memory. Per-partition slots are written by
-// the fan-out goroutines at disjoint indexes and the WaitGroup barrier
-// orders those writes before reuse.
+// gatherScratch holds one gather's buffers — per-partition answers and
+// merge-entry slices, the error slate, the merge heap and the merged
+// entries — pooled so a steady-state query stops allocating
+// O(partitions + rows) per call. Stats.PerPartition, and the RID list of
+// ridsOf, escape to the caller and are always fresh; nothing handed out
+// aliases scratch memory. Per-partition slots are written by the fan-out
+// goroutines at disjoint indexes and the WaitGroup barrier orders those
+// writes before reuse.
 type gatherScratch struct {
-	lists [][]entry
-	rids  [][]storage.RID
-	errs  []error
-	heads []mergeHead
+	legs   []engine.Answer
+	lists  [][]entry
+	errs   []error
+	heads  []mergeHead
+	merged []entry
 }
 
 // maxGatherEntries caps the per-slot buffer capacity retained in the
-// pool, so one huge scan does not pin its footprint forever.
+// pool, in entries and in row values, so one huge scan does not pin its
+// footprint forever.
 const maxGatherEntries = 1 << 16
 
 var gatherPool = sync.Pool{New: func() any { return &gatherScratch{} }}
 
-// slots sizes the per-partition slots for a fan-out of n, preserving the
-// pooled backing buffers inside each slot.
+// slots sizes and empties the per-partition slots for a fan-out of n,
+// preserving the pooled backing buffers inside each slot.
 func (sc *gatherScratch) slots(n int) {
-	for cap(sc.lists) < n {
-		sc.lists = append(sc.lists[:cap(sc.lists)], nil)
+	sc.legs, sc.lists, sc.errs = grown(sc.legs, n), grown(sc.lists, n), grown(sc.errs, n)
+	for i := range n {
+		sc.legs[i].RIDs, sc.legs[i].Rows = sc.legs[i].RIDs[:0], sc.legs[i].Rows[:0]
+		sc.lists[i], sc.errs[i] = sc.lists[i][:0], nil
 	}
-	for cap(sc.rids) < n {
-		sc.rids = append(sc.rids[:cap(sc.rids)], nil)
+}
+
+// grown returns s resliced to length n, keeping the slots beyond its length
+// that an earlier, wider fan-out left.
+func grown[T any](s []T, n int) []T {
+	for cap(s) < n {
+		s = append(s[:cap(s)], *new(T))
 	}
-	for cap(sc.errs) < n {
-		sc.errs = append(sc.errs[:cap(sc.errs)], nil)
-	}
-	sc.lists, sc.rids, sc.errs = sc.lists[:n], sc.rids[:n], sc.errs[:n]
-	for i := 0; i < n; i++ {
-		sc.errs[i] = nil
-	}
+	return s[:n]
 }
 
 func putGatherScratch(sc *gatherScratch) {
-	for i := range sc.lists {
-		if cap(sc.lists[i]) > maxGatherEntries {
-			sc.lists[i] = nil
-		}
+	legs, lists := sc.legs[:cap(sc.legs)], sc.lists[:cap(sc.lists)]
+	for i := range legs {
+		legs[i].RIDs, legs[i].Rows = capped(legs[i].RIDs), capped(legs[i].Rows)
 	}
-	for i := range sc.rids {
-		if cap(sc.rids[i]) > maxGatherEntries {
-			sc.rids[i] = nil
-		}
+	for i := range lists {
+		lists[i] = capped(lists[i])
 	}
+	sc.merged = capped(sc.merged)
 	gatherPool.Put(sc)
 }
 
-// gather runs q's Lookup on every partition on the bounded pool, orders
-// each partition's hits by the predicate column, and k-way merges. A
-// one-partition table's single leg runs on the caller, outside the pool:
-// served over the wire, a goroutine and a pool slot per read cost such a
-// table about a fifth of its pipelined read throughput.
-func (t *Table) gather(q engine.Query) ([]RID, Stats, error) {
+// capped drops a pooled buffer that outgrew maxGatherEntries.
+func capped[T any](s []T) []T {
+	if cap(s) > maxGatherEntries {
+		return nil
+	}
+	return s
+}
+
+// gather runs q's legs at one snapshot — the key's owner alone for a
+// primary-key point predicate, every partition on the bounded pool
+// otherwise — orders each leg's rows by the predicate column, and k-way
+// merges them into sc.merged. A one-partition table's single leg runs on
+// the caller, outside the pool: served over the wire, a goroutine and a
+// pool slot per read cost such a table about a fifth of its pipelined read
+// throughput.
+func (t *Table) gather(q engine.Query, sc *gatherScratch) (Stats, error) {
+	if q.Snap == nil {
+		q.Snap = t.Snapshot()
+		defer q.Snap.Recycle()
+	}
 	n := len(t.parts)
-	sc := gatherPool.Get().(*gatherScratch)
-	defer putGatherScratch(sc)
 	sc.slots(n)
 	stats := make([]engine.QueryStats, n) // escapes via Stats.PerPartition
-	if n == 1 {
+	st := Stats{FanOut: n, PerPartition: stats}
+	switch {
+	case q.Col == t.pkCol && q.Lo == q.Hi:
+		st.FanOut, st.Routed = 1, true
+		t.leg(t.owner(q.Lo), q, sc, stats)
+	case n == 1:
 		t.leg(0, q, sc, stats)
-	} else {
+	default:
 		var wg sync.WaitGroup
 		for i := 0; i < n; i++ {
 			wg.Add(1)
-			go func(i int) {
+			// q goes by value: gather assigns q.Snap, and a closure would
+			// capture an assigned variable by reference, moving it to the heap.
+			go func(i int, q engine.Query) {
 				defer wg.Done()
 				t.sem <- struct{}{} // bounded pool: at most Workers tasks in flight
 				defer func() { <-t.sem }()
 				t.leg(i, q, sc, stats)
-			}(i)
+			}(i, q)
 		}
 		wg.Wait()
 	}
-	st := Stats{FanOut: n, PerPartition: stats}
 	for _, err := range sc.errs {
 		if err != nil {
-			return nil, st, err
+			return st, err
 		}
 	}
 	for _, qs := range stats {
 		st.Candidates += qs.Candidates
 	}
-	var out []RID
-	out, sc.heads = mergeSorted(sc.lists, sc.heads)
-	st.Rows = len(out)
-	return out, st, nil
+	sc.merged, sc.heads = mergeSorted(sc.lists, sc.heads, sc.merged[:0])
+	st.Rows = len(sc.merged)
+	return st, nil
 }
 
-// leg runs partition i's part of a gather into the scratch slots at i.
+// leg runs partition i's part of a gather into the scratch slots at i: the
+// engine's pass leaves the matching RIDs and rows in the slot's answer, and
+// the leg orders them by the predicate column, read from the copied rows.
 func (t *Table) leg(i int, q engine.Query, sc *gatherScratch, stats []engine.QueryStats) {
-	rids, qs, err := t.parts[i].Lookup(q, sc.rids[i])
-	sc.rids[i] = rids[:0] // keep the (possibly regrown) buffer pooled
+	ans := &sc.legs[i]
+	qs, err := t.parts[i].Run(q, ans)
 	if err != nil {
 		sc.errs[i] = err
 		return
 	}
 	stats[i] = qs
-	sc.lists[i] = t.keyedInto(i, q.Col, rids, sc.lists[i])
-}
-
-// keyedInto pairs each hit with its ordering key and sorts the
-// partition's list (index paths already return key order; scan paths
-// return RID order), appending into buf[:0]. Version rows are immutable,
-// so the keys are exactly the values the snapshot query matched; a row
-// reclaimed by a racing commit (only possible once no snapshot needs it)
-// is dropped.
-func (t *Table) keyedInto(part, col int, rids []storage.RID, buf []entry) []entry {
-	store := t.parts[part].Store()
-	out := buf[:0]
-	for _, rid := range rids {
-		v, err := store.Value(rid, col)
-		if err != nil {
-			continue
-		}
-		out = append(out, entry{key: v, rid: RID{Part: part, RID: rid}})
+	w, list := len(t.cols), sc.lists[i]
+	for j, rid := range ans.RIDs {
+		list = append(list, entry{key: ans.Rows[j*w+q.Col], rid: RID{Part: i, RID: rid}, pos: j})
 	}
-	slices.SortFunc(out, cmpEntry)
-	return out
+	slices.SortFunc(list, cmpEntry)
+	sc.lists[i] = list
 }
 
 // cmpEntry orders one partition's merge entries by (key, RID); within a
@@ -507,14 +494,11 @@ func siftDown(lists [][]entry, heap []mergeHead, i int) {
 }
 
 // mergeSorted k-way merges per-partition sorted lists with a binary heap
-// of list heads. The heap buffer is caller-supplied and returned for
-// reuse; the merged RID list is freshly allocated (it escapes to the
-// query's caller).
-func mergeSorted(lists [][]entry, heap []mergeHead) ([]RID, []mergeHead) {
+// of list heads, appending the merged entries to out. The heap buffer is
+// caller-supplied and returned for reuse.
+func mergeSorted(lists [][]entry, heap []mergeHead, out []entry) ([]entry, []mergeHead) {
 	heap = heap[:0]
-	total := 0
 	for i, l := range lists {
-		total += len(l)
 		if len(l) > 0 {
 			heap = append(heap, mergeHead{i, 0})
 		}
@@ -522,10 +506,9 @@ func mergeSorted(lists [][]entry, heap []mergeHead) ([]RID, []mergeHead) {
 	for i := len(heap)/2 - 1; i >= 0; i-- {
 		siftDown(lists, heap, i)
 	}
-	out := make([]RID, 0, total)
 	for len(heap) > 0 {
 		h := heap[0]
-		out = append(out, headAt(lists, h).rid)
+		out = append(out, headAt(lists, h))
 		if h.pos+1 < len(lists[h.list]) {
 			heap[0].pos++
 		} else {

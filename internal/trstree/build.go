@@ -175,7 +175,7 @@ func (b *builder) tryLeaf(pairs []Pair, lo, hi float64, depth int, leftEdge, rig
 	if outliers > 0 {
 		leaf.outliers = make([]outlierEntry, 0, outliers)
 		for _, p := range pairs {
-			if uncovered(model, eps, p) {
+			if uncovered(model, eps, lo, hi, p) {
 				leaf.outliers = append(leaf.outliers, outlierEntry{m: p.M, id: p.ID})
 			}
 		}
@@ -204,10 +204,14 @@ func (b *builder) sampleSaysSplit(pairs []Pair, lo, hi float64) bool {
 	return float64(outliers) > b.params.OutlierRatio*float64(len(sample))
 }
 
-// uncovered reports whether the model's interval misses the pair: Validate's
-// test, and the one that fills a leaf's outlier buffer.
-func uncovered(model lmodel, eps float64, p Pair) bool {
-	return math.Abs(p.N-model.Predict(p.M)) > eps
+// uncovered reports whether the leaf over [lo, hi] with this model and eps
+// misses the pair: Validate's test, and the one that fills a leaf's outlier
+// buffer. It is node.covers' complement: a pair beyond the range — which a
+// rebuilt edge leaf is handed, and no lookup predicts host ranges for — is
+// a miss, and so is a NaN residual (a NaN or infinite value on either
+// side).
+func uncovered(model lmodel, eps, lo, hi float64, p Pair) bool {
+	return !(p.M >= lo && p.M <= hi && math.Abs(p.N-model.Predict(p.M)) <= eps)
 }
 
 // madSamples bounds the residuals the MAD is estimated from.
@@ -285,7 +289,7 @@ func (b *builder) fitAndValidate(pairs []Pair, lo, hi float64) (model lmodel, ep
 	}
 	eps = deriveEps(model.Beta, lo, hi, b.params.ErrorBound, len(pairs))
 	for _, p := range pairs {
-		if uncovered(model, eps, p) {
+		if uncovered(model, eps, lo, hi, p) {
 			outliers++
 		}
 	}
@@ -447,22 +451,9 @@ func deriveEps(beta, lo, hi, errorBound float64, n int) float64 {
 // the fits below depend on. Sub-range i is dst[ends[i-1]:ends[i]].
 func partition(pairs, dst []Pair, lo, hi float64, k int) (ends []int) {
 	w := (hi - lo) / float64(k)
-	idx := func(m float64) int {
-		if w <= 0 {
-			return 0
-		}
-		i := int((m - lo) / w)
-		if i < 0 {
-			i = 0
-		}
-		if i >= k {
-			i = k - 1
-		}
-		return i
-	}
 	next := make([]int, k) // counts, then each sub-range's write cursor
 	for _, p := range pairs {
-		next[idx(p.M)]++
+		next[subRange(p.M, lo, w, k)]++
 	}
 	sum := 0
 	for i, c := range next {
@@ -470,7 +461,7 @@ func partition(pairs, dst []Pair, lo, hi float64, k int) (ends []int) {
 		sum += c
 	}
 	for _, p := range pairs {
-		i := idx(p.M)
+		i := subRange(p.M, lo, w, k)
 		dst[next[i]] = p
 		next[i]++
 	}

@@ -16,8 +16,8 @@ type Result struct {
 
 // Lookup answers the range predicate lo <= M <= hi. A point query passes
 // lo == hi. The returned ranges are widened by each leaf's confidence
-// interval, so they over-approximate the true matches; Hermit removes the
-// false positives during base-table validation.
+// interval, so they over-approximate the true matches; the base-table
+// visit that ends a Hermit lookup removes the false positives.
 func (t *Tree) Lookup(lo, hi float64) Result {
 	var res Result
 	t.LookupInto(lo, hi, &res)
@@ -68,11 +68,15 @@ func (t *Tree) lookupNode(n *node, lo, hi float64, res *Result) {
 	// estimate; out-of-range values are never model-covered (they are
 	// inserted straight into outlier buffers), so the model is only
 	// consulted over the range it was fitted on.
+	// A model fitted over infinite or NaN values predicts NaN; it covers no
+	// pair (covers, uncovered), so it contributes no range — a NaN range
+	// would also derail the union's sort.
 	mlo := math.Max(lo, n.lo)
 	mhi := math.Min(hi, n.hi)
 	if mlo <= mhi && n.count > 0 {
-		rlo, rhi := n.model.PredictRange(mlo, mhi, n.eps)
-		res.Ranges = append(res.Ranges, Range{Lo: rlo, Hi: rhi})
+		if rlo, rhi := n.model.PredictRange(mlo, mhi, n.eps); rlo <= rhi {
+			res.Ranges = append(res.Ranges, Range{Lo: rlo, Hi: rhi})
+		}
 	}
 	// Outlier retrieval uses the edge-extended range so that tuples beyond
 	// the build-time range R are still found.

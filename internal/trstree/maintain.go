@@ -37,7 +37,7 @@ func (t *Tree) insertLocked(m, n float64, id uint64) {
 // must not touch the buffer: under logical pointers another version of the
 // same key, with the same target value and an uncovered host value, may
 // own an entry with this very (m, id)); the resulting false positives are
-// filtered by Hermit's validation step.
+// filtered by the base-table visit that ends every Hermit lookup.
 // Ranges that accumulate many deletes enqueue their parent for a merge.
 func (t *Tree) Delete(m, n float64, id uint64) {
 	t.mu.Lock()

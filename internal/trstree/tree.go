@@ -275,19 +275,22 @@ func (t *Tree) traverse(m float64) *node {
 
 // childIndex picks the child sub-range containing m, clamped to the edges.
 func childIndex(n *node, m float64) int {
-	k := len(n.children)
-	w := n.width() / float64(k)
-	if w <= 0 || math.IsNaN(w) {
+	return subRange(m, n.lo, n.width()/float64(len(n.children)), len(n.children))
+}
+
+// subRange returns which of k sub-ranges of width w from lo holds m,
+// clamped to the edges: -Inf and NaN to the first, +Inf to the last. It
+// clamps before it converts, as a float64 beyond int's range converts to
+// no int in particular.
+func subRange(m, lo, w float64, k int) int {
+	f := (m - lo) / w
+	switch {
+	case !(w > 0) || !(f >= 0):
 		return 0
-	}
-	i := int((m - n.lo) / w)
-	if i < 0 {
-		return 0
-	}
-	if i >= k {
+	case f >= float64(k):
 		return k - 1
 	}
-	return i
+	return int(f)
 }
 
 // effectiveLo/effectiveHi give a node's range extended to infinity at the
