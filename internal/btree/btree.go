@@ -6,8 +6,10 @@
 // Keys are float64 column values; values are opaque uint64 tuple identifiers
 // (either physical RIDs or logical primary keys). Duplicate column values
 // are supported by ordering entries on the composite (key, value) pair,
-// which keeps every entry unique and makes splits, scans and exact-entry
-// deletes unambiguous even for heavily skewed data.
+// which makes splits, scans and exact-entry deletes unambiguous even for
+// heavily skewed data. The same entry may also be stored twice (see
+// Insert); a split can then part the two copies, leaving one left of the
+// separator that copies the other, and Delete and Contains look there too.
 //
 // Keys are ordered by keyorder's total order, which agrees with < on every
 // pair of non-NaN keys and places what < cannot: ±0 are one key, every NaN
@@ -21,10 +23,10 @@
 //
 // Every tree the engine builds — primary, host, baseline and composite — runs
 // at DefaultOrder, 128 entries per node. The paper's DBMS-X B+-tree has
-// 256-byte nodes (§7.1), 16 entries of this size, and until PR 21 the
-// secondary indexes here ran at 16 to match. A node of this package is not
-// that node: it is an 80-byte struct of slice headers in front of two
-// separately allocated arrays, so at 16 entries a bulk-loaded leaf (13
+// 256-byte nodes (§7.1), 16 entries of this size, and the secondary indexes
+// here once ran at 16 to match. A node of this package is not that node: it
+// is an 80-byte struct of slice headers in front of two separately allocated
+// arrays, so at 16 entries a bulk-loaded leaf (13
 // entries) spends more on headers and allocator rounding than on keys, and a
 // descent is bound by the cache misses of its levels, not by the search inside
 // a node. Measured on 1M 16-byte entries (BenchmarkGetRandom1M and the
@@ -36,17 +38,27 @@
 // baseline the paper's memory ratio is quoted against is therefore the leaner
 // tree: an honest baseline is part of the reproduction. A figure that wants
 // the paper's node passes 16 to New.
+//
+// Every node array holds at most order slots — entries in a leaf, children
+// (and one separator fewer) in an internal node — so a full node is never
+// exceeded, not even for the moment of an insert: a full node splits first
+// and then takes the new slot into the half it belongs to. At DefaultOrder
+// an array is 128 slots of 8 bytes, exactly the allocator's 1 KiB size
+// class, and the node header is 80 bytes, exactly another: SizeBytes counts
+// what the heap holds, with no rounding left out.
 package btree
 
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"hermit/internal/keyorder"
 )
 
-// DefaultOrder is the maximum number of entries per node of every tree the
-// engine builds (see the package comment for why 128).
+// DefaultOrder is the node order of every tree the engine builds: the
+// maximum number of entries per leaf and of children per internal node (see
+// the package comment for why 128).
 const DefaultOrder = 128
 
 // Tree is a B+-tree mapping float64 keys to uint64 tuple identifiers.
@@ -60,8 +72,9 @@ type Tree struct {
 	size  int
 }
 
+// node is a leaf when it has no children. Its header is 80 bytes, an
+// allocator size class.
 type node struct {
-	leaf bool
 	// keys holds entry keys in a leaf, separator keys in an internal node.
 	keys []float64
 	// tie holds the value component of the composite ordering: entry values
@@ -71,14 +84,16 @@ type node struct {
 	next     *node   // leaf-level sibling link for range scans
 }
 
+func (n *node) leaf() bool { return len(n.children) == 0 }
+
 // New creates an empty tree with the given node order (maximum entries per
-// node). Orders below 4 are raised to 4.
+// leaf, children per internal node). Orders below 4 are raised to 4.
 func New(order int) *Tree {
 	if order < 4 {
 		order = 4
 	}
 	return &Tree{
-		root:  &node{leaf: true},
+		root:  &node{},
 		order: order,
 	}
 }
@@ -89,7 +104,7 @@ func (t *Tree) Len() int { return t.size }
 // Height returns the number of levels, 1 for a tree that is a single leaf.
 func (t *Tree) Height() int {
 	h := 1
-	for n := t.root; !n.leaf; n = n.children[0] {
+	for n := t.root; !n.leaf(); n = n.children[0] {
 		h++
 	}
 	return h
@@ -186,9 +201,10 @@ func (n *node) searchKey(k float64) int {
 }
 
 // Insert adds the entry (key, id). Inserting an entry that already exists
-// (same key and id) is permitted and stores a second copy; the engine never
-// does this for a well-formed table, and tolerating it keeps the tree free
-// of policy.
+// (same key and id) stores a second copy, which Delete removes one at a
+// time. The engine relies on it: under logical pointers an update that
+// leaves the host column as it was inserts the new version's host entry
+// while the old version's identical one is still in the tree.
 func (t *Tree) Insert(key float64, id uint64) {
 	t.growRoot(t.insert(t.root, key, id))
 	t.size++
@@ -206,9 +222,10 @@ func (t *Tree) growRoot(sep float64, sepTie uint64, right *node) {
 	}
 }
 
-// insertAt inserts v at index i of a node array. Node arrays built by
-// inserts are allocated once at full (the length at which the node splits)
-// and never regrown, so no node is left holding a doubled backing array
+// insertAt inserts v at index i of the array of a node that is not full.
+// An array that has no spare capacity moves, once, to one of the node's full
+// capacity, order slots, and is never regrown: a full node splits instead
+// (splitInsert). So no node holds a doubled or rounded-up backing array,
 // and cap() — what SizeBytes counts — is what the heap holds.
 func insertAt[T any](s []T, i int, v T, full int) []T {
 	if len(s) == cap(s) {
@@ -220,16 +237,27 @@ func insertAt[T any](s []T, i int, v T, full int) []T {
 	return s
 }
 
-// splitOff copies s[from:] into a fresh full-capacity array: the right
-// sibling's share of a split. The left sibling keeps s's array.
-func splitOff[T any](s []T, from, full int) []T {
-	return append(make([]T, 0, full), s[from:]...)
+// splitInsert splits the array s of a full node as inserting v at index i
+// and then cutting the result at mid would: left holds the first mid slots
+// in s's own array, right the rest in a fresh full-capacity one. No array
+// ever holds the extra slot. The slots s no longer covers are cleared, so
+// the left node does not keep the right one's children reachable.
+func splitInsert[T any](s []T, i int, v T, mid, full int) (left, right []T) {
+	if i < mid {
+		right = append(make([]T, 0, full), s[mid-1:]...)
+		left = insertAt(s[:mid-1], i, v, full)
+	} else {
+		right = insertAt(append(make([]T, 0, full), s[mid:]...), i-mid, v, full)
+		left = s[:mid]
+	}
+	clear(s[mid:])
+	return left, right
 }
 
 // insert descends into n; on child split it absorbs the separator, and on
 // its own split returns the new right sibling with its separator.
 func (t *Tree) insert(n *node, key float64, id uint64) (float64, uint64, *node) {
-	if n.leaf {
+	if n.leaf() {
 		return t.insertLeaf(n, n.search(key, id), key, id)
 	}
 	ci := n.childIndex(key, id)
@@ -240,66 +268,46 @@ func (t *Tree) insert(n *node, key float64, id uint64) (float64, uint64, *node) 
 	return t.absorb(n, ci, sep, sepTie, right)
 }
 
-// insertLeaf places (key, id) at index i of leaf n, splitting it when full.
+// insertLeaf places (key, id) at index i of leaf n. A full leaf splits
+// around its middle, counting the new entry, and the entry goes into the
+// half it belongs to. When it goes past the end of the rightmost leaf the
+// split is at the end instead and the entry opens the new leaf alone, so an
+// ascending load leaves full leaves behind rather than half-empty ones.
 func (t *Tree) insertLeaf(n *node, i int, key float64, id uint64) (float64, uint64, *node) {
-	full := t.order + 1
-	n.keys = insertAt(n.keys, i, key, full)
-	n.tie = insertAt(n.tie, i, id, full)
-	if len(n.keys) > t.order {
-		return t.splitLeaf(n, i)
+	if len(n.keys) < t.order {
+		n.keys = insertAt(n.keys, i, key, t.order)
+		n.tie = insertAt(n.tie, i, id, t.order)
+		return 0, 0, nil
 	}
-	return 0, 0, nil
-}
-
-// absorb adds the separator and right sibling that the split of
-// n.children[ci] produced, splitting n in turn when full.
-func (t *Tree) absorb(n *node, ci int, sep float64, sepTie uint64, right *node) (float64, uint64, *node) {
-	full := t.order + 1
-	n.keys = insertAt(n.keys, ci, sep, full)
-	n.tie = insertAt(n.tie, ci, sepTie, full)
-	n.children = insertAt(n.children, ci+1, right, full+1)
-	if len(n.keys) > t.order {
-		return t.splitInternal(n)
-	}
-	return 0, 0, nil
-}
-
-// splitLeaf moves the upper half of the overflowing leaf n into a new
-// right sibling; i is where the overflowing entry landed. When that was the
-// end of the rightmost leaf the split is at i instead, so an ascending
-// load leaves full leaves behind rather than half-empty ones.
-func (t *Tree) splitLeaf(n *node, i int) (float64, uint64, *node) {
-	mid := len(n.keys) / 2
-	if n.next == nil && i == len(n.keys)-1 {
+	mid := t.order - t.order/2
+	if n.next == nil && i == len(n.keys) {
 		mid = i
 	}
-	full := t.order + 1
-	right := &node{
-		leaf: true,
-		keys: splitOff(n.keys, mid, full),
-		tie:  splitOff(n.tie, mid, full),
-		next: n.next,
-	}
-	n.keys = n.keys[:mid]
-	n.tie = n.tie[:mid]
+	right := &node{next: n.next}
+	n.keys, right.keys = splitInsert(n.keys, i, key, mid, t.order)
+	n.tie, right.tie = splitInsert(n.tie, i, id, mid, t.order)
 	n.next = right
 	return right.keys[0], right.tie[0], right
 }
 
-func (t *Tree) splitInternal(n *node) (float64, uint64, *node) {
-	mid := len(n.keys) / 2
-	sep, sepTie := n.keys[mid], n.tie[mid]
-	full := t.order + 1
-	right := &node{
-		keys:     splitOff(n.keys, mid+1, full),
-		tie:      splitOff(n.tie, mid+1, full),
-		children: splitOff(n.children, mid+1, full+1),
+// absorb adds the separator and right sibling that the split of
+// n.children[ci] produced. A full n splits around its middle separator,
+// counting the new one, and that separator moves up to n's parent.
+func (t *Tree) absorb(n *node, ci int, sep float64, sepTie uint64, right *node) (float64, uint64, *node) {
+	if len(n.children) < t.order {
+		n.keys = insertAt(n.keys, ci, sep, t.order)
+		n.tie = insertAt(n.tie, ci, sepTie, t.order)
+		n.children = insertAt(n.children, ci+1, right, t.order)
+		return 0, 0, nil
 	}
-	n.keys = n.keys[:mid]
-	n.tie = n.tie[:mid]
-	clear(n.children[mid+1:]) // drop the moved children's references
-	n.children = n.children[:mid+1]
-	return sep, sepTie, right
+	mid := t.order / 2
+	r := &node{}
+	n.keys, r.keys = splitInsert(n.keys, ci, sep, mid, t.order)
+	n.tie, r.tie = splitInsert(n.tie, ci, sepTie, mid, t.order)
+	n.children, r.children = splitInsert(n.children, ci+1, right, mid+1, t.order)
+	up, upTie := r.keys[0], r.tie[0]
+	r.keys, r.tie = slices.Delete(r.keys, 0, 1), slices.Delete(r.tie, 0, 1)
+	return up, upTie, r
 }
 
 // Delete removes the entry (key, id) if present and reports whether it was
@@ -316,16 +324,16 @@ func (t *Tree) Delete(key float64, id uint64) bool {
 		return false
 	}
 	t.size--
-	for !t.root.leaf && len(t.root.children) == 1 {
+	for len(t.root.children) == 1 {
 		t.root = t.root.children[0]
 	}
 	return true
 }
 
-// delete removes (key, id) below n and merges the child it descended into
+// delete removes (key, id) below n and merges the child it removed it from
 // if that came back hollow.
 func (t *Tree) delete(n *node, key float64, id uint64) bool {
-	if n.leaf {
+	if n.leaf() {
 		i := n.search(key, id)
 		if i >= len(n.keys) || cmpKV(n.keys[i], n.tie[i], key, id) != 0 {
 			return false
@@ -335,8 +343,11 @@ func (t *Tree) delete(n *node, key float64, id uint64) bool {
 		return true
 	}
 	ci := n.childIndex(key, id)
-	if !t.delete(n.children[ci], key, id) {
-		return false
+	for !t.delete(n.children[ci], key, id) {
+		if !n.copiesLeft(ci, key, id) {
+			return false
+		}
+		ci--
 	}
 	if t.hollow(n.children[ci]) {
 		switch {
@@ -349,14 +360,30 @@ func (t *Tree) delete(n *node, key float64, id uint64) bool {
 	return true
 }
 
-// hollow reports whether n holds few enough entries to look for a sibling
-// to merge with: fewer than half a node, which is less than either side of
-// a split starts with.
-func (t *Tree) hollow(n *node) bool { return len(n.keys) < t.order/2 }
+// copiesLeft reports whether the separator left of n.children[ci] equals
+// (key, id), so that a copy of the entry the descent did not find in that
+// child may sit in the one before it: a split parts two copies of one entry
+// that way, and the separator copies the right one.
+func (n *node) copiesLeft(ci int, key float64, id uint64) bool {
+	return ci > 0 && cmpKV(n.keys[ci-1], n.tie[ci-1], key, id) == 0
+}
 
-// mergeable reports whether adjacent siblings l and r fit in one node
-// (merging internal nodes takes their separator in as well) with a
-// sixteenth of it to spare. The spare slots are hysteresis: the two halves
+// slots is what a node's capacity, the order, counts: entries in a leaf,
+// children in an internal node.
+func (n *node) slots() int {
+	if n.leaf() {
+		return len(n.keys)
+	}
+	return len(n.children)
+}
+
+// hollow reports whether n fills few enough slots to look for a sibling to
+// merge with: fewer than half a node, which is less than either side of a
+// split starts with.
+func (t *Tree) hollow(n *node) bool { return n.slots() < t.order/2 }
+
+// mergeable reports whether adjacent siblings l and r fit in one node with
+// a sixteenth of it to spare. The spare slots are hysteresis: the two halves
 // of a split hold more than that between them, so a node that has just
 // merged does not split on the next insert, nor one that has just split
 // merge on the next delete — the engine's writes come in such pairs, a new
@@ -366,11 +393,7 @@ func (t *Tree) hollow(n *node) bool { return len(n.keys) < t.order/2 }
 // quarters to fit, 45.3; under a half, 41.1 with three quarters, 38.1 with
 // seven eighths, 36.8 with fifteen sixteenths, 36.0 with the whole node.
 func (t *Tree) mergeable(l, r *node) bool {
-	n := len(l.keys) + len(r.keys)
-	if !l.leaf {
-		n++
-	}
-	return n <= t.order-t.order/16
+	return l.slots()+r.slots() <= t.order-t.order/16
 }
 
 // mergeChildren moves p.children[i+1] into p.children[i] and removes the
@@ -379,17 +402,16 @@ func (t *Tree) mergeable(l, r *node) bool {
 // key alone — is routed differently for any entry that remains.
 func (t *Tree) mergeChildren(p *node, i int) {
 	l, r := p.children[i], p.children[i+1]
-	full := t.order + 1
 	seam := len(l.children) - 1
-	if l.leaf {
+	if l.leaf() {
 		l.next = r.next
 	} else {
-		l.keys = extend(l.keys, p.keys[i:i+1], full)
-		l.tie = extend(l.tie, p.tie[i:i+1], full)
-		l.children = extend(l.children, r.children, full+1)
+		l.keys = extend(l.keys, p.keys[i:i+1], t.order)
+		l.tie = extend(l.tie, p.tie[i:i+1], t.order)
+		l.children = extend(l.children, r.children, t.order)
 	}
-	l.keys = extend(l.keys, r.keys, full)
-	l.tie = extend(l.tie, r.tie, full)
+	l.keys = extend(l.keys, r.keys, t.order)
+	l.tie = extend(l.tie, r.tie, t.order)
 	p.keys = append(p.keys[:i], p.keys[i+1:]...)
 	p.tie = append(p.tie[:i], p.tie[i+1:]...)
 	last := len(p.children) - 1
@@ -400,7 +422,7 @@ func (t *Tree) mergeChildren(p *node, i int) {
 	// and no delete may come this way again — a queue drained from one end
 	// can join two empty leaves here, one more with each parent it drains —
 	// so the pair is held to the rule now.
-	if !l.leaf {
+	if !l.leaf() {
 		if a, b := l.children[seam], l.children[seam+1]; (t.hollow(a) || t.hollow(b)) && t.mergeable(a, b) {
 			t.mergeChildren(l, seam)
 		}
@@ -408,7 +430,8 @@ func (t *Tree) mergeChildren(p *node, i int) {
 }
 
 // extend appends more to a node array, first moving it to an array of the
-// full node capacity when more does not fit (see insertAt).
+// full node capacity when more does not fit (see insertAt). A merge fits in
+// one node (mergeable), so the result holds at most order slots.
 func extend[T any](s, more []T, full int) []T {
 	if len(s)+len(more) > cap(s) {
 		s = append(make([]T, 0, full), s...)
@@ -417,13 +440,21 @@ func extend[T any](s, more []T, full int) []T {
 }
 
 // Contains reports whether the exact entry (key, id) is present.
-func (t *Tree) Contains(key float64, id uint64) bool {
-	n := t.root
-	for !n.leaf {
-		n = n.children[n.childIndex(key, id)]
+func (t *Tree) Contains(key float64, id uint64) bool { return t.root.contains(key, id) }
+
+// contains is Contains below n. Like delete, it looks left across a
+// separator equal to the entry (copiesLeft).
+func (n *node) contains(key float64, id uint64) bool {
+	if n.leaf() {
+		i := n.search(key, id)
+		return i < len(n.keys) && cmpKV(n.keys[i], n.tie[i], key, id) == 0
 	}
-	i := n.search(key, id)
-	return i < len(n.keys) && cmpKV(n.keys[i], n.tie[i], key, id) == 0
+	for ci := n.childIndex(key, id); !n.children[ci].contains(key, id); ci-- {
+		if !n.copiesLeft(ci, key, id) {
+			return false
+		}
+	}
+	return true
 }
 
 // Scan calls fn for every entry with lo <= key <= hi in ascending (key, id)
@@ -432,10 +463,7 @@ func (t *Tree) Scan(lo, hi float64, fn func(key float64, id uint64) bool) {
 	if keyorder.Less(hi, lo) {
 		return
 	}
-	n := t.root
-	for !n.leaf {
-		n = n.children[n.childIndex(lo, 0)]
-	}
+	n := t.leafFrom(lo)
 	i := n.search(lo, 0)
 	for n != nil {
 		for ; i < len(n.keys); i++ {
@@ -451,12 +479,24 @@ func (t *Tree) Scan(lo, hi float64, fn func(key float64, id uint64) bool) {
 	}
 }
 
+// leafFrom returns the leaf a walk over the entries with key >= k starts
+// at: the first of them is in it or in a later leaf. The descent counts only
+// the separators below (k, 0), not one equal to it — a copy of that entry
+// may sit left of such a separator (see Insert).
+func (t *Tree) leafFrom(k float64) *node {
+	n := t.root
+	for !n.leaf() {
+		n = n.children[n.search(k, 0)]
+	}
+	return n
+}
+
 // Each calls fn for every entry in ascending (key, id) order — NaN keys
 // included, which no Scan with ordinary bounds reaches. It stops early if
 // fn returns false.
 func (t *Tree) Each(fn func(key float64, id uint64) bool) {
 	n := t.root
-	for !n.leaf {
+	for !n.leaf() {
 		n = n.children[0]
 	}
 	for ; n != nil; n = n.next {
@@ -476,12 +516,9 @@ func (t *Tree) Lookup(key float64, fn func(id uint64) bool) {
 // First returns the entry whose key equals key with the smallest id. It is
 // correct on any tree; a tree maintained through Swap has the cheaper Get.
 func (t *Tree) First(key float64) (uint64, bool) {
-	n := t.root
-	for !n.leaf {
-		n = n.children[n.childIndex(key, 0)]
-	}
-	// The entry may open a later leaf: (key, 0) routes left of a separator
-	// (key, id > 0), and lazy deletes leave empty leaves behind.
+	n := t.leafFrom(key)
+	// The entry may open a later leaf: the descent stays left of every
+	// separator of this key, and deletes can leave empty leaves behind.
 	for i := n.search(key, 0); n != nil; n, i = n.next, 0 {
 		if i < len(n.keys) {
 			return n.tie[i], keyorder.Compare(n.keys[i], key) == 0
@@ -494,7 +531,7 @@ func (t *Tree) First(key float64) (uint64, bool) {
 // descent by key alone.
 func (t *Tree) Get(key float64) (uint64, bool) {
 	n := t.root
-	for !n.leaf {
+	for !n.leaf() {
 		n = n.children[n.childKey(key)]
 	}
 	return n.get(key)
@@ -524,7 +561,7 @@ func (t *Tree) GetAscending(f *Finger, key float64) (uint64, bool) {
 		if n != nil && n.next != nil && n.next.reaches(key) {
 			n = n.next
 		} else {
-			for n = t.root; !n.leaf; {
+			for n = t.root; !n.leaf(); {
 				n = n.children[n.childKey(key)]
 			}
 		}
@@ -561,7 +598,7 @@ func (t *Tree) Swap(key float64, id uint64) (old uint64, ok bool) {
 
 // swap is Swap below n; like insert it hands a split of n to its caller.
 func (t *Tree) swap(n *node, key float64, id uint64) (old uint64, ok bool, sep float64, sepTie uint64, right *node) {
-	if n.leaf {
+	if n.leaf() {
 		i := n.searchKey(key)
 		if i < len(n.keys) && !keyorder.Less(key, n.keys[i]) {
 			old, n.tie[i] = n.tie[i], id
@@ -584,7 +621,7 @@ func (t *Tree) swap(n *node, key float64, id uint64) (old uint64, ok bool, sep f
 // Min returns the smallest key, with ok=false for an empty tree.
 func (t *Tree) Min() (float64, bool) {
 	n := t.root
-	for !n.leaf {
+	for !n.leaf() {
 		n = n.children[0]
 	}
 	for n != nil {
@@ -607,7 +644,7 @@ func (t *Tree) Max() (float64, bool) {
 	// fall back to checking the rightmost non-empty leaf reachable by the
 	// sibling chain from the rightmost path.
 	n := t.root
-	for !n.leaf {
+	for !n.leaf() {
 		n = n.children[len(n.children)-1]
 	}
 	if len(n.keys) > 0 {
@@ -634,7 +671,7 @@ func (t *Tree) BulkLoad(keys []float64, ids []uint64) error {
 			return fmt.Errorf("btree: BulkLoad input not sorted at %d", i)
 		}
 	}
-	t.root = &node{leaf: true}
+	t.root = &node{}
 	t.size = len(keys)
 	if len(keys) == 0 {
 		return nil
@@ -650,7 +687,6 @@ func (t *Tree) BulkLoad(keys []float64, ids []uint64) error {
 			end = len(keys)
 		}
 		leaves = append(leaves, &node{
-			leaf: true,
 			keys: append([]float64(nil), keys[off:end]...),
 			tie:  append([]uint64(nil), ids[off:end]...),
 		})
@@ -681,21 +717,23 @@ func (t *Tree) BulkLoad(keys []float64, ids []uint64) error {
 }
 
 func minEntry(n *node) (float64, uint64) {
-	for !n.leaf {
+	for !n.leaf() {
 		n = n.children[0]
 	}
 	return n.keys[0], n.tie[0]
 }
 
-// SizeBytes estimates the heap footprint of the tree: key, tie and child
-// arrays plus per-node overhead. This feeds the paper's memory-consumption
-// figures, where the baseline's complete indexes dominate the budget.
+// SizeBytes is the heap footprint of the tree: key, tie and child arrays
+// plus the node headers. This feeds the paper's memory-consumption figures,
+// where the baseline's complete indexes dominate the budget. It is exact at
+// DefaultOrder, where every array and header fills an allocator size class
+// to the byte (see the package comment).
 func (t *Tree) SizeBytes() uint64 {
 	return nodeSize(t.root)
 }
 
 func nodeSize(n *node) uint64 {
-	// Struct header: flag + 3 slice headers + pointer ≈ 80 bytes.
+	// Header: three slice headers and the leaf link, 80 bytes.
 	s := uint64(80)
 	s += uint64(cap(n.keys)) * 8
 	s += uint64(cap(n.tie)) * 8
@@ -724,11 +762,16 @@ func (t *Tree) checkInvariants() error {
 			if hasLo && cmpKV(n.keys[i], n.tie[i], lo, loTie) < 0 {
 				return fmt.Errorf("btree: key below lower bound")
 			}
-			if hasHi && cmpKV(n.keys[i], n.tie[i], hi, hiTie) >= 0 && n.leaf {
+			// Equal to the upper bound is a copy of the entry the
+			// separator copies (see Insert).
+			if hasHi && cmpKV(n.keys[i], n.tie[i], hi, hiTie) > 0 && n.leaf() {
 				return fmt.Errorf("btree: leaf key above upper bound")
 			}
 		}
-		if n.leaf {
+		if n.slots() > t.order {
+			return fmt.Errorf("btree: node fills %d slots, order %d", n.slots(), t.order)
+		}
+		if n.leaf() {
 			count += len(n.keys)
 			if prevLeaf != nil && prevLeaf.next != n {
 				return fmt.Errorf("btree: leaf chain skips or repeats a leaf")

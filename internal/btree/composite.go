@@ -3,6 +3,7 @@ package btree
 import (
 	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"hermit/internal/keyorder"
@@ -19,8 +20,9 @@ type CompositeTree struct {
 	size  int
 }
 
+// cnode is a leaf when it has no children. Its header is 104 bytes, which
+// the allocator rounds up to its 112-byte size class.
 type cnode struct {
-	leaf     bool
 	a        []float64
 	b        []float64
 	tie      []uint64
@@ -28,12 +30,14 @@ type cnode struct {
 	next     *cnode
 }
 
+func (n *cnode) leaf() bool { return len(n.children) == 0 }
+
 // NewComposite creates an empty composite tree with the given node order.
 func NewComposite(order int) *CompositeTree {
 	if order < 4 {
 		order = 4
 	}
-	return &CompositeTree{root: &cnode{leaf: true}, order: order}
+	return &CompositeTree{root: &cnode{}, order: order}
 }
 
 // Len returns the number of entries.
@@ -64,7 +68,8 @@ func (n *cnode) childIndex(a, b float64, v uint64) int {
 	})
 }
 
-// Insert adds the entry ((a, b), id).
+// Insert adds the entry ((a, b), id). Like Tree.Insert, a second copy of an
+// entry is stored as a second entry.
 func (t *CompositeTree) Insert(a, b float64, id uint64) {
 	sa, sb, sTie, right := t.insert(t.root, a, b, id)
 	if right != nil {
@@ -78,79 +83,77 @@ func (t *CompositeTree) Insert(a, b float64, id uint64) {
 	t.size++
 }
 
+// insert is Tree.insert's counterpart: a node holds at most order slots
+// (entries in a leaf, children in an internal node), and a full one splits
+// around its middle, counting the new slot, before it takes it.
 func (t *CompositeTree) insert(n *cnode, a, b float64, id uint64) (float64, float64, uint64, *cnode) {
-	full := t.order + 1
-	if n.leaf {
+	if n.leaf() {
 		i := n.search(a, b, id)
-		n.a = insertAt(n.a, i, a, full)
-		n.b = insertAt(n.b, i, b, full)
-		n.tie = insertAt(n.tie, i, id, full)
-		if len(n.a) > t.order {
-			return t.splitLeaf(n)
+		if len(n.a) < t.order {
+			n.a = insertAt(n.a, i, a, t.order)
+			n.b = insertAt(n.b, i, b, t.order)
+			n.tie = insertAt(n.tie, i, id, t.order)
+			return 0, 0, 0, nil
 		}
-		return 0, 0, 0, nil
+		mid := t.order - t.order/2
+		right := &cnode{next: n.next}
+		n.a, right.a = splitInsert(n.a, i, a, mid, t.order)
+		n.b, right.b = splitInsert(n.b, i, b, mid, t.order)
+		n.tie, right.tie = splitInsert(n.tie, i, id, mid, t.order)
+		n.next = right
+		return right.a[0], right.b[0], right.tie[0], right
 	}
 	ci := n.childIndex(a, b, id)
 	sa, sb, sTie, right := t.insert(n.children[ci], a, b, id)
 	if right == nil {
 		return 0, 0, 0, nil
 	}
-	n.a = insertAt(n.a, ci, sa, full)
-	n.b = insertAt(n.b, ci, sb, full)
-	n.tie = insertAt(n.tie, ci, sTie, full)
-	n.children = insertAt(n.children, ci+1, right, full+1)
-	if len(n.a) > t.order {
-		return t.splitInternal(n)
+	if len(n.children) < t.order {
+		n.a = insertAt(n.a, ci, sa, t.order)
+		n.b = insertAt(n.b, ci, sb, t.order)
+		n.tie = insertAt(n.tie, ci, sTie, t.order)
+		n.children = insertAt(n.children, ci+1, right, t.order)
+		return 0, 0, 0, nil
 	}
-	return 0, 0, 0, nil
-}
-
-func (t *CompositeTree) splitLeaf(n *cnode) (float64, float64, uint64, *cnode) {
-	mid := len(n.a) / 2
-	full := t.order + 1
-	right := &cnode{
-		leaf: true,
-		a:    splitOff(n.a, mid, full),
-		b:    splitOff(n.b, mid, full),
-		tie:  splitOff(n.tie, mid, full),
-		next: n.next,
-	}
-	n.a, n.b, n.tie = n.a[:mid], n.b[:mid], n.tie[:mid]
-	n.next = right
-	return right.a[0], right.b[0], right.tie[0], right
-}
-
-func (t *CompositeTree) splitInternal(n *cnode) (float64, float64, uint64, *cnode) {
-	mid := len(n.a) / 2
-	sa, sb, sTie := n.a[mid], n.b[mid], n.tie[mid]
-	full := t.order + 1
-	right := &cnode{
-		a:        splitOff(n.a, mid+1, full),
-		b:        splitOff(n.b, mid+1, full),
-		tie:      splitOff(n.tie, mid+1, full),
-		children: splitOff(n.children, mid+1, full+1),
-	}
-	n.a, n.b, n.tie = n.a[:mid], n.b[:mid], n.tie[:mid]
-	clear(n.children[mid+1:]) // drop the moved children's references
-	n.children = n.children[:mid+1]
-	return sa, sb, sTie, right
+	mid := t.order / 2
+	r := &cnode{}
+	n.a, r.a = splitInsert(n.a, ci, sa, mid, t.order)
+	n.b, r.b = splitInsert(n.b, ci, sb, mid, t.order)
+	n.tie, r.tie = splitInsert(n.tie, ci, sTie, mid, t.order)
+	n.children, r.children = splitInsert(n.children, ci+1, right, mid+1, t.order)
+	ua, ub, uTie := r.a[0], r.b[0], r.tie[0]
+	r.a, r.b, r.tie = slices.Delete(r.a, 0, 1), slices.Delete(r.b, 0, 1), slices.Delete(r.tie, 0, 1)
+	return ua, ub, uTie, r
 }
 
 // Delete removes the entry ((a, b), id), reporting whether it was found.
-// Unlike Tree.Delete, it leaves underfull nodes as they are.
+// Like Tree.Delete it looks left across a separator equal to the entry, where
+// a split may have put a second copy of it. Unlike Tree.Delete, it leaves
+// underfull nodes as they are.
 func (t *CompositeTree) Delete(a, b float64, id uint64) bool {
-	n := t.root
-	for !n.leaf {
-		n = n.children[n.childIndex(a, b, id)]
-	}
-	i := n.search(a, b, id)
-	if i >= len(n.a) || cmp3(n.a[i], n.b[i], n.tie[i], a, b, id) != 0 {
+	if !t.root.delete(a, b, id) {
 		return false
 	}
-	n.a = append(n.a[:i], n.a[i+1:]...)
-	n.b = append(n.b[:i], n.b[i+1:]...)
-	n.tie = append(n.tie[:i], n.tie[i+1:]...)
 	t.size--
+	return true
+}
+
+func (n *cnode) delete(a, b float64, id uint64) bool {
+	if n.leaf() {
+		i := n.search(a, b, id)
+		if i >= len(n.a) || cmp3(n.a[i], n.b[i], n.tie[i], a, b, id) != 0 {
+			return false
+		}
+		n.a = append(n.a[:i], n.a[i+1:]...)
+		n.b = append(n.b[:i], n.b[i+1:]...)
+		n.tie = append(n.tie[:i], n.tie[i+1:]...)
+		return true
+	}
+	for ci := n.childIndex(a, b, id); !n.children[ci].delete(a, b, id); ci-- {
+		if ci == 0 || cmp3(n.a[ci-1], n.b[ci-1], n.tie[ci-1], a, b, id) != 0 {
+			return false
+		}
+	}
 	return true
 }
 
@@ -164,8 +167,9 @@ func (t *CompositeTree) Scan(aLo, aHi, bLo, bHi float64, fn func(a, b float64, i
 		return
 	}
 	n := t.root
-	for !n.leaf {
-		n = n.children[n.childIndex(aLo, bLo, 0)]
+	for !n.leaf() {
+		// Left of a separator equal to (aLo, bLo, 0), like Tree.leafFrom.
+		n = n.children[n.search(aLo, bLo, 0)]
 	}
 	i := n.search(aLo, bLo, 0)
 	for n != nil {
@@ -185,13 +189,14 @@ func (t *CompositeTree) Scan(aLo, aHi, bLo, bHi float64, fn func(a, b float64, i
 	}
 }
 
-// SizeBytes estimates the heap footprint of the composite tree.
+// SizeBytes is the heap footprint of the composite tree, exact at
+// DefaultOrder like Tree.SizeBytes.
 func (t *CompositeTree) SizeBytes() uint64 {
 	return csize(t.root)
 }
 
 func csize(n *cnode) uint64 {
-	s := uint64(104)
+	s := uint64(112) // the header's size class
 	s += uint64(cap(n.a))*8 + uint64(cap(n.b))*8 + uint64(cap(n.tie))*8
 	s += uint64(cap(n.children)) * 8
 	for _, c := range n.children {
@@ -210,7 +215,7 @@ func (t *CompositeTree) BulkLoad(as, bs []float64, ids []uint64) error {
 			return fmt.Errorf("btree: composite BulkLoad input not sorted at %d", i)
 		}
 	}
-	t.root = &cnode{leaf: true}
+	t.root = &cnode{}
 	t.size = len(as)
 	if len(as) == 0 {
 		return nil
@@ -226,10 +231,9 @@ func (t *CompositeTree) BulkLoad(as, bs []float64, ids []uint64) error {
 			end = len(as)
 		}
 		leaves = append(leaves, &cnode{
-			leaf: true,
-			a:    append([]float64(nil), as[off:end]...),
-			b:    append([]float64(nil), bs[off:end]...),
-			tie:  append([]uint64(nil), ids[off:end]...),
+			a:   append([]float64(nil), as[off:end]...),
+			b:   append([]float64(nil), bs[off:end]...),
+			tie: append([]uint64(nil), ids[off:end]...),
 		})
 	}
 	for i := 0; i+1 < len(leaves); i++ {
@@ -259,7 +263,7 @@ func (t *CompositeTree) BulkLoad(as, bs []float64, ids []uint64) error {
 }
 
 func cminEntry(n *cnode) (float64, float64, uint64) {
-	for !n.leaf {
+	for !n.leaf() {
 		n = n.children[0]
 	}
 	return n.a[0], n.b[0], n.tie[0]

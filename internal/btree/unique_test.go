@@ -59,7 +59,8 @@ func sameKVs(a, b []kv) bool {
 // FuzzTreeTotalOrder drives two order-4 trees from one op stream against
 // oracles keyed by keyorder.Bits: a unique-key tree written with Swap and
 // Delete and read with Get, GetAscending, First, Contains and Scan, and a
-// duplicate-key tree written with Insert and Delete. Every op is followed
+// tree written with Insert and Delete against a multiset oracle: duplicate
+// keys and duplicate entries, whose copies splits part. Every op is followed
 // by the structural check, which is where a separator that no longer
 // bounds its subtree shows.
 func FuzzTreeTotalOrder(f *testing.F) {
@@ -106,11 +107,26 @@ func FuzzTreeTotalOrder(f *testing.F) {
 		}
 	}
 	f.Add(seed)
+	// Duplicate entries: each of a few entries inserted six times, so splits
+	// part copies of one entry, then every copy deleted, ascending keys first.
+	seed = nil
+	for r := 0; r < 6; r++ {
+		for k := byte(8); k < 20; k++ {
+			seed = append(seed, 3, k, k%2)
+		}
+	}
+	for r := 0; r < 7; r++ {
+		for k := byte(8); k < 20; k++ {
+			seed = append(seed, 4, k, k%2)
+		}
+		seed = append(seed, 5, 8, 20)
+	}
+	f.Add(seed)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		uniq, multi := New(4), New(4)
-		uo := map[uint64]kv{}              // key bits -> entry
-		mo := map[uint64]map[uint64]bool{} // key bits -> ids
+		uo := map[uint64]kv{}             // key bits -> entry
+		mo := map[uint64]map[uint64]int{} // key bits -> id -> copies
 		check := func(what string) {
 			t.Helper()
 			if err := uniq.checkInvariants(); err != nil {
@@ -150,22 +166,24 @@ func FuzzTreeTotalOrder(f *testing.F) {
 					t.Fatalf("Contains(%v, %d) lost a swapped entry", key, want.id)
 				}
 			case 3:
-				// Duplicate keys, never a duplicate entry: a second copy of
-				// the same (key, id) is tolerated by Insert but not found
-				// again by Delete once a split separates the copies, and no
-				// index in the engine stores one.
+				// Duplicate keys and duplicate entries: every Insert stores
+				// a copy, and splits may part the copies of one entry.
 				if mo[bits] == nil {
-					mo[bits] = map[uint64]bool{}
+					mo[bits] = map[uint64]int{}
 				}
-				if !mo[bits][id] {
-					multi.Insert(key, id)
-					mo[bits][id] = true
-				}
+				multi.Insert(key, id)
+				mo[bits][id]++
 			case 4:
-				if ok := multi.Delete(key, id); ok != mo[bits][id] {
-					t.Fatalf("duplicate Delete(%v, %d) = %v; oracle %v", key, id, ok, mo[bits][id])
+				had := mo[bits][id] > 0
+				if ok := multi.Delete(key, id); ok != had {
+					t.Fatalf("duplicate Delete(%v, %d) = %v; oracle holds %d copies", key, id, ok, mo[bits][id])
 				}
-				delete(mo[bits], id)
+				if had {
+					mo[bits][id]--
+				}
+				if multi.Contains(key, id) != (mo[bits][id] > 0) {
+					t.Fatalf("duplicate Contains(%v, %d) after Delete; oracle holds %d copies", key, id, mo[bits][id])
+				}
 			case 5:
 				lo, hi := key, fuzzKey(data[2])
 				in := func(k float64) bool { return !keyorder.Less(k, lo) && !keyorder.Less(hi, k) }
@@ -176,9 +194,11 @@ func FuzzTreeTotalOrder(f *testing.F) {
 					}
 				}
 				for b, ids := range mo {
-					for id := range ids {
+					for id, copies := range ids {
 						if k := math.Float64frombits(b); in(k) {
-							wantM = append(wantM, kv{k, id})
+							for range copies {
+								wantM = append(wantM, kv{k, id})
+							}
 						}
 					}
 				}
