@@ -1,7 +1,7 @@
 // Command hermitd serves a HermitDB database directory over the network:
 // the length-prefixed binary protocol on -addr (spoken by the
-// internal/client package) and an optional HTTP/JSON fallback on -http
-// for curl-level debugging.
+// internal/client package) and an optional HTTP endpoint on -http for
+// curl-level observation: /v1/stats, /healthz, /v1/promote and pprof.
 //
 // Usage:
 //
@@ -46,7 +46,7 @@ func main() {
 	var (
 		dir         = flag.String("dir", "", "database directory (required)")
 		addr        = flag.String("addr", "127.0.0.1:7654", "binary protocol listen address")
-		httpAddr    = flag.String("http", "", "HTTP/JSON fallback listen address ('' disables)")
+		httpAddr    = flag.String("http", "", "HTTP listen address for /v1/stats, /healthz, /v1/promote and pprof ('' disables)")
 		maxInflight = flag.Int("max-inflight", 256, "max admitted requests server-wide before shedding")
 		queueDepth  = flag.Int("queue-depth", 128, "per-session pipelining queue depth")
 		workers     = flag.Int("workers", 0, "batch executor workers (0 = GOMAXPROCS)")

@@ -39,16 +39,25 @@
 // tree: an honest baseline is part of the reproduction. A figure that wants
 // the paper's node passes 16 to New.
 //
-// Every node array holds at most order slots — entries in a leaf, children
-// (and one separator fewer) in an internal node — so a full node is never
-// exceeded, not even for the moment of an insert: a full node splits first
-// and then takes the new slot into the half it belongs to. At DefaultOrder
-// an array is 128 slots of 8 bytes, exactly the allocator's 1 KiB size
-// class, and the node header is 80 bytes, exactly another: SizeBytes counts
-// what the heap holds, with no rounding left out.
+// A node holds at most order slots — entries in a leaf, children (and one
+// separator fewer) in an internal node — and a full node splits before it
+// takes one more. Each node array has the smallest allocator size class that
+// holds its slots, not a full node's: an insert into a full array moves it
+// to the next class, each half of a split and the node a merge leaves gets
+// the class of what it holds, and a delete that leaves a quarter of the
+// array spare moves it to the class of what remains (removeAt). A split
+// leaves two half-empty nodes and deletes drain nodes, so arrays of the full
+// order held about a quarter of an insert-built tree's bytes empty (1M
+// random inserts: 24.5 against 18.1 B/entry). The one exception is
+// the right edge: a new rightmost leaf is given a full node's array, because
+// ascending keys — every primary index — append there and would otherwise
+// regrow it class by class. An array's capacity is therefore a size class
+// and the node header is 80 bytes, exactly another, so SizeBytes counts what
+// the heap holds (see SizeBytes for the one rounding it leaves out).
 package btree
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -222,14 +231,43 @@ func (t *Tree) growRoot(sep float64, sepTie uint64, right *node) {
 	}
 }
 
+// classes are the capacities, in 8-byte slots, of the allocator's size
+// classes up to 32 KiB, probed from the runtime: append rounds a fresh array
+// up to its size class, so appending n slots to nothing reports the capacity
+// of the class n falls in.
+var classes = func() []int {
+	var cs []int
+	for n := 1; n <= 4096; n = cs[len(cs)-1] + 1 {
+		cs = append(cs, cap(append([]uint64(nil), make([]uint64, n)...)))
+	}
+	return cs
+}()
+
+// fit returns the capacity of the smallest size class that holds n slots
+// (n itself past the classes probed).
+func fit(n int) int {
+	if i, _ := slices.BinarySearch(classes, n); i < len(classes) {
+		return classes[i]
+	}
+	return n
+}
+
+// resize returns s in an array of the smallest size class that holds n
+// slots, s's own when it is one.
+func resize[T any](s []T, n int) []T {
+	if cap(s) == fit(n) {
+		return s
+	}
+	return append(make([]T, 0, fit(n)), s...)
+}
+
 // insertAt inserts v at index i of the array of a node that is not full.
-// An array that has no spare capacity moves, once, to one of the node's full
-// capacity, order slots, and is never regrown: a full node splits instead
-// (splitInsert). So no node holds a doubled or rounded-up backing array,
-// and cap() — what SizeBytes counts — is what the heap holds.
-func insertAt[T any](s []T, i int, v T, full int) []T {
+// An array that has no spare capacity moves to the next size class, never
+// to a doubled or a full node's one, so cap() — what SizeBytes counts — is
+// what the heap holds and no more than the node's slots need.
+func insertAt[T any](s []T, i int, v T) []T {
 	if len(s) == cap(s) {
-		s = append(make([]T, 0, full), s...)
+		s = resize(s, len(s)+1)
 	}
 	s = s[:len(s)+1]
 	copy(s[i+1:], s[i:])
@@ -238,21 +276,41 @@ func insertAt[T any](s []T, i int, v T, full int) []T {
 }
 
 // splitInsert splits the array s of a full node as inserting v at index i
-// and then cutting the result at mid would: left holds the first mid slots
-// in s's own array, right the rest in a fresh full-capacity one. No array
-// ever holds the extra slot. The slots s no longer covers are cleared, so
+// and then cutting the result at mid would. Each half has the smallest size
+// class that holds it — the right one at least room slots, which is how a
+// new rightmost leaf gets a full node's — so the left half keeps s's array
+// only when that is its class. The slots s no longer covers are cleared, so
 // the left node does not keep the right one's children reachable.
-func splitInsert[T any](s []T, i int, v T, mid, full int) (left, right []T) {
+func splitInsert[T any](s []T, i int, v T, mid, room int) (left, right []T) {
+	right = make([]T, 0, fit(max(len(s)+1-mid, room)))
 	if i < mid {
-		right = append(make([]T, 0, full), s[mid-1:]...)
-		left = insertAt(s[:mid-1], i, v, full)
+		right = append(right, s[mid-1:]...)
+		left = insertAt(resize(s[:mid-1], mid), i, v)
 	} else {
-		right = insertAt(append(make([]T, 0, full), s[mid:]...), i-mid, v, full)
-		left = s[:mid]
+		right = insertAt(append(right, s[mid:]...), i-mid, v)
+		left = resize(s[:mid], mid)
 	}
 	clear(s[mid:])
 	return left, right
 }
+
+// removeAt removes index i from a node array. When that leaves a quarter or
+// more of the array spare, it moves to the smallest size class that holds
+// what remains (see roomy for the hysteresis).
+func removeAt[T any](s []T, i int) []T {
+	if roomy(len(s)-1, cap(s)) {
+		return append(append(make([]T, 0, fit(len(s)-1)), s[:i]...), s[i+1:]...)
+	}
+	return slices.Delete(s, i, i+1)
+}
+
+// roomy reports whether an array of capacity c holding n slots is one a
+// delete moves to a smaller size class: a quarter or more of it is spare,
+// and one more slot would still fit a smaller class. The quarter keeps an
+// array that has just grown from shrinking on the next delete, and the
+// second condition does the same for the small classes, which lie more than
+// a quarter apart; so no insert/delete pair moves an array twice.
+func roomy(n, c int) bool { return 4*(c-n) >= c && fit(n+1) < c }
 
 // insert descends into n; on child split it absorbs the separator, and on
 // its own split returns the new right sibling with its separator.
@@ -270,22 +328,27 @@ func (t *Tree) insert(n *node, key float64, id uint64) (float64, uint64, *node) 
 
 // insertLeaf places (key, id) at index i of leaf n. A full leaf splits
 // around its middle, counting the new entry, and the entry goes into the
-// half it belongs to. When it goes past the end of the rightmost leaf the
-// split is at the end instead and the entry opens the new leaf alone, so an
-// ascending load leaves full leaves behind rather than half-empty ones.
+// half it belongs to. The rightmost leaf is where ascending keys append:
+// when the entry goes past its end the split is at the end instead and the
+// entry opens the new leaf alone, so an ascending load leaves full leaves
+// behind rather than half-empty ones, and the new rightmost leaf gets a full
+// node's array to append into.
 func (t *Tree) insertLeaf(n *node, i int, key float64, id uint64) (float64, uint64, *node) {
 	if len(n.keys) < t.order {
-		n.keys = insertAt(n.keys, i, key, t.order)
-		n.tie = insertAt(n.tie, i, id, t.order)
+		n.keys = insertAt(n.keys, i, key)
+		n.tie = insertAt(n.tie, i, id)
 		return 0, 0, nil
 	}
-	mid := t.order - t.order/2
-	if n.next == nil && i == len(n.keys) {
-		mid = i
+	mid, room := t.order-t.order/2, 0
+	if n.next == nil {
+		room = t.order
+		if i == len(n.keys) {
+			mid = i
+		}
 	}
 	right := &node{next: n.next}
-	n.keys, right.keys = splitInsert(n.keys, i, key, mid, t.order)
-	n.tie, right.tie = splitInsert(n.tie, i, id, mid, t.order)
+	n.keys, right.keys = splitInsert(n.keys, i, key, mid, room)
+	n.tie, right.tie = splitInsert(n.tie, i, id, mid, room)
 	n.next = right
 	return right.keys[0], right.tie[0], right
 }
@@ -295,16 +358,16 @@ func (t *Tree) insertLeaf(n *node, i int, key float64, id uint64) (float64, uint
 // counting the new one, and that separator moves up to n's parent.
 func (t *Tree) absorb(n *node, ci int, sep float64, sepTie uint64, right *node) (float64, uint64, *node) {
 	if len(n.children) < t.order {
-		n.keys = insertAt(n.keys, ci, sep, t.order)
-		n.tie = insertAt(n.tie, ci, sepTie, t.order)
-		n.children = insertAt(n.children, ci+1, right, t.order)
+		n.keys = insertAt(n.keys, ci, sep)
+		n.tie = insertAt(n.tie, ci, sepTie)
+		n.children = insertAt(n.children, ci+1, right)
 		return 0, 0, nil
 	}
 	mid := t.order / 2
 	r := &node{}
-	n.keys, r.keys = splitInsert(n.keys, ci, sep, mid, t.order)
-	n.tie, r.tie = splitInsert(n.tie, ci, sepTie, mid, t.order)
-	n.children, r.children = splitInsert(n.children, ci+1, right, mid+1, t.order)
+	n.keys, r.keys = splitInsert(n.keys, ci, sep, mid, 0)
+	n.tie, r.tie = splitInsert(n.tie, ci, sepTie, mid, 0)
+	n.children, r.children = splitInsert(n.children, ci+1, right, mid+1, 0)
 	up, upTie := r.keys[0], r.tie[0]
 	r.keys, r.tie = slices.Delete(r.keys, 0, 1), slices.Delete(r.tie, 0, 1)
 	return up, upTie, r
@@ -338,8 +401,7 @@ func (t *Tree) delete(n *node, key float64, id uint64) bool {
 		if i >= len(n.keys) || cmpKV(n.keys[i], n.tie[i], key, id) != 0 {
 			return false
 		}
-		n.keys = append(n.keys[:i], n.keys[i+1:]...)
-		n.tie = append(n.tie[:i], n.tie[i+1:]...)
+		n.keys, n.tie = removeAt(n.keys, i), removeAt(n.tie, i)
 		return true
 	}
 	ci := n.childIndex(key, id)
@@ -405,19 +467,14 @@ func (t *Tree) mergeChildren(p *node, i int) {
 	seam := len(l.children) - 1
 	if l.leaf() {
 		l.next = r.next
+		l.keys, l.tie = extend(l.keys, r.keys), extend(l.tie, r.tie)
 	} else {
-		l.keys = extend(l.keys, p.keys[i:i+1], t.order)
-		l.tie = extend(l.tie, p.tie[i:i+1], t.order)
-		l.children = extend(l.children, r.children, t.order)
+		l.keys = extend(l.keys, p.keys[i:i+1], r.keys)
+		l.tie = extend(l.tie, p.tie[i:i+1], r.tie)
+		l.children = extend(l.children, r.children)
 	}
-	l.keys = extend(l.keys, r.keys, t.order)
-	l.tie = extend(l.tie, r.tie, t.order)
-	p.keys = append(p.keys[:i], p.keys[i+1:]...)
-	p.tie = append(p.tie[:i], p.tie[i+1:]...)
-	last := len(p.children) - 1
-	copy(p.children[i+1:], p.children[i+2:])
-	p.children[last] = nil
-	p.children = p.children[:last]
+	p.keys, p.tie = removeAt(p.keys, i), removeAt(p.tie, i)
+	p.children = removeAt(p.children, i+1)
 	// Two internal nodes bring their edge children together as siblings,
 	// and no delete may come this way again — a queue drained from one end
 	// can join two empty leaves here, one more with each parent it drains —
@@ -429,14 +486,22 @@ func (t *Tree) mergeChildren(p *node, i int) {
 	}
 }
 
-// extend appends more to a node array, first moving it to an array of the
-// full node capacity when more does not fit (see insertAt). A merge fits in
-// one node (mergeable), so the result holds at most order slots.
-func extend[T any](s, more []T, full int) []T {
-	if len(s)+len(more) > cap(s) {
-		s = append(make([]T, 0, full), s...)
+// extend appends the parts in more to a node array, first moving it to the
+// smallest size class that holds the merged length when they do not fit. A
+// merge fits in one node (mergeable), so the result holds at most order
+// slots.
+func extend[T any](s []T, more ...[]T) []T {
+	n := len(s)
+	for _, m := range more {
+		n += len(m)
 	}
-	return append(s, more...)
+	if n > cap(s) {
+		s = resize(s, n)
+	}
+	for _, m := range more {
+		s = append(s, m...)
+	}
+	return s
 }
 
 // Contains reports whether the exact entry (key, id) is present.
@@ -725,9 +790,12 @@ func minEntry(n *node) (float64, uint64) {
 
 // SizeBytes is the heap footprint of the tree: key, tie and child arrays
 // plus the node headers. This feeds the paper's memory-consumption figures,
-// where the baseline's complete indexes dominate the budget. It is exact at
-// DefaultOrder, where every array and header fills an allocator size class
-// to the byte (see the package comment).
+// where the baseline's complete indexes dominate the budget. Every array's
+// capacity and the header are allocator size classes (see the package
+// comment), so the count is what the heap holds, but for one rounding: the
+// allocator puts an 8-byte header in front of an array of pointers over
+// 512 bytes, which moves a child array of more than 64 slots one class up.
+// Internal nodes are about one node in a hundred.
 func (t *Tree) SizeBytes() uint64 {
 	return nodeSize(t.root)
 }
@@ -744,10 +812,25 @@ func nodeSize(n *node) uint64 {
 	return s
 }
 
+// checkArray checks a node array against the size-class rule: its capacity
+// is a size class, and an array in a leaf that is not the rightmost one
+// holds no room a delete would have given back (roomy). An internal node is
+// held to the size class alone: BulkLoad appends its separators one at a
+// time, so they may hold up to twice what they need.
+func checkArray[T any](s []T, leafInside bool) error {
+	if c := cap(s); c != 0 && fit(c) != c {
+		return fmt.Errorf("btree: node array of capacity %d is no size class", c)
+	}
+	if leafInside && roomy(len(s), cap(s)) {
+		return fmt.Errorf("btree: leaf array of capacity %d holds %d slots", cap(s), len(s))
+	}
+	return nil
+}
+
 // checkInvariants walks the tree verifying ordering and structure — the
 // leaf chain included, which must thread the leaves in the order the
-// descent reaches them; it is exported to the package tests via
-// export_test.go.
+// descent reaches them — and every node array's capacity (checkArray); it
+// is exported to the package tests via export_test.go.
 func (t *Tree) checkInvariants() error {
 	count := 0
 	var prevLeaf *node
@@ -770,6 +853,10 @@ func (t *Tree) checkInvariants() error {
 		}
 		if n.slots() > t.order {
 			return fmt.Errorf("btree: node fills %d slots, order %d", n.slots(), t.order)
+		}
+		inside := n.leaf() && n.next != nil
+		if err := cmp.Or(checkArray(n.keys, inside), checkArray(n.tie, inside), checkArray(n.children, inside)); err != nil {
+			return err
 		}
 		if n.leaf() {
 			count += len(n.keys)

@@ -1,6 +1,7 @@
 package btree
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
@@ -436,47 +437,42 @@ func heapOf(build func() any) (uint64, any) {
 	return after.HeapAlloc - before.HeapAlloc, v
 }
 
-// maxArray returns the largest capacity of any node array below n.
-func maxArray(n *node) int {
-	m := max(cap(n.keys), cap(n.tie), cap(n.children))
+// checkCArrays holds every node array of a composite tree to the size-class
+// rule (checkArray).
+func checkCArrays(n *cnode) error {
+	inside := n.leaf() && n.next != nil
+	err := cmp.Or(checkArray(n.a, inside), checkArray(n.b, inside), checkArray(n.tie, inside), checkArray(n.children, inside))
 	for _, c := range n.children {
-		m = max(m, maxArray(c))
+		err = cmp.Or(err, checkCArrays(c))
 	}
-	return m
-}
-
-func maxCArray(n *cnode) int {
-	m := max(cap(n.a), cap(n.b), cap(n.tie), cap(n.children))
-	for _, c := range n.children {
-		m = max(m, maxCArray(c))
-	}
-	return m
+	return err
 }
 
 // SizeBytes is what the process holds for an insert-built tree, to within
-// 2% — the rest is the measurement's own noise: every node array has at
-// most DefaultOrder slots, one 1 KiB size class, and the node header fills
-// its size class too, so splits leave no array rounded up or pinned larger
-// than cap() reports, and neither do merges under a random churn. An
-// ascending load (every primary index) leaves full leaves, at most
-// 20 B/entry.
+// 2% — the rest is the measurement's own noise: every node array's capacity
+// is a size class and the node header fills its size class too, so neither
+// splits nor merges nor deletes leave an array rounded up or pinned larger
+// than cap() reports. Each array has the class of what it holds, so the
+// trees stay near their entries: an ascending load (every primary index)
+// leaves full leaves, and random inserts, a random churn and the composite
+// tree leave half-full to full ones, each in the class that fits it.
 func TestHeapMatchesSizeBytes(t *testing.T) {
 	n := 1_000_000
 	if testing.Short() {
 		n = 100_000
 	}
-	check := func(name string, heap, size uint64, arrays int, maxPerEntry float64) {
+	check := func(name string, heap, size uint64, arrays error, maxPerEntry float64) {
 		t.Helper()
 		per := float64(heap) / float64(n)
 		t.Logf("%s: heap %.2f B/entry, SizeBytes %.2f B/entry", name, per, float64(size)/float64(n))
 		if d := math.Abs(float64(heap)-float64(size)) / float64(size); d > 0.02 {
 			t.Errorf("%s: heap %d B is %.1f%% away from SizeBytes %d B", name, heap, d*100, size)
 		}
-		if arrays > DefaultOrder {
-			t.Errorf("%s: a node array of capacity %d, order %d", name, arrays, DefaultOrder)
+		if arrays != nil {
+			t.Errorf("%s: %v", name, arrays)
 		}
-		if maxPerEntry > 0 && per > maxPerEntry {
-			t.Errorf("%s: %.1f B/entry, want <= %.0f", name, per, maxPerEntry)
+		if per > maxPerEntry {
+			t.Errorf("%s: %.1f B/entry, want <= %.1f", name, per, maxPerEntry)
 		}
 	}
 	heap, v := heapOf(func() any {
@@ -487,10 +483,7 @@ func TestHeapMatchesSizeBytes(t *testing.T) {
 		return tr
 	})
 	tr := v.(*Tree)
-	check("ascending", heap, tr.SizeBytes(), maxArray(tr.root), 20)
-	if err := tr.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
+	check("ascending", heap, tr.SizeBytes(), tr.CheckInvariants(), 17.5)
 
 	heap, v = heapOf(func() any {
 		rng := rand.New(rand.NewSource(1))
@@ -501,7 +494,7 @@ func TestHeapMatchesSizeBytes(t *testing.T) {
 		return tr
 	})
 	tr = v.(*Tree)
-	check("random", heap, tr.SizeBytes(), maxArray(tr.root), 0)
+	check("random", heap, tr.SizeBytes(), tr.CheckInvariants(), 19.0)
 
 	// Random churn at n entries: n inserts, then n rounds of deleting the
 	// oldest entry (a random key: a second generator on the same seed
@@ -521,10 +514,7 @@ func TestHeapMatchesSizeBytes(t *testing.T) {
 		return tr
 	})
 	tr = v.(*Tree)
-	check("random churn", heap, tr.SizeBytes(), maxArray(tr.root), 0)
-	if err := tr.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
+	check("random churn", heap, tr.SizeBytes(), tr.CheckInvariants(), 20.5)
 
 	heap, v = heapOf(func() any {
 		rng := rand.New(rand.NewSource(1))
@@ -535,7 +525,26 @@ func TestHeapMatchesSizeBytes(t *testing.T) {
 		return tr
 	})
 	ct := v.(*CompositeTree)
-	check("composite random", heap, ct.SizeBytes(), maxCArray(ct.root), 0)
+	check("composite random", heap, ct.SizeBytes(), checkCArrays(ct.root), 28)
+
+	// The same churn on a composite tree, which never merges: its leaves
+	// keep what deletes leave them, in the class that holds it.
+	heap, v = heapOf(func() any {
+		ins, del := rand.New(rand.NewSource(2)), rand.New(rand.NewSource(2))
+		tr := NewComposite(DefaultOrder)
+		for i := 0; i < n; i++ {
+			tr.Insert(ins.Float64(), ins.Float64(), uint64(i))
+		}
+		for i := 0; i < n; i++ {
+			if !tr.Delete(del.Float64(), del.Float64(), uint64(i)) {
+				t.Fatalf("composite churn: entry %d missing", i)
+			}
+			tr.Insert(ins.Float64(), ins.Float64(), uint64(n+i))
+		}
+		return tr
+	})
+	ct = v.(*CompositeTree)
+	check("composite churn", heap, ct.SizeBytes(), checkCArrays(ct.root), 30)
 }
 
 // ascending returns a tree of n ascending unique keys built through Swap
@@ -595,6 +604,29 @@ func BenchmarkSwapRandom1M(b *testing.B) {
 			}
 		})
 	}
+}
+
+// A random churn at a constant 1M entries and DefaultOrder, the write pair
+// of an engine update: each op deletes the oldest entry and inserts a new
+// random one. B/op is what moving arrays between size classes allocates,
+// B/entry the tree's size after the ops (`-benchtime 1000000x` is one full
+// turnover).
+func BenchmarkChurn1M(b *testing.B) {
+	const n = 1_000_000
+	ins, del := rand.New(rand.NewSource(2)), rand.New(rand.NewSource(2))
+	tr := New(DefaultOrder)
+	for i := 0; i < n; i++ {
+		tr.Insert(ins.Float64(), uint64(i))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if !tr.Delete(del.Float64(), uint64(i)) {
+			b.Fatal("missing")
+		}
+		tr.Insert(ins.Float64(), uint64(n+i))
+	}
+	b.ReportMetric(float64(tr.SizeBytes())/n, "B/entry")
 }
 
 func BenchmarkMoveRandom1M(b *testing.B) {

@@ -85,21 +85,25 @@ func (t *CompositeTree) Insert(a, b float64, id uint64) {
 
 // insert is Tree.insert's counterpart: a node holds at most order slots
 // (entries in a leaf, children in an internal node), and a full one splits
-// around its middle, counting the new slot, before it takes it.
+// around its middle, counting the new slot, before it takes it. Its arrays
+// follow Tree's size-class rule, right edge included.
 func (t *CompositeTree) insert(n *cnode, a, b float64, id uint64) (float64, float64, uint64, *cnode) {
 	if n.leaf() {
 		i := n.search(a, b, id)
 		if len(n.a) < t.order {
-			n.a = insertAt(n.a, i, a, t.order)
-			n.b = insertAt(n.b, i, b, t.order)
-			n.tie = insertAt(n.tie, i, id, t.order)
+			n.a = insertAt(n.a, i, a)
+			n.b = insertAt(n.b, i, b)
+			n.tie = insertAt(n.tie, i, id)
 			return 0, 0, 0, nil
 		}
-		mid := t.order - t.order/2
+		mid, room := t.order-t.order/2, 0
+		if n.next == nil {
+			room = t.order
+		}
 		right := &cnode{next: n.next}
-		n.a, right.a = splitInsert(n.a, i, a, mid, t.order)
-		n.b, right.b = splitInsert(n.b, i, b, mid, t.order)
-		n.tie, right.tie = splitInsert(n.tie, i, id, mid, t.order)
+		n.a, right.a = splitInsert(n.a, i, a, mid, room)
+		n.b, right.b = splitInsert(n.b, i, b, mid, room)
+		n.tie, right.tie = splitInsert(n.tie, i, id, mid, room)
 		n.next = right
 		return right.a[0], right.b[0], right.tie[0], right
 	}
@@ -109,18 +113,18 @@ func (t *CompositeTree) insert(n *cnode, a, b float64, id uint64) (float64, floa
 		return 0, 0, 0, nil
 	}
 	if len(n.children) < t.order {
-		n.a = insertAt(n.a, ci, sa, t.order)
-		n.b = insertAt(n.b, ci, sb, t.order)
-		n.tie = insertAt(n.tie, ci, sTie, t.order)
-		n.children = insertAt(n.children, ci+1, right, t.order)
+		n.a = insertAt(n.a, ci, sa)
+		n.b = insertAt(n.b, ci, sb)
+		n.tie = insertAt(n.tie, ci, sTie)
+		n.children = insertAt(n.children, ci+1, right)
 		return 0, 0, 0, nil
 	}
 	mid := t.order / 2
 	r := &cnode{}
-	n.a, r.a = splitInsert(n.a, ci, sa, mid, t.order)
-	n.b, r.b = splitInsert(n.b, ci, sb, mid, t.order)
-	n.tie, r.tie = splitInsert(n.tie, ci, sTie, mid, t.order)
-	n.children, r.children = splitInsert(n.children, ci+1, right, mid+1, t.order)
+	n.a, r.a = splitInsert(n.a, ci, sa, mid, 0)
+	n.b, r.b = splitInsert(n.b, ci, sb, mid, 0)
+	n.tie, r.tie = splitInsert(n.tie, ci, sTie, mid, 0)
+	n.children, r.children = splitInsert(n.children, ci+1, right, mid+1, 0)
 	ua, ub, uTie := r.a[0], r.b[0], r.tie[0]
 	r.a, r.b, r.tie = slices.Delete(r.a, 0, 1), slices.Delete(r.b, 0, 1), slices.Delete(r.tie, 0, 1)
 	return ua, ub, uTie, r
@@ -129,7 +133,7 @@ func (t *CompositeTree) insert(n *cnode, a, b float64, id uint64) (float64, floa
 // Delete removes the entry ((a, b), id), reporting whether it was found.
 // Like Tree.Delete it looks left across a separator equal to the entry, where
 // a split may have put a second copy of it. Unlike Tree.Delete, it leaves
-// underfull nodes as they are.
+// underfull nodes as they are; their arrays shrink like Tree's (removeAt).
 func (t *CompositeTree) Delete(a, b float64, id uint64) bool {
 	if !t.root.delete(a, b, id) {
 		return false
@@ -144,9 +148,7 @@ func (n *cnode) delete(a, b float64, id uint64) bool {
 		if i >= len(n.a) || cmp3(n.a[i], n.b[i], n.tie[i], a, b, id) != 0 {
 			return false
 		}
-		n.a = append(n.a[:i], n.a[i+1:]...)
-		n.b = append(n.b[:i], n.b[i+1:]...)
-		n.tie = append(n.tie[:i], n.tie[i+1:]...)
+		n.a, n.b, n.tie = removeAt(n.a, i), removeAt(n.b, i), removeAt(n.tie, i)
 		return true
 	}
 	for ci := n.childIndex(a, b, id); !n.children[ci].delete(a, b, id); ci-- {
@@ -189,8 +191,8 @@ func (t *CompositeTree) Scan(aLo, aHi, bLo, bHi float64, fn func(a, b float64, i
 	}
 }
 
-// SizeBytes is the heap footprint of the composite tree, exact at
-// DefaultOrder like Tree.SizeBytes.
+// SizeBytes is the heap footprint of the composite tree, counted like
+// Tree.SizeBytes.
 func (t *CompositeTree) SizeBytes() uint64 {
 	return csize(t.root)
 }

@@ -1,0 +1,10 @@
+package repl
+
+import (
+	"testing"
+
+	"hermit/internal/leakcheck"
+)
+
+// TestMain fails the run when a test leaves a goroutine behind.
+func TestMain(m *testing.M) { leakcheck.Main(m) }

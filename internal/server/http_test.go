@@ -1,134 +1,35 @@
 package server
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"strings"
 	"testing"
 
-	"hermit/internal/engine"
-	"hermit/internal/hermit"
-	"hermit/internal/server/proto"
+	"hermit/internal/client"
 )
 
-// postExec sends one JSON op to the fallback endpoint and decodes the
-// result, also returning the HTTP status.
-func postExec(t *testing.T, base string, op map[string]any) (httpResult, int) {
-	t.Helper()
-	body, err := json.Marshal(op)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Post(base+"/v1/exec", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var res httpResult
-	if err := json.NewDecoder(resp.Body).Decode(&res); err != nil {
-		t.Fatal(err)
-	}
-	return res, resp.StatusCode
-}
-
-// TestHTTPFallback drives the JSON endpoint across the op surface, the
-// stats and health routes, and the error→status mapping.
-func TestHTTPFallback(t *testing.T) {
-	d, err := engine.OpenDurable(t.TempDir(), hermit.PhysicalPointers)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { d.Close() })
-	srv := New(d, Options{HTTPAddr: "127.0.0.1:0"})
-	if err := srv.Start("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
+// TestHTTPEndpoints writes through the binary protocol and reads the
+// server's state back over HTTP: the stats and health routes, pprof, and
+// that no route executes data operations.
+func TestHTTPEndpoints(t *testing.T) {
+	srv, d := startServer(t, Options{HTTPAddr: "127.0.0.1:0"})
 	base := fmt.Sprintf("http://%s", srv.HTTPAddr())
-
-	if res, code := postExec(t, base, map[string]any{"op": "ping"}); !res.OK || code != 200 {
-		t.Fatalf("ping: %+v code=%d", res, code)
-	}
-	if res, _ := postExec(t, base, map[string]any{
-		"op": "create-table", "table": "t", "cols": []string{"id", "x", "y"},
-	}); !res.OK {
-		t.Fatalf("create-table: %+v", res)
-	}
-	if res, _ := postExec(t, base, map[string]any{
-		"op": "create-index", "table": "t", "col": 1,
-	}); !res.OK {
-		t.Fatalf("create btree index: %+v", res)
-	}
-	if res, _ := postExec(t, base, map[string]any{
-		"op": "create-index", "table": "t", "kind": "hermit", "col": 2, "host": 1,
-	}); !res.OK {
-		t.Fatalf("create hermit index: %+v", res)
+	c := dial(t, srv, client.Options{})
+	if err := c.CreateTable("t", []string{"id", "x", "y"}, 0, 0); err != nil {
+		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
-		if res, _ := postExec(t, base, map[string]any{
-			"op": "insert", "table": "t", "row": []float64{float64(i), float64(i * 2), float64(i * 3)},
-		}); !res.OK {
-			t.Fatalf("insert %d: %+v", i, res)
+		if err := c.Insert("t", []float64{float64(i), float64(i * 2), float64(i * 3)}); err != nil {
+			t.Fatalf("insert %d: %v", i, err)
 		}
 	}
-
-	res, _ := postExec(t, base, map[string]any{"op": "point", "table": "t", "col": 0, "lo": 4})
-	if !res.OK || len(res.Rows) != 1 || res.Rows[0][1] != 8 {
-		t.Fatalf("point: %+v", res)
+	if err := c.Update("t", 4, 2, 99); err != nil {
+		t.Fatal(err)
 	}
-	res, _ = postExec(t, base, map[string]any{"op": "range", "table": "t", "col": 1, "lo": 2, "hi": 8})
-	if !res.OK || len(res.Rows) != 4 {
-		t.Fatalf("range: %+v", res)
-	}
-	res, _ = postExec(t, base, map[string]any{
-		"op": "range2", "table": "t", "col": 1, "lo": 2, "hi": 8, "bcol": 2, "blo": 0, "bhi": 9,
-	})
-	if !res.OK || len(res.Rows) != 3 {
-		t.Fatalf("range2: %+v", res)
-	}
-	if res, _ = postExec(t, base, map[string]any{
-		"op": "update", "table": "t", "pk": 4, "col": 2, "value": 99,
-	}); !res.OK {
-		t.Fatalf("update: %+v", res)
-	}
-	res, _ = postExec(t, base, map[string]any{"op": "delete", "table": "t", "pk": 9})
-	if !res.OK || res.Found == nil || !*res.Found {
-		t.Fatalf("delete: %+v", res)
-	}
-
-	// Atomic batch: a dup-key insert aborts the whole batch with 409.
-	res, code := postExec(t, base, map[string]any{
-		"op": "batch", "table": "t", "ops": []map[string]any{
-			{"op": "insert", "table": "t", "row": []float64{100, 1, 1}},
-			{"op": "insert", "table": "t", "row": []float64{3, 1, 1}},
-		},
-	})
-	if len(res.Results) != 2 || res.Results[1].Code != int(proto.CodeDupKey) {
-		t.Fatalf("batch abort: %+v code=%d", res, code)
-	}
-	if res, _ := postExec(t, base, map[string]any{"op": "point", "table": "t", "col": 0, "lo": 100}); len(res.Rows) != 0 {
-		t.Fatal("aborted batch leaked an insert")
-	}
-
-	// Error→status mapping.
-	if res, code := postExec(t, base, map[string]any{"op": "nope"}); res.OK || code != http.StatusBadRequest {
-		t.Fatalf("unknown op: %+v code=%d", res, code)
-	}
-	if res, code := postExec(t, base, map[string]any{
-		"op": "create-index", "table": "t", "kind": "wat", "col": 1,
-	}); res.OK || code != http.StatusBadRequest {
-		t.Fatalf("unknown index kind: %+v code=%d", res, code)
-	}
-	if _, code := postExec(t, base, map[string]any{"op": "point", "table": "missing", "col": 0}); code != http.StatusNotFound {
-		t.Fatalf("missing table status %d", code)
-	}
-	if _, code := postExec(t, base, map[string]any{
-		"op": "insert", "table": "t", "row": []float64{3, 1, 1},
-	}); code != http.StatusConflict {
-		t.Fatalf("dup key status %d", code)
-	}
-	if _, code := postExec(t, base, map[string]any{"op": "ping", "tenant": "bad@t"}); code != http.StatusBadRequest {
-		t.Fatalf("bad tenant status %d", code)
+	if found, err := c.Delete("t", 9); err != nil || !found {
+		t.Fatalf("delete: found=%v err=%v", found, err)
 	}
 
 	// Stats and health. There is no GC pass to watch: the update and the
@@ -167,8 +68,8 @@ func TestHTTPFallback(t *testing.T) {
 		t.Fatalf("stats: %d unflushed deletes, %d unflushed rows, %d rows with a header after a checkpoint",
 			st.Storage.UnflushedDeletes, st.Storage.VersionsUnflushed, st.Storage.VersionsUnfrozen)
 	}
-	if st.Requests == 0 {
-		t.Fatalf("stats did not count HTTP requests: %+v", st)
+	if st.Requests < 13 {
+		t.Fatalf("stats counted %d requests, want the 13 sent: %+v", st.Requests, st)
 	}
 	if st.Storage.Flushes < 1 || st.Storage.Blocks < 1 {
 		t.Fatalf("stats missing block-storage tier: %+v", st.Storage)
@@ -180,11 +81,21 @@ func TestHTTPFallback(t *testing.T) {
 		t.Fatalf("stats: open blocks hold %d B after %d page reads, want > 0 and none yet",
 			st.Storage.BlockResidentBytes, st.Storage.BlockPageReads)
 	}
-	hr, err := http.Get(base + "/healthz")
-	if err != nil || hr.StatusCode != 200 {
-		t.Fatalf("healthz: %v %d", err, hr.StatusCode)
+	for path, want := range map[string]int{"/healthz": http.StatusOK, "/debug/pprof/cmdline": http.StatusOK} {
+		hr, err := http.Get(base + path)
+		if err != nil || hr.StatusCode != want {
+			t.Fatalf("GET %s: %v %d", path, err, hr.StatusCode)
+		}
+		hr.Body.Close()
+	}
+	hr, err := http.Post(base+"/v1/exec", "application/json", strings.NewReader(`{"op":"ping"}`))
+	if err != nil {
+		t.Fatal(err)
 	}
 	hr.Body.Close()
+	if hr.StatusCode != http.StatusNotFound {
+		t.Fatalf("POST /v1/exec: status %d, want 404: data operations are the binary protocol's", hr.StatusCode)
+	}
 
 	// After Close the health endpoint is gone with the server.
 	if err := srv.Close(); err != nil {
@@ -192,31 +103,5 @@ func TestHTTPFallback(t *testing.T) {
 	}
 	if _, err := http.Get(base + "/healthz"); err == nil {
 		t.Fatal("healthz still serving after Close")
-	}
-}
-
-// TestHTTPQuota exercises the per-tenant quota on the JSON path.
-func TestHTTPQuota(t *testing.T) {
-	d, err := engine.OpenDurable(t.TempDir(), hermit.PhysicalPointers)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { d.Close() })
-	srv := New(d, Options{HTTPAddr: "127.0.0.1:0", TenantOps: 3})
-	if err := srv.Start("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { srv.Close() })
-	base := fmt.Sprintf("http://%s", srv.HTTPAddr())
-
-	var last int
-	for i := 0; i < 5; i++ {
-		_, last = postExec(t, base, map[string]any{"op": "ping", "tenant": "q"})
-	}
-	if last != http.StatusTooManyRequests {
-		t.Fatalf("quota exhaustion status %d", last)
-	}
-	if srv.Stats().QuotaRejected == 0 {
-		t.Fatal("quota rejections not counted")
 	}
 }

@@ -1,6 +1,6 @@
 // Package server is hermitd's serving tier: a TCP listener speaking the
-// internal/server/proto wire protocol (plus an optional HTTP/JSON
-// fallback, see http.go), per-connection sessions holding open
+// internal/server/proto wire protocol (plus an optional HTTP endpoint for
+// stats, health, promotion and pprof, see http.go), per-connection sessions holding open
 // transactions, pipelined requests drained in runs (reads into the engine's
 // batch executor, writes into one wait for the log) and answered in one
 // flush per drained queue, server-wide admission control, per-tenant
@@ -46,8 +46,8 @@ type Options struct {
 	// DrainTimeout bounds Close's graceful drain before connections are
 	// force-closed. Default 5s.
 	DrainTimeout time.Duration
-	// HTTPAddr, when non-empty, also serves the HTTP/JSON fallback
-	// endpoint on that address.
+	// HTTPAddr, when non-empty, also serves the HTTP endpoint (stats,
+	// health, promotion, pprof) on that address.
 	HTTPAddr string
 	// Leader, when non-nil, enables replication subscriptions on this
 	// server (and quorum write gating when the leader is configured for
@@ -233,7 +233,7 @@ func (s *Server) Start(addr string) error {
 	return nil
 }
 
-// startHTTP binds the HTTP fallback listener once, if configured. It is
+// startHTTP binds the HTTP endpoint's listener once, if configured. It is
 // synchronous so HTTPAddr is usable as soon as Start returns.
 func (sv *server) startHTTP() error {
 	sv.lnMu.Lock()
@@ -301,7 +301,7 @@ func (s *Server) Addr() net.Addr {
 	return ln.Addr()
 }
 
-// HTTPAddr returns the HTTP fallback endpoint's bound address, or nil
+// HTTPAddr returns the HTTP endpoint's bound address, or nil
 // when Options.HTTPAddr was empty.
 func (s *Server) HTTPAddr() net.Addr {
 	s.s.lnMu.Lock()
