@@ -20,10 +20,11 @@ import (
 // hottest operations — embedded PK point read, embedded range scan,
 // partitioned scatter-gather scan, durable WAL-logged insert, a
 // wire-protocol point read through hermitd, an insert sent to hermitd in
-// depth-64 pipelined bursts, the three that go through the
-// primary index by key (an in-memory update, a delete/re-insert cycle, and
-// a Hermit range query under logical pointers, whose every candidate takes
-// the primary-index hop), and a write churn at constant live rows (the lane
+// depth-64 pipelined bursts, the four that go through the primary index by
+// key (an in-memory insert of ascending keys, an update, a delete/re-insert
+// cycle, and a Hermit range query under logical pointers, whose every
+// candidate takes the primary-index hop), and a write churn at constant live
+// rows (the lane
 // that also records the heap it holds per live row; every write lane
 // reclaims the versions it ends, as every commit does) — as allocs/op, bytes/op,
 // ns/op, and throughput, each at GOMAXPROCS 1 and NumCPU. The artifact is the
@@ -101,6 +102,7 @@ func hotpathWorkloads() []hotpathWorkload {
 		{name: "durable_insert", setup: setupHotpathDurableInsert},
 		{name: "wire_point", setup: setupHotpathWirePoint},
 		{name: "wire_insert_pipelined", setup: setupHotpathWireInsertPipelined},
+		{name: "mem_insert", setup: setupHotpathInsert},
 		{name: "mem_update", setup: setupHotpathUpdate},
 		{name: "mem_delete", setup: setupHotpathDelete},
 		{name: "logical_range", setup: setupHotpathLogicalRange},
@@ -172,6 +174,26 @@ func setupHotpathRange(cfg Config, n int) (func() error, func(), error) {
 		}
 		dst = rows
 		return nil
+	}
+	return op, func() {}, nil
+}
+
+// setupHotpathInsert measures an auto-commit Insert into an embedded table
+// with no secondary index, keys ascending past the n loaded: the head lookup
+// and the primary entry's append at the rightmost leaf, the version row, and
+// the stamp and freeze in one hold of the MVCC latch — the load loop of every
+// preloaded table.
+func setupHotpathInsert(_ Config, n int) (func() error, func(), error) {
+	tb, err := buildHotpathTable(n)
+	if err != nil {
+		return nil, nil, err
+	}
+	row := []float64{float64(n), 0}
+	op := func() error {
+		row[0]++
+		row[1] = row[0] * 0.5
+		_, err := tb.Insert(row)
+		return err
 	}
 	return op, func() {}, nil
 }

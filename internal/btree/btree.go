@@ -21,6 +21,18 @@
 // Get, Swap and GetAscending descend by key alone (see Swap for the one
 // rule that keeps the two paths interchangeable).
 //
+// Such a tree is usually written at its right end: a primary key is most
+// often the next of a sequence. The tree therefore keeps a pointer to its
+// rightmost leaf, and Get and Swap go straight there for a key strictly
+// above that leaf's first key — the leaf every descent by such a key ends
+// in, because every separator of the tree is at or below the first key of
+// every leaf to its right. For the same reason no separator equals such a
+// key, so Swap has no separator tie to rewrite on the way. Swap appends
+// there while the leaf has room; a full leaf takes the ordinary descent and
+// split, so a tree written this way is the tree the descent would have
+// built, node for node. (PostgreSQL's nbtree keeps the same fast path for
+// increasing keys.)
+//
 // Every tree the engine builds — primary, host, baseline and composite — runs
 // at DefaultOrder, 128 entries per node. The paper's DBMS-X B+-tree has
 // 256-byte nodes (§7.1), 16 entries of this size, and the secondary indexes
@@ -76,7 +88,10 @@ const DefaultOrder = 128
 // Tree is not internally synchronised. The engine layer serialises writers;
 // concurrent readers are safe only in the absence of writers.
 type Tree struct {
-	root  *node
+	root *node
+	// last is the rightmost leaf, the end of the leaf chain: where Get and
+	// Swap go without a descent for a key above its first one.
+	last  *node
 	order int
 	size  int
 }
@@ -101,8 +116,10 @@ func New(order int) *Tree {
 	if order < 4 {
 		order = 4
 	}
+	root := &node{}
 	return &Tree{
-		root:  &node{},
+		root:  root,
+		last:  root,
 		order: order,
 	}
 }
@@ -350,6 +367,9 @@ func (t *Tree) insertLeaf(n *node, i int, key float64, id uint64) (float64, uint
 	n.keys, right.keys = splitInsert(n.keys, i, key, mid, room)
 	n.tie, right.tie = splitInsert(n.tie, i, id, mid, room)
 	n.next = right
+	if t.last == n {
+		t.last = right
+	}
 	return right.keys[0], right.tie[0], right
 }
 
@@ -468,6 +488,9 @@ func (t *Tree) mergeChildren(p *node, i int) {
 	if l.leaf() {
 		l.next = r.next
 		l.keys, l.tie = extend(l.keys, r.keys), extend(l.tie, r.tie)
+		if t.last == r {
+			t.last = l
+		}
 	} else {
 		l.keys = extend(l.keys, p.keys[i:i+1], r.keys)
 		l.tie = extend(l.tie, p.tie[i:i+1], r.tie)
@@ -593,13 +616,25 @@ func (t *Tree) First(key float64) (uint64, bool) {
 }
 
 // Get returns the id stored under key in a unique-key tree (see Swap): one
-// descent by key alone.
+// descent by key alone, or none for a key past the rightmost leaf's first
+// (appends).
 func (t *Tree) Get(key float64) (uint64, bool) {
+	if t.appends(key) {
+		return t.last.get(key)
+	}
 	n := t.root
 	for !n.leaf() {
 		n = n.children[n.childKey(key)]
 	}
 	return n.get(key)
+}
+
+// appends reports whether key is strictly above the first key of the
+// rightmost leaf, so that the descent by key alone ends there and passes no
+// separator equal to key (see the package comment).
+func (t *Tree) appends(key float64) bool {
+	n := t.last
+	return len(n.keys) > 0 && keyorder.Less(n.keys[0], key)
 }
 
 // get looks key up in leaf n.
@@ -642,7 +677,8 @@ func (n *node) reaches(key float64) bool {
 
 // Swap stores id under key in a unique-key tree and returns the id it
 // replaced; ok is false when the key was absent and the entry was inserted.
-// Either way it is one descent, by key alone.
+// Either way it is one descent, by key alone — none for a key Get finds
+// without one while the rightmost leaf has room.
 //
 // A separator is a copy of an entry, tie included, and the composite
 // descent of Insert, Delete and Contains compares that tie. Swap therefore
@@ -653,8 +689,15 @@ func (n *node) reaches(key float64) bool {
 // key, where Get will not look. A tree read with Get or GetAscending is
 // written with Swap, Delete and BulkLoad only.
 func (t *Tree) Swap(key float64, id uint64) (old uint64, ok bool) {
-	old, ok, sep, sepTie, right := t.swap(t.root, key, id)
-	t.growRoot(sep, sepTie, right)
+	if n := t.last; t.appends(key) && len(n.keys) < t.order {
+		old, ok, _, _, _ = t.swapLeaf(n, key, id) // no room to split for
+	} else {
+		var sep float64
+		var sepTie uint64
+		var right *node
+		old, ok, sep, sepTie, right = t.swap(t.root, key, id)
+		t.growRoot(sep, sepTie, right)
+	}
 	if !ok {
 		t.size++
 	}
@@ -664,13 +707,7 @@ func (t *Tree) Swap(key float64, id uint64) (old uint64, ok bool) {
 // swap is Swap below n; like insert it hands a split of n to its caller.
 func (t *Tree) swap(n *node, key float64, id uint64) (old uint64, ok bool, sep float64, sepTie uint64, right *node) {
 	if n.leaf() {
-		i := n.searchKey(key)
-		if i < len(n.keys) && !keyorder.Less(key, n.keys[i]) {
-			old, n.tie[i] = n.tie[i], id
-			return old, true, 0, 0, nil
-		}
-		sep, sepTie, right = t.insertLeaf(n, i, key, id)
-		return 0, false, sep, sepTie, right
+		return t.swapLeaf(n, key, id)
 	}
 	ci := n.childKey(key)
 	if ci > 0 && !keyorder.Less(n.keys[ci-1], key) {
@@ -681,6 +718,18 @@ func (t *Tree) swap(n *node, key float64, id uint64) (old uint64, ok bool, sep f
 		sep, sepTie, right = t.absorb(n, ci, sep, sepTie, right)
 	}
 	return old, ok, sep, sepTie, right
+}
+
+// swapLeaf is swap in leaf n: it replaces key's id, or inserts the entry,
+// splitting a full n (insertLeaf).
+func (t *Tree) swapLeaf(n *node, key float64, id uint64) (old uint64, ok bool, sep float64, sepTie uint64, right *node) {
+	i := n.searchKey(key)
+	if i < len(n.keys) && !keyorder.Less(key, n.keys[i]) {
+		old, n.tie[i] = n.tie[i], id
+		return old, true, 0, 0, nil
+	}
+	sep, sepTie, right = t.insertLeaf(n, i, key, id)
+	return 0, false, sep, sepTie, right
 }
 
 // Min returns the smallest key, with ok=false for an empty tree.
@@ -705,14 +754,9 @@ func (t *Tree) Max() (float64, bool) {
 	}
 	best := math.Inf(-1)
 	found := false
-	// Rightmost descent can land on an emptied leaf after lazy deletes, so
-	// fall back to checking the rightmost non-empty leaf reachable by the
-	// sibling chain from the rightmost path.
-	n := t.root
-	for !n.leaf() {
-		n = n.children[len(n.children)-1]
-	}
-	if len(n.keys) > 0 {
+	// The rightmost leaf can be empty after deletes, so fall back to
+	// checking the rightmost non-empty leaf.
+	if n := t.last; len(n.keys) > 0 {
 		return n.keys[len(n.keys)-1], true
 	}
 	// Rare path: scan everything.
@@ -737,6 +781,7 @@ func (t *Tree) BulkLoad(keys []float64, ids []uint64) error {
 		}
 	}
 	t.root = &node{}
+	t.last = t.root
 	t.size = len(keys)
 	if len(keys) == 0 {
 		return nil
@@ -759,6 +804,7 @@ func (t *Tree) BulkLoad(keys []float64, ids []uint64) error {
 	for i := 0; i+1 < len(leaves); i++ {
 		leaves[i].next = leaves[i+1]
 	}
+	t.last = leaves[len(leaves)-1]
 	level := leaves
 	for len(level) > 1 {
 		var parents []*node
@@ -889,6 +935,9 @@ func (t *Tree) checkInvariants() error {
 	}
 	if prevLeaf.next != nil {
 		return fmt.Errorf("btree: leaf chain runs past the last leaf")
+	}
+	if t.last != prevLeaf {
+		return fmt.Errorf("btree: append pointer does not name the last leaf")
 	}
 	if count != t.size {
 		return fmt.Errorf("btree: size %d but %d entries reachable", t.size, count)

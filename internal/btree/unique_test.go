@@ -62,7 +62,9 @@ func sameKVs(a, b []kv) bool {
 // tree written with Insert and Delete against a multiset oracle: duplicate
 // keys and duplicate entries, whose copies splits part. Every op is followed
 // by the structural check, which is where a separator that no longer
-// bounds its subtree shows.
+// bounds its subtree shows, or an append pointer that no longer names the
+// last leaf. A last op rebuilds the unique tree with BulkLoad from its
+// oracle.
 func FuzzTreeTotalOrder(f *testing.F) {
 	// Ascending load (splits), then ids swapped downwards over every key —
 	// separators included — then exact-entry deletes of what was swapped.
@@ -122,6 +124,59 @@ func FuzzTreeTotalOrder(f *testing.F) {
 		seed = append(seed, 5, 8, 20)
 	}
 	f.Add(seed)
+	// The append path: ascending Swaps through splits, each key read back
+	// and the next one probed absent, then ids swapped over the keys of
+	// the rightmost leaf.
+	seed = nil
+	for k := byte(8); k < 80; k++ {
+		seed = append(seed, 0, k, k, 2, k, 0, 2, k+1, 0)
+	}
+	for k := byte(70); k < 80; k++ {
+		seed = append(seed, 0, k, 1, 2, k, 0)
+	}
+	f.Add(seed)
+	// The keys that sort past every finite one — MaxFloat64, +Inf and the
+	// positive NaNs — appended after a finite run, swapped again, read, and
+	// deleted.
+	seed = nil
+	for k := byte(8); k < 30; k++ {
+		seed = append(seed, 0, k, 9)
+	}
+	for _, k := range []byte{7, 3, 4, 5} {
+		seed = append(seed, 2, k, 0, 0, k, 10, 2, k, 0, 0, k, 11, 2, k, 0)
+	}
+	seed = append(seed, 6, 0, 0, 5, 0, 8)
+	for _, k := range []byte{5, 3, 4, 7} {
+		seed = append(seed, 1, k, 11, 2, k, 0)
+	}
+	f.Add(seed)
+	// The rightmost leaf drained from its end until it merges left, with
+	// appends and reads between, then appended to again.
+	seed = nil
+	for k := byte(8); k < 60; k++ {
+		seed = append(seed, 0, k, 5)
+	}
+	for k := byte(59); k > 20; k-- {
+		seed = append(seed, 1, k, 5, 2, k-1, 0, 2, k+1, 0)
+	}
+	for k := byte(21); k < 50; k++ {
+		seed = append(seed, 0, k, 6, 2, k, 0)
+	}
+	f.Add(seed)
+	// BulkLoad followed by appends, and by a drain of what was appended.
+	seed = nil
+	for k := byte(8); k < 40; k++ {
+		seed = append(seed, 0, k, 3)
+	}
+	seed = append(seed, 7, 0, 0)
+	for k := byte(40); k < 90; k++ {
+		seed = append(seed, 0, k, 4, 2, k, 0)
+	}
+	seed = append(seed, 7, 0, 0, 0, 3, 1, 0, 4, 1)
+	for k := byte(89); k > 30; k-- {
+		seed = append(seed, 1, k, 4)
+	}
+	f.Add(seed)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		uniq, multi := New(4), New(4)
@@ -137,7 +192,7 @@ func FuzzTreeTotalOrder(f *testing.F) {
 			}
 		}
 		for ; len(data) >= 3; data = data[3:] {
-			op, key, id := data[0]%7, fuzzKey(data[1]), uint64(data[2])
+			op, key, id := data[0]%8, fuzzKey(data[1]), uint64(data[2])
 			bits := keyorder.Bits(key)
 			switch op {
 			case 0:
@@ -241,6 +296,19 @@ func FuzzTreeTotalOrder(f *testing.F) {
 				uniq.Each(func(k float64, id uint64) bool { got = append(got, kv{k, id}); return true })
 				if !sameKVs(got, want) {
 					t.Fatalf("Each = %v, want %v", got, want)
+				}
+			case 7:
+				var es []kv
+				for _, e := range uo {
+					es = append(es, e)
+				}
+				sortKV(es)
+				keys, ids := make([]float64, len(es)), make([]uint64, len(es))
+				for i, e := range es {
+					keys[i], ids[i] = e.key, e.id
+				}
+				if err := uniq.BulkLoad(keys, ids); err != nil {
+					t.Fatalf("BulkLoad of the oracle: %v", err)
 				}
 			}
 			if uniq.Len() != len(uo) {

@@ -121,7 +121,7 @@ func (s *replicaSystem) query(col int, lo, hi float64) ([][]float64, error) {
 // leader's LSN, then require the follower's live rows to equal the
 // leader's exactly before handing the leader state to the oracle
 // comparison.
-func (s *replicaSystem) state() (map[float64][]float64, error) {
+func (s *replicaSystem) state() (map[uint64][]float64, error) {
 	if err := s.f.WaitFor(s.d.LastLSN(), replicaWait); err != nil {
 		return nil, err
 	}
@@ -144,17 +144,17 @@ func (s *replicaSystem) state() (map[float64][]float64, error) {
 }
 
 // sameState compares two live-row states exactly.
-func sameState(want, got map[float64][]float64) error {
+func sameState(want, got map[uint64][]float64) error {
 	if len(want) != len(got) {
 		return fmt.Errorf("%d live rows, want %d", len(got), len(want))
 	}
 	for pk, wrow := range want {
 		grow, ok := got[pk]
 		if !ok {
-			return fmt.Errorf("pk %v missing", pk)
+			return fmt.Errorf("pk %v missing", wrow[0])
 		}
 		if !sameRow(grow, wrow) {
-			return fmt.Errorf("pk %v = %v, want %v", pk, grow, wrow)
+			return fmt.Errorf("pk %v = %v, want %v", wrow[0], grow, wrow)
 		}
 	}
 	return nil

@@ -7,6 +7,8 @@ import (
 	"hermit/internal/client"
 	"hermit/internal/engine"
 	"hermit/internal/hermit"
+	"hermit/internal/keyorder"
+	"hermit/internal/partition"
 	"hermit/internal/server"
 )
 
@@ -94,16 +96,32 @@ func (s *srvSystem) burst(acts []action) ([]outcome, error) {
 	return outs, nil
 }
 
-// state dumps the live row set with an unbounded primary-key range scan
-// over the wire.
-func (s *srvSystem) state() (map[float64][]float64, error) {
-	rows, err := s.conn.Range(s.name, 0, -math.MaxFloat64, math.MaxFloat64)
+// state dumps the live row set: a primary-key range scan from -Inf to +Inf
+// over the wire, and the rows under NaN keys from the database behind the
+// server — no wire read reaches those (a NaN satisfies no comparison, and
+// only a point on the primary index forced by Query.Path finds one named by
+// itself, which the protocol does not carry).
+func (s *srvSystem) state() (map[uint64][]float64, error) {
+	rows, err := s.conn.Range(s.name, 0, math.Inf(-1), math.Inf(1))
 	if err != nil {
 		return nil, err
 	}
-	out := make(map[float64][]float64, len(rows))
+	out := make(map[uint64][]float64, len(rows))
 	for _, row := range rows {
-		out[row[0]] = append([]float64(nil), row...)
+		out[keyorder.Bits(row[0])] = append([]float64(nil), row...)
+	}
+	pt, err := partition.OpenDurable(s.d, srvTenant+"@"+s.name, partition.Options{Workers: 1})
+	if err != nil {
+		return nil, err
+	}
+	all, err := partState(pt)
+	if err != nil {
+		return nil, err
+	}
+	for pk, row := range all {
+		if math.IsNaN(row[0]) {
+			out[pk] = row
+		}
 	}
 	return out, nil
 }

@@ -5,6 +5,7 @@ import (
 
 	"hermit/internal/engine"
 	"hermit/internal/hermit"
+	"hermit/internal/keyorder"
 	"hermit/internal/partition"
 	"hermit/internal/storage"
 )
@@ -43,7 +44,7 @@ func (s *memSystem) everyPath(col int, lo, hi float64) ([]pathRows, error) {
 	})
 }
 
-func (s *memSystem) state() (map[float64][]float64, error) { return tableState(s.tb) }
+func (s *memSystem) state() (map[uint64][]float64, error) { return tableState(s.tb) }
 
 func (s *memSystem) cycle(bool) error { return nil }
 func (s *memSystem) close() error     { return nil }
@@ -74,12 +75,13 @@ func forEachPath(plan engine.Plan, answer func(engine.AccessPath) ([][]float64, 
 }
 
 // tableState dumps a table's live rows keyed by primary key (col 0 in
-// every generated schema). ScanLive resolves MVCC visibility — the raw
-// store also holds the superseded and deleted versions a snapshot pins.
-func tableState(tb *engine.Table) (map[float64][]float64, error) {
-	out := make(map[float64][]float64, tb.Len())
+// every generated schema; keyorder.Bits, as the oracle keys them). ScanLive
+// resolves MVCC visibility — the raw store also holds the superseded and
+// deleted versions a snapshot pins.
+func tableState(tb *engine.Table) (map[uint64][]float64, error) {
+	out := make(map[uint64][]float64, tb.Len())
 	tb.ScanLive(func(_ storage.RID, row []float64) bool {
-		out[row[0]] = append([]float64(nil), row...)
+		out[keyorder.Bits(row[0])] = append([]float64(nil), row...)
 		return true
 	})
 	return out, nil
@@ -120,7 +122,7 @@ func (s *partSystem) everyPath(col int, lo, hi float64) ([]pathRows, error) {
 	})
 }
 
-func (s *partSystem) state() (map[float64][]float64, error) { return partState(s.pt) }
+func (s *partSystem) state() (map[uint64][]float64, error) { return partState(s.pt) }
 
 func (s *partSystem) cycle(bool) error { return nil }
 func (s *partSystem) close() error     { return nil }
@@ -135,8 +137,8 @@ func partRows(pt *partition.Table, q engine.Query) ([][]float64, error) {
 }
 
 // partState unions every partition's live rows.
-func partState(pt *partition.Table) (map[float64][]float64, error) {
-	out := make(map[float64][]float64, pt.Len())
+func partState(pt *partition.Table) (map[uint64][]float64, error) {
+	out := make(map[uint64][]float64, pt.Len())
 	for i := 0; i < pt.Partitions(); i++ {
 		st, err := tableState(pt.Part(i))
 		if err != nil {
@@ -144,7 +146,7 @@ func partState(pt *partition.Table) (map[float64][]float64, error) {
 		}
 		for pk, row := range st {
 			if _, dup := out[pk]; dup {
-				return nil, fmt.Errorf("pk %v present in two partitions", pk)
+				return nil, fmt.Errorf("pk %v present in two partitions", row[0])
 			}
 			out[pk] = row
 		}
@@ -208,7 +210,7 @@ func (s *durSystem) query(col int, lo, hi float64) ([][]float64, error) {
 	return tableRows(s.tb, q)
 }
 
-func (s *durSystem) state() (map[float64][]float64, error) {
+func (s *durSystem) state() (map[uint64][]float64, error) {
 	if s.parts > 0 {
 		return partState(s.pt)
 	}

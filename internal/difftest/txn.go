@@ -10,6 +10,7 @@ import (
 
 	"hermit/internal/engine"
 	"hermit/internal/hermit"
+	"hermit/internal/keyorder"
 	"hermit/internal/partition"
 	"hermit/internal/trstree"
 )
@@ -41,13 +42,13 @@ func (m *model) applyBatch(ops []engine.Op) int {
 		row []float64 // nil: pk was absent before the batch touched it
 	}
 	var undos []undo
-	saved := make(map[float64]bool)
+	saved := make(map[uint64]bool)
 	save := func(pk float64) {
-		if saved[pk] {
+		if saved[keyorder.Bits(pk)] {
 			return
 		}
-		saved[pk] = true
-		if row, ok := m.rows[pk]; ok {
+		saved[keyorder.Bits(pk)] = true
+		if row, ok := m.row(pk); ok {
 			undos = append(undos, undo{pk: pk, row: append([]float64(nil), row...)})
 		} else {
 			undos = append(undos, undo{pk: pk})
@@ -55,7 +56,7 @@ func (m *model) applyBatch(ops []engine.Op) int {
 	}
 	rollback := func() {
 		for _, u := range undos {
-			if _, ok := m.rows[u.pk]; ok {
+			if _, ok := m.row(u.pk); ok {
 				m.remove(u.pk)
 			}
 			if u.row != nil {

@@ -58,6 +58,7 @@ func (t *Table) CreateCompositeBTreeIndex(aCol, bCol int, markNew bool) (*btree.
 		}
 		t.compositeNew[key] = true
 	}
+	t.rebuildMaint()
 	return tr, nil
 }
 
@@ -99,6 +100,7 @@ func (t *Table) CreateCompositeHermitIndex(aCol, mCol, nCol int, opts ...HermitO
 		t.compositeHostOf = make(map[colPair]int)
 	}
 	t.compositeHostOf[key] = nCol
+	t.rebuildMaint()
 	return hx, nil
 }
 

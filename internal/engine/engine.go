@@ -140,7 +140,7 @@ type Table struct {
 	clock  *Clock
 	store  *storage.Table
 
-	// MVCC state (mvcc.go), all guarded by verMu: vers holds, per store
+	// MVCC state (mvcc.go), all guarded by mvccMu: vers holds, per store
 	// block (nil until a version of the block is stamped), a frozen bit per
 	// slot and the header granules of the slots that are not, so a RID
 	// indexes straight to its version header or to the fact that it needs
@@ -149,22 +149,25 @@ type Table struct {
 	// the horizon keeps from freezing, none of which began below lateFloor;
 	// hand and handSeen are the budgeted sweep's position and what it has
 	// had to leave this revolution. ended queues the RIDs of ended versions
-	// in endTS order until a commit reclaims them, and reclaimed counts
-	// those; liveRows counts the rows live at the latest timestamp. What a
+	// in endTS order until a commit reclaims them, pending is its length and
+	// late the count above, both kept atomic so a commit can look without the
+	// latch (reclaimAfter), and reclaimed counts the versions reclaimed;
+	// liveRows counts the rows live at the latest timestamp. What a
 	// table that flushes deltas owes its next delta block — trackDeletes, set at
 	// creation; any other table keeps neither — is deletes, in commit order the
 	// deletes no flush has recorded yet, and one unflushed bit per slot in
 	// vers, unflushed counting the set ones: the versions no block holds. The
-	// chains' heads are the primary index's entries.
-	verMu        sync.RWMutex
+	// chains' heads are the primary index's entries, under the same latch.
+	mvccMu       sync.RWMutex
 	vers         []*verBlock
 	granFree     []*verGranule
 	headers      int
-	late         int
+	late         atomic.Int64
 	lateFloor    uint64
 	hand         int
 	handSeen     uint64
 	ended        fifo[storage.RID]
+	pending      atomic.Int64
 	reclaimed    uint64
 	liveRows     int
 	deletes      fifo[keyDeath]
@@ -172,7 +175,7 @@ type Table struct {
 	trackDeletes bool
 
 	// primary maps each key to its newest version's RID — the head of the
-	// key's version chain — under primaryMu. It is a unique-key tree
+	// key's version chain — under mvccMu. It is a unique-key tree
 	// (btree.Tree.Swap): written at commit by stampInsert/stampUpdate and
 	// by reclaim, never by the apply phase.
 	primary   *btree.Tree
@@ -193,16 +196,19 @@ type Table struct {
 	// newCols marks complete indexes created as "new" for the Fig. 22b
 	// insert-cost breakdown (as opposed to pre-existing host indexes).
 	newCols map[int]bool
+	// maint is every secondary structure above as one list, rebuilt by each
+	// DDL (maintainers): what a write walks to keep them in step.
+	maint maintainers
 
 	// Concurrency control (see latches.go for the full protocol): catalog
 	// guards the index maps above against DDL; rows serialises same-key
-	// row mutations; primaryMu and the latch sets give every unsynchronised
-	// index structure its own reader/writer latch, so concurrent readers on
-	// different indexes never contend and writers only block the structures
-	// they touch. TRS-Trees (inside Hermit indexes) latch themselves.
+	// row mutations; mvccMu (above) and the latch sets give every
+	// unsynchronised index structure its own reader/writer latch, so
+	// concurrent readers on different indexes never contend and writers only
+	// block the structures they touch. TRS-Trees (inside Hermit indexes)
+	// latch themselves.
 	catalog     sync.RWMutex
 	rows        stripedLock
-	primaryMu   sync.RWMutex
 	secondaryMu latchSet[int]
 	cmMu        latchSet[int]
 	compositeMu latchSet[colPair]
@@ -337,35 +343,15 @@ func (t *Table) applyInsert(row []float64) (storage.RID, InsertStats, error) {
 		t0 = time.Now()
 	}
 	id := t.identify(rid, row)
-	// Pre-existing complete indexes (e.g. the host index).
-	for col, tr := range t.secondary {
-		if !t.newCols[col] {
-			t.withSecondary(col, func() { tr.Insert(row[col], id) })
-		}
-	}
+	// Pre-existing complete indexes (e.g. the host index), then the newly
+	// created ones: baseline complete indexes marked new, Hermit indexes,
+	// Correlation Maps and composite indexes.
+	applyAll(t.maint.existing(), true, rid, id, row)
 	if profile {
 		st.Existing = time.Since(t0)
 		t0 = time.Now()
 	}
-	// Newly created indexes: baseline complete indexes marked new, Hermit
-	// indexes, and Correlation Maps.
-	for col, tr := range t.secondary {
-		if t.newCols[col] {
-			t.withSecondary(col, func() { tr.Insert(row[col], id) })
-		}
-	}
-	for col, hx := range t.hermits {
-		hx.Insert(rid, row[col], row[t.hostOf[col]]) // TRS-Tree self-latches
-	}
-	for col, cx := range t.cms {
-		t.withCM(col, func() { cx.Insert(row[col], row[t.cmHostOf[col]]) })
-	}
-	for key, tr := range t.composites {
-		t.withComposite(key, func() { tr.Insert(row[key[0]], row[key[1]], uint64(rid)) })
-	}
-	for key, hx := range t.compositeHermits {
-		hx.Insert(rid, row[key[1]], row[t.compositeHostOf[key]])
-	}
+	applyAll(t.maint.fresh(), true, rid, id, row)
 	if profile {
 		st.New = time.Since(t0)
 		t0 = time.Now()
@@ -384,74 +370,29 @@ func (t *Table) applyInsert(row []float64) (storage.RID, InsertStats, error) {
 }
 
 // insertIndexEntries inserts one version's entries into every secondary
-// index — the shared maintenance step of UpdateColumn and Txn.Commit
-// (Insert keeps its own inlined copy for the Fig. 22b phase timing). The
-// primary index is written at commit, by stampInsert/stampUpdate.
+// index — the maintenance step of UpdateColumn and Txn.Commit (Insert walks
+// the same list in its two Fig. 22b phases). The primary index is written
+// at commit, by stampInsert/stampUpdate. Caller holds t.catalog shared.
 func (t *Table) insertIndexEntries(rid storage.RID, row []float64) {
-	id := t.identify(rid, row)
-	for col, tr := range t.secondary {
-		t.withSecondary(col, func() { tr.Insert(row[col], id) })
-	}
-	for col, hx := range t.hermits {
-		hx.Insert(rid, row[col], row[t.hostOf[col]])
-	}
-	for col, cx := range t.cms {
-		t.withCM(col, func() { cx.Insert(row[col], row[t.cmHostOf[col]]) })
-	}
-	for key, tr := range t.composites {
-		t.withComposite(key, func() { tr.Insert(row[key[0]], row[key[1]], uint64(rid)) })
-	}
-	for key, hx := range t.compositeHermits {
-		hx.Insert(rid, row[key[1]], row[t.compositeHostOf[key]])
-	}
+	applyAll(t.maint.all, true, rid, t.identify(rid, row), row)
 }
 
 // removeIndexEntries removes one version's entries from every secondary
 // index — reclaim's inverse of insertIndexEntries. Caller holds
 // t.catalog shared.
 func (t *Table) removeIndexEntries(rid storage.RID, row []float64) {
-	id := t.identify(rid, row)
-	for col, tr := range t.secondary {
-		t.withSecondary(col, func() { tr.Delete(row[col], id) })
-	}
-	for col, hx := range t.hermits {
-		hx.Delete(rid, row[col], row[t.hostOf[col]])
-	}
-	for col, cx := range t.cms {
-		t.withCM(col, func() { cx.Delete(row[col], row[t.cmHostOf[col]]) })
-	}
-	for key, tr := range t.composites {
-		t.withComposite(key, func() { tr.Delete(row[key[0]], row[key[1]], uint64(rid)) })
-	}
-	for key, hx := range t.compositeHermits {
-		hx.Delete(rid, row[key[1]], row[t.compositeHostOf[key]])
-	}
+	applyAll(t.maint.all, false, rid, t.identify(rid, row), row)
 }
-
-// withLatch runs fn holding a structure's write latch.
-func withLatch(mu *sync.RWMutex, fn func()) {
-	mu.Lock()
-	fn()
-	mu.Unlock()
-}
-
-// withSecondary runs fn holding col's secondary-index write latch.
-func (t *Table) withSecondary(col int, fn func()) { withLatch(t.secondaryMu.get(col), fn) }
-
-// withCM runs fn holding col's Correlation Map write latch.
-func (t *Table) withCM(col int, fn func()) { withLatch(t.cmMu.get(col), fn) }
-
-// withComposite runs fn holding the composite index write latch for key.
-func (t *Table) withComposite(key colPair, fn func()) { withLatch(t.compositeMu.get(key), fn) }
 
 // hostLatchFor returns the latch to bind for an index hosted on hostCol:
-// the host column's secondary B+-tree latch, or the primary latch when the
-// lookup will scan the primary index (host == t.primary).
+// the host column's secondary B+-tree latch, or the MVCC latch, which
+// guards the primary index, when the lookup will scan that (host ==
+// t.primary).
 func (t *Table) hostLatchFor(hostCol int, host *btree.Tree) *sync.RWMutex {
 	if mu := t.secondaryMu.get(hostCol); mu != nil && host != t.primary {
 		return mu
 	}
-	return &t.primaryMu
+	return &t.mvccMu
 }
 
 // Delete removes the row with the given primary key, reporting whether the

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"sync"
 
 	"hermit/internal/btree"
 	"hermit/internal/cm"
@@ -49,6 +50,7 @@ func (t *Table) CreateBTreeIndex(col int, markNew bool) (*btree.Tree, error) {
 	if markNew {
 		t.newCols[col] = true
 	}
+	t.rebuildMaint()
 	return tr, nil
 }
 
@@ -126,6 +128,7 @@ func (t *Table) CreateHermitIndex(col, hostCol int, opts ...HermitOption) (*herm
 	t.hostOf[col] = hostCol
 	// Bind the latch of the structure the lookup will actually scan.
 	t.hermitHostMu[col] = t.hostLatchFor(hostCol, host)
+	t.rebuildMaint()
 	return hx, nil
 }
 
@@ -192,6 +195,7 @@ func (t *Table) CreateCMIndex(col, hostCol int, cfg cm.Config) (*cm.Index, error
 	t.cmMu.add(col)
 	t.cmHostOf[col] = hostCol
 	t.cmHostMu[col] = t.hostLatchFor(hostCol, host)
+	t.rebuildMaint()
 	return cx, nil
 }
 
@@ -258,7 +262,106 @@ func (t *Table) DropIndex(col int, kind IndexKind) error {
 	default:
 		return fmt.Errorf("%w: kind %v is not droppable", ErrNoSuchIndex, kind)
 	}
+	t.rebuildMaint()
 	return nil
+}
+
+// maintainer keeps one secondary structure in step with the table's
+// versions. One of tree, comp, cx and hx is set; an entry is made of columns
+// a and b (a alone for a complete index, whose entries carry the version's
+// identifier under the table's pointer scheme, Table.identify) and mu is the
+// structure's write latch, nil for a Hermit index, whose TRS-Tree latches
+// itself. The call is a switch rather than a function value so that the row
+// a write passes in stays on its stack.
+type maintainer struct {
+	a, b int
+	mu   *sync.RWMutex
+	tree *btree.Tree
+	comp *btree.CompositeTree
+	cx   *cm.Index
+	hx   interface { // *hermit.Index or *hermit.CompositeIndex
+		Insert(rid storage.RID, m, n float64)
+		Delete(rid storage.RID, m, n float64)
+	}
+}
+
+// apply adds (put) or removes the entry of the version rid, whose row is row.
+func (m *maintainer) apply(put bool, rid storage.RID, id uint64, row []float64) {
+	a, b := row[m.a], row[m.b]
+	if m.mu != nil {
+		m.mu.Lock()
+	}
+	switch {
+	case m.tree != nil && put:
+		m.tree.Insert(a, id)
+	case m.tree != nil:
+		m.tree.Delete(a, id)
+	case m.comp != nil && put:
+		m.comp.Insert(a, b, uint64(rid))
+	case m.comp != nil:
+		m.comp.Delete(a, b, uint64(rid))
+	case m.cx != nil && put:
+		m.cx.Insert(a, b)
+	case m.cx != nil:
+		m.cx.Delete(a, b)
+	case put:
+		m.hx.Insert(rid, a, b)
+	default:
+		m.hx.Delete(rid, a, b)
+	}
+	if m.mu != nil {
+		m.mu.Unlock()
+	}
+}
+
+// maintainers is every secondary structure of a table as one list, in the
+// order of Fig. 22b's insert-cost breakdown: the pre-existing complete
+// indexes (the first split), then the newly created ones — complete indexes
+// marked new, Hermit indexes, Correlation Maps and composite indexes. It is
+// built under the catalog's write latch by every DDL (Table.rebuildMaint)
+// and only read between, so a write walks one slice, and a table with no
+// secondary structure walks nothing.
+type maintainers struct {
+	all   []maintainer
+	split int
+}
+
+func (m *maintainers) existing() []maintainer { return m.all[:m.split] }
+func (m *maintainers) fresh() []maintainer    { return m.all[m.split:] }
+
+// applyAll adds (put) or removes one version's entries in the structures
+// of list.
+func applyAll(list []maintainer, put bool, rid storage.RID, id uint64, row []float64) {
+	for i := range list {
+		list[i].apply(put, rid, id, row)
+	}
+}
+
+// rebuildMaint rebuilds t.maint from the index maps; every DDL calls it
+// with t.catalog held exclusively.
+func (t *Table) rebuildMaint() {
+	var existing, fresh []maintainer
+	for col, tr := range t.secondary {
+		m := maintainer{a: col, b: col, mu: t.secondaryMu.get(col), tree: tr}
+		if t.newCols[col] {
+			fresh = append(fresh, m)
+		} else {
+			existing = append(existing, m)
+		}
+	}
+	for col, hx := range t.hermits {
+		fresh = append(fresh, maintainer{a: col, b: t.hostOf[col], hx: hx})
+	}
+	for col, cx := range t.cms {
+		fresh = append(fresh, maintainer{a: col, b: t.cmHostOf[col], mu: t.cmMu.get(col), cx: cx})
+	}
+	for key, tr := range t.composites {
+		fresh = append(fresh, maintainer{a: key[0], b: key[1], mu: t.compositeMu.get(key), comp: tr})
+	}
+	for key, hx := range t.compositeHermits {
+		fresh = append(fresh, maintainer{a: key[1], b: t.compositeHostOf[key], hx: hx})
+	}
+	t.maint = maintainers{all: append(existing, fresh...), split: len(existing)}
 }
 
 // IndexKind identifies which mechanism serves a column.
@@ -366,9 +469,9 @@ func (t *Table) Memory() MemoryStats {
 	var m MemoryStats
 	m.TableBytes = t.store.SizeBytes()
 	m.VersionBytes = t.versionBytes()
-	t.primaryMu.RLock()
+	t.mvccMu.RLock()
 	m.PrimaryBytes = t.primary.SizeBytes()
-	t.primaryMu.RUnlock()
+	t.mvccMu.RUnlock()
 	for col, tr := range t.secondary {
 		mu := t.secondaryMu.get(col)
 		mu.RLock()

@@ -23,40 +23,41 @@ import (
 //     check-then-act sequences such as duplicate-key detection — while
 //     writes to different keys proceed in parallel and only serialise
 //     briefly on the individual structure latches they touch.
-//   - t.primaryMu guards the primary B+-tree, which is also the MVCC
-//     key→chain-head structure; t.verMu guards the version table (headers
-//     and bits, queue of ended versions, delete list, live-row count; see mvcc.go).
-//     The two are the only engine
-//     latches a writer nests, and always primaryMu before verMu: the
-//     commit step (stampInsert, stampUpdate) swaps a key's primary entry
-//     and stamps the version it now names in one hold of both, and a
-//     version is reclaimed (reclaimVersion) — inside its key's stripe — in
-//     one exclusive hold of both: the primary entry goes if the version is
-//     its chain's head, else the prev link that names it is cut (unlink),
-//     and the header is zeroed, before the slot is freed for reuse. So whoever reads an
-//     entry under primaryMu finds a stamped header of that key behind it,
-//     and no header's prev names a slot that may have changed hands.
-//     Readers take the two in the same order and hand over — verMu is
-//     taken shared before primaryMu is released (handOver) — so no commit
-//     can reclaim a head, nor restamp its slot for another key,
-//     between the entry's read and the chain walk; the full-table walk
-//     (ScanLive) holds both throughout. A checkpoint's harvest
-//     (DeltaVersions) walks no index: it holds verMu alone, shared, for the
-//     scan of the unflushed bitmaps and the visibility checks, and reads
-//     keys and rows from the store afterwards (the flush snapshot keeps
-//     them). Both are taken inside the clock's commit lock on the commit
-//     path, never the other way round.
+//   - t.mvccMu is the one MVCC latch: it guards the primary B+-tree, which
+//     is also the MVCC key→chain-head structure, and the version table
+//     (headers and bits, queue of ended versions, delete list, live-row
+//     count; see mvcc.go) together, because every reader and writer of
+//     either takes the other too. Writers take it exclusively, once per
+//     step: the commit step (stampInsert, stampUpdate) swaps a key's primary
+//     entry and stamps the version it now names in one hold, and a version
+//     is reclaimed (reclaimVersion) — inside its key's stripe — in one hold:
+//     the primary entry goes if the version is its chain's head, else the
+//     prev link that names it is cut (unlink), and the header is zeroed,
+//     before the slot is freed for reuse. So whoever reads an entry under
+//     mvccMu finds a stamped header of that key behind it, and no header's
+//     prev names a slot that may have changed hands. Readers (head,
+//     resolveVisible, resolveKeys, primaryRange, ScanLive) read the entries
+//     and walk the chains in one shared hold, so no commit can reclaim a
+//     head, nor restamp its slot for another key, between the two. A
+//     checkpoint's harvest (DeltaVersions) walks no index: it holds mvccMu,
+//     shared, for the scan of the unflushed bitmaps and the visibility
+//     checks, and reads keys and rows from the store afterwards (the flush
+//     snapshot keeps them). On the commit path it is taken inside the
+//     clock's commit lock, never the other way round. No path takes it
+//     shared while it already holds it — a writer queued between the two
+//     holds would deadlock both — so a Hermit or CM index hosted on the
+//     primary, which binds mvccMu as its host latch, lets go of it after
+//     its lookup and before the base-table pass takes it again.
 //   - The row store (storage.Table) has its own internal latch and is
 //     always the innermost lock.
 //
 // Lock ordering (outer to inner): catalog -> row stripe -> index latch
-// (secondary/cm/composite) -> clock commit lock -> primaryMu -> verMu ->
-// store. Writers hold at most one secondary/cm/composite latch at a time
-// and none of them at commit; readers may hold a host-index latch and the
-// primary latch together, always acquiring the primary latch before verMu
-// and after any index latch, and never take the commit lock. GC's severing
-// step sits at stripe -> primaryMu -> verMu, like a commit's stamp without
-// the commit lock: it publishes nothing a snapshot can see.
+// (secondary/cm/composite) -> clock commit lock -> mvccMu -> store. Writers
+// hold at most one secondary/cm/composite latch at a time and none of them
+// at commit; readers may hold a host-index latch and mvccMu together,
+// always acquiring mvccMu after any index latch, and never take the commit
+// lock. GC's severing step sits at stripe -> mvccMu, like a commit's stamp
+// without the commit lock: it publishes nothing a snapshot can see.
 
 // stripeBits sizes the striped writer lock: lockStripes = 2^stripeBits.
 // stripeOf takes the top stripeBits of the mixed hash (Fibonacci hashing

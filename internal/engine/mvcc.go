@@ -93,12 +93,12 @@ import (
 //     snapshot sees all of a transaction's writes or none of them.
 //
 // Publication rule: the primary entry of a key always names a stamped
-// version. The swap and the stamp happen under primaryMu and verMu held
-// together (stampInsert, stampUpdate), so a reader that finds a head
-// through the primary can always walk from it to the version its snapshot
-// sees. Were the entry moved earlier — when the version row is applied —
-// a reader would reach a head whose header is still zero, read the zero
-// header as the end of the chain, and lose the older version behind it.
+// version. The swap and the stamp happen in one exclusive hold of mvccMu
+// (stampInsert, stampUpdate), so a reader that finds a head through the
+// primary can always walk from it to the version its snapshot sees. Were
+// the entry moved earlier — when the version row is applied — a reader
+// would reach a head whose header is still zero, read the zero header as
+// the end of the chain, and lose the older version behind it.
 //
 // Reclamation is part of the commit that causes it. Every commit — the
 // auto-commit writes, Txn.Commit, and through them the durable layer's
@@ -295,7 +295,7 @@ func (s *Snapshot) Recycle() {
 // or a reclaimed slot no commit has refilled — and is invisible at
 // every timestamp (the clock's first commit is 1). Headers are pointer-free,
 // written by Table.stamp alone: at commit under both the clock's commit lock
-// and the table's verMu, and under verMu when reclamation cuts a prev link
+// and the table's mvccMu, and under mvccMu when reclamation cuts a prev link
 // (unlink) or zeroes the header, and when a freeze drops it.
 type verHeader struct {
 	beginTS uint64
@@ -356,7 +356,7 @@ func (h verHeader) live() bool { return h.beginTS != 0 && h.endTS == 0 }
 // snapshot is below its beginTS.
 func (h verHeader) late() bool { return h.beginTS != 0 && h.endTS == 0 && h.prev == noRID }
 
-// header returns rid's version header; t.verMu is held. A frozen slot
+// header returns rid's version header; t.mvccMu is held. A frozen slot
 // answers frozenHeader. A RID the table never stamped — out of range, or
 // applied but not yet committed — reads as the zero header.
 func (t *Table) header(rid storage.RID) verHeader {
@@ -379,7 +379,7 @@ func (t *Table) header(rid storage.RID) verHeader {
 // keeps the books that follow from it: the granule that holds it is taken
 // from the free list when the slot is the first of its 64 to say something
 // and returned when it was the last, and the counts of headers and of late
-// versions move with the change. rid is not frozen; t.verMu is held
+// versions move with the change. rid is not frozen; t.mvccMu is held
 // exclusively.
 func (t *Table) stamp(rid storage.RID, h verHeader) {
 	b, s := rid.Block(), rid.Slot()
@@ -409,13 +409,13 @@ func (t *Table) stamp(rid storage.RID, h verHeader) {
 	gr[i] = h
 	switch was, is := old.late(), h.late(); {
 	case is && !was:
-		if t.late == 0 || h.beginTS < t.lateFloor {
+		if t.late.Load() == 0 || h.beginTS < t.lateFloor {
 			t.lateFloor = h.beginTS
 		}
 		t.handSeen = min(t.handSeen, h.beginTS)
-		t.late++
+		t.late.Add(1)
 	case was && !is:
-		t.late--
+		t.late.Add(-1)
 	}
 	switch {
 	case old.beginTS == 0 && h.beginTS != 0:
@@ -436,7 +436,7 @@ func (t *Table) stamp(rid storage.RID, h verHeader) {
 // freezeIf freezes rid if the freeze rule allows it at horizon — a timestamp
 // no registered snapshot reads below, and none will: the version is live, has
 // nothing behind it, and began at or below horizon. Its header is dropped and
-// its bit set. t.verMu is held exclusively.
+// its bit set. t.mvccMu is held exclusively.
 func (t *Table) freezeIf(rid storage.RID, horizon uint64) bool {
 	b, s := rid.Block(), rid.Slot()
 	if b >= uint64(len(t.vers)) || t.vers[b] == nil {
@@ -456,7 +456,7 @@ func (t *Table) freezeIf(rid storage.RID, horizon uint64) bool {
 
 // freezeGranule freezes what the rule allows at horizon among the slots of
 // granule g of block b, and returns the lowest beginTS of the late versions
-// it had to leave. t.verMu is held exclusively.
+// it had to leave. t.mvccMu is held exclusively.
 func (t *Table) freezeGranule(b, g int, horizon uint64) (left uint64) {
 	left = math.MaxUint64
 	vb := t.vers[b]
@@ -476,9 +476,9 @@ func (t *Table) freezeGranule(b, g int, horizon uint64) (left uint64) {
 // freezable is therefore frozen within one revolution. When the hand comes
 // round, lateFloor becomes the lowest beginTS it had to leave (or was told of
 // meanwhile, stamp), which is what stops the sweeping while everything late is
-// still above the horizon. t.verMu is held exclusively.
+// still above the horizon. t.mvccMu is held exclusively.
 func (t *Table) sweep(horizon uint64, budget int) {
-	for ; budget > 0 && t.late > 0 && horizon >= t.lateFloor; budget-- {
+	for ; budget > 0 && t.late.Load() > 0 && horizon >= t.lateFloor; budget-- {
 		for n := 0; n < blockGranules; n++ {
 			if t.hand >= len(t.vers)*blockGranules {
 				t.lateFloor, t.hand, t.handSeen = t.handSeen, 0, math.MaxUint64
@@ -530,29 +530,14 @@ func (db *DB) GC() int {
 // header when the key has never existed (or was fully reclaimed). The
 // result stays the head for as long as the caller holds pk's stripe.
 func (t *Table) head(pk float64) (storage.RID, verHeader) {
-	t.primaryMu.RLock()
+	t.mvccMu.RLock()
 	id, ok := t.primary.Get(pk)
-	t.handOver()
 	var h verHeader
 	if ok {
 		h = t.header(storage.RID(id))
 	}
-	t.verMu.RUnlock()
+	t.mvccMu.RUnlock()
 	return storage.RID(id), h
-}
-
-// handOver trades the primary latch for the version latch, both shared,
-// taking the second before it lets go of the first. A reader that carries
-// chain heads from the primary index to the version table must not leave a
-// gap between the two holds: one commit could drop a dead chain's entry and
-// free its head's slot, the next stamp another key's version into it, and
-// the walk that set out from the stale head would continue down that key's
-// chain. reclaimVersion changes both structures under both latches held
-// exclusively, so with the holds overlapping every head read is still its
-// key's when its header is.
-func (t *Table) handOver() {
-	t.verMu.RLock()
-	t.primaryMu.RUnlock()
 }
 
 // resolveVisible walks pk's chain to the version visible at ts; false
@@ -560,10 +545,9 @@ func (t *Table) handOver() {
 // snapshot and this walk only adds newer heads in front of the version the
 // walk is after.
 func (t *Table) resolveVisible(pk float64, ts uint64) (storage.RID, bool) {
-	t.primaryMu.RLock()
+	t.mvccMu.RLock()
+	defer t.mvccMu.RUnlock()
 	head, ok := t.primary.Get(pk)
-	t.handOver()
-	defer t.verMu.RUnlock()
 	if !ok {
 		return 0, false
 	}
@@ -574,31 +558,31 @@ func (t *Table) resolveVisible(pk float64, ts uint64) (storage.RID, bool) {
 // a secondary index stores under logical pointers, hermit.LogicalID): the
 // primary-index hop of the paper's §5.1 cost model, batched. ids is sorted
 // and deduplicated in place — identifiers sort in key order — so the heads
-// are fetched front to back under one primaryMu hold, a run of keys that
-// share a leaf costing one descent, and resolved under one verMu hold (see
-// handOver). The visible versions are appended to dst[:0]; the second result
-// is the number of distinct keys.
+// are fetched front to back, a run of keys that share a leaf costing one
+// descent, and resolved in the same mvccMu hold. The visible versions are
+// appended to dst[:0]; the second result is the number of distinct keys.
 func (t *Table) resolveKeys(ids []uint64, ts uint64, dst []storage.RID) ([]storage.RID, int) {
 	slices.Sort(ids)
 	ids = slices.Compact(ids)
 	dst = dst[:0]
 	var f btree.Finger
-	t.primaryMu.RLock()
+	t.mvccMu.RLock()
 	for _, id := range ids {
 		if head, ok := t.primary.GetAscending(&f, hermit.LogicalKey(id)); ok {
 			dst = append(dst, storage.RID(head))
 		}
 	}
-	t.handOver()
 	dst = t.visibleFromAll(dst, ts)
-	t.verMu.RUnlock()
+	t.mvccMu.RUnlock()
 	return dst, len(ids)
 }
 
 // visibleFromAll replaces each chain head in heads by the version of its
 // chain visible at ts, dropping the chains that have none; it filters in
-// place. t.verMu is held, taken over from the primaryMu hold the heads were
-// read under (handOver).
+// place. t.mvccMu is held, the hold the heads were read under: between two
+// holds one commit could drop a dead chain's entry and free its head's slot,
+// the next stamp another key's version into it, and a walk from the stale
+// head would continue down that key's chain.
 func (t *Table) visibleFromAll(heads []storage.RID, ts uint64) []storage.RID {
 	out := heads[:0]
 	for _, head := range heads {
@@ -610,7 +594,7 @@ func (t *Table) visibleFromAll(heads []storage.RID, ts uint64) []storage.RID {
 }
 
 // visibleFrom walks a chain from rid towards older versions to the one
-// visible at ts; t.verMu is held. A zero header (noRID's) ends the chain.
+// visible at ts; t.mvccMu is held. A zero header (noRID's) ends the chain.
 func (t *Table) visibleFrom(rid storage.RID, ts uint64) (storage.RID, bool) {
 	for {
 		h := t.header(rid)
@@ -627,18 +611,17 @@ func (t *Table) visibleFrom(rid storage.RID, ts uint64) (storage.RID, bool) {
 // stampInsert publishes rid as pk's new chain head at commitTS, linked to
 // the (dead) head it replaces, if any. Called with the key's stripe held
 // and the clock's commit lock held. The primary entry and the header
-// change under both latches (see the publication rule above). A commit that
-// stamps nothing else — the auto-commit insert — passes its clock as publish:
-// commitTS is then published and the version settled (settle) before the
-// latches are let go, which is after the publish all the same and saves the
-// commit a second hold of them.
+// change in one hold of mvccMu (see the publication rule above). A commit
+// that stamps nothing else — the auto-commit insert — passes its clock as
+// publish: commitTS is then published and the version settled (settle)
+// before the latch is let go, which is after the publish all the same and
+// saves the commit a second hold of it.
 func (t *Table) stampInsert(rid storage.RID, pk float64, commitTS uint64, publish *Clock) {
-	t.primaryMu.Lock()
+	t.mvccMu.Lock()
 	prev := noRID
 	if old, ok := t.primary.Swap(pk, uint64(rid)); ok {
 		prev = storage.RID(old)
 	}
-	t.verMu.Lock()
 	t.stamp(rid, verHeader{beginTS: commitTS, prev: prev})
 	t.setUnflushed(rid, true)
 	t.liveRows++
@@ -648,22 +631,19 @@ func (t *Table) stampInsert(rid storage.RID, pk float64, commitTS uint64, publis
 			t.freezeIf(rid, commitTS)
 		}
 	}
-	t.verMu.Unlock()
-	t.primaryMu.Unlock()
+	t.mvccMu.Unlock()
 }
 
 // stampUpdate ends pk's live head and publishes its replacement rid at
 // commitTS.
 func (t *Table) stampUpdate(pk float64, rid storage.RID, commitTS uint64) {
-	t.primaryMu.Lock()
+	t.mvccMu.Lock()
 	id, _ := t.primary.Swap(pk, uint64(rid))
 	old := storage.RID(id)
-	t.verMu.Lock()
 	t.end(old, commitTS)
 	t.stamp(rid, verHeader{beginTS: commitTS, prev: old})
 	t.setUnflushed(rid, true)
-	t.verMu.Unlock()
-	t.primaryMu.Unlock()
+	t.mvccMu.Unlock()
 }
 
 // stampDelete ends the head old of pk at commitTS without a successor. A
@@ -671,17 +651,17 @@ func (t *Table) stampUpdate(pk float64, rid storage.RID, commitTS uint64) {
 // reclaimed before the next flush, and the flush must still write the
 // tombstone.
 func (t *Table) stampDelete(old storage.RID, pk float64, commitTS uint64) {
-	t.verMu.Lock()
+	t.mvccMu.Lock()
 	t.end(old, commitTS)
 	t.liveRows--
 	if t.trackDeletes {
 		t.deletes.push(keyDeath{pk: pk, ts: commitTS})
 	}
-	t.verMu.Unlock()
+	t.mvccMu.Unlock()
 }
 
 // end closes old's visibility interval at commitTS and queues it for
-// reclamation; t.verMu is held exclusively. A frozen version is thawed: its
+// reclamation; t.mvccMu is held exclusively. A frozen version is thawed: its
 // bit is cleared and it gets back a header, the one header answered for it
 // with the end filled in. Commit timestamps only grow, so the queue stays
 // sorted by endTS.
@@ -691,6 +671,7 @@ func (t *Table) end(old storage.RID, commitTS uint64) {
 	t.vers[old.Block()].frozen[old.Slot()/granuleSlots] &^= 1 << (old.Slot() % granuleSlots)
 	t.stamp(old, h)
 	t.ended.push(old)
+	t.pending.Store(int64(t.ended.len()))
 }
 
 // keyDeath is one entry of Table.deletes: pk's live version ended at ts
@@ -702,7 +683,7 @@ type keyDeath struct {
 
 // setUnflushed sets or clears rid's unflushed bit and keeps the count of set
 // bits; on a table that flushes nothing it does nothing. A version was stamped
-// at rid, so its verBlock exists; t.verMu is held exclusively.
+// at rid, so its verBlock exists; t.mvccMu is held exclusively.
 func (t *Table) setUnflushed(rid storage.RID, on bool) {
 	if !t.trackDeletes {
 		return
@@ -720,7 +701,7 @@ func (t *Table) setUnflushed(rid storage.RID, on bool) {
 }
 
 // unflushedSlots ranges over the slots whose unflushed bit is set, in RID
-// order, each with its header. t.verMu is held; a holder of it exclusively may
+// order, each with its header. t.mvccMu is held; a holder of it exclusively may
 // clear the bit of the slot it is at.
 func (t *Table) unflushedSlots() iter.Seq2[storage.RID, verHeader] {
 	return func(yield func(storage.RID, verHeader) bool) {
@@ -748,7 +729,7 @@ func (t *Table) unflushedSlots() iter.Seq2[storage.RID, verHeader] {
 // caller still pins the snapshot at ts it harvested under (at recovery it is
 // alone), so a frozen slot, which reads as begun at 1, did begin by ts.
 func (t *Table) flushedTo(ts uint64) {
-	t.verMu.Lock()
+	t.mvccMu.Lock()
 	n := 0
 	for n < t.deletes.len() && t.deletes.items()[n].ts <= ts {
 		n++
@@ -759,7 +740,7 @@ func (t *Table) flushedTo(ts uint64) {
 			t.setUnflushed(rid, false)
 		}
 	}
-	t.verMu.Unlock()
+	t.mvccMu.Unlock()
 }
 
 // VersionStats is the state of a table's version table.
@@ -786,8 +767,8 @@ type VersionStats struct {
 
 // VersionStats reports the table's reclamation and freezing state.
 func (t *Table) VersionStats() VersionStats {
-	t.verMu.RLock()
-	defer t.verMu.RUnlock()
+	t.mvccMu.RLock()
+	defer t.mvccMu.RUnlock()
 	return VersionStats{
 		Pending:          t.ended.len(),
 		Reclaimed:        t.reclaimed,
@@ -854,8 +835,8 @@ func (q *fifo[T]) drop(n int) {
 // list of unflushed deletes. (The key→head mapping is the
 // primary index, accounted as PrimaryBytes.)
 func (t *Table) versionBytes() uint64 {
-	t.verMu.RLock()
-	defer t.verMu.RUnlock()
+	t.mvccMu.RLock()
+	defer t.mvccMu.RUnlock()
 	return t.versionBytesLocked()
 }
 
@@ -881,9 +862,9 @@ func (t *Table) versionBytesLocked() uint64 {
 
 // Len returns the number of live rows (at the latest commit timestamp).
 func (t *Table) Len() int {
-	t.verMu.RLock()
+	t.mvccMu.RLock()
 	n := t.liveRows
-	t.verMu.RUnlock()
+	t.mvccMu.RUnlock()
 	return n
 }
 
@@ -898,8 +879,7 @@ func (t *Table) ScanLive(fn func(rid storage.RID, row []float64) bool) {
 	snap := t.clock.Snapshot()
 	defer snap.Recycle()
 	ts := snap.ts
-	t.primaryMu.RLock()
-	t.verMu.RLock()
+	t.mvccMu.RLock()
 	rids := make([]storage.RID, 0, t.liveRows)
 	t.primary.Each(func(_ float64, head uint64) bool {
 		// Walk to the version visible at ts: a commit racing between the
@@ -910,8 +890,7 @@ func (t *Table) ScanLive(fn func(rid storage.RID, row []float64) bool) {
 		}
 		return true
 	})
-	t.verMu.RUnlock()
-	t.primaryMu.RUnlock()
+	t.mvccMu.RUnlock()
 	var buf []float64
 	for _, rid := range rids {
 		row, err := t.store.Get(rid, buf)
@@ -940,8 +919,8 @@ func (t *Table) ScanLive(fn func(rid storage.RID, row []float64) bool) {
 // frozen slot is visible at ts: it is live, and nothing begun above a
 // registered snapshot freezes. A listed key that has a row at ts all the same
 // was re-inserted after the delete, and the row is what the block must say. The
-// cost is that of the unflushed rows, not of the table, and t.verMu is held,
-// shared, for the scan of the bitmaps alone.
+// cost is that of the unflushed rows, not of the table, and t.mvccMu is
+// held, shared, for the scan of the bitmaps alone.
 //
 // The caller pins a snapshot at or below ts for the duration (the durable
 // layer's flush snapshot), so no version visible at ts is reclaimed before its
@@ -950,7 +929,7 @@ func (t *Table) ScanLive(fn func(rid storage.RID, row []float64) bool) {
 func (t *Table) DeltaVersions(ts uint64, emit func(pk float64, row []float64) error) error {
 	// A tombstone is an entry without a RID. Sorted by (key, RID) it comes
 	// after the row of its key, if there is one, and is dropped for it.
-	t.verMu.RLock()
+	t.mvccMu.RLock()
 	rids := make([]uint64, 0, t.unflushed+t.deletes.len())
 	for rid, h := range t.unflushedSlots() {
 		if h.visibleAt(ts) {
@@ -965,7 +944,7 @@ func (t *Table) DeltaVersions(ts uint64, emit func(pk float64, row []float64) er
 		}
 		keys, rids = append(keys, d.pk), append(rids, uint64(noRID))
 	}
-	t.verMu.RUnlock()
+	t.mvccMu.RUnlock()
 	for i, rid := range rids[:rows] {
 		var err error
 		if keys[i], err = t.store.Value(storage.RID(rid), t.pkCol); err != nil {
@@ -1022,7 +1001,7 @@ func (t *Table) GCVersions(horizon uint64) int {
 	n := t.reclaim(horizon, math.MaxInt)
 	// The freeze rule applied to every header the table holds; it leaves
 	// lateFloor exact.
-	t.verMu.Lock()
+	t.mvccMu.Lock()
 	floor := uint64(math.MaxUint64)
 	for b, vb := range t.vers {
 		for g := 0; vb != nil && g < blockGranules; g++ {
@@ -1032,7 +1011,7 @@ func (t *Table) GCVersions(horizon uint64) int {
 		}
 	}
 	t.lateFloor, t.hand, t.handSeen = floor, 0, math.MaxUint64
-	t.verMu.Unlock()
+	t.mvccMu.Unlock()
 	return n
 }
 
@@ -1042,23 +1021,22 @@ func (t *Table) GCVersions(horizon uint64) int {
 // and a backlog left by a snapshot since released shrinks with every commit.
 // The versions such a snapshot kept from freezing go the same way, on the
 // same budget (sweep). The caller holds t.catalog shared and none of t's
-// stripes.
+// stripes. Whether there is anything to do is read from the counts' atomic
+// copies, without the latch: a commit sees what it queued itself, and work
+// another commit queued meanwhile is that commit's to do.
 func (t *Table) reclaimAfter(budget int) {
-	t.verMu.RLock()
-	pending := t.ended.len()
-	late := t.late > 0
-	t.verMu.RUnlock()
-	if pending == 0 && !late {
+	pending, late := t.pending.Load() > 0, t.late.Load() > 0
+	if !pending && !late {
 		return
 	}
 	horizon := t.clock.OldestActive()
-	if pending > 0 {
+	if pending {
 		t.reclaim(horizon, budget)
 	}
 	if late {
-		t.verMu.Lock()
+		t.mvccMu.Lock()
 		t.sweep(horizon, budget)
-		t.verMu.Unlock()
+		t.mvccMu.Unlock()
 	}
 }
 
@@ -1079,17 +1057,18 @@ func (t *Table) settle(commitTS uint64, quiet bool, born, dead storage.RID, dead
 	switch {
 	case dead == noRID:
 		if quiet {
-			t.verMu.Lock()
+			t.mvccMu.Lock()
 			t.freezeIf(born, commitTS)
-			t.verMu.Unlock()
+			t.mvccMu.Unlock()
 		}
 		return 0
 	case !quiet:
 		return 1
 	}
-	t.verMu.Lock()
+	t.mvccMu.Lock()
 	mine := t.ended.remove(dead)
-	t.verMu.Unlock()
+	t.pending.Store(int64(t.ended.len()))
+	t.mvccMu.Unlock()
 	if mine {
 		t.reclaimVersion(dead, deadRow, born, commitTS)
 	}
@@ -1111,13 +1090,13 @@ const (
 // batches taken by concurrent drains are disjoint, and the order in which a
 // chain's versions go does not matter (see unlink).
 func (t *Table) reclaim(horizon uint64, budget int) int {
-	t.verMu.Lock()
+	t.mvccMu.Lock()
 	n := 0
 	for n < budget && n < t.ended.len() && t.header(t.ended.items()[n]).endTS <= horizon {
 		n++
 	}
 	if n == 0 {
-		t.verMu.Unlock()
+		t.mvccMu.Unlock()
 		return 0
 	}
 	// The batch is copied out of the queue, whose array appends go on
@@ -1129,7 +1108,8 @@ func (t *Table) reclaim(horizon uint64, budget int) int {
 	}
 	dead = append(dead, t.ended.items()[:n]...)
 	t.ended.drop(n)
-	t.verMu.Unlock()
+	t.pending.Store(int64(t.ended.len()))
+	t.mvccMu.Unlock()
 
 	// Newest first: a chain's versions end in order, so the first of a
 	// chain's versions met here is the newest of the batch. Cutting the link
@@ -1163,23 +1143,20 @@ func (t *Table) reclaim(horizon uint64, budget int) int {
 // version rid was cut loose from has nothing behind it any more, and is frozen
 // if the rule allows it at horizon. The caller holds t.catalog shared.
 func (t *Table) reclaimVersion(rid storage.RID, row []float64, succ storage.RID, horizon uint64) {
-	t.primaryMu.Lock()
-	t.verMu.Lock()
+	t.mvccMu.Lock()
 	if cut := t.unlink(row[t.pkCol], rid, succ); cut != noRID {
 		t.freezeIf(cut, horizon)
 	}
 	t.stamp(rid, verHeader{})
 	t.setUnflushed(rid, false)
 	t.reclaimed++
-	t.verMu.Unlock()
-	t.primaryMu.Unlock()
+	t.mvccMu.Unlock()
 	t.removeIndexEntries(rid, row)
 	t.store.Delete(rid)
 }
 
 // unlink takes victim, a version of pk about to be reclaimed, out of what
-// the table can reach (the reuse rule); t.primaryMu and t.verMu are held
-// exclusively. A caller that knows the version whose prev names victim —
+// the table can reach (the reuse rule); t.mvccMu is held exclusively. A caller that knows the version whose prev names victim —
 // the update that has just stamped it, still inside the key's stripe —
 // passes it as succ, and the link is cut there. Otherwise: a dead version
 // that is still its key's head is the whole chain — everything older ended

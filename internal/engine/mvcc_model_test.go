@@ -274,8 +274,8 @@ func (m *modelTable) checkVersions(t *testing.T, what string) {
 	t.Helper()
 	tb := m.tb
 	horizon := m.horizon()
-	tb.verMu.RLock()
-	defer tb.verMu.RUnlock()
+	tb.mvccMu.RLock()
+	defer tb.mvccMu.RUnlock()
 	headers, late, floor, unflushed := 0, 0, uint64(math.MaxUint64), 0
 	owed := make(map[storage.RID][2]uint64)
 	for b, vb := range tb.vers {
@@ -347,8 +347,8 @@ func (m *modelTable) checkVersions(t *testing.T, what string) {
 		}
 	}
 	m.owed = owed
-	if headers != tb.headers || late != tb.late || (late > 0 && tb.lateFloor > floor) {
-		t.Fatalf("after %s: the table counts %d headers, %d late, none below %d; it holds %d, %d, the lowest at %d", what, tb.headers, tb.late, tb.lateFloor, headers, late, floor)
+	if headers != tb.headers || int64(late) != tb.late.Load() || (late > 0 && tb.lateFloor > floor) {
+		t.Fatalf("after %s: the table counts %d headers, %d late, none below %d; it holds %d, %d, the lowest at %d", what, tb.headers, tb.late.Load(), tb.lateFloor, headers, late, floor)
 	}
 	if unflushed != tb.unflushed {
 		t.Fatalf("after %s: the table counts %d unflushed versions, %d bits are set", what, tb.unflushed, unflushed)

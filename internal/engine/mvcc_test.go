@@ -661,9 +661,9 @@ func TestCheckpointRunsVersionGC(t *testing.T) {
 // to that key's older version, which it does see — and return that row for
 // the deleted key. Ghost keys are inserted, deleted and reclaimed while
 // updates of the resident keys refill their slots; whatever a read of the
-// ghost keys returns must carry a ghost key (see handOver). The window is a
-// few instructions wide: with the two holds taken one after the other the
-// test needs a yield between them to fail, and then fails at once.
+// ghost keys returns must carry a ghost key (see visibleFromAll). The window
+// is a few instructions wide: with the primary read and the chain walk in two
+// holds the test needs a yield between them to fail, and then fails at once.
 func TestReclaimedHeadNotWalked(t *testing.T) {
 	for _, scheme := range []hermit.PointerScheme{hermit.PhysicalPointers, hermit.LogicalPointers} {
 		t.Run(scheme.String(), func(t *testing.T) { reclaimedHeadNotWalked(t, scheme) })

@@ -324,7 +324,7 @@ func (t *Table) harvested() harvest {
 //  1. resolves logical identifiers to their versions visible at q.Snap
 //     (resolveKeys, the primary-index hop), or sorts and deduplicates
 //     version RIDs;
-//  2. drops, under one verMu hold, the versions q.Snap does not see;
+//  2. drops, under one mvccMu hold, the versions q.Snap does not see;
 //  3. copies the surviving rows, in RID order, to a.Rows with one
 //     storage.GetRun under one store latch;
 //  4. checks the predicate on each copied row where the path is inexact
@@ -350,13 +350,13 @@ func (t *Table) pass(q Query, ids []uint64, h harvest, exact bool, sc *queryScra
 		ids = slices.Compact(ids)
 		st.Candidates = len(ids)
 		rids = rids[:0]
-		t.verMu.RLock()
+		t.mvccMu.RLock()
 		for _, id := range ids {
 			if t.header(storage.RID(id)).visibleAt(q.Snap.ts) {
 				rids = append(rids, storage.RID(id))
 			}
 		}
-		t.verMu.RUnlock()
+		t.mvccMu.RUnlock()
 	case logicalIDs:
 		rids, st.Candidates = t.resolveKeys(ids, q.Snap.ts, rids)
 		if profile {
@@ -448,15 +448,14 @@ func ordered(lo, hi float64) bool { return !math.IsNaN(lo) && !math.IsNaN(hi) }
 // point read — allocates nothing.
 func (t *Table) primaryRange(q Query, sc *queryScratch, st *QueryStats, a *Answer) error {
 	sc.ids = sc.ids[:0]
-	t.primaryMu.RLock()
+	t.mvccMu.RLock()
 	t.primary.Scan(q.Lo, q.Hi, sc.appendID)
 	sc.rids = sc.rids[:0]
 	for _, head := range sc.ids {
 		sc.rids = append(sc.rids, storage.RID(head))
 	}
-	t.handOver()
 	sc.rids = t.visibleFromAll(sc.rids, q.Snap.ts)
-	t.verMu.RUnlock()
+	t.mvccMu.RUnlock()
 	st.Candidates = len(sc.ids)
 	exact := ordered(q.Lo, q.Hi) || math.Float64bits(q.Lo) == math.Float64bits(q.Hi)
 	return t.pass(q, nil, visibleRIDs, exact, sc, st, a)

@@ -430,9 +430,9 @@ func TestVersionTableBounds(t *testing.T) {
 	}
 	pinned := tb.VersionStats()
 	slots := float64(tb.Store().Len())
-	tb.verMu.RLock()
+	tb.mvccMu.RLock()
 	queue := tb.ended.capBytes()
-	tb.verMu.RUnlock()
+	tb.mvccMu.RUnlock()
 	if pinned.Unfrozen != 2*rows || float64(pinned.Bytes-queue) > 24.5*slots {
 		t.Fatalf("pinned across %d updates: %+v, of it %d B of queue; want %d headers in at most %.0f B", rows, pinned, queue, 2*rows, 24.5*slots)
 	}

@@ -133,13 +133,13 @@ func hotpathLaneProcs(numCPU int) []int { return []int{1, numCPU} }
 // read paths under the zero-alloc contract, the durable and wire paths
 // (one-shot point read, and an insert sent in depth-64 pipelined bursts:
 // the path whose cost is the session's flushes and the WAL's writes), and
-// the write path and primary-index hop (mem_update, mem_delete,
+// the write path and primary-index hop (mem_insert, mem_update, mem_delete,
 // logical_range), whose ns/op is where a change to the primary index shows,
 // and the write churn at constant live rows, which also records the heap it
 // holds per live row.
 var hotpathWorkloads = []string{
 	"point_read", "range_scan", "partitioned_scan", "durable_insert", "wire_point",
-	"wire_insert_pipelined", "mem_update", "mem_delete", "logical_range", "churn",
+	"wire_insert_pipelined", "mem_insert", "mem_update", "mem_delete", "logical_range", "churn",
 }
 
 // checkHotpath enforces the hotpath artifact's extra contract: every
