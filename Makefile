@@ -70,9 +70,15 @@ difftest:
 # property (FuzzHermit: a Hermit index's candidates cover every matching
 # row through inserts, deletes, host updates, reorganizations and writes
 # parked in the side buffer, odd values included, under both pointer
-# schemes). The seed corpus alone runs in every `go test`; new inputs land
-# in the Go build cache's fuzz directory, a failing one under the package's
-# testdata/fuzz. (A worker minimizing a new input reports 0 execs/sec.)
+# schemes), then the one WAL replay path (FuzzReplay: a durable leader's
+# seeded mix of auto-commit writes, transactions and DDL on plain and
+# partitioned tables, odd keys and values included, ending in a torn
+# transaction, replayed by reopening its directory and by ReplApply into
+# an empty database in random batches that cut groups apart — the rows bit
+# for bit and the open-group counts must agree). The seed corpus alone
+# runs in every `go test`; new inputs land in the Go build cache's fuzz
+# directory, a failing one under the package's testdata/fuzz. (A worker
+# minimizing a new input reports 0 execs/sec.)
 FUZZTIME = 20s
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzTreeTotalOrder -fuzztime $(FUZZTIME) ./internal/btree
@@ -80,6 +86,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz 'FuzzDecodeBlock$$' -fuzztime $(FUZZTIME) ./internal/block
 	$(GO) test -run '^$$' -fuzz 'FuzzDecodeBlocklist$$' -fuzztime $(FUZZTIME) ./internal/block
 	$(GO) test -run '^$$' -fuzz FuzzHermit -fuzztime $(FUZZTIME) ./internal/hermit
+	$(GO) test -run '^$$' -fuzz FuzzReplay -fuzztime $(FUZZTIME) ./internal/engine
 
 # Bench smoke: one figure at tiny scale proves the harness end-to-end, then
 # one build each of a B+-tree and a Hermit index over 1M Synthetic rows

@@ -1,12 +1,10 @@
 package engine
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"maps"
-	"math"
 	"os"
 	"path/filepath"
 	"slices"
@@ -70,9 +68,11 @@ import (
 //
 // OpenDurableOptions recovers by replaying the manifest's blocklist —
 // oldest block to newest, later entries winning per key — truncating the
-// current WAL segment to its last valid frame, and replaying the tail.
-// Records whose replay fails are counted and skipped — surfaced through
-// RecoverySkipped — rather than permanently aborting recovery. Indexes,
+// current WAL segment to its last valid frame, and replaying the tail
+// through the one replay path replication uses too (replay.go): a
+// transaction applies all-or-nothing at its commit record. Records whose
+// replay fails are counted and skipped — surfaced through RecoverySkipped
+// — rather than permanently aborting recovery. Indexes,
 // including Hermit's TRS-Trees, are rebuilt from their recorded
 // definitions, the cheap option the paper's construction numbers (§7.5)
 // justify. Manifests of earlier layouts (one rows file per table) are
@@ -155,19 +155,19 @@ type DurableDB struct {
 	stopOnce    sync.Once
 
 	// txnSeq issues transaction ids for the WAL's txn-begin/commit
-	// framing; seeded past the largest id seen during recovery.
+	// framing; replay (fold) raises it to every id it sees.
 	txnSeq atomic.Uint64
 
 	skipped     int
 	lastSkipErr error
 	uncommitted int // transactions whose commit record never hit the log
 
-	// recPending holds the mutation records of transactions whose commit
-	// record never reached the log, keyed by txn id — the uncommitted
-	// tails recovery rolled back. A replication follower seeds its apply
-	// buffers from this: the frames are already in its WAL, so the leader
-	// resumes past them and only the commit decision is still owed.
-	recPending map[uint64][]wal.Record
+	// open is the replay state machine's (fold, replay.go): the frames of
+	// every transaction whose commit has not been replayed, by id — after
+	// recovery the uncommitted tails, which a follower's ReplApply goes on
+	// from. replMu serialises ReplApply; recovery owns d alone.
+	replMu sync.Mutex
+	open   map[uint64][]wal.Record
 
 	// failpoint, when non-nil, is invoked at every step boundary of
 	// Checkpoint and Compact with a step label; a returned error simulates
@@ -423,6 +423,7 @@ func OpenDurableOptions(dir string, scheme hermit.PointerScheme, opts DurableOpt
 		lists:          make(map[string][]block.Desc),
 		tiers:          make(map[string][]*block.Handle),
 		manifestTables: make(map[string]*durableMeta),
+		open:           make(map[uint64][]wal.Record),
 		compactKick:    make(chan struct{}, 1),
 		compactStop:    make(chan struct{}),
 		compactDone:    make(chan struct{}),
@@ -502,56 +503,11 @@ func OpenDurableOptions(dir string, scheme hermit.PointerScheme, opts DurableOpt
 			tb.flushedTo(d.db.clock.Now())
 		}
 	}
-	// Phase 2: replay the WAL tail. Replay stops at the first torn or
-	// corrupt frame on its own; a record that fails to apply is counted
-	// and skipped, never aborting recovery. Records carrying a transaction
-	// id buffer until their commit record arrives — a transaction whose
-	// OpTxnCommit never reached the log is an uncommitted tail and rolls
-	// back (its buffered mutations are simply dropped).
+	// Phase 2: replay the WAL tail.
 	walPath := p.wal(d.walSeg)
-	pending := make(map[uint64][]wal.Record)
-	var maxTxn uint64
-	applyCounted := func(rec wal.Record) {
-		if aerr := d.apply(rec); aerr != nil {
-			d.skipped++
-			d.lastSkipErr = aerr
-		}
-	}
-	err := wal.ReplayFrom(walPath, d.pubWALStart, func(rec wal.Record) error {
-		if rec.Txn > maxTxn {
-			maxTxn = rec.Txn
-		}
-		switch {
-		case rec.Op == wal.OpTxnBegin:
-			pending[rec.Txn] = nil
-		case rec.Op == wal.OpTxnCommit:
-			recs, ok := pending[rec.Txn]
-			if !ok {
-				d.skipped++
-				d.lastSkipErr = fmt.Errorf("engine: commit for unknown txn %d", rec.Txn)
-				return nil
-			}
-			for _, r := range recs {
-				applyCounted(r)
-			}
-			delete(pending, rec.Txn)
-		case rec.Txn != 0:
-			// Buffered records outlive the callback (until their commit
-			// arrives, possibly forever via d.recPending), but rec.Payload
-			// aliases replay's reused scratch — copy it.
-			rec.Payload = append([]byte(nil), rec.Payload...)
-			pending[rec.Txn] = append(pending[rec.Txn], rec)
-		default:
-			applyCounted(rec)
-		}
-		return nil
-	})
-	if err != nil {
+	if err := d.replayTail(walPath); err != nil {
 		return nil, err
 	}
-	d.uncommitted = len(pending)
-	d.recPending = pending
-	d.txnSeq.Store(maxTxn)
 	// Phase 3: open the log for appending — wal.OpenWith truncates any
 	// crash-torn tail, which is what keeps post-recovery appends reachable
 	// — clear stale-epoch leftovers, and start the compactor.
@@ -715,119 +671,27 @@ func applyIndexDef(tb *Table, def IndexDef) error {
 	return err
 }
 
-// apply executes one WAL record against the in-memory state (no logging).
-func (d *DurableDB) apply(rec wal.Record) error {
-	switch rec.Op {
-	case wal.OpCreateTable:
-		var ddl ddlTable
-		if err := json.Unmarshal(rec.Payload, &ddl); err != nil {
-			return err
-		}
-		meta := &durableMeta{Cols: ddl.Cols, PKCol: ddl.PKCol}
-		if err := d.createPhysical(rec.Table, meta); err != nil {
-			return err
-		}
-		d.tables[rec.Table] = meta
-		return nil
-	case wal.OpCreatePartitioned:
-		var ddl ddlTable
-		if err := json.Unmarshal(rec.Payload, &ddl); err != nil {
-			return err
-		}
-		if ddl.Parts < 1 {
-			return fmt.Errorf("engine: partitioned table %q with %d partitions", rec.Table, ddl.Parts)
-		}
-		meta := &durableMeta{Cols: ddl.Cols, PKCol: ddl.PKCol, Partitions: ddl.Parts}
-		if err := d.createPhysical(rec.Table, meta); err != nil {
-			return err
-		}
-		d.tables[rec.Table] = meta
-		return nil
-	case wal.OpCreateIndex:
-		var ddl ddlIndex
-		if err := json.Unmarshal(rec.Payload, &ddl); err != nil {
-			return err
-		}
-		meta := d.tables[rec.Table]
-		if meta == nil {
-			return fmt.Errorf("%w: %q", ErrNoSuchTable, rec.Table)
-		}
-		for _, tb := range meta.phys {
-			if err := applyIndexDef(tb, ddl.Def); err != nil {
-				return err
-			}
-		}
-		meta.Defs = append(meta.Defs, ddl.Def)
-		return nil
-	case wal.OpDropIndex:
-		var ddl ddlDropIndex
-		if err := json.Unmarshal(rec.Payload, &ddl); err != nil {
-			return err
-		}
-		meta := d.tables[rec.Table]
-		if meta == nil {
-			return fmt.Errorf("%w: %q", ErrNoSuchTable, rec.Table)
-		}
-		kind, err := kindFromString(ddl.Kind)
-		if err != nil {
-			return err
-		}
-		for _, tb := range meta.phys {
-			if err := tb.DropIndex(ddl.Col, kind); err != nil {
-				return err
-			}
-		}
-		d.removeDef(rec.Table, ddl.Col, ddl.Kind)
-		return nil
-	case wal.OpInsert:
-		tb, err := d.applyTarget(rec)
-		if err != nil {
-			return err
-		}
-		row := decodeFloats(rec.Payload)
-		_, err = tb.Insert(row)
+// ddl runs one DDL statement the way replay does — its record applied
+// through applyRecord, the replay applier — and logs that record, under the
+// exclusive latch: what recovery and followers replay is what ran.
+func (d *DurableDB) ddl(op wal.Op, table string, v any) error {
+	payload, err := json.Marshal(v)
+	if err != nil {
 		return err
-	case wal.OpDelete:
-		tb, err := d.applyTarget(rec)
-		if err != nil {
-			return err
-		}
-		vals := decodeFloats(rec.Payload)
-		if len(vals) != 1 {
-			return fmt.Errorf("engine: malformed delete record")
-		}
-		_, err = tb.Delete(vals[0])
+	}
+	rec := wal.Record{Op: op, Table: table, Payload: payload}
+	d.mu.Lock()
+	if err := d.applyRecord(rec); err != nil {
+		d.mu.Unlock()
 		return err
-	case wal.OpUpdate:
-		tb, err := d.applyTarget(rec)
-		if err != nil {
-			return err
-		}
-		vals := decodeFloats(rec.Payload)
-		if len(vals) != 3 {
-			return fmt.Errorf("engine: malformed update record")
-		}
-		return tb.UpdateColumn(vals[0], int(vals[1]), vals[2])
-	default:
-		return fmt.Errorf("engine: unknown WAL op %d", rec.Op)
 	}
-}
-
-// applyTarget resolves the engine table a replayed mutation applies to,
-// routing by the record's partition id for partitioned tables.
-func (d *DurableDB) applyTarget(rec wal.Record) (*Table, error) {
-	meta := d.tables[rec.Table]
-	if meta == nil {
-		return nil, fmt.Errorf("%w: %q", ErrNoSuchTable, rec.Table)
+	tk, err := d.log.Submit(rec)
+	d.mu.Unlock()
+	if err != nil {
+		return err
 	}
-	if meta.Partitions == 0 {
-		return meta.phys[0], nil
-	}
-	if int(rec.Part) >= meta.Partitions {
-		return nil, fmt.Errorf("engine: record partition %d out of range for %q (%d partitions)",
-			rec.Part, rec.Table, meta.Partitions)
-	}
-	return meta.phys[rec.Part], nil
+	_, err = tk.Wait()
+	return err
 }
 
 // CreateTable creates and logs a table. Names containing '#' are rejected:
@@ -837,35 +701,10 @@ func (d *DurableDB) CreateTable(name string, cols []string, pkCol int) (*Table, 
 	if strings.Contains(name, "#") {
 		return nil, fmt.Errorf("engine: table name %q: '#' is reserved for partitions", name)
 	}
-	d.mu.Lock()
-	// Check the durable catalog, not just the engine one: a partitioned
-	// logical table exists only as name#i tables in the engine, so the
-	// engine-level duplicate check would miss it and the plain table
-	// would silently overwrite the partitioned metadata.
-	if d.tables[name] != nil {
-		d.mu.Unlock()
-		return nil, ErrDupTable
-	}
-	meta := &durableMeta{Cols: cols, PKCol: pkCol}
-	if err := d.createPhysical(name, meta); err != nil {
-		d.mu.Unlock()
+	if err := d.ddl(wal.OpCreateTable, name, ddlTable{Cols: cols, PKCol: pkCol}); err != nil {
 		return nil, err
 	}
-	d.tables[name] = meta
-	payload, err := json.Marshal(ddlTable{Cols: cols, PKCol: pkCol})
-	if err != nil {
-		d.mu.Unlock()
-		return nil, err
-	}
-	tk, err := d.log.Submit(wal.Record{Op: wal.OpCreateTable, Table: name, Payload: payload})
-	d.mu.Unlock()
-	if err != nil {
-		return nil, err
-	}
-	if _, err := tk.Wait(); err != nil {
-		return nil, err
-	}
-	return meta.phys[0], nil
+	return d.db.Table(name)
 }
 
 // CreatePartitionedTable creates and logs a hash-partitioned table: parts
@@ -881,32 +720,7 @@ func (d *DurableDB) CreatePartitionedTable(name string, cols []string, pkCol, pa
 	if strings.Contains(name, "#") {
 		return fmt.Errorf("engine: table name %q: '#' is reserved for partitions", name)
 	}
-	if parts < 1 {
-		return fmt.Errorf("engine: partitioned table %q needs at least 1 partition, got %d", name, parts)
-	}
-	d.mu.Lock()
-	if d.tables[name] != nil {
-		d.mu.Unlock()
-		return ErrDupTable
-	}
-	meta := &durableMeta{Cols: append([]string(nil), cols...), PKCol: pkCol, Partitions: parts}
-	if err := d.createPhysical(name, meta); err != nil {
-		d.mu.Unlock()
-		return err
-	}
-	d.tables[name] = meta
-	payload, err := json.Marshal(ddlTable{Cols: cols, PKCol: pkCol, Parts: parts})
-	if err != nil {
-		d.mu.Unlock()
-		return err
-	}
-	tk, err := d.log.Submit(wal.Record{Op: wal.OpCreatePartitioned, Table: name, Payload: payload})
-	d.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	_, err = tk.Wait()
-	return err
+	return d.ddl(wal.OpCreatePartitioned, name, ddlTable{Cols: cols, PKCol: pkCol, Parts: parts})
 }
 
 // Partitions reports the partition count of the named logical table: 0 for
@@ -932,45 +746,7 @@ func (d *DurableDB) Table(name string) (*Table, error) { return d.db.Table(name)
 // single-column kinds are supported there, because a partial failure is
 // unwound with DropIndex and composites are not droppable.
 func (d *DurableDB) CreateIndex(table string, def IndexDef) error {
-	d.mu.Lock()
-	meta := d.tables[table]
-	if meta == nil {
-		d.mu.Unlock()
-		return fmt.Errorf("%w: %q", ErrNoSuchTable, table)
-	}
-	if meta.Partitions > 0 && (def.Kind == "composite-btree" || def.Kind == "composite-hermit") {
-		d.mu.Unlock()
-		return fmt.Errorf("engine: %s indexes are not supported on partitioned tables", def.Kind)
-	}
-	errs := Parallel(meta.phys, 0, func(tb *Table) error { return applyIndexDef(tb, def) })
-	for _, err := range errs {
-		if err == nil {
-			continue
-		}
-		// Unwind the partitions that were indexed so state stays uniform.
-		if kind, kerr := kindFromString(def.Kind); kerr == nil {
-			for i, tb := range meta.phys {
-				if errs[i] == nil {
-					tb.DropIndex(def.Col, kind)
-				}
-			}
-		}
-		d.mu.Unlock()
-		return err
-	}
-	meta.Defs = append(meta.Defs, def)
-	payload, err := json.Marshal(ddlIndex{Def: def})
-	if err != nil {
-		d.mu.Unlock()
-		return err
-	}
-	tk, err := d.log.Submit(wal.Record{Op: wal.OpCreateIndex, Table: table, Payload: payload})
-	d.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	_, err = tk.Wait()
-	return err
+	return d.ddl(wal.OpCreateIndex, table, ddlIndex{Def: def})
 }
 
 // kindFromString maps an IndexDef kind string to the engine's IndexKind
@@ -1010,38 +786,7 @@ func (d *DurableDB) removeDef(table string, col int, kind string) {
 // also leaves the recorded definitions, so later checkpoints do not
 // resurrect it.
 func (d *DurableDB) DropIndex(table string, col int, kind string) error {
-	d.mu.Lock()
-	meta := d.tables[table]
-	if meta == nil {
-		d.mu.Unlock()
-		return fmt.Errorf("%w: %q", ErrNoSuchTable, table)
-	}
-	k, err := kindFromString(kind)
-	if err != nil {
-		d.mu.Unlock()
-		return err
-	}
-	for _, tb := range meta.phys {
-		if err := tb.DropIndex(col, k); err != nil {
-			// DDL is uniform across partitions, so a drop that fails on one
-			// partition fails on the first — before any partition changed.
-			d.mu.Unlock()
-			return err
-		}
-	}
-	d.removeDef(table, col, kind)
-	payload, err := json.Marshal(ddlDropIndex{Col: col, Kind: kind})
-	if err != nil {
-		d.mu.Unlock()
-		return err
-	}
-	tk, err := d.log.Submit(wal.Record{Op: wal.OpDropIndex, Table: table, Payload: payload})
-	d.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	_, err = tk.Wait()
-	return err
+	return d.ddl(wal.OpDropIndex, table, ddlDropIndex{Col: col, Kind: kind})
 }
 
 // submit applies one auto-commit mutation and hands its record to the log,
@@ -1062,35 +807,17 @@ func (d *DurableDB) submit(op *Op, res *OpResult) wal.Ticket {
 		return wal.Ticket{}
 	}
 	tb, part, pk := meta.target(op)
-	rec := wal.Record{Table: op.Table, Part: part}
-	// Submit copies the payload into the log's buffer before it returns, so
-	// the record is encoded in this frame (a wider row spills to the heap).
-	var scratch [payloadScratch]byte
 	stripe := d.rows.mu(pk)
 	stripe.Lock()
 	defer stripe.Unlock()
-	switch op.Kind {
-	case OpInsert:
-		rec.Op = wal.OpInsert
-		if res.rid, res.Err = tb.Insert(op.Row); res.Err == nil {
-			rec.Payload = appendFloats(scratch[:0], op.Row...)
-		}
-	case OpDelete:
-		rec.Op = wal.OpDelete
-		if res.Found, res.Err = tb.Delete(pk); res.Found {
-			rec.Payload = appendFloats(scratch[:0], pk)
-		}
-	case OpUpdate:
-		rec.Op = wal.OpUpdate
-		if res.Err = tb.UpdateColumn(pk, op.Col, op.Value); res.Err == nil {
-			rec.Payload = appendFloats(scratch[:0], pk, float64(op.Col), op.Value)
-		}
-	default:
-		res.Err = fmt.Errorf("engine: %v is not a mutation", op.Kind)
+	if res.rid, res.Found, res.Err = mutate(tb, op); res.Err != nil || op.Kind == OpDelete && !res.Found {
+		return wal.Ticket{} // nothing applied, nothing to replay
 	}
-	if rec.Payload == nil { // nothing applied, nothing to replay
-		return wal.Ticket{}
-	}
+	// Submit copies the payload into the log's buffer before it returns, so
+	// the record is encoded in this frame (a wider row spills to the heap).
+	var scratch [payloadScratch]byte
+	rec := wal.Record{Table: op.Table, Part: part}
+	rec.Op, rec.Payload = encodeOp(scratch[:0], op)
 	tk, err := d.log.Submit(rec)
 	if err != nil {
 		res.Err = fmt.Errorf("engine: wal submit after apply (in-memory state ahead of log until next checkpoint): %w", err)
@@ -2046,26 +1773,6 @@ func (d *DurableDB) Close() error {
 	d.orphans = nil
 	d.closeBlocks()
 	return d.log.Close()
-}
-
-func encodeFloats(vals []float64) []byte {
-	return appendFloats(make([]byte, 0, 8*len(vals)), vals...)
-}
-
-// appendFloats appends the little-endian bits of vals to dst.
-func appendFloats(dst []byte, vals ...float64) []byte {
-	for _, v := range vals {
-		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
-	}
-	return dst
-}
-
-func decodeFloats(raw []byte) []float64 {
-	out := make([]float64, len(raw)/8)
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[i*8:]))
-	}
-	return out
 }
 
 // writeFileSync writes data and fsyncs before closing.

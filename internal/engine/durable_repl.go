@@ -12,12 +12,14 @@ import (
 )
 
 // This file is the DurableDB surface the replication layer (internal/repl)
-// builds on. A leader ships raw WAL frames — tailed from the on-disk
-// segments in LSN order — and a follower mirrors them into its own log
-// with ReplAppend (so the follower's WAL is byte-for-byte a prefix of the
-// leader's) while applying each committed group's effects atomically with
-// ReplApplyGroup. Global LSNs (strictly increasing across segment
-// rotations, see wal.Options.BaseLSN) are the stream's coordinate system.
+// builds on, apart from ReplApply, which lives with the replay path it
+// shares with recovery (replay.go). A leader ships raw WAL frames — tailed
+// from the on-disk segments in LSN order — and a follower hands them to
+// ReplApply, which mirrors them into its own log (so the follower's WAL is
+// byte-for-byte a prefix of the leader's) and applies each committed group
+// atomically, exactly as recovery would. Global LSNs (strictly increasing
+// across segment rotations, see wal.Options.BaseLSN) are the stream's
+// coordinate system.
 
 // LastLSN returns the LSN of the last record written to the WAL — the
 // database's position in the global replication sequence.
@@ -68,20 +70,6 @@ func (d *DurableDB) WatchWAL(ch chan struct{}) (cancel func()) {
 // Dir returns the database directory (where WAL segments live).
 func (d *DurableDB) Dir() string { return d.dir }
 
-// BumpTxnSeq advances the transaction-id sequence to at least floor. A
-// promoted follower calls this with the largest transaction id seen in
-// mirrored frames: those carried the old leader's ids, which may run past
-// what this database's own recovery seeded, and a reused id would tangle
-// a new transaction's frames with an orphaned in-flight group's.
-func (d *DurableDB) BumpTxnSeq(floor uint64) {
-	for {
-		cur := d.txnSeq.Load()
-		if cur >= floor || d.txnSeq.CompareAndSwap(cur, floor) {
-			return
-		}
-	}
-}
-
 // ReplSegment names one on-disk WAL segment a shipper can tail.
 type ReplSegment struct {
 	// Seg is the segment number; Path its file path.
@@ -121,121 +109,6 @@ func (d *DurableDB) ReplWALSegments() []ReplSegment {
 		out[i] = ReplSegment{Seg: seg, Path: p.wal(seg), Current: seg == cur}
 	}
 	return out
-}
-
-// RecoveredPending returns the mutation records of transactions whose
-// commit record had not reached the log when the database was last
-// opened, keyed by transaction id. The frames are already durable here;
-// only the commit decision is missing. A replication follower seeds its
-// apply buffers from this so a group torn across a crash still applies
-// exactly once when the leader re-ships its commit record.
-func (d *DurableDB) RecoveredPending() map[uint64][]wal.Record {
-	out := make(map[uint64][]wal.Record, len(d.recPending))
-	for id, recs := range d.recPending {
-		out[id] = append([]wal.Record(nil), recs...)
-	}
-	return out
-}
-
-// ReplAppend mirrors leader WAL records — with their original LSNs — into
-// this database's log, in order. It does not apply their effects (that is
-// ReplApplyGroup's job, gated on the commit record), so the follower's
-// log can run ahead of its state by at most one in-flight transaction
-// group, exactly like a leader crash mid-group. Records are submitted
-// under the shared latch in one hold, so a concurrent checkpoint cannot
-// rotate the segment mid-batch.
-func (d *DurableDB) ReplAppend(recs []wal.Record) error {
-	if len(recs) == 0 {
-		return nil
-	}
-	d.mu.RLock()
-	var last wal.Ticket
-	var err error
-	for _, rec := range recs {
-		var tk wal.Ticket
-		if tk, err = d.log.SubmitRaw(rec); err != nil {
-			break
-		}
-		last = tk
-	}
-	d.mu.RUnlock()
-	// One log, one hold: the last record's acknowledgement covers the run.
-	if _, werr := last.Wait(); err == nil {
-		err = werr
-	}
-	return err
-}
-
-// isDDLOp reports whether op changes the catalog (and so must apply under
-// the exclusive latch, as a group of its own).
-func isDDLOp(op wal.Op) bool {
-	switch op {
-	case wal.OpCreateTable, wal.OpCreatePartitioned, wal.OpCreateIndex, wal.OpDropIndex:
-		return true
-	}
-	return false
-}
-
-// ReplApplyGroup applies the effects of one committed record group — a
-// transaction's mutations (without its begin/commit framing), a single
-// auto-committed mutation, or a single DDL record. Mutation groups apply
-// through an engine transaction, so every row becomes visible at one
-// commit timestamp and snapshot reads on a follower can never observe a
-// half-applied group. The records must already be in the local log (see
-// ReplAppend); this call changes state only.
-func (d *DurableDB) ReplApplyGroup(recs []wal.Record) error {
-	if len(recs) == 0 {
-		return nil
-	}
-	if isDDLOp(recs[0].Op) {
-		if len(recs) != 1 {
-			return fmt.Errorf("engine: repl DDL group of %d records", len(recs))
-		}
-		d.mu.Lock()
-		defer d.mu.Unlock()
-		return d.apply(recs[0])
-	}
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	tx := BeginTxn(d.db.clock)
-	for _, rec := range recs {
-		tb, err := d.applyTarget(rec)
-		if err != nil {
-			tx.Rollback()
-			return err
-		}
-		vals := decodeFloats(rec.Payload)
-		switch rec.Op {
-		case wal.OpInsert:
-			err = tx.Insert(tb, vals)
-		case wal.OpDelete:
-			if len(vals) != 1 {
-				err = fmt.Errorf("engine: malformed repl delete record")
-				break
-			}
-			var found bool
-			found, err = tx.Delete(tb, vals[0])
-			if err == nil && !found {
-				// The leader only logs deletes of present keys, so an absent
-				// key here means the replica has diverged.
-				err = fmt.Errorf("engine: repl delete of absent key %v in %q", vals[0], rec.Table)
-			}
-		case wal.OpUpdate:
-			if len(vals) != 3 {
-				err = fmt.Errorf("engine: malformed repl update record")
-				break
-			}
-			err = tx.Update(tb, vals[0], int(vals[1]), vals[2])
-		default:
-			err = fmt.Errorf("engine: repl group carries op %d", rec.Op)
-		}
-		if err != nil {
-			tx.Rollback()
-			return err
-		}
-	}
-	_, err := tx.Commit()
-	return err
 }
 
 // ReplTableSnap is one logical table's full state in a snapshot bootstrap:
@@ -355,7 +228,7 @@ func (d *DurableDB) ReplRestore(snap *ReplSnap) error {
 }
 
 // resetWALBaseLocked re-bases an empty current segment at lsn, so the next
-// record appended (or mirrored via ReplAppend) numbers from lsn+1. Caller
+// record appended (or mirrored via ReplApply) numbers from lsn+1. Caller
 // holds d.mu exclusively and d.ckptMu.
 func (d *DurableDB) resetWALBaseLocked(lsn uint64) error {
 	if d.log.Size() != wal.HeaderLen {

@@ -83,7 +83,8 @@ func liveRows(t *testing.T, d *DurableDB, name string) [][]float64 {
 
 // TestReplWALSurface covers the observability half of the replication
 // surface: LSN/size/position accessors, segment listings, WAL growth
-// wakeups, and the txn-sequence floor bump a promotion relies on.
+// wakeups, and the txn-sequence floor mirrored frames raise, which a
+// promotion relies on.
 func TestReplWALSurface(t *testing.T) {
 	dir := t.TempDir()
 	d, err := OpenDurable(dir, hermit.PhysicalPointers)
@@ -156,20 +157,36 @@ func TestReplWALSurface(t *testing.T) {
 		t.Fatal("no wakeup after segment rotation")
 	}
 
-	d.BumpTxnSeq(1000)
-	if got := d.txnSeq.Load(); got != 1000 {
-		t.Fatalf("txnSeq %d after bump, want 1000", got)
+	// Mirrored transaction ids raise the sequence, never rewind it, and the
+	// next local transaction logs an id above them.
+	for _, id := range []uint64{1000, 5} {
+		lsn := d.LastLSN()
+		if _, _, err := d.ReplApply([]wal.Record{
+			{LSN: lsn + 1, Op: wal.OpTxnBegin, Txn: id}, {LSN: lsn + 2, Op: wal.OpTxnCommit, Txn: id},
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if got := d.txnSeq.Load(); got != 1000 {
+			t.Fatalf("txnSeq %d after mirroring txn %d, want 1000", got, id)
+		}
 	}
-	d.BumpTxnSeq(5) // floor only, never rewinds
-	if got := d.txnSeq.Load(); got != 1000 {
-		t.Fatalf("txnSeq rewound to %d", got)
+	tx := d.Begin()
+	if err := tx.Insert("t", []float64{3, 30}); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if recs := replRecords(t, d); recs[len(recs)-1].Txn != 1001 {
+		t.Fatalf("next local txn logged id %d, want 1001", recs[len(recs)-1].Txn)
 	}
 }
 
-// TestReplAppendApplyGroup mirrors a leader's WAL into a second database
-// record-for-record and applies the committed groups, checking the
-// replica converges to the leader's state with the leader's LSNs.
-func TestReplAppendApplyGroup(t *testing.T) {
+// TestReplApply mirrors a leader's WAL into a second database in batches
+// that cut its transaction apart, checking the replica converges to the
+// leader's state with the leader's LSNs, and that records that do not fit
+// that state are rejected without changing it.
+func TestReplApply(t *testing.T) {
 	ld, err := OpenDurable(t.TempDir(), hermit.PhysicalPointers)
 	if err != nil {
 		t.Fatal(err)
@@ -209,19 +226,20 @@ func TestReplAppendApplyGroup(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	if err := f.ReplAppend(recs); err != nil {
-		t.Fatal(err)
+	// The second batch ends inside the transaction, after its begin and
+	// first mutation: applied stops at the last auto-commit, one group open.
+	cut := len(recs) - 3
+	if applied, open, err := f.ReplApply(recs[:5]); err != nil || applied != recs[4].LSN || open != 0 {
+		t.Fatalf("first batch: applied %d, open %d, %v; want %d, 0", applied, open, err, recs[4].LSN)
 	}
-	if err := f.ReplAppend(nil); err != nil {
-		t.Fatal(err)
+	if applied, open, err := f.ReplApply(recs[5:cut]); err != nil || applied != recs[cut-3].LSN || open != 1 {
+		t.Fatalf("second batch: applied %d, open %d, %v; want %d, 1", applied, open, err, recs[cut-3].LSN)
 	}
-	for _, g := range replGroups(recs) {
-		if err := f.ReplApplyGroup(g); err != nil {
-			t.Fatal(err)
-		}
+	if applied, open, err := f.ReplApply(nil); err != nil || applied != 0 || open != 1 {
+		t.Fatalf("empty batch: applied %d, open %d, %v", applied, open, err)
 	}
-	if err := f.ReplApplyGroup(nil); err != nil {
-		t.Fatal(err)
+	if applied, open, err := f.ReplApply(recs[cut:]); err != nil || applied != ld.LastLSN() || open != 0 {
+		t.Fatalf("last batch: applied %d, open %d, %v; want %d, 0", applied, open, err, ld.LastLSN())
 	}
 	if f.LastLSN() != ld.LastLSN() {
 		t.Fatalf("replica at LSN %d, leader at %d", f.LastLSN(), ld.LastLSN())
@@ -238,34 +256,27 @@ func TestReplAppendApplyGroup(t *testing.T) {
 		}
 	}
 
-	// Malformed groups are rejected without corrupting state.
-	if err := f.ReplApplyGroup([]wal.Record{
-		{Op: wal.OpCreateTable, Table: "x"}, {Op: wal.OpCreateTable, Table: "y"},
-	}); err == nil {
-		t.Fatal("multi-record DDL group accepted")
-	}
-	if err := f.ReplApplyGroup([]wal.Record{
-		{Op: wal.OpDelete, Table: "t", Payload: encodeFloats([]float64{424242})},
-	}); err == nil {
-		t.Fatal("delete of an absent key accepted (divergence went undetected)")
-	}
-	if err := f.ReplApplyGroup([]wal.Record{
-		{Op: wal.OpUpdate, Table: "t", Payload: encodeFloats([]float64{1})},
-	}); err == nil {
-		t.Fatal("malformed update record accepted")
-	}
-	if err := f.ReplApplyGroup([]wal.Record{{Op: wal.OpTxnBegin, Txn: 7}}); err == nil {
-		t.Fatal("framing op inside a group accepted")
+	// Records that do not fit the state are rejected without changing it.
+	_, absent := encodeOp(nil, &Op{Kind: OpDelete, PK: 424242})
+	for _, bad := range []wal.Record{
+		{Op: wal.OpDelete, Table: "t", Payload: absent},
+		{Op: wal.OpUpdate, Table: "t", Payload: appendFloats(nil, 1)},
+		{Op: wal.OpTxnCommit, Txn: 77},
+	} {
+		bad.LSN = f.LastLSN() + 1
+		if applied, _, err := f.ReplApply([]wal.Record{bad}); err == nil || applied != 0 {
+			t.Fatalf("op %d accepted: applied %d, %v", bad.Op, applied, err)
+		}
 	}
 	if n := len(liveRows(t, f, "t")); n != len(want) {
-		t.Fatalf("rejected groups changed state: %d rows", n)
+		t.Fatalf("rejected records changed state: %d rows", n)
 	}
 }
 
-// TestRecoveredPendingSurvivesReopen: mirrored frames of a transaction
-// whose commit never arrived must surface via RecoveredPending after a
-// restart, unapplied.
-func TestRecoveredPendingSurvivesReopen(t *testing.T) {
+// TestOpenGroupSurvivesReopen: mirrored frames of a transaction whose
+// commit never arrived stay open across a restart, unapplied, and apply
+// exactly once when the commit arrives.
+func TestOpenGroupSurvivesReopen(t *testing.T) {
 	ld, err := OpenDurable(t.TempDir(), hermit.PhysicalPointers)
 	if err != nil {
 		t.Fatal(err)
@@ -285,8 +296,9 @@ func TestRecoveredPendingSurvivesReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	recs := replRecords(t, ld)
-	if recs[len(recs)-1].Op != wal.OpTxnCommit {
-		t.Fatalf("last leader record is op %d", recs[len(recs)-1].Op)
+	commit := recs[len(recs)-1]
+	if commit.Op != wal.OpTxnCommit {
+		t.Fatalf("last leader record is op %d", commit.Op)
 	}
 
 	fdir := t.TempDir()
@@ -294,29 +306,44 @@ func TestRecoveredPendingSurvivesReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := f.ReplAppend(recs[:len(recs)-1]); err != nil {
-		t.Fatal(err)
+	if _, open, err := f.ReplApply(recs[:len(recs)-1]); err != nil || open != 1 {
+		t.Fatalf("%d groups open (%v), want 1", open, err)
 	}
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	f2, err := OpenDurable(fdir, hermit.PhysicalPointers)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f2.Close()
-	pending := f2.RecoveredPending()
-	if len(pending) != 1 {
-		t.Fatalf("%d pending groups after reopen, want 1", len(pending))
-	}
-	for id, prs := range pending {
-		if id == 0 || len(prs) != 2 {
-			t.Fatalf("pending group garbled: txn %d with %d records", id, len(prs))
+	reopen := func(wantUncommitted int) *DurableDB {
+		t.Helper()
+		f, err := OpenDurable(fdir, hermit.PhysicalPointers)
+		if err != nil {
+			t.Fatal(err)
 		}
+		if n := f.RecoveryUncommitted(); n != wantUncommitted {
+			t.Fatalf("%d groups uncommitted after reopen, want %d", n, wantUncommitted)
+		}
+		if n, err := f.RecoverySkipped(); n != 0 {
+			t.Fatalf("reopen skipped %d records: %v", n, err)
+		}
+		return f
 	}
+	f2 := reopen(1)
 	if rows := liveRows(t, f2, "t"); len(rows) != 0 {
 		t.Fatalf("open group applied across reopen: %d rows", len(rows))
+	}
+	if applied, open, err := f2.ReplApply([]wal.Record{commit}); err != nil || applied != commit.LSN || open != 0 {
+		t.Fatalf("commit: applied %d, open %d, %v; want %d, 0", applied, open, err, commit.LSN)
+	}
+	if rows := liveRows(t, f2, "t"); len(rows) != 2 {
+		t.Fatalf("%d rows after the commit, want 2", len(rows))
+	}
+	if err := f2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	f3 := reopen(0)
+	defer f3.Close()
+	if rows := liveRows(t, f3, "t"); len(rows) != 2 {
+		t.Fatalf("%d rows after the second reopen, want 2", len(rows))
 	}
 }
 
@@ -379,9 +406,9 @@ func TestReplSnapshotRestore(t *testing.T) {
 		t.Fatal("ReplRestore accepted a non-empty database")
 	}
 	// Mirrored frames continue numbering from the cut.
-	if err := f.ReplAppend([]wal.Record{{
+	if _, _, err := f.ReplApply([]wal.Record{{
 		LSN: snap.LSN + 1, Op: wal.OpInsert, Table: "plain",
-		Payload: encodeFloats([]float64{100, 100}),
+		Payload: appendFloats(nil, 100, 100),
 	}}); err != nil {
 		t.Fatal(err)
 	}

@@ -62,18 +62,11 @@ func (tx *DurableTxn) Mutate(op Op) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	rec := wal.Record{Table: op.Table, Part: part}
-	switch op.Kind {
-	case OpInsert:
-		rec.Op, rec.Payload = wal.OpInsert, encodeFloats(op.Row)
-	case OpDelete:
-		if !found {
-			return false, nil
-		}
-		rec.Op, rec.Payload = wal.OpDelete, encodeFloats([]float64{pk})
-	default:
-		rec.Op, rec.Payload = wal.OpUpdate, encodeFloats([]float64{pk, float64(op.Col), op.Value})
+	if op.Kind == OpDelete && !found {
+		return false, nil
 	}
+	rec := wal.Record{Table: op.Table, Part: part}
+	rec.Op, rec.Payload = encodeOp(nil, &op)
 	tx.recs = append(tx.recs, rec)
 	tx.pks = append(tx.pks, pk)
 	return found, nil

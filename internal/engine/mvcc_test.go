@@ -507,7 +507,7 @@ func TestRecoveryDiscardsUncommittedTail(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		if _, err := l.Append(wal.Record{
 			Op: wal.OpInsert, Txn: txnID, Table: "t",
-			Payload: encodeFloats([]float64{float64(100 + i), 1}),
+			Payload: appendFloats(nil, float64(100+i), 1),
 		}); err != nil {
 			t.Fatal(err)
 		}

@@ -86,21 +86,19 @@ type FollowerStats struct {
 type Follower struct {
 	opts FollowerOptions
 
-	// mu guards db (swapped by snapshot bootstrap), pending and epoch.
-	mu      sync.Mutex
-	db      *engine.DurableDB
-	epoch   uint64
-	pending map[uint64][]wal.Record
+	// mu guards db (swapped by snapshot bootstrap) and epoch.
+	mu    sync.Mutex
+	db    *engine.DurableDB
+	epoch uint64
 
 	// applied is the LSN watermark of the last fully-applied record
 	// group; durable is the last LSN the local WAL holds. durable >=
 	// applied always, the gap being buffered in-flight groups.
 	applied atomic.Uint64
 	durable atomic.Uint64
-	// maxTxn is the largest transaction id seen in mirrored frames;
-	// promotion bumps the engine's id sequence past it so a new leader
-	// cannot collide with an orphaned in-flight group.
-	maxTxn atomic.Uint64
+	// open counts the transaction groups the last batch left open; the
+	// apply loop checkpoints only when it is 0 (maybeCheckpoint).
+	open int
 
 	connected atomic.Bool
 	errMu     sync.Mutex
@@ -137,25 +135,20 @@ func OpenFollower(opts FollowerOptions) (*Follower, error) {
 		return nil, err
 	}
 	f := &Follower{
-		opts:    opts,
-		db:      db,
-		epoch:   st.Epoch,
-		pending: db.RecoveredPending(),
-		stop:    make(chan struct{}),
-		done:    make(chan struct{}),
+		opts:  opts,
+		db:    db,
+		epoch: st.Epoch,
+		stop:  make(chan struct{}),
+		done:  make(chan struct{}),
 	}
 	last := db.LastLSN()
 	// AppliedLSN starts at the recovered log's end: any frame at or below
 	// it that recovery did not apply belongs to a group whose commit LSN
 	// is past it, so the watermark invariant ("state holds every commit
-	// at or below AppliedLSN") is vacuously safe.
+	// at or below AppliedLSN") is vacuously safe. The database keeps those
+	// groups open, and ReplApply goes on from them.
 	f.applied.Store(last)
 	f.durable.Store(last)
-	for id := range f.pending {
-		if id > f.maxTxn.Load() {
-			f.maxTxn.Store(id)
-		}
-	}
 	return f, nil
 }
 
@@ -270,10 +263,8 @@ func (f *Follower) Promote() (*engine.DurableDB, error) {
 	if err := saveState(f.opts.Dir, state{Epoch: f.epoch}); err != nil {
 		return nil, err
 	}
-	// Mirrored frames carried the old leader's transaction ids; move the
-	// local sequence past them so new transactions cannot collide with an
-	// orphaned in-flight group still sitting in the log.
-	f.db.BumpTxnSeq(f.maxTxn.Load())
+	// The database's transaction ids already run past every mirrored one:
+	// replay raises the sequence to each id it sees.
 	return f.db, nil
 }
 
@@ -495,7 +486,6 @@ func (f *Follower) restore(snap *engine.ReplSnap) error {
 	}
 	f.mu.Lock()
 	f.db = db
-	f.pending = make(map[uint64][]wal.Record)
 	f.mu.Unlock()
 	f.applied.Store(snap.LSN)
 	f.durable.Store(snap.LSN)
@@ -559,10 +549,11 @@ func (f *Follower) pauseGate() {
 	}
 }
 
-// applyBatch mirrors one frame batch into the local WAL, then applies
-// every record group the batch completes. The mirror lands first: a crash
-// between the two leaves the log ahead of state, which recovery (and the
-// pending-group seed) reconciles exactly like a leader crash mid-commit.
+// applyBatch hands one frame batch to the local database's ReplApply,
+// which mirrors it into the WAL and then applies every record group the
+// batch completes. The mirror lands first: a crash between the two leaves
+// the log ahead of state, which recovery reconciles exactly like a leader
+// crash mid-commit.
 func (f *Follower) applyBatch(recs []proto.WALRecord) error {
 	if len(recs) == 0 {
 		return nil
@@ -571,60 +562,22 @@ func (f *Follower) applyBatch(recs []proto.WALRecord) error {
 	for i, rec := range recs {
 		walRecs[i] = fromWire(rec)
 	}
-	f.mu.Lock()
-	db, pending := f.db, f.pending
-	f.mu.Unlock()
-	if err := db.ReplAppend(walRecs); err != nil {
-		return err
+	db := f.DB()
+	applied, open, err := db.ReplApply(walRecs)
+	f.durable.Store(db.LastLSN())
+	if applied > 0 {
+		f.applied.Store(applied)
 	}
-	f.durable.Store(walRecs[len(walRecs)-1].LSN)
-	for _, rec := range walRecs {
-		if rec.Txn > f.maxTxn.Load() {
-			f.maxTxn.Store(rec.Txn)
-		}
-		switch {
-		case rec.Op == wal.OpTxnBegin:
-			if _, ok := pending[rec.Txn]; !ok {
-				pending[rec.Txn] = nil
-			}
-		case rec.Op == wal.OpTxnCommit:
-			group, ok := pending[rec.Txn]
-			if !ok {
-				return fmt.Errorf("repl: commit for unknown txn %d at LSN %d", rec.Txn, rec.LSN)
-			}
-			delete(pending, rec.Txn)
-			if err := db.ReplApplyGroup(group); err != nil {
-				return err
-			}
-			f.applied.Store(rec.LSN)
-		case rec.Txn != 0:
-			group, ok := pending[rec.Txn]
-			if !ok {
-				return fmt.Errorf("repl: record for unknown txn %d at LSN %d", rec.Txn, rec.LSN)
-			}
-			pending[rec.Txn] = append(group, rec)
-		default:
-			if err := db.ReplApplyGroup([]wal.Record{rec}); err != nil {
-				return err
-			}
-			f.applied.Store(rec.LSN)
-		}
-	}
-	return nil
+	f.open = open
+	return err
 }
 
 // maybeCheckpoint checkpoints the local database once the WAL passes the
 // configured size — but only at a group boundary, so a rotation can never
 // strand part of an in-flight transaction behind the segment cut.
 func (f *Follower) maybeCheckpoint() error {
-	if f.opts.CheckpointBytes < 0 {
-		return nil
-	}
-	f.mu.Lock()
-	db := f.db
-	idle := len(f.pending) == 0
-	f.mu.Unlock()
-	if !idle || db.WALSize() < f.opts.CheckpointBytes {
+	db := f.DB()
+	if f.opts.CheckpointBytes < 0 || f.open > 0 || db.WALSize() < f.opts.CheckpointBytes {
 		return nil
 	}
 	return db.Checkpoint()

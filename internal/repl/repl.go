@@ -2,12 +2,14 @@
 //
 // The design rides entirely on the durable WAL: a leader ships raw WAL
 // frames — tailed from its on-disk segments in strict LSN order — over the
-// ordinary wire protocol, and a follower mirrors every frame byte-for-byte
-// into its own log (engine.ReplAppend) while applying each committed
-// record group atomically (engine.ReplApplyGroup). Because the follower's
-// log is a literal prefix of the leader's, recovery, checkpoints and
-// compaction work unchanged on both sides, and a follower restart resumes
-// from its own durable LSN with no extra bookkeeping.
+// ordinary wire protocol, and a follower hands each batch to
+// engine.DurableDB.ReplApply, which mirrors every frame byte-for-byte into
+// its own log and then applies each committed record group atomically
+// through the replay path recovery uses. Because the follower's log is a
+// literal prefix of the leader's, recovery, checkpoints and compaction work
+// unchanged on both sides, and a follower restart resumes from its own
+// durable LSN with no extra bookkeeping: recovery leaves the groups the
+// log holds open, and ReplApply goes on from them.
 //
 // Topology is a single leader with any number of followers. A follower
 // dials the leader, subscribes from its last durable LSN, and either tails

@@ -487,8 +487,24 @@ func TestPromoteAndFencing(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	for i := 0; i < 3; i++ {
+		tx := h.d.Begin()
+		if err := tx.Insert("t", []float64{float64(100 + i)}); err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
 	if err := f.WaitFor(h.d.LastLSN(), waitTimeout); err != nil {
 		t.Fatal(err)
+	}
+	var mirrored uint64 // the largest transaction id the follower mirrored
+	for _, rec := range allWALRecords(t, f.DB()) {
+		mirrored = max(mirrored, rec.Txn)
+	}
+	if mirrored == 0 {
+		t.Fatal("no transaction frames mirrored")
 	}
 	oldEpoch := h.l.Epoch()
 
@@ -507,6 +523,17 @@ func TestPromoteAndFencing(t *testing.T) {
 	}
 	if _, err := db.Insert("t", []float64{1000}); err != nil {
 		t.Fatalf("promoted leader write: %v", err)
+	}
+	// The promoted leader's transactions log ids above every mirrored one.
+	tx := db.Begin()
+	if err := tx.Insert("t", []float64{1001}); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if recs := allWALRecords(t, db); recs[len(recs)-1].Txn <= mirrored {
+		t.Fatalf("promoted leader's txn id %d not above the mirrored %d", recs[len(recs)-1].Txn, mirrored)
 	}
 
 	// Zombie fencing, leader side: the old leader must refuse a
