@@ -21,10 +21,18 @@ BENCH_EXPERIMENTS = durability,compaction,advisor,txn,server,repl,scenarios,hotp
 # uploads it as the profiles artifact.
 PROFILE_DIR = profiles
 
-.PHONY: build build-examples test race cover difftest fuzz bench bench-all bench-check bench-durability bench-compaction bench-advisor bench-txn bench-server bench-repl bench-scenarios bench-hotpath benchmark-smoke profile heap-profile loc fmt fmt-check vet staticcheck doc-check ci
+.PHONY: build cross build-examples test race cover difftest fuzz bench bench-all bench-check bench-durability bench-compaction bench-advisor bench-txn bench-server bench-repl bench-scenarios bench-hotpath benchmark-smoke profile heap-profile loc fmt fmt-check vet staticcheck doc-check ci
 
 build:
 	$(GO) build ./...
+
+# Cross-compile for two other Unix systems: the WAL writes through a shared
+# file mapping, and this keeps it on the syscall API every Unix has (Mmap,
+# Munmap, SYS_MSYNC; no Linux-only call such as Fallocate). Windows has no
+# mmap, and the module does not build there.
+cross:
+	GOOS=darwin $(GO) build ./...
+	GOOS=freebsd $(GO) build ./...
 
 # Examples are package main and never imported, so build them explicitly:
 # this is what keeps them from rotting against API changes.
@@ -238,4 +246,4 @@ staticcheck:
 doc-check:
 	$(GO) run ./internal/tools/doccheck . ./internal/engine ./internal/block ./internal/advisor ./internal/partition ./internal/difftest ./internal/server ./internal/server/proto ./internal/client ./internal/repl ./internal/scenario
 
-ci: fmt-check vet staticcheck doc-check cover build-examples bench-all bench-check benchmark-smoke difftest fuzz
+ci: fmt-check vet staticcheck doc-check cover build-examples cross bench-all bench-check benchmark-smoke difftest fuzz

@@ -843,8 +843,8 @@ func awaitLogged(tk wal.Ticket, res *OpResult) {
 // if Insert, Delete or UpdateColumn had been called for it, and a failed op
 // does not stop the ones after it. What the run shares is the wait: every
 // record is submitted before the first is awaited, and that first wait
-// writes the run's frames in one write(2) (and, under the fsync policies,
-// one fsync and one commit interval) — the waits after it find their record
+// puts the run's frames in the log in one copy (and, under the fsync
+// policies, one fsync and one commit interval) — the waits after it find their record
 // acknowledged, or the log poisoned below it, with one atomic load. Tickets
 // name their own log, so a checkpoint that rotates the segment mid-run
 // changes nothing here.

@@ -149,9 +149,12 @@ func TestCheckpointCrashAtEveryStep(t *testing.T) {
 						t.Fatalf("failpoint not hit: %v", err)
 					}
 					// The crashed process's in-memory state dies with it; Close
-					// only releases file handles (it appends nothing).
+					// only releases file handles and mappings (it appends nothing).
 					if err := d.Close(); err != nil {
 						t.Fatal(err)
+					}
+					if n := mappingsUnder(t, dir); n > 0 {
+						t.Fatalf("%d mappings of the database's files left after Close", n)
 					}
 
 					d2, err := OpenDurableOptions(dir, hermit.LogicalPointers, opts)
@@ -189,6 +192,18 @@ func TestCheckpointCrashAtEveryStep(t *testing.T) {
 	}
 }
 
+// mappingsUnder counts the process's memory mappings of files in dir (the
+// WAL's mapped windows), or -1 where /proc/self/maps cannot be read.
+func mappingsUnder(t *testing.T, dir string) int {
+	t.Helper()
+	raw, err := os.ReadFile("/proc/self/maps")
+	if err != nil {
+		t.Logf("mappings not counted: %v", err)
+		return -1
+	}
+	return strings.Count(string(raw), " "+dir+string(filepath.Separator))
+}
+
 func containsStep(steps []string, want string) bool {
 	for _, s := range steps {
 		if s == want {
@@ -213,8 +228,15 @@ func TestCheckpointCrashDoubleApplyWindow(t *testing.T) {
 	if err := d.Checkpoint(); !errors.Is(err, errInjectedCrash) {
 		t.Fatalf("failpoint not hit: %v", err)
 	}
+	// The rotated-out segment is an orphan, still open with its window mapped.
+	if n := mappingsUnder(t, dir); n == 0 {
+		t.Fatal("no WAL window mapped before Close")
+	}
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
+	}
+	if n := mappingsUnder(t, dir); n > 0 {
+		t.Fatalf("%d mappings of the database's files left after Close", n)
 	}
 	// Both WAL segments exist on disk at this point — the crash window.
 	p := durablePaths{dir}

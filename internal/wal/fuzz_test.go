@@ -105,7 +105,7 @@ func TestOpenTailTruncationFuzz(t *testing.T) {
 	raw := writeFuzzLog(t, logPath(t), n)
 	dir := t.TempDir()
 	// Every byte length: a writer puts a collected batch of frames in
-	// one write(2), so a crash can tear the file inside any frame of the
+	// one copy, so a crash can tear the file inside any frame of the
 	// batch, not only inside the last record appended.
 	cuts := make([]int, 0, len(raw)+1)
 	for c := 0; c <= len(raw); c++ {

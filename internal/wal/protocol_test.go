@@ -14,8 +14,8 @@ import (
 	"time"
 )
 
-// Tests of the leader-writes protocol: who issues the write(2), who is
-// released when, and what a crash, a failed write and a racing Close leave
+// Tests of the leader-writes protocol: who puts the frames in the file, who
+// is released when, and what a crash, a failed write and a racing Close leave
 // behind.
 
 var allPolicies = []Options{
@@ -44,22 +44,35 @@ func writeSyscalls(t *testing.T) int {
 	return 0
 }
 
-// TestUncontendedCommitIsOneWrite: an Append nobody competes with is exactly
-// one write system call, and so is a run of 64 Submits followed by one Wait.
-// The counter is the process's, so each shape gets a few attempts for the
-// case that some other goroutine of the test binary wrote meanwhile; a log
-// that costs more than one write never measures one.
-func TestUncontendedCommitIsOneWrite(t *testing.T) {
+// TestUncontendedCommitMakesNoWrite: under SyncNever an Append nobody
+// competes with, and a run of 64 Submits followed by one Wait, make no write
+// system call once the mapped window is reserved; an Append that needs the
+// next window makes exactly one, the reservation. Under SyncAlways an Append
+// is exactly one write(2). The counter is the process's, so each shape
+// gets a few attempts for the case that some other goroutine of the test
+// binary wrote meanwhile; a log that costs more never measures its count.
+func TestUncontendedCommitMakesNoWrite(t *testing.T) {
 	l, err := Open(logPath(t))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer l.Close()
+	always, err := OpenWith(logPath(t), Options{Policy: SyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer always.Close()
 	rec := Record{Op: OpInsert, Table: "t", Payload: make([]byte, 32)}
-	mustAppend(t, l, rec) // grow the buffers
-	shapes := map[string]func(){
-		"append": func() { mustAppend(t, l, rec) },
-		"run of 64": func() {
+	mustAppend(t, l, rec) // grow the buffers, reserve the first window
+	mustAppend(t, always, rec)
+	shapes := []struct {
+		name   string
+		writes int
+		setup  func()
+		commit func()
+	}{
+		{"append", 0, func() {}, func() { mustAppend(t, l, rec) }},
+		{"run of 64", 0, func() {}, func() {
 			var last Ticket
 			for i := 0; i < 64; i++ {
 				if last, err = l.Submit(rec); err != nil {
@@ -69,27 +82,32 @@ func TestUncontendedCommitIsOneWrite(t *testing.T) {
 			if _, err := last.Wait(); err != nil {
 				t.Fatal(err)
 			}
-		},
+		}},
+		{"window reservation", 1, func() { fillWindow(t, l) }, func() { mustAppend(t, l, rec) }},
+		{"SyncAlways append", 1, func() {}, func() { mustAppend(t, always, rec) }},
 	}
-	for name, commit := range shapes {
+	for _, sh := range shapes {
 		least := -1
-		for attempt := 0; attempt < 5 && least != 1; attempt++ {
+		for attempt := 0; attempt < 5 && least != sh.writes; attempt++ {
+			sh.setup()
 			before := writeSyscalls(t)
-			commit()
+			sh.commit()
 			if n := writeSyscalls(t) - before; least < 0 || n < least {
 				least = n
 			}
 		}
-		if least != 1 {
-			t.Errorf("%s: %d write syscalls, want 1", name, least)
+		if least != sh.writes {
+			t.Errorf("%s: %d write syscalls, want %d", sh.name, least, sh.writes)
 		}
 	}
 }
 
-// TestOpenCloseLeavesNoGoroutine: a log owns no goroutine, open or closed.
+// TestOpenCloseLeavesNoGoroutine: a log owns no goroutine, open or closed,
+// and a closed log leaves no mapping of its file behind.
 func TestOpenCloseLeavesNoGoroutine(t *testing.T) {
 	path := logPath(t)
 	before := runtime.NumGoroutine()
+	mapsBefore := mappingsOf(t, path)
 	for i := 0; i < 100; i++ {
 		l, err := OpenWith(path, allPolicies[i%len(allPolicies)])
 		if err != nil {
@@ -99,6 +117,13 @@ func TestOpenCloseLeavesNoGoroutine(t *testing.T) {
 			t.Fatalf("cycle %d: %d goroutines with the log open, %d before", i, n, before)
 		}
 		mustAppend(t, l, Record{Op: OpInsert, Table: "t"})
+		want := mapsBefore // the fsync policies write(2) and map nothing
+		if l.opts.Policy == SyncNever {
+			want++
+		}
+		if n := mappingsOf(t, path); n != want {
+			t.Fatalf("cycle %d (%s): %d mappings of the log file after an append, want %d", i, l.opts.Policy, n, want)
+		}
 		if _, err := l.Submit(Record{Op: OpInsert, Table: "t"}); err != nil {
 			t.Fatal(err)
 		}
@@ -108,6 +133,9 @@ func TestOpenCloseLeavesNoGoroutine(t *testing.T) {
 	}
 	if n := runtime.NumGoroutine(); n > before {
 		t.Fatalf("%d goroutines after 100 open/close cycles, %d before", n, before)
+	}
+	if n := mappingsOf(t, path); n != mapsBefore {
+		t.Fatalf("%d mappings of the log file after 100 open/close cycles, %d before", n, mapsBefore)
 	}
 }
 
@@ -216,7 +244,8 @@ func TestAckedPrefixSurvivesCrash(t *testing.T) {
 }
 
 // TestFailedFsyncPoisons: the file accepts the write and refuses the fsync
-// (a pipe does both). The record is in the "file", so Size and LastLSN move;
+// (a pipe does both; under SyncNever the copy goes to the window mapped before
+// the swap). The record is in the "file", so Size and LastLSN move;
 // it is never acknowledged, and the log is poisoned from it on.
 func TestFailedFsyncPoisons(t *testing.T) {
 	for _, opts := range allPolicies {

@@ -24,14 +24,13 @@ const HeaderLen = headerLen
 // Replay it does not consume the file in one pass: Next returns ok=false
 // at the current end of valid frames, and the caller may retry after the
 // log is written further (pair it with Watch for wakeups). Reads use
-// ReadAt, so a Tailer never disturbs the log's write offset and many
-// tailers can share a segment.
+// ReadAt, so many tailers can share a segment.
 //
 // A Tailer applies the same validity rules as replay — length bounds,
 // checksum, structural decode, strictly-increasing LSNs — so a torn or
-// corrupt tail parks the tailer at the boundary rather than erroring;
-// if the bytes are later completed (the frame was mid-write), the retry
-// succeeds.
+// corrupt tail parks the tailer at the boundary rather than erroring, as
+// does the reserved zero tail of an open log's mapped window; if the bytes
+// are later completed (the frame was mid-copy), the retry succeeds.
 type Tailer struct {
 	f       *os.File
 	off     int64
@@ -137,8 +136,8 @@ func (l *Log) Watchers() []chan struct{} {
 	return nil
 }
 
-// notify runs on the writer's path after every write: with no watcher it is
-// one atomic load.
+// notify runs on the writer's path after every copy into the window: with no
+// watcher it is one atomic load.
 func (l *Log) notify() {
 	for _, ch := range l.Watchers() {
 		select {

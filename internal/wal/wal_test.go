@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -213,11 +214,9 @@ func TestReplayFromOffset(t *testing.T) {
 		if err := l.Sync(); err != nil {
 			t.Fatal(err)
 		}
-		fi, err := os.Stat(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sizes = append(sizes, fi.Size())
+		// Size, not the file's length: an open log's file runs on past it
+		// by the reserved rest of the window.
+		sizes = append(sizes, l.Size())
 	}
 	l.Close()
 	// Replaying from the offset after record i yields records i+1..4.
@@ -401,13 +400,23 @@ func TestConcurrentAppendAllPolicies(t *testing.T) {
 // tickets taken before the write and waited on after it included — and every
 // later Submit reports the same sticky error, the records acknowledged
 // before it still answer nil, and the published position stays at its
-// pre-batch value (never ahead of the bytes that were written).
+// pre-batch value (never ahead of the bytes that were written). The
+// acknowledged record fills the first window to its last byte, so under
+// SyncNever the write that fails is the reservation of the next window;
+// under the fsync policies it is the batch's write(2).
 func TestFailedBatchWriteIsSticky(t *testing.T) {
-	l, err := Open(logPath(t))
+	for _, opts := range allPolicies {
+		t.Run(opts.Policy.String(), func(t *testing.T) { failedBatchWrite(t, opts) })
+	}
+}
+
+func failedBatchWrite(t *testing.T, opts Options) {
+	l, err := OpenWith(logPath(t), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	acked, err := l.Submit(Record{Op: OpInsert, Table: "t"})
+	fill := make([]byte, windowLen-headerLen-(frameHdrLen+minBodyLen+1))
+	acked, err := l.Submit(Record{Op: OpInsert, Table: "t", Payload: fill})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -415,16 +424,23 @@ func TestFailedBatchWriteIsSticky(t *testing.T) {
 		t.Fatal(err)
 	}
 	size, last := l.Size(), l.LastLSN()
+	if size != windowLen {
+		t.Fatalf("the first record ends at %d, want the window's end %d", size, windowLen)
+	}
 	var early [3]Ticket // submitted before the failing write, waited on after it
 	for i := range early {
 		if early[i], err = l.Submit(Record{Op: OpInsert, Table: "t"}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	l.f.Close() // every later write(2) fails
+	l.f.Close() // every later reservation or write(2) fails
+	want := "wal: append"
+	if opts.Policy == SyncNever {
+		want = "wal: reserve window"
+	}
 	_, sticky := early[1].Wait()
-	if sticky == nil {
-		t.Fatal("append acknowledged on a closed file")
+	if sticky == nil || !strings.Contains(sticky.Error(), want) {
+		t.Fatalf("append on a closed file answered %v, want %q", sticky, want)
 	}
 	for i, tk := range early {
 		if _, err := tk.Wait(); err == nil || err.Error() != sticky.Error() {
