@@ -83,10 +83,13 @@ difftest:
 # partitioned tables, odd keys and values included, ending in a torn
 # transaction, replayed by reopening its directory and by ReplApply into
 # an empty database in random batches that cut groups apart — the rows bit
-# for bit and the open-group counts must agree). The seed corpus alone
-# runs in every `go test`; new inputs land in the Go build cache's fuzz
-# directory, a failing one under the package's testdata/fuzz. (A worker
-# minimizing a new input reports 0 execs/sec.)
+# for bit and the open-group counts must agree), then the TRS-Tree fit's
+# median selection (FuzzMedianOf: the branch-free selection against the
+# quickselect it replaced, bit for bit, over duplicate-heavy, all-equal,
+# sorted and reversed inputs, ±Inf, NaN payloads and ±0). The seed corpus
+# alone runs in every `go test`; new inputs land in the Go build cache's
+# fuzz directory, a failing one under the package's testdata/fuzz. (A
+# worker minimizing a new input reports 0 execs/sec.)
 FUZZTIME = 20s
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzTreeTotalOrder -fuzztime $(FUZZTIME) ./internal/btree
@@ -95,6 +98,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz 'FuzzDecodeBlocklist$$' -fuzztime $(FUZZTIME) ./internal/block
 	$(GO) test -run '^$$' -fuzz FuzzHermit -fuzztime $(FUZZTIME) ./internal/hermit
 	$(GO) test -run '^$$' -fuzz FuzzReplay -fuzztime $(FUZZTIME) ./internal/engine
+	$(GO) test -run '^$$' -fuzz FuzzMedianOf -fuzztime $(FUZZTIME) ./internal/trstree
 
 # Bench smoke: one figure at tiny scale proves the harness end-to-end, then
 # one build each of a B+-tree and a Hermit index over 1M Synthetic rows

@@ -102,6 +102,7 @@ func (db *DB) CreateTable(name string, cols []string, pkCol int) (*Table, error)
 		trackDeletes: db.trackDeletes,
 		handSeen:     math.MaxUint64,
 	}
+	t.keyCeiling.Store(math.Float64bits(math.Inf(-1)))
 	db.tables[name] = t
 	return t, nil
 }
@@ -173,6 +174,9 @@ type Table struct {
 	deletes      fifo[keyDeath]
 	unflushed    int
 	trackDeletes bool
+	// keyCeiling holds the bits of the key ceiling (ceiling): raised under
+	// mvccMu, read under a key's stripe by an auto-commit insert.
+	keyCeiling atomic.Uint64
 
 	// primary maps each key to its newest version's RID — the head of the
 	// key's version chain — under mvccMu. It is a unique-key tree
@@ -327,8 +331,12 @@ func (t *Table) applyInsert(row []float64) (storage.RID, InsertStats, error) {
 	stripe := t.rows.mu(pk)
 	stripe.Lock()
 	defer stripe.Unlock()
-	if _, hdr := t.head(pk); hdr.live() {
-		return 0, st, fmt.Errorf("%w: %v", ErrDupKey, pk)
+	// A key above the ceiling has no chain to probe, so an ascending load
+	// makes its duplicate check without the mvccMu hold.
+	if !(pk > t.ceiling()) {
+		if _, hdr := t.head(pk); hdr.live() {
+			return 0, st, fmt.Errorf("%w: %v", ErrDupKey, pk)
+		}
 	}
 	rid, err := t.store.Insert(row)
 	if err != nil {

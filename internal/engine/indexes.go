@@ -33,11 +33,9 @@ func (t *Table) CreateBTreeIndex(col int, markNew bool) (*btree.Tree, error) {
 	// drops before the load starts.
 	keys := make([]float64, 0, t.store.Len())
 	ids := make([]uint64, 0, t.store.Len())
-	buf := make([]float64, len(t.cols))
 	t.store.Scan(func(rid storage.RID, row []float64) bool {
-		copy(buf, row)
 		keys = append(keys, row[col])
-		ids = append(ids, t.identify(rid, buf))
+		ids = append(ids, t.identify(rid, row))
 		return true
 	})
 	keyorder.SortPairs(keys, ids)

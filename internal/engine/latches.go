@@ -22,7 +22,18 @@ import (
 //     logical row operations (insert/delete/update) on the same key — the
 //     check-then-act sequences such as duplicate-key detection — while
 //     writes to different keys proceed in parallel and only serialise
-//     briefly on the individual structure latches they touch.
+//     briefly on the individual structure latches they touch. An
+//     auto-commit insert of a key strictly above the table's key ceiling
+//     (Table.ceiling) makes its duplicate check with no mvccMu hold at all:
+//     it reads the ceiling, not the chain. The stripe alone suffices,
+//     because every commit that adds a key to the primary index holds that
+//     key's stripe and raises the ceiling to the key, under mvccMu, before
+//     it lets go of the stripe, and the ceiling never falls. So once the
+//     inserter holds pk's stripe, every earlier commit of pk has raised the
+//     ceiling to pk or above, and a ceiling still below pk means pk has no
+//     chain, nor can get one until the inserter lets go. Other keys'
+//     commits raising the ceiling meanwhile only send the check to the
+//     probe.
 //   - t.mvccMu is the one MVCC latch: it guards the primary B+-tree, which
 //     is also the MVCC key→chain-head structure, and the version table
 //     (headers and bits, queue of ended versions, delete list, live-row

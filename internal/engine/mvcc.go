@@ -64,15 +64,20 @@ import (
 // a table that flushes deltas keeps that in a bit of its own (below), and
 // freezes at commit exactly like an in-memory one.
 //
-// Who freezes: the commit, after its publish (settle). A version it cannot
-// freeze yet — a snapshot is open below it, or it still has a predecessor that
-// one pins — is late (verHeader.late once the predecessor is gone; the cut of
-// the link, unlink, is where such a version is looked at again), and the late
-// ones are frozen by the same budgeted step at the end of every commit that
-// drains the queue of ended versions (reclaimAfter): a hand sweeps the
-// granules that exist, one per unit of budget, so whatever became freezable is
-// frozen within one revolution (sweep). DB.GC is that sweep without the
-// budget. There is no goroutine and no pass to schedule.
+// Who freezes: the commit, after its publish (settle). An auto-commit insert
+// of a key with no chain behind it, with no snapshot below its commitTS once
+// the clock is published, is born frozen: stampInsert publishes the clock
+// inside its exclusive hold of mvccMu, asks the horizon there, and sets the
+// bit without writing a header or taking a granule. A version a commit
+// cannot freeze yet — a snapshot is open below it, or it still has a
+// predecessor that one pins — is late (verHeader.late once the predecessor
+// is gone; the cut of the link, unlink, is where such a version is looked
+// at again), and the late ones are frozen by the same budgeted step at the
+// end of every commit that drains the queue of ended versions
+// (reclaimAfter): a hand sweeps the granules that exist, one per unit of
+// budget, so whatever became freezable is frozen within one revolution
+// (sweep). DB.GC is that sweep without the budget. There is no goroutine
+// and no pass to schedule.
 //
 // The commit protocol (shared by the auto-commit paths in engine.go and
 // Txn.Commit in txn.go):
@@ -92,13 +97,13 @@ import (
 //     without taking the lock, so a commit becomes visible atomically — a
 //     snapshot sees all of a transaction's writes or none of them.
 //
-// Publication rule: the primary entry of a key always names a stamped
-// version. The swap and the stamp happen in one exclusive hold of mvccMu
-// (stampInsert, stampUpdate), so a reader that finds a head through the
-// primary can always walk from it to the version its snapshot sees. Were
-// the entry moved earlier — when the version row is applied — a reader
-// would reach a head whose header is still zero, read the zero header as
-// the end of the chain, and lose the older version behind it.
+// Publication rule: the primary entry of a key always names a stamped (or
+// born-frozen) version. The swap and the stamp happen in one exclusive
+// hold of mvccMu (stampInsert, stampUpdate), so a reader that finds a head
+// through the primary can always walk from it to the version its snapshot
+// sees. Were the entry moved earlier — when the version row is applied — a
+// reader would reach a head whose header is still zero, read the zero
+// header as the end of the chain, and lose the older version behind it.
 //
 // Reclamation is part of the commit that causes it. Every commit — the
 // auto-commit writes, Txn.Commit, and through them the durable layer's
@@ -382,15 +387,7 @@ func (t *Table) header(rid storage.RID) verHeader {
 // versions move with the change. rid is not frozen; t.mvccMu is held
 // exclusively.
 func (t *Table) stamp(rid storage.RID, h verHeader) {
-	b, s := rid.Block(), rid.Slot()
-	for uint64(len(t.vers)) <= b {
-		t.vers = append(t.vers, nil)
-	}
-	vb := t.vers[b]
-	if vb == nil {
-		vb = new(verBlock)
-		t.vers[b] = vb
-	}
+	vb, s := t.verBlock(rid.Block()), rid.Slot()
 	g, i := s/granuleSlots, s%granuleSlots
 	gr := vb.gran[g]
 	if gr == nil {
@@ -431,6 +428,20 @@ func (t *Table) stamp(rid storage.RID, h verHeader) {
 			}
 		}
 	}
+}
+
+// verBlock returns store block b's version state, made on first use;
+// t.mvccMu is held exclusively.
+func (t *Table) verBlock(b uint64) *verBlock {
+	for uint64(len(t.vers)) <= b {
+		t.vers = append(t.vers, nil)
+	}
+	vb := t.vers[b]
+	if vb == nil {
+		vb = new(verBlock)
+		t.vers[b] = vb
+	}
+	return vb
 }
 
 // freezeIf freezes rid if the freeze rule allows it at horizon — a timestamp
@@ -611,28 +622,45 @@ func (t *Table) visibleFrom(rid storage.RID, ts uint64) (storage.RID, bool) {
 // stampInsert publishes rid as pk's new chain head at commitTS, linked to
 // the (dead) head it replaces, if any. Called with the key's stripe held
 // and the clock's commit lock held. The primary entry and the header
-// change in one hold of mvccMu (see the publication rule above). A commit
-// that stamps nothing else — the auto-commit insert — passes its clock as
-// publish: commitTS is then published and the version settled (settle)
-// before the latch is let go, which is after the publish all the same and
-// saves the commit a second hold of it.
+// change in one hold of mvccMu (see the publication rule above); a key the
+// swap adds raises the table's key ceiling in the same hold. A commit that
+// stamps nothing else — the auto-commit insert — passes its clock as
+// publish: commitTS is then published before the latch is let go, which
+// is after the publish all the same and saves the commit a second hold of
+// it, and a version the freeze rule allows at once — nothing behind it, no
+// snapshot below commitTS once the clock says commitTS — is born frozen:
+// its bit is set and no header is ever written for it.
 func (t *Table) stampInsert(rid storage.RID, pk float64, commitTS uint64, publish *Clock) {
 	t.mvccMu.Lock()
 	prev := noRID
 	if old, ok := t.primary.Swap(pk, uint64(rid)); ok {
 		prev = storage.RID(old)
+	} else if pk > t.ceiling() {
+		t.keyCeiling.Store(math.Float64bits(pk))
 	}
-	t.stamp(rid, verHeader{beginTS: commitTS, prev: prev})
-	t.setUnflushed(rid, true)
-	t.liveRows++
 	if publish != nil {
 		publish.ts.Store(commitTS)
-		if publish.OldestActive() >= commitTS {
-			t.freezeIf(rid, commitTS)
-		}
 	}
+	if prev == noRID && publish != nil && publish.OldestActive() >= commitTS {
+		vb, s := t.verBlock(rid.Block()), rid.Slot()
+		vb.frozen[s/granuleSlots] |= 1 << (s % granuleSlots)
+	} else {
+		t.stamp(rid, verHeader{beginTS: commitTS, prev: prev})
+	}
+	t.setUnflushed(rid, true)
+	t.liveRows++
 	t.mvccMu.Unlock()
 }
+
+// ceiling is the table's key ceiling: the greatest non-NaN key the primary
+// index has ever been given, −Inf while there is none. It only rises
+// (stampInsert, under mvccMu), and a key strictly above it was never added,
+// so it names no chain: an auto-commit insert of such a key has no
+// duplicate to look for (applyInsert). A NaN compares above nothing, so a
+// NaN key never raises it and always takes the probe; ±0 are one key and
+// neither is above the other, so a zero at a zero ceiling takes it too.
+// Read without mvccMu; see latches.go for why the key's stripe suffices.
+func (t *Table) ceiling() float64 { return math.Float64frombits(t.keyCeiling.Load()) }
 
 // stampUpdate ends pk's live head and publishes its replacement rid at
 // commitTS.
@@ -1051,8 +1079,8 @@ func (t *Table) reclaimAfter(budget int) {
 // have to get again — unless a concurrent drain took it off the queue first,
 // and freezes born, which has nothing behind it once dead is gone. settle
 // returns how many versions it left on the queue, none or one. (The
-// auto-commit insert, with one version to stamp and none to reclaim, has this
-// done inside the hold of the latches it stamps under: stampInsert.)
+// auto-commit insert, with one version to stamp and none to reclaim, is born
+// frozen inside the hold it stamps under instead: stampInsert.)
 func (t *Table) settle(commitTS uint64, quiet bool, born, dead storage.RID, deadRow []float64) (left int) {
 	switch {
 	case dead == noRID:

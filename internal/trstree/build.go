@@ -90,6 +90,7 @@ type builder struct {
 	resid  []float64           // |n - model(m)| of the node being fitted
 	sample []Pair              // the sampling pre-check's draw
 	med    [madSamples]float64 // the residuals whose median is the MAD
+	sub    []uint32            // partition's sub-range of each pair
 }
 
 func newBuilder(params Params, seed int64, tokens chan struct{}) *builder {
@@ -114,7 +115,7 @@ func (b *builder) build(pairs, other []Pair, lo, hi float64, depth int, leftEdge
 		other = make([]Pair, len(pairs))
 	}
 	k := b.params.NodeFanout
-	ends := partition(pairs, other, lo, hi, k)
+	ends := b.partition(pairs, other, lo, hi, k)
 	n := &node{lo: lo, hi: hi, leftEdge: leftEdge, rightEdge: rightEdge, children: make([]*node, k)}
 	w := (hi - lo) / float64(k)
 	var wg sync.WaitGroup
@@ -372,14 +373,97 @@ func strideSample(vals, buf []float64) []float64 {
 	return out
 }
 
-// medianOf returns the (lower) median via quickselect, reordering vals in
-// place. Construction calls this per node, so the O(n) selection beats a
-// full sort measurably.
+// medianOf returns the (lower) median of vals — its element of rank
+// len(vals)/2 — reordering vals in place. Construction calls this three
+// times per fit (slopes, intercepts, residuals), so it selects in O(n)
+// rather than sorting, and it selects with selectOrdered, whose partition
+// loops do not branch on the data: quickselect's data-dependent inner loops
+// mispredict on the noisy samples a fit draws, and took twice as long on a
+// 1M-pair build (BenchmarkBuildBenchmarkShape). Wherever the
+// total order of < is the order of the values — no NaN, no −0 beside +0 —
+// the element of a rank is one float64 to the bit, so both return the same
+// bits; an input holding a NaN or a −0 keeps quickselect, whose answer for
+// those is a function of its own comparison sequence (FuzzMedianOf).
 func medianOf(vals []float64) float64 {
 	if len(vals) == 0 {
 		return 0
 	}
-	return quickselect(vals, len(vals)/2)
+	for _, v := range vals {
+		if v != v || math.Float64bits(v) == negZeroBits {
+			return quickselect(vals, len(vals)/2)
+		}
+	}
+	return selectOrdered(vals, len(vals)/2)
+}
+
+// negZeroBits is −0's bit pattern.
+const negZeroBits = 1 << 63
+
+// selectOrdered returns the k-th smallest element of vals (0-based), which
+// holds no NaN and no −0, reordering vals in place. Each round partitions
+// the live range three ways around a sampled pivot (pivotOf), as two
+// branch-free Lomuto passes — the values below the pivot to the front, then
+// the pivot's equals after them — moving every element unconditionally and
+// advancing the boundary by the comparison's 0 or 1. The pivot is one of
+// the range's values, so its run of equals is never empty and each round
+// shrinks the range; duplicate-heavy input ends on that run.
+func selectOrdered(vals []float64, k int) float64 {
+	for len(vals) > 1 {
+		pivot := pivotOf(vals)
+		lt := lomuto(vals, func(v float64) bool { return v < pivot })
+		if k < lt {
+			vals = vals[:lt]
+			continue
+		}
+		le := lt + lomuto(vals[lt:], func(v float64) bool { return v <= pivot })
+		if k < le {
+			return pivot
+		}
+		vals, k = vals[le:], k-le
+	}
+	return vals[0]
+}
+
+// lomuto moves the elements of vals for which in holds to its front, in no
+// particular order, and returns their number. It branches on the loop only.
+func lomuto(vals []float64, in func(float64) bool) int {
+	j := 0
+	for i, v := range vals {
+		vals[i] = vals[j]
+		vals[j] = v
+		j += b2i(in(v))
+	}
+	return j
+}
+
+// b2i is 1 for true and 0 for false, compiled to a flag set, not a branch.
+func b2i(b bool) int {
+	var i int
+	if b {
+		i = 1
+	}
+	return i
+}
+
+// pivotOf samples a pivot from vals, which holds no NaN: the median of three
+// (first, middle, last), or from 128 values on the median of three such
+// medians (Tukey's ninther) over nine evenly spaced values, which lands
+// nearer the middle and saves a quarter of the passes on a median.
+func pivotOf(vals []float64) float64 {
+	n := len(vals)
+	if n < 128 {
+		return median3(vals[0], vals[n/2], vals[n-1])
+	}
+	s := n / 8
+	return median3(
+		median3(vals[0], vals[s], vals[2*s]),
+		median3(vals[3*s], vals[4*s], vals[5*s]),
+		median3(vals[6*s], vals[7*s], vals[n-1]))
+}
+
+// median3 returns the median of three values without NaN.
+func median3(a, b, c float64) float64 {
+	return max(min(a, b), min(max(a, b), c))
 }
 
 // quickselect returns the k-th smallest element of vals (0-based),
@@ -448,22 +532,32 @@ func deriveEps(beta, lo, hi, errorBound float64, n int) float64 {
 // partition distributes pairs into k equal sub-ranges of [lo, hi]
 // (Algorithm 1's SplitTable): a counting pass, then a placement into dst —
 // as long as pairs — that keeps each sub-range's pairs in input order, which
-// the fits below depend on. Sub-range i is dst[ends[i-1]:ends[i]].
-func partition(pairs, dst []Pair, lo, hi float64, k int) (ends []int) {
+// the fits below depend on. Sub-range i is dst[ends[i-1]:ends[i]]. The
+// counting pass computes each pair's sub-range (a division and two range
+// tests) once, into the builder's scratch, where the placement reads it; a
+// split's children partition after it returns, so one scratch the size of
+// the root's pairs serves every level.
+func (b *builder) partition(pairs, dst []Pair, lo, hi float64, k int) (ends []int) {
 	w := (hi - lo) / float64(k)
+	if cap(b.sub) < len(pairs) {
+		b.sub = make([]uint32, len(pairs))
+	}
+	sub := b.sub[:len(pairs)]
 	next := make([]int, k) // counts, then each sub-range's write cursor
-	for _, p := range pairs {
-		next[subRange(p.M, lo, w, k)]++
+	for i, p := range pairs {
+		j := subRange(p.M, lo, w, k)
+		sub[i] = uint32(j)
+		next[j]++
 	}
 	sum := 0
 	for i, c := range next {
 		next[i] = sum
 		sum += c
 	}
-	for _, p := range pairs {
-		i := subRange(p.M, lo, w, k)
-		dst[next[i]] = p
-		next[i]++
+	for i, p := range pairs {
+		j := sub[i]
+		dst[next[j]] = p
+		next[j]++
 	}
 	return next // every cursor stopped at its sub-range's end
 }

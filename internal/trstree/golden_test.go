@@ -71,6 +71,8 @@ func TestBuildGolden(t *testing.T) {
 			"f232958a922a5031f8486de75acd757a8ce45d4b8d3fcb532ed88d6063eb36e6"},
 		{"benchmark-200k", genBenchmarkShape(200_000), DefaultParams(),
 			"2dd3d9ccce5bb2014844716dc3a0be732bbb04f7af77497f4d7dda28aab97c79"},
+		{"benchmark-1M", genBenchmarkShape(1_000_000), DefaultParams(),
+			"80e0f320921f7d7208d968aec40daf1824dd8dbc5e57c3ea721d23ee38eda883"},
 		{"sigmoid-40k-noise2", genSigmoid(40_000, 1000, 0.02, 21), DefaultParams(),
 			"62b621b6aec00236768d495b2793a4aeeb8556233278163b4c02c173a19f097f"},
 		{"linear-10k-noise5", genLinear(10_000, 1000, 0.05, 5), DefaultParams(),
@@ -112,4 +114,21 @@ func TestBuildAllocBound(t *testing.T) {
 		t.Errorf("Build of %d B of pairs allocated %d B, over 3x", input, got)
 	}
 	runtime.KeepAlive(tr)
+}
+
+// BenchmarkBuildBenchmarkShape builds the tree of the repository
+// benchmark's 1M-row table (TestBuildGolden's benchmark-1M case) once per
+// iteration, from a fresh copy of its pairs.
+func BenchmarkBuildBenchmarkShape(b *testing.B) {
+	src := genBenchmarkShape(1_000_000)
+	pairs := make([]Pair, len(src))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		copy(pairs, src)
+		b.StartTimer()
+		if _, err := Build(pairs, 1, 0, DefaultParams()); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
