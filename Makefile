@@ -173,8 +173,10 @@ benchmark-smoke:
 		echo "benchmark smoke: a workload returned wrong results"; exit 1; fi
 
 # Capture labeled CPU + allocation profiles (pb.gz) from the zipf-oltp and
-# timeseries scenario replays. Inspect with `go tool pprof
-# $(PROFILE_DIR)/cpu_zipf-oltp.pb.gz`; CI uploads the directory.
+# timeseries scenario replays, the hot-path sweep and the serving-tier sweep
+# (loopback clients x one-shot/pipelined x workload through an in-process
+# server). Inspect with `go tool pprof $(PROFILE_DIR)/cpu_zipf-oltp.pb.gz`;
+# CI uploads the directory.
 profile: build
 	@mkdir -p $(PROFILE_DIR)
 	$(GO) run ./cmd/hermit-bench -scenario zipf-oltp -json '' \
@@ -186,6 +188,9 @@ profile: build
 	$(GO) run ./cmd/hermit-bench -exp hotpath -json '' \
 		-cpuprofile $(PROFILE_DIR)/cpu_hotpath.pb.gz \
 		-memprofile $(PROFILE_DIR)/mem_hotpath.pb.gz
+	$(GO) run ./cmd/hermit-bench -exp server -json '' \
+		-cpuprofile $(PROFILE_DIR)/cpu_server.pb.gz \
+		-memprofile $(PROFILE_DIR)/mem_server.pb.gz
 	@ls -l $(PROFILE_DIR)
 
 # Heap census of a loaded table: 1M Synthetic rows + host B+-tree + Hermit

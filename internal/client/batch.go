@@ -115,6 +115,12 @@ func (c *Conn) Batch(ops []Op) ([]Result, error) {
 // the server coalesces adjacent reads into engine batch executions, so a
 // pipeline of point queries executes on the engine's worker pool instead
 // of lockstep round trips.
+//
+// Flush encodes the burst into the connection's write scratch and writes
+// it at once, and decodes the responses through its read scratch, as a
+// single round trip does: a burst of writes allocates its []Result and
+// nothing per request. A queued insert keeps its caller's row until Flush;
+// Flush lets go of it.
 type Pipeline struct {
 	c    *Conn
 	reqs []proto.Request
@@ -169,21 +175,26 @@ func (p *Pipeline) Flush() ([]Result, error) {
 	if p.err != nil {
 		return nil, p.err
 	}
-	n := len(p.reqs)
+	c, n := p.c, len(p.reqs)
+	frames := c.wbuf[:0]
+	var err error
 	for i := range p.reqs {
-		if err := proto.WriteRequest(p.c.bw, &p.reqs[i]); err != nil {
-			p.err = err
-			return nil, err
+		if frames, err = proto.AppendRequest(frames, &p.reqs[i]); err != nil {
+			break
 		}
 	}
+	clear(p.reqs) // the burst's rows and table names are the caller's again
 	p.reqs = p.reqs[:0]
-	if err := p.c.bw.Flush(); err != nil {
+	if err == nil {
+		err = c.send(frames)
+	}
+	if err != nil {
 		p.err = err
 		return nil, err
 	}
 	results := make([]Result, n)
-	for i := 0; i < n; i++ {
-		resp, err := proto.ReadResponse(p.c.br)
+	for i := range results {
+		resp, err := c.recv()
 		if err != nil {
 			p.err = err
 			return nil, err

@@ -114,11 +114,7 @@ func Dial(addr string, opts Options) (*Conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &Conn{
-		c:  nc,
-		br: bufio.NewReaderSize(nc, 64<<10),
-		bw: bufio.NewWriterSize(nc, 64<<10),
-	}
+	c := newConn(nc)
 	if opts.Tenant != "" {
 		if _, err := c.roundTrip(&proto.Request{Type: proto.ReqHello, Tenant: opts.Tenant}); err != nil {
 			nc.Close()
@@ -126,6 +122,15 @@ func Dial(addr string, opts Options) (*Conn, error) {
 		}
 	}
 	return c, nil
+}
+
+// newConn wraps an established connection in a session.
+func newConn(nc net.Conn) *Conn {
+	return &Conn{
+		c:  nc,
+		br: bufio.NewReaderSize(nc, 64<<10),
+		bw: bufio.NewWriterSize(nc, 64<<10),
+	}
 }
 
 // Close closes the connection. Transactions still open server-side are
@@ -141,38 +146,43 @@ func (c *Conn) roundTrip(r *proto.Request) (proto.Response, error) {
 	if err != nil {
 		return proto.Response{}, err
 	}
-	if cap(frame) <= maxRetainedBuf {
-		c.wbuf = frame
+	if err := c.send(frame); err != nil {
+		return proto.Response{}, err
+	}
+	resp, err := c.recv()
+	if err == nil && resp.Type == proto.RespError {
+		err = &Error{Code: resp.Code, Msg: resp.Msg}
+	}
+	return resp, err
+}
+
+// send writes frames, encoded into the connection's write scratch, and
+// flushes them, keeping the scratch unless it grew past maxRetainedBuf.
+func (c *Conn) send(frames []byte) error {
+	if cap(frames) <= maxRetainedBuf {
+		c.wbuf = frames
 	} else {
 		c.wbuf = nil
 	}
-	if _, err := c.bw.Write(frame); err != nil {
-		return proto.Response{}, err
+	if _, err := c.bw.Write(frames); err != nil {
+		return err
 	}
-	if err := c.bw.Flush(); err != nil {
-		return proto.Response{}, err
-	}
-	return c.readResponse()
+	return c.bw.Flush()
 }
 
-func (c *Conn) readResponse() (proto.Response, error) {
+// recv reads and decodes one response frame through the connection's read
+// scratch (decoded responses never alias the payload).
+func (c *Conn) recv() (proto.Response, error) {
 	payload, err := proto.ReadFrameBuf(c.br, c.rbuf)
 	if err != nil {
 		return proto.Response{}, err
 	}
 	if cap(payload) <= maxRetainedBuf {
-		c.rbuf = payload // decoded responses never alias the payload
+		c.rbuf = payload
 	} else {
 		c.rbuf = nil
 	}
-	resp, err := proto.DecodeResponse(payload)
-	if err != nil {
-		return proto.Response{}, err
-	}
-	if resp.Type == proto.RespError {
-		return resp, &Error{Code: resp.Code, Msg: resp.Msg}
-	}
-	return resp, nil
+	return proto.DecodeResponse(payload)
 }
 
 // Ping round-trips a no-op.

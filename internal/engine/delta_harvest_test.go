@@ -28,13 +28,14 @@ func BenchmarkCheckpointSparseDelta(b *testing.B) {
 	if _, err := d.CreateTable("t", []string{"pk", "v"}, 0); err != nil {
 		b.Fatal(err)
 	}
-	ops := make([]Op, 0, 4096)
+	ops, results := make([]Op, 0, 4096), make([]OpResult, 4096)
 	for i := 0; i < rows; {
 		ops = ops[:0]
 		for ; i < rows && len(ops) < cap(ops); i++ {
 			ops = append(ops, Op{Table: "t", Kind: OpInsert, Row: []float64{float64(i), 0}})
 		}
-		for _, r := range d.ApplyEach(ops) {
+		d.ApplyEach(ops, results)
+		for _, r := range results[:len(ops)] {
 			if r.Err != nil {
 				b.Fatal(r.Err)
 			}

@@ -847,18 +847,19 @@ func awaitLogged(tk wal.Ticket, res *OpResult) {
 // policies, one fsync and one commit interval) — the waits after it find their record
 // acknowledged, or the log poisoned below it, with one atomic load. Tickets
 // name their own log, so a checkpoint that rotates the segment mid-run
-// changes nothing here.
-func (d *DurableDB) ApplyEach(ops []Op) []OpResult {
-	results := make([]OpResult, len(ops))
+// changes nothing here. Op i's outcome overwrites results[i], which must
+// exist: a caller that runs one run after another reuses one slice.
+func (d *DurableDB) ApplyEach(ops []Op, results []OpResult) {
+	results = results[:len(ops)]
 	var stack [applyRunStack]wal.Ticket
 	tks := stack[:0]
 	for i := range ops {
+		results[i] = OpResult{}
 		tks = append(tks, d.submit(&ops[i], &results[i]))
 	}
 	for i, tk := range tks {
 		awaitLogged(tk, &results[i])
 	}
-	return results
 }
 
 // applyRunStack is the run length whose tickets ApplyEach keeps on its

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"errors"
 	"math/rand"
 	"os"
 	"reflect"
@@ -258,6 +259,44 @@ func TestDurableUnknownIndexKind(t *testing.T) {
 	}
 }
 
+// TestApplyEachReusedResults: ApplyEach overwrites every result it is
+// handed, so a slice reused across runs — as the server's write runs reuse
+// theirs — carries no stale Err or Found from the run before into an op
+// that succeeded, a delete that found nothing, or an op whose table does
+// not exist; a slot past the run is left alone.
+func TestApplyEachReusedResults(t *testing.T) {
+	d, err := OpenDurable(t.TempDir(), hermit.PhysicalPointers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	if _, err := d.CreateTable("t", []string{"id", "a"}, 0); err != nil {
+		t.Fatal(err)
+	}
+	stale := errors.New("stale")
+	results := make([]OpResult, 5)
+	for i := range results {
+		results[i] = OpResult{Found: true, Err: stale}
+	}
+	d.ApplyEach([]Op{
+		{Kind: OpInsert, Table: "t", Row: []float64{1, 1}},
+		{Kind: OpDelete, Table: "t", PK: 2}, // absent
+		{Kind: OpUpdate, Table: "t", PK: 1, Col: 1, Value: 5},
+		{Kind: OpDelete, Table: "missing", PK: 1},
+	}, results)
+	for i, res := range results[:3] {
+		if res.Err != nil || res.Found {
+			t.Fatalf("op %d: %+v, want no error and not found", i, res)
+		}
+	}
+	if !errors.Is(results[3].Err, ErrNoSuchTable) || results[3].Found {
+		t.Fatalf("delete from a missing table: %+v", results[3])
+	}
+	if !results[4].Found || results[4].Err != stale {
+		t.Fatalf("slot past the run: %+v, want it untouched", results[4])
+	}
+}
+
 // TestApplyEachSameKeyRun drives the submit/wait split directly: a run
 // that writes one key over and over — with a failing op in the middle —
 // must give each op its own outcome in order, and, since every record is
@@ -300,7 +339,8 @@ func TestApplyEachSameKeyRun(t *testing.T) {
 			for i := range ops {
 				ops[i].Table = "t"
 			}
-			results := d.ApplyEach(ops)
+			results := make([]OpResult, len(ops))
+			d.ApplyEach(ops, results)
 			for i, res := range results {
 				if (res.Err != nil) != wantErr[i] {
 					t.Fatalf("%v/%d parts: op %d (%v): err %v, want failure=%v", policy, parts, i, ops[i].Kind, res.Err, wantErr[i])

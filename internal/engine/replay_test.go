@@ -102,7 +102,7 @@ func FuzzReplay(f *testing.F) {
 			}
 			switch r := rng.IntN(100); {
 			case r < 55:
-				ld.ApplyEach([]Op{replayOp(rng, tables)})
+				ld.ApplyEach([]Op{replayOp(rng, tables)}, make([]OpResult, 1))
 			case r < 80:
 				tx := ld.Begin()
 				for range 1 + rng.IntN(4) {

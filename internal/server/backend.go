@@ -3,6 +3,7 @@ package server
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 
@@ -141,10 +142,9 @@ func engineOp(tenant string, r *proto.Request) (engine.Op, error) {
 }
 
 // engineOps converts the requests of a run that are still unanswered into
-// engine ops, answering the ones that do not convert; idx maps each op back
-// to its request.
-func engineOps(tenant string, reqs []proto.Request, out []proto.Response) (ops []engine.Op, idx []int) {
-	ops, idx = make([]engine.Op, 0, len(reqs)), make([]int, 0, len(reqs))
+// engine ops in sc.ops, answering the ones that do not convert; sc.idx maps
+// each op back to its request.
+func (sc *runScratch) engineOps(tenant string, reqs []proto.Request, out []proto.Response) {
 	for i := range reqs {
 		if out[i].Type != respNone {
 			continue
@@ -154,9 +154,8 @@ func engineOps(tenant string, reqs []proto.Request, out []proto.Response) (ops [
 			out[i] = errorResponse(err)
 			continue
 		}
-		ops, idx = append(ops, op), append(idx, i)
+		sc.ops, sc.idx = append(sc.ops, op), append(sc.idx, i)
 	}
-	return ops, idx
 }
 
 // answer runs one read op on its table at op.Query.Snap: one Exec.
@@ -191,16 +190,16 @@ func written(op engine.Op, found bool, err error) proto.Response {
 // session's pipelining unit — on the engine's read pool at one snapshot.
 // Responses land in out at their request's position; a position the
 // session has already answered (quota, role) is left alone.
-func (b *backend) runReads(tenant string, reqs []proto.Request, out []proto.Response) {
-	ops, idx := engineOps(tenant, reqs, out)
+func (b *backend) runReads(tenant string, reqs []proto.Request, out []proto.Response, sc *runScratch) {
+	sc.engineOps(tenant, reqs, out)
 	snap := b.d.Snapshot()
 	defer snap.Release()
-	for i := range ops {
-		ops[i].Query.Snap = snap
+	for i := range sc.ops {
+		sc.ops[i].Query.Snap = snap
 	}
-	resps := engine.Parallel(ops, b.workers, b.answer)
+	resps := engine.Parallel(sc.ops, b.workers, b.answer)
 	for k, resp := range resps {
-		out[idx[k]] = resp
+		out[sc.idx[k]] = resp
 	}
 }
 
@@ -225,10 +224,12 @@ func (b *backend) runBatch(tenant string, r *proto.Request) proto.Response {
 // side of the session's pipelining unit — through one ApplyEach: each
 // request is its own mutation with its own outcome, and the run waits for
 // the log once. Responses land in out like runReads'.
-func (b *backend) runWrites(tenant string, reqs []proto.Request, out []proto.Response) {
-	ops, idx := engineOps(tenant, reqs, out)
-	for k, res := range b.d.ApplyEach(ops) {
-		out[idx[k]] = written(ops[k], res.Found, res.Err)
+func (b *backend) runWrites(tenant string, reqs []proto.Request, out []proto.Response, sc *runScratch) {
+	sc.engineOps(tenant, reqs, out)
+	sc.results = slices.Grow(sc.results[:0], len(sc.ops))[:len(sc.ops)]
+	b.d.ApplyEach(sc.ops, sc.results)
+	for k := range sc.results {
+		out[sc.idx[k]] = written(sc.ops[k], sc.results[k].Found, sc.results[k].Err)
 	}
 }
 

@@ -3,6 +3,8 @@ package proto
 import (
 	"bytes"
 	"io"
+	"math"
+	"reflect"
 	"testing"
 )
 
@@ -35,8 +37,11 @@ func fuzzSeeds(tb testing.TB) [][]byte {
 // FuzzDecodeFrame feeds arbitrary bytes through ReadFrame + both decoders.
 // Invariants: no panic; ReadFrame never consumes more than 4 bytes + the
 // declared payload length; a decode that succeeds re-encodes to a frame
-// that decodes back to the same message. `go test` runs the seed corpus;
-// `go test -fuzz=FuzzDecodeFrame` explores.
+// that decodes back to the same message; and a request payload decodes
+// through one long-lived Decoder — the server's per-connection path, its
+// table name and slab carried from input to input — to the request
+// DecodeRequest returns, bit for bit, with every row cap-limited. `go test`
+// runs the seed corpus; `go test -fuzz=FuzzDecodeFrame` explores.
 func FuzzDecodeFrame(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 0})
@@ -50,6 +55,7 @@ func FuzzDecodeFrame(f *testing.F) {
 		f.Add(append(append([]byte(nil), s...), 0xde, 0xad))
 	}
 
+	var dec Decoder
 	f.Fuzz(func(t *testing.T, data []byte) {
 		cr := &countingReader{r: bytes.NewReader(data)}
 		payload, err := ReadFrame(cr)
@@ -65,10 +71,28 @@ func FuzzDecodeFrame(f *testing.F) {
 			t.Fatalf("ReadFrame consumed %d bytes for a %d-byte payload", cr.n, len(payload))
 		}
 
+		// The Decoder fails where DecodeRequest fails and agrees with it
+		// where it succeeds.
+		req, err := DecodeRequest(payload)
+		viaDec, decErr := dec.Decode(payload)
+		if (err == nil) != (decErr == nil) {
+			t.Fatalf("DecodeRequest: %v, Decoder: %v", err, decErr)
+		}
+		if err == nil {
+			if !bitEqual(req, viaDec) {
+				t.Fatalf("the Decoder's request differs\nDecodeRequest: %+v\n      Decoder: %+v", req, viaDec)
+			}
+			for _, r := range append([]Request{viaDec}, viaDec.Ops...) {
+				if cap(r.Row) != len(r.Row) {
+					t.Fatalf("a decoded row has cap %d, len %d", cap(r.Row), len(r.Row))
+				}
+			}
+		}
+
 		// Decoding must never panic; on success the message must survive a
 		// re-encode/decode cycle (the server echoes decoded requests into
 		// batches, so self-consistency matters).
-		if req, err := DecodeRequest(payload); err == nil {
+		if err == nil {
 			frame, err := AppendRequest(nil, &req)
 			if err != nil {
 				t.Fatalf("decoded request does not re-encode: %v\nreq: %+v", err, req)
@@ -124,4 +148,39 @@ func FuzzDecodeStream(f *testing.F) {
 			}
 		}
 	})
+}
+
+// bitEqual reports whether a and b are one request bit for bit: floats
+// compared by their bits (NaN payloads and signed zeros included), slices
+// by nil-ness, length and contents.
+func bitEqual(a, b Request) bool {
+	if !floatBitsEqual([]float64{a.Lo, a.Hi, a.BLo, a.BHi, a.PK, a.Value},
+		[]float64{b.Lo, b.Hi, b.BLo, b.BHi, b.PK, b.Value}) ||
+		(a.Row == nil) != (b.Row == nil) || !floatBitsEqual(a.Row, b.Row) ||
+		(a.Ops == nil) != (b.Ops == nil) || len(a.Ops) != len(b.Ops) {
+		return false
+	}
+	for i := range a.Ops {
+		if !bitEqual(a.Ops[i], b.Ops[i]) {
+			return false
+		}
+	}
+	// What is left has no floats: compare it whole.
+	for _, r := range []*Request{&a, &b} {
+		r.Lo, r.Hi, r.BLo, r.BHi, r.PK, r.Value = 0, 0, 0, 0, 0, 0
+		r.Row, r.Ops = nil, nil
+	}
+	return reflect.DeepEqual(a, b)
+}
+
+func floatBitsEqual(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
 }

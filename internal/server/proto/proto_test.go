@@ -7,6 +7,7 @@ import (
 	"math"
 	"reflect"
 	"testing"
+	"unsafe"
 )
 
 // sampleRequests covers every request type with non-trivial field values,
@@ -315,6 +316,72 @@ func TestEncodeRejectsBadMessages(t *testing.T) {
 		if _, err := AppendResponse(nil, &resp); !errors.Is(err, ErrBadMessage) {
 			t.Fatalf("response case %d: want ErrBadMessage, got %v", i, err)
 		}
+	}
+}
+
+// TestDecodedRowsAreCapLimited: the rows of a response share one backing
+// array, so each must be cap-limited — appending to row i reallocates it
+// and leaves row i+1 as it was.
+func TestDecodedRowsAreCapLimited(t *testing.T) {
+	in := Response{Type: RespRows, Rows: [][]float64{{1, 2}, {3, 4}, {5, 6}}}
+	frame, err := AppendResponse(nil, &in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := DecodeResponse(frame[4:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range len(got.Rows) - 1 {
+		if cap(got.Rows[i]) != len(got.Rows[i]) {
+			t.Fatalf("row %d: cap %d, len %d", i, cap(got.Rows[i]), len(got.Rows[i]))
+		}
+		got.Rows[i] = append(got.Rows[i], -1)
+		if !eqRows(got.Rows[i+1:], in.Rows[i+1:]) {
+			t.Fatalf("appending to row %d changed the rows after it: %v", i, got.Rows)
+		}
+	}
+}
+
+// TestDecoderRows: rows a Decoder carves from its slab stay as decoded
+// while later requests are decoded (the slab is never reused), a row wider
+// than a slab is decoded all the same, and the table name is one string
+// for as long as it does not change.
+func TestDecoderRows(t *testing.T) {
+	var dec Decoder
+	var held []Request
+	for i := range 3 * slabFloats {
+		width := 1 + i%7
+		if i == slabFloats {
+			width = slabFloats + 1
+		}
+		req := Request{Type: ReqInsert, Table: "t", Row: make([]float64, width)}
+		for j := range req.Row {
+			req.Row[j] = float64(i*1000 + j)
+		}
+		frame, err := AppendRequest(nil, &req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := dec.Decode(frame[4:])
+		if err != nil || !eqRequest(got, req) || cap(got.Row) != len(got.Row) {
+			t.Fatalf("insert %d: decoded %v (cap %d, err %v)", i, got.Row, cap(got.Row), err)
+		}
+		held = append(held, got)
+	}
+	for i, r := range held {
+		for j, v := range r.Row {
+			if v != float64(i*1000+j) {
+				t.Fatalf("insert %d: row changed after later decodes: %v", i, r.Row)
+			}
+		}
+		if unsafe.StringData(r.Table) != unsafe.StringData(held[0].Table) {
+			t.Fatalf("insert %d: the unchanged table name was copied again", i)
+		}
+	}
+	frame, _ := AppendRequest(nil, &Request{Type: ReqDelete, Table: "u", PK: 1})
+	if got, err := dec.Decode(frame[4:]); err != nil || got.Table != "u" {
+		t.Fatalf("a new table name: decoded %+v (%v)", got, err)
 	}
 }
 

@@ -153,7 +153,9 @@ type server struct {
 	follower atomic.Pointer[repl.Follower]
 	promote  func() error
 
-	inflight chan struct{}
+	// inflight counts the requests admitted and not yet answered, at most
+	// opts.MaxInflight (see acquireInflight).
+	inflight atomic.Int64
 
 	quotaMu sync.Mutex
 	quotas  map[string]*tenantQuota
@@ -179,7 +181,6 @@ func New(d *engine.DurableDB, opts Options) *Server {
 	s := &server{
 		opts:     opts,
 		promote:  opts.Promote,
-		inflight: make(chan struct{}, opts.MaxInflight),
 		quotas:   make(map[string]*tenantQuota),
 		conns:    make(map[net.Conn]struct{}),
 		serveErr: make(chan error, 1),
@@ -407,18 +408,23 @@ func (sv *server) unregister(c net.Conn) {
 	sv.connMu.Unlock()
 }
 
-// acquireInflight takes one admission token without blocking.
+// acquireInflight takes one admission token without blocking: it counts
+// one more request in flight unless MaxInflight already are.
 func (sv *server) acquireInflight() bool {
-	select {
-	case sv.inflight <- struct{}{}:
-		return true
-	default:
-		return false
+	limit := int64(sv.opts.MaxInflight)
+	for {
+		n := sv.inflight.Load()
+		if n >= limit {
+			return false
+		}
+		if sv.inflight.CompareAndSwap(n, n+1) {
+			return true
+		}
 	}
 }
 
 // releaseInflight returns one admission token.
-func (sv *server) releaseInflight() { <-sv.inflight }
+func (sv *server) releaseInflight() { sv.inflight.Add(-1) }
 
 // quorumGateRun holds a run's successful write responses until a quorum
 // of followers acks the leader's log position — the AckQuorum contract:

@@ -166,9 +166,9 @@ func park(t *testing.T, ln *countedListener, rc *rawConn) (release func()) {
 func waitQueued(t *testing.T, srv *Server, n int) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
-	for len(srv.s.inflight) < n {
+	for srv.s.inflight.Load() < int64(n) {
 		if time.Now().After(deadline) {
-			t.Fatalf("%d of %d requests queued", len(srv.s.inflight), n)
+			t.Fatalf("%d of %d requests queued", srv.s.inflight.Load(), n)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -843,6 +843,77 @@ func TestLastResponseNeedsNoFurtherTraffic(t *testing.T) {
 		proto.Request{Type: proto.ReqReplAck, Follower: "nobody", LSN: 1})
 	if resp := rc.recv(t); resp.Type != proto.RespOK {
 		t.Fatalf("ping before an ack: %+v", resp)
+	}
+}
+
+// TestAdmissionPastMaxInflight: with the executor parked, a burst larger
+// than MaxInflight is admitted up to the limit and refused past it, and
+// the answers come back in request order — the admitted requests' results,
+// then CodeOverloaded for each one past the limit. A client that hangs up
+// mid-burst leaves no admission count behind.
+func TestAdmissionPastMaxInflight(t *testing.T) {
+	const limit, burst = 4, 10
+	srv, _, ln := startCounted(t, Options{MaxInflight: limit})
+	c := dial(t, srv, client.Options{})
+	if err := c.CreateTable("t", []string{"id", "x"}, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	reqs := make([]proto.Request, burst)
+	waitRejected := func(n int64) {
+		t.Helper()
+		deadline := time.Now().Add(10 * time.Second)
+		for srv.Stats().Rejected < n {
+			if time.Now().After(deadline) {
+				t.Fatalf("%d of %d requests refused", srv.Stats().Rejected, n)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+
+	rc := dialRaw(t, srv)
+	release := park(t, ln, rc)
+	for i := range reqs {
+		reqs[i] = insertReq("t", float64(i), float64(i))
+	}
+	rc.send(t, reqs...)
+	waitQueued(t, srv, limit)
+	waitRejected(burst - limit)
+	release()
+	if resp := rc.recv(t); resp.Type != proto.RespOK {
+		t.Fatalf("parked ping: %+v", resp)
+	}
+	for i := range reqs {
+		resp := rc.recv(t)
+		if i < limit && resp.Type != proto.RespOK || i >= limit && resp.Code != proto.CodeOverloaded {
+			t.Fatalf("response %d of a burst of %d past MaxInflight %d: %+v", i, burst, limit, resp)
+		}
+	}
+	if n := srv.s.inflight.Load(); n != 0 {
+		t.Fatalf("%d requests still counted in flight after their answers", n)
+	}
+
+	// The same burst again, and the client hangs up before any answer —
+	// with a reset, so the parked executor's write fails and the session
+	// ends with admitted requests still queued.
+	rc = dialRaw(t, srv)
+	release = park(t, ln, rc)
+	for i := range reqs {
+		reqs[i] = insertReq("t", float64(burst+i), 0)
+	}
+	rc.send(t, reqs...)
+	waitQueued(t, srv, limit)
+	waitRejected(2 * (burst - limit))
+	if err := rc.nc.(*net.TCPConn).SetLinger(0); err != nil {
+		t.Fatal(err)
+	}
+	rc.nc.Close()
+	release()
+	deadline := time.Now().Add(10 * time.Second)
+	for srv.s.inflight.Load() != 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d requests still counted in flight after the client hung up", srv.s.inflight.Load())
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

@@ -35,9 +35,16 @@ import (
 // produced.
 //
 // Admission control happens at enqueue: each queued request holds one
-// server-wide inflight token until its response is written. When no token
-// is available the request is still queued — as a pre-rejected marker, so
-// responses stay in order — but never executed.
+// server-wide inflight token — one count of an atomic counter bounded by
+// MaxInflight — until its response is written. When no token is available
+// the request is still queued — unadmitted, so responses stay in order —
+// but never executed; it is answered CodeOverloaded.
+//
+// A pipelined auto-commit request crosses the session without an
+// allocation of its own: the reader decodes through a per-connection
+// proto.Decoder (table names and insert rows without a copy each), a queue
+// entry travels by value, and a run executes in the session's reused
+// scratch (run) down to ApplyEach's results.
 type session struct {
 	srv  *server
 	conn net.Conn
@@ -66,13 +73,8 @@ type session struct {
 	subStop chan struct{}
 	subWG   sync.WaitGroup
 
-	// run is the executor's scratch for one run (see runCoalesced): the
-	// slices grow to at most maxCoalesce entries and are cleared after each
-	// run, so they pin no request's rows and no response's between runs.
-	run struct {
-		reqs  []proto.Request
-		resps []proto.Response
-	}
+	// run is the executor's scratch for one run (see runCoalesced).
+	run runScratch
 
 	// wbuf is the response encode scratch, guarded by wmu like the writes
 	// it feeds. Oversized buffers are released after the write (see
@@ -102,15 +104,43 @@ var errConnClosed = errors.New("server: connection closed")
 var errNotLeader = errorResponse(reject(proto.CodeNotLeader,
 	"node is a read-only follower; send writes to the leader"))
 
+// overloaded answers a request admission control refused.
+var overloaded = proto.Response{Type: proto.RespError, Code: proto.CodeOverloaded,
+	Msg: "server overloaded; retry later"}
+
 // maxOpenTxns bounds a session's concurrently open transactions: each
 // pins a snapshot, so an unbounded map would let one client stall GC.
 const maxOpenTxns = 64
 
-// queued is one queue entry: a decoded request, or a pre-rejected one.
+// runScratch is a session's memory for one run (runCoalesced): the run's
+// requests and responses, the engine ops the backend runs for them with
+// each op's request index, and a write run's results. Its slices grow to
+// at most maxCoalesce entries and reset clears them after each run, so
+// between runs they pin no request's row, no response and no error.
+type runScratch struct {
+	reqs    []proto.Request
+	resps   []proto.Response
+	ops     []engine.Op
+	idx     []int
+	results []engine.OpResult
+}
+
+// reset clears the scratch after a run.
+func (sc *runScratch) reset() {
+	clear(sc.reqs)
+	clear(sc.resps)
+	clear(sc.ops)
+	clear(sc.results)
+	sc.reqs, sc.resps = sc.reqs[:0], sc.resps[:0]
+	sc.ops, sc.idx, sc.results = sc.ops[:0], sc.idx[:0], sc.results[:0]
+}
+
+// queued is one queue entry: a decoded request and whether it was
+// admitted. An admitted entry holds one inflight token; one that was not
+// is answered overloaded and never executed.
 type queued struct {
 	req      proto.Request
-	rejected *proto.Response // non-nil: skip execution, write this
-	admitted bool            // holds one inflight token
+	admitted bool
 }
 
 // serve runs the session to completion. It is the executor; it spawns the
@@ -126,12 +156,15 @@ func (s *session) serve() {
 	q := make(chan queued, s.srv.opts.QueueDepth)
 	go s.read(q)
 
-	var carry *queued
-	writable := true
+	// carry is the entry a run stopped at (carried: there is one), held
+	// by value: a pointer to it would move every entry a run gathers to
+	// the heap.
+	var carry queued
+	carried, writable := false, true
 	for writable {
 		var item queued
-		if carry != nil {
-			item, carry = *carry, nil
+		if carried {
+			item, carried = carry, false
 		} else {
 			var ok bool
 			if item, ok = s.next(q); !ok {
@@ -140,24 +173,22 @@ func (s *session) serve() {
 		}
 		s.srv.stats.Requests.Add(1)
 		switch {
-		case item.rejected != nil:
-			writable = s.write(*item.rejected)
+		case !item.admitted:
+			writable = s.write(&overloaded)
 		case runOf(&item.req) != noRun:
-			writable, carry = s.runCoalesced(item, q)
+			writable, carry, carried = s.runCoalesced(&item, q)
 		default:
 			// A request that can take arbitrarily long must not sit on the
 			// responses of the requests before it.
 			if writable = !mayStall(&item.req) || s.flush(); writable {
 				if resp := s.handleOne(&item.req); resp.Type != respNone {
-					writable = s.write(resp)
+					writable = s.write(&resp)
 				}
 			}
-			if item.admitted {
-				s.srv.releaseInflight()
-			}
+			s.srv.releaseInflight()
 		}
 	}
-	if carry != nil && carry.admitted {
+	if carried && carry.admitted {
 		s.srv.releaseInflight()
 	}
 	s.flush() // the queue closed under a burst: its responses are still owed
@@ -179,6 +210,7 @@ func (s *session) read(q chan queued) {
 	defer close(q)
 	br := bufio.NewReaderSize(s.conn, 64<<10)
 	var payload []byte // frame read scratch; decoded requests never alias it
+	var dec proto.Decoder
 	for {
 		if s.srv.draining.Load() {
 			return
@@ -188,7 +220,7 @@ func (s *session) read(q chan queued) {
 		if err != nil {
 			return
 		}
-		req, err := proto.DecodeRequest(payload)
+		req, err := dec.Decode(payload)
 		if cap(payload) > maxRetainedBuf {
 			payload = nil // drop oversized buffers (16 MiB cap policy)
 		}
@@ -199,14 +231,9 @@ func (s *session) read(q chan queued) {
 			// without trusting the hostile length prefix just refused).
 			return
 		}
-		item := queued{req: req}
-		if s.srv.acquireInflight() {
-			item.admitted = true
-		} else {
+		item := queued{req: req, admitted: s.srv.acquireInflight()}
+		if !item.admitted {
 			s.srv.stats.Rejected.Add(1)
-			r := proto.Response{Type: proto.RespError, Code: proto.CodeOverloaded,
-				Msg: "server overloaded; retry later"}
-			item.rejected = &r
 		}
 		q <- item
 	}
@@ -272,9 +299,9 @@ func runOf(r *proto.Request) runKind {
 // pool under a shared snapshot; a run of writes is one ApplyEach — still one auto-commit
 // mutation, one WAL record and one result per request, but one wait for
 // the log and one quorum wait for the lot. The first queued entry that
-// cannot join is returned as carry for the main loop. It releases the
-// tokens of every entry it consumed.
-func (s *session) runCoalesced(first queued, q chan queued) (writable bool, carry *queued) {
+// cannot join is returned as carry (carried: there is one) for the main
+// loop. It releases the tokens of every entry it consumed.
+func (s *session) runCoalesced(first *queued, q chan queued) (writable bool, carry queued, carried bool) {
 	kind := runOf(&first.req)
 	reqs := append(s.run.reqs[:0], first.req)
 gather:
@@ -284,12 +311,12 @@ gather:
 			if !ok {
 				break gather
 			}
-			if it.rejected == nil && runOf(&it.req) == kind {
+			if it.admitted && runOf(&it.req) == kind {
 				s.srv.stats.Requests.Add(1)
 				reqs = append(reqs, it.req)
 				continue
 			}
-			carry = &it
+			carry, carried = it, true
 			break gather
 		default:
 			break gather
@@ -297,9 +324,8 @@ gather:
 	}
 	resps := slices.Grow(s.run.resps[:0], len(reqs))[:len(reqs)]
 	defer func() {
-		clear(reqs)
-		clear(resps)
-		s.run.reqs, s.run.resps = reqs[:0], resps[:0]
+		s.run.reqs, s.run.resps = reqs, resps
+		s.run.reset()
 	}()
 
 	// Quota failures (and, on a read-only follower, every write) are
@@ -318,9 +344,9 @@ gather:
 	if run > 0 {
 		s.srv.stats.Coalesced.Add(int64(run - 1))
 		if kind == readRun {
-			s.srv.be().runReads(s.tenant, reqs, resps)
+			s.srv.be().runReads(s.tenant, reqs, resps, &s.run)
 		} else {
-			s.srv.be().runWrites(s.tenant, reqs, resps)
+			s.srv.be().runWrites(s.tenant, reqs, resps, &s.run)
 			s.srv.quorumGateRun(resps)
 		}
 	}
@@ -329,11 +355,11 @@ gather:
 	writable = true
 	for i := range resps {
 		if writable {
-			writable = s.write(resps[i])
+			writable = s.write(&resps[i])
 		}
 		s.srv.releaseInflight()
 	}
-	return writable, carry
+	return writable, carry, carried
 }
 
 // checkQuota charges the request against the session tenant's op quota.
@@ -506,10 +532,10 @@ func (s *session) send(resp *proto.Response) error {
 // several, when they outgrow the bufio buffer — and not in one each. A
 // one-shot client is not delayed: its request is the whole queue, so the
 // flush follows the response immediately.
-func (s *session) write(resp proto.Response) bool {
+func (s *session) write(resp *proto.Response) bool {
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
-	return s.buffer(&resp)
+	return s.buffer(resp)
 }
 
 // flush writes the buffered responses to the connection.
