@@ -86,7 +86,9 @@ difftest:
 # for bit and the open-group counts must agree), then the TRS-Tree fit's
 # median selection (FuzzMedianOf: the branch-free selection against the
 # quickselect it replaced, bit for bit, over duplicate-heavy, all-equal,
-# sorted and reversed inputs, ±Inf, NaN payloads and ±0). The seed corpus
+# sorted and reversed inputs, ±Inf, NaN payloads and ±0), then the TRS-Tree
+# snapshot decoder (FuzzLoad: Load never panics, and a snapshot it accepts
+# saves back to the same bytes). The seed corpus
 # alone runs in every `go test`; new inputs land in the Go build cache's
 # fuzz directory, a failing one under the package's testdata/fuzz. (A
 # worker minimizing a new input reports 0 execs/sec.)
@@ -99,6 +101,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzHermit -fuzztime $(FUZZTIME) ./internal/hermit
 	$(GO) test -run '^$$' -fuzz FuzzReplay -fuzztime $(FUZZTIME) ./internal/engine
 	$(GO) test -run '^$$' -fuzz FuzzMedianOf -fuzztime $(FUZZTIME) ./internal/trstree
+	$(GO) test -run '^$$' -fuzz FuzzLoad -fuzztime $(FUZZTIME) ./internal/trstree
 
 # Bench smoke: one figure at tiny scale proves the harness end-to-end, then
 # one build each of a B+-tree and a Hermit index over 1M Synthetic rows

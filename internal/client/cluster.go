@@ -8,11 +8,13 @@ import (
 type ClusterOptions struct {
 	// Conn carries the per-connection settings (tenant, dial timeout).
 	Conn Options
-	// ReadYourWrites, when set, makes every read observe the cluster's
-	// own preceding writes: each write refreshes a min-applied-LSN token
-	// from the leader, and reads only go to a follower whose applied
-	// watermark has reached it (falling back to the leader otherwise).
-	// Without it reads are eventually consistent — any follower, any lag.
+	// ReadYourWrites, when set, makes every read observe every write the
+	// leader acknowledged before the cluster was dialled, and the cluster's
+	// own preceding writes: DialCluster and each write refresh a
+	// min-applied-LSN token from the leader, and reads only go to a
+	// follower whose applied watermark has reached it (falling back to the
+	// leader otherwise). Without it reads are eventually consistent — any
+	// follower, any lag.
 	ReadYourWrites bool
 }
 
@@ -41,7 +43,10 @@ type reader struct {
 
 // DialCluster connects to the leader and every follower. Followers that
 // fail to dial are skipped (reads then lean on the remaining endpoints);
-// a leader dial failure fails the whole call.
+// a leader dial failure fails the whole call. Under ReadYourWrites it
+// takes the leader's LSN as the first token, so that writes made over
+// other connections before the dial (a table another client created) are
+// seen; when that fails it closes the connections and fails the call.
 func DialCluster(leaderAddr string, followerAddrs []string, opts ClusterOptions) (*Cluster, error) {
 	leader, err := Dial(leaderAddr, opts.Conn)
 	if err != nil {
@@ -54,6 +59,10 @@ func DialCluster(leaderAddr string, followerAddrs []string, opts ClusterOptions)
 			continue
 		}
 		cl.readers = append(cl.readers, &reader{conn: c})
+	}
+	if err := cl.bumpToken(); err != nil {
+		cl.Close()
+		return nil, fmt.Errorf("client: leader %s LSN: %w", leaderAddr, err)
 	}
 	return cl, nil
 }

@@ -129,6 +129,45 @@ func TestClusterReadYourWrites(t *testing.T) {
 	}
 }
 
+// TestClusterReadsWritesBeforeDial: a ReadYourWrites cluster reads every
+// write the leader acknowledged before the cluster was dialled — here a
+// table and a row created over a plain leader connection while both
+// followers are held behind — so its first read never reaches a follower
+// that has not applied them.
+func TestClusterReadsWritesBeforeDial(t *testing.T) {
+	st := startReplicatedStack(t, 2)
+	for _, f := range st.followers {
+		f.Pause()
+	}
+	leader, err := client.Dial(st.lsrv.Addr().String(), client.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer leader.Close()
+	if err := leader.CreateTable("early", []string{"id", "v"}, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := leader.Insert("early", []float64{1, 10}); err != nil {
+		t.Fatal(err)
+	}
+	for range 3 {
+		cl, err := client.DialCluster(st.lsrv.Addr().String(), st.followerAddrs(),
+			client.ClusterOptions{ReadYourWrites: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows, err := cl.Point("early", 0, 1)
+		cl.Close()
+		if err != nil || len(rows) != 1 || rows[0][1] != 10 {
+			t.Fatalf("first read of a fresh cluster: rows %v, err %v", rows, err)
+		}
+	}
+	for _, f := range st.followers {
+		f.Resume()
+	}
+	st.waitAll(t)
+}
+
 // TestClusterEventualReads: without ReadYourWrites the cluster spreads
 // reads over followers with no freshness gate — once the followers have
 // caught up, reads return the replicated data from follower connections.

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"math"
 	"runtime"
 	"runtime/debug"
 	"testing"
@@ -112,45 +113,67 @@ func TestRangeReadIntoSteadyState(t *testing.T) {
 // TestHermitRangeReadIntoSteadyState pins the paper's headline path: a
 // Hermit range query harvests TRS-Tree ranges, host-index identifiers and
 // candidate RIDs into pooled scratch and copies the rows into the carried
-// dst, so it allocates nothing — under either pointer scheme.
+// dst, so it allocates nothing — under either pointer scheme, over a linear
+// host column (one TRS-Tree leaf) and over a sigmoid one, whose tree splits
+// so that every query visits two leaves or more and unions their ranges.
 func TestHermitRangeReadIntoSteadyState(t *testing.T) {
+	hosts := []struct {
+		name string
+		fn   func(i int) float64
+	}{
+		{"linear", func(i int) float64 { return 2*float64(i) + 100 }},
+		{"sigmoid", func(i int) float64 { return 10000 / (1 + math.Exp(-float64(i-2048)/200)) }},
+	}
 	for _, scheme := range []hermit.PointerScheme{hermit.PhysicalPointers, hermit.LogicalPointers} {
-		db := NewDB(scheme)
-		tb, err := db.CreateTable("guard", []string{"pk", "host", "target"}, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 4096; i++ {
-			host := 2*float64(i) + 100
-			if i%100 == 0 {
-				host = float64(i * 7 % 4096) // outliers
-			}
-			if _, err := tb.Insert([]float64{float64(i), host, float64(i)}); err != nil {
+		for _, h := range hosts {
+			db := NewDB(scheme)
+			tb, err := db.CreateTable("guard", []string{"pk", "host", "target"}, 0)
+			if err != nil {
 				t.Fatal(err)
 			}
-		}
-		if _, err := tb.CreateBTreeIndex(1, false); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := tb.CreateHermitIndex(2, 1); err != nil {
-			t.Fatal(err)
-		}
-		dst := make([]float64, 0, 3*64)
-		lo := 0.0
-		allocs := measureAllocs(t, 200, func() {
-			lo += 13
-			if lo > 4000 {
-				lo = 0
+			for i := 0; i < 4096; i++ {
+				host := h.fn(i)
+				if i%100 == 0 {
+					host = float64(i * 7 % 4096) // outliers
+				}
+				if _, err := tb.Insert([]float64{float64(i), host, float64(i)}); err != nil {
+					t.Fatal(err)
+				}
 			}
-			var st QueryStats
-			var err error
-			dst, st, err = tb.Exec(Query{Col: 2, Lo: lo, Hi: lo + 31, Path: PathHermit}, dst[:0])
-			if err != nil || st.Rows != 32 || len(dst) != 3*32 {
-				t.Fatalf("%v: hermit range read: err=%v rows=%d values=%d", scheme, err, st.Rows, len(dst))
+			if _, err := tb.CreateBTreeIndex(1, false); err != nil {
+				t.Fatal(err)
 			}
-		})
-		if allocs != 0 {
-			t.Fatalf("%v: warm Hermit range Exec allocates %.2f/op, want 0", scheme, allocs)
+			x, err := tb.CreateHermitIndex(2, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			width := 31.0
+			if h.name == "sigmoid" {
+				width = 127 // wider than any leaf of the tree
+				for lo := 0.0; lo <= 4000; lo += 13 {
+					if res := x.Tree().Lookup(lo, lo+width); res.LeavesVisited < 2 {
+						t.Fatalf("%v: [%v, %v] visits %d TRS-Tree leaf", scheme, lo, lo+width, res.LeavesVisited)
+					}
+				}
+			}
+			rows := int(width) + 1
+			dst := make([]float64, 0, 3*rows)
+			lo := 0.0
+			allocs := measureAllocs(t, 200, func() {
+				lo += 13
+				if lo > 4000 {
+					lo = 0
+				}
+				var st QueryStats
+				var err error
+				dst, st, err = tb.Exec(Query{Col: 2, Lo: lo, Hi: lo + width, Path: PathHermit}, dst[:0])
+				if err != nil || st.Rows != rows || len(dst) != 3*rows {
+					t.Fatalf("%v/%s: hermit range read: err=%v rows=%d values=%d", scheme, h.name, err, st.Rows, len(dst))
+				}
+			})
+			if allocs != 0 {
+				t.Fatalf("%v/%s: warm Hermit range Exec allocates %.2f/op, want 0", scheme, h.name, allocs)
+			}
 		}
 	}
 }

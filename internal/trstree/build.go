@@ -1,11 +1,12 @@
 package trstree
 
 import (
+	"cmp"
 	"errors"
 	"math"
 	"math/rand"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 
 	"hermit/internal/stats"
@@ -69,23 +70,26 @@ func buildTree(pairs []Pair, lo, hi float64, params Params, tokens chan struct{}
 		}
 	}
 	b := newBuilder(params, 1, tokens)
-	return &Tree{params: params, root: b.build(pairs, nil, lo, hi, 1, true, true)}, nil
+	root := b.build(pairs, nil, span{lo: lo, hi: hi, left: true, right: true}, 1)
+	return newTree(params, lo, hi, root, b.nodes), nil
 }
 
 // parallelSpawnMin is the sub-range size below which spawning a goroutine
 // is not worth the scheduling cost.
 const parallelSpawnMin = 8192
 
-// builder carries one construction's parameters, RNG stream and scratch.
-// The scratch is what makes a build allocate little beyond the tree: every
-// node's fit reuses it, and nothing of it is reachable from the tree.
+// builder carries one construction's parameters, RNG stream, scratch and
+// the nodes it builds. The scratch is what makes a build allocate little
+// beyond the tree: every node's fit reuses it, and nothing of it is
+// reachable from the tree.
 type builder struct {
 	params Params
 	rng    *rand.Rand
 	// tokens is BuildParallel's worker pool (nil: sequential). A builder
 	// belongs to one goroutine; a sub-range handed to another worker gets a
-	// builder of its own.
+	// builder of its own, whose nodes the parent grafts into its own.
 	tokens chan struct{}
+	nodes  nodes
 
 	resid  []float64           // |n - model(m)| of the node being fitted
 	sample []Pair              // the sampling pre-check's draw
@@ -94,94 +98,101 @@ type builder struct {
 }
 
 func newBuilder(params Params, seed int64, tokens chan struct{}) *builder {
-	return &builder{params: params, rng: rand.New(rand.NewSource(seed)), tokens: tokens}
+	return &builder{params: params, rng: rand.New(rand.NewSource(seed)), tokens: tokens, nodes: nodes{fanout: params.NodeFanout}}
 }
 
-// build recursively constructs the subtree for pairs covering [lo, hi].
-// It implements Algorithm 1's Compute/Validate/SplitNode loop in recursive
-// form (the FIFO order of the paper only affects construction order, not
-// the resulting structure). other is the region of the second buffer that
-// lies alongside pairs: a split scatters pairs into it and the children
-// scatter back, so one level's input is the next level's scratch. Only the
-// root passes nil.
-func (b *builder) build(pairs, other []Pair, lo, hi float64, depth int, leftEdge, rightEdge bool) *node {
+// build recursively constructs the subtree for pairs covering s at depth
+// and returns its reference in b.nodes. It implements Algorithm 1's
+// Compute/Validate/SplitNode loop in recursive form (the FIFO order of the
+// paper only affects construction order, not the resulting structure).
+// other is the region of the second buffer that lies alongside pairs: a
+// split scatters pairs into it and the children scatter back, so one
+// level's input is the next level's scratch. Only the root passes nil.
+func (b *builder) build(pairs, other []Pair, s span, depth int) ref {
 	if b.tokens != nil {
 		b.rng.Seed(int64(depth)*7919 + int64(len(pairs)))
 	}
-	if leaf, ok := b.tryLeaf(pairs, lo, hi, depth, leftEdge, rightEdge); ok {
-		return leaf
+	if l, ok := b.tryLeaf(pairs, s, depth); ok {
+		return b.nodes.addLeaf(l)
 	}
 	if other == nil {
 		other = make([]Pair, len(pairs))
 	}
 	k := b.params.NodeFanout
-	ends := b.partition(pairs, other, lo, hi, k)
-	n := &node{lo: lo, hi: hi, leftEdge: leftEdge, rightEdge: rightEdge, children: make([]*node, k)}
-	w := (hi - lo) / float64(k)
+	w := s.width(k)
+	ends := b.partition(pairs, other, s.lo, w, k)
+	in := b.nodes.addInner()
 	var wg sync.WaitGroup
+	var spawned []*subBuild
 	start := 0
 	for i, end := range ends {
-		clo := lo + float64(i)*w
-		chi := clo + w
-		if i == k-1 {
-			chi = hi
-		}
+		cs := s.child(w, i, k)
 		bucket, scratch := other[start:end], pairs[start:end]
 		start = end
-		le, re := leftEdge && i == 0, rightEdge && i == k-1
 		if b.tokens != nil && len(bucket) >= parallelSpawnMin {
 			select {
 			case b.tokens <- struct{}{}:
+				sb := &subBuild{b: newBuilder(b.params, 0, b.tokens), i: i} // build seeds every node
+				spawned = append(spawned, sb)
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
 					defer func() { <-b.tokens }()
-					worker := newBuilder(b.params, 0, b.tokens) // build seeds every node
-					n.children[i] = worker.build(bucket, scratch, clo, chi, depth+1, le, re)
+					sb.root = sb.b.build(bucket, scratch, cs, depth+1)
 				}()
 				continue
 			default:
 				// Pool exhausted: build inline.
 			}
 		}
-		n.children[i] = b.build(bucket, scratch, clo, chi, depth+1, le, re)
+		c := b.build(bucket, scratch, cs, depth+1) // before indexing: the build moves b.nodes.inner
+		b.nodes.kids(in)[i] = c
 	}
 	wg.Wait()
-	return n
+	for _, sb := range spawned {
+		c := b.nodes.graft(&sb.b.nodes, sb.root)
+		b.nodes.kids(in)[sb.i] = c
+	}
+	return in
+}
+
+// subBuild is a subtree built in nodes of its own, to be grafted into a
+// tree's: its builder, its root's reference in the builder's nodes and,
+// for a sub-range another worker builds, the child index it fills.
+type subBuild struct {
+	b    *builder
+	root ref
+	i    int
 }
 
 // tryLeaf fits a linear model over pairs and validates it. It returns the
 // finished leaf when the model's outliers stay within OutlierRatio, when
 // the depth limit is reached, or when too few pairs remain to justify a
 // split — in those cases the uncovered pairs go to the outlier buffer.
-func (b *builder) tryLeaf(pairs []Pair, lo, hi float64, depth int, leftEdge, rightEdge bool) (*node, bool) {
+func (b *builder) tryLeaf(pairs []Pair, s span, depth int) (leaf, bool) {
+	lo, hi := s.lo, s.hi
 	mustBeLeaf := depth >= b.params.MaxHeight || len(pairs) <= b.params.MinLeafPairs || hi-lo <= 0
 	// Sampling-based outlier estimation (Appendix D.2): decide to split
 	// from a 5% sample before paying for the full regression.
 	if !mustBeLeaf && b.params.SampleRate > 0 && len(pairs) > 4*b.params.MinLeafPairs {
 		if b.sampleSaysSplit(pairs, lo, hi) {
-			return nil, false
+			return leaf{}, false
 		}
 	}
 	model, eps, outliers := b.fitAndValidate(pairs, lo, hi)
 	if !mustBeLeaf && float64(outliers) > b.params.OutlierRatio*float64(len(pairs)) {
-		return nil, false
+		return leaf{}, false
 	}
-	leaf := &node{
-		lo: lo, hi: hi,
-		leftEdge: leftEdge, rightEdge: rightEdge,
-		model: model, eps: eps,
-		count: len(pairs),
-	}
+	l := leaf{model: model, eps: eps, count: uint32(min(len(pairs), math.MaxUint32))}
 	if outliers > 0 {
-		leaf.outliers = make([]outlierEntry, 0, outliers)
+		l.outliers = make([]outlierEntry, 0, outliers)
 		for _, p := range pairs {
 			if uncovered(model, eps, lo, hi, p) {
-				leaf.outliers = append(leaf.outliers, outlierEntry{m: p.M, id: p.ID})
+				l.outliers = append(l.outliers, outlierEntry{m: p.M, id: p.ID})
 			}
 		}
 	}
-	return leaf, true
+	return l, true
 }
 
 // sampleSaysSplit fits on a sample and reports whether the sampled outlier
@@ -207,7 +218,7 @@ func (b *builder) sampleSaysSplit(pairs []Pair, lo, hi float64) bool {
 
 // uncovered reports whether the leaf over [lo, hi] with this model and eps
 // misses the pair: Validate's test, and the one that fills a leaf's outlier
-// buffer. It is node.covers' complement: a pair beyond the range — which a
+// buffer. It is leaf.covers' complement: a pair beyond the range — which a
 // rebuilt edge leaf is handed, and no lookup predicts host ranges for — is
 // a miss, and so is a NaN residual (a NaN or infinite value on either
 // side).
@@ -529,7 +540,7 @@ func deriveEps(beta, lo, hi, errorBound float64, n int) float64 {
 	return eps
 }
 
-// partition distributes pairs into k equal sub-ranges of [lo, hi]
+// partition distributes pairs into k sub-ranges of width w from lo
 // (Algorithm 1's SplitTable): a counting pass, then a placement into dst —
 // as long as pairs — that keeps each sub-range's pairs in input order, which
 // the fits below depend on. Sub-range i is dst[ends[i-1]:ends[i]]. The
@@ -537,8 +548,7 @@ func deriveEps(beta, lo, hi, errorBound float64, n int) float64 {
 // tests) once, into the builder's scratch, where the placement reads it; a
 // split's children partition after it returns, so one scratch the size of
 // the root's pairs serves every level.
-func (b *builder) partition(pairs, dst []Pair, lo, hi float64, k int) (ends []int) {
-	w := (hi - lo) / float64(k)
+func (b *builder) partition(pairs, dst []Pair, lo, w float64, k int) (ends []int) {
 	if cap(b.sub) < len(pairs) {
 		b.sub = make([]uint32, len(pairs))
 	}
@@ -562,7 +572,10 @@ func (b *builder) partition(pairs, dst []Pair, lo, hi float64, k int) (ends []in
 	return next // every cursor stopped at its sub-range's end
 }
 
-// sortRanges orders ranges by Lo; used by the lookup union step.
+// sortRanges orders ranges by Lo; used by the lookup union step, whose
+// result does not depend on the order of ranges with equal Lo. It runs on
+// every lookup that visits two leaves or more and must not allocate
+// (TestHermitRangeReadIntoSteadyState), which rules out sort.Slice.
 func sortRanges(rs []Range) {
-	sort.Slice(rs, func(a, b int) bool { return rs[a].Lo < rs[b].Lo })
+	slices.SortFunc(rs, func(a, b Range) int { return cmp.Compare(a.Lo, b.Lo) })
 }

@@ -95,6 +95,62 @@ func TestBuildGolden(t *testing.T) {
 	}
 }
 
+// TestBuildParallelGolden pins the tree BuildParallel returns — the
+// builder a Hermit index is created with — over the benchmark's 1M-row
+// shape: the hash is of Save's output at the commit before the tree's
+// nodes moved into flat arrays, and it is the same for every worker count.
+func TestBuildParallelGolden(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("hash recorded on amd64; other architectures may fuse multiply-adds")
+	}
+	const want = "0e365406b261df96a3ecaaa2e2f7d2490efa77bc2193284af2820f51394461f8"
+	src := genBenchmarkShape(1_000_000)
+	for _, workers := range []int{2, 4} {
+		tr, err := BuildParallel(append([]Pair(nil), src...), 1, 0, DefaultParams(), workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := saveHash(t, tr); got != want {
+			t.Errorf("%d workers: sha256(Save) = %s, want %s", workers, got, want)
+		}
+	}
+}
+
+// TestHeapMatchesSizeBytes: SizeBytes is what the heap holds for built
+// trees, to within 3 %. The trees are built over the benchmark's 1M-row
+// shape, so the figure index_bytes_per_row reports is bytes the process
+// keeps.
+func TestHeapMatchesSizeBytes(t *testing.T) {
+	const trees = 6
+	src := genBenchmarkShape(1_000_000)
+	pairs := make([]Pair, len(src))
+	kept := make([]*Tree, 0, trees)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for range trees {
+		copy(pairs, src)
+		tr, err := BuildParallel(pairs, 1, 0, DefaultParams(), 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kept = append(kept, tr)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(src)
+	runtime.KeepAlive(pairs)
+	heap := after.HeapAlloc - before.HeapAlloc
+	var size uint64
+	for _, tr := range kept {
+		size += tr.SizeBytes()
+	}
+	t.Logf("heap %d B, SizeBytes %d B for %d trees (%.3f B/row each)", heap, size, trees, float64(size)/trees/1e6)
+	if d := math.Abs(float64(heap)-float64(size)) / float64(size); d > 0.03 {
+		t.Errorf("heap %d B is %.1f%% away from SizeBytes %d B", heap, d*100, size)
+	}
+}
+
 // TestBuildAllocBound: construction works in the pairs array, one scratch of
 // the same size and the builder's fit scratch, so it allocates a small
 // multiple of its input (1.2x when this was written; the builder that

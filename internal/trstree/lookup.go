@@ -34,7 +34,7 @@ func (t *Tree) LookupInto(lo, hi float64, res *Result) {
 	if lo > hi {
 		return
 	}
-	t.lookupNode(t.root, lo, hi, res)
+	t.lookupNode(t.root, t.bounds, lo, hi, res)
 	// Writes parked in the temporal side buffer while a reorganization
 	// scan is in flight (Appendix B) are already acknowledged to their
 	// writers, so lookups must see them: matching parked inserts join the
@@ -51,18 +51,22 @@ func (t *Tree) LookupInto(lo, hi float64, res *Result) {
 	}
 }
 
-// lookupNode performs the per-node work of Algorithm 2. The paper uses a
-// FIFO queue for breadth-first traversal; recursion visits the same nodes
-// (every node overlapping the predicate) without allocating a queue.
-func (t *Tree) lookupNode(n *node, lo, hi float64, res *Result) {
-	if !n.isLeaf() {
-		for _, c := range n.children {
-			if c.effectiveLo() <= hi && c.effectiveHi() >= lo {
-				t.lookupNode(c, lo, hi, res)
+// lookupNode performs the per-node work of Algorithm 2 on node r, which
+// covers s. The paper uses a FIFO queue for breadth-first traversal;
+// recursion visits the same nodes (every node overlapping the predicate)
+// without allocating a queue.
+func (t *Tree) lookupNode(r ref, s span, lo, hi float64, res *Result) {
+	if !r.isLeaf() {
+		k := t.params.NodeFanout
+		w := s.width(k)
+		for i, c := range t.kids(r) {
+			if cs := s.child(w, i, k); cs.effectiveLo() <= hi && cs.effectiveHi() >= lo {
+				t.lookupNode(c, cs, lo, hi, res)
 			}
 		}
 		return
 	}
+	l := &t.leaves[r.slot()]
 	res.LeavesVisited++
 	// Intersect the predicate with the leaf's finite range for the model
 	// estimate; out-of-range values are never model-covered (they are
@@ -71,19 +75,19 @@ func (t *Tree) lookupNode(n *node, lo, hi float64, res *Result) {
 	// A model fitted over infinite or NaN values predicts NaN; it covers no
 	// pair (covers, uncovered), so it contributes no range — a NaN range
 	// would also derail the union's sort.
-	mlo := math.Max(lo, n.lo)
-	mhi := math.Min(hi, n.hi)
-	if mlo <= mhi && n.count > 0 {
-		if rlo, rhi := n.model.PredictRange(mlo, mhi, n.eps); rlo <= rhi {
+	mlo := math.Max(lo, s.lo)
+	mhi := math.Min(hi, s.hi)
+	if mlo <= mhi && l.count > 0 {
+		if rlo, rhi := l.model.PredictRange(mlo, mhi, l.eps); rlo <= rhi {
 			res.Ranges = append(res.Ranges, Range{Lo: rlo, Hi: rhi})
 		}
 	}
 	// Outlier retrieval uses the edge-extended range so that tuples beyond
 	// the build-time range R are still found.
-	olo := math.Max(lo, n.effectiveLo())
-	ohi := math.Min(hi, n.effectiveHi())
+	olo := math.Max(lo, s.effectiveLo())
+	ohi := math.Min(hi, s.effectiveHi())
 	if olo <= ohi {
-		for _, e := range n.outliers {
+		for _, e := range l.outliers {
 			if e.m >= olo && e.m <= ohi {
 				res.IDs = append(res.IDs, e.id)
 			}

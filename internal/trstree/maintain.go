@@ -21,14 +21,17 @@ func (t *Tree) Insert(m, n float64, id uint64) {
 }
 
 func (t *Tree) insertLocked(m, n float64, id uint64) {
-	leaf := t.traverse(m)
-	leaf.count++
-	if leaf.covers(m, n) {
+	slot, sp := t.traverse(m)
+	l := &t.leaves[slot]
+	if l.count < math.MaxUint32 { // saturates: no wrap to 0
+		l.count++
+	}
+	if l.covers(sp, m, n) {
 		return
 	}
-	leaf.addOutlier(m, id)
-	if float64(len(leaf.outliers)) > t.params.OutlierRatio*float64(leaf.count) {
-		t.enqueue(reorgCandidate{n: leaf})
+	l.addOutlier(m, id)
+	if float64(len(l.outliers)) > t.params.OutlierRatio*float64(l.count) {
+		t.enqueue(reorgCandidate{leaf: t.id(leafRef(slot)), m: m})
 	}
 }
 
@@ -50,16 +53,19 @@ func (t *Tree) Delete(m, n float64, id uint64) {
 }
 
 func (t *Tree) deleteLocked(m, n float64, id uint64) {
-	leaf := t.traverse(m)
-	if !leaf.covers(m, n) {
-		leaf.removeOutlier(m, id)
+	slot, sp := t.traverse(m)
+	l := &t.leaves[slot]
+	if !l.covers(sp, m, n) {
+		l.removeOutlier(m, id)
 	}
-	if leaf.count > 0 {
-		leaf.count--
+	if l.count > 0 {
+		l.count--
 	}
-	leaf.deleted++
-	if leaf.count > 0 && float64(leaf.deleted) > t.params.OutlierRatio*float64(leaf.count) {
-		t.enqueue(reorgCandidate{n: leaf, merge: true})
+	if l.deleted < math.MaxUint32 {
+		l.deleted++
+	}
+	if l.count > 0 && float64(l.deleted) > t.params.OutlierRatio*float64(l.count) {
+		t.enqueue(reorgCandidate{leaf: t.id(leafRef(slot)), m: m, merge: true})
 	}
 }
 
@@ -73,22 +79,23 @@ func (t *Tree) Update(m, oldN, newN float64, id uint64) {
 		t.bufferOp(bufferedOp{p: Pair{M: m, N: newN, ID: id}})
 		return
 	}
-	leaf := t.traverse(m)
-	wasCovered, isCovered := leaf.covers(m, oldN), leaf.covers(m, newN)
+	slot, sp := t.traverse(m)
+	l := &t.leaves[slot]
+	wasCovered, isCovered := l.covers(sp, m, oldN), l.covers(sp, m, newN)
 	switch {
 	case wasCovered && !isCovered:
-		leaf.addOutlier(m, id)
+		l.addOutlier(m, id)
 	case !wasCovered && isCovered:
-		leaf.removeOutlier(m, id)
+		l.removeOutlier(m, id)
 	}
 }
 
-// covers reports whether the leaf's linear function predicts host value nv
+// covers reports whether the leaf, which covers s, predicts host value nv
 // for target value m within its confidence interval, in which case the
 // tuple is stored nowhere. Values outside the build-time range are never
 // covered.
-func (n *node) covers(m, nv float64) bool {
-	return m >= n.lo && m <= n.hi && math.Abs(nv-n.model.Predict(m)) <= n.eps
+func (l *leaf) covers(s span, m, nv float64) bool {
+	return m >= s.lo && m <= s.hi && math.Abs(nv-l.model.Predict(m)) <= l.eps
 }
 
 // addOutlier records (m, id). The buffer is a multiset: under logical
@@ -103,21 +110,21 @@ func (n *node) covers(m, nv float64) bool {
 // entries held: a full buffer grows by an eighth (at least outlierStep
 // entries), not by append's doubling, and removeOutlier gives back the
 // array once half of it is unused.
-func (n *node) addOutlier(m float64, id uint64) {
-	if held := len(n.outliers); held == cap(n.outliers) {
-		n.rehouse(held + max(outlierStep, held/8))
+func (l *leaf) addOutlier(m float64, id uint64) {
+	if held := len(l.outliers); held == cap(l.outliers) {
+		l.rehouse(held + max(outlierStep, held/8))
 	}
-	n.outliers = append(n.outliers, outlierEntry{m: m, id: id})
+	l.outliers = append(l.outliers, outlierEntry{m: m, id: id})
 }
 
-func (n *node) removeOutlier(m float64, id uint64) bool {
-	for i, e := range n.outliers {
+func (l *leaf) removeOutlier(m float64, id uint64) bool {
+	for i, e := range l.outliers {
 		if e.id == id && e.m == m {
-			last := len(n.outliers) - 1
-			n.outliers[i] = n.outliers[last]
-			n.outliers = n.outliers[:last]
-			if last <= cap(n.outliers)/2 {
-				n.rehouse(last)
+			last := len(l.outliers) - 1
+			l.outliers[i] = l.outliers[last]
+			l.outliers = l.outliers[:last]
+			if last <= cap(l.outliers)/2 {
+				l.rehouse(last)
 			}
 			return true
 		}
@@ -129,30 +136,30 @@ func (n *node) removeOutlier(m float64, id uint64) bool {
 const outlierStep = 8
 
 // rehouse moves the outlier buffer into an array of the given capacity.
-func (n *node) rehouse(capacity int) {
+func (l *leaf) rehouse(capacity int) {
 	if capacity == 0 {
-		n.outliers = nil
+		l.outliers = nil
 		return
 	}
-	n.outliers = append(make([]outlierEntry, 0, capacity), n.outliers...)
+	l.outliers = append(make([]outlierEntry, 0, capacity), l.outliers...)
 }
 
 func (t *Tree) bufferOp(op bufferedOp) {
 	t.sideBuf = append(t.sideBuf, op)
 }
 
-// enqueue registers a reorganization candidate, deduplicating by node.
+// enqueue registers a reorganization candidate, deduplicating by leaf.
 // Writers call this with t.mu held.
 func (t *Tree) enqueue(c reorgCandidate) {
 	t.reorgMu.Lock()
 	defer t.reorgMu.Unlock()
 	if t.pendingIn == nil {
-		t.pendingIn = make(map[*node]bool)
+		t.pendingIn = make(map[nodeID]bool)
 	}
-	if t.pendingIn[c.n] {
+	if t.pendingIn[c.leaf] {
 		return
 	}
-	t.pendingIn[c.n] = true
+	t.pendingIn[c.leaf] = true
 	t.pending = append(t.pending, c)
 }
 
@@ -181,13 +188,15 @@ func (t *Tree) ReorgOnce(src DataSource) (int, error) {
 	}
 	rebuilt := 0
 	for _, c := range cands {
-		target := c.n
+		target := c.leaf
 		if c.merge {
-			if p := t.parentOf(target); p != nil {
-				target = p
+			t.mu.RLock()
+			if at, ok := t.find(c.leaf, c.m); ok && at.depth > 1 {
+				target = at.up
 			}
+			t.mu.RUnlock()
 		}
-		ok, err := t.rebuildSubtree(target, src)
+		ok, err := t.rebuildSubtree(target, c.m, src)
 		if err != nil {
 			return rebuilt, err
 		}
@@ -202,29 +211,67 @@ func (t *Tree) ReorgOnce(src DataSource) (int, error) {
 // the candidate queue. The reorganization trace experiment (§7.7, Fig. 23)
 // drives partial reorganizations through this entry point.
 func (t *Tree) ReorgSubtree(i int, src DataSource) error {
+	k := t.params.NodeFanout
 	t.mu.RLock()
-	var target *node
-	if t.root.isLeaf() {
-		target = t.root
-	} else if i >= 0 && i < len(t.root.children) {
-		target = t.root.children[i]
+	target, m := t.id(t.root), t.bounds.lo
+	if !t.root.isLeaf() {
+		if i < 0 || i >= k {
+			t.mu.RUnlock()
+			return nil
+		}
+		cs := t.bounds.child(t.bounds.width(k), i, k)
+		target, m = t.id(t.kids(t.root)[i]), cs.lo+(cs.hi-cs.lo)/2
 	}
 	t.mu.RUnlock()
-	if target == nil {
-		return nil
-	}
-	_, err := t.rebuildSubtree(target, src)
+	_, err := t.rebuildSubtree(target, m, src)
 	return err
 }
 
-// rebuildSubtree rescans [target.lo, target.hi] (edge-extended), rebuilds
-// the subtree and swaps it in. It reports false when the target is no
-// longer reachable (already replaced by an earlier candidate in the batch).
-func (t *Tree) rebuildSubtree(target *node, src DataSource) (bool, error) {
+// place is where a node sits in the tree: its span and depth (root = 1),
+// its parent, and the index in t.inner of the reference to it.
+type place struct {
+	span
+	depth int
+	id    nodeID
+	up    nodeID // the parent's, when depth > 1
+	slot  int    // -1: the reference is t.root
+}
+
+// refAt returns the reference at slot, t.root for -1.
+func (t *Tree) refAt(slot int) *ref {
+	if slot < 0 {
+		return &t.root
+	}
+	return &t.inner[slot]
+}
+
+// find descends towards m until it meets the node id and returns its
+// place. It reports false when id is no longer in the tree, or not on
+// m's path. Called with t.mu held.
+func (t *Tree) find(id nodeID, m float64) (place, bool) {
+	at := place{span: t.bounds, depth: 1, id: t.id(t.root), slot: -1}
+	k := t.params.NodeFanout
+	for at.id != id {
+		if at.id.r.isLeaf() {
+			return place{}, false
+		}
+		w := at.width(k)
+		i := subRange(m, at.lo, w, k)
+		slot := int(at.id.r)*k + i
+		at = place{span: at.child(w, i, k), depth: at.depth + 1, id: t.id(t.inner[slot]), up: at.id, slot: slot}
+	}
+	return at, true
+}
+
+// rebuildSubtree rescans the node id's range (edge-extended), rebuilds
+// the subtree and swaps it in. m leads to the node (find). It reports
+// false when the node is no longer in the tree (replaced by an earlier
+// candidate in the batch).
+func (t *Tree) rebuildSubtree(id nodeID, m float64, src DataSource) (bool, error) {
 	// Phase 1: mark reorganization so writers divert to the side buffer.
 	t.mu.Lock()
-	parent, depth := t.locate(target)
-	if parent == nil && t.root != target {
+	at, ok := t.find(id, m)
+	if !ok {
 		t.mu.Unlock()
 		return false, nil
 	}
@@ -232,14 +279,17 @@ func (t *Tree) rebuildSubtree(target *node, src DataSource) (bool, error) {
 		// A concurrent explicit reorg is running; fall back to doing the
 		// whole rebuild under the write latch.
 		defer t.mu.Unlock()
-		return t.rebuildLocked(target, parent, depth, src)
+		return t.rebuildLocked(at, src)
 	}
 	t.inReorg = true
 	t.mu.Unlock()
 
 	// Phase 2: scan and build without holding the tree latch.
-	pairs, err := collectPairs(src, target)
-	newNode, buildErr := buildReplacement(pairs, target, depth, t.params)
+	pairs, err := collectPairs(src, at.span)
+	var repl subBuild
+	if err == nil {
+		repl = buildReplacement(pairs, at, t.params)
+	}
 
 	// Phase 3: install under the write latch, replaying parked writers.
 	t.mu.Lock()
@@ -247,57 +297,55 @@ func (t *Tree) rebuildSubtree(target *node, src DataSource) (bool, error) {
 		t.inReorg = false
 		t.mu.Unlock()
 	}()
+	defer t.replaySideBuf()
 	if err != nil {
-		t.replaySideBuf()
 		return false, err
 	}
-	if buildErr != nil {
-		t.replaySideBuf()
-		return false, buildErr
-	}
 	// Re-locate: the tree may have changed while we scanned.
-	parent, _ = t.locate(target)
-	if parent == nil && t.root != target {
-		t.replaySideBuf()
+	if at, ok = t.find(id, m); !ok {
 		return false, nil
 	}
-	t.install(parent, target, newNode)
-	t.replaySideBuf()
+	t.install(at, repl)
 	return true, nil
 }
 
 // rebuildLocked performs scan+build+install entirely under t.mu; used only
 // when rebuilds race with each other.
-func (t *Tree) rebuildLocked(target, parent *node, depth int, src DataSource) (bool, error) {
-	pairs, err := collectPairs(src, target)
+func (t *Tree) rebuildLocked(at place, src DataSource) (bool, error) {
+	pairs, err := collectPairs(src, at.span)
 	if err != nil {
 		return false, err
 	}
-	newNode, err := buildReplacement(pairs, target, depth, t.params)
-	if err != nil {
-		return false, err
-	}
-	t.install(parent, target, newNode)
+	t.install(at, buildReplacement(pairs, at, t.params))
 	return true, nil
 }
 
-func collectPairs(src DataSource, target *node) ([]Pair, error) {
+func collectPairs(src DataSource, s span) ([]Pair, error) {
 	var pairs []Pair
-	err := src.ScanMRange(target.effectiveLo(), target.effectiveHi(), func(m, n float64, id uint64) bool {
+	err := src.ScanMRange(s.effectiveLo(), s.effectiveHi(), func(m, n float64, id uint64) bool {
 		pairs = append(pairs, Pair{M: m, N: n, ID: id})
 		return true
 	})
 	return pairs, err
 }
 
-// buildReplacement builds the subtree that replaces target. Its sampling
-// RNG is seeded from the node — depth, pair count and the bits of its lower
-// bound — so replaying one trace of writes and reorganizations builds the
-// same subtrees.
-func buildReplacement(pairs []Pair, target *node, depth int, params Params) (*node, error) {
-	seed := int64(depth)*7919 + int64(len(pairs)) + int64(math.Float64bits(target.lo))
+// buildReplacement builds, in a builder's nodes, the subtree that replaces
+// the node at. Its sampling RNG is seeded from the node — depth, pair
+// count and the bits of its lower bound — so replaying one trace of writes
+// and reorganizations builds the same subtrees.
+func buildReplacement(pairs []Pair, at place, params Params) subBuild {
+	seed := int64(at.depth)*7919 + int64(len(pairs)) + int64(math.Float64bits(at.lo))
 	b := newBuilder(params, seed, nil)
-	return b.build(pairs, nil, target.lo, target.hi, depth, target.leftEdge, target.rightEdge), nil
+	return subBuild{b: b, root: b.build(pairs, nil, at.span, at.depth)}
+}
+
+// install replaces the subtree at with the one repl built. The old
+// subtree's slots are freed first, so the new one fills them. Called with
+// t.mu held.
+func (t *Tree) install(at place, repl subBuild) {
+	t.free(*t.refAt(at.slot))
+	r := t.graft(&repl.b.nodes, repl.root) // before refAt: the graft may move t.inner
+	*t.refAt(at.slot) = r
 }
 
 // replaySideBuf applies writes parked during the reorganization scan.
@@ -312,51 +360,6 @@ func (t *Tree) replaySideBuf() {
 		}
 	}
 	t.sideBuf = nil
-}
-
-// locate finds target's parent and depth (root depth = 1) by descending the
-// deterministic range structure. A nil parent with depth 1 means target is
-// the root; a nil parent with depth 0 means target is unreachable.
-// Called with t.mu held.
-func (t *Tree) locate(target *node) (parent *node, depth int) {
-	if t.root == target {
-		return nil, 1
-	}
-	mid := (target.lo + target.hi) / 2
-	cur := t.root
-	d := 1
-	for !cur.isLeaf() {
-		for _, c := range cur.children {
-			if c == target {
-				return cur, d + 1
-			}
-		}
-		cur = cur.children[childIndex(cur, mid)]
-		d++
-	}
-	return nil, 0
-}
-
-// install replaces target with repl in the tree. Called with t.mu held.
-func (t *Tree) install(parent, target, repl *node) {
-	if parent == nil {
-		t.root = repl
-		return
-	}
-	for i, c := range parent.children {
-		if c == target {
-			parent.children[i] = repl
-			return
-		}
-	}
-}
-
-// parentOf returns the parent of n, or nil when n is the root or detached.
-func (t *Tree) parentOf(n *node) *node {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	p, _ := t.locate(n)
-	return p
 }
 
 // StartReorg launches the dedicated background reorganization goroutine

@@ -20,6 +20,11 @@ import (
 //	  leaf:     beta, alpha, eps, count, deleted, n outliers, entries
 //	  internal: child count, then children pre-order
 //
+// The tree stores no node's bounds or flags: Save writes the ones every
+// descent derives (span.child), and Load derives them again and rejects a
+// snapshot whose stored ones differ, or whose child count is not
+// NodeFanout. A snapshot Load accepts saves back to the same bytes.
+//
 // Snapshots capture a consistent point-in-time image (the read latch is
 // held while encoding); writes after the snapshot are recovered by the
 // engine's WAL replay, exactly as §6 sketches.
@@ -59,52 +64,59 @@ func (t *Tree) Save(w io.Writer) error {
 	); err != nil {
 		return err
 	}
-	if err := writeNodeSnapshot(bw, t.root); err != nil {
+	if err := t.writeNodeSnapshot(bw, t.root, t.bounds); err != nil {
 		return err
 	}
 	return bw.Flush()
 }
 
-func writeNodeSnapshot(w io.Writer, n *node) error {
+func (t *Tree) writeNodeSnapshot(w io.Writer, r ref, s span) error {
 	var flags byte
-	if n.isLeaf() {
+	if r.isLeaf() {
 		flags |= flagLeaf
 	}
-	if n.leftEdge {
+	if s.left {
 		flags |= flagLeftEdge
 	}
-	if n.rightEdge {
+	if s.right {
 		flags |= flagRightEdge
 	}
-	if err := writeAll(w, flags, n.lo, n.hi); err != nil {
+	if err := writeAll(w, flags, s.lo, s.hi); err != nil {
 		return err
 	}
-	if n.isLeaf() {
+	if r.isLeaf() {
+		l := &t.leaves[r.slot()]
 		if err := writeAll(w,
-			n.model.Beta, n.model.Alpha, n.eps,
-			uint64(n.count), uint64(n.deleted), uint64(len(n.outliers)),
+			l.model.Beta, l.model.Alpha, l.eps,
+			uint64(l.count), uint64(l.deleted), uint64(len(l.outliers)),
 		); err != nil {
 			return err
 		}
-		for _, e := range n.outliers {
+		for _, e := range l.outliers {
 			if err := writeAll(w, e.m, e.id); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
-	if err := writeAll(w, uint32(len(n.children))); err != nil {
+	k := t.params.NodeFanout
+	if err := writeAll(w, uint32(k)); err != nil {
 		return err
 	}
-	for _, c := range n.children {
-		if err := writeNodeSnapshot(w, c); err != nil {
+	wd := s.width(k)
+	for i, c := range t.kids(r) {
+		if err := t.writeNodeSnapshot(w, c, s.child(wd, i, k)); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// Load reconstructs a tree from a snapshot produced by Save.
+// maxFanout bounds the NodeFanout a snapshot may declare.
+const maxFanout = 1 << 16
+
+// Load reconstructs a tree from a snapshot produced by Save. It reads r to
+// its end: bytes after the tree are an error.
 func Load(r io.Reader) (*Tree, error) {
 	br := bufio.NewReader(r)
 	magic := make([]byte, len(snapshotMagic))
@@ -128,73 +140,112 @@ func Load(r io.Reader) (*Tree, error) {
 		&p.SampleRate, &union, &minLeaf); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
 	}
+	// Save writes sanitized parameters; anything sanitize would change did
+	// not come from Save.
+	if fanout < 2 || fanout > maxFanout || maxHeight < 1 || minLeaf < 1 || union > 1 ||
+		p.OutlierRatio <= 0 || p.ErrorBound < 0 {
+		return nil, fmt.Errorf("%w: parameters", ErrBadSnapshot)
+	}
 	p.NodeFanout = int(fanout)
 	p.MaxHeight = int(maxHeight)
 	p.UnionRanges = union != 0
 	p.MinLeafPairs = int(minLeaf)
-	root, err := readNodeSnapshot(br, 0)
+	var flags byte
+	var lo, hi float64
+	if err := readAll(br, &flags, &lo, &hi); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
+	}
+	if math.IsNaN(lo) || math.IsNaN(hi) {
+		return nil, fmt.Errorf("%w: NaN bounds", ErrBadSnapshot)
+	}
+	bounds := span{lo: lo, hi: hi, left: true, right: true}
+	n := nodes{fanout: p.NodeFanout}
+	root, err := n.readNodeSnapshot(br, flags, bounds, 0)
 	if err != nil {
 		return nil, err
 	}
-	return &Tree{params: p.sanitize(), root: root}, nil
+	if _, err := br.ReadByte(); err != io.EOF {
+		return nil, fmt.Errorf("%w: bytes after the tree", ErrBadSnapshot)
+	}
+	return newTree(p, lo, hi, root, n), nil
 }
 
 // maxSnapshotDepth bounds recursion so corrupt child counts cannot blow
 // the stack.
 const maxSnapshotDepth = 64
 
-func readNodeSnapshot(r io.Reader, depth int) (*node, error) {
+// readNodeSnapshot reads the node that covers s, whose flags are read, and
+// appends it to n.
+func (n *nodes) readNodeSnapshot(r io.Reader, flags byte, s span, depth int) (ref, error) {
 	if depth > maxSnapshotDepth {
-		return nil, fmt.Errorf("%w: nesting too deep", ErrBadSnapshot)
+		return 0, fmt.Errorf("%w: nesting too deep", ErrBadSnapshot)
 	}
-	var flags byte
-	n := &node{}
-	if err := readAll(r, &flags, &n.lo, &n.hi); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
+	if flags&^(flagLeaf|flagLeftEdge|flagRightEdge) != 0 ||
+		(flags&flagLeftEdge != 0) != s.left || (flags&flagRightEdge != 0) != s.right {
+		return 0, fmt.Errorf("%w: node flags %#x", ErrBadSnapshot, flags)
 	}
-	if math.IsNaN(n.lo) || math.IsNaN(n.hi) {
-		return nil, fmt.Errorf("%w: NaN bounds", ErrBadSnapshot)
-	}
-	n.leftEdge = flags&flagLeftEdge != 0
-	n.rightEdge = flags&flagRightEdge != 0
 	if flags&flagLeaf != 0 {
-		var count, deleted, outliers uint64
-		if err := readAll(r, &n.model.Beta, &n.model.Alpha, &n.eps,
-			&count, &deleted, &outliers); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
-		}
-		const maxOutliers = 1 << 32
-		if outliers > maxOutliers {
-			return nil, fmt.Errorf("%w: outlier count %d", ErrBadSnapshot, outliers)
-		}
-		n.count = int(count)
-		n.deleted = int(deleted)
-		if outliers > 0 {
-			n.outliers = make([]outlierEntry, outliers)
-			for i := range n.outliers {
-				if err := readAll(r, &n.outliers[i].m, &n.outliers[i].id); err != nil {
-					return nil, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
-				}
-			}
-		}
-		return n, nil
+		return n.readLeafSnapshot(r)
 	}
 	var children uint32
 	if err := readAll(r, &children); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
+		return 0, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
 	}
-	if children < 2 || children > 1<<16 {
-		return nil, fmt.Errorf("%w: child count %d", ErrBadSnapshot, children)
+	k := n.fanout
+	if children != uint32(k) {
+		return 0, fmt.Errorf("%w: child count %d", ErrBadSnapshot, children)
 	}
-	n.children = make([]*node, children)
-	for i := range n.children {
-		c, err := readNodeSnapshot(r, depth+1)
-		if err != nil {
-			return nil, err
+	in := n.addInner()
+	w := s.width(k)
+	for i := range k {
+		cs := s.child(w, i, k)
+		var lo, hi float64
+		if err := readAll(r, &flags, &lo, &hi); err != nil {
+			return 0, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
 		}
-		n.children[i] = c
+		if math.IsNaN(lo) || math.IsNaN(hi) {
+			return 0, fmt.Errorf("%w: NaN bounds", ErrBadSnapshot)
+		}
+		if math.Float64bits(lo) != math.Float64bits(cs.lo) || math.Float64bits(hi) != math.Float64bits(cs.hi) {
+			return 0, fmt.Errorf("%w: child %d covers [%v, %v], not [%v, %v]", ErrBadSnapshot, i, lo, hi, cs.lo, cs.hi)
+		}
+		c, err := n.readNodeSnapshot(r, flags, cs, depth+1)
+		if err != nil {
+			return 0, err
+		}
+		n.kids(in)[i] = c
 	}
-	return n, nil
+	return in, nil
+}
+
+// readLeafSnapshot reads a leaf's fields and appends it to n.
+func (n *nodes) readLeafSnapshot(r io.Reader) (ref, error) {
+	var l leaf
+	var count, deleted, outliers uint64
+	if err := readAll(r, &l.model.Beta, &l.model.Alpha, &l.eps,
+		&count, &deleted, &outliers); err != nil {
+		return 0, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
+	}
+	if count > math.MaxUint32 || deleted > math.MaxUint32 || outliers > math.MaxUint32 {
+		return 0, fmt.Errorf("%w: leaf counters %d, %d, %d", ErrBadSnapshot, count, deleted, outliers)
+	}
+	l.count, l.deleted = uint32(count), uint32(deleted)
+	if outliers > 0 {
+		// Grown as read, so that a corrupt count cannot allocate more than
+		// the input holds, then moved into an array of its exact length.
+		l.outliers = make([]outlierEntry, 0, min(outliers, 1<<12))
+		for range outliers {
+			var e outlierEntry
+			if err := readAll(r, &e.m, &e.id); err != nil {
+				return 0, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
+			}
+			l.outliers = append(l.outliers, e)
+		}
+		if cap(l.outliers) != len(l.outliers) {
+			l.outliers = append(make([]outlierEntry, 0, len(l.outliers)), l.outliers...)
+		}
+	}
+	return n.addLeaf(l), nil
 }
 
 // SaveFile snapshots the tree to path atomically (write temp + rename).

@@ -2,6 +2,9 @@ package trstree
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"math"
 	"math/rand"
 	"path/filepath"
 	"sort"
@@ -133,6 +136,65 @@ func TestLoadRejectsTruncatedTree(t *testing.T) {
 	}
 }
 
+// Load derives every node's range and edge flags and checks the stored
+// ones against them, and holds the parameters, the child counts and the
+// leaf counters to what Save writes: a snapshot one bit away from a saved
+// one is rejected with ErrBadSnapshot.
+func TestLoadRejectsWhatSaveCannotWrite(t *testing.T) {
+	save := func(tr *Tree) []byte {
+		var buf bytes.Buffer
+		if err := tr.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	// Offsets: magic 4, version 2, params 37, then the root's flags, lo, hi.
+	const root = 43
+	split := save(mustBuild(t, genSigmoid(10000, 1000, 0.02, 4), DefaultParams()))
+	if split[root]&flagLeaf != 0 {
+		t.Fatal("test data must split the root")
+	}
+	single := save(mustBuild(t, genLinear(2000, 1000, 0, 5), DefaultParams()))
+	if single[root]&flagLeaf == 0 {
+		t.Fatal("test data must fit one leaf")
+	}
+	const child0 = root + 17 + 4 // after the root's child count
+	cases := []struct {
+		name  string
+		snap  []byte
+		write func(b []byte)
+	}{
+		{"fanout 1", split, func(b []byte) { binary.LittleEndian.PutUint32(b[6:], 1) }},
+		{"child count", split, func(b []byte) { binary.LittleEndian.PutUint32(b[root+17:], 7) }},
+		{"child lo one ulp up", split, func(b []byte) {
+			lo := math.Float64frombits(binary.LittleEndian.Uint64(b[child0+1:]))
+			binary.LittleEndian.PutUint64(b[child0+1:], math.Float64bits(math.Nextafter(lo, math.Inf(1))))
+		}},
+		{"child hi", split, func(b []byte) { b[child0+9] ^= 1 }},
+		{"child without its left edge", split, func(b []byte) { b[child0] &^= flagLeftEdge }},
+		{"child with a right edge", split, func(b []byte) { b[child0] |= flagRightEdge }},
+		{"unknown flag", split, func(b []byte) { b[child0] |= 8 }},
+		{"root without an edge", single, func(b []byte) { b[root] &^= flagRightEdge }},
+		{"count beyond 32 bits", single, func(b []byte) { binary.LittleEndian.PutUint64(b[root+17+24:], 1<<32) }},
+		{"deleted beyond 32 bits", single, func(b []byte) { binary.LittleEndian.PutUint64(b[root+17+32:], 1<<40) }},
+	}
+	for _, c := range cases {
+		b := append([]byte(nil), c.snap...)
+		c.write(b)
+		if _, err := Load(bytes.NewReader(b)); !errors.Is(err, ErrBadSnapshot) {
+			t.Errorf("%s: Load returned %v, want ErrBadSnapshot", c.name, err)
+		}
+	}
+	if _, err := Load(bytes.NewReader(append(append([]byte(nil), single...), 0))); !errors.Is(err, ErrBadSnapshot) {
+		t.Errorf("a byte after the tree: Load returned %v, want ErrBadSnapshot", err)
+	}
+	for _, snap := range [][]byte{split, single} {
+		if _, err := Load(bytes.NewReader(snap)); err != nil {
+			t.Fatalf("the saved snapshot itself: %v", err)
+		}
+	}
+}
+
 // Property: save/load roundtrips preserve lookup results for arbitrary
 // shapes and parameter combinations.
 func TestQuickSnapshotRoundtrip(t *testing.T) {
@@ -174,4 +236,43 @@ func TestQuickSnapshotRoundtrip(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 12}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// FuzzLoad: Load never panics, and every snapshot it accepts — its
+// derived node ranges, edge flags, child counts and counter widths all
+// checked — saves back to the same bytes and answers lookups. The seeds
+// are the trees of the round-trip tests.
+func FuzzLoad(f *testing.F) {
+	tiny := DefaultParams()
+	tiny.MinLeafPairs = 4
+	tiny.NodeFanout = 2
+	for _, tr := range []*Tree{
+		mustBuild(f, genSigmoid(30000, 1000, 0.05, 1), DefaultParams()),
+		mustBuild(f, genLinear(5000, 500, 0.02, 2), DefaultParams()),
+		mustBuild(f, genSigmoid(300, 1000, 0.1, 3), tiny),
+	} {
+		var buf bytes.Buffer
+		if err := tr.Save(&buf); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tr, err := Load(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := tr.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf.Bytes(), data) {
+			t.Fatalf("a loaded snapshot of %d B saves to %d B of other bytes", len(data), buf.Len())
+		}
+		lo, hi := tr.Bounds()
+		tr.Lookup(lo, hi)
+		tr.Lookup(math.Inf(-1), math.Inf(1))
+		tr.Insert((lo+hi)/2, 0, 1)
+		tr.Stats()
+	})
 }

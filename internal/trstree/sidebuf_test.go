@@ -1,6 +1,7 @@
 package trstree
 
 import (
+	"math"
 	"sync"
 	"testing"
 )
@@ -114,29 +115,49 @@ func TestLookupSeesSideBufferedInserts(t *testing.T) {
 // eighth (or outlierStep) above them after an add, never more than twice
 // them after a remove, nothing at all when empty.
 func TestOutlierBufferFollowsEntries(t *testing.T) {
-	n := &node{}
+	l := &leaf{}
 	const peak = 5000
 	for i := 0; i < peak; i++ {
-		n.addOutlier(float64(i), uint64(i))
-		if room := cap(n.outliers); room > len(n.outliers)+max(outlierStep, len(n.outliers)/8) {
-			t.Fatalf("growth: %d entries in an array of %d", len(n.outliers), room)
+		l.addOutlier(float64(i), uint64(i))
+		if room := cap(l.outliers); room > len(l.outliers)+max(outlierStep, len(l.outliers)/8) {
+			t.Fatalf("growth: %d entries in an array of %d", len(l.outliers), room)
 		}
 	}
 	for i := 0; i < peak; i++ {
-		if !n.removeOutlier(float64(i), uint64(i)) {
+		if !l.removeOutlier(float64(i), uint64(i)) {
 			t.Fatalf("entry %d not found", i)
 		}
-		if held, room := len(n.outliers), cap(n.outliers); held > 0 && room >= 2*held+2 {
+		if held, room := len(l.outliers), cap(l.outliers); held > 0 && room >= 2*held+2 {
 			t.Fatalf("shrinkage: %d entries in an array of %d", held, room)
 		}
 	}
-	if n.outliers != nil {
-		t.Fatalf("an empty buffer keeps an array of %d", cap(n.outliers))
+	if l.outliers != nil {
+		t.Fatalf("an empty buffer keeps an array of %d", cap(l.outliers))
 	}
 	// An as-built buffer (exact capacity) stays exact until it is written.
-	n.outliers = make([]outlierEntry, 100)
-	n.addOutlier(1, 1)
-	if cap(n.outliers) != 112 {
-		t.Fatalf("first add to a full buffer of 100: capacity %d", cap(n.outliers))
+	l.outliers = make([]outlierEntry, 100)
+	l.addOutlier(1, 1)
+	if cap(l.outliers) != 112 {
+		t.Fatalf("first add to a full buffer of 100: capacity %d", cap(l.outliers))
+	}
+}
+
+// A leaf's 32-bit counters saturate: an insert into a leaf whose count is
+// at the limit leaves it there, where a wrap to 0 would stop the leaf's
+// model from answering (a lookup skips the model of a leaf that counts no
+// tuple), and so does a delete with deleted at the limit.
+func TestLeafCountersSaturate(t *testing.T) {
+	tr := mustBuild(t, genLinear(1000, 100, 0, 6), DefaultParams())
+	slot, _ := tr.traverse(50)
+	l := &tr.leaves[slot]
+	l.count = math.MaxUint32
+	tr.Insert(50, 200, 1)
+	if l.count != math.MaxUint32 {
+		t.Fatalf("an insert at the limit left count %d", l.count)
+	}
+	l.deleted = math.MaxUint32
+	tr.Delete(50, 200, 1)
+	if l.deleted != math.MaxUint32 || l.count != math.MaxUint32-1 {
+		t.Fatalf("a delete with deleted at the limit left deleted %d, count %d", l.deleted, l.count)
 	}
 }

@@ -20,7 +20,9 @@ package trstree
 
 import (
 	"math"
+	"slices"
 	"sync"
+	"unsafe"
 
 	"hermit/internal/stats"
 )
@@ -115,27 +117,38 @@ type DataSource interface {
 	ScanMRange(lo, hi float64, fn func(m, n float64, id uint64) bool) error
 }
 
-// node is a TRS-Tree node. Internal nodes carry children; leaves carry the
-// fitted model, confidence interval and outlier buffer.
-type node struct {
-	lo, hi float64 // sub-range of the target column (closed)
-	// leftEdge/rightEdge mark the outermost nodes of every level — leaves
-	// and the internal nodes above them, or a lookup beyond the build-time
-	// range R would stop descending at the first internal edge child. Their
-	// effective range is extended to ±inf so values outside R still have a
-	// home (they are always treated as outliers).
-	leftEdge, rightEdge bool
+// The tree has no node objects. Its nodes live in two arrays (nodes): the
+// leaves in one []leaf, and the inner nodes in one []ref, NodeFanout child
+// references to a node. A descent walks contiguous memory, and the heap
+// holds a few arrays instead of an allocation per node. No node stores its
+// range either: Algorithm 1 splits a node into NodeFanout equal sub-ranges,
+// so a child's range follows from its parent's and its index (span.child).
+// Every descent derives it from the tree's bounds with the builder's own
+// arithmetic, so it sees the bits the builder fitted the child over.
 
-	children []*node // nil for leaves
+// ref names a node: an inner node by its index i >= 0, whose children are
+// inner[i*NodeFanout:][:NodeFanout], and a leaf by ^slot, which is negative.
+type ref int32
 
+func leafRef(slot int32) ref { return ref(^slot) }
+
+func (r ref) isLeaf() bool { return r < 0 }
+
+// slot is a leaf reference's index into the leaves array.
+func (r ref) slot() int32 { return ^int32(r) }
+
+// leaf is a TRS-Tree leaf: the fitted model, confidence interval and
+// outlier buffer of one sub-range.
+type leaf struct {
 	model stats.LinearModel
 	eps   float64
+	// count is the live tuples covered by this leaf's range, deleted the
+	// deletes observed since the leaf was (re)built; both saturate.
+	count, deleted uint32
 	// outliers is the leaf's outlier buffer: pairs the linear function
 	// fails to cover, stored compactly (16 bytes each) because for noisy
 	// workloads the buffers dominate the index footprint (§7.2).
 	outliers []outlierEntry
-	count    int // live tuples covered by this leaf's range
-	deleted  int // deletes observed since the leaf was (re)built
 }
 
 // outlierEntry is one buffered outlier: the target value and the tuple
@@ -145,10 +158,202 @@ type outlierEntry struct {
 	id uint64
 }
 
-func (n *node) isLeaf() bool { return n.children == nil }
+// span is a node's sub-range [lo, hi] of the target column and its edge
+// flags. The root's span is the tree's bounds; every other span is derived
+// from its parent's (child).
+type span struct {
+	lo, hi float64
+	// left/right mark the outermost nodes of every level — leaves and the
+	// inner nodes above them, or a lookup beyond the build-time range R
+	// would stop descending at the first inner edge child. Their effective
+	// range is extended to ±inf so values outside R still have a home (they
+	// are always treated as outliers).
+	left, right bool
+}
 
-// width returns the extent of the node's finite range.
-func (n *node) width() float64 { return n.hi - n.lo }
+// width is the extent of each of the span's k equal sub-ranges.
+func (s span) width(k int) float64 { return (s.hi - s.lo) / float64(k) }
+
+// child is the span of sub-range i of k, each w = s.width(k) wide: it
+// starts at lo + i·w and ends w later, but the last one ends at hi.
+func (s span) child(w float64, i, k int) span {
+	lo := s.lo + float64(i)*w
+	hi := lo + w
+	if i == k-1 {
+		hi = s.hi
+	}
+	return span{lo: lo, hi: hi, left: s.left && i == 0, right: s.right && i == k-1}
+}
+
+// effectiveLo/effectiveHi give a span extended to infinity at the tree
+// edges, so out-of-range query predicates and inserts are handled.
+func (s span) effectiveLo() float64 {
+	if s.left {
+		return math.Inf(-1)
+	}
+	return s.lo
+}
+
+func (s span) effectiveHi() float64 {
+	if s.right {
+		return math.Inf(1)
+	}
+	return s.hi
+}
+
+// nodes holds the nodes of a tree, or of a subtree being built.
+type nodes struct {
+	fanout int
+	leaves []leaf
+	inner  []ref
+	// The slots reorganizations freed, which grafts fill first, and how
+	// often each slot was freed (nil until a first free). A reference and
+	// its slot's count name one node for the node's whole life (nodeID), so
+	// a queued reorganization candidate is never mistaken for a later node
+	// in its slot.
+	freeLeaves, freeInner []int32
+	leafGens, innerGens   []uint32
+}
+
+// nodeID names one node for its whole life.
+type nodeID struct {
+	r   ref
+	gen uint32
+}
+
+// kids returns the child references of inner node r.
+func (n *nodes) kids(r ref) []ref {
+	return n.inner[int(r)*n.fanout:][:n.fanout]
+}
+
+// id returns the nodeID of the node r refers to now.
+func (n *nodes) id(r ref) nodeID {
+	gens, i := n.innerGens, int(r)
+	if r.isLeaf() {
+		gens, i = n.leafGens, int(r.slot())
+	}
+	if i < len(gens) {
+		return nodeID{r, gens[i]}
+	}
+	return nodeID{r, 0}
+}
+
+// addLeaf stores l in a free slot, or a new one, and returns its reference.
+func (n *nodes) addLeaf(l leaf) ref {
+	if k := len(n.freeLeaves); k > 0 {
+		s := n.freeLeaves[k-1]
+		n.freeLeaves = n.freeLeaves[:k-1]
+		n.leaves[s] = l
+		return leafRef(s)
+	}
+	n.leaves = append(n.leaves, l)
+	return leafRef(int32(len(n.leaves) - 1))
+}
+
+// addInner takes a free inner node, or a new one, and returns its
+// reference; its children are for the caller to fill.
+func (n *nodes) addInner() ref {
+	if k := len(n.freeInner); k > 0 {
+		i := n.freeInner[k-1]
+		n.freeInner = n.freeInner[:k-1]
+		return ref(i)
+	}
+	n.inner = append(n.inner, make([]ref, n.fanout)...)
+	return ref(len(n.inner)/n.fanout - 1)
+}
+
+// graft copies the subtree src holds under r into n, depth first, and
+// returns its reference in n.
+func (n *nodes) graft(src *nodes, r ref) ref {
+	if r.isLeaf() {
+		return n.addLeaf(src.leaves[r.slot()])
+	}
+	in := n.addInner()
+	for i, c := range src.kids(r) {
+		g := n.graft(src, c) // before indexing: the graft may move n.inner
+		n.kids(in)[i] = g
+	}
+	return in
+}
+
+// free gives back the slots of the subtree under r.
+func (n *nodes) free(r ref) {
+	if r.isLeaf() {
+		s := r.slot()
+		n.leaves[s] = leaf{} // drop the outlier buffer
+		n.freeLeaves = append(n.freeLeaves, s)
+		n.leafGens = bump(n.leafGens, int(s), len(n.leaves))
+		return
+	}
+	for _, c := range n.kids(r) {
+		n.free(c)
+	}
+	n.freeInner = append(n.freeInner, int32(r))
+	n.innerGens = bump(n.innerGens, int(r), len(n.inner)/n.fanout)
+}
+
+// bump counts one more free of slot i of a slot array of length slots.
+func bump(gens []uint32, i, slots int) []uint32 {
+	if i >= len(gens) {
+		gens = append(gens, make([]uint32, slots-len(gens))...)
+	}
+	gens[i]++
+	return gens
+}
+
+// clip moves the node arrays into arrays of their exact length: a finished
+// build holds no append headroom.
+func (n *nodes) clip() {
+	n.leaves = append(make([]leaf, 0, len(n.leaves)), n.leaves...)
+	n.inner = append(make([]ref, 0, len(n.inner)), n.inner...)
+}
+
+// sizeBytes is what the heap holds for the node arrays and the outlier
+// buffers: each array's capacity in bytes, rounded up as the allocator
+// rounds it (heapBytes).
+func (n *nodes) sizeBytes() uint64 {
+	s := heapBytes(cap(n.leaves)*int(unsafe.Sizeof(leaf{})), true) +
+		heapBytes(cap(n.inner)*4, false) +
+		heapBytes(cap(n.freeLeaves)*4, false) + heapBytes(cap(n.freeInner)*4, false) +
+		heapBytes(cap(n.leafGens)*4, false) + heapBytes(cap(n.innerGens)*4, false)
+	for i := range n.leaves {
+		s += heapBytes(cap(n.leaves[i].outliers)*int(unsafe.Sizeof(outlierEntry{})), false)
+	}
+	return s
+}
+
+// maxSmall is the largest allocation the allocator serves from a size
+// class; a larger one takes whole pages.
+const (
+	maxSmall = 32 << 10
+	pageSize = 8 << 10
+)
+
+// sizeClasses are the allocator's size classes in bytes, probed from the
+// runtime: append rounds a fresh array of bytes up to its class.
+var sizeClasses = func() []int {
+	var cs []int
+	for n := 1; n <= maxSmall; n = cs[len(cs)-1] + 1 {
+		cs = append(cs, cap(append([]byte(nil), make([]byte, n)...)))
+	}
+	return cs
+}()
+
+// heapBytes is what the heap holds for an array of size bytes: the size
+// class it rounds up to — after an 8-byte header for an array of more than
+// 512 bytes that holds pointers — or whole pages past maxSmall.
+func heapBytes(size int, pointers bool) uint64 {
+	switch {
+	case size == 0:
+		return 0
+	case size > maxSmall-8:
+		return uint64((size + pageSize - 1) &^ (pageSize - 1))
+	case pointers && size > 512:
+		size += 8
+	}
+	i, _ := slices.BinarySearch(sizeClasses, size)
+	return uint64(sizeClasses[i])
+}
 
 // Tree is a TRS-Tree. Create one with Build or BuildParallel.
 //
@@ -161,12 +366,14 @@ func (n *node) width() float64 { return n.hi - n.lo }
 type Tree struct {
 	mu     sync.RWMutex
 	params Params
-	root   *node
+	bounds span // the root's: the build-time range R, edge-extended both ways
+	root   ref
+	nodes
 
 	// Reorganization state.
 	reorgMu   sync.Mutex
 	pending   []reorgCandidate
-	pendingIn map[*node]bool
+	pendingIn map[nodeID]bool
 	inReorg   bool
 	sideBuf   []bufferedOp
 
@@ -174,9 +381,11 @@ type Tree struct {
 	doneCh chan struct{}
 }
 
+// reorgCandidate is a leaf queued for reorganization.
 type reorgCandidate struct {
-	n     *node
-	merge bool // true: merge/rebuild parent range; false: split leaf
+	leaf  nodeID
+	m     float64 // a target value in the leaf's range: the descent to it follows m
+	merge bool    // true: merge/rebuild parent range; false: split leaf
 }
 
 type bufferedOp struct {
@@ -184,35 +393,20 @@ type bufferedOp struct {
 	p   Pair
 }
 
+// newTree wraps the nodes under root, a tree over [lo, hi].
+func newTree(params Params, lo, hi float64, root ref, n nodes) *Tree {
+	n.clip()
+	return &Tree{params: params, bounds: span{lo: lo, hi: hi, left: true, right: true}, root: root, nodes: n}
+}
+
 // Params returns the parameters the tree was built with.
 func (t *Tree) Params() Params { return t.params }
 
 // Bounds returns the target-column range the tree was built over.
-func (t *Tree) Bounds() (lo, hi float64) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.root.lo, t.root.hi
-}
+func (t *Tree) Bounds() (lo, hi float64) { return t.bounds.lo, t.bounds.hi }
 
 // Height returns the depth of the deepest leaf (root = 1).
-func (t *Tree) Height() int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return height(t.root)
-}
-
-func height(n *node) int {
-	if n.isLeaf() {
-		return 1
-	}
-	max := 0
-	for _, c := range n.children {
-		if h := height(c); h > max {
-			max = h
-		}
-	}
-	return max + 1
-}
+func (t *Tree) Height() int { return t.Stats().Height }
 
 // Stats summarises the tree's structure; used by the memory and breakdown
 // experiments.
@@ -230,31 +424,29 @@ func (t *Tree) Stats() Stats {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	var s Stats
-	walkStats(t.root, &s)
-	s.Height = height(t.root)
+	t.walkStats(t.root, 1, &s)
+	s.SizeBytes = heapBytes(int(unsafe.Sizeof(Tree{})), true) + t.nodes.sizeBytes()
 	return s
 }
 
-func walkStats(n *node, s *Stats) {
+func (t *Tree) walkStats(r ref, depth int, s *Stats) {
 	s.Nodes++
-	// Node fixed cost: bounds + flags + model + eps + slice/map headers.
-	s.SizeBytes += 96
-	if n.isLeaf() {
+	s.Height = max(s.Height, depth)
+	if r.isLeaf() {
+		l := &t.leaves[r.slot()]
 		s.Leaves++
-		s.Outliers += len(n.outliers)
-		s.SizeBytes += uint64(cap(n.outliers)) * 16
-		s.TuplesGauged += n.count
+		s.Outliers += len(l.outliers)
+		s.TuplesGauged += int(l.count)
 		return
 	}
-	s.SizeBytes += uint64(len(n.children)) * 8
-	for _, c := range n.children {
-		walkStats(c, s)
+	for _, c := range t.kids(r) {
+		t.walkStats(c, depth+1, s)
 	}
 }
 
-// SizeBytes estimates the heap footprint of the tree, the quantity the
-// paper's memory figures (Figs. 5, 7, 18–20) report for Hermit's new
-// indexes.
+// SizeBytes is the heap footprint of the tree, the quantity the paper's
+// memory figures (Figs. 5, 7, 18–20) report for Hermit's new indexes: its
+// node arrays and outlier buffers as the allocator holds them.
 func (t *Tree) SizeBytes() uint64 { return t.Stats().SizeBytes }
 
 // OutlierCount returns the total number of buffered outlier identifiers.
@@ -264,18 +456,16 @@ func (t *Tree) OutlierCount() int { return t.Stats().Outliers }
 func (t *Tree) LeafCount() int { return t.Stats().Leaves }
 
 // traverse descends to the leaf whose range covers m (Algorithm 3's
-// Traverse). Values outside the root range land in the edge leaves.
-func (t *Tree) traverse(m float64) *node {
-	n := t.root
-	for !n.isLeaf() {
-		n = n.children[childIndex(n, m)]
+// Traverse) and returns its slot and span. Values outside the root range
+// land in the edge leaves.
+func (t *Tree) traverse(m float64) (int32, span) {
+	r, s, k := t.root, t.bounds, t.params.NodeFanout
+	for !r.isLeaf() {
+		w := s.width(k)
+		i := subRange(m, s.lo, w, k)
+		r, s = t.kids(r)[i], s.child(w, i, k)
 	}
-	return n
-}
-
-// childIndex picks the child sub-range containing m, clamped to the edges.
-func childIndex(n *node, m float64) int {
-	return subRange(m, n.lo, n.width()/float64(len(n.children)), len(n.children))
+	return r.slot(), s
 }
 
 // subRange returns which of k sub-ranges of width w from lo holds m,
@@ -291,20 +481,4 @@ func subRange(m, lo, w float64, k int) int {
 		return k - 1
 	}
 	return int(f)
-}
-
-// effectiveLo/effectiveHi give a node's range extended to infinity at the
-// tree edges, so out-of-range query predicates and inserts are handled.
-func (n *node) effectiveLo() float64 {
-	if n.leftEdge {
-		return math.Inf(-1)
-	}
-	return n.lo
-}
-
-func (n *node) effectiveHi() float64 {
-	if n.rightEdge {
-		return math.Inf(1)
-	}
-	return n.hi
 }

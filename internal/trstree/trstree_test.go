@@ -70,7 +70,7 @@ func (s *sliceSource) add(p Pair) {
 	s.mu.Unlock()
 }
 
-func mustBuild(t *testing.T, pairs []Pair, params Params) *Tree {
+func mustBuild(t testing.TB, pairs []Pair, params Params) *Tree {
 	t.Helper()
 	cp := append([]Pair(nil), pairs...)
 	tr, err := Build(cp, 1, 0, params) // lo>hi: derive range from data
@@ -406,6 +406,70 @@ func TestReorgSubtree(t *testing.T) {
 		}
 	}
 	checkRecall(t, tr, src.pairs, 0, 1000)
+}
+
+// A reorganization frees the slots of the subtree it replaces, and the
+// replacement fills them. A candidate queued for a leaf before then names
+// the leaf by slot and generation, so when the slot holds a later leaf —
+// on the same path, over the same range — the candidate is stale and
+// ReorgOnce skips it. Lookups run beside the rebuilds (for -race), and
+// every live pair stays covered.
+func TestReorgSkipsCandidateOfReusedSlot(t *testing.T) {
+	params := DefaultParams()
+	params.MaxHeight = 2 // every first-level subtree is one leaf, rebuilt as one leaf
+	params.SampleRate = 0
+	src := &sliceSource{pairs: genSigmoid(20000, 1000, 0.02, 33)}
+	tr := mustBuild(t, src.pairs, params)
+	if tr.root.isLeaf() {
+		t.Fatal("test data must split the root")
+	}
+	// Off-line pairs in first-level subtree 3 until its leaf is queued.
+	rng := rand.New(rand.NewSource(34))
+	for i := 0; tr.PendingReorg() == 0; i++ {
+		m := 375 + rng.Float64()*125
+		p := Pair{M: m, N: 20000 + float64(i), ID: uint64(1_000_000 + i)}
+		src.add(p)
+		tr.Insert(p.M, p.N, p.ID)
+	}
+	stale := tr.pending[0]
+
+	stop := make(chan struct{})
+	var readers sync.WaitGroup
+	readers.Add(1)
+	go func() {
+		defer readers.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				tr.Lookup(0, 1000)
+			}
+		}
+	}()
+	for range 2 {
+		if err := tr.ReorgSubtree(3, src); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	readers.Wait()
+
+	tr.mu.RLock()
+	slot, _ := tr.traverse(stale.m)
+	now := tr.id(leafRef(slot))
+	tr.mu.RUnlock()
+	if now.r != stale.leaf.r || now == stale.leaf {
+		t.Fatalf("the leaf on the candidate's path is %+v; want its slot %d reused under a new generation", now, stale.leaf.r.slot())
+	}
+	if tr.PendingReorg() != 1 {
+		t.Fatalf("%d candidates queued, want the stale one", tr.PendingReorg())
+	}
+	if n, err := tr.ReorgOnce(src); err != nil || n != 0 {
+		t.Fatalf("ReorgOnce rebuilt %d subtrees (err %v): the candidate's slot holds a later leaf", n, err)
+	}
+	checkRecall(t, tr, src.pairs, 0, 1000)
+	checkRecall(t, tr, src.pairs, 375, 500)
 }
 
 // TestReorgReplayDeterministic plays one schedule of inserts, deletes and
@@ -791,7 +855,7 @@ func BenchmarkInsertCovered(b *testing.B) {
 
 // The paper's one safety property, beyond the build-time bounds: when the
 // edge child of an internal node is itself internal, a lookup outside
-// [root.lo, root.hi] must still descend to the edge leaves, where such
+// the tree's bounds must still descend to the edge leaves, where such
 // values live as outliers. Both builders.
 func TestLookupBeyondBoundsDeepEdges(t *testing.T) {
 	// A cubic is steepest at both ends of the domain, so the edge
@@ -807,8 +871,7 @@ func TestLookupBeyondBoundsDeepEdges(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, tr := range map[string]*Tree{"sequential": mustBuild(t, pairs, DefaultParams()), "parallel": par} {
-		k := len(tr.root.children)
-		if k == 0 || tr.root.children[0].isLeaf() || tr.root.children[k-1].isLeaf() {
+		if tr.root.isLeaf() || tr.kids(tr.root)[0].isLeaf() || tr.kids(tr.root)[tr.params.NodeFanout-1].isLeaf() {
 			t.Fatalf("%s: test data must give internal edge children (height %d)", name, tr.Height())
 		}
 		tr.Insert(-5, 0, 111111)
