@@ -253,9 +253,9 @@ staticcheck:
 		     "go install honnef.co/go/tools/cmd/staticcheck@$(STATICCHECK_VERSION))"; \
 	fi
 
-# Godoc lint: every exported identifier in the public API and the engine
+# Godoc lint: every exported identifier in every package of the module
 # must carry a doc comment.
 doc-check:
-	$(GO) run ./internal/tools/doccheck . ./internal/engine ./internal/block ./internal/advisor ./internal/partition ./internal/difftest ./internal/server ./internal/server/proto ./internal/client ./internal/repl ./internal/scenario
+	$(GO) run ./internal/tools/doccheck $$($(GO) list -f '{{.Dir}}' ./...)
 
 ci: fmt-check vet staticcheck doc-check cover build-examples cross bench-all bench-check benchmark-smoke difftest fuzz

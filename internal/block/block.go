@@ -21,8 +21,11 @@
 //
 // Layering: this package knows nothing about the engine, the WAL or
 // MVCC timestamps — it only turns sorted entry streams into durable files
-// and back. internal/engine's durable layer decides what goes into a
-// block and when blocks merge.
+// and back, and keeps one table's open blocks as a Stack: the size-tiered
+// run policy (which run merges next, how many are due), the newest-first
+// point read and the totals. internal/engine's durable layer decides what
+// goes into a block and when a checkpoint or compaction runs, and names
+// the files: block IDs, paths and the order tables are walked in.
 //
 // The decoders (footer, index, pages and the blocklist manifest) never read
 // past the bytes they were given, validate every count and offset against

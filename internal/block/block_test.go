@@ -127,8 +127,8 @@ func checkImage(t *testing.T, raw []byte, width int, entries []entry) *Handle {
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
-	if h.Width() != width || h.Count() != uint64(len(entries)) {
-		t.Fatalf("handle says width %d, %d entries; want %d, %d", h.Width(), h.Count(), width, len(entries))
+	if h.Width() != width || h.Desc().Count != uint64(len(entries)) {
+		t.Fatalf("handle says width %d, %d entries; want %d, %d", h.Width(), h.Desc().Count, width, len(entries))
 	}
 	got, err := readAll(h)
 	if err != nil {
@@ -493,7 +493,7 @@ func TestDecodeTruncationSweep(t *testing.T) {
 	if err := os.WriteFile(path, raw[:len(raw)-footerLen/2], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(path); !errors.Is(err, ErrCorrupt) {
+	if _, err := Open(path, Desc{Bytes: int64(len(raw) - footerLen/2)}); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("torn footer: %v", err)
 	}
 }
@@ -538,13 +538,16 @@ func TestWriteReadHandle(t *testing.T) {
 		t.Fatalf("temp file after Finish: %v", err)
 	}
 
-	h, err := Open(path)
+	h, err := Open(path, desc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer h.Close()
-	if h.Width() != 4 || h.Count() != desc.Count {
-		t.Fatalf("handle: width %d, %d entries", h.Width(), h.Count())
+	if h.Desc() != desc {
+		t.Fatalf("handle keeps %+v, opened with %+v", h.Desc(), desc)
+	}
+	if h.Width() != 4 || h.Desc().Count != desc.Count {
+		t.Fatalf("handle: width %d, %d entries", h.Width(), h.Desc().Count)
 	}
 	for _, e := range entries {
 		if !h.MaybeContains(e.pk) {
@@ -568,7 +571,7 @@ func TestWriteReadHandle(t *testing.T) {
 	if per := float64(h.ResidentBytes()) / float64(len(entries)); per > 1.6 {
 		t.Fatalf("handle holds %.2f B per entry", per)
 	}
-	merged, err := Open(path)
+	merged, err := Open(path, desc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -670,8 +673,8 @@ func TestBlocklistTruncationSweep(t *testing.T) {
 func TestHandleSurfacesIOErrors(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "gone.blk")
-	writeFile(t, path, 1, []entry{{pk: 1, row: []float64{1}}})
-	h, err := Open(path)
+	desc := writeFile(t, path, 1, []entry{{pk: 1, row: []float64{1}}})
+	h, err := Open(path, desc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -682,7 +685,7 @@ func TestHandleSurfacesIOErrors(t *testing.T) {
 	if row, found, err := h.Get(1); err != nil || !found || row[0] != 1 {
 		t.Fatalf("Get on an unlinked block = %v found=%v err=%v", row, found, err)
 	}
-	if _, err := Open(path); !errors.Is(err, fs.ErrNotExist) {
+	if _, err := Open(path, desc); !errors.Is(err, fs.ErrNotExist) {
 		t.Fatalf("Open of a missing file: %v", err)
 	}
 	// ...and a closed one must not silently skip: MaybeContains stays true
@@ -876,10 +879,11 @@ func BenchmarkGet(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	if _, err := w.Finish(); err != nil {
+	desc, err := w.Finish()
+	if err != nil {
 		b.Fatal(err)
 	}
-	h, err := Open(path)
+	h, err := Open(path, desc)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -76,8 +76,8 @@ func checkFuzzedBlock(t *testing.T, raw []byte, indexAgrees bool) {
 	}
 	// A clean iteration is sorted, counts what the footer says, and — when
 	// the index and bloom load too — agrees with the point reads.
-	if uint64(len(entries)) != h.Count() {
-		t.Fatalf("iterated %d entries of %d", len(entries), h.Count())
+	if uint64(len(entries)) != h.Desc().Count {
+		t.Fatalf("iterated %d entries of %d", len(entries), h.Desc().Count)
 	}
 	indexed := h.load() == nil
 	for i, e := range entries {

@@ -25,11 +25,13 @@ import (
 // concurrent use, Close included: a read in flight when the handle is
 // closed finishes, a later one fails with os.ErrClosed.
 type Handle struct {
-	name    string
+	name string
+	// desc is the block as its footer gives it (count, size, fence) and, once
+	// Open has held it to the blocklist, the blocklist's entry, ID and level.
+	desc    Desc
 	src     io.ReaderAt // the block's *os.File; a bytes.Reader in tests
 	width   int
 	pages   int
-	count   uint64
 	minR    uint64 // ranks of the fence
 	maxR    uint64
 	end     uint64 // where the pages end and the index begins
@@ -47,10 +49,13 @@ type Handle struct {
 	bloom   bloom
 }
 
-// Open opens the block file at path and checks its footer. Bytes that are
-// not a version-2 block are ErrBadFormat; a torn, checksum-failing or
-// self-contradicting footer is ErrCorrupt.
-func Open(path string) (*Handle, error) {
+// Open opens the block file at path, checks its footer and holds the file
+// to desc, the blocklist's entry for it, which the handle keeps (Desc). Bytes
+// that are not a version-2 block are ErrBadFormat; a torn, checksum-failing
+// or self-contradicting footer is ErrCorrupt, and so is a file whose size,
+// entry count or key fence is not the one desc records — the blocklist is
+// read from disk too.
+func Open(path string, desc Desc) (*Handle, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -59,7 +64,13 @@ func Open(path string) (*Handle, error) {
 	if err == nil {
 		var h *Handle
 		if h, err = newHandle(f, st.Size(), path); err == nil {
-			return h, nil
+			if got := h.desc; got.Bytes == desc.Bytes && got.Count == desc.Count &&
+				h.minR == keyorder.Rank(desc.MinKey) && h.maxR == keyorder.Rank(desc.MaxKey) {
+				h.desc = desc
+				return h, nil
+			}
+			err = fmt.Errorf("block: %s: %d entries in %d bytes, the blocklist says %d in %d, or another key fence: %w",
+				path, h.desc.Count, h.desc.Bytes, desc.Count, desc.Bytes, ErrCorrupt)
 		}
 	}
 	f.Close()
@@ -97,8 +108,7 @@ func (h *Handle) readFooter(size int64) error {
 	c.checkCRC(0)
 	h.width = int(c.u32())
 	pages := uint64(c.u32())
-	h.count = c.u64()
-	minKey, maxKey := c.f64(), c.f64()
+	h.desc = Desc{Count: c.u64(), Bytes: size, MinKey: c.f64(), MaxKey: c.f64()}
 	h.end = c.u64()
 	bloomOff := c.u64()
 	h.metaCRC = c.u32()
@@ -110,15 +120,15 @@ func (h *Handle) readFooter(size int64) error {
 	// between the pages and the footer, every page holds an entry, every
 	// entry takes at least nine bytes of some page.
 	metaEnd := uint64(size) - footerLen
-	h.minR, h.maxR = keyorder.Rank(minKey), keyorder.Rank(maxKey)
+	h.minR, h.maxR = keyorder.Rank(h.desc.MinKey), keyorder.Rank(h.desc.MaxKey)
 	switch {
 	case h.width <= 0 || h.width > maxWidth,
 		h.end < uint64(len(blockMagic)) || h.end > metaEnd,
 		bloomOff != h.end+pages*indexEntry || bloomOff > metaEnd,
-		pages > h.count || (pages == 0) != (h.count == 0),
-		h.count > (h.end-uint64(len(blockMagic)))/entryFixed,
-		metaEnd-bloomOff != bloomBytes(h.count),
-		h.count > 0 && h.minR > h.maxR:
+		pages > h.desc.Count || (pages == 0) != (h.desc.Count == 0),
+		h.desc.Count > (h.end-uint64(len(blockMagic)))/entryFixed,
+		metaEnd-bloomOff != bloomBytes(h.desc.Count),
+		h.desc.Count > 0 && h.minR > h.maxR:
 		return ErrCorrupt
 	}
 	h.pages, h.metaLen = int(pages), int(metaEnd-h.end)
@@ -201,8 +211,9 @@ func (h *Handle) Close() error {
 // Width is the row width of the block's upserts.
 func (h *Handle) Width() int { return h.width }
 
-// Count is the block's entry count (upserts + tombstones).
-func (h *Handle) Count() uint64 { return h.count }
+// Desc is the blocklist entry the block was opened with: the footer's
+// count, size and fence, and the ID and level Open was given.
+func (h *Handle) Desc() Desc { return h.desc }
 
 // ResidentBytes is the memory the open handle holds: the struct, and the
 // index and bloom once a point read has loaded them.
@@ -219,7 +230,7 @@ func (h *Handle) ResidentBytes() int64 {
 // loaded it reports true — the caller's Get surfaces the error rather than
 // the block being silently skipped.
 func (h *Handle) MaybeContains(pk float64) bool {
-	if r := keyorder.Rank(pk); h.count == 0 || r < h.minR || r > h.maxR {
+	if r := keyorder.Rank(pk); h.desc.Count == 0 || r < h.minR || r > h.maxR {
 		return false
 	}
 	if h.load() != nil {
@@ -454,9 +465,9 @@ func (it *iter) advance() {
 			return
 		}
 		if done {
-			if it.seen != it.h.count || it.pages != it.h.pages || had && prev != it.h.maxR {
+			if it.seen != it.h.desc.Count || it.pages != it.h.pages || had && prev != it.h.maxR {
 				it.err = fmt.Errorf("block: %s: %d entries in %d pages, footer says %d in %d, or another last key: %w",
-					it.h.name, it.seen, it.pages, it.h.count, it.h.pages, ErrCorrupt)
+					it.h.name, it.seen, it.pages, it.h.desc.Count, it.h.pages, ErrCorrupt)
 			}
 			return
 		}

@@ -303,9 +303,9 @@ func runDeltaHarvestModel(t *testing.T, seed int64, steps int) {
 		}
 		fold := make(map[float64]harvestRow)
 		d.mu.RLock()
-		tier := d.tiers["t"]
+		stack := d.stacks["t"]
 		d.mu.RUnlock()
-		fail(what+": fold", block.Merge(tier, func(pk float64, row []float64) error {
+		fail(what+": fold", block.Merge(stack, func(pk float64, row []float64) error {
 			if row != nil {
 				if pk != row[0] {
 					t.Fatalf("%s: block entry %v carries the row %v", what, pk, row)

@@ -9,6 +9,7 @@ import (
 	"os"
 	"runtime"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -95,9 +96,9 @@ func randomBlock(rng *rand.Rand, keys []float64, width int) []refEntry {
 }
 
 // writeEntries writes entries as a block of d's directory.
-func writeEntries(t *testing.T, d *DurableDB, width int, entries []refEntry) (block.Desc, *block.Handle) {
+func writeEntries(t *testing.T, d *DurableDB, width int, entries []refEntry) *block.Handle {
 	t.Helper()
-	desc, h, err := d.writeBlock(durablePaths{d.dir}, width, 0, func(add func(float64, []float64) error) error {
+	h, err := d.writeBlock(width, 0, func(add func(float64, []float64) error) error {
 		for _, e := range entries {
 			if err := add(e.pk, e.row); err != nil {
 				return err
@@ -108,7 +109,7 @@ func writeEntries(t *testing.T, d *DurableDB, width int, entries []refEntry) (bl
 	if err != nil {
 		t.Fatal(err)
 	}
-	return desc, h
+	return h
 }
 
 // Random stacks of 1–12 blocks — ±0, ±Inf and NaN-payload keys, tombstones,
@@ -130,15 +131,13 @@ func TestStreamingMergeMatchesFold(t *testing.T) {
 		}
 		p := durablePaths{d.dir}
 		var stack [][]refEntry
-		var descs []block.Desc
-		var tier []*block.Handle
+		var blocks block.Stack
 		for b, n := 0, 1+rng.Intn(12); b < n; b++ {
 			entries := randomBlock(rng, keys, width)
 			if len(entries) == 0 {
 				continue
 			}
-			desc, h := writeEntries(t, d, width, entries)
-			stack, descs, tier = append(stack, entries), append(descs, desc), append(tier, h)
+			stack, blocks = append(stack, entries), append(blocks, writeEntries(t, d, width, entries))
 		}
 		if len(stack) == 0 {
 			d.Close()
@@ -146,17 +145,18 @@ func TestStreamingMergeMatchesFold(t *testing.T) {
 		}
 		for _, bottom := range []bool{true, false} {
 			want := foldReference(stack, bottom)
-			desc, h, err := d.mergeBlocks(p, tier, 1, bottom)
+			h, err := d.mergeBlocks(blocks, 1, bottom)
 			if err != nil {
 				t.Fatalf("round %d bottom=%v: %v", round, bottom, err)
 			}
 			if len(want) == 0 {
 				if h != nil {
-					t.Fatalf("round %d bottom=%v: a block of %d entries for an empty fold", round, bottom, desc.Count)
+					t.Fatalf("round %d bottom=%v: a block of %d entries for an empty fold", round, bottom, h.Desc().Count)
 				}
 				continue
 			}
-			wantDesc, wantH := writeEntries(t, d, width, want)
+			desc, wantH := h.Desc(), writeEntries(t, d, width, want)
+			wantDesc := wantH.Desc()
 			got, err := os.ReadFile(p.block(desc.ID))
 			if err != nil {
 				t.Fatal(err)
@@ -180,7 +180,7 @@ func TestStreamingMergeMatchesFold(t *testing.T) {
 		// Recovery of the stack: every key at the RID the fold, inserted in
 		// key order, gives it.
 		d.mu.Lock()
-		d.lists["t"], d.tiers["t"] = descs, tier
+		d.stacks["t"] = blocks
 		d.mu.Unlock()
 		if err := d.restorePartition(d.tables["t"], tb); err != nil {
 			t.Fatalf("round %d: restore: %v", round, err)
@@ -408,5 +408,56 @@ func TestBlockReadAllocs(t *testing.T) {
 	})
 	if allocs > 1 {
 		t.Fatalf("BlockRead allocates %.1f times a read, want the row alone", allocs)
+	}
+}
+
+// The blocklist is read from disk like the blocks it names: one whose entry
+// disagrees with its block's file — here the size, under a valid checksum —
+// fails the open rather than reporting the wrong figures.
+func TestOpenRejectsBlocklistMismatch(t *testing.T) {
+	dir := t.TempDir()
+	d, err := OpenDurable(dir, hermit.LogicalPointers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.CreateTable("t", []string{"k", "v"}, 0); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 10; i++ {
+		if _, err := d.Insert("t", []float64{float64(i), float64(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := d.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	p := durablePaths{dir}
+	path := p.blocklist(d.StorageStats().Epoch)
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lists, err := block.DecodeBlocklist(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lists[0].Blocks[0].Bytes++
+	if raw, err = block.EncodeBlocklist(lists); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	name := fmt.Sprintf("block.%016x.blk", lists[0].Blocks[0].ID)
+	d, err = OpenDurable(dir, hermit.LogicalPointers)
+	if err == nil {
+		d.Close()
+		t.Fatal("opened a database whose blocklist misstates a block's size")
+	}
+	if !errors.Is(err, block.ErrCorrupt) || !strings.Contains(err.Error(), name) {
+		t.Fatalf("open: %v, want block.ErrCorrupt naming %s", err, name)
 	}
 }

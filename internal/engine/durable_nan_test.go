@@ -131,8 +131,8 @@ func TestDurableNaNKeyCheckpointCompactRecover(t *testing.T) {
 	})
 }
 
-// A point read that loads a table's tier just before a compaction
-// publishes must retry against the fresh tier when the merged-away blocks
+// A point read that loads a table's stack just before a compaction
+// publishes must retry against the fresh stack when the merged-away blocks
 // are already closed — not surface a spurious os.ErrClosed.
 func TestBlockReadRetriesAfterCompaction(t *testing.T) {
 	dir := t.TempDir()
@@ -153,20 +153,20 @@ func TestBlockReadRetriesAfterCompaction(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Load the tier the way a concurrent BlockRead would, before the
-	// compaction publishes and setLists closes the merged-away blocks.
+	// Load the stack the way a concurrent BlockRead would, before the
+	// compaction publishes and setStacks closes the merged-away blocks.
 	d.mu.RLock()
-	stale := d.tiers["t"]
+	stale := d.stacks["t"]
 	d.mu.RUnlock()
 	if merged, err := d.Compact(); err != nil || !merged {
 		t.Fatalf("compact: merged=%v err=%v", merged, err)
 	}
-	// The stale tier now names closed blocks: a raw probe fails (the trigger
-	// for the retry path)...
-	if _, _, _, err := probeBlocks(stale, 0); !errors.Is(err, os.ErrClosed) {
+	// The stale stack now names closed blocks: a raw probe fails (the
+	// trigger for the retry path)...
+	if _, _, _, err := stale.Get(0); !errors.Is(err, os.ErrClosed) {
 		t.Fatalf("stale probe error = %v, want os.ErrClosed", err)
 	}
-	// ...and BlockRead retries against the published tier.
+	// ...and BlockRead retries against the published stack.
 	row, found, _, err := d.BlockRead("t", 0)
 	if err != nil || !found || row[1] != 0 {
 		t.Fatalf("BlockRead after compaction = %v found=%v err=%v", row, found, err)
@@ -179,7 +179,7 @@ func TestBlockReadRetriesAfterCompaction(t *testing.T) {
 }
 
 // Cold point reads hammered while checkpoints and compactions republish
-// the blocklist must never fail: BlockRead retries when the tier it loaded
+// the blocklist must never fail: BlockRead retries when the stack it loaded
 // is retired under it.
 func TestBlockReadUnderCompactionChurn(t *testing.T) {
 	dir := t.TempDir()

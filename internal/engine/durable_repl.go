@@ -2,10 +2,10 @@ package engine
 
 import (
 	"fmt"
+	"maps"
 	"os"
 	"slices"
 	"sort"
-	"strings"
 
 	"hermit/internal/storage"
 	"hermit/internal/wal"
@@ -46,7 +46,7 @@ func (d *DurableDB) WALSize() int64 {
 func (d *DurableDB) WALPosition() (seg, base, last uint64) {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	return d.walSeg, d.walBase, d.log.LastLSN()
+	return d.pub.WALSeg, d.walBase, d.log.LastLSN()
 }
 
 // WatchWAL registers ch for non-blocking wakeups whenever the WAL grows
@@ -87,23 +87,17 @@ type ReplSegment struct {
 // to snapshot bootstrap.
 func (d *DurableDB) ReplWALSegments() []ReplSegment {
 	d.mu.RLock()
-	cur := d.walSeg
+	cur := d.pub.WALSeg
 	d.mu.RUnlock()
 	p := durablePaths{d.dir}
 	entries, err := os.ReadDir(d.dir)
 	if err != nil {
 		return nil
 	}
-	var segs []uint64
-	for _, e := range entries {
-		name := e.Name()
-		if strings.HasPrefix(name, "wal.") && strings.HasSuffix(name, ".log") {
-			if seg, ok := parseEpoch(name[len("wal.") : len(name)-len(".log")]); ok && seg <= cur {
-				segs = append(segs, seg)
-			}
-		}
-	}
-	sort.Slice(segs, func(i, j int) bool { return segs[i] < segs[j] })
+	// Segments numbered past the current one are crash leftovers of an
+	// unpublished rotation.
+	segs := walSegments(entries)
+	segs = segs[:sort.Search(len(segs), func(i int) bool { return segs[i] > cur })]
 	out := make([]ReplSegment, len(segs))
 	for i, seg := range segs {
 		out[i] = ReplSegment{Seg: seg, Path: p.wal(seg), Current: seg == cur}
@@ -145,12 +139,7 @@ func (d *DurableDB) ReplSnapshot() (*ReplSnap, error) {
 		return nil, err
 	}
 	snap := &ReplSnap{LSN: d.log.LastLSN()}
-	names := make([]string, 0, len(d.tables))
-	for name := range d.tables {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
+	for _, name := range slices.Sorted(maps.Keys(d.tables)) {
 		meta := d.tables[name]
 		ts := ReplTableSnap{
 			Name:  name,
@@ -200,11 +189,7 @@ func (d *DurableDB) ReplRestore(snap *ReplSnap) error {
 		}
 		d.tables[ts.Name] = meta
 		for _, row := range ts.Rows {
-			var pk float64
-			if meta.PKCol < len(row) {
-				pk = row[meta.PKCol]
-			}
-			tb, _ := meta.route(pk)
+			tb, _, _ := meta.target(&Op{Kind: OpInsert, Row: row})
 			if _, err := tb.Insert(row); err != nil {
 				d.mu.Unlock()
 				return fmt.Errorf("engine: restoring snapshot row in %q: %w", ts.Name, err)
@@ -237,10 +222,7 @@ func (d *DurableDB) resetWALBaseLocked(lsn uint64) error {
 	if err := d.log.Close(); err != nil {
 		return err
 	}
-	p := durablePaths{d.dir}
-	wo := d.opts.walOptions()
-	wo.BaseLSN = lsn
-	log, err := wal.OpenWith(p.wal(d.walSeg), wo)
+	log, err := d.openWAL(d.pub.WALSeg, lsn)
 	if err != nil {
 		return err
 	}

@@ -276,7 +276,7 @@ func isDDLOp(op wal.Op) bool {
 // rolls back: RecoveryUncommitted counts it, and its frames stay buffered,
 // the open set a follower resumes with (ReplApply).
 func (d *DurableDB) replayTail(path string) error {
-	err := wal.ReplayFrom(path, d.pubWALStart, func(rec wal.Record) error {
+	err := wal.ReplayFrom(path, d.pub.WALStart, func(rec wal.Record) error {
 		group, ok, err := d.fold(rec, true)
 		n := 1
 		if ok {

@@ -58,9 +58,16 @@ func (s PointerScheme) String() string {
 type Phase int
 
 const (
+	// PhaseTRSTree is the TRS-Tree lookup: the predicate on the target
+	// column mapped to host-column ranges and outlier pointers.
 	PhaseTRSTree Phase = iota
+	// PhaseHostIndex is the host index scan over those ranges.
 	PhaseHostIndex
+	// PhasePrimaryIndex resolves logical pointers (primary keys) to rows
+	// through the primary index; physical pointers skip it.
 	PhasePrimaryIndex
+	// PhaseBaseTable fetches the candidate rows and validates them against
+	// the original predicate, dropping the false positives.
 	PhaseBaseTable
 	numPhases
 )
