@@ -14,7 +14,8 @@ COVER_FLOOR = 78.0
 STATICCHECK_VERSION = 2025.1.1
 
 # BENCH_EXPERIMENTS is every experiment whose BENCH_*.json artifact CI
-# records; bench-all runs them in one invocation after the fig4 smoke.
+# records; bench-all runs them in one invocation after `make bench` (which
+# records BENCH_paper.json).
 BENCH_EXPERIMENTS = durability,compaction,advisor,txn,server,repl,scenarios,hotpath
 
 # PROFILE_DIR receives the pb.gz profiles `make profile` captures; CI
@@ -103,25 +104,28 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzMedianOf -fuzztime $(FUZZTIME) ./internal/trstree
 	$(GO) test -run '^$$' -fuzz FuzzLoad -fuzztime $(FUZZTIME) ./internal/trstree
 
-# Bench smoke: one figure at tiny scale proves the harness end-to-end, then
-# one build each of a B+-tree and a Hermit index over 1M Synthetic rows
-# (time and allocations printed), so a regression of the construction path
-# shows without the repository benchmark; then the B+-tree at the paper's
-# node order and at the one every tree here runs at (btree.DefaultOrder),
-# once each: the comparison the constant was chosen by.
+# Bench: every figure of the paper from one sweep (each dataset loaded
+# once; about 40 s on 2 cores), recorded in BENCH_paper.json, whose counts
+# `make bench-check` holds to the paper's shapes; then one build each of a
+# B+-tree and a Hermit index over 1M Synthetic rows (time and allocations
+# printed), so a regression of the construction path shows without the
+# repository benchmark; then the B+-tree at the paper's node order and at
+# the one every tree here runs at (btree.DefaultOrder), once each: the
+# comparison the constant was chosen by.
 bench: build
-	$(GO) run ./cmd/hermit-bench -exp fig4 -scale 0.005 -json ''
+	$(GO) run ./cmd/hermit-bench -exp paper -scale 0.02 -measure 20ms
 	$(GO) test -run '^$$' -bench 'BenchmarkCreate(BTree|Hermit)Index' -benchtime 1x .
 	$(GO) test -run '^$$' -bench Order -benchtime 1x ./internal/btree
 
-# The full artifact-producing suite in one invocation: the fig4 smoke,
-# then every experiment in BENCH_EXPERIMENTS (each writes its
+# The full artifact-producing suite: the paper sweep (`make bench`), then
+# every experiment in BENCH_EXPERIMENTS in one invocation (each writes its
 # BENCH_<id>.json to the repo root). This is what CI runs and uploads.
 bench-all: bench
 	$(GO) run ./cmd/hermit-bench -exp $(BENCH_EXPERIMENTS)
 
 # Validate the emitted BENCH_*.json artifacts (header fields: experiment,
-# seed, num_cpu, gomaxprocs).
+# seed, num_cpu, gomaxprocs; and each artifact's own contract — for
+# BENCH_paper.json, rows for every figure and the paper's shapes).
 bench-check:
 	$(GO) run ./internal/tools/benchcheck
 

@@ -4,12 +4,18 @@
 //
 //	hermit-bench -list
 //	hermit-bench -exp fig4
+//	hermit-bench -exp paper -scale 0.02 -measure 20ms
 //	hermit-bench -exp all -scale 0.05
 //	hermit-bench -exp fig16,fig17,fig18 -scale 0.1 -measure 1s
 //	hermit-bench -exp durability -measure 500ms
 //	hermit-bench -scenario timeseries
 //	hermit-bench -scenario my-workload.json -scale 0.1
 //	hermit-bench -scenario zipf-oltp -addr 127.0.0.1:7707
+//
+// -exp paper draws every figure of the paper (Figs. 4–30, Table 1 and the
+// ablations) from one grid of trials, loading each dataset once, and
+// records BENCH_paper.json: one row per printed cell. -exp all runs it once
+// rather than each figure again.
 //
 // -scenario replays one trace-driven scenario (a canned name or a JSON
 // spec file; see internal/scenario) and prints per-phase p50/p99/p999.
@@ -101,9 +107,7 @@ func main() {
 
 	var ids []string
 	if *exp == "all" {
-		for _, e := range bench.Registry {
-			ids = append(ids, e.ID)
-		}
+		ids = bench.AllIDs()
 	} else {
 		ids = strings.Split(*exp, ",")
 	}

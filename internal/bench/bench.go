@@ -1,8 +1,9 @@
 // Package bench contains the experiment drivers that regenerate every table
-// and figure in the paper's evaluation (§7 and Appendix E). Each experiment
-// prints the same rows/series the paper plots, so shapes can be compared
+// and figure in the paper's evaluation (§7 and Appendix E) — views over one
+// grid of trials (paper.go) — and the experiments this repository adds. Each
+// prints the rows/series the paper plots, so shapes can be compared
 // directly; absolute numbers differ because the substrate is this repo's
-// engine rather than the authors' testbed (see EXPERIMENTS.md).
+// engine rather than the authors' testbed (README, "Benchmarks").
 //
 // The drivers are shared between the root-level testing.B benchmarks
 // (bench_test.go) and the cmd/hermit-bench CLI.
@@ -15,8 +16,6 @@ import (
 	"time"
 
 	"hermit/internal/engine"
-	"hermit/internal/hermit"
-	"hermit/internal/trstree"
 	"hermit/internal/workload"
 )
 
@@ -105,36 +104,11 @@ type Experiment struct {
 	Run   func(cfg Config) error
 }
 
-// Registry lists every experiment in paper order.
-var Registry = []Experiment{
-	{"fig4", "Range lookup throughput vs selectivity (Stock)", Fig4RangeStock},
-	{"fig5", "Memory consumption vs number of indexes (Stock)", Fig5MemoryStock},
-	{"fig6", "Range lookup throughput vs selectivity (Sensor)", Fig6RangeSensor},
-	{"fig7", "Memory consumption vs number of tuples (Sensor)", Fig7MemorySensor},
-	{"fig8", "Range lookup vs selectivity (Synthetic-Linear)", Fig8RangeLinear},
-	{"fig9", "Range lookup vs selectivity (Synthetic-Sigmoid)", Fig9RangeSigmoid},
-	{"fig10", "Hermit range lookup breakdown (Synthetic-Sigmoid)", Fig10BreakdownHermit},
-	{"fig11", "Baseline range lookup breakdown (Synthetic-Sigmoid)", Fig11BreakdownBaseline},
-	{"fig12", "Point lookup vs tuples (Synthetic-Linear)", Fig12PointLinear},
-	{"fig13", "Point lookup vs tuples (Synthetic-Sigmoid)", Fig13PointSigmoid},
-	{"fig14", "Hermit point lookup breakdown (Synthetic-Sigmoid)", Fig14PointBreakdownHermit},
-	{"fig15", "Baseline point lookup breakdown (Synthetic-Sigmoid)", Fig15PointBreakdownBaseline},
-	{"fig16", "Range throughput vs error_bound and noise", Fig16ErrorBound},
-	{"fig17", "False positive ratio vs error_bound and noise", Fig17FalsePositives},
-	{"fig18", "Memory vs error_bound and noise", Fig18MemoryErrorBound},
-	{"fig19", "Index memory vs tuples (Synthetic)", Fig19IndexMemory},
-	{"fig20", "Total memory vs number of indexes (Synthetic-Linear)", Fig20TotalMemory},
-	{"fig21", "Index construction time vs threads (Synthetic)", Fig21Construction},
-	{"fig22", "Insertion throughput vs number of indexes", Fig22Insertion},
-	{"fig23", "Online reorganization trace (Synthetic-Sigmoid)", Fig23Reorg},
-	{"fig24", "Disk-based range lookup and breakdown (Sensor)", Fig24Disk},
-	{"tab1", "Training time for different ML models", Table1Training},
-	{"fig26", "Outlier capture on correlated stock indices", Fig26Outliers},
-	{"fig27", "CM vs Hermit range throughput vs noise (Linear)", Fig27CMLinearThroughput},
-	{"fig28", "CM vs Hermit memory vs noise (Linear)", Fig28CMLinearMemory},
-	{"fig29", "CM vs Hermit range throughput vs noise (Sigmoid)", Fig29CMSigmoidThroughput},
-	{"fig30", "CM vs Hermit memory vs noise (Sigmoid)", Fig30CMSigmoidMemory},
-	{"ablation", "Ablations: sampling, range union, outlier buffer", Ablations},
+// Registry lists every experiment: the paper's figures in paper order,
+// "paper" (all of them from one grid), then the experiments this
+// repository adds.
+var Registry = append(figureExperiments(), []Experiment{
+	{"paper", "Every paper figure from one sweep, recorded in BENCH_paper.json", RunPaper},
 	{"durability", "Durable inserts vs sync policy; recovery vs WAL length", RunDurability},
 	{"compaction", "Block tier: checkpoint pause vs table size; write amplification; bloom-gated cold reads", RunCompaction},
 	{"advisor", "Self-tuning: advisor auto-indexing and planner re-routing", RunAdvisor},
@@ -143,6 +117,26 @@ var Registry = []Experiment{
 	{"repl", "Replication: follower read scaling; lag vs write rate", RunRepl},
 	{"scenarios", "Trace-driven scenarios: per-phase SLO quantiles", RunScenarios},
 	{"hotpath", "Hot-path allocs/op and ns/op at GOMAXPROCS 1 and NumCPU", RunHotpath},
+}...)
+
+// PaperIDs returns the ids of the paper's tables and figures, in paper
+// order.
+func PaperIDs() []string {
+	ids := make([]string, len(figures))
+	for i, f := range figures {
+		ids[i] = f.id
+	}
+	return ids
+}
+
+// AllIDs returns what "-exp all" runs: every experiment once, the paper's
+// figures through "paper" rather than one by one.
+func AllIDs() []string {
+	var ids []string
+	for _, e := range Registry[len(figures):] {
+		ids = append(ids, e.ID)
+	}
+	return ids
 }
 
 // ByID returns the experiment with the given id.
@@ -160,94 +154,18 @@ func header(w io.Writer, id, title string) {
 	fmt.Fprintf(w, "\n== %s: %s ==\n", id, title)
 }
 
-// buildSynthetic creates a Synthetic table under the given scheme with the
-// host index on colB in place, ready for a new index on colC. Every figure
-// compares named mechanisms, so its queries name their access path
-// (Query.Path) and the cost planner never re-routes a wide predicate to a
-// scan mid-experiment (the advisor experiment, which measures the planner
-// itself, leaves the path to it).
-func buildSynthetic(cfg Config, scheme hermit.PointerScheme, rowsN int, fn workload.CorrelationKind, noise float64) (*engine.Table, error) {
-	db := engine.NewDB(scheme)
-	tb, err := db.CreateTable("synthetic", workload.SyntheticSpec{}.Columns(), workload.SyntheticSpec{}.PKCol())
-	if err != nil {
-		return nil, err
-	}
-	spec := workload.SyntheticSpec{Rows: rowsN, Fn: fn, Noise: noise, Seed: cfg.Seed}
-	err = spec.Generate(func(row []float64) error {
-		_, err := tb.Insert(row)
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	if _, err := tb.CreateBTreeIndex(spec.HostCol(), false); err != nil {
-		return nil, err
-	}
-	return tb, nil
-}
-
 // measureRange drives range queries against col through path for
 // cfg.MeasureFor and returns operations/second. Each query fetches its
 // rows, into one reused buffer.
 func measureRange(cfg Config, tb *engine.Table, col int, path engine.AccessPath, lo, hi, sel float64) (float64, error) {
 	gen := workload.QueryGen(lo, hi, sel, cfg.Seed+99)
 	var rows []float64
-	start := time.Now()
-	ops := 0
-	for time.Since(start) < cfg.MeasureFor {
+	return timed(cfg, 0, func(int) (err error) {
 		q := gen()
-		var err error
-		if rows, _, err = tb.Exec(engine.Query{Col: col, Lo: q.Lo, Hi: q.Hi, Path: path}, rows[:0]); err != nil {
-			return 0, err
-		}
-		ops++
-	}
-	return float64(ops) / time.Since(start).Seconds(), nil
+		rows, _, err = tb.Exec(engine.Query{Col: col, Lo: q.Lo, Hi: q.Hi, Path: path}, rows[:0])
+		return err
+	})
 }
-
-// measurePoint drives point queries through path for cfg.MeasureFor.
-func measurePoint(cfg Config, tb *engine.Table, col int, path engine.AccessPath, lo, hi float64) (float64, error) {
-	gen := workload.PointGen(lo, hi, cfg.Seed+77)
-	var rows []float64
-	start := time.Now()
-	ops := 0
-	for time.Since(start) < cfg.MeasureFor {
-		v := gen()
-		var err error
-		if rows, _, err = tb.Exec(engine.Query{Col: col, Lo: v, Hi: v, Path: path}, rows[:0]); err != nil {
-			return 0, err
-		}
-		ops++
-	}
-	return float64(ops) / time.Since(start).Seconds(), nil
-}
-
-// aggregateBreakdown runs nq range queries through path and returns summed
-// per-phase fractions.
-func aggregateBreakdown(tb *engine.Table, col int, path engine.AccessPath, lo, hi, sel float64, nq int, seed int64) ([4]float64, error) {
-	gen := workload.QueryGen(lo, hi, sel, seed)
-	var total hermit.Breakdown
-	for i := 0; i < nq; i++ {
-		q := gen()
-		_, st, err := tb.Exec(engine.Query{Col: col, Lo: q.Lo, Hi: q.Hi, Path: path}, nil)
-		if err != nil {
-			return [4]float64{}, err
-		}
-		total.Add(st.Breakdown)
-	}
-	return total.Fractions(), nil
-}
-
-// mechanism names the access path of a figure's Hermit or baseline series.
-func mechanism(useHermit bool) engine.AccessPath {
-	if useHermit {
-		return engine.PathHermit
-	}
-	return engine.PathBTree
-}
-
-// defaultParams returns the paper's default TRS-Tree configuration (§7.1).
-func defaultParams() trstree.Params { return trstree.DefaultParams() }
 
 // quantile returns the q-quantile (0 <= q <= 1) of sorted samples by
 // linear interpolation between the two nearest ranks. The old per-file

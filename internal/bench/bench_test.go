@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -44,7 +45,7 @@ func TestRegistryComplete(t *testing.T) {
 		"fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11",
 		"fig12", "fig13", "fig14", "fig15", "fig16", "fig17", "fig18",
 		"fig19", "fig20", "fig21", "fig22", "fig23", "fig24", "tab1",
-		"fig26", "fig27", "fig28", "fig29", "fig30", "ablation",
+		"fig26", "fig27", "fig28", "fig29", "fig30", "ablation", "paper",
 		"durability", "compaction", "advisor",
 		"txn", "server", "repl", "scenarios", "hotpath",
 	}
@@ -154,6 +155,43 @@ func TestSmokeTable1(t *testing.T) {
 	out := runExperiment(t, "tab1")
 	if !strings.Contains(out, "Linear regression") || !strings.Contains(out, "SVR") {
 		t.Fatalf("tab1 malformed:\n%s", out)
+	}
+	// Every fit takes time: a cell that reads zero lost it to rounding.
+	for _, cell := range strings.Fields(out) {
+		if cell == "0s" || cell == "0.0µs" {
+			t.Fatalf("tab1 has a zero cell:\n%s", out)
+		}
+	}
+}
+
+// TestPaperGrid runs every figure of the paper as one grid, as "-exp paper"
+// does: each dataset a read-only trial needs is loaded once (only the
+// trials that write load private copies), every figure prints rows, and the
+// artifact lists each figure.
+func TestPaperGrid(t *testing.T) {
+	cfg := tinyConfig(t)
+	rows, loads, err := runFigures(cfg, figures)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared := map[dataKey]int{}
+	for _, key := range loads {
+		if shared[key]++; shared[key] > 1 {
+			t.Fatalf("dataset %+v loaded %d times", key, shared[key])
+		}
+	}
+	data, err := paperReport{Experiment: "paper"}.encode(rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rep paperReport
+	if err := json.Unmarshal(data, &rep); err != nil || len(rep.Rows) != len(rows) {
+		t.Fatalf("BENCH_paper.json does not read back (%v): %d of %d rows", err, len(rep.Rows), len(rows))
+	}
+	for _, f := range figures {
+		if !slices.ContainsFunc(rep.Rows, func(r Row) bool { return r.Fig == f.id }) {
+			t.Fatalf("%s recorded no rows", f.id)
+		}
 	}
 }
 

@@ -342,16 +342,10 @@ func measureSnapshotOverhead(cfg Config, tb *engine.Table) (txnSnapshotOverhead,
 	spec := workload.SyntheticSpec{}
 	run := func(query func(lo, hi float64) error) (float64, error) {
 		gen := workload.QueryGen(0, workload.SyntheticSpan, 0.01, cfg.Seed+91)
-		start := time.Now()
-		ops := 0
-		for time.Since(start) < cfg.MeasureFor {
+		return timed(cfg, 0, func(int) error {
 			q := gen()
-			if err := query(q.Lo, q.Hi); err != nil {
-				return 0, err
-			}
-			ops++
-		}
-		return float64(ops) / time.Since(start).Seconds(), nil
+			return query(q.Lo, q.Hi)
+		})
 	}
 	// Warm-up: let the cost planner's per-path feedback converge before
 	// either measurement, so the comparison isolates snapshot registration

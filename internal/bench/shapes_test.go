@@ -2,7 +2,6 @@ package bench
 
 import (
 	"testing"
-	"time"
 
 	"hermit/internal/hermit"
 	"hermit/internal/workload"
@@ -10,62 +9,62 @@ import (
 
 // Shape-regression tests: beyond smoke-testing that the experiment drivers
 // run, these assert the paper's qualitative results directly, so a change
-// that silently breaks a reproduced shape fails the suite.
+// that silently breaks a reproduced shape fails the suite. Each runs its
+// cells through the paper's trial runner.
 
 func shapeConfig(t *testing.T) Config {
 	t.Helper()
 	cfg := tinyConfig(t)
 	cfg.Scale = 0.001
-	return cfg
+	return cfg.sanitized()
+}
+
+// runTrials runs the trials as one grid and returns each one's result.
+func runTrials(t *testing.T, cfg Config, trials ...trial) map[trial]Result {
+	t.Helper()
+	res, _, err := runGrid(cfg, trials)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[trial]Result, len(res))
+	for tr, rs := range res {
+		out[tr] = rs[0]
+	}
+	return out
 }
 
 // Shape (Figs. 19/20): a Hermit index is a small fraction of a complete
 // B+-tree on the same column, for both correlation shapes.
 func TestShapeHermitIsSuccinct(t *testing.T) {
-	cfg := shapeConfig(t).sanitized()
+	cfg := shapeConfig(t)
 	n := cfg.rows(paperSyntheticRows)
 	for _, fn := range []workload.CorrelationKind{workload.Linear, workload.Sigmoid} {
-		tbH, err := buildSynthetic(cfg, hermit.PhysicalPointers, n, fn, 0.01)
-		if err != nil {
-			t.Fatal(err)
-		}
-		hx, err := tbH.CreateHermitIndex(2, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tbB, err := buildSynthetic(cfg, hermit.PhysicalPointers, n, fn, 0.01)
-		if err != nil {
-			t.Fatal(err)
-		}
-		full, err := tbB.CreateBTreeIndex(2, true)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if hx.SizeBytes()*5 > full.SizeBytes() {
-			t.Fatalf("%v: hermit %d bytes not ≤ 20%% of baseline %d", fn, hx.SizeBytes(), full.SizeBytes())
+		h := trial{dataKey: synth(hermit.PhysicalPointers, n, fn, 0.01), Measure: measureMemory, Series: seriesHermit, K: 1}
+		b := h
+		b.Series = seriesBaseline
+		res := runTrials(t, cfg, h, b)
+		if res[h].IndexBytes*5 > res[b].IndexBytes {
+			t.Fatalf("%v: hermit %d bytes not ≤ 20%% of baseline %d", fn, res[h].IndexBytes, res[b].IndexBytes)
 		}
 	}
 }
 
 // Shape (Fig. 17): false positives grow monotonically in error_bound.
 func TestShapeFalsePositivesGrowWithErrorBound(t *testing.T) {
-	cfg := shapeConfig(t).sanitized()
+	cfg := shapeConfig(t)
 	n := cfg.rows(paperSyntheticRows)
-	tb, err := buildSynthetic(cfg, hermit.LogicalPointers, n, workload.Linear, 0.01)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var prev float64 = -1
+	var trials []trial
 	for _, eb := range []float64{1, 100, 10000} {
-		if _, err := rebuildHermit(tb, eb); err != nil {
-			t.Fatal(err)
-		}
-		fp, err := hermitFalsePositives(tb, workload.QueryGen(0, workload.SyntheticSpan, 0.0001, 7), 30)
-		if err != nil {
-			t.Fatal(err)
-		}
+		// Query seed 7: the run's seed 1 plus 6.
+		trials = append(trials, trial{dataKey: synth(hermit.LogicalPointers, n, workload.Linear, 0.01),
+			Measure: measureCounts, Series: seriesHermit, Sel: 0.0001, ErrorBound: eb, Queries: 30, QuerySeed: 6})
+	}
+	res := runTrials(t, cfg, trials...)
+	var prev float64 = -1
+	for _, tr := range trials {
+		fp := res[tr].FPRatio
 		if fp < prev {
-			t.Fatalf("fp(eb=%v)=%v < fp at smaller eb %v", eb, fp, prev)
+			t.Fatalf("fp(eb=%v)=%v < fp at smaller eb %v", tr.ErrorBound, fp, prev)
 		}
 		prev = fp
 	}
@@ -76,22 +75,20 @@ func TestShapeFalsePositivesGrowWithErrorBound(t *testing.T) {
 
 // Shape (Fig. 18): TRS-Tree memory grows with the injected noise fraction.
 func TestShapeMemoryGrowsWithNoise(t *testing.T) {
-	cfg := shapeConfig(t).sanitized()
+	cfg := shapeConfig(t)
 	n := cfg.rows(paperSyntheticRows)
-	var prev uint64
+	var trials []trial
 	for _, noise := range []float64{0, 0.05, 0.10} {
-		tb, err := buildSynthetic(cfg, hermit.PhysicalPointers, n, workload.Linear, noise)
-		if err != nil {
-			t.Fatal(err)
+		trials = append(trials, trial{dataKey: synth(hermit.PhysicalPointers, n, workload.Linear, noise),
+			Measure: measureMemory, Series: seriesHermit, K: 1})
+	}
+	res := runTrials(t, cfg, trials...)
+	var prev uint64
+	for _, tr := range trials {
+		if res[tr].IndexBytes < prev {
+			t.Fatalf("memory at noise=%v (%d) below previous (%d)", tr.Noise, res[tr].IndexBytes, prev)
 		}
-		hx, err := tb.CreateHermitIndex(2, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if hx.SizeBytes() < prev {
-			t.Fatalf("memory at noise=%v (%d) below previous (%d)", noise, hx.SizeBytes(), prev)
-		}
-		prev = hx.SizeBytes()
+		prev = res[tr].IndexBytes
 	}
 }
 
@@ -99,82 +96,50 @@ func TestShapeMemoryGrowsWithNoise(t *testing.T) {
 // fraction of the table budget, while the baseline's new complete indexes
 // rival the pre-existing ones.
 func TestShapeStockMemoryBreakdown(t *testing.T) {
-	cfg := shapeConfig(t).sanitized()
-	spec := stockSpec(cfg)
-	tbH, err := buildStock(cfg, hermit.PhysicalPointers, spec)
-	if err != nil {
-		t.Fatal(err)
+	cfg := shapeConfig(t)
+	data := stockData(cfg, hermit.PhysicalPointers)
+	h := trial{dataKey: data, Measure: measureMemory, Series: seriesHermit, K: data.Width}
+	b := h
+	b.Series = seriesBaseline
+	res := runTrials(t, cfg, h, b)
+	mH, mB := res[h], res[b]
+	if mH.IndexBytes*3 > mB.IndexBytes {
+		t.Fatalf("stock hermit new=%d not ≪ baseline new=%d", mH.IndexBytes, mB.IndexBytes)
 	}
-	if err := indexStockHighs(tbH, spec, true, spec.Stocks); err != nil {
-		t.Fatal(err)
-	}
-	tbB, err := buildStock(cfg, hermit.PhysicalPointers, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := indexStockHighs(tbB, spec, false, spec.Stocks); err != nil {
-		t.Fatal(err)
-	}
-	mH, mB := tbH.Memory(), tbB.Memory()
-	if mH.NewBytes*3 > mB.NewBytes {
-		t.Fatalf("stock hermit new=%d not ≪ baseline new=%d", mH.NewBytes, mB.NewBytes)
-	}
-	if mH.Total() >= mB.Total() {
-		t.Fatalf("hermit total %d not below baseline total %d", mH.Total(), mB.Total())
+	if mH.totalBytes() >= mB.totalBytes() {
+		t.Fatalf("hermit total %d not below baseline total %d", mH.totalBytes(), mB.totalBytes())
 	}
 }
 
 // Shape (Figs. 27–30): under injected noise, Hermit sustains far higher
 // throughput than Correlation Maps at comparable (or smaller) memory.
 func TestShapeHermitBeatsCMUnderNoise(t *testing.T) {
-	cfg := shapeConfig(t).sanitized()
-	comp, err := buildCMComparison(cfg, workload.Linear, 0.05, 64)
-	if err != nil {
-		t.Fatal(err)
+	cfg := shapeConfig(t)
+	data := synth(hermit.PhysicalPointers, cfg.rows(paperSyntheticRows), workload.Linear, 0.05)
+	// 50 ranges of 0.1 % each, query seed 11: the run's seed 1 plus 10.
+	timed := func(series string, hostBucket float64) trial {
+		return trial{dataKey: data, Measure: measureOps, Series: series, Sel: 0.001, HostBucket: hostBucket, Queries: 50, QuerySeed: 10}
 	}
-	timed := func(name string) float64 {
-		c := comp[name]
-		if c.use != nil {
-			if err := c.use(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		gen := workload.QueryGen(0, workload.SyntheticSpan, 0.001, 11)
-		start := time.Now()
-		const nq = 50
-		for i := 0; i < nq; i++ {
-			q := gen()
-			if err := c.query(q.Lo, q.Hi); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return float64(time.Since(start).Nanoseconds()) / nq
-	}
-	hermitNs := timed("HERMIT")
-	cmNs := timed("CM-16")
+	h, c := timed(seriesHermit, 0), timed("CM-16", 64)
+	b := trial{dataKey: data, Measure: measureMemory, Series: seriesBaseline, K: 1}
+	res := runTrials(t, cfg, h, c, b)
+	hermitNs, cmNs := 1e9/res[h].OpsPerSec, 1e9/res[c].OpsPerSec
 	if hermitNs*2 > cmNs {
 		t.Fatalf("hermit %vns/query not ≪ CM-16 %vns/query under 5%% noise", hermitNs, cmNs)
 	}
-	if comp["HERMIT"].mem > comp["Baseline"].mem {
-		t.Fatalf("hermit mem %d above complete index %d", comp["HERMIT"].mem, comp["Baseline"].mem)
+	if res[h].IndexBytes > res[b].IndexBytes {
+		t.Fatalf("hermit mem %d above complete index %d", res[h].IndexBytes, res[b].IndexBytes)
 	}
 }
 
 // Shape (Fig. 26): on the Stock pair, only crash days are buffered and the
 // index stays tiny.
 func TestShapeStockOutliersSparse(t *testing.T) {
-	cfg := shapeConfig(t).sanitized()
-	spec := workload.StockSpec{Stocks: 1, Days: cfg.rows(15000), Seed: cfg.Seed, CrashProb: 0.002}
-	tb, err := buildStock(cfg, hermit.PhysicalPointers, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hx, err := tb.CreateHermitIndex(spec.HighCol(0), spec.LowCol(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := hx.Tree().Stats()
-	frac := float64(st.Outliers) / float64(spec.Days)
+	cfg := shapeConfig(t)
+	data := dataKey{Kind: stock, Scheme: hermit.PhysicalPointers.String(), Tuples: cfg.rows(paperStockDays), Noise: 0.002, Width: 1}
+	m := trial{dataKey: data, Measure: measureMemory, Series: seriesHermit, K: 1}
+	st := runTrials(t, cfg, m)[m]
+	frac := float64(st.Outliers) / float64(data.Tuples)
 	if frac > 0.05 {
 		t.Fatalf("outlier fraction %.3f, want sparse (crash days only)", frac)
 	}

@@ -12,6 +12,10 @@
 // cold-read classes, with the open blocks holding at most 2 bytes per
 // flushed row (an index and a bloom, not the rows).
 //
+// BENCH_paper.json (every figure of the paper from one sweep, `make
+// bench`) must have rows for each of the paper's figures and hold the
+// paper's shapes on them: bench.CheckPaper lists them.
+//
 // BENCH_scenarios.json gets deeper validation: at least four scenarios,
 // each with a spec hash, matching trace_hash and trace_hash_recheck (the
 // compile-determinism proof), and per-phase quantiles present and
@@ -29,17 +33,17 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+
+	"hermit/internal/bench"
 )
 
 // artifact is the header every BENCH_*.json report shares; experiment
 // files carry more fields, which benchcheck deliberately ignores.
 type artifact struct {
-	Experiment string          `json:"experiment"`
-	Seed       *int64          `json:"seed"`
-	NumCPU     int             `json:"num_cpu"`
-	GOMAXPROCS int             `json:"gomaxprocs"`
-	Caveat     string          `json:"caveat"`
-	Raw        json.RawMessage `json:"-"`
+	Experiment string `json:"experiment"`
+	Seed       *int64 `json:"seed"`
+	NumCPU     int    `json:"num_cpu"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
 }
 
 func main() {
@@ -94,6 +98,9 @@ func check(path string) error {
 	}
 	if a.GOMAXPROCS <= 0 {
 		return fmt.Errorf("\"gomaxprocs\" is %d, want > 0", a.GOMAXPROCS)
+	}
+	if a.Experiment == "paper" {
+		return bench.CheckPaper(raw)
 	}
 	if a.Experiment == "scenarios" {
 		return checkScenarios(raw)

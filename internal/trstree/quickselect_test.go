@@ -74,7 +74,8 @@ func TestStrideSample(t *testing.T) {
 
 func TestRobustFitResistsContamination(t *testing.T) {
 	// 20% wild contamination must not move the Theil–Sen line materially —
-	// the property the OLS-only Compute lacked (EXPERIMENTS.md note 3).
+	// the property the OLS-only Compute lacked (docs/ARCHITECTURE.md, "Index
+	// construction").
 	rng := rand.New(rand.NewSource(9))
 	pairs := make([]Pair, 2000)
 	for i := range pairs {

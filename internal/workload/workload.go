@@ -9,8 +9,7 @@
 // Real market and gas-sensor data are not redistributable, so Stock and
 // Sensor are synthetic processes engineered to preserve exactly the
 // properties the experiments exercise: the shape of the correlation, its
-// monotonicity, and the presence of sparse large outliers (see DESIGN.md's
-// substitution table).
+// monotonicity, and the presence of sparse large outliers.
 package workload
 
 import (
