@@ -253,7 +253,6 @@ type Advisor struct {
 	// sample estimate (which cannot see the drift), so future creations
 	// on the column go straight to a complete B+-tree.
 	noHermit map[ckey]bool
-	passes   uint64
 
 	startOnce sync.Once
 	stopOnce  sync.Once
@@ -325,13 +324,6 @@ func (a *Advisor) Actions() []Action {
 	return append([]Action(nil), a.actions...)
 }
 
-// Passes returns how many passes have completed.
-func (a *Advisor) Passes() uint64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.passes
-}
-
 // RunOnce performs one full advisory pass over every table and returns the
 // actions it took. Per-column failures (e.g. a losing DDL race) skip that
 // column; only catalog-level failures return an error.
@@ -348,7 +340,6 @@ func (a *Advisor) RunOnce() ([]Action, error) {
 		}
 	}
 	a.mu.Lock()
-	a.passes++
 	a.actions = append(a.actions, taken...)
 	a.mu.Unlock()
 	return taken, firstErr

@@ -502,6 +502,17 @@ func TestUpdateMaintainsCompositeIndexes(t *testing.T) {
 	}
 }
 
+// reorgAll rebuilds every first-level subtree of hx's TRS-Tree from the
+// table.
+func reorgAll(hx *hermit.Index) error {
+	for i := range hx.Tree().Params().NodeFanout {
+		if err := hx.Tree().ReorgSubtree(i, hx.Source()); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // TestConcurrentHermitReorg keeps Hermit lookups and writes running while
 // forcing TRS-Tree reorganizations, the §4.4/Appendix B protocol.
 func TestConcurrentHermitReorg(t *testing.T) {
@@ -536,8 +547,8 @@ func TestConcurrentHermitReorg(t *testing.T) {
 		for i := 0; i < 500; i++ {
 			pk := float64(100000 + i)
 			c := float64(i % 1000)
-			// Uncorrelated colB values land in outlier buffers and trigger
-			// reorganization candidates.
+			// Uncorrelated colB values land in outlier buffers for the
+			// reorganizations to refit.
 			if _, err := tb.Insert([]float64{pk, 9e6, c, 0}); err != nil {
 				t.Errorf("insert during reorg: %v", err)
 				return
@@ -545,7 +556,7 @@ func TestConcurrentHermitReorg(t *testing.T) {
 		}
 	}()
 	for i := 0; i < 20; i++ {
-		if _, err := hx.Tree().ReorgOnce(hx.Source()); err != nil {
+		if err := reorgAll(hx); err != nil {
 			t.Fatalf("reorg: %v", err)
 		}
 	}

@@ -12,7 +12,7 @@ import (
 
 // TestIntegrationWorkloadLifecycle drives a full lifecycle on the Sensor
 // workload: bulk load, hermit + baseline indexing, mixed reads/writes,
-// online reorganization in the background, and a final exactness audit.
+// online reorganization beside them, and a final exactness audit.
 func TestIntegrationWorkloadLifecycle(t *testing.T) {
 	spec := workload.DefaultSensorSpec(15000)
 	db := NewDB(hermit.PhysicalPointers)
@@ -34,13 +34,28 @@ func TestIntegrationWorkloadLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Background reorganizer fed by the live table.
-	hx.Tree().StartReorg(hx.Source(), 20*time.Millisecond)
-	defer hx.Tree().StopReorg()
-
-	// Concurrent readers while a writer mutates.
+	// Concurrent readers, and a reorganizer that rebuilds every subtree
+	// from the live table at once and then every 20 ms, while a writer
+	// mutates.
 	var readers sync.WaitGroup
 	stop := make(chan struct{})
+	readers.Add(1)
+	go func() {
+		defer readers.Done()
+		tick := time.NewTicker(20 * time.Millisecond)
+		defer tick.Stop()
+		for {
+			if err := reorgAll(hx); err != nil {
+				t.Error(err)
+				return
+			}
+			select {
+			case <-stop:
+				return
+			case <-tick.C:
+			}
+		}
+	}()
 	for w := 0; w < 2; w++ {
 		readers.Add(1)
 		go func(seed int64) {
@@ -89,10 +104,9 @@ func TestIntegrationWorkloadLifecycle(t *testing.T) {
 	close(stop)
 	readers.Wait()
 
-	// Give the reorganizer a moment to drain, then audit exactness.
-	deadline := time.Now().Add(2 * time.Second)
-	for hx.Tree().PendingReorg() > 0 && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
+	// One more round over the writer's last rows, then audit exactness.
+	if err := reorgAll(hx); err != nil {
+		t.Fatal(err)
 	}
 	for trial := 0; trial < 20; trial++ {
 		lo := rng.Float64() * 400

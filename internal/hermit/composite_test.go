@@ -160,9 +160,7 @@ func TestCompositeProfileAndReorg(t *testing.T) {
 		t.Fatal("accessors")
 	}
 	// Reorg through the composite source keeps the harvest covering.
-	if _, err := idx.Tree().ReorgOnce(idx.Source()); err != nil {
-		t.Fatal(err)
-	}
+	reorgAll(t, idx.Tree(), idx.Source())
 	if err := idx.Tree().ReorgSubtree(0, idx.Source()); err != nil {
 		t.Fatal(err)
 	}

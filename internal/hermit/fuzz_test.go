@@ -230,10 +230,8 @@ func FuzzHermit(f *testing.F) {
 				h.remove(t, a)
 			case 2:
 				h.updateHost(t, a, fuzzValue(b))
-			case 3: // while parked, this one rebuilds under the write latch
-				if _, err := h.idx.Tree().ReorgOnce(h.idx.Source()); err != nil {
-					t.Fatal(err)
-				}
+			case 3: // while parked, these rebuild under the write latch
+				reorgAll(t, h.idx.Tree(), h.idx.Source())
 				if err := h.idx.Tree().ReorgSubtree(int(a)%8, h.idx.Source()); err != nil {
 					t.Fatal(err)
 				}

@@ -123,6 +123,16 @@ func distinct(ids []uint64) int {
 	return len(slices.Compact(ids))
 }
 
+// reorgAll rebuilds every first-level subtree of tr from src.
+func reorgAll(t testing.TB, tr *trstree.Tree, src trstree.DataSource) {
+	t.Helper()
+	for i := range tr.Params().NodeFanout {
+		if err := tr.ReorgSubtree(i, src); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 func TestNewValidation(t *testing.T) {
 	f := newFixture(t, 100, linearFn, 0, PhysicalPointers, 1)
 	if _, err := New(nil, f.host, Config{}); err != ErrNilTable {
@@ -345,17 +355,8 @@ func TestReorgThroughSource(t *testing.T) {
 		f.host.Insert(b, uint64(rid))
 		idx.Insert(rid, c, b)
 	}
-	if idx.Tree().PendingReorg() == 0 {
-		t.Fatal("no reorg candidates queued")
-	}
 	before := idx.SizeBytes()
-	n, err := idx.Tree().ReorgOnce(idx.Source())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n == 0 {
-		t.Fatal("nothing rebuilt")
-	}
+	reorgAll(t, idx.Tree(), idx.Source())
 	if idx.SizeBytes() >= before {
 		t.Fatalf("reorg did not shrink index: %d -> %d", before, idx.SizeBytes())
 	}

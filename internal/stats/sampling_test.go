@@ -63,29 +63,6 @@ func TestReservoirDeterminism(t *testing.T) {
 	}
 }
 
-func TestEWMA(t *testing.T) {
-	var e EWMA
-	e.Observe(100)
-	if e.Value() != 100 {
-		t.Fatalf("first observation should initialise exactly, got %v", e.Value())
-	}
-	e.Observe(200)
-	want := 100 + DefaultEWMAAlpha*100
-	if math.Abs(e.Value()-want) > 1e-9 {
-		t.Fatalf("got %v want %v", e.Value(), want)
-	}
-	if e.N() != 2 {
-		t.Fatalf("n=%d", e.N())
-	}
-	// Converges toward a steady signal.
-	for i := 0; i < 200; i++ {
-		e.Observe(500)
-	}
-	if math.Abs(e.Value()-500) > 1 {
-		t.Fatalf("did not converge: %v", e.Value())
-	}
-}
-
 func TestEWMAStep(t *testing.T) {
 	if got := EWMAStep(0, 42, 0.5, 0); got != 42 {
 		t.Fatalf("init step: %v", got)

@@ -1,9 +1,8 @@
 // Package stats provides the statistical primitives used by the TRS-Tree,
 // the correlation discovery module and the access-path advisor: simple
 // (univariate) linear regression solved in closed form by ordinary least
-// squares, Pearson and Spearman correlation coefficients, streaming moment
-// accumulators, reservoir sampling, and exponentially weighted moving
-// averages.
+// squares, Pearson and Spearman correlation coefficients, reservoir
+// sampling, and the exponentially weighted moving average's update rule.
 //
 // The paper (§4.1) deliberately uses the closed-form OLS solution instead of
 // gradient descent: it needs a single scan of the data and is exact for the
@@ -182,63 +181,6 @@ func ranks(xs []float64) []float64 {
 	return r
 }
 
-// Moments accumulates streaming first and second moments of a paired sample
-// so that a linear fit can be produced without retaining the points. It uses
-// Welford-style updates for numerical stability on long streams.
-type Moments struct {
-	n          float64
-	meanX      float64
-	meanY      float64
-	m2x        float64 // sum of squared deviations of x
-	cxy        float64 // co-moment of x and y
-	minX, maxX float64
-	minY, maxY float64
-}
-
-// Add folds the pair (x, y) into the accumulator.
-func (mo *Moments) Add(x, y float64) {
-	if mo.n == 0 {
-		mo.minX, mo.maxX = x, x
-		mo.minY, mo.maxY = y, y
-	} else {
-		mo.minX = math.Min(mo.minX, x)
-		mo.maxX = math.Max(mo.maxX, x)
-		mo.minY = math.Min(mo.minY, y)
-		mo.maxY = math.Max(mo.maxY, y)
-	}
-	mo.n++
-	dx := x - mo.meanX
-	mo.meanX += dx / mo.n
-	mo.m2x += dx * (x - mo.meanX)
-	dy := y - mo.meanY
-	mo.meanY += dy / mo.n
-	mo.cxy += dx * (y - mo.meanY)
-}
-
-// N returns the number of accumulated pairs.
-func (mo *Moments) N() int { return int(mo.n) }
-
-// BoundsX returns the observed min and max of x. Valid only when N() > 0.
-func (mo *Moments) BoundsX() (lo, hi float64) { return mo.minX, mo.maxX }
-
-// BoundsY returns the observed min and max of y. Valid only when N() > 0.
-func (mo *Moments) BoundsY() (lo, hi float64) { return mo.minY, mo.maxY }
-
-// Fit produces the OLS linear model from the accumulated moments.
-func (mo *Moments) Fit() (LinearModel, error) {
-	if mo.n == 0 {
-		return LinearModel{}, ErrInsufficientData
-	}
-	if mo.m2x == 0 {
-		return LinearModel{Beta: 0, Alpha: mo.meanY}, nil
-	}
-	beta := mo.cxy / mo.m2x
-	return LinearModel{Beta: beta, Alpha: mo.meanY - beta*mo.meanX}, nil
-}
-
-// Reset returns the accumulator to its zero state for reuse.
-func (mo *Moments) Reset() { *mo = Moments{} }
-
 // Reservoir draws a uniform fixed-size sample of (x, y) pairs from a stream
 // of unknown length using Algorithm R: the first Cap pairs are kept, and the
 // i-th pair thereafter replaces a random slot with probability Cap/i. One
@@ -291,49 +233,17 @@ func (r *Reservoir) Seen() int { return r.seen }
 // backing storage: callers must not Add after using them, or must copy.
 func (r *Reservoir) Sample() (xs, ys []float64) { return r.xs, r.ys }
 
-// EWMA is an exponentially weighted moving average: each observation moves
-// the average a fixed fraction Alpha of the way toward itself, so recent
-// behaviour dominates while history decays geometrically. The engine's
-// planner keeps per-access-path latency and false-positive EWMAs (with
-// atomics layered on top of this arithmetic); the advisor and benches use
-// this plain form.
-type EWMA struct {
-	// Alpha is the smoothing factor in (0, 1]; 0 is replaced by
-	// DefaultEWMAAlpha on the first observation.
-	Alpha float64
-
-	value float64
-	n     int
-}
-
-// DefaultEWMAAlpha weights a new observation at 1/8 — smooth enough to ride
-// out one-off stalls, fresh enough to track workload shifts within a few
-// dozen observations.
+// DefaultEWMAAlpha weights a new observation at 1/8 in an exponentially
+// weighted moving average (EWMAStep) — smooth enough to ride out one-off
+// stalls, fresh enough to track workload shifts within a few dozen
+// observations.
 const DefaultEWMAAlpha = 0.125
 
-// Observe folds one observation into the average. The first observation
-// initialises the average exactly.
-func (e *EWMA) Observe(v float64) {
-	if e.Alpha <= 0 || e.Alpha > 1 {
-		e.Alpha = DefaultEWMAAlpha
-	}
-	e.n++
-	if e.n == 1 {
-		e.value = v
-		return
-	}
-	e.value += e.Alpha * (v - e.value)
-}
-
-// Value returns the current average (0 before any observation).
-func (e *EWMA) Value() float64 { return e.value }
-
-// N returns the number of observations folded in.
-func (e *EWMA) N() int { return e.n }
-
-// EWMAStep is the pure update rule shared by EWMA and the engine's atomic
-// (CAS-loop) variants: the average after folding v into cur with factor
-// alpha, where n is the observation count before v (n == 0 initialises).
+// EWMAStep is the update rule of an exponentially weighted moving average,
+// which the engine's planner applies in CAS loops: each observation moves
+// the average a fraction alpha of the way toward itself. It returns the
+// average after folding v into cur, where n is the observation count
+// before v (n == 0 initialises).
 func EWMAStep(cur, v, alpha float64, n int) float64 {
 	if n == 0 {
 		return v

@@ -143,48 +143,6 @@ func TestRanksTies(t *testing.T) {
 	}
 }
 
-func TestMomentsMatchesBatch(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	xs := make([]float64, 500)
-	ys := make([]float64, 500)
-	var mo Moments
-	for i := range xs {
-		xs[i] = rng.Float64() * 100
-		ys[i] = 3.5*xs[i] + 2 + rng.NormFloat64()
-		mo.Add(xs[i], ys[i])
-	}
-	batch, err := FitLinear(xs, ys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stream, err := mo.Fit()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEqual(batch.Beta, stream.Beta, 1e-9) || !almostEqual(batch.Alpha, stream.Alpha, 1e-9) {
-		t.Fatalf("stream %+v != batch %+v", stream, batch)
-	}
-	if mo.N() != 500 {
-		t.Fatalf("N=%d", mo.N())
-	}
-	loX, hiX := mo.BoundsX()
-	if loX > hiX || loX < 0 || hiX > 100 {
-		t.Fatalf("bounds [%v,%v]", loX, hiX)
-	}
-}
-
-func TestMomentsReset(t *testing.T) {
-	var mo Moments
-	mo.Add(1, 2)
-	mo.Reset()
-	if mo.N() != 0 {
-		t.Fatal("reset failed")
-	}
-	if _, err := mo.Fit(); err != ErrInsufficientData {
-		t.Fatalf("want ErrInsufficientData, got %v", err)
-	}
-}
-
 func TestResiduals(t *testing.T) {
 	m := LinearModel{Beta: 1, Alpha: 0}
 	res := m.Residuals([]float64{1, 2}, []float64{1.5, 1.0}, nil)

@@ -1,8 +1,8 @@
 package trstree
 
 import (
-	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"math"
 	"math/rand"
@@ -35,20 +35,64 @@ func genBenchmarkShape(n int) []Pair {
 	return out
 }
 
-func saveHash(t *testing.T, tr *Tree) string {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := tr.Save(&buf); err != nil {
-		t.Fatal(err)
+// fingerprint is the sha256 of the tree in the snapshot format the
+// package once saved trees in, which the golden hashes were recorded over:
+// a little-endian pre-order dump of
+//
+//	"TRST", uint16 version 1, the parameters, then per node
+//	  flags byte (leaf 1 | left edge 2 | right edge 4), lo, hi, and
+//	  leaf:  beta, alpha, eps, uint64 count, uint64 0, uint64 outliers, entries
+//	  inner: uint32 NodeFanout, then the children in order
+//
+// where the 0 held a deletes counter no leaf keeps any more.
+func fingerprint(tr *Tree) string {
+	tr.mu.RLock()
+	defer tr.mu.RUnlock()
+	h := sha256.New()
+	put := func(vals ...any) {
+		for _, v := range vals {
+			_ = binary.Write(h, binary.LittleEndian, v) // a hash never fails a write
+		}
 	}
-	sum := sha256.Sum256(buf.Bytes())
-	return hex.EncodeToString(sum[:])
+	p := tr.params
+	put([]byte("TRST"), uint16(1), uint32(p.NodeFanout), uint32(p.MaxHeight),
+		p.OutlierRatio, p.ErrorBound, p.SampleRate, p.UnionRanges, uint32(p.MinLeafPairs))
+	k := p.NodeFanout
+	var node func(r ref, s span)
+	node = func(r ref, s span) {
+		var flags byte
+		if r.isLeaf() {
+			flags |= 1
+		}
+		if s.left {
+			flags |= 2
+		}
+		if s.right {
+			flags |= 4
+		}
+		put(flags, s.lo, s.hi)
+		if r.isLeaf() {
+			l := &tr.leaves[r.slot()]
+			put(l.model.Beta, l.model.Alpha, l.eps, uint64(l.count), uint64(0), uint64(len(l.outliers)))
+			for _, e := range l.outliers {
+				put(e.m, e.id)
+			}
+			return
+		}
+		put(uint32(k))
+		w := s.width(k)
+		for i, c := range tr.kids(r) {
+			node(c, s.child(w, i, k))
+		}
+	}
+	node(tr.root, tr.bounds)
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 // TestBuildGolden pins the tree Build returns, node for node and bit for
-// bit: the hashes are of Save's output at the commit before construction
-// was rewritten (radix partition scratch, streaming fit), recorded with the
-// builder that allocated every intermediate. A change to build.go that
+// bit: the hashes are of its fingerprint, recorded before construction
+// was rewritten (radix partition scratch, streaming fit) with the builder
+// that allocated every intermediate. A change to build.go that
 // alters any model, eps, outlier or its order fails here before it moves
 // index_bytes_per_row.
 func TestBuildGolden(t *testing.T) {
@@ -87,9 +131,9 @@ func TestBuildGolden(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := saveHash(t, tr); got != c.want {
+		if got := fingerprint(tr); got != c.want {
 			st := tr.Stats()
-			t.Errorf("%s: sha256(Save) = %s, want %s (nodes %d, outliers %d, size %d B)",
+			t.Errorf("%s: fingerprint %s, want %s (nodes %d, outliers %d, size %d B)",
 				c.name, got, c.want, st.Nodes, st.Outliers, st.SizeBytes)
 		}
 	}
@@ -97,8 +141,8 @@ func TestBuildGolden(t *testing.T) {
 
 // TestBuildParallelGolden pins the tree BuildParallel returns — the
 // builder a Hermit index is created with — over the benchmark's 1M-row
-// shape: the hash is of Save's output at the commit before the tree's
-// nodes moved into flat arrays, and it is the same for every worker count.
+// shape: the hash is of its fingerprint, recorded before the tree's nodes
+// moved into flat arrays, and it is the same for every worker count.
 func TestBuildParallelGolden(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("hash recorded on amd64; other architectures may fuse multiply-adds")
@@ -110,24 +154,40 @@ func TestBuildParallelGolden(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := saveHash(t, tr); got != want {
-			t.Errorf("%d workers: sha256(Save) = %s, want %s", workers, got, want)
+		if got := fingerprint(tr); got != want {
+			t.Errorf("%d workers: fingerprint %s, want %s", workers, got, want)
 		}
 	}
 }
 
-// TestHeapMatchesSizeBytes: SizeBytes is what the heap holds for built
-// trees, to within 3 %. The trees are built over the benchmark's 1M-row
+// TestHeapMatchesSizeBytes: SizeBytes is what the heap holds for trees, to
+// within 3 %: as built, and again after 200k deletes and a ReorgSubtree of
+// every first-level subtree, which leave freed slots, free lists and node
+// arrays grown by append. The trees are built over the benchmark's 1M-row
 // shape, so the figure index_bytes_per_row reports is bytes the process
 // keeps.
 func TestHeapMatchesSizeBytes(t *testing.T) {
-	const trees = 6
+	const trees, deletes = 6, 200_000
 	src := genBenchmarkShape(1_000_000)
 	pairs := make([]Pair, len(src))
 	kept := make([]*Tree, 0, trees)
-	var before, after runtime.MemStats
+	var before runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
+	check := func(what string) {
+		var after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		heap := after.HeapAlloc - before.HeapAlloc
+		var size uint64
+		for _, tr := range kept {
+			size += tr.SizeBytes()
+		}
+		t.Logf("%s: heap %d B, SizeBytes %d B for %d trees (%.3f B/row each)", what, heap, size, trees, float64(size)/trees/1e6)
+		if d := math.Abs(float64(heap)-float64(size)) / float64(size); d > 0.03 {
+			t.Errorf("%s: heap %d B is %.1f%% away from SizeBytes %d B", what, heap, d*100, size)
+		}
+	}
 	for range trees {
 		copy(pairs, src)
 		tr, err := BuildParallel(pairs, 1, 0, DefaultParams(), 2)
@@ -136,19 +196,28 @@ func TestHeapMatchesSizeBytes(t *testing.T) {
 		}
 		kept = append(kept, tr)
 	}
-	runtime.GC()
-	runtime.ReadMemStats(&after)
+	check("built")
+	for _, tr := range kept {
+		for _, p := range src[:deletes] {
+			tr.Delete(p.M, p.N, p.ID)
+		}
+		reorgAll(t, tr, pairSource(src[deletes:]))
+	}
+	check("rebuilt")
 	runtime.KeepAlive(src)
 	runtime.KeepAlive(pairs)
-	heap := after.HeapAlloc - before.HeapAlloc
-	var size uint64
-	for _, tr := range kept {
-		size += tr.SizeBytes()
+}
+
+// pairSource is a DataSource over a fixed set of pairs.
+type pairSource []Pair
+
+func (s pairSource) ScanMRange(lo, hi float64, fn func(m, n float64, id uint64) bool) error {
+	for _, p := range s {
+		if p.M >= lo && p.M <= hi && !fn(p.M, p.N, p.ID) {
+			break
+		}
 	}
-	t.Logf("heap %d B, SizeBytes %d B for %d trees (%.3f B/row each)", heap, size, trees, float64(size)/trees/1e6)
-	if d := math.Abs(float64(heap)-float64(size)) / float64(size); d > 0.03 {
-		t.Errorf("heap %d B is %.1f%% away from SizeBytes %d B", heap, d*100, size)
-	}
+	return nil
 }
 
 // TestBuildAllocBound: construction works in the pairs array, one scratch of

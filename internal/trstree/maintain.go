@@ -1,15 +1,12 @@
 package trstree
 
-import (
-	"math"
-	"time"
-)
+import "math"
 
 // Insert adds a tuple to the index (Algorithm 3). The tree locates the leaf
 // covering m; if the leaf's linear function already covers (m, n) nothing is
 // stored — that is the source of TRS-Tree's insert speed (§7.6). Otherwise
-// the pair goes to the leaf's outlier buffer. Overgrown buffers enqueue the
-// leaf for reorganization.
+// the pair goes to the leaf's outlier buffer, however full it grows: only
+// ReorgSubtree refits a leaf.
 func (t *Tree) Insert(m, n float64, id uint64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -26,22 +23,18 @@ func (t *Tree) insertLocked(m, n float64, id uint64) {
 	if l.count < math.MaxUint32 { // saturates: no wrap to 0
 		l.count++
 	}
-	if l.covers(sp, m, n) {
-		return
-	}
-	l.addOutlier(m, id)
-	if float64(len(l.outliers)) > t.params.OutlierRatio*float64(l.count) {
-		t.enqueue(reorgCandidate{leaf: t.id(leafRef(slot)), m: m})
+	if !l.covers(sp, m, n) {
+		l.addOutlier(m, id)
 	}
 }
 
 // Delete removes a tuple (Algorithm 3). Only outlier-buffer entries carry
-// state, so deleting a model-covered tuple just updates the counters (it
+// state, so deleting a model-covered tuple just updates the count (it
 // must not touch the buffer: under logical pointers another version of the
 // same key, with the same target value and an uncovered host value, may
 // own an entry with this very (m, id)); the resulting false positives are
-// filtered by the base-table visit that ends every Hermit lookup.
-// Ranges that accumulate many deletes enqueue their parent for a merge.
+// filtered by the base-table visit that ends every Hermit lookup, until a
+// ReorgSubtree refits the range.
 func (t *Tree) Delete(m, n float64, id uint64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -60,12 +53,6 @@ func (t *Tree) deleteLocked(m, n float64, id uint64) {
 	}
 	if l.count > 0 {
 		l.count--
-	}
-	if l.deleted < math.MaxUint32 {
-		l.deleted++
-	}
-	if l.count > 0 && float64(l.deleted) > t.params.OutlierRatio*float64(l.count) {
-		t.enqueue(reorgCandidate{leaf: t.id(leafRef(slot)), m: m, merge: true})
 	}
 }
 
@@ -148,136 +135,24 @@ func (t *Tree) bufferOp(op bufferedOp) {
 	t.sideBuf = append(t.sideBuf, op)
 }
 
-// enqueue registers a reorganization candidate, deduplicating by leaf.
-// Writers call this with t.mu held.
-func (t *Tree) enqueue(c reorgCandidate) {
-	t.reorgMu.Lock()
-	defer t.reorgMu.Unlock()
-	if t.pendingIn == nil {
-		t.pendingIn = make(map[nodeID]bool)
-	}
-	if t.pendingIn[c.leaf] {
-		return
-	}
-	t.pendingIn[c.leaf] = true
-	t.pending = append(t.pending, c)
-}
-
-// PendingReorg returns the number of queued reorganization candidates.
-func (t *Tree) PendingReorg() int {
-	t.reorgMu.Lock()
-	defer t.reorgMu.Unlock()
-	return len(t.pending)
-}
-
-// ReorgOnce processes every queued candidate in one batch (the paper's
-// batch structure reorganization): for each candidate it rescans the
-// affected target range from src, rebuilds the subtree, and installs it
-// under the coarse write latch. Concurrent writers are parked in the
-// temporal side buffer while the rebuild scan runs (Appendix B) and are
-// replayed before the latch is released. It returns the number of subtrees
-// rebuilt.
-func (t *Tree) ReorgOnce(src DataSource) (int, error) {
-	t.reorgMu.Lock()
-	cands := t.pending
-	t.pending = nil
-	t.pendingIn = nil
-	t.reorgMu.Unlock()
-	if len(cands) == 0 {
-		return 0, nil
-	}
-	rebuilt := 0
-	for _, c := range cands {
-		target := c.leaf
-		if c.merge {
-			t.mu.RLock()
-			if at, ok := t.find(c.leaf, c.m); ok && at.depth > 1 {
-				target = at.up
-			}
-			t.mu.RUnlock()
-		}
-		ok, err := t.rebuildSubtree(target, c.m, src)
-		if err != nil {
-			return rebuilt, err
-		}
-		if ok {
-			rebuilt++
-		}
-	}
-	return rebuilt, nil
-}
-
-// ReorgSubtree rebuilds the i-th first-level subtree from src regardless of
-// the candidate queue. The reorganization trace experiment (§7.7, Fig. 23)
-// drives partial reorganizations through this entry point.
+// ReorgSubtree rebuilds first-level subtree i — the whole tree while the
+// root is a leaf — from a rescan of src. It is the tree's one
+// reorganization path (§4.4, Appendix B): it marks the tree so that
+// writers park in the temporal side buffer, scans and builds without the
+// latch, then installs the new subtree and replays the parked writes under
+// the write latch. A rebuild that starts while another is parked runs whole
+// under the write latch instead. An i that names no subtree rebuilds
+// nothing. The reorganization trace experiment (§7.7, Fig. 23) drives
+// partial reorganizations through it; the engine does not reorganize.
 func (t *Tree) ReorgSubtree(i int, src DataSource) error {
-	k := t.params.NodeFanout
-	t.mu.RLock()
-	target, m := t.id(t.root), t.bounds.lo
-	if !t.root.isLeaf() {
-		if i < 0 || i >= k {
-			t.mu.RUnlock()
-			return nil
-		}
-		cs := t.bounds.child(t.bounds.width(k), i, k)
-		target, m = t.id(t.kids(t.root)[i]), cs.lo+(cs.hi-cs.lo)/2
-	}
-	t.mu.RUnlock()
-	_, err := t.rebuildSubtree(target, m, src)
-	return err
-}
-
-// place is where a node sits in the tree: its span and depth (root = 1),
-// its parent, and the index in t.inner of the reference to it.
-type place struct {
-	span
-	depth int
-	id    nodeID
-	up    nodeID // the parent's, when depth > 1
-	slot  int    // -1: the reference is t.root
-}
-
-// refAt returns the reference at slot, t.root for -1.
-func (t *Tree) refAt(slot int) *ref {
-	if slot < 0 {
-		return &t.root
-	}
-	return &t.inner[slot]
-}
-
-// find descends towards m until it meets the node id and returns its
-// place. It reports false when id is no longer in the tree, or not on
-// m's path. Called with t.mu held.
-func (t *Tree) find(id nodeID, m float64) (place, bool) {
-	at := place{span: t.bounds, depth: 1, id: t.id(t.root), slot: -1}
-	k := t.params.NodeFanout
-	for at.id != id {
-		if at.id.r.isLeaf() {
-			return place{}, false
-		}
-		w := at.width(k)
-		i := subRange(m, at.lo, w, k)
-		slot := int(at.id.r)*k + i
-		at = place{span: at.child(w, i, k), depth: at.depth + 1, id: t.id(t.inner[slot]), up: at.id, slot: slot}
-	}
-	return at, true
-}
-
-// rebuildSubtree rescans the node id's range (edge-extended), rebuilds
-// the subtree and swaps it in. m leads to the node (find). It reports
-// false when the node is no longer in the tree (replaced by an earlier
-// candidate in the batch).
-func (t *Tree) rebuildSubtree(id nodeID, m float64, src DataSource) (bool, error) {
 	// Phase 1: mark reorganization so writers divert to the side buffer.
 	t.mu.Lock()
-	at, ok := t.find(id, m)
+	at, ok := t.target(i)
 	if !ok {
 		t.mu.Unlock()
-		return false, nil
+		return nil
 	}
 	if t.inReorg {
-		// A concurrent explicit reorg is running; fall back to doing the
-		// whole rebuild under the write latch.
 		defer t.mu.Unlock()
 		return t.rebuildLocked(at, src)
 	}
@@ -299,25 +174,53 @@ func (t *Tree) rebuildSubtree(id nodeID, m float64, src DataSource) (bool, error
 	}()
 	defer t.replaySideBuf()
 	if err != nil {
-		return false, err
-	}
-	// Re-locate: the tree may have changed while we scanned.
-	if at, ok = t.find(id, m); !ok {
-		return false, nil
+		return err
 	}
 	t.install(at, repl)
-	return true, nil
+	return nil
+}
+
+// place is a rebuild's target, named by its path: the root (depth 1) or
+// first-level subtree i (depth 2), with the span it covers. A rebuild
+// replaces a node but never its span, and only a leaf root is rebuilt
+// whole, so a root that is an inner node stays one: the path leads to the
+// same place however the tree changed while a rebuild scanned.
+type place struct {
+	span
+	depth, i int
+}
+
+// target returns the place of first-level subtree i, the root's while the
+// root is a leaf. It reports false when i names no subtree. Called with
+// t.mu held.
+func (t *Tree) target(i int) (place, bool) {
+	if t.root.isLeaf() {
+		return place{span: t.bounds, depth: 1}, true
+	}
+	k := t.params.NodeFanout
+	if i < 0 || i >= k {
+		return place{}, false
+	}
+	return place{span: t.bounds.child(t.bounds.width(k), i, k), depth: 2, i: i}, true
+}
+
+// refAt returns the reference to the node at p. Called with t.mu held.
+func (t *Tree) refAt(p place) *ref {
+	if p.depth == 1 {
+		return &t.root
+	}
+	return &t.kids(t.root)[p.i]
 }
 
 // rebuildLocked performs scan+build+install entirely under t.mu; used only
 // when rebuilds race with each other.
-func (t *Tree) rebuildLocked(at place, src DataSource) (bool, error) {
+func (t *Tree) rebuildLocked(at place, src DataSource) error {
 	pairs, err := collectPairs(src, at.span)
 	if err != nil {
-		return false, err
+		return err
 	}
 	t.install(at, buildReplacement(pairs, at, t.params))
-	return true, nil
+	return nil
 }
 
 func collectPairs(src DataSource, s span) ([]Pair, error) {
@@ -343,9 +246,9 @@ func buildReplacement(pairs []Pair, at place, params Params) subBuild {
 // subtree's slots are freed first, so the new one fills them. Called with
 // t.mu held.
 func (t *Tree) install(at place, repl subBuild) {
-	t.free(*t.refAt(at.slot))
+	t.free(*t.refAt(at))
 	r := t.graft(&repl.b.nodes, repl.root) // before refAt: the graft may move t.inner
-	*t.refAt(at.slot) = r
+	*t.refAt(at) = r
 }
 
 // replaySideBuf applies writes parked during the reorganization scan.
@@ -360,45 +263,4 @@ func (t *Tree) replaySideBuf() {
 		}
 	}
 	t.sideBuf = nil
-}
-
-// StartReorg launches the dedicated background reorganization goroutine
-// (§4.4): every interval it batch-processes the candidate queue against
-// src. Stop it with StopReorg. Starting twice is a no-op.
-func (t *Tree) StartReorg(src DataSource, interval time.Duration) {
-	t.reorgMu.Lock()
-	if t.stopCh != nil {
-		t.reorgMu.Unlock()
-		return
-	}
-	t.stopCh = make(chan struct{})
-	t.doneCh = make(chan struct{})
-	stop, done := t.stopCh, t.doneCh
-	t.reorgMu.Unlock()
-	go func() {
-		defer close(done)
-		ticker := time.NewTicker(interval)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-ticker.C:
-				_, _ = t.ReorgOnce(src)
-			}
-		}
-	}()
-}
-
-// StopReorg stops the background reorganizer and waits for it to exit.
-func (t *Tree) StopReorg() {
-	t.reorgMu.Lock()
-	stop, done := t.stopCh, t.doneCh
-	t.stopCh, t.doneCh = nil, nil
-	t.reorgMu.Unlock()
-	if stop == nil {
-		return
-	}
-	close(stop)
-	<-done
 }

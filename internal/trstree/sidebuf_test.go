@@ -33,14 +33,11 @@ func TestLookupSeesSideBufferedInserts(t *testing.T) {
 	params.SampleRate = 0
 	src := &sliceSource{pairs: genLinear(4000, 1000, 0, 7)}
 	tr := mustBuild(t, src.pairs, params)
-	// Flood one region with off-model pairs to enqueue a reorg candidate.
+	// Flood one region with off-model pairs for the rebuild to refit.
 	for i := 0; i < 1500; i++ {
 		p := Pair{M: 100 + float64(i%10), N: 5e6 + float64(i), ID: uint64(50000 + i)}
 		src.add(p)
 		tr.Insert(p.M, p.N, p.ID)
-	}
-	if tr.PendingReorg() == 0 {
-		t.Fatal("expected reorg candidates")
 	}
 	blk := &blockingSource{
 		inner:   src,
@@ -48,10 +45,7 @@ func TestLookupSeesSideBufferedInserts(t *testing.T) {
 		release: make(chan struct{}),
 	}
 	done := make(chan error, 1)
-	go func() {
-		_, err := tr.ReorgOnce(blk)
-		done <- err
-	}()
+	go func() { done <- tr.ReorgSubtree(0, blk) }()
 	<-blk.started // the rebuild is now parked inside its scan phase
 
 	// An insert arriving mid-scan is acknowledged (diverted to the side
@@ -142,10 +136,10 @@ func TestOutlierBufferFollowsEntries(t *testing.T) {
 	}
 }
 
-// A leaf's 32-bit counters saturate: an insert into a leaf whose count is
-// at the limit leaves it there, where a wrap to 0 would stop the leaf's
-// model from answering (a lookup skips the model of a leaf that counts no
-// tuple), and so does a delete with deleted at the limit.
+// A leaf's 32-bit count saturates: an insert into a leaf whose count is at
+// the limit leaves it there, where a wrap to 0 would stop the leaf's model
+// from answering (a lookup skips the model of a leaf that counts no tuple),
+// and a delete takes it one below.
 func TestLeafCountersSaturate(t *testing.T) {
 	tr := mustBuild(t, genLinear(1000, 100, 0, 6), DefaultParams())
 	slot, _ := tr.traverse(50)
@@ -155,9 +149,8 @@ func TestLeafCountersSaturate(t *testing.T) {
 	if l.count != math.MaxUint32 {
 		t.Fatalf("an insert at the limit left count %d", l.count)
 	}
-	l.deleted = math.MaxUint32
 	tr.Delete(50, 200, 1)
-	if l.deleted != math.MaxUint32 || l.count != math.MaxUint32-1 {
-		t.Fatalf("a delete with deleted at the limit left deleted %d, count %d", l.deleted, l.count)
+	if l.count != math.MaxUint32-1 {
+		t.Fatalf("a delete at the limit left count %d", l.count)
 	}
 }

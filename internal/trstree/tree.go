@@ -10,12 +10,12 @@
 // Lookups on M return approximate ranges on N (to be resolved against the
 // host index) plus the exact identifiers of matching outliers.
 //
-// The structure supports inserts, deletes and on-demand reorganization at
-// runtime (paper §4.4 and Appendix B): writers detect overgrown outlier
-// buffers or heavily deleted ranges and enqueue candidates; a reorganizer
-// (background goroutine or explicit call) rebuilds the affected subtrees
-// from a rescan of the base table under a coarse-grained latch, with
-// concurrent writes parked in a temporal side buffer.
+// The structure supports inserts and deletes at runtime, and one way to
+// reorganize (paper §4.4 and Appendix B): ReorgSubtree rebuilds a
+// first-level subtree from a rescan of the base table off-latch, with
+// concurrent writes parked in a temporal side buffer and replayed when the
+// new subtree is installed. Nothing calls it on its own: the engine does
+// not reorganize its trees.
 package trstree
 
 import (
@@ -35,8 +35,7 @@ type Params struct {
 	// MaxHeight bounds the depth of the tree; the root is at height 1.
 	MaxHeight int
 	// OutlierRatio is the maximum fraction of a leaf's tuples allowed in its
-	// outlier buffer before the leaf must split (build) or be reorganized
-	// (runtime).
+	// outlier buffer before the leaf must split.
 	OutlierRatio float64
 	// ErrorBound is the expected number of host-column values covered by the
 	// range a leaf returns for a point query; it determines each leaf's
@@ -105,12 +104,9 @@ type Range struct {
 // Contains reports whether v lies in the closed interval.
 func (r Range) Contains(v float64) bool { return v >= r.Lo && v <= r.Hi }
 
-// Empty reports whether the interval contains no values.
-func (r Range) Empty() bool { return r.Lo > r.Hi }
-
-// DataSource supplies (m, n, id) triples for a target-column range; the
-// reorganizer rescans the base table through this interface. Implementations
-// must return the current committed contents of the table.
+// DataSource supplies (m, n, id) triples for a target-column range;
+// ReorgSubtree rescans the base table through this interface.
+// Implementations must return the current committed contents of the table.
 type DataSource interface {
 	// ScanMRange calls fn for every live tuple whose target value m lies in
 	// [lo, hi]. Iteration stops early if fn returns false.
@@ -142,9 +138,8 @@ func (r ref) slot() int32 { return ^int32(r) }
 type leaf struct {
 	model stats.LinearModel
 	eps   float64
-	// count is the live tuples covered by this leaf's range, deleted the
-	// deletes observed since the leaf was (re)built; both saturate.
-	count, deleted uint32
+	// count is the live tuples covered by this leaf's range; it saturates.
+	count uint32
 	// outliers is the leaf's outlier buffer: pairs the linear function
 	// fails to cover, stored compactly (16 bytes each) because for noisy
 	// workloads the buffers dominate the index footprint (§7.2).
@@ -206,36 +201,13 @@ type nodes struct {
 	fanout int
 	leaves []leaf
 	inner  []ref
-	// The slots reorganizations freed, which grafts fill first, and how
-	// often each slot was freed (nil until a first free). A reference and
-	// its slot's count name one node for the node's whole life (nodeID), so
-	// a queued reorganization candidate is never mistaken for a later node
-	// in its slot.
+	// The slots reorganizations freed, which grafts fill first.
 	freeLeaves, freeInner []int32
-	leafGens, innerGens   []uint32
-}
-
-// nodeID names one node for its whole life.
-type nodeID struct {
-	r   ref
-	gen uint32
 }
 
 // kids returns the child references of inner node r.
 func (n *nodes) kids(r ref) []ref {
 	return n.inner[int(r)*n.fanout:][:n.fanout]
-}
-
-// id returns the nodeID of the node r refers to now.
-func (n *nodes) id(r ref) nodeID {
-	gens, i := n.innerGens, int(r)
-	if r.isLeaf() {
-		gens, i = n.leafGens, int(r.slot())
-	}
-	if i < len(gens) {
-		return nodeID{r, gens[i]}
-	}
-	return nodeID{r, 0}
 }
 
 // addLeaf stores l in a free slot, or a new one, and returns its reference.
@@ -282,23 +254,12 @@ func (n *nodes) free(r ref) {
 		s := r.slot()
 		n.leaves[s] = leaf{} // drop the outlier buffer
 		n.freeLeaves = append(n.freeLeaves, s)
-		n.leafGens = bump(n.leafGens, int(s), len(n.leaves))
 		return
 	}
 	for _, c := range n.kids(r) {
 		n.free(c)
 	}
 	n.freeInner = append(n.freeInner, int32(r))
-	n.innerGens = bump(n.innerGens, int(r), len(n.inner)/n.fanout)
-}
-
-// bump counts one more free of slot i of a slot array of length slots.
-func bump(gens []uint32, i, slots int) []uint32 {
-	if i >= len(gens) {
-		gens = append(gens, make([]uint32, slots-len(gens))...)
-	}
-	gens[i]++
-	return gens
 }
 
 // clip moves the node arrays into arrays of their exact length: a finished
@@ -314,8 +275,7 @@ func (n *nodes) clip() {
 func (n *nodes) sizeBytes() uint64 {
 	s := heapBytes(cap(n.leaves)*int(unsafe.Sizeof(leaf{})), true) +
 		heapBytes(cap(n.inner)*4, false) +
-		heapBytes(cap(n.freeLeaves)*4, false) + heapBytes(cap(n.freeInner)*4, false) +
-		heapBytes(cap(n.leafGens)*4, false) + heapBytes(cap(n.innerGens)*4, false)
+		heapBytes(cap(n.freeLeaves)*4, false) + heapBytes(cap(n.freeInner)*4, false)
 	for i := range n.leaves {
 		s += heapBytes(cap(n.leaves[i].outliers)*int(unsafe.Sizeof(outlierEntry{})), false)
 	}
@@ -359,9 +319,10 @@ func heapBytes(size int, pointers bool) uint64 {
 //
 // Concurrency: the tree latches itself. Lookup takes the read latch;
 // Insert/Delete/Update take the write latch (they mutate leaf outlier
-// buffers and counters, and may divert to the reorganization side buffer).
-// Reorganization scans and rebuilds off-latch, parking concurrent writers
-// in a temporal side buffer, and takes the write latch only for the brief
+// buffers and counts, or divert to the reorganization side buffer).
+// ReorgSubtree, the only rebuild after construction (the engine never calls
+// it), scans and builds off-latch, parking concurrent writers in a temporal
+// side buffer, and takes the write latch only for the brief
 // install-and-replay phase (Appendix B's coarse-grained protocol).
 type Tree struct {
 	mu     sync.RWMutex
@@ -370,22 +331,10 @@ type Tree struct {
 	root   ref
 	nodes
 
-	// Reorganization state.
-	reorgMu   sync.Mutex
-	pending   []reorgCandidate
-	pendingIn map[nodeID]bool
-	inReorg   bool
-	sideBuf   []bufferedOp
-
-	stopCh chan struct{}
-	doneCh chan struct{}
-}
-
-// reorgCandidate is a leaf queued for reorganization.
-type reorgCandidate struct {
-	leaf  nodeID
-	m     float64 // a target value in the leaf's range: the descent to it follows m
-	merge bool    // true: merge/rebuild parent range; false: split leaf
+	// Reorganization state: a rebuild is parked in its scan, and the
+	// writes that arrived since.
+	inReorg bool
+	sideBuf []bufferedOp
 }
 
 type bufferedOp struct {

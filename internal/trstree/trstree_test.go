@@ -1,14 +1,12 @@
 package trstree
 
 import (
-	"bytes"
 	"math"
 	"math/rand"
 	"sort"
 	"sync"
 	"testing"
 	"testing/quick"
-	"time"
 )
 
 // genLinear produces pairs n = 2m + 100 over m in [0, span), with a noise
@@ -348,24 +346,20 @@ func TestUpdateTransitions(t *testing.T) {
 	}
 }
 
-func TestInsertTriggersReorgCandidate(t *testing.T) {
-	params := DefaultParams()
-	params.SampleRate = 0
-	pairs := genLinear(2000, 100, 0, 16)
-	tr := mustBuild(t, pairs, params)
-	if tr.PendingReorg() != 0 {
-		t.Fatal("fresh tree has pending reorg")
-	}
-	// Flood one spot with outliers until the ratio trips.
-	for i := 0; i < 500; i++ {
-		tr.Insert(50, 1e9+float64(i), uint64(100000+i))
-	}
-	if tr.PendingReorg() == 0 {
-		t.Fatal("outlier flood did not enqueue reorg candidate")
+// reorgAll rebuilds every first-level subtree of tr from src.
+func reorgAll(t testing.TB, tr *Tree, src DataSource) {
+	t.Helper()
+	for i := range tr.Params().NodeFanout {
+		if err := tr.ReorgSubtree(i, src); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
-func TestReorgOnceRebuilds(t *testing.T) {
+// A region that takes pairs off its leaf's line fills the leaf's outlier
+// buffer; rebuilding the subtrees from the table refits it and shrinks the
+// buffers, and every pair stays covered.
+func TestReorgRebuildsBadlyModelledRange(t *testing.T) {
 	params := DefaultParams()
 	params.SampleRate = 0
 	src := &sliceSource{pairs: genLinear(5000, 1000, 0, 17)}
@@ -379,16 +373,7 @@ func TestReorgOnceRebuilds(t *testing.T) {
 		tr.Insert(p.M, p.N, p.ID)
 	}
 	outBefore := tr.OutlierCount()
-	if tr.PendingReorg() == 0 {
-		t.Fatal("expected reorg candidates")
-	}
-	n, err := tr.ReorgOnce(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n == 0 {
-		t.Fatal("no subtrees rebuilt")
-	}
+	reorgAll(t, tr, src)
 	if tr.OutlierCount() >= outBefore {
 		t.Fatalf("reorg did not shrink outliers: before=%d after=%d", outBefore, tr.OutlierCount())
 	}
@@ -397,104 +382,66 @@ func TestReorgOnceRebuilds(t *testing.T) {
 	checkRecall(t, tr, src.pairs, 0, 1000)
 }
 
+// TestReorgSubtree rebuilds every first-level subtree twice. A rebuild
+// frees the slots of the subtree it replaces and the replacement fills
+// them, so the second round, which builds the same subtrees again, leaves
+// the node arrays as long as the first left them.
 func TestReorgSubtree(t *testing.T) {
 	src := &sliceSource{pairs: genSigmoid(20000, 1000, 0.02, 18)}
 	tr := mustBuild(t, src.pairs, DefaultParams())
-	for i := 0; i < DefaultParams().NodeFanout; i++ {
+	reorgAll(t, tr, src)
+	checkRecall(t, tr, src.pairs, 0, 1000)
+	leaves, inner := len(tr.leaves), len(tr.inner)
+	reorgAll(t, tr, src)
+	checkRecall(t, tr, src.pairs, 0, 1000)
+	if len(tr.leaves) != leaves || len(tr.inner) != inner {
+		t.Fatalf("a second round of rebuilds grew the node arrays: %d leaves, %d inner references; the first left %d, %d",
+			len(tr.leaves), len(tr.inner), leaves, inner)
+	}
+	// An i that names no subtree rebuilds nothing.
+	want := fingerprint(tr)
+	for _, i := range []int{-1, DefaultParams().NodeFanout} {
 		if err := tr.ReorgSubtree(i, src); err != nil {
 			t.Fatal(err)
 		}
 	}
-	checkRecall(t, tr, src.pairs, 0, 1000)
+	if fingerprint(tr) != want {
+		t.Fatal("a rebuild of no subtree changed the tree")
+	}
 }
 
-// A reorganization frees the slots of the subtree it replaces, and the
-// replacement fills them. A candidate queued for a leaf before then names
-// the leaf by slot and generation, so when the slot holds a later leaf —
-// on the same path, over the same range — the candidate is stale and
-// ReorgOnce skips it. Lookups run beside the rebuilds (for -race), and
-// every live pair stays covered.
-func TestReorgSkipsCandidateOfReusedSlot(t *testing.T) {
-	params := DefaultParams()
-	params.MaxHeight = 2 // every first-level subtree is one leaf, rebuilt as one leaf
-	params.SampleRate = 0
-	src := &sliceSource{pairs: genSigmoid(20000, 1000, 0.02, 33)}
-	tr := mustBuild(t, src.pairs, params)
-	if tr.root.isLeaf() {
-		t.Fatal("test data must split the root")
-	}
-	// Off-line pairs in first-level subtree 3 until its leaf is queued.
-	rng := rand.New(rand.NewSource(34))
-	for i := 0; tr.PendingReorg() == 0; i++ {
-		m := 375 + rng.Float64()*125
-		p := Pair{M: m, N: 20000 + float64(i), ID: uint64(1_000_000 + i)}
-		src.add(p)
-		tr.Insert(p.M, p.N, p.ID)
-	}
-	stale := tr.pending[0]
-
-	stop := make(chan struct{})
-	var readers sync.WaitGroup
-	readers.Add(1)
-	go func() {
-		defer readers.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-				tr.Lookup(0, 1000)
-			}
-		}
-	}()
-	for range 2 {
-		if err := tr.ReorgSubtree(3, src); err != nil {
-			t.Fatal(err)
-		}
-	}
-	close(stop)
-	readers.Wait()
-
-	tr.mu.RLock()
-	slot, _ := tr.traverse(stale.m)
-	now := tr.id(leafRef(slot))
-	tr.mu.RUnlock()
-	if now.r != stale.leaf.r || now == stale.leaf {
-		t.Fatalf("the leaf on the candidate's path is %+v; want its slot %d reused under a new generation", now, stale.leaf.r.slot())
-	}
-	if tr.PendingReorg() != 1 {
-		t.Fatalf("%d candidates queued, want the stale one", tr.PendingReorg())
-	}
-	if n, err := tr.ReorgOnce(src); err != nil || n != 0 {
-		t.Fatalf("ReorgOnce rebuilt %d subtrees (err %v): the candidate's slot holds a later leaf", n, err)
-	}
-	checkRecall(t, tr, src.pairs, 0, 1000)
-	checkRecall(t, tr, src.pairs, 375, 500)
+// overRatio reports whether the leaf covering m holds more outliers than
+// OutlierRatio of its tuples.
+func overRatio(tr *Tree, m float64) bool {
+	slot, _ := tr.traverse(m)
+	l := &tr.leaves[slot]
+	return float64(len(l.outliers)) > tr.params.OutlierRatio*float64(l.count)
 }
 
 // TestReorgReplayDeterministic plays one schedule of inserts, deletes and
 // reorganizations twice: the subtrees a reorganization builds depend on the
 // table and the node alone (the rebuild's sampling RNG is seeded from the
-// node, not from the clock), so both plays save the same bytes. Every
-// reorganization of the schedule runs with the share of pairs off the line
-// just under OutlierRatio, where the full fit keeps the node whole and the
-// 5 % sample's draw decides whether it is asked at all.
+// node, not from the clock), so both plays leave the same tree. Every
+// reorganization of the schedule rebuilds a leaf whose share of pairs off
+// the line is just under OutlierRatio, where the full fit keeps the node
+// whole and the 5 % sample's draw decides whether it is asked at all.
 func TestReorgReplayDeterministic(t *testing.T) {
-	play := func() []byte {
+	play := func() string {
 		src := &sliceSource{pairs: genLinear(10000, 1000, 0, 31)}
 		tr := mustBuild(t, src.pairs, DefaultParams())
 		rng := rand.New(rand.NewSource(32))
-		rebuilt := 0
+		k := tr.Params().NodeFanout
 		for cycle := 0; cycle < 8; cycle++ {
-			// Off-line pairs until some leaf is over the ratio and queued...
+			// Off-line pairs until the leaf of the last one is over the ratio...
 			var added []Pair
-			for tr.PendingReorg() == 0 {
+			for len(added) == 0 || !overRatio(tr, added[len(added)-1].M) {
 				m := rng.Float64() * 1000
 				p := Pair{M: m, N: 3*m + 20000, ID: uint64(100000 + len(src.pairs))}
 				added = append(added, p)
 				src.add(p)
 				tr.Insert(p.M, p.N, p.ID)
 			}
+			last := added[len(added)-1].M
 			// ...then a few of them gone again, so the rebuild sees it just under.
 			for _, p := range added[:min(len(added), 60)] {
 				for i, q := range src.pairs {
@@ -506,24 +453,16 @@ func TestReorgReplayDeterministic(t *testing.T) {
 				}
 				tr.Delete(p.M, p.N, p.ID)
 			}
-			n, err := tr.ReorgOnce(src)
-			if err != nil {
+			i := subRange(last, tr.bounds.lo, tr.bounds.width(k), k)
+			if err := tr.ReorgSubtree(i, src); err != nil {
 				t.Fatal(err)
 			}
-			rebuilt += n
-		}
-		if rebuilt == 0 {
-			t.Fatal("the schedule never reorganized")
 		}
 		checkRecall(t, tr, src.pairs, 0, 1000)
-		var buf bytes.Buffer
-		if err := tr.Save(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
+		return fingerprint(tr)
 	}
-	if first, second := play(), play(); !bytes.Equal(first, second) {
-		t.Fatal("two plays of one schedule saved different trees")
+	if first, second := play(), play(); first != second {
+		t.Fatal("two plays of one schedule left different trees")
 	}
 }
 
@@ -566,7 +505,7 @@ func TestConcurrentLookupInsertReorg(t *testing.T) {
 	go func() {
 		defer writers.Done()
 		for i := 0; i < 20; i++ {
-			if _, err := tr.ReorgOnce(src); err != nil {
+			if err := tr.ReorgSubtree(i%tr.Params().NodeFanout, src); err != nil {
 				t.Error(err)
 				return
 			}
@@ -576,30 +515,6 @@ func TestConcurrentLookupInsertReorg(t *testing.T) {
 	close(stop)
 	readers.Wait()
 	checkRecall(t, tr, src.pairs, 0, 1000)
-}
-
-func TestBackgroundReorg(t *testing.T) {
-	params := DefaultParams()
-	params.SampleRate = 0
-	src := &sliceSource{pairs: genLinear(5000, 1000, 0, 20)}
-	tr := mustBuild(t, src.pairs, params)
-	tr.StartReorg(src, time.Millisecond)
-	defer tr.StopReorg()
-	for i := 0; i < 2000; i++ {
-		m := 500 + float64(i%10)
-		p := Pair{M: m, N: 9*m + 12345, ID: uint64(70000 + i)}
-		src.add(p)
-		tr.Insert(p.M, p.N, p.ID)
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for tr.PendingReorg() > 0 && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
-	checkRecall(t, tr, src.pairs, 0, 1000)
-	// StartReorg twice is a no-op; StopReorg twice is safe.
-	tr.StartReorg(src, time.Millisecond)
-	tr.StopReorg()
-	tr.StopReorg()
 }
 
 // TestBuildParallelEquivalentResults: BuildParallel's tree is the same for
@@ -619,7 +534,7 @@ func TestBuildParallelEquivalentResults(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := saveHash(t, tr)
+		got := fingerprint(tr)
 		if run == 0 {
 			par, want = tr, got
 		} else if got != want {

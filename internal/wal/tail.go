@@ -9,13 +9,6 @@ import (
 	"slices"
 )
 
-// FrameSize returns the on-disk byte length of the frame encoding rec —
-// what Size grows by when the record is appended. Tailing readers use it
-// to advance frame boundaries without re-encoding.
-func FrameSize(rec Record) int64 {
-	return int64(frameHdrLen + minBodyLen + len(rec.Table) + len(rec.Payload))
-}
-
 // HeaderLen is the byte length of the log file header; the first frame
 // starts here. Exposed so tailing readers can seed a start offset.
 const HeaderLen = headerLen

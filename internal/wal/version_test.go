@@ -35,9 +35,6 @@ func TestV3LogRejectedLoudly(t *testing.T) {
 	if err := Replay(path, func(Record) error { return nil }); !errors.Is(err, ErrBadFormat) {
 		t.Fatalf("Replay: %v, want ErrBadFormat", err)
 	}
-	if _, err := RepairTail(path); !errors.Is(err, ErrBadFormat) {
-		t.Fatalf("RepairTail: %v, want ErrBadFormat", err)
-	}
 	// The file is untouched: rejection must not "repair" another format.
 	raw, err := os.ReadFile(path)
 	if err != nil || len(raw) != headerLen+12 {

@@ -330,26 +330,6 @@ func (l *Log) Size() int64 { return l.size.Load() }
 // file.
 func (l *Log) LastLSN() uint64 { return l.last.Load() }
 
-// RepairTail truncates the file at path to its last valid frame (or to
-// zero for a torn header) and returns the resulting length. A missing
-// file is zero-length and not an error; a file of a different format
-// version is ErrBadFormat.
-func RepairTail(path string) (int64, error) {
-	validLen, _, _, err := scanValid(path)
-	if err != nil {
-		return 0, err
-	}
-	f, err := os.OpenFile(path, os.O_WRONLY, 0o644)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return 0, nil
-		}
-		return 0, fmt.Errorf("wal: repair tail: %w", err)
-	}
-	defer f.Close()
-	return validLen, truncateTo(f, validLen)
-}
-
 // Submit validates a record, assigns it the next LSN and encodes its frame
 // into the pending buffer. Once it returns the record's place in the log is
 // fixed and rec.Payload copied (it may be the caller's scratch); nothing is

@@ -136,6 +136,19 @@ func TestOpenRepairsTornTailBeforeAppend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Ten identical frames follow the file header; the cut tore the last.
+	whole := int64(len(raw))
+	want := whole - (whole-headerLen)/10
+	if l2.Size() != want {
+		t.Fatalf("repaired length %d, want %d", l2.Size(), want)
+	}
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fi.Size() != want {
+		t.Fatalf("file size %d after repair, want %d", fi.Size(), want)
+	}
 	for i := 0; i < 3; i++ {
 		if lsn := mustAppend(t, l2, Record{Op: OpDelete, Table: "t", Payload: []byte{byte(100 + i)}}); lsn != uint64(10+i) {
 			t.Fatalf("post-repair LSN %d, want %d (continue after last valid frame)", lsn, 10+i)
@@ -157,33 +170,6 @@ func TestOpenRepairsTornTailBeforeAppend(t *testing.T) {
 		if r.LSN != uint64(i+1) {
 			t.Fatalf("record %d: LSN %d not contiguous", i, r.LSN)
 		}
-	}
-}
-
-func TestRepairTail(t *testing.T) {
-	path := logPath(t)
-	l, _ := Open(path)
-	for i := 0; i < 5; i++ {
-		mustAppend(t, l, Record{Op: OpInsert, Table: "t", Payload: []byte{byte(i)}})
-	}
-	l.Close()
-	raw, _ := os.ReadFile(path)
-	whole := int64(len(raw))
-	os.WriteFile(path, raw[:len(raw)-3], 0o644)
-	n, err := RepairTail(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Five identical frames follow the file header; the cut tore the last.
-	if want := whole - (whole-headerLen)/5; n != want {
-		t.Fatalf("repaired length %d, want %d", n, want)
-	}
-	if fi, _ := os.Stat(path); fi.Size() != n {
-		t.Fatalf("file size %d after repair, want %d", fi.Size(), n)
-	}
-	// Missing file: zero length, no error.
-	if n, err := RepairTail(filepath.Join(t.TempDir(), "none.log")); err != nil || n != 0 {
-		t.Fatalf("missing file: %d, %v", n, err)
 	}
 }
 
