@@ -72,10 +72,10 @@ difftest:
 # keys against a map oracle, structural check after every op), then the
 # bulk-load sort kernels (keyorder.SortPairs/SortTriples against a sort.Sort
 # reference, NaN payloads, signed zeros, duplicates, sorted and reverse
-# inputs), then the block tier's two decoders (FuzzDecodeBlock: a block
-# image as given and with every checksum recomputed, so the structure checks
-# behind the checksums are reached — opened, iterated, point-read and
-# re-encoded; FuzzDecodeBlocklist: the manifest), then the paper's safety
+# inputs), then the block tier's decoder (FuzzDecodeBlock: a block image as
+# given and with every checksum recomputed, so the structure checks behind
+# the checksums are reached — opened, iterated, point-read and
+# re-encoded), then the paper's safety
 # property (FuzzHermit: a Hermit index's candidates cover every matching
 # row through inserts, deletes, host updates, reorganizations and writes
 # parked in the side buffer, odd values included, under both pointer
@@ -96,7 +96,6 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzTreeTotalOrder -fuzztime $(FUZZTIME) ./internal/btree
 	$(GO) test -run '^$$' -fuzz FuzzSortPairs -fuzztime $(FUZZTIME) ./internal/keyorder
 	$(GO) test -run '^$$' -fuzz 'FuzzDecodeBlock$$' -fuzztime $(FUZZTIME) ./internal/block
-	$(GO) test -run '^$$' -fuzz 'FuzzDecodeBlocklist$$' -fuzztime $(FUZZTIME) ./internal/block
 	$(GO) test -run '^$$' -fuzz FuzzHermit -fuzztime $(FUZZTIME) ./internal/hermit
 	$(GO) test -run '^$$' -fuzz FuzzReplay -fuzztime $(FUZZTIME) ./internal/engine
 	$(GO) test -run '^$$' -fuzz FuzzMedianOf -fuzztime $(FUZZTIME) ./internal/trstree

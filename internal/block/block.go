@@ -1,10 +1,10 @@
 // Package block is the tiered block-storage layer under the durable
-// engine: immutable, sorted, checksummed block files plus the versioned
-// blocklist manifest that orders them.
+// engine: immutable, sorted, checksummed block files, each described by the
+// entry (Desc) the engine's manifest keeps for it.
 //
 // A block is one flush (or compaction merge) of row changes: upserts
 // carrying a full row and tombstones marking a deleted key, sorted by
-// primary key. Replaying a table's blocklist oldest-to-newest — later
+// primary key. Replaying a table's block stack oldest-to-newest — later
 // entries winning per key — reconstructs exactly the rows live at the flush
 // cut; the WAL tail past the manifest's cut finishes recovery.
 //
@@ -27,11 +27,10 @@
 // goes into a block and when a checkpoint or compaction runs, and names
 // the files: block IDs, paths and the order tables are walked in.
 //
-// The decoders (footer, index, pages and the blocklist manifest) never read
-// past the bytes they were given, validate every count and offset against
-// the bytes present before allocating, and reject trailing garbage, so
-// arbitrary or truncated input can never panic or over-allocate (see
-// fuzz_test.go).
+// The decoders (footer, index and pages) never read past the bytes they
+// were given, validate every count and offset against the bytes present
+// before allocating, and reject trailing garbage, so arbitrary or truncated
+// input can never panic or over-allocate (see fuzz_test.go).
 package block
 
 import (
@@ -42,8 +41,8 @@ import (
 
 // Decoding errors.
 var (
-	// ErrBadFormat is returned for bytes that are not a block or blocklist
-	// of this format version (wrong magic, or another version's).
+	// ErrBadFormat is returned for bytes that are not a block of this
+	// format version (wrong magic, or another version's).
 	ErrBadFormat = errors.New("block: not a block format this version reads")
 	// ErrCorrupt is returned for structurally invalid or checksum-failing
 	// contents under a valid header.
@@ -52,18 +51,15 @@ var (
 
 // blockMagic heads every block file: "HBLK" plus a big-endian format
 // version (2, the paged layout; version 1 was one checksum over one file and
-// is not read). blocklistMagic heads the blocklist manifest the same way.
-var (
-	blockMagic     = []byte{'H', 'B', 'L', 'K', 0, 0, 0, 2}
-	blocklistMagic = []byte{'H', 'B', 'L', 'L', 0, 0, 0, 1}
-)
+// is not read).
+var blockMagic = []byte{'H', 'B', 'L', 'K', 0, 0, 0, 2}
 
 // maxWidth bounds the row width a writer or reader accepts — far above any
 // real schema, far below anything that could make count*width overflow.
 const maxWidth = 1 << 16
 
-// Desc describes one block in a blocklist: identity, compaction level,
-// shape and key-range fence. Descs live in the blocklist manifest, so the
+// Desc describes one block of a stack: identity, compaction level, shape
+// and key-range fence. The engine's manifest records one per block, so the
 // durable layer plans merges and reports sizes without touching a file.
 type Desc struct {
 	// ID is the block's file identity, unique per database directory.
@@ -79,7 +75,7 @@ type Desc struct {
 }
 
 // cursor is a sticky-error bounds-checked reader: after the first failure
-// every accessor returns zero values and the error survives to done().
+// every accessor returns zero values and the error survives in err.
 type cursor struct {
 	buf []byte
 	off int
@@ -104,14 +100,6 @@ func (c *cursor) take(n int) []byte {
 	return b
 }
 
-func (c *cursor) u16() uint16 {
-	b := c.take(2)
-	if b == nil {
-		return 0
-	}
-	return uint16(b[0]) | uint16(b[1])<<8
-}
-
 func (c *cursor) u32() uint32 {
 	b := c.take(4)
 	if b == nil {
@@ -128,37 +116,18 @@ func (c *cursor) u64() uint64 {
 
 func (c *cursor) f64() float64 { return math.Float64frombits(c.u64()) }
 
-// remaining reports the bytes not yet consumed.
-func (c *cursor) remaining() int { return len(c.buf) - c.off }
-
-// checkMagic consumes and verifies a file magic; a mismatch is
-// ErrBadFormat (a different format, not corruption of this one).
-func (c *cursor) checkMagic(magic []byte) {
-	b := c.take(len(magic))
-	if c.err != nil {
-		c.err = ErrBadFormat
-		return
-	}
-	for i := range magic {
-		if b[i] != magic[i] {
-			c.err = ErrBadFormat
-			return
-		}
-	}
-}
-
 // checkCRC verifies that the last 4 bytes of the buffer checksum
-// everything between the magic and them, and truncates the cursor's view
-// so body parsing cannot run into the checksum.
-func (c *cursor) checkCRC(magicLen int) {
+// everything before them, and truncates the cursor's view so body parsing
+// cannot run into the checksum.
+func (c *cursor) checkCRC() {
 	if c.err != nil {
 		return
 	}
-	if len(c.buf) < magicLen+4 {
+	if len(c.buf) < 4 {
 		c.fail()
 		return
 	}
-	body := c.buf[magicLen : len(c.buf)-4]
+	body := c.buf[:len(c.buf)-4]
 	stored := uint32(c.buf[len(c.buf)-4]) | uint32(c.buf[len(c.buf)-3])<<8 |
 		uint32(c.buf[len(c.buf)-2])<<16 | uint32(c.buf[len(c.buf)-1])<<24
 	if crc32.ChecksumIEEE(body) != stored {

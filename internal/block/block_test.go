@@ -623,53 +623,6 @@ func TestBloomSkipRate(t *testing.T) {
 	}
 }
 
-func TestBlocklistRoundTrip(t *testing.T) {
-	lists := []List{
-		{Table: "users", Blocks: []Desc{
-			{ID: 1, Level: 0, Count: 10, Bytes: 512, MinKey: 0, MaxKey: 99},
-			{ID: 7, Level: 1, Count: 40, Bytes: 2048, MinKey: -5, MaxKey: 120},
-		}},
-		{Table: "orders__p03", Blocks: nil},
-	}
-	raw, err := EncodeBlocklist(lists)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodeBlocklist(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 || got[0].Table != "users" || got[1].Table != "orders__p03" {
-		t.Fatalf("bad tables: %+v", got)
-	}
-	if len(got[0].Blocks) != 2 || got[0].Blocks[1] != lists[0].Blocks[1] {
-		t.Fatalf("bad blocks: %+v", got[0].Blocks)
-	}
-	if len(got[1].Blocks) != 0 {
-		t.Fatalf("expected empty list, got %+v", got[1].Blocks)
-	}
-}
-
-func TestBlocklistTruncationSweep(t *testing.T) {
-	raw, err := EncodeBlocklist([]List{{Table: "t", Blocks: []Desc{{ID: 3, Count: 5, Bytes: 77, MinKey: 1, MaxKey: 9}}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for n := 0; n < len(raw); n++ {
-		if _, err := DecodeBlocklist(raw[:n]); err == nil {
-			t.Fatalf("truncation to %d/%d bytes decoded cleanly", n, len(raw))
-		}
-	}
-	// Block-file magic on a blocklist decoder (and vice versa) is a
-	// format error, not corruption.
-	if _, err := DecodeBlocklist(mustEncode(t, 1, nil)); !errors.Is(err, ErrBadFormat) {
-		t.Fatalf("block magic fed to blocklist decoder: %v", err)
-	}
-	if _, err := openImage(raw); !errors.Is(err, ErrBadFormat) {
-		t.Fatalf("blocklist magic fed to block decoder: %v", err)
-	}
-}
-
 func TestHandleSurfacesIOErrors(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "gone.blk")

@@ -81,8 +81,8 @@ func (b bloom) maybeContains(pk float64) bool {
 	return true
 }
 
-// appendU32/appendU64/appendF64 are the little-endian encoding helpers the
-// block and blocklist writers share.
+// appendU32/appendU64/appendF64 are the block writer's little-endian
+// encoding helpers.
 func appendU32(dst []byte, v uint32) []byte {
 	var b [4]byte
 	binary.LittleEndian.PutUint32(b[:], v)

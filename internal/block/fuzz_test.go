@@ -114,27 +114,3 @@ func checkFuzzedBlock(t *testing.T, raw []byte, indexAgrees bool) {
 		t.Fatal("encode is not deterministic")
 	}
 }
-
-func FuzzDecodeBlocklist(f *testing.F) {
-	seed, _ := EncodeBlocklist([]List{
-		{Table: "users", Blocks: []Desc{{ID: 1, Count: 3, Bytes: 128, MinKey: 1, MaxKey: 5}}},
-		{Table: "t2"},
-	})
-	f.Add(seed)
-	f.Add(seed[:len(seed)-2])
-	f.Add([]byte{})
-	f.Add(blocklistMagic)
-	f.Fuzz(func(t *testing.T, raw []byte) {
-		lists, err := DecodeBlocklist(raw)
-		if err != nil {
-			return
-		}
-		out, err := EncodeBlocklist(lists)
-		if err != nil {
-			t.Fatalf("re-encode of decoded blocklist failed: %v", err)
-		}
-		if string(out) != string(raw) {
-			t.Fatalf("decode/encode not identity: %d vs %d bytes", len(out), len(raw))
-		}
-	})
-}

@@ -27,7 +27,7 @@ import (
 type Handle struct {
 	name string
 	// desc is the block as its footer gives it (count, size, fence) and, once
-	// Open has held it to the blocklist, the blocklist's entry, ID and level.
+	// Open has held it to the manifest, the manifest's entry, ID and level.
 	desc    Desc
 	src     io.ReaderAt // the block's *os.File; a bytes.Reader in tests
 	width   int
@@ -50,10 +50,10 @@ type Handle struct {
 }
 
 // Open opens the block file at path, checks its footer and holds the file
-// to desc, the blocklist's entry for it, which the handle keeps (Desc). Bytes
+// to desc, the manifest's entry for it, which the handle keeps (Desc). Bytes
 // that are not a version-2 block are ErrBadFormat; a torn, checksum-failing
 // or self-contradicting footer is ErrCorrupt, and so is a file whose size,
-// entry count or key fence is not the one desc records — the blocklist is
+// entry count or key fence is not the one desc records — the manifest is
 // read from disk too.
 func Open(path string, desc Desc) (*Handle, error) {
 	f, err := os.Open(path)
@@ -69,7 +69,7 @@ func Open(path string, desc Desc) (*Handle, error) {
 				h.desc = desc
 				return h, nil
 			}
-			err = fmt.Errorf("block: %s: %d entries in %d bytes, the blocklist says %d in %d, or another key fence: %w",
+			err = fmt.Errorf("block: %s: %d entries in %d bytes, the manifest says %d in %d, or another key fence: %w",
 				path, h.desc.Count, h.desc.Bytes, desc.Count, desc.Bytes, ErrCorrupt)
 		}
 	}
@@ -105,7 +105,7 @@ func (h *Handle) readFooter(size int64) error {
 		return err
 	}
 	c := &cursor{buf: foot}
-	c.checkCRC(0)
+	c.checkCRC()
 	h.width = int(c.u32())
 	pages := uint64(c.u32())
 	h.desc = Desc{Count: c.u64(), Bytes: size, MinKey: c.f64(), MaxKey: c.f64()}
@@ -211,7 +211,7 @@ func (h *Handle) Close() error {
 // Width is the row width of the block's upserts.
 func (h *Handle) Width() int { return h.width }
 
-// Desc is the blocklist entry the block was opened with: the footer's
+// Desc is the manifest entry the block was opened with: the footer's
 // count, size and fence, and the ID and level Open was given.
 func (h *Handle) Desc() Desc { return h.desc }
 
@@ -484,7 +484,7 @@ func (it *iter) advance() {
 
 // Merge walks the union of the blocks' entries in key order and calls fn
 // once per key: with the row of the newest block that has the key (blocks
-// are given oldest first, as a blocklist orders them), or a nil row when
+// are given oldest first, as a stack orders them), or a nil row when
 // that entry is a tombstone. The row is fn's only for the call. Merge holds
 // readAhead bytes of each block, whatever the blocks' sizes; fn's first
 // error, or the first unreadable page, ends it.

@@ -1,7 +1,7 @@
 package block
 
-// Stack is one physical table's open blocks, oldest first: the order a
-// blocklist names them in and replay folds them in, later blocks winning per
+// Stack is one physical table's open blocks, oldest first: the order the
+// manifest names them in and replay folds them in, later blocks winning per
 // key. A stack is replaced whole, never written in place, so a reader may
 // keep the one it loaded after its owner publishes another; the owner closes
 // the handles a new stack drops.
@@ -11,7 +11,7 @@ package block
 // first (Get). What a merge writes, and where, is its owner's.
 type Stack []*Handle
 
-// Descs returns the blocklist entries of the stack, oldest first.
+// Descs returns the manifest entries of the stack, oldest first.
 func (s Stack) Descs() []Desc {
 	out := make([]Desc, len(s))
 	for i, h := range s {

@@ -146,7 +146,7 @@ func TestStackSummary(t *testing.T) {
 	}
 }
 
-// Open holds a file to the blocklist's entry for it: a size, count or fence
+// Open holds a file to the manifest's entry for it: a size, count or fence
 // other than the file's is corruption, named by the file.
 func TestOpenChecksDesc(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "b.blk")

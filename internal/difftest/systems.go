@@ -163,8 +163,8 @@ type durSystem struct {
 
 	// opts carries the storage tuning across reopens; compact forces a
 	// full checkpoint + compaction drain on every cycle (the "blocks"
-	// configuration), so recovery is exercised against a blocklist that
-	// mixes fresh delta blocks with merged higher-level ones.
+	// configuration), so recovery is exercised against block stacks that
+	// mix fresh delta blocks with merged higher-level ones.
 	opts    engine.DurableOptions
 	compact bool
 
@@ -221,7 +221,7 @@ func (s *durSystem) state() (map[uint64][]float64, error) {
 // the crash-free durability round trip — and rebinds the handles. A
 // recovery that skipped records is a divergence in itself. The "blocks"
 // configuration always checkpoints and then drains the compactor, so the
-// reopen replays a blocklist reshaped by merges mid-stream.
+// reopen replays block stacks reshaped by merges mid-stream.
 func (s *durSystem) cycle(checkpoint bool) error {
 	if checkpoint || s.compact {
 		if err := s.d.Checkpoint(); err != nil {

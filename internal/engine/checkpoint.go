@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"encoding/json"
 	"fmt"
 	"maps"
 	"os"
@@ -35,7 +34,7 @@ type flushCut struct {
 //
 //  1. Swap window (exclusive latch, short): flush the WAL, capture the
 //     cut — the flush snapshot and its timestamp, catalog copy, current
-//     blocklists, and the replay offset (the synced WAL size). Crash: old
+//     block stacks, and the replay offset (the synced WAL size). Crash: old
 //     manifest, full old-window replay — nothing lost.
 //  2. Unlatched write phase: harvest each table's delta (DeltaVersions)
 //     and write it as an immutable block (tmp + fsync + rename).
@@ -44,14 +43,14 @@ type flushCut struct {
 //     and the flush snapshot keeps them from reclaiming a version the cut
 //     sees before its row is in the block.
 //     Crash: the new blocks are unreferenced garbage, GC'd later.
-//  3. Write the next epoch's blocklist file naming old + new blocks.
-//     Crash: same.
-//  4. Write manifest.tmp and rename it over manifest.json, fsyncing file
-//     and directory — the commit point. Before the rename recovery uses
-//     the old epoch in full; after it, the blocks plus the tail past the
-//     new cut. Replay can never start before its image's cut, so recovery
-//     never double-applies.
-//  5. Re-latch briefly to publish the new epoch in memory, tell the tables
+//  3. Sync the directory, then write manifest.json.tmp — the next epoch's
+//     catalog, replay coordinates and every table's block stack, old +
+//     new blocks, under one CRC — and rename it over manifest.json,
+//     fsyncing file and directory: the commit point. Before the rename
+//     recovery uses the old epoch in full; after it, the blocks plus the
+//     tail past the new cut. Replay can never start before its image's
+//     cut, so recovery never double-applies.
+//  4. Re-latch briefly to publish the new epoch in memory, tell the tables
 //     what is flushed now (Table.flushedTo: unflushed bits and delete lists
 //     up to the cut), delete stale files and kick the compactor.
 //
@@ -121,7 +120,7 @@ func (d *DurableDB) checkpointLocked() error {
 		}
 	}
 
-	// --- Write phase: delta blocks, blocklist, manifest. ---
+	// --- Write phase: delta blocks, manifest. ---
 	newLog, flushed, err := d.writeEpoch(&cut)
 	if err != nil {
 		return err
@@ -209,7 +208,7 @@ func (d *DurableDB) writeBlock(width int, level uint32, fill func(add func(pk fl
 	return block.Open(durablePaths{d.dir}.block(id), desc)
 }
 
-// writeEpoch writes the cut's delta blocks, blocklist and manifest, adding
+// writeEpoch writes the cut's delta blocks and manifest, adding
 // the new blocks' open handles to the cut's stacks, and returns the new
 // segment's log (rotation only) and the flushed byte count. On error nothing
 // has been published: any files already written are unreferenced and will
@@ -260,33 +259,22 @@ func (d *DurableDB) writeEpoch(cut *flushCut) (newLog *wal.Log, flushed int64, e
 	return newLog, flushed, d.publishEpoch("", cut.pub, cut.stacks)
 }
 
-// publishEpoch makes epoch m durable: the blocklist naming stacks, then the
-// manifest — m, stamped with the layout version and the pointer scheme —
-// through manifest.tmp and a rename, the commit point. On error nothing has
-// been published. step prefixes the failpoint names ("" for a checkpoint,
-// "compact-" for a compaction).
+// publishEpoch makes epoch m durable: the manifest — m, stamped with the
+// pointer scheme and naming stacks — through manifest.json.tmp and a rename,
+// the commit point. On error nothing has been published. step prefixes the
+// failpoint names ("" for a checkpoint, "compact-" for a compaction).
 func (d *DurableDB) publishEpoch(step string, m manifest, stacks map[string]block.Stack) error {
 	p := durablePaths{d.dir}
-	m.Version, m.Scheme = manifestVersion, int(d.db.Scheme())
-	rawList, err := block.EncodeBlocklist(listsFor(stacks, m.Tables))
+	m.Scheme = int(d.db.Scheme())
+	raw, err := encodeManifest(imageOf(m, stacks))
 	if err != nil {
 		return err
 	}
-	if err := writeFileSync(p.blocklist(m.Epoch), rawList); err != nil {
-		return err
-	}
-	// Make the block renames, the blocklist and (on rotation) the new
-	// segment durable before the manifest can name them: without this
-	// ordering, a power loss right after the manifest rename could
-	// publish an epoch whose files the directory lost.
+	// Make the block renames and (on rotation) the new segment durable
+	// before the manifest can name them: without this ordering, a power
+	// loss right after the manifest rename could publish an epoch whose
+	// files the directory lost.
 	syncDir(d.dir)
-	if err := d.fp(step + "after-blocklist"); err != nil {
-		return err
-	}
-	raw, err := json.MarshalIndent(m, "", "  ")
-	if err != nil {
-		return err
-	}
 	tmp := p.manifest() + ".tmp"
 	if err := writeFileSync(tmp, raw); err != nil {
 		return err
@@ -299,27 +287,6 @@ func (d *DurableDB) publishEpoch(step string, m manifest, stacks map[string]bloc
 	}
 	syncDir(d.dir)
 	return nil
-}
-
-// listsFor shapes the per-phys stacks for encoding: one List per physical
-// table that has blocks, sorted by name for determinism. Only tables
-// present in the catalog are included, so a block list cannot outlive its
-// table.
-func listsFor(stacks map[string]block.Stack, tables map[string]*durableMeta) []block.List {
-	known := make(map[string]bool)
-	for _, meta := range tables {
-		for _, tb := range meta.phys {
-			known[tb.name] = true
-		}
-	}
-	out := make([]block.List, 0, len(stacks))
-	for phys, stack := range stacks {
-		if len(stack) > 0 && known[phys] {
-			out = append(out, block.List{Table: phys, Blocks: stack.Descs()})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Table < out[j].Table })
-	return out
 }
 
 // setStacks publishes new block stacks and closes the handles the new epoch
@@ -346,8 +313,7 @@ func (d *DurableDB) setStacks(stacks map[string]block.Stack) {
 // gcStale removes artifacts no longer referenced by the published epoch:
 // temp files, WAL segments other than the appended-to one (minus the
 // ReplRetainWALSegments newest predecessors kept for replication
-// catch-up), blocklists of other epochs, unreferenced block files, and
-// rows files from the pre-block layout. Best-effort: failures leave
+// catch-up) and unreferenced block files. Best-effort: failures leave
 // garbage that the next pass retries.
 func (d *DurableDB) gcStale() {
 	entries, err := os.ReadDir(d.dir)
@@ -355,7 +321,7 @@ func (d *DurableDB) gcStale() {
 		return
 	}
 	d.mu.RLock()
-	epoch, walSeg := d.pub.Epoch, d.pub.WALSeg
+	walSeg := d.pub.WALSeg
 	referenced := make(map[uint64]bool)
 	for _, stack := range d.stacks {
 		for _, h := range stack {
@@ -382,15 +348,9 @@ func (d *DurableDB) gcStale() {
 		case strings.HasPrefix(name, "wal.") && strings.HasSuffix(name, ".log"):
 			seg, ok := walSegment(name)
 			stale = ok && !retained[seg]
-		case strings.HasPrefix(name, "blocklist."):
-			ep, ok := parseEpoch(name[len("blocklist."):])
-			stale = ok && ep != epoch
 		case strings.HasSuffix(name, ".blk"):
 			id, ok := parseBlockID(name)
 			stale = ok && !referenced[id]
-		case strings.HasPrefix(name, "table_") && strings.HasSuffix(name, ".rows"):
-			// Pre-block layout leftovers; a v5 manifest never names them.
-			stale = true
 		}
 		if stale {
 			os.Remove(filepath.Join(d.dir, name))
@@ -398,17 +358,13 @@ func (d *DurableDB) gcStale() {
 	}
 }
 
-func parseEpoch(s string) (uint64, bool) {
-	epoch, err := strconv.ParseUint(s, 10, 64)
-	return epoch, err == nil
-}
-
 // walSegment parses a WAL segment filename ("wal.<seg>.log").
 func walSegment(name string) (uint64, bool) {
 	if !strings.HasPrefix(name, "wal.") || !strings.HasSuffix(name, ".log") {
 		return 0, false
 	}
-	return parseEpoch(name[len("wal.") : len(name)-len(".log")])
+	seg, err := strconv.ParseUint(name[len("wal."):len(name)-len(".log")], 10, 64)
+	return seg, err == nil
 }
 
 // walSegments lists the WAL segments among a directory's entries, ascending.

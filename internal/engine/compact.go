@@ -11,7 +11,7 @@ import (
 )
 
 // Compact runs one compaction round: it merges the first contiguous run
-// of CompactFanIn same-level blocks found in any table's blocklist into
+// of CompactFanIn same-level blocks found in any table's block stack into
 // one block at the next level (dropping superseded entries, and
 // tombstones when the run starts at the bottom of the list), publishes
 // the result as a new epoch — reusing the last published catalog and
@@ -98,7 +98,7 @@ func (d *DurableDB) compact() (bool, error) {
 
 // mergeBlocks merges a run, given oldest first, into one block at level:
 // later entries win per key. Tombstones are dropped when the run is at the
-// bottom of the blocklist (nothing older exists for them to shadow);
+// bottom of the stack (nothing older exists for them to shadow);
 // otherwise they are preserved so older blocks stay masked. The run's
 // blocks are already sorted, so the merge is block.Merge's walk fed straight
 // to the writer — a read-ahead buffer of each input in memory, never a run. A merge that
@@ -259,7 +259,7 @@ func (d *DurableDB) StorageStats() StorageStats {
 	return st
 }
 
-// TableBlockStats describes one physical table's blocklist.
+// TableBlockStats describes one physical table's block stack.
 type TableBlockStats struct {
 	// Table is the physical table name (partitions appear individually).
 	Table string `json:"table"`
@@ -270,7 +270,7 @@ type TableBlockStats struct {
 	MaxLevel uint32 `json:"max_level"`
 }
 
-// TableBlocks reports the blocklist behind each physical table of the
+// TableBlocks reports the block stack behind each physical table of the
 // named logical table (one element per partition for partitioned tables).
 func (d *DurableDB) TableBlocks(name string) ([]TableBlockStats, error) {
 	d.mu.RLock()
@@ -318,7 +318,7 @@ func (d *DurableDB) BlockRead(table string, pk float64) (row []float64, found bo
 		// The probe raced a compaction: between loading the stack above and
 		// the page read, a new epoch was published and setStacks closed a
 		// merged-away block this stack still names. The freshly published
-		// blocklist describes the same flushed state, so retry against it.
+		// stack describes the same flushed state, so retry against it.
 		// If the epoch has not moved, the database itself was closed —
 		// surface the error.
 		d.mu.RLock()

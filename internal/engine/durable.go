@@ -3,7 +3,9 @@ package engine
 import (
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"maps"
+	"math"
 	"os"
 	"path/filepath"
 	"slices"
@@ -50,11 +52,11 @@ import (
 // Checkpoint is incremental: it harvests only the versions no block holds
 // yet (Table.DeltaVersions, which reads a bit per slot) into one immutable,
 // sorted block file per changed physical table, then atomically publishes
-// a new epoch — a blocklist manifest naming every live block plus the
-// (WAL segment, offset) pair replay resumes from — by renaming
-// manifest.json. A crash anywhere leaves either the old manifest (old
-// blocks + old replay window, nothing lost) or the new one (new blocks +
-// the tail past the new cut), never a double apply. A background
+// a new epoch — a manifest naming every live block plus the (WAL segment,
+// offset) pair replay resumes from — by renaming manifest.json. A crash
+// anywhere leaves either the old manifest (old blocks + old replay window,
+// nothing lost) or the new one (new blocks + the tail past the new cut),
+// never a double apply. A background
 // compactor merges same-level block runs (size-tiered), dropping
 // superseded entries and bottom-level tombstones, off the checkpoint
 // critical path. (Dead row versions are no business of either: the commit
@@ -64,7 +66,7 @@ import (
 // so no acknowledged record can land in a segment the manifest no longer
 // replays.
 //
-// OpenDurableOptions recovers by replaying the manifest's blocklist —
+// OpenDurableOptions recovers by replaying the manifest's block stacks —
 // oldest block to newest, later entries winning per key — truncating the
 // current WAL segment to its last valid frame, and replaying the tail
 // through the one replay path replication uses too (replay.go): a
@@ -73,8 +75,8 @@ import (
 // — rather than permanently aborting recovery. Indexes,
 // including Hermit's TRS-Trees, are rebuilt from their recorded
 // definitions, the cheap option the paper's construction numbers (§7.5)
-// justify. Manifests of earlier layouts (one rows file per table) are
-// rejected loudly, matching the v3→v4 precedent.
+// justify. Manifests of earlier layouts (a separate blocklist file, or one
+// rows file per table) are rejected loudly, naming their version.
 type DurableDB struct {
 	db   *DB
 	dir  string
@@ -114,7 +116,7 @@ type DurableDB struct {
 	pub manifest
 	// stacks is the published block stack per physical table: the open
 	// blocks the current epoch names, oldest first — each one's file
-	// descriptor, blocklist entry and fence, its page index and bloom once
+	// descriptor, manifest entry and fence, its page index and bloom once
 	// probed, never its entries. A stack is replaced whole, never written
 	// in place, so a reader may keep the one it loaded under mu after
 	// releasing it; setStacks closes the handles a new epoch drops.
@@ -327,20 +329,20 @@ type IndexDef struct {
 // manifestVersion identifies the on-disk layout. Version 3 added
 // hash-partitioned tables; version 4 moved the WAL to frame format v4
 // (txn framing). Version 5 replaced the one-rows-file-per-table
-// checkpoint image with tiered block storage: the manifest names a
-// blocklist file (epoch-stamped, listing every live block per physical
-// table) and records the WAL segment number separately from the epoch,
-// because incremental checkpoints share a segment and only rotation
-// opens a new one. Older manifests are rejected loudly.
-const manifestVersion = 5
+// checkpoint image with tiered block storage and recorded the WAL segment
+// number separately from the epoch, because incremental checkpoints share
+// a segment and only rotation opens a new one. Version 6 moved each
+// physical table's block stack from a separate blocklist file into the
+// manifest, under one CRC. Other versions are rejected loudly.
+const manifestVersion = 6
 
-// manifest is the durably-published checkpoint descriptor. Epoch names
-// the blocklist file; WALSeg/WALStart are the segment and byte offset
-// replay resumes from. The triple makes recovery idempotent: the blocks
-// reproduce exactly the rows live at the flush cut and the tail replays
-// only records committed after it.
+// manifest is the durably-published checkpoint descriptor. Epoch numbers
+// the publication; WALSeg/WALStart are the segment and byte offset replay
+// resumes from. With the block stacks the file records beside it (image),
+// the triple makes recovery idempotent: the blocks reproduce exactly the
+// rows live at the flush cut and the tail replays only records committed
+// after it.
 type manifest struct {
-	Version  int    `json:"version"`
 	Scheme   int    `json:"scheme"`
 	Epoch    uint64 `json:"epoch"`
 	WALSeg   uint64 `json:"wal_seg"`
@@ -351,6 +353,84 @@ type manifest struct {
 	// numbering exactly.
 	WALBase uint64                  `json:"wal_base_lsn,omitempty"`
 	Tables  map[string]*durableMeta `json:"tables"`
+}
+
+// image is what manifest.json publishes: the manifest and each physical
+// table's block stack, oldest first (a table without blocks has no entry).
+type image struct {
+	manifest
+	Blocks map[string][]blockEntry `json:"blocks"`
+}
+
+// blockEntry is a block.Desc as the manifest records it. The fences are
+// IEEE-754 bit patterns: JSON has no NaN or ±Inf, and the bits keep −0 and
+// NaN payloads exact.
+type blockEntry struct {
+	ID      uint64 `json:"id"`
+	Level   uint32 `json:"level"`
+	Count   uint64 `json:"count"`
+	Bytes   int64  `json:"bytes"`
+	MinBits uint64 `json:"min_key_bits"`
+	MaxBits uint64 `json:"max_key_bits"`
+}
+
+func (e blockEntry) desc() block.Desc {
+	return block.Desc{ID: e.ID, Level: e.Level, Count: e.Count, Bytes: e.Bytes,
+		MinKey: math.Float64frombits(e.MinBits), MaxKey: math.Float64frombits(e.MaxBits)}
+}
+
+// manifestFile is manifest.json: the layout version, then the image and a
+// CRC-32 of exactly the image's bytes as the file holds them.
+type manifestFile struct {
+	Version int             `json:"version"`
+	CRC     uint32          `json:"crc32"`
+	Image   json.RawMessage `json:"image"`
+}
+
+// imageOf is m with the stacks of its physical tables. Only tables in m's
+// catalog are named, so a stack cannot outlive its table.
+func imageOf(m manifest, stacks map[string]block.Stack) image {
+	img := image{manifest: m, Blocks: make(map[string][]blockEntry)}
+	for _, meta := range m.Tables {
+		for _, tb := range meta.phys {
+			for _, d := range stacks[tb.name].Descs() {
+				img.Blocks[tb.name] = append(img.Blocks[tb.name], blockEntry{d.ID, d.Level, d.Count, d.Bytes,
+					math.Float64bits(d.MinKey), math.Float64bits(d.MaxKey)})
+			}
+		}
+	}
+	return img
+}
+
+// encodeManifest renders img as manifest.json.
+func encodeManifest(img image) ([]byte, error) {
+	raw, err := json.MarshalIndent(img, "  ", "  ")
+	if err != nil {
+		return nil, err
+	}
+	return fmt.Appendf(nil, "{\n  \"version\": %d,\n  \"crc32\": %d,\n  \"image\": %s\n}\n",
+		manifestVersion, crc32.ChecksumIEEE(raw), raw), nil
+}
+
+// decodeManifest parses manifest.json. A file of another layout version is
+// refused naming its version; any other byte that differs from what
+// encodeManifest wrote fails the JSON grammar, the version or the CRC.
+func decodeManifest(raw []byte) (image, error) {
+	var f manifestFile
+	if err := json.Unmarshal(raw, &f); err != nil {
+		return image{}, fmt.Errorf("engine: corrupt manifest: %w", err)
+	}
+	if f.Version != manifestVersion {
+		return image{}, fmt.Errorf("engine: checkpoint manifest version %d, want %d (older layouts must be migrated or discarded)", f.Version, manifestVersion)
+	}
+	if crc32.ChecksumIEEE(f.Image) != f.CRC {
+		return image{}, fmt.Errorf("engine: corrupt manifest: image checksum mismatch")
+	}
+	var img image
+	if err := json.Unmarshal(f.Image, &img); err != nil {
+		return image{}, fmt.Errorf("engine: corrupt manifest: %w", err)
+	}
+	return img, nil
 }
 
 type ddlTable struct {
@@ -373,9 +453,6 @@ type durablePaths struct{ dir string }
 func (f durablePaths) manifest() string { return filepath.Join(f.dir, "manifest.json") }
 func (f durablePaths) wal(seg uint64) string {
 	return filepath.Join(f.dir, fmt.Sprintf("wal.%08d.log", seg))
-}
-func (f durablePaths) blocklist(epoch uint64) string {
-	return filepath.Join(f.dir, fmt.Sprintf("blocklist.%08d", epoch))
 }
 func (f durablePaths) block(id uint64) string {
 	return filepath.Join(f.dir, fmt.Sprintf("block.%016x.blk", id))
@@ -419,35 +496,25 @@ func OpenDurableOptions(dir string, scheme hermit.PointerScheme, opts DurableOpt
 			d.closeBlocks()
 		}
 	}()
-	// Phase 1: the checkpoint image — blocklist replay per table.
+	// Phase 1: the checkpoint image — block stack replay per table.
 	if raw, err := os.ReadFile(p.manifest()); err == nil {
-		var m manifest
-		if err := json.Unmarshal(raw, &m); err != nil {
-			return nil, fmt.Errorf("engine: corrupt manifest: %w", err)
+		img, err := decodeManifest(raw)
+		if err != nil {
+			return nil, err
 		}
-		if m.Version != manifestVersion {
-			return nil, fmt.Errorf("engine: checkpoint manifest version %d, want %d (older layouts must be migrated or discarded)", m.Version, manifestVersion)
-		}
+		m := img.manifest
 		if m.Scheme != int(scheme) {
 			return nil, fmt.Errorf("engine: checkpoint scheme %d != requested %d", m.Scheme, scheme)
 		}
 		d.pub = m
 		d.walBase = m.WALBase
-		rawList, err := os.ReadFile(p.blocklist(m.Epoch))
-		if err != nil {
-			return nil, fmt.Errorf("engine: blocklist named by manifest: %w", err)
-		}
-		lists, err := block.DecodeBlocklist(rawList)
-		if err != nil {
-			return nil, fmt.Errorf("engine: blocklist %s: %w", p.blocklist(m.Epoch), err)
-		}
-		for _, l := range lists {
-			for _, desc := range l.Blocks {
-				h, err := block.Open(p.block(desc.ID), desc)
+		for _, phys := range slices.Sorted(maps.Keys(img.Blocks)) {
+			for _, e := range img.Blocks[phys] {
+				h, err := block.Open(p.block(e.ID), e.desc())
 				if err != nil {
-					return nil, fmt.Errorf("engine: restoring %q: %w", l.Table, err)
+					return nil, fmt.Errorf("engine: restoring %q: %w", phys, err)
 				}
-				d.stacks[l.Table] = append(d.stacks[l.Table], h)
+				d.stacks[phys] = append(d.stacks[phys], h)
 			}
 		}
 		for _, name := range slices.Sorted(maps.Keys(m.Tables)) {
@@ -549,7 +616,7 @@ func (d *DurableDB) Clock() *Clock { return d.db.Clock() }
 // table's delete list.
 func (d *DurableDB) GC() int { return d.db.GC() }
 
-// restoreTable rebuilds one logical table from its blocklists, its
+// restoreTable rebuilds one logical table from its block stacks, its
 // partitions side by side (Parallel): a partition's rows, RIDs and
 // indexes are a function of its own blocks alone.
 func (d *DurableDB) restoreTable(name string, meta *durableMeta) error {
@@ -663,7 +730,7 @@ func (d *DurableDB) CreateTable(name string, cols []string, pkCol int) (*Table, 
 // behind one logical name. Mutations on the logical name route by
 // PartitionOf over the primary key and are WAL-logged with their partition
 // id; checkpoints flush one block stream per partition and recovery
-// rebuilds each partition from its blocklist plus the routed WAL tail.
+// rebuilds each partition from its block stack plus the routed WAL tail.
 // Queries scatter-gather through the internal/partition wrapper (see
 // partition.OpenDurable), which is also how per-partition handles are
 // obtained.

@@ -113,7 +113,7 @@ func writeEntries(t *testing.T, d *DurableDB, width int, entries []refEntry) *bl
 }
 
 // Random stacks of 1–12 blocks — ±0, ±Inf and NaN-payload keys, tombstones,
-// keys shared across blocks — must merge, at the bottom of a blocklist and
+// keys shared across blocks — must merge, at the bottom of a stack and
 // above it, to the very file the fold's output makes, and recover to the
 // very RIDs.
 func TestStreamingMergeMatchesFold(t *testing.T) {
@@ -411,9 +411,10 @@ func TestBlockReadAllocs(t *testing.T) {
 	}
 }
 
-// The blocklist is read from disk like the blocks it names: one whose entry
-// disagrees with its block's file — here the size, under a valid checksum —
-// fails the open rather than reporting the wrong figures.
+// The manifest's block entries are read from disk like the blocks they
+// name: one whose entry disagrees with its block's file — here the size,
+// resealed under a valid checksum — fails the open rather than reporting the
+// wrong figures.
 func TestOpenRejectsBlocklistMismatch(t *testing.T) {
 	dir := t.TempDir()
 	d, err := OpenDurable(dir, hermit.LogicalPointers)
@@ -431,31 +432,31 @@ func TestOpenRejectsBlocklistMismatch(t *testing.T) {
 	if err := d.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	p := durablePaths{dir}
-	path := p.blocklist(d.StorageStats().Epoch)
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
+	path := durablePaths{dir}.manifest()
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lists, err := block.DecodeBlocklist(raw)
+	img, err := decodeManifest(raw)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lists[0].Blocks[0].Bytes++
-	if raw, err = block.EncodeBlocklist(lists); err != nil {
+	entry := &img.Blocks["t"][0]
+	entry.Bytes++
+	if raw, err = encodeManifest(img); err != nil { // resealed under a new CRC
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	name := fmt.Sprintf("block.%016x.blk", lists[0].Blocks[0].ID)
+	name := fmt.Sprintf("block.%016x.blk", entry.ID)
 	d, err = OpenDurable(dir, hermit.LogicalPointers)
 	if err == nil {
 		d.Close()
-		t.Fatal("opened a database whose blocklist misstates a block's size")
+		t.Fatal("opened a database whose manifest misstates a block's size")
 	}
 	if !errors.Is(err, block.ErrCorrupt) || !strings.Contains(err.Error(), name) {
 		t.Fatalf("open: %v, want block.ErrCorrupt naming %s", err, name)

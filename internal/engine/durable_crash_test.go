@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"maps"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -255,7 +256,7 @@ func TestCheckpointCrashDoubleApplyWindow(t *testing.T) {
 	}
 }
 
-// buildCompactDB creates a database with a compaction-ready blocklist:
+// buildCompactDB creates a database with a compaction-ready block stack:
 // four incremental checkpoints leave four level-0 blocks on one table
 // (with overlapping keys and a tombstone), so a fan-in-2 compactor has
 // work at every level.
@@ -369,7 +370,7 @@ func TestCompactionCrashAtEveryStep(t *testing.T) {
 				t.Fatalf("recovery after compaction crash at %q: %v", step, err)
 			}
 			verifyCompactDB(t, d2, "after recovery")
-			// And the blocklist must still compact to completion afterwards.
+			// And the stack must still compact to completion afterwards.
 			for {
 				merged, err := d2.Compact()
 				if err != nil {
@@ -600,8 +601,8 @@ func TestDurableSyncPoliciesRecover(t *testing.T) {
 }
 
 // TestDurableCheckpointRotatesEpochs verifies the on-disk layout across
-// repeated rotating checkpoints: exactly one segment and one blocklist
-// epoch survive, and only referenced block files remain.
+// repeated rotating checkpoints: exactly one segment survives, no blocklist
+// file is written, and only referenced block files remain.
 func TestDurableCheckpointRotatesEpochs(t *testing.T) {
 	dir := t.TempDir()
 	d, err := OpenDurableOptions(dir, hermit.LogicalPointers, crashOpts(true))
@@ -633,10 +634,11 @@ func TestDurableCheckpointRotatesEpochs(t *testing.T) {
 	if _, err := os.Stat(p.wal(3)); err != nil {
 		t.Fatalf("segment-3 WAL missing: %v", err)
 	}
-	if _, err := os.Stat(p.blocklist(3)); err != nil {
-		t.Fatalf("epoch-3 blocklist missing: %v", err)
+	// The manifest names the block stacks: no blocklist file is written.
+	if lists, err := filepath.Glob(filepath.Join(dir, "blocklist.*")); err != nil || len(lists) != 0 {
+		t.Fatalf("blocklist files %v (%v), want none", lists, err)
 	}
-	for _, stale := range []string{p.wal(0), p.wal(1), p.wal(2), p.blocklist(1), p.blocklist(2)} {
+	for _, stale := range []string{p.wal(0), p.wal(1), p.wal(2)} {
 		if _, err := os.Stat(stale); !os.IsNotExist(err) {
 			t.Fatalf("stale artifact %s survived rotation", stale)
 		}
@@ -657,17 +659,98 @@ func TestDurableCheckpointRotatesEpochs(t *testing.T) {
 	}
 }
 
-// TestDurableOldManifestRejected: a pre-block manifest (version 4, one
-// rows file per table) must be rejected loudly, not silently reopened as
-// an empty database.
+// TestDurableOldManifestRejected: a manifest of an earlier layout — version
+// 4 (one rows file per table) or version 5 (a separate blocklist file) — must
+// be rejected loudly, naming its version, not silently reopened as an empty
+// database.
 func TestDurableOldManifestRejected(t *testing.T) {
+	for version, old := range map[int]string{
+		4: `{"version": 4, "scheme": 0, "epoch": 2, "wal_start": 0, "tables": {}}`,
+		5: `{"version": 5, "scheme": 0, "epoch": 2, "wal_seg": 0, "wal_start": 0, "tables": {}}`,
+	} {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, "manifest.json"), []byte(old), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := OpenDurable(dir, hermit.LogicalPointers)
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("version %d,", version)) {
+			t.Fatalf("version-%d manifest: open returned %v, want an error naming its version", version, err)
+		}
+	}
+}
+
+// TestManifestByteFlipSweep: manifest.json is one checksummed image, so
+// flipping the low bit of any one of its bytes is refused at open — a column name, an index
+// definition, a replay offset or a block entry altered on disk must not
+// reopen as another database. The manifest here names a hash-partitioned
+// table, a Hermit index and the stack of blocks holding a NaN and a −0 key.
+func TestManifestByteFlipSweep(t *testing.T) {
 	dir := t.TempDir()
-	old := `{"version": 4, "scheme": 0, "epoch": 2, "wal_start": 0, "tables": {}}`
-	if err := os.WriteFile(filepath.Join(dir, "manifest.json"), []byte(old), 0o644); err != nil {
+	d, err := OpenDurableOptions(dir, hermit.LogicalPointers, crashOpts(false))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenDurable(dir, hermit.LogicalPointers); err == nil {
-		t.Fatal("version-4 manifest accepted")
+	if _, err := d.CreateTable("t", []string{"k", "a", "b"}, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.CreatePartitionedTable("p", []string{"k", "v"}, 0, 2); err != nil {
+		t.Fatal(err)
+	}
+	for _, def := range []IndexDef{{Kind: "btree", Col: 1}, {Kind: "hermit", Col: 2, Host: 1}} {
+		if err := d.CreateIndex("t", def); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, k := range []float64{math.NaN(), math.Copysign(0, -1), 1, 2, 3} {
+		if _, err := d.Insert("t", []float64{k, k, 2 * k}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := d.Insert("p", []float64{k, k}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := d.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	path := durablePaths{dir}.manifest()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flipped := make([]byte, len(raw))
+	for i := range raw {
+		copy(flipped, raw)
+		flipped[i] ^= 1
+		if err := os.WriteFile(path, flipped, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		d, err := OpenDurable(dir, hermit.LogicalPointers)
+		if err == nil {
+			d.Close()
+			t.Fatalf("byte %d (%q → %q) flipped: the manifest still opened", i, raw[i], flipped[i])
+		}
+	}
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	d, err = OpenDurable(dir, hermit.LogicalPointers)
+	if err != nil {
+		t.Fatalf("the unflipped manifest: %v", err)
+	}
+	defer d.Close()
+	rows := 0
+	for _, name := range []string{"t", PartitionName("p", 0), PartitionName("p", 1)} {
+		tb, err := d.Table(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows += tb.Len()
+	}
+	if rows != 10 {
+		t.Fatalf("recovered %d rows, want 10", rows)
 	}
 }
 

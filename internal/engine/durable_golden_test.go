@@ -105,16 +105,16 @@ func TestDurableDirGolden(t *testing.T) {
 
 	wantPlain := []string{
 		"begin", "after-wal-sync", "after-swap", "after-block:p#0",
-		"after-block:p#1", "after-block:p#2", "after-block:t", "after-blocklist",
+		"after-block:p#1", "after-block:p#2", "after-block:t",
 		"after-manifest-tmp", "after-manifest-rename", "after-gc",
 	}
 	wantRotating := []string{
 		"begin", "after-wal-sync", "after-block:p#0", "after-block:p#1",
-		"after-block:p#2", "after-block:t", "after-new-wal", "after-blocklist",
+		"after-block:p#2", "after-block:t", "after-new-wal",
 		"after-manifest-tmp", "after-manifest-rename", "after-gc",
 	}
 	wantCompaction := []string{
-		"compact-begin", "compact-after-block", "compact-after-blocklist",
+		"compact-begin", "compact-after-block",
 		"compact-after-manifest-tmp", "compact-after-manifest-rename",
 		"compact-after-gc",
 	}
@@ -177,8 +177,7 @@ func TestDurableDirGolden(t *testing.T) {
 		"block.0000000000000024.blk e83e668cfa2fe7eb25cd15e4e33dd13791d8b814e9528ada911ba6f8b51fa5a3",
 		"block.0000000000000025.blk fe4b27dcf4114a94aad534012a3e20e4a6176887a6beabde0c2f14ad8f55087d",
 		"block.0000000000000026.blk 1d681874983f9b5b8bc2dbfa7e0c08d1e36a632805850dfc56d8cdc36becdc8d",
-		"blocklist.00000021 0a9920101566e6e15d5549d5c541597e713108475135b2295217fed99df6686d",
-		"manifest.json 0ff5f554756ae8c583cbd3137c10bb003529c1e563e15834aaeaa61409f2affa",
+		"manifest.json 76eca627b4720522c12d26c265e2775ec2b9d1b13eed3753a4501753e6c51bee",
 		"wal.00000015.log be9063cc66a05e02d23a284a4e50763a2714fc791b47d03a3802a475b81bea5d",
 	}
 	if !slices.Equal(got, wantFiles) {

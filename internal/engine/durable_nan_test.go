@@ -179,7 +179,7 @@ func TestBlockReadRetriesAfterCompaction(t *testing.T) {
 }
 
 // Cold point reads hammered while checkpoints and compactions republish
-// the blocklist must never fail: BlockRead retries when the stack it loaded
+// the block stacks must never fail: BlockRead retries when the stack it loaded
 // is retired under it.
 func TestBlockReadUnderCompactionChurn(t *testing.T) {
 	dir := t.TempDir()

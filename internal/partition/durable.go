@@ -1,8 +1,6 @@
 package partition
 
 import (
-	"fmt"
-
 	"hermit/internal/engine"
 	"hermit/internal/storage"
 	"hermit/internal/trstree"
@@ -12,7 +10,7 @@ import (
 // persistence protocol — DurableDB routes logged mutations by primary-key
 // hash, stamps every WAL record with its partition id, flushes one delta
 // block stream per partition at checkpoints, and recovers each partition
-// from its blocklist plus the routed WAL tail — so the wrapper here only
+// from its block stack plus the routed WAL tail — so the wrapper here only
 // has to send writes and DDL through the logged DurableDB paths and run
 // queries against the recovered per-partition handles.
 
@@ -63,32 +61,6 @@ func OpenDurable(d *engine.DurableDB, name string, opts Options) (*Table, error)
 	}
 	t.mut = durMutator{d: d, name: name}
 	return t, nil
-}
-
-// BlockStats reports the block-tier backing of each partition (one
-// element per partition, in partition order). It errors on a table that
-// was not opened through OpenDurable — an in-memory partitioned table has
-// no block tier.
-func (t *Table) BlockStats() ([]engine.TableBlockStats, error) {
-	m, ok := t.mut.(durMutator)
-	if !ok {
-		return nil, fmt.Errorf("partition: table %q is not durable", t.name)
-	}
-	return m.d.TableBlocks(m.name)
-}
-
-// ColdPoint answers a point read for pk from the block tier alone — the
-// partition is derived from the key, then only that partition's blocks
-// are consulted (fences and bloom filters first), exactly the fan-out a
-// cold scatter-gather read would take. probed counts the blocks a page was
-// read from; nothing of them stays in memory. The answer reflects the last
-// flush cut.
-func (t *Table) ColdPoint(pk float64) (row []float64, found bool, probed int, err error) {
-	m, ok := t.mut.(durMutator)
-	if !ok {
-		return nil, false, 0, fmt.Errorf("partition: table %q is not durable", t.name)
-	}
-	return m.d.BlockRead(m.name, pk)
 }
 
 // durMutator sends writes and DDL through the WAL-logged DurableDB paths;

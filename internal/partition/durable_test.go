@@ -239,7 +239,7 @@ func TestDurablePartitionedDDLAndGuards(t *testing.T) {
 }
 
 // TestDurablePartitionedBlockTier: checkpoints flush one block stream per
-// partition, BlockStats exposes them, and ColdPoint answers from the
+// partition, TableBlocks reports them, and BlockRead answers from the
 // blocks of the owning partition alone (fences/blooms keep the probe
 // count at one block for a key written once).
 func TestDurablePartitionedBlockTier(t *testing.T) {
@@ -265,12 +265,12 @@ func TestDurablePartitionedBlockTier(t *testing.T) {
 	if err := d.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	stats, err := pt.BlockStats()
+	stats, err := d.TableBlocks("p")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(stats) != 4 {
-		t.Fatalf("BlockStats returned %d partitions, want 4", len(stats))
+		t.Fatalf("TableBlocks returned %d partitions, want 4", len(stats))
 	}
 	var entries uint64
 	for i, st := range stats {
@@ -282,25 +282,17 @@ func TestDurablePartitionedBlockTier(t *testing.T) {
 	if entries != 400 { // 399 live rows + 1 tombstone, spread across partitions
 		t.Fatalf("block tier holds %d entries, want 400", entries)
 	}
-	row, found, probed, err := pt.ColdPoint(42)
+	row, found, probed, err := d.BlockRead("p", 42)
 	if err != nil || !found || row[1] != 84 {
-		t.Fatalf("ColdPoint(42) = %v found=%v err=%v", row, found, err)
+		t.Fatalf("BlockRead(42) = %v found=%v err=%v", row, found, err)
 	}
 	if probed != 1 {
-		t.Fatalf("ColdPoint(42) probed %d blocks, want 1", probed)
+		t.Fatalf("BlockRead(42) probed %d blocks, want 1", probed)
 	}
-	if _, found, _, err := pt.ColdPoint(7); err != nil || found {
-		t.Fatalf("ColdPoint(7) resurrected a tombstoned key: found=%v err=%v", found, err)
+	if _, found, _, err := d.BlockRead("p", 7); err != nil || found {
+		t.Fatalf("BlockRead(7) resurrected a tombstoned key: found=%v err=%v", found, err)
 	}
-	if _, found, probed, err := pt.ColdPoint(99999); err != nil || found || probed != 0 {
-		t.Fatalf("ColdPoint(99999): found=%v probed=%d err=%v (fence should exclude)", found, probed, err)
-	}
-	// An in-memory partitioned table has no block tier.
-	memT, err := New(hermit.PhysicalPointers, "m", []string{"pk"}, 0, Options{Partitions: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := memT.BlockStats(); err == nil {
-		t.Fatal("BlockStats on in-memory table accepted")
+	if _, found, probed, err := d.BlockRead("p", 99999); err != nil || found || probed != 0 {
+		t.Fatalf("BlockRead(99999): found=%v probed=%d err=%v (fence should exclude)", found, probed, err)
 	}
 }

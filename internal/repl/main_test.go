@@ -4,7 +4,12 @@ import (
 	"testing"
 
 	"hermit/internal/leakcheck"
+	"hermit/internal/testtmp"
 )
 
-// TestMain fails the run when a test leaves a goroutine behind.
-func TestMain(m *testing.M) { leakcheck.Main(m) }
+// TestMain keeps temporary files in memory (testtmp) and fails the run
+// when a test leaves a goroutine behind.
+func TestMain(m *testing.M) {
+	testtmp.Use()
+	leakcheck.Main(m)
+}
