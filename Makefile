@@ -103,9 +103,10 @@ fuzz:
 # Bench: every figure of the paper from one sweep (each dataset loaded
 # once; about 40 s on 2 cores), recorded in BENCH_paper.json, whose counts
 # `make bench-check` holds to the paper's shapes; then one build each of a
-# B+-tree and a Hermit index over 1M Synthetic rows (time and allocations
-# printed), so a regression of the construction path shows without the
-# repository benchmark; then the B+-tree at the paper's node order and at
+# B+-tree and a Hermit index over 1M Synthetic rows (time, allocations and
+# the built index's bytes per row printed), so a regression of the
+# construction path or of the footprint shows without the repository
+# benchmark; then the B+-tree at the paper's node order and at
 # the one every tree here runs at (btree.DefaultOrder), once each: the
 # comparison the constant was chosen by.
 bench: build

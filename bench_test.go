@@ -47,7 +47,8 @@ func BenchmarkPaper(b *testing.B) {
 // The index-construction benchmarks build one index per iteration over a
 // 1M-row Synthetic table loaded once (colB = sigmoid(colC), 1 % noise), and
 // drop it again off the clock: what CreateIndex, a TRS-Tree reorganisation
-// and recovery all pay. `-benchtime=1x` is one build.
+// and recovery all pay. `-benchtime=1x` is one build. Each also reports
+// the built index's footprint per row (index-B/row).
 const createIndexRows = 1_000_000
 
 func loadSyntheticForBuild(b *testing.B) (*hermitdb.Table, hermitdb.SyntheticSpec) {
@@ -67,6 +68,13 @@ func loadSyntheticForBuild(b *testing.B) (*hermitdb.Table, hermitdb.SyntheticSpe
 	return tb, spec
 }
 
+// reportIndexBytes reports the footprint of the index a build made, as
+// Memory() counts it, per row of the table: what the paper's memory
+// figures and the repository benchmark's index_bytes_per_row compare.
+func reportIndexBytes(b *testing.B, bytes uint64) {
+	b.ReportMetric(float64(bytes)/createIndexRows, "index-B/row")
+}
+
 func BenchmarkCreateBTreeIndex(b *testing.B) {
 	tb, spec := loadSyntheticForBuild(b)
 	b.ReportAllocs()
@@ -76,6 +84,7 @@ func BenchmarkCreateBTreeIndex(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.StopTimer()
+		reportIndexBytes(b, tb.Memory().ExistingBytes)
 		if err := tb.DropIndex(spec.HostCol(), hermitdb.KindBTree); err != nil {
 			b.Fatal(err)
 		}
@@ -95,6 +104,7 @@ func BenchmarkCreateHermitIndex(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.StopTimer()
+		reportIndexBytes(b, tb.Memory().NewBytes)
 		if err := tb.DropIndex(spec.TargetCol(), hermitdb.KindHermit); err != nil {
 			b.Fatal(err)
 		}

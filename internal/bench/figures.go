@@ -333,14 +333,14 @@ func fig22(p *plot) {
 func fig23(p *plot) {
 	total := p.cfg.rows(paperSyntheticRows)
 	boot := max(total/200, 1000)
-	p.printf("%-8s %14s %14s %10s\n", "tick", "throughput", "memory", "reorg")
+	p.printf("%-8s %14s %14s %10s %10s\n", "tick", "throughput", "memory", "outliers", "reorg")
 	t := trial{dataKey: synth(hermit.PhysicalPointers, boot, workload.Sigmoid, 0.01), Measure: measureReorg, Series: seriesHermit, Sel: 0.0001, K: total, QuerySeed: 13}
 	for _, r := range p.all(t) {
 		reorged := ""
 		if r.Tick > 0 && r.Tick%4 == 0 {
 			reorged = "yes"
 		}
-		p.printf("%-8d %14s %14s %10s\n", r.Tick, fmtKops(r.OpsPerSec), fmtBytes(r.IndexBytes), reorged)
+		p.printf("%-8d %14s %14s %10d %10s\n", r.Tick, fmtKops(r.OpsPerSec), fmtBytes(r.IndexBytes), r.Outliers, reorged)
 	}
 }
 

@@ -285,6 +285,13 @@ func CheckPaper(raw []byte) error {
 			return fmt.Errorf("%s: no rows", f.id)
 		}
 	}
+	// Fig. 23's ticks count the tree's outliers: turnover, and a rebuild,
+	// show as that count.
+	for _, r := range byFig["fig23"] {
+		if r.Outliers == 0 {
+			return fmt.Errorf("fig23, tick %d: no outlier count", r.Tick)
+		}
+	}
 	for _, s := range shapes {
 		cells := map[string][]Row{}
 		for _, r := range byFig[s.fig] {

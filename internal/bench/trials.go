@@ -630,7 +630,8 @@ func (d *dataset) insert(t trial) (r Result, err error) {
 // reorg is Fig. 23: a Hermit index built on the small table, the table
 // grown to t.K rows under it (so the tree is badly fitted), then twelve
 // ticks of cfg.MeasureFor of range lookups, two first-level subtrees
-// reorganized before every fourth.
+// reorganized before every fourth. Each tick records the tree's bytes and
+// outlier count, so that turnover and a rebuild show as counts.
 func (d *dataset) reorg(t trial) ([]Result, error) {
 	defer d.close()
 	if _, _, err := d.index(t, 1); err != nil {
@@ -675,7 +676,8 @@ func (d *dataset) reorg(t trial) ([]Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, Result{Tick: tick, OpsPerSec: ops, IndexBytes: hx.SizeBytes()})
+		st := hx.Tree().Stats()
+		out = append(out, Result{Tick: tick, OpsPerSec: ops, IndexBytes: st.SizeBytes, Outliers: st.Outliers})
 	}
 	return out, nil
 }

@@ -52,15 +52,16 @@ func NewComposite(table *storage.Table, host *btree.CompositeTree, cfg Composite
 		cfg.HostCol < 0 || cfg.HostCol >= w {
 		return nil, fmt.Errorf("hermit: composite column out of range")
 	}
-	tree, err := buildTree(table, cfg.TargetCol, cfg.HostCol, physical, cfg.Params, 1)
+	tree, err := buildTree(table, cfg.TargetCol, cfg.HostCol, cfg.TargetCol, physical, cfg.Params, 1)
 	if err != nil {
 		return nil, err
 	}
 	return &CompositeIndex{cfg: cfg, table: table, tree: tree, host: host}, nil
 }
 
-// physical is the identifier a composite index stores: the RID itself.
-func physical(rid storage.RID) uint64 { return uint64(rid) }
+// physical is the identifier a composite index stores: the RID itself. A
+// scan hands it the row's target value, which it does not read.
+func physical(rid storage.RID, _ float64) uint64 { return uint64(rid) }
 
 // Tree exposes the TRS-Tree for statistics and maintenance.
 func (x *CompositeIndex) Tree() *trstree.Tree { return x.tree }
@@ -119,5 +120,5 @@ func (x *CompositeIndex) Source() trstree.DataSource {
 type compositeSource struct{ x *CompositeIndex }
 
 func (s compositeSource) ScanMRange(lo, hi float64, fn func(m, n float64, id uint64) bool) error {
-	return scanMRange(s.x.table, s.x.cfg.TargetCol, s.x.cfg.HostCol, lo, hi, physical, fn)
+	return scanMRange(s.x.table, s.x.cfg.TargetCol, s.x.cfg.HostCol, s.x.cfg.TargetCol, lo, hi, physical, fn)
 }

@@ -160,7 +160,7 @@ func New(table *storage.Table, host *btree.Tree, cfg Config) (*Index, error) {
 		return nil, ErrNilHostIndex
 	}
 	idx := &Index{cfg: cfg, table: table, host: host}
-	tree, err := buildTree(table, cfg.TargetCol, cfg.HostCol, idx.identify, cfg.Params, cfg.BuildWorkers)
+	tree, err := buildTree(table, cfg.TargetCol, cfg.HostCol, idx.keyCol(), idx.idOf, cfg.Params, cfg.BuildWorkers)
 	if err != nil {
 		return nil, err
 	}
@@ -169,14 +169,15 @@ func New(table *storage.Table, host *btree.Tree, cfg Config) (*Index, error) {
 }
 
 // buildTree scans the table's (target, host) projection, one pair per row
-// identified by id, and builds the TRS-Tree over it. The tree's range is
-// the span of the finite target values: an infinite or NaN one lies outside
-// every leaf's model, so an edge leaf buffers it as an outlier.
-func buildTree(table *storage.Table, target, host int, id func(storage.RID) uint64, params trstree.Params, workers int) (*trstree.Tree, error) {
+// identified by id from its RID and its value in column key, and builds the
+// TRS-Tree over it. The tree's range is the span of the finite target
+// values: an infinite or NaN one lies outside every leaf's model, so an
+// edge leaf buffers it as an outlier.
+func buildTree(table *storage.Table, target, host, key int, id func(storage.RID, float64) uint64, params trstree.Params, workers int) (*trstree.Tree, error) {
 	pairs := make([]trstree.Pair, 0, table.Len())
 	lo, hi := math.Inf(1), math.Inf(-1)
-	err := table.ScanPairs(target, host, func(rid storage.RID, m, n float64) bool {
-		pairs = append(pairs, trstree.Pair{M: m, N: n, ID: id(rid)})
+	err := table.ScanKeyed(target, host, key, func(rid storage.RID, m, n, k float64) bool {
+		pairs = append(pairs, trstree.Pair{M: m, N: n, ID: id(rid, k)})
 		if m < lo && !math.IsInf(m, 0) {
 			lo = m
 		}
@@ -198,7 +199,9 @@ func buildTree(table *storage.Table, target, host int, id func(storage.RID) uint
 }
 
 // identify converts a physical RID into the identifier stored in indexes
-// under the configured scheme.
+// under the configured scheme. It reads the row's primary key through the
+// table's read latch, so a table scan must not call it: scans read the key
+// in their own hold (keyCol, idOf).
 func (x *Index) identify(rid storage.RID) uint64 {
 	if x.cfg.Scheme == PhysicalPointers {
 		return uint64(rid)
@@ -206,6 +209,24 @@ func (x *Index) identify(rid storage.RID) uint64 {
 	pk, err := x.table.Value(rid, x.cfg.PKCol)
 	if err != nil {
 		return 0
+	}
+	return LogicalID(pk)
+}
+
+// keyCol is the column a scan reads beside each row's pair for idOf: the
+// primary key under logical pointers, and under physical pointers, which
+// need none, the target.
+func (x *Index) keyCol() int {
+	if x.cfg.Scheme == PhysicalPointers {
+		return x.cfg.TargetCol
+	}
+	return x.cfg.PKCol
+}
+
+// idOf is identify for a row a scan read: its RID and its keyCol value.
+func (x *Index) idOf(rid storage.RID, pk float64) uint64 {
+	if x.cfg.Scheme == PhysicalPointers {
+		return uint64(rid)
 	}
 	return LogicalID(pk)
 }
@@ -318,16 +339,17 @@ func (x *Index) Source() trstree.DataSource {
 type tableSource struct{ x *Index }
 
 func (s tableSource) ScanMRange(lo, hi float64, fn func(m, n float64, id uint64) bool) error {
-	return scanMRange(s.x.table, s.x.cfg.TargetCol, s.x.cfg.HostCol, lo, hi, s.x.identify, fn)
+	return scanMRange(s.x.table, s.x.cfg.TargetCol, s.x.cfg.HostCol, s.x.keyCol(), lo, hi, s.x.idOf, fn)
 }
 
 // scanMRange is a DataSource's scan: the (target, host) pairs of the rows
-// with lo <= target <= hi, identified by id. A NaN target is in no range.
-func scanMRange(table *storage.Table, target, host int, lo, hi float64, id func(storage.RID) uint64, fn func(m, n float64, id uint64) bool) error {
-	return table.ScanPairs(target, host, func(rid storage.RID, m, n float64) bool {
+// with lo <= target <= hi, identified by id from their RID and their value
+// in column key. A NaN target is in no range.
+func scanMRange(table *storage.Table, target, host, key int, lo, hi float64, id func(storage.RID, float64) uint64, fn func(m, n float64, id uint64) bool) error {
+	return table.ScanKeyed(target, host, key, func(rid storage.RID, m, n, k float64) bool {
 		if !(m >= lo && m <= hi) {
 			return true
 		}
-		return fn(m, n, id(rid))
+		return fn(m, n, id(rid, k))
 	})
 }

@@ -3,9 +3,11 @@ package hermit
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"hermit/internal/btree"
 	"hermit/internal/storage"
@@ -362,6 +364,59 @@ func TestReorgThroughSource(t *testing.T) {
 	}
 	if !covers(harvest(idx, 400, 405), f.expected(400, 405, PhysicalPointers)) {
 		t.Fatal("harvest misses a matching row after reorg")
+	}
+}
+
+// A rebuild of a logical-pointer index beside a writer on the same table
+// returns. Its rescan reads each row's primary key in the scan's own hold
+// of the table's read latch: one that read it through Table.Value took the
+// read latch a second time, which queues behind a writer waiting for the
+// first hold, so the rebuild and the writer waited on each other for good.
+func TestReorgBesideWriter(t *testing.T) {
+	f := newFixture(t, 50_000, linearFn, 0.02, LogicalPointers, 31)
+	idx := newIndex(t, f, LogicalPointers)
+	stop := make(chan struct{})
+	wrote := make(chan error, 1)
+	go func() {
+		row := make([]float64, 4)
+		for i := 0; i < 200_000; i++ {
+			select {
+			case <-stop:
+				wrote <- nil
+				return
+			default:
+			}
+			row[0], row[2] = float64(1_000_000+i), float64(i%1000)
+			row[1] = linearFn(row[2])
+			if _, err := f.table.Insert(row); err != nil {
+				wrote <- err
+				return
+			}
+			runtime.Gosched()
+		}
+		wrote <- nil
+	}()
+	rebuilt := make(chan error, 1)
+	go func() {
+		for i := range idx.Tree().Params().NodeFanout {
+			if err := idx.Tree().ReorgSubtree(i, idx.Source()); err != nil {
+				rebuilt <- err
+				return
+			}
+		}
+		rebuilt <- nil
+	}()
+	select {
+	case err := <-rebuilt:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("rebuilding every first-level subtree beside a writer did not return in 30 s")
+	}
+	close(stop)
+	if err := <-wrote; err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -337,7 +337,16 @@ func (t *Table) scanColumn(col int, fn func(rid RID, v float64) bool) error {
 
 // ScanPairs calls fn with the (target, host) projection of every live row.
 func (t *Table) ScanPairs(target, host int, fn func(rid RID, m, n float64) bool) error {
-	if target < 0 || target >= t.width || host < 0 || host >= t.width {
+	return t.ScanKeyed(target, host, target, func(rid RID, m, n, _ float64) bool { return fn(rid, m, n) })
+}
+
+// ScanKeyed is ScanPairs that also hands fn each row's value in column key,
+// read in the scan's one hold of the read latch. A scan that needs a row's
+// key must take it from here: fn must not call Value or another latching
+// method of t, as a second read latch waits behind any writer queued on the
+// first, and that writer waits for the scan.
+func (t *Table) ScanKeyed(target, host, key int, fn func(rid RID, m, n, k float64) bool) error {
+	if target < 0 || target >= t.width || host < 0 || host >= t.width || key < 0 || key >= t.width {
 		return ErrBadColumn
 	}
 	t.mu.RLock()
@@ -349,7 +358,7 @@ func (t *Table) ScanPairs(target, host int, fn func(rid RID, m, n float64) bool)
 				continue
 			}
 			base := s * t.width
-			if !fn(MakeRID(uint64(bi), slot), b.data[base+target], b.data[base+host]) {
+			if !fn(MakeRID(uint64(bi), slot), b.data[base+target], b.data[base+host], b.data[base+key]) {
 				return nil
 			}
 		}

@@ -168,7 +168,8 @@ type subBuild struct {
 // tryLeaf fits a linear model over pairs and validates it. It returns the
 // finished leaf when the model's outliers stay within OutlierRatio, when
 // the depth limit is reached, or when too few pairs remain to justify a
-// split — in those cases the uncovered pairs go to the outlier buffer.
+// split — in those cases the uncovered pairs go to the outlier buffer, a
+// run at the end of the builder's arena with no room beyond them.
 func (b *builder) tryLeaf(pairs []Pair, s span, depth int) (leaf, bool) {
 	lo, hi := s.lo, s.hi
 	mustBeLeaf := depth >= b.params.MaxHeight || len(pairs) <= b.params.MinLeafPairs || hi-lo <= 0
@@ -184,12 +185,12 @@ func (b *builder) tryLeaf(pairs []Pair, s span, depth int) (leaf, bool) {
 		return leaf{}, false
 	}
 	l := leaf{model: model, eps: eps, count: uint32(min(len(pairs), math.MaxUint32))}
-	if outliers > 0 {
-		l.outliers = make([]outlierEntry, 0, outliers)
-		for _, p := range pairs {
-			if uncovered(model, eps, lo, hi, p) {
-				l.outliers = append(l.outliers, outlierEntry{m: p.M, id: p.ID})
-			}
+	l.off, l.n, l.cap = b.nodes.claim(outliers), uint32(outliers), uint32(outliers)
+	b.nodes.held += outliers
+	run := b.nodes.run(&l)[:0]
+	for _, p := range pairs {
+		if uncovered(model, eps, lo, hi, p) {
+			run = append(run, outlierEntry{m: p.M, id: p.ID})
 		}
 	}
 	return l, true

@@ -73,8 +73,8 @@ func fingerprint(tr *Tree) string {
 		put(flags, s.lo, s.hi)
 		if r.isLeaf() {
 			l := &tr.leaves[r.slot()]
-			put(l.model.Beta, l.model.Alpha, l.eps, uint64(l.count), uint64(0), uint64(len(l.outliers)))
-			for _, e := range l.outliers {
+			put(l.model.Beta, l.model.Alpha, l.eps, uint64(l.count), uint64(0), uint64(l.n))
+			for _, e := range tr.run(l) {
 				put(e.m, e.id)
 			}
 			return
@@ -140,8 +140,9 @@ func TestBuildGolden(t *testing.T) {
 }
 
 // TestBuildParallelGolden pins the tree BuildParallel returns — the
-// builder a Hermit index is created with — over the benchmark's 1M-row
-// shape: the hash is of its fingerprint, recorded before the tree's nodes
+// builder a Hermit index is created with when it is given build workers;
+// the engine gives none, so its indexes take Build's tree — over the
+// benchmark's 1M-row shape: the hash is of its fingerprint, recorded before the tree's nodes
 // moved into flat arrays, and it is the same for every worker count.
 func TestBuildParallelGolden(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
@@ -161,13 +162,14 @@ func TestBuildParallelGolden(t *testing.T) {
 }
 
 // TestHeapMatchesSizeBytes: SizeBytes is what the heap holds for trees, to
-// within 3 %: as built, and again after 200k deletes and a ReorgSubtree of
-// every first-level subtree, which leave freed slots, free lists and node
-// arrays grown by append. The trees are built over the benchmark's 1M-row
-// shape, so the figure index_bytes_per_row reports is bytes the process
-// keeps.
+// within 3 %: as built; after an outlier churn of 200k uncovered inserts,
+// 100k of them deleted again, which moves runs about the arena, leaves dead
+// slots and rewrites it; and after 200k deletes and a ReorgSubtree of every
+// first-level subtree, which leave freed slots, free lists and node arrays
+// grown by append. The trees are built over the benchmark's 1M-row shape,
+// so the figure index_bytes_per_row reports is bytes the process keeps.
 func TestHeapMatchesSizeBytes(t *testing.T) {
-	const trees, deletes = 6, 200_000
+	const trees, deletes, churn = 6, 200_000, 200_000
 	src := genBenchmarkShape(1_000_000)
 	pairs := make([]Pair, len(src))
 	kept := make([]*Tree, 0, trees)
@@ -197,6 +199,21 @@ func TestHeapMatchesSizeBytes(t *testing.T) {
 		kept = append(kept, tr)
 	}
 	check("built")
+	// The host values lie in [0, 12000]: 1e9 is off every leaf's model.
+	rng := rand.New(rand.NewSource(7))
+	extra := make([]Pair, churn)
+	for i := range extra {
+		extra[i] = Pair{M: rng.Float64() * 1000, N: 1e9, ID: uint64(1<<40 + i)}
+	}
+	for _, tr := range kept {
+		for _, p := range extra {
+			tr.Insert(p.M, p.N, p.ID)
+		}
+		for _, p := range extra[:churn/2] {
+			tr.Delete(p.M, p.N, p.ID)
+		}
+	}
+	check("churned")
 	for _, tr := range kept {
 		for _, p := range src[:deletes] {
 			tr.Delete(p.M, p.N, p.ID)

@@ -87,7 +87,7 @@ func (t *Tree) lookupNode(r ref, s span, lo, hi float64, res *Result) {
 	olo := math.Max(lo, s.effectiveLo())
 	ohi := math.Min(hi, s.effectiveHi())
 	if olo <= ohi {
-		for _, e := range l.outliers {
+		for _, e := range t.run(l) {
 			if e.m >= olo && e.m <= ohi {
 				res.IDs = append(res.IDs, e.id)
 			}

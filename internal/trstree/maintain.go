@@ -24,7 +24,7 @@ func (t *Tree) insertLocked(m, n float64, id uint64) {
 		l.count++
 	}
 	if !l.covers(sp, m, n) {
-		l.addOutlier(m, id)
+		t.addOutlier(l, m, id)
 	}
 }
 
@@ -49,7 +49,7 @@ func (t *Tree) deleteLocked(m, n float64, id uint64) {
 	slot, sp := t.traverse(m)
 	l := &t.leaves[slot]
 	if !l.covers(sp, m, n) {
-		l.removeOutlier(m, id)
+		t.removeOutlier(l, m, id)
 	}
 	if l.count > 0 {
 		l.count--
@@ -71,9 +71,9 @@ func (t *Tree) Update(m, oldN, newN float64, id uint64) {
 	wasCovered, isCovered := l.covers(sp, m, oldN), l.covers(sp, m, newN)
 	switch {
 	case wasCovered && !isCovered:
-		l.addOutlier(m, id)
+		t.addOutlier(l, m, id)
 	case !wasCovered && isCovered:
-		l.removeOutlier(m, id)
+		t.removeOutlier(l, m, id)
 	}
 }
 
@@ -85,34 +85,44 @@ func (l *leaf) covers(s span, m, nv float64) bool {
 	return m >= s.lo && m <= s.hi && math.Abs(nv-l.model.Predict(m)) <= l.eps
 }
 
-// addOutlier records (m, id). The buffer is a multiset: under logical
-// pointers every version of a key carries the same id, so two versions
-// with one target value are two entries, and reclaiming one of them must
-// leave the other's behind. An insert that a reorganization's rescan had
-// already collected and the side-buffer replay adds again is a surplus
-// candidate, which validation filters; dropping it as a duplicate instead
-// would risk a false negative.
+// addOutlier records (m, id) in leaf l's buffer. The buffer is a multiset:
+// under logical pointers every version of a key carries the same id, so
+// two versions with one target value are two entries, and reclaiming one
+// of them must leave the other's behind. An insert that a reorganization's
+// rescan had already collected and the side-buffer replay adds again is a
+// surplus candidate, which validation filters; dropping it as a duplicate
+// instead would risk a false negative.
 //
-// The buffer's capacity is counted in Stats().SizeBytes, so it follows the
-// entries held: a full buffer grows by an eighth (at least outlierStep
-// entries), not by append's doubling, and removeOutlier gives back the
-// array once half of it is unused.
-func (l *leaf) addOutlier(m float64, id uint64) {
-	if held := len(l.outliers); held == cap(l.outliers) {
-		l.rehouse(held + max(outlierStep, held/8))
+// The arena's capacity is counted in Stats().SizeBytes, so a run's room
+// follows the entries it holds: a full run grows by an eighth (at least
+// outlierStep entries), not by doubling, and removeOutlier gives back the
+// room once half of it is unused.
+func (n *nodes) addOutlier(l *leaf, m float64, id uint64) {
+	if l.n == l.cap {
+		n.regrow(l, l.n+max(outlierStep, l.n/8))
 	}
-	l.outliers = append(l.outliers, outlierEntry{m: m, id: id})
+	n.out[l.off+l.n] = outlierEntry{m: m, id: id}
+	l.n++
+	n.held++
 }
 
-func (l *leaf) removeOutlier(m float64, id uint64) bool {
-	for i, e := range l.outliers {
+// removeOutlier takes one (m, id) entry out of leaf l's buffer, moving the
+// run's last entry into its place, and reports whether there was one.
+func (n *nodes) removeOutlier(l *leaf, m float64, id uint64) bool {
+	run := n.run(l)
+	for i, e := range run {
 		if e.id == id && e.m == m {
-			last := len(l.outliers) - 1
-			l.outliers[i] = l.outliers[last]
-			l.outliers = l.outliers[:last]
-			if last <= cap(l.outliers)/2 {
-				l.rehouse(last)
+			run[i] = run[len(run)-1]
+			l.n--
+			n.held--
+			if l.n <= l.cap/2 {
+				n.release(l.off+l.n, l.cap-l.n)
+				l.cap = l.n
+				if l.cap == 0 {
+					l.off = 0
+				}
 			}
+			n.settle()
 			return true
 		}
 	}
@@ -122,13 +132,20 @@ func (l *leaf) removeOutlier(m float64, id uint64) bool {
 // outlierStep is the least a full outlier buffer grows by.
 const outlierStep = 8
 
-// rehouse moves the outlier buffer into an array of the given capacity.
-func (l *leaf) rehouse(capacity int) {
-	if capacity == 0 {
-		l.outliers = nil
-		return
+// regrow gives leaf l's run room for capacity entries: in place when the
+// run ends the arena, else in a run claimed at its end, the old slots left
+// dead.
+func (n *nodes) regrow(l *leaf, capacity uint32) {
+	if int(l.off+l.cap) == len(n.out) {
+		n.claim(int(capacity - l.cap))
+	} else {
+		off := n.claim(int(capacity))
+		copy(n.out[off:], n.run(l))
+		n.release(l.off, l.cap)
+		l.off = off
 	}
-	l.outliers = append(make([]outlierEntry, 0, capacity), l.outliers...)
+	l.cap = capacity
+	n.settle()
 }
 
 func (t *Tree) bufferOp(op bufferedOp) {
@@ -243,10 +260,12 @@ func buildReplacement(pairs []Pair, at place, params Params) subBuild {
 }
 
 // install replaces the subtree at with the one repl built. The old
-// subtree's slots are freed first, so the new one fills them. Called with
+// subtree's slots are freed first, so the new one fills them, and its runs
+// settled, so the new runs do not grow an arena of dead slots. Called with
 // t.mu held.
 func (t *Tree) install(at place, repl subBuild) {
 	t.free(*t.refAt(at))
+	t.settle()
 	r := t.graft(&repl.b.nodes, repl.root) // before refAt: the graft may move t.inner
 	*t.refAt(at) = r
 }

@@ -104,38 +104,6 @@ func TestLookupSeesSideBufferedInserts(t *testing.T) {
 	}
 }
 
-// The outlier buffer's capacity — which Stats().SizeBytes counts — follows
-// the entries it holds through growth and shrinkage: never more than an
-// eighth (or outlierStep) above them after an add, never more than twice
-// them after a remove, nothing at all when empty.
-func TestOutlierBufferFollowsEntries(t *testing.T) {
-	l := &leaf{}
-	const peak = 5000
-	for i := 0; i < peak; i++ {
-		l.addOutlier(float64(i), uint64(i))
-		if room := cap(l.outliers); room > len(l.outliers)+max(outlierStep, len(l.outliers)/8) {
-			t.Fatalf("growth: %d entries in an array of %d", len(l.outliers), room)
-		}
-	}
-	for i := 0; i < peak; i++ {
-		if !l.removeOutlier(float64(i), uint64(i)) {
-			t.Fatalf("entry %d not found", i)
-		}
-		if held, room := len(l.outliers), cap(l.outliers); held > 0 && room >= 2*held+2 {
-			t.Fatalf("shrinkage: %d entries in an array of %d", held, room)
-		}
-	}
-	if l.outliers != nil {
-		t.Fatalf("an empty buffer keeps an array of %d", cap(l.outliers))
-	}
-	// An as-built buffer (exact capacity) stays exact until it is written.
-	l.outliers = make([]outlierEntry, 100)
-	l.addOutlier(1, 1)
-	if cap(l.outliers) != 112 {
-		t.Fatalf("first add to a full buffer of 100: capacity %d", cap(l.outliers))
-	}
-}
-
 // A leaf's 32-bit count saturates: an insert into a leaf whose count is at
 // the limit leaves it there, where a wrap to 0 would stop the leaf's model
 // from answering (a lookup skips the model of a leaf that counts no tuple),

@@ -115,8 +115,10 @@ type DataSource interface {
 
 // The tree has no node objects. Its nodes live in two arrays (nodes): the
 // leaves in one []leaf, and the inner nodes in one []ref, NodeFanout child
-// references to a node. A descent walks contiguous memory, and the heap
-// holds a few arrays instead of an allocation per node. No node stores its
+// references to a node; every leaf's outlier buffer is a run of a third,
+// the outlier arena. A descent walks contiguous memory, and the heap holds
+// a few arrays with no pointer in them instead of an allocation per node
+// and per buffer. No node stores its
 // range either: Algorithm 1 splits a node into NodeFanout equal sub-ranges,
 // so a child's range follows from its parent's and its index (span.child).
 // Every descent derives it from the tree's bounds with the builder's own
@@ -134,20 +136,22 @@ func (r ref) isLeaf() bool { return r < 0 }
 func (r ref) slot() int32 { return ^int32(r) }
 
 // leaf is a TRS-Tree leaf: the fitted model, confidence interval and
-// outlier buffer of one sub-range.
+// outlier buffer of one sub-range, in 40 bytes that hold no pointer. The
+// buffer is a run of the tree's outlier arena (nodes.out): out[off:][:n]
+// are its entries, and out[off+n:off+cap] room the run owns. A run of no
+// room starts at 0.
 type leaf struct {
 	model stats.LinearModel
 	eps   float64
 	// count is the live tuples covered by this leaf's range; it saturates.
-	count uint32
-	// outliers is the leaf's outlier buffer: pairs the linear function
-	// fails to cover, stored compactly (16 bytes each) because for noisy
-	// workloads the buffers dominate the index footprint (§7.2).
-	outliers []outlierEntry
+	count       uint32
+	off, n, cap uint32
 }
 
-// outlierEntry is one buffered outlier: the target value and the tuple
-// identifier it maps to.
+// outlierEntry is one buffered outlier — a pair the linear function fails
+// to cover — as its target value and the tuple identifier it maps to: 16
+// bytes, since for noisy workloads the buffers dominate the index
+// footprint (§7.2).
 type outlierEntry struct {
 	m  float64
 	id uint64
@@ -201,6 +205,11 @@ type nodes struct {
 	fanout int
 	leaves []leaf
 	inner  []ref
+	// out is the outlier arena, every leaf's buffer a run of it. held
+	// counts the entries the runs hold, and dead the slots below len(out)
+	// that no run owns, which settle keeps under an eighth of held.
+	out        []outlierEntry
+	held, dead int
 	// The slots reorganizations freed, which grafts fill first.
 	freeLeaves, freeInner []int32
 }
@@ -208,6 +217,11 @@ type nodes struct {
 // kids returns the child references of inner node r.
 func (n *nodes) kids(r ref) []ref {
 	return n.inner[int(r)*n.fanout:][:n.fanout]
+}
+
+// run returns the outlier entries leaf l holds.
+func (n *nodes) run(l *leaf) []outlierEntry {
+	return n.out[l.off:][:l.n]
 }
 
 // addLeaf stores l in a free slot, or a new one, and returns its reference.
@@ -235,10 +249,16 @@ func (n *nodes) addInner() ref {
 }
 
 // graft copies the subtree src holds under r into n, depth first, and
-// returns its reference in n.
+// returns its reference in n. A leaf's run moves to the end of n's arena,
+// with no room beyond its entries.
 func (n *nodes) graft(src *nodes, r ref) ref {
 	if r.isLeaf() {
-		return n.addLeaf(src.leaves[r.slot()])
+		l := src.leaves[r.slot()]
+		entries := src.run(&l)
+		l.off, l.cap = n.claim(len(entries)), l.n
+		copy(n.out[l.off:], entries)
+		n.held += int(l.n)
+		return n.addLeaf(l)
 	}
 	in := n.addInner()
 	for i, c := range src.kids(r) {
@@ -248,11 +268,14 @@ func (n *nodes) graft(src *nodes, r ref) ref {
 	return in
 }
 
-// free gives back the slots of the subtree under r.
+// free gives back the slots of the subtree under r, and its leaves' runs.
 func (n *nodes) free(r ref) {
 	if r.isLeaf() {
 		s := r.slot()
-		n.leaves[s] = leaf{} // drop the outlier buffer
+		l := &n.leaves[s]
+		n.release(l.off, l.cap)
+		n.held -= int(l.n)
+		*l = leaf{}
 		n.freeLeaves = append(n.freeLeaves, s)
 		return
 	}
@@ -262,24 +285,122 @@ func (n *nodes) free(r ref) {
 	n.freeInner = append(n.freeInner, int32(r))
 }
 
-// clip moves the node arrays into arrays of their exact length: a finished
-// build holds no append headroom.
+// claim lengthens the arena by k slots and returns the first (0 for none).
+// An arena too short packs first, when its dead slots are a sixty-fourth
+// of what the runs own or more; one still too short moves into an array a
+// sixteenth longer than it needs. Its capacity, which SizeBytes counts,
+// thus stays within about a twelfth above what the runs own: an arena
+// that grew by append's doubling, or by an eighth, held more at the end of
+// a write-heavy run than the per-leaf arrays it replaced. Packing keeps
+// the runs' order, so a run that ended the arena still ends it.
+func (n *nodes) claim(k int) uint32 {
+	if k == 0 {
+		return 0
+	}
+	if len(n.out)+k > cap(n.out) && n.dead > 0 && n.dead*64 >= len(n.out)-n.dead {
+		n.pack()
+	}
+	off := len(n.out)
+	if need := off + k; need <= cap(n.out) {
+		n.out = n.out[:need]
+	} else {
+		grown := make([]outlierEntry, need, need+need/16)
+		copy(grown, n.out)
+		n.out = grown
+	}
+	return uint32(off)
+}
+
+// release gives back arena slots [off, off+k): the arena ends before them
+// if they end it, and they are dead otherwise.
+func (n *nodes) release(off, k uint32) {
+	if int(off+k) == len(n.out) {
+		n.out = n.out[:off]
+		return
+	}
+	n.dead += int(k)
+}
+
+// settle packs the arena once its dead slots exceed an eighth of the
+// entries held, or its unused capacity a quarter of what the runs own, so a
+// write costs amortized O(1) and SizeBytes follows the entries held.
+// Called with the tree latched.
+func (n *nodes) settle() {
+	if owned := len(n.out) - n.dead; n.dead*8 > n.held || cap(n.out)-owned > owned/4 {
+		n.pack()
+	}
+}
+
+// pack slides the runs to the front of the arena in arena order, so its
+// dead slots become free room at its end. When that room would exceed an
+// eighth of what the runs own, the runs move into a new array instead,
+// a sixteenth longer than they need.
+func (n *nodes) pack() {
+	owned := len(n.out) - n.dead
+	out, moved := n.out[:owned], false
+	if cap(n.out)-owned > owned/8 {
+		out, moved = make([]outlierEntry, owned, owned+owned/16), true
+	}
+	at := uint32(0)
+	for _, k := range n.runOrder() {
+		l := &n.leaves[uint32(k)]
+		if moved || l.off != at {
+			copy(out[at:], n.run(l))
+			l.off = at
+		}
+		at += l.cap
+	}
+	n.out, n.dead = out, 0
+}
+
+// runOrder returns the leaves whose runs own room, as off<<32 | slot, in
+// the order of their runs in the arena. It sorts by radix, a byte of the
+// offsets at a time: a comparison sort of a few thousand runs took longer
+// than the packing it orders.
+func (n *nodes) runOrder() []uint64 {
+	keys := make([]uint64, 0, len(n.leaves))
+	for s := range n.leaves {
+		if l := &n.leaves[s]; l.cap > 0 {
+			keys = append(keys, uint64(l.off)<<32|uint64(s))
+		}
+	}
+	tmp := make([]uint64, len(keys))
+	for shift := 32; len(n.out)>>(shift-32) > 0; shift += 8 {
+		var at [256]int
+		for _, k := range keys {
+			at[byte(k>>shift)]++
+		}
+		sum := 0
+		for d, c := range at {
+			at[d] = sum
+			sum += c
+		}
+		for _, k := range keys {
+			d := byte(k >> shift)
+			tmp[at[d]] = k
+			at[d]++
+		}
+		keys, tmp = tmp, keys
+	}
+	return keys
+}
+
+// clip moves the node arrays and the arena into arrays of their exact
+// length: a finished build holds no append headroom.
 func (n *nodes) clip() {
 	n.leaves = append(make([]leaf, 0, len(n.leaves)), n.leaves...)
 	n.inner = append(make([]ref, 0, len(n.inner)), n.inner...)
+	n.out = append(make([]outlierEntry, 0, len(n.out)), n.out...)
 }
 
 // sizeBytes is what the heap holds for the node arrays and the outlier
-// buffers: each array's capacity in bytes, rounded up as the allocator
-// rounds it (heapBytes).
+// arena: each array's capacity in bytes, rounded up as the allocator
+// rounds it (heapBytes). None of them holds a pointer.
 func (n *nodes) sizeBytes() uint64 {
-	s := heapBytes(cap(n.leaves)*int(unsafe.Sizeof(leaf{})), true) +
+	return heapBytes(cap(n.leaves)*int(unsafe.Sizeof(leaf{})), false) +
+		heapBytes(cap(n.out)*int(unsafe.Sizeof(outlierEntry{})), false) +
 		heapBytes(cap(n.inner)*4, false) +
 		heapBytes(cap(n.freeLeaves)*4, false) + heapBytes(cap(n.freeInner)*4, false)
-	for i := range n.leaves {
-		s += heapBytes(cap(n.leaves[i].outliers)*int(unsafe.Sizeof(outlierEntry{})), false)
-	}
-	return s
 }
 
 // maxSmall is the largest allocation the allocator serves from a size
@@ -384,7 +505,7 @@ func (t *Tree) walkStats(r ref, depth int, s *Stats) {
 	if r.isLeaf() {
 		l := &t.leaves[r.slot()]
 		s.Leaves++
-		s.Outliers += len(l.outliers)
+		s.Outliers += int(l.n)
 		s.TuplesGauged += int(l.count)
 		return
 	}
@@ -395,7 +516,7 @@ func (t *Tree) walkStats(r ref, depth int, s *Stats) {
 
 // SizeBytes is the heap footprint of the tree, the quantity the paper's
 // memory figures (Figs. 5, 7, 18–20) report for Hermit's new indexes: its
-// node arrays and outlier buffers as the allocator holds them.
+// node arrays and outlier arena as the allocator holds them.
 func (t *Tree) SizeBytes() uint64 { return t.Stats().SizeBytes }
 
 // OutlierCount returns the total number of buffered outlier identifiers.

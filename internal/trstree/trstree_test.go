@@ -415,7 +415,7 @@ func TestReorgSubtree(t *testing.T) {
 func overRatio(tr *Tree, m float64) bool {
 	slot, _ := tr.traverse(m)
 	l := &tr.leaves[slot]
-	return float64(len(l.outliers)) > tr.params.OutlierRatio*float64(l.count)
+	return float64(l.n) > tr.params.OutlierRatio*float64(l.count)
 }
 
 // TestReorgReplayDeterministic plays one schedule of inserts, deletes and
