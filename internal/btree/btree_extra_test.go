@@ -6,28 +6,6 @@ import (
 	"testing"
 )
 
-func TestMaxAfterRightmostDeletes(t *testing.T) {
-	// Lazy deletion can empty the rightmost leaf; Max must fall back to the
-	// scan path and still report the true maximum.
-	tr := New(4)
-	for i := 0; i < 100; i++ {
-		tr.Insert(float64(i), uint64(i))
-	}
-	// Empty out the tail of the key space.
-	for i := 90; i < 100; i++ {
-		if !tr.Delete(float64(i), uint64(i)) {
-			t.Fatalf("delete %d failed", i)
-		}
-	}
-	mx, ok := tr.Max()
-	if !ok || mx != 89 {
-		t.Fatalf("max=%v ok=%v, want 89", mx, ok)
-	}
-	if err := tr.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestScanWithInfiniteBounds(t *testing.T) {
 	tr := New(testOrder)
 	for i := 0; i < 50; i++ {

@@ -21,12 +21,6 @@ func TestEmpty(t *testing.T) {
 	if tr.Len() != 0 || tr.Height() != 1 {
 		t.Fatalf("len=%d h=%d", tr.Len(), tr.Height())
 	}
-	if _, ok := tr.Min(); ok {
-		t.Fatal("Min on empty")
-	}
-	if _, ok := tr.Max(); ok {
-		t.Fatal("Max on empty")
-	}
 	called := false
 	tr.Scan(0, 100, func(float64, uint64) bool { called = true; return true })
 	if called {
@@ -43,7 +37,7 @@ func TestInsertLookup(t *testing.T) {
 		t.Fatalf("len=%d", tr.Len())
 	}
 	for i := 0; i < 1000; i++ {
-		id, ok := tr.First(float64(i))
+		id, ok := tr.Get(float64(i))
 		if !ok || id != uint64(i*10) {
 			t.Fatalf("key %d: id=%d ok=%v", i, id, ok)
 		}
@@ -128,19 +122,6 @@ func TestDelete(t *testing.T) {
 	}
 }
 
-func TestMinMax(t *testing.T) {
-	tr := New(testOrder)
-	for _, k := range []float64{5, -2, 8, 3} {
-		tr.Insert(k, 1)
-	}
-	if mn, ok := tr.Min(); !ok || mn != -2 {
-		t.Fatalf("min=%v", mn)
-	}
-	if mx, ok := tr.Max(); !ok || mx != 8 {
-		t.Fatalf("max=%v", mx)
-	}
-}
-
 func TestBulkLoad(t *testing.T) {
 	n := 10000
 	keys := make([]float64, n)
@@ -201,9 +182,10 @@ func TestSizeBytesGrows(t *testing.T) {
 	if tr.SizeBytes() <= empty {
 		t.Fatal("size did not grow")
 	}
-	// Rough sanity: at least 16 bytes/entry (key+id), at most ~100.
+	// Rough sanity: at least 2 bytes/entry (distinct keys and ids take a
+	// byte of code each), at most ~100.
 	per := float64(tr.SizeBytes()) / 10000
-	if per < 16 || per > 100 {
+	if per < 2 || per > 100 {
 		t.Fatalf("bytes/entry=%v outside sane range", per)
 	}
 }
@@ -400,7 +382,7 @@ func BenchmarkOrderPointLookup(b *testing.B) {
 		tr, _ := ascending(1_000_000, order)
 		b.Run(fmt.Sprintf("order=%d", order), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, ok := tr.First(float64(i % 1_000_000)); !ok {
+				if _, ok := tr.Get(float64(i % 1_000_000)); !ok {
 					b.Fatal("missing")
 				}
 			}
@@ -455,7 +437,12 @@ func checkCArrays(n *cnode) error {
 // than cap() reports. Each array has the class of what it holds, so the
 // trees stay near their entries: an ascending load (every primary index)
 // leaves full leaves, and random inserts, a random churn and the composite
-// tree leave half-full to full ones, each in the class that fits it.
+// tree leave half-full to full ones, each in the class that fits it. The
+// per-entry caps are 10% above what was measured at 1M entries when leaves
+// were packed into frames: 2.93 B/entry ascending (a byte of key code and
+// one of id code), 10.18 random and 10.78 after the random churn (5.5 bytes
+// of key code and 3 of id code on average); 16.80, 18.10 and 19.24 when
+// every entry took 16 bytes. The composite tree still does.
 func TestHeapMatchesSizeBytes(t *testing.T) {
 	n := 1_000_000
 	if testing.Short() {
@@ -483,7 +470,7 @@ func TestHeapMatchesSizeBytes(t *testing.T) {
 		return tr
 	})
 	tr := v.(*Tree)
-	check("ascending", heap, tr.SizeBytes(), tr.CheckInvariants(), 17.5)
+	check("ascending", heap, tr.SizeBytes(), tr.CheckInvariants(), 3.2)
 
 	heap, v = heapOf(func() any {
 		rng := rand.New(rand.NewSource(1))
@@ -494,7 +481,7 @@ func TestHeapMatchesSizeBytes(t *testing.T) {
 		return tr
 	})
 	tr = v.(*Tree)
-	check("random", heap, tr.SizeBytes(), tr.CheckInvariants(), 19.0)
+	check("random", heap, tr.SizeBytes(), tr.CheckInvariants(), 11.2)
 
 	// Random churn at n entries: n inserts, then n rounds of deleting the
 	// oldest entry (a random key: a second generator on the same seed
@@ -514,7 +501,7 @@ func TestHeapMatchesSizeBytes(t *testing.T) {
 		return tr
 	})
 	tr = v.(*Tree)
-	check("random churn", heap, tr.SizeBytes(), tr.CheckInvariants(), 20.5)
+	check("random churn", heap, tr.SizeBytes(), tr.CheckInvariants(), 11.9)
 
 	heap, v = heapOf(func() any {
 		rng := rand.New(rand.NewSource(1))
@@ -567,7 +554,7 @@ var uniqueOrders = []int{16, 64, DefaultOrder}
 
 // The unique-key path at primary-index size: every probe is a different
 // random key, so each descent misses the caches the way a point read of a
-// large table does. BenchmarkFirstRandom1M is the path it replaced.
+// large table does.
 func BenchmarkGetRandom1M(b *testing.B) {
 	for _, order := range uniqueOrders {
 		tr, ks := ascending(1_000_000, order)
@@ -578,16 +565,6 @@ func BenchmarkGetRandom1M(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-func BenchmarkFirstRandom1M(b *testing.B) {
-	tr, ks := ascending(1_000_000, 16)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, ok := tr.First(ks[i%len(ks)]); !ok {
-			b.Fatal("missing")
-		}
 	}
 }
 

@@ -28,6 +28,14 @@ func fuzzKey(b byte) float64 {
 	return float64(int(b)-128) / 4
 }
 
+// fuzzID maps a byte onto an id: its low five bits, repeated at a byte
+// offset its top three bits give, so that ids span every width from one
+// byte to eight. A byte below 32 is its own id.
+func fuzzID(b byte) uint64 {
+	v := uint64(b & 31)
+	return v<<(8*uint(b>>5)) | v
+}
+
 type kv struct {
 	key float64
 	id  uint64
@@ -58,7 +66,7 @@ func sameKVs(a, b []kv) bool {
 
 // FuzzTreeTotalOrder drives two order-4 trees from one op stream against
 // oracles keyed by keyorder.Bits: a unique-key tree written with Swap and
-// Delete and read with Get, GetAscending, First, Contains and Scan, and a
+// Delete and read with Get, GetAscending, Contains and Scan, and a
 // tree written with Insert and Delete against a multiset oracle: duplicate
 // keys and duplicate entries, whose copies splits part. Every op is followed
 // by the structural check, which is where a separator that no longer
@@ -178,6 +186,26 @@ func FuzzTreeTotalOrder(f *testing.F) {
 	}
 	f.Add(seed)
 
+	// Frame transitions in the leaves of both trees: keys on the grid of
+	// whole numbers, then one below the leaf's first key (a new kbase), one
+	// off the grid (a smaller shift) and one far above (a wider key code),
+	// each entry's id then swapped through every width and below the
+	// leaf's smallest id; read back, scanned and drained between.
+	seed = nil
+	for _, k := range []byte{140, 144, 148, 136, 137, 252, 7} {
+		seed = append(seed, 0, k, 1, 3, k, 1, 2, k, 0)
+	}
+	for w := byte(0); w < 8; w++ {
+		for _, k := range []byte{140, 137, 7} {
+			seed = append(seed, 0, k, w<<5|9, 3, k, w<<5|9, 2, k, 0)
+		}
+	}
+	seed = append(seed, 0, 144, 0, 6, 0, 0, 5, 2, 3)
+	for _, k := range []byte{140, 144, 148, 136, 137, 252, 7} {
+		seed = append(seed, 1, k, 9, 4, k, 1, 4, k, 233, 5, 2, 3)
+	}
+	f.Add(seed)
+
 	f.Fuzz(func(t *testing.T, data []byte) {
 		uniq, multi := New(4), New(4)
 		uo := map[uint64]kv{}             // key bits -> entry
@@ -192,7 +220,7 @@ func FuzzTreeTotalOrder(f *testing.F) {
 			}
 		}
 		for ; len(data) >= 3; data = data[3:] {
-			op, key, id := data[0]%8, fuzzKey(data[1]), uint64(data[2])
+			op, key, id := data[0]%8, fuzzKey(data[1]), fuzzID(data[2])
 			bits := keyorder.Bits(key)
 			switch op {
 			case 0:
@@ -213,9 +241,6 @@ func FuzzTreeTotalOrder(f *testing.F) {
 				want, had := uo[bits]
 				if got, ok := uniq.Get(key); ok != had || ok && got != want.id {
 					t.Fatalf("Get(%v) = %d, %v; oracle %d, %v", key, got, ok, want.id, had)
-				}
-				if got, ok := uniq.First(key); ok != had || ok && got != want.id {
-					t.Fatalf("First(%v) = %d, %v; oracle %d, %v", key, got, ok, want.id, had)
 				}
 				if had && !uniq.Contains(key, want.id) {
 					t.Fatalf("Contains(%v, %d) lost a swapped entry", key, want.id)

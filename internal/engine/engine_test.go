@@ -362,7 +362,7 @@ func TestUpdateColumnKeepsBits(t *testing.T) {
 
 func mustValue(t *testing.T, tb *Table, pk float64, col int) float64 {
 	t.Helper()
-	v, ok := tb.Primary().First(pk)
+	v, ok := tb.Primary().Get(pk)
 	if !ok {
 		t.Fatal("pk missing")
 	}
