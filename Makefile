@@ -87,7 +87,11 @@ difftest:
 # for bit and the open-group counts must agree), then the TRS-Tree fit's
 # median selection (FuzzMedianOf: the branch-free selection against the
 # quickselect it replaced, bit for bit, over duplicate-heavy, all-equal,
-# sorted and reversed inputs, ±Inf, NaN payloads and ±0). The seed corpus
+# sorted and reversed inputs, ±Inf, NaN payloads and ±0), then the TRS-Tree's
+# outlier record (FuzzOutlierCode: a record coded from any value — ±Inf, ±0,
+# NaN, subnormals, values a float32 cannot hold — in a leaf over any span,
+# edge-extended or not, is returned by every query whose exact bounds hold
+# the value, NaN by none, and its id reads back at every width). The seed corpus
 # alone runs in every `go test`; new inputs land in the Go build cache's
 # fuzz directory, a failing one under the package's testdata/fuzz. (A
 # worker minimizing a new input reports 0 execs/sec.)
@@ -99,6 +103,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzHermit -fuzztime $(FUZZTIME) ./internal/hermit
 	$(GO) test -run '^$$' -fuzz FuzzReplay -fuzztime $(FUZZTIME) ./internal/engine
 	$(GO) test -run '^$$' -fuzz FuzzMedianOf -fuzztime $(FUZZTIME) ./internal/trstree
+	$(GO) test -run '^$$' -fuzz FuzzOutlierCode -fuzztime $(FUZZTIME) ./internal/trstree
 
 # Bench: every figure of the paper from one sweep (each dataset loaded
 # once; about 40 s on 2 cores), recorded in BENCH_paper.json, whose counts

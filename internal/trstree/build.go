@@ -98,7 +98,7 @@ type builder struct {
 }
 
 func newBuilder(params Params, seed int64, tokens chan struct{}) *builder {
-	return &builder{params: params, rng: rand.New(rand.NewSource(seed)), tokens: tokens, nodes: nodes{fanout: params.NodeFanout}}
+	return &builder{params: params, rng: rand.New(rand.NewSource(seed)), tokens: tokens, nodes: nodes{fanout: int32(params.NodeFanout)}}
 }
 
 // build recursively constructs the subtree for pairs covering s at depth
@@ -187,10 +187,11 @@ func (b *builder) tryLeaf(pairs []Pair, s span, depth int) (leaf, bool) {
 	l := leaf{model: model, eps: eps, count: uint32(min(len(pairs), math.MaxUint32))}
 	l.off, l.n, l.cap = b.nodes.claim(outliers), uint32(outliers), uint32(outliers)
 	b.nodes.held += outliers
-	run := b.nodes.run(&l)[:0]
+	at := l.off
 	for _, p := range pairs {
 		if uncovered(model, eps, lo, hi, p) {
-			run = append(run, outlierEntry{m: p.M, id: p.ID})
+			b.nodes.put(at, s.code(p.M), p.ID)
+			at++
 		}
 	}
 	return l, true

@@ -41,11 +41,15 @@ func genBenchmarkShape(n int) []Pair {
 //
 //	"TRST", uint16 version 1, the parameters, then per node
 //	  flags byte (leaf 1 | left edge 2 | right edge 4), lo, hi, and
-//	  leaf:  beta, alpha, eps, uint64 count, uint64 0, uint64 outliers, entries
+//	  leaf:  beta, alpha, eps, uint64 count, uint64 0, uint64 outliers, records
 //	  inner: uint32 NodeFanout, then the children in order
 //
-// where the 0 held a deletes counter no leaf keeps any more.
-func fingerprint(tr *Tree) string {
+// where the 0 held a deletes counter no leaf keeps any more, and a record
+// is its float32 code and uint64 id — or, when codes is false, its id
+// alone: the structure hash, which is the same for every encoding of the
+// outlier values (it was recorded while the records held the values
+// themselves as float64s).
+func fingerprint(tr *Tree, codes bool) string {
 	tr.mu.RLock()
 	defer tr.mu.RUnlock()
 	h := sha256.New()
@@ -74,8 +78,11 @@ func fingerprint(tr *Tree) string {
 		if r.isLeaf() {
 			l := &tr.leaves[r.slot()]
 			put(l.model.Beta, l.model.Alpha, l.eps, uint64(l.count), uint64(0), uint64(l.n))
-			for _, e := range tr.run(l) {
-				put(e.m, e.id)
+			for i := l.off; i < l.off+l.n; i++ {
+				if codes {
+					put(tr.code(i))
+				}
+				put(tr.id(i))
 			}
 			return
 		}
@@ -90,11 +97,14 @@ func fingerprint(tr *Tree) string {
 }
 
 // TestBuildGolden pins the tree Build returns, node for node and bit for
-// bit: the hashes are of its fingerprint, recorded before construction
-// was rewritten (radix partition scratch, streaming fit) with the builder
-// that allocated every intermediate. A change to build.go that
-// alters any model, eps, outlier or its order fails here before it moves
-// index_bytes_per_row.
+// bit, by two hashes of its fingerprint. The structure hash leaves the
+// outlier values out: it was recorded before construction was rewritten
+// (radix partition scratch, streaming fit) with the builder that allocated
+// every intermediate — as the full fingerprint was then — and has held
+// since. The full hash has each record's code, and moved, alone, when the
+// records took float32 codes in place of float64 values. A change to
+// build.go that alters any model, eps, outlier or its order fails here
+// before it moves index_bytes_per_row.
 func TestBuildGolden(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("hashes recorded on amd64; other architectures may fuse multiply-adds")
@@ -106,32 +116,42 @@ func TestBuildGolden(t *testing.T) {
 		flat[i] = Pair{M: 7, N: float64(i % 13), ID: uint64(i)}
 	}
 	cases := []struct {
-		name   string
-		pairs  []Pair
-		params Params
-		want   string
+		name            string
+		pairs           []Pair
+		params          Params
+		structure, want string
 	}{
 		{"benchmark-50k", genBenchmarkShape(50_000), DefaultParams(),
-			"f232958a922a5031f8486de75acd757a8ce45d4b8d3fcb532ed88d6063eb36e6"},
+			"46b67f55482bc8537313c4651d85f6de460e7f48c1c7a82513aa10f0e3fbaa6a",
+			"e55953e3b78ff99e4d0a139f4814d591ad9fa35689cdce16620c05c4637d48b7"},
 		{"benchmark-200k", genBenchmarkShape(200_000), DefaultParams(),
-			"2dd3d9ccce5bb2014844716dc3a0be732bbb04f7af77497f4d7dda28aab97c79"},
+			"0c7188f13ee8a791fdd98e3ec9eea5fb5df84467e79ae6b648f773892c09855a",
+			"359b828ea2f2a0587f840b3d7e82dd7ab07194fb327e0ce924eed9efa7832772"},
 		{"benchmark-1M", genBenchmarkShape(1_000_000), DefaultParams(),
-			"80e0f320921f7d7208d968aec40daf1824dd8dbc5e57c3ea721d23ee38eda883"},
+			"e849d2bd2a21f4b8dc5852aaac3e8090b5c4a52c473bb3eef57ce9b7e6322cdc",
+			"8cabf53b17312e488bf3b1554a1186c82c3d405b8f6e6902e2a35d3dada27227"},
 		{"sigmoid-40k-noise2", genSigmoid(40_000, 1000, 0.02, 21), DefaultParams(),
-			"62b621b6aec00236768d495b2793a4aeeb8556233278163b4c02c173a19f097f"},
+			"de4b87411ecf53747181e5e5f77dbf2e5e14f1c797cb40204570fcb58c8c7948",
+			"dd51d467803dd992e02cacc223aef868b0587da1a7ad312b34fb2d62ad65572b"},
 		{"linear-10k-noise5", genLinear(10_000, 1000, 0.05, 5), DefaultParams(),
-			"c91c3856443f564a0017723e32e8506c8230e4488114097f57098754aa3237ad"},
+			"71035ac42a6d7ba43212b19b3e01c365d75e75c1a59583ae64a642061e2aefd8",
+			"3dda1e03b74e3ff00b78437bc62ec7048fd1a4716fb4da3aa264879e915ae314"},
 		{"sigmoid-700-tiny-leaves", genSigmoid(700, 1000, 0.1, 9), small,
-			"d8ed82cfff4d8ebd79350056044a4097ed9b0cb698a51ca30f9c1747002f6488"},
+			"cd66ab3138dfed7fcb33962fbe39066ff4f149a76454bd63a92c5036f70c061f",
+			"52d78d4d13561f1fda3647d3294099fa84c04326064bb07bce5461371714c903"},
 		{"flat-3000", flat, DefaultParams(),
-			"c21c516c7cff775d31a9593bbff308a1f86d012ec06977a250e09e5a891ba355"},
+			"1deddf221e65f178914427ecba0e7270f137b67ef358762e2c19eed960d87785",
+			"2779bad357973f5653b3216590ac09642287c094324e00830432e07d4fa117d1"},
 	}
 	for _, c := range cases {
 		tr, err := Build(c.pairs, 1, 0, c.params) // lo>hi: derive range from data
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := fingerprint(tr); got != c.want {
+		if got := fingerprint(tr, false); got != c.structure {
+			t.Errorf("%s: structure hash %s, want %s", c.name, got, c.structure)
+		}
+		if got := fingerprint(tr, true); got != c.want {
 			st := tr.Stats()
 			t.Errorf("%s: fingerprint %s, want %s (nodes %d, outliers %d, size %d B)",
 				c.name, got, c.want, st.Nodes, st.Outliers, st.SizeBytes)
@@ -142,20 +162,28 @@ func TestBuildGolden(t *testing.T) {
 // TestBuildParallelGolden pins the tree BuildParallel returns — the
 // builder a Hermit index is created with when it is given build workers;
 // the engine gives none, so its indexes take Build's tree — over the
-// benchmark's 1M-row shape: the hash is of its fingerprint, recorded before the tree's nodes
-// moved into flat arrays, and it is the same for every worker count.
+// benchmark's 1M-row shape, by TestBuildGolden's two hashes: the
+// structure hash as recorded before the tree's nodes moved into flat
+// arrays, the full one since the records took float32 codes. Both are the
+// same for every worker count.
 func TestBuildParallelGolden(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("hash recorded on amd64; other architectures may fuse multiply-adds")
 	}
-	const want = "0e365406b261df96a3ecaaa2e2f7d2490efa77bc2193284af2820f51394461f8"
+	const (
+		structure = "0c24e2dab13b24467080fb79e379e73191cfd0e75ee1e9386526bb8125490e35"
+		want      = "b838d5f456ab712d36b832c49847e0913360548c8e7b1d600212ad14c7d3a3e5"
+	)
 	src := genBenchmarkShape(1_000_000)
 	for _, workers := range []int{2, 4} {
 		tr, err := BuildParallel(append([]Pair(nil), src...), 1, 0, DefaultParams(), workers)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := fingerprint(tr); got != want {
+		if got := fingerprint(tr, false); got != structure {
+			t.Errorf("%d workers: structure hash %s, want %s", workers, got, structure)
+		}
+		if got := fingerprint(tr, true); got != want {
 			t.Errorf("%d workers: fingerprint %s, want %s", workers, got, want)
 		}
 	}

@@ -1,11 +1,16 @@
 package trstree
 
-import "math"
+import (
+	"encoding/binary"
+	"math"
+)
 
 // Result is the output of a TRS-Tree lookup (Algorithm 2): a set of
 // approximate ranges on the host column N, to be resolved against the host
-// index, plus the exact tuple identifiers of matching outliers, which can be
-// fetched directly without touching the host index.
+// index, plus the tuple identifiers of the outliers that may match, which
+// can be fetched directly without touching the host index: every matching
+// outlier's, and those of the few whose target value rounds to the same
+// record code as a matching one (see the outlier record in tree.go).
 type Result struct {
 	Ranges []Range
 	IDs    []uint64
@@ -16,8 +21,9 @@ type Result struct {
 
 // Lookup answers the range predicate lo <= M <= hi. A point query passes
 // lo == hi. The returned ranges are widened by each leaf's confidence
-// interval, so they over-approximate the true matches; the base-table
-// visit that ends a Hermit lookup removes the false positives.
+// interval and the outlier identifiers are a superset of the matching
+// ones, so both over-approximate the true matches; the base-table visit
+// that ends a Hermit lookup removes the false positives.
 func (t *Tree) Lookup(lo, hi float64) Result {
 	var res Result
 	t.LookupInto(lo, hi, &res)
@@ -38,7 +44,7 @@ func (t *Tree) LookupInto(lo, hi float64, res *Result) {
 	// Writes parked in the temporal side buffer while a reorganization
 	// scan is in flight (Appendix B) are already acknowledged to their
 	// writers, so lookups must see them: matching parked inserts join the
-	// exact-identifier result. (Parked deletes need no handling here — the
+	// identifier result. (Parked deletes need no handling here — the
 	// stale entry they will remove only widens the candidate set, and
 	// validation filters it.)
 	for _, op := range t.sideBuf {
@@ -86,13 +92,50 @@ func (t *Tree) lookupNode(r ref, s span, lo, hi float64, res *Result) {
 	// the build-time range R are still found.
 	olo := math.Max(lo, s.effectiveLo())
 	ohi := math.Min(hi, s.effectiveHi())
-	if olo <= ohi {
-		for _, e := range t.run(l) {
-			if e.m >= olo && e.m <= ohi {
-				res.IDs = append(res.IDs, e.id)
-			}
-		}
+	if olo <= ohi && l.n > 0 {
+		dlo, dhi := s.matcher(olo, ohi)
+		res.IDs = t.matches(res.IDs, l, dlo, dhi)
 	}
+}
+
+// matches appends to ids the ids of leaf l's records whose code lies in
+// [dlo, dhi]: in place when ids has room for every record — a Result
+// carried across lookups soon does — and else through a stack buffer, a
+// chunk of records at a time, so a fresh Result grows by its matches only.
+func (n *nodes) matches(ids []uint64, l *leaf, dlo, dhi float32) []uint64 {
+	rec, m := n.rec(), mask(n.w)
+	run := n.out[int(l.off)*rec:][:int(l.n)*rec+pad]
+	if k := len(ids); cap(ids)-k >= int(l.n) {
+		return ids[:k+keep(ids[k:cap(ids)], run, rec, m, dlo, dhi)]
+	}
+	var kept [matchChunk]uint64
+	for len(run) > pad {
+		end := min(len(run)-pad, matchChunk*rec)
+		ids = append(ids, kept[:keep(kept[:], run[:end+pad], rec, m, dlo, dhi)]...)
+		run = run[end:]
+	}
+	return ids
+}
+
+// matchChunk is the records matches scans into its stack buffer at a time.
+const matchChunk = 32
+
+// keep writes to dst, which has room for them all, the ids (masked by m)
+// of the rec-byte records in run — then pad bytes — whose code lies in
+// [dlo, dhi], and returns their number. It does not branch on a record:
+// it writes every id — an 8-byte load and a mask, which the pad keeps in
+// bounds — after the ones kept so far and keeps it by advancing their
+// count by the comparisons' 0 or 1. Whether a record matches is a coin
+// toss when the predicate covers part of the leaf, and a branch on it
+// mispredicted about once a record.
+func keep(dst []uint64, run []byte, rec int, m uint64, dlo, dhi float32) int {
+	k := 0
+	for o := 0; o+pad < len(run); o += rec {
+		d := math.Float32frombits(binary.LittleEndian.Uint32(run[o:]))
+		dst[k] = binary.LittleEndian.Uint64(run[o+4:]) & m
+		k += b2i(d >= dlo) & b2i(d <= dhi)
+	}
+	return k
 }
 
 // unionRanges merges overlapping or touching ranges (Algorithm 2, line 15),

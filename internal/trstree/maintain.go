@@ -24,7 +24,7 @@ func (t *Tree) insertLocked(m, n float64, id uint64) {
 		l.count++
 	}
 	if !l.covers(sp, m, n) {
-		t.addOutlier(l, m, id)
+		t.addOutlier(l, sp.code(m), id)
 	}
 }
 
@@ -49,7 +49,7 @@ func (t *Tree) deleteLocked(m, n float64, id uint64) {
 	slot, sp := t.traverse(m)
 	l := &t.leaves[slot]
 	if !l.covers(sp, m, n) {
-		t.removeOutlier(l, m, id)
+		t.removeOutlier(l, sp.code(m), id)
 	}
 	if l.count > 0 {
 		l.count--
@@ -71,9 +71,9 @@ func (t *Tree) Update(m, oldN, newN float64, id uint64) {
 	wasCovered, isCovered := l.covers(sp, m, oldN), l.covers(sp, m, newN)
 	switch {
 	case wasCovered && !isCovered:
-		t.addOutlier(l, m, id)
+		t.addOutlier(l, sp.code(m), id)
 	case !wasCovered && isCovered:
-		t.removeOutlier(l, m, id)
+		t.removeOutlier(l, sp.code(m), id)
 	}
 }
 
@@ -85,7 +85,8 @@ func (l *leaf) covers(s span, m, nv float64) bool {
 	return m >= s.lo && m <= s.hi && math.Abs(nv-l.model.Predict(m)) <= l.eps
 }
 
-// addOutlier records (m, id) in leaf l's buffer. The buffer is a multiset:
+// addOutlier records (d, id) in leaf l's buffer, d being the code of its
+// target value in the leaf's span. The buffer is a multiset:
 // under logical pointers every version of a key carries the same id, so
 // two versions with one target value are two entries, and reclaiming one
 // of them must leave the other's behind. An insert that a reorganization's
@@ -97,22 +98,26 @@ func (l *leaf) covers(s span, m, nv float64) bool {
 // follows the entries it holds: a full run grows by an eighth (at least
 // outlierStep entries), not by doubling, and removeOutlier gives back the
 // room once half of it is unused.
-func (n *nodes) addOutlier(l *leaf, m float64, id uint64) {
+func (n *nodes) addOutlier(l *leaf, d float32, id uint64) {
 	if l.n == l.cap {
 		n.regrow(l, l.n+max(outlierStep, l.n/8))
 	}
-	n.out[l.off+l.n] = outlierEntry{m: m, id: id}
+	n.put(l.off+l.n, d, id)
 	l.n++
 	n.held++
 }
 
-// removeOutlier takes one (m, id) entry out of leaf l's buffer, moving the
-// run's last entry into its place, and reports whether there was one.
-func (n *nodes) removeOutlier(l *leaf, m float64, id uint64) bool {
-	run := n.run(l)
-	for i, e := range run {
-		if e.id == id && e.m == m {
-			run[i] = run[len(run)-1]
+// removeOutlier takes one (d, id) record out of leaf l's buffer, moving
+// the run's last record into its place, and reports whether there was
+// one. Two values with one code are one record to the buffer, so which of
+// their entries goes makes no difference to any lookup. Codes match by
+// their bits: a NaN value codes to the same NaN every time, and its record
+// goes with its tuple like any other.
+func (n *nodes) removeOutlier(l *leaf, d float32, id uint64) bool {
+	for i := l.off; i < l.off+l.n; i++ {
+		if n.id(i) == id && math.Float32bits(n.code(i)) == math.Float32bits(d) {
+			last, rec := int(l.off+l.n-1), n.rec()
+			copy(n.out[int(i)*rec:][:rec], n.out[last*rec:])
 			l.n--
 			n.held--
 			if l.n <= l.cap/2 {
@@ -136,11 +141,11 @@ const outlierStep = 8
 // run ends the arena, else in a run claimed at its end, the old slots left
 // dead.
 func (n *nodes) regrow(l *leaf, capacity uint32) {
-	if int(l.off+l.cap) == len(n.out) {
+	if int(l.off+l.cap) == n.slots() {
 		n.claim(int(capacity - l.cap))
 	} else {
 		off := n.claim(int(capacity))
-		copy(n.out[off:], n.run(l))
+		copy(n.out[int(off)*n.rec():], n.runBytes(l))
 		n.release(l.off, l.cap)
 		l.off = off
 	}

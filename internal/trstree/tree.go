@@ -6,9 +6,14 @@
 // column N. It recursively partitions M's value range into node_fanout equal
 // sub-ranges until each leaf's (m, n) pairs are well covered by a simple
 // linear regression n = beta*m + alpha ± eps; pairs the model fails to cover
-// are kept in per-leaf outlier buffers mapping m to tuple identifiers.
-// Lookups on M return approximate ranges on N (to be resolved against the
-// host index) plus the exact identifiers of matching outliers.
+// are kept in per-leaf outlier buffers mapping m to tuple identifiers, each
+// outlier a 4 + w byte record: m as a float32 offset from its leaf's lower
+// bound, rounded down, and the identifier in the w bytes the tree's largest
+// one needs. Lookups on M return approximate ranges on N (to be resolved
+// against the host index) plus the identifiers of the outliers that may
+// match: a conservative superset, since a rounded offset stands for every
+// value that rounds to it, which the base-table visit that ends a Hermit
+// lookup filters.
 //
 // The structure supports inserts and deletes at runtime, and one way to
 // reorganize (paper §4.4 and Appendix B): ReorgSubtree rebuilds a
@@ -19,7 +24,9 @@
 package trstree
 
 import (
+	"encoding/binary"
 	"math"
+	"math/bits"
 	"slices"
 	"sync"
 	"unsafe"
@@ -137,9 +144,9 @@ func (r ref) slot() int32 { return ^int32(r) }
 
 // leaf is a TRS-Tree leaf: the fitted model, confidence interval and
 // outlier buffer of one sub-range, in 40 bytes that hold no pointer. The
-// buffer is a run of the tree's outlier arena (nodes.out): out[off:][:n]
-// are its entries, and out[off+n:off+cap] room the run owns. A run of no
-// room starts at 0.
+// buffer is a run of the tree's outlier arena (nodes.out): records
+// [off, off+n) are its entries, and [off+n, off+cap) room the run owns. A
+// run of no room starts at 0.
 type leaf struct {
 	model stats.LinearModel
 	eps   float64
@@ -148,14 +155,16 @@ type leaf struct {
 	off, n, cap uint32
 }
 
-// outlierEntry is one buffered outlier — a pair the linear function fails
-// to cover — as its target value and the tuple identifier it maps to: 16
-// bytes, since for noisy workloads the buffers dominate the index
-// footprint (§7.2).
-type outlierEntry struct {
-	m  float64
-	id uint64
-}
+// An outlier — a pair the linear function fails to cover — is a record of
+// the arena, 4 + w bytes: its target value m as a float32 offset from the
+// leaf's span (span.code: m − lo rounded down), then its tuple identifier
+// in w bytes, w being the arena's id width. The buffers dominate the index
+// footprint for noisy workloads (§7.2), and a Hermit lookup may return
+// false positives but no false negative (§5.2), so a record is a
+// conservative filter, not the exact key: m ↦ code(m) is monotone, a
+// lookup returns every record whose code could be that of a value in its
+// predicate (matcher), and the base-table pass that ends every Hermit
+// lookup drops the few that are not.
 
 // span is a node's sub-range [lo, hi] of the target column and its edge
 // flags. The root's span is the tree's bounds; every other span is derived
@@ -200,28 +209,159 @@ func (s span) effectiveHi() float64 {
 	return s.hi
 }
 
+// origin is what an outlier's code is an offset from: the span's lower
+// bound, or 0 when that is infinite or NaN (a tree built over infinite
+// bounds), where m − lo would be NaN for an m of the same infinity.
+func (s span) origin() float64 {
+	if math.IsInf(s.lo, 0) || math.IsNaN(s.lo) {
+		return 0
+	}
+	return s.lo
+}
+
+// code is the record field of target value m in a leaf over s: m − origin
+// rounded down to a float32. It is monotone in m; a NaN m codes to NaN.
+func (s span) code(m float64) float32 { return roundDown32(m - s.origin()) }
+
+// matcher is the code range [lo, hi] a leaf over s returns records from
+// for the predicate olo ≤ m ≤ ohi (olo ≤ ohi, neither NaN): the codes d
+// with d ≤ ohi − origin and olo − origin ≤ nextUp32(d), in float64
+// subtractions. Every value of the predicate codes into it: d = code(m) ≤
+// m − origin ≤ ohi − origin, and m − origin < nextUp32(d) since d is the
+// greatest float32 not above it. A NaN code is in no range.
+func (s span) matcher(olo, ohi float64) (lo, hi float32) {
+	o := s.origin()
+	x := olo - o
+	lo = roundDown32(x)
+	if float64(lo) == x { // nextUp32(d) ≥ x holds from the float32 below x on
+		lo = math.Nextafter32(lo, float32(math.Inf(-1)))
+	}
+	return lo, roundDown32(ohi - o)
+}
+
+// roundDown32 returns the greatest float32 not above x: MaxFloat32 for a
+// finite x beyond it and −Inf below −MaxFloat32, where a conversion's
+// result would be the implementation's; NaN for NaN.
+func roundDown32(x float64) float32 {
+	switch {
+	case x > math.MaxFloat32 && x <= math.MaxFloat64:
+		return math.MaxFloat32
+	case x < -math.MaxFloat32:
+		return float32(math.Inf(-1))
+	}
+	f := float32(x)
+	if float64(f) > x {
+		f = math.Nextafter32(f, float32(math.Inf(-1)))
+	}
+	return f
+}
+
 // nodes holds the nodes of a tree, or of a subtree being built.
 type nodes struct {
-	fanout int
+	// fanout and w share a word: a Tree stays in its 288-byte size class.
+	fanout int32
+	// w is the width of the arena's id fields in bytes: the fewest that
+	// hold the largest id written to it. A wider id re-encodes the arena
+	// (widen), at most 8 times in its life.
+	w      uint8
 	leaves []leaf
 	inner  []ref
-	// out is the outlier arena, every leaf's buffer a run of it. held
-	// counts the entries the runs hold, and dead the slots below len(out)
-	// that no run owns, which settle keeps under an eighth of held.
-	out        []outlierEntry
+	// out is the outlier arena, every leaf's buffer a run of its records,
+	// rec() bytes each. It holds slots() records and room() fit in its
+	// capacity, which keeps pad bytes beyond them. held counts the entries
+	// the runs hold, and dead the slots below slots() that no run owns,
+	// which settle keeps under an eighth of held.
+	out        []byte
 	held, dead int
 	// The slots reorganizations freed, which grafts fill first.
 	freeLeaves, freeInner []int32
 }
 
+// pad is the number of bytes the arena keeps past its last record: an
+// 8-byte load at the id field of any record stays inside the array.
+const pad = 8
+
 // kids returns the child references of inner node r.
 func (n *nodes) kids(r ref) []ref {
-	return n.inner[int(r)*n.fanout:][:n.fanout]
+	k := int(n.fanout)
+	return n.inner[int(r)*k:][:k]
 }
 
-// run returns the outlier entries leaf l holds.
-func (n *nodes) run(l *leaf) []outlierEntry {
-	return n.out[l.off:][:l.n]
+// rec is the size of an arena record in bytes.
+func (n *nodes) rec() int { return 4 + int(n.w) }
+
+// slots is the number of records the arena holds.
+func (n *nodes) slots() int { return len(n.out) / n.rec() }
+
+// room is the number of records the arena's capacity holds.
+func (n *nodes) room() int { return max(cap(n.out)-pad, 0) / n.rec() }
+
+// arena returns an arena of k records with room for c ≥ k, nil for none.
+func (n *nodes) arena(k, c int) []byte {
+	if c == 0 {
+		return nil
+	}
+	return make([]byte, k*n.rec(), c*n.rec()+pad)
+}
+
+// load reads the 8 bytes of the arena at o.
+func (n *nodes) load(o int) uint64 { return binary.LittleEndian.Uint64(n.out[o : o+8]) }
+
+// mask is the bit mask of an id field w bytes wide (all ones at 8: a
+// shift by 64 is 0).
+func mask(w uint8) uint64 { return 1<<(8*uint(w)) - 1 }
+
+// idWidth is the number of bytes id needs.
+func idWidth(id uint64) uint8 { return uint8((bits.Len64(id) + 7) / 8) }
+
+// code returns the code field of record i.
+func (n *nodes) code(i uint32) float32 {
+	return math.Float32frombits(uint32(n.load(int(i) * n.rec())))
+}
+
+// id returns the id field of record i.
+func (n *nodes) id(i uint32) uint64 { return n.load(int(i)*n.rec()+4) & mask(n.w) }
+
+// put writes record i, widening the arena first if id needs more bytes.
+// The id is written by a read-modify-write of 8 bytes, which leaves the
+// bytes past it as they were.
+func (n *nodes) put(i uint32, d float32, id uint64) {
+	n.widen(idWidth(id))
+	o := int(i) * n.rec()
+	binary.LittleEndian.PutUint32(n.out[o:], math.Float32bits(d))
+	o += 4
+	binary.LittleEndian.PutUint64(n.out[o:o+8], n.load(o)&^mask(n.w)|id)
+}
+
+// widen re-encodes the arena with ids w bytes wide, if they are narrower:
+// every slot, owned or dead, at its index, in an array of the same room.
+func (n *nodes) widen(w uint8) {
+	if w <= n.w {
+		return
+	}
+	old := *n
+	n.w = w
+	n.out = n.arena(old.slots(), old.room())
+	for i := range uint32(old.slots()) {
+		n.put(i, old.code(i), old.id(i))
+	}
+}
+
+// runBytes returns the records leaf l holds.
+func (n *nodes) runBytes(l *leaf) []byte {
+	return n.out[int(l.off)*n.rec():][:int(l.n)*n.rec()]
+}
+
+// copyRun writes the records of leaf l of src at slot at of n's arena,
+// whose ids are at least as wide: byte for byte when the widths agree.
+func (n *nodes) copyRun(at uint32, src *nodes, l *leaf) {
+	if src.w == n.w {
+		copy(n.out[int(at)*n.rec():], src.runBytes(l))
+		return
+	}
+	for i := range l.n {
+		n.put(at+i, src.code(l.off+i), src.id(l.off+i))
+	}
 }
 
 // addLeaf stores l in a free slot, or a new one, and returns its reference.
@@ -245,18 +385,20 @@ func (n *nodes) addInner() ref {
 		return ref(i)
 	}
 	n.inner = append(n.inner, make([]ref, n.fanout)...)
-	return ref(len(n.inner)/n.fanout - 1)
+	return ref(len(n.inner)/int(n.fanout) - 1)
 }
 
 // graft copies the subtree src holds under r into n, depth first, and
 // returns its reference in n. A leaf's run moves to the end of n's arena,
-// with no room beyond its entries.
+// with no room beyond its entries; its records keep their codes, since a
+// subtree is grafted under the span it was built over.
 func (n *nodes) graft(src *nodes, r ref) ref {
 	if r.isLeaf() {
 		l := src.leaves[r.slot()]
-		entries := src.run(&l)
-		l.off, l.cap = n.claim(len(entries)), l.n
-		copy(n.out[l.off:], entries)
+		n.widen(src.w)
+		off := n.claim(int(l.n))
+		n.copyRun(off, src, &l)
+		l.off, l.cap = off, l.n
 		n.held += int(l.n)
 		return n.addLeaf(l)
 	}
@@ -297,14 +439,14 @@ func (n *nodes) claim(k int) uint32 {
 	if k == 0 {
 		return 0
 	}
-	if len(n.out)+k > cap(n.out) && n.dead > 0 && n.dead*64 >= len(n.out)-n.dead {
+	if n.slots()+k > n.room() && n.dead > 0 && n.dead*64 >= n.slots()-n.dead {
 		n.pack()
 	}
-	off := len(n.out)
-	if need := off + k; need <= cap(n.out) {
-		n.out = n.out[:need]
+	off := n.slots()
+	if need := off + k; need <= n.room() {
+		n.out = n.out[:need*n.rec()]
 	} else {
-		grown := make([]outlierEntry, need, need+need/16)
+		grown := n.arena(need, need+need/16)
 		copy(grown, n.out)
 		n.out = grown
 	}
@@ -314,19 +456,19 @@ func (n *nodes) claim(k int) uint32 {
 // release gives back arena slots [off, off+k): the arena ends before them
 // if they end it, and they are dead otherwise.
 func (n *nodes) release(off, k uint32) {
-	if int(off+k) == len(n.out) {
-		n.out = n.out[:off]
+	if int(off+k) == n.slots() {
+		n.out = n.out[:int(off)*n.rec()]
 		return
 	}
 	n.dead += int(k)
 }
 
 // settle packs the arena once its dead slots exceed an eighth of the
-// entries held, or its unused capacity a quarter of what the runs own, so a
+// entries held, or its unused room a quarter of what the runs own, so a
 // write costs amortized O(1) and SizeBytes follows the entries held.
 // Called with the tree latched.
 func (n *nodes) settle() {
-	if owned := len(n.out) - n.dead; n.dead*8 > n.held || cap(n.out)-owned > owned/4 {
+	if owned := n.slots() - n.dead; n.dead*8 > n.held || n.room()-owned > owned/4 {
 		n.pack()
 	}
 }
@@ -336,16 +478,16 @@ func (n *nodes) settle() {
 // eighth of what the runs own, the runs move into a new array instead,
 // a sixteenth longer than they need.
 func (n *nodes) pack() {
-	owned := len(n.out) - n.dead
-	out, moved := n.out[:owned], false
-	if cap(n.out)-owned > owned/8 {
-		out, moved = make([]outlierEntry, owned, owned+owned/16), true
+	owned, rec := n.slots()-n.dead, n.rec()
+	out, moved := n.out[:owned*rec], false
+	if n.room()-owned > owned/8 {
+		out, moved = n.arena(owned, owned+owned/16), true
 	}
 	at := uint32(0)
 	for _, k := range n.runOrder() {
 		l := &n.leaves[uint32(k)]
 		if moved || l.off != at {
-			copy(out[at:], n.run(l))
+			copy(out[int(at)*rec:], n.runBytes(l))
 			l.off = at
 		}
 		at += l.cap
@@ -365,7 +507,7 @@ func (n *nodes) runOrder() []uint64 {
 		}
 	}
 	tmp := make([]uint64, len(keys))
-	for shift := 32; len(n.out)>>(shift-32) > 0; shift += 8 {
+	for shift := 32; n.slots()>>(shift-32) > 0; shift += 8 {
 		var at [256]int
 		for _, k := range keys {
 			at[byte(k>>shift)]++
@@ -386,11 +528,14 @@ func (n *nodes) runOrder() []uint64 {
 }
 
 // clip moves the node arrays and the arena into arrays of their exact
-// length: a finished build holds no append headroom.
+// length (the arena's and its pad): a finished build holds no append
+// headroom.
 func (n *nodes) clip() {
 	n.leaves = append(make([]leaf, 0, len(n.leaves)), n.leaves...)
 	n.inner = append(make([]ref, 0, len(n.inner)), n.inner...)
-	n.out = append(make([]outlierEntry, 0, len(n.out)), n.out...)
+	out := n.arena(n.slots(), n.slots())
+	copy(out, n.out)
+	n.out = out
 }
 
 // sizeBytes is what the heap holds for the node arrays and the outlier
@@ -398,7 +543,7 @@ func (n *nodes) clip() {
 // rounds it (heapBytes). None of them holds a pointer.
 func (n *nodes) sizeBytes() uint64 {
 	return heapBytes(cap(n.leaves)*int(unsafe.Sizeof(leaf{})), false) +
-		heapBytes(cap(n.out)*int(unsafe.Sizeof(outlierEntry{})), false) +
+		heapBytes(cap(n.out), false) +
 		heapBytes(cap(n.inner)*4, false) +
 		heapBytes(cap(n.freeLeaves)*4, false) + heapBytes(cap(n.freeInner)*4, false)
 }
