@@ -69,7 +69,8 @@ difftest:
 
 # Coverage-guided fuzzing for FUZZTIME each: the B+-tree's key order and
 # unique-key path (Insert/Delete/Get/Swap/Scan over finite, ±0, ±Inf and NaN
-# keys against a map oracle, structural check after every op), then the
+# keys, with ids of every width and the logical ids of such keys, against a
+# map oracle, structural check after every op), then the
 # bulk-load sort kernels (keyorder.SortPairs/SortTriples against a sort.Sort
 # reference, NaN payloads, signed zeros, duplicates, sorted and reverse
 # inputs), then the block tier's decoder (FuzzDecodeBlock: a block image as
@@ -91,7 +92,8 @@ difftest:
 # outlier record (FuzzOutlierCode: a record coded from any value — ±Inf, ±0,
 # NaN, subnormals, values a float32 cannot hold — in a leaf over any span,
 # edge-extended or not, is returned by every query whose exact bounds hold
-# the value, NaN by none, and its id reads back at every width). The seed corpus
+# the value, NaN by none, and its id reads back through id frames of every
+# base, shift and width). The seed corpus
 # alone runs in every `go test`; new inputs land in the Go build cache's
 # fuzz directory, a failing one under the package's testdata/fuzz. (A
 # worker minimizing a new input reports 0 execs/sec.)
@@ -116,11 +118,16 @@ fuzz:
 # lookups and 1000-entry range scans on 1M keys, with the tree's B/entry:
 # the comparison the constant was chosen by — and random point lookups on
 # a 1M-key primary index (BenchmarkGetRandom1M), each for a million
-# operations, enough for a mean that means something (about 30 s in all).
+# operations, enough for a mean that means something; then a million
+# TRS-Tree lookups in the shape durable-write's tree ends its run in
+# (BenchmarkLookupOutlierHeavy), its outlier ids row ids and logical ids —
+# whose id frame has a base and a shift to decode — side by side (about
+# 30 s in all).
 bench: build
 	$(GO) run ./cmd/hermit-bench -exp paper -scale 0.02 -measure 20ms
 	$(GO) test -run '^$$' -bench 'BenchmarkCreate(BTree|Hermit)Index' -benchtime 1x .
 	$(GO) test -run '^$$' -bench 'Order|GetRandom1M' -benchtime 1000000x ./internal/btree
+	$(GO) test -run '^$$' -bench LookupOutlierHeavy -benchtime 1000000x ./internal/trstree
 
 # The full artifact-producing suite: the paper sweep (`make bench`), then
 # every experiment in BENCH_EXPERIMENTS in one invocation (each writes its

@@ -470,3 +470,100 @@ func TestHeapProfileOfDurableChurn(t *testing.T) {
 		t.Errorf("version table %.2f B/row five turnovers after the checkpoint, want <= 4: unflushed rows carry headers again?", perRow)
 	}
 }
+
+// TestLogicalIDsPacked guards what a logical id costs the indexes of a
+// durable table. hermit.LogicalID is a primary key's rank, an 8-byte value
+// whose top bit is set for every positive key; the ranks of whole keys
+// below 2^18 share their low 35 bits as well, and the id frames of the
+// B+-tree's leaves and of the TRS-Tree's outlier arena take those bits out,
+// so a logical id costs what a row id would. A logical-pointer DurableDB
+// holds 200k Synthetic rows with the host B+-tree and Hermit; the targets
+// of a third of the rows then move off the model, as the repository
+// benchmark's durable-write moves them, and each becomes an outlier record.
+//
+// The host index must hold at most 11 B/entry, bulk-loaded and after the
+// updates (14.8 and 14.7 while ids took 8 bytes of code; 10.1 measured
+// since). A Hermit index built afresh over the updated table must keep
+// its outlier records in at most 8 bytes, a 4-byte target code and 4 of
+// id (12 while ids took 8): key 0, whose row is among the outliers, ranks
+// 2^62 below key 1 — every fraction between them has a rank — and a frame
+// that holds both needs 4 bytes of code. Once row 0 is deleted, a fresh
+// index keeps them in at most 7, 3 bytes of id.
+//
+// A fresh tree's arena is exactly its records and 8 bytes of pad; what
+// SizeBytes holds beside it is the 288-byte Tree, a 40-byte leaf a leaf
+// and NodeFanout 4-byte references an inner node (trstree's
+// TestLeafLayout), and the allocator's rounding of the three arrays,
+// which tens of thousands of records divide to under a byte.
+func TestLogicalIDsPacked(t *testing.T) {
+	const rows = 200_000
+	d, err := hermitdb.OpenDurable(t.TempDir(), hermitdb.LogicalPointers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	spec := hermitdb.SyntheticSpec{Rows: rows, Fn: hermitdb.Sigmoid, Noise: 0.01, Seed: 1}
+	if _, err := d.CreateTable("syn", spec.Columns(), spec.PKCol()); err != nil {
+		t.Fatal(err)
+	}
+	syn := durableSyn{d}
+	if err := spec.Generate(func(row []float64) error {
+		_, err := syn.Insert(row)
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	hermitDef := hermitdb.IndexDef{Kind: "hermit", Col: spec.TargetCol(), Host: spec.HostCol()}
+	for _, def := range []hermitdb.IndexDef{{Kind: "btree", Col: spec.HostCol()}, hermitDef} {
+		if err := d.CreateIndex("syn", def); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tb, err := d.Table("syn")
+	if err != nil {
+		t.Fatal(err)
+	}
+	hostBytes := func(when string) {
+		t.Helper()
+		host := tb.Secondary(spec.HostCol())
+		per := float64(host.SizeBytes()) / float64(host.Len())
+		t.Logf("host index %s: %.2f B/entry", when, per)
+		if per > 11 {
+			t.Errorf("host index %s: %.2f B/entry, want <= 11", when, per)
+		}
+	}
+	hostBytes("bulk-loaded")
+	rng := rand.New(rand.NewSource(2))
+	for range rows / 3 {
+		if err := syn.UpdateColumn(float64(rng.Intn(rows)), spec.TargetCol(), rng.Float64()*1000); err != nil {
+			t.Fatal(err)
+		}
+	}
+	hostBytes("after the updates")
+
+	records := func(when string, most int) {
+		t.Helper()
+		if err := d.DropIndex("syn", spec.TargetCol(), "hermit"); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.CreateIndex("syn", hermitDef); err != nil {
+			t.Fatal(err)
+		}
+		tr := tb.Hermit(spec.TargetCol()).Tree()
+		st := tr.Stats()
+		besides := 288 + 40*st.Leaves + 4*tr.Params().NodeFanout*(st.Nodes-st.Leaves)
+		if st.Outliers < 3*8192 {
+			t.Fatalf("%s: %d outliers are too few to divide the allocator's rounding to under a byte", when, st.Outliers)
+		}
+		rec := (int(st.SizeBytes) - besides - 8) / st.Outliers
+		t.Logf("Hermit %s: %d outliers in %d leaves, %d B: %d-byte records", when, st.Outliers, st.Leaves, st.SizeBytes, rec)
+		if rec > most {
+			t.Errorf("Hermit %s: outlier records of %d bytes, want <= %d", when, rec, most)
+		}
+	}
+	records("with key 0", 8)
+	if found, err := syn.Delete(0); err != nil || !found {
+		t.Fatalf("delete 0: found=%v err=%v", found, err)
+	}
+	records("without key 0", 7)
+}

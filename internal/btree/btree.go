@@ -39,24 +39,28 @@
 // A leaf stores its entries frame-of-reference packed. Entry i is kw+vw
 // bytes of one byte array: its key's rank less the leaf's kbase, shifted
 // right by the leaf's shift, in kw little-endian bytes, then its id less the
-// leaf's vbase in vw bytes. The frame (kbase, shift, kw, vbase, vw) is the
-// tightest one that holds the leaf's entries when the leaf is encoded
-// (fill): kbase is the rank of its first key, shift the trailing zero bits
-// all its key ranks share above kbase, vbase its smallest id, and the widths
-// the bytes its largest codes need, from 0 to 8. Keys that are whole
-// numbers, or anything else on a coarse grid, share many low zero bits; the
-// keys of one leaf are near one another and its ids usually too. An
-// ascending primary key and its row ids pack into one byte each, the host
-// index's keys into 5 or 6. A write the frame cannot hold — a key below
-// kbase or off its grid, a code or an id too wide for its width, an id
-// below vbase — re-encodes that one leaf in a frame that holds it
-// (refill). Deletes never need to; a delete that shrinks the array
-// re-encodes the leaf too, so its frame follows what it holds. The array
-// ends in 8 spare bytes, so that every field is read with one unaligned
-// 8-byte load and a mask. Searches within a leaf compare codes, not keys:
-// a probe is mapped into the leaf's frame once (probe). Internal nodes,
-// about one node in a hundred, keep their separators as float64 keys and
-// uint64 ties beside the child pointers.
+// leaf's vbase, shifted right by its vshift, in vw bytes. The frame (kbase,
+// shift, kw, vbase, vshift, vw) is the tightest one that holds the leaf's
+// entries when the leaf is encoded (fill): kbase is the rank of its first
+// key, shift the trailing zero bits all its key ranks share above kbase,
+// vbase its smallest id, vshift the trailing zero bits all its ids share
+// above vbase, and the widths the bytes its largest codes need, from 0 to
+// 8. Keys that are whole numbers, or anything else on a coarse grid, share
+// many low zero bits; the keys of one leaf are near one another and its ids
+// usually too. Under logical pointers an id is a primary key's rank, whose
+// low 35 bits are zero for every whole key below 2^18, and the id grid
+// takes them out as the key grid does; a row id is dense and gets vshift 0.
+// An ascending primary key and its row ids pack into one byte each, the
+// host index's keys into 5 or 6 and its logical ids into 3. A write the
+// frame cannot hold — a key or an id below its base or off its grid, a
+// code too wide for its width — re-encodes that one leaf in a frame that
+// holds it (refill). Deletes never need to; a delete that shrinks the
+// array re-encodes the leaf too, so its frame follows what it holds. The
+// array ends in 8 spare bytes, so that every field is read with one
+// unaligned 8-byte load and a mask. Searches within a leaf compare codes,
+// not keys: a probe is mapped into the leaf's frame once (probe). Internal
+// nodes, about one node in a hundred, keep their separators as float64
+// keys and uint64 ties beside the child pointers.
 //
 // Measured on 1M entries at DefaultOrder (TestHeapMatchesSizeBytes, what
 // SizeBytes and the heap agree on): ascending inserts hold 2.93 B/entry,
@@ -146,8 +150,10 @@ type node struct {
 	vbase uint64 // the id id code 0 stands for
 	n     int32  // entries in a leaf
 	// A key code is (rank - kbase) >> shift in kw bytes, an id code
-	// id - vbase in vw bytes.
-	shift, kw, vw uint8
+	// (id - vbase) >> vshift in vw bytes. Both shifts are below 64; code
+	// that shifts by one masks it with 63 to say so, which spares the
+	// compiler's guard for a shift of 64 or more at every entry decoded.
+	shift, kw, vshift, vw uint8
 }
 
 // inner is what an internal node holds besides its header.
@@ -258,6 +264,18 @@ func mask(w uint8) uint64 { return 1<<(8*uint(w)) - 1 }
 // width is the number of bytes code c needs.
 func width(c uint64) uint8 { return uint8((bits.Len64(c) + 7) / 8) }
 
+// gridShift is the shift of a grid whose points differ from its base by
+// the bits of g: their common trailing zero bits, 0 when they all equal it.
+func gridShift(g uint64) uint8 {
+	if g == 0 {
+		return 0
+	}
+	return uint8(bits.TrailingZeros64(g))
+}
+
+// onGrid reports whether the offset d lies on a grid of the given shift.
+func onGrid(d uint64, shift uint8) bool { return d&(1<<(shift&63)-1) == 0 }
+
 // w is the width of one entry of leaf n in bytes.
 func (n *node) w() int { return int(n.kw) + int(n.vw) }
 
@@ -268,14 +286,14 @@ func load(buf []byte, o int) uint64 { return binary.LittleEndian.Uint64(buf[o:])
 func (n *node) code(i int) uint64 { return load(n.buf, i*n.w()) & mask(n.kw) }
 
 // rank returns the key rank of entry i of leaf n.
-func (n *node) rank(i int) uint64 { return n.kbase + n.code(i)<<n.shift }
+func (n *node) rank(i int) uint64 { return n.kbase + n.code(i)<<(n.shift&63) }
 
 // key returns the key of entry i of leaf n.
 func (n *node) key(i int) float64 { return keyorder.Unrank(n.rank(i)) }
 
 // id returns the id of entry i of leaf n.
 func (n *node) id(i int) uint64 {
-	return n.vbase + load(n.buf, i*n.w()+int(n.kw))&mask(n.vw)
+	return n.vbase + load(n.buf, i*n.w()+int(n.kw))&mask(n.vw)<<(n.vshift&63)
 }
 
 // put writes entry i of leaf n, which must fit n's frame (fits). Each field
@@ -284,37 +302,54 @@ func (n *node) id(i int) uint64 {
 func (n *node) put(i int, r, id uint64) {
 	o := i * n.w()
 	km, vm := mask(n.kw), mask(n.vw)
-	binary.LittleEndian.PutUint64(n.buf[o:], load(n.buf, o)&^km|(r-n.kbase)>>n.shift)
+	binary.LittleEndian.PutUint64(n.buf[o:], load(n.buf, o)&^km|(r-n.kbase)>>(n.shift&63))
 	o += int(n.kw)
-	binary.LittleEndian.PutUint64(n.buf[o:], load(n.buf, o)&^vm|(id-n.vbase))
+	binary.LittleEndian.PutUint64(n.buf[o:], load(n.buf, o)&^vm|(id-n.vbase)>>(n.vshift&63))
 }
 
 // fits reports whether leaf n's frame holds the entry (r, id).
 func (n *node) fits(r, id uint64) bool {
 	d := r - n.kbase
-	return r >= n.kbase && d&(1<<n.shift-1) == 0 && d>>n.shift <= mask(n.kw) && n.fitsID(id)
+	return r >= n.kbase && onGrid(d, n.shift) && d>>(n.shift&63) <= mask(n.kw) && n.fitsID(id)
 }
 
 // fitsID reports whether leaf n's frame holds id.
-func (n *node) fitsID(id uint64) bool { return id >= n.vbase && id-n.vbase <= mask(n.vw) }
+func (n *node) fitsID(id uint64) bool {
+	d := id - n.vbase
+	return id >= n.vbase && onGrid(d, n.vshift) && d>>(n.vshift&63) <= mask(n.vw)
+}
 
 // probe maps the composite key (r, v), r a rank, into leaf n's frame: the
 // entries at or above (r, v) are those whose (key code, id code) pair is at
-// or above (c, e). A rank off the leaf's grid lies strictly between two
-// codes, so the entries above it are those from the next code up.
+// or above (c, e). An id off the leaf's grid lies strictly between two
+// codes, as a rank does (probeKey), so the entries above it are those from
+// the next code up.
 func (n *node) probe(r, v uint64) (c, e uint64) {
-	if r < n.kbase {
-		return 0, 0
-	}
-	d := r - n.kbase
-	c = d >> n.shift
-	switch {
-	case d&(1<<n.shift-1) != 0:
-		return c + 1, 0
-	case v < n.vbase:
+	c, exact := n.probeKey(r)
+	if !exact || v < n.vbase {
 		return c, 0
 	}
-	return c, v - n.vbase
+	d := v - n.vbase
+	if e = d >> (n.vshift & 63); !onGrid(d, n.vshift) {
+		e++
+	}
+	return c, e
+}
+
+// probeKey maps rank r into leaf n's frame: the entries whose rank is at
+// or above r are those whose key code is at or above c, and exact reports
+// whether r is the rank of code c. A rank off the leaf's grid lies
+// strictly between two codes, so the entries above it are those from the
+// next code up.
+func (n *node) probeKey(r uint64) (c uint64, exact bool) {
+	if r < n.kbase {
+		return 0, false
+	}
+	d := r - n.kbase
+	if c = d >> (n.shift & 63); !onGrid(d, n.shift) {
+		return c + 1, false
+	}
+	return c, true
 }
 
 // lower returns the index of the first entry of leaf n whose (key code, id
@@ -349,7 +384,7 @@ func (n *node) find(r uint64) (int, bool) {
 	if k == 0 {
 		return 0, false
 	}
-	c, _ := n.probe(r, 0)
+	c, _ := n.probeKey(r)
 	buf, w, km := n.buf, n.w(), mask(n.kw)
 	i := 0
 	for size := k; size > 1; size -= size >> 1 {
@@ -507,19 +542,20 @@ func (n *node) decode(ranks, ids []uint64) ([]uint64, []uint64) {
 // n's own array when it is that class.
 func fill(n *node, ranks, ids []uint64, room int) {
 	n.n = int32(len(ranks))
-	n.kbase, n.vbase, n.shift, n.kw, n.vw = 0, 0, 0, 0, 0
+	n.kbase, n.vbase, n.shift, n.kw, n.vshift, n.vw = 0, 0, 0, 0, 0, 0
 	if len(ranks) > 0 {
-		var grid uint64
-		n.kbase = ranks[0]
-		for _, r := range ranks {
+		// Every id differs from the smallest in the low bits it differs
+		// from the first in, so one pass finds the id grid and range.
+		var grid, vgrid, vmax uint64
+		n.kbase, n.vbase = ranks[0], ids[0]
+		for i, r := range ranks {
 			grid |= r - n.kbase
+			vgrid |= ids[i] ^ ids[0]
+			n.vbase, vmax = min(n.vbase, ids[i]), max(vmax, ids[i])
 		}
-		if grid != 0 {
-			n.shift = uint8(bits.TrailingZeros64(grid))
-		}
-		n.vbase = slices.Min(ids)
+		n.shift, n.vshift = gridShift(grid), gridShift(vgrid)
 		n.kw = width((ranks[len(ranks)-1] - n.kbase) >> n.shift)
-		n.vw = width(slices.Max(ids) - n.vbase)
+		n.vw = width((vmax - n.vbase) >> n.vshift)
 	}
 	w := n.w()
 	if size := fitBytes(max(len(ranks), room)*w + pad); len(n.buf) != size {
@@ -530,7 +566,7 @@ func fill(n *node, ranks, ids []uint64, room int) {
 	for i, r := range ranks {
 		o := i * w
 		binary.LittleEndian.PutUint64(n.buf[o:], (r-n.kbase)>>n.shift)
-		binary.LittleEndian.PutUint64(n.buf[o+int(n.kw):], ids[i]-n.vbase)
+		binary.LittleEndian.PutUint64(n.buf[o+int(n.kw):], (ids[i]-n.vbase)>>n.vshift)
 	}
 }
 
@@ -832,7 +868,7 @@ func (t *Tree) Scan(lo, hi float64, fn func(key float64, id uint64) bool) {
 		// The codes at or below last are the keys at or below hi. The
 		// frame is read into locals once: fn could change n, as far as the
 		// compiler knows, so it would read n's fields again at every entry.
-		kbase, shift, vbase := n.kbase, n.shift, n.vbase
+		kbase, shift, vbase, vshift := n.kbase, n.shift&63, n.vbase, n.vshift&63
 		last := (top - kbase) >> shift
 		buf, w, kw := n.buf, n.w(), int(n.kw)
 		km, vm := mask(n.kw), mask(n.vw)
@@ -841,7 +877,7 @@ func (t *Tree) Scan(lo, hi float64, fn func(key float64, id uint64) bool) {
 			if c > last {
 				return
 			}
-			if !fn(keyorder.Unrank(kbase+c<<shift), vbase+load(buf, i*w+kw)&vm) {
+			if !fn(keyorder.Unrank(kbase+c<<shift), vbase+load(buf, i*w+kw)&vm<<vshift) {
 				return
 			}
 		}
@@ -1125,8 +1161,8 @@ func checkArray[T any](s []T, leafInside bool) error {
 func (t *Tree) checkLeaf(n *node) error {
 	used := int(n.n)*n.w() + pad
 	switch {
-	case n.kw > 8 || n.vw > 8 || n.shift > 63:
-		return fmt.Errorf("btree: leaf frame has widths %d+%d, shift %d", n.kw, n.vw, n.shift)
+	case n.kw > 8 || n.vw > 8 || n.shift > 63 || n.vshift > 63:
+		return fmt.Errorf("btree: leaf frame has widths %d+%d, shifts %d and %d", n.kw, n.vw, n.shift, n.vshift)
 	case int(n.n) > t.order:
 		return fmt.Errorf("btree: leaf holds %d entries, order %d", n.n, t.order)
 	case n.buf == nil && n.n == 0:

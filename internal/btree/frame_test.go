@@ -3,6 +3,7 @@ package btree
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"unsafe"
 
@@ -22,11 +23,11 @@ func TestHeaderSizes(t *testing.T) {
 
 // frameOf is leaf n's frame, for comparing before and after a write.
 type frameOf struct {
-	kbase, vbase  uint64
-	shift, kw, vw uint8
+	kbase, vbase          uint64
+	shift, kw, vshift, vw uint8
 }
 
-func frame(n *node) frameOf { return frameOf{n.kbase, n.vbase, n.shift, n.kw, n.vw} }
+func frame(n *node) frameOf { return frameOf{n.kbase, n.vbase, n.shift, n.kw, n.vshift, n.vw} }
 
 // oneLeaf returns a tree of DefaultOrder that holds the entries in its one
 // leaf, inserted in the order given.
@@ -100,7 +101,7 @@ func TestFrameTransitions(t *testing.T) {
 		},
 		{
 			"wider id grows vw",
-			[]kv{{1, 10}, {2, 20}, {3, 30}},
+			[]kv{{1, 10}, {2, 21}, {3, 30}},
 			kv{4, 10 + 1<<40},
 			func(b, a frameOf) bool { return b.vw == 1 && a.vw == 6 && a.vbase == 10 },
 		},
@@ -123,6 +124,24 @@ func TestFrameTransitions(t *testing.T) {
 			func(b, a frameOf) bool { return a.kw == 8 },
 		},
 		{
+			"logical ids take the grid of their keys",
+			[]kv{{1, logical(100)}, {2, logical(50)}, {3, logical(70)}},
+			kv{4, logical(90)},
+			func(b, a frameOf) bool { return b.vshift == 47 && b.vw == 1 && a == b },
+		},
+		{
+			"id off the grid shrinks vshift",
+			[]kv{{1, logical(100)}, {2, logical(50)}, {3, logical(70)}},
+			kv{4, logical(70.5)},
+			func(b, a frameOf) bool { return b.vshift == 47 && a.vshift == 45 && a.vw == 1 },
+		},
+		{
+			"id on a finer grid below vbase",
+			[]kv{{1, 4096}, {2, 8192}},
+			kv{3, 7},
+			func(b, a frameOf) bool { return b.vshift == 12 && a.vshift == 0 && a.vbase == 7 && a.vw == 2 },
+		},
+		{
 			"duplicates of one entry take no bytes",
 			[]kv{{5, 9}, {5, 9}, {5, 9}},
 			kv{5, 10},
@@ -139,6 +158,120 @@ func TestFrameTransitions(t *testing.T) {
 			}
 			holdsExactly(t, tr, append(c.before, c.write))
 		})
+	}
+}
+
+// logical is the id a logical-pointer index stores for primary key pk.
+func logical(pk float64) uint64 { return keyorder.Rank(pk) }
+
+// An id between two grid points of a leaf is no entry of it: Contains and
+// Delete of it miss without touching the leaf, and an Insert of it lands
+// between its neighbours, in a leaf re-encoded on the finer grid. The
+// probe runs through the composite descent of a tree several leaves deep,
+// whose entries all share one key, so every leaf is told apart by its ids.
+func TestProbeBetweenIDGridPoints(t *testing.T) {
+	tr := New(testOrder)
+	var live []kv
+	for pk := range 200 {
+		e := kv{5, logical(float64(2 * pk))} // even keys: a grid of 2^47
+		tr.Insert(e.key, e.id)
+		live = append(live, e)
+	}
+	holdsExactly(t, tr, live)
+	if tr.Height() < 2 {
+		t.Fatalf("%d entries in one leaf", len(live))
+	}
+	frames := func() []frameOf {
+		var fs []frameOf
+		for n := firstLeaf(tr); n != nil; n = n.next {
+			fs = append(fs, frame(n))
+		}
+		return fs
+	}
+	before := frames()
+	for pk := 1.0; pk < 400; pk += 2 {
+		if tr.Contains(5, logical(pk)) {
+			t.Fatalf("Contains(5, logical(%v)) of an odd key", pk)
+		}
+		if tr.Delete(5, logical(pk)) {
+			t.Fatalf("Delete(5, logical(%v)) of an odd key", pk)
+		}
+		if tr.Contains(5, logical(pk)+1) || tr.Delete(5, logical(pk)+1) {
+			t.Fatalf("an id one above logical(%v) found", pk)
+		}
+	}
+	if after := frames(); !slices.Equal(before, after) {
+		t.Fatalf("misses changed the leaf frames: %v became %v", before, after)
+	}
+	holdsExactly(t, tr, live)
+	n := 0
+	tr.Scan(5, 5, func(_ float64, id uint64) bool {
+		if want := logical(float64(2 * n)); id != want {
+			t.Fatalf("Scan entry %d: id %#x, want %#x", n, id, want)
+		}
+		n++
+		return true
+	})
+	for _, pk := range []float64{1, 77, 141, 399, 0.5, 200.25} {
+		e := kv{5, logical(pk)}
+		tr.Insert(e.key, e.id)
+		live = append(live, e)
+		holdsExactly(t, tr, live)
+	}
+	for _, e := range live[len(live)-6:] {
+		if !tr.Delete(e.key, e.id) {
+			t.Fatalf("Delete(%v, %#x) of an inserted off-grid id missed", e.key, e.id)
+		}
+	}
+	holdsExactly(t, tr, live[:len(live)-6])
+}
+
+// Two leaves whose ids lie on different grids merge into one leaf on the
+// finer of them, and every entry reads back.
+func TestMergeAcrossIDGrids(t *testing.T) {
+	tr := New(testOrder)
+	var live []kv
+	for i := range 4 * testOrder {
+		id := logical(float64(i)) // whole keys: a coarse grid
+		if i >= 2*testOrder {
+			id = uint64(i) << 3 // a grid of 8
+		}
+		e := kv{float64(i), id}
+		tr.Insert(e.key, e.id)
+		live = append(live, e)
+	}
+	shifts := map[uint8]bool{}
+	for n := firstLeaf(tr); n != nil; n = n.next {
+		shifts[n.vshift] = true
+	}
+	if !shifts[3] || len(shifts) < 2 {
+		t.Fatalf("leaf id shifts %v: want 3 and a coarser one", shifts)
+	}
+	// Drain the middle until the leaves either side of the seam merge.
+	for len(live) > testOrder/2 {
+		mid := len(live) / 2
+		if !tr.Delete(live[mid].key, live[mid].id) {
+			t.Fatalf("Delete(%v, %#x) missed", live[mid].key, live[mid].id)
+		}
+		live = slices.Delete(live, mid, mid+1)
+	}
+	holdsExactly(t, tr, live)
+	mixed := false
+	for n := firstLeaf(tr); n != nil; n = n.next {
+		var coarse, fine bool
+		for i := range int(n.n) {
+			coarse = coarse || n.id(i) >= 1<<63
+			fine = fine || n.id(i) < 1<<63
+		}
+		if coarse && fine {
+			mixed = true
+			if n.vshift != 3 {
+				t.Fatalf("a leaf of both grids has id shift %d", n.vshift)
+			}
+		}
+	}
+	if !mixed {
+		t.Fatal("no leaf holds ids of both grids after the drain")
 	}
 }
 

@@ -73,6 +73,13 @@ func sameKVs(a, b []kv) bool {
 // bounds its subtree shows, or an append pointer that no longer names the
 // last leaf. A last op rebuilds the unique tree with BulkLoad from its
 // oracle.
+//
+// An op is three bytes: the op, a key and an id (fuzzKey, fuzzID). With
+// bit 3 of the op byte set the id is the logical id of the third byte's
+// key instead — the rank a logical-pointer index stores for a primary key
+// (hermit.LogicalID) — so ids also come on the grids of whole, fractional,
+// infinite, zero and NaN keys, and ids between two grid points probe the
+// leaves' id frames.
 func FuzzTreeTotalOrder(f *testing.F) {
 	// Ascending load (splits), then ids swapped downwards over every key —
 	// separators included — then exact-entry deletes of what was swapped.
@@ -206,6 +213,23 @@ func FuzzTreeTotalOrder(f *testing.F) {
 	}
 	f.Add(seed)
 
+	// Logical ids: many entries of a few keys, their ids the ranks of
+	// whole keys (a coarse id grid), then swapped, inserted and deleted
+	// with ranks of quarters, of the special keys and of keys off every
+	// leaf's grid; scanned and drained between.
+	seed = nil
+	for b := byte(128); b < 250; b += 4 {
+		seed = append(seed, 3|8, 140+b%3, b, 0|8, b, b)
+	}
+	for _, b := range []byte{129, 130, 131, 0, 1, 2, 3, 4, 5, 6, 7, 250, 251} {
+		seed = append(seed, 3|8, 141, b, 4|8, 140, b, 0|8, b, b, 2, b, 0, 5, 140, 142)
+	}
+	for b := byte(128); b < 250; b += 2 {
+		seed = append(seed, 4|8, 140+b%3, b, 1|8, b, b)
+	}
+	seed = append(seed, 6, 0, 0, 5, 0, 255)
+	f.Add(seed)
+
 	f.Fuzz(func(t *testing.T, data []byte) {
 		uniq, multi := New(4), New(4)
 		uo := map[uint64]kv{}             // key bits -> entry
@@ -221,6 +245,9 @@ func FuzzTreeTotalOrder(f *testing.F) {
 		}
 		for ; len(data) >= 3; data = data[3:] {
 			op, key, id := data[0]%8, fuzzKey(data[1]), fuzzID(data[2])
+			if data[0]&8 != 0 {
+				id = keyorder.Rank(fuzzKey(data[2]))
+			}
 			bits := keyorder.Bits(key)
 			switch op {
 			case 0:

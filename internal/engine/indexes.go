@@ -278,8 +278,8 @@ type maintainer struct {
 	comp *btree.CompositeTree
 	cx   *cm.Index
 	hx   interface { // *hermit.Index or *hermit.CompositeIndex
-		Insert(rid storage.RID, m, n float64)
-		Delete(rid storage.RID, m, n float64)
+		Insert(id uint64, m, n float64)
+		Delete(id uint64, m, n float64)
 	}
 }
 
@@ -303,9 +303,9 @@ func (m *maintainer) apply(put bool, rid storage.RID, id uint64, row []float64) 
 	case m.cx != nil:
 		m.cx.Delete(a, b)
 	case put:
-		m.hx.Insert(rid, a, b)
+		m.hx.Insert(id, a, b)
 	default:
-		m.hx.Delete(rid, a, b)
+		m.hx.Delete(id, a, b)
 	}
 	if m.mu != nil {
 		m.mu.Unlock()

@@ -102,14 +102,14 @@ func (x *CompositeIndex) Lookup(aLo, aHi, mLo, mHi float64, sc *Scratch, profile
 	return bd
 }
 
-// Insert maintains the index for a new tuple.
-func (x *CompositeIndex) Insert(rid storage.RID, m, n float64) {
-	x.tree.Insert(m, n, uint64(rid))
+// Insert maintains the index for a new tuple; id is its RID.
+func (x *CompositeIndex) Insert(id uint64, m, n float64) {
+	x.tree.Insert(m, n, id)
 }
 
-// Delete maintains the index for a removed tuple.
-func (x *CompositeIndex) Delete(rid storage.RID, m, n float64) {
-	x.tree.Delete(m, n, uint64(rid))
+// Delete maintains the index for a removed tuple; id is its RID.
+func (x *CompositeIndex) Delete(id uint64, m, n float64) {
+	x.tree.Delete(m, n, id)
 }
 
 // Source returns the reorganization data source for the index.

@@ -134,12 +134,12 @@ func TestCompositeMaintenance(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.host.Insert(row[0], row[1], uint64(rid))
-	idx.Insert(rid, row[2], row[1])
+	idx.Insert(uint64(rid), row[2], row[1])
 	if !has(harvest2(idx, 99999, 99999, 9999, 9999), uint64(rid)) {
 		t.Fatal("inserted row not harvested")
 	}
 	// Delete it.
-	idx.Delete(rid, row[2], row[1])
+	idx.Delete(uint64(rid), row[2], row[1])
 	f.host.Delete(row[0], row[1], uint64(rid))
 	if err := f.table.Delete(rid); err != nil {
 		t.Fatal(err)

@@ -71,7 +71,7 @@ func (h *hermitModel) insert(t *testing.T, m, n float64) {
 	}
 	h.host.Insert(n, h.id(pk, rid))
 	if h.idx != nil {
-		h.idx.Insert(rid, m, n)
+		h.idx.Insert(h.id(pk, rid), m, n)
 	}
 	h.live[pk] = rid
 	h.pks = append(h.pks, pk)
@@ -102,7 +102,7 @@ func (h *hermitModel) remove(t *testing.T, b byte) {
 		return
 	}
 	rid, row := h.row(t, pk)
-	h.idx.Delete(rid, row[2], row[1])
+	h.idx.Delete(h.id(pk, rid), row[2], row[1])
 	h.host.Delete(row[1], h.id(pk, rid))
 	if err := h.table.Delete(rid); err != nil {
 		t.Fatal(err)
@@ -122,7 +122,7 @@ func (h *hermitModel) updateHost(t *testing.T, b byte, n float64) {
 	}
 	h.host.Delete(row[1], h.id(pk, rid))
 	h.host.Insert(n, h.id(pk, rid))
-	h.idx.Update(rid, row[2], row[1], n)
+	h.idx.Update(h.id(pk, rid), row[2], row[1], n)
 }
 
 // park starts a reorganization of first-level subtree i and holds it in

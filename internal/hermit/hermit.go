@@ -198,21 +198,6 @@ func buildTree(table *storage.Table, target, host, key int, id func(storage.RID,
 	return trstree.Build(pairs, lo, hi, params)
 }
 
-// identify converts a physical RID into the identifier stored in indexes
-// under the configured scheme. It reads the row's primary key through the
-// table's read latch, so a table scan must not call it: scans read the key
-// in their own hold (keyCol, idOf).
-func (x *Index) identify(rid storage.RID) uint64 {
-	if x.cfg.Scheme == PhysicalPointers {
-		return uint64(rid)
-	}
-	pk, err := x.table.Value(rid, x.cfg.PKCol)
-	if err != nil {
-		return 0
-	}
-	return LogicalID(pk)
-}
-
 // keyCol is the column a scan reads beside each row's pair for idOf: the
 // primary key under logical pointers, and under physical pointers, which
 // need none, the target.
@@ -223,7 +208,8 @@ func (x *Index) keyCol() int {
 	return x.cfg.PKCol
 }
 
-// idOf is identify for a row a scan read: its RID and its keyCol value.
+// idOf is the identifier the index stores for a row a scan read, from its
+// RID and its keyCol value.
 func (x *Index) idOf(rid storage.RID, pk float64) uint64 {
 	if x.cfg.Scheme == PhysicalPointers {
 		return uint64(rid)
@@ -237,6 +223,16 @@ func (x *Index) idOf(rid storage.RID, pk float64) uint64 {
 // NaN payload, which an integer conversion would fold together — and
 // identifiers sort in primary-key order, so a harvest of them can be
 // probed through the primary index front to back.
+//
+// A rank is 8 bytes with its top bit set for every positive key, but the
+// indexes do not store it so: the B+-tree's leaves and the TRS-Tree's
+// outlier arena keep an id as its offset from a base, shifted right by the
+// trailing zero bits all their ids share, in the bytes the largest offset
+// needs (a frame of reference). The rank of a whole key below 2^18 has at
+// least 35 such zero bits, so the ids of a table of a few hundred thousand
+// whole keys from 1 up take 3 bytes each in both, where an integer
+// conversion's would take the same 3. Key 0 ranks 2^62 below key 1 — every
+// fraction between them has a rank — so a frame that holds both takes 4.
 func LogicalID(pk float64) uint64 { return keyorder.Rank(pk) }
 
 // LogicalKey returns the primary key a logical identifier stands for.
@@ -310,23 +306,25 @@ func (x *Index) Lookup(lo, hi float64, sc *Scratch, profile bool) Breakdown {
 	return bd
 }
 
-// Insert maintains the index for a newly inserted tuple. The caller supplies
-// the row's physical location; the identifier scheme is applied internally.
-// Only the TRS-Tree is touched — the host index belongs to the host column
-// and is maintained by its own code path, which is exactly why Hermit
-// inserts are cheap (§7.6).
-func (x *Index) Insert(rid storage.RID, m, n float64) {
-	x.tree.Insert(m, n, x.identify(rid))
+// Insert maintains the index for a newly inserted tuple whose identifier
+// under the index's scheme is id: its RID under PhysicalPointers, the
+// LogicalID of its primary key under LogicalPointers. The caller, which
+// holds the row, computes it. Only the TRS-Tree is touched — the host
+// index belongs to the host column and is maintained by its own code
+// path, which is exactly why Hermit inserts are cheap (§7.6).
+func (x *Index) Insert(id uint64, m, n float64) {
+	x.tree.Insert(m, n, id)
 }
 
-// Delete maintains the index for a deleted tuple.
-func (x *Index) Delete(rid storage.RID, m, n float64) {
-	x.tree.Delete(m, n, x.identify(rid))
+// Delete maintains the index for a deleted tuple, identified as for Insert.
+func (x *Index) Delete(id uint64, m, n float64) {
+	x.tree.Delete(m, n, id)
 }
 
-// Update maintains the index when the host value of a tuple changes.
-func (x *Index) Update(rid storage.RID, m, oldN, newN float64) {
-	x.tree.Update(m, oldN, newN, x.identify(rid))
+// Update maintains the index when the host value of a tuple changes; id
+// identifies it as for Insert.
+func (x *Index) Update(id uint64, m, oldN, newN float64) {
+	x.tree.Update(m, oldN, newN, id)
 }
 
 // Source returns a trstree.DataSource view of the base table for the

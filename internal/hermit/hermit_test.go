@@ -278,7 +278,7 @@ func TestInsertDeleteUpdateMaintenance(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.host.Insert(row[1], uint64(rid))
-	idx.Insert(rid, row[2], row[1])
+	idx.Insert(uint64(rid), row[2], row[1])
 	if !has(harvest(idx, 321.5, 321.5), uint64(rid)) {
 		t.Fatal("inserted row not harvested")
 	}
@@ -290,13 +290,13 @@ func TestInsertDeleteUpdateMaintenance(t *testing.T) {
 	}
 	f.host.Delete(row[1], uint64(rid))
 	f.host.Insert(newB, uint64(rid))
-	idx.Update(rid, 321.5, row[1], newB)
+	idx.Update(uint64(rid), 321.5, row[1], newB)
 	if !has(harvest(idx, 321.5, 321.5), uint64(rid)) {
 		t.Fatal("updated row not harvested")
 	}
 
 	// Delete it.
-	idx.Delete(rid, 321.5, newB)
+	idx.Delete(uint64(rid), 321.5, newB)
 	f.host.Delete(newB, uint64(rid))
 	if err := f.table.Delete(rid); err != nil {
 		t.Fatal(err)
@@ -355,7 +355,7 @@ func TestReorgThroughSource(t *testing.T) {
 		f.rows = append(f.rows, [4]float64{row[0], row[1], row[2], row[3]})
 		f.rids = append(f.rids, rid)
 		f.host.Insert(b, uint64(rid))
-		idx.Insert(rid, c, b)
+		idx.Insert(uint64(rid), c, b)
 	}
 	before := idx.SizeBytes()
 	reorgAll(t, idx.Tree(), idx.Source())
@@ -445,7 +445,7 @@ func TestEmptyTableIndex(t *testing.T) {
 	row := []float64{1, 50, 10, 0}
 	rid, _ := tb.Insert(row)
 	host.Insert(row[1], uint64(rid))
-	idx.Insert(rid, row[2], row[1])
+	idx.Insert(uint64(rid), row[2], row[1])
 	if cands := harvest(idx, 10, 10); !has(cands, uint64(rid)) {
 		t.Fatalf("late insert not harvested: %v", cands)
 	}

@@ -112,8 +112,8 @@ func (b *builder) build(pairs, other []Pair, s span, depth int) ref {
 	if b.tokens != nil {
 		b.rng.Seed(int64(depth)*7919 + int64(len(pairs)))
 	}
-	if l, ok := b.tryLeaf(pairs, s, depth); ok {
-		return b.nodes.addLeaf(l)
+	if r, ok := b.tryLeaf(pairs, s, depth); ok {
+		return r
 	}
 	if other == nil {
 		other = make([]Pair, len(pairs))
@@ -165,36 +165,36 @@ type subBuild struct {
 	i    int
 }
 
-// tryLeaf fits a linear model over pairs and validates it. It returns the
-// finished leaf when the model's outliers stay within OutlierRatio, when
-// the depth limit is reached, or when too few pairs remain to justify a
-// split — in those cases the uncovered pairs go to the outlier buffer, a
-// run at the end of the builder's arena with no room beyond them.
-func (b *builder) tryLeaf(pairs []Pair, s span, depth int) (leaf, bool) {
+// tryLeaf fits a linear model over pairs and validates it. It adds the
+// finished leaf and returns its reference when the model's outliers stay
+// within OutlierRatio, when the depth limit is reached, or when too few
+// pairs remain to justify a split — in those cases the uncovered pairs go
+// to the outlier buffer, a run at the end of the builder's arena with no
+// room beyond them. The leaf is added before its records, so that an id
+// the arena's frame does not hold re-encodes them with the rest.
+func (b *builder) tryLeaf(pairs []Pair, s span, depth int) (ref, bool) {
 	lo, hi := s.lo, s.hi
 	mustBeLeaf := depth >= b.params.MaxHeight || len(pairs) <= b.params.MinLeafPairs || hi-lo <= 0
 	// Sampling-based outlier estimation (Appendix D.2): decide to split
 	// from a 5% sample before paying for the full regression.
 	if !mustBeLeaf && b.params.SampleRate > 0 && len(pairs) > 4*b.params.MinLeafPairs {
 		if b.sampleSaysSplit(pairs, lo, hi) {
-			return leaf{}, false
+			return 0, false
 		}
 	}
 	model, eps, outliers := b.fitAndValidate(pairs, lo, hi)
 	if !mustBeLeaf && float64(outliers) > b.params.OutlierRatio*float64(len(pairs)) {
-		return leaf{}, false
+		return 0, false
 	}
-	l := leaf{model: model, eps: eps, count: uint32(min(len(pairs), math.MaxUint32))}
-	l.off, l.n, l.cap = b.nodes.claim(outliers), uint32(outliers), uint32(outliers)
-	b.nodes.held += outliers
-	at := l.off
+	r := b.nodes.addLeaf(leaf{model: model, eps: eps, count: uint32(min(len(pairs), math.MaxUint32)),
+		off: b.nodes.claim(outliers), cap: uint32(outliers)})
+	l := &b.nodes.leaves[r.slot()]
 	for _, p := range pairs {
 		if uncovered(model, eps, lo, hi, p) {
-			b.nodes.put(at, s.code(p.M), p.ID)
-			at++
+			b.nodes.addOutlier(l, s.code(p.M), p.ID)
 		}
 	}
-	return l, true
+	return r, true
 }
 
 // sampleSaysSplit fits on a sample and reports whether the sampled outlier

@@ -41,6 +41,7 @@ func (t *Tree) LookupInto(lo, hi float64, res *Result) {
 		return
 	}
 	t.lookupNode(t.root, t.bounds, lo, hi, res)
+	t.decode(res.IDs)
 	// Writes parked in the temporal side buffer while a reorganization
 	// scan is in flight (Appendix B) are already acknowledged to their
 	// writers, so lookups must see them: matching parked inserts join the
@@ -98,10 +99,11 @@ func (t *Tree) lookupNode(r ref, s span, lo, hi float64, res *Result) {
 	}
 }
 
-// matches appends to ids the ids of leaf l's records whose code lies in
-// [dlo, dhi]: in place when ids has room for every record — a Result
-// carried across lookups soon does — and else through a stack buffer, a
-// chunk of records at a time, so a fresh Result grows by its matches only.
+// matches appends to ids the id fields of leaf l's records whose code
+// lies in [dlo, dhi] (decode makes them ids): in place when ids has room
+// for every record — a Result carried across lookups soon does — and else
+// through a stack buffer, a chunk of records at a time, so a fresh Result
+// grows by its matches only.
 func (n *nodes) matches(ids []uint64, l *leaf, dlo, dhi float32) []uint64 {
 	rec, m := n.rec(), mask(n.w)
 	run := n.out[int(l.off)*rec:][:int(l.n)*rec+pad]
@@ -117,17 +119,33 @@ func (n *nodes) matches(ids []uint64, l *leaf, dlo, dhi float32) []uint64 {
 	return ids
 }
 
+// decode turns the id fields matches kept into the ids they stand for,
+// in place, once a lookup has visited its leaves. It is a pass of its own
+// so that keep, which writes the field of every record it scans, pays no
+// more for a field than its mask: a lookup keeps a few of the records it
+// scans. Row ids from 0 take the frame of base 0 and shift 0, where a
+// field is its id.
+func (n *nodes) decode(fields []uint64) {
+	base, shift := n.base, n.shift
+	if base == 0 && shift == 0 {
+		return
+	}
+	for i, f := range fields {
+		fields[i] = base + f<<shift
+	}
+}
+
 // matchChunk is the records matches scans into its stack buffer at a time.
 const matchChunk = 32
 
-// keep writes to dst, which has room for them all, the ids (masked by m)
-// of the rec-byte records in run — then pad bytes — whose code lies in
-// [dlo, dhi], and returns their number. It does not branch on a record:
-// it writes every id — an 8-byte load and a mask, which the pad keeps in
-// bounds — after the ones kept so far and keeps it by advancing their
-// count by the comparisons' 0 or 1. Whether a record matches is a coin
-// toss when the predicate covers part of the leaf, and a branch on it
-// mispredicted about once a record.
+// keep writes to dst, which has room for them all, the id fields (masked
+// by m) of the rec-byte records in run — then pad bytes — whose code lies
+// in [dlo, dhi], and returns their number. It does not branch on a
+// record: it writes every field — an 8-byte load and a mask, which the
+// pad keeps in bounds — after the ones kept so far and keeps it by
+// advancing their count by the comparisons' 0 or 1. Whether a record
+// matches is a coin toss when the predicate covers part of the leaf, and
+// a branch on it mispredicted about once a record.
 func keep(dst []uint64, run []byte, rec int, m uint64, dlo, dhi float32) int {
 	k := 0
 	for o := 0; o+pad < len(run); o += rec {
