@@ -69,8 +69,8 @@ difftest:
 
 # Coverage-guided fuzzing for FUZZTIME each: the B+-tree's key order and
 # unique-key path (Insert/Delete/Get/Swap/Scan over finite, ±0, ±Inf and NaN
-# keys, with ids of every width and the logical ids of such keys, against a
-# map oracle, structural check after every op), then the
+# keys, with ids of every width, the ranks of such keys among them, against
+# a map oracle, structural check after every op), then the
 # bulk-load sort kernels (keyorder.SortPairs/SortTriples against a sort.Sort
 # reference, NaN payloads, signed zeros, duplicates, sorted and reverse
 # inputs), then the block tier's decoder (FuzzDecodeBlock: a block image as
@@ -79,10 +79,10 @@ difftest:
 # re-encoded), then the paper's safety
 # property (FuzzHermit: a Hermit index's candidates cover every matching
 # row through inserts, deletes, host updates, reorganizations and writes
-# parked in the side buffer, odd values included, under both pointer
-# schemes), then the one WAL replay path (FuzzReplay: a durable leader's
-# seeded mix of auto-commit writes, transactions and DDL on plain and
-# partitioned tables, odd keys and values included, ending in a torn
+# parked in the side buffer, odd values and odd primary keys included,
+# under both pointer schemes), then the one WAL replay path (FuzzReplay: a
+# durable leader's seeded mix of auto-commit writes, transactions and DDL
+# on plain and partitioned tables, odd keys and values included, ending in a torn
 # transaction, replayed by reopening its directory and by ReplApply into
 # an empty database in random batches that cut groups apart — the rows bit
 # for bit and the open-group counts must agree), then the TRS-Tree fit's
@@ -92,8 +92,8 @@ difftest:
 # outlier record (FuzzOutlierCode: a record coded from any value — ±Inf, ±0,
 # NaN, subnormals, values a float32 cannot hold — in a leaf over any span,
 # edge-extended or not, is returned by every query whose exact bounds hold
-# the value, NaN by none, and its id reads back through id frames of every
-# base, shift and width). The seed corpus
+# the value, NaN by none, and its id reads back at every width and after
+# the arena widens to 8 bytes). The seed corpus
 # alone runs in every `go test`; new inputs land in the Go build cache's
 # fuzz directory, a failing one under the package's testdata/fuzz. (A
 # worker minimizing a new input reports 0 execs/sec.)
@@ -120,9 +120,8 @@ fuzz:
 # a 1M-key primary index (BenchmarkGetRandom1M), each for a million
 # operations, enough for a mean that means something; then a million
 # TRS-Tree lookups in the shape durable-write's tree ends its run in
-# (BenchmarkLookupOutlierHeavy), its outlier ids row ids and logical ids —
-# whose id frame has a base and a shift to decode — side by side (about
-# 30 s in all).
+# (BenchmarkLookupOutlierHeavy: row ids, which the logical ids of whole
+# keys equal); about 30 s in all.
 bench: build
 	$(GO) run ./cmd/hermit-bench -exp paper -scale 0.02 -measure 20ms
 	$(GO) test -run '^$$' -bench 'BenchmarkCreate(BTree|Hermit)Index' -benchtime 1x .

@@ -2,13 +2,16 @@ package hermitdb_test
 
 import (
 	"flag"
+	"math"
 	"math/rand"
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"testing"
 
 	hermitdb "hermit"
+	"hermit/internal/hermit"
 	"hermit/internal/storage"
 )
 
@@ -472,23 +475,21 @@ func TestHeapProfileOfDurableChurn(t *testing.T) {
 }
 
 // TestLogicalIDsPacked guards what a logical id costs the indexes of a
-// durable table. hermit.LogicalID is a primary key's rank, an 8-byte value
-// whose top bit is set for every positive key; the ranks of whole keys
-// below 2^18 share their low 35 bits as well, and the id frames of the
-// B+-tree's leaves and of the TRS-Tree's outlier arena take those bits out,
-// so a logical id costs what a row id would. A logical-pointer DurableDB
-// holds 200k Synthetic rows with the host B+-tree and Hermit; the targets
-// of a third of the rows then move off the model, as the repository
-// benchmark's durable-write moves them, and each becomes an outlier record.
+// durable table. hermit.LogicalID of a whole key from 0 up is the key
+// itself, as dense as a row id, so the B+-tree's leaves and the
+// TRS-Tree's outlier arena, which keep an id in the bytes it needs, keep
+// it in the bytes a row id would take. A logical-pointer DurableDB holds
+// 200k Synthetic rows, keys 0 to 199 999, with the host B+-tree and Hermit;
+// the targets of a third of the rows then move off the model, as the
+// repository benchmark's durable-write moves them, and each becomes an
+// outlier record.
 //
 // The host index must hold at most 11 B/entry, bulk-loaded and after the
 // updates (14.8 and 14.7 while ids took 8 bytes of code; 10.1 measured
-// since). A Hermit index built afresh over the updated table must keep
-// its outlier records in at most 8 bytes, a 4-byte target code and 4 of
-// id (12 while ids took 8): key 0, whose row is among the outliers, ranks
-// 2^62 below key 1 — every fraction between them has a rank — and a frame
-// that holds both needs 4 bytes of code. Once row 0 is deleted, a fresh
-// index keeps them in at most 7, 3 bytes of id.
+// since). A Hermit index built afresh over the updated table, row 0 among
+// its outliers, must keep its outlier records in at most 7 bytes, a 4-byte
+// target code and 3 of id (12 while ids took 8 bytes; 8 while they were
+// ranks, which put key 0 2^62 below key 1).
 //
 // A fresh tree's arena is exactly its records and 8 bytes of pad; what
 // SizeBytes holds beside it is the 288-byte Tree, a 40-byte leaf a leaf
@@ -541,29 +542,24 @@ func TestLogicalIDsPacked(t *testing.T) {
 	}
 	hostBytes("after the updates")
 
-	records := func(when string, most int) {
-		t.Helper()
-		if err := d.DropIndex("syn", spec.TargetCol(), "hermit"); err != nil {
-			t.Fatal(err)
-		}
-		if err := d.CreateIndex("syn", hermitDef); err != nil {
-			t.Fatal(err)
-		}
-		tr := tb.Hermit(spec.TargetCol()).Tree()
-		st := tr.Stats()
-		besides := 288 + 40*st.Leaves + 4*tr.Params().NodeFanout*(st.Nodes-st.Leaves)
-		if st.Outliers < 3*8192 {
-			t.Fatalf("%s: %d outliers are too few to divide the allocator's rounding to under a byte", when, st.Outliers)
-		}
-		rec := (int(st.SizeBytes) - besides - 8) / st.Outliers
-		t.Logf("Hermit %s: %d outliers in %d leaves, %d B: %d-byte records", when, st.Outliers, st.Leaves, st.SizeBytes, rec)
-		if rec > most {
-			t.Errorf("Hermit %s: outlier records of %d bytes, want <= %d", when, rec, most)
-		}
+	if err := d.DropIndex("syn", spec.TargetCol(), "hermit"); err != nil {
+		t.Fatal(err)
 	}
-	records("with key 0", 8)
-	if found, err := syn.Delete(0); err != nil || !found {
-		t.Fatalf("delete 0: found=%v err=%v", found, err)
+	if err := d.CreateIndex("syn", hermitDef); err != nil {
+		t.Fatal(err)
 	}
-	records("without key 0", 7)
+	tr := tb.Hermit(spec.TargetCol()).Tree()
+	if !slices.Contains(tr.Lookup(math.Inf(-1), math.Inf(1)).IDs, hermit.LogicalID(0)) {
+		t.Fatal("row 0 is no outlier: the arena holds no id of key 0")
+	}
+	st := tr.Stats()
+	besides := 288 + 40*st.Leaves + 4*tr.Params().NodeFanout*(st.Nodes-st.Leaves)
+	if st.Outliers < 3*8192 {
+		t.Fatalf("%d outliers are too few to divide the allocator's rounding to under a byte", st.Outliers)
+	}
+	rec := (int(st.SizeBytes) - besides - 8) / st.Outliers
+	t.Logf("Hermit: %d outliers in %d leaves, %d B: %d-byte records", st.Outliers, st.Leaves, st.SizeBytes, rec)
+	if rec > 7 {
+		t.Errorf("Hermit: outlier records of %d bytes, want <= 7", rec)
+	}
 }

@@ -9,8 +9,6 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
-
-	"hermit/internal/keyorder"
 )
 
 // testOrder is the node capacity of the tests that want structure — splits,
@@ -484,20 +482,6 @@ func TestHeapMatchesSizeBytes(t *testing.T) {
 	})
 	tr = v.(*Tree)
 	check("random", heap, tr.SizeBytes(), tr.CheckInvariants(), 11.2)
-
-	// The same keys with logical ids, the ranks of whole primary keys:
-	// their common low zero bits are the leaves' id grid, so an id code
-	// takes the bytes a row id's would (8 while ids had no grid).
-	heap, v = heapOf(func() any {
-		rng := rand.New(rand.NewSource(1))
-		tr := New(DefaultOrder)
-		for i := 0; i < n; i++ {
-			tr.Insert(rng.Float64(), keyorder.Rank(float64(i)))
-		}
-		return tr
-	})
-	tr = v.(*Tree)
-	check("random, logical ids", heap, tr.SizeBytes(), tr.CheckInvariants(), 11.2)
 
 	// Random churn at n entries: n inserts, then n rounds of deleting the
 	// oldest entry (a random key: a second generator on the same seed

@@ -75,11 +75,10 @@ func sameKVs(a, b []kv) bool {
 // oracle.
 //
 // An op is three bytes: the op, a key and an id (fuzzKey, fuzzID). With
-// bit 3 of the op byte set the id is the logical id of the third byte's
-// key instead — the rank a logical-pointer index stores for a primary key
-// (hermit.LogicalID) — so ids also come on the grids of whole, fractional,
-// infinite, zero and NaN keys, and ids between two grid points probe the
-// leaves' id frames.
+// bit 3 of the op byte set the id is instead the rank of the third byte's
+// key (keyorder.Rank): 8 bytes, its top bit set for every positive key, so
+// a leaf that holds such ids beside fuzzID's, or ranks of keys of both
+// signs, has ids of every width from one byte to eight.
 func FuzzTreeTotalOrder(f *testing.F) {
 	// Ascending load (splits), then ids swapped downwards over every key —
 	// separators included — then exact-entry deletes of what was swapped.
@@ -213,10 +212,9 @@ func FuzzTreeTotalOrder(f *testing.F) {
 	}
 	f.Add(seed)
 
-	// Logical ids: many entries of a few keys, their ids the ranks of
-	// whole keys (a coarse id grid), then swapped, inserted and deleted
-	// with ranks of quarters, of the special keys and of keys off every
-	// leaf's grid; scanned and drained between.
+	// Rank ids: many entries of a few keys, their ids the ranks of whole
+	// keys, then swapped, inserted and deleted with ranks of quarters and
+	// of the special keys; scanned and drained between.
 	seed = nil
 	for b := byte(128); b < 250; b += 4 {
 		seed = append(seed, 3|8, 140+b%3, b, 0|8, b, b)

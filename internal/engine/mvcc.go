@@ -567,19 +567,23 @@ func (t *Table) resolveVisible(pk float64, ts uint64) (storage.RID, bool) {
 
 // resolveKeys is resolveVisible for a harvest of logical identifiers (what
 // a secondary index stores under logical pointers, hermit.LogicalID): the
-// primary-index hop of the paper's §5.1 cost model, batched. ids is sorted
-// and deduplicated in place — identifiers sort in key order — so the heads
-// are fetched front to back, a run of keys that share a leaf costing one
-// descent, and resolved in the same mvccMu hold. The visible versions are
-// appended to dst[:0]; the second result is the number of distinct keys.
+// primary-index hop of the paper's §5.1 cost model, batched. ids is turned
+// into the ranks of its keys (hermit.LogicalRank), sorted and deduplicated
+// in place, so the heads are fetched in key order, front to back, a run of
+// keys that share a leaf costing one descent, and resolved in the same
+// mvccMu hold. The visible versions are appended to dst[:0]; the second
+// result is the number of distinct keys.
 func (t *Table) resolveKeys(ids []uint64, ts uint64, dst []storage.RID) ([]storage.RID, int) {
+	for i, id := range ids {
+		ids[i] = hermit.LogicalRank(id)
+	}
 	slices.Sort(ids)
 	ids = slices.Compact(ids)
 	dst = dst[:0]
 	var f btree.Finger
 	t.mvccMu.RLock()
-	for _, id := range ids {
-		if head, ok := t.primary.GetAscending(&f, hermit.LogicalKey(id)); ok {
+	for _, r := range ids {
+		if head, ok := t.primary.GetAscending(&f, keyorder.Unrank(r)); ok {
 			dst = append(dst, storage.RID(head))
 		}
 	}

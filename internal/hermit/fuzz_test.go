@@ -40,19 +40,37 @@ func (p *parkedSource) ScanMRange(lo, hi float64, fn func(m, n float64, id uint6
 	return p.inner.ScanMRange(lo, hi, fn)
 }
 
+// oddKeys are the primary keys an insert may take besides the next whole
+// one. The ranks of the first three lie below 2^53, where LogicalID swaps
+// them with the ids of whole keys; 0.5's is its own id.
+var oddKeys = []float64{math.Inf(-1), -math.MaxFloat64, math.Float64frombits(0xfff8000000000003), 0.5}
+
 // hermitModel is FuzzHermit's world: a table (pk, host, target), the host
 // B+-tree, the Hermit index on the target, and the rows the oracle knows
-// live, by primary key.
+// live, by the bits of their primary key.
 type hermitModel struct {
 	scheme PointerScheme
 	table  *storage.Table
 	host   *btree.Tree
 	idx    *Index
-	live   map[float64]storage.RID
+	live   map[uint64]storage.RID
 	pks    []float64 // live keys in insertion order, for picking
 	next   float64
 	parked *parkedSource
 	done   chan error
+}
+
+// key returns the primary key of a new row: oddKeys[b/2] when there is
+// one and no live row has it, and else the next whole key.
+func (h *hermitModel) key(b byte) float64 {
+	if i := int(b / 2); i < len(oddKeys) {
+		if _, taken := h.live[math.Float64bits(oddKeys[i])]; !taken {
+			return oddKeys[i]
+		}
+	}
+	pk := h.next
+	h.next++
+	return pk
 }
 
 func (h *hermitModel) id(pk float64, rid storage.RID) uint64 {
@@ -62,9 +80,7 @@ func (h *hermitModel) id(pk float64, rid storage.RID) uint64 {
 	return uint64(rid)
 }
 
-func (h *hermitModel) insert(t *testing.T, m, n float64) {
-	pk := h.next
-	h.next++
+func (h *hermitModel) insert(t *testing.T, pk, m, n float64) {
 	rid, err := h.table.Insert([]float64{pk, n, m})
 	if err != nil {
 		t.Fatal(err)
@@ -73,7 +89,7 @@ func (h *hermitModel) insert(t *testing.T, m, n float64) {
 	if h.idx != nil {
 		h.idx.Insert(h.id(pk, rid), m, n)
 	}
-	h.live[pk] = rid
+	h.live[math.Float64bits(pk)] = rid
 	h.pks = append(h.pks, pk)
 }
 
@@ -88,7 +104,7 @@ func (h *hermitModel) pick(b byte) (float64, int, bool) {
 }
 
 func (h *hermitModel) row(t *testing.T, pk float64) (storage.RID, []float64) {
-	rid := h.live[pk]
+	rid := h.live[math.Float64bits(pk)]
 	row, err := h.table.Get(rid, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -107,7 +123,7 @@ func (h *hermitModel) remove(t *testing.T, b byte) {
 	if err := h.table.Delete(rid); err != nil {
 		t.Fatal(err)
 	}
-	delete(h.live, pk)
+	delete(h.live, math.Float64bits(pk))
 	h.pks = append(h.pks[:i], h.pks[i+1:]...)
 }
 
@@ -167,8 +183,8 @@ func (h *hermitModel) check(t *testing.T, step int, lo, hi float64) {
 	for _, id := range sc.IDs {
 		got[id] = true
 	}
-	for pk, rid := range h.live {
-		_, row := h.row(t, pk)
+	for _, pk := range h.pks {
+		rid, row := h.row(t, pk)
 		if row[2] >= lo && row[2] <= hi && !got[h.id(pk, rid)] {
 			t.Fatalf("step %d (%v pointers): [%v, %v] misses row %v", step, h.scheme, lo, hi, row)
 		}
@@ -180,9 +196,9 @@ func (h *hermitModel) check(t *testing.T, step int, lo, hi float64) {
 // candidates cover the answer. A program of three-byte instructions runs on
 // a table with a host B+-tree and a Hermit index, under either pointer
 // scheme: inserts (on the correlation line or off it, odd values among
-// them), deletes, host-value updates, reorganizations, and writes parked
-// in the TRS-Tree's side buffer while a reorganization is held in its
-// scan. After every instruction a range and a point the instruction names
+// them, under whole primary keys and odd ones: oddKeys), deletes,
+// host-value updates, reorganizations, and writes parked in the TRS-Tree's
+// side buffer while a reorganization is held in its scan. After every instruction a range and a point the instruction names
 // are probed, and every live row the oracle holds in them must be among
 // the candidates.
 func FuzzHermit(f *testing.F) {
@@ -194,7 +210,7 @@ func FuzzHermit(f *testing.F) {
 		if len(prog) > 3*200 {
 			prog = prog[:3*200]
 		}
-		h := &hermitModel{table: storage.NewTable(3), host: btree.New(testOrder), live: map[float64]storage.RID{}}
+		h := &hermitModel{table: storage.NewTable(3), host: btree.New(testOrder), live: map[uint64]storage.RID{}}
 		if logical {
 			h.scheme = LogicalPointers
 		}
@@ -206,7 +222,7 @@ func FuzzHermit(f *testing.F) {
 			if i%13 == 0 {
 				n = float64(i * 7 % 3000)
 			}
-			h.insert(t, m, n)
+			h.insert(t, h.key(255), m, n)
 		}
 		params := trstree.DefaultParams()
 		params.SampleRate = 0
@@ -225,7 +241,7 @@ func FuzzHermit(f *testing.F) {
 				if b%2 == 1 {
 					n = fuzzValue(b)
 				}
-				h.insert(t, m, n)
+				h.insert(t, h.key(b), m, n)
 			case 1:
 				h.remove(t, a)
 			case 2:

@@ -218,25 +218,43 @@ func (x *Index) idOf(rid storage.RID, pk float64) uint64 {
 }
 
 // LogicalID is the identifier a secondary index stores for primary key pk
-// under LogicalPointers: the key's rank in keyorder's total order. Every
-// float64 key round-trips through it — fractions, negatives, ±Inf and each
-// NaN payload, which an integer conversion would fold together — and
-// identifiers sort in primary-key order, so a harvest of them can be
-// probed through the primary index front to back.
+// under LogicalPointers: the key's rank in keyorder's total order, swapped
+// (swap) so that a whole key k in [0, 2^53) is its own identifier k, as
+// dense as a row id. Every float64 key round-trips through it — fractions,
+// negatives, ±Inf and each NaN payload, which an integer conversion would
+// fold together. Identifiers do not sort in key order; LogicalRank gives
+// that order.
 //
-// A rank is 8 bytes with its top bit set for every positive key, but the
-// indexes do not store it so: the B+-tree's leaves and the TRS-Tree's
-// outlier arena keep an id as its offset from a base, shifted right by the
-// trailing zero bits all their ids share, in the bytes the largest offset
-// needs (a frame of reference). The rank of a whole key below 2^18 has at
-// least 35 such zero bits, so the ids of a table of a few hundred thousand
-// whole keys from 1 up take 3 bytes each in both, where an integer
-// conversion's would take the same 3. Key 0 ranks 2^62 below key 1 — every
-// fraction between them has a rank — so a frame that holds both takes 4.
-func LogicalID(pk float64) uint64 { return keyorder.Rank(pk) }
+// The indexes keep an id in the bytes its offset from the smallest id near
+// it needs (a frame of reference), so the logical ids of a table of whole
+// keys take the bytes its row ids would; a fraction or a negative key
+// takes 8.
+func LogicalID(pk float64) uint64 { return swap(keyorder.Rank(pk)) }
+
+// LogicalRank returns the keyorder rank of the primary key a logical
+// identifier stands for: ids sorted by it are in primary-key order.
+func LogicalRank(id uint64) uint64 { return swap(id) }
 
 // LogicalKey returns the primary key a logical identifier stands for.
-func LogicalKey(id uint64) float64 { return keyorder.Unrank(id) }
+func LogicalKey(id uint64) float64 { return keyorder.Unrank(swap(id)) }
+
+// dense bounds the whole keys that are their own logical identifiers:
+// every integer below 2^53 is a float64.
+const dense = 1 << 53
+
+// swap exchanges k and keyorder.Rank(float64(k)) for every k in
+// [0, dense) and leaves every other value alone, so it is its own
+// inverse. The two sets are apart: values below dense have their top bit
+// clear, and the ranks of keys from +0 up have it set.
+func swap(r uint64) uint64 {
+	if r < dense {
+		return keyorder.Rank(float64(r))
+	}
+	if k := keyorder.Unrank(r); r>>63 == 1 && k < dense && k == math.Trunc(k) {
+		return uint64(k)
+	}
+	return r
+}
 
 // Tree exposes the underlying TRS-Tree for statistics and maintenance.
 func (x *Index) Tree() *trstree.Tree { return x.tree }

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"hermit/internal/btree"
+	"hermit/internal/keyorder"
 	"hermit/internal/storage"
 	"hermit/internal/trstree"
 )
@@ -547,6 +548,39 @@ func TestLookupIntoReusesScratch(t *testing.T) {
 		idx.Lookup(100, 120, &sc, false)
 		if !covers(sc.IDs, f.expected(100, 120, scheme)) {
 			t.Fatalf("%v scheme: harvest misses a matching row after Trim", scheme)
+		}
+	}
+}
+
+// TestLogicalIDsDense holds the logical identifier to its contract: a
+// whole key from 0 below 2^53 is its own identifier, every other key
+// round-trips through it bit for bit, LogicalRank is the key's rank, and
+// swap is its own inverse.
+func TestLogicalIDsDense(t *testing.T) {
+	for _, c := range []struct {
+		pk float64
+		id uint64
+	}{{0, 0}, {math.Copysign(0, -1), 0}, {1, 1}, {1<<53 - 1, 1<<53 - 1}} {
+		if got := LogicalID(c.pk); got != c.id {
+			t.Errorf("LogicalID(%v) = %#x, want %#x", c.pk, got, c.id)
+		}
+	}
+	for _, pk := range []float64{
+		0, 1, 1<<53 - 1, 1 << 53, 0.5, -1, math.Inf(1), math.Inf(-1),
+		-math.MaxFloat64, -0x1p1023, math.SmallestNonzeroFloat64,
+		math.Float64frombits(0x7ff8000000000001), math.Float64frombits(0xfff8000000000002),
+	} {
+		id := LogicalID(pk)
+		if got := LogicalKey(id); math.Float64bits(got) != math.Float64bits(pk) {
+			t.Errorf("LogicalKey(LogicalID(%v)) = %v (%#x), want %#x", pk, got, math.Float64bits(got), math.Float64bits(pk))
+		}
+		if got, want := LogicalRank(id), keyorder.Rank(pk); got != want {
+			t.Errorf("LogicalRank(LogicalID(%v)) = %#x, want the rank %#x", pk, got, want)
+		}
+	}
+	for _, r := range []uint64{0, 1<<53 - 1, 1 << 53, 1<<63 - 1, 1 << 63, math.MaxUint64} {
+		if got := swap(swap(r)); got != r {
+			t.Errorf("swap(swap(%#x)) = %#x", r, got)
 		}
 	}
 }

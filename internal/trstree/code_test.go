@@ -14,11 +14,10 @@ import (
 func nextUp32(d float32) float32 { return math.Nextafter32(d, float32(math.Inf(1))) }
 
 // FuzzOutlierCode holds the outlier record to its contract. A leaf over a
-// span — edge-extended or not — holds records coded from m whose ids lie
-// on a grid: base plus a code shifted left by shift (0–63), the codes the
-// fuzzed one beside two that set a width w (1–8 bytes), repeated up to 72
-// records, and then two ids off every grid; a lookup scans it for
-// the predicate [qlo, qhi] as lookupNode does:
+// span — edge-extended or not — holds records coded from m, with the
+// fuzzed id beside ids that set the arena's width w (1–8 bytes), repeated
+// up to 72 records, and then a full-width id; a lookup scans it for the
+// predicate [qlo, qhi] as lookupNode does:
 //
 //   - an exact qlo ≤ m ≤ qhi returns the record (no false negative);
 //   - the record is returned exactly when d ≤ ohi − lo and olo − lo ≤
@@ -26,10 +25,8 @@ func nextUp32(d float32) float32 { return math.Nextafter32(d, float32(math.Inf(1
 //   - a NaN m is returned by no query;
 //   - a scan into a fresh Result (chunks of the stack buffer) and into one
 //     with room (in place) return the same ids;
-//   - every id reads back as written, in the frame the grid's ids take —
-//     no finer than their grid and at most a byte wider than w, when the
-//     grid does not wrap around the id space — and after ids off every
-//     grid, the top of the id space among them, take it to shift 0.
+//   - every id reads back as written, at width w and after the arena
+//     widens to 8 bytes.
 func FuzzOutlierCode(f *testing.F) {
 	inf, nan := math.Inf(1), math.NaN()
 	nearUp := 1 + 0x1p-23 - 0x1p-30 // rounds up to the nearest float32
@@ -57,44 +54,37 @@ func FuzzOutlierCode(f *testing.F) {
 		{0, 1000, 5e38, 4e38, 6e38},
 	} {
 		for w := range uint8(8) {
-			id := uint64(0x0123456789abcdef) >> (8 * w)
-			f.Add(c[0], c[1], c[2], c[3], c[4], id, uint64(0), w, uint8(0), w%4|w*11<<2)
-			// Row ids above a base, and the ranks of whole keys from 1: a
-			// grid of 2^35 (the logical ids of hermit.LogicalID).
-			f.Add(c[0], c[1], c[2], c[3], c[4], id, uint64(1)<<40+7, w, uint8(0), w%4|w*11<<2)
-			f.Add(c[0], c[1], c[2], c[3], c[4], id, keyorder.Rank(1), w, uint8(35), w%4|w*11<<2)
+			// An id as wide as the width, its largest id and 0.
+			for _, id := range []uint64{0x0123456789abcdef >> (8 * w), math.MaxUint64, 0} {
+				f.Add(c[0], c[1], c[2], c[3], c[4], id, w, w%4|w*11<<2)
+			}
 		}
 	}
-	f.Fuzz(func(t *testing.T, lo, hi, m, qlo, qhi float64, id, base uint64, ws, sh, edges uint8) {
+	f.Fuzz(func(t *testing.T, lo, hi, m, qlo, qhi float64, id uint64, ws, edges uint8) {
 		s := span{lo: lo, hi: hi, left: edges&1 != 0, right: edges&2 != 0}
-		w, shift := 1+ws%8, sh%64
+		w := 1 + ws%8
 		id &= mask(w)
 		n := &nodes{leaves: make([]leaf, 1)}
 		l := &n.leaves[0]
 		var ids []uint64
 		for range 1 + edges>>2%24 {
-			for _, c := range []uint64{1 << (8 * (w - 1)), id, 0} { // the first sets the width
-				ids = append(ids, base+c<<shift)
-			}
+			ids = append(ids, 1<<(8*(w-1)), id, 0) // the first sets the width
 		}
 		d := s.code(m)
 		for _, x := range ids {
 			n.addOutlier(l, d, x)
 		}
-		top := mask(w) << shift
-		if top>>shift == mask(w) && base+top >= base { // the grid does not wrap
-			if n.shift < shift || n.w > w+1 {
-				t.Fatalf("ids %x on a grid of 2^%d: frame %+v, want no finer and at most %d bytes", ids, shift, frameOfArena(n), w+1)
-			}
+		if n.w != w {
+			t.Fatalf("ids %x: width %d, want %d", ids, n.w, w)
 		}
 		checkIDs := func() {
 			t.Helper()
 			for i, x := range ids {
 				if got := n.id(uint32(i)); got != x {
-					t.Fatalf("record %d in frame %+v: id %x, want %x", i, frameOfArena(n), got, x)
+					t.Fatalf("record %d at width %d: id %x, want %x", i, n.w, got, x)
 				}
 				if got := n.code(uint32(i)); math.Float32bits(got) != math.Float32bits(d) {
-					t.Fatalf("record %d in frame %+v: code %v, want %v", i, frameOfArena(n), got, d)
+					t.Fatalf("record %d at width %d: code %v, want %v", i, n.w, got, d)
 				}
 			}
 		}
@@ -104,10 +94,7 @@ func FuzzOutlierCode(f *testing.F) {
 		if olo <= ohi {
 			dlo, dhi := s.matcher(olo, ohi)
 			fresh := n.matches(nil, l, dlo, dhi)
-			roomy := n.matches(make([]uint64, 0, len(ids)), l, dlo, dhi)
-			n.decode(fresh)
-			n.decode(roomy)
-			if !slices.Equal(fresh, roomy) {
+			if roomy := n.matches(make([]uint64, 0, len(ids)), l, dlo, dhi); !slices.Equal(fresh, roomy) {
 				t.Fatalf("a fresh result gets %x, one with room %x", fresh, roomy)
 			}
 			if len(fresh) != 0 && !slices.Equal(fresh, ids) {
@@ -126,91 +113,48 @@ func FuzzOutlierCode(f *testing.F) {
 			}
 		}
 
-		ids = append(ids, math.MaxUint64, base+1)
+		ids = append(ids, math.MaxUint64)
 		n.addOutlier(l, d, math.MaxUint64)
-		n.addOutlier(l, d, base+1)
 		checkIDs()
-		if n.shift != 0 {
-			t.Fatalf("ids %x: frame %+v, want shift 0", ids, frameOfArena(n))
-		}
 	})
 }
 
-// frameOf is the arena's id frame, for comparing before and after a write.
-type frameOf struct {
-	base     uint64
-	shift, w uint8
-}
-
-func frameOfArena(n *nodes) frameOf { return frameOf{n.base, n.shift, n.w} }
-
-// narrows reports whether the frame after narrows the one before for good
-// (nodes.hold): a lower shift, a wider width, or the base at the lowest
-// point of its grid.
-func narrows(before, after frameOf) bool {
-	return after.shift < before.shift || after.w > before.w || after.base < 1<<after.shift && after.base < before.base
-}
-
-// maxReencodes bounds the re-encodes of an arena in the life of its
-// records: every shift it falls from 63 to 0 through, every width from 0
-// to 8, and a base drop between any two of those.
-const maxReencodes = 2*(63+8) + 1
-
-// TestOutlierIDWidening writes outliers into live trees of many leaves,
-// interleaved with lookups and deletes, against an exact shadow list: every
-// lookup returns a superset of the shadow's matching ids, every delete
-// removes exactly one record, and SizeBytes is what the heap holds for the
-// trees to within 3 %, once all ids are in and once the added outliers are
-// deleted again. Each phase's ids leave the arena's frame as the phase
-// says, and every re-encode narrows the frame for good: no more than
-// maxReencodes in all.
+// TestOutlierIDWidening writes outliers with ids that need 3, 4, 6 and 8
+// bytes into live trees of many leaves, interleaved with lookups and deletes,
+// against an exact shadow list: every lookup returns a superset of the
+// shadow's matching ids, every delete removes exactly one record, the
+// arena is as wide as its widest id and widens at most 8 times, and
+// SizeBytes is what the heap holds for the trees to within 3 %, once all
+// widths are in and once the added outliers are deleted again.
 //
-// Under physical pointers the trees are built over row ids to 200k and
-// take ids that need 1, 2, 4, 6 and 8 bytes. Under logical pointers they
-// are built over the ranks of the whole keys 1 to 200k — a grid of 2^35,
-// 3 bytes of code — and take the ranks of the next whole keys (which fit
-// the frame's room above), of halves of keys near 2^17 (off its grid: a
-// finer one), of tiny fractions (below its base), of row ids (off every
-// grid) and of ids at the top of the id space.
+// One phase takes the logical ids of the whole keys above the build's
+// (hermit.LogicalID), which are the keys themselves; another those of
+// fractional keys, which are their 8-byte ranks.
 func TestOutlierIDWidening(t *testing.T) {
-	const trees, perPhase = 3, 1500
+	const trees, perWidth = 6, 1500
 	type phase struct {
-		name string
-		id   func(i uint64) uint64
-		want frameOf // the frame's shift and width once the phase is in
+		id func(i uint64) uint64
+		w  uint8 // the arena's width once the phase's ids are in
 	}
-	rank := func(pk float64) uint64 { return keyorder.Rank(pk) }
-	schemes := []struct {
-		name   string
-		built  func(i uint64) uint64
-		frame  frameOf
-		phases []phase
-	}{
-		{"physical", func(i uint64) uint64 { return i }, frameOf{shift: 0, w: 3}, []phase{
-			{"1 byte", func(i uint64) uint64 { return 1 + i }, frameOf{shift: 0, w: 3}},
-			{"2 bytes", func(i uint64) uint64 { return 1<<8 + i }, frameOf{shift: 0, w: 3}},
-			{"4 bytes", func(i uint64) uint64 { return 1<<24 + i }, frameOf{shift: 0, w: 4}},
-			{"6 bytes", func(i uint64) uint64 { return 1<<40 + i }, frameOf{shift: 0, w: 6}},
-			{"8 bytes", func(i uint64) uint64 { return math.MaxUint64 - perPhase + i }, frameOf{shift: 0, w: 8}},
-		}},
-		{"logical", func(i uint64) uint64 { return rank(float64(i + 1)) }, frameOf{shift: 35, w: 3}, []phase{
-			{"next whole keys", func(i uint64) uint64 { return rank(float64(200_001 + i)) }, frameOf{shift: 35, w: 3}},
-			{"halves off the grid", func(i uint64) uint64 { return rank(1<<17 + 0.5 + float64(i)) }, frameOf{shift: 34, w: 3}},
-			{"tiny keys below the base", func(i uint64) uint64 { return rank(float64(i+1) * 0x1p-1000) }, frameOf{shift: 34, w: 4}},
-			{"row ids off every grid", func(i uint64) uint64 { return 1<<40 + i }, frameOf{shift: 0, w: 8}},
-			{"top of the id space", func(i uint64) uint64 { return math.MaxUint64 - perPhase + i }, frameOf{shift: 0, w: 8}},
-		}},
+	from := func(base uint64) func(uint64) uint64 { return func(i uint64) uint64 { return base + i } }
+	// Build ids run to 200k: the arena starts 3 bytes wide.
+	phases := []phase{
+		{from(200_001), 3}, // the logical ids of the next whole keys
+		{from(1 << 24), 4},
+		{from(1 << 40), 6},
+		{func(i uint64) uint64 { return keyorder.Rank(float64(i) + 0.5) }, 8},
+		{from(math.MaxUint64 - perWidth), 8},
 	}
 	src := genBenchmarkShape(200_000)
 	pairs := make([]Pair, len(src))
-	shadows := make([][]Pair, trees*len(schemes))
+	shadows := make([][]Pair, trees)
 	for i := range shadows {
-		shadows[i] = make([]Pair, 0, len(schemes[i/trees].phases)*perPhase)
+		shadows[i] = make([]Pair, 0, len(phases)*perWidth)
 	}
 	res := Result{IDs: make([]uint64, 0, 1<<16), Ranges: make([]Range, 0, 1<<12)}
 	rng := rand.New(rand.NewSource(44))
-	kept := make([]*Tree, 0, len(shadows))
-	built := make([]int, 0, len(shadows))
+	kept := make([]*Tree, 0, trees)
+	built := make([]int, trees)
 	var before runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
@@ -223,7 +167,7 @@ func TestOutlierIDWidening(t *testing.T) {
 		for _, tr := range kept {
 			size += tr.SizeBytes()
 		}
-		t.Logf("%s: heap %d B, SizeBytes %d B for %d trees", what, heap, size, len(kept))
+		t.Logf("%s: heap %d B, SizeBytes %d B for %d trees", what, heap, size, trees)
 		if d := math.Abs(float64(heap)-float64(size)) / float64(size); d > 0.03 {
 			t.Errorf("%s: heap %d B is %.1f%% away from SizeBytes %d B", what, heap, d*100, size)
 		}
@@ -254,62 +198,51 @@ func TestOutlierIDWidening(t *testing.T) {
 			t.Fatalf("deleting id %#x at m %v: %d records left of %d", p.ID, p.M, got, k)
 		}
 	}
-	for _, sc := range schemes {
-		for range trees {
-			copy(pairs, src)
-			for i := range pairs {
-				pairs[i].ID = sc.built(pairs[i].ID)
-			}
-			tr, err := Build(pairs, 1, 0, DefaultParams())
-			if err != nil {
-				t.Fatal(err)
-			}
-			kept = append(kept, tr)
-			got := frameOfArena(&tr.nodes)
-			if tr.LeafCount() < 256 || got.shift != sc.frame.shift || got.w != sc.frame.w {
-				t.Fatalf("%s: built %d leaves, frame %+v: want hundreds of leaves and %+v", sc.name, tr.LeafCount(), got, sc.frame)
-			}
-			built = append(built, tr.OutlierCount())
-			shadow := &shadows[len(kept)-1]
-			reencodes := 0
-			for _, ph := range sc.phases {
-				for i := range uint64(perPhase) {
-					// Host values lie in [0, 12000]: 1e9 is off every model.
-					p := Pair{M: rng.Float64()*1100 - 50, N: 1e9, ID: ph.id(i)}
-					was := frameOfArena(&tr.nodes)
-					tr.Insert(p.M, p.N, p.ID)
-					if now := frameOfArena(&tr.nodes); now != was {
-						if reencodes++; !narrows(was, now) {
-							t.Fatalf("%s, %s: id %#x moved the frame from %+v to %+v, no narrower", sc.name, ph.name, p.ID, was, now)
-						}
-					}
-					*shadow = append(*shadow, p)
-					if i%4 == 0 {
-						lookup(tr, *shadow)
-					}
-					if i%3 == 0 {
-						del(tr, shadow)
-					}
+	for x := range trees {
+		copy(pairs, src)
+		tr, err := Build(pairs, 1, 0, DefaultParams())
+		if err != nil {
+			t.Fatal(err)
+		}
+		kept = append(kept, tr)
+		if tr.LeafCount() < 256 || tr.w != 3 {
+			t.Fatalf("built %d leaves, ids %d bytes wide: want hundreds of leaves and 3", tr.LeafCount(), tr.w)
+		}
+		built[x] = tr.OutlierCount()
+		shadow := &shadows[x]
+		widenings := 0
+		for _, ph := range phases {
+			for i := range uint64(perWidth) {
+				// Host values lie in [0, 12000]: 1e9 is off every model.
+				p := Pair{M: rng.Float64()*1100 - 50, N: 1e9, ID: ph.id(i)}
+				was := tr.w
+				tr.Insert(p.M, p.N, p.ID)
+				switch {
+				case tr.w < was:
+					t.Fatalf("id %#x narrowed the arena from %d to %d bytes", p.ID, was, tr.w)
+				case tr.w > was:
+					widenings++
 				}
-				if got := frameOfArena(&tr.nodes); got.shift != ph.want.shift || got.w != ph.want.w {
-					t.Fatalf("%s, %s: frame %+v, want shift %d and width %d", sc.name, ph.name, got, ph.want.shift, ph.want.w)
+				*shadow = append(*shadow, p)
+				if i%4 == 0 {
+					lookup(tr, *shadow)
 				}
-				checkArena(t, &tr.nodes)
+				if i%3 == 0 {
+					del(tr, shadow)
+				}
 			}
-			t.Logf("%s: %d re-encodes", sc.name, reencodes)
-			if reencodes > maxReencodes {
-				t.Fatalf("%s: %d re-encodes, more than the %d bound", sc.name, reencodes, maxReencodes)
+			if tr.w != ph.w {
+				t.Fatalf("ids from %#x: width %d, want %d", ph.id(0), tr.w, ph.w)
 			}
+			checkArena(t, &tr.nodes)
+		}
+		if widenings > 8 {
+			t.Fatalf("the arena widened %d times, more than its 8 widths", widenings)
 		}
 	}
 	check("widened")
 	for x, tr := range kept {
 		shadow := &shadows[x]
-		for _, p := range *shadow {
-			if !tr.nodes.holds(idSet{lo: p.ID, hi: p.ID}) {
-				t.Fatalf("the frame %+v does not hold id %#x", frameOfArena(&tr.nodes), p.ID)
-			}
-		}
 		for len(*shadow) > 0 {
 			if len(*shadow)%50 == 0 {
 				lookup(tr, *shadow)
@@ -331,42 +264,27 @@ func TestOutlierIDWidening(t *testing.T) {
 // BenchmarkLookupOutlierHeavy times lookups in the shape durable-write's
 // tree ends its run in: 512 leaves over the benchmark's 200k-row table,
 // about 134 outliers each, queried by points and by ranges of the
-// benchmark's selectivity (0.2 of 1000). The physical tree's ids are row
-// ids, frame shift 0; the logical one's are the ranks of the whole keys
-// from 1 (hermit.LogicalID), frame shift 35 and a base near 2^63, the ids
-// durable-write's tree holds — each kept id costs keep a shift more.
+// benchmark's selectivity (0.2 of 1000). Its ids are row ids, and as well
+// the logical ids of the table's whole keys (hermit.LogicalID), which are
+// the same numbers.
 func BenchmarkLookupOutlierHeavy(b *testing.B) {
-	for _, sc := range []struct {
-		name string
-		id   func(i uint64) uint64
-	}{
-		{"physical", func(i uint64) uint64 { return i }},
-		{"logical", func(i uint64) uint64 { return keyorder.Rank(float64(i + 1)) }},
-	} {
-		b.Run(sc.name, func(b *testing.B) {
-			pairs := genBenchmarkShape(200_000)
-			for i := range pairs {
-				pairs[i].ID = sc.id(pairs[i].ID)
-			}
-			tr, err := Build(pairs, 1, 0, DefaultParams())
-			if err != nil {
-				b.Fatal(err)
-			}
-			rng := rand.New(rand.NewSource(9))
-			for i := range 134*tr.LeafCount() - tr.OutlierCount() {
-				tr.Insert(rng.Float64()*1000, 1e9, sc.id(uint64(200_000+i)))
-			}
-			qs := make([]float64, 4096)
-			for i := range qs {
-				qs[i] = rng.Float64() * 1000
-			}
-			var res Result
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				lo := qs[i%len(qs)]
-				tr.LookupInto(lo, lo+0.2*float64(i&1), &res)
-			}
-		})
+	tr, err := Build(genBenchmarkShape(200_000), 1, 0, DefaultParams())
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(9))
+	for i := range 134*tr.LeafCount() - tr.OutlierCount() {
+		tr.Insert(rng.Float64()*1000, 1e9, uint64(200_000+i))
+	}
+	qs := make([]float64, 4096)
+	for i := range qs {
+		qs[i] = rng.Float64() * 1000
+	}
+	var res Result
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		lo := qs[i%len(qs)]
+		tr.LookupInto(lo, lo+0.2*float64(i&1), &res)
 	}
 }

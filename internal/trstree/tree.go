@@ -8,8 +8,8 @@
 // linear regression n = beta*m + alpha ± eps; pairs the model fails to cover
 // are kept in per-leaf outlier buffers mapping m to tuple identifiers, each
 // outlier a 4 + w byte record: m as a float32 offset from its leaf's lower
-// bound, rounded down, and the identifier in the tree's id frame, w bytes
-// wide. Lookups on M return approximate ranges on N (to be resolved
+// bound, rounded down, and the identifier in the w bytes the tree's largest
+// one needs. Lookups on M return approximate ranges on N (to be resolved
 // against the host index) plus the identifiers of the outliers that may
 // match: a conservative superset, since a rounded offset stands for every
 // value that rounds to it, which the base-table visit that ends a Hermit
@@ -158,13 +158,15 @@ type leaf struct {
 // An outlier — a pair the linear function fails to cover — is a record of
 // the arena, 4 + w bytes: its target value m as a float32 offset from the
 // leaf's span (span.code: m − lo rounded down), then its tuple identifier
-// in the arena's id frame, w bytes wide (nodes.hold). The buffers
-// dominate the index footprint for noisy workloads (§7.2), and a Hermit
-// lookup may return false positives but no false negative (§5.2), so a
-// record is a conservative filter, not the exact key: m ↦ code(m) is
-// monotone, a lookup returns every record whose code could be that of a
-// value in its predicate (matcher), and the base-table pass that ends
-// every Hermit lookup drops the few that are not.
+// in w bytes, w being the arena's id width (3 for a table of a few hundred
+// thousand rows under either pointer scheme: row ids and logical ids,
+// hermit.LogicalID, are both dense). The buffers dominate the index
+// footprint for noisy workloads (§7.2), and a Hermit lookup may return
+// false positives but no false negative (§5.2), so a record is a
+// conservative filter, not the exact key: m ↦ code(m) is monotone, a
+// lookup returns every record whose code could be that of a value in its
+// predicate (matcher), and the base-table pass that ends every Hermit
+// lookup drops the few that are not.
 
 // span is a node's sub-range [lo, hi] of the target column and its edge
 // flags. The root's span is the tree's bounds; every other span is derived
@@ -258,16 +260,14 @@ func roundDown32(x float64) float32 {
 
 // nodes holds the nodes of a tree, or of a subtree being built.
 type nodes struct {
-	// fanout and the id frame's shift and w share a word: a Tree stays in
-	// its 288-byte size class.
+	// fanout and w share a word: a Tree stays in its 288-byte size class.
 	fanout int32
-	// The arena's id frame: the id field of a record is (id − base) >>
-	// shift in w bytes. An id the frame does not hold re-encodes the arena
-	// (hold).
-	shift, w uint8
-	base     uint64
-	leaves   []leaf
-	inner    []ref
+	// w is the width of the arena's id fields in bytes: the fewest that
+	// hold the largest id written to it. A wider id re-encodes the arena
+	// (widen), at most 8 times in its life.
+	w      uint8
+	leaves []leaf
+	inner  []ref
 	// out is the outlier arena, every leaf's buffer a run of its records,
 	// rec() bytes each. It holds slots() records and room() fit in its
 	// capacity, which keeps pad bytes beyond them. held counts the entries
@@ -313,8 +313,8 @@ func (n *nodes) load(o int) uint64 { return binary.LittleEndian.Uint64(n.out[o :
 // shift by 64 is 0).
 func mask(w uint8) uint64 { return 1<<(8*uint(w)) - 1 }
 
-// idWidth is the number of bytes id code c needs.
-func idWidth(c uint64) uint8 { return uint8((bits.Len64(c) + 7) / 8) }
+// idWidth is the number of bytes id needs.
+func idWidth(id uint64) uint8 { return uint8((bits.Len64(id) + 7) / 8) }
 
 // code returns the code field of record i.
 func (n *nodes) code(i uint32) float32 {
@@ -322,115 +322,31 @@ func (n *nodes) code(i uint32) float32 {
 }
 
 // id returns the id field of record i.
-func (n *nodes) id(i uint32) uint64 {
-	return n.base + n.load(int(i)*n.rec()+4)&mask(n.w)<<n.shift
-}
+func (n *nodes) id(i uint32) uint64 { return n.load(int(i)*n.rec()+4) & mask(n.w) }
 
-// put writes record i, re-encoding the arena first if its frame does not
-// hold id.
+// put writes record i, widening the arena first if id needs more bytes.
+// The id is written by a read-modify-write of 8 bytes, which leaves the
+// bytes past it as they were.
 func (n *nodes) put(i uint32, d float32, id uint64) {
-	n.hold(idSet{lo: id, hi: id})
-	n.write(i, d, id)
-}
-
-// write writes record i, whose id the arena's frame holds. The id is
-// written by a read-modify-write of 8 bytes, which leaves the bytes past
-// it as they were.
-func (n *nodes) write(i uint32, d float32, id uint64) {
+	n.widen(idWidth(id))
 	o := int(i) * n.rec()
 	binary.LittleEndian.PutUint32(n.out[o:], math.Float32bits(d))
 	o += 4
-	binary.LittleEndian.PutUint64(n.out[o:o+8], n.load(o)&^mask(n.w)|(id-n.base)>>n.shift)
+	binary.LittleEndian.PutUint64(n.out[o:o+8], n.load(o)&^mask(n.w)|id)
 }
 
-// idSet sums up a set of ids for a frame: the least and the greatest, and
-// grid, whose trailing zero bits are the low bits the ids all agree in.
-type idSet struct{ lo, hi, grid uint64 }
-
-// add adds id to the set s, or makes s the set of id alone when first.
-func (s *idSet) add(id uint64, first bool) {
-	if first {
-		*s = idSet{lo: id, hi: id}
-		return
-	}
-	s.grid |= id ^ s.lo
-	s.lo, s.hi = min(s.lo, id), max(s.hi, id)
-}
-
-// coarsest is the shift of the coarsest grid through ids that differ in
-// the bits of g: their common trailing zero bits, and 63 when g is 0 — one
-// id, which a grid of any shift holds. (The B+-tree's leaf frame, which
-// fits one id in no bytes at any shift, takes 0 there.)
-func coarsest(g uint64) uint8 { return uint8(min(bits.TrailingZeros64(g), 63)) }
-
-// holds reports whether the arena's id frame holds every id of s.
-func (n *nodes) holds(s idSet) bool {
-	d := s.lo - n.base
-	return s.lo >= n.base && (d|s.grid)&(1<<n.shift-1) == 0 && (s.hi-n.base)>>n.shift <= mask(n.w)
-}
-
-// hold re-encodes the arena, if its id frame does not hold the ids of s,
-// in one that holds them and every id its runs hold: each live record at
-// its index, in an array of the same room, the rest zero.
-//
-// The new frame's grid is the coarsest all those ids lie on, but no
-// coarser than the old one's. When it is the old one — the ids lie past
-// the frame's ends — the base drops to the grid's lowest point if the old
-// width holds them from there, and the width grows by a byte at least if
-// it does not. Otherwise, and when it grows, the frame takes the fewest
-// bytes that hold the ids, and more, centred on them: the room the width
-// leaves is split evenly below the least id and above the greatest, so
-// that ids which fall or grow from there fit too. Each re-encode thus
-// narrows the frame for good — the shift falls, the width grows, or the
-// base drops to where no id lies below it, which can happen once between
-// two of the others — and an arena is re-encoded at most 2·(63 + 8) + 1
-// times in the life of its records. An arena that holds no record takes
-// the tightest frame of the ids that come.
-func (n *nodes) hold(s idSet) {
-	if n.holds(s) {
+// widen re-encodes the arena with ids w bytes wide, if they are narrower:
+// every slot, owned or dead, at its index, in an array of the same room.
+func (n *nodes) widen(w uint8) {
+	if w <= n.w {
 		return
 	}
 	old := *n
-	shift, w, outside := coarsest(s.grid), uint8(0), false
-	if old.held > 0 {
-		shift = min(old.shift, coarsest(s.grid|(s.lo^old.base)))
-		old.eachRecord(func(i uint32) { s.add(old.id(i), false) })
-		w, outside = old.w, shift == old.shift // on the old grid: past an end
-	}
-	lo, span := s.lo>>shift, (s.hi-s.lo)>>shift // the codes above the grid's lowest point
-	switch {
-	case outside && s.hi>>shift <= mask(w):
-		lo = 0 // the base drops to the grid's lowest point
-	case outside:
-		w++
-		fallthrough
-	default:
-		w = max(w, idWidth(span))
-		lo -= min(lo, (mask(w)-span)/2)
-	}
-	n.shift, n.w = shift, w
-	n.base = s.lo&(1<<shift-1) + lo<<shift
+	n.w = w
 	n.out = n.arena(old.slots(), old.room())
-	old.eachRecord(func(i uint32) { n.write(i, old.code(i), old.id(i)) })
-}
-
-// eachRecord calls fn with the index of every record the runs hold.
-func (n *nodes) eachRecord(fn func(i uint32)) {
-	for s := range n.leaves {
-		l := &n.leaves[s]
-		for i := l.off; i < l.off+l.n; i++ {
-			fn(i)
-		}
+	for i := range uint32(old.slots()) {
+		n.put(i, old.code(i), old.id(i))
 	}
-}
-
-// runIDs sums up the ids of the records leaf l holds.
-func (n *nodes) runIDs(l *leaf) idSet {
-	var s idSet
-	for i := range l.n {
-		s.add(n.id(l.off+i), i == 0)
-	}
-	return s
 }
 
 // runBytes returns the records leaf l holds.
@@ -439,14 +355,14 @@ func (n *nodes) runBytes(l *leaf) []byte {
 }
 
 // copyRun writes the records of leaf l of src at slot at of n's arena,
-// whose frame holds their ids: byte for byte when the frames agree.
+// whose ids are at least as wide: byte for byte when the widths agree.
 func (n *nodes) copyRun(at uint32, src *nodes, l *leaf) {
-	if n.base == src.base && n.shift == src.shift && n.w == src.w {
+	if src.w == n.w {
 		copy(n.out[int(at)*n.rec():], src.runBytes(l))
 		return
 	}
 	for i := range l.n {
-		n.write(at+i, src.code(l.off+i), src.id(l.off+i))
+		n.put(at+i, src.code(l.off+i), src.id(l.off+i))
 	}
 }
 
@@ -481,9 +397,7 @@ func (n *nodes) addInner() ref {
 func (n *nodes) graft(src *nodes, r ref) ref {
 	if r.isLeaf() {
 		l := src.leaves[r.slot()]
-		if l.n > 0 {
-			n.hold(src.runIDs(&l))
-		}
+		n.widen(src.w)
 		off := n.claim(int(l.n))
 		n.copyRun(off, src, &l)
 		l.off, l.cap = off, l.n
@@ -683,11 +597,11 @@ type Tree struct {
 	params Params
 	bounds span // the root's: the build-time range R, edge-extended both ways
 	root   ref
-	// Reorganization state: a rebuild is parked in its scan, and the
-	// writes that arrived since. inReorg shares root's word.
-	inReorg bool
 	nodes
 
+	// Reorganization state: a rebuild is parked in its scan, and the
+	// writes that arrived since.
+	inReorg bool
 	sideBuf []bufferedOp
 }
 
