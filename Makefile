@@ -70,7 +70,9 @@ difftest:
 # Coverage-guided fuzzing for FUZZTIME each: the B+-tree's key order and
 # unique-key path (Insert/Delete/Get/Swap/Scan over finite, ±0, ±Inf and NaN
 # keys, with ids of every width, the ranks of such keys among them, against
-# a map oracle, structural check after every op), then the
+# a map oracle) and its two-key trees (InsertAB/DeleteAB/ContainsAB/ScanAB/
+# BulkLoadAB, both keys drawn from whole, quarter, ±0, ±Inf and NaN keys,
+# against a multiset oracle), structural check after every op, then the
 # bulk-load sort kernels (keyorder.SortPairs/SortTriples against a sort.Sort
 # reference, NaN payloads, signed zeros, duplicates, sorted and reverse
 # inputs), then the block tier's decoder (FuzzDecodeBlock: a block image as
@@ -117,15 +119,17 @@ fuzz:
 # every tree here runs at (btree.DefaultOrder) — random inserts, point
 # lookups and 1000-entry range scans on 1M keys, with the tree's B/entry:
 # the comparison the constant was chosen by — and random point lookups on
-# a 1M-key primary index (BenchmarkGetRandom1M), each for a million
-# operations, enough for a mean that means something; then a million
+# a 1M-key primary index (BenchmarkGetRandom1M), and scans of a bulk-loaded
+# 1M-entry two-key tree whose b filter keeps a tenth of each a range
+# (BenchmarkCompositeScan), each for a million operations, enough for a
+# mean that means something; then a million
 # TRS-Tree lookups in the shape durable-write's tree ends its run in
 # (BenchmarkLookupOutlierHeavy: row ids, which the logical ids of whole
-# keys equal); about 30 s in all.
+# keys equal); about 35 s in all.
 bench: build
 	$(GO) run ./cmd/hermit-bench -exp paper -scale 0.02 -measure 20ms
 	$(GO) test -run '^$$' -bench 'BenchmarkCreate(BTree|Hermit)Index' -benchtime 1x .
-	$(GO) test -run '^$$' -bench 'Order|GetRandom1M' -benchtime 1000000x ./internal/btree
+	$(GO) test -run '^$$' -bench 'Order|GetRandom1M|CompositeScan' -benchtime 1000000x ./internal/btree
 	$(GO) test -run '^$$' -bench LookupOutlierHeavy -benchtime 1000000x ./internal/trstree
 
 # The full artifact-producing suite: the paper sweep (`make bench`), then

@@ -13,6 +13,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
 	"math"
 	"math/rand"
@@ -25,18 +26,26 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run plays the walkthrough in a temporary directory, writing its report
+// to w. Its output is the same from run to run.
+func run(w io.Writer) error {
 	dir, err := os.MkdirTemp("", "hermit-running-*")
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer os.RemoveAll(dir)
 
 	db, err := engine.OpenDurable(dir, hermitdb.PhysicalPointers)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if _, err := db.CreateTable("STOCK_HISTORY", []string{"TIME", "DJ", "SP", "VOL"}, 0); err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// 60 years of daily Dow-Jones and S&P-500 style indices: correlated in
@@ -51,7 +60,7 @@ func main() {
 			sp = rng.Float64() * dj / 4 // decoupled day
 		}
 		if _, err := db.Insert("STOCK_HISTORY", []float64{float64(day), dj, sp, rng.Float64() * 1e6}); err != nil {
-			log.Fatal(err)
+			return err
 		}
 	}
 
@@ -59,7 +68,7 @@ func main() {
 	if err := db.CreateIndex("STOCK_HISTORY", engine.IndexDef{
 		Kind: "composite-btree", ACol: 0, Col: 1,
 	}); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	// Index request on (TIME, SP): served by a composite Hermit index that
 	// models SP -> DJ and rides the existing (TIME, DJ) index.
@@ -67,7 +76,7 @@ func main() {
 		Kind: "composite-hermit", ACol: 0, Col: 2, Host: 1,
 		Params: trstree.DefaultParams(),
 	}); err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	tb, _ := db.Table("STOCK_HISTORY")
@@ -83,43 +92,46 @@ func main() {
 	})
 	qLo := spLo + (spHi-spLo)*0.40
 	qHi := spLo + (spHi-spLo)*0.45
-	query := func(label string) {
+	query := func(label string) error {
 		q := hermitdb.Query{Col: 0, Lo: 5000, Hi: 8000, And: &hermitdb.Pred{Col: 2, Lo: qLo, Hi: qHi}}
 		_, stats, err := tb.Exec(q, nil)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		fmt.Printf("%s: TIME in [5000,8000] AND SP in [%.0f,%.0f] -> %d days (%d candidates, fp %.1f%%)\n",
+		fmt.Fprintf(w, "%s: TIME in [5000,8000] AND SP in [%.0f,%.0f] -> %d days (%d candidates, fp %.1f%%)\n",
 			label, qLo, qHi, stats.Rows, stats.Candidates, stats.FalsePositiveRatio()*100)
+		return nil
 	}
-	query("before crash")
+	if err := query("before crash"); err != nil {
+		return err
+	}
 
 	hx := tb.CompositeHermit(0, 2)
 	st := hx.Tree().Stats()
 	m := tb.Memory()
-	fmt.Printf("TRS-Tree on SP->DJ: %d leaves, %d outliers, %.1f KB (vs %.2f MB for the (TIME,DJ) host index)\n",
+	fmt.Fprintf(w, "TRS-Tree on SP->DJ: %d leaves, %d outliers, %.1f KB (vs %.2f MB for the (TIME,DJ) host index)\n",
 		st.Leaves, st.Outliers, float64(st.SizeBytes)/1024, float64(m.ExistingBytes)/(1<<20))
 
 	// Fault tolerance (§6): checkpoint, more writes, crash, recover.
 	if err := db.Checkpoint(); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	for day := days; day < days+100; day++ {
 		dj *= 1 + rng.NormFloat64()*0.01
 		if _, err := db.Insert("STOCK_HISTORY", []float64{float64(day), dj, dj / 8, 0}); err != nil {
-			log.Fatal(err)
+			return err
 		}
 	}
 	if err := db.Close(); err != nil { // "crash" after the WAL tail is on disk
-		log.Fatal(err)
+		return err
 	}
 
 	recovered, err := engine.OpenDurable(dir, hermitdb.PhysicalPointers)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer recovered.Close()
 	tb, _ = recovered.Table("STOCK_HISTORY")
-	fmt.Printf("after recovery: %d rows (checkpoint + %d WAL-tail inserts)\n", tb.Len(), 100)
-	query("after recovery")
+	fmt.Fprintf(w, "after recovery: %d rows (checkpoint + %d WAL-tail inserts)\n", tb.Len(), 100)
+	return query("after recovery")
 }

@@ -55,20 +55,35 @@
 // re-encodes the leaf too, so its frame follows what it holds. The array
 // ends in 8 spare bytes, so that every field is read with one unaligned
 // 8-byte load and a mask. Searches within a leaf compare codes, not keys:
-// a probe is mapped into the leaf's frame once (probe). Internal nodes,
+// a probe is mapped into the leaf's frame once (search). Internal nodes,
 // about one node in a hundred, keep their separators as float64 keys and
 // uint64 ties beside the child pointers.
+//
+// A two-key tree (NewComposite) — every composite index, such as the
+// paper's (TIME, DJ) host of §3 — orders its entries by (a, b, id). A leaf
+// adds a b code to each entry, after the id code: b's rank less the
+// leaf's bbase, shifted right by its bshift, in bw bytes. bw takes the
+// header's last spare byte; bbase and bshift take the last 9 bytes of the
+// array (bframe), which also serve as its spare bytes. A separator carries
+// b's rank as a second tie word. One search, re-encode, split, merge and
+// scan serve both arities, and a one-key leaf's bytes are what they were.
+// A scan maps the b bounds into each leaf's b frame and compares codes.
 //
 // Measured on 1M entries at DefaultOrder (TestHeapMatchesSizeBytes, what
 // SizeBytes and the heap agree on): ascending inserts hold 2.93 B/entry,
 // random inserts 10.18 and a random churn 10.78, against 16.80, 18.10 and
 // 19.24 while every entry took 16 bytes; the benchmark's bulk-loaded 1M-row
-// column, 6.24 against 17.59. The packed leaf is also the faster one to
-// search (medians of five or six alternated runs, one CPU): a random Get on
-// 1M ascending keys 178 against 227 ns, 253 against 315 at order 16. A
-// 1000-entry Scan is no faster: it decodes every key (a mask, a shift and
-// keyorder.Unrank), and when the machine is quiet the 16-byte entries scan
-// in 1.9 µs where packed ones take 2.3.
+// column, 6.24 against 17.59; a two-key tree of random (a, b) pairs 17.74
+// and 18.76 after a churn (7 bytes of b code: b spans [0, 1) in every
+// leaf), against 27.0 and 28.9 while composite indexes were a tree of
+// their own with three 8-byte arrays per entry. The packed leaf is also
+// the faster one to search (medians of five or six alternated runs, one
+// CPU): a random Get on 1M ascending keys 178 against 227 ns, 253 against
+// 315 at order 16. A 1000-entry Scan is no faster: it decodes every key (a
+// mask, a shift and keyorder.Unrank), and when the machine is quiet the
+// 16-byte entries scan in 1.9 µs where packed ones take 2.3. A two-key
+// scan that keeps a tenth of 1000 entries takes 4.1 µs, against 11.0 when
+// composite leaves kept their keys as float64s (BenchmarkCompositeScan).
 //
 // Every tree the engine builds — primary, host, baseline and composite — runs
 // at DefaultOrder, 128 entries per node. The paper's DBMS-X B+-tree has
@@ -121,8 +136,9 @@ import (
 // the package comment for why 128).
 const DefaultOrder = 128
 
-// Tree is a B+-tree mapping float64 keys to uint64 tuple identifiers.
-// The zero value is not usable; call New.
+// Tree is a B+-tree mapping float64 keys — or, in a two-key tree, (a, b)
+// key pairs — to uint64 tuple identifiers. The zero value is not usable;
+// call New or NewComposite.
 //
 // Tree is not internally synchronised. The engine layer serialises writers;
 // concurrent readers are safe only in the absence of writers.
@@ -133,6 +149,10 @@ type Tree struct {
 	last  *node
 	order int
 	size  int
+	// two marks a two-key tree (NewComposite), and bs is its room to
+	// decode a leaf's b ranks in (scratch); nil in a one-key tree.
+	two bool
+	bs  []uint64
 }
 
 // node is a leaf when in is nil. Its header is 64 bytes, an allocator size
@@ -141,31 +161,39 @@ type node struct {
 	in   *inner // internal nodes only
 	next *node  // leaf-level sibling link for range scans
 	// buf holds a leaf's n entries packed (see the package comment), then
-	// at least pad spare bytes; len(buf) is its capacity, a size class.
+	// at least spare bytes; len(buf) is its capacity, a size class.
 	buf   []byte
 	kbase uint64 // the rank key code 0 stands for
 	vbase uint64 // the id id code 0 stands for
 	n     int32  // entries in a leaf
 	// A key code is (rank - kbase) >> shift in kw bytes, an id code
-	// id - vbase in vw bytes. The shift is below 64; code that shifts by
-	// it masks it with 63 to say so, which spares the compiler's guard for
-	// a shift of 64 or more at every entry decoded.
-	shift, kw, vw uint8
+	// id - vbase in vw bytes, and in a two-key leaf a b code follows them
+	// in bw bytes (bframe); bw is 0 in a one-key leaf. The shift is below
+	// 64; code that shifts by it masks it with 63 to say so, which spares
+	// the compiler's guard for a shift of 64 or more at every entry decoded.
+	shift, kw, vw, bw uint8
 }
 
 // inner is what an internal node holds besides its header.
 type inner struct {
 	// keys and tie are the separators: separator i is the smallest entry of
-	// children[i+1], its key and the value component of the composite
-	// ordering.
+	// children[i+1] when it was split off. keys[i] is its key, and its tie
+	// words, which order it among entries of that key, are tie[i] — its id
+	// — in a one-key tree, tie[2i] and tie[2i+1] — b's rank, then the id —
+	// in a two-key tree (ties).
 	keys     []float64
 	tie      []uint64
 	children []*node
 }
 
-// pad is the number of bytes a leaf array keeps past its last entry: an
-// 8-byte load at the start of any field stays inside the array.
+// pad is the number of bytes a one-key leaf array keeps past its last
+// entry: an 8-byte load at the start of any field stays inside the array.
 const pad = 8
+
+// tail is the number of bytes a two-key leaf array keeps at its end for its
+// b frame (bframe): b's base rank in 8 bytes, then its shift. They are past
+// the last entry, so they are its pad too.
+const tail = 9
 
 func (n *node) leaf() bool { return n.in == nil }
 
@@ -183,6 +211,29 @@ func New(order int) *Tree {
 	}
 }
 
+// NewComposite creates an empty two-key tree, the index shape of the
+// paper's running example on (TIME, DJ) (§3): its entries are (a, b, id),
+// ordered by a, then b, then id, both keys in keyorder's total order. It is
+// written and read with the methods that take both keys: InsertAB,
+// DeleteAB, ScanAB and BulkLoadAB.
+func NewComposite(order int) *Tree {
+	t := New(order)
+	t.two, t.bs = true, make([]uint64, 0, fit(t.order+1))
+	t.root = t.newLeaf()
+	t.last = t.root
+	return t
+}
+
+// newLeaf returns an empty leaf of t: a two-key leaf has an array from the
+// start, for its b frame.
+func (t *Tree) newLeaf() *node {
+	n := &node{}
+	if t.two {
+		fill(n, entries{bs: []uint64{}}, 0)
+	}
+	return n
+}
+
 // Len returns the number of entries.
 func (t *Tree) Len() int { return t.size }
 
@@ -195,41 +246,74 @@ func (t *Tree) Height() int {
 	return h
 }
 
-// cmpKV orders composite (key, value) pairs: keys by keyorder's total order,
-// then values.
-func cmpKV(k1 float64, v1 uint64, k2 float64, v2 uint64) int {
-	if c := keyorder.Compare(k1, k2); c != 0 {
+// ent is an entry, or a separator, in the tree's order: its key, its b's
+// rank (0 in a one-key tree) and its id.
+type ent struct {
+	key   float64
+	s, id uint64
+}
+
+// cmpEnt orders entries: keys by keyorder's total order, then b's ranks,
+// then ids.
+func cmpEnt(x, y ent) int {
+	if c := keyorder.Compare(x.key, y.key); c != 0 {
 		return c
 	}
-	return cmp.Compare(v1, v2)
+	if c := cmp.Compare(x.s, y.s); c != 0 {
+		return c
+	}
+	return cmp.Compare(x.id, y.id)
+}
+
+// rankB is b's rank in a two-key tree and 0 in a one-key tree, which does
+// not read b.
+func (t *Tree) rankB(b float64) uint64 {
+	if t.two {
+		return keyorder.Rank(b)
+	}
+	return 0
+}
+
+// ties is the number of tie words of each separator of t (inner).
+func (t *Tree) ties() int {
+	if t.two {
+		return 2
+	}
+	return 1
+}
+
+// spare is the number of bytes a leaf array of t keeps past its entries.
+func (t *Tree) spare() int {
+	if t.two {
+		return tail
+	}
+	return pad
+}
+
+// sep returns separator i, ts tie words per separator, as an entry.
+func (in *inner) sep(i, ts int) ent {
+	if ts == 2 {
+		return ent{in.keys[i], in.tie[2*i], in.tie[2*i+1]}
+	}
+	return ent{key: in.keys[i], id: in.tie[i]}
 }
 
 // The searches below are written out (no sort.Search, no closure): a descent
-// runs one per level.
+// runs one per level. A separator's tie words are compared only when its
+// key equals the probe's.
 
-// search returns the index of the first separator >= (k, v).
-func (in *inner) search(k float64, v uint64) int {
-	keys, tie := in.keys, in.tie[:len(in.keys)]
-	lo, hi := 0, len(keys)
-	for lo < hi {
-		m := int(uint(lo+hi) >> 1)
-		if keyorder.Less(keys[m], k) || !keyorder.Less(k, keys[m]) && tie[m] < v {
-			lo = m + 1
-		} else {
-			hi = m
-		}
+// search returns the number of separators below entry e, or, when
+// orEqual, at or below it: the child a descent for e takes.
+func (in *inner) search(e ent, ts int, orEqual bool) int {
+	lim := 0
+	if orEqual {
+		lim = 1
 	}
-	return lo
-}
-
-// childIndex returns the child to descend into for composite key (k, v):
-// the number of separators <= (k, v).
-func (in *inner) childIndex(k float64, v uint64) int {
-	keys, tie := in.keys, in.tie[:len(in.keys)]
+	keys := in.keys
 	lo, hi := 0, len(keys)
 	for lo < hi {
 		m := int(uint(lo+hi) >> 1)
-		if keyorder.Less(keys[m], k) || !keyorder.Less(k, keys[m]) && tie[m] <= v {
+		if keyorder.Less(keys[m], e.key) || !keyorder.Less(e.key, keys[m]) && cmpEnt(in.sep(m, ts), e) < lim {
 			lo = m + 1
 		} else {
 			hi = m
@@ -264,8 +348,24 @@ func width(c uint64) uint8 { return uint8((bits.Len64(c) + 7) / 8) }
 // onGrid reports whether the offset d lies on a grid of the given shift.
 func onGrid(d uint64, shift uint8) bool { return d&(1<<(shift&63)-1) == 0 }
 
+// frameCode maps rank r into a frame of the given base and shift: the ranks
+// at or above r are those whose code is at or above c, and exact reports
+// whether r is the rank of code c. A rank off the frame's grid lies
+// strictly between two codes, so the ranks above it are those from the
+// next code up.
+func frameCode(r, base uint64, shift uint8) (c uint64, exact bool) {
+	if r < base {
+		return 0, false
+	}
+	d := r - base
+	if c = d >> (shift & 63); !onGrid(d, shift) {
+		return c + 1, false
+	}
+	return c, true
+}
+
 // w is the width of one entry of leaf n in bytes.
-func (n *node) w() int { return int(n.kw) + int(n.vw) }
+func (n *node) w() int { return int(n.kw) + int(n.vw) + int(n.bw) }
 
 // load reads the 8 bytes of buf at o.
 func load(buf []byte, o int) uint64 { return binary.LittleEndian.Uint64(buf[o:]) }
@@ -282,18 +382,47 @@ func (n *node) key(i int) float64 { return keyorder.Unrank(n.rank(i)) }
 // id returns the id of entry i of leaf n.
 func (n *node) id(i int) uint64 { return n.vbase + load(n.buf, i*n.w()+int(n.kw))&mask(n.vw) }
 
-// put writes entry i of leaf n, which must fit n's frame (fits). Each field
-// is written by a read-modify-write of 8 bytes, which leaves the bytes past
-// it as they were.
-func (n *node) put(i int, r, id uint64) {
+// bframe returns two-key leaf n's b frame: a b code is (rank - base) >>
+// shift, in bw bytes after the id code. It sits in the last tail bytes of
+// the array, which fill writes after the entries.
+func (n *node) bframe() (base uint64, shift uint8) {
+	o := len(n.buf) - tail
+	return load(n.buf, o), n.buf[o+8]
+}
+
+// brank returns the b rank of entry i of two-key leaf n.
+func (n *node) brank(i int) uint64 {
+	base, shift := n.bframe()
+	return base + load(n.buf, i*n.w()+int(n.kw)+int(n.vw))&mask(n.bw)<<(shift&63)
+}
+
+// at returns entry i of leaf n, which is a two-key leaf when two.
+func (n *node) at(i int, two bool) ent {
+	e := ent{key: n.key(i), id: n.id(i)}
+	if two {
+		e.s = n.brank(i)
+	}
+	return e
+}
+
+// put writes entry i of leaf n — the key of rank r, b's rank s (two-key
+// leaves only) and id — which must fit n's frame (fits). Each field is
+// written by a read-modify-write of 8 bytes, which leaves the bytes past it
+// as they were. A b code of no bytes needs no write.
+func (n *node) put(i int, r, s, id uint64) {
 	o := i * n.w()
 	km, vm := mask(n.kw), mask(n.vw)
 	binary.LittleEndian.PutUint64(n.buf[o:], load(n.buf, o)&^km|(r-n.kbase)>>(n.shift&63))
 	o += int(n.kw)
 	binary.LittleEndian.PutUint64(n.buf[o:], load(n.buf, o)&^vm|(id-n.vbase))
+	if n.bw != 0 {
+		base, shift := n.bframe()
+		o += int(n.vw)
+		binary.LittleEndian.PutUint64(n.buf[o:], load(n.buf, o)&^mask(n.bw)|(s-base)>>(shift&63))
+	}
 }
 
-// fits reports whether leaf n's frame holds the entry (r, id).
+// fits reports whether leaf n's frame holds the key of rank r and id.
 func (n *node) fits(r, id uint64) bool {
 	d := r - n.kbase
 	return r >= n.kbase && onGrid(d, n.shift) && d>>(n.shift&63) <= mask(n.kw) && n.fitsID(id)
@@ -302,42 +431,34 @@ func (n *node) fits(r, id uint64) bool {
 // fitsID reports whether leaf n's frame holds id.
 func (n *node) fitsID(id uint64) bool { return id >= n.vbase && id-n.vbase <= mask(n.vw) }
 
-// probe maps the composite key (r, v), r a rank, into leaf n's frame: the
-// entries at or above (r, v) are those whose (key code, id code) pair is at
-// or above (c, e).
-func (n *node) probe(r, v uint64) (c, e uint64) {
-	c, exact := n.probeKey(r)
-	if !exact || v < n.vbase {
-		return c, 0
-	}
-	return c, v - n.vbase
+// fitsB reports whether two-key leaf n's b frame holds b's rank s.
+func (n *node) fitsB(s uint64) bool {
+	base, shift := n.bframe()
+	d := s - base
+	return s >= base && onGrid(d, shift) && d>>(shift&63) <= mask(n.bw)
 }
 
-// probeKey maps rank r into leaf n's frame: the entries whose rank is at
-// or above r are those whose key code is at or above c, and exact reports
-// whether r is the rank of code c. A rank off the leaf's grid lies
-// strictly between two codes, so the entries above it are those from the
-// next code up.
-func (n *node) probeKey(r uint64) (c uint64, exact bool) {
-	if r < n.kbase {
-		return 0, false
-	}
-	d := r - n.kbase
-	if c = d >> (n.shift & 63); !onGrid(d, n.shift) {
-		return c + 1, false
-	}
-	return c, true
+// probeKey maps rank r into leaf n's key frame (frameCode).
+func (n *node) probeKey(r uint64) (c uint64, exact bool) { return frameCode(r, n.kbase, n.shift) }
+
+// probeB maps b's rank s into two-key leaf n's b frame (frameCode).
+func (n *node) probeB(s uint64) (d uint64, exact bool) {
+	base, shift := n.bframe()
+	return frameCode(s, base, shift)
 }
 
-// lower returns the index of the first entry of leaf n whose (key code, id
-// code) pair is >= (c, e).
-func (n *node) lower(c, e uint64) int {
-	buf, w, kw := n.buf, n.w(), int(n.kw)
-	km, vm := mask(n.kw), mask(n.vw)
+// lower returns the index of the first entry of leaf n whose (key code, b
+// code, id code) triple is >= (c, d, x). The b and id codes are read only
+// for an entry whose key code is c; in a one-key leaf its b code, of no
+// bytes, is 0, as d is.
+func (n *node) lower(c, d, x uint64) int {
+	buf, w, kw, bo := n.buf, n.w(), int(n.kw), int(n.kw)+int(n.vw)
+	km, vm, bm := mask(n.kw), mask(n.vw), mask(n.bw)
 	lo, hi := 0, int(n.n)
 	for lo < hi {
 		m := int(uint(lo+hi) >> 1)
-		if x := load(buf, m*w) & km; x < c || x == c && load(buf, m*w+kw)&vm < e {
+		o := m * w
+		if y := load(buf, o) & km; y < c || y == c && tieBelow(load(buf, o+bo)&bm, load(buf, o+kw)&vm, d, x) {
 			lo = m + 1
 		} else {
 			hi = m
@@ -346,9 +467,25 @@ func (n *node) lower(c, e uint64) int {
 	return lo
 }
 
-// search returns the index of the first entry of leaf n that is >= (r, v),
-// r a rank.
-func (n *node) search(r, v uint64) int { return n.lower(n.probe(r, v)) }
+// tieBelow reports whether the (b code, id code) pair (y, z) is below (d, x).
+func tieBelow(y, z, d, x uint64) bool { return y < d || y == d && z < x }
+
+// search returns the index of the first entry of leaf n (a two-key leaf
+// when two) that is >= e, r being e's key's rank. It maps e into n's frame
+// — the entries at or above e are those whose (key code, b code, id code)
+// triple is at or above (c, d, x); a one-key leaf has no b codes, and d is
+// 0 — and lower finds the first of those.
+func (n *node) search(r uint64, e ent, two bool) int {
+	c, exact := n.probeKey(r)
+	var d, x uint64
+	if exact && two {
+		d, exact = n.probeB(e.s)
+	}
+	if exact && e.id >= n.vbase {
+		x = e.id - n.vbase
+	}
+	return n.lower(c, d, x)
+}
 
 // find returns the index of the first entry of leaf n whose rank is >= r,
 // and whether that entry's rank is r. It compares key codes alone, in a
@@ -374,28 +511,37 @@ func (n *node) find(r uint64) (int, bool) {
 	return i, i < k && n.rank(i) == r
 }
 
-// holds reports whether entry i of leaf n is (r, id).
-func (n *node) holds(i int, r, id uint64) bool {
-	return i < int(n.n) && n.rank(i) == r && n.id(i) == id
+// holds reports whether entry i of leaf n (a two-key leaf when two) is e,
+// r being e's key's rank.
+func (n *node) holds(i int, r uint64, e ent, two bool) bool {
+	return i < int(n.n) && n.rank(i) == r && n.id(i) == e.id && (!two || n.brank(i) == e.s)
 }
 
-// Insert adds the entry (key, id). Inserting an entry that already exists
-// (same key and id) stores a second copy, which Delete removes one at a
-// time. The engine relies on it: under logical pointers an update that
-// leaves the host column as it was inserts the new version's host entry
-// while the old version's identical one is still in the tree.
-func (t *Tree) Insert(key float64, id uint64) {
-	t.growRoot(t.insert(t.root, key, keyorder.Rank(key), id))
+// Insert adds the entry (key, id) to a one-key tree. Inserting an entry
+// that already exists (same key and id) stores a second copy, which Delete
+// removes one at a time. The engine relies on it: under logical pointers an
+// update that leaves the host column as it was inserts the new version's
+// host entry while the old version's identical one is still in the tree.
+func (t *Tree) Insert(key float64, id uint64) { t.add(ent{key: key, id: id}) }
+
+// InsertAB adds the entry (a, b, id) to a two-key tree, a second copy of
+// it as Insert does. A one-key tree does not read b: it adds (a, id).
+func (t *Tree) InsertAB(a, b float64, id uint64) { t.add(ent{a, t.rankB(b), id}) }
+
+// add inserts entry e.
+func (t *Tree) add(e ent) {
+	t.growRoot(t.insert(t.root, keyorder.Rank(e.key), e))
 	t.size++
 }
 
 // growRoot puts a new root over the old one and the sibling its split
 // produced, if it split.
-func (t *Tree) growRoot(sep float64, sepTie uint64, right *node) {
+func (t *Tree) growRoot(sep ent, right *node) {
 	if right != nil {
+		words := [2]uint64{sep.s, sep.id}
 		t.root = &node{in: &inner{
-			keys:     []float64{sep},
-			tie:      []uint64{sepTie},
+			keys:     []float64{sep.key},
+			tie:      append([]uint64(nil), words[2-t.ties():]...),
 			children: []*node{t.root, right},
 		}}
 	}
@@ -435,47 +581,49 @@ func resize[T any](s []T, n int) []T {
 	return append(make([]T, 0, fit(n)), s...)
 }
 
-// insertAt inserts v at index i of the array of a node that is not full.
-// An array that has no spare capacity moves to the next size class, never
-// to a doubled or a full node's one, so cap() — what SizeBytes counts — is
-// what the heap holds and no more than the node's slots need.
-func insertAt[T any](s []T, i int, v T) []T {
-	if len(s) == cap(s) {
-		s = resize(s, len(s)+1)
+// insertAt inserts vs at index i of the array of a node that is not full.
+// An array that has no spare capacity moves to the next size class that
+// holds them, never to a doubled or a full node's one, so cap() — what
+// SizeBytes counts — is what the heap holds and no more than the node's
+// slots need.
+func insertAt[T any](s []T, i int, vs ...T) []T {
+	if len(s)+len(vs) > cap(s) {
+		s = resize(s, len(s)+len(vs))
 	}
-	s = s[:len(s)+1]
-	copy(s[i+1:], s[i:])
-	s[i] = v
+	s = s[:len(s)+len(vs)]
+	copy(s[i+len(vs):], s[i:])
+	copy(s[i:], vs)
 	return s
 }
 
-// splitInsert splits the array s of a full node as inserting v at index i
-// and then cutting the result at mid would. Each half has the smallest size
-// class that holds it — the right one at least room slots — so the left
-// half keeps s's array only when that is its class. The slots s no longer
-// covers are cleared, so the left node does not keep the right one's
-// children reachable.
-func splitInsert[T any](s []T, i int, v T, mid, room int) (left, right []T) {
-	right = make([]T, 0, fit(max(len(s)+1-mid, room)))
+// splitInsert splits the array s of a full node as inserting vs at index i
+// and then cutting the result at mid would; vs lands in one half. Each half
+// has the smallest size class that holds it — the right one at least room
+// slots — so the left half keeps s's array only when that is its class. The
+// slots s no longer covers are cleared, so the left node does not keep the
+// right one's children reachable.
+func splitInsert[T any](s []T, i, mid, room int, vs ...T) (left, right []T) {
+	k := len(vs)
+	right = make([]T, 0, fit(max(len(s)+k-mid, room)))
 	if i < mid {
-		right = append(right, s[mid-1:]...)
-		left = insertAt(resize(s[:mid-1], mid), i, v)
+		right = append(right, s[mid-k:]...)
+		left = insertAt(resize(s[:mid-k], mid), i, vs...)
 	} else {
-		right = insertAt(append(right, s[mid:]...), i-mid, v)
+		right = insertAt(append(right, s[mid:]...), i-mid, vs...)
 		left = resize(s[:mid], mid)
 	}
 	clear(s[mid:])
 	return left, right
 }
 
-// removeAt removes index i from a node array. When that leaves a quarter or
-// more of the array spare, it moves to the smallest size class that holds
-// what remains (see roomy for the hysteresis).
-func removeAt[T any](s []T, i int) []T {
-	if roomy(len(s)-1, cap(s)) {
-		return append(append(make([]T, 0, fit(len(s)-1)), s[:i]...), s[i+1:]...)
+// removeAt removes the k slots from index i of a node array. When that
+// leaves a quarter or more of the array spare, it moves to the smallest size
+// class that holds what remains (see roomy for the hysteresis).
+func removeAt[T any](s []T, i, k int) []T {
+	if roomy(len(s)-k, cap(s)) {
+		return append(append(make([]T, 0, fit(len(s)-k)), s[:i]...), s[i+k:]...)
 	}
-	return slices.Delete(s, i, i+1)
+	return slices.Delete(s, i, i+k)
 }
 
 // roomy reports whether an array of capacity c holding n slots is one a
@@ -490,36 +638,97 @@ func roomy(n, c int) bool { return 4*(c-n) >= c && fit(n+1) < c }
 // are w bytes wide.
 func roomyBytes(b, c, w int) bool { return 4*(c-b) >= c && fitBytes(b+w) < c }
 
-// decoded is stack room for the entries of a full leaf and one more,
-// decoded to ranks and ids: what a leaf is re-encoded from (fill).
+// entries are a leaf's entries decoded: entry i is the key of rank
+// ranks[i], b's rank bs[i] and id ids[i]. bs is nil in a one-key tree.
+type entries struct{ ranks, bs, ids []uint64 }
+
+// insert inserts the entry (r, s, id) at index i; s is dropped in a
+// one-key tree.
+func (es entries) insert(i int, r, s, id uint64) entries {
+	es.ranks, es.ids = slices.Insert(es.ranks, i, r), slices.Insert(es.ids, i, id)
+	if es.bs != nil {
+		es.bs = slices.Insert(es.bs, i, s)
+	}
+	return es
+}
+
+// delete removes the entry at index i.
+func (es entries) delete(i int) entries {
+	es.ranks, es.ids = slices.Delete(es.ranks, i, i+1), slices.Delete(es.ids, i, i+1)
+	if es.bs != nil {
+		es.bs = slices.Delete(es.bs, i, i+1)
+	}
+	return es
+}
+
+// part returns the entries from index lo to hi.
+func (es entries) part(lo, hi int) entries {
+	p := entries{ranks: es.ranks[lo:hi], ids: es.ids[lo:hi]}
+	if es.bs != nil {
+		p.bs = es.bs[lo:hi]
+	}
+	return p
+}
+
+// decoded is stack room for the keys and ids of a full leaf and one more,
+// decoded to ranks: what a leaf is re-encoded from (fill).
 type decoded struct {
 	ranks, ids [DefaultOrder + 1]uint64
 }
 
-// scratch returns empty slices over d's room, or over the heap for a tree
-// whose leaves d cannot hold.
-func (t *Tree) scratch(d *decoded) (ranks, ids []uint64) {
-	if t.order < len(d.ranks) {
-		return d.ranks[:0], d.ids[:0]
+// scratch returns empty entries over d's room, or over the heap for a tree
+// whose leaves d cannot hold, and, in a two-key tree, over t.bs. The b room
+// is the tree's, not the stack's: a one-key tree's re-encode then clears
+// only the stack room it uses.
+func (t *Tree) scratch(d *decoded) entries {
+	es := entries{ranks: d.ranks[:0], bs: t.bs[:0], ids: d.ids[:0]}
+	if t.order >= len(d.ranks) {
+		es.ranks, es.ids = make([]uint64, 0, t.order+1), make([]uint64, 0, t.order+1)
 	}
-	return make([]uint64, 0, t.order+1), make([]uint64, 0, t.order+1)
+	return es
 }
 
-// decode appends the entries of leaf n to ranks and ids.
-func (n *node) decode(ranks, ids []uint64) ([]uint64, []uint64) {
+// decode appends the entries of leaf n to es; their b ranks too when es
+// has them (a two-key tree).
+func (n *node) decode(es entries) entries {
 	for i := range int(n.n) {
-		ranks, ids = append(ranks, n.rank(i)), append(ids, n.id(i))
+		es.ranks, es.ids = append(es.ranks, n.rank(i)), append(es.ids, n.id(i))
 	}
-	return ranks, ids
+	if es.bs != nil {
+		for i := range int(n.n) {
+			es.bs = append(es.bs, n.brank(i))
+		}
+	}
+	return es
 }
 
-// fill encodes the entries (ranks[i], ids[i]), sorted, into leaf n in the
-// tightest frame that holds them, in an array of the smallest size class
-// that holds room entries of that frame, or all of them if there are more:
-// n's own array when it is that class.
-func fill(n *node, ranks, ids []uint64, room int) {
+// bFrame returns the tightest b frame that holds the b ranks bs: the least
+// of them, the trailing zero bits their offsets from it share, and the
+// bytes the greatest code needs. The ranks are in entry order, not sorted.
+func bFrame(bs []uint64) (base uint64, shift, w uint8) {
+	if len(bs) == 0 {
+		return 0, 0, 0
+	}
+	var grid, top uint64
+	base = bs[0]
+	for _, s := range bs {
+		grid |= s - bs[0] // offsets from any one rank share the least's grid
+		base, top = min(base, s), max(top, s)
+	}
+	if grid != 0 {
+		shift = uint8(bits.TrailingZeros64(grid))
+	}
+	return base, shift, width((top - base) >> shift)
+}
+
+// fill encodes the entries es, sorted, into leaf n in the tightest frame
+// that holds them, in an array of the smallest size class that holds room
+// entries of that frame, or all of them if there are more: n's own array
+// when it is that class. Entries with b ranks make a two-key leaf.
+func fill(n *node, es entries, room int) {
+	ranks, ids := es.ranks, es.ids
 	n.n = int32(len(ranks))
-	n.kbase, n.vbase, n.shift, n.kw, n.vw = 0, 0, 0, 0, 0
+	n.kbase, n.vbase, n.shift, n.kw, n.vw, n.bw = 0, 0, 0, 0, 0, 0
 	if len(ranks) > 0 {
 		var grid, vmax uint64
 		n.kbase, n.vbase = ranks[0], ids[0]
@@ -533,16 +742,34 @@ func fill(n *node, ranks, ids []uint64, room int) {
 		n.kw = width((ranks[len(ranks)-1] - n.kbase) >> n.shift)
 		n.vw = width(vmax - n.vbase)
 	}
+	spare := pad
+	var bbase uint64
+	var bshift uint8
+	if es.bs != nil {
+		bbase, bshift, n.bw = bFrame(es.bs)
+		spare = tail
+	}
 	w := n.w()
-	if size := fitBytes(max(len(ranks), room)*w + pad); len(n.buf) != size {
+	if size := fitBytes(max(len(ranks), room)*w + spare); len(n.buf) != size {
 		n.buf = make([]byte, size)
 	}
 	// Front to back, a field's 8-byte store may clear the bytes after it:
-	// they belong to fields written later.
+	// they belong to fields written later. The b codes follow, each by a
+	// read-modify-write as put writes, and the b frame last.
 	for i, r := range ranks {
 		o := i * w
 		binary.LittleEndian.PutUint64(n.buf[o:], (r-n.kbase)>>n.shift)
 		binary.LittleEndian.PutUint64(n.buf[o+int(n.kw):], ids[i]-n.vbase)
+	}
+	if es.bs != nil {
+		o, bm := int(n.kw)+int(n.vw), mask(n.bw)
+		for _, s := range es.bs {
+			binary.LittleEndian.PutUint64(n.buf[o:], load(n.buf, o)&^bm|(s-bbase)>>bshift)
+			o += w
+		}
+		o = len(n.buf) - tail
+		binary.LittleEndian.PutUint64(n.buf[o:], bbase)
+		n.buf[o+8] = bshift
 	}
 }
 
@@ -557,16 +784,17 @@ func (t *Tree) room(n *node) int {
 }
 
 // refill re-encodes leaf n after an edit its frame cannot hold: entry i's
-// id replaced by id, or, when insert, the entry (r, id) inserted at i.
-func (t *Tree) refill(n *node, i int, r, id uint64, insert bool) {
+// id replaced by e's, or, when insert, entry e, r being its key's rank,
+// inserted at i.
+func (t *Tree) refill(n *node, i int, r uint64, e ent, insert bool) {
 	var d decoded
-	ranks, ids := n.decode(t.scratch(&d))
+	es := n.decode(t.scratch(&d))
 	if insert {
-		ranks, ids = slices.Insert(ranks, i, r), slices.Insert(ids, i, id)
+		es = es.insert(i, r, e.s, e.id)
 	} else {
-		ids[i] = id
+		es.ids[i] = e.id
 	}
-	fill(n, ranks, ids, t.room(n))
+	fill(n, es, t.room(n))
 }
 
 // remove removes entry i of leaf n. When that leaves a quarter or more of
@@ -575,10 +803,9 @@ func (t *Tree) refill(n *node, i int, r, id uint64, insert bool) {
 // hysteresis).
 func (t *Tree) remove(n *node, i int) {
 	w, end := n.w(), int(n.n)*n.w()
-	if roomyBytes(end-w+pad, len(n.buf), w) {
+	if roomyBytes(end-w+t.spare(), len(n.buf), w) {
 		var d decoded
-		ranks, ids := n.decode(t.scratch(&d))
-		fill(n, slices.Delete(ranks, i, i+1), slices.Delete(ids, i, i+1), 0)
+		fill(n, n.decode(t.scratch(&d)).delete(i), 0)
 		return
 	}
 	copy(n.buf[i*w:], n.buf[(i+1)*w:end])
@@ -586,95 +813,110 @@ func (t *Tree) remove(n *node, i int) {
 }
 
 // insert descends into n; on child split it absorbs the separator, and on
-// its own split returns the new right sibling with its separator. r is
-// key's rank.
-func (t *Tree) insert(n *node, key float64, r, id uint64) (float64, uint64, *node) {
+// its own split returns the new right sibling with its separator. r is the
+// rank of e's key.
+func (t *Tree) insert(n *node, r uint64, e ent) (ent, *node) {
 	if n.leaf() {
-		return t.insertLeaf(n, n.search(r, id), r, id)
+		return t.insertLeaf(n, n.search(r, e, t.two), r, e)
 	}
-	ci := n.in.childIndex(key, id)
-	sep, sepTie, right := t.insert(n.in.children[ci], key, r, id)
+	ci := n.in.search(e, t.ties(), true)
+	sep, right := t.insert(n.in.children[ci], r, e)
 	if right == nil {
-		return 0, 0, nil
+		return ent{}, nil
 	}
-	return t.absorb(n, ci, sep, sepTie, right)
+	return t.absorb(n, ci, sep, right)
 }
 
-// insertLeaf places (r, id), r a rank, at index i of leaf n. A full leaf
-// splits around its middle, counting the new entry, and the entry goes into
-// the half it belongs to; each half is re-encoded in a frame of its own.
-// The rightmost leaf is where ascending keys append: when the entry goes
-// past its end the split is at the end instead and the entry opens the new
-// leaf alone, so an ascending load leaves full leaves behind, untouched,
-// rather than half-empty ones, and the new rightmost leaf gets a full
-// node's array to append into.
-func (t *Tree) insertLeaf(n *node, i int, r, id uint64) (float64, uint64, *node) {
+// insertLeaf places entry e, r being its key's rank, at index i of leaf n.
+// A full leaf splits around its middle, counting the new entry, and the
+// entry goes into the half it belongs to; each half is re-encoded in a
+// frame of its own. The rightmost leaf is where ascending keys append: when
+// the entry goes past its end the split is at the end instead and the entry
+// opens the new leaf alone, so an ascending load leaves full leaves behind,
+// untouched, rather than half-empty ones, and the new rightmost leaf gets a
+// full node's array to append into.
+func (t *Tree) insertLeaf(n *node, i int, r uint64, e ent) (ent, *node) {
 	if k := int(n.n); k < t.order {
-		if !n.fits(r, id) {
-			t.refill(n, i, r, id, true)
-			return 0, 0, nil
+		if !n.fits(r, e.id) || t.two && !n.fitsB(e.s) {
+			t.refill(n, i, r, e, true)
+			return ent{}, nil
 		}
 		w := n.w()
-		if need := (k+1)*w + pad; need > len(n.buf) {
+		if need := (k+1)*w + t.spare(); need > len(n.buf) {
 			buf := make([]byte, fitBytes(need))
 			copy(buf, n.buf[:k*w])
+			if t.two {
+				copy(buf[len(buf)-tail:], n.buf[len(n.buf)-tail:])
+			}
 			n.buf = buf
 		}
 		copy(n.buf[(i+1)*w:], n.buf[i*w:k*w])
 		n.n++
-		n.put(i, r, id)
-		return 0, 0, nil
+		n.put(i, r, e.s, e.id)
+		return ent{}, nil
 	}
 	right := &node{next: n.next}
 	if n.next == nil && i == int(n.n) {
-		fill(right, []uint64{r}, []uint64{id}, t.order)
+		es := entries{ranks: []uint64{r}, ids: []uint64{e.id}}
+		if t.two {
+			es.bs = []uint64{e.s}
+		}
+		fill(right, es, t.order)
 	} else {
 		var d decoded
-		ranks, ids := n.decode(t.scratch(&d))
-		ranks, ids = slices.Insert(ranks, i, r), slices.Insert(ids, i, id)
+		es := n.decode(t.scratch(&d)).insert(i, r, e.s, e.id)
 		mid := t.order - t.order/2
-		fill(n, ranks[:mid], ids[:mid], 0)
-		fill(right, ranks[mid:], ids[mid:], t.room(right))
+		fill(n, es.part(0, mid), 0)
+		fill(right, es.part(mid, len(es.ranks)), t.room(right))
 	}
 	n.next = right
 	if t.last == n {
 		t.last = right
 	}
-	return right.key(0), right.id(0), right
+	return right.at(0, t.two), right
 }
 
 // absorb adds the separator and right sibling that the split of
 // n.in.children[ci] produced. A full n splits around its middle separator,
 // counting the new one, and that separator moves up to n's parent.
-func (t *Tree) absorb(n *node, ci int, sep float64, sepTie uint64, right *node) (float64, uint64, *node) {
-	in := n.in
+func (t *Tree) absorb(n *node, ci int, sep ent, right *node) (ent, *node) {
+	in, ts := n.in, t.ties()
+	words := [2]uint64{sep.s, sep.id}
+	tie := words[2-ts:]
 	if len(in.children) < t.order {
-		in.keys = insertAt(in.keys, ci, sep)
-		in.tie = insertAt(in.tie, ci, sepTie)
+		in.keys = insertAt(in.keys, ci, sep.key)
+		in.tie = insertAt(in.tie, ci*ts, tie...)
 		in.children = insertAt(in.children, ci+1, right)
-		return 0, 0, nil
+		return ent{}, nil
 	}
 	mid := t.order / 2
 	r := &inner{}
-	in.keys, r.keys = splitInsert(in.keys, ci, sep, mid, 0)
-	in.tie, r.tie = splitInsert(in.tie, ci, sepTie, mid, 0)
-	in.children, r.children = splitInsert(in.children, ci+1, right, mid+1, 0)
-	up, upTie := r.keys[0], r.tie[0]
-	r.keys, r.tie = slices.Delete(r.keys, 0, 1), slices.Delete(r.tie, 0, 1)
-	return up, upTie, &node{in: r}
+	in.keys, r.keys = splitInsert(in.keys, ci, mid, 0, sep.key)
+	in.tie, r.tie = splitInsert(in.tie, ci*ts, mid*ts, 0, tie...)
+	in.children, r.children = splitInsert(in.children, ci+1, mid+1, 0, right)
+	up := r.sep(0, ts)
+	r.keys, r.tie = slices.Delete(r.keys, 0, 1), slices.Delete(r.tie, 0, ts)
+	return up, &node{in: r}
 }
 
-// Delete removes the entry (key, id) if present and reports whether it was
-// found. A node the removal leaves hollow is merged with a sibling under
-// the same parent when the two fit in one node (hollow, mergeable); the
-// parent that loses a separator may merge in turn, and a root left with one
-// child gives way to it. There is no borrowing: a hollow node whose
-// siblings are too full stays as it is. What bounds the tree is the pair
-// rule — of two adjacent siblings, one is not hollow or the two do not fit
-// in one node — so its size follows the entries it holds, whatever the
-// number of inserts and deletes behind them.
-func (t *Tree) Delete(key float64, id uint64) bool {
-	if !t.delete(t.root, key, keyorder.Rank(key), id) {
+// Delete removes the entry (key, id) of a one-key tree if present and
+// reports whether it was found. A node the removal leaves hollow is merged
+// with a sibling under the same parent when the two fit in one node
+// (hollow, mergeable); the parent that loses a separator may merge in turn,
+// and a root left with one child gives way to it. There is no borrowing: a
+// hollow node whose siblings are too full stays as it is. What bounds the
+// tree is the pair rule — of two adjacent siblings, one is not hollow or
+// the two do not fit in one node — so its size follows the entries it
+// holds, whatever the number of inserts and deletes behind them.
+func (t *Tree) Delete(key float64, id uint64) bool { return t.drop(ent{key: key, id: id}) }
+
+// DeleteAB removes the entry (a, b, id) of a two-key tree as Delete does.
+// A one-key tree does not read b: it removes (a, id).
+func (t *Tree) DeleteAB(a, b float64, id uint64) bool { return t.drop(ent{a, t.rankB(b), id}) }
+
+// drop removes entry e.
+func (t *Tree) drop(e ent) bool {
+	if !t.delete(t.root, keyorder.Rank(e.key), e) {
 		return false
 	}
 	t.size--
@@ -684,21 +926,21 @@ func (t *Tree) Delete(key float64, id uint64) bool {
 	return true
 }
 
-// delete removes (key, id) below n, r being key's rank, and merges the
-// child it removed it from if that came back hollow.
-func (t *Tree) delete(n *node, key float64, r, id uint64) bool {
+// delete removes e below n, r being its key's rank, and merges the child it
+// removed it from if that came back hollow.
+func (t *Tree) delete(n *node, r uint64, e ent) bool {
 	if n.leaf() {
-		i := n.search(r, id)
-		if !n.holds(i, r, id) {
+		i := n.search(r, e, t.two)
+		if !n.holds(i, r, e, t.two) {
 			return false
 		}
 		t.remove(n, i)
 		return true
 	}
-	in := n.in
-	ci := in.childIndex(key, id)
-	for !t.delete(in.children[ci], key, r, id) {
-		if !in.copiesLeft(ci, key, id) {
+	in, ts := n.in, t.ties()
+	ci := in.search(e, ts, true)
+	for !t.delete(in.children[ci], r, e) {
+		if !in.copiesLeft(ci, e, ts) {
 			return false
 		}
 		ci--
@@ -714,12 +956,12 @@ func (t *Tree) delete(n *node, key float64, r, id uint64) bool {
 	return true
 }
 
-// copiesLeft reports whether the separator left of children[ci] equals
-// (key, id), so that a copy of the entry the descent did not find in that
-// child may sit in the one before it: a split parts two copies of one entry
-// that way, and the separator copies the right one.
-func (in *inner) copiesLeft(ci int, key float64, id uint64) bool {
-	return ci > 0 && cmpKV(in.keys[ci-1], in.tie[ci-1], key, id) == 0
+// copiesLeft reports whether the separator left of children[ci] equals e,
+// so that a copy of the entry the descent did not find in that child may
+// sit in the one before it: a split parts two copies of one entry that
+// way, and the separator copies the right one.
+func (in *inner) copiesLeft(ci int, e ent, ts int) bool {
+	return ci > 0 && cmpEnt(in.sep(ci-1, ts), e) == 0
 }
 
 // slots is what a node's capacity, the order, counts: entries in a leaf,
@@ -752,18 +994,18 @@ func (t *Tree) mergeable(l, r *node) bool {
 
 // mergeChildren moves p's child i+1 into its child i and removes the
 // separator between them from p. Dropping a separator widens the left
-// child's range to cover the right one's, so no descent — composite or by
+// child's range to cover the right one's, so no descent — by entry or by
 // key alone — is routed differently for any entry that remains. Two merged
 // leaves are re-encoded in one frame.
 func (t *Tree) mergeChildren(p *node, i int) {
-	pin := p.in
+	pin, ts := p.in, t.ties()
 	l, r := pin.children[i], pin.children[i+1]
 	seam := -1
 	if l.leaf() {
 		var d decoded
-		ranks, ids := r.decode(l.decode(t.scratch(&d)))
+		es := r.decode(l.decode(t.scratch(&d)))
 		l.next = r.next
-		fill(l, ranks, ids, t.room(l))
+		fill(l, es, t.room(l))
 		if t.last == r {
 			t.last = l
 		}
@@ -771,11 +1013,11 @@ func (t *Tree) mergeChildren(p *node, i int) {
 		lin, rin := l.in, r.in
 		seam = len(lin.children) - 1
 		lin.keys = extend(lin.keys, pin.keys[i:i+1], rin.keys)
-		lin.tie = extend(lin.tie, pin.tie[i:i+1], rin.tie)
+		lin.tie = extend(lin.tie, pin.tie[i*ts:(i+1)*ts], rin.tie)
 		lin.children = extend(lin.children, rin.children)
 	}
-	pin.keys, pin.tie = removeAt(pin.keys, i), removeAt(pin.tie, i)
-	pin.children = removeAt(pin.children, i+1)
+	pin.keys, pin.tie = removeAt(pin.keys, i, 1), removeAt(pin.tie, i*ts, ts)
+	pin.children = removeAt(pin.children, i+1, 1)
 	// Two internal nodes bring their edge children together as siblings,
 	// and no delete may come this way again — a queue drained from one end
 	// can join two empty leaves here, one more with each parent it drains —
@@ -805,35 +1047,56 @@ func extend[T any](s []T, more ...[]T) []T {
 	return s
 }
 
-// Contains reports whether the exact entry (key, id) is present.
+// Contains reports whether the exact entry (key, id) of a one-key tree is
+// present.
 func (t *Tree) Contains(key float64, id uint64) bool {
-	return t.root.contains(key, keyorder.Rank(key), id)
+	return t.contains(t.root, keyorder.Rank(key), ent{key: key, id: id})
 }
 
-// contains is Contains below n, r being key's rank. Like delete, it looks
-// left across a separator equal to the entry (copiesLeft).
-func (n *node) contains(key float64, r, id uint64) bool {
+// contains is Contains below n, r being the rank of e's key. Like delete,
+// it looks left across a separator equal to the entry (copiesLeft).
+func (t *Tree) contains(n *node, r uint64, e ent) bool {
 	if n.leaf() {
-		return n.holds(n.search(r, id), r, id)
+		return n.holds(n.search(r, e, t.two), r, e, t.two)
 	}
-	in := n.in
-	for ci := in.childIndex(key, id); !in.children[ci].contains(key, r, id); ci-- {
-		if !in.copiesLeft(ci, key, id) {
+	in, ts := n.in, t.ties()
+	for ci := in.search(e, ts, true); !t.contains(in.children[ci], r, e); ci-- {
+		if !in.copiesLeft(ci, e, ts) {
 			return false
 		}
 	}
 	return true
 }
 
-// Scan calls fn for every entry with lo <= key <= hi in ascending (key, id)
-// order. Scanning stops early if fn returns false.
+// Scan calls fn for every entry of a one-key tree with lo <= key <= hi in
+// ascending (key, id) order. Scanning stops early if fn returns false.
 func (t *Tree) Scan(lo, hi float64, fn func(key float64, id uint64) bool) {
+	t.scan(lo, hi, 0, 0, fn)
+}
+
+// ScanAB calls fn with the a and the id of every entry of a two-key tree
+// with aLo <= a <= aHi and bLo <= b <= bHi, in ascending (a, b, id) order,
+// the bounds taken in keyorder's total order: a ScanAB with non-NaN bounds
+// never yields a NaN in either key. Navigation seeks (aLo, bLo); b is
+// filtered in the leaf walk, by comparing codes in each leaf's frame. A
+// one-key tree does not read b: ScanAB is Scan there.
+func (t *Tree) ScanAB(aLo, aHi, bLo, bHi float64, fn func(a float64, id uint64) bool) {
+	if keyorder.Less(bHi, bLo) {
+		return
+	}
+	t.scan(aLo, aHi, t.rankB(bLo), t.rankB(bHi), fn)
+}
+
+// scan is Scan and ScanAB: in a two-key tree it passes only the entries
+// whose b ranks lie in [slo, shi].
+func (t *Tree) scan(lo, hi float64, slo, shi uint64, fn func(key float64, id uint64) bool) {
 	if keyorder.Less(hi, lo) {
 		return
 	}
-	top := keyorder.Rank(hi)
-	n := t.leafFrom(lo)
-	for i := n.search(keyorder.Rank(lo), 0); n != nil; n, i = n.next, 0 {
+	top, two := keyorder.Rank(hi), t.two
+	from := ent{key: lo, s: slo}
+	n := t.leafFrom(from)
+	for i := n.search(keyorder.Rank(lo), from, two); n != nil; n, i = n.next, 0 {
 		k := int(n.n)
 		if i >= k {
 			continue
@@ -848,33 +1111,69 @@ func (t *Tree) Scan(lo, hi float64, fn func(key float64, id uint64) bool) {
 		last := (top - kbase) >> shift
 		buf, w, kw := n.buf, n.w(), int(n.kw)
 		km, vm := mask(n.kw), mask(n.vw)
+		if !two {
+			for ; i < k; i++ {
+				c := load(buf, i*w) & km
+				if c > last {
+					return
+				}
+				if !fn(keyorder.Unrank(kbase+c<<shift), vbase+load(buf, i*w+kw)&vm) {
+					return
+				}
+			}
+			continue
+		}
+		// A two-key leaf passes the entries whose b code is from d to
+		// d+span, the b ranks in [slo, shi], in a loop of its own: the same
+		// test in the one-key loop, passing every entry, made 1000-entry
+		// one-key scans 22 % slower (order 128, eight alternated runs).
+		d, span, ok := n.bspan(slo, shi)
+		if !ok {
+			continue
+		}
+		bo, bm := kw+int(n.vw), mask(n.bw)
 		for ; i < k; i++ {
 			c := load(buf, i*w) & km
 			if c > last {
 				return
 			}
-			if !fn(keyorder.Unrank(kbase+c<<shift), vbase+load(buf, i*w+kw)&vm) {
+			if load(buf, i*w+bo)&bm-d <= span && !fn(keyorder.Unrank(kbase+c<<shift), vbase+load(buf, i*w+kw)&vm) {
 				return
 			}
 		}
 	}
 }
 
-// leafFrom returns the leaf a walk over the entries with key >= k starts
-// at: the first of them is in it or in a later leaf. The descent counts only
-// the separators below (k, 0), not one equal to it — a copy of that entry
+// bspan returns the b codes of two-key leaf n whose ranks lie in [lo, hi],
+// those from d to d+span; ok is false when no code does.
+func (n *node) bspan(lo, hi uint64) (d, span uint64, ok bool) {
+	base, shift := n.bframe()
+	d, _ = frameCode(lo, base, shift)
+	if hi < base {
+		return 0, 0, false
+	}
+	top := (hi - base) >> (shift & 63)
+	if top < d {
+		return 0, 0, false
+	}
+	return d, top - d, true
+}
+
+// leafFrom returns the leaf a walk over the entries at or above e starts
+// at: the first of them is in it or in a later leaf. The descent counts
+// only the separators below e, not one equal to it — a copy of that entry
 // may sit left of such a separator (see Insert).
-func (t *Tree) leafFrom(k float64) *node {
-	n := t.root
+func (t *Tree) leafFrom(e ent) *node {
+	n, ts := t.root, t.ties()
 	for !n.leaf() {
-		n = n.in.children[n.in.search(k, 0)]
+		n = n.in.children[n.in.search(e, ts, false)]
 	}
 	return n
 }
 
-// Each calls fn for every entry in ascending (key, id) order — NaN keys
-// included, which no Scan with ordinary bounds reaches. It stops early if
-// fn returns false.
+// Each calls fn for every entry in ascending order — NaN keys included,
+// which no Scan with ordinary bounds reaches — with its key (a, in a
+// two-key tree) and id. It stops early if fn returns false.
 func (t *Tree) Each(fn func(key float64, id uint64) bool) {
 	n := t.root
 	for !n.leaf() {
@@ -889,7 +1188,7 @@ func (t *Tree) Each(fn func(key float64, id uint64) bool) {
 	}
 }
 
-// Lookup calls fn for every entry whose key equals key.
+// Lookup calls fn for every entry of a one-key tree whose key equals key.
 func (t *Tree) Lookup(key float64, fn func(id uint64) bool) {
 	t.Scan(key, key, func(_ float64, id uint64) bool { return fn(id) })
 }
@@ -961,28 +1260,28 @@ func (n *node) reaches(r uint64) bool {
 // Either way it is one descent, by key alone — none for a key Get finds
 // without one while the rightmost leaf has room.
 //
-// A separator is a copy of an entry, tie included, and the composite
-// descent of Insert, Delete and Contains compares that tie. Swap therefore
-// rewrites the tie of the one separator that carries its key, so that the
-// separator never sorts above the entry it stands for and Delete(key, id)
-// and Contains(key, id) keep finding what Swap stored. The converse does
-// not hold: Insert may place a key left of a stale separator of the same
-// key, where Get will not look. A tree read with Get or GetAscending is
-// written with Swap, Delete and BulkLoad only.
+// A separator is a copy of an entry, tie included, and the entry descent
+// of Insert, Delete and Contains compares that tie. Swap therefore rewrites
+// the tie of the one separator that carries its key, so that the separator
+// never sorts above the entry it stands for and Delete(key, id) and
+// Contains(key, id) keep finding what Swap stored. The converse does not
+// hold: Insert may place a key left of a stale separator of the same key,
+// where Get will not look. A tree read with Get or GetAscending is written
+// with Swap, Delete and BulkLoad only, and is a one-key tree.
 func (t *Tree) Swap(key float64, id uint64) (old uint64, ok bool) {
 	r := keyorder.Rank(key)
+	e := ent{key: key, id: id}
 	if n := t.last; t.appends(r) && int(n.n) < t.order { // no room to split for
 		if k := int(n.n); n.rank(k-1) < r {
-			t.insertLeaf(n, k, r, id) // the next key of a sequence: no search
+			t.insertLeaf(n, k, r, e) // the next key of a sequence: no search
 		} else {
-			old, ok, _, _, _ = t.swapLeaf(n, r, id)
+			old, ok, _, _ = t.swapLeaf(n, r, e)
 		}
 	} else {
-		var sep float64
-		var sepTie uint64
+		var sep ent
 		var right *node
-		old, ok, sep, sepTie, right = t.swap(t.root, key, r, id)
-		t.growRoot(sep, sepTie, right)
+		old, ok, sep, right = t.swap(t.root, r, e)
+		t.growRoot(sep, right)
 	}
 	if !ok {
 		t.size++
@@ -990,71 +1289,88 @@ func (t *Tree) Swap(key float64, id uint64) (old uint64, ok bool) {
 	return old, ok
 }
 
-// swap is Swap below n, r being key's rank; like insert it hands a split of
-// n to its caller.
-func (t *Tree) swap(n *node, key float64, r, id uint64) (old uint64, ok bool, sep float64, sepTie uint64, right *node) {
+// swap is Swap below n, r being the rank of e's key; like insert it hands a
+// split of n to its caller.
+func (t *Tree) swap(n *node, r uint64, e ent) (old uint64, ok bool, sep ent, right *node) {
 	if n.leaf() {
-		return t.swapLeaf(n, r, id)
+		return t.swapLeaf(n, r, e)
 	}
 	in := n.in
-	ci := in.childKey(key)
-	if ci > 0 && !keyorder.Less(in.keys[ci-1], key) {
-		in.tie[ci-1] = id // the separator that copies this key
+	ci := in.childKey(e.key)
+	if ci > 0 && !keyorder.Less(in.keys[ci-1], e.key) {
+		in.tie[ci-1] = e.id // the separator that copies this key
 	}
-	old, ok, sep, sepTie, right = t.swap(in.children[ci], key, r, id)
+	old, ok, sep, right = t.swap(in.children[ci], r, e)
 	if right != nil {
-		sep, sepTie, right = t.absorb(n, ci, sep, sepTie, right)
+		sep, right = t.absorb(n, ci, sep, right)
 	}
-	return old, ok, sep, sepTie, right
+	return old, ok, sep, right
 }
 
 // swapLeaf is swap in leaf n: it replaces the id of the key of rank r, or
 // inserts the entry, splitting a full n (insertLeaf).
-func (t *Tree) swapLeaf(n *node, r, id uint64) (old uint64, ok bool, sep float64, sepTie uint64, right *node) {
+func (t *Tree) swapLeaf(n *node, r uint64, e ent) (old uint64, ok bool, sep ent, right *node) {
 	i, found := n.find(r)
 	if !found {
-		sep, sepTie, right = t.insertLeaf(n, i, r, id)
-		return 0, false, sep, sepTie, right
+		sep, right = t.insertLeaf(n, i, r, e)
+		return 0, false, sep, right
 	}
 	old = n.id(i)
-	if n.fitsID(id) {
-		n.put(i, r, id)
+	if n.fitsID(e.id) {
+		n.put(i, r, 0, e.id)
 	} else {
-		t.refill(n, i, r, id, false)
+		t.refill(n, i, r, e, false)
 	}
-	return old, true, 0, 0, nil
+	return old, true, ent{}, nil
 }
 
-// BulkLoad replaces the tree contents with the given entries, which must be
-// sorted by (key, id). Leaves are packed to ~85% occupancy, mirroring the
-// single-thread bulk loading used for the paper's baseline B+-tree (§7.5).
-func (t *Tree) BulkLoad(keys []float64, ids []uint64) error {
-	if len(keys) != len(ids) {
-		return fmt.Errorf("btree: BulkLoad length mismatch: %d keys, %d ids", len(keys), len(ids))
+// BulkLoad replaces the contents of a one-key tree with the given entries,
+// which must be sorted by (key, id). Leaves are packed to ~85% occupancy,
+// mirroring the single-thread bulk loading used for the paper's baseline
+// B+-tree (§7.5).
+func (t *Tree) BulkLoad(keys []float64, ids []uint64) error { return t.BulkLoadAB(keys, nil, ids) }
+
+// BulkLoadAB is BulkLoad for a two-key tree: the entries are (as[i], bs[i],
+// ids[i]), sorted by (a, b, id) as keyorder.SortTriples sorts them. A
+// one-key tree does not read bs.
+func (t *Tree) BulkLoadAB(as, bs []float64, ids []uint64) error {
+	if len(as) != len(ids) || t.two && len(bs) != len(as) {
+		return fmt.Errorf("btree: BulkLoad length mismatch: %d keys, %d b keys, %d ids", len(as), len(bs), len(ids))
 	}
-	for i := 1; i < len(keys); i++ {
-		if cmpKV(keys[i-1], ids[i-1], keys[i], ids[i]) > 0 {
+	for i := 1; i < len(as); i++ {
+		c := keyorder.Compare(as[i-1], as[i])
+		if c == 0 && t.two {
+			c = keyorder.Compare(bs[i-1], bs[i])
+		}
+		if c > 0 || c == 0 && ids[i-1] > ids[i] {
 			return fmt.Errorf("btree: BulkLoad input not sorted at %d", i)
 		}
 	}
-	t.root = &node{}
+	t.root = t.newLeaf()
 	t.last = t.root
-	t.size = len(keys)
-	if len(keys) == 0 {
+	t.size = len(as)
+	if len(as) == 0 {
 		return nil
 	}
 	per := max(t.order*85/100, 1)
 	var d decoded
-	ranks, _ := t.scratch(&d)
+	es := t.scratch(&d)
 	var leaves []*node
-	for off := 0; off < len(keys); off += per {
-		end := min(off+per, len(keys))
-		ranks = ranks[:0]
-		for _, k := range keys[off:end] {
-			ranks = append(ranks, keyorder.Rank(k))
+	for off := 0; off < len(as); off += per {
+		end := min(off+per, len(as))
+		es.ranks = es.ranks[:0]
+		for _, k := range as[off:end] {
+			es.ranks = append(es.ranks, keyorder.Rank(k))
 		}
+		if t.two {
+			es.bs = es.bs[:0]
+			for _, b := range bs[off:end] {
+				es.bs = append(es.bs, keyorder.Rank(b))
+			}
+		}
+		es.ids = ids[off:end]
 		n := &node{}
-		fill(n, ranks, ids[off:end], 0)
+		fill(n, es, 0)
 		leaves = append(leaves, n)
 	}
 	for i := 0; i+1 < len(leaves); i++ {
@@ -1071,8 +1387,12 @@ func (t *Tree) BulkLoad(keys []float64, ids []uint64) error {
 				for !c.leaf() {
 					c = c.in.children[0]
 				}
-				in.keys = append(in.keys, c.key(0))
-				in.tie = append(in.tie, c.id(0))
+				e := c.at(0, t.two)
+				in.keys = append(in.keys, e.key)
+				if t.two {
+					in.tie = append(in.tie, e.s)
+				}
+				in.tie = append(in.tie, e.id)
 			}
 			parents = append(parents, &node{in: in})
 		}
@@ -1083,7 +1403,8 @@ func (t *Tree) BulkLoad(keys []float64, ids []uint64) error {
 }
 
 // SizeBytes is the heap footprint of the tree: node headers, leaf arrays,
-// and the separator and child arrays of internal nodes. This feeds the
+// the separator and child arrays of internal nodes, and a two-key tree's
+// room to decode b ranks in. This feeds the
 // paper's memory-consumption figures, where the baseline's complete indexes
 // dominate the budget. Every array's capacity and every header are
 // allocator size classes (see the package comment), so the count is what
@@ -1092,7 +1413,7 @@ func (t *Tree) BulkLoad(keys []float64, ids []uint64) error {
 // of more than 64 slots one class up. Internal nodes are about one node in
 // a hundred.
 func (t *Tree) SizeBytes() uint64 {
-	return nodeSize(t.root)
+	return 8*uint64(cap(t.bs)) + nodeSize(t.root)
 }
 
 // Header sizes: a node's, and the inner an internal node adds, each in its
@@ -1131,17 +1452,20 @@ func checkArray[T any](s []T, leafInside bool) error {
 }
 
 // checkLeaf checks leaf n's array and frame: the array is a size class
-// (checkArray's rule, in bytes) that holds the entries and pad, its frame's
-// fields are in range, and — unless n is the rightmost leaf — it holds no
-// room a delete would have given back.
+// (checkArray's rule, in bytes) that holds the entries and the spare bytes,
+// its frame's fields are in range — a one-key leaf has no b codes, a
+// two-key leaf always an array for its b frame — and, unless n is the
+// rightmost leaf, it holds no room a delete would have given back.
 func (t *Tree) checkLeaf(n *node) error {
-	used := int(n.n)*n.w() + pad
+	used := int(n.n)*n.w() + t.spare()
 	switch {
-	case n.kw > 8 || n.vw > 8 || n.shift > 63:
-		return fmt.Errorf("btree: leaf frame has widths %d+%d, shift %d", n.kw, n.vw, n.shift)
+	case n.kw > 8 || n.vw > 8 || n.bw > 8 || n.shift > 63:
+		return fmt.Errorf("btree: leaf frame has widths %d+%d+%d, shift %d", n.kw, n.vw, n.bw, n.shift)
+	case n.bw != 0 && !t.two:
+		return fmt.Errorf("btree: one-key leaf has %d-byte b codes", n.bw)
 	case int(n.n) > t.order:
 		return fmt.Errorf("btree: leaf holds %d entries, order %d", n.n, t.order)
-	case n.buf == nil && n.n == 0:
+	case n.buf == nil && n.n == 0 && !t.two:
 		return nil
 	case cap(n.buf) != len(n.buf) || fitBytes(len(n.buf)) != len(n.buf):
 		return fmt.Errorf("btree: leaf array of %d bytes, capacity %d, is no size class", len(n.buf), cap(n.buf))
@@ -1149,6 +1473,11 @@ func (t *Tree) checkLeaf(n *node) error {
 		return fmt.Errorf("btree: leaf array of %d bytes holds %d", len(n.buf), used)
 	case n.next != nil && roomyBytes(used, len(n.buf), n.w()):
 		return fmt.Errorf("btree: leaf array of %d bytes holds %d", len(n.buf), used)
+	}
+	if t.two {
+		if _, shift := n.bframe(); shift > 63 {
+			return fmt.Errorf("btree: leaf b frame has shift %d", shift)
+		}
 	}
 	return nil
 }
@@ -1159,25 +1488,26 @@ func (t *Tree) checkLeaf(n *node) error {
 // checkLeaf) and every leaf's frame; it is exported to the package tests
 // via export_test.go.
 func (t *Tree) checkInvariants() error {
-	count := 0
+	count, ts := 0, t.ties()
 	var prevLeaf *node
-	var walk func(n *node, lo float64, loTie uint64, hasLo bool, hi float64, hiTie uint64, hasHi bool) error
-	walk = func(n *node, lo float64, loTie uint64, hasLo bool, hi float64, hiTie uint64, hasHi bool) error {
+	// lo and hi, when set, bound the entries below n.
+	var walk func(n *node, lo, hi *ent) error
+	walk = func(n *node, lo, hi *ent) error {
 		if n.leaf() {
 			if err := t.checkLeaf(n); err != nil {
 				return err
 			}
 			for i := range int(n.n) {
-				k, v := n.key(i), n.id(i)
-				if i > 0 && cmpKV(n.key(i-1), n.id(i-1), k, v) > 0 {
+				e := n.at(i, t.two)
+				if i > 0 && cmpEnt(n.at(i-1, t.two), e) > 0 {
 					return fmt.Errorf("btree: unordered entries at %d", i)
 				}
-				if hasLo && cmpKV(k, v, lo, loTie) < 0 {
+				if lo != nil && cmpEnt(e, *lo) < 0 {
 					return fmt.Errorf("btree: key below lower bound")
 				}
 				// Equal to the upper bound is a copy of the entry the
 				// separator copies (see Insert).
-				if hasHi && cmpKV(k, v, hi, hiTie) > 0 {
+				if hi != nil && cmpEnt(e, *hi) > 0 {
 					return fmt.Errorf("btree: leaf key above upper bound")
 				}
 			}
@@ -1189,15 +1519,8 @@ func (t *Tree) checkInvariants() error {
 			return nil
 		}
 		in := n.in
-		for i := 1; i < len(in.keys); i++ {
-			if cmpKV(in.keys[i-1], in.tie[i-1], in.keys[i], in.tie[i]) > 0 {
-				return fmt.Errorf("btree: unordered separators at %d", i)
-			}
-		}
-		for i := range in.keys {
-			if hasLo && cmpKV(in.keys[i], in.tie[i], lo, loTie) < 0 {
-				return fmt.Errorf("btree: separator below lower bound")
-			}
+		if len(in.children) != len(in.keys)+1 || len(in.tie) != len(in.keys)*ts {
+			return fmt.Errorf("btree: internal node with %d keys, %d ties, %d children", len(in.keys), len(in.tie), len(in.children))
 		}
 		if len(in.children) > t.order {
 			return fmt.Errorf("btree: node fills %d slots, order %d", len(in.children), t.order)
@@ -1205,25 +1528,30 @@ func (t *Tree) checkInvariants() error {
 		if err := cmp.Or(checkArray(in.keys, false), checkArray(in.tie, false), checkArray(in.children, false)); err != nil {
 			return err
 		}
-		if len(in.children) != len(in.keys)+1 || len(in.tie) != len(in.keys) {
-			return fmt.Errorf("btree: internal node with %d keys, %d ties, %d children", len(in.keys), len(in.tie), len(in.children))
+		for i := range in.keys {
+			if sep := in.sep(i, ts); i > 0 && cmpEnt(in.sep(i-1, ts), sep) > 0 {
+				return fmt.Errorf("btree: unordered separators at %d", i)
+			} else if lo != nil && cmpEnt(sep, *lo) < 0 {
+				return fmt.Errorf("btree: separator below lower bound")
+			}
 		}
 		for i, c := range in.children {
-			clo, cloTie, chasLo := lo, loTie, hasLo
-			chi, chiTie, chasHi := hi, hiTie, hasHi
+			clo, chi := lo, hi
 			if i > 0 {
-				clo, cloTie, chasLo = in.keys[i-1], in.tie[i-1], true
+				sep := in.sep(i-1, ts)
+				clo = &sep
 			}
 			if i < len(in.keys) {
-				chi, chiTie, chasHi = in.keys[i], in.tie[i], true
+				sep := in.sep(i, ts)
+				chi = &sep
 			}
-			if err := walk(c, clo, cloTie, chasLo, chi, chiTie, chasHi); err != nil {
+			if err := walk(c, clo, chi); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
-	if err := walk(t.root, 0, 0, false, 0, 0, false); err != nil {
+	if err := walk(t.root, nil, nil); err != nil {
 		return err
 	}
 	if prevLeaf.next != nil {

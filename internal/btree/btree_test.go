@@ -1,7 +1,6 @@
 package btree
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
@@ -419,30 +418,21 @@ func heapOf(build func() any) (uint64, any) {
 	return after.HeapAlloc - before.HeapAlloc, v
 }
 
-// checkCArrays holds every node array of a composite tree to the size-class
-// rule (checkArray).
-func checkCArrays(n *cnode) error {
-	inside := n.leaf() && n.next != nil
-	err := cmp.Or(checkArray(n.a, inside), checkArray(n.b, inside), checkArray(n.tie, inside), checkArray(n.children, inside))
-	for _, c := range n.children {
-		err = cmp.Or(err, checkCArrays(c))
-	}
-	return err
-}
-
 // SizeBytes is what the process holds for an insert-built tree, to within
 // 2% — the rest is the measurement's own noise: every node array's capacity
 // is a size class and the node header fills its size class too, so neither
 // splits nor merges nor deletes leave an array rounded up or pinned larger
 // than cap() reports. Each array has the class of what it holds, so the
 // trees stay near their entries: an ascending load (every primary index)
-// leaves full leaves, and random inserts, a random churn and the composite
-// tree leave half-full to full ones, each in the class that fits it. The
+// leaves full leaves, and random inserts and a random churn, of one key or
+// two, leave half-full to full ones, each in the class that fits it. The
 // per-entry caps are 10% above what was measured at 1M entries when leaves
 // were packed into frames: 2.93 B/entry ascending (a byte of key code and
 // one of id code), 10.18 random and 10.78 after the random churn (5.5 bytes
 // of key code and 3 of id code on average); 16.80, 18.10 and 19.24 when
-// every entry took 16 bytes. The composite tree still does.
+// every entry took 16 bytes. A two-key tree, whose b keys spread over all
+// of [0, 1) in every leaf and so take 7 bytes of b code, holds 17.74 and
+// 18.76; 27.0 and 28.9 when it kept three 8-byte arrays and never merged.
 func TestHeapMatchesSizeBytes(t *testing.T) {
 	n := 1_000_000
 	if testing.Short() {
@@ -507,31 +497,30 @@ func TestHeapMatchesSizeBytes(t *testing.T) {
 		rng := rand.New(rand.NewSource(1))
 		tr := NewComposite(DefaultOrder)
 		for i := 0; i < n; i++ {
-			tr.Insert(rng.Float64(), rng.Float64(), uint64(i))
+			tr.InsertAB(rng.Float64(), rng.Float64(), uint64(i))
 		}
 		return tr
 	})
-	ct := v.(*CompositeTree)
-	check("composite random", heap, ct.SizeBytes(), checkCArrays(ct.root), 28)
+	tr = v.(*Tree)
+	check("composite random", heap, tr.SizeBytes(), tr.CheckInvariants(), 19.5)
 
-	// The same churn on a composite tree, which never merges: its leaves
-	// keep what deletes leave them, in the class that holds it.
+	// The same churn on a two-key tree, which merges like a one-key one.
 	heap, v = heapOf(func() any {
 		ins, del := rand.New(rand.NewSource(2)), rand.New(rand.NewSource(2))
 		tr := NewComposite(DefaultOrder)
 		for i := 0; i < n; i++ {
-			tr.Insert(ins.Float64(), ins.Float64(), uint64(i))
+			tr.InsertAB(ins.Float64(), ins.Float64(), uint64(i))
 		}
 		for i := 0; i < n; i++ {
-			if !tr.Delete(del.Float64(), del.Float64(), uint64(i)) {
+			if !tr.DeleteAB(del.Float64(), del.Float64(), uint64(i)) {
 				t.Fatalf("composite churn: entry %d missing", i)
 			}
-			tr.Insert(ins.Float64(), ins.Float64(), uint64(n+i))
+			tr.InsertAB(ins.Float64(), ins.Float64(), uint64(n+i))
 		}
 		return tr
 	})
-	ct = v.(*CompositeTree)
-	check("composite churn", heap, ct.SizeBytes(), checkCArrays(ct.root), 30)
+	tr = v.(*Tree)
+	check("composite churn", heap, tr.SizeBytes(), tr.CheckInvariants(), 20.6)
 }
 
 // ascending returns a tree of n ascending unique keys built through Swap

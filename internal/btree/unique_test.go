@@ -3,6 +3,7 @@ package btree
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -43,7 +44,9 @@ type kv struct {
 
 // sortKV orders entries the way the tree must return them.
 func sortKV(es []kv) {
-	sort.Slice(es, func(i, j int) bool { return cmpKV(es[i].key, es[i].id, es[j].key, es[j].id) < 0 })
+	sort.Slice(es, func(i, j int) bool {
+		return cmpEnt(ent{key: es[i].key, id: es[i].id}, ent{key: es[j].key, id: es[j].id}) < 0
+	})
 }
 
 func scanAll(tr *Tree, lo, hi float64) []kv {
@@ -64,21 +67,27 @@ func sameKVs(a, b []kv) bool {
 	return true
 }
 
-// FuzzTreeTotalOrder drives two order-4 trees from one op stream against
+// FuzzTreeTotalOrder drives three order-4 trees from one op stream against
 // oracles keyed by keyorder.Bits: a unique-key tree written with Swap and
-// Delete and read with Get, GetAscending, Contains and Scan, and a
+// Delete and read with Get, GetAscending, Contains and Scan, a one-key
 // tree written with Insert and Delete against a multiset oracle: duplicate
-// keys and duplicate entries, whose copies splits part. Every op is followed
-// by the structural check, which is where a separator that no longer
-// bounds its subtree shows, or an append pointer that no longer names the
-// last leaf. A last op rebuilds the unique tree with BulkLoad from its
-// oracle.
+// keys and duplicate entries, whose copies splits part, and a two-key tree
+// written with InsertAB and DeleteAB and read with ContainsAB, ScanAB and a
+// walk of its leaves against a multiset oracle of (a, b, id) entries. Every
+// op is followed by the structural check, which is where a separator that
+// no longer bounds its subtree shows, or an append pointer that no longer
+// names the last leaf. A last op rebuilds the unique tree with BulkLoad,
+// or the two-key tree with BulkLoadAB, from its oracle.
 //
 // An op is three bytes: the op, a key and an id (fuzzKey, fuzzID). With
 // bit 3 of the op byte set the id is instead the rank of the third byte's
 // key (keyorder.Rank): 8 bytes, its top bit set for every positive key, so
 // a leaf that holds such ids beside fuzzID's, or ranks of keys of both
-// signs, has ids of every width from one byte to eight.
+// signs, has ids of every width from one byte to eight. With bit 4 set the
+// op is the two-key tree's and five bytes: the op, a, b, the id and a
+// fourth key, or, for a scan, its four bounds (aLo, aHi, bLo, bHi) — both
+// keys of an entry drawn from fuzzKey's whole, quarter, ±Inf, ±0 and NaN
+// keys.
 func FuzzTreeTotalOrder(f *testing.F) {
 	// Ascending load (splits), then ids swapped downwards over every key —
 	// separators included — then exact-entry deletes of what was swapped.
@@ -228,10 +237,32 @@ func FuzzTreeTotalOrder(f *testing.F) {
 	seed = append(seed, 6, 0, 0, 5, 0, 255)
 	f.Add(seed)
 
+	// Two-key entries: a and b over the special and the whole and quarter
+	// keys, duplicates of each, then deleted, scanned, walked, bulk-loaded
+	// and drained.
+	seed = nil
+	for _, a := range []byte{0, 1, 2, 3, 4, 6, 7, 136, 140, 141} {
+		for _, b := range []byte{1, 2, 4, 5, 140, 144, 139} {
+			seed = append(seed, 16|3, a, b, a^b, 0)
+		}
+	}
+	seed = append(seed, 16|3, 140, 144, 9, 0, 16|3, 140, 144, 9, 0, 16|5, 8, 200, 8, 200, 16|6, 0, 0, 0, 0)
+	for _, a := range []byte{140, 2, 3, 136} {
+		seed = append(seed, 16|4, a, 144, a^144, 0, 16|2, a, 5, a^5, 0, 16|5, 2, 3, 0, 1)
+	}
+	seed = append(seed, 16|7, 0, 0, 0, 0, 16|3|8, 141, 139, 250, 0, 16|5, 8, 255, 8, 255)
+	for _, a := range []byte{0, 1, 2, 3, 4, 6, 7, 136, 140, 141} {
+		for _, b := range []byte{139, 144, 140, 5, 4, 2, 1} {
+			seed = append(seed, 16|4, a, b, a^b, 0)
+		}
+	}
+	f.Add(seed)
+
 	f.Fuzz(func(t *testing.T, data []byte) {
-		uniq, multi := New(4), New(4)
+		uniq, multi, pair := New(4), New(4), NewComposite(4)
 		uo := map[uint64]kv{}             // key bits -> entry
 		mo := map[uint64]map[uint64]int{} // key bits -> id -> copies
+		po := map[[3]uint64]int{}         // (a bits, b bits, id) -> copies
 		check := func(what string) {
 			t.Helper()
 			if err := uniq.checkInvariants(); err != nil {
@@ -240,8 +271,20 @@ func FuzzTreeTotalOrder(f *testing.F) {
 			if err := multi.checkInvariants(); err != nil {
 				t.Fatalf("%s: duplicate tree: %v", what, err)
 			}
+			if err := pair.checkInvariants(); err != nil {
+				t.Fatalf("%s: two-key tree: %v", what, err)
+			}
 		}
-		for ; len(data) >= 3; data = data[3:] {
+		for len(data) >= 3 {
+			if data[0]&16 != 0 {
+				if len(data) < 5 {
+					break
+				}
+				fuzzPairOp(t, pair, po, data[:5])
+				data = data[5:]
+				check("after two-key op")
+				continue
+			}
 			op, key, id := data[0]%8, fuzzKey(data[1]), fuzzID(data[2])
 			if data[0]&8 != 0 {
 				id = keyorder.Rank(fuzzKey(data[2]))
@@ -365,8 +408,94 @@ func FuzzTreeTotalOrder(f *testing.F) {
 				t.Fatalf("unique Len %d, oracle %d", uniq.Len(), len(uo))
 			}
 			check("after op")
+			data = data[3:]
 		}
 	})
+}
+
+// fuzzPairOp applies one five-byte two-key op of FuzzTreeTotalOrder to tr
+// and its oracle po, and checks what it reads against po.
+func fuzzPairOp(t *testing.T, tr *Tree, po map[[3]uint64]int, op []byte) {
+	t.Helper()
+	a, b, id := fuzzKey(op[1]), fuzzKey(op[2]), fuzzID(op[3])
+	if op[0]&8 != 0 {
+		id = keyorder.Rank(fuzzKey(op[3]))
+	}
+	k := [3]uint64{keyorder.Bits(a), keyorder.Bits(b), id}
+	// sorted returns the oracle's entries that pass keep, in the tree's
+	// order.
+	sorted := func(keep func(a, b float64) bool) []ent {
+		var es []ent
+		for k, copies := range po {
+			if a, b := math.Float64frombits(k[0]), math.Float64frombits(k[1]); keep(a, b) {
+				for range copies {
+					es = append(es, ent{a, keyorder.Rank(b), k[2]})
+				}
+			}
+		}
+		slices.SortFunc(es, cmpEnt)
+		return es
+	}
+	switch op[0] % 8 {
+	case 0, 3:
+		tr.InsertAB(a, b, id)
+		po[k]++
+	case 1, 4:
+		if ok := tr.DeleteAB(a, b, id); ok != (po[k] > 0) {
+			t.Fatalf("DeleteAB(%v, %v, %d) = %v; oracle holds %d copies", a, b, id, ok, po[k])
+		} else if ok {
+			po[k]--
+		}
+		fallthrough
+	case 2:
+		if tr.ContainsAB(a, b, id) != (po[k] > 0) {
+			t.Fatalf("ContainsAB(%v, %v, %d); oracle holds %d copies", a, b, id, po[k])
+		}
+	case 5:
+		aLo, aHi, bLo, bHi := a, b, fuzzKey(op[3]), fuzzKey(op[4])
+		in := func(k, lo, hi float64) bool { return !keyorder.Less(k, lo) && !keyorder.Less(hi, k) }
+		want := sorted(func(a, b float64) bool { return in(a, aLo, aHi) && in(b, bLo, bHi) })
+		var got []ent
+		tr.ScanAB(aLo, aHi, bLo, bHi, func(a float64, id uint64) bool {
+			got = append(got, ent{key: a, id: id})
+			return true
+		})
+		if len(got) != len(want) {
+			t.Fatalf("ScanAB(%v, %v, %v, %v) = %d entries, want %d", aLo, aHi, bLo, bHi, len(got), len(want))
+		}
+		for i := range got {
+			if keyorder.Bits(got[i].key) != keyorder.Bits(want[i].key) || got[i].id != want[i].id {
+				t.Fatalf("ScanAB(%v, %v, %v, %v) entry %d = %v, want %v", aLo, aHi, bLo, bHi, i, got[i], want[i])
+			}
+		}
+	case 6:
+		want := sorted(func(float64, float64) bool { return true })
+		got := entsOf(tr)
+		if len(got) != len(want) {
+			t.Fatalf("walk: %d entries, oracle %d", len(got), len(want))
+		}
+		for i := range got {
+			if cmpEnt(got[i], want[i]) != 0 || keyorder.Bits(got[i].key) != keyorder.Bits(want[i].key) {
+				t.Fatalf("walk: entry %d = %v, oracle %v", i, got[i], want[i])
+			}
+		}
+	case 7:
+		es := sorted(func(float64, float64) bool { return true })
+		as, bs, ids := make([]float64, len(es)), make([]float64, len(es)), make([]uint64, len(es))
+		for i, e := range es {
+			as[i], bs[i], ids[i] = e.key, keyorder.Unrank(e.s), e.id
+		}
+		if err := tr.BulkLoadAB(as, bs, ids); err != nil {
+			t.Fatalf("BulkLoadAB of the oracle: %v", err)
+		}
+	}
+	n := 0
+	for _, copies := range po {
+		n += copies
+	}
+	if tr.Len() != n {
+		t.Fatalf("two-key Len %d, oracle %d", tr.Len(), n)
+	}
 }
 
 // A separator copies an entry's id. Swapping that id in place must leave

@@ -26,6 +26,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"path/filepath"
 	"slices"
 
 	"hermit/internal/engine"
@@ -59,7 +60,13 @@ var Configs = []string{
 	"server",              // op stream replayed over loopback TCP through the serving tier
 	"blocks",              // durable engine under aggressive flush/compaction thresholds
 	"replica",             // leader + tailing follower, three-way audits, follower restarts
+	"composite",           // composite B+-tree and composite Hermit index, two-column queries
+	"composite-durable",   // the same through IndexDefs, crashed and recovered mid-stream
 }
+
+// pairConfigs are the configurations whose table has the composite
+// indexes: the stream puts two-column queries to them (checkPair).
+var pairConfigs = map[string]bool{"composite": true, "composite-durable": true}
 
 // schema is the generated table shape: col 0 is the primary key, col 1 the
 // host column b = fn(c) + noise, col 2 the correlated target c, and any
@@ -209,6 +216,18 @@ func (m *model) query(col int, lo, hi float64) [][]float64 {
 	return sortRows(out)
 }
 
+// queryPair returns copies of the rows that satisfy both predicates of q,
+// ordered by primary key.
+func (m *model) queryPair(q engine.Query) [][]float64 {
+	var out [][]float64
+	for _, row := range m.rows {
+		if row[q.Col] >= q.Lo && row[q.Col] <= q.Hi && row[q.And.Col] >= q.And.Lo && row[q.And.Col] <= q.And.Hi {
+			out = append(out, append([]float64(nil), row...))
+		}
+	}
+	return sortRows(out)
+}
+
 // pick returns a uniformly random live primary key.
 func (m *model) pick(rng *rand.Rand) (float64, bool) {
 	if len(m.pks) == 0 {
@@ -278,6 +297,9 @@ func Run(cfgName string, cfg Config) error {
 	// own so the operation stream stays the seed's.
 	burster, _ := sys.(burstSystem)
 	burstRng := rand.New(rand.NewSource(cfg.Seed ^ 0x62757273))
+	// Two-column queries come from a generator of their own too, one after
+	// about every third step.
+	pairRng := rand.New(rand.NewSource(cfg.Seed ^ 0x70616972))
 	cyclePeriod := cfg.Ops/4 + 1
 	for step := 0; step < cfg.Ops; {
 		n := 1
@@ -307,6 +329,11 @@ func Run(cfgName string, cfg Config) error {
 		}
 		if ps, ok := sys.(pathSystem); ok && len(acts) == 1 && acts[0].kind == actQuery {
 			if err := checkEveryPath(ps, &acts[0]); err != nil {
+				return Failure{Step: step, What: err.Error()}
+			}
+		}
+		if pairConfigs[cfgName] && pairRng.Intn(3) == 0 {
+			if err := checkPair(sys.(tableSystem).table(), m, genPair(pairRng, s, m, nextPK)); err != nil {
 				return Failure{Step: step, What: err.Error()}
 			}
 		}
@@ -425,6 +452,73 @@ func apply(sys system, a *action) (o outcome) {
 		o.rows, o.err = sys.query(a.col, a.lo, a.hi)
 	}
 	return o
+}
+
+// tableSystem is a system over one engine table, which two-column queries
+// are put to directly.
+type tableSystem interface {
+	table() *engine.Table
+}
+
+// genPair draws a two-column query of the running example's shape: a range
+// on the primary key, the composite indexes' leading column, and a range
+// on the host column or the target, which the composite B+-tree and the
+// composite Hermit index serve. Some bounds are keys or values of live
+// rows, or a point on a live key, so that entries sit on them; some are
+// odd, as genAction's are.
+func genPair(rng *rand.Rand, s schema, m *model, nextPK float64) engine.Query {
+	lo := rng.Float64() * nextPK
+	if rng.Intn(2) == 0 {
+		lo = math.Floor(lo)
+	}
+	hi := lo + rng.Float64()*rng.Float64()*nextPK
+	if pk, ok := m.pick(rng); ok && rng.Intn(8) == 0 {
+		lo, hi = pk, pk
+		if math.IsNaN(pk) {
+			lo, hi = oddValues[4], oddValues[4] // no query names a NaN key (genAction)
+		}
+	}
+	col := 1 + rng.Intn(2)
+	clo, chi := s.valueRange(col)
+	blo := clo + rng.Float64()*(chi-clo)
+	bhi := blo + rng.Float64()*rng.Float64()*(chi-clo)
+	if row, ok := m.row(pickOrZero(m, rng)); ok && rng.Intn(4) == 0 {
+		blo = row[col]
+	}
+	if row, ok := m.row(pickOrZero(m, rng)); ok && rng.Intn(4) == 0 {
+		bhi = row[col]
+	}
+	return engine.Query{Col: 0, Lo: odd(rng, lo), Hi: odd(rng, hi),
+		And: &engine.Pred{Col: col, Lo: odd(rng, blo), Hi: odd(rng, bhi)}}
+}
+
+// checkPair answers a two-column query, at one snapshot, on the planner's
+// path — a composite index — and on every path the plan of its first
+// predicate lists, where the base-table pass checks the second; each
+// answer must be the oracle's.
+func checkPair(tb *engine.Table, m *model, q engine.Query) error {
+	want := m.queryPair(q)
+	plan, err := tb.Explain(q.Col, q.Lo, q.Hi)
+	if err == nil {
+		plan.Candidates = append(plan.Candidates, engine.PathEstimate{Path: engine.PathAuto, Available: true})
+		q.Snap = tb.Snapshot()
+		defer q.Snap.Release()
+		var answers []pathRows
+		answers, err = forEachPath(plan, func(path engine.AccessPath) ([][]float64, error) {
+			q.Path = path
+			return tableRows(tb, q)
+		})
+		for _, ans := range answers {
+			if err = sameRows(want, ans.rows); err != nil {
+				err = fmt.Errorf("via %v: %v", ans.path, err)
+				break
+			}
+		}
+	}
+	if err != nil {
+		return fmt.Errorf("query col=%d [%v,%v] and col=%d [%v,%v]: %v", q.Col, q.Lo, q.Hi, q.And.Col, q.And.Lo, q.And.Hi, err)
+	}
+	return nil
 }
 
 // checkEveryPath runs a query action on every access path the system lists
@@ -660,11 +754,27 @@ func build(cfgName string, cfg Config, s schema) (system, error) {
 			return nil, err
 		}
 		return &partSystem{pt: pt}, nil
+	case "composite":
+		// The running example's indexes (§3): a composite B+-tree on
+		// (pk, host) and a composite Hermit index on (pk, target) that
+		// rides it.
+		db := engine.NewDB(hermit.PhysicalPointers)
+		tb, err := db.CreateTable("t", s.cols, 0)
+		if err != nil {
+			return nil, err
+		}
+		if _, err := tb.CreateCompositeBTreeIndex(0, 1, false); err != nil {
+			return nil, err
+		}
+		if _, err := tb.CreateCompositeHermitIndex(0, 2, 1); err != nil {
+			return nil, err
+		}
+		return &memSystem{tb: tb}, nil
 	case "server":
 		return buildServer(cfg, s)
 	case "replica":
 		return buildReplica(cfg, s)
-	case "durable", "durable-partitioned", "blocks":
+	case "durable", "durable-partitioned", "blocks", "composite-durable":
 		var opts engine.DurableOptions
 		if cfgName == "blocks" {
 			// Aggressive thresholds so a short stream still crosses every
@@ -675,11 +785,23 @@ func build(cfgName string, cfg Config, s schema) (system, error) {
 			// mid-stream compactions the cycle adds.
 			opts = engine.DurableOptions{CompactFanIn: 2, WALRotateBytes: 1}
 		}
-		d, err := engine.OpenDurableOptions(cfg.Dir, hermit.PhysicalPointers, opts)
+		ds := &durSystem{dir: cfg.Dir, name: "t", opts: opts, compact: cfgName == "blocks"}
+		defs := []engine.IndexDef{
+			{Kind: "btree", Col: 1},
+			{Kind: "hermit", Col: 2, Host: 1, Params: trstree.DefaultParams()},
+		}
+		if cfgName == "composite-durable" {
+			ds.crashes, ds.dir = 1, filepath.Join(cfg.Dir, "0")
+			defs = []engine.IndexDef{
+				{Kind: "composite-btree", ACol: 0, Col: 1},
+				{Kind: "composite-hermit", ACol: 0, Col: 2, Host: 1, Params: trstree.DefaultParams()},
+			}
+		}
+		d, err := engine.OpenDurableOptions(ds.dir, hermit.PhysicalPointers, opts)
 		if err != nil {
 			return nil, err
 		}
-		ds := &durSystem{dir: cfg.Dir, d: d, name: "t", opts: opts, compact: cfgName == "blocks"}
+		ds.d = d
 		if cfgName == "durable-partitioned" {
 			ds.parts = parts
 			if err := d.CreatePartitionedTable("t", s.cols, 0, parts); err != nil {
@@ -690,13 +812,10 @@ func build(cfgName string, cfg Config, s schema) (system, error) {
 				return nil, err
 			}
 		}
-		if err := d.CreateIndex("t", engine.IndexDef{Kind: "btree", Col: 1}); err != nil {
-			return nil, err
-		}
-		if err := d.CreateIndex("t", engine.IndexDef{
-			Kind: "hermit", Col: 2, Host: 1, Params: trstree.DefaultParams(),
-		}); err != nil {
-			return nil, err
+		for _, def := range defs {
+			if err := d.CreateIndex("t", def); err != nil {
+				return nil, err
+			}
 		}
 		if err := ds.bind(); err != nil {
 			return nil, err

@@ -26,7 +26,7 @@ func TestDifferential(t *testing.T) {
 				cfg := Config{Seed: seed, Ops: *difftestOps, Partitions: 2 + int(seed)%3}
 				if cfgName == "durable" || cfgName == "durable-partitioned" ||
 					cfgName == "txn" || cfgName == "server" || cfgName == "blocks" ||
-					cfgName == "replica" {
+					cfgName == "replica" || cfgName == "composite-durable" {
 					cfg.Dir = t.TempDir()
 				}
 				if err := Run(cfgName, cfg); err != nil {

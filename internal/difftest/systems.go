@@ -2,6 +2,9 @@ package difftest
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
+	"strconv"
 
 	"hermit/internal/engine"
 	"hermit/internal/hermit"
@@ -46,8 +49,9 @@ func (s *memSystem) everyPath(col int, lo, hi float64) ([]pathRows, error) {
 
 func (s *memSystem) state() (map[uint64][]float64, error) { return tableState(s.tb) }
 
-func (s *memSystem) cycle(bool) error { return nil }
-func (s *memSystem) close() error     { return nil }
+func (s *memSystem) cycle(bool) error     { return nil }
+func (s *memSystem) close() error         { return nil }
+func (s *memSystem) table() *engine.Table { return s.tb }
 
 // tableRows answers q on an engine table, ordered by primary key.
 func tableRows(tb *engine.Table, q engine.Query) ([][]float64, error) {
@@ -167,6 +171,11 @@ type durSystem struct {
 	// mix fresh delta blocks with merged higher-level ones.
 	opts    engine.DurableOptions
 	compact bool
+	// crashes, when non-zero, makes every cycle a crash: the directory is
+	// copied while the database is open — the files a killed process
+	// leaves — into a sibling numbered crashes, which is reopened, and the
+	// database that wrote it is closed and abandoned.
+	crashes int
 
 	d  *engine.DurableDB
 	tb *engine.Table    // bound when parts == 0
@@ -228,7 +237,9 @@ func (s *durSystem) cycle(checkpoint bool) error {
 			return fmt.Errorf("checkpoint: %w", err)
 		}
 	}
-	if s.compact {
+	// A crash image is taken with no merge in flight: the files the
+	// background compactor writes would be copied half-written.
+	if s.compact || s.crashes > 0 {
 		for {
 			merged, err := s.d.Compact()
 			if err != nil {
@@ -238,6 +249,14 @@ func (s *durSystem) cycle(checkpoint bool) error {
 				break
 			}
 		}
+	}
+	if s.crashes > 0 {
+		img := filepath.Join(filepath.Dir(s.dir), strconv.Itoa(s.crashes))
+		s.crashes++
+		if err := os.CopyFS(img, os.DirFS(s.dir)); err != nil {
+			return fmt.Errorf("crash image: %w", err)
+		}
+		s.dir = img
 	}
 	if err := s.d.Close(); err != nil {
 		return fmt.Errorf("close: %w", err)
@@ -254,3 +273,5 @@ func (s *durSystem) cycle(checkpoint bool) error {
 }
 
 func (s *durSystem) close() error { return s.d.Close() }
+
+func (s *durSystem) table() *engine.Table { return s.tb }

@@ -6,8 +6,6 @@ import (
 
 	"hermit/internal/btree"
 	"hermit/internal/hermit"
-	"hermit/internal/keyorder"
-	"hermit/internal/storage"
 	"hermit/internal/trstree"
 )
 
@@ -18,7 +16,7 @@ type colPair [2]int
 // on (aCol, bCol) — the shape of the paper's (TIME, DJ) host index.
 // Composite indexes store physical RIDs, so they require the physical
 // tuple-identifier scheme.
-func (t *Table) CreateCompositeBTreeIndex(aCol, bCol int, markNew bool) (*btree.CompositeTree, error) {
+func (t *Table) CreateCompositeBTreeIndex(aCol, bCol int, markNew bool) (*btree.Tree, error) {
 	if aCol < 0 || aCol >= len(t.cols) || bCol < 0 || bCol >= len(t.cols) {
 		return nil, ErrNoSuchColumn
 	}
@@ -29,25 +27,13 @@ func (t *Table) CreateCompositeBTreeIndex(aCol, bCol int, markNew bool) (*btree.
 	defer t.catalog.Unlock()
 	key := colPair{aCol, bCol}
 	if t.composites == nil {
-		t.composites = make(map[colPair]*btree.CompositeTree)
+		t.composites = make(map[colPair]*btree.Tree)
 	}
 	if _, dup := t.composites[key]; dup {
 		return nil, ErrDupIndex
 	}
-	// As in CreateBTreeIndex, fill the bulk-load arrays directly and sort
-	// them jointly rather than staging an intermediate entries slice.
-	as := make([]float64, 0, t.store.Len())
-	bs := make([]float64, 0, t.store.Len())
-	ids := make([]uint64, 0, t.store.Len())
-	t.store.Scan(func(rid storage.RID, row []float64) bool {
-		as = append(as, row[aCol])
-		bs = append(bs, row[bCol])
-		ids = append(ids, uint64(rid))
-		return true
-	})
-	keyorder.SortTriples(as, bs, ids)
-	tr := btree.NewComposite(btree.DefaultOrder)
-	if err := tr.BulkLoad(as, bs, ids); err != nil {
+	tr, err := t.bulkTree(aCol, bCol, true)
+	if err != nil {
 		return nil, err
 	}
 	t.composites[key] = tr
@@ -65,7 +51,7 @@ func (t *Table) CreateCompositeBTreeIndex(aCol, bCol int, markNew bool) (*btree.
 // CreateCompositeHermitIndex builds a multi-column Hermit index on
 // (aCol, mCol) using the existing composite index on (aCol, nCol) as host
 // (paper §3; the running example's (TIME, SP) over (TIME, DJ)).
-func (t *Table) CreateCompositeHermitIndex(aCol, mCol, nCol int, opts ...HermitOption) (*hermit.CompositeIndex, error) {
+func (t *Table) CreateCompositeHermitIndex(aCol, mCol, nCol int, opts ...HermitOption) (*hermit.Index, error) {
 	if aCol < 0 || aCol >= len(t.cols) || mCol < 0 || mCol >= len(t.cols) || nCol < 0 || nCol >= len(t.cols) {
 		return nil, ErrNoSuchColumn
 	}
@@ -80,7 +66,7 @@ func (t *Table) CreateCompositeHermitIndex(aCol, mCol, nCol int, opts ...HermitO
 	}
 	key := colPair{aCol, mCol}
 	if t.compositeHermits == nil {
-		t.compositeHermits = make(map[colPair]*hermit.CompositeIndex)
+		t.compositeHermits = make(map[colPair]*hermit.Index)
 	}
 	if _, dup := t.compositeHermits[key]; dup {
 		return nil, ErrDupIndex
@@ -89,9 +75,7 @@ func (t *Table) CreateCompositeHermitIndex(aCol, mCol, nCol int, opts ...HermitO
 	for _, opt := range opts {
 		opt(&o)
 	}
-	hx, err := hermit.NewComposite(t.store, host, hermit.CompositeConfig{
-		ACol: aCol, TargetCol: mCol, HostCol: nCol, Params: o.params,
-	})
+	hx, err := hermit.New(t.store, host, hermit.Config{TargetCol: mCol, HostCol: nCol, Params: o.params})
 	if err != nil {
 		return nil, err
 	}
@@ -105,7 +89,7 @@ func (t *Table) CreateCompositeHermitIndex(aCol, mCol, nCol int, opts ...HermitO
 }
 
 // CompositeHermit returns the composite Hermit index on (aCol, mCol), if any.
-func (t *Table) CompositeHermit(aCol, mCol int) *hermit.CompositeIndex {
+func (t *Table) CompositeHermit(aCol, mCol int) *hermit.Index {
 	t.catalog.RLock()
 	defer t.catalog.RUnlock()
 	return t.compositeHermits[colPair{aCol, mCol}]
@@ -142,7 +126,7 @@ func (t *Table) run2Path(q Query, a *Answer, sc *queryScratch) (QueryStats, erro
 		st := QueryStats{Kind: KindHermit, Path: PathHermit}
 		hostMu := t.compositeMu.get(colPair{q.Col, t.compositeHostOf[key]})
 		hostMu.RLock()
-		st.Breakdown = hx.Lookup(q.Lo, q.Hi, q.And.Lo, q.And.Hi, &sc.harvest, profile)
+		st.Breakdown = hx.LookupAB(q.Lo, q.Hi, q.And.Lo, q.And.Hi, &sc.harvest, profile)
 		hostMu.RUnlock()
 		err := t.pass(q, sc.harvest.IDs, versionRIDs, false, sc, &st, a)
 		return st, err
@@ -157,10 +141,7 @@ func (t *Table) run2Path(q Query, a *Answer, sc *queryScratch) (QueryStats, erro
 	mu := t.compositeMu.get(key)
 	sc.ids = sc.ids[:0]
 	mu.RLock()
-	tr.Scan(q.Lo, q.Hi, q.And.Lo, q.And.Hi, func(_, _ float64, id uint64) bool {
-		sc.ids = append(sc.ids, id)
-		return true
-	})
+	tr.ScanAB(q.Lo, q.Hi, q.And.Lo, q.And.Hi, sc.appendID)
 	mu.RUnlock()
 	if profile {
 		st.Breakdown[hermit.PhaseHostIndex] += time.Since(t0)

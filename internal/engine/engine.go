@@ -193,8 +193,8 @@ type Table struct {
 
 	// Two-column access paths (paper §3): complete composite indexes and
 	// composite Hermit indexes, keyed by their (leading, second) columns.
-	composites       map[colPair]*btree.CompositeTree
-	compositeHermits map[colPair]*hermit.CompositeIndex
+	composites       map[colPair]*btree.Tree
+	compositeHermits map[colPair]*hermit.Index
 	compositeNew     map[colPair]bool
 	compositeHostOf  map[colPair]int // (A,M) -> N
 	// newCols marks complete indexes created as "new" for the Fig. 22b
@@ -354,12 +354,12 @@ func (t *Table) applyInsert(row []float64) (storage.RID, InsertStats, error) {
 	// Pre-existing complete indexes (e.g. the host index), then the newly
 	// created ones: baseline complete indexes marked new, Hermit indexes,
 	// Correlation Maps and composite indexes.
-	applyAll(t.maint.existing(), true, rid, id, row)
+	applyAll(t.maint.existing(), true, id, row)
 	if profile {
 		st.Existing = time.Since(t0)
 		t0 = time.Now()
 	}
-	applyAll(t.maint.fresh(), true, rid, id, row)
+	applyAll(t.maint.fresh(), true, id, row)
 	if profile {
 		st.New = time.Since(t0)
 		t0 = time.Now()
@@ -382,14 +382,14 @@ func (t *Table) applyInsert(row []float64) (storage.RID, InsertStats, error) {
 // the same list in its two Fig. 22b phases). The primary index is written
 // at commit, by stampInsert/stampUpdate. Caller holds t.catalog shared.
 func (t *Table) insertIndexEntries(rid storage.RID, row []float64) {
-	applyAll(t.maint.all, true, rid, t.identify(rid, row), row)
+	applyAll(t.maint.all, true, t.identify(rid, row), row)
 }
 
 // removeIndexEntries removes one version's entries from every secondary
 // index — reclaim's inverse of insertIndexEntries. Caller holds
 // t.catalog shared.
 func (t *Table) removeIndexEntries(rid storage.RID, row []float64) {
-	applyAll(t.maint.all, false, rid, t.identify(rid, row), row)
+	applyAll(t.maint.all, false, t.identify(rid, row), row)
 }
 
 // hostLatchFor returns the latch to bind for an index hosted on hostCol:

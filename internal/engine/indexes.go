@@ -27,20 +27,8 @@ func (t *Table) CreateBTreeIndex(col int, markNew bool) (*btree.Tree, error) {
 	if _, dup := t.secondary[col]; dup {
 		return nil, ErrDupIndex
 	}
-	// Fill the key/id arrays BulkLoad consumes straight from the scan and
-	// sort them jointly. The build peak is the tree, this pair of arrays and
-	// SortPairs' two record arrays of the same size each, which the sort
-	// drops before the load starts.
-	keys := make([]float64, 0, t.store.Len())
-	ids := make([]uint64, 0, t.store.Len())
-	t.store.Scan(func(rid storage.RID, row []float64) bool {
-		keys = append(keys, row[col])
-		ids = append(ids, t.identify(rid, row))
-		return true
-	})
-	keyorder.SortPairs(keys, ids)
-	tr := btree.New(btree.DefaultOrder)
-	if err := tr.BulkLoad(keys, ids); err != nil {
+	tr, err := t.bulkTree(col, col, false)
+	if err != nil {
 		return nil, err
 	}
 	t.secondary[col] = tr
@@ -50,6 +38,35 @@ func (t *Table) CreateBTreeIndex(col int, markNew bool) (*btree.Tree, error) {
 	}
 	t.rebuildMaint()
 	return tr, nil
+}
+
+// bulkTree bulk-loads a complete B+-tree on column a, or, when two, a
+// two-key tree on (a, b), of the rows' identifiers (Table.identify). The
+// arrays the scan fills are sorted jointly: the build peak is the tree,
+// them and the sort's records, which it drops before the load starts.
+func (t *Table) bulkTree(a, b int, two bool) (*btree.Tree, error) {
+	as := make([]float64, 0, t.store.Len())
+	ids := make([]uint64, 0, t.store.Len())
+	var bs []float64
+	if two {
+		bs = make([]float64, 0, t.store.Len())
+	}
+	t.store.Scan(func(rid storage.RID, row []float64) bool {
+		as = append(as, row[a])
+		if two {
+			bs = append(bs, row[b])
+		}
+		ids = append(ids, t.identify(rid, row))
+		return true
+	})
+	tr := btree.New(btree.DefaultOrder)
+	if two {
+		keyorder.SortTriples(as, bs, ids)
+		tr = btree.NewComposite(btree.DefaultOrder)
+	} else {
+		keyorder.SortPairs(as, ids)
+	}
+	return tr, tr.BulkLoadAB(as, bs, ids)
 }
 
 // HermitOption customises Hermit index creation.
@@ -265,39 +282,32 @@ func (t *Table) DropIndex(col int, kind IndexKind) error {
 }
 
 // maintainer keeps one secondary structure in step with the table's
-// versions. One of tree, comp, cx and hx is set; an entry is made of columns
-// a and b (a alone for a complete index, whose entries carry the version's
-// identifier under the table's pointer scheme, Table.identify) and mu is the
-// structure's write latch, nil for a Hermit index, whose TRS-Tree latches
-// itself. The call is a switch rather than a function value so that the row
-// a write passes in stays on its stack.
+// versions. One of tree, cx and hx is set; an entry is made of columns a
+// and b (a alone in a one-key tree) and the version's identifier
+// (Table.identify), and mu is the structure's write latch, nil for a
+// Hermit index, whose TRS-Tree latches itself. The call is a switch rather
+// than a function value so that the row a write passes in stays on its
+// stack.
 type maintainer struct {
 	a, b int
 	mu   *sync.RWMutex
-	tree *btree.Tree
-	comp *btree.CompositeTree
+	tree *btree.Tree // a one-key tree does not read b
 	cx   *cm.Index
-	hx   interface { // *hermit.Index or *hermit.CompositeIndex
-		Insert(id uint64, m, n float64)
-		Delete(id uint64, m, n float64)
-	}
+	hx   *hermit.Index
 }
 
-// apply adds (put) or removes the entry of the version rid, whose row is row.
-func (m *maintainer) apply(put bool, rid storage.RID, id uint64, row []float64) {
+// apply adds (put) or removes the entry of the version with identifier id,
+// whose row is row.
+func (m *maintainer) apply(put bool, id uint64, row []float64) {
 	a, b := row[m.a], row[m.b]
 	if m.mu != nil {
 		m.mu.Lock()
 	}
 	switch {
 	case m.tree != nil && put:
-		m.tree.Insert(a, id)
+		m.tree.InsertAB(a, b, id)
 	case m.tree != nil:
-		m.tree.Delete(a, id)
-	case m.comp != nil && put:
-		m.comp.Insert(a, b, uint64(rid))
-	case m.comp != nil:
-		m.comp.Delete(a, b, uint64(rid))
+		m.tree.DeleteAB(a, b, id)
 	case m.cx != nil && put:
 		m.cx.Insert(a, b)
 	case m.cx != nil:
@@ -329,9 +339,9 @@ func (m *maintainers) fresh() []maintainer    { return m.all[m.split:] }
 
 // applyAll adds (put) or removes one version's entries in the structures
 // of list.
-func applyAll(list []maintainer, put bool, rid storage.RID, id uint64, row []float64) {
+func applyAll(list []maintainer, put bool, id uint64, row []float64) {
 	for i := range list {
-		list[i].apply(put, rid, id, row)
+		list[i].apply(put, id, row)
 	}
 }
 
@@ -354,7 +364,7 @@ func (t *Table) rebuildMaint() {
 		fresh = append(fresh, maintainer{a: col, b: t.cmHostOf[col], mu: t.cmMu.get(col), cx: cx})
 	}
 	for key, tr := range t.composites {
-		fresh = append(fresh, maintainer{a: key[0], b: key[1], mu: t.compositeMu.get(key), comp: tr})
+		fresh = append(fresh, maintainer{a: key[0], b: key[1], mu: t.compositeMu.get(key), tree: tr})
 	}
 	for key, hx := range t.compositeHermits {
 		fresh = append(fresh, maintainer{a: key[1], b: t.compositeHostOf[key], hx: hx})
@@ -470,16 +480,19 @@ func (t *Table) Memory() MemoryStats {
 	t.mvccMu.RLock()
 	m.PrimaryBytes = t.primary.SizeBytes()
 	t.mvccMu.RUnlock()
-	for col, tr := range t.secondary {
-		mu := t.secondaryMu.get(col)
+	// tree counts a B+-tree among the new or the pre-existing indexes.
+	tree := func(tr *btree.Tree, mu *sync.RWMutex, fresh bool) {
 		mu.RLock()
 		sz := tr.SizeBytes()
 		mu.RUnlock()
-		if t.newCols[col] {
+		if fresh {
 			m.NewBytes += sz
 		} else {
 			m.ExistingBytes += sz
 		}
+	}
+	for col, tr := range t.secondary {
+		tree(tr, t.secondaryMu.get(col), t.newCols[col])
 	}
 	for _, hx := range t.hermits {
 		m.NewBytes += hx.SizeBytes() // TRS-Tree self-latches
@@ -491,15 +504,7 @@ func (t *Table) Memory() MemoryStats {
 		mu.RUnlock()
 	}
 	for key, tr := range t.composites {
-		mu := t.compositeMu.get(key)
-		mu.RLock()
-		sz := tr.SizeBytes()
-		mu.RUnlock()
-		if t.compositeNew[key] {
-			m.NewBytes += sz
-		} else {
-			m.ExistingBytes += sz
-		}
+		tree(tr, t.compositeMu.get(key), t.compositeNew[key])
 	}
 	for _, hx := range t.compositeHermits {
 		m.NewBytes += hx.SizeBytes()

@@ -14,7 +14,7 @@ import (
 // 0=TIME (days), 1=DJ (host), 2=SP (target, near-linear in DJ), 3=VOL.
 type compositeFixture struct {
 	table *storage.Table
-	host  *btree.CompositeTree // (TIME, DJ) -> rid
+	host  *btree.Tree // (TIME, DJ) -> rid
 	rows  [][4]float64
 	rids  []storage.RID
 }
@@ -40,7 +40,7 @@ func newCompositeFixture(t testing.TB, n int, noise float64, seed int64) *compos
 		}
 		f.rows = append(f.rows, row)
 		f.rids = append(f.rids, rid)
-		f.host.Insert(row[0], row[1], uint64(rid))
+		f.host.InsertAB(row[0], row[1], uint64(rid))
 	}
 	return f
 }
@@ -57,11 +57,9 @@ func (f *compositeFixture) expected(aLo, aHi, mLo, mHi float64) []uint64 {
 	return out
 }
 
-func newCompositeIndex(t testing.TB, f *compositeFixture) *CompositeIndex {
+func newCompositeIndex(t testing.TB, f *compositeFixture) *Index {
 	t.Helper()
-	idx, err := NewComposite(f.table, f.host, CompositeConfig{
-		ACol: 0, TargetCol: 2, HostCol: 1, Params: trstree.DefaultParams(),
-	})
+	idx, err := New(f.table, f.host, Config{TargetCol: 2, HostCol: 1, Params: trstree.DefaultParams()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,21 +68,21 @@ func newCompositeIndex(t testing.TB, f *compositeFixture) *CompositeIndex {
 
 // harvest2 runs one composite lookup on a fresh scratch and returns its
 // candidates.
-func harvest2(idx *CompositeIndex, aLo, aHi, mLo, mHi float64) []uint64 {
+func harvest2(idx *Index, aLo, aHi, mLo, mHi float64) []uint64 {
 	var sc Scratch
-	idx.Lookup(aLo, aHi, mLo, mHi, &sc, false)
+	idx.LookupAB(aLo, aHi, mLo, mHi, &sc, false)
 	return sc.IDs
 }
 
 func TestCompositeValidation(t *testing.T) {
 	f := newCompositeFixture(t, 100, 0, 1)
-	if _, err := NewComposite(nil, f.host, CompositeConfig{}); err != ErrNilTable {
+	if _, err := New(nil, f.host, Config{}); err != ErrNilTable {
 		t.Fatalf("want ErrNilTable, got %v", err)
 	}
-	if _, err := NewComposite(f.table, nil, CompositeConfig{}); err != ErrNilHostIndex {
+	if _, err := New(f.table, nil, Config{}); err != ErrNilHostIndex {
 		t.Fatalf("want ErrNilHostIndex, got %v", err)
 	}
-	if _, err := NewComposite(f.table, f.host, CompositeConfig{ACol: 9}); err == nil {
+	if _, err := New(f.table, f.host, Config{TargetCol: 9}); err == nil {
 		t.Fatal("bad column accepted")
 	}
 }
@@ -133,14 +131,14 @@ func TestCompositeMaintenance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.host.Insert(row[0], row[1], uint64(rid))
+	f.host.InsertAB(row[0], row[1], uint64(rid))
 	idx.Insert(uint64(rid), row[2], row[1])
 	if !has(harvest2(idx, 99999, 99999, 9999, 9999), uint64(rid)) {
 		t.Fatal("inserted row not harvested")
 	}
 	// Delete it.
 	idx.Delete(uint64(rid), row[2], row[1])
-	f.host.Delete(row[0], row[1], uint64(rid))
+	f.host.DeleteAB(row[0], row[1], uint64(rid))
 	if err := f.table.Delete(rid); err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +151,7 @@ func TestCompositeProfileAndReorg(t *testing.T) {
 	f := newCompositeFixture(t, 10000, 0.02, 6)
 	idx := newCompositeIndex(t, f)
 	var sc Scratch
-	if bd := idx.Lookup(0, 5000, 200, 400, &sc, true); bd.Total() == 0 {
+	if bd := idx.LookupAB(0, 5000, 200, 400, &sc, true); bd.Total() == 0 {
 		t.Fatal("no profile time recorded")
 	}
 	if idx.Tree() == nil || idx.SizeBytes() == 0 {
@@ -177,9 +175,7 @@ func TestQuickCompositeExactness(t *testing.T) {
 		fx := newCompositeFixture(t, 3000, rng.Float64()*0.1, seed)
 		params := trstree.DefaultParams()
 		params.ErrorBound = []float64{1, 2, 100}[rng.Intn(3)]
-		idx, err := NewComposite(fx.table, fx.host, CompositeConfig{
-			ACol: 0, TargetCol: 2, HostCol: 1, Params: params,
-		})
+		idx, err := New(fx.table, fx.host, Config{TargetCol: 2, HostCol: 1, Params: params})
 		if err != nil {
 			return false
 		}
@@ -206,6 +202,6 @@ func BenchmarkCompositeLookup(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		aLo := float64(i % 90000)
-		idx.Lookup(aLo, aLo+5000, 200, 260, &sc, false)
+		idx.LookupAB(aLo, aLo+5000, 200, 260, &sc, false)
 	}
 }

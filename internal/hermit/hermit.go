@@ -18,6 +18,12 @@
 //   - Logical pointers: indexes store primary keys (LogicalID); the
 //     MySQL-style scheme. Candidates are logical identifiers, which the
 //     reader resolves through its primary index before the base table.
+//
+// The host index may have two keys, (A, N), when queries constrain (A, M)
+// together: the paper's running example, whose new index on (TIME, SP)
+// rides the existing one on (TIME, DJ) (§3). The TRS-Tree is the same —
+// only the host probe, LookupAB, takes the A range as well — and the host
+// stores RIDs.
 package hermit
 
 import (
@@ -160,7 +166,7 @@ func New(table *storage.Table, host *btree.Tree, cfg Config) (*Index, error) {
 		return nil, ErrNilHostIndex
 	}
 	idx := &Index{cfg: cfg, table: table, host: host}
-	tree, err := buildTree(table, cfg.TargetCol, cfg.HostCol, idx.keyCol(), idx.idOf, cfg.Params, cfg.BuildWorkers)
+	tree, err := idx.build()
 	if err != nil {
 		return nil, err
 	}
@@ -168,16 +174,15 @@ func New(table *storage.Table, host *btree.Tree, cfg Config) (*Index, error) {
 	return idx, nil
 }
 
-// buildTree scans the table's (target, host) projection, one pair per row
-// identified by id from its RID and its value in column key, and builds the
-// TRS-Tree over it. The tree's range is the span of the finite target
-// values: an infinite or NaN one lies outside every leaf's model, so an
-// edge leaf buffers it as an outlier.
-func buildTree(table *storage.Table, target, host, key int, id func(storage.RID, float64) uint64, params trstree.Params, workers int) (*trstree.Tree, error) {
-	pairs := make([]trstree.Pair, 0, table.Len())
+// build scans the table's (target, host) projection, one pair per row
+// identified by idOf, and builds the TRS-Tree over it. The tree's range is
+// the span of the finite target values: an infinite or NaN one lies
+// outside every leaf's model, so an edge leaf buffers it as an outlier.
+func (x *Index) build() (*trstree.Tree, error) {
+	pairs := make([]trstree.Pair, 0, x.table.Len())
 	lo, hi := math.Inf(1), math.Inf(-1)
-	err := table.ScanKeyed(target, host, key, func(rid storage.RID, m, n, k float64) bool {
-		pairs = append(pairs, trstree.Pair{M: m, N: n, ID: id(rid, k)})
+	err := x.table.ScanKeyed(x.cfg.TargetCol, x.cfg.HostCol, x.keyCol(), func(rid storage.RID, m, n, k float64) bool {
+		pairs = append(pairs, trstree.Pair{M: m, N: n, ID: x.idOf(rid, k)})
 		if m < lo && !math.IsInf(m, 0) {
 			lo = m
 		}
@@ -192,10 +197,10 @@ func buildTree(table *storage.Table, target, host, key int, id func(storage.RID,
 	if lo > hi {
 		lo, hi = 0, 1 // no finite target value: any range works; inserts extend via edge leaves
 	}
-	if workers > 1 {
-		return trstree.BuildParallel(pairs, lo, hi, params, workers)
+	if x.cfg.BuildWorkers > 1 {
+		return trstree.BuildParallel(pairs, lo, hi, x.cfg.Params, x.cfg.BuildWorkers)
 	}
-	return trstree.Build(pairs, lo, hi, params)
+	return trstree.Build(pairs, lo, hi, x.cfg.Params)
 }
 
 // keyCol is the column a scan reads beside each row's pair for idOf: the
@@ -305,6 +310,20 @@ func (sc *Scratch) begin(tree *trstree.Tree, lo, hi float64) {
 // from no row. With profile set the returned breakdown times the two
 // phases.
 func (x *Index) Lookup(lo, hi float64, sc *Scratch, profile bool) Breakdown {
+	return x.lookup(false, 0, 0, lo, hi, sc, profile)
+}
+
+// LookupAB is Lookup for an index whose host has two keys, (A, N): it
+// harvests the candidates for aLo <= A <= aHi AND mLo <= M <= mHi, probing
+// the host with the A range and each N range the TRS-Tree predicts. An
+// outlier is not checked against A either; the reader validates both
+// predicates.
+func (x *Index) LookupAB(aLo, aHi, mLo, mHi float64, sc *Scratch, profile bool) Breakdown {
+	return x.lookup(true, aLo, aHi, mLo, mHi, sc, profile)
+}
+
+// lookup is Lookup, and LookupAB when ab.
+func (x *Index) lookup(ab bool, aLo, aHi, lo, hi float64, sc *Scratch, profile bool) Breakdown {
 	var bd Breakdown
 	var t0 time.Time
 	if profile {
@@ -316,7 +335,11 @@ func (x *Index) Lookup(lo, hi float64, sc *Scratch, profile bool) Breakdown {
 		t0 = time.Now()
 	}
 	for _, r := range sc.tres.Ranges {
-		x.host.Scan(r.Lo, r.Hi, sc.appendID)
+		if ab {
+			x.host.ScanAB(aLo, aHi, r.Lo, r.Hi, sc.appendID)
+		} else {
+			x.host.Scan(r.Lo, r.Hi, sc.appendID)
+		}
 	}
 	if profile {
 		bd[PhaseHostIndex] = time.Since(t0)
@@ -354,18 +377,14 @@ func (x *Index) Source() trstree.DataSource {
 
 type tableSource struct{ x *Index }
 
+// ScanMRange projects the rows with lo <= target <= hi; a NaN target is in
+// no range.
 func (s tableSource) ScanMRange(lo, hi float64, fn func(m, n float64, id uint64) bool) error {
-	return scanMRange(s.x.table, s.x.cfg.TargetCol, s.x.cfg.HostCol, s.x.keyCol(), lo, hi, s.x.idOf, fn)
-}
-
-// scanMRange is a DataSource's scan: the (target, host) pairs of the rows
-// with lo <= target <= hi, identified by id from their RID and their value
-// in column key. A NaN target is in no range.
-func scanMRange(table *storage.Table, target, host, key int, lo, hi float64, id func(storage.RID, float64) uint64, fn func(m, n float64, id uint64) bool) error {
-	return table.ScanKeyed(target, host, key, func(rid storage.RID, m, n, k float64) bool {
+	x := s.x
+	return x.table.ScanKeyed(x.cfg.TargetCol, x.cfg.HostCol, x.keyCol(), func(rid storage.RID, m, n, k float64) bool {
 		if !(m >= lo && m <= hi) {
 			return true
 		}
-		return fn(m, n, id(rid, k))
+		return fn(m, n, x.idOf(rid, k))
 	})
 }
