@@ -9,30 +9,40 @@
 package main
 
 import (
+	"errors"
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"time"
 
 	hermitdb "hermit"
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run plays the example, writing its report to w.
+func run(w io.Writer) error {
 	spec := hermitdb.StockSpec{Stocks: 8, Days: 20000, Seed: 7, CrashProb: 0.002}
 	db := hermitdb.NewDB(hermitdb.PhysicalPointers)
 	tb, err := db.CreateTable("stock_history", spec.Columns(), spec.PKCol())
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if err := spec.Generate(func(row []float64) error {
 		_, err := tb.Insert(row)
 		return err
 	}); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	// Pre-existing indexes on the low columns; the highs are bare.
 	for i := 0; i < spec.Stocks; i++ {
 		if _, err := tb.CreateBTreeIndex(spec.LowCol(i), false); err != nil {
-			log.Fatal(err)
+			return err
 		}
 	}
 
@@ -45,9 +55,9 @@ func main() {
 	// Before: the planner has nothing better than a scan for this column.
 	plan, err := tb.Explain(high, y, z)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("before: planner serves %q queries via %s (est. cost %.0f units)\n",
+	fmt.Fprintf(w, "before: planner serves %q queries via %s (est. cost %.0f units)\n",
 		plan.Column, plan.Chosen, plan.Candidates[0].Cost)
 
 	// Enable the advisor and keep querying; it needs to see real traffic
@@ -62,10 +72,10 @@ func main() {
 	start := time.Now()
 	for len(adv.Actions()) == 0 {
 		if time.Since(start) > 30*time.Second {
-			log.Fatal("advisor did not act — is the dataset correlated?")
+			return errors.New("advisor did not act — is the dataset correlated?")
 		}
 		if _, _, err := tb.Exec(hermitdb.Query{Col: high, Lo: y, Hi: z}, nil); err != nil {
-			log.Fatal(err)
+			return err
 		}
 		queries++
 	}
@@ -74,33 +84,34 @@ func main() {
 	if act.Host >= 0 {
 		host = spec.Columns()[act.Host]
 	}
-	fmt.Printf("advisor acted after %d queries (%.0f ms): %s on %q hosted by %q\n",
+	fmt.Fprintf(w, "advisor acted after %d queries (%.0f ms): %s on %q hosted by %q\n",
 		queries, float64(time.Since(start).Microseconds())/1000,
 		act.Kind, spec.Columns()[act.Col], host)
-	fmt.Printf("  reason: %s\n", act.Reason)
+	fmt.Fprintf(w, "  reason: %s\n", act.Reason)
 
 	// After: the planner routes through the auto-created index; Explain
 	// itemises every candidate path it beat.
 	plan, err = tb.Explain(high, y, z)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("after: planner serves %q via %s\n", plan.Column, plan.Chosen)
+	fmt.Fprintf(w, "after: planner serves %q via %s\n", plan.Column, plan.Chosen)
 	for _, c := range plan.Candidates {
 		if !c.Available {
 			continue
 		}
-		fmt.Printf("  %-10s cost %8.0f units  est rows %5d  est candidates %5d\n",
+		fmt.Fprintf(w, "  %-10s cost %8.0f units  est rows %5d  est candidates %5d\n",
 			c.Path, c.Cost, c.EstRows, c.EstCandidates)
 	}
 	rows, stats, err := tb.Exec(hermitdb.Query{Col: high, Lo: y, Hi: z}, nil)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("query: %d trading days matched via %s (fp ratio %.1f%%), %d values returned\n",
+	fmt.Fprintf(w, "query: %d trading days matched via %s (fp ratio %.1f%%), %d values returned\n",
 		stats.Rows, stats.Path, stats.FalsePositiveRatio()*100, len(rows))
 
 	m := tb.Memory()
-	fmt.Printf("memory: new (auto-created) indexes %.2f KB vs table %.1f MB\n",
+	fmt.Fprintf(w, "memory: new (auto-created) indexes %.2f KB vs table %.1f MB\n",
 		float64(m.NewBytes)/(1<<10), float64(m.TableBytes)/(1<<20))
+	return nil
 }

@@ -7,19 +7,28 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
 	"math/rand"
+	"os"
 
 	hermitdb "hermit"
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run plays the example, writing its report to w.
+func run(w io.Writer) error {
 	db := hermitdb.NewDB(hermitdb.PhysicalPointers)
 	// Table: pk, host (uniform driver), then one column per shape.
 	cols := []string{"pk", "host", "linear", "sigmoid", "sine"}
 	tb, err := db.CreateTable("gallery", cols, 0)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	rng := rand.New(rand.NewSource(25))
 	for i := 0; i < 100_000; i++ {
@@ -32,20 +41,20 @@ func main() {
 			hermitdb.Sin.Eval(x),
 		}
 		if _, err := tb.Insert(row); err != nil {
-			log.Fatal(err)
+			return err
 		}
 	}
 	if _, err := tb.CreateBTreeIndex(1, false); err != nil {
-		log.Fatal(err)
+		return err
 	}
 
-	fmt.Println("auto index creation per correlation shape (paper App. D.1):")
+	fmt.Fprintln(w, "auto index creation per correlation shape (paper App. D.1):")
 	for col := 2; col <= 4; col++ {
 		kind, err := tb.CreateIndexAuto(col, hermitdb.DefaultDiscovery())
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		fmt.Printf("  %-8s -> %s index\n", cols[col], kind)
+		fmt.Fprintf(w, "  %-8s -> %s index\n", cols[col], kind)
 	}
 
 	// All three are still exact, whatever mechanism was chosen.
@@ -55,9 +64,10 @@ func main() {
 		width := (hi - lo) * 0.02
 		_, stats, err := tb.Exec(hermitdb.Query{Col: col, Lo: mid, Hi: mid + width}, nil)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		fmt.Printf("  %-8s range query: %d rows via %s (fp %.1f%%)\n",
+		fmt.Fprintf(w, "  %-8s range query: %d rows via %s (fp %.1f%%)\n",
 			cols[col], stats.Rows, stats.Kind, stats.FalsePositiveRatio()*100)
 	}
+	return nil
 }

@@ -16,6 +16,7 @@ package main
 import (
 	"errors"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"path/filepath"
@@ -25,9 +26,16 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run plays the example, writing its report to w.
+func run(w io.Writer) error {
 	dir, err := os.MkdirTemp("", "hermit-replica-example")
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer os.RemoveAll(dir)
 
@@ -36,19 +44,19 @@ func main() {
 	// stream on one wire endpoint.
 	ldb, err := hermitdb.OpenDurable(filepath.Join(dir, "leader"), hermitdb.PhysicalPointers)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer ldb.Close()
 	leader, err := hermitdb.NewReplLeader(ldb, hermitdb.ReplLeaderOptions{})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	lsrv := hermitdb.NewServer(ldb, hermitdb.ServerOptions{Leader: leader})
 	if err := lsrv.Start("127.0.0.1:0"); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer lsrv.Close()
-	fmt.Printf("leader serving on %s\n", lsrv.Addr())
+	fmt.Fprintf(w, "leader serving on %s\n", lsrv.Addr())
 
 	// Follower node: its own database directory, tailing the leader. The
 	// engine-swap hook re-points the follower's server if a snapshot
@@ -60,17 +68,17 @@ func main() {
 		Scheme:     hermitdb.PhysicalPointers,
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer f.Close()
 	fsrv := hermitdb.NewServer(f.DB(), hermitdb.ServerOptions{Follower: f})
 	f.SetOnEngineSwap(func(db *hermitdb.DurableDB) { fsrv.SwapEngine(db) })
 	f.Start()
 	if err := fsrv.Start("127.0.0.1:0"); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer fsrv.Close()
-	fmt.Printf("follower serving on %s\n", fsrv.Addr())
+	fmt.Fprintf(w, "follower serving on %s\n", fsrv.Addr())
 
 	// A cluster client: writes go to the leader, reads round-robin over
 	// the followers. ReadYourWrites makes every read observe the
@@ -80,44 +88,44 @@ func main() {
 		[]string{fsrv.Addr().String()},
 		hermitdb.ClusterOptions{ReadYourWrites: true})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer cl.Close()
 
 	if err := cl.CreateTable("trades", []string{"id", "price", "qty"}, 0, 0); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	for i := 0; i < 1000; i++ {
 		row := []float64{float64(i), float64(100 + i%50), float64(1 + i%9)}
 		if err := cl.Insert("trades", row); err != nil {
-			log.Fatal(err)
+			return err
 		}
 	}
 	rows, err := cl.Point("trades", 0, 999)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("read-your-writes point lookup: %v\n", rows)
+	fmt.Fprintf(w, "read-your-writes point lookup: %v\n", rows)
 
 	// The follower is read-only: writes sent straight at it bounce with
 	// ErrNotLeader (the cluster client never does this; it routes writes
 	// to the leader for you).
 	direct, err := hermitdb.Dial(fsrv.Addr().String(), hermitdb.ClientOptions{})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if err := direct.Insert("trades", []float64{9999, 0, 0}); errors.Is(err, hermitdb.ErrNotLeader) {
-		fmt.Println("direct write to the follower rejected: not the leader")
+		fmt.Fprintln(w, "direct write to the follower rejected: not the leader")
 	}
 	direct.Close()
 
 	// The leader tracks each follower's acked watermark; once the
 	// follower catches up its lag reaches zero.
 	if err := f.WaitFor(ldb.LastLSN(), 10*time.Second); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	for _, fl := range leader.Stats().Followers {
-		fmt.Printf("follower %s: acked LSN %d, lag %d\n", fl.ID, fl.AckLSN, fl.Lag)
+		fmt.Fprintf(w, "follower %s: acked LSN %d, lag %d\n", fl.ID, fl.AckLSN, fl.Lag)
 	}
 
 	// Failover: the leader goes away, the follower is promoted. Promote
@@ -128,29 +136,30 @@ func main() {
 	ldb.Close()
 	pdb, err := f.Promote()
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer pdb.Close()
 	nl, err := hermitdb.NewReplLeader(pdb, hermitdb.ReplLeaderOptions{})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	fsrv.SwapEngine(pdb)
 	fsrv.BecomeLeader(nl)
-	fmt.Printf("follower promoted: epoch %d\n", nl.Epoch())
+	fmt.Fprintf(w, "follower promoted: epoch %d\n", nl.Epoch())
 
 	// The promoted node takes writes.
 	pc, err := hermitdb.Dial(fsrv.Addr().String(), hermitdb.ClientOptions{})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer pc.Close()
 	if err := pc.Insert("trades", []float64{1000, 150, 1}); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	rows, err = pc.Range("trades", 0, 998, 1001)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("rows on the promoted leader in [998,1001]: %d\n", len(rows))
+	fmt.Fprintf(w, "rows on the promoted leader in [998,1001]: %d\n", len(rows))
+	return nil
 }

@@ -6,20 +6,29 @@ package main
 import (
 	"errors"
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	hermitdb "hermit"
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run plays the example, writing its report to w.
+func run(w io.Writer) error {
 	db := hermitdb.NewDB(hermitdb.PhysicalPointers)
 	tb, err := db.CreateTable("accounts", []string{"id", "balance"}, 0)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	for i := 0; i < 10; i++ {
 		if _, err := tb.Insert([]float64{float64(i), 100}); err != nil {
-			log.Fatal(err)
+			return err
 		}
 	}
 
@@ -54,41 +63,50 @@ func main() {
 	before := db.Snapshot()
 	defer before.Release()
 	if err := transfer(0, 1, 30); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	// A query names the snapshot it reads at; its rows are copied out
 	// under that snapshot.
-	balance := func(snap *hermitdb.Snapshot, id float64) float64 {
+	balance := func(snap *hermitdb.Snapshot, id float64) (float64, error) {
 		row, st, err := tb.Exec(hermitdb.Query{Col: 0, Lo: id, Hi: id, Snap: snap}, nil)
 		if err != nil || st.Rows != 1 {
-			log.Fatalf("account %v: %v", id, err)
+			return 0, fmt.Errorf("account %v: %d rows, %v", id, st.Rows, err)
 		}
-		return row[1]
+		return row[1], nil
 	}
 	err = hermitdb.WithSnapshot(db, func(now *hermitdb.Snapshot) error {
-		fmt.Printf("account 0: %3.0f before, %3.0f after\n", balance(before, 0), balance(now, 0))
-		fmt.Printf("account 1: %3.0f before, %3.0f after\n", balance(before, 1), balance(now, 1))
+		for _, id := range []float64{0, 1} {
+			was, err := balance(before, id)
+			if err != nil {
+				return err
+			}
+			is, err := balance(now, id)
+			if err != nil {
+				return err
+			}
+			fmt.Fprintf(w, "account %v: %3.0f before, %3.0f after\n", id, was, is)
+		}
 		return nil
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// First committer wins: a stale transaction loses and applies nothing.
 	x1, x2 := db.Begin(), db.Begin()
 	if err := x1.Update(tb, 2, 1, 150); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if err := x2.Update(tb, 2, 1, 90); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if _, err := x1.Commit(); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if _, err := x2.Commit(); errors.Is(err, hermitdb.ErrWriteConflict) {
-		fmt.Println("second writer aborted:", err)
+		fmt.Fprintln(w, "second writer aborted:", err)
 	} else {
-		log.Fatalf("expected a write conflict, got %v", err)
+		return fmt.Errorf("expected a write conflict, got %v", err)
 	}
 
 	// Batches with mutations are one atomic transaction: the duplicate
@@ -97,8 +115,9 @@ func main() {
 		{Kind: hermitdb.OpInsert, Row: []float64{99, 1000}},
 		{Kind: hermitdb.OpInsert, Row: []float64{3, 0}}, // duplicate id
 	}, 2)
-	fmt.Printf("atomic batch: op0 err=%v\n", res[0].Err)
+	fmt.Fprintf(w, "atomic batch: op0 err=%v\n", res[0].Err)
 	if _, st, _ := tb.Exec(hermitdb.Query{Col: 0, Lo: 99, Hi: 99}, nil); st.Rows == 0 {
-		fmt.Println("account 99 was rolled back with the failing batch")
+		fmt.Fprintln(w, "account 99 was rolled back with the failing batch")
 	}
+	return nil
 }

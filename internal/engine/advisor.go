@@ -95,19 +95,8 @@ func (t *Table) AdvisorInfo() advisor.TableInfo {
 			Queries: rt.queries.Load(),
 			Updates: rt.updates.Load(),
 		}
-		switch kind {
-		case KindHermit:
-			ci.IndexBytes = t.hermits[col].SizeBytes() // TRS-Tree self-latches
-		case KindCM:
-			mu := t.cmMu.get(col)
-			mu.RLock()
-			ci.IndexBytes = t.cms[col].SizeBytes()
-			mu.RUnlock()
-		case KindBTree:
-			mu := t.secondaryMu.get(col)
-			mu.RLock()
-			ci.IndexBytes = t.secondary[col].SizeBytes()
-			mu.RUnlock()
+		if x := t.find(kind, col, noCol); x != nil {
+			ci.IndexBytes = x.sizeBytes()
 		}
 		path := pathForKind(kind)
 		ci.ObservedFP = ewmaValue(&rt.paths[path].fp)

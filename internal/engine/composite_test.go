@@ -8,6 +8,7 @@ import (
 
 	"hermit/internal/hermit"
 	"hermit/internal/storage"
+	"hermit/internal/trstree"
 )
 
 // newStockHistory builds the paper's running-example table:
@@ -91,6 +92,36 @@ func TestCompositeEngineRunningExample(t *testing.T) {
 	}
 	if tbH.CompositeHermit(0, 2) == nil {
 		t.Fatal("accessor")
+	}
+}
+
+// TestCompositeHermitBuildWorkers: a composite Hermit index honours
+// WithBuildWorkers, and the parallel build is the serial one — the same
+// TRS-Tree leaves, outliers and bytes, and the same candidates for the
+// running example's (TIME, SP) query.
+func TestCompositeHermitBuildWorkers(t *testing.T) {
+	var trees [2]trstree.Stats
+	var cands [2]int
+	for i, opts := range [][]HermitOption{nil, {WithBuildWorkers(4)}} {
+		tb := newStockHistory(t, 15000, 1)
+		hx, err := tb.CreateCompositeHermitIndex(0, 2, 1, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spLo, spHi := math.Inf(1), math.Inf(-1)
+		for _, row := range expected2(tb, 0, 5000, 8000, 2, math.Inf(-1), math.Inf(1)) {
+			spLo, spHi = min(spLo, row[2]), max(spHi, row[2])
+		}
+		lo, hi := spLo+(spHi-spLo)*0.40, spLo+(spHi-spLo)*0.45
+		rows, st, err := rowsOf(tb, Query{Col: 0, Lo: 5000, Hi: 8000, And: &Pred{Col: 2, Lo: lo, Hi: hi}})
+		if err != nil || st.Kind != KindHermit || len(rows) == 0 || !sameRows(rows, expected2(tb, 0, 5000, 8000, 2, lo, hi)) {
+			t.Fatalf("build %d: %d rows via %v, err %v", i, len(rows), st.Kind, err)
+		}
+		trees[i], cands[i] = hx.Tree().Stats(), st.Candidates
+	}
+	s, p := trees[0], trees[1]
+	if s.Leaves != p.Leaves || s.Outliers != p.Outliers || s.SizeBytes != p.SizeBytes || cands[0] != cands[1] {
+		t.Fatalf("serial build %+v, %d candidates; parallel %+v, %d candidates", s, cands[0], p, cands[1])
 	}
 }
 

@@ -389,7 +389,7 @@ func TestHermitHostLatchBoundAtCreation(t *testing.T) {
 	if _, err := tb.CreateHermitIndex(1, 0); err != nil {
 		t.Fatal(err)
 	}
-	if tb.hermitHostMu[1] != &tb.mvccMu {
+	if tb.get(KindHermit, 1, noCol).hostMu != &tb.mvccMu {
 		t.Fatal("hermit host latch not bound to primary")
 	}
 	// A complete index on the pk column created later must not steal the
@@ -397,7 +397,7 @@ func TestHermitHostLatchBoundAtCreation(t *testing.T) {
 	if _, err := tb.CreateBTreeIndex(0, true); err != nil {
 		t.Fatal(err)
 	}
-	if tb.hermitHostMu[1] != &tb.mvccMu {
+	if tb.get(KindHermit, 1, noCol).hostMu != &tb.mvccMu {
 		t.Fatal("hermit host latch rebound away from primary by later DDL")
 	}
 	var wg sync.WaitGroup

@@ -18,7 +18,6 @@ import (
 	"time"
 
 	"hermit/internal/btree"
-	"hermit/internal/cm"
 	"hermit/internal/hermit"
 	"hermit/internal/storage"
 )
@@ -87,17 +86,6 @@ func (db *DB) CreateTable(name string, cols []string, pkCol int) (*Table, error)
 		clock:        db.clock,
 		store:        storage.NewTable(len(cols)),
 		primary:      btree.New(btree.DefaultOrder),
-		secondary:    make(map[int]*btree.Tree),
-		hermits:      make(map[int]*hermit.Index),
-		cms:          make(map[int]*cm.Index),
-		hostOf:       make(map[int]int),
-		cmHostOf:     make(map[int]int),
-		newCols:      make(map[int]bool),
-		secondaryMu:  newLatchSet[int](),
-		cmMu:         newLatchSet[int](),
-		compositeMu:  newLatchSet[colPair](),
-		hermitHostMu: make(map[int]*sync.RWMutex),
-		cmHostMu:     make(map[int]*sync.RWMutex),
 		runtime:      newColRuntime(len(cols)),
 		trackDeletes: db.trackDeletes,
 		handSeen:     math.MaxUint64,
@@ -182,49 +170,20 @@ type Table struct {
 	// key's version chain — under mvccMu. It is a unique-key tree
 	// (btree.Tree.Swap): written at commit by stampInsert/stampUpdate and
 	// by reclaim, never by the apply phase.
-	primary   *btree.Tree
-	secondary map[int]*btree.Tree   // complete B+-tree indexes (the Baseline)
-	hermits   map[int]*hermit.Index // Hermit indexes
-	cms       map[int]*cm.Index     // Correlation Map indexes (App. E)
-
-	// hostOf / cmHostOf record the host column for each Hermit / CM target.
-	hostOf   map[int]int
-	cmHostOf map[int]int
-
-	// Two-column access paths (paper §3): complete composite indexes and
-	// composite Hermit indexes, keyed by their (leading, second) columns.
-	composites       map[colPair]*btree.Tree
-	compositeHermits map[colPair]*hermit.Index
-	compositeNew     map[colPair]bool
-	compositeHostOf  map[colPair]int // (A,M) -> N
-	// newCols marks complete indexes created as "new" for the Fig. 22b
-	// insert-cost breakdown (as opposed to pre-existing host indexes).
-	newCols map[int]bool
-	// maint is every secondary structure above as one list, rebuilt by each
-	// DDL (maintainers): what a write walks to keep them in step.
-	maint maintainers
+	primary *btree.Tree
+	// maint is the catalog: every secondary structure of the table, one
+	// index each, the pre-existing ones first. A write walks it to keep them
+	// in step; DDL edits it.
+	maint []index
 
 	// Concurrency control (see latches.go for the full protocol): catalog
-	// guards the index maps above against DDL; rows serialises same-key
-	// row mutations; mvccMu (above) and the latch sets give every
-	// unsynchronised index structure its own reader/writer latch, so
-	// concurrent readers on different indexes never contend and writers only
-	// block the structures they touch. TRS-Trees (inside Hermit indexes)
-	// latch themselves.
-	catalog     sync.RWMutex
-	rows        stripedLock
-	secondaryMu latchSet[int]
-	cmMu        latchSet[int]
-	compositeMu latchSet[colPair]
-
-	// hermitHostMu / cmHostMu record, per target column, the latch of the
-	// structure its index was bound to at creation time (the host column's
-	// secondary B+-tree, or the primary index when the primary key hosts).
-	// Bound at creation — resolving the latch dynamically would pick up a
-	// B+-tree created later on the host column while the lookup still
-	// scans the originally bound structure.
-	hermitHostMu map[int]*sync.RWMutex
-	cmHostMu     map[int]*sync.RWMutex
+	// guards maint against DDL; rows serialises same-key row mutations;
+	// mvccMu (above) and each index's own latch give every unsynchronised
+	// structure its reader/writer latch, so concurrent readers on different
+	// indexes never contend and writers only block the structures they
+	// touch. TRS-Trees (inside Hermit indexes) latch themselves.
+	catalog sync.RWMutex
+	rows    stripedLock
 
 	// runtime holds the planner's per-column statistics (query/update
 	// counters, cached bounds, per-path latency and false-positive EWMAs);
@@ -351,15 +310,15 @@ func (t *Table) applyInsert(row []float64) (storage.RID, InsertStats, error) {
 		t0 = time.Now()
 	}
 	id := t.identify(rid, row)
-	// Pre-existing complete indexes (e.g. the host index), then the newly
-	// created ones: baseline complete indexes marked new, Hermit indexes,
-	// Correlation Maps and composite indexes.
-	applyAll(t.maint.existing(), true, id, row)
+	// Pre-existing complete indexes (e.g. the host index), then the
+	// structures marked new.
+	n := t.existing()
+	applyAll(t.maint[:n], true, id, row)
 	if profile {
 		st.Existing = time.Since(t0)
 		t0 = time.Now()
 	}
-	applyAll(t.maint.fresh(), true, id, row)
+	applyAll(t.maint[n:], true, id, row)
 	if profile {
 		st.New = time.Since(t0)
 		t0 = time.Now()
@@ -382,25 +341,14 @@ func (t *Table) applyInsert(row []float64) (storage.RID, InsertStats, error) {
 // the same list in its two Fig. 22b phases). The primary index is written
 // at commit, by stampInsert/stampUpdate. Caller holds t.catalog shared.
 func (t *Table) insertIndexEntries(rid storage.RID, row []float64) {
-	applyAll(t.maint.all, true, t.identify(rid, row), row)
+	applyAll(t.maint, true, t.identify(rid, row), row)
 }
 
 // removeIndexEntries removes one version's entries from every secondary
 // index — reclaim's inverse of insertIndexEntries. Caller holds
 // t.catalog shared.
 func (t *Table) removeIndexEntries(rid storage.RID, row []float64) {
-	applyAll(t.maint.all, false, t.identify(rid, row), row)
-}
-
-// hostLatchFor returns the latch to bind for an index hosted on hostCol:
-// the host column's secondary B+-tree latch, or the MVCC latch, which
-// guards the primary index, when the lookup will scan that (host ==
-// t.primary).
-func (t *Table) hostLatchFor(hostCol int, host *btree.Tree) *sync.RWMutex {
-	if mu := t.secondaryMu.get(hostCol); mu != nil && host != t.primary {
-		return mu
-	}
-	return &t.mvccMu
+	applyAll(t.maint, false, t.identify(rid, row), row)
 }
 
 // Delete removes the row with the given primary key, reporting whether the

@@ -3,7 +3,7 @@ package engine
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"hermit/internal/btree"
@@ -15,28 +15,150 @@ import (
 	"hermit/internal/trstree"
 )
 
+// index is one secondary structure of a table as the catalog (Table.maint)
+// keeps it: a one- or two-key B+-tree, a one- or two-column Hermit index, or
+// a CM. It is looked up by col, and by and too when it serves two-column
+// predicates (noCol when it does not). Its entries are made of columns a and
+// b (a alone in a one-key tree) and each version's identifier
+// (Table.identify): a Hermit index or CM on col over a host column is made of
+// (col, host), a composite Hermit index on (col, and) over the (col, host)
+// tree of (and, host). One of tree, hx and cx is set. mu is the structure's
+// latch, nil for a Hermit index, whose TRS-Tree latches itself. hostMu, for a
+// Hermit index or CM, is the latch of the structure its lookups scan, bound
+// at creation: the host tree's, or mvccMu when the primary index hosts.
+// Resolving it per query would pick up a B+-tree created on the host column
+// later, while the lookup still scans the structure it was built on. fresh is
+// Fig. 22b's "new" mark. An index does not change once catalogued.
+type index struct {
+	kind     IndexKind
+	col, and int
+	a, b     int
+	tree     *btree.Tree
+	hx       *hermit.Index
+	cx       *cm.Index
+	mu       *sync.RWMutex
+	hostMu   *sync.RWMutex
+	fresh    bool
+}
+
+// noCol is the second look-up column of an index on one column.
+const noCol = -1
+
+// find is the one resolve step from a predicate to the catalog: the index of
+// kind looked up by col, and by and (noCol for a one-column predicate), or
+// nil. The caller holds t.catalog.
+func (t *Table) find(kind IndexKind, col, and int) *index {
+	for i := range t.maint {
+		if x := &t.maint[i]; x.kind == kind && x.col == col && x.and == and {
+			return x
+		}
+	}
+	return nil
+}
+
+// get returns a copy of find's index, or the zero index, under t.catalog.
+func (t *Table) get(kind IndexKind, col, and int) index {
+	t.catalog.RLock()
+	defer t.catalog.RUnlock()
+	if x := t.find(kind, col, and); x != nil {
+		return *x
+	}
+	return index{}
+}
+
+// add catalogues x, the pre-existing structures first, so that an insert
+// times Fig. 22b's two splits apart; called with t.catalog held exclusively.
+func (t *Table) add(x index) {
+	at := len(t.maint)
+	if !x.fresh {
+		at = t.existing()
+	}
+	t.maint = slices.Insert(t.maint, at, x)
+}
+
+// existing counts the pre-existing structures, which lead t.maint.
+func (t *Table) existing() int {
+	n := 0
+	for n < len(t.maint) && !t.maint[n].fresh {
+		n++
+	}
+	return n
+}
+
+// validCols checks the columns of an index to create: each must exist, but
+// and may be noCol. An index on two columns stores physical RIDs (its
+// candidates reach the pass as version RIDs), so it needs physical pointers.
+func (t *Table) validCols(and int, cols ...int) error {
+	if and != noCol {
+		cols = append(cols, and)
+	}
+	for _, c := range cols {
+		if c < 0 || c >= len(t.cols) {
+			return ErrNoSuchColumn
+		}
+	}
+	if and != noCol && t.scheme != hermit.PhysicalPointers {
+		return errors.New("engine: composite indexes require physical pointers")
+	}
+	return nil
+}
+
+// hostFor resolves the complete index that an index looked up by col (and
+// and) rides on host: the B+-tree on host, or on (col, host) for a
+// two-column index; failing that, for a one-column index hosted on the
+// primary-key column, the primary index, which mvccMu latches. It returns
+// the host and the latch the new index binds.
+func (t *Table) hostFor(col, and, host int) (*btree.Tree, *sync.RWMutex, error) {
+	a, b := host, noCol
+	if and != noCol {
+		a, b = col, host
+	}
+	if x := t.find(KindBTree, a, b); x != nil {
+		return x.tree, x.mu, nil
+	}
+	if and == noCol && host == t.pkCol {
+		// The primary index maps pk -> RID; under physical pointers it
+		// already stores RIDs, so it can host directly.
+		return t.primary, &t.mvccMu, nil
+	}
+	return nil, nil, ErrNoHostIndex
+}
+
 // CreateBTreeIndex builds a complete B+-tree secondary index on col via
 // single-thread bulk loading (the baseline construction path of §7.5).
 // markNew tags the index as "newly created" for the insert-cost breakdown.
 func (t *Table) CreateBTreeIndex(col int, markNew bool) (*btree.Tree, error) {
-	if col < 0 || col >= len(t.cols) {
-		return nil, ErrNoSuchColumn
+	return t.createTree(col, noCol, markNew)
+}
+
+// CreateCompositeBTreeIndex bulk-builds a complete composite B+-tree index
+// on (aCol, bCol) — the shape of the paper's (TIME, DJ) host index.
+// Composite indexes store physical RIDs, so they require the physical
+// tuple-identifier scheme.
+func (t *Table) CreateCompositeBTreeIndex(aCol, bCol int, markNew bool) (*btree.Tree, error) {
+	return t.createTree(aCol, bCol, markNew)
+}
+
+// createTree builds and catalogues the B+-tree on col, or on (col, and)
+// unless and is noCol.
+func (t *Table) createTree(col, and int, markNew bool) (*btree.Tree, error) {
+	if err := t.validCols(and, col); err != nil {
+		return nil, err
 	}
 	t.catalog.Lock()
 	defer t.catalog.Unlock()
-	if _, dup := t.secondary[col]; dup {
+	if t.find(KindBTree, col, and) != nil {
 		return nil, ErrDupIndex
 	}
-	tr, err := t.bulkTree(col, col, false)
+	b := col
+	if and != noCol {
+		b = and
+	}
+	tr, err := t.bulkTree(col, b, and != noCol)
 	if err != nil {
 		return nil, err
 	}
-	t.secondary[col] = tr
-	t.secondaryMu.add(col)
-	if markNew {
-		t.newCols[col] = true
-	}
-	t.rebuildMaint()
+	t.add(index{kind: KindBTree, col: col, and: and, a: col, b: b, tree: tr, mu: new(sync.RWMutex), fresh: markNew})
 	return tr, nil
 }
 
@@ -98,52 +220,58 @@ func WithProfile() HermitOption {
 // index as the host. The host column must already carry a B+-tree index
 // (or be the primary key, which §5.2 notes can serve as the host).
 func (t *Table) CreateHermitIndex(col, hostCol int, opts ...HermitOption) (*hermit.Index, error) {
-	if col < 0 || col >= len(t.cols) || hostCol < 0 || hostCol >= len(t.cols) {
-		return nil, ErrNoSuchColumn
+	return t.createHermit(col, noCol, hostCol, opts)
+}
+
+// CreateCompositeHermitIndex builds a multi-column Hermit index on
+// (aCol, mCol) using the existing composite index on (aCol, nCol) as host
+// (paper §3; the running example's (TIME, SP) over (TIME, DJ)).
+func (t *Table) CreateCompositeHermitIndex(aCol, mCol, nCol int, opts ...HermitOption) (*hermit.Index, error) {
+	return t.createHermit(aCol, mCol, nCol, opts)
+}
+
+// createHermit builds and catalogues the Hermit index looked up by col, and
+// by and unless it is noCol, whose TRS-Tree models its target column — and,
+// or col for a one-column index — against host, riding hostFor's index.
+func (t *Table) createHermit(col, and, host int, opts []HermitOption) (*hermit.Index, error) {
+	if err := t.validCols(and, col, host); err != nil {
+		return nil, err
 	}
 	t.catalog.Lock()
 	defer t.catalog.Unlock()
-	if _, dup := t.hermits[col]; dup {
+	if t.find(KindHermit, col, and) != nil {
 		return nil, ErrDupIndex
 	}
-	host, ok := t.secondary[hostCol]
-	if !ok {
-		if hostCol == t.pkCol {
-			// The primary index maps pk -> RID; under physical pointers it
-			// already stores RIDs, so it can host directly. Under logical
-			// pointers secondary indexes store pks, and an index on the pk
-			// column storing pks is the identity — host on primary either way.
-			host = t.primary
-		} else {
-			return nil, ErrNoHostIndex
-		}
+	hostTree, hostMu, err := t.hostFor(col, and, host)
+	if err != nil {
+		return nil, err
+	}
+	// Hosting on the primary-key column is only sound when its index stores
+	// the identifier kind the Hermit lookup expects: under logical pointers
+	// secondary indexes store keys, the primary index RIDs.
+	if host == t.pkCol && t.scheme == hermit.LogicalPointers {
+		return nil, fmt.Errorf("engine: primary index cannot host under logical pointers (stores RIDs, not pks)")
 	}
 	o := hermitOpts{params: trstree.DefaultParams()}
 	for _, opt := range opts {
 		opt(&o)
 	}
-	cfg := hermit.Config{
-		TargetCol:    col,
-		HostCol:      hostCol,
+	target := col
+	if and != noCol {
+		target = and
+	}
+	hx, err := hermit.New(t.store, hostTree, hermit.Config{
+		TargetCol:    target,
+		HostCol:      host,
 		PKCol:        t.pkCol,
 		Scheme:       t.scheme,
 		Params:       o.params,
 		BuildWorkers: o.workers,
-	}
-	// Hosting on the primary index is only sound when it stores the same
-	// identifier kind the Hermit lookup expects.
-	if hostCol == t.pkCol && t.scheme == hermit.LogicalPointers {
-		return nil, fmt.Errorf("engine: primary index cannot host under logical pointers (stores RIDs, not pks)")
-	}
-	hx, err := hermit.New(t.store, host, cfg)
+	})
 	if err != nil {
 		return nil, err
 	}
-	t.hermits[col] = hx
-	t.hostOf[col] = hostCol
-	// Bind the latch of the structure the lookup will actually scan.
-	t.hermitHostMu[col] = t.hostLatchFor(hostCol, host)
-	t.rebuildMaint()
+	t.add(index{kind: KindHermit, col: col, and: and, a: target, b: host, hx: hx, hostMu: hostMu, fresh: true})
 	return hx, nil
 }
 
@@ -153,17 +281,7 @@ func (t *Table) CreateHermitIndex(col, hostCol int, opts ...HermitOption) (*herm
 // Hermit index on the best host, otherwise it falls back to a complete
 // B+-tree. It returns the kind actually built.
 func (t *Table) CreateIndexAuto(col int, disc correlation.Config, opts ...HermitOption) (IndexKind, error) {
-	t.catalog.RLock()
-	hosts := make([]int, 0, len(t.secondary))
-	for hc := range t.secondary {
-		hosts = append(hosts, hc)
-	}
-	t.catalog.RUnlock()
-	if t.scheme == hermit.PhysicalPointers {
-		hosts = append(hosts, t.pkCol)
-	}
-	sort.Ints(hosts)
-	m, ok, err := correlation.BestHost(t.store, col, hosts, disc)
+	m, ok, err := correlation.BestHost(t.store, col, t.HostCols(), disc)
 	if err != nil {
 		return KindNone, err
 	}
@@ -179,38 +297,51 @@ func (t *Table) CreateIndexAuto(col int, disc correlation.Config, opts ...Hermit
 	return KindBTree, nil
 }
 
+// HostCols lists, in ascending order, the columns an index can be hosted
+// on: each with a complete one-column B+-tree, and the primary-key column
+// under physical pointers, whose primary index stores RIDs (§5.2). Index
+// creation's correlation discovery considers these.
+func (t *Table) HostCols() []int {
+	var hosts []int
+	t.catalog.RLock()
+	for _, x := range t.maint {
+		if x.kind == KindBTree && x.and == noCol {
+			hosts = append(hosts, x.col)
+		}
+	}
+	t.catalog.RUnlock()
+	if t.scheme == hermit.PhysicalPointers {
+		hosts = append(hosts, t.pkCol)
+	}
+	slices.Sort(hosts)
+	return hosts
+}
+
 // CreateCMIndex builds a Correlation Map index on col against hostCol, for
 // the Appendix E comparison. Physical pointers only (as in CM's original
 // evaluation).
 func (t *Table) CreateCMIndex(col, hostCol int, cfg cm.Config) (*cm.Index, error) {
-	if col < 0 || col >= len(t.cols) || hostCol < 0 || hostCol >= len(t.cols) {
-		return nil, ErrNoSuchColumn
-	}
-	t.catalog.Lock()
-	defer t.catalog.Unlock()
-	if _, dup := t.cms[col]; dup {
-		return nil, ErrDupIndex
+	if err := t.validCols(noCol, col, hostCol); err != nil {
+		return nil, err
 	}
 	if t.scheme != hermit.PhysicalPointers {
 		return nil, fmt.Errorf("engine: CM indexes require physical pointers")
 	}
-	host, ok := t.secondary[hostCol]
-	if !ok {
-		if hostCol != t.pkCol {
-			return nil, ErrNoHostIndex
-		}
-		host = t.primary
+	t.catalog.Lock()
+	defer t.catalog.Unlock()
+	if t.find(KindCM, col, noCol) != nil {
+		return nil, ErrDupIndex
+	}
+	host, hostMu, err := t.hostFor(col, noCol, hostCol)
+	if err != nil {
+		return nil, err
 	}
 	cfg.TargetCol, cfg.HostCol = col, hostCol
 	cx, err := cm.NewIndex(t.store, host, cfg)
 	if err != nil {
 		return nil, err
 	}
-	t.cms[col] = cx
-	t.cmMu.add(col)
-	t.cmHostOf[col] = hostCol
-	t.cmHostMu[col] = t.hostLatchFor(hostCol, host)
-	t.rebuildMaint()
+	t.add(index{kind: KindCM, col: col, and: noCol, a: col, b: hostCol, cx: cx, mu: new(sync.RWMutex), hostMu: hostMu, fresh: true})
 	return cx, nil
 }
 
@@ -235,141 +366,74 @@ func (t *Table) DropIndex(col int, kind IndexKind) error {
 	if col < 0 || col >= len(t.cols) {
 		return ErrNoSuchColumn
 	}
-	t.catalog.Lock()
-	defer t.catalog.Unlock()
-	switch kind {
-	case KindHermit:
-		if t.hermits[col] == nil {
-			return fmt.Errorf("%w: no hermit index on column %d", ErrNoSuchIndex, col)
-		}
-		delete(t.hermits, col)
-		delete(t.hostOf, col)
-		delete(t.hermitHostMu, col)
-		t.resetPathStats(col, PathHermit, PathTRSDirect)
-	case KindCM:
-		if t.cms[col] == nil {
-			return fmt.Errorf("%w: no cm index on column %d", ErrNoSuchIndex, col)
-		}
-		delete(t.cms, col)
-		delete(t.cmHostOf, col)
-		delete(t.cmHostMu, col)
-		t.resetPathStats(col, PathCM)
-	case KindBTree:
-		if t.secondary[col] == nil {
-			return fmt.Errorf("%w: no btree index on column %d", ErrNoSuchIndex, col)
-		}
-		for target, host := range t.hostOf {
-			if host == col {
-				return fmt.Errorf("%w (hermit on column %d)", ErrHostInUse, target)
-			}
-		}
-		for target, host := range t.cmHostOf {
-			if host == col {
-				return fmt.Errorf("%w (cm on column %d)", ErrHostInUse, target)
-			}
-		}
-		delete(t.secondary, col)
-		delete(t.newCols, col)
-		t.resetPathStats(col, PathBTree)
-		// The latchSet entry stays: queries racing past DDL resolve the
-		// column's structures under the catalog latch and find the map
-		// empty, never the latch.
-	default:
+	if kind != KindBTree && kind != KindHermit && kind != KindCM {
 		return fmt.Errorf("%w: kind %v is not droppable", ErrNoSuchIndex, kind)
 	}
-	t.rebuildMaint()
+	t.catalog.Lock()
+	defer t.catalog.Unlock()
+	x := t.find(kind, col, noCol)
+	if x == nil {
+		return fmt.Errorf("%w: no %v index on column %d", ErrNoSuchIndex, kind, col)
+	}
+	for _, d := range t.maint {
+		if d.hostMu != nil && d.hostMu == x.mu {
+			return fmt.Errorf("%w (%v on column %d)", ErrHostInUse, d.kind, d.col)
+		}
+	}
+	t.resetPathStats(col, kind)
+	gone := *x
+	t.maint = slices.DeleteFunc(t.maint, func(y index) bool { return y == gone })
 	return nil
 }
 
-// maintainer keeps one secondary structure in step with the table's
-// versions. One of tree, cx and hx is set; an entry is made of columns a
-// and b (a alone in a one-key tree) and the version's identifier
-// (Table.identify), and mu is the structure's write latch, nil for a
-// Hermit index, whose TRS-Tree latches itself. The call is a switch rather
-// than a function value so that the row a write passes in stays on its
-// stack.
-type maintainer struct {
-	a, b int
-	mu   *sync.RWMutex
-	tree *btree.Tree // a one-key tree does not read b
-	cx   *cm.Index
-	hx   *hermit.Index
-}
-
 // apply adds (put) or removes the entry of the version with identifier id,
-// whose row is row.
-func (m *maintainer) apply(put bool, id uint64, row []float64) {
-	a, b := row[m.a], row[m.b]
-	if m.mu != nil {
-		m.mu.Lock()
+// whose row is row. The call is a switch rather than a function value so
+// that the row a write passes in stays on its stack.
+func (x *index) apply(put bool, id uint64, row []float64) {
+	a, b := row[x.a], row[x.b]
+	if x.mu != nil {
+		x.mu.Lock()
 	}
 	switch {
-	case m.tree != nil && put:
-		m.tree.InsertAB(a, b, id)
-	case m.tree != nil:
-		m.tree.DeleteAB(a, b, id)
-	case m.cx != nil && put:
-		m.cx.Insert(a, b)
-	case m.cx != nil:
-		m.cx.Delete(a, b)
+	case x.tree != nil && put:
+		x.tree.InsertAB(a, b, id)
+	case x.tree != nil:
+		x.tree.DeleteAB(a, b, id)
+	case x.cx != nil && put:
+		x.cx.Insert(a, b)
+	case x.cx != nil:
+		x.cx.Delete(a, b)
 	case put:
-		m.hx.Insert(id, a, b)
+		x.hx.Insert(id, a, b)
 	default:
-		m.hx.Delete(id, a, b)
+		x.hx.Delete(id, a, b)
 	}
-	if m.mu != nil {
-		m.mu.Unlock()
+	if x.mu != nil {
+		x.mu.Unlock()
 	}
 }
-
-// maintainers is every secondary structure of a table as one list, in the
-// order of Fig. 22b's insert-cost breakdown: the pre-existing complete
-// indexes (the first split), then the newly created ones — complete indexes
-// marked new, Hermit indexes, Correlation Maps and composite indexes. It is
-// built under the catalog's write latch by every DDL (Table.rebuildMaint)
-// and only read between, so a write walks one slice, and a table with no
-// secondary structure walks nothing.
-type maintainers struct {
-	all   []maintainer
-	split int
-}
-
-func (m *maintainers) existing() []maintainer { return m.all[:m.split] }
-func (m *maintainers) fresh() []maintainer    { return m.all[m.split:] }
 
 // applyAll adds (put) or removes one version's entries in the structures
 // of list.
-func applyAll(list []maintainer, put bool, id uint64, row []float64) {
+func applyAll(list []index, put bool, id uint64, row []float64) {
 	for i := range list {
 		list[i].apply(put, id, row)
 	}
 }
 
-// rebuildMaint rebuilds t.maint from the index maps; every DDL calls it
-// with t.catalog held exclusively.
-func (t *Table) rebuildMaint() {
-	var existing, fresh []maintainer
-	for col, tr := range t.secondary {
-		m := maintainer{a: col, b: col, mu: t.secondaryMu.get(col), tree: tr}
-		if t.newCols[col] {
-			fresh = append(fresh, m)
-		} else {
-			existing = append(existing, m)
-		}
+// sizeBytes is the structure's footprint, read under its latch.
+func (x *index) sizeBytes() uint64 {
+	if x.mu != nil {
+		x.mu.RLock()
+		defer x.mu.RUnlock()
 	}
-	for col, hx := range t.hermits {
-		fresh = append(fresh, maintainer{a: col, b: t.hostOf[col], hx: hx})
+	switch {
+	case x.tree != nil:
+		return x.tree.SizeBytes()
+	case x.cx != nil:
+		return x.cx.SizeBytes()
 	}
-	for col, cx := range t.cms {
-		fresh = append(fresh, maintainer{a: col, b: t.cmHostOf[col], mu: t.cmMu.get(col), cx: cx})
-	}
-	for key, tr := range t.composites {
-		fresh = append(fresh, maintainer{a: key[0], b: key[1], mu: t.compositeMu.get(key), tree: tr})
-	}
-	for key, hx := range t.compositeHermits {
-		fresh = append(fresh, maintainer{a: key[1], b: t.compositeHostOf[key], hx: hx})
-	}
-	t.maint = maintainers{all: append(existing, fresh...), split: len(existing)}
+	return x.hx.SizeBytes()
 }
 
 // IndexKind identifies which mechanism serves a column.
@@ -415,39 +479,29 @@ func (t *Table) IndexOn(col int) IndexKind {
 
 // indexOnLocked is IndexOn with t.catalog already held.
 func (t *Table) indexOnLocked(col int) IndexKind {
-	switch {
-	case t.hermits[col] != nil:
-		return KindHermit
-	case t.cms[col] != nil:
-		return KindCM
-	case t.secondary[col] != nil:
-		return KindBTree
-	case col == t.pkCol:
-		return KindPrimary
-	default:
-		return KindNone
+	for _, k := range [...]IndexKind{KindHermit, KindCM, KindBTree} {
+		if t.find(k, col, noCol) != nil {
+			return k
+		}
 	}
+	if col == t.pkCol {
+		return KindPrimary
+	}
+	return KindNone
 }
 
 // Hermit returns the Hermit index on col, if any.
-func (t *Table) Hermit(col int) *hermit.Index {
-	t.catalog.RLock()
-	defer t.catalog.RUnlock()
-	return t.hermits[col]
-}
+func (t *Table) Hermit(col int) *hermit.Index { return t.get(KindHermit, col, noCol).hx }
 
 // Secondary returns the complete B+-tree index on col, if any.
-func (t *Table) Secondary(col int) *btree.Tree {
-	t.catalog.RLock()
-	defer t.catalog.RUnlock()
-	return t.secondary[col]
-}
+func (t *Table) Secondary(col int) *btree.Tree { return t.get(KindBTree, col, noCol).tree }
 
 // CM returns the Correlation Map index on col, if any.
-func (t *Table) CM(col int) *cm.Index {
-	t.catalog.RLock()
-	defer t.catalog.RUnlock()
-	return t.cms[col]
+func (t *Table) CM(col int) *cm.Index { return t.get(KindCM, col, noCol).cx }
+
+// CompositeHermit returns the composite Hermit index on (aCol, mCol), if any.
+func (t *Table) CompositeHermit(aCol, mCol int) *hermit.Index {
+	return t.get(KindHermit, aCol, mCol).hx
 }
 
 // MemoryStats is the storage breakdown the paper's memory figures report,
@@ -480,34 +534,12 @@ func (t *Table) Memory() MemoryStats {
 	t.mvccMu.RLock()
 	m.PrimaryBytes = t.primary.SizeBytes()
 	t.mvccMu.RUnlock()
-	// tree counts a B+-tree among the new or the pre-existing indexes.
-	tree := func(tr *btree.Tree, mu *sync.RWMutex, fresh bool) {
-		mu.RLock()
-		sz := tr.SizeBytes()
-		mu.RUnlock()
-		if fresh {
-			m.NewBytes += sz
+	for i := range t.maint {
+		if x := &t.maint[i]; x.fresh {
+			m.NewBytes += x.sizeBytes()
 		} else {
-			m.ExistingBytes += sz
+			m.ExistingBytes += x.sizeBytes()
 		}
-	}
-	for col, tr := range t.secondary {
-		tree(tr, t.secondaryMu.get(col), t.newCols[col])
-	}
-	for _, hx := range t.hermits {
-		m.NewBytes += hx.SizeBytes() // TRS-Tree self-latches
-	}
-	for col, cx := range t.cms {
-		mu := t.cmMu.get(col)
-		mu.RLock()
-		m.NewBytes += cx.SizeBytes()
-		mu.RUnlock()
-	}
-	for key, tr := range t.composites {
-		tree(tr, t.compositeMu.get(key), t.compositeNew[key])
-	}
-	for _, hx := range t.compositeHermits {
-		m.NewBytes += hx.SizeBytes()
 	}
 	return m
 }

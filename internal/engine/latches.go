@@ -6,18 +6,19 @@ import (
 )
 
 // The engine's concurrency protocol (this file plus the call sites in
-// engine.go, query.go, indexes.go and composite.go):
+// engine.go, query.go and indexes.go):
 //
-//   - t.catalog (RWMutex) guards the *catalog*: the index maps and their
-//     latch maps. Index creation takes it exclusively; every row operation
-//     and query takes it shared, so queries and writes never wait on each
-//     other here — only on DDL.
-//   - One latch per index structure. The B+-trees (primary, secondary,
-//     composite) and Correlation Maps are not internally synchronised, so
-//     each carries its own RWMutex; readers of different indexes share
-//     nothing. TRS-Trees latch themselves (see trstree), so Hermit indexes
-//     need no engine latch for the tree — only for the host structures
-//     their lookups traverse.
+//   - t.catalog (RWMutex) guards the *catalog*, t.maint: one index record
+//     per secondary structure, each with its latches. Index creation takes
+//     it exclusively; every row operation and query takes it shared, so
+//     queries and writes never wait on each other here — only on DDL.
+//   - One latch per index structure. The B+-trees (primary, one- and
+//     two-key secondary) and Correlation Maps are not internally
+//     synchronised, so each carries its own RWMutex (index.mu); readers of
+//     different indexes share nothing. TRS-Trees latch themselves (see
+//     trstree), so Hermit indexes need no engine latch for the tree — only
+//     for the host structure their lookups traverse, whose latch each binds
+//     at creation (index.hostMu).
 //   - t.rows is a striped writer lock keyed by primary key. It serialises
 //     logical row operations (insert/delete/update) on the same key — the
 //     check-then-act sequences such as duplicate-key detection — while
@@ -63,11 +64,10 @@ import (
 //     always the innermost lock.
 //
 // Lock ordering (outer to inner): catalog -> row stripe -> index latch
-// (secondary/cm/composite) -> clock commit lock -> mvccMu -> store. Writers
-// hold at most one secondary/cm/composite latch at a time and none of them
-// at commit; readers may hold a host-index latch and mvccMu together,
-// always acquiring mvccMu after any index latch, and never take the commit
-// lock. GC's severing step sits at stripe -> mvccMu, like a commit's stamp
+// (index.mu, then index.hostMu) -> clock commit lock -> mvccMu -> store.
+// Writers hold at most one index latch at a time and none of them at
+// commit; readers may hold a host-index latch and mvccMu together, always
+// acquiring mvccMu after any index latch, and never take the commit lock. GC's severing step sits at stripe -> mvccMu, like a commit's stamp
 // without the commit lock: it publishes nothing a snapshot can see.
 
 // stripeBits sizes the striped writer lock: lockStripes = 2^stripeBits.
@@ -102,27 +102,3 @@ func stripeOf(pk float64) uint64 {
 	b := math.Float64bits(pk)
 	return (b * 0x9e3779b97f4a7c15) >> (64 - stripeBits)
 }
-
-// latchSet hands out one RWMutex per index structure. Entries are created
-// under the catalog write latch (index creation) and only read afterwards.
-type latchSet[K comparable] struct {
-	m map[K]*sync.RWMutex
-}
-
-func newLatchSet[K comparable]() latchSet[K] {
-	return latchSet[K]{m: make(map[K]*sync.RWMutex)}
-}
-
-// add registers a latch for key; called with t.catalog held exclusively.
-func (l *latchSet[K]) add(key K) *sync.RWMutex {
-	if l.m == nil {
-		l.m = make(map[K]*sync.RWMutex)
-	}
-	mu := &sync.RWMutex{}
-	l.m[key] = mu
-	return mu
-}
-
-// get returns the latch for key; called with t.catalog held (shared is
-// enough — the map is immutable between DDL operations).
-func (l *latchSet[K]) get(key K) *sync.RWMutex { return l.m[key] }

@@ -262,13 +262,16 @@ func (t *Table) hermitAux(col int, hx *hermit.Index, rows int, force bool) (outF
 	return outFrac, treeH
 }
 
-// resetPathStats clears the runtime feedback of the given paths on col —
-// called by DropIndex (under the exclusive catalog latch) so an index
-// recreated later starts with fresh statistics instead of inheriting the
-// dropped index's false-positive and latency history.
-func (t *Table) resetPathStats(col int, paths ...AccessPath) {
+// resetPathStats clears the runtime feedback of the paths that run kind's
+// index on col — called by DropIndex (under the exclusive catalog latch) so
+// an index recreated later starts with fresh statistics instead of
+// inheriting the dropped index's false-positive and latency history.
+func (t *Table) resetPathStats(col int, kind IndexKind) {
 	rt := &t.runtime[col]
-	for _, p := range paths {
+	for p := PathScan; p < numPaths; p++ {
+		if p.Kind() != kind {
+			continue
+		}
 		pr := &rt.paths[p]
 		pr.count.Store(0)
 		pr.latNS.Store(0)
@@ -402,15 +405,8 @@ func (t *Table) availableLocked(col int, path AccessPath) bool {
 		return true
 	case PathPrimary:
 		return col == t.pkCol
-	case PathBTree:
-		return t.secondary[col] != nil
-	case PathHermit, PathTRSDirect:
-		return t.hermits[col] != nil
-	case PathCM:
-		return t.cms[col] != nil
-	default:
-		return false
 	}
+	return t.find(path.Kind(), col, noCol) != nil
 }
 
 // planLocked estimates every path for the predicate and picks the cheapest
@@ -463,8 +459,8 @@ func (t *Table) planLocked(col int, lo, hi float64, refresh bool) (AccessPath, [
 		ests[PathBTree].Reason = "no complete B+-tree on this column"
 	}
 
-	if hx := t.hermits[col]; hx != nil {
-		outFrac, treeH := t.hermitAux(col, hx, n, refresh)
+	if ests[PathHermit].Available {
+		outFrac, treeH := t.hermitAux(col, t.find(KindHermit, col, noCol).hx, n, refresh)
 		rt := &t.runtime[col].paths[PathHermit]
 		fpEst := clamp(0.1+2*outFrac, 0.05, 0.95)
 		observed := false

@@ -226,6 +226,35 @@ func (t *Table) run(q Query, a *Answer, sc *queryScratch) (QueryStats, error) {
 	return t.runLocked(q, a, sc)
 }
 
+// run2Locked is run's two-column case,
+//
+//	q.Lo <= q.Col <= q.Hi AND q.And.Lo <= q.And.Col <= q.And.Hi,
+//
+// with t.catalog held shared. Under PathAuto a composite Hermit index on
+// (Col, And.Col) serves it, else a complete composite index; otherwise —
+// and whenever q.Path is set — the first predicate runs on its own path
+// and the pass checks And on every row it copies.
+func (t *Table) run2Locked(q Query, a *Answer, sc *queryScratch) (QueryStats, error) {
+	var x *index
+	path := PathHermit
+	if q.Path == PathAuto {
+		if x = t.find(KindHermit, q.Col, q.And.Col); x == nil {
+			path, x = PathBTree, t.find(KindBTree, q.Col, q.And.Col)
+		}
+	}
+	n := len(a.RIDs)
+	var st QueryStats
+	var err error
+	if x == nil {
+		st, err = t.runLocked(q, a, sc)
+	} else {
+		st, err = t.execPathLocked(q, path, x, a, sc)
+		st.Path = path
+	}
+	st.Rows = len(a.RIDs) - n // the pass counted the first predicate's rows
+	return st, err
+}
+
 // runLocked is run's single-predicate case (and the first predicate of a
 // two-column query no composite index serves); t.catalog is held shared.
 func (t *Table) runLocked(q Query, a *Answer, sc *queryScratch) (QueryStats, error) {
@@ -244,7 +273,7 @@ func (t *Table) runLocked(q Query, a *Answer, sc *queryScratch) (QueryStats, err
 	if timed {
 		t0 = time.Now()
 	}
-	st, err := t.execPathLocked(q, path, a, sc)
+	st, err := t.execPathLocked(q, path, t.find(path.Kind(), q.Col, noCol), a, sc)
 	if err != nil {
 		return st, err
 	}
@@ -257,37 +286,42 @@ func (t *Table) runLocked(q Query, a *Answer, sc *queryScratch) (QueryStats, err
 	return st, nil
 }
 
-// execPathLocked runs q's first predicate on one access path and its
-// candidates through the pass; t.catalog is held shared. The caller
-// guarantees the path is available (planLocked or availableLocked).
-func (t *Table) execPathLocked(q Query, path AccessPath, a *Answer, sc *queryScratch) (QueryStats, error) {
+// execPathLocked runs q on one access path — its first predicate, or both
+// when x, the index the path runs (nil for PathScan and PathPrimary), is
+// looked up by two columns — and the candidates through the pass; t.catalog
+// is held shared. The caller guarantees the path is available (planLocked
+// or availableLocked).
+func (t *Table) execPathLocked(q Query, path AccessPath, x *index, a *Answer, sc *queryScratch) (QueryStats, error) {
 	st := QueryStats{Kind: path.Kind()}
 	var err error
 	switch path {
 	case PathHermit:
 		// The TRS-Tree latches itself; the host index is the structure bound
-		// to the column at creation, under its own latch.
-		hostMu := t.hermitHostMu[q.Col]
-		hostMu.RLock()
-		st.Breakdown = t.hermits[q.Col].Lookup(q.Lo, q.Hi, &sc.harvest, t.profile.Load())
-		hostMu.RUnlock()
+		// to the index at creation, under its own latch.
+		profile := t.profile.Load()
+		x.hostMu.RLock()
+		if x.and == noCol {
+			st.Breakdown = x.hx.Lookup(q.Lo, q.Hi, &sc.harvest, profile)
+		} else {
+			st.Breakdown = x.hx.LookupAB(q.Lo, q.Hi, q.And.Lo, q.And.Hi, &sc.harvest, profile)
+		}
+		x.hostMu.RUnlock()
 		err = t.pass(q, sc.harvest.IDs, t.harvested(), false, sc, &st, a)
 	case PathCM:
 		// CM is physical-pointers only, so its candidates are version RIDs.
-		cmMu, hostMu := t.cmMu.get(q.Col), t.cmHostMu[q.Col]
-		cmMu.RLock()
-		hostMu.RLock()
+		x.mu.RLock()
+		x.hostMu.RLock()
 		sc.ids = sc.ids[:0]
-		t.cms[q.Col].Lookup(q.Lo, q.Hi, sc.appendID)
-		hostMu.RUnlock()
-		cmMu.RUnlock()
+		x.cx.Lookup(q.Lo, q.Hi, sc.appendID)
+		x.hostMu.RUnlock()
+		x.mu.RUnlock()
 		err = t.pass(q, sc.ids, versionRIDs, false, sc, &st, a)
 	case PathBTree:
-		err = t.btreeRange(q, sc, &st, a)
+		err = t.btreeRange(q, x, sc, &st, a)
 	case PathPrimary:
 		err = t.primaryRange(q, sc, &st, a)
 	case PathTRSDirect:
-		err = t.trsDirectRange(q, sc, &st, a)
+		err = t.trsDirectRange(q, x, sc, &st, a)
 	default:
 		err = t.scanRange(q, sc, &st, a)
 	}
@@ -411,22 +445,29 @@ func (t *Table) PointQueryInto(col int, v float64, dst []storage.RID) ([]storage
 }
 
 // btreeRange executes the conventional secondary-index plan, the Baseline
-// of every figure: an index scan, then the pass. Under physical pointers
-// the candidates are version RIDs and the index is exact; under logical
+// of every figure: a scan of x, then the pass. Under physical pointers the
+// candidates are version RIDs and the index is exact; under logical
 // pointers they are primary keys, and the version the snapshot sees may
 // hold another value than the one the entry was made for, so the pass
-// checks the predicate.
-func (t *Table) btreeRange(q Query, sc *queryScratch, st *QueryStats, a *Answer) error {
+// checks the predicate. A two-key x (physical pointers only) serves both
+// predicates, so the pass checks neither (but for NaN bounds).
+func (t *Table) btreeRange(q Query, x *index, sc *queryScratch, st *QueryStats, a *Answer) error {
 	profile := t.profile.Load()
 	var t0 time.Time
 	if profile {
 		t0 = time.Now()
 	}
-	mu := t.secondaryMu.get(q.Col)
 	sc.ids = sc.ids[:0]
-	mu.RLock()
-	t.secondary[q.Col].Scan(q.Lo, q.Hi, sc.appendID)
-	mu.RUnlock()
+	x.mu.RLock()
+	if x.and == noCol {
+		x.tree.Scan(q.Lo, q.Hi, sc.appendID)
+	} else {
+		x.tree.ScanAB(q.Lo, q.Hi, q.And.Lo, q.And.Hi, sc.appendID)
+		if ordered(q.And.Lo, q.And.Hi) {
+			q.And = nil
+		}
+	}
+	x.mu.RUnlock()
 	if profile {
 		st.Breakdown[hermit.PhaseHostIndex] += time.Since(t0)
 	}
@@ -477,13 +518,14 @@ func (t *Table) scanRange(q Query, sc *queryScratch, st *QueryStats, a *Answer) 
 	return t.pass(q, sc.ids, versionRIDs, true, sc, st, a)
 }
 
-// trsDirectRange executes PathTRSDirect: a TRS-Tree lookup resolved by one
-// sequential pass over the host column — the version rows whose host value
-// falls in a predicted range, plus the buffered outliers — with no
-// host-index or primary-index latches; the pass validates.
-func (t *Table) trsDirectRange(q Query, sc *queryScratch, st *QueryStats, a *Answer) error {
+// trsDirectRange executes PathTRSDirect on Hermit index x: a TRS-Tree
+// lookup resolved by one sequential pass over the host column — the version
+// rows whose host value falls in a predicted range, plus the buffered
+// outliers — with no host-index or primary-index latches; the pass
+// validates.
+func (t *Table) trsDirectRange(q Query, x *index, sc *queryScratch, st *QueryStats, a *Answer) error {
 	tres := &sc.tres
-	t.hermits[q.Col].Tree().LookupInto(q.Lo, q.Hi, tres)
+	x.hx.Tree().LookupInto(q.Lo, q.Hi, tres)
 	sc.ids = append(sc.ids[:0], tres.IDs...)
 	// Outlier identifiers are primary keys under logical pointers: they
 	// resolve through the primary index and the version chains to the
@@ -495,7 +537,7 @@ func (t *Table) trsDirectRange(q Query, sc *queryScratch, st *QueryStats, a *Ans
 			sc.ids = append(sc.ids, uint64(rid))
 		}
 	}
-	err := t.store.ScanColumn(t.hostOf[q.Col], func(rid storage.RID, nv float64) bool {
+	err := t.store.ScanColumn(x.b, func(rid storage.RID, nv float64) bool {
 		for _, r := range tres.Ranges {
 			if nv >= r.Lo && nv <= r.Hi {
 				sc.ids = append(sc.ids, uint64(rid))

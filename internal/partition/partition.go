@@ -32,7 +32,6 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 
@@ -557,17 +556,7 @@ func (t *Table) DropIndex(col int, kind engine.IndexKind) error {
 // uniformly across every partition. It returns the kind built.
 func (t *Table) CreateIndexAuto(col int, disc correlation.Config) (engine.IndexKind, error) {
 	p0 := t.parts[0]
-	hosts := make([]int, 0, len(t.cols))
-	for c := range t.cols {
-		if p0.Secondary(c) != nil {
-			hosts = append(hosts, c)
-		}
-	}
-	if p0.Scheme() == hermit.PhysicalPointers {
-		hosts = append(hosts, t.pkCol)
-	}
-	sort.Ints(hosts)
-	m, ok, err := correlation.BestHost(p0.Store(), col, hosts, disc)
+	m, ok, err := correlation.BestHost(p0.Store(), col, p0.HostCols(), disc)
 	if err != nil {
 		return engine.KindNone, err
 	}
