@@ -95,7 +95,18 @@ difftest:
 # NaN, subnormals, values a float32 cannot hold — in a leaf over any span,
 # edge-extended or not, is returned by every query whose exact bounds hold
 # the value, NaN by none, and its id reads back at every width and after
-# the arena widens to 8 bytes). The seed corpus
+# the arena widens to 8 bytes), then the row store (FuzzRowStore: runs of
+# inserts that fill and pack blocks, rows of odd values — −0, NaN payloads
+# of both signs, ±Inf, subnormals, whole numbers, eighths of both signs,
+# wide exponents — deletes scattered and of whole blocks, and the refills
+# that fit a packed block's frames or pack it anew, every read path against
+# a map model bit for bit), then the serving tier's decoders (FuzzDecodeFrame, FuzzDecodeStream
+# and FuzzDecodeReplFrame: arbitrary bytes as one frame, as a stream of
+# frames and as replication frames — no panic, no read past a frame's
+# declared extent, and a message decoded re-encodes to one that decodes
+# back to it) and the WAL's replay of arbitrary bytes
+# (FuzzReplayArbitraryBytes: no panic, no invalid record, and the file
+# stays appendable). The seed corpus
 # alone runs in every `go test`; new inputs land in the Go build cache's
 # fuzz directory, a failing one under the package's testdata/fuzz. (A
 # worker minimizing a new input reports 0 execs/sec.)
@@ -108,6 +119,11 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzReplay -fuzztime $(FUZZTIME) ./internal/engine
 	$(GO) test -run '^$$' -fuzz FuzzMedianOf -fuzztime $(FUZZTIME) ./internal/trstree
 	$(GO) test -run '^$$' -fuzz FuzzOutlierCode -fuzztime $(FUZZTIME) ./internal/trstree
+	$(GO) test -run '^$$' -fuzz FuzzRowStore -fuzztime $(FUZZTIME) ./internal/storage
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeFrame$$' -fuzztime $(FUZZTIME) ./internal/server/proto
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeStream$$' -fuzztime $(FUZZTIME) ./internal/server/proto
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeReplFrame$$' -fuzztime $(FUZZTIME) ./internal/server/proto
+	$(GO) test -run '^$$' -fuzz FuzzReplayArbitraryBytes -fuzztime $(FUZZTIME) ./internal/wal
 
 # Bench: every figure of the paper from one sweep (each dataset loaded
 # once; about 40 s on 2 cores), recorded in BENCH_paper.json, whose counts
@@ -125,12 +141,16 @@ fuzz:
 # mean that means something; then a million
 # TRS-Tree lookups in the shape durable-write's tree ends its run in
 # (BenchmarkLookupOutlierHeavy: row ids, which the logical ids of whole
-# keys equal); about 35 s in all.
+# keys equal); then the row store's decode, the guard on what packing its
+# blocks costs a read: runs of 200 rows of a 1M-row Synthetic table, in
+# random and in RID order (BenchmarkGetRun, ns/row), and the scan a Hermit
+# index builds from (BenchmarkScanKeyed, ns/row); about 35 s in all.
 bench: build
 	$(GO) run ./cmd/hermit-bench -exp paper -scale 0.02 -measure 20ms
 	$(GO) test -run '^$$' -bench 'BenchmarkCreate(BTree|Hermit)Index' -benchtime 1x .
 	$(GO) test -run '^$$' -bench 'Order|GetRandom1M|CompositeScan' -benchtime 1000000x ./internal/btree
 	$(GO) test -run '^$$' -bench LookupOutlierHeavy -benchtime 1000000x ./internal/trstree
+	$(GO) test -run '^$$' -bench 'GetRun|ScanKeyed' -benchtime 1s ./internal/storage
 
 # The full artifact-producing suite: the paper sweep (`make bench`), then
 # every experiment in BENCH_EXPERIMENTS in one invocation (each writes its

@@ -214,13 +214,17 @@ func loadSyntheticWithHermit(t *testing.T, rows int) (*hermitdb.DB, *hermitdb.Ta
 // TestHeapBytesPerRowBudget is the memory analogue of the AllocsPerRun
 // guards: what the process holds per row for a loaded Synthetic table with
 // its host B+-tree and a Hermit index must stay under a budget fixed 10%
-// above the figure measured when the budget was set — 45.9 B/row, of
-// which Memory() reports 45.9: 32.2 B of row store, 3.0 B of primary index
+// above the figure measured when the budget was set — 38.1 B/row, of
+// which Memory() reports 38.0: 24.5 B of row store (full blocks packed
+// frame-of-reference, 23 bytes of codes a row: 2 for the key, 7 for each
+// of the three other columns, in whole pages; the last block float64s
+// while it fills), 3.0 B of primary index
 // (which is also the key→version-chain-head map), 10.1 B of host index at
-// the same node order, 0.3 B of TRS-Tree and 0.3 B of version table — a
+// the same node order, 0.2 B of TRS-Tree and 0.3 B of version table — a
 // frozen bit and an eighth of a granule pointer: a row that was loaded
 // carries no version header. What the budget keeps from silently eroding,
-// newest first: B+-tree leaves that spent 16 bytes on every entry, where
+// newest first: rows of four 8-byte floats, 32.2 B of row store (45.9
+// B/row); B+-tree leaves that spent 16 bytes on every entry, where
 // packed into frames they spend 2 (primary) and 9 (host) (67.1 B/row);
 // primary-index node arrays one slot over the 1 KiB size
 // class, which the allocator rounded up to 1152 B (69.9 B/row); the 24 B
@@ -230,7 +234,7 @@ func loadSyntheticWithHermit(t *testing.T, rows int) (*hermitdb.DB, *hermitdb.Ta
 // split arrays of the first MVCC engine (219 B/row). Memory() must account
 // for what the process holds to within 2%.
 func TestHeapBytesPerRowBudget(t *testing.T) {
-	const rows, budget = 200_000, 50.5
+	const rows, budget = 200_000, 41.9
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.GC() // the second cycle frees what sync.Pools kept as victims
@@ -323,22 +327,24 @@ func liveKeys(rows int) []float64 {
 // been written to: five turnovers of every row later the table has the
 // rows it was loaded with, a million versions have come and gone, and what
 // the process holds per live row must be within 1.3x of what it held as
-// loaded and at most 54.5 B — the row and version slot a commit reclaims is
+// loaded and at most 46.5 B — the row and version slot a commit reclaims is
 // refilled by the next, hollow B+-tree nodes merge, and a node array has the
 // size class of the entries it holds — with Memory() still accounting for it
 // to within 2%. The slack is what a store that has been written to holds
 // over a freshly loaded one: B+-tree nodes that splits and merges keep
-// between half full and full where the bulk load packed them to 85%. The
-// version table is not part of it: with no snapshot open every commit
-// freezes what it wrote, so it is, to the byte per row, what it was as
-// loaded. Measured: 49.5 B/row against 45.9 as loaded, 1.08x — the primary
-// index grows from 3.0 to 5.8 B/row, as the row ids it holds stop being
-// consecutive and need 3 bytes of code; 70.0 against 67.1 when every
-// B+-tree entry took 16 bytes (70.4 against 67.4 before that, 1.04x; 78.2
-// against 67.5 when every node array an insert touched had a full node's
-// capacity;
-// 83.6 against 69.9 when node arrays spilled into the 1152-byte size class;
-// 122.8 against 103.3 when every row carried a header; 130.7, 1.27x, when
+// between half full and full where the bulk load packed them to 85%, and
+// packed blocks whose key codes widened when rows under new keys refilled
+// their slots. The version table is not part of it: with no snapshot open
+// every commit freezes what it wrote, so it is, to the byte per row, what
+// it was as loaded. Measured: 42.3 B/row against 38.1 as loaded, 1.11x —
+// the primary index grows from 3.0 to 5.8 B/row, as the row ids it holds
+// stop being consecutive and need 3 bytes of code, the row store from 24.5
+// to 25.1; 49.5 against 45.9 when a row was four 8-byte floats; 70.0
+// against 67.1 when every B+-tree entry took 16 bytes (70.4 against 67.4
+// before that, 1.04x; 78.2 against 67.5 when every node array an insert
+// touched had a full node's capacity; 83.6 against 69.9 when node arrays
+// spilled into the 1152-byte size class; 122.8 against 103.3 when every
+// row carried a header; 130.7, 1.27x, when
 // reclamation was a GC pass every tenth of a turnover; an engine that
 // appends every version and never merges a node held 468.6 after the same
 // run, 4.5x).
@@ -364,8 +370,8 @@ func TestHeapFollowsLiveRows(t *testing.T) {
 	m := tb.Memory()
 	reported := float64(m.Total()+m.VersionBytes) / rows
 	t.Logf("heap %.1f B/row as loaded, %.1f after five turnovers; Memory() reports %.1f B/row: %+v", asLoaded, heap, reported, m)
-	if heap > 1.3*asLoaded || heap > 54.5 {
-		t.Errorf("heap %.1f B/row after five turnovers, %.1f as loaded; want <= 54.5", heap, asLoaded)
+	if heap > 1.3*asLoaded || heap > 46.5 {
+		t.Errorf("heap %.1f B/row after five turnovers, %.1f as loaded; want <= 46.5", heap, asLoaded)
 	}
 	if reported < 0.98*heap || reported > 1.02*heap {
 		t.Errorf("Memory() reports %.1f B/row, the process holds %.1f", reported, heap)

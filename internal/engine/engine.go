@@ -231,12 +231,13 @@ func (t *Table) colIndex(name string) (int, error) {
 	return 0, fmt.Errorf("%w: %q", ErrNoSuchColumn, name)
 }
 
-// identify maps a RID to the identifier stored in secondary indexes.
-func (t *Table) identify(rid storage.RID, row []float64) uint64 {
+// identify maps a RID, whose row has primary key pk, to the identifier
+// stored in secondary indexes.
+func (t *Table) identify(rid storage.RID, pk float64) uint64 {
 	if t.scheme == hermit.PhysicalPointers {
 		return uint64(rid)
 	}
-	return hermit.LogicalID(row[t.pkCol])
+	return hermit.LogicalID(pk)
 }
 
 // InsertStats breaks an insert's cost into the paper's Fig. 22b categories.
@@ -309,7 +310,7 @@ func (t *Table) applyInsert(row []float64) (storage.RID, InsertStats, error) {
 		st.Table = time.Since(t0)
 		t0 = time.Now()
 	}
-	id := t.identify(rid, row)
+	id := t.identify(rid, row[t.pkCol])
 	// Pre-existing complete indexes (e.g. the host index), then the
 	// structures marked new.
 	n := t.existing()
@@ -341,14 +342,14 @@ func (t *Table) applyInsert(row []float64) (storage.RID, InsertStats, error) {
 // the same list in its two Fig. 22b phases). The primary index is written
 // at commit, by stampInsert/stampUpdate. Caller holds t.catalog shared.
 func (t *Table) insertIndexEntries(rid storage.RID, row []float64) {
-	applyAll(t.maint, true, t.identify(rid, row), row)
+	applyAll(t.maint, true, t.identify(rid, row[t.pkCol]), row)
 }
 
 // removeIndexEntries removes one version's entries from every secondary
 // index — reclaim's inverse of insertIndexEntries. Caller holds
 // t.catalog shared.
 func (t *Table) removeIndexEntries(rid storage.RID, row []float64) {
-	applyAll(t.maint, false, t.identify(rid, row), row)
+	applyAll(t.maint, false, t.identify(rid, row[t.pkCol]), row)
 }
 
 // Delete removes the row with the given primary key, reporting whether the

@@ -165,7 +165,8 @@ func (t *Table) createTree(col, and int, markNew bool) (*btree.Tree, error) {
 // bulkTree bulk-loads a complete B+-tree on column a, or, when two, a
 // two-key tree on (a, b), of the rows' identifiers (Table.identify). The
 // arrays the scan fills are sorted jointly: the build peak is the tree,
-// them and the sort's records, which it drops before the load starts.
+// them and the sort's records, which it drops before the load starts. The
+// scan decodes a and b alone, and the primary key under logical pointers.
 func (t *Table) bulkTree(a, b int, two bool) (*btree.Tree, error) {
 	as := make([]float64, 0, t.store.Len())
 	ids := make([]uint64, 0, t.store.Len())
@@ -173,14 +174,20 @@ func (t *Table) bulkTree(a, b int, two bool) (*btree.Tree, error) {
 	if two {
 		bs = make([]float64, 0, t.store.Len())
 	}
-	t.store.Scan(func(rid storage.RID, row []float64) bool {
-		as = append(as, row[a])
+	key := a
+	if t.scheme == hermit.LogicalPointers {
+		key = t.pkCol
+	}
+	if err := t.store.ScanKeyed(a, b, key, func(rid storage.RID, va, vb, pk float64) bool {
+		as = append(as, va)
 		if two {
-			bs = append(bs, row[b])
+			bs = append(bs, vb)
 		}
-		ids = append(ids, t.identify(rid, row))
+		ids = append(ids, t.identify(rid, pk))
 		return true
-	})
+	}); err != nil {
+		return nil, err
+	}
 	tr := btree.New(btree.DefaultOrder)
 	if two {
 		keyorder.SortTriples(as, bs, ids)

@@ -132,13 +132,27 @@ func (h *hermitModel) updateHost(t *testing.T, b byte, n float64) {
 	if !ok {
 		return
 	}
+	// The row is rewritten by a delete and the insert that refills a slot:
+	// its own, unless a lower one of its block is free. A row that keeps its
+	// id is an index update; one that moves is a delete and an insert.
 	rid, row := h.row(t, pk)
-	if err := h.table.Set(rid, 1, n); err != nil {
+	if err := h.table.Delete(rid); err != nil {
 		t.Fatal(err)
 	}
-	h.host.Delete(row[1], h.id(pk, rid))
-	h.host.Insert(n, h.id(pk, rid))
-	h.idx.Update(h.id(pk, rid), row[2], row[1], n)
+	moved, err := h.table.Insert([]float64{pk, n, row[2]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.live[math.Float64bits(pk)] = moved
+	old, id := h.id(pk, rid), h.id(pk, moved)
+	h.host.Delete(row[1], old)
+	h.host.Insert(n, id)
+	if id == old {
+		h.idx.Update(id, row[2], row[1], n)
+	} else {
+		h.idx.Delete(old, row[2], row[1])
+		h.idx.Insert(id, row[2], n)
+	}
 }
 
 // park starts a reorganization of first-level subtree i and holds it in

@@ -285,9 +285,14 @@ func TestInsertDeleteUpdateMaintenance(t *testing.T) {
 	}
 
 	// Update the host value: the tuple moves on the correlation plane.
+	// The row is rewritten by a delete and the insert that refills its
+	// slot, the one free slot of the table.
 	newB := linearFn(321.5)
-	if err := f.table.Set(rid, 1, newB); err != nil {
+	if err := f.table.Delete(rid); err != nil {
 		t.Fatal(err)
+	}
+	if again, err := f.table.Insert([]float64{row[0], newB, row[2], row[3]}); err != nil || again != rid {
+		t.Fatalf("refill went to %v (%v), not %v", again, err, rid)
 	}
 	f.host.Delete(row[1], uint64(rid))
 	f.host.Insert(newB, uint64(rid))

@@ -1,19 +1,20 @@
 package storage
 
 import (
+	"math"
 	"sync"
 	"testing"
 )
 
 // TestTableConcurrentAccess runs parallel readers (Get, Value, Scan,
-// ScanColumn, ColumnBounds) against writers (Insert, Set, Delete) on one
-// table. The table is the engine's innermost latch, so this is the
+// ColumnBounds) against writers (Insert, Delete) on one table whose first
+// block is packed. The table is the engine's innermost latch, so this is the
 // substrate every concurrent query path bottoms out in. Must pass
 // under -race.
 func TestTableConcurrentAccess(t *testing.T) {
 	const (
 		width   = 3
-		seedLen = 2000
+		seedLen = BlockRows + 2000
 		writers = 3
 		readers = 5
 		ops     = 500
@@ -41,9 +42,15 @@ func TestTableConcurrentAccess(t *testing.T) {
 						return
 					}
 				case 1:
-					// May land on a row another writer tombstoned.
-					if err := tb.Set(rids[(w*ops+i)%seedLen], 2, float64(i)); err != nil && err != ErrTombstoned {
-						t.Errorf("set: %v", err)
+					// A row of odd values, deleted again: it refills a
+					// freed slot of a packed block when there is one and
+					// packs that block anew, as none of its values fits.
+					rid, err := tb.Insert([]float64{math.Inf(1), math.Copysign(0, -1), math.NaN()})
+					if err == nil {
+						err = tb.Delete(rid)
+					}
+					if err != nil {
+						t.Errorf("insert and delete: %v", err)
 						return
 					}
 				default:

@@ -2,10 +2,14 @@ package storage
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
 	"testing/quick"
+	"unsafe"
+
+	"hermit/internal/heapsize"
 )
 
 func TestRIDPackUnpack(t *testing.T) {
@@ -54,18 +58,22 @@ func TestInsertWrongWidth(t *testing.T) {
 	}
 }
 
-func TestValueSet(t *testing.T) {
+func TestValue(t *testing.T) {
 	tb := NewTable(2)
 	rid, _ := tb.Insert([]float64{10, 20})
 	v, err := tb.Value(rid, 1)
 	if err != nil || v != 20 {
 		t.Fatalf("v=%v err=%v", v, err)
 	}
-	if err := tb.Set(rid, 0, 99); err != nil {
+	// A row is rewritten by a delete and the insert that refills its slot.
+	if err := tb.Delete(rid); err != nil {
 		t.Fatal(err)
 	}
+	if again, _ := tb.Insert([]float64{99, 20}); again != rid {
+		t.Fatalf("refill went to %v, not %v", again, rid)
+	}
 	if v, _ := tb.Value(rid, 0); v != 99 {
-		t.Fatalf("after set: %v", v)
+		t.Fatalf("after refill: %v", v)
 	}
 	if _, err := tb.Value(rid, 5); err != ErrBadColumn {
 		t.Fatalf("want ErrBadColumn, got %v", err)
@@ -218,15 +226,42 @@ func TestColumnBounds(t *testing.T) {
 	}
 }
 
+// TestSizeBytes: SizeBytes is what the allocator hands out — the block
+// header and bitmap in their size classes, the rows as float64s while the
+// block fills and as codes and frames once it is full, and the float64
+// array a packed block leaves for the next.
 func TestSizeBytes(t *testing.T) {
 	tb := NewTable(4)
 	if tb.SizeBytes() != 0 {
 		t.Fatal("empty table should have zero size")
 	}
-	tb.Insert([]float64{1, 2, 3, 4})
-	want := uint64(BlockRows*4*8) + uint64(BlockRows/64*8) + 16
-	if got := tb.SizeBytes(); got != want {
-		t.Fatalf("size=%d want %d", got, want)
+	row := func(i int) []float64 {
+		// Codes of 2, 0, 2 and 8 bytes: whole numbers on one exponent, one
+		// value, quarters on one exponent, and any bits at all.
+		return []float64{float64(BlockRows + i), 7, 1024 + float64(i)/4, math.Float64frombits(uint64(i) * 0x9E3779B97F4A7C15)}
+	}
+	tb.Insert(row(0))
+	header := heapsize.Of(int(unsafe.Sizeof(block{})), true) + BlockRows/64*8 + 8 // + the one-block array
+	if got, want := tb.SizeBytes(), header+BlockRows*4*8; got != want {
+		t.Fatalf("one row: size=%d want %d", got, want)
+	}
+	for i := 1; i < BlockRows; i++ {
+		tb.Insert(row(i))
+	}
+	b := tb.blocks[0]
+	if b.frames == nil || b.stride != 12 {
+		t.Fatalf("full block: frames %v, stride %d; want packed in 12-byte rows", b.frames, b.stride)
+	}
+	// 48 KiB of codes take six pages, and the float64 array stays for the
+	// block the next insert appends.
+	frames := heapsize.Of(4*int(unsafe.Sizeof(frame{})), false)
+	if got, want := tb.SizeBytes(), header+BlockRows*12+frames+BlockRows*4*8; got != want {
+		t.Fatalf("packed: size=%d want %d", got, want)
+	}
+	for i := 0; i < BlockRows; i++ {
+		if got, err := tb.Get(MakeRID(0, uint16(i)), nil); err != nil || !sameBits(got, row(i)) {
+			t.Fatalf("row %d reads %v (%v), want %v", i, got, err, row(i))
+		}
 	}
 }
 
@@ -357,6 +392,17 @@ func TestInsertReusesFreedSlots(t *testing.T) {
 		rids[i], _ = tb.Insert([]float64{float64(i), 0})
 	}
 	blocks, size := len(tb.blocks), tb.SizeBytes()
+	if tb.blocks[0].frames == nil || tb.blocks[3].frames != nil {
+		t.Fatal("full blocks are not packed, or the filling one is")
+	}
+	// Rows refilled from anywhere in the table widen a packed block's key
+	// codes to 3 bytes and the turn's to 1, so the bound after the
+	// turnovers is the table as loaded with every packed block's rows 4
+	// bytes wide.
+	wide := size
+	for _, b := range tb.blocks[:3] {
+		wide += heapsize.Of(BlockRows*4, false) - heapsize.Of(cap(b.codes), false)
+	}
 
 	// A slot freed and not yet refilled is out of every scan and read.
 	gone := []RID{rids[0], rids[BlockRows+7], rids[n-1]}
@@ -435,8 +481,8 @@ func TestInsertReusesFreedSlots(t *testing.T) {
 	if len(tb.blocks) != blocks || tb.Len() != n || tb.Deleted() != 1 {
 		t.Fatalf("after 10 turnovers: %d blocks (was %d), len=%d deleted=%d", len(tb.blocks), blocks, tb.Len(), tb.Deleted())
 	}
-	if got := tb.SizeBytes(); got > size+64 {
-		t.Fatalf("SizeBytes %d after 10 turnovers, %d as loaded", got, size)
+	if got := tb.SizeBytes(); got > wide+64 {
+		t.Fatalf("SizeBytes %d after 10 turnovers, %d as loaded, %d with 4-byte packed rows", got, size, wide)
 	}
 	for j, rid := range rids {
 		if v, err := tb.Value(rid, 0); err != nil || v != float64(j) {
@@ -446,10 +492,10 @@ func TestInsertReusesFreedSlots(t *testing.T) {
 }
 
 // TestWhollyFreeBlockGivesItsArrayBack: a block whose every row is deleted
-// keeps its slot bookkeeping and drops its row array; SizeBytes says so, every
-// read path still answers, and the inserts that follow land in the RIDs they
-// always did — the top of the holes stack, lowest slot first — on an array
-// made anew.
+// keeps its slot bookkeeping and drops its rows, codes and frames; SizeBytes
+// says so, every read path still answers, and the inserts that follow land
+// in the RIDs they always did — the top of the holes stack, lowest slot
+// first — on a float64 array that packs again when the block is full.
 func TestWhollyFreeBlockGivesItsArrayBack(t *testing.T) {
 	const width, n = 3, 3 * BlockRows
 	tb := NewTable(width)
@@ -458,6 +504,8 @@ func TestWhollyFreeBlockGivesItsArrayBack(t *testing.T) {
 		rids[i], _ = tb.Insert([]float64{float64(i), 1, 2})
 	}
 	loaded := tb.SizeBytes()
+	b1 := tb.blocks[1]
+	rowBytes := heapsize.Of(cap(b1.codes), false) + heapsize.Of(cap(b1.frames)*int(unsafe.Sizeof(frame{})), false)
 	// Block 1 loses every row, in an order that is not slot order; blocks 0
 	// and 2 one row each, before and after, so the holes stack reads 0, 1, 2.
 	tb.Delete(rids[5])
@@ -467,10 +515,10 @@ func TestWhollyFreeBlockGivesItsArrayBack(t *testing.T) {
 		}
 	}
 	tb.Delete(rids[2*BlockRows+9])
-	if tb.blocks[1].data != nil || tb.blocks[0].data == nil || tb.blocks[2].data == nil {
-		t.Fatal("the wholly free block keeps its array, or a block with rows lost its own")
+	if b := tb.blocks[1]; b.codes != nil || b.frames != nil || b.data != nil || tb.blocks[0].frames == nil || tb.blocks[2].frames == nil {
+		t.Fatal("the wholly free block keeps its rows, or a block with rows lost its own")
 	}
-	if got, want := tb.SizeBytes(), loaded-BlockRows*width*8+uint64(cap(tb.holes))*4; got != want {
+	if got, want := tb.SizeBytes(), loaded-rowBytes+heapsize.Of(cap(tb.holes)*4, false); got != want {
 		t.Fatalf("SizeBytes %d with block 1 free, %d as loaded: want one row array less (%d)", got, loaded, want)
 	}
 	if _, err := tb.Get(rids[BlockRows], nil); err != ErrTombstoned {

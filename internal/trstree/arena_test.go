@@ -7,17 +7,19 @@ import (
 	"slices"
 	"testing"
 	"unsafe"
+
+	"hermit/internal/heapsize"
 )
 
 // A leaf is 40 bytes, the node arrays and the outlier arena hold no
 // pointer — the collector has nothing to scan in a tree's arrays, and the
-// allocator adds no header to them (heapBytes' pointers case) — and a Tree
+// allocator adds no header to them (heapsize.Of's pointers case) — and a Tree
 // stays in its 288-byte size class.
 func TestLeafLayout(t *testing.T) {
 	if got := unsafe.Sizeof(leaf{}); got != 40 {
 		t.Errorf("a leaf is %d bytes, want 40", got)
 	}
-	if got := heapBytes(int(unsafe.Sizeof(Tree{})), true); got != 288 {
+	if got := heapsize.Of(int(unsafe.Sizeof(Tree{})), true); got != 288 {
 		t.Errorf("a Tree takes %d bytes, want 288", got)
 	}
 	for _, typ := range []reflect.Type{reflect.TypeOf(leaf{}), reflect.TypeOf(nodes{}.out).Elem(), reflect.TypeOf(ref(0))} {

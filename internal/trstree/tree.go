@@ -27,10 +27,10 @@ import (
 	"encoding/binary"
 	"math"
 	"math/bits"
-	"slices"
 	"sync"
 	"unsafe"
 
+	"hermit/internal/heapsize"
 	"hermit/internal/stats"
 )
 
@@ -542,45 +542,12 @@ func (n *nodes) clip() {
 
 // sizeBytes is what the heap holds for the node arrays and the outlier
 // arena: each array's capacity in bytes, rounded up as the allocator
-// rounds it (heapBytes). None of them holds a pointer.
+// rounds it (heapsize.Of). None of them holds a pointer.
 func (n *nodes) sizeBytes() uint64 {
-	return heapBytes(cap(n.leaves)*int(unsafe.Sizeof(leaf{})), false) +
-		heapBytes(cap(n.out), false) +
-		heapBytes(cap(n.inner)*4, false) +
-		heapBytes(cap(n.freeLeaves)*4, false) + heapBytes(cap(n.freeInner)*4, false)
-}
-
-// maxSmall is the largest allocation the allocator serves from a size
-// class; a larger one takes whole pages.
-const (
-	maxSmall = 32 << 10
-	pageSize = 8 << 10
-)
-
-// sizeClasses are the allocator's size classes in bytes, probed from the
-// runtime: append rounds a fresh array of bytes up to its class.
-var sizeClasses = func() []int {
-	var cs []int
-	for n := 1; n <= maxSmall; n = cs[len(cs)-1] + 1 {
-		cs = append(cs, cap(append([]byte(nil), make([]byte, n)...)))
-	}
-	return cs
-}()
-
-// heapBytes is what the heap holds for an array of size bytes: the size
-// class it rounds up to — after an 8-byte header for an array of more than
-// 512 bytes that holds pointers — or whole pages past maxSmall.
-func heapBytes(size int, pointers bool) uint64 {
-	switch {
-	case size == 0:
-		return 0
-	case size > maxSmall-8:
-		return uint64((size + pageSize - 1) &^ (pageSize - 1))
-	case pointers && size > 512:
-		size += 8
-	}
-	i, _ := slices.BinarySearch(sizeClasses, size)
-	return uint64(sizeClasses[i])
+	return heapsize.Of(cap(n.leaves)*int(unsafe.Sizeof(leaf{})), false) +
+		heapsize.Of(cap(n.out), false) +
+		heapsize.Of(cap(n.inner)*4, false) +
+		heapsize.Of(cap(n.freeLeaves)*4, false) + heapsize.Of(cap(n.freeInner)*4, false)
 }
 
 // Tree is a TRS-Tree. Create one with Build or BuildParallel.
@@ -642,7 +609,7 @@ func (t *Tree) Stats() Stats {
 	defer t.mu.RUnlock()
 	var s Stats
 	t.walkStats(t.root, 1, &s)
-	s.SizeBytes = heapBytes(int(unsafe.Sizeof(Tree{})), true) + t.nodes.sizeBytes()
+	s.SizeBytes = heapsize.Of(int(unsafe.Sizeof(Tree{})), true) + t.nodes.sizeBytes()
 	return s
 }
 
