@@ -120,8 +120,12 @@ func run(w io.Writer) error {
 	direct.Close()
 
 	// The leader tracks each follower's acked watermark; once the
-	// follower catches up its lag reaches zero.
+	// follower catches up its lag reaches zero. The leader hears the ack
+	// a moment after the follower applies, so wait for both.
 	if err := f.WaitFor(ldb.LastLSN(), 10*time.Second); err != nil {
+		return err
+	}
+	if err := leader.WaitQuorum(ldb.LastLSN(), 10*time.Second); err != nil {
 		return err
 	}
 	for _, fl := range leader.Stats().Followers {

@@ -36,38 +36,31 @@
 // built, node for node. (PostgreSQL's nbtree keeps the same fast path for
 // increasing keys.)
 //
-// A leaf stores its entries frame-of-reference packed. Entry i is kw+vw
-// bytes of one byte array: its key's rank less the leaf's kbase, shifted
-// right by the leaf's shift, in kw little-endian bytes, then its id less the
-// leaf's vbase in vw bytes. The frame (kbase, shift, kw, vbase, vw) is the
-// tightest one that holds the leaf's entries when the leaf is encoded
-// (fill): kbase is the rank of its first key, shift the trailing zero bits
-// all its key ranks share above kbase, vbase its smallest id, and the widths
-// the bytes its largest codes need, from 0 to 8. Keys that are whole
-// numbers, or anything else on a coarse grid, share many low zero bits; the
-// keys of one leaf are near one another and its ids usually too — row ids
-// and logical ids (hermit.LogicalID) are both dense. An ascending primary
-// key and its row ids pack into one byte each, the host index's keys into 5
-// or 6 and its ids into 3. A write the frame cannot hold — a key below
-// kbase or off its grid, a code or an id too wide for its width, an id
-// below vbase — re-encodes that one leaf in a frame that holds it
-// (refill). Deletes never need to; a delete that shrinks the array
-// re-encodes the leaf too, so its frame follows what it holds. The array
-// ends in 8 spare bytes, so that every field is read with one unaligned
-// 8-byte load and a mask. Searches within a leaf compare codes, not keys:
-// a probe is mapped into the leaf's frame once (search). Internal nodes,
+// A leaf stores its entries frame-of-reference packed (internal/forcode
+// describes the frame): entry i is its key's rank coded in the leaf's key
+// frame (kbase, shift, kw), then its id in the id frame (vbase, vw), which
+// has no grid, in one byte array. fill encodes a leaf in the tightest
+// frames that hold its entries. The keys of one leaf are near one another
+// and its ids usually too — row ids and logical ids (hermit.LogicalID) are
+// both dense: an ascending primary key and its row ids pack into one byte
+// each, the host index's keys into 5 or 6 and its ids into 3. A write the
+// frames cannot hold re-encodes that one leaf in frames that do (refill);
+// a delete never needs to, but one that shrinks the array re-encodes the
+// leaf too, so its frames follow what it holds. The array ends in 8 spare
+// bytes, for the 8-byte loads. Searches within a leaf compare codes: a
+// probe is mapped into the leaf's frames once (search). Internal nodes,
 // about one node in a hundred, keep their separators as float64 keys and
 // uint64 ties beside the child pointers.
 //
 // A two-key tree (NewComposite) — every composite index, such as the
 // paper's (TIME, DJ) host of §3 — orders its entries by (a, b, id). A leaf
-// adds a b code to each entry, after the id code: b's rank less the
-// leaf's bbase, shifted right by its bshift, in bw bytes. bw takes the
-// header's last spare byte; bbase and bshift take the last 9 bytes of the
-// array (bframe), which also serve as its spare bytes. A separator carries
-// b's rank as a second tie word. One search, re-encode, split, merge and
-// scan serve both arities, and a one-key leaf's bytes are what they were.
-// A scan maps the b bounds into each leaf's b frame and compares codes.
+// adds b's rank to each entry, after the id, coded in its b frame (bbase,
+// bshift, bw). bw takes the header's last spare byte; bbase and bshift take
+// the last 9 bytes of the array (bframe), which also serve as its spare
+// bytes. A separator carries b's rank as a second tie word. One search,
+// re-encode, split, merge and scan serve both arities, and a one-key leaf's
+// bytes are what they were. A scan maps the b bounds into each leaf's b
+// frame and compares codes.
 //
 // Measured on 1M entries at DefaultOrder (TestHeapMatchesSizeBytes, what
 // SizeBytes and the heap agree on): ascending inserts hold 2.93 B/entry,
@@ -128,6 +121,8 @@ import (
 	"math/bits"
 	"slices"
 
+	"hermit/internal/forcode"
+	"hermit/internal/heapsize"
 	"hermit/internal/keyorder"
 )
 
@@ -166,11 +161,9 @@ type node struct {
 	kbase uint64 // the rank key code 0 stands for
 	vbase uint64 // the id id code 0 stands for
 	n     int32  // entries in a leaf
-	// A key code is (rank - kbase) >> shift in kw bytes, an id code
-	// id - vbase in vw bytes, and in a two-key leaf a b code follows them
-	// in bw bytes (bframe); bw is 0 in a one-key leaf. The shift is below
-	// 64; code that shifts by it masks it with 63 to say so, which spares
-	// the compiler's guard for a shift of 64 or more at every entry decoded.
+	// The key frame is (kbase, shift, kw), the id frame (vbase, vw), and
+	// in a two-key leaf a b code follows them in bw bytes (bframe); bw is 0
+	// in a one-key leaf.
 	shift, kw, vw, bw uint8
 }
 
@@ -338,62 +331,34 @@ func (in *inner) childKey(k float64) int {
 	return lo
 }
 
-// mask is the bit mask of a field w bytes wide (all ones at 8: a shift by
-// 64 is 0).
-func mask(w uint8) uint64 { return 1<<(8*uint(w)) - 1 }
-
-// width is the number of bytes code c needs.
-func width(c uint64) uint8 { return uint8((bits.Len64(c) + 7) / 8) }
-
-// onGrid reports whether the offset d lies on a grid of the given shift.
-func onGrid(d uint64, shift uint8) bool { return d&(1<<(shift&63)-1) == 0 }
-
-// frameCode maps rank r into a frame of the given base and shift: the ranks
-// at or above r are those whose code is at or above c, and exact reports
-// whether r is the rank of code c. A rank off the frame's grid lies
-// strictly between two codes, so the ranks above it are those from the
-// next code up.
-func frameCode(r, base uint64, shift uint8) (c uint64, exact bool) {
-	if r < base {
-		return 0, false
-	}
-	d := r - base
-	if c = d >> (shift & 63); !onGrid(d, shift) {
-		return c + 1, false
-	}
-	return c, true
-}
-
 // w is the width of one entry of leaf n in bytes.
 func (n *node) w() int { return int(n.kw) + int(n.vw) + int(n.bw) }
 
-// load reads the 8 bytes of buf at o.
-func load(buf []byte, o int) uint64 { return binary.LittleEndian.Uint64(buf[o:]) }
-
-// code returns the key code of entry i of leaf n.
-func (n *node) code(i int) uint64 { return load(n.buf, i*n.w()) & mask(n.kw) }
-
 // rank returns the key rank of entry i of leaf n.
-func (n *node) rank(i int) uint64 { return n.kbase + n.code(i)<<(n.shift&63) }
+func (n *node) rank(i int) uint64 {
+	return forcode.Rank(forcode.Load(n.buf, i*n.w())&forcode.Mask(n.kw), n.kbase, n.shift)
+}
 
 // key returns the key of entry i of leaf n.
 func (n *node) key(i int) float64 { return keyorder.Unrank(n.rank(i)) }
 
 // id returns the id of entry i of leaf n.
-func (n *node) id(i int) uint64 { return n.vbase + load(n.buf, i*n.w()+int(n.kw))&mask(n.vw) }
+func (n *node) id(i int) uint64 {
+	return n.vbase + forcode.Load(n.buf, i*n.w()+int(n.kw))&forcode.Mask(n.vw)
+}
 
-// bframe returns two-key leaf n's b frame: a b code is (rank - base) >>
-// shift, in bw bytes after the id code. It sits in the last tail bytes of
-// the array, which fill writes after the entries.
+// bframe returns two-key leaf n's b frame: its base and shift, the codes
+// bw bytes wide after the id code. It sits in the last tail bytes of the
+// array, which fill writes after the entries.
 func (n *node) bframe() (base uint64, shift uint8) {
 	o := len(n.buf) - tail
-	return load(n.buf, o), n.buf[o+8]
+	return forcode.Load(n.buf, o), n.buf[o+8]
 }
 
 // brank returns the b rank of entry i of two-key leaf n.
 func (n *node) brank(i int) uint64 {
 	base, shift := n.bframe()
-	return base + load(n.buf, i*n.w()+int(n.kw)+int(n.vw))&mask(n.bw)<<(shift&63)
+	return forcode.Rank(forcode.Load(n.buf, i*n.w()+int(n.kw)+int(n.vw))&forcode.Mask(n.bw), base, shift)
 }
 
 // at returns entry i of leaf n, which is a two-key leaf when two.
@@ -406,45 +371,18 @@ func (n *node) at(i int, two bool) ent {
 }
 
 // put writes entry i of leaf n — the key of rank r, b's rank s (two-key
-// leaves only) and id — which must fit n's frame (fits). Each field is
-// written by a read-modify-write of 8 bytes, which leaves the bytes past it
-// as they were. A b code of no bytes needs no write.
+// leaves only) and id — which must fit n's frames (forcode.Fits). Each
+// field is written by a read-modify-write of 8 bytes, which leaves the
+// bytes past it as they were. A b code of no bytes needs no write.
 func (n *node) put(i int, r, s, id uint64) {
 	o := i * n.w()
-	km, vm := mask(n.kw), mask(n.vw)
-	binary.LittleEndian.PutUint64(n.buf[o:], load(n.buf, o)&^km|(r-n.kbase)>>(n.shift&63))
+	forcode.Store(n.buf, o, forcode.Code(r, n.kbase, n.shift), forcode.Mask(n.kw))
 	o += int(n.kw)
-	binary.LittleEndian.PutUint64(n.buf[o:], load(n.buf, o)&^vm|(id-n.vbase))
+	forcode.Store(n.buf, o, id-n.vbase, forcode.Mask(n.vw))
 	if n.bw != 0 {
 		base, shift := n.bframe()
-		o += int(n.vw)
-		binary.LittleEndian.PutUint64(n.buf[o:], load(n.buf, o)&^mask(n.bw)|(s-base)>>(shift&63))
+		forcode.Store(n.buf, o+int(n.vw), forcode.Code(s, base, shift), forcode.Mask(n.bw))
 	}
-}
-
-// fits reports whether leaf n's frame holds the key of rank r and id.
-func (n *node) fits(r, id uint64) bool {
-	d := r - n.kbase
-	return r >= n.kbase && onGrid(d, n.shift) && d>>(n.shift&63) <= mask(n.kw) && n.fitsID(id)
-}
-
-// fitsID reports whether leaf n's frame holds id.
-func (n *node) fitsID(id uint64) bool { return id >= n.vbase && id-n.vbase <= mask(n.vw) }
-
-// fitsB reports whether two-key leaf n's b frame holds b's rank s.
-func (n *node) fitsB(s uint64) bool {
-	base, shift := n.bframe()
-	d := s - base
-	return s >= base && onGrid(d, shift) && d>>(shift&63) <= mask(n.bw)
-}
-
-// probeKey maps rank r into leaf n's key frame (frameCode).
-func (n *node) probeKey(r uint64) (c uint64, exact bool) { return frameCode(r, n.kbase, n.shift) }
-
-// probeB maps b's rank s into two-key leaf n's b frame (frameCode).
-func (n *node) probeB(s uint64) (d uint64, exact bool) {
-	base, shift := n.bframe()
-	return frameCode(s, base, shift)
 }
 
 // lower returns the index of the first entry of leaf n whose (key code, b
@@ -453,12 +391,12 @@ func (n *node) probeB(s uint64) (d uint64, exact bool) {
 // bytes, is 0, as d is.
 func (n *node) lower(c, d, x uint64) int {
 	buf, w, kw, bo := n.buf, n.w(), int(n.kw), int(n.kw)+int(n.vw)
-	km, vm, bm := mask(n.kw), mask(n.vw), mask(n.bw)
+	km, vm, bm := forcode.Mask(n.kw), forcode.Mask(n.vw), forcode.Mask(n.bw)
 	lo, hi := 0, int(n.n)
 	for lo < hi {
 		m := int(uint(lo+hi) >> 1)
 		o := m * w
-		if y := load(buf, o) & km; y < c || y == c && tieBelow(load(buf, o+bo)&bm, load(buf, o+kw)&vm, d, x) {
+		if y := forcode.Load(buf, o) & km; y < c || y == c && tieBelow(forcode.Load(buf, o+bo)&bm, forcode.Load(buf, o+kw)&vm, d, x) {
 			lo = m + 1
 		} else {
 			hi = m
@@ -476,10 +414,11 @@ func tieBelow(y, z, d, x uint64) bool { return y < d || y == d && z < x }
 // triple is at or above (c, d, x); a one-key leaf has no b codes, and d is
 // 0 — and lower finds the first of those.
 func (n *node) search(r uint64, e ent, two bool) int {
-	c, exact := n.probeKey(r)
+	c, exact := forcode.Probe(r, n.kbase, n.shift)
 	var d, x uint64
 	if exact && two {
-		d, exact = n.probeB(e.s)
+		base, shift := n.bframe()
+		d, exact = forcode.Probe(e.s, base, shift)
 	}
 	if exact && e.id >= n.vbase {
 		x = e.id - n.vbase
@@ -498,14 +437,14 @@ func (n *node) find(r uint64) (int, bool) {
 	if k == 0 {
 		return 0, false
 	}
-	c, _ := n.probeKey(r)
-	buf, w, km := n.buf, n.w(), mask(n.kw)
+	c, _ := forcode.Probe(r, n.kbase, n.shift)
+	buf, w, km := n.buf, n.w(), forcode.Mask(n.kw)
 	i := 0
 	for size := k; size > 1; size -= size >> 1 {
-		_, below := bits.Sub64(load(buf, (i+size>>1)*w)&km, c, 0)
+		_, below := bits.Sub64(forcode.Load(buf, (i+size>>1)*w)&km, c, 0)
 		i += size >> 1 & -int(below)
 	}
-	if load(buf, i*w)&km < c {
+	if forcode.Load(buf, i*w)&km < c {
 		i++
 	}
 	return i, i < k && n.rank(i) == r
@@ -547,30 +486,13 @@ func (t *Tree) growRoot(sep ent, right *node) {
 	}
 }
 
-// classes are the capacities, in 8-byte slots, of the allocator's size
-// classes up to 32 KiB, probed from the runtime: append rounds a fresh array
-// up to its size class, so appending n slots to nothing reports the capacity
-// of the class n falls in.
-var classes = func() []int {
-	var cs []int
-	for n := 1; n <= 4096; n = cs[len(cs)-1] + 1 {
-		cs = append(cs, cap(append([]uint64(nil), make([]uint64, n)...)))
-	}
-	return cs
-}()
+// fitBytes returns the bytes of the smallest size class that holds b: what
+// the allocator hands out for a node array.
+func fitBytes(b int) int { return int(heapsize.Of(b, false)) }
 
-// fit returns the capacity of the smallest size class that holds n slots
-// (n itself past the classes probed).
-func fit(n int) int {
-	if i, _ := slices.BinarySearch(classes, n); i < len(classes) {
-		return classes[i]
-	}
-	return n
-}
-
-// fitBytes is fit for a byte array: every size class is a whole number of
-// 8-byte slots.
-func fitBytes(b int) int { return 8 * fit((b+7)/8) }
+// fit is fitBytes in 8-byte slots, at least one: every size class is a
+// whole number of them.
+func fit(n int) int { return fitBytes(8*max(n, 1)) / 8 }
 
 // resize returns s in an array of the smallest size class that holds n
 // slots, s's own when it is one.
@@ -702,51 +624,38 @@ func (n *node) decode(es entries) entries {
 	return es
 }
 
-// bFrame returns the tightest b frame that holds the b ranks bs: the least
-// of them, the trailing zero bits their offsets from it share, and the
-// bytes the greatest code needs. The ranks are in entry order, not sorted.
-func bFrame(bs []uint64) (base uint64, shift, w uint8) {
-	if len(bs) == 0 {
-		return 0, 0, 0
+// bounds returns the smallest and the largest of the ranks rs, in entry
+// order, not sorted, and the OR of their differences from the first: what
+// forcode.Derive derives a frame from.
+func bounds(rs []uint64) (lo, hi, diff uint64) {
+	if len(rs) > 0 {
+		lo = rs[0]
 	}
-	var grid, top uint64
-	base = bs[0]
-	for _, s := range bs {
-		grid |= s - bs[0] // offsets from any one rank share the least's grid
-		base, top = min(base, s), max(top, s)
+	for _, r := range rs {
+		lo, hi, diff = min(lo, r), max(hi, r), diff|(r-rs[0])
 	}
-	if grid != 0 {
-		shift = uint8(bits.TrailingZeros64(grid))
-	}
-	return base, shift, width((top - base) >> shift)
+	return lo, hi, diff
 }
 
-// fill encodes the entries es, sorted, into leaf n in the tightest frame
-// that holds them, in an array of the smallest size class that holds room
-// entries of that frame, or all of them if there are more: n's own array
-// when it is that class. Entries with b ranks make a two-key leaf.
+// fill encodes the entries es, sorted, into leaf n in the tightest frames
+// that hold them — ids in one off the grid — in an array of the smallest
+// size class that holds room entries of those frames, or all of them if
+// there are more: n's own array when it is that class. Entries with b
+// ranks make a two-key leaf.
 func fill(n *node, es entries, room int) {
 	ranks, ids := es.ranks, es.ids
 	n.n = int32(len(ranks))
-	n.kbase, n.vbase, n.shift, n.kw, n.vw, n.bw = 0, 0, 0, 0, 0, 0
-	if len(ranks) > 0 {
-		var grid, vmax uint64
-		n.kbase, n.vbase = ranks[0], ids[0]
-		for i, r := range ranks {
-			grid |= r - n.kbase
-			n.vbase, vmax = min(n.vbase, ids[i]), max(vmax, ids[i])
-		}
-		if grid != 0 {
-			n.shift = uint8(bits.TrailingZeros64(grid))
-		}
-		n.kw = width((ranks[len(ranks)-1] - n.kbase) >> n.shift)
-		n.vw = width(vmax - n.vbase)
-	}
+	lo, hi, diff := bounds(ranks)
+	n.kbase, n.bw = lo, 0
+	n.shift, n.kw = forcode.Derive(lo, hi, diff)
+	lo, hi, _ = bounds(ids)
+	n.vbase, n.vw = lo, forcode.Width(hi-lo)
 	spare := pad
 	var bbase uint64
 	var bshift uint8
 	if es.bs != nil {
-		bbase, bshift, n.bw = bFrame(es.bs)
+		bbase, hi, diff = bounds(es.bs)
+		bshift, n.bw = forcode.Derive(bbase, hi, diff)
 		spare = tail
 	}
 	w := n.w()
@@ -758,13 +667,13 @@ func fill(n *node, es entries, room int) {
 	// read-modify-write as put writes, and the b frame last.
 	for i, r := range ranks {
 		o := i * w
-		binary.LittleEndian.PutUint64(n.buf[o:], (r-n.kbase)>>n.shift)
+		binary.LittleEndian.PutUint64(n.buf[o:], forcode.Code(r, n.kbase, n.shift))
 		binary.LittleEndian.PutUint64(n.buf[o+int(n.kw):], ids[i]-n.vbase)
 	}
 	if es.bs != nil {
-		o, bm := int(n.kw)+int(n.vw), mask(n.bw)
+		o, bm := int(n.kw)+int(n.vw), forcode.Mask(n.bw)
 		for _, s := range es.bs {
-			binary.LittleEndian.PutUint64(n.buf[o:], load(n.buf, o)&^bm|(s-bbase)>>bshift)
+			forcode.Store(n.buf, o, forcode.Code(s, bbase, bshift), bm)
 			o += w
 		}
 		o = len(n.buf) - tail
@@ -837,7 +746,12 @@ func (t *Tree) insert(n *node, r uint64, e ent) (ent, *node) {
 // full node's array to append into.
 func (t *Tree) insertLeaf(n *node, i int, r uint64, e ent) (ent, *node) {
 	if k := int(n.n); k < t.order {
-		if !n.fits(r, e.id) || t.two && !n.fitsB(e.s) {
+		fits := forcode.Fits(r, n.kbase, n.shift, n.kw) && forcode.Fits(e.id, n.vbase, 0, n.vw)
+		if t.two {
+			base, shift := n.bframe()
+			fits = fits && forcode.Fits(e.s, base, shift, n.bw)
+		}
+		if !fits {
 			t.refill(n, i, r, e, true)
 			return ent{}, nil
 		}
@@ -1107,17 +1021,17 @@ func (t *Tree) scan(lo, hi float64, slo, shi uint64, fn func(key float64, id uin
 		// The codes at or below last are the keys at or below hi. The
 		// frame is read into locals once: fn could change n, as far as the
 		// compiler knows, so it would read n's fields again at every entry.
-		kbase, shift, vbase := n.kbase, n.shift&63, n.vbase
-		last := (top - kbase) >> shift
+		kbase, shift, vbase := n.kbase, n.shift, n.vbase
+		last := forcode.Code(top, kbase, shift)
 		buf, w, kw := n.buf, n.w(), int(n.kw)
-		km, vm := mask(n.kw), mask(n.vw)
+		km, vm := forcode.Mask(n.kw), forcode.Mask(n.vw)
 		if !two {
 			for ; i < k; i++ {
-				c := load(buf, i*w) & km
+				c := forcode.Load(buf, i*w) & km
 				if c > last {
 					return
 				}
-				if !fn(keyorder.Unrank(kbase+c<<shift), vbase+load(buf, i*w+kw)&vm) {
+				if !fn(keyorder.Unrank(forcode.Rank(c, kbase, shift)), vbase+forcode.Load(buf, i*w+kw)&vm) {
 					return
 				}
 			}
@@ -1127,36 +1041,22 @@ func (t *Tree) scan(lo, hi float64, slo, shi uint64, fn func(key float64, id uin
 		// d+span, the b ranks in [slo, shi], in a loop of its own: the same
 		// test in the one-key loop, passing every entry, made 1000-entry
 		// one-key scans 22 % slower (order 128, eight alternated runs).
-		d, span, ok := n.bspan(slo, shi)
+		bbase, bshift := n.bframe()
+		d, span, ok := forcode.Span(slo, shi, bbase, bshift)
 		if !ok {
 			continue
 		}
-		bo, bm := kw+int(n.vw), mask(n.bw)
+		bo, bm := kw+int(n.vw), forcode.Mask(n.bw)
 		for ; i < k; i++ {
-			c := load(buf, i*w) & km
+			c := forcode.Load(buf, i*w) & km
 			if c > last {
 				return
 			}
-			if load(buf, i*w+bo)&bm-d <= span && !fn(keyorder.Unrank(kbase+c<<shift), vbase+load(buf, i*w+kw)&vm) {
+			if forcode.Load(buf, i*w+bo)&bm-d <= span && !fn(keyorder.Unrank(forcode.Rank(c, kbase, shift)), vbase+forcode.Load(buf, i*w+kw)&vm) {
 				return
 			}
 		}
 	}
-}
-
-// bspan returns the b codes of two-key leaf n whose ranks lie in [lo, hi],
-// those from d to d+span; ok is false when no code does.
-func (n *node) bspan(lo, hi uint64) (d, span uint64, ok bool) {
-	base, shift := n.bframe()
-	d, _ = frameCode(lo, base, shift)
-	if hi < base {
-		return 0, 0, false
-	}
-	top := (hi - base) >> (shift & 63)
-	if top < d {
-		return 0, 0, false
-	}
-	return d, top - d, true
 }
 
 // leafFrom returns the leaf a walk over the entries at or above e starts
@@ -1316,7 +1216,7 @@ func (t *Tree) swapLeaf(n *node, r uint64, e ent) (old uint64, ok bool, sep ent,
 		return 0, false, sep, right
 	}
 	old = n.id(i)
-	if n.fitsID(e.id) {
+	if forcode.Fits(e.id, n.vbase, 0, n.vw) {
 		n.put(i, r, 0, e.id)
 	} else {
 		t.refill(n, i, r, e, false)

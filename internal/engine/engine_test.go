@@ -366,11 +366,11 @@ func mustValue(t *testing.T, tb *Table, pk float64, col int) float64 {
 	if !ok {
 		t.Fatal("pk missing")
 	}
-	x, err := tb.Store().Value(storage.RID(v), col)
+	x, err := tb.Store().ValueRun([]storage.RID{storage.RID(v)}, col, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return x
+	return x[0]
 }
 
 func TestInsertProfiledBreakdown(t *testing.T) {

@@ -977,30 +977,28 @@ func (t *Table) DeltaVersions(ts uint64, emit func(pk float64, row []float64) er
 		keys, rids = append(keys, d.pk), append(rids, uint64(noRID))
 	}
 	t.mvccMu.RUnlock()
-	for i, rid := range rids[:rows] {
-		var err error
-		if keys[i], err = t.store.Value(storage.RID(rid), t.pkCol); err != nil {
-			return fmt.Errorf("engine: delta harvest of %q at %d: %w (no snapshot pinned at the cut?)", t.name, ts, err)
+	harvestErr := func(err error) error {
+		return fmt.Errorf("engine: delta harvest of %q at %d: %w (no snapshot pinned at the cut?)", t.name, ts, err)
+	}
+	// Keys, then rows, are read a run at a time, one hold of the store's
+	// latch each.
+	const run = 256
+	fetch := make([]storage.RID, 0, run)
+	for at := 0; at < rows; at += run {
+		fetch = ridRun(fetch, rids[at:min(at+run, rows)])
+		if _, err := t.store.ValueRun(fetch, t.pkCol, keys[at:]); err != nil {
+			return harvestErr(err)
 		}
 	}
 	keyorder.SortPairs(keys, rids)
 
-	// Rows are fetched a run at a time, one hold of the store's latch each.
-	const run = 256
-	fetch := make([]storage.RID, 0, run)
 	var buf []float64
 	width, last := t.store.Width(), uint64(0)
 	for at := 0; at < len(keys); {
 		chunk := rids[at:min(at+run, len(rids))]
-		fetch = fetch[:0]
-		for _, rid := range chunk {
-			if storage.RID(rid) != noRID {
-				fetch = append(fetch, storage.RID(rid))
-			}
-		}
 		var err error
-		if buf, err = t.store.GetRun(fetch, buf); err != nil {
-			return fmt.Errorf("engine: delta harvest of %q at %d: %w (no snapshot pinned at the cut?)", t.name, ts, err)
+		if buf, err = t.store.GetRun(ridRun(fetch, chunk), buf); err != nil {
+			return harvestErr(err)
 		}
 		next := buf
 		for _, rid := range chunk {
@@ -1020,6 +1018,18 @@ func (t *Table) DeltaVersions(ts uint64, emit func(pk float64, row []float64) er
 		}
 	}
 	return nil
+}
+
+// ridRun returns in fetch's array the RIDs of chunk that name a row: all
+// but the tombstones' noRID.
+func ridRun(fetch []storage.RID, chunk []uint64) []storage.RID {
+	fetch = fetch[:0]
+	for _, rid := range chunk {
+		if storage.RID(rid) != noRID {
+			fetch = append(fetch, storage.RID(rid))
+		}
+	}
+	return fetch
 }
 
 // GCVersions reclaims every version whose endTS is at or below horizon and

@@ -23,15 +23,15 @@ func Bits(k float64) uint64 {
 }
 
 // Rank maps a key onto a uint64 whose unsigned order is the total order.
-func Rank(k float64) uint64 {
-	b := Bits(k)
-	if b&(1<<63) != 0 {
-		return ^b
-	}
-	return b | (1 << 63)
-}
+func Rank(k float64) uint64 { return RankBits(Bits(k)) }
 
-// Unrank is the inverse of Rank (up to the sign of zero).
+// RankBits maps a float64's bit pattern onto a uint64 in the order of the
+// reals: negative NaNs, -Inf, the negative reals, -0, +0, the positive
+// reals, +Inf, positive NaNs. It is Rank without the collapse of -0 onto
+// +0, so it is one to one, and Unrank gives every float64 back bit for bit.
+func RankBits(b uint64) uint64 { return b ^ (uint64(int64(b)>>63) | 1<<63) }
+
+// Unrank is the inverse of RankBits, and of Rank up to the sign of zero.
 func Unrank(r uint64) float64 {
 	if r&(1<<63) != 0 {
 		return math.Float64frombits(r &^ (1 << 63))

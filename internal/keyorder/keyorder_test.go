@@ -2,6 +2,7 @@ package keyorder
 
 import (
 	"math"
+	"math/rand"
 	"sort"
 	"testing"
 )
@@ -58,5 +59,44 @@ func TestZerosAreOneKey(t *testing.T) {
 	}
 	if math.Signbit(Unrank(Rank(negZero))) {
 		t.Fatal("Unrank returns the normalised zero")
+	}
+}
+
+// RankBits and Rank agree on every bit pattern but -0's, which RankBits
+// places just below +0, and Unrank inverts both: RankBits bit for bit,
+// Rank up to the sign of zero.
+func TestRankBits(t *testing.T) {
+	negZero := uint64(1) << 63
+	if RankBits(negZero)+1 != RankBits(0) || Rank(math.Float64frombits(negZero)) != RankBits(0) {
+		t.Fatalf("-0 ranks %#x, +0 %#x", RankBits(negZero), RankBits(0))
+	}
+	check := func(b uint64) {
+		k := math.Float64frombits(b)
+		if r := RankBits(b); r != Rank(k) && b != negZero {
+			t.Fatalf("RankBits(%#x) = %#x, Rank = %#x", b, r, Rank(k))
+		}
+		if got := math.Float64bits(Unrank(RankBits(b))); got != b {
+			t.Fatalf("Unrank(RankBits(%#x)) = %#x", b, got)
+		}
+		if got := math.Float64bits(Unrank(Rank(k))); got != Bits(k) {
+			t.Fatalf("Unrank(Rank(%#x)) = %#x", b, got)
+		}
+	}
+	for _, k := range ordered {
+		check(math.Float64bits(k))
+	}
+	for _, b := range []uint64{negZero, 0, 1, negZero | 1, 1<<64 - 1, 1<<63 - 1} {
+		check(b)
+	}
+	rng := rand.New(rand.NewSource(1))
+	for range 1 << 20 {
+		check(rng.Uint64())
+	}
+	// The order of the reals, -0 below +0.
+	reals := []float64{math.Inf(-1), -1, -math.SmallestNonzeroFloat64, math.Copysign(0, -1), 0, math.SmallestNonzeroFloat64, 1, math.Inf(1)}
+	for i := 1; i < len(reals); i++ {
+		if RankBits(math.Float64bits(reals[i-1])) >= RankBits(math.Float64bits(reals[i])) {
+			t.Fatalf("RankBits does not order %v below %v", reals[i-1], reals[i])
+		}
 	}
 }

@@ -1,12 +1,13 @@
 package storage
 
 import (
+	"errors"
 	"math"
 	"sync"
 	"testing"
 )
 
-// TestTableConcurrentAccess runs parallel readers (Get, Value, Scan,
+// TestTableConcurrentAccess runs parallel readers (Get, ValueRun, Scan,
 // ColumnBounds) against writers (Insert, Delete) on one table whose first
 // block is packed. The table is the engine's innermost latch, so this is the
 // substrate every concurrent query path bottoms out in. Must pass
@@ -79,7 +80,7 @@ func TestTableConcurrentAccess(t *testing.T) {
 						return
 					}
 				case 1:
-					if _, err := tb.Value(rids[i%seedLen], 1); err != nil && err != ErrTombstoned {
+					if _, err := tb.ValueRun(rids[i%seedLen:][:1], 1, nil); err != nil && !errors.Is(err, ErrTombstoned) {
 						t.Errorf("value: %v", err)
 						return
 					}

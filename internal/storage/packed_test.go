@@ -75,9 +75,15 @@ func checkStore(t *testing.T, tb *Table, model map[RID][]float64, gone map[RID]b
 		if got, err := tb.Get(rid, buf); err != nil || !sameBits(got, want) {
 			t.Fatalf("Get(%v) = %v, %v; want %v", rid, got, err, want)
 		}
-		for c := range want {
-			if got, err := tb.Value(rid, c); err != nil || math.Float64bits(got) != math.Float64bits(want[c]) {
-				t.Fatalf("Value(%v, %d) = %v, %v; want %v", rid, c, got, err, want[c])
+	}
+	for c := range width {
+		col, err := tb.ValueRun(rids, c, nil)
+		if err != nil {
+			t.Fatalf("ValueRun of column %d: %v", c, err)
+		}
+		for i, rid := range rids {
+			if want := model[rid][c]; math.Float64bits(col[i]) != math.Float64bits(want) {
+				t.Fatalf("ValueRun(%v, %d) = %v; want %v", rid, c, col[i], want)
 			}
 		}
 	}

@@ -5,14 +5,12 @@
 // physical-pointer format (§5.1).
 //
 // A block that is filling holds its rows as float64s. The insert that fills
-// its last slot packs it frame-of-reference (Goldstein, Ramakrishnan and
-// Shaft, ICDE 1998), column by column: each column has a frame — the grid
-// its values' ranks sit on (shift), the bytes the span of their codes
-// needs (w), and the rank code 0 stands for (base), far enough below the
-// smallest that the unused codes split evenly below and above them — and
-// a row is the concatenation of its codes, (rank(v) − base) >> shift in w
-// bytes each, stride bytes in all. The rank is the float's bits with the
-// order of the reals (rank), so a column of whole numbers, of values on a
+// its last slot packs it frame-of-reference, column by column
+// (internal/forcode describes the frame): each column's values are coded
+// by their keyorder.RankBits, which keeps −0 apart from +0, in a frame
+// whose base sits far enough below the smallest that the unused codes
+// split evenly below and above them, and a row is the concatenation of its
+// codes, stride bytes in all. A column of whole numbers, of values on a
 // grid or of one value costs a byte or two, not eight, and every float64
 // reads back bit for bit: −0, NaN payloads, ±Inf and subnormals included.
 // An insert into a packed block writes the row's codes when they fit the
@@ -32,7 +30,6 @@
 package storage
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -41,7 +38,9 @@ import (
 	"sync"
 	"unsafe"
 
+	"hermit/internal/forcode"
 	"hermit/internal/heapsize"
+	"hermit/internal/keyorder"
 )
 
 // BlockRows is the number of rows per storage block. A power of two so the
@@ -78,20 +77,6 @@ var (
 	ErrOutOfBounds = errors.New("storage: RID out of bounds")
 )
 
-// rank maps a float64 to a uint64 in the order of the reals: negative
-// values below −0, −0 below +0, NaNs of either sign beyond the infinities.
-// Unlike keyorder.Rank it keeps −0 apart from +0, so that it is one to one
-// and unrank gives every value back bit for bit.
-func rank(v float64) uint64 {
-	b := math.Float64bits(v)
-	return b ^ (uint64(int64(b)>>63) | 1<<63)
-}
-
-// unrank inverts rank.
-func unrank(r uint64) float64 {
-	return math.Float64frombits(r ^ (^uint64(int64(r)>>63) | 1<<63))
-}
-
 // frame is how a packed block codes one column.
 type frame struct {
 	base uint64 // the rank code 0 stands for, at or below the column's smallest
@@ -99,7 +84,7 @@ type frame struct {
 	// Where every rank the codes stand for is on one side of +0, the
 	// float's bits are linear in the code: zero + code*step, step 1<<shift
 	// from +0 up and its negation below. Where they straddle +0 (mixed),
-	// a code decodes through unrank.
+	// a code decodes through keyorder.Unrank.
 	zero, step uint64
 	off        uint32 // the code's byte offset in a row
 	w          uint8  // the code's bytes, 0 to 8; 0 when the column holds one value
@@ -120,7 +105,7 @@ func (f *frame) setBase(base uint64) {
 		}
 	}
 	f.mixed = base>>63 != top>>63
-	f.zero = math.Float64bits(unrank(base))
+	f.zero = math.Float64bits(keyorder.Unrank(base))
 	if base>>63 == 0 {
 		f.step = -f.step
 	}
@@ -129,7 +114,7 @@ func (f *frame) setBase(base uint64) {
 // value decodes code x.
 func (f *frame) value(x uint64) float64 {
 	if f.mixed {
-		return unrank(f.base + x<<(f.shift&63))
+		return keyorder.Unrank(forcode.Rank(x, f.base, f.shift))
 	}
 	return math.Float64frombits(f.zero + x*f.step)
 }
@@ -137,32 +122,22 @@ func (f *frame) value(x uint64) float64 {
 // get decodes the column's code from row, a packed row with 8 bytes from
 // the code on: one load.
 func (f *frame) get(row []byte) float64 {
-	return f.value(binary.LittleEndian.Uint64(row[f.off:]) & f.mask)
+	return f.value(forcode.Load(row, int(f.off)) & f.mask)
 }
 
 // getTail is get for a row at the end of its block, where the 8 bytes may
 // run past the array: it reads the code's w bytes one by one.
 func (f *frame) getTail(row []byte) float64 {
-	var x uint64
-	for i := int(f.off) + int(f.w) - 1; i >= int(f.off); i-- {
-		x = x<<8 | uint64(row[i])
-	}
-	return f.value(x)
-}
-
-// fits reports whether rank r has a code in the frame.
-func (f *frame) fits(r uint64) bool {
-	d := r - f.base
-	return r >= f.base && d&(1<<(f.shift&63)-1) == 0 && d>>(f.shift&63) <= f.mask
+	return f.value(forcode.LoadTail(row, int(f.off), f.w))
 }
 
 // put writes r's code into row, its w bytes alone: the bytes beyond them
 // are another column's or another row's. Where 8 bytes follow the code it
 // is one 8-byte load and store.
 func (f *frame) put(row []byte, r uint64) {
-	x := (r - f.base) >> (f.shift & 63)
+	x := forcode.Code(r, f.base, f.shift)
 	if q := int(f.off); q+8 <= len(row) {
-		binary.LittleEndian.PutUint64(row[q:], binary.LittleEndian.Uint64(row[q:])&^f.mask|x)
+		forcode.Store(row, q, x, f.mask)
 		return
 	}
 	for i := int(f.off); i < int(f.off)+int(f.w); i++ {
@@ -264,19 +239,16 @@ func (b *block) pack(data []float64, width int) {
 	frames := make([]frame, width)
 	stride := 0
 	for c := range frames {
-		ref := rank(data[c])
+		ref := keyorder.RankBits(math.Float64bits(data[c]))
 		lo, hi, diff := ref, ref, uint64(0)
 		for i := c; i < len(data); i += width {
-			r := rank(data[i])
+			r := keyorder.RankBits(math.Float64bits(data[i]))
 			lo, hi, diff = min(lo, r), max(hi, r), diff|(r^ref)
 		}
 		f := &frames[c]
 		f.off = uint32(stride)
-		if diff != 0 {
-			f.shift = uint8(bits.TrailingZeros64(diff))
-		}
-		f.w = uint8((bits.Len64((hi-lo)>>f.shift) + 7) / 8)
-		f.mask = math.MaxUint64 >> (64 - 8*uint(f.w)) // 0 when w is 0
+		f.shift, f.w = forcode.Derive(lo, hi, diff)
+		f.mask = forcode.Mask(f.w)
 		// The codes the values leave unused go half below them and half
 		// above, so that an insert a little out of their range still fits
 		// — but none across +0 from values all on one side of it.
@@ -295,23 +267,20 @@ func (b *block) pack(data []float64, width int) {
 	// The array is as long as the allocator makes it: the rounding is spare
 	// bytes the last rows' 8-byte loads may reach into.
 	codes := make([]byte, heapsize.Of(BlockRows*stride, false))
-	// A column at a time: each code is ORed into the zeroed array with one
-	// 8-byte load and store, whose bytes beyond the code's w are zeros —
-	// but in the last rows, which have no 8 bytes after the code, where it
-	// is written byte by byte.
+	// A column at a time: each code is written with one 8-byte
+	// read-modify-write — but in the last rows, which have no 8 bytes after
+	// the code, where it is written byte by byte.
 	for c := range frames {
 		f := frames[c]
 		if f.w == 0 {
 			continue
 		}
-		base, shift := f.base, f.shift&63
 		i, q := c, int(f.off)
 		for ; i < len(data) && q+8 <= len(codes); i, q = i+width, q+stride {
-			x := (rank(data[i]) - base) >> shift
-			binary.LittleEndian.PutUint64(codes[q:], binary.LittleEndian.Uint64(codes[q:])|x)
+			forcode.Store(codes, q, forcode.Code(keyorder.RankBits(math.Float64bits(data[i])), f.base, f.shift), f.mask)
 		}
 		for ; i < len(data); i, q = i+width, q+stride {
-			f.put(codes[q-int(f.off):], rank(data[i]))
+			f.put(codes[q-int(f.off):], keyorder.RankBits(math.Float64bits(data[i])))
 		}
 	}
 	b.codes, b.frames, b.stride, b.data = codes, frames, stride, nil
@@ -401,7 +370,8 @@ func (t *Table) put(b *block, s int, row []float64) {
 	w := t.width
 	if b.frames != nil {
 		for c := range b.frames {
-			if !b.frames[c].fits(rank(row[c])) {
+			f := &b.frames[c]
+			if !forcode.Fits(keyorder.RankBits(math.Float64bits(row[c])), f.base, f.shift, f.w) {
 				// Pack the block anew, over its live rows and this one,
 				// which stands in for the free slots too.
 				data := make([]float64, BlockRows*w)
@@ -418,7 +388,7 @@ func (t *Table) put(b *block, s int, row []float64) {
 		}
 		codes := b.codes[s*b.stride:]
 		for c := range b.frames {
-			b.frames[c].put(codes, rank(row[c]))
+			b.frames[c].put(codes, keyorder.RankBits(math.Float64bits(row[c])))
 		}
 		return
 	}
@@ -507,20 +477,28 @@ func (t *Table) GetRun(rids []RID, dst []float64) ([]float64, error) {
 	return dst, nil
 }
 
-// Value returns a single column of the row at rid. This is the hot path of
-// Hermit's base-table validation step (§5.2 step 4), so it avoids copying
-// the whole row.
-func (t *Table) Value(rid RID, col int) (float64, error) {
+// ValueRun copies column col of the rows at rids, in that order, into dst
+// (allocating if dst is too small) under one hold of the read latch, as
+// GetRun does whole rows: it decodes that column alone. It fails on the
+// first RID that names no row.
+func (t *Table) ValueRun(rids []RID, col int, dst []float64) ([]float64, error) {
 	if col < 0 || col >= t.width {
-		return 0, ErrBadColumn
+		return nil, ErrBadColumn
 	}
+	if cap(dst) < len(rids) {
+		dst = make([]float64, len(rids))
+	}
+	dst = dst[:len(rids)]
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	b, slot, err := t.row(rid)
-	if err != nil {
-		return 0, err
+	for i, rid := range rids {
+		b, slot, err := t.row(rid)
+		if err != nil {
+			return nil, fmt.Errorf("storage: row %v: %w", rid, err)
+		}
+		dst[i] = b.at(int(slot), col, t.width)
 	}
-	return b.at(int(slot), col, t.width), nil
+	return dst, nil
 }
 
 // Delete removes the row at rid and frees its slot for a later insert; the
@@ -592,7 +570,7 @@ func (t *Table) ScanPairs(target, host int, fn func(rid RID, m, n float64) bool)
 
 // ScanKeyed is ScanPairs that also hands fn each row's value in column key,
 // read in the scan's one hold of the read latch. A scan that needs a row's
-// key must take it from here: fn must not call Value or another latching
+// key must take it from here: fn must not call ValueRun or another latching
 // method of t, as a second read latch waits behind any writer queued on the
 // first, and that writer waits for the scan.
 func (t *Table) ScanKeyed(target, host, key int, fn func(rid RID, m, n, k float64) bool) error {

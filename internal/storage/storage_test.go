@@ -58,10 +58,19 @@ func TestInsertWrongWidth(t *testing.T) {
 	}
 }
 
+// value reads column col of the row at rid: a ValueRun of one.
+func value(tb *Table, rid RID, col int) (float64, error) {
+	v, err := tb.ValueRun([]RID{rid}, col, nil)
+	if err != nil {
+		return 0, err
+	}
+	return v[0], nil
+}
+
 func TestValue(t *testing.T) {
 	tb := NewTable(2)
 	rid, _ := tb.Insert([]float64{10, 20})
-	v, err := tb.Value(rid, 1)
+	v, err := value(tb, rid, 1)
 	if err != nil || v != 20 {
 		t.Fatalf("v=%v err=%v", v, err)
 	}
@@ -72,11 +81,26 @@ func TestValue(t *testing.T) {
 	if again, _ := tb.Insert([]float64{99, 20}); again != rid {
 		t.Fatalf("refill went to %v, not %v", again, rid)
 	}
-	if v, _ := tb.Value(rid, 0); v != 99 {
+	if v, _ := value(tb, rid, 0); v != 99 {
 		t.Fatalf("after refill: %v", v)
 	}
-	if _, err := tb.Value(rid, 5); err != ErrBadColumn {
+	if _, err := value(tb, rid, 5); err != ErrBadColumn {
 		t.Fatalf("want ErrBadColumn, got %v", err)
+	}
+	// A run reads one column of many rows, in the order asked, and fails
+	// on the first RID that names no row.
+	other, _ := tb.Insert([]float64{7, 8})
+	if vs, err := tb.ValueRun([]RID{other, rid, other}, 1, nil); err != nil || !slices.Equal(vs, []float64{8, 20, 8}) {
+		t.Fatalf("ValueRun = %v, %v", vs, err)
+	}
+	if err := tb.Delete(other); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tb.ValueRun([]RID{rid, other}, 0, nil); !errors.Is(err, ErrTombstoned) {
+		t.Fatalf("want ErrTombstoned, got %v", err)
+	}
+	if _, err := tb.ValueRun([]RID{MakeRID(9, 0)}, 0, nil); !errors.Is(err, ErrOutOfBounds) {
+		t.Fatalf("want ErrOutOfBounds, got %v", err)
 	}
 }
 
@@ -146,7 +170,7 @@ func TestBlockBoundary(t *testing.T) {
 		t.Fatalf("row %d has rid %v, want block 1 slot 0", BlockRows, rids[BlockRows])
 	}
 	for i, rid := range rids {
-		v, err := tb.Value(rid, 0)
+		v, err := value(tb, rid, 0)
 		if err != nil || v != float64(i) {
 			t.Fatalf("row %d: v=%v err=%v", i, v, err)
 		}
@@ -374,9 +398,10 @@ func BenchmarkValue(b *testing.B) {
 		rid, _ := tb.Insert([]float64{float64(i), 0, 0, 0})
 		rids = append(rids, rid)
 	}
+	buf := make([]float64, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := tb.Value(rids[i%len(rids)], 0); err != nil {
+		if _, err := tb.ValueRun(rids[i%len(rids):][:1], 0, buf[:0]); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -442,7 +467,7 @@ func TestInsertReusesFreedSlots(t *testing.T) {
 		if err != nil || (rid != gone[0] && rid != gone[1] && rid != gone[2]) {
 			t.Fatalf("insert %d went to %v (%v), not to a freed slot", i, rid, err)
 		}
-		if v, _ := tb.Value(rid, 1); v != float64(i) {
+		if v, _ := value(tb, rid, 1); v != float64(i) {
 			t.Fatalf("refilled slot %v reads %v", rid, v)
 		}
 		rids[int(rid.Block())*BlockRows+int(rid.Slot())] = rid
@@ -485,7 +510,7 @@ func TestInsertReusesFreedSlots(t *testing.T) {
 		t.Fatalf("SizeBytes %d after 10 turnovers, %d as loaded, %d with 4-byte packed rows", got, size, wide)
 	}
 	for j, rid := range rids {
-		if v, err := tb.Value(rid, 0); err != nil || v != float64(j) {
+		if v, err := value(tb, rid, 0); err != nil || v != float64(j) {
 			t.Fatalf("row %d at %v reads %v (%v)", j, rid, v, err)
 		}
 	}
@@ -524,7 +549,7 @@ func TestWhollyFreeBlockGivesItsArrayBack(t *testing.T) {
 	if _, err := tb.Get(rids[BlockRows], nil); err != ErrTombstoned {
 		t.Fatalf("Get in the free block: %v", err)
 	}
-	if _, err := tb.Value(rids[BlockRows+1], 0); err != ErrTombstoned {
+	if _, err := value(tb, rids[BlockRows+1], 0); !errors.Is(err, ErrTombstoned) {
 		t.Fatalf("Value in the free block: %v", err)
 	}
 	if _, err := tb.GetRun(rids[BlockRows:BlockRows+2], nil); err == nil {
@@ -553,7 +578,7 @@ func TestWhollyFreeBlockGivesItsArrayBack(t *testing.T) {
 		if err != nil || rid != w {
 			t.Fatalf("insert %d went to %v (%v), want %v", i, rid, err, w)
 		}
-		if v, err := tb.Value(rid, 0); err != nil || v != float64(i) {
+		if v, err := value(tb, rid, 0); err != nil || v != float64(i) {
 			t.Fatalf("refilled slot %v reads %v (%v)", rid, v, err)
 		}
 	}

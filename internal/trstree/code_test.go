@@ -7,6 +7,7 @@ import (
 	"slices"
 	"testing"
 
+	"hermit/internal/forcode"
 	"hermit/internal/keyorder"
 )
 
@@ -63,7 +64,7 @@ func FuzzOutlierCode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, lo, hi, m, qlo, qhi float64, id uint64, ws, edges uint8) {
 		s := span{lo: lo, hi: hi, left: edges&1 != 0, right: edges&2 != 0}
 		w := 1 + ws%8
-		id &= mask(w)
+		id &= forcode.Mask(w)
 		n := &nodes{leaves: make([]leaf, 1)}
 		l := &n.leaves[0]
 		var ids []uint64

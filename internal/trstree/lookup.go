@@ -1,8 +1,9 @@
 package trstree
 
 import (
-	"encoding/binary"
 	"math"
+
+	"hermit/internal/forcode"
 )
 
 // Result is the output of a TRS-Tree lookup (Algorithm 2): a set of
@@ -103,7 +104,7 @@ func (t *Tree) lookupNode(r ref, s span, lo, hi float64, res *Result) {
 // carried across lookups soon does — and else through a stack buffer, a
 // chunk of records at a time, so a fresh Result grows by its matches only.
 func (n *nodes) matches(ids []uint64, l *leaf, dlo, dhi float32) []uint64 {
-	rec, m := n.rec(), mask(n.w)
+	rec, m := n.rec(), forcode.Mask(n.w)
 	run := n.out[int(l.off)*rec:][:int(l.n)*rec+pad]
 	if k := len(ids); cap(ids)-k >= int(l.n) {
 		return ids[:k+keep(ids[k:cap(ids)], run, rec, m, dlo, dhi)]
@@ -131,8 +132,8 @@ const matchChunk = 32
 func keep(dst []uint64, run []byte, rec int, m uint64, dlo, dhi float32) int {
 	k := 0
 	for o := 0; o+pad < len(run); o += rec {
-		d := math.Float32frombits(binary.LittleEndian.Uint32(run[o:]))
-		dst[k] = binary.LittleEndian.Uint64(run[o+4:]) & m
+		d := math.Float32frombits(uint32(forcode.Load(run, o)))
+		dst[k] = forcode.Load(run, o+4) & m
 		k += b2i(d >= dlo) & b2i(d <= dhi)
 	}
 	return k

@@ -8,12 +8,12 @@
 // linear regression n = beta*m + alpha ± eps; pairs the model fails to cover
 // are kept in per-leaf outlier buffers mapping m to tuple identifiers, each
 // outlier a 4 + w byte record: m as a float32 offset from its leaf's lower
-// bound, rounded down, and the identifier in the w bytes the tree's largest
-// one needs. Lookups on M return approximate ranges on N (to be resolved
-// against the host index) plus the identifiers of the outliers that may
-// match: a conservative superset, since a rounded offset stands for every
-// value that rounds to it, which the base-table visit that ends a Hermit
-// lookup filters.
+// bound, rounded down, and the identifier coded in the w bytes the tree's
+// largest one needs (internal/forcode, base 0). Lookups on M return
+// approximate ranges on N (to be resolved against the host index) plus the
+// identifiers of the outliers that may match: a conservative superset,
+// since a rounded offset stands for every value that rounds to it, which
+// the base-table visit that ends a Hermit lookup filters.
 //
 // The structure supports inserts and deletes at runtime, and one way to
 // reorganize (paper §4.4 and Appendix B): ReorgSubtree rebuilds a
@@ -26,10 +26,10 @@ package trstree
 import (
 	"encoding/binary"
 	"math"
-	"math/bits"
 	"sync"
 	"unsafe"
 
+	"hermit/internal/forcode"
 	"hermit/internal/heapsize"
 	"hermit/internal/stats"
 )
@@ -306,33 +306,24 @@ func (n *nodes) arena(k, c int) []byte {
 	return make([]byte, k*n.rec(), c*n.rec()+pad)
 }
 
-// load reads the 8 bytes of the arena at o.
-func (n *nodes) load(o int) uint64 { return binary.LittleEndian.Uint64(n.out[o : o+8]) }
-
-// mask is the bit mask of an id field w bytes wide (all ones at 8: a
-// shift by 64 is 0).
-func mask(w uint8) uint64 { return 1<<(8*uint(w)) - 1 }
-
-// idWidth is the number of bytes id needs.
-func idWidth(id uint64) uint8 { return uint8((bits.Len64(id) + 7) / 8) }
-
 // code returns the code field of record i.
 func (n *nodes) code(i uint32) float32 {
-	return math.Float32frombits(uint32(n.load(int(i) * n.rec())))
+	return math.Float32frombits(uint32(forcode.Load(n.out, int(i)*n.rec())))
 }
 
 // id returns the id field of record i.
-func (n *nodes) id(i uint32) uint64 { return n.load(int(i)*n.rec()+4) & mask(n.w) }
+func (n *nodes) id(i uint32) uint64 {
+	return forcode.Load(n.out, int(i)*n.rec()+4) & forcode.Mask(n.w)
+}
 
 // put writes record i, widening the arena first if id needs more bytes.
 // The id is written by a read-modify-write of 8 bytes, which leaves the
 // bytes past it as they were.
 func (n *nodes) put(i uint32, d float32, id uint64) {
-	n.widen(idWidth(id))
+	n.widen(forcode.Width(id))
 	o := int(i) * n.rec()
 	binary.LittleEndian.PutUint32(n.out[o:], math.Float32bits(d))
-	o += 4
-	binary.LittleEndian.PutUint64(n.out[o:o+8], n.load(o)&^mask(n.w)|id)
+	forcode.Store(n.out, o+4, id, forcode.Mask(n.w))
 }
 
 // widen re-encodes the arena with ids w bytes wide, if they are narrower:
