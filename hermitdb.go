@@ -115,8 +115,8 @@ type (
 	// Snapshot is a registered consistent read view (DB.Snapshot,
 	// DurableDB.Snapshot, PartitionedTable.Snapshot); release it when done.
 	Snapshot = engine.Snapshot
-	// Clock is the commit clock ordering transactions; partitioned tables
-	// share one across partitions.
+	// Clock is the commit clock ordering transactions: one per database,
+	// for every table and partition in it.
 	Clock = engine.Clock
 	// CommitResult reports a committed transaction's timestamp.
 	CommitResult = engine.CommitResult
@@ -182,13 +182,16 @@ const (
 )
 
 // Hash-partitioned tables with parallel scatter-gather execution. A
-// partitioned table splits rows across N per-partition engine instances
+// partitioned table splits rows across N per-partition engine tables
 // (each with its own indexes, latches and planner state) by a hash of the
-// primary key: mutations and pk point queries route to one partition,
-// range queries fan out across a bounded worker pool and return an
-// ordered merge. The same wrapper fronts a DurableDB, where every WAL
-// record carries its partition id and checkpoints/recovery rebuild each
-// partition:
+// primary key. Both databases hold them: DB.CreatePartitionedTable and
+// DurableDB.CreatePartitionedTable create one, the database routes its
+// writes by key and applies index DDL to every partition (the DurableDB
+// logs both, each WAL record carrying its partition id), and the advisor
+// sees it as one table. A PartitionedTable fronts one, plain or
+// partitioned, in either database: pk point queries route to one
+// partition, range queries fan out across a bounded worker pool and
+// return an ordered merge.
 //
 //	pt, _ := hermitdb.CreatePartitionedTable(hermitdb.PhysicalPointers,
 //		"orders", cols, 0, hermitdb.PartitionOptions{Partitions: 8})
@@ -214,12 +217,15 @@ type (
 
 // Partitioned-table constructors, re-exported from internal/partition.
 var (
-	// CreatePartitionedTable creates an in-memory partitioned table.
+	// CreatePartitionedTable creates an in-memory partitioned table in a
+	// DB of its own.
 	CreatePartitionedTable = partition.New
-	// CreatePartitionedDurable creates a WAL-logged partitioned table in a
-	// DurableDB; it survives close/reopen, checkpoints and crashes.
+	// CreatePartitionedDurable creates a partitioned table in a database —
+	// a DurableDB, where it survives close/reopen, checkpoints and
+	// crashes, or a DB — and fronts it.
 	CreatePartitionedDurable = partition.CreateDurable
-	// OpenPartitionedDurable wraps a recovered durable partitioned table.
+	// OpenPartitionedDurable fronts an existing table of a database: a
+	// recovered durable one, or any table of a DB.
 	OpenPartitionedDurable = partition.OpenDurable
 )
 
@@ -241,7 +247,8 @@ var (
 //	adv := db.EnableAdvisor(hermitdb.DefaultAdvisorOptions())
 //	defer adv.Stop()
 //
-// On a DurableDB the advisor's DDL is WAL-logged and survives recovery.
+// It advises a partitioned table as one table, building on every
+// partition; on a DurableDB its DDL is WAL-logged and survives recovery.
 type (
 	// Plan is the planner's costed decision for one predicate, as returned
 	// by Table.Explain.

@@ -1,18 +1,21 @@
 package engine
 
 import (
+	"maps"
+	"slices"
+
 	"hermit/internal/advisor"
 	"hermit/internal/hermit"
 	"hermit/internal/storage"
 	"hermit/internal/trstree"
 )
 
-// This file binds the advisor's Catalog interface to the two engines. The
+// This file binds the advisor's Catalog interface to the engine. The
 // advisor package cannot import the engine (the engine imports it), so the
-// engine implements the interface with thin adapters: one over the
-// in-memory DB (DDL straight into the catalog) and one over DurableDB
-// (DDL through the quiesce-and-WAL path, so advisor decisions are
-// replayed by recovery like any operator DDL).
+// engine implements the interface with one adapter over a DB's logical
+// tables, whose DDL goes wherever the database sends it: straight into the
+// DB, or through DurableDB's WAL, so that recovery replays advisor
+// decisions like any operator DDL.
 
 // AdvisorOptions configures the background advisor; see advisor.Options.
 type AdvisorOptions = advisor.Options
@@ -21,9 +24,10 @@ type AdvisorOptions = advisor.Options
 // its background loop (Options.Interval <= 0 yields a manual advisor that
 // only acts on RunOnce). The advisor samples tables, discovers correlated
 // column pairs, and creates or drops Hermit/B+-tree indexes from the
-// observed query mix; call Stop on the returned advisor to halt it.
+// observed query mix — on every partition of a partitioned table at once;
+// call Stop on the returned advisor to halt it.
 func (db *DB) EnableAdvisor(opts AdvisorOptions) *advisor.Advisor {
-	a := advisor.New(dbCatalog{db}, opts)
+	a := advisor.New(catalog{db, db}, opts)
 	a.Start()
 	return a
 }
@@ -32,7 +36,7 @@ func (db *DB) EnableAdvisor(opts AdvisorOptions) *advisor.Advisor {
 // goes through the WAL-logged CreateIndex/DropIndex paths, so auto-created
 // indexes survive close/reopen and crashes.
 func (d *DurableDB) EnableAdvisor(opts AdvisorOptions) *advisor.Advisor {
-	a := advisor.New(durableCatalog{d}, opts)
+	a := advisor.New(catalog{d.db, d}, opts)
 	a.Start()
 	return a
 }
@@ -53,10 +57,9 @@ func advisorKind(k IndexKind) advisor.IndexKind {
 	}
 }
 
-// KindFromAdvisor converts the advisor's IndexKind mirror back to the
-// engine's vocabulary — shared by the engine's Catalog adapters and by
-// internal/partition's.
-func KindFromAdvisor(k advisor.IndexKind) IndexKind {
+// kindFromAdvisor converts the advisor's IndexKind mirror back to the
+// engine's vocabulary.
+func kindFromAdvisor(k advisor.IndexKind) IndexKind {
 	switch k {
 	case advisor.KindBTree:
 		return KindBTree
@@ -71,11 +74,9 @@ func KindFromAdvisor(k advisor.IndexKind) IndexKind {
 	}
 }
 
-// AdvisorInfo snapshots the table for the advisor: per-column index kinds,
-// workload counters, false-positive EWMAs and index footprints. It is the
-// Catalog.Info building block shared by the engine's adapters and by
-// internal/partition, which aggregates one snapshot per partition.
-func (t *Table) AdvisorInfo() advisor.TableInfo {
+// advisorInfo snapshots the table for the advisor: per-column index kinds,
+// workload counters, false-positive EWMAs and index footprints.
+func (t *Table) advisorInfo() advisor.TableInfo {
 	t.catalog.RLock()
 	defer t.catalog.RUnlock()
 	info := advisor.TableInfo{
@@ -106,105 +107,64 @@ func (t *Table) AdvisorInfo() advisor.TableInfo {
 	return info
 }
 
-// dbCatalog adapts the in-memory DB.
-type dbCatalog struct{ db *DB }
-
-func (c dbCatalog) TableNames() []string {
-	c.db.mu.RLock()
-	defer c.db.mu.RUnlock()
-	names := make([]string, 0, len(c.db.tables))
-	for name := range c.db.tables {
-		names = append(names, name)
+// catalog is the advisor's view of a database: its logical tables. A
+// partitioned table is one table to it — counters summed over the
+// partitions, false-positive EWMAs merged by observation weight, rows
+// sampled from partition 0 (the primary-key hash makes any partition a
+// uniform sample of the table) — and its DDL reaches every partition.
+type catalog struct {
+	db *DB
+	// ddl is the DB itself, or the DurableDB that logs the DDL first.
+	ddl interface {
+		CreateIndex(table string, def IndexDef) error
+		DropIndex(table string, col int, kind string) error
 	}
-	return names
 }
 
-func (c dbCatalog) Info(table string) (advisor.TableInfo, error) {
-	tb, err := c.db.Table(table)
+func (c catalog) TableNames() []string { return slices.Sorted(maps.Keys(*c.db.tables.Load())) }
+
+func (c catalog) Info(table string) (advisor.TableInfo, error) {
+	l, err := c.db.named(table)
 	if err != nil {
 		return advisor.TableInfo{}, err
 	}
-	return tb.AdvisorInfo(), nil
-}
-
-func (c dbCatalog) Store(table string) (*storage.Table, error) {
-	tb, err := c.db.Table(table)
-	if err != nil {
-		return nil, err
-	}
-	return tb.Store(), nil
-}
-
-func (c dbCatalog) CreateHermitIndex(table string, col, host int, params trstree.Params) error {
-	tb, err := c.db.Table(table)
-	if err != nil {
-		return err
-	}
-	_, err = tb.CreateHermitIndex(col, host, WithParams(params))
-	return err
-}
-
-func (c dbCatalog) CreateBTreeIndex(table string, col int) error {
-	tb, err := c.db.Table(table)
-	if err != nil {
-		return err
-	}
-	_, err = tb.CreateBTreeIndex(col, true)
-	return err
-}
-
-func (c dbCatalog) DropIndex(table string, col int, kind advisor.IndexKind) error {
-	tb, err := c.db.Table(table)
-	if err != nil {
-		return err
-	}
-	return tb.DropIndex(col, KindFromAdvisor(kind))
-}
-
-// durableCatalog adapts DurableDB: DDL goes through the quiesced,
-// WAL-logged paths.
-type durableCatalog struct{ d *DurableDB }
-
-func (c durableCatalog) TableNames() []string {
-	c.d.mu.RLock()
-	defer c.d.mu.RUnlock()
-	names := make([]string, 0, len(c.d.tables))
-	for name, meta := range c.d.tables {
-		// Partitioned tables are advised through their scatter-gather
-		// wrapper (internal/partition), which aggregates per-partition
-		// counters; the logical name has no single engine table behind it.
-		if meta.Partitions > 0 {
-			continue
+	agg := l.phys[0].advisorInfo()
+	agg.Name = table
+	for _, p := range l.phys[1:] {
+		in := p.advisorInfo()
+		agg.Rows += in.Rows
+		agg.Writes += in.Writes
+		for i := range agg.Columns {
+			a, b := &agg.Columns[i], in.Columns[i]
+			a.Queries += b.Queries
+			a.Updates += b.Updates
+			a.IndexBytes += b.IndexBytes
+			if tot := a.FPObservations + b.FPObservations; tot > 0 {
+				a.ObservedFP = (a.ObservedFP*float64(a.FPObservations) +
+					b.ObservedFP*float64(b.FPObservations)) / float64(tot)
+				a.FPObservations = tot
+			}
 		}
-		names = append(names, name)
 	}
-	return names
+	return agg, nil
 }
 
-func (c durableCatalog) Info(table string) (advisor.TableInfo, error) {
-	tb, err := c.d.Table(table)
-	if err != nil {
-		return advisor.TableInfo{}, err
-	}
-	return tb.AdvisorInfo(), nil
-}
-
-func (c durableCatalog) Store(table string) (*storage.Table, error) {
-	tb, err := c.d.Table(table)
+func (c catalog) Store(table string) (*storage.Table, error) {
+	l, err := c.db.named(table)
 	if err != nil {
 		return nil, err
 	}
-	return tb.Store(), nil
+	return l.phys[0].Store(), nil
 }
 
-func (c durableCatalog) CreateHermitIndex(table string, col, host int, params trstree.Params) error {
-	return c.d.CreateIndex(table, IndexDef{Kind: "hermit", Col: col, Host: host, Params: params})
+func (c catalog) CreateHermitIndex(table string, col, host int, params trstree.Params) error {
+	return c.ddl.CreateIndex(table, IndexDef{Kind: "hermit", Col: col, Host: host, Params: params})
 }
 
-func (c durableCatalog) CreateBTreeIndex(table string, col int) error {
-	return c.d.CreateIndex(table, IndexDef{Kind: "btree", Col: col, MarkNew: true})
+func (c catalog) CreateBTreeIndex(table string, col int) error {
+	return c.ddl.CreateIndex(table, IndexDef{Kind: "btree", Col: col, MarkNew: true})
 }
 
-func (c durableCatalog) DropIndex(table string, col int, kind advisor.IndexKind) error {
-	return c.d.DropIndex(table, col, KindFromAdvisor(kind).String())
+func (c catalog) DropIndex(table string, col int, kind advisor.IndexKind) error {
+	return c.ddl.DropIndex(table, col, kindFromAdvisor(kind).String())
 }

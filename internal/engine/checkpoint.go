@@ -146,8 +146,8 @@ func (d *DurableDB) checkpointLocked() error {
 			newLog.Watch(ch)
 		}
 	}
-	for _, meta := range cut.pub.Tables {
-		for _, tb := range meta.phys {
+	for name := range cut.pub.Tables {
+		for _, tb := range d.db.lookup(name).phys {
 			tb.flushedTo(cut.flushTS)
 		}
 	}
@@ -227,7 +227,7 @@ func (d *DurableDB) writeEpoch(cut *flushCut) (newLog *wal.Log, flushed int64, e
 		}
 	}()
 	for _, name := range slices.Sorted(maps.Keys(cut.pub.Tables)) {
-		for _, tb := range cut.pub.Tables[name].phys {
+		for _, tb := range d.db.lookup(name).phys {
 			// The table's rows go from its store to the file a page at a time.
 			h, werr := d.writeBlock(tb.Store().Width(), 0, func(add func(float64, []float64) error) error {
 				return tb.DeltaVersions(cut.flushTS, add)
@@ -266,7 +266,7 @@ func (d *DurableDB) writeEpoch(cut *flushCut) (newLog *wal.Log, flushed int64, e
 func (d *DurableDB) publishEpoch(step string, m manifest, stacks map[string]block.Stack) error {
 	p := durablePaths{d.dir}
 	m.Scheme = int(d.db.Scheme())
-	raw, err := encodeManifest(imageOf(m, stacks))
+	raw, err := encodeManifest(d.imageOf(m, stacks))
 	if err != nil {
 		return err
 	}

@@ -230,8 +230,8 @@ func (d *DurableDB) StorageStats() StorageStats {
 		st.BlockResidentBytes += sum.ResidentBytes
 		st.CompactionBacklog += stack.Backlog(d.opts.fanIn())
 	}
-	for _, meta := range d.tables {
-		for _, tb := range meta.phys {
+	for _, l := range *d.db.tables.Load() {
+		for _, tb := range l.phys {
 			vs := tb.VersionStats()
 			st.VersionsPending += vs.Pending
 			st.VersionsReclaimed += vs.Reclaimed
@@ -273,14 +273,14 @@ type TableBlockStats struct {
 // TableBlocks reports the block stack behind each physical table of the
 // named logical table (one element per partition for partitioned tables).
 func (d *DurableDB) TableBlocks(name string) ([]TableBlockStats, error) {
+	l, err := d.db.named(name)
+	if err != nil {
+		return nil, err
+	}
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	meta := d.tables[name]
-	if meta == nil {
-		return nil, fmt.Errorf("%w: %q", ErrNoSuchTable, name)
-	}
-	out := make([]TableBlockStats, 0, len(meta.phys))
-	for _, tb := range meta.phys {
+	out := make([]TableBlockStats, 0, len(l.phys))
+	for _, tb := range l.phys {
 		sum := d.stacks[tb.name].Summary()
 		out = append(out, TableBlockStats{
 			Table: tb.name, Blocks: sum.Blocks, Entries: sum.Entries, Bytes: sum.Bytes, MaxLevel: sum.MaxLevel,
@@ -298,14 +298,13 @@ func (d *DurableDB) TableBlocks(name string) ([]TableBlockStats, error) {
 // the WAL tail: found=false means the key was absent (or deleted) as of the
 // last checkpoint.
 func (d *DurableDB) BlockRead(table string, pk float64) (row []float64, found bool, probed int, err error) {
+	l, err := d.db.named(table)
+	if err != nil {
+		return nil, false, 0, err
+	}
+	tb, _ := l.route(pk)
 	for {
 		d.mu.RLock()
-		meta := d.tables[table]
-		if meta == nil {
-			d.mu.RUnlock()
-			return nil, false, probed, fmt.Errorf("%w: %q", ErrNoSuchTable, table)
-		}
-		tb, _ := meta.route(pk)
 		epoch := d.pub.Epoch
 		stack := d.stacks[tb.name]
 		d.mu.RUnlock()

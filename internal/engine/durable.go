@@ -18,7 +18,6 @@ import (
 	"hermit/internal/block"
 	"hermit/internal/hermit"
 	"hermit/internal/storage"
-	"hermit/internal/trstree"
 	"hermit/internal/wal"
 )
 
@@ -240,66 +239,16 @@ func (o DurableOptions) rotateBytes() int64 {
 	return o.WALRotateBytes
 }
 
+// durableMeta is what the manifest records of one logical table: its
+// schema, its partition count and the definitions recovery rebuilds its
+// indexes from. The table itself is the DB's (tables.go).
 type durableMeta struct {
 	Cols  []string   `json:"cols"`
 	PKCol int        `json:"pk"`
 	Defs  []IndexDef `json:"defs"`
 	// Partitions is the hash-partition count of a partitioned table (0 for
-	// a plain table). A partitioned logical table is backed by engine
-	// tables PartitionName(name, 0..Partitions-1); mutations route by
-	// PartitionOf and every WAL record carries its partition id, so replay
-	// and checkpoints rebuild each partition exactly.
+	// a plain table); every WAL record of one carries its partition id.
 	Partitions int `json:"parts,omitempty"`
-
-	// phys holds the engine tables backing the logical table, indexed by
-	// partition id (one entry for a plain table), so routing a mutation is
-	// a hash and an index — no name formatting, no catalog lookup. Set by
-	// createPhysical; copies of the metadata share it.
-	phys []*Table
-}
-
-// route returns the engine table and partition id that own pk.
-func (m *durableMeta) route(pk float64) (*Table, uint32) {
-	p := PartitionOf(pk, m.Partitions)
-	return m.phys[p], uint32(p)
-}
-
-// target returns the engine table, partition id and primary key a mutation
-// op on this table routes to: an insert's key is its row's.
-func (m *durableMeta) target(op *Op) (*Table, uint32, float64) {
-	pk := op.PK
-	if op.Kind == OpInsert {
-		pk = 0
-		if m.PKCol < len(op.Row) {
-			pk = op.Row[m.PKCol]
-		}
-	}
-	tb, part := m.route(pk)
-	return tb, part, pk
-}
-
-// createPhysical creates the engine tables behind the logical table name —
-// the name itself for a plain table, one PartitionName per partition
-// otherwise — and records them in meta.phys. A partial failure drops the
-// tables already created, so it leaves no orphans in the engine catalog.
-func (d *DurableDB) createPhysical(name string, meta *durableMeta) error {
-	phys := make([]*Table, max(meta.Partitions, 1))
-	for i := range phys {
-		n := name
-		if meta.Partitions > 0 {
-			n = PartitionName(name, i)
-		}
-		tb, err := d.db.CreateTable(n, meta.Cols, meta.PKCol)
-		if err != nil {
-			for _, made := range phys[:i] {
-				d.db.dropTable(made.name)
-			}
-			return err
-		}
-		phys[i] = tb
-	}
-	meta.phys = phys
-	return nil
 }
 
 // copyTables deep-copies the catalog: each table's metadata, with the slices
@@ -314,16 +263,6 @@ func copyTables(src map[string]*durableMeta) map[string]*durableMeta {
 		out[name] = &cp
 	}
 	return out
-}
-
-// IndexDef records how to rebuild one index during recovery.
-type IndexDef struct {
-	Kind    string         `json:"kind"` // "btree" | "hermit" | "composite-btree" | "composite-hermit"
-	Col     int            `json:"col"`
-	Host    int            `json:"host,omitempty"`
-	ACol    int            `json:"acol,omitempty"`
-	MarkNew bool           `json:"new,omitempty"`
-	Params  trstree.Params `json:"params,omitempty"`
 }
 
 // manifestVersion identifies the on-disk layout. Version 3 added
@@ -389,13 +328,13 @@ type manifestFile struct {
 
 // imageOf is m with the stacks of its physical tables. Only tables in m's
 // catalog are named, so a stack cannot outlive its table.
-func imageOf(m manifest, stacks map[string]block.Stack) image {
+func (d *DurableDB) imageOf(m manifest, stacks map[string]block.Stack) image {
 	img := image{manifest: m, Blocks: make(map[string][]blockEntry)}
-	for _, meta := range m.Tables {
-		for _, tb := range meta.phys {
-			for _, d := range stacks[tb.name].Descs() {
-				img.Blocks[tb.name] = append(img.Blocks[tb.name], blockEntry{d.ID, d.Level, d.Count, d.Bytes,
-					math.Float64bits(d.MinKey), math.Float64bits(d.MaxKey)})
+	for name := range m.Tables {
+		for _, tb := range d.db.lookup(name).phys {
+			for _, desc := range stacks[tb.name].Descs() {
+				img.Blocks[tb.name] = append(img.Blocks[tb.name], blockEntry{desc.ID, desc.Level, desc.Count, desc.Bytes,
+					math.Float64bits(desc.MinKey), math.Float64bits(desc.MaxKey)})
 			}
 		}
 	}
@@ -538,8 +477,8 @@ func OpenDurableOptions(dir string, scheme hermit.PointerScheme, opts DurableOpt
 	}
 	// Everything restored from blocks is flushed; everything the WAL tail
 	// replays (below) commits after it and lands in the next delta.
-	for _, meta := range d.tables {
-		for _, tb := range meta.phys {
+	for _, l := range *d.db.tables.Load() {
+		for _, tb := range l.phys {
 			tb.flushedTo(d.db.clock.Now())
 		}
 	}
@@ -620,10 +559,11 @@ func (d *DurableDB) GC() int { return d.db.GC() }
 // partitions side by side (Parallel): a partition's rows, RIDs and
 // indexes are a function of its own blocks alone.
 func (d *DurableDB) restoreTable(name string, meta *durableMeta) error {
-	if err := d.createPhysical(name, meta); err != nil {
+	l, err := d.db.create(name, meta.Cols, meta.PKCol, meta.Partitions)
+	if err != nil {
 		return err
 	}
-	for _, err := range Parallel(meta.phys, 0, func(tb *Table) error { return d.restorePartition(meta, tb) }) {
+	for _, err := range Parallel(l.phys, 0, func(tb *Table) error { return d.restorePartition(meta, tb) }) {
 		if err != nil {
 			return err
 		}
@@ -665,30 +605,6 @@ func (d *DurableDB) restorePartition(meta *durableMeta, tb *Table) error {
 	return nil
 }
 
-// applyIndexDef builds the index def describes. Zero-valued Params — a
-// definition that names none, as the wire DDL, advisor and HTTP paths
-// produce — mean the TRS-Tree defaults: sanitizing the zero value instead
-// would clamp the tree to one leaf holding every row as an outlier.
-func applyIndexDef(tb *Table, def IndexDef) error {
-	if def.Params == (trstree.Params{}) {
-		def.Params = trstree.DefaultParams()
-	}
-	var err error
-	switch def.Kind {
-	case "btree":
-		_, err = tb.CreateBTreeIndex(def.Col, def.MarkNew)
-	case "hermit":
-		_, err = tb.CreateHermitIndex(def.Col, def.Host, WithParams(def.Params))
-	case "composite-btree":
-		_, err = tb.CreateCompositeBTreeIndex(def.ACol, def.Col, def.MarkNew)
-	case "composite-hermit":
-		_, err = tb.CreateCompositeHermitIndex(def.ACol, def.Col, def.Host, WithParams(def.Params))
-	default:
-		err = fmt.Errorf("engine: unknown index kind %q", def.Kind)
-	}
-	return err
-}
-
 // ddl runs one DDL statement the way replay does — its record applied
 // through applyRecord, the replay applier — and logs that record, under the
 // exclusive latch: what recovery and followers replay is what ran.
@@ -712,71 +628,36 @@ func (d *DurableDB) ddl(op wal.Op, table string, v any) error {
 	return err
 }
 
-// CreateTable creates and logs a table. Names containing '#' are rejected:
-// the character is reserved for the per-partition tables backing
-// CreatePartitionedTable.
+// CreateTable creates and logs a plain table (see DB.CreateTable).
 func (d *DurableDB) CreateTable(name string, cols []string, pkCol int) (*Table, error) {
-	if strings.Contains(name, "#") {
-		return nil, fmt.Errorf("engine: table name %q: '#' is reserved for partitions", name)
-	}
 	if err := d.ddl(wal.OpCreateTable, name, ddlTable{Cols: cols, PKCol: pkCol}); err != nil {
 		return nil, err
 	}
 	return d.db.Table(name)
 }
 
-// CreatePartitionedTable creates and logs a hash-partitioned table: parts
-// engine tables (each with its own indexes, latches and planner state)
-// behind one logical name. Mutations on the logical name route by
-// PartitionOf over the primary key and are WAL-logged with their partition
-// id; checkpoints flush one block stream per partition and recovery
-// rebuilds each partition from its block stack plus the routed WAL tail.
-// Queries scatter-gather through the internal/partition wrapper (see
-// partition.OpenDurable), which is also how per-partition handles are
-// obtained.
+// CreatePartitionedTable creates and logs a hash-partitioned table (see
+// DB.CreatePartitionedTable). Mutations on it are WAL-logged with their
+// partition id; checkpoints flush one block stream per partition and
+// recovery rebuilds each partition from its block stack plus the routed
+// WAL tail.
 func (d *DurableDB) CreatePartitionedTable(name string, cols []string, pkCol, parts int) error {
-	if strings.Contains(name, "#") {
-		return fmt.Errorf("engine: table name %q: '#' is reserved for partitions", name)
-	}
 	return d.ddl(wal.OpCreatePartitioned, name, ddlTable{Cols: cols, PKCol: pkCol, Parts: parts})
 }
 
-// Partitions reports the partition count of the named logical table: 0 for
-// a plain table, >= 1 for one created by CreatePartitionedTable.
-func (d *DurableDB) Partitions(name string) (int, error) {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	meta := d.tables[name]
-	if meta == nil {
-		return 0, fmt.Errorf("%w: %q", ErrNoSuchTable, name)
-	}
-	return meta.Partitions, nil
-}
+// Partitions reports the partition count of the named table (see
+// DB.Partitions).
+func (d *DurableDB) Partitions(name string) (int, error) { return d.db.Partitions(name) }
 
-// Table returns the named table. Queries through it are safe; mutations
-// through it bypass the WAL and the durable layer's latching — use the
-// DurableDB mutation methods instead.
+// Table returns the engine table a name denotes (see DB.Table). Queries
+// through it are safe; mutations through it bypass the WAL and the durable
+// layer's latching — use the DurableDB mutation methods instead.
 func (d *DurableDB) Table(name string) (*Table, error) { return d.db.Table(name) }
 
-// CreateIndex creates and logs an index per def. On a partitioned table
-// the definition is applied to every partition (indexes are uniform across
-// partitions, so routing never changes which access paths exist); only
-// single-column kinds are supported there, because a partial failure is
-// unwound with DropIndex and composites are not droppable.
+// CreateIndex creates and logs an index per def (see DB.CreateIndex): a
+// definition that fails to build is not logged.
 func (d *DurableDB) CreateIndex(table string, def IndexDef) error {
 	return d.ddl(wal.OpCreateIndex, table, ddlIndex{Def: def})
-}
-
-// kindFromString maps an IndexDef kind string to the engine's IndexKind
-// vocabulary (single-column kinds only; composites are not droppable): the
-// kind whose String it is.
-func kindFromString(s string) (IndexKind, error) {
-	for _, k := range []IndexKind{KindBTree, KindHermit, KindCM} {
-		if k.String() == s {
-			return k, nil
-		}
-	}
-	return KindNone, fmt.Errorf("engine: unknown droppable index kind %q", s)
 }
 
 // removeDef deletes the first recorded index definition matching (col,
@@ -816,12 +697,11 @@ func (d *DurableDB) DropIndex(table string, col int, kind string) error {
 func (d *DurableDB) submit(op *Op, res *OpResult) wal.Ticket {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	meta := d.tables[op.Table]
-	if meta == nil {
-		res.Err = fmt.Errorf("%w: %q", ErrNoSuchTable, op.Table)
+	tb, part, pk, err := d.db.target(op)
+	if err != nil {
+		res.Err = err
 		return wal.Ticket{}
 	}
-	tb, part, pk := meta.target(op)
 	stripe := d.rows.mu(pk)
 	stripe.Lock()
 	defer stripe.Unlock()

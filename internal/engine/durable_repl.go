@@ -148,7 +148,7 @@ func (d *DurableDB) ReplSnapshot() (*ReplSnap, error) {
 			Parts: meta.Partitions,
 			Defs:  append([]IndexDef(nil), meta.Defs...),
 		}
-		for _, tb := range meta.phys {
+		for _, tb := range d.db.lookup(name).phys {
 			tb.ScanLive(func(_ storage.RID, row []float64) bool {
 				ts.Rows = append(ts.Rows, append([]float64(nil), row...))
 				return true
@@ -177,30 +177,26 @@ func (d *DurableDB) ReplRestore(snap *ReplSnap) error {
 		return fmt.Errorf("engine: ReplRestore needs an empty database")
 	}
 	for _, ts := range snap.Tables {
-		meta := &durableMeta{
+		if _, err := d.db.create(ts.Name, ts.Cols, ts.PKCol, ts.Parts); err != nil {
+			d.mu.Unlock()
+			return err
+		}
+		d.tables[ts.Name] = &durableMeta{
 			Cols:       append([]string(nil), ts.Cols...),
 			PKCol:      ts.PKCol,
 			Partitions: ts.Parts,
 			Defs:       append([]IndexDef(nil), ts.Defs...),
 		}
-		if err := d.createPhysical(ts.Name, meta); err != nil {
-			d.mu.Unlock()
-			return err
-		}
-		d.tables[ts.Name] = meta
 		for _, row := range ts.Rows {
-			tb, _, _ := meta.target(&Op{Kind: OpInsert, Row: row})
-			if _, err := tb.Insert(row); err != nil {
+			if _, err := d.db.Insert(ts.Name, row); err != nil {
 				d.mu.Unlock()
 				return fmt.Errorf("engine: restoring snapshot row in %q: %w", ts.Name, err)
 			}
 		}
-		for _, tb := range meta.phys {
-			for _, def := range meta.Defs {
-				if err := applyIndexDef(tb, def); err != nil {
-					d.mu.Unlock()
-					return err
-				}
+		for _, def := range ts.Defs {
+			if err := d.db.CreateIndex(ts.Name, def); err != nil {
+				d.mu.Unlock()
+				return err
 			}
 		}
 	}

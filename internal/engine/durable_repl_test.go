@@ -64,14 +64,12 @@ func replGroups(recs []wal.Record) [][]wal.Record {
 // partitioned one — in primary-key order.
 func liveRows(t *testing.T, d *DurableDB, name string) [][]float64 {
 	t.Helper()
-	d.mu.RLock()
-	meta := d.tables[name]
-	d.mu.RUnlock()
-	if meta == nil {
+	l := d.db.lookup(name)
+	if l == nil {
 		t.Fatalf("no table %q", name)
 	}
 	var rows [][]float64
-	for _, tb := range meta.phys {
+	for _, tb := range l.phys {
 		tb.ScanLive(func(_ storage.RID, row []float64) bool {
 			rows = append(rows, append([]float64(nil), row...))
 			return true

@@ -417,7 +417,7 @@ func TestRecoveryDeterministic(t *testing.T) {
 	}
 	capture := func(d *DurableDB) []state {
 		out := make([]state, parts)
-		for i, tb := range d.tables["syn"].phys {
+		for i, tb := range d.db.lookup("syn").phys {
 			out[i] = state{rids: map[float64]uint64{}, mem: tb.Memory()}
 			tb.Primary().Each(func(k float64, id uint64) bool {
 				out[i].rids[k] = id

@@ -27,24 +27,15 @@ type DurableTxn struct {
 // Begin starts a durable snapshot-isolation transaction. Only DML is
 // transactional; DDL keeps its own logged paths.
 func (d *DurableDB) Begin() *DurableTxn {
-	return &DurableTxn{d: d, x: BeginTxn(d.db.clock)}
+	return &DurableTxn{d: d, x: beginTxn(d.db.clock)}
 }
+
+// BeginBatch starts the transaction a by-name batch runs in (ExecBatch): a
+// DurableTxn.
+func (d *DurableDB) BeginBatch() BatchTxn { return d.Begin() }
 
 // Snapshot returns the transaction's read snapshot (see Txn.Snapshot).
 func (tx *DurableTxn) Snapshot() *Snapshot { return tx.x.Snapshot() }
-
-// route resolves the engine table, partition id and primary key a
-// mutation op targets, like DurableDB.submit.
-func (tx *DurableTxn) route(op *Op) (*Table, uint32, float64, error) {
-	tx.d.mu.RLock()
-	defer tx.d.mu.RUnlock()
-	meta := tx.d.tables[op.Table]
-	if meta == nil {
-		return nil, 0, 0, fmt.Errorf("%w: %q", ErrNoSuchTable, op.Table)
-	}
-	tb, part, pk := meta.target(op)
-	return tb, part, pk, nil
-}
 
 // Mutate buffers one mutation on op.Table — Insert, Delete or Update by
 // op.Kind — routed to its key's partition, together with the WAL record
@@ -54,7 +45,7 @@ func (tx *DurableTxn) Mutate(op Op) (bool, error) {
 	if tx.done {
 		return false, ErrTxnDone
 	}
-	tb, part, pk, err := tx.route(&op)
+	tb, part, pk, err := tx.d.db.target(&op)
 	if err != nil {
 		return false, err
 	}

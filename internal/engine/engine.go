@@ -33,13 +33,15 @@ var (
 )
 
 // DB is a catalog of tables sharing one tuple-identifier scheme and one
-// commit clock. The catalog map has its own latch so tables can be created
-// while other tables serve queries.
+// commit clock: plain and hash-partitioned tables under the names their
+// users write (tables.go). A lookup takes no latch — the catalog map is
+// replaced whole — so tables can be created while others serve queries.
 type DB struct {
 	scheme hermit.PointerScheme
 	clock  *Clock
-	mu     sync.RWMutex
-	tables map[string]*Table
+	// mu serialises catalog changes: table creation and index DDL.
+	mu     sync.Mutex
+	tables atomic.Pointer[map[string]*logical]
 	// trackDeletes is handed to every table created: set by the durable
 	// layer, whose delta flushes read the tables' delete lists (mvcc.go).
 	trackDeletes bool
@@ -48,15 +50,9 @@ type DB struct {
 // NewDB creates a database using the given tuple-identifier scheme (§5.1),
 // with its own commit clock.
 func NewDB(scheme hermit.PointerScheme) *DB {
-	return NewDBWithClock(scheme, NewClock())
-}
-
-// NewDBWithClock creates a database ordering its commits on an existing
-// clock. Partitioned tables use it to share one clock across their
-// per-partition databases, which is what makes a cross-partition snapshot
-// consistent (see internal/partition).
-func NewDBWithClock(scheme hermit.PointerScheme, clock *Clock) *DB {
-	return &DB{scheme: scheme, clock: clock, tables: make(map[string]*Table)}
+	db := &DB{scheme: scheme, clock: newClock()}
+	db.tables.Store(&map[string]*logical{})
+	return db
 }
 
 // tableSeq issues process-wide unique table ids; commit lock ordering
@@ -66,17 +62,8 @@ var tableSeq atomic.Uint64
 // Scheme returns the database's tuple-identifier scheme.
 func (db *DB) Scheme() hermit.PointerScheme { return db.scheme }
 
-// CreateTable registers a table with the given column names; pkCol is the
-// primary-key column, which receives a primary index automatically.
-func (db *DB) CreateTable(name string, cols []string, pkCol int) (*Table, error) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if _, ok := db.tables[name]; ok {
-		return nil, ErrDupTable
-	}
-	if pkCol < 0 || pkCol >= len(cols) {
-		return nil, ErrNoSuchColumn
-	}
+// newTable makes one engine table; pkCol receives a primary index.
+func (db *DB) newTable(name string, cols []string, pkCol int) *Table {
 	t := &Table{
 		name:         name,
 		tid:          tableSeq.Add(1),
@@ -91,27 +78,7 @@ func (db *DB) CreateTable(name string, cols []string, pkCol int) (*Table, error)
 		handSeen:     math.MaxUint64,
 	}
 	t.keyCeiling.Store(math.Float64bits(math.Inf(-1)))
-	db.tables[name] = t
-	return t, nil
-}
-
-// dropTable removes a table from the catalog — the unwind path for a
-// partially failed partitioned create (there is no public DROP TABLE yet).
-func (db *DB) dropTable(name string) {
-	db.mu.Lock()
-	delete(db.tables, name)
-	db.mu.Unlock()
-}
-
-// Table returns the named table.
-func (db *DB) Table(name string) (*Table, error) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	t, ok := db.tables[name]
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrNoSuchTable, name)
-	}
-	return t, nil
+	return t
 }
 
 // Table is one relation plus its indexes. Rows are multi-versioned (see
@@ -217,6 +184,9 @@ func (t *Table) Primary() *btree.Tree { return t.primary }
 
 // Columns returns the column names.
 func (t *Table) Columns() []string { return append([]string(nil), t.cols...) }
+
+// PKCol returns the primary-key column index.
+func (t *Table) PKCol() int { return t.pkCol }
 
 // SetProfile toggles per-phase timing on queries and inserts.
 func (t *Table) SetProfile(on bool) { t.profile.Store(on) }

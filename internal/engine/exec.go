@@ -23,10 +23,9 @@ import (
 //
 // A batch without mutations drains across a pool of goroutines (Parallel)
 // reading that one snapshot. What a batch runs in is a BatchTxn — a Txn for
-// DB and Table batches, a DurableTxn for DurableDB ones, the partitioned
-// table's transactions for partition.Table ones — and what it returns is
-// the caller's result type, so the serving tier answers wire responses
-// from the same loop.
+// DB and Table batches, a DurableTxn for DurableDB ones — and what it
+// returns is the caller's result type, so partition.Table and the serving
+// tier answer from the same loop.
 
 // ErrTxnAborted marks the other mutations of an atomic batch whose
 // transaction aborted because one mutation failed (that op carries the
@@ -209,31 +208,31 @@ func execute(x tableTxn, ops []Op, workers int) []OpResult {
 	})
 }
 
-// txnBatch is the tableTxn of a DB or Table batch: one Txn, each op's table
-// found by resolve.
-type txnBatch struct {
-	x       *Txn
-	resolve func(Op) (*Table, error)
+// dbTxn is the DB's by-name batch transaction: one Txn, each mutation on
+// the partition of the table its Op.Table names that owns its key, each
+// query on the engine table its name denotes.
+type dbTxn struct {
+	*Txn
+	db *DB
 }
 
-func (b *txnBatch) Snapshot() *Snapshot { return b.x.Snapshot() }
-
-func (b *txnBatch) Mutate(op Op) (bool, error) {
-	tb, err := b.resolve(op)
+func (b dbTxn) Mutate(op Op) (bool, error) {
+	tb, _, _, err := b.db.target(&op)
 	if err != nil {
 		return false, err
 	}
-	return b.x.Mutate(tb, op)
+	return b.Txn.Mutate(tb, op)
 }
 
-func (b *txnBatch) Commit() error {
-	_, err := b.x.Commit()
+func (b dbTxn) Commit() error {
+	_, err := b.Txn.Commit()
 	return err
 }
 
-func (b *txnBatch) Rollback() { b.x.Rollback() }
+func (b dbTxn) table(op Op) (*Table, error) { return b.db.Table(op.Table) }
 
-func (b *txnBatch) table(op Op) (*Table, error) { return b.resolve(op) }
+// BeginBatch starts the transaction a by-name batch runs in (ExecBatch).
+func (db *DB) BeginBatch() BatchTxn { return dbTxn{beginTxn(db.clock), db} }
 
 // ExecuteBatch runs a batch of operations across tables under the batch
 // contract (see ExecBatch): a batch with any mutation is one atomic
@@ -242,11 +241,26 @@ func (b *txnBatch) table(op Op) (*Table, error) { return b.resolve(op) }
 // drains across workers goroutines (<= 0 selects GOMAXPROCS) sharing one
 // snapshot. Results are positionally aligned with ops.
 func (db *DB) ExecuteBatch(ops []Op, workers int) []OpResult {
-	return execute(&txnBatch{x: BeginTxn(db.clock), resolve: func(op Op) (*Table, error) { return db.Table(op.Table) }}, ops, workers)
+	return execute(dbTxn{beginTxn(db.clock), db}, ops, workers)
 }
+
+// tableBatch is the transaction of a Table batch: every op is on t.
+type tableBatch struct {
+	*Txn
+	t *Table
+}
+
+func (b tableBatch) Mutate(op Op) (bool, error) { return b.Txn.Mutate(b.t, op) }
+
+func (b tableBatch) Commit() error {
+	_, err := b.Txn.Commit()
+	return err
+}
+
+func (b tableBatch) table(Op) (*Table, error) { return b.t, nil }
 
 // ExecuteBatch runs a batch of operations against this table; Op.Table is
 // ignored. See DB.ExecuteBatch for the atomicity contract.
 func (t *Table) ExecuteBatch(ops []Op, workers int) []OpResult {
-	return execute(&txnBatch{x: BeginTxn(t.clock), resolve: func(Op) (*Table, error) { return t, nil }}, ops, workers)
+	return execute(tableBatch{beginTxn(t.clock), t}, ops, workers)
 }

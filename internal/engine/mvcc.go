@@ -183,8 +183,8 @@ type Clock struct {
 // released snapshots are left to the garbage collector.
 const maxSnapshotFree = 64
 
-// NewClock creates a commit clock starting at timestamp 0.
-func NewClock() *Clock {
+// newClock creates a commit clock starting at timestamp 0.
+func newClock() *Clock {
 	return &Clock{active: make(map[uint64]int)}
 }
 
@@ -512,8 +512,8 @@ func (db *DB) Snapshot() *Snapshot { return db.clock.Snapshot() }
 // handle the *At query variants read through. Release it when done.
 func (t *Table) Snapshot() *Snapshot { return t.clock.Snapshot() }
 
-// Clock returns the database's commit clock (shared across partitions of a
-// partitioned table so cross-partition snapshots are consistent).
+// Clock returns the database's commit clock (one for every table and
+// partition, so cross-partition snapshots are consistent).
 func (db *DB) Clock() *Clock { return db.clock }
 
 // GC drains every table's queue of ended versions down to the oldest live
@@ -524,15 +524,11 @@ func (db *DB) Clock() *Clock { return db.clock }
 // it off.
 func (db *DB) GC() int {
 	horizon := db.clock.OldestActive()
-	db.mu.RLock()
-	tables := make([]*Table, 0, len(db.tables))
-	for _, t := range db.tables {
-		tables = append(tables, t)
-	}
-	db.mu.RUnlock()
 	n := 0
-	for _, t := range tables {
-		n += t.GCVersions(horizon)
+	for _, l := range *db.tables.Load() {
+		for _, t := range l.phys {
+			n += t.GCVersions(horizon)
+		}
 	}
 	return n
 }

@@ -3,6 +3,8 @@ package engine
 import (
 	"math"
 	"testing"
+
+	"hermit/internal/hermit"
 )
 
 // TestPartitionOfBoundsAndDegenerate: results stay in [0, n) for every
@@ -91,12 +93,30 @@ func TestPartitionOfSpread(t *testing.T) {
 }
 
 // TestPartitionNameReserved: the generated per-partition names use the
-// reserved '#' separator and embed the partition index.
+// '#' separator and embed the partition index, and '#' is reserved for
+// them: no table name may hold it, so none collides with a partition's.
 func TestPartitionNameReserved(t *testing.T) {
 	if got := PartitionName("orders", 3); got != "orders#3" {
 		t.Fatalf("PartitionName = %q", got)
 	}
 	if got := PartitionName("a#b", 0); got != "a#b#0" {
 		t.Fatalf("PartitionName = %q", got)
+	}
+	db := NewDB(hermit.PhysicalPointers)
+	for _, name := range []string{"t#0", "a#b"} {
+		if _, err := db.CreateTable(name, []string{"k"}, 0); err == nil {
+			t.Fatalf("CreateTable(%q) accepted a name holding '#'", name)
+		}
+	}
+	if err := db.CreatePartitionedTable("t", []string{"k"}, 0, 2); err != nil {
+		t.Fatal(err)
+	}
+	if tb, err := db.Table("t#1"); err != nil || tb.Name() != "t#1" {
+		t.Fatalf("Table(t#1) = %v, %v", tb, err)
+	}
+	for _, name := range []string{"t", "t#2", "t#01", "t#-0"} {
+		if _, err := db.Table(name); err == nil {
+			t.Fatalf("Table(%q) named an engine table", name)
+		}
 	}
 }

@@ -134,7 +134,7 @@ func (d *DurableDB) applyGroup(group []wal.Record) error {
 	if len(group) == 1 && group[0].Txn == 0 {
 		return d.applyRecord(group[0])
 	}
-	tx := BeginTxn(d.db.clock)
+	tx := beginTxn(d.db.clock)
 	defer tx.Rollback()
 	for _, rec := range group {
 		tb, op, err := d.replayed(rec)
@@ -171,61 +171,30 @@ func (d *DurableDB) applyRecord(rec wal.Record) error {
 	if err := json.Unmarshal(rec.Payload, &ddl); err != nil {
 		return err
 	}
-	meta := d.tables[rec.Table]
-	switch {
-	case rec.Op == wal.OpCreateTable || rec.Op == wal.OpCreatePartitioned:
-		// The durable catalog, not just the engine's, says whether the name
-		// is taken: a partitioned table exists there only as name#i tables.
-		if meta != nil {
-			return ErrDupTable
-		}
-		meta = &durableMeta{Cols: ddl.Cols, PKCol: ddl.PKCol}
+	switch rec.Op {
+	case wal.OpCreateTable, wal.OpCreatePartitioned:
+		meta := &durableMeta{Cols: ddl.Cols, PKCol: ddl.PKCol}
+		var err error
 		if rec.Op == wal.OpCreatePartitioned {
-			if ddl.Parts < 1 {
-				return fmt.Errorf("engine: partitioned table %q needs at least 1 partition, got %d", rec.Table, ddl.Parts)
-			}
 			meta.Partitions = ddl.Parts
+			err = d.db.CreatePartitionedTable(rec.Table, ddl.Cols, ddl.PKCol, ddl.Parts)
+		} else {
+			_, err = d.db.CreateTable(rec.Table, ddl.Cols, ddl.PKCol)
 		}
-		if err := d.createPhysical(rec.Table, meta); err != nil {
-			return err
+		if err == nil {
+			d.tables[rec.Table] = meta
 		}
-		d.tables[rec.Table] = meta
-		return nil
-	case meta == nil:
-		return fmt.Errorf("%w: %q", ErrNoSuchTable, rec.Table)
-	case rec.Op == wal.OpCreateIndex:
-		def := ddl.Def
-		if meta.Partitions > 0 && (def.Kind == "composite-btree" || def.Kind == "composite-hermit") {
-			return fmt.Errorf("engine: %s indexes are not supported on partitioned tables", def.Kind)
-		}
-		errs := Parallel(meta.phys, 0, func(tb *Table) error { return applyIndexDef(tb, def) })
-		for _, err := range errs {
-			if err == nil {
-				continue
-			}
-			// Unwind the partitions that were indexed so state stays uniform.
-			if kind, kerr := kindFromString(def.Kind); kerr == nil {
-				for i, tb := range meta.phys {
-					if errs[i] == nil {
-						tb.DropIndex(def.Col, kind)
-					}
-				}
-			}
-			return err
-		}
-		meta.Defs = append(meta.Defs, def)
-		return nil
-	}
-	kind, err := kindFromString(ddl.Kind)
-	if err != nil {
 		return err
-	}
-	for _, tb := range meta.phys {
-		// DDL is uniform across partitions, so a drop that fails on one
-		// partition fails on the first — before any partition changed.
-		if err := tb.DropIndex(ddl.Col, kind); err != nil {
+	case wal.OpCreateIndex:
+		if err := d.db.CreateIndex(rec.Table, ddl.Def); err != nil {
 			return err
 		}
+		meta := d.tables[rec.Table]
+		meta.Defs = append(meta.Defs, ddl.Def)
+		return nil
+	}
+	if err := d.db.DropIndex(rec.Table, ddl.Col, ddl.Kind); err != nil {
+		return err
 	}
 	d.removeDef(rec.Table, ddl.Col, ddl.Kind)
 	return nil
@@ -238,15 +207,15 @@ func (d *DurableDB) replayed(rec wal.Record) (*Table, Op, error) {
 	if err != nil {
 		return nil, op, err
 	}
-	meta := d.tables[rec.Table]
+	l, err := d.db.named(rec.Table)
 	switch {
-	case meta == nil:
-		return nil, op, fmt.Errorf("%w: %q", ErrNoSuchTable, rec.Table)
-	case int(rec.Part) >= len(meta.phys):
+	case err != nil:
+		return nil, op, err
+	case int(rec.Part) >= len(l.phys):
 		return nil, op, fmt.Errorf("engine: record partition %d out of range for %q (%d partitions)",
-			rec.Part, rec.Table, len(meta.phys))
+			rec.Part, rec.Table, len(l.phys))
 	}
-	return meta.phys[rec.Part], op, nil
+	return l.phys[rec.Part], op, nil
 }
 
 // absent is err, or — for a replayed delete that found no key — the

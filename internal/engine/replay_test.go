@@ -225,14 +225,12 @@ func replayOp(rng *rand.Rand, tables []string) Op {
 // the sign of zero included.
 func rowBits(t *testing.T, d *DurableDB, name string) []string {
 	t.Helper()
-	d.mu.RLock()
-	meta := d.tables[name]
-	d.mu.RUnlock()
-	if meta == nil {
+	l := d.db.lookup(name)
+	if l == nil {
 		t.Fatalf("no table %q", name)
 	}
 	var rows []string
-	for _, tb := range meta.phys {
+	for _, tb := range l.phys {
 		tb.ScanLive(func(_ storage.RID, row []float64) bool {
 			var sb strings.Builder
 			for _, v := range row {

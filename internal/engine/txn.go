@@ -25,9 +25,8 @@ var (
 // snapshot taken at Begin, writes are buffered privately and become
 // visible atomically at Commit, which detects write-write conflicts under
 // the first-committer-wins rule. A transaction may span every table
-// ordered by the same commit clock — including the per-partition tables of
-// a partitioned table — and is not safe for concurrent use by multiple
-// goroutines.
+// ordered by the same commit clock — every table and partition of a DB —
+// and is not safe for concurrent use by multiple goroutines.
 type Txn struct {
 	clock *Clock
 	snap  *Snapshot
@@ -46,9 +45,8 @@ type txnWrite struct {
 	del bool
 }
 
-// BeginTxn starts a transaction on the given commit clock. DB.Begin is the
-// common entry point; partitioned tables begin on their shared clock.
-func BeginTxn(clock *Clock) *Txn {
+// beginTxn starts a transaction on the given commit clock (DB.Begin).
+func beginTxn(clock *Clock) *Txn {
 	return &Txn{
 		clock:  clock,
 		snap:   clock.Snapshot(),
@@ -57,7 +55,7 @@ func BeginTxn(clock *Clock) *Txn {
 }
 
 // Begin starts a snapshot-isolation transaction on the database's clock.
-func (db *DB) Begin() *Txn { return BeginTxn(db.clock) }
+func (db *DB) Begin() *Txn { return beginTxn(db.clock) }
 
 // Snapshot returns the transaction's read snapshot, valid until Commit or
 // Rollback. Queries run through Table.Exec with it as Query.Snap observe

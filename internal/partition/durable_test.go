@@ -238,6 +238,59 @@ func TestDurablePartitionedDDLAndGuards(t *testing.T) {
 	}
 }
 
+// TestPartitionedCreateIndexUnwinds: an index build that fails on one
+// partition — here because that partition already has the index, built
+// through Part — is dropped from every partition it was built on, on both
+// kinds of database. The durable one logs nothing of it: after a reopen no
+// partition has the index.
+func TestPartitionedCreateIndexUnwinds(t *testing.T) {
+	dir := t.TempDir()
+	d, err := engine.OpenDurable(dir, hermit.PhysicalPointers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { d.Close() }()
+	for name, db := range map[string]Database{"mem": engine.NewDB(hermit.PhysicalPointers), "durable": d} {
+		t.Run(name, func(t *testing.T) {
+			pt, err := CreateDurable(db, "p", []string{"pk", "v"}, 0, Options{Partitions: 4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 200; i++ {
+				if _, err := pt.Insert([]float64{float64(i), float64(i % 17)}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := pt.Part(2).CreateBTreeIndex(1, false); err != nil {
+				t.Fatal(err)
+			}
+			if err := pt.CreateBTreeIndex(1, false); err == nil {
+				t.Fatal("CreateBTreeIndex succeeded over a partition that already has the index")
+			}
+			for i := 0; i < pt.Partitions(); i++ {
+				if kind := pt.Part(i).IndexOn(1); i != 2 && kind != engine.KindNone {
+					t.Fatalf("failed CreateIndex left %v on partition %d", kind, i)
+				}
+			}
+		})
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if d, err = engine.OpenDurable(dir, hermit.PhysicalPointers); err != nil {
+		t.Fatal(err)
+	}
+	pt, err := OpenDurable(d, "p", Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < pt.Partitions(); i++ {
+		if kind := pt.Part(i).IndexOn(1); kind != engine.KindNone {
+			t.Fatalf("after reopen partition %d has %v: the failed CreateIndex was logged", i, kind)
+		}
+	}
+}
+
 // TestDurablePartitionedBlockTier: checkpoints flush one block stream per
 // partition, TableBlocks reports them, and BlockRead answers from the
 // blocks of the owning partition alone (fences/blooms keep the probe

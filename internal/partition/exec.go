@@ -39,7 +39,19 @@ func (t *Table) ExecuteBatch(ops []engine.Op, workers int) []OpResult {
 		r.Rows, r.Stats, r.Err = t.Exec(op.Query, nil)
 		return r
 	}
-	return engine.ExecBatch(t.mut.begin(), ops, workers, query, func(_ engine.Op, found bool, err error) OpResult {
+	return engine.ExecBatch(named{t.db.BeginBatch(), t.name}, ops, workers, query, func(_ engine.Op, found bool, err error) OpResult {
 		return OpResult{Found: found, Err: err}
 	})
+}
+
+// named is a batch transaction whose mutations are all on one table,
+// whatever their Op.Table says.
+type named struct {
+	engine.BatchTxn
+	table string
+}
+
+func (x named) Mutate(op engine.Op) (bool, error) {
+	op.Table = x.table
+	return x.BatchTxn.Mutate(op)
 }

@@ -1,6 +1,6 @@
-// Package partition implements hash-partitioned tables with parallel
-// scatter-gather execution: a PartitionedTable splits rows across N
-// per-partition engine instances by a hash of the primary key, so each
+// Package partition implements parallel scatter-gather execution over
+// hash-partitioned tables: a table of an engine database split across N
+// per-partition engine tables by a hash of the primary key, so each
 // partition carries its own indexes, latches and planner state (Hermit's
 // succinct secondary indexes keep many of them affordable per partition —
 // the paper's space argument is what makes partition-parallelism cheap).
@@ -16,15 +16,15 @@
 //     range scan returns rows ordered by the predicate column exactly as a
 //     single-partition index scan would.
 //
-// The same wrapper fronts the in-memory engine (New) and the durable
-// engine (CreateDurable/OpenDurable), where mutations go through the
-// WAL-logged DurableDB paths: each record carries its partition id, and
-// checkpoint/recovery rebuild every partition (see engine.DurableDB). A
-// durable table created without partitions opens as a one-partition
-// table, so the serving tier fronts every table with this one type.
-// Explain reports the fan-out with one costed engine plan per partition,
-// and EnableAdvisor runs the self-tuning advisor over aggregated
-// per-partition counters, applying its DDL uniformly to all partitions.
+// The partitions, the routing of writes and the index DDL are the
+// database's: a Table fronts a table of an engine.DB or an
+// engine.DurableDB through the methods the two share (Database), so its
+// writes and DDL go straight into the engine or through the WAL first, and
+// what it adds is the read side. A table created without partitions opens
+// as a one-partition table, so the serving tier fronts every table with
+// this one type. Explain reports the fan-out with one costed engine plan
+// per partition; the database's advisor sees a partitioned table as one
+// table and applies its DDL to every partition.
 package partition
 
 import (
@@ -32,9 +32,9 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
-	"strings"
 	"sync"
 
+	"hermit/internal/advisor"
 	"hermit/internal/correlation"
 	"hermit/internal/engine"
 	"hermit/internal/hermit"
@@ -48,8 +48,7 @@ const DefaultPartitions = 4
 // Options configures a partitioned table.
 type Options struct {
 	// Partitions is the hash-partition count (DefaultPartitions when zero).
-	// OpenDurable ignores it: the count is fixed at creation and recovered
-	// from the manifest.
+	// OpenDurable ignores it: the count is fixed when the table is created.
 	Partitions int
 	// Workers bounds how many per-partition scan tasks run concurrently
 	// across all scatter-gather queries on the table (GOMAXPROCS when
@@ -94,65 +93,89 @@ type Stats struct {
 	PerPartition []engine.QueryStats
 }
 
+// Database is the table surface *engine.DB and *engine.DurableDB share, so
+// a Table — or any caller, such as the scenario harness — can hold either.
+// The database owns the partitions, routes writes by primary key and
+// applies index DDL to every partition; the DurableDB logs both first.
+type Database interface {
+	CreateTable(name string, cols []string, pkCol int) (*engine.Table, error)
+	CreatePartitionedTable(name string, cols []string, pkCol, parts int) error
+	Partitions(name string) (int, error)
+	Table(name string) (*engine.Table, error)
+	Clock() *engine.Clock
+	Insert(table string, row []float64) (storage.RID, error)
+	Delete(table string, pk float64) (bool, error)
+	UpdateColumn(table string, pk float64, col int, v float64) error
+	CreateIndex(table string, def engine.IndexDef) error
+	DropIndex(table string, col int, kind string) error
+	BeginBatch() engine.BatchTxn
+	EnableAdvisor(opts engine.AdvisorOptions) *advisor.Advisor
+}
+
 // Table is a hash-partitioned table: N per-partition engine tables behind
 // one logical name, with scatter-gather query execution. It is safe for
 // concurrent use — partitions inherit the engine's fine-grained latching,
 // and cross-partition state (the scatter pool) is its own synchronisation.
 type Table struct {
+	db    Database
 	name  string
 	cols  []string
 	pkCol int
-	clock *engine.Clock // shared by every partition: one commit order
+	clock *engine.Clock // the database's: one commit order for every partition
 	parts []*engine.Table
 	sem   chan struct{}
-	mut   mutator
 }
 
-// mutator is the write/DDL backend: direct engine calls for in-memory
-// tables, the WAL-logged DurableDB paths for durable ones.
-type mutator interface {
-	insert(part int, row []float64) (storage.RID, error)
-	remove(part int, pk float64) (bool, error)
-	update(part int, pk float64, col int, v float64) error
-	createBTree(col int, markNew bool) error
-	createHermit(col, host int, params trstree.Params) error
-	dropIndex(col int, kind engine.IndexKind) error
-	// begin starts an atomic cross-partition transaction (ExecuteBatch's
-	// substrate): mutations buffer, route by primary key, and commit with
-	// one clock advance, so no snapshot ever observes a partial batch.
-	begin() engine.BatchTxn
-}
-
-// New creates an in-memory partitioned table: one private engine.DB per
-// partition (so partitions share nothing but the commit clock — the
-// shared clock is what makes cross-partition snapshots and atomic batches
-// consistent), each holding one table of the given schema. Names
-// containing '#' are rejected — the character is reserved for partition
-// naming.
+// New creates an in-memory partitioned table: a DB of its own holding it
+// (see CreateDurable).
 func New(scheme hermit.PointerScheme, name string, cols []string, pkCol int, opts Options) (*Table, error) {
-	if strings.Contains(name, "#") {
-		return nil, fmt.Errorf("partition: table name %q: '#' is reserved for partitions", name)
-	}
+	return CreateDurable(engine.NewDB(scheme), name, cols, pkCol, opts)
+}
+
+// CreateDurable creates a partitioned table in db — a DurableDB, which
+// WAL-logs it, or an in-memory DB — and returns its scatter-gather
+// wrapper. The partition count is fixed for the life of the table.
+func CreateDurable(db Database, name string, cols []string, pkCol int, opts Options) (*Table, error) {
 	opts = opts.sanitized()
-	clock := engine.NewClock()
-	parts := make([]*engine.Table, opts.Partitions)
+	if err := db.CreatePartitionedTable(name, cols, pkCol, opts.Partitions); err != nil {
+		return nil, err
+	}
+	return OpenDurable(db, name, opts)
+}
+
+// OpenDurable wraps an existing table of db — created by CreateDurable or
+// CreateTable, or recovered by engine.OpenDurable — in its scatter-gather
+// wrapper. A table created without partitions is wrapped as its only
+// partition: its queries gather on the caller, with no fan-out and no pool
+// slot, and still return rows ordered by the predicate column.
+// Options.Partitions is ignored — the table's own count wins;
+// Options.Workers sizes the scatter pool of a partitioned table. A wrapper
+// holds the engine tables of its partitions, which DDL changes in place,
+// so it stays good for the life of the database.
+func OpenDurable(db Database, name string, opts Options) (*Table, error) {
+	n, err := db.Partitions(name)
+	if err != nil {
+		return nil, err
+	}
+	parts := make([]*engine.Table, max(n, 1))
 	for i := range parts {
-		tb, err := engine.NewDBWithClock(scheme, clock).CreateTable(name, cols, pkCol)
-		if err != nil {
+		phys := name
+		if n > 0 {
+			phys = engine.PartitionName(name, i)
+		}
+		if parts[i], err = db.Table(phys); err != nil {
 			return nil, err
 		}
-		parts[i] = tb
 	}
-	t := &Table{
+	return &Table{
+		db:    db,
 		name:  name,
-		cols:  append([]string(nil), cols...),
-		pkCol: pkCol,
-		clock: clock,
+		cols:  parts[0].Columns(),
+		pkCol: parts[0].PKCol(),
+		clock: db.Clock(),
 		parts: parts,
-		sem:   make(chan struct{}, opts.Workers),
-	}
-	t.mut = memMutator{t}
-	return t, nil
+		sem:   make(chan struct{}, opts.sanitized().Workers),
+	}, nil
 }
 
 // Snapshot registers a consistent read view across every partition: all
@@ -224,30 +247,27 @@ func (t *Table) SetProfile(on bool) {
 // owner returns the partition owning primary key pk.
 func (t *Table) owner(pk float64) int { return engine.PartitionOf(pk, len(t.parts)) }
 
-// Insert routes the row to its primary key's hash partition.
+// Insert adds the row to its primary key's hash partition.
 func (t *Table) Insert(row []float64) (RID, error) {
 	if len(row) != len(t.cols) {
 		return RID{}, storage.ErrBadRow
 	}
-	p := t.owner(row[t.pkCol])
-	rid, err := t.mut.insert(p, row)
+	rid, err := t.db.Insert(t.name, row)
 	if err != nil {
 		return RID{}, err
 	}
-	return RID{Part: p, RID: rid}, nil
+	return RID{Part: t.owner(row[t.pkCol]), RID: rid}, nil
 }
 
 // Delete removes the row with the given primary key from its partition,
 // reporting whether the key existed.
-func (t *Table) Delete(pk float64) (bool, error) {
-	return t.mut.remove(t.owner(pk), pk)
-}
+func (t *Table) Delete(pk float64) (bool, error) { return t.db.Delete(t.name, pk) }
 
 // UpdateColumn changes one column of the row with the given primary key in
 // its partition. The primary-key column itself cannot be changed (it would
 // have to migrate partitions); delete and re-insert instead.
 func (t *Table) UpdateColumn(pk float64, col int, v float64) error {
-	return t.mut.update(t.owner(pk), pk, col, v)
+	return t.db.UpdateColumn(t.name, pk, col, v)
 }
 
 // Exec answers q with whole rows, like engine.Table.Exec: it appends every
@@ -529,24 +549,22 @@ func (t *Table) FetchRow(rid RID) ([]float64, error) {
 }
 
 // CreateBTreeIndex builds a complete B+-tree index on col in every
-// partition. markNew tags the indexes for the insert-cost breakdown.
+// partition (engine.DB.CreateIndex). markNew tags the indexes for the
+// insert-cost breakdown.
 func (t *Table) CreateBTreeIndex(col int, markNew bool) error {
-	return t.mut.createBTree(col, markNew)
+	return t.db.CreateIndex(t.name, engine.IndexDef{Kind: "btree", Col: col, MarkNew: markNew})
 }
 
 // CreateHermitIndex builds a Hermit index on col hosted by host in every
 // partition. The zero Params value selects the paper defaults.
 func (t *Table) CreateHermitIndex(col, host int, params trstree.Params) error {
-	if params == (trstree.Params{}) {
-		params = trstree.DefaultParams()
-	}
-	return t.mut.createHermit(col, host, params)
+	return t.db.CreateIndex(t.name, engine.IndexDef{Kind: "hermit", Col: col, Host: host, Params: params})
 }
 
 // DropIndex removes the index of the given kind on col from every
 // partition.
 func (t *Table) DropIndex(col int, kind engine.IndexKind) error {
-	return t.mut.dropIndex(col, kind)
+	return t.db.DropIndex(t.name, col, kind.String())
 }
 
 // CreateIndexAuto runs the paper's index-creation flow on the partitioned
@@ -571,90 +589,3 @@ func (t *Table) CreateIndexAuto(col int, disc correlation.Config) (engine.IndexK
 	}
 	return engine.KindBTree, nil
 }
-
-// memMutator applies writes and DDL directly to the in-memory partitions.
-type memMutator struct{ t *Table }
-
-func (m memMutator) insert(part int, row []float64) (storage.RID, error) {
-	return m.t.parts[part].Insert(row)
-}
-
-func (m memMutator) remove(part int, pk float64) (bool, error) {
-	return m.t.parts[part].Delete(pk)
-}
-
-func (m memMutator) update(part int, pk float64, col int, v float64) error {
-	return m.t.parts[part].UpdateColumn(pk, col, v)
-}
-
-func (m memMutator) createBTree(col int, markNew bool) error {
-	return m.ddl(col, engine.KindBTree, func(p *engine.Table) error {
-		_, err := p.CreateBTreeIndex(col, markNew)
-		return err
-	})
-}
-
-func (m memMutator) createHermit(col, host int, params trstree.Params) error {
-	return m.ddl(col, engine.KindHermit, func(p *engine.Table) error {
-		_, err := p.CreateHermitIndex(col, host, engine.WithParams(params))
-		return err
-	})
-}
-
-// ddl applies one index build to every partition, unwinding the partitions
-// already built on partial failure so index state stays uniform.
-func (m memMutator) ddl(col int, kind engine.IndexKind, build func(p *engine.Table) error) error {
-	for i, p := range m.t.parts {
-		if err := build(p); err != nil {
-			for j := 0; j < i; j++ {
-				m.t.parts[j].DropIndex(col, kind)
-			}
-			return err
-		}
-	}
-	return nil
-}
-
-func (m memMutator) dropIndex(col int, kind engine.IndexKind) error {
-	for _, p := range m.t.parts {
-		if err := p.DropIndex(col, kind); err != nil {
-			// Uniform DDL means a refused drop fails on partition 0, before
-			// any partition changed.
-			return err
-		}
-	}
-	return nil
-}
-
-func (m memMutator) begin() engine.BatchTxn {
-	return &memTxn{t: m.t, x: engine.BeginTxn(m.t.clock)}
-}
-
-// memTxn is an atomic cross-partition transaction over the in-memory
-// partitions: one engine.Txn spanning the per-partition tables, which all
-// share the table's commit clock.
-type memTxn struct {
-	t *Table
-	x *engine.Txn
-}
-
-func (x *memTxn) Snapshot() *engine.Snapshot { return x.x.Snapshot() }
-
-// Mutate buffers op on the partition that owns its key.
-func (x *memTxn) Mutate(op engine.Op) (bool, error) {
-	pk := op.PK
-	if op.Kind == engine.OpInsert {
-		if len(op.Row) != len(x.t.cols) {
-			return false, storage.ErrBadRow
-		}
-		pk = op.Row[x.t.pkCol]
-	}
-	return x.x.Mutate(x.t.parts[x.t.owner(pk)], op)
-}
-
-func (x *memTxn) Commit() error {
-	_, err := x.x.Commit()
-	return err
-}
-
-func (x *memTxn) Rollback() { x.x.Rollback() }

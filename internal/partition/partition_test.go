@@ -261,46 +261,75 @@ func TestCreateIndexAutoUniform(t *testing.T) {
 	}
 }
 
+// TestAdvisorAggregatesAndTunesAllPartitions runs the database's advisor
+// over a partitioned table of each kind of database: it sees one table,
+// its query counters summed over the partitions, and builds the index on
+// every partition alike — on the durable one through the log, so the
+// index is back on every partition after a reopen.
 func TestAdvisorAggregatesAndTunesAllPartitions(t *testing.T) {
 	spec := workload.SyntheticSpec{Rows: 4000, Fn: workload.Linear, Noise: 0.01, Seed: 7}
-	pt, err := New(hermit.PhysicalPointers, "syn", spec.Columns(), spec.PKCol(),
-		Options{Partitions: 3})
+	dir := t.TempDir()
+	d, err := engine.OpenDurable(dir, hermit.PhysicalPointers)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := spec.Generate(func(row []float64) error {
-		_, err := pt.Insert(row)
-		return err
-	}); err != nil {
+	defer func() { d.Close() }()
+	for name, db := range map[string]Database{"mem": engine.NewDB(hermit.PhysicalPointers), "durable": d} {
+		t.Run(name, func(t *testing.T) {
+			pt, err := CreateDurable(db, "syn", spec.Columns(), spec.PKCol(), Options{Partitions: 3})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := spec.Generate(func(row []float64) error {
+				_, err := pt.Insert(row)
+				return err
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if err := pt.CreateBTreeIndex(spec.HostCol(), false); err != nil {
+				t.Fatal(err)
+			}
+			// Drive queries at the unindexed target column so the advisor
+			// sees a hot column in the aggregated counters.
+			for i := 0; i < 200; i++ {
+				if _, _, err := rowsOf(pt, engine.Query{Col: spec.TargetCol(), Lo: float64(i % 900), Hi: float64(i%900) + 20}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			opts := advisor.DefaultOptions()
+			opts.Interval = 0 // manual: act only on RunOnce
+			adv := db.EnableAdvisor(opts)
+			defer adv.Stop()
+			if _, err := adv.RunOnce(); err != nil {
+				t.Fatal(err)
+			}
+			uniformIndex(t, pt, spec.TargetCol())
+		})
+	}
+	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := pt.CreateBTreeIndex(spec.HostCol(), false); err != nil {
+	if d, err = engine.OpenDurable(dir, hermit.PhysicalPointers); err != nil {
 		t.Fatal(err)
 	}
-	// Drive queries at the unindexed target column so the advisor sees a
-	// hot column in the aggregated counters.
-	for i := 0; i < 200; i++ {
-		if _, _, err := rowsOf(pt, engine.Query{Col: spec.TargetCol(), Lo: float64(i % 900), Hi: float64(i%900) + 20}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	opts := advisor.DefaultOptions()
-	opts.Interval = 0 // manual: act only on RunOnce
-	adv := pt.EnableAdvisor(opts)
-	defer adv.Stop()
-	if _, err := adv.RunOnce(); err != nil {
+	pt, err := OpenDurable(d, "syn", Options{})
+	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < pt.Partitions(); i++ {
-		if got := pt.Part(i).IndexOn(spec.TargetCol()); got == engine.KindNone {
-			t.Fatalf("advisor left partition %d unindexed on the hot column", i)
-		}
+	uniformIndex(t, pt, spec.TargetCol())
+}
+
+// uniformIndex fails unless every partition of pt serves col with one and
+// the same index kind.
+func uniformIndex(t *testing.T, pt *Table, col int) {
+	t.Helper()
+	want := pt.Part(0).IndexOn(col)
+	if want == engine.KindNone {
+		t.Fatal("partition 0 left unindexed on the hot column")
 	}
-	// All partitions must agree on the mechanism (uniform DDL).
-	want := pt.Part(0).IndexOn(spec.TargetCol())
 	for i := 1; i < pt.Partitions(); i++ {
-		if got := pt.Part(i).IndexOn(spec.TargetCol()); got != want {
-			t.Fatalf("partition %d built %v, partition 0 built %v", i, got, want)
+		if got := pt.Part(i).IndexOn(col); got != want {
+			t.Fatalf("partition %d serves col %d with %v, partition 0 with %v", i, col, got, want)
 		}
 	}
 }

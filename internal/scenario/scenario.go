@@ -28,8 +28,8 @@ import (
 // package; the wire kinds only need an address, so the harness stays
 // deployment-agnostic.
 const (
-	// TargetEmbed replays against an in-memory engine.DB (or
-	// partition.New tables when the spec partitions).
+	// TargetEmbed replays against an in-memory engine.DB (its tables
+	// partitioned when the spec says so).
 	TargetEmbed = "embed"
 	// TargetDurable replays against a WAL-backed engine.DurableDB under a
 	// temp dir (partitioned when the spec says so).

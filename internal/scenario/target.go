@@ -87,66 +87,51 @@ func IsAbort(err error) bool {
 		errors.Is(err, client.ErrConflict)
 }
 
-// table adapts the three embedded table flavours (engine, partitioned,
-// durable flavours of both) behind one op surface.
-type table interface {
-	// query answers q and reports how many rows matched.
-	query(q engine.Query) (int, error)
-	insert(row []float64) error
-	update(pk float64, col int, v float64) error
-	del(pk float64) (bool, error)
-	atomic(members []Op) error
-}
-
 // embedTarget hosts the in-process kinds: a volatile engine.DB when dir
-// is empty, a WAL-backed DurableDB otherwise; per-tenant tables are
-// hash-partitioned when the spec says so.
+// is empty, a WAL-backed DurableDB otherwise. Every tenant table is served
+// through a partition.Table, hash-partitioned when the spec says so.
 type embedTarget struct {
-	dir      string
-	d        *engine.DurableDB
-	db       *engine.DB
-	tables   []table
-	advisors []*advisor.Advisor
+	dir     string
+	d       *engine.DurableDB
+	tables  []*partition.Table
+	advisor *advisor.Advisor
 }
 
 // Setup implements Target.
 func (t *embedTarget) Setup(spec *Spec) error {
+	var db partition.Database = engine.NewDB(hermit.PhysicalPointers)
 	if t.dir != "" {
 		d, err := engine.OpenDurable(t.dir, hermit.PhysicalPointers)
 		if err != nil {
 			return err
 		}
-		t.d = d
-	} else {
-		t.db = engine.NewDB(hermit.PhysicalPointers)
+		t.d, db = d, d
 	}
 	cols, parts := spec.Columns(), spec.Table.Partitions
 	for i := 0; i < spec.tenantCount(); i++ {
 		name := TableName(i)
-		tb, err := t.createTable(name, cols, parts)
+		var err error
+		if parts > 0 {
+			err = db.CreatePartitionedTable(name, cols, 0, parts)
+		} else {
+			_, err = db.CreateTable(name, cols, 0)
+		}
+		if err != nil {
+			return err
+		}
+		pt, err := partition.OpenDurable(db, name, partition.Options{})
 		if err != nil {
 			return err
 		}
 		for _, col := range spec.Table.BTreeCols {
-			if err := tb.(indexed).createBTree(col); err != nil {
+			if err := pt.CreateBTreeIndex(col, false); err != nil {
 				return err
 			}
 		}
-		t.tables = append(t.tables, tb)
-		if spec.Advisor {
-			if pt, ok := tb.(*partTable); ok {
-				t.advisors = append(t.advisors, pt.t.EnableAdvisor(advisorOpts()))
-			}
-		}
+		t.tables = append(t.tables, pt)
 	}
 	if spec.Advisor {
-		// Non-partitioned tables share one DB-level advisor.
-		switch {
-		case t.d != nil && spec.Table.Partitions == 0:
-			t.advisors = append(t.advisors, t.d.EnableAdvisor(advisorOpts()))
-		case t.db != nil && spec.Table.Partitions == 0:
-			t.advisors = append(t.advisors, t.db.EnableAdvisor(advisorOpts()))
-		}
+		t.advisor = db.EnableAdvisor(advisorOpts())
 	}
 	return nil
 }
@@ -162,36 +147,6 @@ func advisorOpts() engine.AdvisorOptions {
 	}
 }
 
-// createTable creates one tenant table in whichever engine is open.
-func (t *embedTarget) createTable(name string, cols []string, parts int) (table, error) {
-	switch {
-	case t.d != nil && parts > 0:
-		pt, err := partition.CreateDurable(t.d, name, cols, 0, partition.Options{Partitions: parts})
-		if err != nil {
-			return nil, err
-		}
-		return &partTable{t: pt}, nil
-	case t.d != nil:
-		tb, err := t.d.CreateTable(name, cols, 0)
-		if err != nil {
-			return nil, err
-		}
-		return &engineTable{t: tb, d: t.d, name: name}, nil
-	case parts > 0:
-		pt, err := partition.New(hermit.PhysicalPointers, name, cols, 0, partition.Options{Partitions: parts})
-		if err != nil {
-			return nil, err
-		}
-		return &partTable{t: pt}, nil
-	default:
-		tb, err := t.db.CreateTable(name, cols, 0)
-		if err != nil {
-			return nil, err
-		}
-		return &engineTable{t: tb, db: t.db, name: name}, nil
-	}
-}
-
 // Session implements Target; embedded sessions share the engine, which
 // is safe for concurrent use.
 func (t *embedTarget) Session() (Session, error) {
@@ -200,8 +155,8 @@ func (t *embedTarget) Session() (Session, error) {
 
 // Close implements Target.
 func (t *embedTarget) Close() error {
-	for _, a := range t.advisors {
-		a.Stop()
+	if t.advisor != nil {
+		t.advisor.Stop()
 	}
 	if t.d != nil {
 		return t.d.Close()
@@ -209,24 +164,23 @@ func (t *embedTarget) Close() error {
 	return nil
 }
 
-// indexed is the setup-time DDL surface of the embedded table adapters.
-type indexed interface{ createBTree(col int) error }
-
-// embedSession routes ops to the tenant's table adapter.
-type embedSession struct{ tables []table }
+// embedSession applies ops to the tenant's table.
+type embedSession struct{ tables []*partition.Table }
 
 // Apply implements Session.
 func (s *embedSession) Apply(op *Op) (int, error) {
 	tb := s.tables[op.Tenant]
 	switch op.Kind {
 	case OpPoint, OpRange:
-		return tb.query(engineQuery(op))
+		_, st, err := tb.Exec(engineQuery(op), nil)
+		return st.Rows, err
 	case OpInsert:
-		return 1, tb.insert(op.Row)
+		_, err := tb.Insert(op.Row)
+		return 1, err
 	case OpUpdate:
-		return 1, tb.update(op.Key, op.Col, op.Val)
+		return 1, tb.UpdateColumn(op.Key, op.Col, op.Val)
 	case OpDelete:
-		found, err := tb.del(op.Key)
+		found, err := tb.Delete(op.Key)
 		if err != nil {
 			return 0, err
 		}
@@ -235,7 +189,8 @@ func (s *embedSession) Apply(op *Op) (int, error) {
 		}
 		return 0, nil
 	case OpTxn:
-		return len(op.Members), tb.atomic(op.Members)
+		results := tb.ExecuteBatch(engineOps(op.Members), 1)
+		return len(op.Members), batchError(len(results), func(i int) error { return results[i].Err })
 	default:
 		return 0, fmt.Errorf("scenario: unknown op kind %d", op.Kind)
 	}
@@ -243,73 +198,6 @@ func (s *embedSession) Apply(op *Op) (int, error) {
 
 // Close implements Session (embedded sessions hold no resources).
 func (s *embedSession) Close() error { return nil }
-
-// engineTable adapts a plain engine.Table; atomic batches go through the
-// owning DB/DurableDB executor so they carry the table name.
-type engineTable struct {
-	t    *engine.Table
-	db   *engine.DB
-	d    *engine.DurableDB
-	name string
-}
-
-func (e *engineTable) query(q engine.Query) (int, error) {
-	_, st, err := e.t.Exec(q, nil)
-	return st.Rows, err
-}
-
-func (e *engineTable) insert(row []float64) error {
-	_, err := e.t.Insert(row)
-	return err
-}
-
-func (e *engineTable) update(pk float64, col int, v float64) error {
-	return e.t.UpdateColumn(pk, col, v)
-}
-
-func (e *engineTable) del(pk float64) (bool, error) { return e.t.Delete(pk) }
-
-func (e *engineTable) createBTree(col int) error {
-	_, err := e.t.CreateBTreeIndex(col, false)
-	return err
-}
-
-func (e *engineTable) atomic(members []Op) error {
-	ops := engineOps(members, e.name)
-	var results []engine.OpResult
-	if e.d != nil {
-		results = e.d.ExecuteBatch(ops, 1)
-	} else {
-		results = e.db.ExecuteBatch(ops, 1)
-	}
-	return batchError(len(results), func(i int) error { return results[i].Err })
-}
-
-// partTable adapts a partitioned table (volatile or durable).
-type partTable struct{ t *partition.Table }
-
-func (p *partTable) query(q engine.Query) (int, error) {
-	_, st, err := p.t.Exec(q, nil)
-	return st.Rows, err
-}
-
-func (p *partTable) insert(row []float64) error {
-	_, err := p.t.Insert(row)
-	return err
-}
-
-func (p *partTable) update(pk float64, col int, v float64) error {
-	return p.t.UpdateColumn(pk, col, v)
-}
-
-func (p *partTable) del(pk float64) (bool, error) { return p.t.Delete(pk) }
-
-func (p *partTable) createBTree(col int) error { return p.t.CreateBTreeIndex(col, false) }
-
-func (p *partTable) atomic(members []Op) error {
-	results := p.t.ExecuteBatch(engineOps(members, ""), 1)
-	return batchError(len(results), func(i int) error { return results[i].Err })
-}
 
 // engineQuery lowers a compiled point or range read to an engine query.
 func engineQuery(op *Op) engine.Query {
@@ -320,18 +208,18 @@ func engineQuery(op *Op) engine.Query {
 }
 
 // engineOps lowers compiled txn members to engine batch ops.
-func engineOps(members []Op, tableName string) []engine.Op {
+func engineOps(members []Op) []engine.Op {
 	ops := make([]engine.Op, len(members))
 	for i, m := range members {
 		switch m.Kind {
 		case OpPoint, OpRange:
-			ops[i] = engine.Op{Table: tableName, Kind: engine.OpQuery, Query: engineQuery(&m)}
+			ops[i] = engine.Op{Kind: engine.OpQuery, Query: engineQuery(&m)}
 		case OpUpdate:
-			ops[i] = engine.Op{Table: tableName, Kind: engine.OpUpdate, PK: m.Key, Col: m.Col, Value: m.Val}
+			ops[i] = engine.Op{Kind: engine.OpUpdate, PK: m.Key, Col: m.Col, Value: m.Val}
 		case OpInsert:
-			ops[i] = engine.Op{Table: tableName, Kind: engine.OpInsert, Row: m.Row}
+			ops[i] = engine.Op{Kind: engine.OpInsert, Row: m.Row}
 		case OpDelete:
-			ops[i] = engine.Op{Table: tableName, Kind: engine.OpDelete, PK: m.Key}
+			ops[i] = engine.Op{Kind: engine.OpDelete, PK: m.Key}
 		}
 	}
 	return ops
