@@ -49,7 +49,7 @@ func main() {
 		httpAddr    = flag.String("http", "", "HTTP listen address for /v1/stats, /healthz, /v1/promote and pprof ('' disables)")
 		maxInflight = flag.Int("max-inflight", 256, "max admitted requests server-wide before shedding")
 		queueDepth  = flag.Int("queue-depth", 128, "per-session pipelining queue depth")
-		workers     = flag.Int("workers", 0, "batch executor workers (0 = GOMAXPROCS)")
+		workers     = flag.Int("workers", 0, "read pool workers, and the bound on each read's partition legs (0 = GOMAXPROCS)")
 		tenantOps   = flag.Int64("tenant-ops", 0, "per-tenant lifetime op quota (0 = unlimited)")
 		drain       = flag.Duration("drain", 5*time.Second, "graceful shutdown drain timeout")
 		physical    = flag.Bool("physical", true, "physical (true) or logical (false) Hermit pointer scheme")

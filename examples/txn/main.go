@@ -111,9 +111,9 @@ func run(w io.Writer) error {
 
 	// Batches with mutations are one atomic transaction: the duplicate
 	// insert below aborts the whole batch, so account 99 never appears.
-	res := tb.ExecuteBatch([]hermitdb.Op{
-		{Kind: hermitdb.OpInsert, Row: []float64{99, 1000}},
-		{Kind: hermitdb.OpInsert, Row: []float64{3, 0}}, // duplicate id
+	res := db.ExecuteBatch([]hermitdb.Op{
+		{Table: tb.Name(), Kind: hermitdb.OpInsert, Row: []float64{99, 1000}},
+		{Table: tb.Name(), Kind: hermitdb.OpInsert, Row: []float64{3, 0}}, // duplicate id
 	}, 2)
 	fmt.Fprintf(w, "atomic batch: op0 err=%v\n", res[0].Err)
 	if _, st, _ := tb.Exec(hermitdb.Query{Col: 0, Lo: 99, Hi: 99}, nil); st.Rows == 0 {

@@ -144,17 +144,18 @@ func WithSnapshot(db *DB, fn func(*Snapshot) error) error {
 
 // Concurrent serving. Tables are safe for concurrent use: queries take
 // per-index read latches, writers take a per-key stripe plus the latches
-// of the structures they touch (see internal/engine). The batched executor
-// executes a slice of operations; a batch containing mutations runs as ONE
-// atomic snapshot-isolation transaction (all-or-nothing, queries reading
-// the batch-start snapshot), while read-only batches drain across a worker
+// of the structures they touch (see internal/engine). A database's batched
+// executor executes a slice of operations on the tables they name, plain
+// or partitioned; a batch containing mutations runs as ONE atomic
+// snapshot-isolation transaction (all-or-nothing, queries reading the
+// batch-start snapshot), while read-only batches drain across a worker
 // pool sharing one snapshot:
 //
 //	ops := []hermitdb.Op{
-//		{Kind: hermitdb.OpQuery, Query: hermitdb.Query{Col: 2, Lo: 100, Hi: 120}},
-//		{Kind: hermitdb.OpInsert, Row: []float64{9, 1, 2, 3}},
+//		{Table: "stocks", Kind: hermitdb.OpQuery, Query: hermitdb.Query{Col: 2, Lo: 100, Hi: 120}},
+//		{Table: "stocks", Kind: hermitdb.OpInsert, Row: []float64{9, 1, 2}},
 //	}
-//	results := tb.ExecuteBatch(ops, 8)
+//	results := db.ExecuteBatch(ops, 8)
 type (
 	// RID is a physical record identifier ("blockID+offset", §5.1): the
 	// address of one version of a row, good for as long as that version is
@@ -186,12 +187,12 @@ const (
 // (each with its own indexes, latches and planner state) by a hash of the
 // primary key. Both databases hold them: DB.CreatePartitionedTable and
 // DurableDB.CreatePartitionedTable create one, the database routes its
-// writes by key and applies index DDL to every partition (the DurableDB
-// logs both, each WAL record carrying its partition id), and the advisor
-// sees it as one table. A PartitionedTable fronts one, plain or
-// partitioned, in either database: pk point queries route to one
-// partition, range queries fan out across a bounded worker pool and
-// return an ordered merge.
+// writes by key, applies index DDL to every partition (the DurableDB logs
+// both, each WAL record carrying its partition id) and reads it
+// (DB.Exec): a pk point query routes to one partition, any other query
+// runs on every partition, on at most a given number of goroutines, and
+// returns an ordered merge; the advisor sees it as one table. A
+// PartitionedTable fronts one, plain or partitioned, in either database.
 //
 //	pt, _ := hermitdb.CreatePartitionedTable(hermitdb.PhysicalPointers,
 //		"orders", cols, 0, hermitdb.PartitionOptions{Partitions: 8})
@@ -200,19 +201,18 @@ type (
 	// PartitionedTable is a hash-partitioned table with scatter-gather
 	// execution (see internal/partition).
 	PartitionedTable = partition.Table
-	// PartitionOptions selects the partition count and scatter pool bound.
+	// PartitionOptions selects the partition count and the bound on each
+	// read's goroutines.
 	PartitionOptions = partition.Options
 	// PartitionedRID identifies a row as (partition, in-partition RID).
 	PartitionedRID = partition.RID
-	// PartitionStats describes a partitioned query's execution (fan-out,
-	// routing, merged row counts, per-partition stats).
-	PartitionStats = partition.Stats
+	// PartitionStats describes one read of a table, plain or partitioned
+	// (fan-out, routing, merged row counts, per-partition stats): what
+	// PartitionedTable.Exec and a batch's OpResult.Stats report.
+	PartitionStats = engine.GatherStats
 	// PartitionedPlan is Explain's fan-out report: one costed engine plan
 	// per executing partition plus total/critical-path cost.
 	PartitionedPlan = partition.Plan
-	// PartitionedOpResult is the outcome of one batched op on a
-	// partitioned table.
-	PartitionedOpResult = partition.OpResult
 )
 
 // Partitioned-table constructors, re-exported from internal/partition.

@@ -3,6 +3,7 @@ package difftest
 import (
 	"fmt"
 	"math/rand"
+	"path/filepath"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -22,7 +23,9 @@ import (
 //     durable atomic executor and compares against an oracle that applies
 //     each batch all-or-nothing — including batches built to fail partway,
 //     which must leave the system byte-identical to the oracle's untouched
-//     state. The database is closed, reopened and checkpointed mid-stream,
+//     state — and whose range queries read the oracle's state before the
+//     batch. The stream runs against a plain and then a partitioned durable
+//     table. The database is closed, reopened and checkpointed mid-stream,
 //     so committed transaction groups also round-trip the WAL.
 //
 //   - "snapshot-scan" pins the cross-partition snapshot guarantee: a
@@ -86,11 +89,25 @@ func (m *model) applyBatch(ops []engine.Op) int {
 	return -1
 }
 
-// runTxn is the "txn" configuration driver.
+// runTxn is the "txn" configuration driver: the batch stream against a
+// plain durable table, then against a partitioned one, each in a directory
+// of its own.
 func runTxn(cfg Config) error {
+	for _, sysName := range []string{"durable", "durable-partitioned"} {
+		c := cfg
+		c.Dir = filepath.Join(cfg.Dir, sysName)
+		if err := runTxnOn(sysName, c); err != nil {
+			return fmt.Errorf("%s: %w", sysName, err)
+		}
+	}
+	return nil
+}
+
+// runTxnOn drives the "txn" stream against the named durable system.
+func runTxnOn(sysName string, cfg Config) error {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	s := genSchema(rng)
-	sys, err := build("durable", cfg, s)
+	sys, err := build(sysName, cfg, s)
 	if err != nil {
 		return err
 	}
@@ -115,14 +132,24 @@ func runTxn(cfg Config) error {
 	cyclePeriod := batches/4 + 1
 	width := len(s.cols)
 	for step := 0; step < batches; step++ {
-		// Build a 2–8 op mutation batch; ~1/4 of batches contain an op
-		// built to fail (duplicate insert or update of an absent key), so
-		// the all-or-nothing abort path is exercised constantly.
+		// Build a 2–8 op batch, mostly mutations; ~1/4 of batches contain
+		// an op built to fail (duplicate insert or update of an absent
+		// key), so the all-or-nothing abort path is exercised constantly.
+		// A query reads the batch-start snapshot: the oracle's state
+		// before the batch, whether or not the batch commits.
 		n := 2 + rng.Intn(7)
 		ops := make([]engine.Op, 0, n)
+		wants := make(map[int][][]float64)
 		for i := 0; i < n; i++ {
 			switch p := rng.Float64(); {
-			case p < 0.40:
+			case p < 0.15:
+				col := rng.Intn(width)
+				lo, hi := s.valueRange(col)
+				qlo := lo + rng.Float64()*(hi-lo)
+				qhi := qlo + rng.Float64()*rng.Float64()*(hi-lo)
+				wants[len(ops)] = m.query(col, qlo, qhi)
+				ops = append(ops, engine.Op{Table: "t", Kind: engine.OpQuery, Query: engine.Query{Col: col, Lo: qlo, Hi: qhi}})
+			case p < 0.50:
 				var row []float64
 				if pk, ok := m.pick(rng); ok && rng.Float64() < 0.12 {
 					row = s.row(rng, pk) // duplicate: poisons the batch
@@ -131,7 +158,7 @@ func runTxn(cfg Config) error {
 					nextPK++
 				}
 				ops = append(ops, engine.Op{Table: "t", Kind: engine.OpInsert, Row: row})
-			case p < 0.65:
+			case p < 0.70:
 				pk, ok := m.pick(rng)
 				if !ok || rng.Float64() < 0.25 {
 					pk = nextPK + 5000 + rng.Float64() // absent: found=false, no failure
@@ -153,6 +180,13 @@ func runTxn(cfg Config) error {
 		wantFail := m.applyBatch(ops)
 		res := ds.d.ExecuteBatch(ops, 1+rng.Intn(4))
 		for i, r := range res {
+			if want, ok := wants[i]; ok {
+				if err := batchRows(r, ops[i].Query, want, width); err != nil {
+					return Failure{step, fmt.Sprintf("batch query %d col=%d [%v,%v]: %v",
+						i, ops[i].Query.Col, ops[i].Query.Lo, ops[i].Query.Hi, err)}
+				}
+				continue
+			}
 			// On an oracle-predicted abort every mutation must error; on a
 			// committed batch none may. (Found-ness and row contents are
 			// cross-checked by the periodic full-state audits.)
@@ -189,6 +223,21 @@ func runTxn(cfg Config) error {
 	return audit(m, ds, batches)
 }
 
+// batchRows checks a batch query's answer against the oracle's rows: no
+// error, the rows in predicate-column order, and the same rows bit for bit.
+func batchRows(r engine.OpResult, q engine.Query, want [][]float64, width int) error {
+	if r.Err != nil {
+		return r.Err
+	}
+	got := engine.SplitRows(r.Rows, width, nil)
+	for j := 1; j < len(got); j++ {
+		if got[j][q.Col] < got[j-1][q.Col] {
+			return fmt.Errorf("row %d out of predicate-column order: %v after %v", j, got[j], got[j-1])
+		}
+	}
+	return sameRows(want, sortRows(got))
+}
+
 // runSnapshotScan is the "snapshot-scan" configuration driver.
 func runSnapshotScan(cfg Config) error {
 	rng := rand.New(rand.NewSource(cfg.Seed))
@@ -199,8 +248,8 @@ func runSnapshotScan(cfg Config) error {
 	// Schema: pk | gen (the generation every marker row carries) | tag
 	// (1 for marker rows, 0 for churn rows).
 	cols := []string{"pk", "gen", "tag"}
-	pt, err := partition.New(hermit.PhysicalPointers, "t", cols, 0,
-		partition.Options{Partitions: parts, Workers: 2})
+	db := engine.NewDB(hermit.PhysicalPointers)
+	pt, err := partition.CreateDurable(db, "t", cols, 0, partition.Options{Partitions: parts, Workers: 2})
 	if err != nil {
 		return err
 	}
@@ -267,8 +316,11 @@ func runSnapshotScan(cfg Config) error {
 				ops = append(ops, engine.Op{Kind: engine.OpDelete, PK: 1000 + rng.Float64()*(nextPK-1000)})
 			}
 		}
+		for i := range ops {
+			ops[i].Table = pt.Name()
+		}
 		prev := scans.Load()
-		res := pt.ExecuteBatch(ops, 1+rng.Intn(3))
+		res := db.ExecuteBatch(ops, 1+rng.Intn(3))
 		for i, r := range res {
 			if r.Err != nil {
 				stop.Store(true)

@@ -281,3 +281,46 @@ func TestInsertAllocsAmortized(t *testing.T) {
 		t.Fatalf("ascending Insert allocates %.3f/op, want below 0.05", allocs)
 	}
 }
+
+// TestGatherAllocs: a read of a 4-partition table on one worker runs its
+// legs one after another on the caller, through pooled scratch: a range
+// read allocates little beyond its per-partition stats, and a routed pk
+// point nothing else.
+func TestGatherAllocs(t *testing.T) {
+	db := NewDB(hermit.PhysicalPointers)
+	if err := db.CreatePartitionedTable("g", []string{"pk", "val"}, 0, 4); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4096; i++ {
+		if _, err := db.Insert("g", []float64{float64(i), float64(i % 97)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.CreateIndex("g", IndexDef{Kind: "btree", Col: 1}); err != nil {
+		t.Fatal(err)
+	}
+	dst := make([]float64, 0, 1024)
+	allocs := measureAllocs(t, 200, func() {
+		var err error
+		dst, _, err = db.Exec("g", Query{Col: 1, Lo: 10, Hi: 11}, 1, dst[:0])
+		if err != nil || len(dst) != 2*86 { // 43 rows each of val 10 and 11
+			t.Fatalf("range read: %v, %d values", err, len(dst))
+		}
+	})
+	if allocs > 5 {
+		t.Fatalf("4-partition range read on one worker allocates %.2f/op, want <= 5", allocs)
+	}
+	i := 0
+	allocs = measureAllocs(t, 200, func() {
+		i = (i*31 + 17) % 4096
+		v := float64(i)
+		var err error
+		dst, _, err = db.Exec("g", Query{Col: 0, Lo: v, Hi: v}, 1, dst[:0])
+		if err != nil || len(dst) != 2 || dst[0] != v {
+			t.Fatalf("point read: %v row=%v", err, dst)
+		}
+	})
+	if allocs > 1 {
+		t.Fatalf("routed pk point allocates %.2f/op, want <= 1", allocs)
+	}
+}

@@ -14,7 +14,7 @@ import (
 // buildConcurrentTable creates a Synthetic table with every single-column
 // access path in play: primary on colA, complete B+-tree on colB (the
 // host), Hermit on colC, and an unindexed payload colD.
-func buildConcurrentTable(t *testing.T, rows int) *Table {
+func buildConcurrentTable(t *testing.T, rows int) (*DB, *Table) {
 	t.Helper()
 	db := NewDB(hermit.PhysicalPointers)
 	spec := workload.SyntheticSpec{Rows: rows, Fn: workload.Linear, Noise: 0.05, Seed: 7}
@@ -34,7 +34,7 @@ func buildConcurrentTable(t *testing.T, rows int) *Table {
 	if _, err := tb.CreateHermitIndex(spec.TargetCol(), spec.HostCol()); err != nil {
 		t.Fatal(err)
 	}
-	return tb
+	return db, tb
 }
 
 // TestConcurrentReadersAndWriters hammers one table with parallel point,
@@ -48,7 +48,7 @@ func TestConcurrentReadersAndWriters(t *testing.T) {
 		writers    = 3
 		opsPerGoro = 400
 	)
-	tb := buildConcurrentTable(t, rows)
+	_, tb := buildConcurrentTable(t, rows)
 	spec := workload.SyntheticSpec{}
 
 	var wg sync.WaitGroup
@@ -175,7 +175,7 @@ func checkBTreeRange(tb *Table, col int, lo, hi float64) error {
 // TestExecuteBatchMatchesSerial runs the same query batch through the
 // worker pool and serially, and requires identical results.
 func TestExecuteBatchMatchesSerial(t *testing.T) {
-	tb := buildConcurrentTable(t, 3000)
+	db, tb := buildConcurrentTable(t, 3000)
 	spec := workload.SyntheticSpec{}
 	gen := workload.QueryGen(0, workload.SyntheticSpan, 0.05, 42)
 	var ops []Op
@@ -185,9 +185,9 @@ func TestExecuteBatchMatchesSerial(t *testing.T) {
 		if i%3 == 0 {
 			col = spec.PKCol()
 		}
-		ops = append(ops, Op{Kind: OpQuery, Query: Query{Col: col, Lo: q.Lo, Hi: q.Hi}})
+		ops = append(ops, Op{Table: tb.Name(), Kind: OpQuery, Query: Query{Col: col, Lo: q.Lo, Hi: q.Hi}})
 	}
-	parallel := tb.ExecuteBatch(ops, 8)
+	parallel := db.ExecuteBatch(ops, 8)
 	for i, op := range ops {
 		rows, _, err := rowsOf(tb, op.Query)
 		if err != nil {
@@ -268,13 +268,13 @@ func TestExecuteBatchMalformedOps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	results := tb.ExecuteBatch([]Op{
-		{Kind: OpInsert, Row: []float64{7, 8}},        // valid, but aborted below
-		{Kind: OpQuery, Query: Query{Col: 99, Hi: 1}}, // bad column: per-op query error
-		{Kind: OpInsert},                           // nil row: aborts the txn
-		{Kind: OpInsert, Row: []float64{1}},        // never attempted
-		{Kind: OpUpdate, PK: 7, Col: 99, Value: 0}, // never attempted
-		{Kind: OpKind(42), Row: []float64{1, 2}},   // never attempted
+	results := db.ExecuteBatch([]Op{
+		{Table: "t", Kind: OpInsert, Row: []float64{7, 8}},        // valid, but aborted below
+		{Table: "t", Kind: OpQuery, Query: Query{Col: 99, Hi: 1}}, // bad column: per-op query error
+		{Table: "t", Kind: OpInsert},                              // nil row: aborts the txn
+		{Table: "t", Kind: OpInsert, Row: []float64{1}},           // never attempted
+		{Table: "t", Kind: OpUpdate, PK: 7, Col: 99, Value: 0},    // never attempted
+		{Table: "t", Kind: OpKind(42), Row: []float64{1, 2}},      // never attempted
 	}, 4)
 	for i, wantErr := range []bool{true, true, true, true, true, true} {
 		if (results[i].Err != nil) != wantErr {
@@ -291,7 +291,7 @@ func TestExecuteBatchMalformedOps(t *testing.T) {
 		t.Fatalf("aborted batch leaked a row: rids=%d err=%v", len(rids), err)
 	}
 	// The same valid insert in a clean batch applies.
-	clean := tb.ExecuteBatch([]Op{{Kind: OpInsert, Row: []float64{7, 8}}}, 1)
+	clean := db.ExecuteBatch([]Op{{Table: "t", Kind: OpInsert, Row: []float64{7, 8}}}, 1)
 	if clean[0].Err != nil {
 		t.Fatalf("clean batch: %v", clean[0].Err)
 	}
@@ -304,7 +304,7 @@ func TestExecuteBatchMalformedOps(t *testing.T) {
 // index kinds at once, the "concurrent readers on different indexes never
 // contend" property the latching is for.
 func TestQueryConcurrentAcrossIndexes(t *testing.T) {
-	tb := buildConcurrentTable(t, 3000)
+	db, tb := buildConcurrentTable(t, 3000)
 	spec := workload.SyntheticSpec{}
 	var reqs []Op
 	gen := workload.QueryGen(0, workload.SyntheticSpan, 0.03, 5)
@@ -312,15 +312,15 @@ func TestQueryConcurrentAcrossIndexes(t *testing.T) {
 		q := gen()
 		switch i % 3 {
 		case 0:
-			reqs = append(reqs, Op{Kind: OpQuery, Query: Query{Col: spec.PKCol(), Lo: q.Lo, Hi: q.Hi}})
+			reqs = append(reqs, Op{Table: tb.Name(), Kind: OpQuery, Query: Query{Col: spec.PKCol(), Lo: q.Lo, Hi: q.Hi}})
 		case 1:
-			reqs = append(reqs, Op{Kind: OpQuery, Query: Query{Col: spec.HostCol(), Lo: 2*q.Lo + 100, Hi: 2*q.Hi + 100}})
+			reqs = append(reqs, Op{Table: tb.Name(), Kind: OpQuery, Query: Query{Col: spec.HostCol(), Lo: 2*q.Lo + 100, Hi: 2*q.Hi + 100}})
 		default:
-			reqs = append(reqs, Op{Kind: OpQuery, Query: Query{Col: spec.TargetCol(), Lo: q.Lo, Hi: q.Hi}})
+			reqs = append(reqs, Op{Table: tb.Name(), Kind: OpQuery, Query: Query{Col: spec.TargetCol(), Lo: q.Lo, Hi: q.Hi}})
 		}
 	}
 	for _, workers := range []int{1, 4, 16} {
-		results := tb.ExecuteBatch(reqs, workers)
+		results := db.ExecuteBatch(reqs, workers)
 		if len(results) != len(reqs) {
 			t.Fatalf("workers=%d: %d results for %d reqs", workers, len(results), len(reqs))
 		}
@@ -516,7 +516,7 @@ func reorgAll(hx *hermit.Index) error {
 // TestConcurrentHermitReorg keeps Hermit lookups and writes running while
 // forcing TRS-Tree reorganizations, the §4.4/Appendix B protocol.
 func TestConcurrentHermitReorg(t *testing.T) {
-	tb := buildConcurrentTable(t, 3000)
+	_, tb := buildConcurrentTable(t, 3000)
 	spec := workload.SyntheticSpec{}
 	hx := tb.Hermit(spec.TargetCol())
 	if hx == nil {

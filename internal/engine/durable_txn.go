@@ -30,10 +30,6 @@ func (d *DurableDB) Begin() *DurableTxn {
 	return &DurableTxn{d: d, x: beginTxn(d.db.clock)}
 }
 
-// BeginBatch starts the transaction a by-name batch runs in (ExecBatch): a
-// DurableTxn.
-func (d *DurableDB) BeginBatch() BatchTxn { return d.Begin() }
-
 // Snapshot returns the transaction's read snapshot (see Txn.Snapshot).
 func (tx *DurableTxn) Snapshot() *Snapshot { return tx.x.Snapshot() }
 
@@ -172,10 +168,17 @@ func (tx *DurableTxn) submitCommit() (wal.Ticket, error) {
 // one DurableTxn (queries read the batch-start snapshot; mutations apply
 // and are WAL-logged all-or-nothing under one transaction id), while a
 // read-only batch drains across a pool of workers goroutines sharing one
-// snapshot.
+// snapshot. Every query is the database's read (DB.Exec).
 func (d *DurableDB) ExecuteBatch(ops []Op, workers int) []OpResult {
-	return execute(d.Begin(), ops, workers)
+	return d.db.execBatch(d.Begin(), ops, workers)
 }
 
-// table finds the engine table a batch query names (tableTxn).
-func (tx *DurableTxn) table(op Op) (*Table, error) { return tx.d.db.Table(op.Table) }
+// Exec is the database's read of the named table (DB.Exec).
+func (d *DurableDB) Exec(table string, q Query, workers int, dst []float64) ([]float64, GatherStats, error) {
+	return d.db.Exec(table, q, workers, dst)
+}
+
+// Lookup is Exec keeping the rows' partitioned RIDs (DB.Lookup).
+func (d *DurableDB) Lookup(table string, q Query, workers int, dst []PartRID) ([]PartRID, GatherStats, error) {
+	return d.db.Lookup(table, q, workers, dst)
+}

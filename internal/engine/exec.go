@@ -10,7 +10,7 @@ import (
 	"hermit/internal/storage"
 )
 
-// This file is the batch executor, and ExecBatch is the one place the
+// This file is the batch executor, and DB.execBatch is the one place the
 // batch contract is written:
 //
 //   - queries read the batch-start snapshot;
@@ -21,11 +21,12 @@ import (
 //     mutation);
 //   - queries after the failure are still answered.
 //
-// A batch without mutations drains across a pool of goroutines (Parallel)
-// reading that one snapshot. What a batch runs in is a BatchTxn — a Txn for
-// DB and Table batches, a DurableTxn for DurableDB ones — and what it
-// returns is the caller's result type, so partition.Table and the serving
-// tier answer from the same loop.
+// A batch runs on a database: every query is the database's read of the
+// table its op names (DB.Exec, gather.go), plain or partitioned, and a
+// batch without mutations drains across a pool of goroutines (Parallel)
+// reading that one snapshot. What the mutations run in is a batchTxn — a
+// Txn routed by table name for a DB, a DurableTxn for a DurableDB — and the
+// serving tier maps the results onto its responses.
 
 // ErrTxnAborted marks the other mutations of an atomic batch whose
 // transaction aborted because one mutation failed (that op carries the
@@ -62,8 +63,7 @@ func (k OpKind) String() string {
 
 // Op is one operation in a batch.
 type Op struct {
-	// Table names the target table (DB.ExecuteBatch only; Table-level
-	// batches ignore it).
+	// Table names the target table, plain or partitioned.
 	Table string
 	Kind  OpKind
 
@@ -83,8 +83,8 @@ type OpResult struct {
 	// Rows holds a query's matching rows, whole and back to back (Exec's
 	// layout; SplitRows views them one slice per row).
 	Rows []float64
-	// Stats describes a query's execution.
-	Stats QueryStats
+	// Stats describes a query's execution (DB.Exec).
+	Stats GatherStats
 	// Found reports whether an OpDelete removed a row.
 	Found bool
 	// Err is the per-operation failure, if any. In a batch with mutations
@@ -96,12 +96,12 @@ type OpResult struct {
 	rid storage.RID
 }
 
-// BatchTxn is the transaction a batch runs in (ExecBatch).
-type BatchTxn interface {
+// batchTxn is the transaction a batch's mutations run in (execBatch).
+type batchTxn interface {
 	// Snapshot is the batch-start snapshot every query of the batch reads.
 	Snapshot() *Snapshot
-	// Mutate buffers one mutation (OpInsert, OpDelete or OpUpdate),
-	// reporting whether a delete found its key.
+	// Mutate buffers one mutation (OpInsert, OpDelete or OpUpdate) on the
+	// table op.Table names, reporting whether a delete found its key.
 	Mutate(op Op) (found bool, err error)
 	// Commit applies every buffered mutation, or none of them.
 	Commit() error
@@ -109,32 +109,30 @@ type BatchTxn interface {
 	Rollback()
 }
 
-// ExecBatch runs ops in x under the batch contract (file comment). query
-// answers one OpQuery — its Query.Snap set to the batch snapshot, so query
-// is an Exec over the table op.Table names; mutated turns one mutation's
-// outcome into its result. A batch without mutations drains through
-// Parallel on workers goroutines, so query must be safe for concurrent use
-// there; a batch with mutations runs on the caller alone. x is finished —
-// committed or rolled back — when ExecBatch returns. Results align with
-// ops.
-func ExecBatch[R any](x BatchTxn, ops []Op, workers int, query func(Op) R, mutated func(op Op, found bool, err error) R) []R {
+// execBatch runs ops in x under the batch contract (file comment): each
+// query is db's read (Exec) at the batch snapshot, its legs bounded by
+// workers. A batch without mutations drains through Parallel on workers
+// goroutines; a batch with mutations runs on the caller alone. x is
+// finished — committed or rolled back — when execBatch returns. Results
+// align with ops.
+func (db *DB) execBatch(x batchTxn, ops []Op, workers int) []OpResult {
 	defer x.Rollback()
 	snap := x.Snapshot()
-	read := func(op Op) R {
+	read := func(op Op) (r OpResult) {
 		op.Query.Snap = snap
-		return query(op)
+		r.Rows, r.Stats, r.Err = db.Exec(op.Table, op.Query, workers, nil)
+		return r
 	}
 	if !slices.ContainsFunc(ops, func(op Op) bool { return op.Kind != OpQuery }) {
 		return Parallel(ops, workers, read)
 	}
-	results := make([]R, len(ops))
-	found := make([]bool, len(ops))
+	results := make([]OpResult, len(ops))
 	failed := -1
 	var err error
 	for i, op := range ops {
 		if op.Kind == OpQuery {
 			results[i] = read(op)
-		} else if found[i], err = x.Mutate(op); err != nil {
+		} else if results[i].Found, err = x.Mutate(op); err != nil {
 			failed = i
 			break
 		}
@@ -149,9 +147,9 @@ func ExecBatch[R any](x BatchTxn, ops []Op, workers int, query func(Op) R, mutat
 				results[i] = read(op)
 			}
 		case failed >= 0 && i != failed:
-			results[i] = mutated(op, found[i], ErrTxnAborted)
+			results[i].Err = ErrTxnAborted
 		default:
-			results[i] = mutated(op, found[i], err)
+			results[i].Err = err
 		}
 	}
 	return results
@@ -159,13 +157,21 @@ func ExecBatch[R any](x BatchTxn, ops []Op, workers int, query func(Op) R, mutat
 
 // Parallel runs fn over items on min(workers, len(items)) goroutines, the
 // caller's among them (workers <= 0 selects GOMAXPROCS), and returns fn's
-// results in item order: the read pool of a batch without mutations, and
-// the per-partition fan-out of durable recovery and index builds.
+// results in item order: the read pool of a batch without mutations, the
+// legs of a gather, and the per-partition fan-out of durable recovery and
+// index builds. With one worker or one item it runs fn on the caller alone
+// and allocates nothing of its own beyond the results.
 func Parallel[T, R any](items []T, workers int, fn func(T) R) []R {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	results := make([]R, len(items))
+	if workers == 1 || len(items) <= 1 {
+		for i, it := range items {
+			results[i] = fn(it)
+		}
+		return results
+	}
 	var next atomic.Int64
 	work := func() {
 		for i := int(next.Add(1)) - 1; i < len(items); i = int(next.Add(1)) - 1 {
@@ -185,32 +191,8 @@ func Parallel[T, R any](items []T, workers int, fn func(T) R) []R {
 	return results
 }
 
-// tableTxn is the BatchTxn of a batch over the engine's own tables, which
-// also finds the table an op names.
-type tableTxn interface {
-	BatchTxn
-	table(op Op) (*Table, error)
-}
-
-// execute is ExecuteBatch over the engine's own tables.
-func execute(x tableTxn, ops []Op, workers int) []OpResult {
-	query := func(op Op) OpResult {
-		tb, err := x.table(op)
-		if err != nil {
-			return OpResult{Err: err}
-		}
-		var r OpResult
-		r.Rows, r.Stats, r.Err = tb.Exec(op.Query, nil)
-		return r
-	}
-	return ExecBatch(x, ops, workers, query, func(_ Op, found bool, err error) OpResult {
-		return OpResult{Found: found, Err: err}
-	})
-}
-
 // dbTxn is the DB's by-name batch transaction: one Txn, each mutation on
-// the partition of the table its Op.Table names that owns its key, each
-// query on the engine table its name denotes.
+// the partition of the table its Op.Table names that owns its key.
 type dbTxn struct {
 	*Txn
 	db *DB
@@ -229,38 +211,13 @@ func (b dbTxn) Commit() error {
 	return err
 }
 
-func (b dbTxn) table(op Op) (*Table, error) { return b.db.Table(op.Table) }
-
-// BeginBatch starts the transaction a by-name batch runs in (ExecBatch).
-func (db *DB) BeginBatch() BatchTxn { return dbTxn{beginTxn(db.clock), db} }
-
-// ExecuteBatch runs a batch of operations across tables under the batch
-// contract (see ExecBatch): a batch with any mutation is one atomic
-// snapshot-isolation transaction — a failed mutation or a write-write
-// conflict aborts every mutation, see OpResult.Err — and a read-only batch
-// drains across workers goroutines (<= 0 selects GOMAXPROCS) sharing one
-// snapshot. Results are positionally aligned with ops.
+// ExecuteBatch runs a batch of operations across tables, plain or
+// partitioned, under the batch contract (see execBatch): a batch with any
+// mutation is one atomic snapshot-isolation transaction — a failed
+// mutation or a write-write conflict aborts every mutation, see
+// OpResult.Err — and a read-only batch drains across workers goroutines
+// (<= 0 selects GOMAXPROCS) sharing one snapshot; each query's own legs are
+// bounded by workers too. Results are positionally aligned with ops.
 func (db *DB) ExecuteBatch(ops []Op, workers int) []OpResult {
-	return execute(dbTxn{beginTxn(db.clock), db}, ops, workers)
-}
-
-// tableBatch is the transaction of a Table batch: every op is on t.
-type tableBatch struct {
-	*Txn
-	t *Table
-}
-
-func (b tableBatch) Mutate(op Op) (bool, error) { return b.Txn.Mutate(b.t, op) }
-
-func (b tableBatch) Commit() error {
-	_, err := b.Txn.Commit()
-	return err
-}
-
-func (b tableBatch) table(Op) (*Table, error) { return b.t, nil }
-
-// ExecuteBatch runs a batch of operations against this table; Op.Table is
-// ignored. See DB.ExecuteBatch for the atomicity contract.
-func (t *Table) ExecuteBatch(ops []Op, workers int) []OpResult {
-	return execute(tableBatch{beginTxn(t.clock), t}, ops, workers)
+	return db.execBatch(dbTxn{beginTxn(db.clock), db}, ops, workers)
 }

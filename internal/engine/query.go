@@ -49,7 +49,7 @@ func (q QueryStats) FalsePositiveRatio() float64 {
 // pre-bound append callback (a method value created once per scratch
 // object) keeps index Scan calls from minting a fresh closure per query.
 // Scratch memory never escapes into query results — the pass copies into
-// the caller's Answer — so returning the object to the pool is always safe.
+// the caller's answer — so returning the object to the pool is always safe.
 //
 // Pool discipline: scratch is acquired before any latch and released after
 // the query has let go of them all; it interacts with no latch, so it adds
@@ -143,12 +143,12 @@ type Query struct {
 	Path AccessPath
 }
 
-// Answer is what a query's base-table pass appends to: the RIDs of the
+// answer is what a query's base-table pass appends to: the RIDs of the
 // matching row versions, in RID order, and their rows, whole and back to
 // back (len(Columns()) values each), one per RID. A RID names one version
 // of a row and is good while a snapshot that sees it is held; the rows
 // are copies.
-type Answer struct {
+type answer struct {
 	RIDs []storage.RID
 	Rows []float64
 }
@@ -166,7 +166,7 @@ type Answer struct {
 func (t *Table) Exec(q Query, dst []float64) ([]float64, QueryStats, error) {
 	sc := getScratch()
 	defer putScratch(sc)
-	a := Answer{RIDs: sc.out[:0], Rows: dst}
+	a := answer{RIDs: sc.out[:0], Rows: dst}
 	st, err := t.run(q, &a, sc)
 	sc.out = a.RIDs
 	return a.Rows, st, err
@@ -180,22 +180,13 @@ func (t *Table) Exec(q Query, dst []float64) ([]float64, QueryStats, error) {
 func (t *Table) Lookup(q Query, dst []storage.RID) ([]storage.RID, QueryStats, error) {
 	sc := getScratch()
 	defer putScratch(sc)
-	a := Answer{RIDs: dst[:0], Rows: sc.rows[:0]}
+	a := answer{RIDs: dst[:0], Rows: sc.rows[:0]}
 	st, err := t.run(q, &a, sc)
 	sc.rows = a.Rows
 	if err != nil {
 		return nil, st, err
 	}
 	return a.RIDs, st, nil
-}
-
-// Run answers q into a, keeping both the RIDs and the rows (a partition's
-// gather leg merges on the rows and reports the RIDs). On error a is left
-// as it was.
-func (t *Table) Run(q Query, a *Answer) (QueryStats, error) {
-	sc := getScratch()
-	defer putScratch(sc)
-	return t.run(q, a, sc)
 }
 
 // SplitRows appends to dst one view per row of flat, Exec's back-to-back
@@ -210,7 +201,7 @@ func SplitRows(flat []float64, width int, dst [][]float64) [][]float64 {
 // run is every query's one execution: it plans q (or takes q.Path), runs
 // the access path, and hands the path's candidates to the base-table pass,
 // which appends the answer to a.
-func (t *Table) run(q Query, a *Answer, sc *queryScratch) (QueryStats, error) {
+func (t *Table) run(q Query, a *answer, sc *queryScratch) (QueryStats, error) {
 	if q.Col < 0 || q.Col >= len(t.cols) || q.And != nil && (q.And.Col < 0 || q.And.Col >= len(t.cols)) {
 		return QueryStats{}, ErrNoSuchColumn
 	}
@@ -234,7 +225,7 @@ func (t *Table) run(q Query, a *Answer, sc *queryScratch) (QueryStats, error) {
 // (Col, And.Col) serves it, else a complete composite index; otherwise —
 // and whenever q.Path is set — the first predicate runs on its own path
 // and the pass checks And on every row it copies.
-func (t *Table) run2Locked(q Query, a *Answer, sc *queryScratch) (QueryStats, error) {
+func (t *Table) run2Locked(q Query, a *answer, sc *queryScratch) (QueryStats, error) {
 	var x *index
 	path := PathHermit
 	if q.Path == PathAuto {
@@ -257,7 +248,7 @@ func (t *Table) run2Locked(q Query, a *Answer, sc *queryScratch) (QueryStats, er
 
 // runLocked is run's single-predicate case (and the first predicate of a
 // two-column query no composite index serves); t.catalog is held shared.
-func (t *Table) runLocked(q Query, a *Answer, sc *queryScratch) (QueryStats, error) {
+func (t *Table) runLocked(q Query, a *answer, sc *queryScratch) (QueryStats, error) {
 	path, modelCost := q.Path, 0.0
 	if path == PathAuto {
 		var ests [numPaths]PathEstimate
@@ -291,7 +282,7 @@ func (t *Table) runLocked(q Query, a *Answer, sc *queryScratch) (QueryStats, err
 // looked up by two columns — and the candidates through the pass; t.catalog
 // is held shared. The caller guarantees the path is available (planLocked
 // or availableLocked).
-func (t *Table) execPathLocked(q Query, path AccessPath, x *index, a *Answer, sc *queryScratch) (QueryStats, error) {
+func (t *Table) execPathLocked(q Query, path AccessPath, x *index, a *answer, sc *queryScratch) (QueryStats, error) {
 	st := QueryStats{Kind: path.Kind()}
 	var err error
 	switch path {
@@ -371,7 +362,7 @@ func (t *Table) harvested() harvest {
 // predicate; the profile times step 1 of logical identifiers as the
 // primary-index phase and the rest as the base-table phase. On error a is
 // left as it was.
-func (t *Table) pass(q Query, ids []uint64, h harvest, exact bool, sc *queryScratch, st *QueryStats, a *Answer) error {
+func (t *Table) pass(q Query, ids []uint64, h harvest, exact bool, sc *queryScratch, st *QueryStats, a *answer) error {
 	profile := t.profile.Load()
 	var t0 time.Time
 	if profile {
@@ -451,7 +442,7 @@ func (t *Table) PointQueryInto(col int, v float64, dst []storage.RID) ([]storage
 // hold another value than the one the entry was made for, so the pass
 // checks the predicate. A two-key x (physical pointers only) serves both
 // predicates, so the pass checks neither (but for NaN bounds).
-func (t *Table) btreeRange(q Query, x *index, sc *queryScratch, st *QueryStats, a *Answer) error {
+func (t *Table) btreeRange(q Query, x *index, sc *queryScratch, st *QueryStats, a *answer) error {
 	profile := t.profile.Load()
 	var t0 time.Time
 	if profile {
@@ -487,7 +478,7 @@ func ordered(lo, hi float64) bool { return !math.IsNaN(lo) && !math.IsNaN(hi) }
 // by every version, so the pass checks no predicate — but for NaN bounds,
 // unless they name one key (Query). With a reused dst this path — the PK
 // point read — allocates nothing.
-func (t *Table) primaryRange(q Query, sc *queryScratch, st *QueryStats, a *Answer) error {
+func (t *Table) primaryRange(q Query, sc *queryScratch, st *QueryStats, a *answer) error {
 	sc.ids = sc.ids[:0]
 	t.mvccMu.RLock()
 	t.primary.Scan(q.Lo, q.Hi, sc.appendID)
@@ -504,7 +495,7 @@ func (t *Table) primaryRange(q Query, sc *queryScratch, st *QueryStats, a *Answe
 
 // scanRange is the unindexed fallback: a full table scan over every
 // version row, filtered by the predicate; the pass resolves visibility.
-func (t *Table) scanRange(q Query, sc *queryScratch, st *QueryStats, a *Answer) error {
+func (t *Table) scanRange(q Query, sc *queryScratch, st *QueryStats, a *answer) error {
 	sc.ids = sc.ids[:0]
 	err := t.store.ScanColumn(q.Col, func(rid storage.RID, v float64) bool {
 		if v >= q.Lo && v <= q.Hi {
@@ -523,7 +514,7 @@ func (t *Table) scanRange(q Query, sc *queryScratch, st *QueryStats, a *Answer) 
 // rows whose host value falls in a predicted range, plus the buffered
 // outliers — with no host-index or primary-index latches; the pass
 // validates.
-func (t *Table) trsDirectRange(q Query, x *index, sc *queryScratch, st *QueryStats, a *Answer) error {
+func (t *Table) trsDirectRange(q Query, x *index, sc *queryScratch, st *QueryStats, a *answer) error {
 	tres := &sc.tres
 	x.hx.Tree().LookupInto(q.Lo, q.Hi, tres)
 	sc.ids = append(sc.ids[:0], tres.IDs...)

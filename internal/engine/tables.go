@@ -18,8 +18,8 @@ import (
 // hash-partitioned one (CreatePartitionedTable) is backed by the tables
 // PartitionName(name, 0..n-1), each with its own indexes, latches and
 // planner state, and a row lives in partition PartitionOf(its key, n).
-// DurableDB logs its writes and DDL on top of this catalog, and
-// internal/partition scatter-gathers queries over a table's partitions.
+// DurableDB logs its writes and DDL on top of this catalog, and a query by
+// name scatter-gathers over the table's partitions (DB.Exec, gather.go).
 
 // PartitionOf returns the hash partition (0 <= p < n) owning the primary
 // key pk among n partitions. The hash is a splitmix64 finalizer over the
@@ -142,7 +142,7 @@ func (db *DB) CreateTable(name string, cols []string, pkCol int) (*Table, error)
 // CreatePartitionedTable registers a table hash-partitioned parts ways:
 // parts engine tables behind one name, a row in the one its primary key
 // hashes to (PartitionOf). The by-name writes and DDL route and fan out
-// across them; queries scatter-gather through internal/partition.
+// across them; a query scatter-gathers across them (DB.Exec).
 func (db *DB) CreatePartitionedTable(name string, cols []string, pkCol, parts int) error {
 	if parts < 1 {
 		return fmt.Errorf("engine: partitioned table %q needs at least 1 partition, got %d", name, parts)

@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"slices"
 	"sort"
 	"testing"
 
@@ -11,7 +12,7 @@ import (
 )
 
 // rowsOf runs q through Exec and views the answer one slice per row.
-func rowsOf(pt *Table, q engine.Query) ([][]float64, Stats, error) {
+func rowsOf(pt *Table, q engine.Query) ([][]float64, engine.GatherStats, error) {
 	flat, st, err := pt.Exec(q, nil)
 	return engine.SplitRows(flat, len(pt.cols), nil), st, err
 }
@@ -348,4 +349,91 @@ func TestDurablePartitionedBlockTier(t *testing.T) {
 	if _, found, probed, err := d.BlockRead("p", 99999); err != nil || found || probed != 0 {
 		t.Fatalf("BlockRead(99999): found=%v probed=%d err=%v (fence should exclude)", found, probed, err)
 	}
+}
+
+// TestBatchReadsPartitionedTable: a by-name batch on a partitioned table,
+// read-only or mixed, answers each query with the rows Exec returns at the
+// batch snapshot, on both kinds of database; the durable one also after a
+// reopen.
+func TestBatchReadsPartitionedTable(t *testing.T) {
+	dir := t.TempDir()
+	d, err := engine.OpenDurable(dir, hermit.PhysicalPointers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { d.Close() }()
+	spec := workload.SyntheticSpec{Rows: 800, Fn: workload.Linear, Noise: 0.01, Seed: 3}
+	queries := []engine.Query{
+		{Col: spec.TargetCol(), Lo: 100, Hi: 300},
+		{Col: spec.PKCol(), Lo: 42, Hi: 42},
+		{Col: spec.HostCol(), Lo: 200, Hi: 900, And: &engine.Pred{Col: spec.TargetCol(), Lo: 0, Hi: 400}},
+	}
+	// check runs a read-only and a mixed batch of queries on pt's table
+	// and compares every query to pt.Exec at the snapshot it read.
+	check := func(t *testing.T, db Database, pt *Table, nextPK float64) {
+		t.Helper()
+		var ops []engine.Op
+		for _, q := range queries {
+			ops = append(ops, engine.Op{Table: pt.Name(), Kind: engine.OpQuery, Query: q})
+		}
+		mixed := append([]engine.Op{
+			{Table: pt.Name(), Kind: engine.OpInsert, Row: []float64{nextPK, 500, 200, 0.5}},
+			{Table: pt.Name(), Kind: engine.OpDelete, PK: 42},
+			{Table: pt.Name(), Kind: engine.OpUpdate, PK: 7, Col: spec.TargetCol(), Value: 150},
+		}, ops...)
+		for _, batch := range [][]engine.Op{ops, mixed} {
+			snap := pt.Snapshot()
+			res := db.ExecuteBatch(batch, 2)
+			for i, op := range batch {
+				if res[i].Err != nil {
+					t.Fatalf("op %d (%v): %v", i, op.Kind, res[i].Err)
+				}
+				if op.Kind != engine.OpQuery {
+					continue
+				}
+				q := op.Query
+				q.Snap = snap
+				want, wst, err := pt.Exec(q, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !slices.Equal(res[i].Rows, want) || res[i].Stats.Rows != wst.Rows {
+					t.Fatalf("op %d: batch read %d rows, Exec %d", i, res[i].Stats.Rows, wst.Rows)
+				}
+			}
+			snap.Release()
+		}
+		if rows, _, err := rowsOf(pt, engine.Query{Col: spec.PKCol(), Lo: nextPK, Hi: nextPK}); err != nil || len(rows) != 1 {
+			t.Fatalf("the mixed batch's insert: %d rows, err %v", len(rows), err)
+		}
+	}
+	for name, db := range map[string]Database{"mem": engine.NewDB(hermit.PhysicalPointers), "durable": d} {
+		t.Run(name, func(t *testing.T) {
+			pt, err := CreateDurable(db, "syn", spec.Columns(), spec.PKCol(), Options{Partitions: 4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := spec.Generate(func(row []float64) error {
+				_, err := pt.Insert(row)
+				return err
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if err := pt.CreateHermitIndex(spec.TargetCol(), spec.PKCol(), trstree.DefaultParams()); err != nil {
+				t.Fatal(err)
+			}
+			check(t, db, pt, 10000)
+		})
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if d, err = engine.OpenDurable(dir, hermit.PhysicalPointers); err != nil {
+		t.Fatal(err)
+	}
+	pt, err := OpenDurable(d, "syn", Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check(t, d, pt, 10001)
 }

@@ -1,38 +1,26 @@
-// Package partition implements parallel scatter-gather execution over
-// hash-partitioned tables: a table of an engine database split across N
-// per-partition engine tables by a hash of the primary key, so each
-// partition carries its own indexes, latches and planner state (Hermit's
-// succinct secondary indexes keep many of them affordable per partition —
-// the paper's space argument is what makes partition-parallelism cheap).
+// Package partition fronts the hash-partitioned tables of an engine
+// database: a table split across N per-partition engine tables by a hash
+// of the primary key, so each partition carries its own indexes, latches
+// and planner state (Hermit's succinct secondary indexes keep many of them
+// affordable per partition — the paper's space argument is what makes
+// partition-parallelism cheap).
 //
-// Execution follows the classic scatter-gather shape:
-//
-//   - Mutations and primary-key point queries route to exactly one
-//     partition (the hash owner), adding only a hash to the unpartitioned
-//     cost.
-//   - Range queries — and the range/point legs of ExecuteBatch — fan out
-//     across a bounded worker pool, one task per partition, and the
-//     per-partition results are merged with an ordered k-way merge, so a
-//     range scan returns rows ordered by the predicate column exactly as a
-//     single-partition index scan would.
-//
-// The partitions, the routing of writes and the index DDL are the
-// database's: a Table fronts a table of an engine.DB or an
-// engine.DurableDB through the methods the two share (Database), so its
-// writes and DDL go straight into the engine or through the WAL first, and
-// what it adds is the read side. A table created without partitions opens
-// as a one-partition table, so the serving tier fronts every table with
-// this one type. Explain reports the fan-out with one costed engine plan
-// per partition; the database's advisor sees a partitioned table as one
-// table and applies its DDL to every partition.
+// The partitions, the routing of writes, the index DDL and the
+// scatter-gather read are the database's: a Table fronts a table of an
+// engine.DB or an engine.DurableDB through the methods the two share
+// (Database). Its writes and DDL go straight into the engine or through
+// the WAL first, and its queries are the database's one read (DB.Exec): a
+// primary-key point routes to the key's owner, anything else runs one leg
+// per partition on at most Options.Workers goroutines and merges the legs
+// into predicate-column order. A table created without partitions opens
+// as a one-partition table. What the package adds is the handle, the
+// benchmark's RID reads and Explain, which reports the fan-out with one
+// costed engine plan per partition; the database's advisor sees a
+// partitioned table as one table and applies its DDL to every partition.
 package partition
 
 import (
-	"cmp"
 	"fmt"
-	"runtime"
-	"slices"
-	"sync"
 
 	"hermit/internal/advisor"
 	"hermit/internal/correlation"
@@ -50,53 +38,24 @@ type Options struct {
 	// Partitions is the hash-partition count (DefaultPartitions when zero).
 	// OpenDurable ignores it: the count is fixed when the table is created.
 	Partitions int
-	// Workers bounds how many per-partition scan tasks run concurrently
-	// across all scatter-gather queries on the table (GOMAXPROCS when
-	// zero). Routed operations bypass the pool entirely, and so does every
-	// query on a one-partition table: its one scan runs on the calling
-	// goroutine.
+	// Workers bounds the goroutines of one read of the table: the caller
+	// plus at most Workers-1 run its per-partition legs (GOMAXPROCS when
+	// zero; 1 runs them one after another on the caller). It bounds each
+	// read on its own, not the legs in flight across concurrent reads. A
+	// routed read, and every read of a one-partition table, has one leg
+	// and runs on the caller.
 	Workers int
-}
-
-func (o Options) sanitized() Options {
-	if o.Partitions <= 0 {
-		o.Partitions = DefaultPartitions
-	}
-	if o.Workers <= 0 {
-		o.Workers = runtime.GOMAXPROCS(0)
-	}
-	return o
 }
 
 // RID identifies a row in a partitioned table: the owning partition plus
 // the row's record identifier within that partition's store.
-type RID struct {
-	// Part is the partition index.
-	Part int
-	// RID is the row's identifier inside the partition.
-	RID storage.RID
-}
-
-// Stats describes one partitioned query's execution.
-type Stats struct {
-	// FanOut is the number of partitions the query executed on.
-	FanOut int
-	// Routed reports whether the query was routed to a single partition by
-	// the primary-key hash (no scatter, no merge).
-	Routed bool
-	// Rows is the number of qualifying tuples after the merge.
-	Rows int
-	// Candidates sums the per-partition candidate counts.
-	Candidates int
-	// PerPartition holds each executed partition's engine stats, indexed
-	// by partition (only the owner's entry is set for routed queries).
-	PerPartition []engine.QueryStats
-}
+type RID = engine.PartRID
 
 // Database is the table surface *engine.DB and *engine.DurableDB share, so
 // a Table — or any caller, such as the scenario harness — can hold either.
-// The database owns the partitions, routes writes by primary key and
-// applies index DDL to every partition; the DurableDB logs both first.
+// The database owns the partitions, routes writes by primary key, applies
+// index DDL to every partition — the DurableDB logs both first — and reads
+// the table (Exec, Lookup, ExecuteBatch).
 type Database interface {
 	CreateTable(name string, cols []string, pkCol int) (*engine.Table, error)
 	CreatePartitionedTable(name string, cols []string, pkCol, parts int) error
@@ -108,22 +67,24 @@ type Database interface {
 	UpdateColumn(table string, pk float64, col int, v float64) error
 	CreateIndex(table string, def engine.IndexDef) error
 	DropIndex(table string, col int, kind string) error
-	BeginBatch() engine.BatchTxn
+	Exec(table string, q engine.Query, workers int, dst []float64) ([]float64, engine.GatherStats, error)
+	Lookup(table string, q engine.Query, workers int, dst []engine.PartRID) ([]engine.PartRID, engine.GatherStats, error)
+	ExecuteBatch(ops []engine.Op, workers int) []engine.OpResult
 	EnableAdvisor(opts engine.AdvisorOptions) *advisor.Advisor
 }
 
 // Table is a hash-partitioned table: N per-partition engine tables behind
-// one logical name, with scatter-gather query execution. It is safe for
-// concurrent use — partitions inherit the engine's fine-grained latching,
-// and cross-partition state (the scatter pool) is its own synchronisation.
+// one logical name, read through the database's scatter-gather. It is safe
+// for concurrent use — partitions inherit the engine's fine-grained
+// latching.
 type Table struct {
-	db    Database
-	name  string
-	cols  []string
-	pkCol int
-	clock *engine.Clock // the database's: one commit order for every partition
-	parts []*engine.Table
-	sem   chan struct{}
+	db      Database
+	name    string
+	cols    []string
+	pkCol   int
+	clock   *engine.Clock // the database's: one commit order for every partition
+	parts   []*engine.Table
+	workers int
 }
 
 // New creates an in-memory partitioned table: a DB of its own holding it
@@ -136,7 +97,9 @@ func New(scheme hermit.PointerScheme, name string, cols []string, pkCol int, opt
 // WAL-logs it, or an in-memory DB — and returns its scatter-gather
 // wrapper. The partition count is fixed for the life of the table.
 func CreateDurable(db Database, name string, cols []string, pkCol int, opts Options) (*Table, error) {
-	opts = opts.sanitized()
+	if opts.Partitions <= 0 {
+		opts.Partitions = DefaultPartitions
+	}
 	if err := db.CreatePartitionedTable(name, cols, pkCol, opts.Partitions); err != nil {
 		return nil, err
 	}
@@ -146,12 +109,11 @@ func CreateDurable(db Database, name string, cols []string, pkCol int, opts Opti
 // OpenDurable wraps an existing table of db — created by CreateDurable or
 // CreateTable, or recovered by engine.OpenDurable — in its scatter-gather
 // wrapper. A table created without partitions is wrapped as its only
-// partition: its queries gather on the caller, with no fan-out and no pool
-// slot, and still return rows ordered by the predicate column.
-// Options.Partitions is ignored — the table's own count wins;
-// Options.Workers sizes the scatter pool of a partitioned table. A wrapper
-// holds the engine tables of its partitions, which DDL changes in place,
-// so it stays good for the life of the database.
+// partition: its queries run on the caller, with no fan-out, and still
+// return rows ordered by the predicate column. Options.Partitions is
+// ignored — the table's own count wins; Options.Workers bounds each read's
+// goroutines. A wrapper holds the engine tables of its partitions, which
+// DDL changes in place, so it stays good for the life of the database.
 func OpenDurable(db Database, name string, opts Options) (*Table, error) {
 	n, err := db.Partitions(name)
 	if err != nil {
@@ -168,13 +130,13 @@ func OpenDurable(db Database, name string, opts Options) (*Table, error) {
 		}
 	}
 	return &Table{
-		db:    db,
-		name:  name,
-		cols:  parts[0].Columns(),
-		pkCol: parts[0].PKCol(),
-		clock: db.Clock(),
-		parts: parts,
-		sem:   make(chan struct{}, opts.sanitized().Workers),
+		db:      db,
+		name:    name,
+		cols:    parts[0].Columns(),
+		pkCol:   parts[0].PKCol(),
+		clock:   db.Clock(),
+		parts:   parts,
+		workers: opts.Workers,
 	}, nil
 }
 
@@ -272,271 +234,23 @@ func (t *Table) UpdateColumn(pk float64, col int, v float64) error {
 
 // Exec answers q with whole rows, like engine.Table.Exec: it appends every
 // matching row, back to back, to dst, ordered by the predicate column (ties
-// broken by partition then RID, so results are deterministic). A
-// primary-key point predicate (Col == PKCol, Lo == Hi) routes to the key's
-// hash owner; everything else scatters across the worker pool and gathers
-// with an ordered merge. Every leg reads q.Snap — or one snapshot Exec
-// holds for the whole call — so a query never observes a concurrent atomic
-// batch partially, even across partitions; each leg's rows are the copies
-// its engine pass made, and the merge copies them on into dst.
-func (t *Table) Exec(q engine.Query, dst []float64) ([]float64, Stats, error) {
-	sc := gatherPool.Get().(*gatherScratch)
-	defer putGatherScratch(sc)
-	st, err := t.gather(q, sc)
-	if err != nil {
-		return dst, st, err
-	}
-	w := len(t.cols)
-	dst = slices.Grow(dst, len(sc.merged)*w)
-	for _, e := range sc.merged {
-		dst = append(dst, sc.legs[e.rid.Part].Rows[e.pos*w:(e.pos+1)*w]...)
-	}
-	return dst, st, nil
+// broken by partition then RID). It is the database's read of the table
+// (engine.DB.Exec) on at most Options.Workers goroutines.
+func (t *Table) Exec(q engine.Query, dst []float64) ([]float64, engine.GatherStats, error) {
+	return t.db.Exec(t.name, q, t.workers, dst)
 }
 
-// RangeQuery returns the RIDs of the rows with lo <= col <= hi, read at a
-// snapshot released before it returns. It exists only for benchmark/,
+// RangeQuery returns the RIDs of the rows with lo <= col <= hi in Exec's
+// order (engine.DB.Lookup), read at a snapshot released before it returns. It exists only for benchmark/,
 // which calls it, and goes with benchmark v2.
-func (t *Table) RangeQuery(col int, lo, hi float64) ([]RID, Stats, error) {
-	return t.ridsOf(engine.Query{Col: col, Lo: lo, Hi: hi})
+func (t *Table) RangeQuery(col int, lo, hi float64) ([]RID, engine.GatherStats, error) {
+	return t.db.Lookup(t.name, engine.Query{Col: col, Lo: lo, Hi: hi}, t.workers, nil)
 }
 
 // PointQuery is RangeQuery with lo == hi == v. It exists only for
 // benchmark/, which calls it, and goes with benchmark v2.
-func (t *Table) PointQuery(col int, v float64) ([]RID, Stats, error) {
-	return t.ridsOf(engine.Query{Col: col, Lo: v, Hi: v})
-}
-
-// ridsOf is the gather keeping the merged RIDs, for RangeQuery and
-// PointQuery.
-func (t *Table) ridsOf(q engine.Query) ([]RID, Stats, error) {
-	sc := gatherPool.Get().(*gatherScratch)
-	defer putGatherScratch(sc)
-	st, err := t.gather(q, sc)
-	if err != nil {
-		return nil, st, err
-	}
-	out := make([]RID, len(sc.merged))
-	for i, e := range sc.merged {
-		out[i] = e.rid
-	}
-	return out, st, nil
-}
-
-// entry is one merge candidate: the ordering key, the global RID, and the
-// row's position in its leg's answer.
-type entry struct {
-	key float64
-	rid RID
-	pos int
-}
-
-// gatherScratch holds one gather's buffers — per-partition answers and
-// merge-entry slices, the error slate, the merge heap and the merged
-// entries — pooled so a steady-state query stops allocating
-// O(partitions + rows) per call. Stats.PerPartition, and the RID list of
-// ridsOf, escape to the caller and are always fresh; nothing handed out
-// aliases scratch memory. Per-partition slots are written by the fan-out
-// goroutines at disjoint indexes and the WaitGroup barrier orders those
-// writes before reuse.
-type gatherScratch struct {
-	legs   []engine.Answer
-	lists  [][]entry
-	errs   []error
-	heads  []mergeHead
-	merged []entry
-}
-
-// maxGatherEntries caps the per-slot buffer capacity retained in the
-// pool, in entries and in row values, so one huge scan does not pin its
-// footprint forever.
-const maxGatherEntries = 1 << 16
-
-var gatherPool = sync.Pool{New: func() any { return &gatherScratch{} }}
-
-// slots sizes and empties the per-partition slots for a fan-out of n,
-// preserving the pooled backing buffers inside each slot.
-func (sc *gatherScratch) slots(n int) {
-	sc.legs, sc.lists, sc.errs = grown(sc.legs, n), grown(sc.lists, n), grown(sc.errs, n)
-	for i := range n {
-		sc.legs[i].RIDs, sc.legs[i].Rows = sc.legs[i].RIDs[:0], sc.legs[i].Rows[:0]
-		sc.lists[i], sc.errs[i] = sc.lists[i][:0], nil
-	}
-}
-
-// grown returns s resliced to length n, keeping the slots beyond its length
-// that an earlier, wider fan-out left.
-func grown[T any](s []T, n int) []T {
-	for cap(s) < n {
-		s = append(s[:cap(s)], *new(T))
-	}
-	return s[:n]
-}
-
-func putGatherScratch(sc *gatherScratch) {
-	legs, lists := sc.legs[:cap(sc.legs)], sc.lists[:cap(sc.lists)]
-	for i := range legs {
-		legs[i].RIDs, legs[i].Rows = capped(legs[i].RIDs), capped(legs[i].Rows)
-	}
-	for i := range lists {
-		lists[i] = capped(lists[i])
-	}
-	sc.merged = capped(sc.merged)
-	gatherPool.Put(sc)
-}
-
-// capped drops a pooled buffer that outgrew maxGatherEntries.
-func capped[T any](s []T) []T {
-	if cap(s) > maxGatherEntries {
-		return nil
-	}
-	return s
-}
-
-// gather runs q's legs at one snapshot — the key's owner alone for a
-// primary-key point predicate, every partition on the bounded pool
-// otherwise — orders each leg's rows by the predicate column, and k-way
-// merges them into sc.merged. A one-partition table's single leg runs on
-// the caller, outside the pool: served over the wire, a goroutine and a
-// pool slot per read cost such a table about a fifth of its pipelined read
-// throughput.
-func (t *Table) gather(q engine.Query, sc *gatherScratch) (Stats, error) {
-	if q.Snap == nil {
-		q.Snap = t.Snapshot()
-		defer q.Snap.Recycle()
-	}
-	n := len(t.parts)
-	sc.slots(n)
-	stats := make([]engine.QueryStats, n) // escapes via Stats.PerPartition
-	st := Stats{FanOut: n, PerPartition: stats}
-	switch {
-	case q.Col == t.pkCol && q.Lo == q.Hi:
-		st.FanOut, st.Routed = 1, true
-		t.leg(t.owner(q.Lo), q, sc, stats)
-	case n == 1:
-		t.leg(0, q, sc, stats)
-	default:
-		var wg sync.WaitGroup
-		for i := 0; i < n; i++ {
-			wg.Add(1)
-			// q goes by value: gather assigns q.Snap, and a closure would
-			// capture an assigned variable by reference, moving it to the heap.
-			go func(i int, q engine.Query) {
-				defer wg.Done()
-				t.sem <- struct{}{} // bounded pool: at most Workers tasks in flight
-				defer func() { <-t.sem }()
-				t.leg(i, q, sc, stats)
-			}(i, q)
-		}
-		wg.Wait()
-	}
-	for _, err := range sc.errs {
-		if err != nil {
-			return st, err
-		}
-	}
-	for _, qs := range stats {
-		st.Candidates += qs.Candidates
-	}
-	sc.merged, sc.heads = mergeSorted(sc.lists, sc.heads, sc.merged[:0])
-	st.Rows = len(sc.merged)
-	return st, nil
-}
-
-// leg runs partition i's part of a gather into the scratch slots at i: the
-// engine's pass leaves the matching RIDs and rows in the slot's answer, and
-// the leg orders them by the predicate column, read from the copied rows.
-func (t *Table) leg(i int, q engine.Query, sc *gatherScratch, stats []engine.QueryStats) {
-	ans := &sc.legs[i]
-	qs, err := t.parts[i].Run(q, ans)
-	if err != nil {
-		sc.errs[i] = err
-		return
-	}
-	stats[i] = qs
-	w, list := len(t.cols), sc.lists[i]
-	for j, rid := range ans.RIDs {
-		list = append(list, entry{key: ans.Rows[j*w+q.Col], rid: RID{Part: i, RID: rid}, pos: j})
-	}
-	slices.SortFunc(list, cmpEntry)
-	sc.lists[i] = list
-}
-
-// cmpEntry orders one partition's merge entries by (key, RID); within a
-// partition the partition component is constant.
-func cmpEntry(a, b entry) int {
-	switch {
-	case a.key != b.key:
-		return cmp.Compare(a.key, b.key)
-	default:
-		return cmp.Compare(a.rid.RID, b.rid.RID)
-	}
-}
-
-// less orders merge entries by (key, partition, RID) — a total,
-// deterministic order.
-func less(a, b entry) bool {
-	if a.key != b.key {
-		return a.key < b.key
-	}
-	if a.rid.Part != b.rid.Part {
-		return a.rid.Part < b.rid.Part
-	}
-	return a.rid.RID < b.rid.RID
-}
-
-// mergeHead is one per-list cursor in the k-way merge heap.
-type mergeHead struct {
-	list, pos int
-}
-
-// headAt dereferences a heap cursor.
-func headAt(lists [][]entry, h mergeHead) entry { return lists[h.list][h.pos] }
-
-// siftDown restores the min-heap property at index i (top-level rather
-// than a closure so the merge loop allocates nothing).
-func siftDown(lists [][]entry, heap []mergeHead, i int) {
-	for {
-		l, r, min := 2*i+1, 2*i+2, i
-		if l < len(heap) && less(headAt(lists, heap[l]), headAt(lists, heap[min])) {
-			min = l
-		}
-		if r < len(heap) && less(headAt(lists, heap[r]), headAt(lists, heap[min])) {
-			min = r
-		}
-		if min == i {
-			return
-		}
-		heap[i], heap[min] = heap[min], heap[i]
-		i = min
-	}
-}
-
-// mergeSorted k-way merges per-partition sorted lists with a binary heap
-// of list heads, appending the merged entries to out. The heap buffer is
-// caller-supplied and returned for reuse.
-func mergeSorted(lists [][]entry, heap []mergeHead, out []entry) ([]entry, []mergeHead) {
-	heap = heap[:0]
-	for i, l := range lists {
-		if len(l) > 0 {
-			heap = append(heap, mergeHead{i, 0})
-		}
-	}
-	for i := len(heap)/2 - 1; i >= 0; i-- {
-		siftDown(lists, heap, i)
-	}
-	for len(heap) > 0 {
-		h := heap[0]
-		out = append(out, headAt(lists, h))
-		if h.pos+1 < len(lists[h.list]) {
-			heap[0].pos++
-		} else {
-			heap[0] = heap[len(heap)-1]
-			heap = heap[:len(heap)-1]
-		}
-		siftDown(lists, heap, 0)
-	}
-	return out, heap
+func (t *Table) PointQuery(col int, v float64) ([]RID, engine.GatherStats, error) {
+	return t.RangeQuery(col, v, v)
 }
 
 // FetchRow reads the row behind a partitioned RID. It exists only for

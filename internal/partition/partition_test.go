@@ -171,14 +171,14 @@ func TestMutationsRouteAndMaintainIndexes(t *testing.T) {
 func TestExecuteBatchMixed(t *testing.T) {
 	pt := newSynthetic(t, 4, 1000)
 	ops := []engine.Op{
-		{Kind: engine.OpQuery, Query: engine.Query{Col: 2, Lo: 100, Hi: 200}},
-		{Kind: engine.OpInsert, Row: []float64{5000, 300, 100, 0.5}},
-		{Kind: engine.OpQuery, Query: engine.Query{Col: 0, Lo: 42, Hi: 42}},
-		{Kind: engine.OpDelete, PK: 43},
-		{Kind: engine.OpUpdate, PK: 44, Col: 3, Value: 0.25},
-		{Kind: engine.OpQuery, Query: engine.Query{Col: 2, Lo: 0, Hi: 500, And: &engine.Pred{Col: 3, Lo: 0, Hi: 1}}},
+		{Table: "syn", Kind: engine.OpQuery, Query: engine.Query{Col: 2, Lo: 100, Hi: 200}},
+		{Table: "syn", Kind: engine.OpInsert, Row: []float64{5000, 300, 100, 0.5}},
+		{Table: "syn", Kind: engine.OpQuery, Query: engine.Query{Col: 0, Lo: 42, Hi: 42}},
+		{Table: "syn", Kind: engine.OpDelete, PK: 43},
+		{Table: "syn", Kind: engine.OpUpdate, PK: 44, Col: 3, Value: 0.25},
+		{Table: "syn", Kind: engine.OpQuery, Query: engine.Query{Col: 2, Lo: 0, Hi: 500, And: &engine.Pred{Col: 3, Lo: 0, Hi: 1}}},
 	}
-	res := pt.ExecuteBatch(ops, 3)
+	res := pt.db.ExecuteBatch(ops, 3)
 	for i, r := range res {
 		if r.Err != nil {
 			t.Fatalf("op %d failed: %v", i, r.Err)
@@ -455,9 +455,9 @@ func TestExecUnderReclaimingWriters(t *testing.T) {
 				case 0:
 					// Move the row's target and host together, in one commit.
 					c := float64(rng.Intn(domain))
-					res := pt.ExecuteBatch([]engine.Op{
-						{Kind: engine.OpUpdate, PK: pk, Col: 2, Value: c},
-						{Kind: engine.OpUpdate, PK: pk, Col: 1, Value: 2*c + 100},
+					res := pt.db.ExecuteBatch([]engine.Op{
+						{Table: pt.Name(), Kind: engine.OpUpdate, PK: pk, Col: 2, Value: c},
+						{Table: pt.Name(), Kind: engine.OpUpdate, PK: pk, Col: 1, Value: 2*c + 100},
 					}, 1)
 					// The key may be gone, or the other writer may have
 					// committed to it first.

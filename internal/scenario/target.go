@@ -93,6 +93,7 @@ func IsAbort(err error) bool {
 type embedTarget struct {
 	dir     string
 	d       *engine.DurableDB
+	db      partition.Database // d, or an in-memory DB
 	tables  []*partition.Table
 	advisor *advisor.Advisor
 }
@@ -107,6 +108,7 @@ func (t *embedTarget) Setup(spec *Spec) error {
 		}
 		t.d, db = d, d
 	}
+	t.db = db
 	cols, parts := spec.Columns(), spec.Table.Partitions
 	for i := 0; i < spec.tenantCount(); i++ {
 		name := TableName(i)
@@ -150,7 +152,7 @@ func advisorOpts() engine.AdvisorOptions {
 // Session implements Target; embedded sessions share the engine, which
 // is safe for concurrent use.
 func (t *embedTarget) Session() (Session, error) {
-	return &embedSession{tables: t.tables}, nil
+	return &embedSession{db: t.db, tables: t.tables}, nil
 }
 
 // Close implements Target.
@@ -164,8 +166,12 @@ func (t *embedTarget) Close() error {
 	return nil
 }
 
-// embedSession applies ops to the tenant's table.
-type embedSession struct{ tables []*partition.Table }
+// embedSession applies ops to the tenant's table; a txn is a batch of the
+// database's.
+type embedSession struct {
+	db     partition.Database
+	tables []*partition.Table
+}
 
 // Apply implements Session.
 func (s *embedSession) Apply(op *Op) (int, error) {
@@ -189,7 +195,7 @@ func (s *embedSession) Apply(op *Op) (int, error) {
 		}
 		return 0, nil
 	case OpTxn:
-		results := tb.ExecuteBatch(engineOps(op.Members), 1)
+		results := s.db.ExecuteBatch(engineOps(tb.Name(), op.Members), 1)
 		return len(op.Members), batchError(len(results), func(i int) error { return results[i].Err })
 	default:
 		return 0, fmt.Errorf("scenario: unknown op kind %d", op.Kind)
@@ -207,8 +213,8 @@ func engineQuery(op *Op) engine.Query {
 	return engine.Query{Col: op.Col, Lo: op.Lo, Hi: op.Hi}
 }
 
-// engineOps lowers compiled txn members to engine batch ops.
-func engineOps(members []Op) []engine.Op {
+// engineOps lowers compiled txn members to engine batch ops on table.
+func engineOps(table string, members []Op) []engine.Op {
 	ops := make([]engine.Op, len(members))
 	for i, m := range members {
 		switch m.Kind {
@@ -221,6 +227,7 @@ func engineOps(members []Op) []engine.Op {
 		case OpDelete:
 			ops[i] = engine.Op{Kind: engine.OpDelete, PK: m.Key}
 		}
+		ops[i].Table = table
 	}
 	return ops
 }

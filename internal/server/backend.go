@@ -5,19 +5,17 @@ import (
 	"fmt"
 	"slices"
 	"strings"
-	"sync"
 
 	"hermit/internal/engine"
-	"hermit/internal/partition"
 	"hermit/internal/server/proto"
 )
 
 // backend adapts the wire protocol's operation surface onto a DurableDB.
-// Every table it serves is a partition.Table — an unpartitioned table is
-// its own only partition — so every read takes one road (answer): resolve
-// the table, Exec the query at a snapshot, answer with the rows. A read run
-// holds one snapshot for the run; an atomic batch or a wire transaction
-// reads at its transaction's.
+// Every read takes one road (answer): the database's read of the table the
+// op names (engine.DB.Exec), plain or partitioned, at a snapshot, its legs
+// on at most workers goroutines, answered with the rows. A read run holds
+// one snapshot for the run; an atomic batch or a wire transaction reads at
+// its transaction's.
 //
 // Tenant namespaces are pure name mangling at this layer: tenant "acme"'s
 // table "users" is the engine table "acme@users". '@' is reserved in
@@ -26,13 +24,10 @@ import (
 type backend struct {
 	d       *engine.DurableDB
 	workers int
-
-	mu     sync.Mutex
-	tables map[string]*partition.Table
 }
 
 func newBackend(d *engine.DurableDB, workers int) *backend {
-	return &backend{d: d, workers: workers, tables: make(map[string]*partition.Table)}
+	return &backend{d: d, workers: workers}
 }
 
 // errReject wraps a proto error code so session code can map engine
@@ -95,24 +90,6 @@ func validTenant(tenant string) error {
 	return nil
 }
 
-// resolve returns the served table behind a physical (tenant-mangled)
-// name, opening its partition.Table wrapper on first use. A wrapper holds
-// the engine tables of its partitions, which DDL changes in place, so it
-// stays good for the life of the database.
-func (b *backend) resolve(name string) (*partition.Table, error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if pt, ok := b.tables[name]; ok {
-		return pt, nil
-	}
-	pt, err := partition.OpenDurable(b.d, name, partition.Options{Workers: b.workers})
-	if err != nil {
-		return nil, err
-	}
-	b.tables[name] = pt
-	return pt, nil
-}
-
 // engineOp converts a wire op into an engine.Op against physical table
 // names. Only the six batchable kinds appear here (proto enforces that).
 func engineOp(tenant string, r *proto.Request) (engine.Op, error) {
@@ -160,16 +137,17 @@ func (sc *runScratch) engineOps(tenant string, reqs []proto.Request, out []proto
 
 // answer runs one read op on its table at op.Query.Snap: one Exec.
 func (b *backend) answer(op engine.Op) proto.Response {
-	pt, err := b.resolve(op.Table)
-	if err != nil {
-		return errorResponse(err)
-	}
-	flat, st, err := pt.Exec(op.Query, nil)
+	return rowsAnswer(b.d.Exec(op.Table, op.Query, b.workers, nil))
+}
+
+// rowsAnswer answers one read from its outcome: st.Rows whole rows, back to back
+// in flat.
+func rowsAnswer(flat []float64, st engine.GatherStats, err error) proto.Response {
 	if err != nil {
 		return errorResponse(err)
 	}
 	resp := proto.Response{Type: proto.RespRows}
-	if n := st.Rows; n > 0 { // Exec's st.Rows whole rows, back to back
+	if n := st.Rows; n > 0 {
 		resp.Rows = engine.SplitRows(flat, len(flat)/n, make([][]float64, 0, n))
 	}
 	return resp
@@ -203,11 +181,10 @@ func (b *backend) runReads(tenant string, reqs []proto.Request, out []proto.Resp
 	}
 }
 
-// runBatch executes a wire batch under the engine's batch contract
-// (engine.ExecBatch) in one DurableTxn: queries on any table read the
-// batch-start snapshot, mutations on any table commit all-or-nothing, and
-// each op is answered on its own — a missing table fails its op, never the
-// batch.
+// runBatch executes a wire batch through the database's ExecuteBatch, one
+// DurableTxn: queries on any table read the batch-start snapshot,
+// mutations on any table commit all-or-nothing, and each op is answered on
+// its own — a missing table fails its op, never the batch.
 func (b *backend) runBatch(tenant string, r *proto.Request) proto.Response {
 	ops := make([]engine.Op, len(r.Ops))
 	for i := range r.Ops {
@@ -217,7 +194,15 @@ func (b *backend) runBatch(tenant string, r *proto.Request) proto.Response {
 		}
 		ops[i] = op
 	}
-	return proto.Response{Type: proto.RespBatch, Results: engine.ExecBatch(b.d.Begin(), ops, b.workers, b.answer, written)}
+	results := make([]proto.Response, len(ops))
+	for i, res := range b.d.ExecuteBatch(ops, b.workers) {
+		if ops[i].Kind == engine.OpQuery {
+			results[i] = rowsAnswer(res.Rows, res.Stats, res.Err)
+		} else {
+			results[i] = written(ops[i], res.Found, res.Err)
+		}
+	}
+	return proto.Response{Type: proto.RespBatch, Results: results}
 }
 
 // runWrites executes a run of auto-commit mutation requests — the write

@@ -35,9 +35,11 @@ type Options struct {
 	QueueDepth int
 	// Workers is the goroutine count of the engine's read pool for a run
 	// of reads or a read-only batch (<= 0 selects GOMAXPROCS), and the
-	// scatter pool bound of every partitioned served table. A table served
-	// without partitions scans on the goroutine that runs the read, outside
-	// that bound.
+	// bound on each read's own goroutines: the goroutine running the read
+	// plus at most Workers-1 run its per-partition legs (engine.DB.Exec).
+	// It bounds each read on its own, not the legs in flight across reads;
+	// a read of a table served without partitions has one leg and runs on
+	// the goroutine that runs it.
 	Workers int
 	// TenantOps caps the total operations a tenant may issue over the
 	// server's lifetime (a deliberately simple quota: batches cost their
