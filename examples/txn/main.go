@@ -37,25 +37,24 @@ func run(w io.Writer) error {
 	transfer := func(from, to, amount float64) error {
 		x := db.Begin()
 		defer x.Rollback() // no-op after a successful commit
-		src, ok, err := x.Get(tb, from)
+		src, ok, err := x.Get("accounts", from)
 		if err != nil || !ok {
 			return fmt.Errorf("account %v: ok=%v err=%v", from, ok, err)
 		}
-		dst, ok, err := x.Get(tb, to)
+		dst, ok, err := x.Get("accounts", to)
 		if err != nil || !ok {
 			return fmt.Errorf("account %v: ok=%v err=%v", to, ok, err)
 		}
 		if src[1] < amount {
 			return fmt.Errorf("insufficient funds in %v", from)
 		}
-		if err := x.Update(tb, from, 1, src[1]-amount); err != nil {
+		if err := x.Update("accounts", from, 1, src[1]-amount); err != nil {
 			return err
 		}
-		if err := x.Update(tb, to, 1, dst[1]+amount); err != nil {
+		if err := x.Update("accounts", to, 1, dst[1]+amount); err != nil {
 			return err
 		}
-		_, err = x.Commit()
-		return err
+		return x.Commit()
 	}
 
 	// A snapshot taken before the transfer keeps seeing the old balances;
@@ -94,16 +93,16 @@ func run(w io.Writer) error {
 
 	// First committer wins: a stale transaction loses and applies nothing.
 	x1, x2 := db.Begin(), db.Begin()
-	if err := x1.Update(tb, 2, 1, 150); err != nil {
+	if err := x1.Update("accounts", 2, 1, 150); err != nil {
 		return err
 	}
-	if err := x2.Update(tb, 2, 1, 90); err != nil {
+	if err := x2.Update("accounts", 2, 1, 90); err != nil {
 		return err
 	}
-	if _, err := x1.Commit(); err != nil {
+	if err := x1.Commit(); err != nil {
 		return err
 	}
-	if _, err := x2.Commit(); errors.Is(err, hermitdb.ErrWriteConflict) {
+	if err := x2.Commit(); errors.Is(err, hermitdb.ErrWriteConflict) {
 		fmt.Fprintln(w, "second writer aborted:", err)
 	} else {
 		return fmt.Errorf("expected a write conflict, got %v", err)
@@ -112,8 +111,8 @@ func run(w io.Writer) error {
 	// Batches with mutations are one atomic transaction: the duplicate
 	// insert below aborts the whole batch, so account 99 never appears.
 	res := db.ExecuteBatch([]hermitdb.Op{
-		{Table: tb.Name(), Kind: hermitdb.OpInsert, Row: []float64{99, 1000}},
-		{Table: tb.Name(), Kind: hermitdb.OpInsert, Row: []float64{3, 0}}, // duplicate id
+		{Table: "accounts", Kind: hermitdb.OpInsert, Row: []float64{99, 1000}},
+		{Table: "accounts", Kind: hermitdb.OpInsert, Row: []float64{3, 0}}, // duplicate id
 	}, 2)
 	fmt.Fprintf(w, "atomic batch: op0 err=%v\n", res[0].Err)
 	if _, st, _ := tb.Exec(hermitdb.Query{Col: 0, Lo: 99, Hi: 99}, nil); st.Rows == 0 {

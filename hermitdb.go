@@ -95,31 +95,28 @@ const (
 // with first-committer-wins conflict detection:
 //
 //	x := db.Begin()
-//	x.Insert(tb, []float64{9, 1, 2, 3})
-//	x.Update(tb, 7, 1, 42)
-//	if _, err := x.Commit(); err != nil { // hermitdb.ErrWriteConflict?
+//	x.Insert("stocks", []float64{9, 1, 2})
+//	x.Update("stocks", 7, 1, 42)
+//	if err := x.Commit(); err != nil { // hermitdb.ErrWriteConflict?
 //		// nothing was applied
 //	}
 //
-// DurableDB.Begin is the WAL-logged counterpart: the transaction's
-// mutations are logged as one txn-begin/commit group, and recovery
-// discards transactions whose commit record never reached the log.
+// Tables are named, plain or partitioned, as everywhere else. The same Txn
+// begun by DurableDB.Begin is WAL-logged: its mutations are logged as one
+// txn-begin/commit group, and recovery discards transactions whose commit
+// record never reached the log.
 // Snapshots are first-class (WithSnapshot, DB.Snapshot, Query.Snap), so
 // several queries can observe one consistent state.
 type (
-	// Txn is a snapshot-isolation transaction (DB.Begin).
+	// Txn is a snapshot-isolation transaction over named tables (DB.Begin),
+	// WAL-logged when begun by DurableDB.Begin.
 	Txn = engine.Txn
-	// DurableTxn is a WAL-logged snapshot-isolation transaction
-	// (DurableDB.Begin).
-	DurableTxn = engine.DurableTxn
 	// Snapshot is a registered consistent read view (DB.Snapshot,
 	// DurableDB.Snapshot, PartitionedTable.Snapshot); release it when done.
 	Snapshot = engine.Snapshot
 	// Clock is the commit clock ordering transactions: one per database,
 	// for every table and partition in it.
 	Clock = engine.Clock
-	// CommitResult reports a committed transaction's timestamp.
-	CommitResult = engine.CommitResult
 )
 
 // Transaction errors.

@@ -159,12 +159,12 @@ func RunTxn(cfg Config) error {
 	// Sweep 2: first-committer-wins abort rate over a hot key set.
 	fmt.Fprintf(cfg.Out, "-- optimistic txn abort rate (hot set of %d keys) --\n", txnHotKeys)
 	fmt.Fprintf(cfg.Out, "%-12s %14s %14s %10s\n", "goroutines", "commits", "aborts", "abort%")
-	db2, tb2, err := buildTxnTable(cfg, txnHotKeys*4)
+	db2, _, err := buildTxnTable(cfg, txnHotKeys*4)
 	if err != nil {
 		return err
 	}
 	for _, g := range goroutineCounts() {
-		p, err := measureAbortRate(cfg, db2, tb2, g)
+		p, err := measureAbortRate(cfg, db2, g)
 		if err != nil {
 			return err
 		}
@@ -273,7 +273,7 @@ func measureScanUnderWrites(cfg Config, tb *engine.Table, writers, rowsN int) (f
 
 // measureAbortRate races g goroutines committing two-key transactions
 // over the hot key set, counting commits and first-committer-wins aborts.
-func measureAbortRate(cfg Config, db *engine.DB, tb *engine.Table, g int) (txnAbortPoint, error) {
+func measureAbortRate(cfg Config, db *engine.DB, g int) (txnAbortPoint, error) {
 	var (
 		stop     atomic.Bool
 		commits  atomic.Int64
@@ -292,12 +292,12 @@ func measureAbortRate(cfg Config, db *engine.DB, tb *engine.Table, g int) (txnAb
 				x := db.Begin()
 				a := float64(int(gen()))
 				b := float64(int(gen()))
-				err := x.Update(tb, a, 3, a)
+				err := x.Update("syn", a, 3, a)
 				if err == nil && b != a {
-					err = x.Update(tb, b, 3, b+1)
+					err = x.Update("syn", b, 3, b+1)
 				}
 				if err == nil {
-					_, err = x.Commit()
+					err = x.Commit()
 				} else {
 					x.Rollback()
 				}

@@ -740,9 +740,10 @@ func build(cfgName string, cfg Config, s schema) (system, error) {
 		if _, err := tb.CreateHermitIndex(2, 1); err != nil {
 			return nil, err
 		}
-		return &memSystem{tb: tb}, nil
+		return &memSystem{db: db, tb: tb}, nil
 	case "partitioned":
-		pt, err := partition.New(hermit.PhysicalPointers, "t", s.cols, 0,
+		db := engine.NewDB(hermit.PhysicalPointers)
+		pt, err := partition.CreateDurable(db, "t", s.cols, 0,
 			partition.Options{Partitions: parts, Workers: 2})
 		if err != nil {
 			return nil, err
@@ -753,7 +754,7 @@ func build(cfgName string, cfg Config, s schema) (system, error) {
 		if err := pt.CreateHermitIndex(2, 1, trstree.DefaultParams()); err != nil {
 			return nil, err
 		}
-		return &partSystem{pt: pt}, nil
+		return &partSystem{db: db, pt: pt}, nil
 	case "composite":
 		// The running example's indexes (§3): a composite B+-tree on
 		// (pk, host) and a composite Hermit index on (pk, target) that
@@ -769,7 +770,7 @@ func build(cfgName string, cfg Config, s schema) (system, error) {
 		if _, err := tb.CreateCompositeHermitIndex(0, 2, 1); err != nil {
 			return nil, err
 		}
-		return &memSystem{tb: tb}, nil
+		return &memSystem{db: db, tb: tb}, nil
 	case "server":
 		return buildServer(cfg, s)
 	case "replica":

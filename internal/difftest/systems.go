@@ -13,8 +13,9 @@ import (
 	"hermit/internal/storage"
 )
 
-// memSystem adapts a single in-memory engine table.
+// memSystem adapts a single in-memory engine table, "t" of db.
 type memSystem struct {
+	db *engine.DB
 	tb *engine.Table
 }
 
@@ -52,6 +53,10 @@ func (s *memSystem) state() (map[uint64][]float64, error) { return tableState(s.
 func (s *memSystem) cycle(bool) error     { return nil }
 func (s *memSystem) close() error         { return nil }
 func (s *memSystem) table() *engine.Table { return s.tb }
+
+func (s *memSystem) executeBatch(ops []engine.Op, workers int) []engine.OpResult {
+	return s.db.ExecuteBatch(ops, workers)
+}
 
 // tableRows answers q on an engine table, ordered by primary key.
 func tableRows(tb *engine.Table, q engine.Query) ([][]float64, error) {
@@ -91,9 +96,14 @@ func tableState(tb *engine.Table) (map[uint64][]float64, error) {
 	return out, nil
 }
 
-// partSystem adapts an in-memory partitioned table.
+// partSystem adapts an in-memory partitioned table, "t" of db.
 type partSystem struct {
+	db *engine.DB
 	pt *partition.Table
+}
+
+func (s *partSystem) executeBatch(ops []engine.Op, workers int) []engine.OpResult {
+	return s.db.ExecuteBatch(ops, workers)
 }
 
 func (s *partSystem) insert(row []float64) error {
@@ -198,6 +208,10 @@ func (s *durSystem) bind() error {
 	}
 	s.tb = tb
 	return nil
+}
+
+func (s *durSystem) executeBatch(ops []engine.Op, workers int) []engine.OpResult {
+	return s.d.ExecuteBatch(ops, workers)
 }
 
 func (s *durSystem) insert(row []float64) error {

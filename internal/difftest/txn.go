@@ -24,9 +24,10 @@ import (
 //     each batch all-or-nothing — including batches built to fail partway,
 //     which must leave the system byte-identical to the oracle's untouched
 //     state — and whose range queries read the oracle's state before the
-//     batch. The stream runs against a plain and then a partitioned durable
-//     table. The database is closed, reopened and checkpointed mid-stream,
-//     so committed transaction groups also round-trip the WAL.
+//     batch. The stream runs through ExecuteBatch against a plain and then
+//     a partitioned table, first durable and then in memory. The durable
+//     database is closed, reopened and checkpointed mid-stream, so
+//     committed transaction groups also round-trip the WAL.
 //
 //   - "snapshot-scan" pins the cross-partition snapshot guarantee: a
 //     reader goroutine continuously scans a set of marker rows spread over
@@ -89,11 +90,18 @@ func (m *model) applyBatch(ops []engine.Op) int {
 	return -1
 }
 
+// batchSystem is a system whose database runs batches: ExecuteBatch, which
+// engine.DB and engine.DurableDB share.
+type batchSystem interface {
+	system
+	executeBatch(ops []engine.Op, workers int) []engine.OpResult
+}
+
 // runTxn is the "txn" configuration driver: the batch stream against a
-// plain durable table, then against a partitioned one, each in a directory
-// of its own.
+// plain durable table, a partitioned one (each in a directory of its own),
+// then the same two in memory.
 func runTxn(cfg Config) error {
-	for _, sysName := range []string{"durable", "durable-partitioned"} {
+	for _, sysName := range []string{"durable", "durable-partitioned", "inmem-cost", "partitioned"} {
 		c := cfg
 		c.Dir = filepath.Join(cfg.Dir, sysName)
 		if err := runTxnOn(sysName, c); err != nil {
@@ -103,16 +111,17 @@ func runTxn(cfg Config) error {
 	return nil
 }
 
-// runTxnOn drives the "txn" stream against the named durable system.
+// runTxnOn drives the "txn" stream against the named system; an in-memory
+// one's cycles do nothing.
 func runTxnOn(sysName string, cfg Config) error {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	s := genSchema(rng)
-	sys, err := build(sysName, cfg, s)
+	built, err := build(sysName, cfg, s)
 	if err != nil {
 		return err
 	}
-	defer sys.close()
-	ds := sys.(*durSystem)
+	defer built.close()
+	sys := built.(batchSystem)
 	m := newModel()
 
 	nextPK := float64(0)
@@ -120,7 +129,7 @@ func runTxnOn(sysName string, cfg Config) error {
 		row := s.row(rng, nextPK)
 		nextPK++
 		m.insert(row)
-		if err := ds.insert(row); err != nil {
+		if err := sys.insert(row); err != nil {
 			return Failure{Step: -1, What: fmt.Sprintf("initial insert: %v", err)}
 		}
 	}
@@ -178,7 +187,7 @@ func runTxnOn(sysName string, cfg Config) error {
 			}
 		}
 		wantFail := m.applyBatch(ops)
-		res := ds.d.ExecuteBatch(ops, 1+rng.Intn(4))
+		res := sys.executeBatch(ops, 1+rng.Intn(4))
 		for i, r := range res {
 			if want, ok := wants[i]; ok {
 				if err := batchRows(r, ops[i].Query, want, width); err != nil {
@@ -196,12 +205,12 @@ func runTxnOn(sysName string, cfg Config) error {
 			}
 		}
 		if step > 0 && step%cyclePeriod == 0 {
-			if err := ds.cycle(rng.Intn(2) == 0); err != nil {
+			if err := sys.cycle(rng.Intn(2) == 0); err != nil {
 				return Failure{Step: step, What: fmt.Sprintf("cycle: %v", err)}
 			}
 		}
 		if step%8 == 0 || step == batches-1 {
-			if err := audit(m, ds, step); err != nil {
+			if err := audit(m, sys, step); err != nil {
 				return err
 			}
 		}
@@ -212,7 +221,7 @@ func runTxnOn(sysName string, cfg Config) error {
 		qlo := lo + rng.Float64()*(hi-lo)
 		qhi := qlo + rng.Float64()*rng.Float64()*(hi-lo)
 		want := m.query(col, qlo, qhi)
-		got, err := ds.query(col, qlo, qhi)
+		got, err := sys.query(col, qlo, qhi)
 		if err != nil {
 			return Failure{step, fmt.Sprintf("range col=%d: %v", col, err)}
 		}
@@ -220,7 +229,7 @@ func runTxnOn(sysName string, cfg Config) error {
 			return Failure{step, fmt.Sprintf("range col=%d [%v,%v]: %v", col, qlo, qhi, err)}
 		}
 	}
-	return audit(m, ds, batches)
+	return audit(m, sys, batches)
 }
 
 // batchRows checks a batch query's answer against the oracle's rows: no

@@ -283,9 +283,8 @@ func TestInsertAllocsAmortized(t *testing.T) {
 }
 
 // TestGatherAllocs: a read of a 4-partition table on one worker runs its
-// legs one after another on the caller, through pooled scratch: a range
-// read allocates little beyond its per-partition stats, and a routed pk
-// point nothing else.
+// legs one after another on the caller, through pooled scratch: neither a
+// range read nor a routed pk point allocates.
 func TestGatherAllocs(t *testing.T) {
 	db := NewDB(hermit.PhysicalPointers)
 	if err := db.CreatePartitionedTable("g", []string{"pk", "val"}, 0, 4); err != nil {
@@ -307,8 +306,8 @@ func TestGatherAllocs(t *testing.T) {
 			t.Fatalf("range read: %v, %d values", err, len(dst))
 		}
 	})
-	if allocs > 5 {
-		t.Fatalf("4-partition range read on one worker allocates %.2f/op, want <= 5", allocs)
+	if allocs > 0 {
+		t.Fatalf("4-partition range read on one worker allocates %.2f/op, want 0", allocs)
 	}
 	i := 0
 	allocs = measureAllocs(t, 200, func() {
@@ -320,7 +319,7 @@ func TestGatherAllocs(t *testing.T) {
 			t.Fatalf("point read: %v row=%v", err, dst)
 		}
 	})
-	if allocs > 1 {
-		t.Fatalf("routed pk point allocates %.2f/op, want <= 1", allocs)
+	if allocs > 0 {
+		t.Fatalf("routed pk point allocates %.2f/op, want 0", allocs)
 	}
 }

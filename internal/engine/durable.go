@@ -546,6 +546,26 @@ func (d *DurableDB) RecoveryUncommitted() int { return d.uncommitted }
 // clock (see DB.Snapshot).
 func (d *DurableDB) Snapshot() *Snapshot { return d.db.Snapshot() }
 
+// ExecuteBatch runs a batch of operations with the same atomicity contract
+// as DB.ExecuteBatch, durably: a batch containing mutations executes as
+// one logged Txn (queries read the batch-start snapshot; mutations apply
+// and are WAL-logged all-or-nothing under one transaction id), while a
+// read-only batch drains across a pool of workers goroutines sharing one
+// snapshot. Every query is the database's read (DB.Exec).
+func (d *DurableDB) ExecuteBatch(ops []Op, workers int) []OpResult {
+	return d.Begin().execBatch(ops, workers)
+}
+
+// Exec is the database's read of the named table (DB.Exec).
+func (d *DurableDB) Exec(table string, q Query, workers int, dst []float64) ([]float64, GatherStats, error) {
+	return d.db.Exec(table, q, workers, dst)
+}
+
+// Lookup is Exec keeping the rows' partitioned RIDs (DB.Lookup).
+func (d *DurableDB) Lookup(table string, q Query, workers int, dst []PartRID) ([]PartRID, GatherStats, error) {
+	return d.db.Lookup(table, q, workers, dst)
+}
+
 // Clock returns the commit clock ordering every table in this database.
 func (d *DurableDB) Clock() *Clock { return d.db.Clock() }
 

@@ -303,16 +303,16 @@ func TestNaNPrimaryKeyTxn(t *testing.T) {
 	}
 	nan := math.NaN()
 	x := db.Begin()
-	if err := x.Insert(tb, []float64{nan, 1}); err != nil {
+	if err := x.Insert("t", []float64{nan, 1}); err != nil {
 		t.Fatal(err)
 	}
-	if err := x.Insert(tb, []float64{nan, 2}); !errors.Is(err, ErrDupKey) {
+	if err := x.Insert("t", []float64{nan, 2}); !errors.Is(err, ErrDupKey) {
 		t.Fatalf("second NaN insert in one txn: got %v, want ErrDupKey", err)
 	}
-	if row, ok, err := x.Get(tb, nan); err != nil || !ok || row[1] != 1 {
+	if row, ok, err := x.Get("t", nan); err != nil || !ok || row[1] != 1 {
 		t.Fatalf("read-your-writes of a NaN key: %v %v %v", row, ok, err)
 	}
-	if _, err := x.Commit(); err != nil {
+	if err := x.Commit(); err != nil {
 		t.Fatal(err)
 	}
 	rows, _, err := tb.Exec(Query{Col: 0, Lo: nan, Hi: nan, Path: PathPrimary}, nil)
@@ -323,13 +323,13 @@ func TestNaNPrimaryKeyTxn(t *testing.T) {
 	// Insert then delete in one transaction: nothing is applied.
 	other := math.Float64frombits(math.Float64bits(nan) ^ 1) // another NaN payload
 	x = db.Begin()
-	if err := x.Insert(tb, []float64{other, 5}); err != nil {
+	if err := x.Insert("t", []float64{other, 5}); err != nil {
 		t.Fatal(err)
 	}
-	if found, err := x.Delete(tb, other); err != nil || !found {
+	if found, err := x.Delete("t", other); err != nil || !found {
 		t.Fatalf("delete of the NaN key the txn inserted: found=%v err=%v", found, err)
 	}
-	if _, err := x.Commit(); err != nil {
+	if err := x.Commit(); err != nil {
 		t.Fatal(err)
 	}
 	if tb.Len() != 1 {

@@ -10,7 +10,7 @@ import (
 	"hermit/internal/storage"
 )
 
-// This file is the batch executor, and DB.execBatch is the one place the
+// This file is the batch executor, and Txn.execBatch is the one place the
 // batch contract is written:
 //
 //   - queries read the batch-start snapshot;
@@ -21,11 +21,11 @@ import (
 //     mutation);
 //   - queries after the failure are still answered.
 //
-// A batch runs on a database: every query is the database's read of the
-// table its op names (DB.Exec, gather.go), plain or partitioned, and a
-// batch without mutations drains across a pool of goroutines (Parallel)
-// reading that one snapshot. What the mutations run in is a batchTxn — a
-// Txn routed by table name for a DB, a DurableTxn for a DurableDB — and the
+// A batch runs in one transaction begun on a DB or, logged, on a DurableDB
+// (Txn): every query is the database's read of the table its op names
+// (DB.Exec, gather.go), plain or partitioned, every mutation is the
+// transaction's Mutate on that table, and a batch without mutations drains
+// across a pool of goroutines (Parallel) reading that one snapshot. The
 // serving tier maps the results onto its responses.
 
 // ErrTxnAborted marks the other mutations of an atomic batch whose
@@ -96,31 +96,17 @@ type OpResult struct {
 	rid storage.RID
 }
 
-// batchTxn is the transaction a batch's mutations run in (execBatch).
-type batchTxn interface {
-	// Snapshot is the batch-start snapshot every query of the batch reads.
-	Snapshot() *Snapshot
-	// Mutate buffers one mutation (OpInsert, OpDelete or OpUpdate) on the
-	// table op.Table names, reporting whether a delete found its key.
-	Mutate(op Op) (found bool, err error)
-	// Commit applies every buffered mutation, or none of them.
-	Commit() error
-	// Rollback discards the transaction; after Commit it does nothing.
-	Rollback()
-}
-
 // execBatch runs ops in x under the batch contract (file comment): each
-// query is db's read (Exec) at the batch snapshot, its legs bounded by
-// workers. A batch without mutations drains through Parallel on workers
-// goroutines; a batch with mutations runs on the caller alone. x is
-// finished — committed or rolled back — when execBatch returns. Results
+// query is the database's read (Exec) at the batch snapshot, its legs
+// bounded by workers. A batch without mutations drains through Parallel on
+// workers goroutines; a batch with mutations runs on the caller alone. x
+// is finished — committed or rolled back — when execBatch returns. Results
 // align with ops.
-func (db *DB) execBatch(x batchTxn, ops []Op, workers int) []OpResult {
+func (x *Txn) execBatch(ops []Op, workers int) []OpResult {
 	defer x.Rollback()
-	snap := x.Snapshot()
 	read := func(op Op) (r OpResult) {
-		op.Query.Snap = snap
-		r.Rows, r.Stats, r.Err = db.Exec(op.Table, op.Query, workers, nil)
+		op.Query.Snap = x.snap
+		r.Rows, r.Stats, r.Err = x.db.Exec(op.Table, op.Query, workers, nil)
 		return r
 	}
 	if !slices.ContainsFunc(ops, func(op Op) bool { return op.Kind != OpQuery }) {
@@ -191,26 +177,6 @@ func Parallel[T, R any](items []T, workers int, fn func(T) R) []R {
 	return results
 }
 
-// dbTxn is the DB's by-name batch transaction: one Txn, each mutation on
-// the partition of the table its Op.Table names that owns its key.
-type dbTxn struct {
-	*Txn
-	db *DB
-}
-
-func (b dbTxn) Mutate(op Op) (bool, error) {
-	tb, _, _, err := b.db.target(&op)
-	if err != nil {
-		return false, err
-	}
-	return b.Txn.Mutate(tb, op)
-}
-
-func (b dbTxn) Commit() error {
-	_, err := b.Txn.Commit()
-	return err
-}
-
 // ExecuteBatch runs a batch of operations across tables, plain or
 // partitioned, under the batch contract (see execBatch): a batch with any
 // mutation is one atomic snapshot-isolation transaction — a failed
@@ -219,5 +185,5 @@ func (b dbTxn) Commit() error {
 // (<= 0 selects GOMAXPROCS) sharing one snapshot; each query's own legs are
 // bounded by workers too. Results are positionally aligned with ops.
 func (db *DB) ExecuteBatch(ops []Op, workers int) []OpResult {
-	return db.execBatch(dbTxn{beginTxn(db.clock), db}, ops, workers)
+	return db.Begin().execBatch(ops, workers)
 }

@@ -38,9 +38,6 @@ type GatherStats struct {
 	Rows int
 	// Candidates sums the per-partition candidate counts.
 	Candidates int
-	// PerPartition holds each executed partition's engine stats, indexed
-	// by partition (only the owner's entry is set for routed queries).
-	PerPartition []QueryStats
 }
 
 // Exec answers q on the named table with whole rows: it appends every
@@ -140,8 +137,8 @@ func cmpEntry(a, b entry) int {
 // gatherScratch holds one gather's buffers — one leg per partition, the
 // legs that run, the merge heap and the merged entries — pooled so a
 // steady-state read stops allocating O(partitions + rows) per call.
-// GatherStats.PerPartition, and Lookup's RIDs, escape to the caller and
-// are always fresh; nothing handed out aliases scratch memory.
+// Lookup's RIDs escape to the caller and are always fresh; nothing handed
+// out aliases scratch memory.
 type gatherScratch struct {
 	legs   []gatherLeg
 	run    []*gatherLeg
@@ -174,7 +171,7 @@ func (l *logical) gather(q Query, workers int, sc *gatherScratch) (GatherStats, 
 	for i, tb := range l.phys {
 		sc.legs[i].tb, sc.legs[i].part, sc.legs[i].q = tb, i, q // put emptied the rest
 	}
-	st := GatherStats{FanOut: n, PerPartition: make([]QueryStats, n)}
+	st := GatherStats{FanOut: n}
 	if q.Col == l.phys[0].pkCol && q.Lo == q.Hi {
 		st.FanOut, st.Routed = 1, true
 		sc.run = append(sc.run, &sc.legs[PartitionOf(q.Lo, l.parts)])
@@ -188,7 +185,6 @@ func (l *logical) gather(q Query, workers int, sc *gatherScratch) (GatherStats, 
 		if g.err != nil {
 			return st, g.err
 		}
-		st.PerPartition[g.part] = g.st
 		st.Candidates += g.st.Candidates
 	}
 	sc.merged, sc.heads = mergeSorted(sc.run, sc.heads, sc.merged)

@@ -703,7 +703,7 @@ func runMVCCModel(t *testing.T, scheme hermit.PointerScheme, seed int64, ops int
 			switch rng.Intn(3) {
 			case 0:
 				row := newRow(pk)
-				err := open.x.Insert(tb, row)
+				err := open.x.Insert("t", row)
 				if (cur != nil) != errors.Is(err, ErrDupKey) || (cur == nil && err != nil) {
 					t.Fatalf("txn insert %v: err=%v, oracle row %v", pk, err, cur)
 				}
@@ -712,7 +712,7 @@ func runMVCCModel(t *testing.T, scheme hermit.PointerScheme, seed int64, ops int
 				}
 			case 1:
 				col, v := 1+rng.Intn(2), float64(rng.Intn(1000))
-				if err := open.x.Update(tb, pk, col, v); (cur != nil) != (err == nil) {
+				if err := open.x.Update("t", pk, col, v); (cur != nil) != (err == nil) {
 					t.Fatalf("txn update %v: err=%v, oracle row %v", pk, err, cur)
 				}
 				if cur != nil {
@@ -721,7 +721,7 @@ func runMVCCModel(t *testing.T, scheme hermit.PointerScheme, seed int64, ops int
 					open.buffer(pk, row)
 				}
 			default:
-				found, err := open.x.Delete(tb, pk)
+				found, err := open.x.Delete("t", pk)
 				if err != nil || found != (cur != nil) {
 					t.Fatalf("txn delete %v: found=%v err=%v, oracle row %v", pk, found, err, cur)
 				}
@@ -729,7 +729,7 @@ func runMVCCModel(t *testing.T, scheme hermit.PointerScheme, seed int64, ops int
 					open.buffer(pk, nil)
 				}
 			}
-			got, live, err := open.x.Get(tb, pk)
+			got, live, err := open.x.Get("t", pk)
 			if want := open.effective(m, pk); err != nil || live != (want != nil) || (live && !sameRow(got, want)) {
 				t.Fatalf("txn get %v: %v live=%v err=%v, oracle row %v", pk, got, live, err, want)
 			}
@@ -748,15 +748,17 @@ func runMVCCModel(t *testing.T, scheme hermit.PointerScheme, seed int64, ops int
 					conflict = true
 				}
 			}
-			res, err := open.x.Commit()
+			err := open.x.Commit()
 			if conflict != errors.Is(err, ErrWriteConflict) || (!conflict && err != nil) {
 				t.Fatalf("commit: err=%v, oracle conflict=%v", err, conflict)
 			}
 			if err == nil && len(open.writes) > 0 {
 				ts++
-				if res.TS != ts {
-					t.Fatalf("commit at %d, oracle at %d", res.TS, ts)
+				after := db.Snapshot()
+				if after.TS() != ts {
+					t.Fatalf("commit at %d, oracle at %d", after.TS(), ts)
 				}
+				after.Release()
 				ended := 0
 				for k, w := range open.writes {
 					pk := open.keys[k]

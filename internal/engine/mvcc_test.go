@@ -80,11 +80,11 @@ func TestTxnCommitAtomicVisibility(t *testing.T) {
 	generation := func(g int) {
 		x := db.Begin()
 		for pk := 0; pk < 10; pk++ {
-			if err := x.Update(tb, float64(pk), 2, 1000+float64(g)); err != nil {
+			if err := x.Update("t", float64(pk), 2, 1000+float64(g)); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if _, err := x.Commit(); err != nil {
+		if err := x.Commit(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -222,11 +222,11 @@ func primaryHeadAlwaysStamped(t *testing.T, scheme hermit.PointerScheme) {
 		}
 		x := db.Begin()
 		for _, pk := range []int{(r + 1) % keys, (r + 5) % keys} {
-			if err := x.Update(tb, float64(pk), 2, float64(-r)); err != nil {
+			if err := x.Update("t", float64(pk), 2, float64(-r)); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if _, err := x.Commit(); err != nil {
+		if err := x.Commit(); err != nil {
 			t.Fatal(err)
 		}
 		if r%2 == 0 {
@@ -246,107 +246,252 @@ func primaryHeadAlwaysStamped(t *testing.T, scheme hermit.PointerScheme) {
 	wg.Wait()
 }
 
+// txnDB is what the transaction tests drive, on a DB and a DurableDB alike.
+type txnDB interface {
+	Begin() *Txn
+	Snapshot() *Snapshot
+	Delete(table string, pk float64) (bool, error)
+	Exec(table string, q Query, workers int, dst []float64) ([]float64, GatherStats, error)
+	Lookup(table string, q Query, workers int, dst []PartRID) ([]PartRID, GatherStats, error)
+}
+
+// txnCase is one database the transaction tests run over: newTxnTable's
+// rows in table "t" of a DB or a DurableDB, plain or in parts partitions.
+type txnCase struct {
+	name  string
+	parts int
+	// open loads the table; reopen closes a durable database and recovers
+	// it (nil in memory).
+	open   func(t *testing.T) txnDB
+	reopen func(t *testing.T, db txnDB) txnDB
+}
+
+func txnCases() []txnCase {
+	load := func(t *testing.T, create func() error, insert func(row []float64) error) {
+		if err := create(); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 100; i++ {
+			if err := insert([]float64{float64(i), float64(i * 2), float64(i % 7)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	cols := []string{"pk", "a", "b"}
+	var cases []txnCase
+	for _, parts := range []int{0, 4} {
+		suffix := "plain"
+		if parts > 0 {
+			suffix = "partitioned"
+		}
+		mem := func(t *testing.T) txnDB {
+			db := NewDB(hermit.PhysicalPointers)
+			load(t, func() error {
+				if parts > 0 {
+					return db.CreatePartitionedTable("t", cols, 0, parts)
+				}
+				_, err := db.CreateTable("t", cols, 0)
+				return err
+			}, func(row []float64) error { _, err := db.Insert("t", row); return err })
+			return db
+		}
+		var dir string
+		durable := func(t *testing.T) txnDB {
+			dir = t.TempDir()
+			d, err := OpenDurable(dir, hermit.PhysicalPointers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { d.Close() })
+			load(t, func() error {
+				if parts > 0 {
+					return d.CreatePartitionedTable("t", cols, 0, parts)
+				}
+				_, err := d.CreateTable("t", cols, 0)
+				return err
+			}, func(row []float64) error { _, err := d.Insert("t", row); return err })
+			return d
+		}
+		reopen := func(t *testing.T, db txnDB) txnDB {
+			if err := db.(*DurableDB).Close(); err != nil {
+				t.Fatal(err)
+			}
+			d, err := OpenDurable(dir, hermit.PhysicalPointers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { d.Close() })
+			return d
+		}
+		cases = append(cases,
+			txnCase{name: "db-" + suffix, parts: parts, open: mem},
+			txnCase{name: "durable-" + suffix, parts: parts, open: durable, reopen: reopen})
+	}
+	return cases
+}
+
+// key reads pk from table "t" at snap (nil: the latest state), checking
+// that a live row sits on the partition that owns its key.
+func (c txnCase) key(t *testing.T, db txnDB, pk float64, snap *Snapshot) ([]float64, bool) {
+	t.Helper()
+	q := Query{Col: 0, Lo: pk, Hi: pk, Snap: snap}
+	row, _, err := db.Exec("t", q, 1, nil)
+	if err != nil || len(row) > 3 {
+		t.Fatalf("read of pk %v: %v err=%v", pk, row, err)
+	}
+	rids, _, err := db.Lookup("t", q, 1, nil)
+	if err != nil || len(rids) != len(row)/3 {
+		t.Fatalf("lookup of pk %v: %v err=%v", pk, rids, err)
+	}
+	if len(rids) == 1 && rids[0].Part != PartitionOf(pk, c.parts) {
+		t.Fatalf("pk %v on partition %d, owner %d", pk, rids[0].Part, PartitionOf(pk, c.parts))
+	}
+	return row, len(row) > 0
+}
+
 // TestTxnFirstCommitterWins: two transactions writing the same key — the
-// second committer aborts with ErrWriteConflict and applies nothing.
+// second committer aborts with ErrWriteConflict and applies nothing — on
+// every txnCase.
 func TestTxnFirstCommitterWins(t *testing.T) {
-	db, tb := newTxnTable(t)
-	x1 := db.Begin()
-	x2 := db.Begin()
-	if err := x1.Update(tb, 5, 1, 111); err != nil {
-		t.Fatal(err)
-	}
-	if err := x2.Update(tb, 5, 1, 222); err != nil {
-		t.Fatal(err)
-	}
-	if err := x2.Update(tb, 6, 1, 333); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := x1.Commit(); err != nil {
-		t.Fatalf("first committer: %v", err)
-	}
-	if _, err := x2.Commit(); !errors.Is(err, ErrWriteConflict) {
-		t.Fatalf("second committer: %v, want ErrWriteConflict", err)
-	}
-	// x2 applied nothing, not even its non-conflicting write.
-	rids, _, _ := rowsOf(tb, Query{Col: 0, Lo: 5, Hi: 5})
-	if v := rids[0][1]; v != 111 {
-		t.Fatalf("pk 5 col a = %v, want x1's 111", v)
-	}
-	rids, _, _ = rowsOf(tb, Query{Col: 0, Lo: 6, Hi: 6})
-	if v := rids[0][1]; v != 12 {
-		t.Fatalf("pk 6 col a = %v, want untouched 12", v)
-	}
-	// Delete-after-snapshot also conflicts.
-	x3 := db.Begin()
-	if err := x3.Update(tb, 7, 1, 1); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tb.Delete(7); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := x3.Commit(); !errors.Is(err, ErrWriteConflict) {
-		t.Fatalf("update-vs-delete: %v, want ErrWriteConflict", err)
+	for _, c := range txnCases() {
+		t.Run(c.name, func(t *testing.T) {
+			db := c.open(t)
+			x1 := db.Begin()
+			x2 := db.Begin()
+			if err := x1.Update("t", 5, 1, 111); err != nil {
+				t.Fatal(err)
+			}
+			if err := x2.Update("t", 5, 1, 222); err != nil {
+				t.Fatal(err)
+			}
+			if err := x2.Update("t", 6, 1, 333); err != nil {
+				t.Fatal(err)
+			}
+			// Another snapshot sees x1's write only once it commits.
+			if row, ok := c.key(t, db, 5, nil); !ok || row[1] != 10 {
+				t.Fatalf("uncommitted update visible: pk 5 col a = %v", row[1])
+			}
+			if err := x1.Commit(); err != nil {
+				t.Fatalf("first committer: %v", err)
+			}
+			if err := x2.Commit(); !errors.Is(err, ErrWriteConflict) {
+				t.Fatalf("second committer: %v, want ErrWriteConflict", err)
+			}
+			// Delete-after-snapshot also conflicts.
+			x3 := db.Begin()
+			if err := x3.Update("t", 7, 1, 1); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := db.Delete("t", 7); err != nil {
+				t.Fatal(err)
+			}
+			if err := x3.Commit(); !errors.Is(err, ErrWriteConflict) {
+				t.Fatalf("update-vs-delete: %v, want ErrWriteConflict", err)
+			}
+			check := func(db txnDB) {
+				// x2 applied nothing, not even its non-conflicting write.
+				if row, ok := c.key(t, db, 5, nil); !ok || row[1] != 111 {
+					t.Fatalf("pk 5 col a = %v, want x1's 111", row[1])
+				}
+				if row, ok := c.key(t, db, 6, nil); !ok || row[1] != 12 {
+					t.Fatalf("pk 6 col a = %v, want untouched 12", row[1])
+				}
+				if _, ok := c.key(t, db, 7, nil); ok {
+					t.Fatal("pk 7 outlived its delete")
+				}
+			}
+			check(db)
+			if c.reopen != nil {
+				check(c.reopen(t, db))
+			}
+		})
 	}
 }
 
 // TestTxnRollbackAndReadYourWrites: buffered writes are visible to the
-// transaction's own Get, invisible to everyone else, and vanish on
-// rollback.
+// transaction's own Get, invisible to everyone else until Commit, and
+// vanish on rollback — on every txnCase.
 func TestTxnRollbackAndReadYourWrites(t *testing.T) {
-	db, tb := newTxnTable(t)
-	x := db.Begin()
-	if err := x.Insert(tb, []float64{777, 1, 2}); err != nil {
-		t.Fatal(err)
-	}
-	if err := x.Update(tb, 3, 1, 42); err != nil {
-		t.Fatal(err)
-	}
-	if found, err := x.Delete(tb, 4); err != nil || !found {
-		t.Fatalf("txn delete: %v %v", found, err)
-	}
-	if row, ok, _ := x.Get(tb, 777); !ok || row[1] != 1 {
-		t.Fatalf("read-your-writes insert: %v %v", row, ok)
-	}
-	if row, ok, _ := x.Get(tb, 3); !ok || row[1] != 42 {
-		t.Fatalf("read-your-writes update: %v %v", row, ok)
-	}
-	if _, ok, _ := x.Get(tb, 4); ok {
-		t.Fatal("read-your-writes delete still visible")
-	}
-	// Other readers see none of it.
-	if rids, _, _ := rowsOf(tb, Query{Col: 0, Lo: 777, Hi: 777}); len(rids) != 0 {
-		t.Fatal("uncommitted insert visible")
-	}
-	x.Rollback()
-	if rids, _, _ := rowsOf(tb, Query{Col: 0, Lo: 4, Hi: 4}); len(rids) != 1 {
-		t.Fatal("rolled-back delete applied")
-	}
-	if _, err := x.Commit(); !errors.Is(err, ErrTxnDone) {
-		t.Fatalf("commit after rollback: %v", err)
-	}
-	// Duplicate insert inside a txn is caught at buffer time.
-	y := db.Begin()
-	defer y.Rollback()
-	if err := y.Insert(tb, []float64{3, 0, 0}); !errors.Is(err, ErrDupKey) {
-		t.Fatalf("dup insert in txn: %v", err)
-	}
-	// Delete then re-insert in one txn replaces the row.
-	z := db.Begin()
-	if found, err := z.Delete(tb, 8); err != nil || !found {
-		t.Fatal("txn delete for replace")
-	}
-	if err := z.Insert(tb, []float64{8, 4242, 0}); err != nil {
-		t.Fatalf("reinsert after delete in txn: %v", err)
-	}
-	if _, err := z.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	rids, _, _ := rowsOf(tb, Query{Col: 0, Lo: 8, Hi: 8})
-	if len(rids) != 1 {
-		t.Fatalf("replaced row: %d rids", len(rids))
-	}
-	if v := rids[0][1]; v != 4242 {
-		t.Fatalf("replaced row col a = %v", v)
+	for _, c := range txnCases() {
+		t.Run(c.name, func(t *testing.T) {
+			db := c.open(t)
+			x := db.Begin()
+			if err := x.Insert("t", []float64{777, 1, 2}); err != nil {
+				t.Fatal(err)
+			}
+			if err := x.Update("t", 3, 1, 42); err != nil {
+				t.Fatal(err)
+			}
+			if found, err := x.Delete("t", 4); err != nil || !found {
+				t.Fatalf("txn delete: %v %v", found, err)
+			}
+			if row, ok, _ := x.Get("t", 777); !ok || row[1] != 1 {
+				t.Fatalf("read-your-writes insert: %v %v", row, ok)
+			}
+			if row, ok, _ := x.Get("t", 3); !ok || row[1] != 42 {
+				t.Fatalf("read-your-writes update: %v %v", row, ok)
+			}
+			if _, ok, _ := x.Get("t", 4); ok {
+				t.Fatal("read-your-writes delete still visible")
+			}
+			// Other readers see none of it.
+			if _, ok := c.key(t, db, 777, nil); ok {
+				t.Fatal("uncommitted insert visible")
+			}
+			x.Rollback()
+			if _, ok := c.key(t, db, 4, nil); !ok {
+				t.Fatal("rolled-back delete applied")
+			}
+			if err := x.Commit(); !errors.Is(err, ErrTxnDone) {
+				t.Fatalf("commit after rollback: %v", err)
+			}
+			// Duplicate insert inside a txn is caught at buffer time.
+			y := db.Begin()
+			defer y.Rollback()
+			if err := y.Insert("t", []float64{3, 0, 0}); !errors.Is(err, ErrDupKey) {
+				t.Fatalf("dup insert in txn: %v", err)
+			}
+			// Delete then re-insert in one txn replaces the row; a snapshot
+			// taken before the commit keeps the old one.
+			z := db.Begin()
+			if found, err := z.Delete("t", 8); err != nil || !found {
+				t.Fatal("txn delete for replace")
+			}
+			if err := z.Insert("t", []float64{8, 4242, 0}); err != nil {
+				t.Fatalf("reinsert after delete in txn: %v", err)
+			}
+			if err := z.Update("t", 9, 1, 99); err != nil {
+				t.Fatal(err)
+			}
+			before := db.Snapshot()
+			defer before.Release()
+			if err := z.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			if row, ok := c.key(t, db, 8, before); !ok || row[1] != 16 {
+				t.Fatalf("snapshot before the commit sees col a = %v", row[1])
+			}
+			if row, ok := c.key(t, db, 9, before); !ok || row[1] != 18 {
+				t.Fatalf("snapshot before the commit sees col a = %v", row[1])
+			}
+			check := func(db txnDB) {
+				if row, ok := c.key(t, db, 8, nil); !ok || row[1] != 4242 {
+					t.Fatalf("replaced row col a = %v", row[1])
+				}
+				if row, ok := c.key(t, db, 9, nil); !ok || row[1] != 99 {
+					t.Fatalf("updated row col a = %v", row[1])
+				}
+				if _, ok := c.key(t, db, 777, nil); ok {
+					t.Fatal("rolled-back insert applied")
+				}
+			}
+			check(db)
+			if c.reopen != nil {
+				y.Rollback()
+				before.Release()
+				check(c.reopen(t, db))
+			}
+		})
 	}
 }
 

@@ -145,8 +145,8 @@ func snapshotsBetweenStampAndPublish(t *testing.T, scheme hermit.PointerScheme) 
 			_, err = tb.Insert(row)
 		} else {
 			x := db.Begin()
-			if err = x.Insert(tb, row); err == nil {
-				_, err = x.Commit()
+			if err = x.Insert("t", row); err == nil {
+				err = x.Commit()
 			}
 		}
 		if err != nil || db.Clock().Now() != uint64(ts) {

@@ -134,21 +134,20 @@ func (d *DurableDB) applyGroup(group []wal.Record) error {
 	if len(group) == 1 && group[0].Txn == 0 {
 		return d.applyRecord(group[0])
 	}
-	tx := beginTxn(d.db.clock)
+	tx := d.db.Begin() // the DB's: replaying a group never logs it again
 	defer tx.Rollback()
 	for _, rec := range group {
 		tb, op, err := d.replayed(rec)
 		if err == nil {
 			var found bool
-			found, err = tx.Mutate(tb, op)
+			found, err = tx.stage(tb, &op)
 			err = absent(&op, found, err)
 		}
 		if err != nil {
 			return err
 		}
 	}
-	_, err := tx.Commit()
-	return err
+	return tx.Commit()
 }
 
 // applyRecord applies one DDL or auto-commit record. Live DDL runs through

@@ -8,6 +8,7 @@ import (
 
 	"hermit/internal/keyorder"
 	"hermit/internal/storage"
+	"hermit/internal/wal"
 )
 
 // Errors returned by the transaction layer.
@@ -21,18 +22,26 @@ var (
 	ErrTxnDone = errors.New("engine: transaction already committed or rolled back")
 )
 
-// Txn is a snapshot-isolation transaction: reads resolve against the
-// snapshot taken at Begin, writes are buffered privately and become
-// visible atomically at Commit, which detects write-write conflicts under
-// the first-committer-wins rule. A transaction may span every table
-// ordered by the same commit clock — every table and partition of a DB —
-// and is not safe for concurrent use by multiple goroutines.
+// Txn is a snapshot-isolation transaction over a database's tables, named
+// as in every other read and write: reads resolve against the snapshot
+// taken at Begin, writes are buffered privately — each on the partition
+// that owns its key — and become visible atomically at Commit, which
+// detects write-write conflicts under the first-committer-wins rule. A
+// transaction begun on a DurableDB also encodes each buffered mutation's
+// WAL record, and Commit logs them as a txn-begin / mutations / txn-commit
+// group under one transaction id: recovery replays the group only if its
+// commit record reached the log, so a crash mid-commit rolls the whole
+// transaction back. A Txn is not safe for concurrent use by multiple
+// goroutines.
 type Txn struct {
-	clock *Clock
-	snap  *Snapshot
+	db   *DB
+	d    *DurableDB // the logging database, nil for a DB's transaction
+	snap *Snapshot
 	// writes is keyed by keyorder.Bits of the primary key: a float64 map
 	// key could never find a NaN key again.
 	writes map[*Table]map[uint64]*txnWrite
+	recs   []wal.Record // d's mutation records, in buffer order
+	pks    []float64    // the d.rows stripe keys Commit must hold
 	done   bool
 }
 
@@ -45,22 +54,23 @@ type txnWrite struct {
 	del bool
 }
 
-// beginTxn starts a transaction on the given commit clock (DB.Begin).
-func beginTxn(clock *Clock) *Txn {
-	return &Txn{
-		clock:  clock,
-		snap:   clock.Snapshot(),
-		writes: make(map[*Table]map[uint64]*txnWrite),
-	}
+// Begin starts a snapshot-isolation transaction on the database's clock.
+func (db *DB) Begin() *Txn {
+	return &Txn{db: db, snap: db.clock.Snapshot(), writes: make(map[*Table]map[uint64]*txnWrite)}
 }
 
-// Begin starts a snapshot-isolation transaction on the database's clock.
-func (db *DB) Begin() *Txn { return beginTxn(db.clock) }
+// Begin starts a WAL-logged snapshot-isolation transaction. Only DML is
+// transactional; DDL keeps its own logged paths.
+func (d *DurableDB) Begin() *Txn {
+	x := d.db.Begin()
+	x.d = d
+	return x
+}
 
 // Snapshot returns the transaction's read snapshot, valid until Commit or
-// Rollback. Queries run through Table.Exec with it as Query.Snap observe
-// the database as of Begin (buffered writes excluded; use Get for
-// read-your-own-writes point lookups).
+// Rollback. Queries run with it as Query.Snap observe the database as of
+// Begin (buffered writes excluded; use Get for read-your-own-writes point
+// lookups).
 func (x *Txn) Snapshot() *Snapshot { return x.snap }
 
 // effective returns the transaction's view of pk in t: the buffered write
@@ -92,107 +102,119 @@ func (x *Txn) buffer(t *Table, w *txnWrite) {
 	m[keyorder.Bits(w.pk)] = w
 }
 
-// check validates that the transaction can still buffer writes against t.
-func (x *Txn) check(t *Table) error {
+// Mutate buffers one mutation on the table op.Table names — Insert, Delete
+// or Update by op.Kind — on the partition that owns its key, reporting
+// whether a delete found its key. On a DurableDB it also encodes the WAL
+// record Commit logs for it; a delete of an absent key buffers nothing:
+// there is nothing to commit or replay.
+func (x *Txn) Mutate(op Op) (bool, error) {
 	if x.done {
-		return ErrTxnDone
+		return false, ErrTxnDone
 	}
-	if t.clock != x.clock {
-		return fmt.Errorf("engine: table %q is ordered by a different commit clock", t.name)
+	tb, part, pk, err := x.db.target(&op)
+	if err != nil {
+		return false, err
 	}
-	return nil
+	found, err := x.stage(tb, &op)
+	if err != nil || x.d == nil || op.Kind == OpDelete && !found {
+		return found, err
+	}
+	rec := wal.Record{Table: op.Table, Part: part}
+	rec.Op, rec.Payload = encodeOp(nil, &op)
+	x.recs = append(x.recs, rec)
+	x.pks = append(x.pks, pk)
+	return found, nil
 }
 
 // Insert buffers a row insert. Duplicate keys — visible at the snapshot or
 // inserted earlier in this transaction — are rejected immediately.
-func (x *Txn) Insert(t *Table, row []float64) error {
-	if err := x.check(t); err != nil {
-		return err
-	}
-	if len(row) != len(t.cols) {
-		return storage.ErrBadRow
-	}
-	pk := row[t.pkCol]
-	_, live, err := x.effective(t, pk)
-	if err != nil {
-		return err
-	}
-	if live {
-		return fmt.Errorf("%w: %v", ErrDupKey, pk)
-	}
-	x.buffer(t, &txnWrite{pk: pk, row: append([]float64(nil), row...)})
-	return nil
+func (x *Txn) Insert(table string, row []float64) error {
+	_, err := x.Mutate(Op{Kind: OpInsert, Table: table, Row: row})
+	return err
 }
 
 // Delete buffers a delete, reporting whether the key was live in the
-// transaction's view. Deletes of absent keys are not buffered (there is
-// nothing to commit).
-func (x *Txn) Delete(t *Table, pk float64) (bool, error) {
-	if err := x.check(t); err != nil {
-		return false, err
-	}
-	_, live, err := x.effective(t, pk)
-	if err != nil || !live {
-		return false, err
-	}
-	x.buffer(t, &txnWrite{pk: pk, del: true})
-	return true, nil
+// transaction's view.
+func (x *Txn) Delete(table string, pk float64) (bool, error) {
+	return x.Mutate(Op{Kind: OpDelete, Table: table, PK: pk})
 }
 
 // Update buffers a single-column update against the transaction's view of
 // the row (its own writes included). The primary-key column cannot change.
-func (x *Txn) Update(t *Table, pk float64, col int, v float64) error {
-	if err := x.check(t); err != nil {
-		return err
-	}
-	if col == t.pkCol {
-		return fmt.Errorf("engine: update: cannot change primary-key column %q (delete and re-insert)", t.cols[col])
-	}
-	if col < 0 || col >= len(t.cols) {
-		return ErrNoSuchColumn
-	}
-	row, live, err := x.effective(t, pk)
-	if err != nil {
-		return err
-	}
-	if !live {
-		return fmt.Errorf("engine: update: no row with pk %v", pk)
-	}
-	nw := append([]float64(nil), row...)
-	nw[col] = v
-	x.buffer(t, &txnWrite{pk: pk, row: nw})
-	return nil
+func (x *Txn) Update(table string, pk float64, col int, v float64) error {
+	_, err := x.Mutate(Op{Kind: OpUpdate, Table: table, PK: pk, Col: col, Value: v})
+	return err
 }
 
-// Mutate buffers one mutation op on t — Insert, Delete or Update by
-// op.Kind — reporting whether a delete found its key.
-func (x *Txn) Mutate(t *Table, op Op) (bool, error) {
+// stage buffers mutation op on t, the engine table it routes to: Mutate's
+// core, through which recovery (applyGroup) replays a logged group without
+// logging it again.
+func (x *Txn) stage(t *Table, op *Op) (bool, error) {
 	switch op.Kind {
 	case OpInsert:
-		return false, x.Insert(t, op.Row)
+		if len(op.Row) != len(t.cols) {
+			return false, storage.ErrBadRow
+		}
+		pk := op.Row[t.pkCol]
+		_, live, err := x.effective(t, pk)
+		if err != nil {
+			return false, err
+		}
+		if live {
+			return false, fmt.Errorf("%w: %v", ErrDupKey, pk)
+		}
+		x.buffer(t, &txnWrite{pk: pk, row: append([]float64(nil), op.Row...)})
+		return false, nil
 	case OpDelete:
-		return x.Delete(t, op.PK)
+		_, live, err := x.effective(t, op.PK)
+		if err != nil || !live {
+			return false, err
+		}
+		x.buffer(t, &txnWrite{pk: op.PK, del: true})
+		return true, nil
 	case OpUpdate:
-		return false, x.Update(t, op.PK, op.Col, op.Value)
+		if op.Col == t.pkCol {
+			return false, fmt.Errorf("engine: update: cannot change primary-key column %q (delete and re-insert)", t.cols[op.Col])
+		}
+		if op.Col < 0 || op.Col >= len(t.cols) {
+			return false, ErrNoSuchColumn
+		}
+		row, live, err := x.effective(t, op.PK)
+		if err != nil {
+			return false, err
+		}
+		if !live {
+			return false, fmt.Errorf("engine: update: no row with pk %v", op.PK)
+		}
+		nw := append([]float64(nil), row...)
+		nw[op.Col] = op.Value
+		x.buffer(t, &txnWrite{pk: op.PK, row: nw})
+		return false, nil
 	}
 	return false, fmt.Errorf("engine: op kind %d is not a mutation", op.Kind)
 }
 
-// Get returns the transaction's view of pk: its own buffered write when
-// present, else the row visible at the snapshot.
-func (x *Txn) Get(t *Table, pk float64) ([]float64, bool, error) {
-	if err := x.check(t); err != nil {
+// Get returns the transaction's view of pk in the named table: its own
+// buffered write when present, else the row visible at the snapshot.
+func (x *Txn) Get(table string, pk float64) ([]float64, bool, error) {
+	if x.done {
+		return nil, false, ErrTxnDone
+	}
+	l, err := x.db.named(table)
+	if err != nil {
 		return nil, false, err
 	}
-	row, live, err := x.effective(t, pk)
+	tb, _ := l.route(pk)
+	row, live, err := x.effective(tb, pk)
 	if err != nil || !live {
 		return nil, false, err
 	}
 	return append([]float64(nil), row...), true, nil
 }
 
-// Rollback discards the buffered writes and releases the snapshot. Safe to
-// call after Commit (a no-op), so `defer x.Rollback()` always cleans up.
+// Rollback discards the buffered writes and releases the snapshot; nothing
+// was applied or logged. Safe to call after Commit (a no-op), so
+// `defer x.Rollback()` always cleans up.
 func (x *Txn) Rollback() {
 	if x.done {
 		return
@@ -211,31 +233,97 @@ type stamped struct {
 	old storage.RID // the head an update or a delete ends (noRID for an insert)
 }
 
-// CommitResult reports a committed transaction's commit timestamp.
-type CommitResult struct {
-	// TS is the commit timestamp.
-	TS uint64
-}
-
 // Commit atomically applies the buffered writes: it validates every
 // written key against the latest committed state (ErrWriteConflict when a
 // later commit touched one — first committer wins), applies the version
 // rows and index entries, and stamps them all with one new commit
 // timestamp, so concurrent snapshots observe either the whole transaction
-// or none of it. On any error nothing is applied. The transaction is done
-// afterwards either way.
-func (x *Txn) Commit() (CommitResult, error) {
+// or none of it. On any error nothing is applied. On a DurableDB it then
+// logs the group and returns once the commit record is acknowledged under
+// the sync policy. The transaction is done afterwards either way.
+func (x *Txn) Commit() error {
+	if x.d == nil {
+		return x.commit()
+	}
+	tk, err := x.submitCommit()
+	if err != nil {
+		return err
+	}
+	if _, err := tk.Wait(); err != nil {
+		return fmt.Errorf("engine: wal append after txn apply (in-memory state ahead of log until next checkpoint): %w", err)
+	}
+	return nil
+}
+
+// submitCommit is a DurableDB transaction's Commit up to the wait: apply,
+// then submit the group's frames. The write keys' durable stripes are held
+// from the in-memory commit through the log submits, so per-key log order
+// equals apply order exactly as on the auto-commit paths. The group is one
+// run in one log — the shared latch keeps a rotation out — so the returned
+// ticket, the commit record's, covers the begin and mutation frames before
+// it; if a submit fails midway, the frames already pending reach the file
+// with the log's next wait, barrier or close, as an uncommitted tail.
+func (x *Txn) submitCommit() (wal.Ticket, error) {
+	d := x.d
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	if len(x.recs) == 0 {
+		return wal.Ticket{}, x.commit()
+	}
+	stripes := make([]uint64, 0, len(x.pks))
+	seen := make(map[uint64]bool, len(x.pks))
+	for _, pk := range x.pks {
+		if s := stripeOf(pk); !seen[s] {
+			seen[s] = true
+			stripes = append(stripes, s)
+		}
+	}
+	sort.Slice(stripes, func(a, b int) bool { return stripes[a] < stripes[b] })
+	for _, s := range stripes {
+		d.rows.stripes[s].Lock()
+	}
+	defer func() {
+		for i := len(stripes) - 1; i >= 0; i-- {
+			d.rows.stripes[stripes[i]].Unlock()
+		}
+	}()
+	if err := x.commit(); err != nil {
+		return wal.Ticket{}, err
+	}
+	id := d.txnSeq.Add(1)
+	var (
+		tk  wal.Ticket
+		err error
+	)
+	submit := func(rec wal.Record) {
+		if err == nil {
+			rec.Txn = id
+			tk, err = d.log.Submit(rec)
+		}
+	}
+	submit(wal.Record{Op: wal.OpTxnBegin})
+	for _, rec := range x.recs {
+		submit(rec)
+	}
+	submit(wal.Record{Op: wal.OpTxnCommit})
+	if err != nil {
+		return wal.Ticket{}, fmt.Errorf("engine: wal submit after txn apply (in-memory state ahead of log until next checkpoint): %w", err)
+	}
+	return tk, nil
+}
+
+// commit is Commit in memory: it takes the written tables' catalog latches
+// in a deterministic order — tables by tid, then stripes by index — so
+// concurrent multi-key committers can never deadlock.
+func (x *Txn) commit() error {
 	if x.done {
-		return CommitResult{}, ErrTxnDone
+		return ErrTxnDone
 	}
 	x.done = true
 	defer x.snap.Release()
 	if len(x.writes) == 0 {
-		return CommitResult{}, nil
+		return nil
 	}
-
-	// Deterministic lock order: tables by tid, then stripes by index —
-	// concurrent multi-key committers can never deadlock.
 	tables := make([]*Table, 0, len(x.writes))
 	for t := range x.writes {
 		tables = append(tables, t)
@@ -245,23 +333,22 @@ func (x *Txn) Commit() (CommitResult, error) {
 		t.catalog.RLock()
 		defer t.catalog.RUnlock()
 	}
-	res, left, err := x.apply(tables)
+	left, err := x.apply(tables)
 	if err != nil {
-		return res, err
+		return err
 	}
 	// The stripes are free again: each table reclaims for what the commit had
 	// to leave on its queue.
 	for i, t := range tables {
 		t.reclaimAfter(1 + left[i])
 	}
-	return res, nil
+	return nil
 }
 
-// apply is Commit under the tables' catalog latches: it takes the written
+// apply is commit under the tables' catalog latches: it takes the written
 // keys' stripes, validates, applies, stamps and settles, and lets the stripes
 // go. It returns, per table, the number of ended versions it left queued.
-func (x *Txn) apply(tables []*Table) (CommitResult, []int, error) {
-	res := CommitResult{}
+func (x *Txn) apply(tables []*Table) ([]int, error) {
 	type stripeRef struct {
 		t *Table
 		s uint64
@@ -295,7 +382,7 @@ func (x *Txn) apply(tables []*Table) (CommitResult, []int, error) {
 		for _, w := range x.writes[t] {
 			// (An absent key reads as the zero header, which passes.)
 			if _, h := t.head(w.pk); h.beginTS > x.snap.ts || h.endTS > x.snap.ts {
-				return res, nil, fmt.Errorf("%w: key %v in table %q", ErrWriteConflict, w.pk, t.name)
+				return nil, fmt.Errorf("%w: key %v in table %q", ErrWriteConflict, w.pk, t.name)
 			}
 		}
 	}
@@ -325,7 +412,7 @@ func (x *Txn) apply(tables []*Table) (CommitResult, []int, error) {
 			if err != nil {
 				// Unreachable in practice (width validated at buffer time);
 				// surface loudly rather than commit a partial transaction.
-				return res, nil, fmt.Errorf("engine: txn apply: %w", err)
+				return nil, fmt.Errorf("engine: txn apply: %w", err)
 			}
 			t.insertIndexEntries(rid, w.row)
 			t.writes.Add(1)
@@ -341,7 +428,7 @@ func (x *Txn) apply(tables []*Table) (CommitResult, []int, error) {
 	}
 
 	// Stamp and publish: one commit timestamp for the whole transaction.
-	c := x.clock
+	c := x.db.clock
 	c.commitMu.Lock()
 	commitTS := c.ts.Load() + 1
 	for _, s := range pend {
@@ -375,6 +462,5 @@ func (x *Txn) apply(tables []*Table) (CommitResult, []int, error) {
 		left[s.ti] += s.t.settle(commitTS, quiet, s.rid, s.old, row)
 	}
 
-	res.TS = commitTS
-	return res, left, nil
+	return left, nil
 }

@@ -68,8 +68,9 @@ func TestPointQueryRoutesToOwner(t *testing.T) {
 		if len(rids) != 1 || rids[0][0] != pk {
 			t.Fatalf("pk %v: %v, want its one row", pk, rids)
 		}
-		if want := engine.PartitionOf(pk, 4); st.PerPartition[want].Rows != 1 {
-			t.Fatalf("pk %v not served by its owner, partition %d: %+v", pk, want, st.PerPartition)
+		owner, _, err := pt.PointQuery(0, pk)
+		if want := engine.PartitionOf(pk, 4); err != nil || len(owner) != 1 || owner[0].Part != want {
+			t.Fatalf("pk %v not served by its owner, partition %d: %+v err=%v", pk, want, owner, err)
 		}
 	}
 }
@@ -334,8 +335,9 @@ func uniformIndex(t *testing.T, pt *Table, col int) {
 	}
 }
 
-// TestConcurrentScatterGather exercises the bounded pool under concurrent
-// readers and writers (meaningful under -race).
+// TestConcurrentScatterGather: four goroutines interleave range reads,
+// routed pk reads and inserts on one 4-partition table, each read's legs
+// run through engine.Parallel (meaningful under -race).
 func TestConcurrentScatterGather(t *testing.T) {
 	pt := newSynthetic(t, 4, 2000)
 	var wg sync.WaitGroup

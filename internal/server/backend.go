@@ -182,7 +182,7 @@ func (b *backend) runReads(tenant string, reqs []proto.Request, out []proto.Resp
 }
 
 // runBatch executes a wire batch through the database's ExecuteBatch, one
-// DurableTxn: queries on any table read the batch-start snapshot,
+// logged Txn: queries on any table read the batch-start snapshot,
 // mutations on any table commit all-or-nothing, and each op is answered on
 // its own — a missing table fails its op, never the batch.
 func (b *backend) runBatch(tenant string, r *proto.Request) proto.Response {
@@ -220,7 +220,7 @@ func (b *backend) runWrites(tenant string, reqs []proto.Request, out []proto.Res
 
 // runTxnQuery executes a read inside an open transaction, at the
 // transaction's snapshot.
-func (b *backend) runTxnQuery(tenant string, tx *engine.DurableTxn, r *proto.Request) proto.Response {
+func (b *backend) runTxnQuery(tenant string, tx *engine.Txn, r *proto.Request) proto.Response {
 	op, err := engineOp(tenant, r)
 	if err != nil {
 		return errorResponse(err)
@@ -230,7 +230,7 @@ func (b *backend) runTxnQuery(tenant string, tx *engine.DurableTxn, r *proto.Req
 }
 
 // runTxnMutation buffers one mutation into an open transaction.
-func runTxnMutation(tenant string, tx *engine.DurableTxn, r *proto.Request) proto.Response {
+func runTxnMutation(tenant string, tx *engine.Txn, r *proto.Request) proto.Response {
 	op, err := engineOp(tenant, r)
 	if err != nil {
 		return errorResponse(err)

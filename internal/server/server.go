@@ -288,7 +288,7 @@ func (s *Server) Serve(ln net.Listener) error {
 			srv:     sv,
 			conn:    conn,
 			bw:      bufio.NewWriterSize(conn, 64<<10),
-			txns:    make(map[uint64]*engine.DurableTxn),
+			txns:    make(map[uint64]*engine.Txn),
 			subStop: make(chan struct{}),
 		}
 		go sess.serve()

@@ -57,7 +57,7 @@ type session struct {
 	// by the executor goroutine; cleaned up (rolled back, snapshots
 	// released) on any exit path so an abruptly dropped connection cannot
 	// pin the reclaim horizon.
-	txns   map[uint64]*engine.DurableTxn
+	txns   map[uint64]*engine.Txn
 	nextTx uint64
 
 	// wmu serializes use of bw: normally only the executor writes, but a
