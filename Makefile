@@ -268,16 +268,22 @@ heap-profile:
 # lines alone: not blank, not comment-only. A simplicity claim quotes both,
 # before and after, in CHANGES.md, and must hold in the second: trimming
 # comments is no simplification. ROADMAP item 7's "non-test LOC" target is
-# the first. The last line counts the public API: the exported identifiers
-# hermitdb.go declares (top-level type, func, var and const names, grouped
-# ones included).
+# the first. Two subtotals follow the total: the engine (internal/engine +
+# internal/partition), and the engine with the serving tier and the public
+# API (+ internal/server, internal/client and the root package). The last
+# line counts the public API: the exported identifiers hermitdb.go declares
+# (top-level type, func, var and const names, grouped ones included).
 loc:
-	@total=0; code=0; for d in . cmd examples internal/*; do \
+	@total=0; code=0; en=0; ec=0; sn=0; sc=0; for d in . cmd examples internal/*; do \
 		depth=; [ $$d = . ] && depth='-maxdepth 1'; \
 		files=$$(find $$d $$depth -name '*.go' -not -name '*_test.go'); \
 		n=$$(cat $$files | wc -l); c=$$(cat $$files | grep -cvE '^[[:space:]]*(//|$$)'); \
 		printf '%-22s %6d %6d\n' $$d $$n $$c; total=$$((total + n)); code=$$((code + c)); \
-	done; printf '%-22s %6d %6d\n' total $$total $$code
+		case $$d in internal/engine|internal/partition) en=$$((en + n)); ec=$$((ec + c));; esac; \
+		case $$d in .|internal/engine|internal/partition|internal/server|internal/client) \
+			sn=$$((sn + n)); sc=$$((sc + c));; esac; \
+	done; printf '%-22s %6d %6d\n' total $$total $$code; \
+	printf '%-22s %6d %6d\n' 'engine+partition' $$en $$ec '+server+client+root' $$sn $$sc
 	@printf '%-22s %6d\n' 'hermitdb.go exported' \
 		$$(grep -cE '^(type|func|var|const) [A-Z]|^	[A-Z][A-Za-z0-9_]* +=' hermitdb.go)
 

@@ -90,7 +90,7 @@ func main() {
 		HTTPAddr:     *httpAddr,
 	}
 
-	var d *engine.DurableDB
+	var d *engine.DB
 	var follower *repl.Follower
 	var srv *server.Server
 	if *replFrom != "" {
@@ -158,7 +158,7 @@ func main() {
 
 	srv = server.New(d, opts)
 	if follower != nil {
-		follower.SetOnEngineSwap(func(db *engine.DurableDB) { srv.SwapEngine(db) })
+		follower.SetOnEngineSwap(func(db *engine.DB) { srv.SwapEngine(db) })
 		follower.Start()
 	}
 	if err := srv.Start(*addr); err != nil {

@@ -72,7 +72,7 @@ func run(w io.Writer) error {
 	}
 	defer f.Close()
 	fsrv := hermitdb.NewServer(f.DB(), hermitdb.ServerOptions{Follower: f})
-	f.SetOnEngineSwap(func(db *hermitdb.DurableDB) { fsrv.SwapEngine(db) })
+	f.SetOnEngineSwap(func(db *hermitdb.DB) { fsrv.SwapEngine(db) })
 	f.Start()
 	if err := fsrv.Start("127.0.0.1:0"); err != nil {
 		return err

@@ -45,16 +45,19 @@ import (
 
 // Core engine types.
 type (
-	// DB is a catalog of tables sharing one tuple-identifier scheme.
+	// DB is a catalog of tables sharing one tuple-identifier scheme: in
+	// memory (NewDB), or durable through a WAL and checkpoints (§6) when
+	// opened with OpenDurable. A durable DB is safe for concurrent use; its
+	// writes must go through its by-name methods (Insert/Delete/
+	// UpdateColumn/ApplyEach/ExecuteBatch, a Txn), which coordinate with
+	// Checkpoint and are acknowledged under the configured SyncPolicy.
 	DB = engine.DB
 	// Table is one relation plus its indexes.
 	Table = engine.Table
-	// DurableDB wraps the engine with WAL + checkpoint persistence (§6).
-	// It is safe for concurrent use: mutations must go through its logged
-	// methods (Insert/Delete/UpdateColumn/ExecuteBatch), which coordinate
-	// with Checkpoint and are acknowledged under the configured SyncPolicy.
-	DurableDB = engine.DurableDB
-	// DurableOptions selects a DurableDB's sync policy and group-commit
+	// DurableDB is DB: the name benchmark/ uses for one opened with
+	// OpenDurable.
+	DurableDB = engine.DB
+	// DurableOptions selects a durable DB's sync policy and group-commit
 	// interval.
 	DurableOptions = engine.DurableOptions
 	// SyncPolicy selects when a durable mutation is acknowledged.
@@ -101,18 +104,18 @@ const (
 //		// nothing was applied
 //	}
 //
-// Tables are named, plain or partitioned, as everywhere else. The same Txn
-// begun by DurableDB.Begin is WAL-logged: its mutations are logged as one
+// Tables are named, plain or partitioned, as everywhere else. A Txn of a
+// durable DB is WAL-logged: its mutations are logged as one
 // txn-begin/commit group, and recovery discards transactions whose commit
 // record never reached the log.
 // Snapshots are first-class (WithSnapshot, DB.Snapshot, Query.Snap), so
 // several queries can observe one consistent state.
 type (
 	// Txn is a snapshot-isolation transaction over named tables (DB.Begin),
-	// WAL-logged when begun by DurableDB.Begin.
+	// WAL-logged on a durable DB.
 	Txn = engine.Txn
 	// Snapshot is a registered consistent read view (DB.Snapshot,
-	// DurableDB.Snapshot, PartitionedTable.Snapshot); release it when done.
+	// PartitionedTable.Snapshot); release it when done.
 	Snapshot = engine.Snapshot
 	// Clock is the commit clock ordering transactions: one per database,
 	// for every table and partition in it.
@@ -182,14 +185,14 @@ const (
 // Hash-partitioned tables with parallel scatter-gather execution. A
 // partitioned table splits rows across N per-partition engine tables
 // (each with its own indexes, latches and planner state) by a hash of the
-// primary key. Both databases hold them: DB.CreatePartitionedTable and
-// DurableDB.CreatePartitionedTable create one, the database routes its
-// writes by key, applies index DDL to every partition (the DurableDB logs
-// both, each WAL record carrying its partition id) and reads it
+// primary key. DB.CreatePartitionedTable creates one; the database routes
+// its writes by key, applies index DDL to every partition (a durable DB
+// logs both, each WAL record carrying its partition id) and reads it
 // (DB.Exec): a pk point query routes to one partition, any other query
 // runs on every partition, on at most a given number of goroutines, and
 // returns an ordered merge; the advisor sees it as one table. A
-// PartitionedTable fronts one, plain or partitioned, in either database.
+// PartitionedTable fronts one table of a DB, plain or partitioned
+// (OpenPartitionedDurable).
 //
 //	pt, _ := hermitdb.CreatePartitionedTable(hermitdb.PhysicalPointers,
 //		"orders", cols, 0, hermitdb.PartitionOptions{Partitions: 8})
@@ -217,13 +220,10 @@ var (
 	// CreatePartitionedTable creates an in-memory partitioned table in a
 	// DB of its own.
 	CreatePartitionedTable = partition.New
-	// CreatePartitionedDurable creates a partitioned table in a database —
-	// a DurableDB, where it survives close/reopen, checkpoints and
-	// crashes, or a DB — and fronts it.
-	CreatePartitionedDurable = partition.CreateDurable
-	// OpenPartitionedDurable fronts an existing table of a database: a
-	// recovered durable one, or any table of a DB.
-	OpenPartitionedDurable = partition.OpenDurable
+	// OpenPartitionedDurable fronts an existing table of a DB — one made
+	// by DB.CreatePartitionedTable or CreateTable, or a recovered durable
+	// one.
+	OpenPartitionedDurable = partition.Open
 )
 
 // Cost-based planning and self-tuning. A Query whose Path is left zero is
@@ -245,7 +245,7 @@ var (
 //	defer adv.Stop()
 //
 // It advises a partitioned table as one table, building on every
-// partition; on a DurableDB its DDL is WAL-logged and survives recovery.
+// partition; on a durable DB its DDL is WAL-logged and survives recovery.
 type (
 	// Plan is the planner's costed decision for one predicate, as returned
 	// by Table.Explain.
@@ -258,7 +258,7 @@ type (
 	// (Table.QueryStatsFor).
 	ColumnQueryStats = engine.ColumnQueryStats
 	// Advisor is the background self-tuning loop; obtain one with
-	// DB.EnableAdvisor or DurableDB.EnableAdvisor.
+	// DB.EnableAdvisor.
 	Advisor = advisor.Advisor
 	// AdvisorOptions tunes the advisor (sampling, size budget, outlier and
 	// false-positive thresholds, pass interval).
@@ -299,7 +299,7 @@ const (
 // 2000-row samples, unlimited budget, 25% outlier ceiling).
 var DefaultAdvisorOptions = advisor.DefaultOptions
 
-// WAL sync policies for DurableDB (see DurableOptions): SyncNever
+// WAL sync policies for a durable DB (see DurableOptions): SyncNever
 // acknowledges after the OS write (default; survives process crashes, not
 // power loss), SyncGroup batches fsyncs across concurrent writers on a
 // commit interval (group commit), SyncAlways fsyncs before acknowledging
@@ -385,7 +385,7 @@ var (
 // a daemon; dial it with Dial). The wire protocol lives in
 // internal/server/proto; Server and Conn are the supported surfaces.
 type (
-	// Server serves a DurableDB over the length-prefixed binary protocol
+	// Server serves a DB over the length-prefixed binary protocol
 	// (with an optional HTTP/JSON fallback endpoint): per-connection
 	// sessions, read pipelining into the batch executor, admission
 	// control, per-tenant namespaces with op quotas, graceful drain.
@@ -420,7 +420,7 @@ type (
 
 // Serving-tier constructors and sentinel errors.
 var (
-	// NewServer wraps an open DurableDB in a Server; start it with
+	// NewServer wraps an open DB in a Server; start it with
 	// Server.Serve or Server.Start and stop it with Server.Close.
 	NewServer = server.New
 	// Dial connects a client session to a hermitd address.
@@ -457,7 +457,7 @@ type (
 	// frame batch bounds).
 	ReplLeaderOptions = repl.LeaderOptions
 	// ReplFollower tails a leader and replays its log into a local
-	// read-only DurableDB, publishing an applied-LSN watermark.
+	// read-only durable DB, publishing an applied-LSN watermark.
 	ReplFollower = repl.Follower
 	// ReplFollowerOptions configures OpenReplFollower (directory, stable
 	// identity, leader address, pointer scheme, reconnect cadence).
@@ -469,7 +469,7 @@ type (
 
 // Replication constructors and ack modes.
 var (
-	// NewReplLeader wraps an open DurableDB in a replication leader;
+	// NewReplLeader wraps an open durable DB in a replication leader;
 	// pass it to ServerOptions.Leader so subscriptions come in over the
 	// server's wire endpoint.
 	NewReplLeader = repl.NewLeader

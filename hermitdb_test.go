@@ -156,8 +156,10 @@ func TestPartitionedFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dt, err := hermitdb.CreatePartitionedDurable(d, "orders",
-		[]string{"id", "qty"}, 0, hermitdb.PartitionOptions{Partitions: 2})
+	if err := d.CreatePartitionedTable("orders", []string{"id", "qty"}, 0, 2); err != nil {
+		t.Fatal(err)
+	}
+	dt, err := hermitdb.OpenPartitionedDurable(d, "orders", hermitdb.PartitionOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +258,7 @@ func TestHeapBytesPerRowBudget(t *testing.T) {
 }
 
 // churnTable is what churnSynthetic writes through: a *hermitdb.Table, or a
-// table of a DurableDB (durableSyn).
+// table of a durable DB (durableSyn).
 type churnTable interface {
 	Insert(row []float64) (hermitdb.RID, error)
 	UpdateColumn(pk float64, col int, v float64) error
@@ -266,7 +268,7 @@ type churnTable interface {
 
 // durableSyn is the table "syn" of a durable database, written through the
 // database as a durable table must be.
-type durableSyn struct{ d *hermitdb.DurableDB }
+type durableSyn struct{ d *hermitdb.DB }
 
 func (s durableSyn) Insert(row []float64) (hermitdb.RID, error) { return s.d.Insert("syn", row) }
 func (s durableSyn) UpdateColumn(pk float64, col int, v float64) error {
@@ -431,7 +433,7 @@ func TestHeapProfileOfChurn(t *testing.T) {
 }
 
 // TestHeapProfileOfDurableChurn is the census of a table that serves: a
-// DurableDB, 200k Synthetic rows with the host B+-tree and the Hermit index,
+// durable DB, 200k Synthetic rows with the host B+-tree and the Hermit index,
 // one checkpoint, then five turnovers (one visit in a hundred a delete and an
 // insert) and no checkpoint after them — every live row is in the WAL tail and
 // in no block. It is also the guard on what that costs in memory: a bit a row
@@ -484,7 +486,7 @@ func TestHeapProfileOfDurableChurn(t *testing.T) {
 // durable table. hermit.LogicalID of a whole key from 0 up is the key
 // itself, as dense as a row id, so the B+-tree's leaves and the
 // TRS-Tree's outlier arena, which keep an id in the bytes it needs, keep
-// it in the bytes a row id would take. A logical-pointer DurableDB holds
+// it in the bytes a row id would take. A logical-pointer durable DB holds
 // 200k Synthetic rows, keys 0 to 199 999, with the host B+-tree and Hermit;
 // the targets of a third of the rows then move off the model, as the
 // repository benchmark's durable-write moves them, and each becomes an

@@ -220,7 +220,7 @@ func measureCheckpointPause(root string, n, delta int) (compactionPausePoint, er
 // compaction-drain rounds at fan-in 2 and snapshots the storage counters.
 // The open database is returned so the cold-read sweep can reuse its
 // block tier; the caller closes it.
-func measureWriteAmplification(cfg Config, root string) (compactionAmpPoint, *engine.DurableDB, error) {
+func measureWriteAmplification(cfg Config, root string) (compactionAmpPoint, *engine.DB, error) {
 	dir, err := os.MkdirTemp(root, "amp-*")
 	if err != nil {
 		return compactionAmpPoint{}, nil, err
@@ -233,7 +233,7 @@ func measureWriteAmplification(cfg Config, root string) (compactionAmpPoint, *en
 	if err != nil {
 		return compactionAmpPoint{}, nil, err
 	}
-	fail := func(err error) (compactionAmpPoint, *engine.DurableDB, error) {
+	fail := func(err error) (compactionAmpPoint, *engine.DB, error) {
 		d.Close()
 		os.RemoveAll(dir)
 		return compactionAmpPoint{}, nil, err
@@ -295,7 +295,7 @@ func measureWriteAmplification(cfg Config, root string) (compactionAmpPoint, *en
 // primary keys, inside every fence, so only the bloom filters stand
 // between them and a page read — blocks probed per read is the bloom's
 // skip rate made visible.
-func measureColdReads(cfg Config, d *engine.DurableDB, amp compactionAmpPoint, present bool) (compactionReadPoint, error) {
+func measureColdReads(cfg Config, d *engine.DB, amp compactionAmpPoint, present bool) (compactionReadPoint, error) {
 	rng := rand.New(rand.NewSource(cfg.Seed + 17))
 	kind := "present"
 	if !present {

@@ -127,7 +127,7 @@ func RunDurability(cfg Config) error {
 	return nil
 }
 
-// measureDurableInserts opens a fresh DurableDB under opts and drives
+// measureDurableInserts opens a fresh durable DB under opts and drives
 // batches of unique-key inserts through its batched executor from g
 // goroutines for cfg.MeasureFor, returning aggregate inserts/second and
 // the insert count.

@@ -417,7 +417,7 @@ func setupHotpathDurableInsert(cfg Config, n int) (func() error, func(), error) 
 // startHotpathServer serves a fresh durable database on a loopback socket
 // and dials it: the fixture of the two wire lanes. create builds the
 // table(s) before the server starts.
-func startHotpathServer(cfg Config, create func(d *engine.DurableDB) error) (*client.Conn, func(), error) {
+func startHotpathServer(cfg Config, create func(d *engine.DB) error) (*client.Conn, func(), error) {
 	dir, err := os.MkdirTemp(cfg.TmpDir, "hermit-bench-hotpath")
 	if err != nil {
 		return nil, nil, err
@@ -457,7 +457,7 @@ func startHotpathServer(cfg Config, create func(d *engine.DurableDB) error) (*cl
 // hermitd's wire protocol on a loopback socket: request encode, frame
 // write, server decode/execute, response encode, client decode.
 func setupHotpathWirePoint(cfg Config, n int) (func() error, func(), error) {
-	conn, teardown, err := startHotpathServer(cfg, func(d *engine.DurableDB) error {
+	conn, teardown, err := startHotpathServer(cfg, func(d *engine.DB) error {
 		tb, err := d.CreateTable("hot", hotpathCols(), 0)
 		for i := 0; i < n && err == nil; i++ {
 			_, err = tb.Insert([]float64{float64(i), float64(i) * 0.5})
@@ -492,7 +492,7 @@ const hotpathPipelineDepth = 64
 // insert — request decode, partition routing, apply, WAL append, response
 // encode, and the burst's share of the socket and log writes.
 func setupHotpathWireInsertPipelined(cfg Config, _ int) (func() error, func(), error) {
-	conn, teardown, err := startHotpathServer(cfg, func(d *engine.DurableDB) error {
+	conn, teardown, err := startHotpathServer(cfg, func(d *engine.DB) error {
 		return d.CreatePartitionedTable("hot", hotpathCols(), 0, hotpathPartitions)
 	})
 	if err != nil {

@@ -74,7 +74,7 @@ type replReport struct {
 // replCluster is a leader server plus followers, each with its own
 // serving endpoint, for the duration of the experiment.
 type replCluster struct {
-	ld        *engine.DurableDB
+	ld        *engine.DB
 	leader    *repl.Leader
 	lsrv      *server.Server
 	followers []*repl.Follower

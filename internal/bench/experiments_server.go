@@ -17,7 +17,7 @@ import (
 )
 
 // The server experiment measures the serving tier end to end over
-// loopback TCP: an embedded hermitd Server fronting a DurableDB, swept
+// loopback TCP: an embedded hermitd Server fronting a durable DB, swept
 // over concurrent client counts, submission mode (one request per round
 // trip vs a pipelined burst the server coalesces into engine batches),
 // and workload mix (pure point reads vs 90/10 point/update). Results are

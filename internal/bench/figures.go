@@ -345,7 +345,7 @@ func fig23(p *plot) {
 }
 
 // fig24 is Fig. 24 (§7.8: the TRS-Tree in memory, what it resolves against
-// on disk) on the engine that serves. A DurableDB under logical pointers
+// on disk) on the engine that serves. A durable DB under logical pointers
 // holds the Sensor rows, with a host B+-tree on the average, Hermit on
 // reading 0 and a complete B+-tree on reading 0, and one checkpoint puts
 // every row in 2 KiB pages of the block tier. A range is answered by

@@ -33,7 +33,7 @@ const (
 	// sensor is workload.SensorSpec: a host B+-tree on the average, the
 	// readings the targets.
 	sensor dataKind = "sensor"
-	// coldSensor is the sensor rows in a DurableDB under logical pointers,
+	// coldSensor is the sensor rows in a durable DB under logical pointers,
 	// with the host index, Hermit and a complete B+-tree on reading 0 (its
 	// one target), checkpointed into the 2 KiB pages of the block tier
 	// (Fig. 24).
@@ -272,9 +272,9 @@ type dataset struct {
 	cfg   Config
 	loads *[]dataKey // the grid's record of shared loads; nil on a private copy
 	tb    *engine.Table
-	db    *engine.DurableDB // coldSensor
-	dir   string            // coldSensor's directory, removed on close
-	pairs []trstree.Pair    // (colC, colB, row number) of the Synthetic rows
+	db    *engine.DB     // coldSensor
+	dir   string         // coldSensor's directory, removed on close
+	pairs []trstree.Pair // (colC, colB, row number) of the Synthetic rows
 }
 
 // privateCopy returns an unloaded copy of the dataset for a trial that
@@ -802,7 +802,7 @@ type coldAnswer struct {
 // col's Hermit index, which the query then reads; with host −1, or on a
 // column without one, it reads col's complete B+-tree.
 type coldTable struct {
-	d         *engine.DurableDB
+	d         *engine.DB
 	tb        *engine.Table
 	col, host int
 }

@@ -11,7 +11,7 @@ import (
 	"hermit/internal/workload"
 )
 
-// startServer serves a fresh DurableDB on loopback, torn down with the
+// startServer serves a fresh durable DB on loopback, torn down with the
 // test.
 func startServer(t *testing.T, opts server.Options) *server.Server {
 	t.Helper()
@@ -21,7 +21,7 @@ func startServer(t *testing.T, opts server.Options) *server.Server {
 
 // startServerDB is startServer for tests that also inspect the database
 // behind the server.
-func startServerDB(t *testing.T, opts server.Options) (*server.Server, *engine.DurableDB) {
+func startServerDB(t *testing.T, opts server.Options) (*server.Server, *engine.DB) {
 	t.Helper()
 	d, err := engine.OpenDurable(t.TempDir(), hermit.PhysicalPointers)
 	if err != nil {

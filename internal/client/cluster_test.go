@@ -15,7 +15,7 @@ import (
 // replicatedStack is a leader server plus n follower servers, each
 // tailing the leader, for cluster-routing tests.
 type replicatedStack struct {
-	ld        *engine.DurableDB
+	ld        *engine.DB
 	lsrv      *server.Server
 	followers []*repl.Follower
 	fsrvs     []*server.Server
@@ -49,7 +49,7 @@ func startReplicatedStack(t *testing.T, n int) *replicatedStack {
 		}
 		t.Cleanup(func() { f.Close() })
 		fsrv := server.New(f.DB(), server.Options{Follower: f})
-		f.SetOnEngineSwap(func(db *engine.DurableDB) { fsrv.SwapEngine(db) })
+		f.SetOnEngineSwap(func(db *engine.DB) { fsrv.SwapEngine(db) })
 		f.Start()
 		if err := fsrv.Start("127.0.0.1:0"); err != nil {
 			t.Fatal(err)

@@ -9,14 +9,14 @@
 // bit-identically, comparisons are exact equality, never tolerance-based.
 //
 // The harness runs the same stream against several configurations (see
-// Configs): the in-memory engine, the hash-partitioned scatter-gather
-// table — both also answering every query once per access path the
-// planner lists (Query.Path), on one snapshot — and durable
-// databases — plain and partitioned — that are closed, reopened and
-// checkpointed mid-stream, asserting the recovered state still matches the
-// oracle row for row, and the network serving tier: the same stream
-// replayed over loopback TCP through the client package against a hermitd
-// server that is drained and restarted mid-stream.
+// Configs). Most are one system, a table of an engine.DB (dbSystem): in
+// memory, plain or hash-partitioned — both also answering every query once
+// per access path the planner lists (Query.Path), on one snapshot — or
+// durable, plain or partitioned, closed, reopened and checkpointed
+// mid-stream, asserting the recovered state still matches the oracle row
+// for row. The others put a replica or the network serving tier in front:
+// the same stream replayed over loopback TCP through the client package
+// against a hermitd server that is drained and restarted mid-stream.
 // It is driven by `go test ./internal/difftest` with
 // the -difftest.ops flag scaling the stream length (CI runs ≥10k ops per
 // configuration under -race).
@@ -32,7 +32,6 @@ import (
 	"hermit/internal/engine"
 	"hermit/internal/hermit"
 	"hermit/internal/keyorder"
-	"hermit/internal/partition"
 	"hermit/internal/trstree"
 	"hermit/internal/workload"
 )
@@ -55,7 +54,7 @@ var Configs = []string{
 	"partitioned",         // hash-partitioned scatter-gather table, plus every path
 	"durable",             // WAL+checkpoint engine, close/reopen mid-stream
 	"durable-partitioned", // partitioned durable table, close/reopen mid-stream
-	"txn",                 // atomic multi-op batches vs an all-or-nothing oracle (durable)
+	"txn",                 // atomic multi-op batches vs an all-or-nothing oracle, on all four databases
 	"snapshot-scan",       // concurrent reader asserting no scan observes a partial batch
 	"server",              // op stream replayed over loopback TCP through the serving tier
 	"blocks",              // durable engine under aggressive flush/compaction thresholds
@@ -353,7 +352,7 @@ func Run(cfgName string, cfg Config) error {
 			}
 			// The "blocks" cycle checkpointed and drained the compactor
 			// before it reopened: the block tier is the oracle's state.
-			if ds, ok := sys.(*durSystem); ok && ds.compact {
+			if ds, ok := sys.(*dbSystem); ok && ds.compact {
 				if err := auditBlocks(m, ds, nextPK, step); err != nil {
 					return err
 				}
@@ -367,13 +366,13 @@ func Run(cfgName string, cfg Config) error {
 // key the stream has ever inserted — the integers below nextPK and the odd
 // keys — reads back from its page bit-identical when live and not found
 // when deleted, whatever mix of delta and merged blocks holds its history.
-func auditBlocks(m *model, ds *durSystem, nextPK float64, step int) error {
+func auditBlocks(m *model, ds *dbSystem, nextPK float64, step int) error {
 	keys := slices.Clone(oddKeys)
 	for pk := float64(0); pk < nextPK; pk++ {
 		keys = append(keys, pk)
 	}
 	for _, pk := range keys {
-		row, found, _, err := ds.d.BlockRead(ds.name, pk)
+		row, found, _, err := ds.db.BlockRead(ds.name, pk)
 		want, live := m.row(pk)
 		switch {
 		case err != nil:
@@ -721,108 +720,73 @@ func audit(m *model, sys system, step int) error {
 
 // build constructs the named system over the generated schema, with the
 // host B+-tree and target Hermit index in place (their maintenance under
-// the mutation stream is much of what the harness exercises).
+// the mutation stream is much of what the harness exercises) — or, on the
+// composite configurations, the running example's indexes (§3): a
+// composite B+-tree on (pk, host) and a composite Hermit index on
+// (pk, target) that rides it.
 func build(cfgName string, cfg Config, s schema) (system, error) {
 	parts := cfg.Partitions
 	if parts <= 0 {
 		parts = 3
 	}
+	sys := &dbSystem{name: "t"}
+	defs := []engine.IndexDef{
+		{Kind: "btree", Col: 1},
+		{Kind: "hermit", Col: 2, Host: 1, Params: trstree.DefaultParams()},
+	}
+	composite := []engine.IndexDef{
+		{Kind: "composite-btree", ACol: 0, Col: 1},
+		{Kind: "composite-hermit", ACol: 0, Col: 2, Host: 1, Params: trstree.DefaultParams()},
+	}
+	n := 0 // partitions; 0 = a plain table
 	switch cfgName {
 	case "inmem-cost":
-		db := engine.NewDB(hermit.PhysicalPointers)
-		tb, err := db.CreateTable("t", s.cols, 0)
-		if err != nil {
-			return nil, err
-		}
-		if _, err := tb.CreateBTreeIndex(1, false); err != nil {
-			return nil, err
-		}
-		if _, err := tb.CreateHermitIndex(2, 1); err != nil {
-			return nil, err
-		}
-		return &memSystem{db: db, tb: tb}, nil
+		sys.paths = true
 	case "partitioned":
-		db := engine.NewDB(hermit.PhysicalPointers)
-		pt, err := partition.CreateDurable(db, "t", s.cols, 0,
-			partition.Options{Partitions: parts, Workers: 2})
-		if err != nil {
-			return nil, err
-		}
-		if err := pt.CreateBTreeIndex(1, false); err != nil {
-			return nil, err
-		}
-		if err := pt.CreateHermitIndex(2, 1, trstree.DefaultParams()); err != nil {
-			return nil, err
-		}
-		return &partSystem{db: db, pt: pt}, nil
+		sys.paths, n = true, parts
 	case "composite":
-		// The running example's indexes (§3): a composite B+-tree on
-		// (pk, host) and a composite Hermit index on (pk, target) that
-		// rides it.
-		db := engine.NewDB(hermit.PhysicalPointers)
-		tb, err := db.CreateTable("t", s.cols, 0)
-		if err != nil {
-			return nil, err
-		}
-		if _, err := tb.CreateCompositeBTreeIndex(0, 1, false); err != nil {
-			return nil, err
-		}
-		if _, err := tb.CreateCompositeHermitIndex(0, 2, 1); err != nil {
-			return nil, err
-		}
-		return &memSystem{db: db, tb: tb}, nil
+		defs = composite
+	case "durable":
+		sys.dir = cfg.Dir
+	case "durable-partitioned":
+		sys.dir, n = cfg.Dir, parts
+	case "blocks":
+		// Aggressive thresholds so a short stream still crosses every
+		// storage-tier edge: tiny WAL segments force rotating checkpoints,
+		// fan-in 2 makes every pair of delta blocks a compaction candidate,
+		// and the background compactor runs concurrently with the op stream
+		// on top of the forced mid-stream compactions the cycle adds.
+		sys.dir, sys.compact = cfg.Dir, true
+		sys.opts = engine.DurableOptions{CompactFanIn: 2, WALRotateBytes: 1}
+	case "composite-durable":
+		sys.dir, sys.crashes, defs = filepath.Join(cfg.Dir, "0"), 1, composite
 	case "server":
 		return buildServer(cfg, s)
 	case "replica":
 		return buildReplica(cfg, s)
-	case "durable", "durable-partitioned", "blocks", "composite-durable":
-		var opts engine.DurableOptions
-		if cfgName == "blocks" {
-			// Aggressive thresholds so a short stream still crosses every
-			// storage-tier edge: tiny WAL segments force rotating
-			// checkpoints, fan-in 2 makes every pair of delta blocks a
-			// compaction candidate, and the background compactor runs
-			// concurrently with the op stream on top of the forced
-			// mid-stream compactions the cycle adds.
-			opts = engine.DurableOptions{CompactFanIn: 2, WALRotateBytes: 1}
-		}
-		ds := &durSystem{dir: cfg.Dir, name: "t", opts: opts, compact: cfgName == "blocks"}
-		defs := []engine.IndexDef{
-			{Kind: "btree", Col: 1},
-			{Kind: "hermit", Col: 2, Host: 1, Params: trstree.DefaultParams()},
-		}
-		if cfgName == "composite-durable" {
-			ds.crashes, ds.dir = 1, filepath.Join(cfg.Dir, "0")
-			defs = []engine.IndexDef{
-				{Kind: "composite-btree", ACol: 0, Col: 1},
-				{Kind: "composite-hermit", ACol: 0, Col: 2, Host: 1, Params: trstree.DefaultParams()},
-			}
-		}
-		d, err := engine.OpenDurableOptions(ds.dir, hermit.PhysicalPointers, opts)
-		if err != nil {
-			return nil, err
-		}
-		ds.d = d
-		if cfgName == "durable-partitioned" {
-			ds.parts = parts
-			if err := d.CreatePartitionedTable("t", s.cols, 0, parts); err != nil {
-				return nil, err
-			}
-		} else {
-			if _, err := d.CreateTable("t", s.cols, 0); err != nil {
-				return nil, err
-			}
-		}
-		for _, def := range defs {
-			if err := d.CreateIndex("t", def); err != nil {
-				return nil, err
-			}
-		}
-		if err := ds.bind(); err != nil {
-			return nil, err
-		}
-		return ds, nil
 	default:
 		return nil, fmt.Errorf("difftest: unknown config %q", cfgName)
 	}
+	var err error
+	if sys.dir == "" {
+		sys.db = engine.NewDB(hermit.PhysicalPointers)
+	} else if sys.db, err = engine.OpenDurableOptions(sys.dir, hermit.PhysicalPointers, sys.opts); err != nil {
+		return nil, err
+	}
+	if n > 0 {
+		err = sys.db.CreatePartitionedTable(sys.name, s.cols, 0, n)
+	} else {
+		_, err = sys.db.CreateTable(sys.name, s.cols, 0)
+	}
+	for i := 0; err == nil && i < len(defs); i++ {
+		err = sys.db.CreateIndex(sys.name, defs[i])
+	}
+	if err == nil {
+		err = sys.bind()
+	}
+	if err != nil {
+		sys.db.Close()
+		return nil, err
+	}
+	return sys, nil
 }

@@ -26,7 +26,7 @@ type replicaSystem struct {
 	name string
 	fdir string
 
-	d      *engine.DurableDB
+	d      *engine.DB
 	tb     *engine.Table
 	leader *repl.Leader
 	srv    *server.Server

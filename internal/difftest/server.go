@@ -25,7 +25,7 @@ type srvSystem struct {
 	dir  string
 	name string
 
-	d    *engine.DurableDB
+	d    *engine.DB
 	srv  *server.Server
 	conn *client.Conn
 }
@@ -110,7 +110,7 @@ func (s *srvSystem) state() (map[uint64][]float64, error) {
 	for _, row := range rows {
 		out[keyorder.Bits(row[0])] = append([]float64(nil), row...)
 	}
-	pt, err := partition.OpenDurable(s.d, srvTenant+"@"+s.name, partition.Options{Workers: 1})
+	pt, err := partition.Open(s.d, srvTenant+"@"+s.name, partition.Options{Workers: 1})
 	if err != nil {
 		return nil, err
 	}

@@ -20,7 +20,7 @@ import (
 // with the MVCC layer:
 //
 //   - "txn" drives seeded random multi-operation batches through the
-//     durable atomic executor and compares against an oracle that applies
+//     database's atomic executor and compares against an oracle that applies
 //     each batch all-or-nothing — including batches built to fail partway,
 //     which must leave the system byte-identical to the oracle's untouched
 //     state — and whose range queries read the oracle's state before the
@@ -90,8 +90,7 @@ func (m *model) applyBatch(ops []engine.Op) int {
 	return -1
 }
 
-// batchSystem is a system whose database runs batches: ExecuteBatch, which
-// engine.DB and engine.DurableDB share.
+// batchSystem is a system whose database runs batches (ExecuteBatch).
 type batchSystem interface {
 	system
 	executeBatch(ops []engine.Op, workers int) []engine.OpResult
@@ -258,7 +257,7 @@ func runSnapshotScan(cfg Config) error {
 	// (1 for marker rows, 0 for churn rows).
 	cols := []string{"pk", "gen", "tag"}
 	db := engine.NewDB(hermit.PhysicalPointers)
-	pt, err := partition.CreateDurable(db, "t", cols, 0, partition.Options{Partitions: parts, Workers: 2})
+	pt, err := partition.Create(db, "t", cols, 0, partition.Options{Partitions: parts, Workers: 2})
 	if err != nil {
 		return err
 	}

@@ -13,9 +13,8 @@ import (
 // This file binds the advisor's Catalog interface to the engine. The
 // advisor package cannot import the engine (the engine imports it), so the
 // engine implements the interface with one adapter over a DB's logical
-// tables, whose DDL goes wherever the database sends it: straight into the
-// DB, or through DurableDB's WAL, so that recovery replays advisor
-// decisions like any operator DDL.
+// tables, whose DDL is the DB's: a durable database logs it, so recovery
+// replays advisor decisions like any operator DDL.
 
 // AdvisorOptions configures the background advisor; see advisor.Options.
 type AdvisorOptions = advisor.Options
@@ -25,18 +24,10 @@ type AdvisorOptions = advisor.Options
 // only acts on RunOnce). The advisor samples tables, discovers correlated
 // column pairs, and creates or drops Hermit/B+-tree indexes from the
 // observed query mix — on every partition of a partitioned table at once;
-// call Stop on the returned advisor to halt it.
+// call Stop on the returned advisor to halt it. On a durable database its
+// DDL is logged, so auto-created indexes survive close/reopen and crashes.
 func (db *DB) EnableAdvisor(opts AdvisorOptions) *advisor.Advisor {
-	a := advisor.New(catalog{db, db}, opts)
-	a.Start()
-	return a
-}
-
-// EnableAdvisor is DB.EnableAdvisor for the durable engine: advisor DDL
-// goes through the WAL-logged CreateIndex/DropIndex paths, so auto-created
-// indexes survive close/reopen and crashes.
-func (d *DurableDB) EnableAdvisor(opts AdvisorOptions) *advisor.Advisor {
-	a := advisor.New(catalog{d.db, d}, opts)
+	a := advisor.New(catalog{db}, opts)
 	a.Start()
 	return a
 }
@@ -112,14 +103,7 @@ func (t *Table) advisorInfo() advisor.TableInfo {
 // partitions, false-positive EWMAs merged by observation weight, rows
 // sampled from partition 0 (the primary-key hash makes any partition a
 // uniform sample of the table) — and its DDL reaches every partition.
-type catalog struct {
-	db *DB
-	// ddl is the DB itself, or the DurableDB that logs the DDL first.
-	ddl interface {
-		CreateIndex(table string, def IndexDef) error
-		DropIndex(table string, col int, kind string) error
-	}
-}
+type catalog struct{ db *DB }
 
 func (c catalog) TableNames() []string { return slices.Sorted(maps.Keys(*c.db.tables.Load())) }
 
@@ -158,13 +142,13 @@ func (c catalog) Store(table string) (*storage.Table, error) {
 }
 
 func (c catalog) CreateHermitIndex(table string, col, host int, params trstree.Params) error {
-	return c.ddl.CreateIndex(table, IndexDef{Kind: "hermit", Col: col, Host: host, Params: params})
+	return c.db.CreateIndex(table, IndexDef{Kind: "hermit", Col: col, Host: host, Params: params})
 }
 
 func (c catalog) CreateBTreeIndex(table string, col int) error {
-	return c.ddl.CreateIndex(table, IndexDef{Kind: "btree", Col: col, MarkNew: true})
+	return c.db.CreateIndex(table, IndexDef{Kind: "btree", Col: col, MarkNew: true})
 }
 
 func (c catalog) DropIndex(table string, col int, kind advisor.IndexKind) error {
-	return c.ddl.DropIndex(table, col, kindFromAdvisor(kind).String())
+	return c.db.DropIndex(table, col, kindFromAdvisor(kind).String())
 }

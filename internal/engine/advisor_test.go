@@ -183,7 +183,7 @@ func TestAdvisorDurableEndToEnd(t *testing.T) {
 
 // loadDurableSynthetic inserts the linear Synthetic layout through the
 // logged mutation path.
-func loadDurableSynthetic(t *testing.T, d *DurableDB, n int) {
+func loadDurableSynthetic(t *testing.T, d *DB, n int) {
 	t.Helper()
 	for i := 0; i < n; i++ {
 		c := float64((i * 37) % 1000)

@@ -58,13 +58,18 @@ type flushCut struct {
 // checkpoint instead rotates: it holds the latch across the whole flush
 // (still only a delta) so no acknowledged record can land in the old
 // segment after the cut, and the manifest names a fresh, empty segment.
-func (d *DurableDB) Checkpoint() error {
+// A database without a log has nothing to flush: ErrNotDurable.
+func (db *DB) Checkpoint() error {
+	d := db.dur
+	if d == nil {
+		return ErrNotDurable
+	}
 	d.ckptMu.Lock()
 	defer d.ckptMu.Unlock()
 	return d.checkpointLocked()
 }
 
-func (d *DurableDB) checkpointLocked() error {
+func (d *durable) checkpointLocked() error {
 	// --- Swap window: capture the cut under the exclusive latch. ---
 	d.mu.Lock()
 	latched := true
@@ -181,7 +186,7 @@ func (d *DurableDB) checkpointLocked() error {
 // writeBlock streams the entries fill adds, in key order, into a new block
 // file at the given level and opens it. The file and its ID exist only once
 // fill adds an entry: a fill that adds none yields a nil handle.
-func (d *DurableDB) writeBlock(width int, level uint32, fill func(add func(pk float64, row []float64) error) error) (*block.Handle, error) {
+func (d *durable) writeBlock(width int, level uint32, fill func(add func(pk float64, row []float64) error) error) (*block.Handle, error) {
 	var w *block.Writer
 	var id uint64
 	err := fill(func(pk float64, row []float64) error {
@@ -213,7 +218,7 @@ func (d *DurableDB) writeBlock(width int, level uint32, fill func(add func(pk fl
 // segment's log (rotation only) and the flushed byte count. On error nothing
 // has been published: any files already written are unreferenced and will
 // be garbage-collected.
-func (d *DurableDB) writeEpoch(cut *flushCut) (newLog *wal.Log, flushed int64, err error) {
+func (d *durable) writeEpoch(cut *flushCut) (newLog *wal.Log, flushed int64, err error) {
 	var fresh []*block.Handle
 	defer func() {
 		if err == nil {
@@ -263,7 +268,7 @@ func (d *DurableDB) writeEpoch(cut *flushCut) (newLog *wal.Log, flushed int64, e
 // pointer scheme and naming stacks — through manifest.json.tmp and a rename,
 // the commit point. On error nothing has been published. step prefixes the
 // failpoint names ("" for a checkpoint, "compact-" for a compaction).
-func (d *DurableDB) publishEpoch(step string, m manifest, stacks map[string]block.Stack) error {
+func (d *durable) publishEpoch(step string, m manifest, stacks map[string]block.Stack) error {
 	p := durablePaths{d.dir}
 	m.Scheme = int(d.db.Scheme())
 	raw, err := encodeManifest(d.imageOf(m, stacks))
@@ -293,7 +298,7 @@ func (d *DurableDB) publishEpoch(step string, m manifest, stacks map[string]bloc
 // no longer names: a cold read that loaded the old stack and has a page
 // read in flight finishes it, one that has not yet started fails with
 // os.ErrClosed and retries on the new stack (BlockRead). Caller holds d.mu.
-func (d *DurableDB) setStacks(stacks map[string]block.Stack) {
+func (d *durable) setStacks(stacks map[string]block.Stack) {
 	kept := make(map[*block.Handle]bool)
 	for _, stack := range stacks {
 		for _, h := range stack {
@@ -315,7 +320,7 @@ func (d *DurableDB) setStacks(stacks map[string]block.Stack) {
 // ReplRetainWALSegments newest predecessors kept for replication
 // catch-up) and unreferenced block files. Best-effort: failures leave
 // garbage that the next pass retries.
-func (d *DurableDB) gcStale() {
+func (d *durable) gcStale() {
 	entries, err := os.ReadDir(d.dir)
 	if err != nil {
 		return

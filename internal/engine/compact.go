@@ -17,8 +17,13 @@ import (
 // the result as a new epoch — reusing the last published catalog and
 // replay coordinates verbatim, so the WAL tail is untouched. It reports
 // whether a merge happened. The background compactor calls this in a loop;
-// it is also the manual hook for deterministic tests.
-func (d *DurableDB) Compact() (bool, error) {
+// it is also the manual hook for deterministic tests. A database without a
+// log has no blocks: ErrNotDurable.
+func (db *DB) Compact() (bool, error) {
+	d := db.dur
+	if d == nil {
+		return false, ErrNotDurable
+	}
 	merged, err := d.compact()
 	d.compactErrMu.Lock()
 	d.compactErr = err
@@ -30,7 +35,7 @@ func (d *DurableDB) Compact() (bool, error) {
 }
 
 // compact performs at most one merge.
-func (d *DurableDB) compact() (bool, error) {
+func (d *durable) compact() (bool, error) {
 	d.ckptMu.Lock()
 	defer d.ckptMu.Unlock()
 	d.mu.RLock()
@@ -103,7 +108,7 @@ func (d *DurableDB) compact() (bool, error) {
 // blocks are already sorted, so the merge is block.Merge's walk fed straight
 // to the writer — a read-ahead buffer of each input in memory, never a run. A merge that
 // leaves no entry writes no block: the handle is nil.
-func (d *DurableDB) mergeBlocks(run block.Stack, level uint32, bottom bool) (*block.Handle, error) {
+func (d *durable) mergeBlocks(run block.Stack, level uint32, bottom bool) (*block.Handle, error) {
 	h, err := d.writeBlock(run[0].Width(), level, func(add func(float64, []float64) error) error {
 		return block.Merge(run, func(pk float64, row []float64) error {
 			if row == nil && bottom {
@@ -120,7 +125,7 @@ func (d *DurableDB) mergeBlocks(run block.Stack, level uint32, bottom bool) (*bl
 
 // compactor is the background merge goroutine: it sleeps until a
 // checkpoint kicks it, then compacts until no run is ready.
-func (d *DurableDB) compactor() {
+func (d *durable) compactor() {
 	defer close(d.compactDone)
 	for {
 		select {
@@ -133,7 +138,7 @@ func (d *DurableDB) compactor() {
 					return
 				default:
 				}
-				merged, err := d.Compact()
+				merged, err := d.db.Compact()
 				if err != nil || !merged {
 					break
 				}
@@ -142,7 +147,7 @@ func (d *DurableDB) compactor() {
 	}
 }
 
-func (d *DurableDB) kickCompactor() {
+func (d *durable) kickCompactor() {
 	select {
 	case d.compactKick <- struct{}{}:
 	default:
@@ -151,7 +156,7 @@ func (d *DurableDB) kickCompactor() {
 
 // stopCompactor shuts the background compactor down (idempotent) and
 // waits for any in-flight round to finish.
-func (d *DurableDB) stopCompactor() {
+func (d *durable) stopCompactor() {
 	d.stopOnce.Do(func() { close(d.compactStop) })
 	<-d.compactDone
 }
@@ -214,8 +219,13 @@ type StorageStats struct {
 	VersionBytes      uint64 `json:"version_bytes"`
 }
 
-// StorageStats snapshots the block storage tier's counters.
-func (d *DurableDB) StorageStats() StorageStats {
+// StorageStats snapshots the block storage tier's counters: the zero
+// StorageStats on a database without a log.
+func (db *DB) StorageStats() StorageStats {
+	d := db.dur
+	if d == nil {
+		return StorageStats{}
+	}
 	d.mu.RLock()
 	st := StorageStats{
 		Epoch:      d.pub.Epoch,
@@ -230,7 +240,7 @@ func (d *DurableDB) StorageStats() StorageStats {
 		st.BlockResidentBytes += sum.ResidentBytes
 		st.CompactionBacklog += stack.Backlog(d.opts.fanIn())
 	}
-	for _, l := range *d.db.tables.Load() {
+	for _, l := range *db.tables.Load() {
 		for _, tb := range l.phys {
 			vs := tb.VersionStats()
 			st.VersionsPending += vs.Pending
@@ -259,36 +269,6 @@ func (d *DurableDB) StorageStats() StorageStats {
 	return st
 }
 
-// TableBlockStats describes one physical table's block stack.
-type TableBlockStats struct {
-	// Table is the physical table name (partitions appear individually).
-	Table string `json:"table"`
-	// Blocks/Entries/Bytes/MaxLevel summarise its live blocks.
-	Blocks   int    `json:"blocks"`
-	Entries  uint64 `json:"entries"`
-	Bytes    int64  `json:"bytes"`
-	MaxLevel uint32 `json:"max_level"`
-}
-
-// TableBlocks reports the block stack behind each physical table of the
-// named logical table (one element per partition for partitioned tables).
-func (d *DurableDB) TableBlocks(name string) ([]TableBlockStats, error) {
-	l, err := d.db.named(name)
-	if err != nil {
-		return nil, err
-	}
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	out := make([]TableBlockStats, 0, len(l.phys))
-	for _, tb := range l.phys {
-		sum := d.stacks[tb.name].Summary()
-		out = append(out, TableBlockStats{
-			Table: tb.name, Blocks: sum.Blocks, Entries: sum.Entries, Bytes: sum.Bytes, MaxLevel: sum.MaxLevel,
-		})
-	}
-	return out, nil
-}
-
 // BlockRead answers a point read from the block tier alone — the path a
 // cold (evicted or larger-than-RAM) table would take. Blocks are probed
 // newest to oldest; each block's key fence and bloom filter, both resident
@@ -296,9 +276,14 @@ func (d *DurableDB) TableBlocks(name string) ([]TableBlockStats, error) {
 // range costs nothing, and a block they let through costs one page read.
 // probed counts those pages. The answer reflects the last flush cut, not
 // the WAL tail: found=false means the key was absent (or deleted) as of the
-// last checkpoint.
-func (d *DurableDB) BlockRead(table string, pk float64) (row []float64, found bool, probed int, err error) {
-	l, err := d.db.named(table)
+// last checkpoint. A database without a log has no block tier:
+// ErrNotDurable.
+func (db *DB) BlockRead(table string, pk float64) (row []float64, found bool, probed int, err error) {
+	d := db.dur
+	if d == nil {
+		return nil, false, 0, ErrNotDurable
+	}
+	l, err := db.named(table)
 	if err != nil {
 		return nil, false, 0, err
 	}

@@ -250,7 +250,7 @@ func runDeltaHarvestModel(t *testing.T, seed int64, steps int) {
 		t.Helper()
 		var atCut map[float64]harvestRow
 		var cutTS uint64
-		d.failpoint = func(step string) error {
+		d.dur.failpoint = func(step string) error {
 			switch {
 			case step == "after-swap":
 				atCut, cutTS = rowsOf(live), now()
@@ -280,7 +280,7 @@ func runDeltaHarvestModel(t *testing.T, seed int64, steps int) {
 		}
 		before := d.StorageStats()
 		err := d.Checkpoint()
-		d.failpoint = nil
+		d.dur.failpoint = nil
 		if failAt != "" {
 			if err == nil {
 				t.Fatalf("%s: the checkpoint survived its failpoint", what)
@@ -302,9 +302,9 @@ func runDeltaHarvestModel(t *testing.T, seed int64, steps int) {
 			t.Fatalf("%s: the delta block holds %d entries, the oracle's delta has %d", what, st.BlockEntries-before.BlockEntries, want)
 		}
 		fold := make(map[float64]harvestRow)
-		d.mu.RLock()
-		stack := d.stacks["t"]
-		d.mu.RUnlock()
+		d.dur.mu.RLock()
+		stack := d.dur.stacks["t"]
+		d.dur.mu.RUnlock()
 		fail(what+": fold", block.Merge(stack, func(pk float64, row []float64) error {
 			if row != nil {
 				if pk != row[0] {

@@ -17,27 +17,26 @@ import (
 
 	"hermit/internal/block"
 	"hermit/internal/hermit"
-	"hermit/internal/storage"
 	"hermit/internal/wal"
 )
 
-// DurableDB wraps the in-memory engine with the persistence scheme §6
-// sketches for main-memory RDBMSs: write-ahead logging plus checkpointing
-// — here in tiered block form, so checkpoint cost tracks the write rate,
-// not the table size.
+// durable is the part of a DB that OpenDurable gives it: the persistence
+// scheme §6 sketches for main-memory RDBMSs, write-ahead logging plus
+// checkpointing — here in tiered block form, so checkpoint cost tracks the
+// write rate, not the table size. A DB made by NewDB has none, and every
+// DB method that needs one documents what it returns without it.
 //
-// Concurrency contract: DurableDB is safe for concurrent use. Mutations
-// (Insert/Delete/UpdateColumn, a run of them through ApplyEach, and the
-// atomic ExecuteBatch) coordinate
-// through a reader/writer latch plus a per-primary-key stripe, so writers
-// on different keys proceed in parallel; DDL quiesces them, and Checkpoint
-// holds the latch only for a short swap window while the block image is
-// written unlatched. The WAL itself serialises frames under one mutex and
-// is written by whichever caller needs a record acknowledged (leader-writes
-// group commit; no goroutine of its own). Queries may use the *Table
-// returned by Table directly — but mutations through that handle bypass
-// both the log and the durable layer's coordination, so they must go
-// through the DurableDB methods.
+// Concurrency contract: a durable database is safe for concurrent use.
+// Mutations (Insert/Delete/UpdateColumn, a run of them through ApplyEach,
+// and the atomic ExecuteBatch) coordinate through a reader/writer latch
+// plus a per-primary-key stripe, so writers on different keys proceed in
+// parallel; DDL quiesces them, and Checkpoint holds the latch only for a
+// short swap window while the block image is written unlatched. The WAL
+// itself serialises frames under one mutex and is written by whichever
+// caller needs a record acknowledged (leader-writes group commit; no
+// goroutine of its own). Queries may use the *Table returned by Table
+// directly — but mutations through that handle bypass both the log and the
+// durable part's coordination, so they must go through the DB's methods.
 //
 // Durability protocol: every mutation is applied to the engine (which
 // validates it) and then appended to the WAL under its key's stripe, so a
@@ -76,8 +75,8 @@ import (
 // definitions, the cheap option the paper's construction numbers (§7.5)
 // justify. Manifests of earlier layouts (a separate blocklist file, or one
 // rows file per table) are rejected loudly, naming their version.
-type DurableDB struct {
-	db   *DB
+type durable struct {
+	db   *DB // the database this is the durable part of
 	dir  string
 	opts DurableOptions
 
@@ -328,7 +327,7 @@ type manifestFile struct {
 
 // imageOf is m with the stacks of its physical tables. Only tables in m's
 // catalog are named, so a stack cannot outlive its table.
-func (d *DurableDB) imageOf(m manifest, stacks map[string]block.Stack) image {
+func (d *durable) imageOf(m manifest, stacks map[string]block.Stack) image {
 	img := image{manifest: m, Blocks: make(map[string][]blockEntry)}
 	for name := range m.Tables {
 		for _, tb := range d.db.lookup(name).phys {
@@ -372,21 +371,6 @@ func decodeManifest(raw []byte) (image, error) {
 	return img, nil
 }
 
-type ddlTable struct {
-	Cols  []string `json:"cols"`
-	PKCol int      `json:"pk"`
-	Parts int      `json:"parts,omitempty"`
-}
-
-type ddlIndex struct {
-	Def IndexDef `json:"def"`
-}
-
-type ddlDropIndex struct {
-	Col  int    `json:"col"`
-	Kind string `json:"kind"` // "btree" | "hermit" | "cm"
-}
-
 type durablePaths struct{ dir string }
 
 func (f durablePaths) manifest() string { return filepath.Join(f.dir, "manifest.json") }
@@ -399,14 +383,15 @@ func (f durablePaths) block(id uint64) string {
 
 // OpenDurable opens (or creates) a durable database in dir with default
 // options: it loads the last checkpoint if present, repairs and replays
-// the WAL tail, and opens the log for appending.
-func OpenDurable(dir string, scheme hermit.PointerScheme) (*DurableDB, error) {
+// the WAL tail, and opens the log for appending. The DB it returns logs
+// every write and DDL (see durable).
+func OpenDurable(dir string, scheme hermit.PointerScheme) (*DB, error) {
 	return OpenDurableOptions(dir, scheme, DurableOptions{})
 }
 
 // OpenDurableOptions opens the durable database stored in dir with the
 // given options.
-func OpenDurableOptions(dir string, scheme hermit.PointerScheme, opts DurableOptions) (*DurableDB, error) {
+func OpenDurableOptions(dir string, scheme hermit.PointerScheme, opts DurableOptions) (*DB, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
@@ -417,8 +402,7 @@ func OpenDurableOptions(dir string, scheme hermit.PointerScheme, opts DurableOpt
 		return nil, fmt.Errorf("engine: %s holds a pre-epoch WAL (wal.log); migrate it before opening", dir)
 	}
 	db := NewDB(scheme)
-	db.trackDeletes = true // reclaimed deletes must still reach a delta block
-	d := &DurableDB{
+	d := &durable{
 		db:          db,
 		dir:         dir,
 		opts:        opts,
@@ -429,6 +413,7 @@ func OpenDurableOptions(dir string, scheme hermit.PointerScheme, opts DurableOpt
 		compactStop: make(chan struct{}),
 		compactDone: make(chan struct{}),
 	}
+	db.dur = d // before any table exists: its tables keep delete lists
 	opened := false
 	defer func() {
 		if !opened {
@@ -502,19 +487,19 @@ func OpenDurableOptions(dir string, scheme hermit.PointerScheme, opts DurableOpt
 		close(d.compactDone)
 	}
 	opened = true
-	return d, nil
+	return db, nil
 }
 
 // openWAL opens WAL segment seg for appending under the configured sync
 // policy, its LSNs continuing from base.
-func (d *DurableDB) openWAL(seg, base uint64) (*wal.Log, error) {
+func (d *durable) openWAL(seg, base uint64) (*wal.Log, error) {
 	wo := wal.Options{Policy: d.opts.Policy, GroupInterval: d.opts.GroupInterval, BaseLSN: base}
 	return wal.OpenWith(durablePaths{d.dir}.wal(seg), wo)
 }
 
 // closeBlocks closes every open block handle; a cold read after it fails
 // with os.ErrClosed. Caller holds d.mu, or owns d alone.
-func (d *DurableDB) closeBlocks() {
+func (d *durable) closeBlocks() {
 	for _, stack := range d.stacks {
 		for _, h := range stack {
 			h.Close()
@@ -533,52 +518,31 @@ func parseBlockID(name string) (uint64, bool) {
 
 // RecoverySkipped reports how many WAL records failed to apply during the
 // last open (with the last such error), e.g. records from a log written by
-// a buggy earlier version. Zero on a clean recovery.
-func (d *DurableDB) RecoverySkipped() (int, error) { return d.skipped, d.lastSkipErr }
+// a buggy earlier version. Zero on a clean recovery and on a database
+// without a log.
+func (db *DB) RecoverySkipped() (int, error) {
+	if db.dur == nil {
+		return 0, nil
+	}
+	return db.dur.skipped, db.dur.lastSkipErr
+}
 
 // RecoveryUncommitted reports how many transactions were rolled back
 // during the last open because their commit record never reached the log —
 // the crash-interrupted tails recovery must discard. These are not
-// failures: an unacknowledged commit has made no durability promise.
-func (d *DurableDB) RecoveryUncommitted() int { return d.uncommitted }
-
-// Snapshot registers a consistent read snapshot on the database's commit
-// clock (see DB.Snapshot).
-func (d *DurableDB) Snapshot() *Snapshot { return d.db.Snapshot() }
-
-// ExecuteBatch runs a batch of operations with the same atomicity contract
-// as DB.ExecuteBatch, durably: a batch containing mutations executes as
-// one logged Txn (queries read the batch-start snapshot; mutations apply
-// and are WAL-logged all-or-nothing under one transaction id), while a
-// read-only batch drains across a pool of workers goroutines sharing one
-// snapshot. Every query is the database's read (DB.Exec).
-func (d *DurableDB) ExecuteBatch(ops []Op, workers int) []OpResult {
-	return d.Begin().execBatch(ops, workers)
+// failures: an unacknowledged commit has made no durability promise. Zero
+// on a database without a log.
+func (db *DB) RecoveryUncommitted() int {
+	if db.dur == nil {
+		return 0
+	}
+	return db.dur.uncommitted
 }
-
-// Exec is the database's read of the named table (DB.Exec).
-func (d *DurableDB) Exec(table string, q Query, workers int, dst []float64) ([]float64, GatherStats, error) {
-	return d.db.Exec(table, q, workers, dst)
-}
-
-// Lookup is Exec keeping the rows' partitioned RIDs (DB.Lookup).
-func (d *DurableDB) Lookup(table string, q Query, workers int, dst []PartRID) ([]PartRID, GatherStats, error) {
-	return d.db.Lookup(table, q, workers, dst)
-}
-
-// Clock returns the commit clock ordering every table in this database.
-func (d *DurableDB) Clock() *Clock { return d.db.Clock() }
-
-// GC reclaims whatever backlog of ended versions a released snapshot left
-// behind, down to the oldest live snapshot (see DB.GC). It does not wait for
-// a flush: a reclaimed delete reaches the next delta block through its
-// table's delete list.
-func (d *DurableDB) GC() int { return d.db.GC() }
 
 // restoreTable rebuilds one logical table from its block stacks, its
 // partitions side by side (Parallel): a partition's rows, RIDs and
 // indexes are a function of its own blocks alone.
-func (d *DurableDB) restoreTable(name string, meta *durableMeta) error {
+func (d *durable) restoreTable(name string, meta *durableMeta) error {
 	l, err := d.db.create(name, meta.Cols, meta.PKCol, meta.Partitions)
 	if err != nil {
 		return err
@@ -598,7 +562,7 @@ func (d *DurableDB) restoreTable(name string, meta *durableMeta) error {
 // recovery of one directory gives a key the same RID and loads the primary
 // B+-tree ascending (full leaves, as a bulk load leaves them); then the
 // indexes.
-func (d *DurableDB) restorePartition(meta *durableMeta, tb *Table) error {
+func (d *durable) restorePartition(meta *durableMeta, tb *Table) error {
 	phys := tb.name
 	stack := d.stacks[phys]
 	for _, h := range stack {
@@ -625,10 +589,11 @@ func (d *DurableDB) restorePartition(meta *durableMeta, tb *Table) error {
 	return nil
 }
 
-// ddl runs one DDL statement the way replay does — its record applied
-// through applyRecord, the replay applier — and logs that record, under the
-// exclusive latch: what recovery and followers replay is what ran.
-func (d *DurableDB) ddl(op wal.Op, table string, v any) error {
+// ddl runs one DDL statement the way replay does — its record, v being
+// the payload, applied through applyRecord, the replay applier — and logs
+// that record, under the exclusive latch: what recovery and followers
+// replay is what ran.
+func (d *durable) ddl(op wal.Op, table string, v any) error {
 	payload, err := json.Marshal(v)
 	if err != nil {
 		return err
@@ -648,63 +613,6 @@ func (d *DurableDB) ddl(op wal.Op, table string, v any) error {
 	return err
 }
 
-// CreateTable creates and logs a plain table (see DB.CreateTable).
-func (d *DurableDB) CreateTable(name string, cols []string, pkCol int) (*Table, error) {
-	if err := d.ddl(wal.OpCreateTable, name, ddlTable{Cols: cols, PKCol: pkCol}); err != nil {
-		return nil, err
-	}
-	return d.db.Table(name)
-}
-
-// CreatePartitionedTable creates and logs a hash-partitioned table (see
-// DB.CreatePartitionedTable). Mutations on it are WAL-logged with their
-// partition id; checkpoints flush one block stream per partition and
-// recovery rebuilds each partition from its block stack plus the routed
-// WAL tail.
-func (d *DurableDB) CreatePartitionedTable(name string, cols []string, pkCol, parts int) error {
-	return d.ddl(wal.OpCreatePartitioned, name, ddlTable{Cols: cols, PKCol: pkCol, Parts: parts})
-}
-
-// Partitions reports the partition count of the named table (see
-// DB.Partitions).
-func (d *DurableDB) Partitions(name string) (int, error) { return d.db.Partitions(name) }
-
-// Table returns the engine table a name denotes (see DB.Table). Queries
-// through it are safe; mutations through it bypass the WAL and the durable
-// layer's latching — use the DurableDB mutation methods instead.
-func (d *DurableDB) Table(name string) (*Table, error) { return d.db.Table(name) }
-
-// CreateIndex creates and logs an index per def (see DB.CreateIndex): a
-// definition that fails to build is not logged.
-func (d *DurableDB) CreateIndex(table string, def IndexDef) error {
-	return d.ddl(wal.OpCreateIndex, table, ddlIndex{Def: def})
-}
-
-// removeDef deletes the first recorded index definition matching (col,
-// kind) so post-drop checkpoints no longer rebuild the index.
-func (d *DurableDB) removeDef(table string, col int, kind string) {
-	meta := d.tables[table]
-	if meta == nil {
-		return
-	}
-	for i, def := range meta.Defs {
-		if def.Col == col && def.Kind == kind {
-			meta.Defs = append(meta.Defs[:i], meta.Defs[i+1:]...)
-			return
-		}
-	}
-}
-
-// DropIndex drops and logs the removal of the index of the given kind
-// ("btree", "hermit" or "cm") on col: the advisor's durable reclamation
-// path. Like all durable DDL it quiesces mutations via the exclusive
-// latch, and the drop is WAL-logged so recovery replays it; the index
-// also leaves the recorded definitions, so later checkpoints do not
-// resurrect it.
-func (d *DurableDB) DropIndex(table string, col int, kind string) error {
-	return d.ddl(wal.OpDropIndex, table, ddlDropIndex{Col: col, Kind: kind})
-}
-
 // submit applies one auto-commit mutation and hands its record to the log,
 // holding the shared latch (vs the checkpoint swap window and DDL) and the
 // primary key's stripe across both, so per-key log order equals apply
@@ -714,7 +622,7 @@ func (d *DurableDB) DropIndex(table string, col int, kind string) error {
 // what awaitLogged waits on. A failed apply is not logged — validate-then-log,
 // the fix for WAL poisoning — and neither is a delete of an absent key
 // (nothing to replay).
-func (d *DurableDB) submit(op *Op, res *OpResult) wal.Ticket {
+func (d *durable) submit(op *Op, res *OpResult) wal.Ticket {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	tb, part, pk, err := d.db.target(op)
@@ -752,72 +660,23 @@ func awaitLogged(tk wal.Ticket, res *OpResult) {
 	}
 }
 
-// ApplyEach applies a run of auto-commit mutations (OpInsert, OpDelete,
-// OpUpdate) in order. Unlike ExecuteBatch it is not atomic: each op is
-// its own mutation with its own WAL record and its own result, exactly as
-// if Insert, Delete or UpdateColumn had been called for it, and a failed op
-// does not stop the ones after it. What the run shares is the wait: every
-// record is submitted before the first is awaited, and that first wait
-// puts the run's frames in the log in one copy (and, under the fsync
-// policies, one fsync and one commit interval) — the waits after it find their record
-// acknowledged, or the log poisoned below it, with one atomic load. Tickets
-// name their own log, so a checkpoint that rotates the segment mid-run
-// changes nothing here. Op i's outcome overwrites results[i], which must
-// exist: a caller that runs one run after another reuses one slice.
-func (d *DurableDB) ApplyEach(ops []Op, results []OpResult) {
-	results = results[:len(ops)]
-	var stack [applyRunStack]wal.Ticket
-	tks := stack[:0]
-	for i := range ops {
-		results[i] = OpResult{}
-		tks = append(tks, d.submit(&ops[i], &results[i]))
-	}
-	for i, tk := range tks {
-		awaitLogged(tk, &results[i])
-	}
-}
-
-// applyRunStack is the run length whose tickets ApplyEach keeps on its
-// stack: the server's write runs are at most this long.
-const applyRunStack = 64
-
-// applyOne is the one-op run.
-func (d *DurableDB) applyOne(op Op) (res OpResult) {
-	awaitLogged(d.submit(&op, &res), &res)
-	return res
-}
-
-// Insert validates+applies a row insert, then logs it.
-func (d *DurableDB) Insert(table string, row []float64) (storage.RID, error) {
-	res := d.applyOne(Op{Kind: OpInsert, Table: table, Row: row})
-	return res.rid, res.Err
-}
-
-// Delete validates+applies a delete by primary key, then logs it. A delete
-// of an absent key is applied but not logged (found=false, no record
-// needed for replay).
-func (d *DurableDB) Delete(table string, pk float64) (bool, error) {
-	res := d.applyOne(Op{Kind: OpDelete, Table: table, PK: pk})
-	return res.Found, res.Err
-}
-
-// UpdateColumn validates+applies a single-column update, then logs it.
-func (d *DurableDB) UpdateColumn(table string, pk float64, col int, v float64) error {
-	return d.applyOne(Op{Kind: OpUpdate, Table: table, PK: pk, Col: col, Value: v}).Err
-}
-
 // Sync forces an fsync covering every mutation acknowledged so far — a
 // durability barrier regardless of the configured policy. The latch is
 // held across the fsync so a concurrent checkpoint cannot rotate (and
-// close) the segment out from under the barrier.
-func (d *DurableDB) Sync() error {
+// close) the segment out from under the barrier. A database without a log
+// has nothing to make durable: ErrNotDurable.
+func (db *DB) Sync() error {
+	d := db.dur
+	if d == nil {
+		return ErrNotDurable
+	}
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	return d.log.Sync()
 }
 
 // fp triggers the failpoint hook (tests only; no-op otherwise).
-func (d *DurableDB) fp(step string) error {
+func (d *durable) fp(step string) error {
 	if d.failpoint != nil {
 		return d.failpoint(step)
 	}
@@ -825,8 +684,13 @@ func (d *DurableDB) fp(step string) error {
 }
 
 // Close stops the compactor, syncs and closes the WAL. The checkpoint
-// files stay on disk.
-func (d *DurableDB) Close() error {
+// files stay on disk. On a database without a log it does nothing and
+// returns nil.
+func (db *DB) Close() error {
+	d := db.dur
+	if d == nil {
+		return nil
+	}
 	d.stopCompactor()
 	d.ckptMu.Lock()
 	defer d.ckptMu.Unlock()

@@ -96,9 +96,9 @@ func randomBlock(rng *rand.Rand, keys []float64, width int) []refEntry {
 }
 
 // writeEntries writes entries as a block of d's directory.
-func writeEntries(t *testing.T, d *DurableDB, width int, entries []refEntry) *block.Handle {
+func writeEntries(t *testing.T, d *DB, width int, entries []refEntry) *block.Handle {
 	t.Helper()
-	h, err := d.writeBlock(width, 0, func(add func(float64, []float64) error) error {
+	h, err := d.dur.writeBlock(width, 0, func(add func(float64, []float64) error) error {
 		for _, e := range entries {
 			if err := add(e.pk, e.row); err != nil {
 				return err
@@ -129,7 +129,7 @@ func TestStreamingMergeMatchesFold(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p := durablePaths{d.dir}
+		p := durablePaths{d.dur.dir}
 		var stack [][]refEntry
 		var blocks block.Stack
 		for b, n := 0, 1+rng.Intn(12); b < n; b++ {
@@ -145,7 +145,7 @@ func TestStreamingMergeMatchesFold(t *testing.T) {
 		}
 		for _, bottom := range []bool{true, false} {
 			want := foldReference(stack, bottom)
-			h, err := d.mergeBlocks(blocks, 1, bottom)
+			h, err := d.dur.mergeBlocks(blocks, 1, bottom)
 			if err != nil {
 				t.Fatalf("round %d bottom=%v: %v", round, bottom, err)
 			}
@@ -179,10 +179,10 @@ func TestStreamingMergeMatchesFold(t *testing.T) {
 
 		// Recovery of the stack: every key at the RID the fold, inserted in
 		// key order, gives it.
-		d.mu.Lock()
-		d.stacks["t"] = blocks
-		d.mu.Unlock()
-		if err := d.restorePartition(d.tables["t"], tb); err != nil {
+		d.dur.mu.Lock()
+		d.dur.stacks["t"] = blocks
+		d.dur.mu.Unlock()
+		if err := d.dur.restorePartition(d.dur.tables["t"], tb); err != nil {
 			t.Fatalf("round %d: restore: %v", round, err)
 		}
 		ref, err := NewDB(hermit.LogicalPointers).CreateTable("t", []string{"k", "a", "b"}, 0)
@@ -340,7 +340,7 @@ func TestBlockHandleLifetime(t *testing.T) {
 
 // loadFlushed builds a durable table of n 4-column rows, all of them in the
 // block tier.
-func loadFlushed(t testing.TB, n int) *DurableDB {
+func loadFlushed(t testing.TB, n int) *DB {
 	t.Helper()
 	d, err := OpenDurableOptions(t.TempDir(), hermit.LogicalPointers, DurableOptions{DisableAutoCompact: true})
 	if err != nil {

@@ -37,12 +37,12 @@ func crashOpts(rotate bool) DurableOptions {
 // checkpointSteps probes the failpoint labels a checkpoint of the given
 // database emits, in order, so the crash sweep stays in sync with the
 // protocol if steps are added or renamed.
-func checkpointSteps(t *testing.T, build func(t *testing.T, dir string) *DurableDB) []string {
+func checkpointSteps(t *testing.T, build func(t *testing.T, dir string) *DB) []string {
 	t.Helper()
 	dir := t.TempDir()
 	d := build(t, dir)
 	var steps []string
-	d.failpoint = func(step string) error {
+	d.dur.failpoint = func(step string) error {
 		steps = append(steps, step)
 		return nil
 	}
@@ -62,8 +62,8 @@ func checkpointSteps(t *testing.T, build func(t *testing.T, dir string) *Durable
 // checkpointed prefix (so the sweep exercises a second, incremental
 // checkpoint over a previous one — the double-apply window) plus a logged
 // tail of inserts, a delete and an update.
-func buildCrashDBOpts(opts DurableOptions) func(t *testing.T, dir string) *DurableDB {
-	return func(t *testing.T, dir string) *DurableDB {
+func buildCrashDBOpts(opts DurableOptions) func(t *testing.T, dir string) *DB {
+	return func(t *testing.T, dir string) *DB {
 		t.Helper()
 		d, err := OpenDurableOptions(dir, hermit.LogicalPointers, opts)
 		if err != nil {
@@ -90,7 +90,7 @@ func buildCrashDBOpts(opts DurableOptions) func(t *testing.T, dir string) *Durab
 }
 
 // verifyCrashDB checks the exact acknowledged state of buildCrashDBOpts.
-func verifyCrashDB(t *testing.T, d *DurableDB, ctx string) {
+func verifyCrashDB(t *testing.T, d *DB, ctx string) {
 	t.Helper()
 	tb, err := d.Table("syn")
 	if err != nil {
@@ -138,7 +138,7 @@ func TestCheckpointCrashAtEveryStep(t *testing.T) {
 				t.Run(step, func(t *testing.T) {
 					dir := t.TempDir()
 					d := build(t, dir)
-					d.failpoint = func(s string) error {
+					d.dur.failpoint = func(s string) error {
 						if s == step {
 							return fmt.Errorf("%w at %s", errInjectedCrash, s)
 						}
@@ -220,7 +220,7 @@ func containsStep(steps []string, want string) bool {
 func TestCheckpointCrashDoubleApplyWindow(t *testing.T) {
 	dir := t.TempDir()
 	d := buildCrashDBOpts(crashOpts(true))(t, dir)
-	d.failpoint = func(s string) error {
+	d.dur.failpoint = func(s string) error {
 		if s == "after-manifest-rename" {
 			return errInjectedCrash
 		}
@@ -260,7 +260,7 @@ func TestCheckpointCrashDoubleApplyWindow(t *testing.T) {
 // four incremental checkpoints leave four level-0 blocks on one table
 // (with overlapping keys and a tombstone), so a fan-in-2 compactor has
 // work at every level.
-func buildCompactDB(t *testing.T, dir string) *DurableDB {
+func buildCompactDB(t *testing.T, dir string) *DB {
 	t.Helper()
 	opts := crashOpts(false)
 	opts.CompactFanIn = 2
@@ -298,7 +298,7 @@ func buildCompactDB(t *testing.T, dir string) *DurableDB {
 
 // verifyCompactDB checks buildCompactDB's logical state: pks 0..89 with
 // pk 5 deleted, latest value per key.
-func verifyCompactDB(t *testing.T, d *DurableDB, ctx string) {
+func verifyCompactDB(t *testing.T, d *DB, ctx string) {
 	t.Helper()
 	tb, err := d.Table("t")
 	if err != nil {
@@ -326,7 +326,7 @@ func compactionSteps(t *testing.T) []string {
 	dir := t.TempDir()
 	d := buildCompactDB(t, dir)
 	var steps []string
-	d.failpoint = func(step string) error {
+	d.dur.failpoint = func(step string) error {
 		steps = append(steps, step)
 		return nil
 	}
@@ -353,7 +353,7 @@ func TestCompactionCrashAtEveryStep(t *testing.T) {
 		t.Run(step, func(t *testing.T) {
 			dir := t.TempDir()
 			d := buildCompactDB(t, dir)
-			d.failpoint = func(s string) error {
+			d.dur.failpoint = func(s string) error {
 				if s == step {
 					return fmt.Errorf("%w at %s", errInjectedCrash, s)
 				}
@@ -403,7 +403,7 @@ func TestCheckpointBoundedStall(t *testing.T) {
 	defer d.Close()
 	entered := make(chan struct{})
 	release := make(chan struct{})
-	d.failpoint = func(s string) error {
+	d.dur.failpoint = func(s string) error {
 		if s == "after-swap" {
 			close(entered)
 			<-release
@@ -763,7 +763,7 @@ func TestManifestByteFlipSweep(t *testing.T) {
 // must leave to the next one), the second halves of the histories that
 // straddle the cut. oracle is the acknowledged state: key -> v.
 type deleteDB struct {
-	d      *DurableDB
+	d      *DB
 	oracle map[float64]float64
 	pinned bool // a flush snapshot is open: what a delete ends has to stay
 }
@@ -835,7 +835,7 @@ func (x *deleteDB) straddle(t *testing.T) {
 
 // verifyDeleteDB compares a recovered database with the oracle, through the
 // table and — for the keys the oracle has lost — through the blocks alone.
-func verifyDeleteDB(t *testing.T, d *DurableDB, oracle map[float64]float64, ctx string) {
+func verifyDeleteDB(t *testing.T, d *DB, oracle map[float64]float64, ctx string) {
 	t.Helper()
 	if n, err := d.RecoverySkipped(); n != 0 {
 		t.Fatalf("%s: %d records skipped during recovery (last: %v)", ctx, n, err)
@@ -858,7 +858,7 @@ func verifyDeleteDB(t *testing.T, d *DurableDB, oracle map[float64]float64, ctx 
 // equal the acknowledged one every time, and go on to checkpoint, compact
 // to completion and recover again.
 func TestReclaimedDeleteNeverResurrects(t *testing.T) {
-	reopen := func(t *testing.T, dir string, opts DurableOptions, oracle map[float64]float64, ctx string) *DurableDB {
+	reopen := func(t *testing.T, dir string, opts DurableOptions, oracle map[float64]float64, ctx string) *DB {
 		t.Helper()
 		opts.CompactFanIn = 2
 		d, err := OpenDurableOptions(dir, hermit.LogicalPointers, opts)
@@ -890,12 +890,12 @@ func TestReclaimedDeleteNeverResurrects(t *testing.T) {
 		rotate bool
 	}{{"incremental", false}, {"rotating", true}} {
 		opts := crashOpts(mode.rotate)
-		steps := checkpointSteps(t, func(t *testing.T, dir string) *DurableDB { return buildDeleteDB(t, dir, opts).d })
+		steps := checkpointSteps(t, func(t *testing.T, dir string) *DB { return buildDeleteDB(t, dir, opts).d })
 		for _, step := range append(steps, "no-crash") {
 			t.Run(mode.name+"/"+step, func(t *testing.T) {
 				dir := t.TempDir()
 				x := buildDeleteDB(t, dir, opts)
-				x.d.failpoint = func(s string) error {
+				x.d.dur.failpoint = func(s string) error {
 					if s == "after-swap" {
 						// The latch is free: commits past the cut, beside the write phase.
 						x.pinned = true
@@ -922,7 +922,7 @@ func TestReclaimedDeleteNeverResurrects(t *testing.T) {
 	var steps []string
 	{
 		x := buildDeleteDB(t, t.TempDir(), opts)
-		x.d.failpoint = func(s string) error {
+		x.d.dur.failpoint = func(s string) error {
 			if strings.HasPrefix(s, "compact-") {
 				steps = append(steps, s)
 			}
@@ -944,7 +944,7 @@ func TestReclaimedDeleteNeverResurrects(t *testing.T) {
 				t.Fatal(err)
 			}
 			x.straddle(t)
-			x.d.failpoint = func(s string) error {
+			x.d.dur.failpoint = func(s string) error {
 				if s == step {
 					return fmt.Errorf("%w at %s", errInjectedCrash, s)
 				}

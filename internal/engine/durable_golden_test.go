@@ -48,7 +48,7 @@ func TestDurableDirGolden(t *testing.T) {
 	// first checkpoint that keeps its segment, the first that rotates, and
 	// the first compaction round that merges.
 	var steps []string
-	d.failpoint = func(step string) error {
+	d.dur.failpoint = func(step string) error {
 		steps = append(steps, step)
 		return nil
 	}
@@ -101,7 +101,7 @@ func TestDurableDirGolden(t *testing.T) {
 			}
 		}
 	}
-	d.failpoint = nil
+	d.dur.failpoint = nil
 
 	wantPlain := []string{
 		"begin", "after-wal-sync", "after-swap", "after-block:p#0",

@@ -20,11 +20,11 @@ import (
 // would reject as duplicates.
 func TestNaNPrimaryKeyEngine(t *testing.T) {
 	db := NewDB(hermit.LogicalPointers)
-	db.trackDeletes = true // its tables flush deltas: DeltaVersions has bits to read
 	tb, err := db.CreateTable("t", []string{"k", "v"}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	tb.trackDeletes = true // it flushes deltas: DeltaVersions has bits to read
 	nan := math.NaN()
 	if _, err := tb.Insert([]float64{nan, 1}); err != nil {
 		t.Fatal(err)
@@ -155,9 +155,9 @@ func TestBlockReadRetriesAfterCompaction(t *testing.T) {
 	}
 	// Load the stack the way a concurrent BlockRead would, before the
 	// compaction publishes and setStacks closes the merged-away blocks.
-	d.mu.RLock()
-	stale := d.stacks["t"]
-	d.mu.RUnlock()
+	d.dur.mu.RLock()
+	stale := d.dur.stacks["t"]
+	d.dur.mu.RUnlock()
 	if merged, err := d.Compact(); err != nil || !merged {
 		t.Fatalf("compact: merged=%v err=%v", merged, err)
 	}
@@ -264,7 +264,7 @@ func TestCompactErrorSurfacedInStats(t *testing.T) {
 		}
 	}
 	boom := errors.New("boom")
-	d.failpoint = func(step string) error {
+	d.dur.failpoint = func(step string) error {
 		if step == "compact-begin" {
 			return boom
 		}
@@ -277,7 +277,7 @@ func TestCompactErrorSurfacedInStats(t *testing.T) {
 	if st.CompactErrors != 1 || st.LastCompactError != "boom" {
 		t.Fatalf("stats after failed round: errors=%d last=%q", st.CompactErrors, st.LastCompactError)
 	}
-	d.failpoint = nil
+	d.dur.failpoint = nil
 	if merged, err := d.Compact(); err != nil || !merged {
 		t.Fatalf("retry compact: merged=%v err=%v", merged, err)
 	}

@@ -11,7 +11,7 @@ import (
 	"hermit/internal/wal"
 )
 
-// This file is the DurableDB surface the replication layer (internal/repl)
+// This file is the durable DB's surface the replication layer (internal/repl)
 // builds on, apart from ReplApply, which lives with the replay path it
 // shares with recovery (replay.go). A leader ships raw WAL frames — tailed
 // from the on-disk segments in LSN order — and a follower hands them to
@@ -22,8 +22,13 @@ import (
 // coordinate system.
 
 // LastLSN returns the LSN of the last record written to the WAL — the
-// database's position in the global replication sequence.
-func (d *DurableDB) LastLSN() uint64 {
+// database's position in the global replication sequence; 0 on a database
+// without a log.
+func (db *DB) LastLSN() uint64 {
+	d := db.dur
+	if d == nil {
+		return 0
+	}
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	return d.log.LastLSN()
@@ -31,8 +36,12 @@ func (d *DurableDB) LastLSN() uint64 {
 
 // WALSize returns the current WAL segment's byte length. A replication
 // follower uses it to decide when a checkpoint (and segment rotation) is
-// due on its side.
-func (d *DurableDB) WALSize() int64 {
+// due on its side. 0 on a database without a log.
+func (db *DB) WALSize() int64 {
+	d := db.dur
+	if d == nil {
+		return 0
+	}
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	return d.log.Size()
@@ -42,8 +51,12 @@ func (d *DurableDB) WALSize() int64 {
 // continues from (its base), and the last LSN written. A subscriber whose
 // resume point is at or past base can be served from the live segment
 // alone; one further behind needs a retained predecessor segment or a
-// snapshot bootstrap.
-func (d *DurableDB) WALPosition() (seg, base, last uint64) {
+// snapshot bootstrap. All three are 0 on a database without a log.
+func (db *DB) WALPosition() (seg, base, last uint64) {
+	d := db.dur
+	if d == nil {
+		return 0, 0, 0
+	}
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	return d.pub.WALSeg, d.walBase, d.log.LastLSN()
@@ -53,8 +66,13 @@ func (d *DurableDB) WALPosition() (seg, base, last uint64) {
 // (and on segment rotation, re-registered onto the successor segment).
 // Tokens coalesce; a woken tailer reads until it runs dry. The returned
 // func unregisters ch; a subscriber that goes away must call it, or every
-// later write and rotation keeps serving its channel.
-func (d *DurableDB) WatchWAL(ch chan struct{}) (cancel func()) {
+// later write and rotation keeps serving its channel. On a database without
+// a log ch is never woken, and cancel does nothing.
+func (db *DB) WatchWAL(ch chan struct{}) (cancel func()) {
+	d := db.dur
+	if d == nil {
+		return func() {}
+	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.walWatchers = append(d.walWatchers, ch)
@@ -67,8 +85,14 @@ func (d *DurableDB) WatchWAL(ch chan struct{}) (cancel func()) {
 	}
 }
 
-// Dir returns the database directory (where WAL segments live).
-func (d *DurableDB) Dir() string { return d.dir }
+// Dir returns the database directory (where WAL segments live); "" on a
+// database without a log.
+func (db *DB) Dir() string {
+	if db.dur == nil {
+		return ""
+	}
+	return db.dur.dir
+}
 
 // ReplSegment names one on-disk WAL segment a shipper can tail.
 type ReplSegment struct {
@@ -84,8 +108,12 @@ type ReplSegment struct {
 // Older segments are retained only up to DurableOptions.
 // ReplRetainWALSegments, so a slow subscriber can find its resume point
 // gone between a listing and an open — it must then re-list or fall back
-// to snapshot bootstrap.
-func (d *DurableDB) ReplWALSegments() []ReplSegment {
+// to snapshot bootstrap. A database without a log has none: nil.
+func (db *DB) ReplWALSegments() []ReplSegment {
+	d := db.dur
+	if d == nil {
+		return nil
+	}
 	d.mu.RLock()
 	cur := d.pub.WALSeg
 	d.mu.RUnlock()
@@ -131,8 +159,13 @@ type ReplSnap struct {
 // writers are quiesced, the WAL is flushed, and the cut LSN plus every
 // table's live rows are read in one consistent moment. Bootstrap is the
 // rare path (a new or long-dead follower), so stalling writes for the
-// scan is the simplicity-correctness trade taken here.
-func (d *DurableDB) ReplSnapshot() (*ReplSnap, error) {
+// scan is the simplicity-correctness trade taken here. A database without a
+// log has no LSN to cut at: ErrNotDurable.
+func (db *DB) ReplSnapshot() (*ReplSnap, error) {
+	d := db.dur
+	if d == nil {
+		return nil, ErrNotDurable
+	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if err := d.log.Sync(); err != nil {
@@ -148,7 +181,7 @@ func (d *DurableDB) ReplSnapshot() (*ReplSnap, error) {
 			Parts: meta.Partitions,
 			Defs:  append([]IndexDef(nil), meta.Defs...),
 		}
-		for _, tb := range d.db.lookup(name).phys {
+		for _, tb := range db.lookup(name).phys {
 			tb.ScanLive(func(_ storage.RID, row []float64) bool {
 				ts.Rows = append(ts.Rows, append([]float64(nil), row...))
 				return true
@@ -167,18 +200,33 @@ func (d *DurableDB) ReplSnapshot() (*ReplSnap, error) {
 // logged records); anything else is a caller bug, rejected before any
 // state changes. A crash before the checkpoint's manifest rename leaves a
 // directory that recovers behind the cut, which the subscription
-// handshake detects and answers with a fresh bootstrap.
-func (d *DurableDB) ReplRestore(snap *ReplSnap) error {
+// handshake detects and answers with a fresh bootstrap. A database without
+// a log cannot be a follower: ErrNotDurable.
+func (db *DB) ReplRestore(snap *ReplSnap) error {
+	d := db.dur
+	if d == nil {
+		return ErrNotDurable
+	}
 	d.ckptMu.Lock()
 	defer d.ckptMu.Unlock()
 	d.mu.Lock()
+	err := d.restore(snap)
+	d.mu.Unlock()
+	if err != nil {
+		return err
+	}
+	return d.checkpointLocked()
+}
+
+// restore is ReplRestore up to the checkpoint. Caller holds d.mu
+// exclusively and d.ckptMu.
+func (d *durable) restore(snap *ReplSnap) error {
 	if len(d.tables) != 0 || d.log.Size() != wal.HeaderLen {
-		d.mu.Unlock()
 		return fmt.Errorf("engine: ReplRestore needs an empty database")
 	}
 	for _, ts := range snap.Tables {
-		if _, err := d.db.create(ts.Name, ts.Cols, ts.PKCol, ts.Parts); err != nil {
-			d.mu.Unlock()
+		l, err := d.db.create(ts.Name, ts.Cols, ts.PKCol, ts.Parts)
+		if err != nil {
 			return err
 		}
 		d.tables[ts.Name] = &durableMeta{
@@ -188,30 +236,24 @@ func (d *DurableDB) ReplRestore(snap *ReplSnap) error {
 			Defs:       append([]IndexDef(nil), ts.Defs...),
 		}
 		for _, row := range ts.Rows {
-			if _, err := d.db.Insert(ts.Name, row); err != nil {
-				d.mu.Unlock()
+			tb, _, _ := l.target(&Op{Kind: OpInsert, Row: row})
+			if _, err := tb.Insert(row); err != nil {
 				return fmt.Errorf("engine: restoring snapshot row in %q: %w", ts.Name, err)
 			}
 		}
 		for _, def := range ts.Defs {
-			if err := d.db.CreateIndex(ts.Name, def); err != nil {
-				d.mu.Unlock()
+			if err := d.db.createIndex(ts.Name, def); err != nil {
 				return err
 			}
 		}
 	}
-	if err := d.resetWALBaseLocked(snap.LSN); err != nil {
-		d.mu.Unlock()
-		return err
-	}
-	d.mu.Unlock()
-	return d.checkpointLocked()
+	return d.resetWALBaseLocked(snap.LSN)
 }
 
 // resetWALBaseLocked re-bases an empty current segment at lsn, so the next
 // record appended (or mirrored via ReplApply) numbers from lsn+1. Caller
 // holds d.mu exclusively and d.ckptMu.
-func (d *DurableDB) resetWALBaseLocked(lsn uint64) error {
+func (d *durable) resetWALBaseLocked(lsn uint64) error {
 	if d.log.Size() != wal.HeaderLen {
 		return fmt.Errorf("engine: wal base reset on a non-empty segment")
 	}

@@ -12,7 +12,7 @@ import (
 )
 
 // replRecords drains every retained WAL segment of d in LSN order.
-func replRecords(t *testing.T, d *DurableDB) []wal.Record {
+func replRecords(t *testing.T, d *DB) []wal.Record {
 	t.Helper()
 	var out []wal.Record
 	for _, seg := range d.ReplWALSegments() {
@@ -62,9 +62,9 @@ func replGroups(recs []wal.Record) [][]wal.Record {
 
 // liveRows dumps a logical table's live rows — of every partition, for a
 // partitioned one — in primary-key order.
-func liveRows(t *testing.T, d *DurableDB, name string) [][]float64 {
+func liveRows(t *testing.T, d *DB, name string) [][]float64 {
 	t.Helper()
-	l := d.db.lookup(name)
+	l := d.lookup(name)
 	if l == nil {
 		t.Fatalf("no table %q", name)
 	}
@@ -164,7 +164,7 @@ func TestReplWALSurface(t *testing.T) {
 		}); err != nil {
 			t.Fatal(err)
 		}
-		if got := d.txnSeq.Load(); got != 1000 {
+		if got := d.dur.txnSeq.Load(); got != 1000 {
 			t.Fatalf("txnSeq %d after mirroring txn %d, want 1000", got, id)
 		}
 	}
@@ -311,7 +311,7 @@ func TestOpenGroupSurvivesReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	reopen := func(wantUncommitted int) *DurableDB {
+	reopen := func(wantUncommitted int) *DB {
 		t.Helper()
 		f, err := OpenDurable(fdir, hermit.PhysicalPointers)
 		if err != nil {
@@ -447,7 +447,7 @@ func TestWatchWALCancel(t *testing.T) {
 		}
 	}
 	cycle()
-	if n, m := len(d.log.Watchers()), len(d.walWatchers); n != 0 || m != 0 {
+	if n, m := len(d.dur.log.Watchers()), len(d.dur.walWatchers); n != 0 || m != 0 {
 		t.Fatalf("%d watchers on the live log, %d registered, after 200 subscribe/cancel cycles", n, m)
 	}
 	stays := make(chan struct{}, 1)
@@ -460,8 +460,8 @@ func TestWatchWALCancel(t *testing.T) {
 		t.Fatal("checkpoint did not rotate the segment")
 	}
 	cycle()
-	if ws := d.log.Watchers(); len(ws) != 1 || ws[0] != stays || len(d.walWatchers) != 1 {
-		t.Fatalf("%d watchers on the rotated-to log, %d registered, want the 1 that stays", len(ws), len(d.walWatchers))
+	if ws := d.dur.log.Watchers(); len(ws) != 1 || ws[0] != stays || len(d.dur.walWatchers) != 1 {
+		t.Fatalf("%d watchers on the rotated-to log, %d registered, want the 1 that stays", len(ws), len(d.dur.walWatchers))
 	}
 	select { // drain the rotation's nudge
 	case <-stays:
@@ -476,7 +476,7 @@ func TestWatchWALCancel(t *testing.T) {
 		t.Fatal("the watcher that stayed lost its wakeups in the rotation")
 	}
 	cancel()
-	if n, m := len(d.log.Watchers()), len(d.walWatchers); n != 0 || m != 0 {
+	if n, m := len(d.dur.log.Watchers()), len(d.dur.walWatchers); n != 0 || m != 0 {
 		t.Fatalf("%d watchers on the log, %d registered, after the last cancel", n, m)
 	}
 }

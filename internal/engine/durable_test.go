@@ -14,7 +14,7 @@ import (
 
 // populateDurable creates the Synthetic table with a host index and a
 // Hermit index through the durable layer.
-func populateDurable(t *testing.T, d *DurableDB, n int, seed int64) {
+func populateDurable(t *testing.T, d *DB, n int, seed int64) {
 	t.Helper()
 	if _, err := d.CreateTable("syn", synthCols, 0); err != nil {
 		t.Fatal(err)
@@ -415,9 +415,9 @@ func TestRecoveryDeterministic(t *testing.T) {
 		rids map[float64]uint64
 		mem  MemoryStats
 	}
-	capture := func(d *DurableDB) []state {
+	capture := func(d *DB) []state {
 		out := make([]state, parts)
-		for i, tb := range d.db.lookup("syn").phys {
+		for i, tb := range d.lookup("syn").phys {
 			out[i] = state{rids: map[float64]uint64{}, mem: tb.Memory()}
 			tb.Primary().Each(func(k float64, id uint64) bool {
 				out[i].rids[k] = id
@@ -485,7 +485,7 @@ func TestTicketSurvivesRotation(t *testing.T) {
 	}
 
 	var res OpResult
-	tk := d.submit(&Op{Kind: OpInsert, Table: "t", Row: []float64{1, 10}}, &res)
+	tk := d.dur.submit(&Op{Kind: OpInsert, Table: "t", Row: []float64{1, 10}}, &res)
 	if res.Err != nil || tk == (wal.Ticket{}) {
 		t.Fatalf("submit: %v, ticket %+v", res.Err, tk)
 	}

@@ -1,8 +1,9 @@
 // Package engine is the mini-RDBMS that hosts both indexing mechanisms for
 // the experiments: a main-memory engine (the paper's DBMS-X stand-in) whose
 // tables are storage.Tables with B+-tree primary/secondary indexes and
-// Hermit indexes. DurableDB (durable.go) adds a WAL and checkpoints into the
-// paged block tier (internal/block), which the PostgreSQL experiment reads.
+// Hermit indexes. A DB opened with OpenDurable has a durable part
+// (durable.go): a WAL and checkpoints into the paged block tier
+// (internal/block), which the PostgreSQL experiment reads.
 //
 // The engine is deliberately small — catalog, index maintenance on writes,
 // and point/range query routing — because the paper's evaluation only
@@ -30,25 +31,30 @@ var (
 	ErrNoHostIndex  = errors.New("engine: hermit host column has no complete index")
 	ErrDupTable     = errors.New("engine: table already exists")
 	ErrDupKey       = errors.New("engine: duplicate primary key")
+	// ErrNotDurable is what a method that needs a log (Checkpoint, Sync,
+	// BlockRead, the replication surface, …) returns on a DB made by NewDB.
+	ErrNotDurable = errors.New("engine: the database has no log (open it with OpenDurable)")
 )
 
 // DB is a catalog of tables sharing one tuple-identifier scheme and one
 // commit clock: plain and hash-partitioned tables under the names their
 // users write (tables.go). A lookup takes no latch — the catalog map is
 // replaced whole — so tables can be created while others serve queries.
+// One opened with OpenDurable also logs every write and DDL and checkpoints
+// into block files (durable.go); one made by NewDB lives in memory only.
 type DB struct {
 	scheme hermit.PointerScheme
 	clock  *Clock
 	// mu serialises catalog changes: table creation and index DDL.
 	mu     sync.Mutex
 	tables atomic.Pointer[map[string]*logical]
-	// trackDeletes is handed to every table created: set by the durable
-	// layer, whose delta flushes read the tables' delete lists (mvcc.go).
-	trackDeletes bool
+	// dur is the durable part, nil in memory. Its tables keep delete lists,
+	// which its delta flushes read (mvcc.go).
+	dur *durable
 }
 
-// NewDB creates a database using the given tuple-identifier scheme (§5.1),
-// with its own commit clock.
+// NewDB creates an in-memory database using the given tuple-identifier
+// scheme (§5.1), with its own commit clock.
 func NewDB(scheme hermit.PointerScheme) *DB {
 	db := &DB{scheme: scheme, clock: newClock()}
 	db.tables.Store(&map[string]*logical{})
@@ -74,7 +80,7 @@ func (db *DB) newTable(name string, cols []string, pkCol int) *Table {
 		store:        storage.NewTable(len(cols)),
 		primary:      btree.New(btree.DefaultOrder),
 		runtime:      newColRuntime(len(cols)),
-		trackDeletes: db.trackDeletes,
+		trackDeletes: db.dur != nil,
 		handSeen:     math.MaxUint64,
 	}
 	t.keyCeiling.Store(math.Float64bits(math.Inf(-1)))

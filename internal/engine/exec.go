@@ -21,8 +21,8 @@ import (
 //     mutation);
 //   - queries after the failure are still answered.
 //
-// A batch runs in one transaction begun on a DB or, logged, on a DurableDB
-// (Txn): every query is the database's read of the table its op names
+// A batch runs in one transaction of the database (Txn), logged on a
+// durable one: every query is the database's read of the table its op names
 // (DB.Exec, gather.go), plain or partitioned, every mutation is the
 // transaction's Mutate on that table, and a batch without mutations drains
 // across a pool of goroutines (Parallel) reading that one snapshot. The
@@ -92,7 +92,7 @@ type OpResult struct {
 	// carries its error and every other mutation carries ErrTxnAborted.
 	Err error
 
-	// rid is where an auto-commit insert's row landed (DurableDB.Insert).
+	// rid is where an auto-commit insert's row landed (DB.Insert).
 	rid storage.RID
 }
 

@@ -125,7 +125,7 @@ import (
 // DB.GC and GCVersions are the same drain without the budget, for a caller
 // that wants a backlog gone now.
 //
-// What a table of a DurableDB owes its next delta block is kept in two places,
+// What a table of a durable DB owes its next delta block is kept in two places,
 // neither of them a header. A row no block holds yet has its unflushed bit set
 // (verBlock.unflushed, allocated only when trackDeletes is): every stamp of a
 // live version sets it (stampInsert, stampUpdate — whoever commits), reclaiming
@@ -521,7 +521,8 @@ func (db *DB) Clock() *Clock { return db.clock }
 // returns the number of versions reclaimed. Commits reclaim and freeze as
 // they go (reclaimAfter), so this finds work only after a snapshot that
 // pinned a backlog has been released and before later commits have worked
-// it off.
+// it off. On a durable database it does not wait for a flush: a reclaimed
+// delete reaches the next delta block through its table's delete list.
 func (db *DB) GC() int {
 	horizon := db.clock.OldestActive()
 	n := 0

@@ -246,37 +246,19 @@ func primaryHeadAlwaysStamped(t *testing.T, scheme hermit.PointerScheme) {
 	wg.Wait()
 }
 
-// txnDB is what the transaction tests drive, on a DB and a DurableDB alike.
-type txnDB interface {
-	Begin() *Txn
-	Snapshot() *Snapshot
-	Delete(table string, pk float64) (bool, error)
-	Exec(table string, q Query, workers int, dst []float64) ([]float64, GatherStats, error)
-	Lookup(table string, q Query, workers int, dst []PartRID) ([]PartRID, GatherStats, error)
-}
-
 // txnCase is one database the transaction tests run over: newTxnTable's
-// rows in table "t" of a DB or a DurableDB, plain or in parts partitions.
+// rows in table "t" of an in-memory or a durable DB, plain or in parts
+// partitions.
 type txnCase struct {
 	name  string
 	parts int
 	// open loads the table; reopen closes a durable database and recovers
 	// it (nil in memory).
-	open   func(t *testing.T) txnDB
-	reopen func(t *testing.T, db txnDB) txnDB
+	open   func(t *testing.T) *DB
+	reopen func(t *testing.T, db *DB) *DB
 }
 
 func txnCases() []txnCase {
-	load := func(t *testing.T, create func() error, insert func(row []float64) error) {
-		if err := create(); err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 100; i++ {
-			if err := insert([]float64{float64(i), float64(i * 2), float64(i % 7)}); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
 	cols := []string{"pk", "a", "b"}
 	var cases []txnCase
 	for _, parts := range []int{0, 4} {
@@ -284,44 +266,42 @@ func txnCases() []txnCase {
 		if parts > 0 {
 			suffix = "partitioned"
 		}
-		mem := func(t *testing.T) txnDB {
-			db := NewDB(hermit.PhysicalPointers)
-			load(t, func() error {
-				if parts > 0 {
-					return db.CreatePartitionedTable("t", cols, 0, parts)
+		load := func(t *testing.T, db *DB) *DB {
+			var err error
+			if parts > 0 {
+				err = db.CreatePartitionedTable("t", cols, 0, parts)
+			} else {
+				_, err = db.CreateTable("t", cols, 0)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 100; i++ {
+				if _, err := db.Insert("t", []float64{float64(i), float64(i * 2), float64(i % 7)}); err != nil {
+					t.Fatal(err)
 				}
-				_, err := db.CreateTable("t", cols, 0)
-				return err
-			}, func(row []float64) error { _, err := db.Insert("t", row); return err })
+			}
 			return db
 		}
+		mem := func(t *testing.T) *DB { return load(t, NewDB(hermit.PhysicalPointers)) }
 		var dir string
-		durable := func(t *testing.T) txnDB {
-			dir = t.TempDir()
+		openDir := func(t *testing.T) *DB {
 			d, err := OpenDurable(dir, hermit.PhysicalPointers)
 			if err != nil {
 				t.Fatal(err)
 			}
 			t.Cleanup(func() { d.Close() })
-			load(t, func() error {
-				if parts > 0 {
-					return d.CreatePartitionedTable("t", cols, 0, parts)
-				}
-				_, err := d.CreateTable("t", cols, 0)
-				return err
-			}, func(row []float64) error { _, err := d.Insert("t", row); return err })
 			return d
 		}
-		reopen := func(t *testing.T, db txnDB) txnDB {
-			if err := db.(*DurableDB).Close(); err != nil {
+		durable := func(t *testing.T) *DB {
+			dir = t.TempDir()
+			return load(t, openDir(t))
+		}
+		reopen := func(t *testing.T, db *DB) *DB {
+			if err := db.Close(); err != nil {
 				t.Fatal(err)
 			}
-			d, err := OpenDurable(dir, hermit.PhysicalPointers)
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { d.Close() })
-			return d
+			return openDir(t)
 		}
 		cases = append(cases,
 			txnCase{name: "db-" + suffix, parts: parts, open: mem},
@@ -332,7 +312,7 @@ func txnCases() []txnCase {
 
 // key reads pk from table "t" at snap (nil: the latest state), checking
 // that a live row sits on the partition that owns its key.
-func (c txnCase) key(t *testing.T, db txnDB, pk float64, snap *Snapshot) ([]float64, bool) {
+func (c txnCase) key(t *testing.T, db *DB, pk float64, snap *Snapshot) ([]float64, bool) {
 	t.Helper()
 	q := Query{Col: 0, Lo: pk, Hi: pk, Snap: snap}
 	row, _, err := db.Exec("t", q, 1, nil)
@@ -388,7 +368,7 @@ func TestTxnFirstCommitterWins(t *testing.T) {
 			if err := x3.Commit(); !errors.Is(err, ErrWriteConflict) {
 				t.Fatalf("update-vs-delete: %v, want ErrWriteConflict", err)
 			}
-			check := func(db txnDB) {
+			check := func(db *DB) {
 				// x2 applied nothing, not even its non-conflicting write.
 				if row, ok := c.key(t, db, 5, nil); !ok || row[1] != 111 {
 					t.Fatalf("pk 5 col a = %v, want x1's 111", row[1])
@@ -474,7 +454,7 @@ func TestTxnRollbackAndReadYourWrites(t *testing.T) {
 			if row, ok := c.key(t, db, 9, before); !ok || row[1] != 18 {
 				t.Fatalf("snapshot before the commit sees col a = %v", row[1])
 			}
-			check := func(db txnDB) {
+			check := func(db *DB) {
 				if row, ok := c.key(t, db, 8, nil); !ok || row[1] != 4242 {
 					t.Fatalf("replaced row col a = %v", row[1])
 				}
@@ -895,7 +875,7 @@ func reclaimedHeadNotWalked(t *testing.T, scheme hermit.PointerScheme) {
 // → checkpoint → reopen loses no row on the way.
 func TestFrozenRowsReachTheirBlock(t *testing.T) {
 	dir := t.TempDir()
-	open := func() (*DurableDB, *Table) {
+	open := func() (*DB, *Table) {
 		t.Helper()
 		d, err := OpenDurableOptions(dir, hermit.LogicalPointers, DurableOptions{DisableAutoCompact: true})
 		if err != nil {
@@ -905,7 +885,7 @@ func TestFrozenRowsReachTheirBlock(t *testing.T) {
 		return d, tb
 	}
 	oracle := make(map[float64]float64)
-	check := func(what string, d *DurableDB, tb *Table, unfrozen, unflushed int) {
+	check := func(what string, d *DB, tb *Table, unfrozen, unflushed int) {
 		t.Helper()
 		got := make(map[float64]float64)
 		tb.ScanLive(func(_ storage.RID, row []float64) bool { got[row[0]] = row[1]; return true })

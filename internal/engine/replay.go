@@ -99,7 +99,7 @@ func mutate(tb *Table, op *Op) (rid storage.RID, found bool, err error) {
 // is the commit. A begin or a mutation frame leaves its transaction open.
 // scratch says rec.Payload is replay's reused buffer, so a buffered frame
 // copies it. Caller owns d alone (recovery) or holds d.replMu.
-func (d *DurableDB) fold(rec wal.Record, scratch bool) (group []wal.Record, ok bool, err error) {
+func (d *durable) fold(rec wal.Record, scratch bool) (group []wal.Record, ok bool, err error) {
 	// A transaction begun here later — a promoted follower's — must not
 	// reuse an id the log holds, an orphaned open one included.
 	for cur := d.txnSeq.Load(); rec.Txn > cur && !d.txnSeq.CompareAndSwap(cur, rec.Txn); cur = d.txnSeq.Load() {
@@ -129,12 +129,14 @@ func (d *DurableDB) fold(rec wal.Record, scratch bool) (group []wal.Record, ok b
 // applyGroup applies a group fold completed. It takes no latch: recovery
 // owns d alone, ReplApply holds d.mu. A DDL or auto-commit record applies
 // on its own; a transaction's mutations apply through one Txn, so they
-// commit at one timestamp or, when one fails, not at all.
-func (d *DurableDB) applyGroup(group []wal.Record) error {
+// commit at one timestamp or, when one fails, not at all. The Txn commits
+// in memory only (commit, not Commit): replaying a group never logs it
+// again.
+func (d *durable) applyGroup(group []wal.Record) error {
 	if len(group) == 1 && group[0].Txn == 0 {
 		return d.applyRecord(group[0])
 	}
-	tx := d.db.Begin() // the DB's: replaying a group never logs it again
+	tx := d.db.Begin()
 	defer tx.Rollback()
 	for _, rec := range group {
 		tb, op, err := d.replayed(rec)
@@ -147,12 +149,12 @@ func (d *DurableDB) applyGroup(group []wal.Record) error {
 			return err
 		}
 	}
-	return tx.Commit()
+	return tx.commit()
 }
 
 // applyRecord applies one DDL or auto-commit record. Live DDL runs through
-// it too (DurableDB.ddl).
-func (d *DurableDB) applyRecord(rec wal.Record) error {
+// it too (durable.ddl).
+func (d *durable) applyRecord(rec wal.Record) error {
 	if !isDDLOp(rec.Op) {
 		tb, op, err := d.replayed(rec)
 		if err == nil {
@@ -162,46 +164,16 @@ func (d *DurableDB) applyRecord(rec wal.Record) error {
 		}
 		return err
 	}
-	var ddl struct { // the DDL payloads' JSON names are disjoint
-		ddlTable
-		ddlIndex
-		ddlDropIndex
-	}
-	if err := json.Unmarshal(rec.Payload, &ddl); err != nil {
+	var s ddlStmt
+	if err := json.Unmarshal(rec.Payload, &s); err != nil {
 		return err
 	}
-	switch rec.Op {
-	case wal.OpCreateTable, wal.OpCreatePartitioned:
-		meta := &durableMeta{Cols: ddl.Cols, PKCol: ddl.PKCol}
-		var err error
-		if rec.Op == wal.OpCreatePartitioned {
-			meta.Partitions = ddl.Parts
-			err = d.db.CreatePartitionedTable(rec.Table, ddl.Cols, ddl.PKCol, ddl.Parts)
-		} else {
-			_, err = d.db.CreateTable(rec.Table, ddl.Cols, ddl.PKCol)
-		}
-		if err == nil {
-			d.tables[rec.Table] = meta
-		}
-		return err
-	case wal.OpCreateIndex:
-		if err := d.db.CreateIndex(rec.Table, ddl.Def); err != nil {
-			return err
-		}
-		meta := d.tables[rec.Table]
-		meta.Defs = append(meta.Defs, ddl.Def)
-		return nil
-	}
-	if err := d.db.DropIndex(rec.Table, ddl.Col, ddl.Kind); err != nil {
-		return err
-	}
-	d.removeDef(rec.Table, ddl.Col, ddl.Kind)
-	return nil
+	return d.db.applyDDL(rec.Op, rec.Table, &s)
 }
 
 // replayed decodes a mutation record and resolves the engine table it
 // applies to by the record's partition id.
-func (d *DurableDB) replayed(rec wal.Record) (*Table, Op, error) {
+func (d *durable) replayed(rec wal.Record) (*Table, Op, error) {
 	op, err := decodeOp(rec)
 	if err != nil {
 		return nil, op, err
@@ -243,7 +215,7 @@ func isDDLOp(op wal.Op) bool {
 // transaction still open at the end — its commit never reached the log —
 // rolls back: RecoveryUncommitted counts it, and its frames stay buffered,
 // the open set a follower resumes with (ReplApply).
-func (d *DurableDB) replayTail(path string) error {
+func (d *durable) replayTail(path string) error {
 	err := wal.ReplayFrom(path, d.pub.WALStart, func(rec wal.Record) error {
 		group, ok, err := d.fold(rec, true)
 		n := 1
@@ -271,7 +243,12 @@ func (d *DurableDB) replayTail(path string) error {
 // reconciles it the same way. ReplApply returns the LSN of the last group
 // it applied (0 for none) and how many transactions are still open; the
 // first anomaly ends the batch as its error, the groups before it applied.
-func (d *DurableDB) ReplApply(recs []wal.Record) (applied uint64, open int, err error) {
+// A database without a log has nothing to mirror into: ErrNotDurable.
+func (db *DB) ReplApply(recs []wal.Record) (applied uint64, open int, err error) {
+	d := db.dur
+	if d == nil {
+		return 0, 0, ErrNotDurable
+	}
 	d.replMu.Lock()
 	defer d.replMu.Unlock()
 	d.mu.RLock()

@@ -223,9 +223,9 @@ func replayOp(rng *rand.Rand, tables []string) Op {
 // rowBits dumps a logical table's live rows as the hex bit patterns of their
 // values, sorted, so two databases compare bit for bit — NaN payloads and
 // the sign of zero included.
-func rowBits(t *testing.T, d *DurableDB, name string) []string {
+func rowBits(t *testing.T, d *DB, name string) []string {
 	t.Helper()
-	l := d.db.lookup(name)
+	l := d.lookup(name)
 	if l == nil {
 		t.Fatalf("no table %q", name)
 	}

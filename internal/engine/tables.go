@@ -4,11 +4,13 @@ import (
 	"fmt"
 	"maps"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 
 	"hermit/internal/storage"
 	"hermit/internal/trstree"
+	"hermit/internal/wal"
 )
 
 // This file is the DB's catalog of logical tables — the names users write
@@ -18,8 +20,10 @@ import (
 // hash-partitioned one (CreatePartitionedTable) is backed by the tables
 // PartitionName(name, 0..n-1), each with its own indexes, latches and
 // planner state, and a row lives in partition PartitionOf(its key, n).
-// DurableDB logs its writes and DDL on top of this catalog, and a query by
-// name scatter-gathers over the table's partitions (DB.Exec, gather.go).
+// Each by-name write and each DDL statement is one method that asks once
+// whether the database logs: a durable one (durable.go) logs what it
+// applies. A query by name scatter-gathers over the table's partitions
+// (DB.Exec, gather.go).
 
 // PartitionOf returns the hash partition (0 <= p < n) owning the primary
 // key pk among n partitions. The hash is a splitmix64 finalizer over the
@@ -130,25 +134,23 @@ func (db *DB) create(name string, cols []string, pkCol, parts int) (*logical, er
 
 // CreateTable registers a plain table with the given column names; pkCol is
 // the primary-key column, which receives a primary index automatically.
-// Names holding '#' are refused: the character names partitions.
+// Names holding '#' are refused: the character names partitions. A durable
+// database logs the table.
 func (db *DB) CreateTable(name string, cols []string, pkCol int) (*Table, error) {
-	l, err := db.create(name, cols, pkCol, 0)
-	if err != nil {
+	if err := db.ddl(wal.OpCreateTable, name, ddlStmt{ddlTable: ddlTable{Cols: cols, PKCol: pkCol}}); err != nil {
 		return nil, err
 	}
-	return l.phys[0], nil
+	return db.lookup(name).phys[0], nil
 }
 
 // CreatePartitionedTable registers a table hash-partitioned parts ways:
 // parts engine tables behind one name, a row in the one its primary key
 // hashes to (PartitionOf). The by-name writes and DDL route and fan out
-// across them; a query scatter-gathers across them (DB.Exec).
+// across them; a query scatter-gathers across them (DB.Exec). A durable
+// database logs the table, and every record of a write to it carries its
+// partition id; checkpoints flush one block stream per partition.
 func (db *DB) CreatePartitionedTable(name string, cols []string, pkCol, parts int) error {
-	if parts < 1 {
-		return fmt.Errorf("engine: partitioned table %q needs at least 1 partition, got %d", name, parts)
-	}
-	_, err := db.create(name, cols, pkCol, parts)
-	return err
+	return db.ddl(wal.OpCreatePartitioned, name, ddlStmt{ddlTable: ddlTable{Cols: cols, PKCol: pkCol, Parts: parts}})
 }
 
 // Partitions reports the partition count of the named table: 0 for a plain
@@ -163,7 +165,8 @@ func (db *DB) Partitions(name string) (int, error) {
 
 // Table returns the engine table a name denotes: a plain table's own, or
 // one partition's by its PartitionName. A partitioned table's own name
-// denotes no one engine table.
+// denotes no one engine table. Queries through it are safe; on a durable
+// database, writes through it bypass the log — use the DB's.
 func (db *DB) Table(name string) (*Table, error) {
 	if l := db.lookup(name); l != nil && l.parts == 0 {
 		return l.phys[0], nil
@@ -178,34 +181,76 @@ func (db *DB) Table(name string) (*Table, error) {
 	return nil, fmt.Errorf("%w: %q", ErrNoSuchTable, name)
 }
 
-// apply runs auto-commit mutation op on the partition of op.Table that
-// owns its key.
-func (db *DB) apply(op Op) (storage.RID, bool, error) {
-	tb, _, _, err := db.target(&op)
-	if err != nil {
-		return 0, false, err
+// submit applies one auto-commit mutation on the partition of op.Table that
+// owns its key; the outcome lands in res. A database without a log takes no
+// latch of its own for it. A durable one also hands the mutation's record to
+// the log (durable.submit), and the returned ticket is what awaitLogged
+// waits on: the zero Ticket when nothing was logged.
+func (db *DB) submit(op *Op, res *OpResult) wal.Ticket {
+	if db.dur != nil {
+		return db.dur.submit(op, res)
 	}
-	return mutate(tb, &op)
+	tb, _, _, err := db.target(op)
+	if res.Err = err; err == nil {
+		res.rid, res.Found, res.Err = mutate(tb, op)
+	}
+	return wal.Ticket{}
 }
 
-// Insert appends a row to the named table.
+// applyOne is the one-op run.
+func (db *DB) applyOne(op Op) (res OpResult) {
+	awaitLogged(db.submit(&op, &res), &res)
+	return res
+}
+
+// ApplyEach applies a run of auto-commit mutations (OpInsert, OpDelete,
+// OpUpdate) in order. Unlike ExecuteBatch it is not atomic: each op is
+// its own mutation with its own result (and, on a durable database, its
+// own WAL record), exactly as if Insert, Delete or UpdateColumn had been
+// called for it, and a failed op does not stop the ones after it. What the
+// run shares on a durable database is the wait: every record is submitted
+// before the first is awaited, and that first wait puts the run's frames
+// in the log in one copy (and, under the fsync policies, one fsync and one
+// commit interval) — the waits after it find their record acknowledged, or
+// the log poisoned below it, with one atomic load. Tickets name their own
+// log, so a checkpoint that rotates the segment mid-run changes nothing
+// here. Op i's outcome overwrites results[i], which must exist: a caller
+// that runs one run after another reuses one slice.
+func (db *DB) ApplyEach(ops []Op, results []OpResult) {
+	results = results[:len(ops)]
+	var stack [applyRunStack]wal.Ticket
+	tks := stack[:0]
+	for i := range ops {
+		results[i] = OpResult{}
+		tks = append(tks, db.submit(&ops[i], &results[i]))
+	}
+	for i, tk := range tks {
+		awaitLogged(tk, &results[i])
+	}
+}
+
+// applyRunStack is the run length whose tickets ApplyEach keeps on its
+// stack: the server's write runs are at most this long.
+const applyRunStack = 64
+
+// Insert appends a row to the named table; a durable database logs it.
 func (db *DB) Insert(table string, row []float64) (storage.RID, error) {
-	rid, _, err := db.apply(Op{Kind: OpInsert, Table: table, Row: row})
-	return rid, err
+	res := db.applyOne(Op{Kind: OpInsert, Table: table, Row: row})
+	return res.rid, res.Err
 }
 
 // Delete removes the row with primary key pk from the named table,
-// reporting whether the key existed.
+// reporting whether the key existed. A durable database logs a delete that
+// found its key (one of an absent key has nothing to replay).
 func (db *DB) Delete(table string, pk float64) (bool, error) {
-	_, found, err := db.apply(Op{Kind: OpDelete, Table: table, PK: pk})
-	return found, err
+	res := db.applyOne(Op{Kind: OpDelete, Table: table, PK: pk})
+	return res.Found, res.Err
 }
 
 // UpdateColumn changes one column of the row with primary key pk in the
-// named table (see Table.UpdateColumn).
+// named table (see Table.UpdateColumn); a durable database logs it.
 func (db *DB) UpdateColumn(table string, pk float64, col int, v float64) error {
-	_, _, err := db.apply(Op{Kind: OpUpdate, Table: table, PK: pk, Col: col, Value: v})
-	return err
+	return db.applyOne(Op{Kind: OpUpdate, Table: table, PK: pk, Col: col, Value: v}).Err
 }
 
 // IndexDef describes one index: what CreateIndex builds, and what a
@@ -256,14 +301,116 @@ func kindFromString(s string) (IndexKind, error) {
 	return KindNone, fmt.Errorf("engine: unknown droppable index kind %q", s)
 }
 
-// CreateIndex builds the index def describes on the named table: on every
+// The JSON payloads of the DDL records.
+type ddlTable struct {
+	Cols  []string `json:"cols"`
+	PKCol int      `json:"pk"`
+	Parts int      `json:"parts,omitempty"`
+}
+
+type ddlIndex struct {
+	Def IndexDef `json:"def"`
+}
+
+type ddlDropIndex struct {
+	Col  int    `json:"col"`
+	Kind string `json:"kind"` // "btree" | "hermit" | "cm"
+}
+
+// ddlStmt is one DDL statement: the union of the records' payloads, whose
+// JSON names are disjoint, so replay decodes every payload into it.
+type ddlStmt struct {
+	ddlTable
+	ddlIndex
+	ddlDropIndex
+}
+
+// payload is the part of s that a record of op logs.
+func (s *ddlStmt) payload(op wal.Op) any {
+	switch op {
+	case wal.OpCreateIndex:
+		return s.ddlIndex
+	case wal.OpDropIndex:
+		return s.ddlDropIndex
+	}
+	return s.ddlTable
+}
+
+// ddl runs one DDL statement: on a durable database through the log
+// (durable.ddl, which applies the statement's record as replay does), on
+// one without straight through applyDDL.
+func (db *DB) ddl(op wal.Op, table string, s ddlStmt) error {
+	if db.dur != nil {
+		return db.dur.ddl(op, table, s.payload(op))
+	}
+	return db.applyDDL(op, table, &s)
+}
+
+// applyDDL applies DDL statement s to the catalog — live, or replayed from
+// a log (applyRecord) — and, on a durable database, to the catalog its
+// manifest records, under its exclusive latch.
+func (db *DB) applyDDL(op wal.Op, table string, s *ddlStmt) error {
+	var meta *durableMeta
+	if db.dur != nil {
+		meta = db.dur.tables[table]
+	}
+	switch op {
+	case wal.OpCreateTable, wal.OpCreatePartitioned:
+		meta = &durableMeta{Cols: s.Cols, PKCol: s.PKCol}
+		if op == wal.OpCreatePartitioned {
+			if s.Parts < 1 {
+				return fmt.Errorf("engine: partitioned table %q needs at least 1 partition, got %d", table, s.Parts)
+			}
+			meta.Partitions = s.Parts
+		}
+		if _, err := db.create(table, s.Cols, s.PKCol, meta.Partitions); err != nil {
+			return err
+		}
+		if db.dur != nil {
+			db.dur.tables[table] = meta
+		}
+	case wal.OpCreateIndex:
+		if err := db.createIndex(table, s.Def); err != nil {
+			return err
+		}
+		if meta != nil {
+			meta.Defs = append(meta.Defs, s.Def)
+		}
+	default:
+		if err := db.dropIndex(table, s.Col, s.Kind); err != nil {
+			return err
+		}
+		if meta != nil {
+			meta.Defs = slices.DeleteFunc(meta.Defs, func(d IndexDef) bool { return d.Col == s.Col && d.Kind == s.Kind })
+		}
+	}
+	return nil
+}
+
+// CreateIndex builds the index def describes on the named table (createIndex);
+// a durable database logs the definition once it has built, and rebuilds the
+// index from it on recovery.
+func (db *DB) CreateIndex(table string, def IndexDef) error {
+	return db.ddl(wal.OpCreateIndex, table, ddlStmt{ddlIndex: ddlIndex{Def: def}})
+}
+
+// DropIndex drops the index of the given kind ("btree", "hermit" or "cm")
+// on col from every partition of the named table (dropIndex). A durable
+// database logs the drop, and the index leaves the recorded definitions, so
+// neither recovery nor a later checkpoint resurrects it: the advisor's
+// durable reclamation path.
+func (db *DB) DropIndex(table string, col int, kind string) error {
+	return db.ddl(wal.OpDropIndex, table, ddlStmt{ddlDropIndex: ddlDropIndex{Col: col, Kind: kind}})
+}
+
+// createIndex builds the index def describes on the named table: on every
 // partition of a partitioned one, side by side (Parallel), since indexes
 // are uniform across partitions and routing never changes which access
 // paths exist. A build that fails on one partition is dropped from the
 // partitions it succeeded on; a composite index cannot be dropped, so
 // partitioned tables refuse the composite kinds. Index DDL is serialised
 // with table creation.
-func (db *DB) CreateIndex(table string, def IndexDef) error {
+func (db *DB) createIndex(table string, def IndexDef) error {
 	l, err := db.named(table)
 	if err != nil {
 		return err
@@ -290,11 +437,10 @@ func (db *DB) CreateIndex(table string, def IndexDef) error {
 	return nil
 }
 
-// DropIndex drops the index of the given kind ("btree", "hermit" or "cm")
-// on col from every partition of the named table. Index DDL is uniform, so
-// a drop refused on any partition is refused on the first, before any
-// partition changed.
-func (db *DB) DropIndex(table string, col int, kind string) error {
+// dropIndex drops the index of the given kind on col from every partition of
+// the named table. Index DDL is uniform, so a drop refused on any partition
+// is refused on the first, before any partition changed.
+func (db *DB) dropIndex(table string, col int, kind string) error {
 	l, err := db.named(table)
 	if err != nil {
 		return err

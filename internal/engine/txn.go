@@ -27,7 +27,7 @@ var (
 // taken at Begin, writes are buffered privately — each on the partition
 // that owns its key — and become visible atomically at Commit, which
 // detects write-write conflicts under the first-committer-wins rule. A
-// transaction begun on a DurableDB also encodes each buffered mutation's
+// transaction of a durable database also encodes each buffered mutation's
 // WAL record, and Commit logs them as a txn-begin / mutations / txn-commit
 // group under one transaction id: recovery replays the group only if its
 // commit record reached the log, so a crash mid-commit rolls the whole
@@ -35,13 +35,12 @@ var (
 // goroutines.
 type Txn struct {
 	db   *DB
-	d    *DurableDB // the logging database, nil for a DB's transaction
 	snap *Snapshot
 	// writes is keyed by keyorder.Bits of the primary key: a float64 map
 	// key could never find a NaN key again.
 	writes map[*Table]map[uint64]*txnWrite
-	recs   []wal.Record // d's mutation records, in buffer order
-	pks    []float64    // the d.rows stripe keys Commit must hold
+	recs   []wal.Record // a durable database's mutation records, in buffer order
+	pks    []float64    // the durable stripe keys Commit must hold
 	done   bool
 }
 
@@ -54,17 +53,11 @@ type txnWrite struct {
 	del bool
 }
 
-// Begin starts a snapshot-isolation transaction on the database's clock.
+// Begin starts a snapshot-isolation transaction on the database's clock,
+// WAL-logged on a durable database. Only DML is transactional; DDL keeps
+// its own paths.
 func (db *DB) Begin() *Txn {
 	return &Txn{db: db, snap: db.clock.Snapshot(), writes: make(map[*Table]map[uint64]*txnWrite)}
-}
-
-// Begin starts a WAL-logged snapshot-isolation transaction. Only DML is
-// transactional; DDL keeps its own logged paths.
-func (d *DurableDB) Begin() *Txn {
-	x := d.db.Begin()
-	x.d = d
-	return x
 }
 
 // Snapshot returns the transaction's read snapshot, valid until Commit or
@@ -104,7 +97,7 @@ func (x *Txn) buffer(t *Table, w *txnWrite) {
 
 // Mutate buffers one mutation on the table op.Table names — Insert, Delete
 // or Update by op.Kind — on the partition that owns its key, reporting
-// whether a delete found its key. On a DurableDB it also encodes the WAL
+// whether a delete found its key. On a durable database it also encodes the WAL
 // record Commit logs for it; a delete of an absent key buffers nothing:
 // there is nothing to commit or replay.
 func (x *Txn) Mutate(op Op) (bool, error) {
@@ -116,7 +109,7 @@ func (x *Txn) Mutate(op Op) (bool, error) {
 		return false, err
 	}
 	found, err := x.stage(tb, &op)
-	if err != nil || x.d == nil || op.Kind == OpDelete && !found {
+	if err != nil || x.db.dur == nil || op.Kind == OpDelete && !found {
 		return found, err
 	}
 	rec := wal.Record{Table: op.Table, Part: part}
@@ -238,11 +231,11 @@ type stamped struct {
 // later commit touched one — first committer wins), applies the version
 // rows and index entries, and stamps them all with one new commit
 // timestamp, so concurrent snapshots observe either the whole transaction
-// or none of it. On any error nothing is applied. On a DurableDB it then
+// or none of it. On any error nothing is applied. On a durable database it then
 // logs the group and returns once the commit record is acknowledged under
 // the sync policy. The transaction is done afterwards either way.
 func (x *Txn) Commit() error {
-	if x.d == nil {
+	if x.db.dur == nil {
 		return x.commit()
 	}
 	tk, err := x.submitCommit()
@@ -255,7 +248,7 @@ func (x *Txn) Commit() error {
 	return nil
 }
 
-// submitCommit is a DurableDB transaction's Commit up to the wait: apply,
+// submitCommit is Commit on a durable database up to the wait: apply,
 // then submit the group's frames. The write keys' durable stripes are held
 // from the in-memory commit through the log submits, so per-key log order
 // equals apply order exactly as on the auto-commit paths. The group is one
@@ -264,7 +257,7 @@ func (x *Txn) Commit() error {
 // it; if a submit fails midway, the frames already pending reach the file
 // with the log's next wait, barrier or close, as an uncommitted tail.
 func (x *Txn) submitCommit() (wal.Ticket, error) {
-	d := x.d
+	d := x.db.dur
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	if len(x.recs) == 0 {

@@ -35,7 +35,7 @@ func TestDurablePartitionedCloseReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pt, err := CreateDurable(d, "syn", spec.Columns(), spec.PKCol(), Options{Partitions: 4})
+	pt, err := Create(d, "syn", spec.Columns(), spec.PKCol(), Options{Partitions: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestDurablePartitionedCloseReopen(t *testing.T) {
 	if n, serr := d2.RecoverySkipped(); n != 0 {
 		t.Fatalf("recovery skipped %d records (%v)", n, serr)
 	}
-	pt2, err := OpenDurable(d2, "syn", Options{})
+	pt2, err := Open(d2, "syn", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestDurablePartitionedCloseReopen(t *testing.T) {
 	if n, serr := d3.RecoverySkipped(); n != 0 {
 		t.Fatalf("recovery skipped %d records (%v)", n, serr)
 	}
-	pt3, err := OpenDurable(d3, "syn", Options{})
+	pt3, err := Open(d3, "syn", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestDurablePartitionedDDLAndGuards(t *testing.T) {
 	if err := d.CreateIndex("p", engine.IndexDef{Kind: "hermit", Col: 2, Host: 1}); err == nil {
 		t.Fatal("hermit without host index accepted")
 	}
-	pt, err := OpenDurable(d, "p", Options{})
+	pt, err := Open(d, "p", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,12 +208,12 @@ func TestDurablePartitionedDDLAndGuards(t *testing.T) {
 	if err := pt.DropIndex(1, engine.KindBTree); err != nil {
 		t.Fatal(err)
 	}
-	// OpenDurable wraps a plain table as its only partition: writes go
+	// Open wraps a plain table as its only partition: writes go
 	// through the logged paths, a range gathers in predicate-column order.
 	if _, err := d.CreateTable("plain", []string{"x", "y"}, 0); err != nil {
 		t.Fatal(err)
 	}
-	plain, err := OpenDurable(d, "plain", Options{})
+	plain, err := Open(d, "plain", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,9 +251,9 @@ func TestPartitionedCreateIndexUnwinds(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { d.Close() }()
-	for name, db := range map[string]Database{"mem": engine.NewDB(hermit.PhysicalPointers), "durable": d} {
+	for name, db := range map[string]*engine.DB{"mem": engine.NewDB(hermit.PhysicalPointers), "durable": d} {
 		t.Run(name, func(t *testing.T) {
-			pt, err := CreateDurable(db, "p", []string{"pk", "v"}, 0, Options{Partitions: 4})
+			pt, err := Create(db, "p", []string{"pk", "v"}, 0, Options{Partitions: 4})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -281,7 +281,7 @@ func TestPartitionedCreateIndexUnwinds(t *testing.T) {
 	if d, err = engine.OpenDurable(dir, hermit.PhysicalPointers); err != nil {
 		t.Fatal(err)
 	}
-	pt, err := OpenDurable(d, "p", Options{})
+	pt, err := Open(d, "p", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +293,7 @@ func TestPartitionedCreateIndexUnwinds(t *testing.T) {
 }
 
 // TestDurablePartitionedBlockTier: checkpoints flush one block stream per
-// partition, TableBlocks reports them, and BlockRead answers from the
+// partition, StorageStats counts them, and BlockRead answers from the
 // blocks of the owning partition alone (fences/blooms keep the probe
 // count at one block for a key written once).
 func TestDurablePartitionedBlockTier(t *testing.T) {
@@ -304,7 +304,7 @@ func TestDurablePartitionedBlockTier(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	pt, err := CreateDurable(d, "p", []string{"pk", "v"}, 0, Options{Partitions: 4})
+	pt, err := Create(d, "p", []string{"pk", "v"}, 0, Options{Partitions: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,22 +319,11 @@ func TestDurablePartitionedBlockTier(t *testing.T) {
 	if err := d.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	stats, err := d.TableBlocks("p")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(stats) != 4 {
-		t.Fatalf("TableBlocks returned %d partitions, want 4", len(stats))
-	}
-	var entries uint64
-	for i, st := range stats {
-		if st.Blocks != 1 {
-			t.Fatalf("partition %d has %d blocks after one checkpoint, want 1", i, st.Blocks)
-		}
-		entries += st.Entries
-	}
-	if entries != 400 { // 399 live rows + 1 tombstone, spread across partitions
-		t.Fatalf("block tier holds %d entries, want 400", entries)
+	// A checkpoint writes at most one block per physical table.
+	if st := d.StorageStats(); st.Blocks != 4 {
+		t.Fatalf("%d blocks after one checkpoint, want one per partition", st.Blocks)
+	} else if st.BlockEntries != 400 { // 399 live rows + 1 tombstone, spread across partitions
+		t.Fatalf("block tier holds %d entries, want 400", st.BlockEntries)
 	}
 	row, found, probed, err := d.BlockRead("p", 42)
 	if err != nil || !found || row[1] != 84 {
@@ -370,7 +359,7 @@ func TestBatchReadsPartitionedTable(t *testing.T) {
 	}
 	// check runs a read-only and a mixed batch of queries on pt's table
 	// and compares every query to pt.Exec at the snapshot it read.
-	check := func(t *testing.T, db Database, pt *Table, nextPK float64) {
+	check := func(t *testing.T, db *engine.DB, pt *Table, nextPK float64) {
 		t.Helper()
 		var ops []engine.Op
 		for _, q := range queries {
@@ -407,9 +396,9 @@ func TestBatchReadsPartitionedTable(t *testing.T) {
 			t.Fatalf("the mixed batch's insert: %d rows, err %v", len(rows), err)
 		}
 	}
-	for name, db := range map[string]Database{"mem": engine.NewDB(hermit.PhysicalPointers), "durable": d} {
+	for name, db := range map[string]*engine.DB{"mem": engine.NewDB(hermit.PhysicalPointers), "durable": d} {
 		t.Run(name, func(t *testing.T) {
-			pt, err := CreateDurable(db, "syn", spec.Columns(), spec.PKCol(), Options{Partitions: 4})
+			pt, err := Create(db, "syn", spec.Columns(), spec.PKCol(), Options{Partitions: 4})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -431,7 +420,7 @@ func TestBatchReadsPartitionedTable(t *testing.T) {
 	if d, err = engine.OpenDurable(dir, hermit.PhysicalPointers); err != nil {
 		t.Fatal(err)
 	}
-	pt, err := OpenDurable(d, "syn", Options{})
+	pt, err := Open(d, "syn", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

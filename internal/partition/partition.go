@@ -7,9 +7,9 @@
 //
 // The partitions, the routing of writes, the index DDL and the
 // scatter-gather read are the database's: a Table fronts a table of an
-// engine.DB or an engine.DurableDB through the methods the two share
-// (Database). Its writes and DDL go straight into the engine or through
-// the WAL first, and its queries are the database's one read (DB.Exec): a
+// engine.DB, in memory or durable. Its writes and DDL are the database's
+// (a durable one logs them), and its queries are the database's one read
+// (DB.Exec): a
 // primary-key point routes to the key's owner, anything else runs one leg
 // per partition on at most Options.Workers goroutines and merges the legs
 // into predicate-column order. A table created without partitions opens
@@ -22,7 +22,6 @@ package partition
 import (
 	"fmt"
 
-	"hermit/internal/advisor"
 	"hermit/internal/correlation"
 	"hermit/internal/engine"
 	"hermit/internal/hermit"
@@ -36,7 +35,7 @@ const DefaultPartitions = 4
 // Options configures a partitioned table.
 type Options struct {
 	// Partitions is the hash-partition count (DefaultPartitions when zero).
-	// OpenDurable ignores it: the count is fixed when the table is created.
+	// Open ignores it: the count is fixed when the table is created.
 	Partitions int
 	// Workers bounds the goroutines of one read of the table: the caller
 	// plus at most Workers-1 run its per-partition legs (GOMAXPROCS when
@@ -51,70 +50,47 @@ type Options struct {
 // the row's record identifier within that partition's store.
 type RID = engine.PartRID
 
-// Database is the table surface *engine.DB and *engine.DurableDB share, so
-// a Table — or any caller, such as the scenario harness — can hold either.
-// The database owns the partitions, routes writes by primary key, applies
-// index DDL to every partition — the DurableDB logs both first — and reads
-// the table (Exec, Lookup, ExecuteBatch).
-type Database interface {
-	CreateTable(name string, cols []string, pkCol int) (*engine.Table, error)
-	CreatePartitionedTable(name string, cols []string, pkCol, parts int) error
-	Partitions(name string) (int, error)
-	Table(name string) (*engine.Table, error)
-	Clock() *engine.Clock
-	Insert(table string, row []float64) (storage.RID, error)
-	Delete(table string, pk float64) (bool, error)
-	UpdateColumn(table string, pk float64, col int, v float64) error
-	CreateIndex(table string, def engine.IndexDef) error
-	DropIndex(table string, col int, kind string) error
-	Exec(table string, q engine.Query, workers int, dst []float64) ([]float64, engine.GatherStats, error)
-	Lookup(table string, q engine.Query, workers int, dst []engine.PartRID) ([]engine.PartRID, engine.GatherStats, error)
-	ExecuteBatch(ops []engine.Op, workers int) []engine.OpResult
-	EnableAdvisor(opts engine.AdvisorOptions) *advisor.Advisor
-}
-
 // Table is a hash-partitioned table: N per-partition engine tables behind
 // one logical name, read through the database's scatter-gather. It is safe
 // for concurrent use — partitions inherit the engine's fine-grained
 // latching.
 type Table struct {
-	db      Database
+	db      *engine.DB
 	name    string
 	cols    []string
 	pkCol   int
-	clock   *engine.Clock // the database's: one commit order for every partition
 	parts   []*engine.Table
 	workers int
 }
 
 // New creates an in-memory partitioned table: a DB of its own holding it
-// (see CreateDurable).
+// (see Create).
 func New(scheme hermit.PointerScheme, name string, cols []string, pkCol int, opts Options) (*Table, error) {
-	return CreateDurable(engine.NewDB(scheme), name, cols, pkCol, opts)
+	return Create(engine.NewDB(scheme), name, cols, pkCol, opts)
 }
 
-// CreateDurable creates a partitioned table in db — a DurableDB, which
-// WAL-logs it, or an in-memory DB — and returns its scatter-gather
-// wrapper. The partition count is fixed for the life of the table.
-func CreateDurable(db Database, name string, cols []string, pkCol int, opts Options) (*Table, error) {
+// Create creates a partitioned table in db — a durable one logs it — and
+// returns its scatter-gather wrapper. The partition count is fixed for the
+// life of the table.
+func Create(db *engine.DB, name string, cols []string, pkCol int, opts Options) (*Table, error) {
 	if opts.Partitions <= 0 {
 		opts.Partitions = DefaultPartitions
 	}
 	if err := db.CreatePartitionedTable(name, cols, pkCol, opts.Partitions); err != nil {
 		return nil, err
 	}
-	return OpenDurable(db, name, opts)
+	return Open(db, name, opts)
 }
 
-// OpenDurable wraps an existing table of db — created by CreateDurable or
-// CreateTable, or recovered by engine.OpenDurable — in its scatter-gather
+// Open wraps an existing table of db — created by Create or CreateTable, or
+// recovered by engine.OpenDurable — in its scatter-gather
 // wrapper. A table created without partitions is wrapped as its only
 // partition: its queries run on the caller, with no fan-out, and still
 // return rows ordered by the predicate column. Options.Partitions is
 // ignored — the table's own count wins; Options.Workers bounds each read's
 // goroutines. A wrapper holds the engine tables of its partitions, which
 // DDL changes in place, so it stays good for the life of the database.
-func OpenDurable(db Database, name string, opts Options) (*Table, error) {
+func Open(db *engine.DB, name string, opts Options) (*Table, error) {
 	n, err := db.Partitions(name)
 	if err != nil {
 		return nil, err
@@ -134,7 +110,6 @@ func OpenDurable(db Database, name string, opts Options) (*Table, error) {
 		name:    name,
 		cols:    parts[0].Columns(),
 		pkCol:   parts[0].PKCol(),
-		clock:   db.Clock(),
 		parts:   parts,
 		workers: opts.Workers,
 	}, nil
@@ -144,13 +119,13 @@ func OpenDurable(db Database, name string, opts Options) (*Table, error) {
 // fan-out legs of a query (or any sequence of queries) run against it
 // observe one commit-clock instant, so a concurrently committing batch is
 // seen entirely or not at all.
-func (t *Table) Snapshot() *engine.Snapshot { return t.clock.Snapshot() }
+func (t *Table) Snapshot() *engine.Snapshot { return t.db.Snapshot() }
 
 // GC reclaims, in every partition, the backlog of ended row versions that a
 // snapshot since released had pinned (see engine.DB.GC). Nothing depends on
 // calling it: every commit reclaims what it ends and works a backlog off.
 func (t *Table) GC() int {
-	horizon := t.clock.OldestActive()
+	horizon := t.db.Clock().OldestActive()
 	n := 0
 	for _, p := range t.parts {
 		n += p.GCVersions(horizon)

@@ -275,9 +275,9 @@ func TestAdvisorAggregatesAndTunesAllPartitions(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { d.Close() }()
-	for name, db := range map[string]Database{"mem": engine.NewDB(hermit.PhysicalPointers), "durable": d} {
+	for name, db := range map[string]*engine.DB{"mem": engine.NewDB(hermit.PhysicalPointers), "durable": d} {
 		t.Run(name, func(t *testing.T) {
-			pt, err := CreateDurable(db, "syn", spec.Columns(), spec.PKCol(), Options{Partitions: 3})
+			pt, err := Create(db, "syn", spec.Columns(), spec.PKCol(), Options{Partitions: 3})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -313,7 +313,7 @@ func TestAdvisorAggregatesAndTunesAllPartitions(t *testing.T) {
 	if d, err = engine.OpenDurable(dir, hermit.PhysicalPointers); err != nil {
 		t.Fatal(err)
 	}
-	pt, err := OpenDurable(d, "syn", Options{})
+	pt, err := Open(d, "syn", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -40,7 +40,7 @@ type FollowerOptions struct {
 	Dial func(addr string) (net.Conn, error)
 	// OnEngineSwap is invoked after a snapshot bootstrap replaces the
 	// local database, so embedders (the server) can re-point at it.
-	OnEngineSwap func(*engine.DurableDB)
+	OnEngineSwap func(*engine.DB)
 	// CheckpointBytes is the local WAL size that triggers a follower
 	// checkpoint (DefaultCheckpointBytes when zero; negative disables).
 	// Checkpoints happen only at transaction-group boundaries so a
@@ -78,7 +78,7 @@ type FollowerStats struct {
 	LastError  string `json:"last_error,omitempty"`
 }
 
-// Follower replicates a leader's WAL into a local DurableDB. Open with
+// Follower replicates a leader's WAL into a local durable DB. Open with
 // OpenFollower, start streaming with Start, and read locally through DB
 // at the AppliedLSN watermark: every applied transaction group became
 // visible at one commit timestamp, so snapshot reads are consistent
@@ -88,7 +88,7 @@ type Follower struct {
 
 	// mu guards db (swapped by snapshot bootstrap) and epoch.
 	mu    sync.Mutex
-	db    *engine.DurableDB
+	db    *engine.DB
 	epoch uint64
 
 	// applied is the LSN watermark of the last fully-applied record
@@ -155,7 +155,7 @@ func OpenFollower(opts FollowerOptions) (*Follower, error) {
 // SetOnEngineSwap installs the engine-swap hook after construction —
 // embedders that need the Follower to build the consumer (the server
 // wraps the follower's DB) call this before Start.
-func (f *Follower) SetOnEngineSwap(fn func(*engine.DurableDB)) {
+func (f *Follower) SetOnEngineSwap(fn func(*engine.DB)) {
 	f.mu.Lock()
 	f.opts.OnEngineSwap = fn
 	f.mu.Unlock()
@@ -164,7 +164,7 @@ func (f *Follower) SetOnEngineSwap(fn func(*engine.DurableDB)) {
 // DB returns the follower's current local database. Snapshot bootstrap
 // replaces it (see FollowerOptions.OnEngineSwap), so callers that cache
 // the pointer must also hook the swap.
-func (f *Follower) DB() *engine.DurableDB {
+func (f *Follower) DB() *engine.DB {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.db
@@ -255,7 +255,7 @@ func (f *Follower) WaitFor(lsn uint64, timeout time.Duration) error {
 // Promote stops the subscription, bumps and persists the epoch, and
 // returns the local database ready to serve as the new leader (wrap it
 // with NewLeader). The follower object is spent afterwards.
-func (f *Follower) Promote() (*engine.DurableDB, error) {
+func (f *Follower) Promote() (*engine.DB, error) {
 	f.stopLoop()
 	f.mu.Lock()
 	defer f.mu.Unlock()

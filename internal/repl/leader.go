@@ -65,10 +65,10 @@ type LeaderStats struct {
 
 // Leader is the replication source: it serves subscription streams off
 // the database's WAL and tracks follower acknowledgements for quorum
-// commit. One Leader per DurableDB; safe for concurrent use (each
+// commit. One Leader per durable DB; safe for concurrent use (each
 // subscriber is served on its own goroutine).
 type Leader struct {
-	db   *engine.DurableDB
+	db   *engine.DB
 	opts LeaderOptions
 
 	mu      sync.Mutex
@@ -82,9 +82,13 @@ type Leader struct {
 	failpoint func(step string) error
 }
 
-// NewLeader wraps an open DurableDB as a replication leader, loading (or
-// initialising) the persisted epoch from the database directory.
-func NewLeader(db *engine.DurableDB, opts LeaderOptions) (*Leader, error) {
+// NewLeader wraps an open durable DB as a replication leader, loading (or
+// initialising) the persisted epoch from the database directory. A
+// database without a log has nothing to ship: engine.ErrNotDurable.
+func NewLeader(db *engine.DB, opts LeaderOptions) (*Leader, error) {
+	if db.Dir() == "" {
+		return nil, fmt.Errorf("repl: leader: %w", engine.ErrNotDurable)
+	}
 	st, err := loadState(db.Dir())
 	if err != nil {
 		return nil, err

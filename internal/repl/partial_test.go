@@ -11,7 +11,7 @@ import (
 
 // allWALRecords reads every record of a database's retained WAL segments
 // in LSN order.
-func allWALRecords(t *testing.T, d *engine.DurableDB) []wal.Record {
+func allWALRecords(t *testing.T, d *engine.DB) []wal.Record {
 	t.Helper()
 	var out []wal.Record
 	for _, seg := range d.ReplWALSegments() {

@@ -3,7 +3,7 @@
 // The design rides entirely on the durable WAL: a leader ships raw WAL
 // frames — tailed from its on-disk segments in strict LSN order — over the
 // ordinary wire protocol, and a follower hands each batch to
-// engine.DurableDB.ReplApply, which mirrors every frame byte-for-byte into
+// engine.DB.ReplApply, which mirrors every frame byte-for-byte into
 // its own log and then applies each committed record group atomically
 // through the replay path recovery uses. Because the follower's log is a
 // literal prefix of the leader's, recovery, checkpoints and compaction work

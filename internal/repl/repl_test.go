@@ -27,7 +27,7 @@ const waitTimeout = 30 * time.Second
 // server integrates the Leader without importing it (which would cycle).
 type leaderHarness struct {
 	t    *testing.T
-	d    *engine.DurableDB
+	d    *engine.DB
 	l    *Leader
 	ln   net.Listener
 	stop chan struct{}
@@ -49,7 +49,7 @@ func newLeaderHarness(t *testing.T, dir string, dopts engine.DurableOptions, lop
 
 // harnessFor wraps an already-open database and leader (e.g. a promoted
 // follower) in a listening harness.
-func harnessFor(t *testing.T, d *engine.DurableDB, l *Leader) *leaderHarness {
+func harnessFor(t *testing.T, d *engine.DB, l *Leader) *leaderHarness {
 	t.Helper()
 	h := &leaderHarness{t: t, d: d, l: l, stop: make(chan struct{})}
 	h.listen()
@@ -154,7 +154,7 @@ func openTestFollower(t *testing.T, dir, id, leaderAddr string, dopts engine.Dur
 
 // tableRows scans every live row of a table, sorted by primary key, for
 // state comparison.
-func tableRows(t *testing.T, d *engine.DurableDB, name string) [][]float64 {
+func tableRows(t *testing.T, d *engine.DB, name string) [][]float64 {
 	t.Helper()
 	tb, err := d.Table(name)
 	if err != nil {

@@ -31,7 +31,7 @@ const (
 	// TargetEmbed replays against an in-memory engine.DB (its tables
 	// partitioned when the spec says so).
 	TargetEmbed = "embed"
-	// TargetDurable replays against a WAL-backed engine.DurableDB under a
+	// TargetDurable replays against a durable (WAL-backed) engine.DB under a
 	// temp dir (partitioned when the spec says so).
 	TargetDurable = "durable"
 	// TargetWire replays through internal/client against a hermitd

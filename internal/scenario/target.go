@@ -87,32 +87,28 @@ func IsAbort(err error) bool {
 		errors.Is(err, client.ErrConflict)
 }
 
-// embedTarget hosts the in-process kinds: a volatile engine.DB when dir
-// is empty, a WAL-backed DurableDB otherwise. Every tenant table is served
-// through a partition.Table, hash-partitioned when the spec says so.
+// embedTarget hosts the in-process kinds: an in-memory engine.DB when dir
+// is empty, a durable one otherwise. Every tenant table is served through
+// a partition.Table, hash-partitioned when the spec says so.
 type embedTarget struct {
 	dir     string
-	d       *engine.DurableDB
-	db      partition.Database // d, or an in-memory DB
+	db      *engine.DB
 	tables  []*partition.Table
 	advisor *advisor.Advisor
 }
 
 // Setup implements Target.
 func (t *embedTarget) Setup(spec *Spec) error {
-	var db partition.Database = engine.NewDB(hermit.PhysicalPointers)
-	if t.dir != "" {
-		d, err := engine.OpenDurable(t.dir, hermit.PhysicalPointers)
-		if err != nil {
-			return err
-		}
-		t.d, db = d, d
+	var err error
+	if t.dir == "" {
+		t.db = engine.NewDB(hermit.PhysicalPointers)
+	} else if t.db, err = engine.OpenDurable(t.dir, hermit.PhysicalPointers); err != nil {
+		return err
 	}
-	t.db = db
+	db := t.db
 	cols, parts := spec.Columns(), spec.Table.Partitions
 	for i := 0; i < spec.tenantCount(); i++ {
 		name := TableName(i)
-		var err error
 		if parts > 0 {
 			err = db.CreatePartitionedTable(name, cols, 0, parts)
 		} else {
@@ -121,7 +117,7 @@ func (t *embedTarget) Setup(spec *Spec) error {
 		if err != nil {
 			return err
 		}
-		pt, err := partition.OpenDurable(db, name, partition.Options{})
+		pt, err := partition.Open(db, name, partition.Options{})
 		if err != nil {
 			return err
 		}
@@ -160,16 +156,16 @@ func (t *embedTarget) Close() error {
 	if t.advisor != nil {
 		t.advisor.Stop()
 	}
-	if t.d != nil {
-		return t.d.Close()
+	if t.db == nil {
+		return nil
 	}
-	return nil
+	return t.db.Close()
 }
 
 // embedSession applies ops to the tenant's table; a txn is a batch of the
 // database's.
 type embedSession struct {
-	db     partition.Database
+	db     *engine.DB
 	tables []*partition.Table
 }
 

@@ -10,7 +10,7 @@ import (
 	"hermit/internal/server/proto"
 )
 
-// backend adapts the wire protocol's operation surface onto a DurableDB.
+// backend adapts the wire protocol's operation surface onto a database.
 // Every read takes one road (answer): the database's read of the table the
 // op names (engine.DB.Exec), plain or partitioned, at a snapshot, its legs
 // on at most workers goroutines, answered with the rows. A read run holds
@@ -22,11 +22,11 @@ import (
 // client-supplied names so tenants cannot collide or escape, and '#' is
 // reserved by the partitioning layer.
 type backend struct {
-	d       *engine.DurableDB
+	d       *engine.DB
 	workers int
 }
 
-func newBackend(d *engine.DurableDB, workers int) *backend {
+func newBackend(d *engine.DB, workers int) *backend {
 	return &backend{d: d, workers: workers}
 }
 

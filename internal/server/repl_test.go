@@ -18,7 +18,7 @@ import (
 // replicaPair is a leader server plus one follower server wired exactly
 // the way cmd/hermitd wires them.
 type replicaPair struct {
-	ld     *engine.DurableDB
+	ld     *engine.DB
 	leader *repl.Leader
 	lsrv   *Server
 	f      *repl.Follower
@@ -52,7 +52,7 @@ func startReplicaPair(t *testing.T, lopts repl.LeaderOptions, httpAddr string) *
 	}
 	t.Cleanup(func() { f.Close() })
 	fsrv := New(f.DB(), Options{Follower: f, HTTPAddr: httpAddr})
-	f.SetOnEngineSwap(func(db *engine.DurableDB) { fsrv.SwapEngine(db) })
+	f.SetOnEngineSwap(func(db *engine.DB) { fsrv.SwapEngine(db) })
 	f.Start()
 	if err := fsrv.Start("127.0.0.1:0"); err != nil {
 		t.Fatal(err)

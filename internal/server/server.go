@@ -137,7 +137,7 @@ func (q *tenantQuota) charge(n int64) bool {
 	return true
 }
 
-// Server serves a DurableDB over the wire protocol. Create with New,
+// Server serves a database over the wire protocol. Create with New,
 // start with Serve or Start, stop with Close.
 type Server struct{ s *server }
 
@@ -176,9 +176,9 @@ type server struct {
 	serveErr chan error
 }
 
-// New wraps an open DurableDB in a Server. The database must outlive the
+// New wraps an open database in a Server. The database must outlive the
 // server; the server never closes it.
-func New(d *engine.DurableDB, opts Options) *Server {
+func New(d *engine.DB, opts Options) *Server {
 	opts = opts.sanitized()
 	s := &server{
 		opts:     opts,
@@ -205,7 +205,7 @@ func (sv *server) be() *backend { return sv.backend.Load() }
 // hook for snapshot bootstrap, where the local database is wiped and
 // rebuilt. Follower sessions hold no transactions (writes are refused),
 // so in-flight requests at worst answer from the outgoing engine.
-func (s *Server) SwapEngine(d *engine.DurableDB) {
+func (s *Server) SwapEngine(d *engine.DB) {
 	s.s.backend.Store(newBackend(d, s.s.opts.Workers))
 }
 

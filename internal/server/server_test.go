@@ -16,9 +16,9 @@ import (
 	"hermit/internal/server/proto"
 )
 
-// startServer opens a DurableDB in a temp dir, serves it on a loopback
+// startServer opens a durable DB in a temp dir, serves it on a loopback
 // port, and tears both down with the test.
-func startServer(t *testing.T, opts Options) (*Server, *engine.DurableDB) {
+func startServer(t *testing.T, opts Options) (*Server, *engine.DB) {
 	t.Helper()
 	d, err := engine.OpenDurable(t.TempDir(), hermit.PhysicalPointers)
 	if err != nil {
@@ -75,7 +75,7 @@ func (c *countedConn) Write(p []byte) (int, error) {
 }
 
 // startCounted is startServer behind a countedListener.
-func startCounted(t *testing.T, opts Options) (*Server, *engine.DurableDB, *countedListener) {
+func startCounted(t *testing.T, opts Options) (*Server, *engine.DB, *countedListener) {
 	t.Helper()
 	d, err := engine.OpenDurable(t.TempDir(), hermit.PhysicalPointers)
 	if err != nil {
@@ -757,7 +757,7 @@ func TestGracefulDrain(t *testing.T) {
 	}
 }
 
-func mustTable(t *testing.T, d *engine.DurableDB, name string) *engine.Table {
+func mustTable(t *testing.T, d *engine.DB, name string) *engine.Table {
 	t.Helper()
 	tb, err := d.Table(name)
 	if err != nil {

@@ -223,10 +223,17 @@ func (b *builder) sampleSaysSplit(pairs []Pair, lo, hi float64) bool {
 // buffer. It is leaf.covers' complement: a pair beyond the range — which a
 // rebuilt edge leaf is handed, and no lookup predicts host ranges for — is
 // a miss, and so is a NaN residual (a NaN or infinite value on either
-// side).
+// side), and so is every pair of a leaf whose model was fitted on none.
 func uncovered(model lmodel, eps, lo, hi float64, p Pair) bool {
-	return !(p.M >= lo && p.M <= hi && math.Abs(p.N-model.Predict(p.M)) <= eps)
+	return !(fitted(model, eps) && p.M >= lo && p.M <= hi && math.Abs(p.N-model.Predict(p.M)) <= eps)
 }
+
+// fitted reports whether a leaf's model was fitted on any pair. One fitted
+// on none is the zero line with a zero eps (fitAndValidate): it covers no
+// pair and predicts no host range, whatever the leaf's live count says — a
+// statistic that a replayed parked delete can drive to 0 while pairs the
+// model covers are live (ReorgSubtree).
+func fitted(model lmodel, eps float64) bool { return eps != 0 || model != (lmodel{}) }
 
 // madSamples bounds the residuals the MAD is estimated from.
 const madSamples = 4096

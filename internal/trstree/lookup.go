@@ -45,9 +45,12 @@ func (t *Tree) LookupInto(lo, hi float64, res *Result) {
 	// Writes parked in the temporal side buffer while a reorganization
 	// scan is in flight (Appendix B) are already acknowledged to their
 	// writers, so lookups must see them: matching parked inserts join the
-	// identifier result. (Parked deletes need no handling here — the
-	// stale entry they will remove only widens the candidate set, and
-	// validation filters it.)
+	// identifier result. A parked delete changes nothing a lookup returns
+	// before its replay — the entry it will remove only widens the
+	// candidate set, which validation filters — but its replay may apply it
+	// to a rebuilt leaf whose scan no longer saw the pair, lowering that
+	// leaf's live count below its live pairs. So the count is never what
+	// decides whether a leaf's model answers (leaf.fitted).
 	for _, op := range t.sideBuf {
 		if !op.del && op.p.M >= lo && op.p.M <= hi {
 			res.IDs = append(res.IDs, op.p.ID)
@@ -81,10 +84,11 @@ func (t *Tree) lookupNode(r ref, s span, lo, hi float64, res *Result) {
 	// consulted over the range it was fitted on.
 	// A model fitted over infinite or NaN values predicts NaN; it covers no
 	// pair (covers, uncovered), so it contributes no range — a NaN range
-	// would also derail the union's sort.
+	// would also derail the union's sort. Neither does a model fitted on no
+	// pair (fitted).
 	mlo := math.Max(lo, s.lo)
 	mhi := math.Min(hi, s.hi)
-	if mlo <= mhi && l.count > 0 {
+	if mlo <= mhi && fitted(l.model, l.eps) {
 		if rlo, rhi := l.model.PredictRange(mlo, mhi, l.eps); rlo <= rhi {
 			res.Ranges = append(res.Ranges, Range{Lo: rlo, Hi: rhi})
 		}

@@ -79,10 +79,11 @@ func (t *Tree) Update(m, oldN, newN float64, id uint64) {
 
 // covers reports whether the leaf, which covers s, predicts host value nv
 // for target value m within its confidence interval, in which case the
-// tuple is stored nowhere. Values outside the build-time range are never
-// covered.
+// tuple is stored nowhere: uncovered's complement. Values outside the
+// build-time range are never covered, nor is any by a model fitted on no
+// pair.
 func (l *leaf) covers(s span, m, nv float64) bool {
-	return m >= s.lo && m <= s.hi && math.Abs(nv-l.model.Predict(m)) <= l.eps
+	return !uncovered(l.model, l.eps, s.lo, s.hi, Pair{M: m, N: nv})
 }
 
 // addOutlier records (d, id) in leaf l's buffer, d being the code of its

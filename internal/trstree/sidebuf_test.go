@@ -2,6 +2,7 @@ package trstree
 
 import (
 	"math"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -120,5 +121,45 @@ func TestLeafCountersSaturate(t *testing.T) {
 	tr.Delete(50, 200, 1)
 	if l.count != math.MaxUint32-1 {
 		t.Fatalf("a delete at the limit left count %d", l.count)
+	}
+}
+
+// deletingSource is a DataSource whose scan first deletes every pair but
+// the first through the tree being rebuilt — the deletes park in the side
+// buffer — and then reports the survivor alone.
+type deletingSource struct {
+	tr    *Tree
+	pairs []Pair
+}
+
+func (s *deletingSource) ScanMRange(lo, hi float64, fn func(m, n float64, id uint64) bool) error {
+	for _, p := range s.pairs[1:] {
+		s.tr.Delete(p.M, p.N, p.ID)
+	}
+	p := s.pairs[0]
+	fn(p.M, p.N, p.ID)
+	return nil
+}
+
+// TestReorgReplayedDeletesKeepModel: the rebuilt leaf is fitted on the
+// survivor, and replaying the 99 parked deletes over it drives its live
+// count to 0. The survivor is model-covered, so only the leaf's model can
+// answer for it: a lookup that consulted the model only while the count was
+// above 0 returned neither a range nor an id for it.
+func TestReorgReplayedDeletesKeepModel(t *testing.T) {
+	pairs := make([]Pair, 100)
+	for i := range pairs {
+		pairs[i] = Pair{M: float64(i), N: 3 * float64(i), ID: uint64(i)}
+	}
+	tr := mustBuild(t, pairs, DefaultParams())
+	if tr.LeafCount() != 1 {
+		t.Fatalf("%d leaves, want one root leaf", tr.LeafCount())
+	}
+	if err := tr.ReorgSubtree(0, &deletingSource{tr: tr, pairs: pairs}); err != nil {
+		t.Fatal(err)
+	}
+	res := tr.Lookup(0, 0)
+	if !slices.Contains(res.IDs, 0) && !slices.ContainsFunc(res.Ranges, func(r Range) bool { return r.Lo <= 0 && 0 <= r.Hi }) {
+		t.Fatalf("Lookup(0, 0) = %+v: no range or id for the live pair (0, 0)", res)
 	}
 }

@@ -14,7 +14,7 @@
 // everything in it in the file at once — a batch of one being the common case
 // and the same bytes — runs the policy's fsync, advances the acknowledged
 // LSN and releases, together, the callers that arrived meanwhile. So a
-// caller that submits a run of records before it waits (DurableDB's
+// caller that submits a run of records before it waits (the engine's
 // ApplyEach, a transaction's frames) or several concurrent callers share a
 // write as well as an fsync, and records nobody waits on reach the file with
 // the next Wait, Sync or Close.

@@ -260,7 +260,7 @@ func TestClosedLogRejectsAppends(t *testing.T) {
 }
 
 // Concurrent submitters under each policy, each submitting runs of records
-// before it waits (the shape DurableDB.ApplyEach produces), so a writer
+// before it waits (the shape DB.ApplyEach produces), so a writer
 // collects batches of many frames into one write: every record
 // must be acknowledged, frames must never interleave, replay must return
 // every LSN once and in order, and Size/LastLSN — published after the
