@@ -292,7 +292,7 @@ func TestPartitionedCreateIndexUnwinds(t *testing.T) {
 	}
 }
 
-// TestDurablePartitionedBlockTier: checkpoints flush one block stream per
+// TestDurablePartitionedBlockTier: a checkpoint flushes one block per
 // partition, StorageStats counts them, and BlockRead answers from the
 // blocks of the owning partition alone (fences/blooms keep the probe
 // count at one block for a key written once).
@@ -325,12 +325,27 @@ func TestDurablePartitionedBlockTier(t *testing.T) {
 	} else if st.BlockEntries != 400 { // 399 live rows + 1 tombstone, spread across partitions
 		t.Fatalf("block tier holds %d entries, want 400", st.BlockEntries)
 	}
-	row, found, probed, err := d.BlockRead("p", 42)
-	if err != nil || !found || row[1] != 84 {
-		t.Fatalf("BlockRead(42) = %v found=%v err=%v", row, found, err)
+	// Every live key is in one block of its own partition's stack, which
+	// BlockRead alone probes: each partition holds a block, and with 4 in
+	// all, exactly one.
+	keys := make([]int, 4)
+	for i := 0; i < 400; i++ {
+		if i == 7 {
+			continue
+		}
+		row, found, probed, err := d.BlockRead("p", float64(i))
+		if err != nil || !found || row[1] != float64(i)*2 {
+			t.Fatalf("BlockRead(%d) = %v found=%v err=%v", i, row, found, err)
+		}
+		if probed != 1 {
+			t.Fatalf("BlockRead(%d) probed %d blocks, want 1", i, probed)
+		}
+		keys[engine.PartitionOf(float64(i), 4)]++
 	}
-	if probed != 1 {
-		t.Fatalf("BlockRead(42) probed %d blocks, want 1", probed)
+	for p, n := range keys {
+		if n == 0 {
+			t.Fatalf("partition %d owns no key: the test reads none of its blocks", p)
+		}
 	}
 	if _, found, _, err := d.BlockRead("p", 7); err != nil || found {
 		t.Fatalf("BlockRead(7) resurrected a tombstoned key: found=%v err=%v", found, err)

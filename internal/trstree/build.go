@@ -229,11 +229,15 @@ func uncovered(model lmodel, eps, lo, hi float64, p Pair) bool {
 }
 
 // fitted reports whether a leaf's model was fitted on any pair. One fitted
-// on none is the zero line with a zero eps (fitAndValidate): it covers no
+// on none is the zero line with an eps of +0 (fitAndValidate): it covers no
 // pair and predicts no host range, whatever the leaf's live count says — a
 // statistic that a replayed parked delete can drive to 0 while pairs the
-// model covers are live (ReorgSubtree).
-func fitted(model lmodel, eps float64) bool { return eps != 0 || model != (lmodel{}) }
+// model covers are live (ReorgSubtree). A fitted leaf never holds that
+// state — deriveEps never gives +0: it floors eps at 1e-12, or gives −0
+// under ErrorBound 0 — so a fitted zero line covers the pairs on it.
+func fitted(model lmodel, eps float64) bool {
+	return math.Float64bits(eps) != 0 || model != (lmodel{})
+}
 
 // madSamples bounds the residuals the MAD is estimated from.
 const madSamples = 4096
@@ -538,13 +542,18 @@ func quickselect(vals []float64, k int) float64 {
 // A zero slope would give eps = 0 and classify every noisy pair as an
 // outlier even for perfectly flat correlations, so a tiny floor
 // proportional to the magnitude of the fitted intercept is applied.
+// ErrorBound 0 gives −0, which covers what 0 does — the pairs exactly on
+// the line — and tells a fitted leaf from one fitted on no pair (fitted).
 func deriveEps(beta, lo, hi, errorBound float64, n int) float64 {
 	if n == 0 {
 		return 0
 	}
 	eps := math.Abs(beta) * (hi - lo) * errorBound / (2 * float64(n))
-	if eps == 0 && errorBound > 0 {
-		eps = 1e-12
+	if eps == 0 {
+		if errorBound > 0 {
+			return 1e-12
+		}
+		return math.Copysign(0, -1)
 	}
 	return eps
 }

@@ -194,6 +194,30 @@ func TestErrorBoundZeroMakesEverythingOutlier(t *testing.T) {
 	checkRecall(t, tr, pairs, 0, 100)
 }
 
+// TestErrorBoundZeroFittedZeroLine: under error_bound = 0 a leaf fitted on
+// a constant-zero host is the zero line with a zero eps, like a leaf fitted
+// on no pair; it still covers every pair on it, so none is an outlier, and
+// lookups find them all through its host range.
+func TestErrorBoundZeroFittedZeroLine(t *testing.T) {
+	params := DefaultParams()
+	params.ErrorBound = 0
+	params.MaxHeight = 1
+	params.SampleRate = 0
+	pairs := make([]Pair, 1000)
+	for i := range pairs {
+		pairs[i] = Pair{M: float64(i), N: 0, ID: uint64(i)}
+	}
+	tr := mustBuild(t, pairs, params)
+	if st := tr.Stats(); st.Leaves != 1 || st.Outliers != 0 {
+		t.Fatalf("leaves=%d outliers=%d, want 1 leaf and no outlier", st.Leaves, st.Outliers)
+	}
+	tr.Insert(500.5, 0, 1000)
+	if st := tr.Stats(); st.Outliers != 0 {
+		t.Fatalf("an insert on the line left %d outliers", st.Outliers)
+	}
+	checkRecall(t, tr, append(pairs, Pair{M: 500.5, N: 0, ID: 1000}), 0, 999)
+}
+
 func TestLargerErrorBoundShrinksTree(t *testing.T) {
 	pairs := genSigmoid(30000, 1000, 0.01, 6)
 	small := DefaultParams()
