@@ -340,8 +340,10 @@ func liveKeys(rows int) []float64 {
 // every commit freezes what it wrote, so it is, to the byte per row, what
 // it was as loaded. Measured: 42.3 B/row against 38.1 as loaded, 1.11x —
 // the primary index grows from 3.0 to 5.8 B/row, as the row ids it holds
-// stop being consecutive and need 3 bytes of code, the row store from 24.5
-// to 25.1; 49.5 against 45.9 when a row was four 8-byte floats; 70.0
+// stop being consecutive and need 3 bytes of code (every row has moved, so
+// no narrow id frame holds most of a leaf's ids, and a leaf keeps none of
+// them as an exception, as it does the few moved rows of a lighter churn),
+// the row store from 24.5 to 25.1; 49.5 against 45.9 when a row was four 8-byte floats; 70.0
 // against 67.1 when every B+-tree entry took 16 bytes (70.4 against 67.4
 // before that, 1.04x; 78.2 against 67.5 when every node array an insert
 // touched had a full node's capacity; 83.6 against 69.9 when node arrays

@@ -20,10 +20,12 @@ import (
 // hottest operations — embedded PK point read, embedded range scan,
 // partitioned scatter-gather scan, durable WAL-logged insert, a
 // wire-protocol point read through hermitd, an insert sent to hermitd in
-// depth-64 pipelined bursts, the four that go through the primary index by
-// key (an in-memory insert of ascending keys, an update, a delete/re-insert
-// cycle, and a Hermit range query under logical pointers, whose every
-// candidate takes the primary-index hop), and a write churn at constant live
+// depth-64 pipelined bursts, the ones that go through the primary index by
+// key (an in-memory insert of ascending keys, on the table and by name
+// through the database, an update, an update of a table whose rows have
+// moved, a delete/re-insert cycle, and a Hermit range query under logical
+// pointers, whose every candidate takes the primary-index hop), and a write
+// churn at constant live
 // rows (the lane
 // that also records the heap it holds per live row; every write lane
 // reclaims the versions it ends, as every commit does) — as allocs/op, bytes/op,
@@ -103,7 +105,9 @@ func hotpathWorkloads() []hotpathWorkload {
 		{name: "wire_point", setup: setupHotpathWirePoint},
 		{name: "wire_insert_pipelined", setup: setupHotpathWireInsertPipelined},
 		{name: "mem_insert", setup: setupHotpathInsert},
+		{name: "db_insert", setup: setupHotpathDBInsert},
 		{name: "mem_update", setup: setupHotpathUpdate},
+		{name: "mem_update_churned", setup: setupHotpathUpdateChurned},
 		{name: "mem_delete", setup: setupHotpathDelete},
 		{name: "logical_range", setup: setupHotpathLogicalRange},
 		{name: "churn", heap: churnHeap, setup: func(cfg Config, n int) (func() error, func(), error) {
@@ -194,6 +198,60 @@ func setupHotpathInsert(_ Config, n int) (func() error, func(), error) {
 		row[1] = row[0] * 0.5
 		_, err := tb.Insert(row)
 		return err
+	}
+	return op, func() {}, nil
+}
+
+// setupHotpathDBInsert is setupHotpathInsert through the database by table
+// name, DB.Insert on an in-memory database: the by-name write path
+// (DB.submit → mutate) that partition.Table.Insert and the repository
+// benchmark's load take, the table resolved from the catalog per row.
+func setupHotpathDBInsert(_ Config, n int) (func() error, func(), error) {
+	db := engine.NewDB(hermit.PhysicalPointers)
+	if _, err := db.CreateTable("hot", hotpathCols(), 0); err != nil {
+		return nil, nil, err
+	}
+	row := make([]float64, 2)
+	for i := 0; i < n; i++ {
+		row[0], row[1] = float64(i), float64(i)*0.5
+		if _, err := db.Insert("hot", row); err != nil {
+			return nil, nil, err
+		}
+	}
+	op := func() error {
+		row[0]++
+		row[1] = row[0] * 0.5
+		_, err := db.Insert("hot", row)
+		return err
+	}
+	return op, func() {}, nil
+}
+
+// hotpathChurnedUpdates is the share of rows setupHotpathUpdateChurned
+// moves before it measures: 1 in 40, about what the repository benchmark's
+// hermit-read trace moves of its table.
+const hotpathChurnedUpdates = 40
+
+// setupHotpathUpdateChurned is setupHotpathUpdate on a table whose rows
+// have moved: each update takes the row slot another update freed, far from
+// the row ids of its key's neighbours, so the primary-index swap keeps the
+// new id as an exception of the leaf's id frame — the path most updates of
+// a written table take — rather than rewriting a code in place.
+func setupHotpathUpdateChurned(cfg Config, n int) (func() error, func(), error) {
+	tb, err := buildHotpathTable(n)
+	if err != nil {
+		return nil, nil, err
+	}
+	rng := rand.New(rand.NewSource(cfg.Seed + 31))
+	gen := float64(n)
+	op := func() error {
+		gen++
+		return tb.UpdateColumn(float64(rng.Intn(n)), 1, gen)
+	}
+	for i := 0; i < n/hotpathChurnedUpdates; i++ {
+		if err := op(); err != nil {
+			return nil, nil, err
+		}
 	}
 	return op, func() {}, nil
 }

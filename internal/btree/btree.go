@@ -39,18 +39,31 @@
 // A leaf stores its entries frame-of-reference packed (internal/forcode
 // describes the frame): entry i is its key's rank coded in the leaf's key
 // frame (kbase, shift, kw), then its id in the id frame (vbase, vw), which
-// has no grid, in one byte array. fill encodes a leaf in the tightest
-// frames that hold its entries. The keys of one leaf are near one another
+// has no grid, in one byte array. The keys of one leaf are near one another
 // and its ids usually too — row ids and logical ids (hermit.LogicalID) are
 // both dense: an ascending primary key and its row ids pack into one byte
-// each, the host index's keys into 5 or 6 and its ids into 3. A write the
-// frames cannot hold re-encodes that one leaf in frames that do (refill);
-// a delete never needs to, but one that shrinks the array re-encodes the
-// leaf too, so its frames follow what it holds. The array ends in 8 spare
-// bytes, for the 8-byte loads. Searches within a leaf compare codes: a
-// probe is mapped into the leaf's frames once (search). Internal nodes,
-// about one node in a hundred, keep their separators as float64 keys and
-// uint64 ties beside the child pointers.
+// each, the host index's keys into 5 or 6 and its ids into 3. The id frame
+// is patched (PFOR; Zukowski, Héman, Nes and Boncz, ICDE 2006): an id it
+// does not hold — a row that moved gets a row id far from its neighbours' —
+// is an exception, its code a mark and the id in a 9-byte record at the
+// end of the array (xat), rather than a reason to widen every code of the
+// leaf. fill encodes a leaf in the tightest key frame and the id frame
+// whose array, exceptions included, is the smallest size class (idFrame);
+// a bulk load, whose ids no exception pays for, takes the tightest id
+// frame. A write the key frame cannot hold re-encodes that one leaf
+// (refill), and so does one whose id lies within a frame's span of the id
+// frame, which a frame as wide may hold (near); a farther id becomes an
+// exception while the leaf's array has room for it or its exceptions take
+// at most a byte an entry slot, fewer bytes than any wider frame (edit,
+// excepts). A re-encode keeps at most half that many, so the leaf has room
+// for more before it is re-encoded again. A delete never needs to
+// re-encode, but one that shrinks the array does, so the frames follow
+// what the leaf holds. The array ends in 8 spare bytes, for the 8-byte
+// loads, or in the exceptions, which serve as those bytes. Searches within
+// a leaf compare codes: a probe is mapped into the leaf's frames once
+// (search), and only a key tie in a leaf with exceptions reads ids
+// (lowerX). Internal nodes, about one node in a hundred, keep their
+// separators as float64 keys and uint64 ties beside the child pointers.
 //
 // A two-key tree (NewComposite) — every composite index, such as the
 // paper's (TIME, DJ) host of §3 — orders its entries by (a, b, id). A leaf
@@ -65,12 +78,15 @@
 // Measured on 1M entries at DefaultOrder (TestHeapMatchesSizeBytes, what
 // SizeBytes and the heap agree on): ascending inserts hold 2.93 B/entry,
 // random inserts 10.18 and a random churn 10.78, against 16.80, 18.10 and
-// 19.24 while every entry took 16 bytes; the benchmark's bulk-loaded 1M-row
-// column, 6.24 against 17.59; a two-key tree of random (a, b) pairs 17.74
-// and 18.76 after a churn (7 bytes of b code: b spans [0, 1) in every
-// leaf), against 27.0 and 28.9 while composite indexes were a tree of
-// their own with three 8-byte arrays per entry. The packed leaf is also
-// the faster one to search (medians of five or six alternated runs, one
+// 19.24 while every entry took 16 bytes; the same ascending keys after
+// 110k writes in the hermit-read mix, a quarter of them moving a key to a
+// far id (TestChurnKeepsIDFrames), 3.12 with 26 777 exceptions, against
+// 5.08 when each moved id widened its leaf's id frame; the benchmark's
+// bulk-loaded 1M-row column, 6.24 against 17.59; a two-key tree of random
+// (a, b) pairs 17.74 and 18.76 after a churn (7 bytes of b code: b spans
+// [0, 1) in every leaf), against 27.0 and 28.9 while composite indexes
+// were a tree of their own with three 8-byte arrays per entry. The packed
+// leaf is also the faster one to search (medians of five or six alternated runs, one
 // CPU): a random Get on 1M ascending keys 178 against 227 ns, 253 against
 // 315 at order 16. A 1000-entry Scan is no faster: it decodes every key (a
 // mask, a shift and keyorder.Unrank), and when the machine is quiet the
@@ -160,7 +176,8 @@ type node struct {
 	buf   []byte
 	kbase uint64 // the rank key code 0 stands for
 	vbase uint64 // the id id code 0 stands for
-	n     int32  // entries in a leaf
+	n     uint16 // entries in a leaf
+	nx    uint8  // exceptions in a one-key leaf (xat)
 	// The key frame is (kbase, shift, kw), the id frame (vbase, vw), and
 	// in a two-key leaf a b code follows them in bw bytes (bframe); bw is 0
 	// in a one-key leaf.
@@ -188,14 +205,20 @@ const pad = 8
 // the last entry, so they are its pad too.
 const tail = 9
 
+// xw is the width of one exception record of a one-key leaf (xat): the
+// entry's index in a byte, then its id in 8 bytes.
+const xw = 9
+
+// maxOrder is the largest node order: a leaf counts its entries in 16 bits.
+const maxOrder = 1<<16 - 1
+
 func (n *node) leaf() bool { return n.in == nil }
 
 // New creates an empty tree with the given node order (maximum entries per
-// leaf, children per internal node). Orders below 4 are raised to 4.
+// leaf, children per internal node). Orders below 4 are raised to 4, and
+// orders above 65535 lowered to it.
 func New(order int) *Tree {
-	if order < 4 {
-		order = 4
-	}
+	order = min(max(order, 4), maxOrder)
 	root := &node{}
 	return &Tree{
 		root:  root,
@@ -222,7 +245,7 @@ func NewComposite(order int) *Tree {
 func (t *Tree) newLeaf() *node {
 	n := &node{}
 	if t.two {
-		fill(n, entries{bs: []uint64{}}, 0)
+		fill(n, entries{bs: []uint64{}}, 0, false)
 	}
 	return n
 }
@@ -342,10 +365,101 @@ func (n *node) rank(i int) uint64 {
 // key returns the key of entry i of leaf n.
 func (n *node) key(i int) float64 { return keyorder.Unrank(n.rank(i)) }
 
-// id returns the id of entry i of leaf n.
-func (n *node) id(i int) uint64 {
-	return n.vbase + forcode.Load(n.buf, i*n.w()+int(n.kw))&forcode.Mask(n.vw)
+// code returns the id code of entry i of leaf n: vbase plus it is the id,
+// unless n has exceptions and the code is their mark (id).
+func (n *node) code(i int) uint64 {
+	return forcode.Load(n.buf, i*n.w()+int(n.kw)) & forcode.Mask(n.vw)
 }
+
+// id returns the id of entry i of leaf n. An id code of all ones — the
+// mark an exception's entry carries — is looked up among n's exceptions
+// when it has any (xid). The lookup keeps id from inlining, so the loops
+// over a leaf without exceptions read code instead.
+func (n *node) id(i int) uint64 {
+	c := n.code(i)
+	if c == forcode.Mask(n.vw) && n.nx != 0 {
+		return n.xid(i, c)
+	}
+	return n.vbase + c
+}
+
+// A one-key leaf keeps the id frame most of its entries fit — patched
+// frame of reference (Zukowski, Héman, Nes and Boncz, ICDE 2006) — and an
+// id the frame does not hold is an exception: its entry's id code is the
+// mark, all ones, and the id is in a record of xw bytes at the end of the
+// array, the entry's index in a byte, then the id. The nx records are in
+// entry order, from xat to the end, and since they are past the last entry
+// they are its pad too. A leaf with exceptions has an id code of at least
+// one byte, so that not every entry carries the mark; an entry that is no
+// exception may carry it too, and reads back as vbase plus the mark.
+
+// xat returns the offset of leaf n's first exception record.
+func (n *node) xat() int { return len(n.buf) - int(n.nx)*xw }
+
+// xfind returns the position among leaf n's exceptions of the first whose
+// entry index is i or above, and whether it is entry i's.
+func (n *node) xfind(i int) (int, bool) {
+	o, k := n.xat(), int(n.nx)
+	lo, hi := 0, k
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if int(n.buf[o+m*xw]) < i {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo, lo < k && int(n.buf[o+lo*xw]) == i
+}
+
+// xid is the id of entry i of leaf n, whose id code c is the exception
+// mark: its exception's id, or the code's when it has none.
+func (n *node) xid(i int, c uint64) uint64 {
+	if j, ok := n.xfind(i); ok {
+		return forcode.Load(n.buf, n.xat()+j*xw+1)
+	}
+	return n.vbase + c
+}
+
+// xput sets exception j's id.
+func (n *node) xput(j int, id uint64) {
+	binary.LittleEndian.PutUint64(n.buf[n.xat()+j*xw+1:], id)
+}
+
+// xinsert makes exception j of leaf n entry i's, holding id: the records
+// before it move one record down, into bytes the array has free.
+func (n *node) xinsert(j, i int, id uint64) {
+	o := n.xat() - xw
+	copy(n.buf[o:], n.buf[o+xw:o+xw+j*xw])
+	n.buf[o+j*xw] = byte(i)
+	n.nx++
+	n.xput(j, id)
+}
+
+// xdelete removes exception j of leaf n.
+func (n *node) xdelete(j int) {
+	o := n.xat()
+	copy(n.buf[o+xw:], n.buf[o:o+j*xw])
+	n.nx--
+}
+
+// xshift adds d to the entry index of every exception of leaf n at entry i
+// or after it: entries inserted or removed before them.
+func (n *node) xshift(i, d int) {
+	o := n.xat()
+	for j, _ := n.xfind(i); j < int(n.nx); j++ {
+		n.buf[o+j*xw] += byte(d)
+	}
+}
+
+// pfor reports whether t's leaves keep exceptions: a one-key tree whose
+// entry indexes fit an exception's byte and whose leaves fit the stack room
+// an id frame is chosen in (idFrame).
+func (t *Tree) pfor() bool { return !t.two && t.order <= DefaultOrder }
+
+// tailBytes returns the bytes a leaf of t with nx exceptions keeps past its
+// entries: its spare bytes, or its exception records if they take more.
+func (t *Tree) tailBytes(nx int) int { return max(t.spare(), nx*xw) }
 
 // bframe returns two-key leaf n's b frame: its base and shift, the codes
 // bw bytes wide after the id code. It sits in the last tail bytes of the
@@ -405,6 +519,24 @@ func (n *node) lower(c, d, x uint64) int {
 	return lo
 }
 
+// lowerX is lower for a one-key leaf with exceptions, whose id codes do not
+// order their ids: it returns the index of the first entry whose key code
+// is c or above and, when exact — c is the probe's own key — whose id is id
+// or above, the ids of c's entries decoded.
+func (n *node) lowerX(c uint64, exact bool, id uint64) int {
+	buf, w, km := n.buf, n.w(), forcode.Mask(n.kw)
+	lo, hi := 0, int(n.n)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if y := forcode.Load(buf, m*w) & km; y < c || y == c && exact && n.id(m) < id {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
+}
+
 // tieBelow reports whether the (b code, id code) pair (y, z) is below (d, x).
 func tieBelow(y, z, d, x uint64) bool { return y < d || y == d && z < x }
 
@@ -415,6 +547,9 @@ func tieBelow(y, z, d, x uint64) bool { return y < d || y == d && z < x }
 // 0 — and lower finds the first of those.
 func (n *node) search(r uint64, e ent, two bool) int {
 	c, exact := forcode.Probe(r, n.kbase, n.shift)
+	if n.nx != 0 {
+		return n.lowerX(c, exact, e.id)
+	}
 	var d, x uint64
 	if exact && two {
 		base, shift := n.bframe()
@@ -614,7 +749,13 @@ func (t *Tree) scratch(d *decoded) entries {
 // has them (a two-key tree).
 func (n *node) decode(es entries) entries {
 	for i := range int(n.n) {
-		es.ranks, es.ids = append(es.ranks, n.rank(i)), append(es.ids, n.id(i))
+		es.ranks, es.ids = append(es.ranks, n.rank(i)), append(es.ids, n.vbase+n.code(i))
+	}
+	if n.nx != 0 {
+		ids := es.ids[len(es.ids)-int(n.n):]
+		for j, o := 0, n.xat(); j < int(n.nx); j++ {
+			ids[n.buf[o+j*xw]] = forcode.Load(n.buf, o+j*xw+1)
+		}
 	}
 	if es.bs != nil {
 		for i := range int(n.n) {
@@ -638,37 +779,53 @@ func bounds(rs []uint64) (lo, hi, diff uint64) {
 }
 
 // fill encodes the entries es, sorted, into leaf n in the tightest frames
-// that hold them — ids in one off the grid — in an array of the smallest
-// size class that holds room entries of those frames, or all of them if
-// there are more: n's own array when it is that class. Entries with b
-// ranks make a two-key leaf.
-func fill(n *node, es entries, room int) {
+// that hold them — ids in one off the grid, or, when xok, in the id frame
+// idFrame chooses, with exceptions for the ids it does not hold — in an
+// array of the smallest size class that holds room entries of those
+// frames, or all of them if there are more: n's own array when it is that
+// class. Entries with b ranks make a two-key leaf.
+func fill(n *node, es entries, room int, xok bool) {
 	ranks, ids := es.ranks, es.ids
-	n.n = int32(len(ranks))
+	n.n, n.nx = uint16(len(ranks)), 0
 	lo, hi, diff := bounds(ranks)
 	n.kbase, n.bw = lo, 0
 	n.shift, n.kw = forcode.Derive(lo, hi, diff)
-	lo, hi, _ = bounds(ids)
-	n.vbase, n.vw = lo, forcode.Width(hi-lo)
-	spare := pad
+	slots := max(len(ranks), room)
+	var size int
+	n.vbase, n.vw, size = idFrame(ids, n.kw, slots, xok)
 	var bbase uint64
 	var bshift uint8
 	if es.bs != nil {
 		bbase, hi, diff = bounds(es.bs)
 		bshift, n.bw = forcode.Derive(bbase, hi, diff)
-		spare = tail
+		size = fitBytes(slots*n.w() + tail)
 	}
-	w := n.w()
-	if size := fitBytes(max(len(ranks), room)*w + spare); len(n.buf) != size {
+	if len(n.buf) != size {
 		n.buf = make([]byte, size)
 	}
 	// Front to back, a field's 8-byte store may clear the bytes after it:
 	// they belong to fields written later. The b codes follow, each by a
-	// read-modify-write as put writes, and the b frame last.
+	// read-modify-write as put writes, then the b frame or the exceptions.
+	w, vm := n.w(), forcode.Mask(n.vw)
 	for i, r := range ranks {
 		o := i * w
 		binary.LittleEndian.PutUint64(n.buf[o:], forcode.Code(r, n.kbase, n.shift))
-		binary.LittleEndian.PutUint64(n.buf[o+int(n.kw):], ids[i]-n.vbase)
+		c := ids[i] - n.vbase
+		if c > vm {
+			c = vm
+			n.nx++
+		}
+		binary.LittleEndian.PutUint64(n.buf[o+int(n.kw):], c)
+	}
+	if n.nx != 0 {
+		o := n.xat()
+		for i, id := range ids {
+			if id-n.vbase > vm {
+				n.buf[o] = byte(i)
+				binary.LittleEndian.PutUint64(n.buf[o+1:], id)
+				o += xw
+			}
+		}
 	}
 	if es.bs != nil {
 		o, bm := int(n.kw)+int(n.vw), forcode.Mask(n.bw)
@@ -682,6 +839,72 @@ func fill(n *node, es entries, room int) {
 	}
 }
 
+// idFrame returns the id frame (vbase, vw) of a one-key leaf whose keys
+// take kw bytes of code, that holds ids and has an array for slots entries,
+// and the bytes of that array. Without xok it is the tightest frame that
+// holds every id. With xok it is the one whose array, exceptions included,
+// is the smallest size class, for frames at most as wide whose exceptions
+// take at most half a byte an entry slot: a window of 2^(8v) ids for each
+// narrower width v, over the ids sorted, placed where it holds the most.
+// The half byte leaves the leaf room for exceptions before it takes a byte
+// an entry and is re-encoded again (excepts). A frame with exceptions is
+// taken only when its class is smaller, so a leaf that none pays in has
+// the tightest frame, and exactly its bytes.
+func idFrame(ids []uint64, kw uint8, slots int, xok bool) (vbase uint64, vw uint8, size int) {
+	lo, hi, _ := bounds(ids)
+	vbase, vw = lo, forcode.Width(hi-lo)
+	size = fitBytes(slots*(int(kw)+int(vw)) + pad)
+	if !xok || vw < 2 || !few(len(ids)-most(ids, lo, vw-1), slots) {
+		return vbase, vw, size
+	}
+	var room [DefaultOrder + 1]uint64
+	s := append(room[:0], ids...)
+	slices.Sort(s)
+	for v := vw - 1; v >= 1; v-- {
+		span, held, base := forcode.Mask(v), 0, s[0]
+		a := 0
+		for b, id := range s {
+			for id-s[a] > span {
+				a++
+			}
+			if b+1-a > held {
+				held, base = b+1-a, s[a]
+			}
+		}
+		if x := len(s) - held; !few(x, slots) {
+			continue
+		} else if sz := fitBytes(slots*(int(kw)+int(v)) + max(pad, x*xw)); sz < size {
+			vbase, vw, size = base, v, sz
+		}
+	}
+	return vbase, vw, size
+}
+
+// few reports whether x exceptions of a leaf with an array for slots
+// entries take at most half a byte a slot: the most a re-encode makes
+// (idFrame).
+func few(x, slots int) bool { return 2*x*xw <= slots }
+
+// most returns a bound on the number of ids, which lie at lo or above and
+// within 2^(8(v+1)) of it, that a frame of v bytes can hold: cut into the
+// 256 buckets of 2^(8v) ids from lo, the ids of such a frame are in two
+// neighbouring ones. Narrower frames hold no more, so when even this many
+// leave too many exceptions idFrame need not sort the ids.
+func most(ids []uint64, lo uint64, v uint8) int {
+	var in [256 + 1]uint8
+	for _, id := range ids {
+		in[(id-lo)>>(8*v&63)]++
+	}
+	m := 0
+	for i := range 256 {
+		m = max(m, int(in[i])+int(in[i+1]))
+	}
+	return m
+}
+
+// fill is fill for a leaf of t: with exceptions where t keeps them.
+func (t *Tree) fill(n *node, es entries, room int) { fill(n, es, room, t.pfor()) }
+
 // room is the number of entries a re-encoded leaf n gets an array for at
 // least: a full node's for the rightmost leaf, where ascending keys append
 // (see the package comment), and none beyond what it holds for the others.
@@ -692,7 +915,7 @@ func (t *Tree) room(n *node) int {
 	return 0
 }
 
-// refill re-encodes leaf n after an edit its frame cannot hold: entry i's
+// refill re-encodes leaf n after an edit its frames cannot hold: entry i's
 // id replaced by e's, or, when insert, entry e, r being its key's rank,
 // inserted at i.
 func (t *Tree) refill(n *node, i int, r uint64, e ent, insert bool) {
@@ -703,22 +926,114 @@ func (t *Tree) refill(n *node, i int, r uint64, e ent, insert bool) {
 	} else {
 		es.ids[i] = e.id
 	}
-	fill(n, es, t.room(n))
+	t.fill(n, es, t.room(n))
 }
 
-// remove removes entry i of leaf n. When that leaves a quarter or more of
-// the array spare, the leaf is re-encoded into the smallest size class that
-// holds what remains, in a frame fitted to it (see roomy for the
-// hysteresis).
-func (t *Tree) remove(n *node, i int) {
-	w, end := n.w(), int(n.n)*n.w()
-	if roomyBytes(end-w+t.spare(), len(n.buf), w) {
-		var d decoded
-		fill(n, n.decode(t.scratch(&d)).delete(i), 0)
+// edit is a write to leaf n that n's frames do not hold, or that meets
+// exceptions: entry e, r being its key's rank, inserted at index i when
+// insert — n has room for it — or else put in place of entry i's id. An id
+// far from the id frame (near) becomes an exception when n takes one
+// (excepts); a write of anything else the frames do not hold re-encodes
+// the leaf (refill).
+func (t *Tree) edit(n *node, i int, r uint64, e ent, insert bool) {
+	fits := forcode.Fits(r, n.kbase, n.shift, n.kw)
+	if t.two {
+		base, shift := n.bframe()
+		fits = fits && forcode.Fits(e.s, base, shift, n.bw)
+	}
+	out := !forcode.Fits(e.id, n.vbase, 0, n.vw)
+	if j, ok := n.xfind(i); ok && !insert {
+		// Entry i is an exception: its record takes the id, or goes — with
+		// a re-encode when that leaves the array roomy (remove).
+		switch w := n.w(); {
+		case out:
+			n.xput(j, e.id)
+		case n.next != nil && roomyBytes(int(n.n)*w+t.tailBytes(int(n.nx)-1), len(n.buf), w):
+			t.refill(n, i, r, e, false)
+		default:
+			n.xdelete(j)
+			n.put(i, r, e.s, e.id)
+		}
 		return
+	}
+	k, w, nx := int(n.n), n.w(), int(n.nx)
+	if insert {
+		k++
+	}
+	if out {
+		nx++
+	}
+	need := k*w + t.tailBytes(nx)
+	if !fits || out && (near(e.id, n.vbase, n.vw) || !t.excepts(n, k, need)) {
+		t.refill(n, i, r, e, insert)
+		return
+	}
+	if need > len(n.buf) {
+		tb := len(n.buf) - n.xat()
+		buf := make([]byte, fitBytes(need))
+		copy(buf, n.buf[:int(n.n)*w])
+		copy(buf[len(buf)-tb:], n.buf[len(n.buf)-tb:])
+		n.buf = buf
+	}
+	if insert {
+		copy(n.buf[(i+1)*w:], n.buf[i*w:int(n.n)*w])
+		n.n++
+		n.xshift(i, 1)
+	}
+	if !out {
+		n.put(i, r, e.s, e.id)
+		return
+	}
+	j, _ := n.xfind(i)
+	n.xinsert(j, i, e.id)
+	n.put(i, r, e.s, n.vbase+forcode.Mask(n.vw))
+}
+
+// near reports whether id, which the id frame (vbase, vw) does not hold,
+// is within the frame's span of it, so that a frame as wide may hold it
+// beside the leaf's other ids: a re-encode then costs no more bytes than
+// the exception would, and keeps the leaf's ids in its codes.
+func near(id, vbase uint64, vw uint8) bool {
+	m := forcode.Mask(vw)
+	if id < vbase {
+		return vbase-id <= m
+	}
+	return id-vbase-m <= m+1
+}
+
+// excepts reports whether leaf n, which is to hold k entries in an array
+// of need bytes, takes an id its id frame does not hold as an exception
+// rather than be re-encoded with it: t keeps exceptions, n has an id code
+// to mark one with, and either n's array holds need bytes or n's
+// exceptions then take at most a byte an entry slot (room) — fewer bytes
+// than any wider id code, so no class larger than a re-encode's. Past
+// that, a re-encode chooses the leaf's frame anew (idFrame).
+func (t *Tree) excepts(n *node, k, need int) bool {
+	return t.pfor() && n.vw != 0 && (need <= len(n.buf) || (int(n.nx)+1)*xw <= max(k, t.room(n)))
+}
+
+// remove removes entry i of leaf n, and its exception if it has one. When
+// that leaves a quarter or more of the array spare, the leaf is re-encoded
+// into the smallest size class that holds what remains, in a frame fitted
+// to it (see roomy for the hysteresis).
+func (t *Tree) remove(n *node, i int) {
+	j, had := n.xfind(i)
+	nx := int(n.nx)
+	if had {
+		nx--
+	}
+	w, end := n.w(), int(n.n)*n.w()
+	if roomyBytes(end-w+t.tailBytes(nx), len(n.buf), w) {
+		var d decoded
+		t.fill(n, n.decode(t.scratch(&d)).delete(i), 0)
+		return
+	}
+	if had {
+		n.xdelete(j)
 	}
 	copy(n.buf[i*w:], n.buf[(i+1)*w:end])
 	n.n--
+	n.xshift(i, -1)
 }
 
 // insert descends into n; on child split it absorbs the separator, and on
@@ -751,8 +1066,8 @@ func (t *Tree) insertLeaf(n *node, i int, r uint64, e ent) (ent, *node) {
 			base, shift := n.bframe()
 			fits = fits && forcode.Fits(e.s, base, shift, n.bw)
 		}
-		if !fits {
-			t.refill(n, i, r, e, true)
+		if !fits || n.nx != 0 {
+			t.edit(n, i, r, e, true)
 			return ent{}, nil
 		}
 		w := n.w()
@@ -775,13 +1090,13 @@ func (t *Tree) insertLeaf(n *node, i int, r uint64, e ent) (ent, *node) {
 		if t.two {
 			es.bs = []uint64{e.s}
 		}
-		fill(right, es, t.order)
+		t.fill(right, es, t.order)
 	} else {
 		var d decoded
 		es := n.decode(t.scratch(&d)).insert(i, r, e.s, e.id)
 		mid := t.order - t.order/2
-		fill(n, es.part(0, mid), 0)
-		fill(right, es.part(mid, len(es.ranks)), t.room(right))
+		t.fill(n, es.part(0, mid), 0)
+		t.fill(right, es.part(mid, len(es.ranks)), t.room(right))
 	}
 	n.next = right
 	if t.last == n {
@@ -919,7 +1234,7 @@ func (t *Tree) mergeChildren(p *node, i int) {
 		var d decoded
 		es := r.decode(l.decode(t.scratch(&d)))
 		l.next = r.next
-		fill(l, es, t.room(l))
+		t.fill(l, es, t.room(l))
 		if t.last == r {
 			t.last = l
 		}
@@ -1026,6 +1341,15 @@ func (t *Tree) scan(lo, hi float64, slo, shi uint64, fn func(key float64, id uin
 		buf, w, kw := n.buf, n.w(), int(n.kw)
 		km, vm := forcode.Mask(n.kw), forcode.Mask(n.vw)
 		if !two {
+			if n.nx != 0 {
+				for ; i < k; i++ {
+					c := forcode.Load(buf, i*w) & km
+					if c > last || !fn(keyorder.Unrank(forcode.Rank(c, kbase, shift)), n.id(i)) {
+						return
+					}
+				}
+				continue
+			}
 			for ; i < k; i++ {
 				c := forcode.Load(buf, i*w) & km
 				if c > last {
@@ -1080,8 +1404,16 @@ func (t *Tree) Each(fn func(key float64, id uint64) bool) {
 		n = n.in.children[0]
 	}
 	for ; n != nil; n = n.next {
+		if n.nx != 0 {
+			for i := range int(n.n) {
+				if !fn(n.key(i), n.id(i)) {
+					return
+				}
+			}
+			continue
+		}
 		for i := range int(n.n) {
-			if !fn(n.key(i), n.id(i)) {
+			if !fn(n.key(i), n.vbase+n.code(i)) {
 				return
 			}
 		}
@@ -1116,12 +1448,17 @@ func (t *Tree) appends(r uint64) bool {
 	return n.n > 0 && n.rank(0) < r
 }
 
-// get looks the key of rank r up in leaf n.
+// get looks the key of rank r up in leaf n. It reads the id as id does,
+// the exception lookup out of line.
 func (n *node) get(r uint64) (uint64, bool) {
-	if i, ok := n.find(r); ok {
-		return n.id(i), true
+	i, ok := n.find(r)
+	if !ok {
+		return 0, false
 	}
-	return 0, false
+	if c := n.code(i); c != forcode.Mask(n.vw) || n.nx == 0 {
+		return n.vbase + c, true
+	}
+	return n.id(i), true
 }
 
 // Finger is the position GetAscending resumes from: the leaf the previous
@@ -1216,10 +1553,10 @@ func (t *Tree) swapLeaf(n *node, r uint64, e ent) (old uint64, ok bool, sep ent,
 		return 0, false, sep, right
 	}
 	old = n.id(i)
-	if forcode.Fits(e.id, n.vbase, 0, n.vw) {
+	if n.nx == 0 && forcode.Fits(e.id, n.vbase, 0, n.vw) {
 		n.put(i, r, 0, e.id)
 	} else {
-		t.refill(n, i, r, e, false)
+		t.edit(n, i, r, e, false)
 	}
 	return old, true, ent{}, nil
 }
@@ -1270,7 +1607,7 @@ func (t *Tree) BulkLoadAB(as, bs []float64, ids []uint64) error {
 		}
 		es.ids = ids[off:end]
 		n := &node{}
-		fill(n, es, 0)
+		fill(n, es, 0, false)
 		leaves = append(leaves, n)
 	}
 	for i := 0; i+1 < len(leaves); i++ {
@@ -1352,17 +1689,21 @@ func checkArray[T any](s []T, leafInside bool) error {
 }
 
 // checkLeaf checks leaf n's array and frame: the array is a size class
-// (checkArray's rule, in bytes) that holds the entries and the spare bytes,
-// its frame's fields are in range — a one-key leaf has no b codes, a
-// two-key leaf always an array for its b frame — and, unless n is the
-// rightmost leaf, it holds no room a delete would have given back.
+// (checkArray's rule, in bytes) that holds the entries and the spare bytes
+// or the exceptions; its frame's fields are in range — a one-key leaf has
+// no b codes, a two-key leaf always an array for its b frame and no
+// exceptions; unless n is the rightmost leaf, it holds no room a delete
+// would have given back; and its exceptions are in entry order, each of an
+// entry that carries the mark (xat).
 func (t *Tree) checkLeaf(n *node) error {
-	used := int(n.n)*n.w() + t.spare()
+	used := int(n.n)*n.w() + t.tailBytes(int(n.nx))
 	switch {
 	case n.kw > 8 || n.vw > 8 || n.bw > 8 || n.shift > 63:
 		return fmt.Errorf("btree: leaf frame has widths %d+%d+%d, shift %d", n.kw, n.vw, n.bw, n.shift)
 	case n.bw != 0 && !t.two:
 		return fmt.Errorf("btree: one-key leaf has %d-byte b codes", n.bw)
+	case n.nx != 0 && (!t.pfor() || n.vw == 0):
+		return fmt.Errorf("btree: leaf of %d-byte id codes has %d exceptions", n.vw, n.nx)
 	case int(n.n) > t.order:
 		return fmt.Errorf("btree: leaf holds %d entries, order %d", n.n, t.order)
 	case n.buf == nil && n.n == 0 && !t.two:
@@ -1378,6 +1719,17 @@ func (t *Tree) checkLeaf(n *node) error {
 		if _, shift := n.bframe(); shift > 63 {
 			return fmt.Errorf("btree: leaf b frame has shift %d", shift)
 		}
+	}
+	vm := forcode.Mask(n.vw)
+	for j, prev := 0, -1; j < int(n.nx); j++ {
+		i := int(n.buf[n.xat()+j*xw])
+		if i <= prev || i >= int(n.n) {
+			return fmt.Errorf("btree: exception %d names entry %d, after %d, of %d", j, i, prev, n.n)
+		}
+		if forcode.Load(n.buf, i*n.w()+int(n.kw))&vm != vm {
+			return fmt.Errorf("btree: entry %d has an exception but no mark", i)
+		}
+		prev = i
 	}
 	return nil
 }

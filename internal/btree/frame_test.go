@@ -21,13 +21,14 @@ func TestHeaderSizes(t *testing.T) {
 	}
 }
 
-// frameOf is leaf n's frame, for comparing before and after a write.
+// frameOf is leaf n's frame and its count of exceptions, for comparing
+// before and after a write.
 type frameOf struct {
-	kbase, vbase  uint64
-	shift, kw, vw uint8
+	kbase, vbase      uint64
+	shift, kw, vw, nx uint8
 }
 
-func frame(n *node) frameOf { return frameOf{n.kbase, n.vbase, n.shift, n.kw, n.vw} }
+func frame(n *node) frameOf { return frameOf{n.kbase, n.vbase, n.shift, n.kw, n.vw, n.nx} }
 
 // oneLeaf returns a tree of DefaultOrder that holds the entries in its one
 // leaf, inserted in the order given.
@@ -71,8 +72,12 @@ func holdsExactly(t *testing.T, tr *Tree, want []kv) {
 	}
 }
 
-// Each kind of write a leaf's frame cannot hold re-encodes the leaf into a
-// frame that does, and every entry reads back.
+// Each kind of write a leaf's key frame cannot hold re-encodes the leaf
+// into a frame that does, and so does an id within a frame's span of the
+// id frame; an id the id frame does not hold becomes an exception, in
+// place or in the re-encode, when that costs fewer bytes than a wider
+// frame — in a leaf that has room for a full node's entries, as the one
+// leaf of a tree does, always — and every entry reads back.
 func TestFrameTransitions(t *testing.T) {
 	grid := func(i uint64) float64 { return keyorder.Unrank(keyorder.Rank(1) + i<<20) }
 	cases := []struct {
@@ -100,22 +105,28 @@ func TestFrameTransitions(t *testing.T) {
 			func(b, a frameOf) bool { return b.kw == 1 && a.kw == 3 && a.shift == 20 },
 		},
 		{
-			"wider id grows vw",
+			"far id becomes an exception",
 			[]kv{{1, 10}, {2, 20}, {3, 30}},
 			kv{4, 10 + 1<<40},
-			func(b, a frameOf) bool { return b.vw == 1 && a.vw == 6 && a.vbase == 10 },
+			func(b, a frameOf) bool { return b.vw == 1 && a == frameOf{b.kbase, 10, b.shift, b.kw, 1, 1} },
 		},
 		{
 			"id below vbase rebases ids",
 			[]kv{{1, 1000}, {2, 1001}},
-			kv{3, 7},
-			func(b, a frameOf) bool { return b.vbase == 1000 && a.vbase == 7 && a.vw == 2 },
+			kv{2, 990}, // within a frame's span of the frame: re-encoded
+			func(b, a frameOf) bool { return b.vbase == 1000 && a.vbase == 990 && a.vw == 1 && a.nx == 0 },
 		},
 		{
-			"every id width",
+			"id below vbase in a re-encode becomes an exception",
+			[]kv{{1, 1000}, {2, 1001}},
+			kv{3, 7}, // 3 is off the keys' grid: the leaf is re-encoded
+			func(b, a frameOf) bool { return b.shift > a.shift && a.vbase == 1000 && a.vw == 1 && a.nx == 1 },
+		},
+		{
+			"an id of every width is an exception",
 			[]kv{{1, 0}, {2, 1}},
 			kv{3, math.MaxUint64},
-			func(b, a frameOf) bool { return b.vw == 1 && a.vw == 8 },
+			func(b, a frameOf) bool { return b.vw == 1 && a.vw == 1 && a.nx == 1 },
 		},
 		{
 			"every key width",
@@ -127,7 +138,7 @@ func TestFrameTransitions(t *testing.T) {
 			"duplicates of one entry take no bytes",
 			[]kv{{5, 9}, {5, 9}, {5, 9}},
 			kv{5, 10},
-			func(b, a frameOf) bool { return b.kw == 0 && b.vw == 0 && a.kw == 0 && a.vw == 1 },
+			func(b, a frameOf) bool { return b.kw == 0 && b.vw == 0 && a.kw == 0 && a.vw == 1 && a.nx == 0 },
 		},
 	}
 	for _, c := range cases {
@@ -192,46 +203,69 @@ func TestProbeBetweenKeyGridPoints(t *testing.T) {
 	}
 }
 
-// Swap rewrites an id in place while the frame holds it and re-encodes the
-// leaf when it does not: an id wider than vw, an id below vbase.
+// Swap rewrites an id in place while the frame holds it. An id it does not
+// hold — wider than vw, below vbase — becomes an exception while the array
+// has room for one, and goes when the id returns to the frame. Moving every
+// id of the leaf to ids that need a wider frame re-encodes the leaf in that
+// frame once the exceptions would cost more, with none left when all have
+// moved.
 func TestSwapGrowsIDWidth(t *testing.T) {
+	const base = 100
 	tr := New(DefaultOrder)
 	want := map[float64]uint64{}
 	for i := range 100 {
-		tr.Swap(float64(i), uint64(i))
-		want[float64(i)] = uint64(i)
+		tr.Swap(float64(i), base+uint64(i))
+		want[float64(i)] = base + uint64(i)
 	}
 	l := tr.root
-	for s := uint(8); s < 64; s += 8 {
-		id := uint64(3)<<s | 5
-		k := float64(s)
-		before := frame(l)
-		if old, ok := tr.Swap(k, id); !ok || old != want[k] {
-			t.Fatalf("Swap(%v) = %d, %v; want %d", k, old, ok, want[k])
+	check := func() {
+		t.Helper()
+		var es []kv
+		for k, id := range want {
+			es = append(es, kv{k, id})
+			if got, ok := tr.Get(k); !ok || got != id {
+				t.Fatalf("Get(%v) = %d, %v; want %d", k, got, ok, id)
+			}
 		}
-		want[k] = id
-		if after := frame(l); int(after.vw) != int(s/8)+1 || after.vw <= before.vw {
-			t.Fatalf("after an id of %d bytes: frame %+v became %+v", s/8+1, before, after)
+		holdsExactly(t, tr, es)
+	}
+	before, size := frame(l), len(l.buf)
+	for _, id := range []uint64{1 << 40, 0, math.MaxUint64} {
+		if old, ok := tr.Swap(7, id); !ok || old != want[7] {
+			t.Fatalf("Swap(7, %d) = %d, %v; want %d", id, old, ok, want[7])
 		}
-	}
-	// Below vbase: every id moves up by 100 first, then one goes to 0.
-	for k, id := range want {
-		tr.Swap(k, id+100)
-		want[k] = id + 100
-	}
-	tr.Swap(7, 0)
-	want[7] = 0
-	if l.vbase != 0 {
-		t.Fatalf("vbase %d after swapping in id 0", l.vbase)
-	}
-	var es []kv
-	for k, id := range want {
-		es = append(es, kv{k, id})
-		if got, ok := tr.Get(k); !ok || got != id {
-			t.Fatalf("Get(%v) = %d, %v; want %d", k, got, ok, id)
+		want[7] = id
+		after := before
+		after.nx = 1
+		if frame(l) != after || len(l.buf) != size {
+			t.Fatalf("id %d off the frame: frame %+v became %+v, array %d B became %d", id, before, frame(l), size, len(l.buf))
 		}
+		check()
 	}
-	holdsExactly(t, tr, es)
+	tr.Swap(7, base+7)
+	want[7] = base + 7
+	if frame(l) != before {
+		t.Fatalf("id back in the frame: frame %+v became %+v", before, frame(l))
+	}
+	// Every id to ids i<<s apart, one key at a time, up to 6-byte codes: at
+	// 7 and 8 bytes a code costs about what an exception record does.
+	for s := uint(8); s <= 40; s += 8 {
+		for i := range 100 {
+			k := float64(i)
+			id := base + uint64(i)<<s
+			if old, ok := tr.Swap(k, id); !ok || old != want[k] {
+				t.Fatalf("Swap(%v) = %d, %v; want %d", k, old, ok, want[k])
+			}
+			want[k] = id
+			if err := tr.CheckInvariants(); err != nil {
+				t.Fatalf("ids %d bits apart, key %v: %v", s, k, err)
+			}
+		}
+		if f := frame(l); f.vbase != base || int(f.vw) != int(s/8)+1 || f.nx != 0 {
+			t.Fatalf("every id %d bits apart: frame %+v", s, f)
+		}
+		check()
+	}
 }
 
 // Splits and merges move entries between leaves whose frames differ — keys

@@ -87,7 +87,10 @@ func sameKVs(a, b []kv) bool {
 // op is the two-key tree's and five bytes: the op, a, b, the id and a
 // fourth key, or, for a scan, its four bounds (aLo, aHi, bLo, bHi) — both
 // keys of an entry drawn from fuzzKey's whole, quarter, ±Inf, ±0 and NaN
-// keys.
+// keys. With bit 5 set a one-key op's id is moved 2^44 up, far from the
+// frame of a leaf of fuzzID's ids, where it is an exception: made, read,
+// split, merged and deleted, on the unique tree's keys and on the tied
+// keys of the duplicate one.
 func FuzzTreeTotalOrder(f *testing.F) {
 	// Ascending load (splits), then ids swapped downwards over every key —
 	// separators included — then exact-entry deletes of what was swapped.
@@ -258,6 +261,36 @@ func FuzzTreeTotalOrder(f *testing.F) {
 	}
 	f.Add(seed)
 
+	// Exceptions: an ascending load of near ids, thinned so that each leaf
+	// has room for a record, then keys swapped to far ids and back, read,
+	// scanned and deleted, appends splitting the leaves that hold them and
+	// deletes merging them; in the duplicate tree, tied keys whose entries
+	// mix near and far ids, inserted, scanned and deleted through splits
+	// and merges.
+	seed = nil
+	for k := byte(8); k < 48; k++ {
+		seed = append(seed, 0, k, k%32, 3, 140+k%3, k%32)
+	}
+	for k := byte(8); k < 48; k += 4 { // leaves of three: room for a record
+		seed = append(seed, 1, k, k%32, 4, 140+k%3, k%32)
+	}
+	for k := byte(9); k < 48; k += 4 {
+		seed = append(seed, 0|32, k, k%32, 2, k, 0, 3|32, 140+k%3, k%32, 2, k+1, 0)
+	}
+	seed = append(seed, 5, 8, 48, 5, 140, 143, 6, 0, 0)
+	for k := byte(10); k < 48; k += 4 {
+		seed = append(seed, 0|32, k, 7, 2, k, 0)
+	}
+	for k := byte(48); k < 64; k++ {
+		seed = append(seed, 0|32, k, k%32, 0, k-36, k%32)
+	}
+	seed = append(seed, 5, 0, 255, 6, 0, 0)
+	for k := byte(9); k < 64; k += 2 {
+		seed = append(seed, 1|32, k, k%32, 1, k, k%32, 4|32, 140+k%3, k%32, 2, k+1, 0)
+	}
+	seed = append(seed, 5, 0, 255, 6, 0, 0)
+	f.Add(seed)
+
 	f.Fuzz(func(t *testing.T, data []byte) {
 		uniq, multi, pair := New(4), New(4), NewComposite(4)
 		uo := map[uint64]kv{}             // key bits -> entry
@@ -288,6 +321,9 @@ func FuzzTreeTotalOrder(f *testing.F) {
 			op, key, id := data[0]%8, fuzzKey(data[1]), fuzzID(data[2])
 			if data[0]&8 != 0 {
 				id = keyorder.Rank(fuzzKey(data[2]))
+			}
+			if data[0]&32 != 0 {
+				id += 1 << 44
 			}
 			bits := keyorder.Bits(key)
 			switch op {

@@ -198,6 +198,57 @@ func TestUpdateColumnZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestUpdateColumnChurnedZeroAllocs is TestUpdateColumnZeroAllocs on a
+// table whose rows have moved: each update's row slot is one another
+// update freed, far from its key's neighbours', so the primary index keeps
+// the new row id as an exception of the leaf's id frame, in the bytes the
+// leaf's array has spare; the arrays that grow for it are a fraction of an
+// allocation per update, which AllocsPerRun's integer average reads as 0.
+func TestUpdateColumnChurnedZeroAllocs(t *testing.T) {
+	const n = 4096
+	tb := guardTable(t, n)
+	i, gen := 0, 0.0
+	update := func() {
+		i = (i*31 + 17) % n
+		gen++
+		if err := tb.UpdateColumn(float64(i), 1, 1000+gen); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for range n / 40 {
+		update()
+	}
+	if allocs := measureAllocs(t, 2000, update); allocs != 0 {
+		t.Fatalf("UpdateColumn on a churned table allocates %.2f/op, want 0", allocs)
+	}
+}
+
+// TestDBInsertZeroAllocs pins the by-name in-memory insert, DB.Insert: the
+// table resolved from the catalog, the op applied through submit and
+// mutate with no log to write. What remains is the table's amortised
+// growth, which AllocsPerRun's integer average reads as 0.
+func TestDBInsertZeroAllocs(t *testing.T) {
+	db := NewDB(hermit.PhysicalPointers)
+	if _, err := db.CreateTable("guard", []string{"pk", "val"}, 0); err != nil {
+		t.Fatal(err)
+	}
+	row := make([]float64, 2)
+	next := 0.0
+	insert := func() {
+		row[0], row[1] = next, float64(int(next)%97)
+		next++
+		if _, err := db.Insert("guard", row); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for range 4096 {
+		insert()
+	}
+	if allocs := measureAllocs(t, 2000, insert); allocs != 0 {
+		t.Fatalf("DB.Insert allocates %.2f/op, want 0", allocs)
+	}
+}
+
 // TestDeleteZeroAllocs pins the auto-commit delete: one primary-index
 // lookup and one header write, then the dead chain reclaimed — its row read
 // into a stack buffer, its index entries and primary entry removed.
