@@ -811,7 +811,7 @@ func fill(n *node, es entries, room int, xok bool) {
 		o := i * w
 		binary.LittleEndian.PutUint64(n.buf[o:], forcode.Code(r, n.kbase, n.shift))
 		c := ids[i] - n.vbase
-		if c > vm {
+		if ids[i] < n.vbase || c > vm {
 			c = vm
 			n.nx++
 		}
@@ -820,7 +820,7 @@ func fill(n *node, es entries, room int, xok bool) {
 	if n.nx != 0 {
 		o := n.xat()
 		for i, id := range ids {
-			if id-n.vbase > vm {
+			if id < n.vbase || id-n.vbase > vm {
 				n.buf[o] = byte(i)
 				binary.LittleEndian.PutUint64(n.buf[o+1:], id)
 				o += xw
@@ -929,12 +929,12 @@ func (t *Tree) refill(n *node, i int, r uint64, e ent, insert bool) {
 	t.fill(n, es, t.room(n))
 }
 
-// edit is a write to leaf n that n's frames do not hold, or that meets
-// exceptions: entry e, r being its key's rank, inserted at index i when
-// insert — n has room for it — or else put in place of entry i's id. An id
-// far from the id frame (near) becomes an exception when n takes one
-// (excepts); a write of anything else the frames do not hold re-encodes
-// the leaf (refill).
+// edit is a write to leaf n that its frames do not hold, or a swap in a
+// leaf with exceptions: entry e, r being its key's rank, inserted at index i
+// when insert — n has room for it — or else put in place of entry i's id.
+// An id far from the id frame (near) becomes an exception when n takes one
+// (excepts); a write of anything else the frames do not hold re-encodes the
+// leaf (refill).
 func (t *Tree) edit(n *node, i int, r uint64, e ent, insert bool) {
 	fits := forcode.Fits(r, n.kbase, n.shift, n.kw)
 	if t.two {
@@ -956,37 +956,46 @@ func (t *Tree) edit(n *node, i int, r uint64, e ent, insert bool) {
 		}
 		return
 	}
-	k, w, nx := int(n.n), n.w(), int(n.nx)
+	k, nx := int(n.n), int(n.nx)
 	if insert {
 		k++
 	}
 	if out {
 		nx++
 	}
-	need := k*w + t.tailBytes(nx)
+	need := k*n.w() + t.tailBytes(nx)
 	if !fits || out && (near(e.id, n.vbase, n.vw) || !t.excepts(n, k, need)) {
 		t.refill(n, i, r, e, insert)
 		return
 	}
 	if need > len(n.buf) {
-		tb := len(n.buf) - n.xat()
-		buf := make([]byte, fitBytes(need))
-		copy(buf, n.buf[:int(n.n)*w])
-		copy(buf[len(buf)-tb:], n.buf[len(n.buf)-tb:])
-		n.buf = buf
+		t.grow(n, need)
 	}
-	if insert {
-		copy(n.buf[(i+1)*w:], n.buf[i*w:int(n.n)*w])
-		n.n++
-		n.xshift(i, 1)
-	}
-	if !out {
+	if !out { // a swap: an insert the frames hold is insertLeaf's own
 		n.put(i, r, e.s, e.id)
 		return
 	}
+	// The entry carries the mark and its id goes in a record. An insert is
+	// insertLeaf's, of the entry with id code 0, into an array that already
+	// has room for the record; the mark, vbase plus all ones, may wrap.
+	if insert {
+		t.insertLeaf(n, i, r, ent{key: e.key, s: e.s, id: n.vbase})
+	}
+	n.put(i, r, e.s, n.vbase+forcode.Mask(n.vw))
 	j, _ := n.xfind(i)
 	n.xinsert(j, i, e.id)
-	n.put(i, r, e.s, n.vbase+forcode.Mask(n.vw))
+}
+
+// grow moves leaf n to an array of the smallest size class that holds need
+// bytes: its entries at the front, the bytes it keeps past them (tailBytes:
+// its b frame or its exceptions) at the end. A one-key leaf that has held
+// nothing has no array yet.
+func (t *Tree) grow(n *node, need int) {
+	tb := min(t.tailBytes(int(n.nx)), len(n.buf))
+	buf := make([]byte, fitBytes(need))
+	copy(buf, n.buf[:int(n.n)*n.w()])
+	copy(buf[len(buf)-tb:], n.buf[len(n.buf)-tb:])
+	n.buf = buf
 }
 
 // near reports whether id, which the id frame (vbase, vw) does not hold,
@@ -1066,20 +1075,18 @@ func (t *Tree) insertLeaf(n *node, i int, r uint64, e ent) (ent, *node) {
 			base, shift := n.bframe()
 			fits = fits && forcode.Fits(e.s, base, shift, n.bw)
 		}
-		if !fits || n.nx != 0 {
+		if !fits {
 			t.edit(n, i, r, e, true)
 			return ent{}, nil
 		}
 		w := n.w()
-		if need := (k+1)*w + t.spare(); need > len(n.buf) {
-			buf := make([]byte, fitBytes(need))
-			copy(buf, n.buf[:k*w])
-			if t.two {
-				copy(buf[len(buf)-tail:], n.buf[len(n.buf)-tail:])
-			}
-			n.buf = buf
+		if need := (k+1)*w + t.tailBytes(int(n.nx)); need > len(n.buf) {
+			t.grow(n, need)
 		}
-		copy(n.buf[(i+1)*w:], n.buf[i*w:k*w])
+		if i < k { // an append moves nothing
+			copy(n.buf[(i+1)*w:], n.buf[i*w:k*w])
+			n.xshift(i, 1)
+		}
 		n.n++
 		n.put(i, r, e.s, e.id)
 		return ent{}, nil

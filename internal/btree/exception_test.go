@@ -1,6 +1,7 @@
 package btree
 
 import (
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -134,5 +135,50 @@ func TestExceptionsOrderTiedKeys(t *testing.T) {
 		}
 		want = want[1:]
 		holdsExactly(t, tr, want)
+	}
+}
+
+// A leaf whose id frame ends past 2^64 − 1 — ids at the top of the range —
+// takes exceptions too: the mark, vbase plus all ones, wraps around and
+// still marks, and an id below vbase is an exception even where its code
+// would wrap into the frame, so that codes keep the ids' order on a key tie.
+// Far ids go in by Swap and by Insert, between entries and after them, and
+// one leaf is re-encoded with them (key 41 is off the key frame's grid).
+func TestExceptionsMarkWraps(t *testing.T) {
+	const top = math.MaxUint64 - 200
+	uniq, multi := New(DefaultOrder), New(DefaultOrder)
+	var want []kv
+	for i := range 20 {
+		e := kv{float64(2 * i), top + uint64(i)}
+		uniq.Swap(e.key, e.id)
+		multi.Insert(e.key, e.id)
+		want = append(want, e)
+	}
+	for _, e := range []kv{{5, 7}, {41, 1 << 40}} {
+		uniq.Swap(e.key, e.id)
+		multi.Insert(e.key, e.id)
+		want = append(want, e)
+	}
+	uniq.Swap(6, 9)
+	multi.Insert(6, 9) // a tie with (6, top+3)
+	want[3] = kv{6, 9}
+	holdsExactly(t, uniq, want)
+	for _, e := range want {
+		if got, ok := uniq.Get(e.key); !ok || got != e.id {
+			t.Fatalf("Get(%v) = %d, %v; want %d", e.key, got, ok, e.id)
+		}
+	}
+	if nx := exceptions(uniq); nx != 3 {
+		t.Fatalf("unique tree: %d exceptions, want 3", nx)
+	}
+	want = append(want, kv{6, top + 3})
+	holdsExactly(t, multi, want)
+	sortKV(want)
+	for _, e := range want {
+		if !multi.Delete(e.key, e.id) {
+			t.Fatalf("Delete(%v, %d) missed", e.key, e.id)
+		}
+		want = want[1:]
+		holdsExactly(t, multi, want)
 	}
 }

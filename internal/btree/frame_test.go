@@ -7,6 +7,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"hermit/internal/forcode"
 	"hermit/internal/keyorder"
 )
 
@@ -247,9 +248,10 @@ func TestSwapGrowsIDWidth(t *testing.T) {
 	if frame(l) != before {
 		t.Fatalf("id back in the frame: frame %+v became %+v", before, frame(l))
 	}
-	// Every id to ids i<<s apart, one key at a time, up to 6-byte codes: at
-	// 7 and 8 bytes a code costs about what an exception record does.
-	for s := uint(8); s <= 40; s += 8 {
+	// Every id to ids i<<s apart, one key at a time, up to 8-byte codes. At
+	// no step does the leaf take more bytes than the tightest frame of its
+	// ids would.
+	for s := uint(8); s <= 56; s += 8 {
 		for i := range 100 {
 			k := float64(i)
 			id := base + uint64(i)<<s
@@ -259,6 +261,14 @@ func TestSwapGrowsIDWidth(t *testing.T) {
 			want[k] = id
 			if err := tr.CheckInvariants(); err != nil {
 				t.Fatalf("ids %d bits apart, key %v: %v", s, k, err)
+			}
+			lo, hi := uint64(math.MaxUint64), uint64(0)
+			for _, id := range want {
+				lo, hi = min(lo, id), max(hi, id)
+			}
+			tight := fitBytes(tr.order*(int(l.kw)+int(forcode.Width(hi-lo))) + pad)
+			if len(l.buf) > tight {
+				t.Fatalf("ids %d bits apart, key %v: %d B with %d exceptions, the tightest frame %d B", s, k, len(l.buf), l.nx, tight)
 			}
 		}
 		if f := frame(l); f.vbase != base || int(f.vw) != int(s/8)+1 || f.nx != 0 {
