@@ -335,15 +335,16 @@ func liveKeys(rows int) []float64 {
 // to within 2%. The slack is what a store that has been written to holds
 // over a freshly loaded one: B+-tree nodes that splits and merges keep
 // between half full and full where the bulk load packed them to 85%, and
-// packed blocks whose key codes widened when rows under new keys refilled
-// their slots. The version table is not part of it: with no snapshot open
+// packed blocks whose rows under new keys are exceptions to the key
+// frame, or whose key codes widened when those outgrew the wider codes. The version table is not part of it: with no snapshot open
 // every commit freezes what it wrote, so it is, to the byte per row, what
-// it was as loaded. Measured: 42.3 B/row against 38.1 as loaded, 1.11x —
+// it was as loaded. Measured: 41.8 B/row against 38.1 as loaded, 1.10x —
 // the primary index grows from 3.0 to 5.8 B/row, as the row ids it holds
 // stop being consecutive and need 3 bytes of code (every row has moved, so
 // no narrow id frame holds most of a leaf's ids, and a leaf keeps none of
 // them as an exception, as it does the few moved rows of a lighter churn),
-// the row store from 24.5 to 25.1; 49.5 against 45.9 when a row was four 8-byte floats; 70.0
+// the row store from 24.5 to 24.6 (25.1 when every refill under a new key
+// widened its block's key codes); 49.5 against 45.9 when a row was four 8-byte floats; 70.0
 // against 67.1 when every B+-tree entry took 16 bytes (70.4 against 67.4
 // before that, 1.04x; 78.2 against 67.5 when every node array an insert
 // touched had a full node's capacity; 83.6 against 69.9 when node arrays

@@ -14,7 +14,13 @@
 // grid or of one value costs a byte or two, not eight, and every float64
 // reads back bit for bit: −0, NaN payloads, ±Inf and subnormals included.
 // An insert into a packed block writes the row's codes when they fit the
-// frames and packs the block anew when one does not.
+// frames. A value its frame does not hold is an exception (patched
+// frame-of-reference, Zukowski et al., ICDE 2006): its code is the mark,
+// all ones, and its rank sits in the block's exception list, sorted by
+// slot, so the frames and every other row's codes stay as they are. The
+// block packs anew, from its codes and exceptions straight into the new
+// codes array, when one more exception would take more heap than the wider
+// codes would add, or when the frame has no mark to spare.
 //
 // A row never moves, so its RID is stable for as long as the row exists. A
 // deleted row's slot is free, and the next insert fills a free slot before
@@ -35,6 +41,7 @@ import (
 	"math"
 	"math/bits"
 	"runtime"
+	"slices"
 	"sync"
 	"unsafe"
 
@@ -90,6 +97,47 @@ type frame struct {
 	w          uint8  // the code's bytes, 0 to 8; 0 when the column holds one value
 	shift      uint8  // every rank − base is a multiple of 1<<shift
 	mixed      bool
+	// marked: the all-ones code is the mark of an exception, not a value.
+	// A frame is marked when it is packed with its top code unused, so a
+	// frame of one value (w = 0, whose one code is all ones) or one whose
+	// values reach its top code takes no exceptions: a miss there repacks.
+	marked bool
+}
+
+// newFrame is the frame at byte offset off of a column whose ranks run
+// from lo to hi with diff the OR of their differences from one of them.
+func newFrame(lo, hi, diff uint64, off int) frame {
+	f := frame{off: uint32(off)}
+	f.shift, f.w = forcode.Derive(lo, hi, diff)
+	f.mask = forcode.Mask(f.w)
+	// The codes the values leave unused go half below them and half
+	// above, so that an insert a little out of their range still fits
+	// — but none across +0 from values all on one side of it.
+	k := min((f.mask-(hi-lo)>>f.shift)/2, lo>>f.shift)
+	switch {
+	case lo >= 1<<63:
+		k = min(k, (lo-1<<63)>>f.shift)
+	case hi < 1<<63:
+		if room := (1<<63 - 1 - lo) >> f.shift; room < f.mask {
+			k = min(max(k, f.mask-room), lo>>f.shift)
+		}
+	}
+	f.setBase(lo - k<<f.shift)
+	f.marked = f.w > 0 && forcode.Code(hi, f.base, f.shift) < f.mask
+	return f
+}
+
+// fits reports whether rank r has a code in the frame that is not the mark.
+func (f *frame) fits(r uint64) bool {
+	return forcode.Fits(r, f.base, f.shift, f.w) && (!f.marked || forcode.Code(r, f.base, f.shift) != f.mask)
+}
+
+// code reads the column's code from row; fast says 8 bytes follow it.
+func (f *frame) code(row []byte, fast bool) uint64 {
+	if fast {
+		return forcode.Load(row, int(f.off)) & f.mask
+	}
+	return forcode.LoadTail(row, int(f.off), f.w)
 }
 
 // setBase sets the frame's base, and the decoding that follows from it and
@@ -134,8 +182,10 @@ func (f *frame) getTail(row []byte) float64 {
 // put writes r's code into row, its w bytes alone: the bytes beyond them
 // are another column's or another row's. Where 8 bytes follow the code it
 // is one 8-byte load and store.
-func (f *frame) put(row []byte, r uint64) {
-	x := forcode.Code(r, f.base, f.shift)
+func (f *frame) put(row []byte, r uint64) { f.putCode(row, forcode.Code(r, f.base, f.shift)) }
+
+// putCode writes code x into row as put writes a rank's.
+func (f *frame) putCode(row []byte, x uint64) {
 	if q := int(f.off); q+8 <= len(row) {
 		forcode.Store(row, q, x, f.mask)
 		return
@@ -148,13 +198,15 @@ func (f *frame) put(row []byte, r uint64) {
 
 // block is one fixed-capacity arena of rows plus a deletion bitmap, which
 // doubles as the block's free-slot set. Its rows are in data while it fills
-// and in codes, under frames, once it is packed; a block whose every used
-// slot is free has neither.
+// and in codes, under frames, once it is packed, the values the frames do
+// not hold in x; a block whose every used slot is free has none of them.
+// The header is 128 bytes, one size class: x is one pointer.
 type block struct {
 	data   []float64 // BlockRows * width values; nil when packed or wholly free
 	codes  []byte    // BlockRows * stride bytes, and what the allocator rounds that up to
 	frames []frame   // one per column; nil unless packed
 	dead   []uint64  // bitmap, BlockRows bits: the free slots below used
+	x      *patches  // a packed block's exceptions; nil when it has none
 	stride int       // bytes a packed row takes
 	used   int       // slots handed out so far (live or free)
 	free   int       // bits set in dead
@@ -207,6 +259,12 @@ func (b *block) decode(s int, dst []float64) {
 	frames := b.frames
 	dst = dst[:len(frames)]
 	row, fast := b.packed(s)
+	if b.x != nil {
+		for c := range frames {
+			dst[c] = b.cell(s, c, row, fast)
+		}
+		return
+	}
 	if fast {
 		for c := range frames {
 			dst[c] = frames[c].get(row)
@@ -224,14 +282,262 @@ func (b *block) at(s, col, width int) float64 {
 		return b.data[s*width+col]
 	}
 	row, fast := b.packed(s)
-	if fast {
-		return b.frames[col].get(row)
+	return b.cell(s, col, row, fast)
+}
+
+// cell decodes column c of row, the packed row in slot s, looking a
+// marked code up among the exceptions.
+func (b *block) cell(s, c int, row []byte, fast bool) float64 {
+	f := &b.frames[c]
+	x := f.code(row, fast)
+	if x == f.mask && f.marked && b.x != nil {
+		return keyorder.Unrank(b.x.rank[b.xat(s, c, row, fast)])
 	}
-	return b.frames[col].getTail(row)
+	return f.value(x)
+}
+
+// rank is the rank column c of the row in slot s codes.
+func (b *block) rank(s, c int) uint64 {
+	f := &b.frames[c]
+	row, fast := b.packed(s)
+	x := f.code(row, fast)
+	if x == f.mask && f.marked && b.x != nil {
+		return b.x.rank[b.xat(s, c, row, fast)]
+	}
+	return forcode.Rank(x, f.base, f.shift)
+}
+
+// xat is the index of the exception of column c of row, the packed row in
+// slot s, whose code there is the mark: a row's exceptions lie together in
+// column order.
+func (b *block) xat(s, c int, row []byte, fast bool) int {
+	i, _ := slices.BinarySearch(b.x.slot, uint16(s))
+	for k := range c {
+		if f := &b.frames[k]; f.marked && f.code(row, fast) == f.mask {
+			i++
+		}
+	}
+	return i
+}
+
+// patches are a packed block's exceptions: the ranks of the values whose
+// code is the mark, in slot order and within a row in column order, and
+// each column's reach, which the break-even test reads.
+type patches struct {
+	slot  []uint16
+	rank  []uint64
+	reach []reach // one a column
+	// stale: a delete took a rank at a reach's edge, so the reach may be
+	// wider than the live rows; the next miss measures it anew.
+	stale bool
+}
+
+// reach is a set of ranks: its smallest and largest, and the OR of each
+// one's difference from a member, whose lowest bit is their grid.
+type reach struct{ lo, hi, diff uint64 }
+
+func (r *reach) add(x uint64) {
+	r.diff |= x ^ r.lo
+	r.lo, r.hi = min(r.lo, x), max(r.hi, x)
+}
+
+// heap is what p takes once it holds n exceptions, each array grown to
+// the size class that holds them.
+func (p *patches) heap(n int) uint64 {
+	return heapsize.Of(int(unsafe.Sizeof(*p)), true) + heapsize.Of(cap(p.reach)*int(unsafe.Sizeof(reach{})), false) +
+		heapsize.Of(2*max(n, cap(p.slot)), false) + heapsize.Of(8*max(n, cap(p.rank)), false)
+}
+
+// grow returns a with length n, in an array of the size class of n
+// elements of size bytes when a's own is too small.
+func grow[T any](a []T, n, size int) []T {
+	if n <= cap(a) {
+		return a[:n]
+	}
+	g := make([]T, n, int(heapsize.Of(n*size, false))/size)
+	copy(g, a)
+	return g
+}
+
+// reaches sets rs to the reach of each column over the block's live rows
+// but slot s, and row, which goes into slot s.
+func (b *block) reaches(s int, row []float64, rs []reach) {
+	for c := range rs {
+		r := keyorder.RankBits(math.Float64bits(row[c]))
+		rs[c] = reach{r, r, 0}
+	}
+	for w := 0; w*64 < b.used; w++ {
+		alive := b.alive(w)
+		if w == s/64 {
+			alive &^= 1 << (s % 64)
+		}
+		for ; alive != 0; alive &= alive - 1 {
+			l := w*64 + bits.TrailingZeros64(alive)
+			for c := range rs {
+				rs[c].add(b.rank(l, c))
+			}
+		}
+	}
+}
+
+// refill writes row into slot s of the packed block b. A value that its
+// column's frame does not hold becomes an exception: the row's code there
+// is the mark and the value's rank goes into the block's exceptions — until
+// the exceptions would take more heap than the repack that holds them all
+// would add to the codes array, or the frame is not marked; then the block
+// packs anew (repack). The test reads each column's reach, O(1) a write;
+// it measures the reaches over the live rows only when the block has no
+// exceptions yet or a delete left them stale.
+func (b *block) refill(s int, row []float64) {
+	width := len(b.frames)
+	miss := 0
+	for c := range b.frames {
+		f := &b.frames[c]
+		if !f.fits(keyorder.RankBits(math.Float64bits(row[c]))) {
+			if !f.marked {
+				b.repack(s, row, nil)
+				return
+			}
+			miss++
+		}
+	}
+	p := b.x
+	if miss > 0 {
+		var stack [8]reach
+		var rs []reach
+		if p != nil && !p.stale {
+			rs = p.reach
+			for c := range rs {
+				rs[c].add(keyorder.RankBits(math.Float64bits(row[c])))
+			}
+		} else {
+			if p != nil {
+				rs = p.reach
+			} else if width <= len(stack) {
+				rs = stack[:width]
+			} else {
+				rs = make([]reach, width)
+			}
+			b.reaches(s, row, rs)
+		}
+		stride := 0
+		for _, r := range rs {
+			_, w := forcode.Derive(r.lo, r.hi, r.diff)
+			stride += int(w)
+		}
+		n := miss
+		if p != nil {
+			n += len(p.slot)
+		}
+		xheap := heapsize.Of(int(unsafe.Sizeof(patches{})), true) + heapsize.Of(width*int(unsafe.Sizeof(reach{})), false) +
+			heapsize.Of(2*n, false) + heapsize.Of(8*n, false)
+		if p != nil {
+			xheap = p.heap(n)
+		}
+		if heapsize.Of(len(b.codes), false)+xheap > heapsize.Of(BlockRows*stride, false) {
+			b.repack(s, row, rs)
+			return
+		}
+		if p == nil {
+			p = &patches{reach: slices.Clone(rs)}
+			b.x = p
+		}
+		p.stale = false
+		i, _ := slices.BinarySearch(p.slot, uint16(s))
+		old := len(p.slot)
+		p.slot, p.rank = grow(p.slot, old+miss, 2), grow(p.rank, old+miss, 8)
+		copy(p.slot[i+miss:], p.slot[i:old])
+		copy(p.rank[i+miss:], p.rank[i:old])
+		for c := range b.frames {
+			if r := keyorder.RankBits(math.Float64bits(row[c])); !b.frames[c].fits(r) {
+				p.slot[i], p.rank[i] = uint16(s), r
+				i++
+			}
+		}
+	} else if p != nil {
+		for c := range p.reach {
+			p.reach[c].add(keyorder.RankBits(math.Float64bits(row[c])))
+		}
+	}
+	codes := b.codes[s*b.stride:]
+	for c := range b.frames {
+		f := &b.frames[c]
+		if r := keyorder.RankBits(math.Float64bits(row[c])); f.fits(r) {
+			f.put(codes, r)
+		} else {
+			f.putCode(codes, f.mask)
+		}
+	}
+}
+
+// repack codes the block anew, row in slot s among its live rows, under
+// the tightest frames, straight from the old codes and exceptions into the
+// new codes array: it allocates that array and the frames alone. rs, when
+// not nil, holds each column's reach over those rows.
+func (b *block) repack(s int, row []float64, rs []reach) {
+	width := len(b.frames)
+	if rs == nil {
+		var stack [8]reach
+		if width <= len(stack) {
+			rs = stack[:width]
+		} else {
+			rs = make([]reach, width)
+		}
+		b.reaches(s, row, rs)
+	}
+	frames := make([]frame, width)
+	stride := 0
+	for c, r := range rs {
+		frames[c] = newFrame(r.lo, r.hi, r.diff, stride)
+		stride += int(frames[c].w)
+	}
+	codes := make([]byte, heapsize.Of(BlockRows*stride, false))
+	for w := 0; w*64 < b.used; w++ {
+		for alive := b.alive(w); alive != 0; alive &= alive - 1 {
+			l := w*64 + bits.TrailingZeros64(alive)
+			dst := codes[l*stride:]
+			for c := range frames {
+				if frames[c].w == 0 {
+					continue
+				}
+				if l == s {
+					frames[c].put(dst, keyorder.RankBits(math.Float64bits(row[c])))
+				} else {
+					frames[c].put(dst, b.rank(l, c))
+				}
+			}
+		}
+	}
+	b.codes, b.frames, b.stride, b.x = codes, frames, stride, nil
+}
+
+// forget drops the exceptions of the row in slot s, which is being
+// deleted, and marks the reaches stale when one of its ranks is at an edge.
+func (b *block) forget(s int) {
+	p := b.x
+	for c := range p.reach {
+		if r := b.rank(s, c); r == p.reach[c].lo || r == p.reach[c].hi {
+			p.stale = true
+		}
+	}
+	i, _ := slices.BinarySearch(p.slot, uint16(s))
+	j := i
+	for j < len(p.slot) && p.slot[j] == uint16(s) {
+		j++
+	}
+	if j == i {
+		return
+	}
+	if len(p.slot) == j-i {
+		b.x = nil
+		return
+	}
+	p.slot = slices.Delete(p.slot, i, j)
+	p.rank = slices.Delete(p.rank, i, j)
 }
 
 // pack codes data, the block's rows, under the narrowest frames that hold
-// them. Every slot of data holds a row: a free slot, a copy of a live one.
+// them. Every slot of data holds a row.
 func (b *block) pack(data []float64, width int) {
 	// Each column's frame, from one pass down it: its smallest and largest
 	// rank, and the bits in which some rank differs from the first row's,
@@ -245,24 +551,8 @@ func (b *block) pack(data []float64, width int) {
 			r := keyorder.RankBits(math.Float64bits(data[i]))
 			lo, hi, diff = min(lo, r), max(hi, r), diff|(r^ref)
 		}
-		f := &frames[c]
-		f.off = uint32(stride)
-		f.shift, f.w = forcode.Derive(lo, hi, diff)
-		f.mask = forcode.Mask(f.w)
-		// The codes the values leave unused go half below them and half
-		// above, so that an insert a little out of their range still fits
-		// — but none across +0 from values all on one side of it.
-		k := min((f.mask-(hi-lo)>>f.shift)/2, lo>>f.shift)
-		switch {
-		case lo >= 1<<63:
-			k = min(k, (lo-1<<63)>>f.shift)
-		case hi < 1<<63:
-			if room := (1<<63 - 1 - lo) >> f.shift; room < f.mask {
-				k = min(max(k, f.mask-room), lo>>f.shift)
-			}
-		}
-		f.setBase(lo - k<<f.shift)
-		stride += int(f.w)
+		frames[c] = newFrame(lo, hi, diff, stride)
+		stride += int(frames[c].w)
 	}
 	// The array is as long as the allocator makes it: the rounding is spare
 	// bytes the last rows' 8-byte loads may reach into.
@@ -369,27 +659,7 @@ func (t *Table) Insert(row []float64) (RID, error) {
 func (t *Table) put(b *block, s int, row []float64) {
 	w := t.width
 	if b.frames != nil {
-		for c := range b.frames {
-			f := &b.frames[c]
-			if !forcode.Fits(keyorder.RankBits(math.Float64bits(row[c])), f.base, f.shift, f.w) {
-				// Pack the block anew, over its live rows and this one,
-				// which stands in for the free slots too.
-				data := make([]float64, BlockRows*w)
-				for l := 0; l < BlockRows; l++ {
-					if l == s || b.isDead(uint16(l)) {
-						copy(data[l*w:], row)
-					} else {
-						b.decode(l, data[l*w:l*w+w])
-					}
-				}
-				b.pack(data, w)
-				return
-			}
-		}
-		codes := b.codes[s*b.stride:]
-		for c := range b.frames {
-			b.frames[c].put(codes, keyorder.RankBits(math.Float64bits(row[c])))
-		}
+		b.refill(s, row)
 		return
 	}
 	if b.data == nil {
@@ -518,7 +788,9 @@ func (t *Table) Delete(rid RID) error {
 		t.holes = append(t.holes, uint32(rid.Block()))
 	}
 	if b.free == b.used {
-		b.data, b.codes, b.frames, b.stride = nil, nil, nil, 0
+		b.data, b.codes, b.frames, b.stride, b.x = nil, nil, nil, 0, nil
+	} else if b.x != nil {
+		b.forget(int(slot))
 	}
 	t.live--
 	t.deleted++
@@ -589,7 +861,7 @@ func (t *Table) ScanKeyed(target, host, key int, fn func(rid RID, m, n, k float6
 func (t *Table) scanKeyed(target, host, key int, fn func(rid RID, m, n, k float64) bool) {
 	width := t.width
 	for bi, b := range t.blocks {
-		data := b.data
+		data, x := b.data, b.x != nil
 		var ft, fh, fk frame
 		if b.frames != nil {
 			ft, fh, fk = b.frames[target], b.frames[host], b.frames[key]
@@ -604,6 +876,9 @@ func (t *Table) scanKeyed(target, host, key int, fn func(rid RID, m, n, k float6
 				if data != nil {
 					row := data[s*width : s*width+width]
 					ok = fn(rid, row[target], row[host], row[key])
+				} else if x {
+					row, fast := b.packed(s)
+					ok = fn(rid, b.cell(s, target, row, fast), b.cell(s, host, row, fast), b.cell(s, key, row, fast))
 				} else if row, fast := b.packed(s); fast {
 					m := ft.get(row)
 					n := m
@@ -657,7 +932,8 @@ func (t *Table) ColumnBounds(col int) (lo, hi float64, ok bool) {
 
 // SizeBytes is the heap the table holds, as the allocator hands it out:
 // every block's header, deletion bitmap (which is the free-slot set) and
-// rows — float64s or codes and frames; a wholly free block has none — the
+// rows — float64s or codes, frames and exceptions, each array by its
+// capacity; a wholly free block has none — the
 // spare float64 array, and the arrays of blocks and of blocks with a free
 // slot. Used by the memory-consumption experiments (Figs. 5, 7, 18–20).
 func (t *Table) SizeBytes() uint64 {
@@ -668,6 +944,9 @@ func (t *Table) SizeBytes() uint64 {
 		s += heapsize.Of(int(unsafe.Sizeof(*b)), true) + heapsize.Of(len(b.dead)*8, false) +
 			heapsize.Of(cap(b.data)*8, false) + heapsize.Of(cap(b.codes), false) +
 			heapsize.Of(cap(b.frames)*int(unsafe.Sizeof(frame{})), false)
+		if b.x != nil {
+			s += b.x.heap(0)
+		}
 	}
 	return s
 }
