@@ -118,9 +118,8 @@ const (
 	// observations, so without the band a jittery sample on a running path
 	// could make it look arbitrarily worse than a path costed at the
 	// table-wide ratio — flipping plans on noise rather than signal.
-	pathCalibrationBand    = 4.0
-	latencySampleMask      = 7   // time 1 query in 8
-	hermitAuxRefreshPeriod = 256 // queries between TRS-Tree stat refreshes
+	pathCalibrationBand = 4.0
+	latencySampleMask   = 7 // time 1 query in 8
 )
 
 // pathRuntime is the execution feedback for one (column, path) pair. All
@@ -137,8 +136,8 @@ type pathRuntime struct {
 
 // colRuntime is the per-column statistics block backing the planner and the
 // advisor: query/update counters, cached value bounds (maintained by writes,
-// bootstrapped by one lazy scan for stores loaded out-of-band), per-path
-// feedback, and a cached view of the Hermit TRS-Tree's structure.
+// bootstrapped by one lazy scan for stores loaded out-of-band) and per-path
+// feedback.
 type colRuntime struct {
 	queries atomic.Uint64 // queries whose predicate targets this column
 	updates atomic.Uint64 // UpdateColumn calls on this column
@@ -147,13 +146,6 @@ type colRuntime struct {
 	boundsHi atomic.Uint64 // float64 bits; -Inf until a value is observed
 
 	paths [numPaths]pathRuntime
-
-	// Cached TRS-Tree structure for the Hermit index on this column,
-	// refreshed every hermitAuxRefreshPeriod queries (walking the tree per
-	// query would be O(leaves)).
-	hermitOutlierFrac atomic.Uint64 // float64 bits
-	hermitHeight      atomic.Uint64
-	hermitAuxAt       atomic.Uint64 // query count at last refresh (+1)
 }
 
 // newColRuntime initialises the bounds sentinels.
@@ -236,30 +228,15 @@ func (t *Table) bounds(col int) (lo, hi float64, ok bool) {
 	return 0, 0, false
 }
 
-// hermitAux returns the cached (outlier fraction, tree height) of the
-// Hermit index on col, refreshing from the self-latching tree when the
-// table has seen enough queries or writes since the last walk (walking the
-// tree is O(nodes), too dear per query) — or unconditionally when force is
-// set (Explain and the planner tests want current structure).
-func (t *Table) hermitAux(col int, hx *hermit.Index, rows int, force bool) (outFrac float64, treeH float64) {
-	rt := &t.runtime[col]
-	stamp := rt.queries.Load() + t.writes.Load()
-	if at := rt.hermitAuxAt.Load(); force || at == 0 || stamp-(at-1) >= hermitAuxRefreshPeriod {
-		st := hx.Tree().Stats()
-		f := 0.0
-		if rows > 0 {
-			f = float64(st.Outliers) / float64(rows)
-		}
-		rt.hermitOutlierFrac.Store(math.Float64bits(f))
-		rt.hermitHeight.Store(uint64(st.Height))
-		rt.hermitAuxAt.Store(stamp + 1)
+// hermitAux returns the outlier fraction and the height of the TRS-Tree of
+// the Hermit index hx over rows live rows, read from the self-latching
+// tree, which keeps both as counts.
+func hermitAux(hx *hermit.Index, rows int) (outFrac float64, treeH float64) {
+	tr := hx.Tree()
+	if rows > 0 {
+		outFrac = float64(tr.OutlierCount()) / float64(rows)
 	}
-	outFrac = math.Float64frombits(rt.hermitOutlierFrac.Load())
-	treeH = float64(rt.hermitHeight.Load())
-	if treeH == 0 {
-		treeH = 3
-	}
-	return outFrac, treeH
+	return outFrac, float64(tr.Height())
 }
 
 // resetPathStats clears the runtime feedback of the paths that run kind's
@@ -279,11 +256,6 @@ func (t *Table) resetPathStats(col int, kind IndexKind) {
 		pr.fp.Store(0)
 		pr.fpObs.Store(0)
 		pr.cost.Store(0)
-		if p == PathHermit {
-			rt.hermitOutlierFrac.Store(0)
-			rt.hermitHeight.Store(0)
-			rt.hermitAuxAt.Store(0)
-		}
 	}
 }
 
@@ -411,10 +383,9 @@ func (t *Table) availableLocked(col int, path AccessPath) bool {
 
 // planLocked estimates every path for the predicate and picks the cheapest
 // available one, returning it with the estimates, the selectivity and the
-// live row count they used; t.catalog is held shared. refresh forces the
-// TRS-Tree stat refresh and the formatted Reasons (Explain's plans reflect
-// current structure).
-func (t *Table) planLocked(col int, lo, hi float64, refresh bool) (AccessPath, [numPaths]PathEstimate, float64, int) {
+// live row count they used; t.catalog is held shared. explain formats the
+// Reasons, which only Explain reads.
+func (t *Table) planLocked(col int, lo, hi float64, explain bool) (AccessPath, [numPaths]PathEstimate, float64, int) {
 	n := t.Len() // live rows: dead versions a snapshot pins are not results
 	sel := t.selectivity(col, lo, hi, n)
 	estRows := sel * float64(n)
@@ -460,7 +431,7 @@ func (t *Table) planLocked(col int, lo, hi float64, refresh bool) (AccessPath, [
 	}
 
 	if ests[PathHermit].Available {
-		outFrac, treeH := t.hermitAux(col, t.find(KindHermit, col, noCol).hx, n, refresh)
+		outFrac, treeH := hermitAux(t.find(KindHermit, col, noCol).hx, n)
 		rt := &t.runtime[col].paths[PathHermit]
 		fpEst := clamp(0.1+2*outFrac, 0.05, 0.95)
 		observed := false
@@ -474,9 +445,9 @@ func (t *Table) planLocked(col int, lo, hi float64, refresh bool) (AccessPath, [
 		e.FPEstimate = fpEst
 		e.EstCandidates = int(math.Ceil(estCand))
 		e.Cost = treeH*costLevel + estCand*(costEntry+resolve)
-		// Formatted Reason strings allocate; only Explain (refresh) reads
+		// Formatted Reason strings allocate; only Explain reads
 		// them, so the per-query planning pass skips building them.
-		if refresh {
+		if explain {
 			if observed {
 				e.Reason = fmt.Sprintf("TRS-Tree + host index + validation; observed fp EWMA over %d queries", rt.fpObs.Load())
 			} else {
@@ -508,7 +479,7 @@ func (t *Table) planLocked(col int, lo, hi float64, refresh bool) (AccessPath, [
 		e.EstCandidates = int(math.Ceil(estCand))
 		e.Cost = costLevel + estCand*(costEntry+costFetch)
 		e.Reason = "Correlation Map buckets + host index + validation; structural fp default"
-		if refresh && observed {
+		if explain && observed {
 			// Formatted Reasons allocate; built for Explain only.
 			e.Reason = fmt.Sprintf("Correlation Map buckets + host index + validation; observed fp EWMA over %d queries", rt.fpObs.Load())
 		}

@@ -85,7 +85,7 @@ func TestExplainPathChoice(t *testing.T) {
 
 // TestExplainDegradesUnderUpdates drives host-column churn through
 // UpdateColumn: the moved pairs land in the TRS-Tree's outlier buffers, the
-// refreshed outlier fraction inflates Hermit's false-positive estimate, and
+// outlier fraction inflates Hermit's false-positive estimate, and
 // the planner abandons Hermit for the complete B+-tree.
 func TestExplainDegradesUnderUpdates(t *testing.T) {
 	_, tb := newSynthetic(t, hermit.PhysicalPointers, 8000, linearFn, 0, 11)

@@ -11,13 +11,13 @@ import (
 	"hermit/internal/heapsize"
 )
 
-// A leaf is 40 bytes, the node arrays and the outlier arena hold no
+// A leaf is 32 bytes, the node arrays and the outlier arena hold no
 // pointer — the collector has nothing to scan in a tree's arrays, and the
 // allocator adds no header to them (heapsize.Of's pointers case) — and a Tree
 // stays in its 288-byte size class.
 func TestLeafLayout(t *testing.T) {
-	if got := unsafe.Sizeof(leaf{}); got != 40 {
-		t.Errorf("a leaf is %d bytes, want 40", got)
+	if got := unsafe.Sizeof(leaf{}); got != 32 {
+		t.Errorf("a leaf is %d bytes, want 32", got)
 	}
 	if got := heapsize.Of(int(unsafe.Sizeof(Tree{})), true); got != 288 {
 		t.Errorf("a Tree takes %d bytes, want 288", got)
@@ -89,7 +89,7 @@ func checkArena(t *testing.T, n *nodes) {
 
 // record is an arena record decoded, for comparisons.
 type record struct {
-	d  float32
+	d  uint16
 	id uint64
 }
 
@@ -112,7 +112,7 @@ func TestOutlierBufferFollowsEntries(t *testing.T) {
 	n := &nodes{leaves: make([]leaf, runs)}
 	for i := 0; i < runs*peak; i++ {
 		l := &n.leaves[i%runs]
-		n.addOutlier(l, float32(i), uint64(i))
+		n.addOutlier(l, uint16(i), uint64(i))
 		if l.cap > l.n+max(outlierStep, l.n/8) {
 			t.Fatalf("growth: %d entries in a run of %d", l.n, l.cap)
 		}
@@ -120,7 +120,7 @@ func TestOutlierBufferFollowsEntries(t *testing.T) {
 	}
 	for i := 0; i < runs*peak; i++ {
 		l := &n.leaves[i%runs]
-		if !n.removeOutlier(l, float32(i), uint64(i)) {
+		if !n.removeOutlier(l, uint16(i), uint64(i)) {
 			t.Fatalf("entry %d not found", i)
 		}
 		if l.cap >= 2*l.n+2 || l.n == 0 && l.cap != 0 {
@@ -174,7 +174,7 @@ func TestArenaRunsMatchReference(t *testing.T) {
 	// leafOf is the slot of the leaf that covers m, the record (m, id)
 	// is there, and whether the leaf covers (m, n) with its model.
 	leafOf := func(m, n float64, id uint64) (int32, record, bool) {
-		s, sp := tr.traverse(m)
+		s, sp, _ := tr.traverse(m)
 		return s, record{sp.code(m), id}, tr.leaves[s].covers(sp, m, n)
 	}
 	drop := func(s int32, e record) {
@@ -197,6 +197,7 @@ func TestArenaRunsMatchReference(t *testing.T) {
 			}
 		}
 		checkArena(t, &tr.nodes)
+		checkStats(t, tr, len(base)+len(rows))
 	}
 	rng := rand.New(rand.NewSource(42))
 	offModel := func() float64 { return 1e7 + rng.Float64()*1e6 }

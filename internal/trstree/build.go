@@ -71,7 +71,7 @@ func buildTree(pairs []Pair, lo, hi float64, params Params, tokens chan struct{}
 	}
 	b := newBuilder(params, 1, tokens)
 	root := b.build(pairs, nil, span{lo: lo, hi: hi, left: true, right: true}, 1)
-	return newTree(params, lo, hi, root, b.nodes), nil
+	return newTree(params, lo, hi, root, b.nodes, b.top), nil
 }
 
 // parallelSpawnMin is the sub-range size below which spawning a goroutine
@@ -90,6 +90,9 @@ type builder struct {
 	// builder of its own, whose nodes the parent grafts into its own.
 	tokens chan struct{}
 	nodes  nodes
+	// top counts the pairs of each child of the root (depth 1) it built,
+	// or the root's own when the root is a leaf: the tree's gauge.
+	top []uint32
 
 	resid  []float64           // |n - model(m)| of the node being fitted
 	sample []Pair              // the sampling pre-check's draw
@@ -113,6 +116,9 @@ func (b *builder) build(pairs, other []Pair, s span, depth int) ref {
 		b.rng.Seed(int64(depth)*7919 + int64(len(pairs)))
 	}
 	if l, ok := b.tryLeaf(pairs, s, depth); ok {
+		if depth == 1 {
+			b.top = []uint32{saturate(len(pairs))}
+		}
 		return b.nodes.addLeaf(l)
 	}
 	if other == nil {
@@ -121,6 +127,13 @@ func (b *builder) build(pairs, other []Pair, s span, depth int) ref {
 	k := b.params.NodeFanout
 	w := s.width(k)
 	ends := b.partition(pairs, other, s.lo, w, k)
+	if depth == 1 {
+		b.top = make([]uint32, k)
+		start := 0
+		for i, end := range ends {
+			b.top[i], start = saturate(end-start), end
+		}
+	}
 	in := b.nodes.addInner()
 	var wg sync.WaitGroup
 	var spawned []*subBuild
@@ -184,7 +197,7 @@ func (b *builder) tryLeaf(pairs []Pair, s span, depth int) (leaf, bool) {
 	if !mustBeLeaf && float64(outliers) > b.params.OutlierRatio*float64(len(pairs)) {
 		return leaf{}, false
 	}
-	l := leaf{model: model, eps: eps, count: uint32(min(len(pairs), math.MaxUint32))}
+	l := leaf{model: model, eps: eps}
 	l.off, l.n, l.cap = b.nodes.claim(outliers), uint32(outliers), uint32(outliers)
 	b.nodes.held += outliers
 	at := l.off
@@ -224,27 +237,28 @@ func (b *builder) sampleSaysSplit(pairs []Pair, lo, hi float64) bool {
 // rebuilt edge leaf is handed, and no lookup predicts host ranges for — is
 // a miss, and so is a NaN residual (a NaN or infinite value on either
 // side), and so is every pair of a leaf whose model was fitted on none.
-func uncovered(model lmodel, eps, lo, hi float64, p Pair) bool {
-	return !(fitted(model, eps) && p.M >= lo && p.M <= hi && math.Abs(p.N-model.Predict(p.M)) <= eps)
+func uncovered(model lmodel, eps float32, lo, hi float64, p Pair) bool {
+	return !(fitted(model, eps) && p.M >= lo && p.M <= hi && math.Abs(p.N-model.Predict(p.M)) <= float64(eps))
 }
 
 // fitted reports whether a leaf's model was fitted on any pair. One fitted
 // on none is the zero line with an eps of +0 (fitAndValidate): it covers no
-// pair and predicts no host range, whatever the leaf's live count says — a
-// statistic that a replayed parked delete can drive to 0 while pairs the
+// pair and predicts no host range, whatever its subtree's live count says —
+// a statistic that a replayed parked delete can drive to 0 while pairs the
 // model covers are live (ReorgSubtree). A fitted leaf never holds that
 // state — deriveEps never gives +0: it floors eps at 1e-12, or gives −0
-// under ErrorBound 0 — so a fitted zero line covers the pairs on it.
-func fitted(model lmodel, eps float64) bool {
-	return math.Float64bits(eps) != 0 || model != (lmodel{})
+// under ErrorBound 0, and epsOf keeps both apart from +0 — so a fitted
+// zero line covers the pairs on it.
+func fitted(model lmodel, eps float32) bool {
+	return math.Float32bits(eps) != 0 || model != (lmodel{})
 }
 
 // madSamples bounds the residuals the MAD is estimated from.
 const madSamples = 4096
 
 // fitAndValidate runs Compute and Validate from Algorithm 1: it fits a
-// linear model, derives eps from ErrorBound (§4.5) and counts the pairs
-// the interval fails to cover.
+// linear model, derives eps from ErrorBound (§4.5) as the leaf would store
+// it (epsOf) and counts the pairs that interval fails to cover.
 //
 // Because the paper's eps is very tight for large n (error_bound counts the
 // expected false positives of a *point* query), a plain OLS fit over data
@@ -267,7 +281,7 @@ const madSamples = 4096
 // Nothing here allocates once the builder's scratch has grown to the node:
 // the polish streams over the inliers in place of collecting them, adding
 // in stats.FitLinear's order, so the model is FitLinear's to the bit.
-func (b *builder) fitAndValidate(pairs []Pair, lo, hi float64) (model lmodel, eps float64, outliers int) {
+func (b *builder) fitAndValidate(pairs []Pair, lo, hi float64) (model lmodel, eps float32, outliers int) {
 	if len(pairs) == 0 {
 		return lmodel{}, 0, 0
 	}
@@ -312,7 +326,7 @@ func (b *builder) fitAndValidate(pairs []Pair, lo, hi float64) (model lmodel, ep
 			}
 		}
 	}
-	eps = deriveEps(model.Beta, lo, hi, b.params.ErrorBound, len(pairs))
+	eps = epsOf(deriveEps(model.Beta, lo, hi, b.params.ErrorBound, len(pairs)))
 	for _, p := range pairs {
 		if uncovered(model, eps, lo, hi, p) {
 			outliers++
@@ -557,6 +571,27 @@ func deriveEps(beta, lo, hi, errorBound float64, n int) float64 {
 	}
 	return eps
 }
+
+// epsOf is the float32 a leaf stores for the confidence interval eps: the
+// least one not below it, so the stored interval covers what eps does, but
+// MaxFloat32 for every eps above that, +Inf included: under an eps of +Inf
+// a model that predicts ±Inf would cover pairs of finite host values, for
+// which it predicts a NaN range. It keeps eps's sign, and a NaN. The
+// builder classifies pairs against the stored value, so building, writes
+// and lookups all use one interval.
+func epsOf(eps float64) float32 {
+	if eps > math.MaxFloat32 {
+		return math.MaxFloat32
+	}
+	f := float32(eps)
+	if float64(f) < eps {
+		f = math.Nextafter32(f, math.MaxFloat32)
+	}
+	return f
+}
+
+// saturate is n as a uint32 counter, MaxUint32 for more.
+func saturate(n int) uint32 { return uint32(min(n, math.MaxUint32)) }
 
 // partition distributes pairs into k sub-ranges of width w from lo
 // (Algorithm 1's SplitTable): a counting pass, then a placement into dst —

@@ -11,9 +11,6 @@ import (
 	"hermit/internal/keyorder"
 )
 
-// nextUp32 is the least float32 above d (+Inf for +Inf and MaxFloat32).
-func nextUp32(d float32) float32 { return math.Nextafter32(d, float32(math.Inf(1))) }
-
 // FuzzOutlierCode holds the outlier record to its contract. A leaf over a
 // span — edge-extended or not — holds records coded from m, with the
 // fuzzed id beside ids that set the arena's width w (1–8 bytes), repeated
@@ -21,36 +18,50 @@ func nextUp32(d float32) float32 { return math.Nextafter32(d, float32(math.Inf(1
 // predicate [qlo, qhi] as lookupNode does:
 //
 //   - an exact qlo ≤ m ≤ qhi returns the record (no false negative);
-//   - the record is returned exactly when d ≤ ohi − lo and olo − lo ≤
-//     nextUp32(d), the rule the lookup's float32 bounds stand for;
+//   - the record is returned exactly when code(olo) ≤ code(m) ≤ code(ohi);
 //   - a NaN m is returned by no query;
+//   - over a finite span of positive width, a returned finite m inside
+//     the span lies within one sub-range of the predicate clamped to the
+//     span (subRangeSlack);
 //   - a scan into a fresh Result (chunks of the stack buffer) and into one
 //     with room (in place) return the same ids;
 //   - every id reads back as written, at width w and after the arena
 //     widens to 8 bytes.
 func FuzzOutlierCode(f *testing.F) {
 	inf, nan := math.Inf(1), math.NaN()
-	nearUp := 1 + 0x1p-23 - 0x1p-30 // rounds up to the nearest float32
+	tiny := math.SmallestNonzeroFloat64
 	for _, c := range [][5]float64{
 		{0, 125, 62.5, 62.5, 62.5},
-		{0, 125, nearUp, nearUp, nearUp},
-		{0, 125, nearUp, 0, nearUp},
-		{-nearUp, 125, 0, 0, 0},
+		{0, 125, 62.5, 62.5 + 3*125.0/codeRanges, 70}, // a sub-range apart
+		{0, 125, 62.5, 62.5 - 3*125.0/codeRanges, 62.5 - 3*125.0/codeRanges},
 		{1000 - 0x1p-40, 1000, 1000, 999, 1000},
+		{0, 1000, 1000, 1000, 1000},                       // m at hi
+		{0, 1000, math.Nextafter(1000, inf), 1000, 1000},  // m just above hi
+		{0, 1000, math.Nextafter(1000, inf), 1001, 2000},  // a query above the span
+		{0, 1000, 999.99, math.Nextafter(1000, inf), inf}, // m in the last sub-range
 		{0, 1, 1e300, 1e300, 1e300},
 		{0, 1, -1e300, -1e300, -1e300},
-		{-1e308, 1e308, math.MaxFloat64, math.MaxFloat64, inf},
+		{-1e308, 1e308, math.MaxFloat64, math.MaxFloat64, inf}, // a width that overflows
 		{-1e308, 1e308, -math.MaxFloat64, -inf, -math.MaxFloat64},
+		{-1e300, 1e300, math.MaxFloat64, 1e300, 1e300}, // m − lo overflows
 		{0, 1, inf, 5, inf},
 		{0, 1, -inf, -inf, -inf},
 		{0, 1, math.Copysign(0, -1), 0, 0},
 		{0, 1, 0, math.Copysign(0, -1), math.Copysign(0, -1)},
-		{0, 1, math.SmallestNonzeroFloat64, 0, math.SmallestNonzeroFloat64},
-		{0, 1, -math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, 0},
+		{0, 1, tiny, 0, tiny},
+		{0, 1, -tiny, -tiny, 0},
 		{1e-310, 1, 2e-310, 2e-310, 2e-310},
+		{0, 100_000 * tiny, 99_999 * tiny, 99_990 * tiny, 99_990 * tiny}, // a subnormal width
+		{0, 30_000 * tiny, 7 * tiny, 8 * tiny, 9 * tiny},                 // sub-ranges that round to 0
+		{5, 5, 5, 5, 5}, // a span of no width
+		{5, 5, 6, 4, 4.5},
 		{0, 1, nan, -inf, inf},
+		{0, 1, 0.5, nan, 1}, // a NaN bound
+		{0, 1, 0.5, 0, nan},
 		{-inf, inf, 3, -inf, 5},
 		{-inf, inf, -inf, -inf, -inf},
+		{-inf, 0, -1, -2, -1},
+		{0, inf, inf, 1, inf},
 		{nan, nan, 7, 7, 7},
 		{0, 1000, 5e38, 4e38, 6e38},
 	} {
@@ -84,8 +95,8 @@ func FuzzOutlierCode(f *testing.F) {
 				if got := n.id(uint32(i)); got != x {
 					t.Fatalf("record %d at width %d: id %x, want %x", i, n.w, got, x)
 				}
-				if got := n.code(uint32(i)); math.Float32bits(got) != math.Float32bits(d) {
-					t.Fatalf("record %d at width %d: code %v, want %v", i, n.w, got, d)
+				if got := n.code(uint32(i)); got != d {
+					t.Fatalf("record %d at width %d: code %d, want %d", i, n.w, got, d)
 				}
 			}
 		}
@@ -93,7 +104,7 @@ func FuzzOutlierCode(f *testing.F) {
 
 		olo, ohi := math.Max(qlo, s.effectiveLo()), math.Min(qhi, s.effectiveHi())
 		if olo <= ohi {
-			dlo, dhi := s.matcher(olo, ohi)
+			dlo, dhi := s.code(olo), s.code(ohi)
 			fresh := n.matches(nil, l, dlo, dhi)
 			if roomy := n.matches(make([]uint64, 0, len(ids)), l, dlo, dhi); !slices.Equal(fresh, roomy) {
 				t.Fatalf("a fresh result gets %x, one with room %x", fresh, roomy)
@@ -102,15 +113,20 @@ func FuzzOutlierCode(f *testing.F) {
 				t.Fatalf("records of one code matched in part: %x of %x", fresh, ids)
 			}
 			got := len(fresh) != 0
-			o := s.origin()
-			rule := float64(d) <= ohi-o && olo-o <= float64(nextUp32(d))
+			rule := s.code(olo) <= d && d <= s.code(ohi)
 			switch {
 			case got != rule:
-				t.Fatalf("m %v over [%v, %v]: code %v, query [%v, %v] matched %v, the rule says %v", m, lo, hi, d, olo, ohi, got, rule)
+				t.Fatalf("m %v over [%v, %v]: code %d, query [%v, %v] matched %v, the rule says %v", m, lo, hi, d, olo, ohi, got, rule)
 			case olo <= m && m <= ohi && !got:
-				t.Fatalf("m %v over [%v, %v]: code %v missed by query [%v, %v]", m, lo, hi, d, olo, ohi)
+				t.Fatalf("m %v over [%v, %v]: code %d missed by query [%v, %v]", m, lo, hi, d, olo, ohi)
 			case math.IsNaN(m) && got:
 				t.Fatalf("a NaN m matched query [%v, %v]", olo, ohi)
+			}
+			if slack, ok := subRangeSlack(s); ok && got && lo <= m && m <= hi {
+				clo, chi := min(max(olo, lo), hi), max(min(ohi, hi), lo)
+				if m < clo-slack || m > chi+slack {
+					t.Fatalf("m %v over [%v, %v] matched query [%v, %v], more than a sub-range (%v) away", m, lo, hi, olo, ohi, slack)
+				}
 			}
 		}
 
@@ -118,6 +134,21 @@ func FuzzOutlierCode(f *testing.F) {
 		n.addOutlier(l, d, math.MaxUint64)
 		checkIDs()
 	})
+}
+
+// subRangeSlack bounds how far a value of the sub-range a code stands for
+// lies from another of that sub-range in a span with finite bounds and a
+// finite, positive width: the computed sub-range width, a 2⁻³⁰ of it for
+// the roundings of the code's arithmetic, and codeRanges smallest
+// subnormals for the last sub-range, which ends at hi and so takes up
+// what the rounding of the width left over (a width that rounds to 0
+// codes every value to 0, and the span itself is below that slack).
+func subRangeSlack(s span) (float64, bool) {
+	w, d := s.width(codeRanges), s.hi-s.lo
+	if math.IsInf(s.lo, 0) || math.IsInf(s.hi, 0) || math.IsInf(d, 0) || !(d > 0) {
+		return 0, false
+	}
+	return w + w*0x1p-30 + codeRanges*math.SmallestNonzeroFloat64, true
 }
 
 // TestOutlierIDWidening writes outliers with ids that need 3, 4, 6 and 8

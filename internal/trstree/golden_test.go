@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
@@ -35,21 +36,17 @@ func genBenchmarkShape(n int) []Pair {
 	return out
 }
 
-// fingerprint is the sha256 of the tree in the snapshot format the
-// package once saved trees in, which the golden hashes were recorded over:
-// a little-endian pre-order dump of
+// fingerprint is the sha256 of a little-endian pre-order dump of the
+// tree:
 //
 //	"TRST", uint16 version 1, the parameters, then per node
 //	  flags byte (leaf 1 | left edge 2 | right edge 4), lo, hi, and
-//	  leaf:  beta, alpha, eps, uint64 count, uint64 0, uint64 outliers, records
+//	  leaf:  beta, alpha, [eps as a float64,] uint64 outliers, records
 //	  inner: uint32 NodeFanout, then the children in order
 //
-// where the 0 held a deletes counter no leaf keeps any more, and a record
-// is its float32 code and uint64 id — or, when codes is false, its id
-// alone: the structure hash, which is the same for every encoding of the
-// outlier values (it was recorded while the records held the values
-// themselves as float64s).
-func fingerprint(tr *Tree, codes bool) string {
+// where a record is [its code and] its uint64 id. What the hash covers
+// tells a change of the tree's shape from one of its fields' widths.
+func fingerprint(tr *Tree, c covers) string {
 	tr.mu.RLock()
 	defer tr.mu.RUnlock()
 	h := sha256.New()
@@ -77,9 +74,13 @@ func fingerprint(tr *Tree, codes bool) string {
 		put(flags, s.lo, s.hi)
 		if r.isLeaf() {
 			l := &tr.leaves[r.slot()]
-			put(l.model.Beta, l.model.Alpha, l.eps, uint64(l.count), uint64(0), uint64(l.n))
+			put(l.model.Beta, l.model.Alpha)
+			if c >= withEps {
+				put(float64(l.eps))
+			}
+			put(uint64(l.n))
 			for i := l.off; i < l.off+l.n; i++ {
-				if codes {
+				if c >= withCodes {
 					put(tr.code(i))
 				}
 				put(tr.id(i))
@@ -96,15 +97,28 @@ func fingerprint(tr *Tree, codes bool) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
+// covers is what a fingerprint hashes.
+type covers int
+
+const (
+	// shapeOnly is the spans, edge flags, models and each leaf's outlier
+	// ids in order: the tree's shape, which no change to how a leaf stores
+	// eps or a record stores its target value moves.
+	shapeOnly covers = iota
+	withEps          // and each leaf's stored eps
+	withCodes        // and each record's code
+)
+
 // TestBuildGolden pins the tree Build returns, node for node and bit for
-// bit, by two hashes of its fingerprint. The structure hash leaves the
-// outlier values out: it was recorded before construction was rewritten
-// (radix partition scratch, streaming fit) with the builder that allocated
-// every intermediate — as the full fingerprint was then — and has held
-// since. The full hash has each record's code, and moved, alone, when the
-// records took float32 codes in place of float64 values. A change to
-// build.go that alters any model, eps, outlier or its order fails here
-// before it moves index_bytes_per_row.
+// bit, by three hashes of its fingerprint, and its SizeBytes. The shape
+// hash leaves out every leaf's eps and every record's code, the fields
+// whose widths the tree chooses: it is the one the trees had while a leaf
+// held a float64 eps and a record a float32 offset, and a change to how
+// either is stored must leave it as it is. The structure hash adds each
+// eps, and the full hash each code too. A change to build.go that alters
+// any model, eps, outlier or its order fails here before it moves
+// index_bytes_per_row, and a change to the tree's layout that moves
+// index_bytes_per_row fails the size.
 func TestBuildGolden(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("hashes recorded on amd64; other architectures may fuse multiply-adds")
@@ -116,63 +130,82 @@ func TestBuildGolden(t *testing.T) {
 		flat[i] = Pair{M: 7, N: float64(i % 13), ID: uint64(i)}
 	}
 	cases := []struct {
-		name            string
-		pairs           []Pair
-		params          Params
-		structure, want string
+		name                  string
+		pairs                 []Pair
+		params                Params
+		shape, structure, all string
+		size                  uint64
 	}{
 		{"benchmark-50k", genBenchmarkShape(50_000), DefaultParams(),
-			"46b67f55482bc8537313c4651d85f6de460e7f48c1c7a82513aa10f0e3fbaa6a",
-			"e55953e3b78ff99e4d0a139f4814d591ad9fa35689cdce16620c05c4637d48b7"},
+			"02fa7434f8b61ec3733501b1aea7598d9edc2dac5046aa12cab6d65c24eb5cbd",
+			"3f1390cf4f81dfcd8f135053f5bf10a2347ce50f61d91972710b813abe1269e9",
+			"3fe73328d39796948868f0f3d6cf79a9080118ebe2a28d17bf0b87685510d678", 21312},
 		{"benchmark-200k", genBenchmarkShape(200_000), DefaultParams(),
-			"0c7188f13ee8a791fdd98e3ec9eea5fb5df84467e79ae6b648f773892c09855a",
-			"359b828ea2f2a0587f840b3d7e82dd7ab07194fb327e0ce924eed9efa7832772"},
+			"45a21389b557f1614c2268b4548b9e2a16fdd4a07747be50c7f1b32e056d5490",
+			"7788a78f7c7920dce84539e6c7d6760e414f4c8e08ec4a5226d5d7d6622c6dda",
+			"dde5d8ad78f812734276a895f677844c4fdf5e1f8d1bc2ae8bf7b500ef6875ea", 30272},
 		{"benchmark-1M", genBenchmarkShape(1_000_000), DefaultParams(),
-			"e849d2bd2a21f4b8dc5852aaac3e8090b5c4a52c473bb3eef57ce9b7e6322cdc",
-			"8cabf53b17312e488bf3b1554a1186c82c3d405b8f6e6902e2a35d3dada27227"},
+			"88c6be078261025503756d6afca7a502927b6ece7205f09a0ae2c773c68c27f5",
+			"53f43490149cc14b23b6f2b5876616b5a5e17a514a38711dfd1bc02cd42537ab",
+			"408d01fcd7bb251d7c9be57946e2c0337789ed2c945345b5a7dd4d50f01b3418", 207168},
 		{"sigmoid-40k-noise2", genSigmoid(40_000, 1000, 0.02, 21), DefaultParams(),
-			"de4b87411ecf53747181e5e5f77dbf2e5e14f1c797cb40204570fcb58c8c7948",
-			"dd51d467803dd992e02cacc223aef868b0587da1a7ad312b34fb2d62ad65572b"},
+			"000f664c08d51401a79ee09df03fdf7994a7a4194618c3ef90a1c4f4dd105a61",
+			"8887ea7ea8d26190d96d6aa2ed24c23f941c7764f61cff5e4c710ff1bcf89462",
+			"11a7a8d623caf7ffd94b76d56d4899c4324b8c2c683eea04ed8deb974c84d766", 22208},
 		{"linear-10k-noise5", genLinear(10_000, 1000, 0.05, 5), DefaultParams(),
-			"71035ac42a6d7ba43212b19b3e01c365d75e75c1a59583ae64a642061e2aefd8",
-			"3dda1e03b74e3ff00b78437bc62ec7048fd1a4716fb4da3aa264879e915ae314"},
+			"2cbb87de5695646469b1b8d37b8fdc3c8d4aeeb4db7e7c60af6a2f2827f27fe9",
+			"8ef05f55c865938228365754231b9b52d6ed1fa552b92e1892d7433ea288229b",
+			"7f6b46a58799892fdceccb7b41f092c4b80a358b226e059e86aa85c387fd6532", 2376},
 		{"sigmoid-700-tiny-leaves", genSigmoid(700, 1000, 0.1, 9), small,
-			"cd66ab3138dfed7fcb33962fbe39066ff4f149a76454bd63a92c5036f70c061f",
-			"52d78d4d13561f1fda3647d3294099fa84c04326064bb07bce5461371714c903"},
+			"291f63077ae28b5aceddca16497bbafc3ce62ff7769ffc42c449a07cf1e00e68",
+			"680bd8fcc6392f5c971c37a566926060f8a6ebbe8ead7c960e33a897e587cc77",
+			"2e4b97a810bb4e41c74e3445e1c26a965fcc9ff495637f9c98e9a743ab1b9a57", 7888},
 		{"flat-3000", flat, DefaultParams(),
-			"1deddf221e65f178914427ecba0e7270f137b67ef358762e2c19eed960d87785",
-			"2779bad357973f5653b3216590ac09642287c094324e00830432e07d4fa117d1"},
+			"92ab36e601a849c6e2857f14a7a020d8471d3790b0b38013212fccc620b1e94a",
+			"ac5d0a583ca14b777765dbade2249babc73f6db0921d33c73ade556dec0a74f4",
+			"49c37777ba38fa8516ea1d287584a92bce9e01a5ad5c77de115672d745a64cd7", 12616},
 	}
 	for _, c := range cases {
 		tr, err := Build(c.pairs, 1, 0, c.params) // lo>hi: derive range from data
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := fingerprint(tr, false); got != c.structure {
-			t.Errorf("%s: structure hash %s, want %s", c.name, got, c.structure)
+		checkGolden(t, c.name, tr, c.shape, c.structure, c.all, c.size)
+	}
+}
+
+// checkGolden compares tr's three fingerprints and its SizeBytes with the
+// pinned ones.
+func checkGolden(t *testing.T, name string, tr *Tree, shape, structure, all string, size uint64) {
+	t.Helper()
+	for _, h := range []struct {
+		what string
+		c    covers
+		want string
+	}{{"shape", shapeOnly, shape}, {"structure", withEps, structure}, {"full", withCodes, all}} {
+		if got := fingerprint(tr, h.c); got != h.want {
+			t.Errorf("%s: %s hash %s, want %s", name, h.what, got, h.want)
 		}
-		if got := fingerprint(tr, true); got != c.want {
-			st := tr.Stats()
-			t.Errorf("%s: fingerprint %s, want %s (nodes %d, outliers %d, size %d B)",
-				c.name, got, c.want, st.Nodes, st.Outliers, st.SizeBytes)
-		}
+	}
+	if st := tr.Stats(); st.SizeBytes != size {
+		t.Errorf("%s: %d B (nodes %d, outliers %d), want %d B", name, st.SizeBytes, st.Nodes, st.Outliers, size)
 	}
 }
 
 // TestBuildParallelGolden pins the tree BuildParallel returns — the
 // builder a Hermit index is created with when it is given build workers;
 // the engine gives none, so its indexes take Build's tree — over the
-// benchmark's 1M-row shape, by TestBuildGolden's two hashes: the
-// structure hash as recorded before the tree's nodes moved into flat
-// arrays, the full one since the records took float32 codes. Both are the
-// same for every worker count.
+// benchmark's 1M-row shape, by TestBuildGolden's three hashes and its
+// SizeBytes. All are the same for every worker count.
 func TestBuildParallelGolden(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("hash recorded on amd64; other architectures may fuse multiply-adds")
 	}
 	const (
-		structure = "0c24e2dab13b24467080fb79e379e73191cfd0e75ee1e9386526bb8125490e35"
-		want      = "b838d5f456ab712d36b832c49847e0913360548c8e7b1d600212ad14c7d3a3e5"
+		shape     = "83504a52995298c45896c6fc444c6656045fa3dbea9bcc6ee274f5347e1aa05e"
+		structure = "3b553dac5559540085df8ee3004e907be328acaf4e8107302ffc35493fa4e64e"
+		all       = "8dda598df4bfe3ecafc4dfa35d058ab2eb6cee3e7b7a3c83a7b60f67a298049c"
+		size      = 207168
 	)
 	src := genBenchmarkShape(1_000_000)
 	for _, workers := range []int{2, 4} {
@@ -180,12 +213,7 @@ func TestBuildParallelGolden(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := fingerprint(tr, false); got != structure {
-			t.Errorf("%d workers: structure hash %s, want %s", workers, got, structure)
-		}
-		if got := fingerprint(tr, true); got != want {
-			t.Errorf("%d workers: fingerprint %s, want %s", workers, got, want)
-		}
+		checkGolden(t, fmt.Sprintf("%d workers", workers), tr, shape, structure, all, size)
 	}
 }
 

@@ -10,8 +10,9 @@ import (
 // approximate ranges on the host column N, to be resolved against the host
 // index, plus the tuple identifiers of the outliers that may match, which
 // can be fetched directly without touching the host index: every matching
-// outlier's, and those of the few whose target value rounds to the same
-// record code as a matching one (see the outlier record in tree.go).
+// outlier's, and those of the few whose target value lies in the same
+// sub-range of its leaf as a bound of the predicate (see the outlier record
+// in tree.go).
 type Result struct {
 	Ranges []Range
 	IDs    []uint64
@@ -48,12 +49,14 @@ func (t *Tree) LookupInto(lo, hi float64, res *Result) {
 	// identifier result. A parked delete changes nothing a lookup returns
 	// before its replay — the entry it will remove only widens the
 	// candidate set, which validation filters — but its replay may apply it
-	// to a rebuilt leaf whose scan no longer saw the pair, lowering that
-	// leaf's live count below its live pairs. So the count is never what
-	// decides whether a leaf's model answers (leaf.fitted).
-	for _, op := range t.sideBuf {
-		if !op.del && op.p.M >= lo && op.p.M <= hi {
-			res.IDs = append(res.IDs, op.p.ID)
+	// to a rebuilt subtree whose scan no longer saw the pair, lowering its
+	// live count below its live pairs. So no count decides whether a leaf's
+	// model answers (leaf.fitted).
+	if t.sideBuf != nil {
+		for _, op := range *t.sideBuf {
+			if !op.del && op.p.M >= lo && op.p.M <= hi {
+				res.IDs = append(res.IDs, op.p.ID)
+			}
 		}
 	}
 	if t.params.UnionRanges {
@@ -89,17 +92,18 @@ func (t *Tree) lookupNode(r ref, s span, lo, hi float64, res *Result) {
 	mlo := math.Max(lo, s.lo)
 	mhi := math.Min(hi, s.hi)
 	if mlo <= mhi && fitted(l.model, l.eps) {
-		if rlo, rhi := l.model.PredictRange(mlo, mhi, l.eps); rlo <= rhi {
+		if rlo, rhi := l.model.PredictRange(mlo, mhi, float64(l.eps)); rlo <= rhi {
 			res.Ranges = append(res.Ranges, Range{Lo: rlo, Hi: rhi})
 		}
 	}
 	// Outlier retrieval uses the edge-extended range so that tuples beyond
-	// the build-time range R are still found.
+	// the build-time range R are still found. Every value of [olo, ohi]
+	// codes into [code(olo), code(ohi)], as the code is monotone, and a
+	// NaN's code lies above it.
 	olo := math.Max(lo, s.effectiveLo())
 	ohi := math.Min(hi, s.effectiveHi())
 	if olo <= ohi && l.n > 0 {
-		dlo, dhi := s.matcher(olo, ohi)
-		res.IDs = t.matches(res.IDs, l, dlo, dhi)
+		res.IDs = t.matches(res.IDs, l, s.code(olo), s.code(ohi))
 	}
 }
 
@@ -107,7 +111,7 @@ func (t *Tree) lookupNode(r ref, s span, lo, hi float64, res *Result) {
 // [dlo, dhi]: in place when ids has room for every record — a Result
 // carried across lookups soon does — and else through a stack buffer, a
 // chunk of records at a time, so a fresh Result grows by its matches only.
-func (n *nodes) matches(ids []uint64, l *leaf, dlo, dhi float32) []uint64 {
+func (n *nodes) matches(ids []uint64, l *leaf, dlo, dhi uint16) []uint64 {
 	rec, m := n.rec(), forcode.Mask(n.w)
 	run := n.out[int(l.off)*rec:][:int(l.n)*rec+pad]
 	if k := len(ids); cap(ids)-k >= int(l.n) {
@@ -127,18 +131,19 @@ const matchChunk = 32
 
 // keep writes to dst, which has room for them all, the ids (masked by m)
 // of the rec-byte records in run — then pad bytes — whose code lies in
-// [dlo, dhi], and returns their number. It does not branch on a record:
-// it writes every id — an 8-byte load and a mask, which the pad keeps in
-// bounds — after the ones kept so far and keeps it by advancing their
-// count by the comparisons' 0 or 1. Whether a record matches is a coin
-// toss when the predicate covers part of the leaf, and a branch on it
-// mispredicted about once a record.
-func keep(dst []uint64, run []byte, rec int, m uint64, dlo, dhi float32) int {
-	k := 0
+// [dlo, dhi] (dlo ≤ dhi), and returns their number. It does not branch on
+// a record: it writes every id — an 8-byte load and a mask, which the pad
+// keeps in bounds — after the ones kept so far and keeps it by advancing
+// their count by the comparison's 0 or 1. Whether a record matches is a
+// coin toss when the predicate covers part of the leaf, and a branch on it
+// mispredicted about once a record. One comparison tests both bounds: a
+// code below dlo wraps past the range's width.
+func keep(dst []uint64, run []byte, rec int, m uint64, dlo, dhi uint16) int {
+	k, lo, width := 0, uint32(dlo), uint32(dhi-dlo)
 	for o := 0; o+pad < len(run); o += rec {
-		d := math.Float32frombits(uint32(forcode.Load(run, o)))
-		dst[k] = forcode.Load(run, o+4) & m
-		k += b2i(d >= dlo) & b2i(d <= dhi)
+		x := forcode.Load(run, o)
+		dst[k] = forcode.Load(run, o+2) & m
+		k += b2i(uint32(uint16(x))-lo <= width)
 	}
 	return k
 }

@@ -10,7 +10,7 @@ import "math"
 func (t *Tree) Insert(m, n float64, id uint64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.inReorg {
+	if t.sideBuf != nil {
 		t.bufferOp(bufferedOp{p: Pair{M: m, N: n, ID: id}})
 		return
 	}
@@ -18,10 +18,10 @@ func (t *Tree) Insert(m, n float64, id uint64) {
 }
 
 func (t *Tree) insertLocked(m, n float64, id uint64) {
-	slot, sp := t.traverse(m)
+	slot, sp, top := t.traverse(m)
 	l := &t.leaves[slot]
-	if l.count < math.MaxUint32 { // saturates: no wrap to 0
-		l.count++
+	if t.gauge[top] < math.MaxUint32 { // saturates: no wrap to 0
+		t.gauge[top]++
 	}
 	if !l.covers(sp, m, n) {
 		t.addOutlier(l, sp.code(m), id)
@@ -29,16 +29,16 @@ func (t *Tree) insertLocked(m, n float64, id uint64) {
 }
 
 // Delete removes a tuple (Algorithm 3). Only outlier-buffer entries carry
-// state, so deleting a model-covered tuple just updates the count (it
-// must not touch the buffer: under logical pointers another version of the
-// same key, with the same target value and an uncovered host value, may
-// own an entry with this very (m, id)); the resulting false positives are
-// filtered by the base-table visit that ends every Hermit lookup, until a
-// ReorgSubtree refits the range.
+// state, so deleting a model-covered tuple just updates its subtree's
+// count (it must not touch the buffer: under logical pointers another
+// version of the same key, with the same target value and an uncovered
+// host value, may own an entry with this very (m, id)); the resulting
+// false positives are filtered by the base-table visit that ends every
+// Hermit lookup, until a ReorgSubtree refits the range.
 func (t *Tree) Delete(m, n float64, id uint64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.inReorg {
+	if t.sideBuf != nil {
 		t.bufferOp(bufferedOp{del: true, p: Pair{M: m, N: n, ID: id}})
 		return
 	}
@@ -46,13 +46,13 @@ func (t *Tree) Delete(m, n float64, id uint64) {
 }
 
 func (t *Tree) deleteLocked(m, n float64, id uint64) {
-	slot, sp := t.traverse(m)
+	slot, sp, top := t.traverse(m)
 	l := &t.leaves[slot]
 	if !l.covers(sp, m, n) {
 		t.removeOutlier(l, sp.code(m), id)
 	}
-	if l.count > 0 {
-		l.count--
+	if t.gauge[top] > 0 {
+		t.gauge[top]--
 	}
 }
 
@@ -61,12 +61,12 @@ func (t *Tree) deleteLocked(m, n float64, id uint64) {
 func (t *Tree) Update(m, oldN, newN float64, id uint64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.inReorg {
+	if t.sideBuf != nil {
 		t.bufferOp(bufferedOp{del: true, p: Pair{M: m, N: oldN, ID: id}})
 		t.bufferOp(bufferedOp{p: Pair{M: m, N: newN, ID: id}})
 		return
 	}
-	slot, sp := t.traverse(m)
+	slot, sp, _ := t.traverse(m)
 	l := &t.leaves[slot]
 	wasCovered, isCovered := l.covers(sp, m, oldN), l.covers(sp, m, newN)
 	switch {
@@ -99,7 +99,7 @@ func (l *leaf) covers(s span, m, nv float64) bool {
 // follows the entries it holds: a full run grows by an eighth (at least
 // outlierStep entries), not by doubling, and removeOutlier gives back the
 // room once half of it is unused.
-func (n *nodes) addOutlier(l *leaf, d float32, id uint64) {
+func (n *nodes) addOutlier(l *leaf, d uint16, id uint64) {
 	if l.n == l.cap {
 		n.regrow(l, l.n+max(outlierStep, l.n/8))
 	}
@@ -111,12 +111,12 @@ func (n *nodes) addOutlier(l *leaf, d float32, id uint64) {
 // removeOutlier takes one (d, id) record out of leaf l's buffer, moving
 // the run's last record into its place, and reports whether there was
 // one. Two values with one code are one record to the buffer, so which of
-// their entries goes makes no difference to any lookup. Codes match by
-// their bits: a NaN value codes to the same NaN every time, and its record
-// goes with its tuple like any other.
-func (n *nodes) removeOutlier(l *leaf, d float32, id uint64) bool {
+// their entries goes makes no difference to any lookup. A NaN value codes
+// to nanCode every time, and its record goes with its tuple like any
+// other.
+func (n *nodes) removeOutlier(l *leaf, d uint16, id uint64) bool {
 	for i := l.off; i < l.off+l.n; i++ {
-		if n.id(i) == id && math.Float32bits(n.code(i)) == math.Float32bits(d) {
+		if n.id(i) == id && n.code(i) == d {
 			last, rec := int(l.off+l.n-1), n.rec()
 			copy(n.out[int(i)*rec:][:rec], n.out[last*rec:])
 			l.n--
@@ -155,7 +155,7 @@ func (n *nodes) regrow(l *leaf, capacity uint32) {
 }
 
 func (t *Tree) bufferOp(op bufferedOp) {
-	t.sideBuf = append(t.sideBuf, op)
+	*t.sideBuf = append(*t.sideBuf, op)
 }
 
 // ReorgSubtree rebuilds first-level subtree i — the whole tree while the
@@ -175,11 +175,11 @@ func (t *Tree) ReorgSubtree(i int, src DataSource) error {
 		t.mu.Unlock()
 		return nil
 	}
-	if t.inReorg {
+	if t.sideBuf != nil {
 		defer t.mu.Unlock()
 		return t.rebuildLocked(at, src)
 	}
-	t.inReorg = true
+	t.sideBuf = new([]bufferedOp)
 	t.mu.Unlock()
 
 	// Phase 2: scan and build without holding the tree latch.
@@ -191,15 +191,12 @@ func (t *Tree) ReorgSubtree(i int, src DataSource) error {
 
 	// Phase 3: install under the write latch, replaying parked writers.
 	t.mu.Lock()
-	defer func() {
-		t.inReorg = false
-		t.mu.Unlock()
-	}()
+	defer t.mu.Unlock()
 	defer t.replaySideBuf()
 	if err != nil {
 		return err
 	}
-	t.install(at, repl)
+	t.install(at, repl, len(pairs))
 	return nil
 }
 
@@ -242,7 +239,7 @@ func (t *Tree) rebuildLocked(at place, src DataSource) error {
 	if err != nil {
 		return err
 	}
-	t.install(at, buildReplacement(pairs, at, t.params))
+	t.install(at, buildReplacement(pairs, at, t.params), len(pairs))
 	return nil
 }
 
@@ -265,27 +262,34 @@ func buildReplacement(pairs []Pair, at place, params Params) subBuild {
 	return subBuild{b: b, root: b.build(pairs, nil, at.span, at.depth)}
 }
 
-// install replaces the subtree at with the one repl built. The old
-// subtree's slots are freed first, so the new one fills them, and its runs
-// settled, so the new runs do not grow an arena of dead slots. Called with
-// t.mu held.
-func (t *Tree) install(at place, repl subBuild) {
+// install replaces the subtree at with the one repl built from the
+// scanned pairs, and resets the subtree counters and the height to it. The
+// old subtree's slots are freed first, so the new one fills them, and its
+// runs settled, so the new runs do not grow an arena of dead slots. Called
+// with t.mu held.
+func (t *Tree) install(at place, repl subBuild, scanned int) {
 	t.free(*t.refAt(at))
 	t.settle()
 	r := t.graft(&repl.b.nodes, repl.root) // before refAt: the graft may move t.inner
 	*t.refAt(at) = r
+	if at.depth == 1 {
+		t.gauge = repl.b.top
+	} else {
+		t.gauge[at.i] = saturate(scanned)
+	}
+	t.height = t.depth(t.root)
 }
 
-// replaySideBuf applies writes parked during the reorganization scan.
-// Called with t.mu held and inReorg still true; the direct *Locked calls
-// bypass the diversion.
+// replaySideBuf applies writes parked during the reorganization scan and
+// ends the diversion. Called with t.mu held.
 func (t *Tree) replaySideBuf() {
-	for _, op := range t.sideBuf {
+	parked := *t.sideBuf
+	t.sideBuf = nil
+	for _, op := range parked {
 		if op.del {
 			t.deleteLocked(op.p.M, op.p.N, op.p.ID)
 		} else {
 			t.insertLocked(op.p.M, op.p.N, op.p.ID)
 		}
 	}
-	t.sideBuf = nil
 }

@@ -75,6 +75,7 @@ func TestLookupSeesSideBufferedInserts(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
+	checkStats(t, tr, len(src.pairs)+2) // the parked inserts are in no scan
 	res := tr.Lookup(500, 500)
 	found := false
 	for _, id := range res.IDs {
@@ -105,22 +106,22 @@ func TestLookupSeesSideBufferedInserts(t *testing.T) {
 	}
 }
 
-// A leaf's 32-bit count saturates: an insert into a leaf whose count is at
-// the limit leaves it there, where a wrap to 0 would stop the leaf's model
-// from answering (a lookup skips the model of a leaf that counts no tuple),
-// and a delete takes it one below.
+// A subtree's 32-bit count saturates: an insert into a subtree whose count
+// is at the limit leaves it there, where a wrap to 0 would tell a reader of
+// the counts that the subtree holds no tuple, and a delete takes it one
+// below.
 func TestLeafCountersSaturate(t *testing.T) {
 	tr := mustBuild(t, genLinear(1000, 100, 0, 6), DefaultParams())
-	slot, _ := tr.traverse(50)
-	l := &tr.leaves[slot]
-	l.count = math.MaxUint32
+	_, _, top := tr.traverse(50)
+	c := &tr.gauge[top]
+	*c = math.MaxUint32
 	tr.Insert(50, 200, 1)
-	if l.count != math.MaxUint32 {
-		t.Fatalf("an insert at the limit left count %d", l.count)
+	if *c != math.MaxUint32 {
+		t.Fatalf("an insert at the limit left count %d", *c)
 	}
 	tr.Delete(50, 200, 1)
-	if l.count != math.MaxUint32-1 {
-		t.Fatalf("a delete at the limit left count %d", l.count)
+	if *c != math.MaxUint32-1 {
+		t.Fatalf("a delete at the limit left count %d", *c)
 	}
 }
 
@@ -158,6 +159,7 @@ func TestReorgReplayedDeletesKeepModel(t *testing.T) {
 	if err := tr.ReorgSubtree(0, &deletingSource{tr: tr, pairs: pairs}); err != nil {
 		t.Fatal(err)
 	}
+	checkStats(t, tr, -1)
 	res := tr.Lookup(0, 0)
 	if !slices.Contains(res.IDs, 0) && !slices.ContainsFunc(res.Ranges, func(r Range) bool { return r.Lo <= 0 && 0 <= r.Hi }) {
 		t.Fatalf("Lookup(0, 0) = %+v: no range or id for the live pair (0, 0)", res)

@@ -7,13 +7,13 @@
 // sub-ranges until each leaf's (m, n) pairs are well covered by a simple
 // linear regression n = beta*m + alpha ± eps; pairs the model fails to cover
 // are kept in per-leaf outlier buffers mapping m to tuple identifiers, each
-// outlier a 4 + w byte record: m as a float32 offset from its leaf's lower
-// bound, rounded down, and the identifier coded in the w bytes the tree's
-// largest one needs (internal/forcode, base 0). Lookups on M return
-// approximate ranges on N (to be resolved against the host index) plus the
-// identifiers of the outliers that may match: a conservative superset,
-// since a rounded offset stands for every value that rounds to it, which
-// the base-table visit that ends a Hermit lookup filters.
+// outlier a 2 + w byte record: which of 65 535 equal sub-ranges of its leaf
+// holds m, and the identifier coded in the w bytes the tree's largest one
+// needs (internal/forcode, base 0). Lookups on M return approximate ranges
+// on N (to be resolved against the host index) plus the identifiers of the
+// outliers that may match: a conservative superset, since a code stands
+// for every value of its sub-range, which the base-table visit that ends a
+// Hermit lookup filters.
 //
 // The structure supports inserts and deletes at runtime, and one way to
 // reorganize (paper §4.4 and Appendix B): ReorgSubtree rebuilds a
@@ -143,30 +143,34 @@ func (r ref) isLeaf() bool { return r < 0 }
 func (r ref) slot() int32 { return ^int32(r) }
 
 // leaf is a TRS-Tree leaf: the fitted model, confidence interval and
-// outlier buffer of one sub-range, in 40 bytes that hold no pointer. The
-// buffer is a run of the tree's outlier arena (nodes.out): records
-// [off, off+n) are its entries, and [off+n, off+cap) room the run owns. A
-// run of no room starts at 0.
+// outlier buffer of one sub-range, in 32 bytes that hold no pointer. eps is
+// the interval the builder classified the leaf's pairs against (epsOf); a
+// float32 keeps its sign, so fitted still tells −0 from +0. The buffer is a
+// run of the tree's outlier arena (nodes.out): records [off, off+n) are its
+// entries, and [off+n, off+cap) room the run owns. A run of no room starts
+// at 0. A leaf counts no tuples: the tree counts them per first-level
+// subtree (Tree.gauge).
 type leaf struct {
-	model stats.LinearModel
-	eps   float64
-	// count is the live tuples covered by this leaf's range; it saturates.
-	count       uint32
+	model       stats.LinearModel
+	eps         float32
 	off, n, cap uint32
 }
 
 // An outlier — a pair the linear function fails to cover — is a record of
-// the arena, 4 + w bytes: its target value m as a float32 offset from the
-// leaf's span (span.code: m − lo rounded down), then its tuple identifier
-// in w bytes, w being the arena's id width (3 for a table of a few hundred
-// thousand rows under either pointer scheme: row ids and logical ids,
-// hermit.LogicalID, are both dense). The buffers dominate the index
-// footprint for noisy workloads (§7.2), and a Hermit lookup may return
-// false positives but no false negative (§5.2), so a record is a
+// the arena, 2 + w bytes: its code, which of codeRanges equal sub-ranges of
+// the leaf's span holds its target value m (span.code), then its tuple
+// identifier in w bytes, w being the arena's id width (3 for a table of a
+// few hundred thousand rows under either pointer scheme: row ids and
+// logical ids, hermit.LogicalID, are both dense). The buffers dominate the
+// index footprint for noisy workloads (§7.2), and a Hermit lookup may
+// return false positives but no false negative (§5.2), so a record is a
 // conservative filter, not the exact key: m ↦ code(m) is monotone, a
-// lookup returns every record whose code could be that of a value in its
-// predicate (matcher), and the base-table pass that ends every Hermit
-// lookup drops the few that are not.
+// lookup returns every record whose code lies between those of its
+// predicate's bounds (lookupNode), and the base-table pass that ends every
+// Hermit lookup drops the few that are not in it. The filter need only
+// keep a leaf's sub-ranges apart: the benchmark's deepest leaves span
+// 1000/8⁴ ≈ 1.95, and 2¹⁶ sub-ranges of that are already finer than its
+// target column's grid.
 
 // span is a node's sub-range [lo, hi] of the target column and its edge
 // flags. The root's span is the tree's bounds; every other span is derived
@@ -211,56 +215,29 @@ func (s span) effectiveHi() float64 {
 	return s.hi
 }
 
-// origin is what an outlier's code is an offset from: the span's lower
-// bound, or 0 when that is infinite or NaN (a tree built over infinite
-// bounds), where m − lo would be NaN for an m of the same infinity.
-func (s span) origin() float64 {
-	if math.IsInf(s.lo, 0) || math.IsNaN(s.lo) {
-		return 0
-	}
-	return s.lo
-}
+// codeRanges is the number of sub-ranges of its leaf's span an outlier's
+// code tells apart; the code past them, nanCode, is a NaN's.
+const (
+	codeRanges = 65535
+	nanCode    = codeRanges
+)
 
-// code is the record field of target value m in a leaf over s: m − origin
-// rounded down to a float32. It is monotone in m; a NaN m codes to NaN.
-func (s span) code(m float64) float32 { return roundDown32(m - s.origin()) }
-
-// matcher is the code range [lo, hi] a leaf over s returns records from
-// for the predicate olo ≤ m ≤ ohi (olo ≤ ohi, neither NaN): the codes d
-// with d ≤ ohi − origin and olo − origin ≤ nextUp32(d), in float64
-// subtractions. Every value of the predicate codes into it: d = code(m) ≤
-// m − origin ≤ ohi − origin, and m − origin < nextUp32(d) since d is the
-// greatest float32 not above it. A NaN code is in no range.
-func (s span) matcher(olo, ohi float64) (lo, hi float32) {
-	o := s.origin()
-	x := olo - o
-	lo = roundDown32(x)
-	if float64(lo) == x { // nextUp32(d) ≥ x holds from the float32 below x on
-		lo = math.Nextafter32(lo, float32(math.Inf(-1)))
+// code is the record field of target value m in a leaf over s: which of
+// codeRanges equal sub-ranges of s holds m, by the descent's arithmetic
+// (subRange), so −Inf and values below s code to 0 and +Inf and values
+// above it to codeRanges − 1; every value of a span of no width, or of no
+// finite one, codes to 0. It is monotone in m. A NaN codes to nanCode,
+// which the code of no bound of a predicate reaches.
+func (s span) code(m float64) uint16 {
+	if m != m {
+		return nanCode
 	}
-	return lo, roundDown32(ohi - o)
-}
-
-// roundDown32 returns the greatest float32 not above x: MaxFloat32 for a
-// finite x beyond it and −Inf below −MaxFloat32, where a conversion's
-// result would be the implementation's; NaN for NaN.
-func roundDown32(x float64) float32 {
-	switch {
-	case x > math.MaxFloat32 && x <= math.MaxFloat64:
-		return math.MaxFloat32
-	case x < -math.MaxFloat32:
-		return float32(math.Inf(-1))
-	}
-	f := float32(x)
-	if float64(f) > x {
-		f = math.Nextafter32(f, float32(math.Inf(-1)))
-	}
-	return f
+	return uint16(subRange(m, s.lo, s.width(codeRanges), codeRanges))
 }
 
 // nodes holds the nodes of a tree, or of a subtree being built.
 type nodes struct {
-	// fanout and w share a word: a Tree stays in its 288-byte size class.
+	// fanout and w share a word.
 	fanout int32
 	// w is the width of the arena's id fields in bytes: the fewest that
 	// hold the largest id written to it. A wider id re-encodes the arena
@@ -290,7 +267,7 @@ func (n *nodes) kids(r ref) []ref {
 }
 
 // rec is the size of an arena record in bytes.
-func (n *nodes) rec() int { return 4 + int(n.w) }
+func (n *nodes) rec() int { return 2 + int(n.w) }
 
 // slots is the number of records the arena holds.
 func (n *nodes) slots() int { return len(n.out) / n.rec() }
@@ -307,23 +284,23 @@ func (n *nodes) arena(k, c int) []byte {
 }
 
 // code returns the code field of record i.
-func (n *nodes) code(i uint32) float32 {
-	return math.Float32frombits(uint32(forcode.Load(n.out, int(i)*n.rec())))
+func (n *nodes) code(i uint32) uint16 {
+	return uint16(forcode.Load(n.out, int(i)*n.rec()))
 }
 
 // id returns the id field of record i.
 func (n *nodes) id(i uint32) uint64 {
-	return forcode.Load(n.out, int(i)*n.rec()+4) & forcode.Mask(n.w)
+	return forcode.Load(n.out, int(i)*n.rec()+2) & forcode.Mask(n.w)
 }
 
 // put writes record i, widening the arena first if id needs more bytes.
 // The id is written by a read-modify-write of 8 bytes, which leaves the
 // bytes past it as they were.
-func (n *nodes) put(i uint32, d float32, id uint64) {
+func (n *nodes) put(i uint32, d uint16, id uint64) {
 	n.widen(forcode.Width(id))
 	o := int(i) * n.rec()
-	binary.LittleEndian.PutUint32(n.out[o:], math.Float32bits(d))
-	forcode.Store(n.out, o+4, id, forcode.Mask(n.w))
+	binary.LittleEndian.PutUint16(n.out[o:], d)
+	forcode.Store(n.out, o+2, id, forcode.Mask(n.w))
 }
 
 // widen re-encodes the arena with ids w bytes wide, if they are narrower:
@@ -545,22 +522,31 @@ func (n *nodes) sizeBytes() uint64 {
 //
 // Concurrency: the tree latches itself. Lookup takes the read latch;
 // Insert/Delete/Update take the write latch (they mutate leaf outlier
-// buffers and counts, or divert to the reorganization side buffer).
-// ReorgSubtree, the only rebuild after construction (the engine never calls
-// it), scans and builds off-latch, parking concurrent writers in a temporal
-// side buffer, and takes the write latch only for the brief
+// buffers and the subtree counters, or divert to the reorganization side
+// buffer). ReorgSubtree, the only rebuild after construction (the engine
+// never calls it), scans and builds off-latch, parking concurrent writers
+// in a temporal side buffer, and takes the write latch only for the brief
 // install-and-replay phase (Appendix B's coarse-grained protocol).
 type Tree struct {
 	mu     sync.RWMutex
 	params Params
 	bounds span // the root's: the build-time range R, edge-extended both ways
 	root   ref
+	height int32 // the depth of the deepest leaf, the root's being 1
 	nodes
 
-	// Reorganization state: a rebuild is parked in its scan, and the
-	// writes that arrived since.
-	inReorg bool
-	sideBuf []bufferedOp
+	// sideBuf is nil unless a rebuild is parked in its scan, and then
+	// holds the writes that arrived since. A pointer, one word, keeps a
+	// Tree in its 288-byte size class.
+	sideBuf *[]bufferedOp
+
+	// gauge counts the live tuples of each first-level subtree — the
+	// root's, while it is a leaf — as the build or the last rebuild of the
+	// subtree counted them, then one up for an insert and one down for a
+	// delete; each saturates at both ends. It is a statistic, which no
+	// lookup reads: a replayed parked delete can lower it below the
+	// subtree's live tuples (ReorgSubtree).
+	gauge []uint32
 }
 
 type bufferedOp struct {
@@ -568,10 +554,11 @@ type bufferedOp struct {
 	p   Pair
 }
 
-// newTree wraps the nodes under root, a tree over [lo, hi].
-func newTree(params Params, lo, hi float64, root ref, n nodes) *Tree {
+// newTree wraps the nodes under root, a tree over [lo, hi] whose
+// first-level subtrees hold the tuples gauge counts.
+func newTree(params Params, lo, hi float64, root ref, n nodes, gauge []uint32) *Tree {
 	n.clip()
-	return &Tree{params: params, bounds: span{lo: lo, hi: hi, left: true, right: true}, root: root, nodes: n}
+	return &Tree{params: params, bounds: span{lo: lo, hi: hi, left: true, right: true}, root: root, height: n.depth(root), nodes: n, gauge: gauge}
 }
 
 // Params returns the parameters the tree was built with.
@@ -581,66 +568,88 @@ func (t *Tree) Params() Params { return t.params }
 func (t *Tree) Bounds() (lo, hi float64) { return t.bounds.lo, t.bounds.hi }
 
 // Height returns the depth of the deepest leaf (root = 1).
-func (t *Tree) Height() int { return t.Stats().Height }
+func (t *Tree) Height() int {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return int(t.height)
+}
 
 // Stats summarises the tree's structure; used by the memory and breakdown
-// experiments.
+// experiments and by the planner, on every plan.
 type Stats struct {
 	Nodes        int
 	Leaves       int
 	Outliers     int
-	TuplesGauged int // sum of per-leaf live counts
+	TuplesGauged int // sum of the per-subtree live counts (Tree.gauge)
 	Height       int
 	SizeBytes    uint64
 }
 
-// Stats walks the tree and returns structural statistics.
+// Stats returns structural statistics from the counts the tree keeps, in
+// time independent of its size: the node arrays less their free lists,
+// the entries the arena holds, the subtree counters and the height.
 func (t *Tree) Stats() Stats {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	var s Stats
-	t.walkStats(t.root, 1, &s)
-	s.SizeBytes = heapsize.Of(int(unsafe.Sizeof(Tree{})), true) + t.nodes.sizeBytes()
+	leaves := len(t.leaves) - len(t.freeLeaves)
+	s := Stats{
+		Nodes:    leaves + len(t.inner)/int(t.fanout) - len(t.freeInner),
+		Leaves:   leaves,
+		Outliers: t.held,
+		Height:   int(t.height),
+		SizeBytes: heapsize.Of(int(unsafe.Sizeof(Tree{})), true) + t.nodes.sizeBytes() +
+			heapsize.Of(cap(t.gauge)*4, false),
+	}
+	for _, c := range t.gauge {
+		s.TuplesGauged += int(c)
+	}
 	return s
 }
 
-func (t *Tree) walkStats(r ref, depth int, s *Stats) {
-	s.Nodes++
-	s.Height = max(s.Height, depth)
+// depth returns the depth of the deepest leaf under r, r's being 1.
+func (n *nodes) depth(r ref) int32 {
 	if r.isLeaf() {
-		l := &t.leaves[r.slot()]
-		s.Leaves++
-		s.Outliers += int(l.n)
-		s.TuplesGauged += int(l.count)
-		return
+		return 1
 	}
-	for _, c := range t.kids(r) {
-		t.walkStats(c, depth+1, s)
+	var d int32
+	for _, c := range n.kids(r) {
+		d = max(d, n.depth(c))
 	}
+	return d + 1
 }
 
 // SizeBytes is the heap footprint of the tree, the quantity the paper's
 // memory figures (Figs. 5, 7, 18–20) report for Hermit's new indexes: its
-// node arrays and outlier arena as the allocator holds them.
+// node arrays, outlier arena and subtree counters as the allocator holds
+// them.
 func (t *Tree) SizeBytes() uint64 { return t.Stats().SizeBytes }
 
 // OutlierCount returns the total number of buffered outlier identifiers.
-func (t *Tree) OutlierCount() int { return t.Stats().Outliers }
+func (t *Tree) OutlierCount() int {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return t.held
+}
 
 // LeafCount returns the number of leaves.
 func (t *Tree) LeafCount() int { return t.Stats().Leaves }
 
 // traverse descends to the leaf whose range covers m (Algorithm 3's
-// Traverse) and returns its slot and span. Values outside the root range
-// land in the edge leaves.
-func (t *Tree) traverse(m float64) (int32, span) {
-	r, s, k := t.root, t.bounds, t.params.NodeFanout
+// Traverse) and returns its slot and span, and the first-level subtree it
+// lies in (0 while the root is a leaf), which gauge counts it under.
+// Values outside the root range land in the edge leaves.
+func (t *Tree) traverse(m float64) (slot int32, s span, top int) {
+	r, k := t.root, t.params.NodeFanout
+	s, top = t.bounds, -1
 	for !r.isLeaf() {
 		w := s.width(k)
 		i := subRange(m, s.lo, w, k)
+		if top < 0 {
+			top = i
+		}
 		r, s = t.kids(r)[i], s.child(w, i, k)
 	}
-	return r.slot(), s
+	return r.slot(), s, max(top, 0)
 }
 
 // subRange returns which of k sub-ranges of width w from lo holds m,

@@ -218,6 +218,32 @@ func TestErrorBoundZeroFittedZeroLine(t *testing.T) {
 	checkRecall(t, tr, append(pairs, Pair{M: 500.5, N: 0, ID: 1000}), 0, 999)
 }
 
+// TestEpsBeyondFloat32: a leaf whose derived eps exceeds MaxFloat32 stores
+// MaxFloat32 and classifies its pairs against it, so a lookup misses no
+// pair. Over [0, 1e10] a slope of 1e300 derives an eps of +Inf at the root,
+// under which the pair at 1e10, where the model predicts +Inf, would be
+// covered, and its predicted range, [+Inf − Inf, +Inf], is NaN.
+func TestEpsBeyondFloat32(t *testing.T) {
+	pairs := make([]Pair, 1000)
+	for i := range pairs {
+		m := float64(i) / 1000
+		pairs[i] = Pair{M: m, N: 1e300 * m, ID: uint64(i)}
+	}
+	pairs = append(pairs, Pair{M: 1e10, N: 5, ID: 1000})
+	tr := mustBuild(t, pairs, DefaultParams())
+	saturated := false
+	for _, l := range tr.leaves {
+		saturated = saturated || l.eps == math.MaxFloat32
+	}
+	if !saturated {
+		t.Fatal("no leaf's eps is MaxFloat32")
+	}
+	for _, p := range pairs {
+		checkRecall(t, tr, pairs, p.M, p.M)
+	}
+	checkRecall(t, tr, pairs, 0, 1e10)
+}
+
 func TestLargerErrorBoundShrinksTree(t *testing.T) {
 	pairs := genSigmoid(30000, 1000, 0.01, 6)
 	small := DefaultParams()
@@ -382,13 +408,15 @@ func TestUpdateTransitions(t *testing.T) {
 	}
 }
 
-// reorgAll rebuilds every first-level subtree of tr from src.
+// reorgAll rebuilds every first-level subtree of tr from src, checking
+// Stats against a walk after each rebuild.
 func reorgAll(t testing.TB, tr *Tree, src DataSource) {
 	t.Helper()
 	for i := range tr.Params().NodeFanout {
 		if err := tr.ReorgSubtree(i, src); err != nil {
 			t.Fatal(err)
 		}
+		checkStats(t, tr, -1)
 	}
 }
 
@@ -427,6 +455,7 @@ func TestReorgSubtree(t *testing.T) {
 	tr := mustBuild(t, src.pairs, DefaultParams())
 	reorgAll(t, tr, src)
 	checkRecall(t, tr, src.pairs, 0, 1000)
+	checkStats(t, tr, len(src.pairs))
 	leaves, inner := len(tr.leaves), len(tr.inner)
 	reorgAll(t, tr, src)
 	checkRecall(t, tr, src.pairs, 0, 1000)
@@ -435,23 +464,29 @@ func TestReorgSubtree(t *testing.T) {
 			len(tr.leaves), len(tr.inner), leaves, inner)
 	}
 	// An i that names no subtree rebuilds nothing.
-	want := fingerprint(tr, true)
+	want := fingerprint(tr, withCodes)
 	for _, i := range []int{-1, DefaultParams().NodeFanout} {
 		if err := tr.ReorgSubtree(i, src); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if fingerprint(tr, true) != want {
+	if fingerprint(tr, withCodes) != want {
 		t.Fatal("a rebuild of no subtree changed the tree")
 	}
 }
 
 // overRatio reports whether the leaf covering m holds more outliers than
-// OutlierRatio of its tuples.
-func overRatio(tr *Tree, m float64) bool {
-	slot, _ := tr.traverse(m)
-	l := &tr.leaves[slot]
-	return float64(l.n) > tr.params.OutlierRatio*float64(l.count)
+// OutlierRatio of its live pairs, which are those of the table that land
+// in it.
+func overRatio(tr *Tree, table []Pair, m float64) bool {
+	slot, _, _ := tr.traverse(m)
+	live := 0
+	for _, p := range table {
+		if s, _, _ := tr.traverse(p.M); s == slot {
+			live++
+		}
+	}
+	return float64(tr.leaves[slot].n) > tr.params.OutlierRatio*float64(live)
 }
 
 // TestReorgReplayDeterministic plays one schedule of inserts, deletes and
@@ -470,7 +505,7 @@ func TestReorgReplayDeterministic(t *testing.T) {
 		for cycle := 0; cycle < 8; cycle++ {
 			// Off-line pairs until the leaf of the last one is over the ratio...
 			var added []Pair
-			for len(added) == 0 || !overRatio(tr, added[len(added)-1].M) {
+			for len(added) == 0 || !overRatio(tr, src.pairs, added[len(added)-1].M) {
 				m := rng.Float64() * 1000
 				p := Pair{M: m, N: 3*m + 20000, ID: uint64(100000 + len(src.pairs))}
 				added = append(added, p)
@@ -493,9 +528,10 @@ func TestReorgReplayDeterministic(t *testing.T) {
 			if err := tr.ReorgSubtree(i, src); err != nil {
 				t.Fatal(err)
 			}
+			checkStats(t, tr, len(src.pairs))
 		}
 		checkRecall(t, tr, src.pairs, 0, 1000)
-		return fingerprint(tr, true)
+		return fingerprint(tr, withCodes)
 	}
 	if first, second := play(), play(); first != second {
 		t.Fatal("two plays of one schedule left different trees")
@@ -551,6 +587,7 @@ func TestConcurrentLookupInsertReorg(t *testing.T) {
 	close(stop)
 	readers.Wait()
 	checkRecall(t, tr, src.pairs, 0, 1000)
+	checkStats(t, tr, -1)
 }
 
 // TestBuildParallelEquivalentResults: BuildParallel's tree is the same for
@@ -570,7 +607,7 @@ func TestBuildParallelEquivalentResults(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := fingerprint(tr, true)
+		got := fingerprint(tr, withCodes)
 		if run == 0 {
 			par, want = tr, got
 		} else if got != want {
@@ -610,9 +647,49 @@ func TestParamsSanitize(t *testing.T) {
 	}
 }
 
+// checkStats holds Stats, which reads counts the tree keeps, to a
+// recursive walk of the tree, and its TuplesGauged to live, the tuples the
+// tree indexes, when that is not negative.
+func checkStats(t testing.TB, tr *Tree, live int) {
+	t.Helper()
+	var want Stats
+	var walk func(r ref, depth int)
+	walk = func(r ref, depth int) {
+		want.Nodes++
+		want.Height = max(want.Height, depth)
+		if r.isLeaf() {
+			want.Leaves++
+			want.Outliers += int(tr.leaves[r.slot()].n)
+			return
+		}
+		for _, c := range tr.kids(r) {
+			walk(c, depth+1)
+		}
+	}
+	tr.mu.RLock()
+	walk(tr.root, 1)
+	subtrees := 1
+	if !tr.root.isLeaf() {
+		subtrees = tr.params.NodeFanout
+	}
+	tr.mu.RUnlock()
+	got := tr.Stats()
+	want.TuplesGauged, want.SizeBytes = got.TuplesGauged, got.SizeBytes
+	if got != want {
+		t.Fatalf("Stats %+v, a walk of the tree %+v", got, want)
+	}
+	if len(tr.gauge) != subtrees {
+		t.Fatalf("%d subtree counters for %d first-level subtrees", len(tr.gauge), subtrees)
+	}
+	if live >= 0 && got.TuplesGauged != live {
+		t.Fatalf("the subtree counters sum to %d, want the %d live tuples", got.TuplesGauged, live)
+	}
+}
+
 func TestStatsAndSize(t *testing.T) {
 	pairs := genSigmoid(20000, 1000, 0.05, 24)
 	tr := mustBuild(t, pairs, DefaultParams())
+	checkStats(t, tr, len(pairs))
 	st := tr.Stats()
 	if st.Nodes < st.Leaves || st.Leaves == 0 {
 		t.Fatalf("stats %+v", st)
