@@ -160,9 +160,6 @@ const (
 	// answer checked against a scan of the column: a false negative fails
 	// the trial.
 	measureCounts measure = "counts"
-	// measureExact is measureCounts under the name of the experiment that
-	// reports the check itself (Fig. 26's exactness line).
-	measureExact measure = "exact"
 	// measureMemory is the bytes of the series' indexes on the first K
 	// targets, and of the table under them.
 	measureMemory measure = "memory"
@@ -504,7 +501,7 @@ func (d *dataset) run(t trial) ([]Result, error) {
 	return []Result{r}, err
 }
 
-// query runs an ops, phases, counts or exact trial.
+// query runs an ops, phases or counts trial.
 func (d *dataset) query(t trial) (Result, error) {
 	path, r, err := d.index(t, d.targets())
 	if err != nil {

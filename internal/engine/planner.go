@@ -232,11 +232,11 @@ func (t *Table) bounds(col int) (lo, hi float64, ok bool) {
 // the Hermit index hx over rows live rows, read from the self-latching
 // tree, which keeps both as counts.
 func hermitAux(hx *hermit.Index, rows int) (outFrac float64, treeH float64) {
-	tr := hx.Tree()
+	outliers, height := hx.Tree().OutliersAndHeight()
 	if rows > 0 {
-		outFrac = float64(tr.OutlierCount()) / float64(rows)
+		outFrac = float64(outliers) / float64(rows)
 	}
-	return outFrac, float64(tr.Height())
+	return outFrac, float64(height)
 }
 
 // resetPathStats clears the runtime feedback of the paths that run kind's

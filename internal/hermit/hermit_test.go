@@ -327,6 +327,60 @@ func TestHarvestReadsNoRow(t *testing.T) {
 	}
 }
 
+// TestCandidatesBeyondBuildRange counts the candidates of lookups over rows
+// whose target values lie beyond the range the index was built over: rows
+// loaded into a table after its index was created on it empty (built over
+// [0, 1]), and rows appended past the largest value, as a time series
+// grows. Every such row is an outlier of an edge leaf, and a lookup must
+// hand out about the rows it matches, not every row beyond the range: its
+// point and unit-range lookups stay within two surplus candidates each.
+func TestCandidatesBeyondBuildRange(t *testing.T) {
+	const added, queries = 20_000, 200
+	for _, c := range []struct {
+		name   string
+		built  int
+		target func(i int, rng *rand.Rand) float64
+	}{
+		{"created on an empty table", 0, func(_ int, rng *rand.Rand) float64 { return rng.Float64() * 1000 }},
+		{"appended past the largest value", 10_000, func(i int, rng *rand.Rand) float64 {
+			return 1000 + 2000*(float64(i)+rng.Float64())/added
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			f := newFixture(t, c.built, linearFn, 0, PhysicalPointers, 16)
+			idx := newIndex(t, f, PhysicalPointers)
+			rng := rand.New(rand.NewSource(17))
+			for i := range added {
+				m := c.target(i, rng)
+				row := [4]float64{float64(c.built + i), linearFn(m), m, 0}
+				rid, err := f.table.Insert(row[:])
+				if err != nil {
+					t.Fatal(err)
+				}
+				f.rows = append(f.rows, row)
+				f.rids = append(f.rids, rid)
+				f.host.Insert(row[1], uint64(rid))
+				idx.Insert(uint64(rid), row[2], row[1])
+			}
+			matches, cands := 0, 0
+			for q := range queries {
+				lo := f.rows[c.built+rng.Intn(added)][2]
+				hi := lo + float64(q%2)
+				want, got := f.expected(lo, hi, PhysicalPointers), harvest(idx, lo, hi)
+				if !covers(got, want) {
+					t.Fatalf("[%v, %v]: a false negative", lo, hi)
+				}
+				matches += len(want)
+				cands += distinct(got)
+			}
+			t.Logf("%d queries: %d candidates for %d matching rows", queries, cands, matches)
+			if cands-matches > 2*queries {
+				t.Fatalf("%d queries: %d candidates for %d matching rows, more than two surplus a query", queries, cands, matches)
+			}
+		})
+	}
+}
+
 func TestSizeBytesSuccinct(t *testing.T) {
 	f := newFixture(t, 50000, linearFn, 0.01, PhysicalPointers, 13)
 	idx := newIndex(t, f, PhysicalPointers)

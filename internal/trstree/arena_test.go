@@ -153,8 +153,10 @@ func TestOutlierBufferFollowsEntries(t *testing.T) {
 // A seeded mix of Insert, Delete and Update on uncovered pairs, with a
 // rebuild of every first-level subtree now and then: after each stretch of
 // writes every leaf's run holds exactly the multiset of records a per-leaf
-// reference slice holds — each the code of its target value in the leaf's
-// span and its id — and the arena's bookkeeping is right.
+// reference of (m, id) entries holds, each coded as its target value codes
+// in the leaf now — the leaf's span, or an edge leaf's grid, which the
+// writes beyond the tree's bounds move — and the arena's bookkeeping is
+// right.
 func TestArenaRunsMatchReference(t *testing.T) {
 	base := genLinear(20_000, 1000, 0.02, 11)
 	tr := mustBuild(t, base, DefaultParams())
@@ -162,22 +164,30 @@ func TestArenaRunsMatchReference(t *testing.T) {
 		m, n float64
 		id   uint64
 	}
+	type entry struct {
+		m  float64
+		id uint64
+	}
 	var rows []row // written through the tree, model-covered or not
-	want := map[int32][]record{}
-	reset := func() {
+	want := map[int32][]entry{}
+	spans := map[int32]span{}
+	// leafOf is the slot of the leaf that covers m, the entry (m, id) is
+	// there, and whether the leaf covers (m, n) with its model.
+	leafOf := func(m, n float64, id uint64) (int32, entry, bool) {
+		s, sp, _ := tr.traverse(m)
+		spans[s] = sp
+		return s, entry{m, id}, tr.leaves[s].covers(sp, m, n)
+	}
+	reset := func(src []Pair) {
 		clear(want)
-		for s := range tr.leaves {
-			want[int32(s)] = records(&tr.nodes, &tr.leaves[s])
+		for _, p := range src {
+			if s, e, covered := leafOf(p.M, p.N, p.ID); !covered {
+				want[s] = append(want[s], e)
+			}
 		}
 	}
-	reset()
-	// leafOf is the slot of the leaf that covers m, the record (m, id)
-	// is there, and whether the leaf covers (m, n) with its model.
-	leafOf := func(m, n float64, id uint64) (int32, record, bool) {
-		s, sp, _ := tr.traverse(m)
-		return s, record{sp.code(m), id}, tr.leaves[s].covers(sp, m, n)
-	}
-	drop := func(s int32, e record) {
+	reset(base)
+	drop := func(s int32, e entry) {
 		i := slices.Index(want[s], e)
 		if i < 0 {
 			t.Fatalf("no %v in the reference of leaf %d", e, s)
@@ -191,9 +201,13 @@ func TestArenaRunsMatchReference(t *testing.T) {
 		t.Helper()
 		for s := range tr.leaves {
 			got := slices.SortedFunc(slices.Values(records(&tr.nodes, &tr.leaves[s])), byEntry)
-			exp := slices.SortedFunc(slices.Values(want[int32(s)]), byEntry)
+			var exp []record
+			for _, e := range want[int32(s)] {
+				exp = append(exp, record{tr.codeAt(spans[int32(s)], e.m), e.id})
+			}
+			slices.SortFunc(exp, byEntry)
 			if !slices.Equal(got, exp) {
-				t.Fatalf("after op %d, leaf %d holds %d entries, want %d", op, s, len(got), len(exp))
+				t.Fatalf("after op %d, leaf %d holds %d entries %v, want %d %v", op, s, len(got), got[:min(len(got), 8)], len(exp), exp[:min(len(exp), 8)])
 			}
 		}
 		checkArena(t, &tr.nodes)
@@ -252,7 +266,7 @@ func TestArenaRunsMatchReference(t *testing.T) {
 			}
 			reorgAll(t, tr, pairSource(src))
 			checkArena(t, &tr.nodes)
-			reset()
+			reset(src)
 		}
 	}
 	compare(ops)

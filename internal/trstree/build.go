@@ -165,6 +165,7 @@ func (b *builder) build(pairs, other []Pair, s span, depth int) ref {
 	for _, sb := range spawned {
 		c := b.nodes.graft(&sb.b.nodes, sb.root)
 		b.nodes.kids(in)[sb.i] = c
+		b.nodes.takeEdges(&sb.b.nodes, s.child(w, sb.i, k))
 	}
 	return in
 }
@@ -198,12 +199,19 @@ func (b *builder) tryLeaf(pairs []Pair, s span, depth int) (leaf, bool) {
 		return leaf{}, false
 	}
 	l := leaf{model: model, eps: eps}
+	if g := b.nodes.gridOf(s); g != nil {
+		for _, p := range pairs {
+			if uncovered(model, eps, lo, hi, p) {
+				*g = s.fit(*g, p.M)
+			}
+		}
+	}
 	l.off, l.n, l.cap = b.nodes.claim(outliers), uint32(outliers), uint32(outliers)
 	b.nodes.held += outliers
 	at := l.off
 	for _, p := range pairs {
 		if uncovered(model, eps, lo, hi, p) {
-			b.nodes.put(at, s.code(p.M), p.ID)
+			b.nodes.put(at, b.nodes.codeAt(s, p.M), p.ID)
 			at++
 		}
 	}

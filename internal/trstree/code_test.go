@@ -1,6 +1,7 @@
 package trstree
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"runtime"
@@ -12,7 +13,8 @@ import (
 )
 
 // FuzzOutlierCode holds the outlier record to its contract. A leaf over a
-// span — edge-extended or not — holds records coded from m, with the
+// span — edge-extended or not; an edge leaf's grid first fitted to m, as
+// an insert fits it (nodes.mark) — holds records coded from m, with the
 // fuzzed id beside ids that set the arena's width w (1–8 bytes), repeated
 // up to 72 records, and then a full-width id; a lookup scans it for the
 // predicate [qlo, qhi] as lookupNode does:
@@ -21,8 +23,8 @@ import (
 //   - the record is returned exactly when code(olo) ≤ code(m) ≤ code(ohi);
 //   - a NaN m is returned by no query;
 //   - over a finite span of positive width, a returned finite m inside
-//     the span lies within one sub-range of the predicate clamped to the
-//     span (subRangeSlack);
+//     the span lies within one sub-range (one slot of an edge leaf's
+//     grid) of the predicate clamped to the span (subRangeSlack);
 //   - a scan into a fresh Result (chunks of the stack buffer) and into one
 //     with room (in place) return the same ids;
 //   - every id reads back as written, at width w and after the arena
@@ -82,7 +84,7 @@ func FuzzOutlierCode(f *testing.F) {
 		for range 1 + edges>>2%24 {
 			ids = append(ids, 1<<(8*(w-1)), id, 0) // the first sets the width
 		}
-		d := s.code(m)
+		d := n.mark(l, s, m)
 		for _, x := range ids {
 			n.addOutlier(l, d, x)
 		}
@@ -104,7 +106,7 @@ func FuzzOutlierCode(f *testing.F) {
 
 		olo, ohi := math.Max(qlo, s.effectiveLo()), math.Min(qhi, s.effectiveHi())
 		if olo <= ohi {
-			dlo, dhi := s.code(olo), s.code(ohi)
+			dlo, dhi := n.codeAt(s, olo), n.codeAt(s, ohi)
 			fresh := n.matches(nil, l, dlo, dhi)
 			if roomy := n.matches(make([]uint64, 0, len(ids)), l, dlo, dhi); !slices.Equal(fresh, roomy) {
 				t.Fatalf("a fresh result gets %x, one with room %x", fresh, roomy)
@@ -113,7 +115,7 @@ func FuzzOutlierCode(f *testing.F) {
 				t.Fatalf("records of one code matched in part: %x of %x", fresh, ids)
 			}
 			got := len(fresh) != 0
-			rule := s.code(olo) <= d && d <= s.code(ohi)
+			rule := dlo <= d && d <= dhi
 			switch {
 			case got != rule:
 				t.Fatalf("m %v over [%v, %v]: code %d, query [%v, %v] matched %v, the rule says %v", m, lo, hi, d, olo, ohi, got, rule)
@@ -122,7 +124,7 @@ func FuzzOutlierCode(f *testing.F) {
 			case math.IsNaN(m) && got:
 				t.Fatalf("a NaN m matched query [%v, %v]", olo, ohi)
 			}
-			if slack, ok := subRangeSlack(s); ok && got && lo <= m && m <= hi {
+			if slack, ok := subRangeSlack(n, s); ok && got && lo <= m && m <= hi {
 				clo, chi := min(max(olo, lo), hi), max(min(ohi, hi), lo)
 				if m < clo-slack || m > chi+slack {
 					t.Fatalf("m %v over [%v, %v] matched query [%v, %v], more than a sub-range (%v) away", m, lo, hi, olo, ohi, slack)
@@ -138,17 +140,113 @@ func FuzzOutlierCode(f *testing.F) {
 
 // subRangeSlack bounds how far a value of the sub-range a code stands for
 // lies from another of that sub-range in a span with finite bounds and a
-// finite, positive width: the computed sub-range width, a 2⁻³⁰ of it for
-// the roundings of the code's arithmetic, and codeRanges smallest
-// subnormals for the last sub-range, which ends at hi and so takes up
-// what the rounding of the width left over (a width that rounds to 0
-// codes every value to 0, and the span itself is below that slack).
-func subRangeSlack(s span) (float64, bool) {
+// finite, positive width: the computed sub-range width (an edge leaf's
+// slot width on its grid), a 2⁻³⁰ of it for the roundings of the code's
+// arithmetic, and codeRanges smallest subnormals for the last sub-range,
+// which ends at hi and so takes up what the rounding of the width left
+// over (a width that rounds to 0 codes every value to 0, and the span
+// itself is below that slack).
+func subRangeSlack(n *nodes, s span) (float64, bool) {
 	w, d := s.width(codeRanges), s.hi-s.lo
 	if math.IsInf(s.lo, 0) || math.IsInf(s.hi, 0) || math.IsInf(d, 0) || !(d > 0) {
 		return 0, false
 	}
+	if g := n.gridOf(s); g != nil {
+		w = math.Ldexp(s.baseWidth(), int(g.shift))
+	}
 	return w + w*0x1p-30 + codeRanges*math.SmallestNonzeroFloat64, true
+}
+
+// FuzzEdgeGrid writes outliers of the values data holds — each 8 bytes
+// the bits of a float64, or, with scale > 0, a step of up to scale times
+// the span's width past the last — into the one leaf of a tree built over
+// [lo, hi] on no pair, whose grid each value beyond its window moves:
+//
+//   - every record's code is the code its value has on the leaf's grid
+//     now (the recoding of a move is exact);
+//   - a lookup of [qlo, qhi], and a point lookup of every value written,
+//     returns every record whose value it holds (no false negative);
+//   - the grid's window holds every value some window holds.
+func FuzzEdgeGrid(f *testing.F) {
+	inf, nan := math.Inf(1), math.NaN()
+	le := func(vals ...float64) []byte {
+		var b []byte
+		for _, v := range vals {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+		}
+		return b
+	}
+	steps := make([]byte, 64)
+	for i := range steps {
+		steps[i] = byte(i*37 + 11)
+	}
+	for _, c := range []struct {
+		lo, hi, qlo, qhi, scale float64
+		data                    []byte
+	}{
+		{0, 1, 0, 1, 0, le(0.5, 2, 1000, -3, 1e6, 0.25)}, // an index created on an empty table
+		{0, 1000, 1500, 1600, 3, steps},                  // rows appended past the largest
+		{0, 1000, -1e9, -1, -3, steps},                   // and below the least
+		{5, 5, 5, 6, 0, le(5, 6, 4, 1e300, -1e300)},      // a span of no width
+		{0, 1, 1, inf, 0, le(inf, 2, -inf, nan, 3, math.MaxFloat64)},
+		{-1e308, 1e308, 0, inf, 0, le(math.MaxFloat64, -math.MaxFloat64, 1, 0)},
+		{0, 0x1p-1070, 0, 1, 0, le(1e-300, 1, 1e300, 0x1p-1073)}, // a subnormal width
+		{1e-300, 2e-300, -1, 0, 0, le(-1e-300, -0x1p-1074, math.Copysign(0, -1), 1)},
+		{0, 1, 0.999, 1.001, 0, le(1, math.Nextafter(1, inf), 2, 4, 8, 16)},
+		// a slot below 0 whose quotient underflows to −0 once the grid
+		// has moved a thousand steps
+		{0, 65532e-10, -1e-310, -1e-310, 0, le(-1e-310, 1e290)},
+	} {
+		f.Add(c.lo, c.hi, c.qlo, c.qhi, c.scale, c.data)
+	}
+	f.Fuzz(func(t *testing.T, lo, hi, qlo, qhi, scale float64, data []byte) {
+		if !(lo <= hi) || math.IsInf(lo, 0) || math.IsInf(hi, 0) || len(data) > 8*256 {
+			return
+		}
+		tr, err := Build(nil, lo, hi, DefaultParams())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ms []float64
+		last := hi
+		for ; len(data) >= 8; data = data[8:] {
+			x := binary.LittleEndian.Uint64(data)
+			m := math.Float64frombits(x)
+			if scale != 0 && !math.IsNaN(scale) && !math.IsInf(scale, 0) {
+				m = last + scale*(hi-lo+1)*float64(x>>11)/(1<<53)
+				last = m
+			}
+			tr.Insert(m, 0, uint64(len(ms)))
+			ms = append(ms, m)
+		}
+		s := tr.rootSpan()
+		l := &tr.leaves[tr.root.slot()]
+		if int(l.n) != len(ms) {
+			t.Fatalf("%d records of %d writes", l.n, len(ms))
+		}
+		g := *tr.gridOf(s)
+		for i := l.off; i < l.off+l.n; i++ {
+			m := ms[tr.id(i)]
+			if got, want := tr.code(i), s.gridCode(g, m); got != want {
+				t.Fatalf("m %v over [%v, %v] on grid %+v: code %d, its value codes %d", m, lo, hi, g, got, want)
+			}
+			if s.fit(g, m) != g {
+				t.Fatalf("m %v over [%v, %v]: grid %+v left it outside its window", m, lo, hi, g)
+			}
+		}
+		check := func(a, b float64) {
+			got := tr.Lookup(a, b).IDs
+			for i, m := range ms {
+				if m >= a && m <= b && !slices.Contains(got, uint64(i)) {
+					t.Fatalf("Lookup(%v, %v) over [%v, %v] on grid %+v misses m %v", a, b, lo, hi, g, m)
+				}
+			}
+		}
+		check(qlo, qhi)
+		for _, m := range ms {
+			check(m, m)
+		}
+	})
 }
 
 // TestOutlierIDWidening writes outliers with ids that need 3, 4, 6 and 8

@@ -44,7 +44,8 @@ func genBenchmarkShape(n int) []Pair {
 //	  leaf:  beta, alpha, [eps as a float64,] uint64 outliers, records
 //	  inner: uint32 NodeFanout, then the children in order
 //
-// where a record is [its code and] its uint64 id. What the hash covers
+// where a record is [its code and] its uint64 id, [and then the edge
+// leaves' grids, a uint16 shift and under each]. What the hash covers
 // tells a change of the tree's shape from one of its fields' widths.
 func fingerprint(tr *Tree, c covers) string {
 	tr.mu.RLock()
@@ -93,7 +94,10 @@ func fingerprint(tr *Tree, c covers) string {
 			node(c, s.child(w, i, k))
 		}
 	}
-	node(tr.root, tr.bounds)
+	node(tr.root, tr.rootSpan())
+	if c >= withCodes {
+		put(tr.edge)
+	}
 	return hex.EncodeToString(h.Sum(nil))
 }
 
@@ -106,7 +110,7 @@ const (
 	// eps or a record stores its target value moves.
 	shapeOnly covers = iota
 	withEps          // and each leaf's stored eps
-	withCodes        // and each record's code
+	withCodes        // and each record's code, and the edge leaves' grids
 )
 
 // TestBuildGolden pins the tree Build returns, node for node and bit for
@@ -139,31 +143,31 @@ func TestBuildGolden(t *testing.T) {
 		{"benchmark-50k", genBenchmarkShape(50_000), DefaultParams(),
 			"02fa7434f8b61ec3733501b1aea7598d9edc2dac5046aa12cab6d65c24eb5cbd",
 			"3f1390cf4f81dfcd8f135053f5bf10a2347ce50f61d91972710b813abe1269e9",
-			"3fe73328d39796948868f0f3d6cf79a9080118ebe2a28d17bf0b87685510d678", 21312},
+			"4281dfaf0d3da6f81a1ef66a4864eaad68596a95666d5c75cc201ec3c814af82", 21312},
 		{"benchmark-200k", genBenchmarkShape(200_000), DefaultParams(),
 			"45a21389b557f1614c2268b4548b9e2a16fdd4a07747be50c7f1b32e056d5490",
 			"7788a78f7c7920dce84539e6c7d6760e414f4c8e08ec4a5226d5d7d6622c6dda",
-			"dde5d8ad78f812734276a895f677844c4fdf5e1f8d1bc2ae8bf7b500ef6875ea", 30272},
+			"7d4c710af66aa6cac4c5a18231cf3136c6e075c0a553fbacbf56e13038c4c67f", 30272},
 		{"benchmark-1M", genBenchmarkShape(1_000_000), DefaultParams(),
 			"88c6be078261025503756d6afca7a502927b6ece7205f09a0ae2c773c68c27f5",
 			"53f43490149cc14b23b6f2b5876616b5a5e17a514a38711dfd1bc02cd42537ab",
-			"408d01fcd7bb251d7c9be57946e2c0337789ed2c945345b5a7dd4d50f01b3418", 207168},
+			"44c1a4b488a94d39f10c151c9979093dae02911acc1838083cfa30afbb805e95", 207168},
 		{"sigmoid-40k-noise2", genSigmoid(40_000, 1000, 0.02, 21), DefaultParams(),
 			"000f664c08d51401a79ee09df03fdf7994a7a4194618c3ef90a1c4f4dd105a61",
 			"8887ea7ea8d26190d96d6aa2ed24c23f941c7764f61cff5e4c710ff1bcf89462",
-			"11a7a8d623caf7ffd94b76d56d4899c4324b8c2c683eea04ed8deb974c84d766", 22208},
+			"3edd17000f82346440514d5d28fd604838da888fbb3e72578a0bf9c85d511b87", 22208},
 		{"linear-10k-noise5", genLinear(10_000, 1000, 0.05, 5), DefaultParams(),
 			"2cbb87de5695646469b1b8d37b8fdc3c8d4aeeb4db7e7c60af6a2f2827f27fe9",
 			"8ef05f55c865938228365754231b9b52d6ed1fa552b92e1892d7433ea288229b",
-			"7f6b46a58799892fdceccb7b41f092c4b80a358b226e059e86aa85c387fd6532", 2376},
+			"dc58d1496579349f416ae67802de44e13eec923fca24da82938e3729d52cbd41", 2376},
 		{"sigmoid-700-tiny-leaves", genSigmoid(700, 1000, 0.1, 9), small,
 			"291f63077ae28b5aceddca16497bbafc3ce62ff7769ffc42c449a07cf1e00e68",
 			"680bd8fcc6392f5c971c37a566926060f8a6ebbe8ead7c960e33a897e587cc77",
-			"2e4b97a810bb4e41c74e3445e1c26a965fcc9ff495637f9c98e9a743ab1b9a57", 7888},
+			"1a7b6632c3b988a131f17d0badbf040aa77b11ff0d627b9a47b63774e337e346", 7888},
 		{"flat-3000", flat, DefaultParams(),
 			"92ab36e601a849c6e2857f14a7a020d8471d3790b0b38013212fccc620b1e94a",
 			"ac5d0a583ca14b777765dbade2249babc73f6db0921d33c73ade556dec0a74f4",
-			"49c37777ba38fa8516ea1d287584a92bce9e01a5ad5c77de115672d745a64cd7", 12616},
+			"878fca10d56b53d23622cdace3cb9b564dc97ae916316fdd38aa78295a158a05", 12616},
 	}
 	for _, c := range cases {
 		tr, err := Build(c.pairs, 1, 0, c.params) // lo>hi: derive range from data
@@ -204,7 +208,7 @@ func TestBuildParallelGolden(t *testing.T) {
 	const (
 		shape     = "83504a52995298c45896c6fc444c6656045fa3dbea9bcc6ee274f5347e1aa05e"
 		structure = "3b553dac5559540085df8ee3004e907be328acaf4e8107302ffc35493fa4e64e"
-		all       = "8dda598df4bfe3ecafc4dfa35d058ab2eb6cee3e7b7a3c83a7b60f67a298049c"
+		all       = "6200593d1382f9b7363ae44e22cf039fdc48a039ca83e3ccbb26205fbaa0e559"
 		size      = 207168
 	)
 	src := genBenchmarkShape(1_000_000)

@@ -42,7 +42,7 @@ func (t *Tree) LookupInto(lo, hi float64, res *Result) {
 	if lo > hi {
 		return
 	}
-	t.lookupNode(t.root, t.bounds, lo, hi, res)
+	t.lookupNode(t.root, t.rootSpan(), lo, hi, res)
 	// Writes parked in the temporal side buffer while a reorganization
 	// scan is in flight (Appendix B) are already acknowledged to their
 	// writers, so lookups must see them: matching parked inserts join the
@@ -103,7 +103,7 @@ func (t *Tree) lookupNode(r ref, s span, lo, hi float64, res *Result) {
 	olo := math.Max(lo, s.effectiveLo())
 	ohi := math.Min(hi, s.effectiveHi())
 	if olo <= ohi && l.n > 0 {
-		res.IDs = t.matches(res.IDs, l, s.code(olo), s.code(ohi))
+		res.IDs = t.matches(res.IDs, l, t.codeAt(s, olo), t.codeAt(s, ohi))
 	}
 }
 

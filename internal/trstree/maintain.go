@@ -24,7 +24,7 @@ func (t *Tree) insertLocked(m, n float64, id uint64) {
 		t.gauge[top]++
 	}
 	if !l.covers(sp, m, n) {
-		t.addOutlier(l, sp.code(m), id)
+		t.addOutlier(l, t.mark(l, sp, m), id)
 	}
 }
 
@@ -49,7 +49,7 @@ func (t *Tree) deleteLocked(m, n float64, id uint64) {
 	slot, sp, top := t.traverse(m)
 	l := &t.leaves[slot]
 	if !l.covers(sp, m, n) {
-		t.removeOutlier(l, sp.code(m), id)
+		t.removeOutlier(l, t.codeAt(sp, m), id)
 	}
 	if t.gauge[top] > 0 {
 		t.gauge[top]--
@@ -71,9 +71,9 @@ func (t *Tree) Update(m, oldN, newN float64, id uint64) {
 	wasCovered, isCovered := l.covers(sp, m, oldN), l.covers(sp, m, newN)
 	switch {
 	case wasCovered && !isCovered:
-		t.addOutlier(l, sp.code(m), id)
+		t.addOutlier(l, t.mark(l, sp, m), id)
 	case !wasCovered && isCovered:
-		t.removeOutlier(l, sp.code(m), id)
+		t.removeOutlier(l, t.codeAt(sp, m), id)
 	}
 }
 
@@ -215,13 +215,14 @@ type place struct {
 // t.mu held.
 func (t *Tree) target(i int) (place, bool) {
 	if t.root.isLeaf() {
-		return place{span: t.bounds, depth: 1}, true
+		return place{span: t.rootSpan(), depth: 1}, true
 	}
 	k := t.params.NodeFanout
 	if i < 0 || i >= k {
 		return place{}, false
 	}
-	return place{span: t.bounds.child(t.bounds.width(k), i, k), depth: 2, i: i}, true
+	rs := t.rootSpan()
+	return place{span: rs.child(rs.width(k), i, k), depth: 2, i: i}, true
 }
 
 // refAt returns the reference to the node at p. Called with t.mu held.
@@ -272,6 +273,7 @@ func (t *Tree) install(at place, repl subBuild, scanned int) {
 	t.settle()
 	r := t.graft(&repl.b.nodes, repl.root) // before refAt: the graft may move t.inner
 	*t.refAt(at) = r
+	t.takeEdges(&repl.b.nodes, at.span)
 	if at.depth == 1 {
 		t.gauge = repl.b.top
 	} else {

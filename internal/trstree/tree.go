@@ -8,12 +8,13 @@
 // linear regression n = beta*m + alpha ± eps; pairs the model fails to cover
 // are kept in per-leaf outlier buffers mapping m to tuple identifiers, each
 // outlier a 2 + w byte record: which of 65 535 equal sub-ranges of its leaf
-// holds m, and the identifier coded in the w bytes the tree's largest one
-// needs (internal/forcode, base 0). Lookups on M return approximate ranges
-// on N (to be resolved against the host index) plus the identifiers of the
-// outliers that may match: a conservative superset, since a code stands
-// for every value of its sub-range, which the base-table visit that ends a
-// Hermit lookup filters.
+// holds m (in an edge leaf, which slot of a grid that moves over the values
+// beyond the tree's range), and the identifier coded in the w bytes the
+// tree's largest one needs (internal/forcode, base 0). Lookups on M return
+// approximate ranges on N (to be resolved against the host index) plus the
+// identifiers of the outliers that may match: a conservative superset,
+// since a code stands for every value of its sub-range, which the
+// base-table visit that ends a Hermit lookup filters.
 //
 // The structure supports inserts and deletes at runtime, and one way to
 // reorganize (paper §4.4 and Appendix B): ReorgSubtree rebuilds a
@@ -158,7 +159,8 @@ type leaf struct {
 
 // An outlier — a pair the linear function fails to cover — is a record of
 // the arena, 2 + w bytes: its code, which of codeRanges equal sub-ranges of
-// the leaf's span holds its target value m (span.code), then its tuple
+// the leaf's span holds its target value m (span.code; in an edge leaf,
+// which slot of the leaf's grid, span.gridCode), then its tuple
 // identifier in w bytes, w being the arena's id width (3 for a table of a
 // few hundred thousand rows under either pointer scheme: row ids and
 // logical ids, hermit.LogicalID, are both dense). The buffers dominate the
@@ -170,7 +172,11 @@ type leaf struct {
 // Hermit lookup drops the few that are not in it. The filter need only
 // keep a leaf's sub-ranges apart: the benchmark's deepest leaves span
 // 1000/8⁴ ≈ 1.95, and 2¹⁶ sub-ranges of that are already finer than its
-// target column's grid.
+// target column's grid. A code's resolution follows its leaf's span, not
+// its outliers: a leaf that spans the whole range — a root leaf over a
+// clean linear correlation — tells its outliers apart only to 1/65 535 of
+// it, and a predicate narrower than that returns the other outliers of
+// its bounds' sub-ranges too.
 
 // span is a node's sub-range [lo, hi] of the target column and its edge
 // flags. The root's span is the tree's bounds; every other span is derived
@@ -222,6 +228,11 @@ const (
 	nanCode    = codeRanges
 )
 
+// edgeRanges is the number of sub-ranges of its span an edge leaf's base
+// grid cuts it into (grid). Codes 1 to edgeRanges + 1 are a grid's window;
+// 0 and codeRanges − 1 code the values below and above every window.
+const edgeRanges = codeRanges - 3
+
 // code is the record field of target value m in a leaf over s: which of
 // codeRanges equal sub-ranges of s holds m, by the descent's arithmetic
 // (subRange), so −Inf and values below s code to 0 and +Inf and values
@@ -235,6 +246,99 @@ func (s span) code(m float64) uint16 {
 	return uint16(subRange(m, s.lo, s.width(codeRanges), codeRanges))
 }
 
+// A grid is how an edge leaf codes its outliers. Only an edge leaf holds
+// values beyond its span — every value beyond the tree's bounds, such as
+// the rows of a table loaded after its index was created, or appended past
+// its largest value — and one code for all of them would hand each of
+// them to every predicate beyond the span. So an edge leaf codes m by its
+// slot, ⌊(m − lo) / (w·2^shift)⌋, w being its span's width over
+// edgeRanges (baseWidth), plus 1 + under; the window of codes 1 to
+// codeRanges − 2 covers slots −under to edgeRanges − under. The zero grid
+// cuts the span into edgeRanges slots. An outlier whose slot falls outside
+// the window moves the window over it first (fit): the shift grows by the
+// fewest steps that bring the old window and the new value within
+// edgeRanges slots, which doubles the slots' width a step, and under
+// places them. A step maps slot x to x >> 1 exactly — the quotient's
+// rounding commutes with a power of two — so the leaf's records are
+// recoded from their codes alone (nodes.mark), to the code their value
+// gets on the new grid, and a code stays a monotone function of m. Every
+// finite m − lo fits some window, so the clamped codes 0 and
+// codeRanges − 1 hold only values no window reaches (±Inf, or an m − lo
+// that overflows), which no move recodes. The tree keeps one grid for
+// each of its two edge leaves (nodes.edge).
+type grid struct {
+	shift, under uint16
+}
+
+// baseWidth is the slot width of the zero grid of an edge leaf over s: its
+// width over edgeRanges, or, for a span of no width or none that is
+// finite, |lo| + 1 over edgeRanges; 0 when lo is not finite, and then
+// every value but a NaN codes to 0.
+func (s span) baseWidth() float64 {
+	if w := s.width(edgeRanges); w > 0 && w <= math.MaxFloat64 {
+		return w
+	}
+	if math.IsInf(s.lo, 0) || s.lo != s.lo {
+		return 0
+	}
+	return (math.Abs(s.lo) + 1) / edgeRanges
+}
+
+// slot returns ⌊d / (w·2^shift)⌋, below 0 for every d < 0 (a quotient
+// that underflows to −0 as well).
+func (g grid) slot(d, w float64) float64 {
+	x := math.Floor(d / math.Ldexp(w, int(g.shift)))
+	if x == 0 && d < 0 {
+		return -1
+	}
+	return x
+}
+
+// gridCode is the record field of target value m in an edge leaf over s
+// coding on g. It is monotone in m, and a NaN codes to nanCode.
+func (s span) gridCode(g grid, m float64) uint16 {
+	if m != m {
+		return nanCode
+	}
+	w := s.baseWidth()
+	if w == 0 {
+		return 0
+	}
+	switch c := g.slot(m-s.lo, w) + 1 + float64(g.under); {
+	case !(c >= 1):
+		return 0
+	case c > codeRanges-2:
+		return codeRanges - 1
+	default:
+		return uint16(c)
+	}
+}
+
+// fit returns the grid an edge leaf over s coding on g moves to so that
+// its window holds m: g when it does or when no window does, and else the
+// grid of the least shift whose window holds g's and m, its room on m's
+// side.
+func (s span) fit(g grid, m float64) grid {
+	w, d := s.baseWidth(), m-s.lo
+	if c := s.gridCode(g, m); w == 0 || math.IsInf(d, 0) || d != d || (c > 0 && c < codeRanges-1) {
+		return g
+	}
+	lo, hi := -int(g.under), edgeRanges-int(g.under) // g's window, in its slots
+	for j := 1; ; j++ {
+		n := grid{shift: g.shift + uint16(j)}
+		x := n.slot(d, w)
+		wlo, whi := float64(lo>>j), float64(hi>>j)
+		if from, to := math.Min(wlo, x), math.Max(whi, x); to-from <= edgeRanges {
+			if x > whi {
+				n.under = uint16(-from)
+			} else {
+				n.under = uint16(edgeRanges - to)
+			}
+			return n
+		}
+	}
+}
+
 // nodes holds the nodes of a tree, or of a subtree being built.
 type nodes struct {
 	// fanout and w share a word.
@@ -242,7 +346,9 @@ type nodes struct {
 	// w is the width of the arena's id fields in bytes: the fewest that
 	// hold the largest id written to it. A wider id re-encodes the arena
 	// (widen), at most 8 times in its life.
-	w      uint8
+	w uint8
+	// edge holds the grids of the left and the right edge leaf (gridOf).
+	edge   [2]grid
 	leaves []leaf
 	inner  []ref
 	// out is the outlier arena, every leaf's buffer a run of its records,
@@ -259,6 +365,56 @@ type nodes struct {
 // pad is the number of bytes the arena keeps past its last record: an
 // 8-byte load at the id field of any record stays inside the array.
 const pad = 8
+
+// gridOf returns the grid of the leaf over s, an edge leaf's — the
+// left one's while the root is a leaf — and nil for any other leaf.
+func (n *nodes) gridOf(s span) *grid {
+	switch {
+	case s.left:
+		return &n.edge[0]
+	case s.right:
+		return &n.edge[1]
+	}
+	return nil
+}
+
+// codeAt is the code of target value m in the leaf over s: its grid's code
+// in an edge leaf (gridCode), its span's in any other (code).
+func (n *nodes) codeAt(s span, m float64) uint16 {
+	if g := n.gridOf(s); g != nil {
+		return s.gridCode(*g, m)
+	}
+	return s.code(m)
+}
+
+// mark is codeAt for a record of m about to join leaf l over s: an edge
+// leaf first moves its grid over m (fit), and recodes its records to the
+// new grid.
+func (n *nodes) mark(l *leaf, s span, m float64) uint16 {
+	g := n.gridOf(s)
+	if g == nil {
+		return s.code(m)
+	}
+	if to := s.fit(*g, m); to != *g {
+		n.recode(l, *g, to)
+		*g = to
+	}
+	return s.gridCode(*g, m)
+}
+
+// recode rewrites the codes of leaf l's records from grid from to grid to,
+// whose shift is no less: a code of from's window names slot x, and the
+// value's slot on to is x >> (to.shift − from.shift); a code outside the
+// window stays.
+func (n *nodes) recode(l *leaf, from, to grid) {
+	j := to.shift - from.shift
+	for i := l.off; i < l.off+l.n; i++ {
+		if c := n.code(i); c > 0 && c < codeRanges-1 {
+			x := (int(c) - 1 - int(from.under)) >> j
+			binary.LittleEndian.PutUint16(n.out[int(i)*n.rec():], uint16(x+1+int(to.under)))
+		}
+	}
+}
 
 // kids returns the child references of inner node r.
 func (n *nodes) kids(r ref) []ref {
@@ -378,6 +534,16 @@ func (n *nodes) graft(src *nodes, r ref) ref {
 		n.kids(in)[i] = g
 	}
 	return in
+}
+
+// takeEdges takes the grids of the edge leaves src built under s.
+func (n *nodes) takeEdges(src *nodes, s span) {
+	if s.left {
+		n.edge[0] = src.edge[0]
+	}
+	if s.right {
+		n.edge[1] = src.edge[1]
+	}
 }
 
 // free gives back the slots of the subtree under r, and its leaves' runs.
@@ -530,7 +696,7 @@ func (n *nodes) sizeBytes() uint64 {
 type Tree struct {
 	mu     sync.RWMutex
 	params Params
-	bounds span // the root's: the build-time range R, edge-extended both ways
+	lo, hi float64 // the build-time range R, the root's span (rootSpan)
 	root   ref
 	height int32 // the depth of the deepest leaf, the root's being 1
 	nodes
@@ -558,14 +724,18 @@ type bufferedOp struct {
 // first-level subtrees hold the tuples gauge counts.
 func newTree(params Params, lo, hi float64, root ref, n nodes, gauge []uint32) *Tree {
 	n.clip()
-	return &Tree{params: params, bounds: span{lo: lo, hi: hi, left: true, right: true}, root: root, height: n.depth(root), nodes: n, gauge: gauge}
+	return &Tree{params: params, lo: lo, hi: hi, root: root, height: n.depth(root), nodes: n, gauge: gauge}
 }
+
+// rootSpan is the root's span: the build-time range R, edge-extended both
+// ways.
+func (t *Tree) rootSpan() span { return span{lo: t.lo, hi: t.hi, left: true, right: true} }
 
 // Params returns the parameters the tree was built with.
 func (t *Tree) Params() Params { return t.params }
 
 // Bounds returns the target-column range the tree was built over.
-func (t *Tree) Bounds() (lo, hi float64) { return t.bounds.lo, t.bounds.hi }
+func (t *Tree) Bounds() (lo, hi float64) { return t.lo, t.hi }
 
 // Height returns the depth of the deepest leaf (root = 1).
 func (t *Tree) Height() int {
@@ -631,6 +801,14 @@ func (t *Tree) OutlierCount() int {
 	return t.held
 }
 
+// OutliersAndHeight returns OutlierCount and Height under one read latch:
+// the planner reads both on every plan.
+func (t *Tree) OutliersAndHeight() (outliers, height int) {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return t.held, int(t.height)
+}
+
 // LeafCount returns the number of leaves.
 func (t *Tree) LeafCount() int { return t.Stats().Leaves }
 
@@ -640,7 +818,7 @@ func (t *Tree) LeafCount() int { return t.Stats().Leaves }
 // Values outside the root range land in the edge leaves.
 func (t *Tree) traverse(m float64) (slot int32, s span, top int) {
 	r, k := t.root, t.params.NodeFanout
-	s, top = t.bounds, -1
+	s, top = t.rootSpan(), -1
 	for !r.isLeaf() {
 		w := s.width(k)
 		i := subRange(m, s.lo, w, k)

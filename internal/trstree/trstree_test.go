@@ -3,6 +3,7 @@ package trstree
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -524,7 +525,7 @@ func TestReorgReplayDeterministic(t *testing.T) {
 				}
 				tr.Delete(p.M, p.N, p.ID)
 			}
-			i := subRange(last, tr.bounds.lo, tr.bounds.width(k), k)
+			i := subRange(last, tr.lo, tr.rootSpan().width(k), k)
 			if err := tr.ReorgSubtree(i, src); err != nil {
 				t.Fatal(err)
 			}
@@ -911,6 +912,58 @@ func TestLookupBeyondBoundsDeepEdges(t *testing.T) {
 			res := tr.Lookup(c.lo, c.hi)
 			if len(res.IDs) != 1 || res.IDs[0] != c.id {
 				t.Errorf("%s: Lookup(%v, %v) IDs = %v, want [%d]", name, c.lo, c.hi, res.IDs, c.id)
+			}
+		}
+	}
+}
+
+// A build over bounds narrower than its pairs — a ReorgSubtree of an edge
+// subtree rescans such pairs — fits each edge leaf's grid to the values
+// beyond its span before it codes them, in either builder (the parallel
+// one takes the grids from the workers that built the edge leaves): every
+// record of an edge leaf codes as its value does on the tree's grid, and
+// a point lookup of every value beyond the bounds returns it.
+func TestEdgeGridsBuilt(t *testing.T) {
+	// A cubic, which splits the root, and first-level subtrees large
+	// enough for BuildParallel to hand to workers.
+	pairs := make([]Pair, 100_000)
+	rng := rand.New(rand.NewSource(33))
+	for i := range pairs {
+		m := rng.Float64() * 1000
+		pairs[i] = Pair{M: m, N: math.Pow(m-500, 3), ID: uint64(i)}
+	}
+	for i := range 3000 {
+		m := -2000 * rng.Float64()
+		if i%2 == 0 {
+			m = 1000 + 4000*rng.Float64()
+		}
+		pairs = append(pairs, Pair{M: m, N: 0, ID: uint64(len(pairs))})
+	}
+	par, err := BuildParallel(append([]Pair(nil), pairs...), 0, 1000, DefaultParams(), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seq, err := Build(append([]Pair(nil), pairs...), 0, 1000, DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, tr := range map[string]*Tree{"sequential": seq, "parallel": par} {
+		if tr.root.isLeaf() || tr.edge[0].shift == 0 || tr.edge[1].shift == 0 {
+			t.Fatalf("%s: grids %+v: values beyond both ends of a split root must move both", name, tr.edge)
+		}
+		for _, m := range []float64{-1, 1001} {
+			slot, sp, _ := tr.traverse(m)
+			l := &tr.leaves[slot]
+			for i := l.off; i < l.off+l.n; i++ {
+				p := pairs[tr.id(i)]
+				if got, want := tr.code(i), tr.codeAt(sp, p.M); got != want {
+					t.Fatalf("%s: record of m %v codes %d, its value %d on grid %+v", name, p.M, got, want, *tr.gridOf(sp))
+				}
+			}
+		}
+		for _, p := range pairs[100_000:] {
+			if !slices.Contains(tr.Lookup(p.M, p.M).IDs, p.ID) {
+				t.Fatalf("%s: Lookup(%v) misses its outlier", name, p.M)
 			}
 		}
 	}
